@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench bench-micro bench-tables bench-report eval chaos overload scaleout georep verify-consistency autoscale trace profile docs examples all
+.PHONY: help install test lint bench bench-micro bench-tables bench-report eval chaos overload scaleout georep verify-consistency autoscale trace profile perf docs examples all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -106,10 +106,16 @@ autoscale:  ## E20 traffic plane: SLO-driven autoscaling + workload tests
 trace:  ## causal trace-tree analysis over a quorum workload
 	python -m repro.eval trace
 
-# Simulator hot-spot profile: cProfile over a scaled-down E16 (1 and 2
-# DPU sweep points), top-20 cumulative. Start perf PRs here.
-profile:  ## cProfile hot-spot report over a scaled-down E16
-	python tools/profile_sim.py
+# Simulator hot-spot profile: one traced perfbench run, host time and
+# event counts attributed per layer. Start perf PRs here; for another
+# workload run perfbench/run.py --workload W --seconds S --trace 1.
+profile:  ## per-layer hot-spot report: one traced perfbench run
+	python3 perfbench/run.py --workload kv-unbatched-rw --seconds 3 --trace 1
+
+# The repository's performance benchmark (BENCHMARK.json): all five
+# workloads, one sample each, results under perfbench/out/.
+perf:  ## full perfbench run: five workloads, two clocks
+	python3 perfbench/run.py
 
 # Documentation hygiene: markdown link check + doctest'd examples
 # (mirrors the CI docs job).

@@ -9,9 +9,9 @@ partitions serve independently; the key spread stays balanced.
 
 from conftest import emit
 
-from repro.dpu.cluster import DpuKvCluster, RoutingClient
 from repro.eval.report import Table
 from repro.hw.net import Network
+from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
 
 OPS_PER_CLIENT = 60
@@ -21,10 +21,12 @@ def run_cluster_scaling(dpu_counts=(1, 2, 4)):
     rows = []
     for count in dpu_counts:
         sim = Simulator()
-        net = Network(sim)
-        cluster = DpuKvCluster(sim, net, dpu_count=count, ssd_blocks=16384)
+        cluster = ShardedKvCluster(
+            sim, Network(sim), dpu_count=count, ssd_blocks=16384, name="kv"
+        )
         clients = [
-            RoutingClient(sim, net, f"client-{i}", cluster) for i in range(count)
+            ShardedKvClient(sim, cluster, f"client-{i}", cache=None)
+            for i in range(count)
         ]
 
         def worker(client, base):

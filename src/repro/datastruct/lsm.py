@@ -81,54 +81,16 @@ class SsTable:
         return cls(entries)
 
 
-class LsmStats:
-    """Counters for flushes, compactions, and compacted bytes.
-
-    A facade over telemetry counters. The LSM tree itself is a pure data
-    structure with no simulator, so by default the counters live in a
-    private standalone registry; an owner (e.g. a KV-SSD) can pass a scope
-    from its central registry instead.
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None else MetricScope.standalone("lsm")
-        )
-        self._flushes = self._metrics.counter("flushes")
-        self._compactions = self._metrics.counter("compactions")
-        self._bytes_compacted = self._metrics.counter("bytes_compacted")
-
-    @property
-    def flushes(self) -> int:
-        return self._flushes.value
-
-    @flushes.setter
-    def flushes(self, value: int) -> None:
-        self._flushes._set(value)
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions.value
-
-    @compactions.setter
-    def compactions(self, value: int) -> None:
-        self._compactions._set(value)
-
-    @property
-    def bytes_compacted(self) -> int:
-        return self._bytes_compacted.value
-
-    @bytes_compacted.setter
-    def bytes_compacted(self, value: int) -> None:
-        self._bytes_compacted._set(value)
-
-
 class LsmTree:
     """Leveled LSM: writes hit the memtable; reads check newest-first.
 
     L0 collects flushed memtables (possibly overlapping); when L0 exceeds
     ``l0_limit`` tables they merge with L1 into a single sorted run — the
     compaction workload §2.4 proposes pushing into the DPU.
+
+    The tree is a pure data structure with no simulator, so by default
+    its counters live in a private standalone registry; an owner (e.g. a
+    KV-SSD) passes a scope from its central registry instead.
     """
 
     def __init__(
@@ -144,10 +106,22 @@ class LsmTree:
         self._memtable: Dict[bytes, bytes] = {}
         self.l0: List[SsTable] = []  # newest first
         self.l1: Optional[SsTable] = None
-        self.stats = LsmStats(metrics)
+        if metrics is None:
+            metrics = MetricScope.standalone("lsm")
+        self._flushes = metrics.counter("flushes")
+        self._compactions = metrics.counter("compactions")
+        self._bytes_compacted = metrics.counter("bytes_compacted")
 
     def __len__(self) -> int:
         return sum(1 for __ in self.items())
+
+    @property
+    def flushes(self) -> int:
+        return self._flushes.value
+
+    @property
+    def compactions(self) -> int:
+        return self._compactions.value
 
     # -- writes --------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
@@ -169,7 +143,7 @@ class LsmTree:
         entries = sorted(self._memtable.items())
         self.l0.insert(0, SsTable(entries))
         self._memtable = {}
-        self.stats.flushes += 1
+        self._flushes.inc()
         if len(self.l0) > self.l0_limit:
             self.compact()
 
@@ -184,13 +158,13 @@ class LsmTree:
         for table in sources:
             for key, value in table.items():
                 merged[key] = value
-                self.stats.bytes_compacted += len(key) + len(value)
+                self._bytes_compacted.inc(len(key) + len(value))
         survivors = sorted(
             (k, v) for k, v in merged.items() if v != _TOMBSTONE
         )
         self.l1 = SsTable(survivors) if survivors else None
         self.l0 = []
-        self.stats.compactions += 1
+        self._compactions.inc()
 
     # -- reads ---------------------------------------------------------------
     def get(self, key: bytes) -> Optional[bytes]:

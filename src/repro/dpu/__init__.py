@@ -12,13 +12,7 @@
 
 from repro.dpu.schematic import SchematicNode, build_schematic, schematic_table
 from repro.dpu.hyperion import HyperionDpu, BootReport
-from repro.dpu.cluster import (
-    DpuKvCluster,
-    FailoverKvClient,
-    FailoverStats,
-    ReplicatedDpuKvCluster,
-    RoutingClient,
-)
+from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.dpu.osshell import OsShell
 from repro.dpu.tenancy import SlotScheduler, TenantRequest
 
@@ -28,11 +22,8 @@ __all__ = [
     "schematic_table",
     "HyperionDpu",
     "BootReport",
-    "DpuKvCluster",
     "ReplicatedDpuKvCluster",
-    "RoutingClient",
     "FailoverKvClient",
-    "FailoverStats",
     "OsShell",
     "SlotScheduler",
     "TenantRequest",

@@ -1,157 +1,66 @@
-"""Distributed CPU-free applications over multiple DPUs (paper §2.4, §4).
+"""A replicated KV cluster with client-driven failover (paper §2.4, §4).
 
 The paper's C1/C2 workload split and discussion question 3: how to build
 applications "executed over multiple DPUs"? Following the cited MICA
-pattern, the cluster uses *client-driven request routing*: clients hash
-keys to the owning DPU and talk to it directly — shared-nothing,
-run-to-completion, with no coordinator in the data path.
+pattern, routing is *client-driven*: clients hash keys to the owning DPU
+and talk to it directly — shared-nothing, run-to-completion, with no
+coordinator in the data path. The plain (unreplicated, elastic) form of
+that pattern is :mod:`repro.sharding`; this module is the chain-replicated
+form E13 storms: K replicas per key, health-ordered reads, and a circuit
+breaker per replica.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError, DegradedError
 from repro.overload.breaker import CircuitBreaker, CircuitOpenError
-from repro.sharding.ring import DEFAULT_VNODES, HashRing
-from repro.telemetry import MetricScope
+from repro.sharding.cluster import build_kv_dpu
+from repro.sharding.ring import HashRing
 from repro.hw.net import Network
-from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
-from repro.storage.kvssd import KvSsd, KvSsdClient, KvSsdService
-from repro.transport import RetryPolicy, RpcClient, RpcError, RpcServer, UdpSocket
+from repro.storage.kvssd import KvSsd, KvSsdService
+from repro.transport import RetryPolicy, RpcClient, RpcError, UdpSocket
+from repro.verify.history import NULL_HISTORY
 
 
-@dataclass
-class ClusterStats:
-    """Aggregate and per-DPU operation counts for a cluster.
-
-    A read-through snapshot assembled from each device's registry-backed
-    ``gets``/``puts`` counters at :meth:`DpuKvCluster.stats` time.
-    """
-
-    routed_ops: int = 0
-    per_dpu_ops: Optional[Dict[str, int]] = None
-
-
-class DpuKvCluster:
-    """N standalone KV-SSD DPUs behind client-driven routing.
-
-    Placement is a consistent-hash ring
-    (:class:`~repro.sharding.ring.HashRing`) rather than ``hash % n``:
-    the owner of a key depends only on the ring geometry, so growing or
-    shrinking the cluster re-homes ~1/n of the keyspace instead of
-    nearly all of it (the property live migration builds on).
-    """
-
-    def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
-                 ssd_blocks: int = 65536, vnodes: int = DEFAULT_VNODES):
-        if dpu_count < 1:
-            raise ConfigurationError("need at least one DPU")
-        self.sim = sim
-        self.network = network
-        self.ssd_blocks = ssd_blocks
-        self.addresses: List[str] = []
-        self.devices: List[KvSsd] = []
-        self.servers: List[RpcServer] = []
-        self.ring = HashRing(vnodes=vnodes)
-        for index in range(dpu_count):
-            self._build_dpu(f"kv-dpu-{index}")
-
-    def _build_dpu(self, address: str) -> str:
-        """Stand up one KV-SSD DPU, serve it, and place it on the ring."""
-        controller = NvmeController(self.sim, f"{address}-flash")
-        controller.add_namespace(Namespace(1, self.ssd_blocks))
-        device = KvSsd(self.sim, controller, memtable_limit=100_000)
-        server = RpcServer(
-            self.sim, UdpSocket(self.sim, self.network.endpoint(address))
-        )
-        KvSsdService(server, device)
-        self.addresses.append(address)
-        self.devices.append(device)
-        self.servers.append(server)
-        self.ring.add_node(address)
-        return address
-
-    def owner_of(self, key: bytes) -> str:
-        """The DPU owning *key* under the current ring."""
-        return self.ring.owner_of(key)
-
-    def stats(self) -> ClusterStats:
-        per_dpu = {
-            address: device.gets + device.puts
-            for address, device in zip(self.addresses, self.devices)
-        }
-        return ClusterStats(
-            routed_ops=sum(per_dpu.values()), per_dpu_ops=per_dpu
-        )
-
-    def balance(self) -> float:
-        """max/mean ops across DPUs — 1.0 is a perfect spread."""
-        counts = [d.gets + d.puts for d in self.devices]
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean else 1.0
-
-
-class RoutingClient:
-    """A client that owns the partition map (passive disaggregation: the
-    smartness lives with the client, the DPUs only serve fast-path ops)."""
-
-    def __init__(self, sim: Simulator, network: Network, name: str,
-                 cluster: DpuKvCluster):
-        self.cluster = cluster
-        rpc = RpcClient(sim, UdpSocket(sim, network.endpoint(name)))
-        self._stubs: Dict[str, KvSsdClient] = {
-            address: KvSsdClient(rpc, address) for address in cluster.addresses
-        }
-        self._metrics = sim.telemetry.unique_scope(f"dpu.client.{name}")
-        self._ops = self._metrics.counter("ops")
-
-    @property
-    def ops(self) -> int:
-        return self._ops.value
-
-    def put(self, key: bytes, value: bytes):
-        stub = self._stubs[self.cluster.owner_of(key)]
-        yield from stub.put(key, value)
-        self._ops.inc()
-
-    def get(self, key: bytes):
-        stub = self._stubs[self.cluster.owner_of(key)]
-        value = yield from stub.get(key)
-        self._ops.inc()
-        return value
-
-    def delete(self, key: bytes):
-        stub = self._stubs[self.cluster.owner_of(key)]
-        yield from stub.delete(key)
-        self._ops.inc()
-
-
-class ReplicatedDpuKvCluster(DpuKvCluster):
+class ReplicatedDpuKvCluster:
     """K-way replicated KV cluster that survives dead or degraded DPUs.
 
-    Each key's replica chain is the K DPUs starting at its hash owner
-    (consecutive on the ring). Writes walk the chain head-to-tail; reads
-    are served by any live replica — a client-driven approximation of
-    chain replication that keeps the DPUs dumb and shared-nothing, in the
-    same spirit as the MICA routing above. :meth:`kill` models an abrupt
-    DPU death (its traffic blackholes at the switch) so failover paths can
-    be exercised deterministically.
+    N standalone KV-SSD DPUs (``kv-dpu-0`` .. ``kv-dpu-N-1``) placed on a
+    consistent-hash ring. Each key's replica chain is the K DPUs starting
+    at its hash owner (consecutive on the ring). Writes walk the chain
+    head-to-tail; reads are served by any live replica — a client-driven
+    approximation of chain replication that keeps the DPUs dumb and
+    shared-nothing. :meth:`kill` models an abrupt DPU death (its traffic
+    blackholes at the switch) so failover paths can be exercised
+    deterministically.
     """
 
     def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
                  replication: int = 2, ssd_blocks: int = 65536):
-        super().__init__(sim, network, dpu_count=dpu_count,
-                         ssd_blocks=ssd_blocks)
+        if dpu_count < 1:
+            raise ConfigurationError("need at least one DPU")
         if not 1 <= replication <= dpu_count:
             raise ConfigurationError(
                 f"replication factor {replication} needs "
                 f"1..{dpu_count} replicas"
             )
+        self.sim = sim
+        self.network = network
         self.replication = replication
+        self.addresses: List[str] = []
+        self.devices: List[KvSsd] = []
+        self.ring = HashRing()
         self.down: Set[str] = set()
+        for index in range(dpu_count):
+            address = f"kv-dpu-{index}"
+            device, server = build_kv_dpu(sim, network, address, ssd_blocks)
+            KvSsdService(server, device)
+            self.addresses.append(address)
+            self.devices.append(device)
+            self.ring.add_node(address)
 
     def replicas_of(self, key: bytes) -> List[str]:
         """The key's replica chain, head (ring owner) first.
@@ -174,88 +83,6 @@ class ReplicatedDpuKvCluster(DpuKvCluster):
         self.down.discard(address)
         self.network.switch.restore(address)
         return address
-
-    def live_addresses(self) -> List[str]:
-        return [a for a in self.addresses if a not in self.down]
-
-
-class FailoverStats:
-    """What a failover client observed: successes, failovers, dead ends.
-
-    A facade over telemetry counters; ``marked_down`` stays a plain set of
-    addresses (its size is mirrored into a gauge).
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("dpu.failover")
-        )
-        self._reads = self._metrics.counter("reads")
-        self._writes = self._metrics.counter("writes")
-        self._failed_ops = self._metrics.counter("failed_ops")
-        # Ops that only succeeded on a non-head replica.
-        self._failovers = self._metrics.counter("failovers")
-        # Individual replica RPCs that timed out or errored.
-        self._replica_failures = self._metrics.counter("replica_failures")
-        self._marked_down_gauge = self._metrics.gauge("marked_down")
-        self.marked_down: Set[str] = _MarkedDownSet(self._marked_down_gauge)
-
-    @property
-    def reads(self) -> int:
-        return self._reads.value
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._reads._set(value)
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes._set(value)
-
-    @property
-    def failed_ops(self) -> int:
-        return self._failed_ops.value
-
-    @failed_ops.setter
-    def failed_ops(self, value: int) -> None:
-        self._failed_ops._set(value)
-
-    @property
-    def failovers(self) -> int:
-        return self._failovers.value
-
-    @failovers.setter
-    def failovers(self, value: int) -> None:
-        self._failovers._set(value)
-
-    @property
-    def replica_failures(self) -> int:
-        return self._replica_failures.value
-
-    @replica_failures.setter
-    def replica_failures(self, value: int) -> None:
-        self._replica_failures._set(value)
-
-
-class _MarkedDownSet(set):
-    """A set that mirrors its size into a telemetry gauge."""
-
-    def __init__(self, gauge):
-        super().__init__()
-        self._gauge = gauge
-
-    def add(self, item) -> None:
-        super().add(item)
-        self._gauge.set(len(self))
-
-    def discard(self, item) -> None:
-        super().discard(item)
-        self._gauge.set(len(self))
 
 
 class FailoverKvClient:
@@ -293,9 +120,9 @@ class FailoverKvClient:
         self.sim = sim
         self.cluster = cluster
         self.name = name
-        #: Optional :class:`~repro.verify.HistoryRecorder`: when set,
+        #: A :class:`~repro.verify.HistoryRecorder` when one was passed:
         #: every KV op records invoke/outcome for consistency checking.
-        self.history = history
+        self.history = history if history is not None else NULL_HISTORY
         self.rpc = RpcClient(sim, UdpSocket(sim, network.endpoint(name)))
         self.timeout = timeout
         self.retries = retries
@@ -308,7 +135,14 @@ class FailoverKvClient:
             address: True for address in cluster.addresses
         }
         scope = sim.telemetry.unique_scope(f"dpu.failover.{name}")
-        self.stats = FailoverStats(scope)
+        self._reads = scope.counter("reads")
+        self._writes = scope.counter("writes")
+        self._failed_ops = scope.counter("failed_ops")
+        # Ops that only succeeded on a non-head replica.
+        self._failovers = scope.counter("failovers")
+        # Individual replica RPCs that timed out or errored.
+        self._replica_failures = scope.counter("replica_failures")
+        self._marked_down = scope.gauge("marked_down")
         if breaker_reset_timeout is None:
             breaker_reset_timeout = timeout * 20
         self.breakers: Dict[str, CircuitBreaker] = {
@@ -320,24 +154,36 @@ class FailoverKvClient:
             for address in cluster.addresses
         }
 
+    # -- read-through counters -------------------------------------------------
+    @property
+    def failed_ops(self) -> int:
+        """Ops no replica could serve."""
+        return self._failed_ops.value
+
+    @property
+    def failovers(self) -> int:
+        """Ops that only succeeded on a non-head replica."""
+        return self._failovers.value
+
+    @property
+    def replica_failures(self) -> int:
+        """Individual replica RPCs that timed out or errored."""
+        return self._replica_failures.value
+
+    @property
+    def marked_down(self) -> List[str]:
+        """Replicas the health map currently holds down."""
+        return [a for a, up in self.health.items() if not up]
+
     # -- internals -----------------------------------------------------------
     def _call(self, address: str, method: str, *args,
               request_size: int = 64, response_size: int = 64):
-        breaker = self.breakers[address]
-        if not breaker.allow():
-            raise CircuitOpenError(f"{method} to {address}: circuit open")
-        try:
-            result = yield from self.rpc.call(
-                address, method, *args,
-                request_size=request_size, response_size=response_size,
-                timeout=self.timeout, retries=self.retries,
-                deadline=self.deadline, policy=self.policy,
-            )
-        except RpcError:
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-        return result
+        return self.rpc.call_guarded(
+            self.breakers[address], address, method, *args,
+            request_size=request_size, response_size=response_size,
+            timeout=self.timeout, retries=self.retries,
+            deadline=self.deadline, policy=self.policy,
+        )
 
     def _ordered_replicas(self, key: bytes) -> List[str]:
         """The replica chain, healthy members first (stable order)."""
@@ -347,10 +193,15 @@ class FailoverKvClient:
             + [a for a in chain if not self.health[a]]
         )
 
+    def _set_health(self, address: str, up: bool) -> None:
+        """Record a health change; the gauge follows the map both ways."""
+        if self.health[address] is not up:
+            self.health[address] = up
+            self._marked_down.set(len(self.marked_down))
+
     def _mark_down(self, address: str) -> None:
-        self.health[address] = False
-        self.stats.marked_down.add(address)
-        self.stats.replica_failures += 1
+        self._set_health(address, False)
+        self._replica_failures.inc()
 
     # -- health probing ------------------------------------------------------
     def probe(self, address: str):
@@ -370,7 +221,7 @@ class FailoverKvClient:
             self._mark_down(address)
             breaker.record_failure()
             return False
-        self.health[address] = True
+        self._set_health(address, True)
         breaker.record_success()
         return True
 
@@ -387,8 +238,7 @@ class FailoverKvClient:
         """Process: write the replica chain head-to-tail; one ack suffices
         for availability (skipped replicas are marked down for repair)."""
         key, value = bytes(key), bytes(value)
-        pending = (self.history.invoke(self.name, "w", key, value)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "w", key, value)
         acked = 0
         last_error: Optional[RpcError] = None
         for position, address in enumerate(self.cluster.replicas_of(key)):
@@ -403,28 +253,25 @@ class FailoverKvClient:
                 self._mark_down(address)
                 last_error = error
                 continue
-            self.health[address] = True
+            self._set_health(address, True)
             acked += 1
             if position > 0 and acked == 1:
-                self.stats.failovers += 1
+                self._failovers.inc()
         if acked == 0:
-            self.stats.failed_ops += 1
+            self._failed_ops.inc()
             # Zero acks does not mean zero effect: a request may have
             # landed on a replica whose response frame was lost.
-            if pending is not None:
-                pending.indeterminate()
+            pending.indeterminate()
             raise DegradedError(f"put {key!r}: no replica reachable ({last_error})")
-        self.stats.writes += 1
-        if pending is not None:
-            pending.ok()
+        self._writes.inc()
+        pending.ok()
         return acked
 
     def get(self, key: bytes, expected_value_size: int = 128):
         """Process: read from the first live replica, failing over down
         the chain when the preferred one is dead."""
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "r", key)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "r", key)
         last_error: Optional[RpcError] = None
         head = self.cluster.replicas_of(key)[0]
         for address in self._ordered_replicas(key):
@@ -440,23 +287,20 @@ class FailoverKvClient:
                 self._mark_down(address)
                 last_error = error
                 continue
-            self.health[address] = True
+            self._set_health(address, True)
             if address != head:
-                self.stats.failovers += 1
-            self.stats.reads += 1
-            if pending is not None:
-                pending.ok(value)
+                self._failovers.inc()
+            self._reads.inc()
+            pending.ok(value)
             return value
-        self.stats.failed_ops += 1
-        if pending is not None:
-            pending.fail()
+        self._failed_ops.inc()
+        pending.fail()
         raise DegradedError(f"get {key!r}: no replica reachable ({last_error})")
 
     def delete(self, key: bytes):
         """Process: chain-wide delete (same walk as put)."""
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "d", key)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "d", key)
         acked = 0
         for address in self.cluster.replicas_of(key):
             try:
@@ -471,11 +315,9 @@ class FailoverKvClient:
                 continue
             acked += 1
         if acked == 0:
-            self.stats.failed_ops += 1
-            if pending is not None:
-                pending.indeterminate()
+            self._failed_ops.inc()
+            pending.indeterminate()
             raise DegradedError(f"delete {key!r}: no replica reachable")
-        self.stats.writes += 1
-        if pending is not None:
-            pending.ok()
+        self._writes.inc()
+        pending.ok()
         return acked

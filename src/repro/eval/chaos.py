@@ -25,7 +25,12 @@ from typing import List, Optional
 from repro.common.errors import DegradedError
 from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.eval.report import Table
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    node_outage_controller,
+)
 from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.telemetry import (
@@ -162,27 +167,12 @@ def _run_storm(
         [SloRule.parse(text, name=name) for name, text in SLO_RULES],
     )
     done = [False]
-    kill_observed = [None]
     preload_end = [0.0]
 
     def sampling():
         while not done[0]:
             yield sim.timeout(sampler.period)
             sampler.sample()
-
-    def controller():
-        # The chaos controller: maps NODE_DOWN windows onto switch
-        # blackholes, the way a pulled power cable maps onto dead links.
-        while not done[0]:
-            yield sim.timeout(0.5e-3)
-            for index, address in enumerate(cluster.addresses):
-                down = injector.active(address, FaultKind.NODE_DOWN)
-                if down and address not in cluster.down:
-                    cluster.kill(index)
-                    if kill_observed[0] is None:
-                        kill_observed[0] = sim.now
-                elif not down and address in cluster.down:
-                    cluster.revive(index)
 
     def workload():
         value = b"v" * 64
@@ -193,7 +183,7 @@ def _run_storm(
             key = _key(index % preload)
             started = sim.now
             retransmits_before = client.rpc.retransmits
-            failures_before = client.stats.replica_failures
+            failures_before = client.replica_failures
             try:
                 if index % 2 == 0:
                     yield from client.get(key)
@@ -207,19 +197,29 @@ def _run_storm(
                     started, sim.now, ok,
                     retried=(
                         client.rpc.retransmits > retransmits_before
-                        or client.stats.replica_failures > failures_before
+                        or client.replica_failures > failures_before
                     ),
                 )
             )
             op_latency.observe(sim.now - started)
         done[0] = True
 
-    sim.process(controller())
+    # The chaos controller: NODE_DOWN windows become switch blackholes.
+    sim.process(node_outage_controller(
+        sim, injector, network.switch, cluster.addresses, cluster.down,
+        lambda: done[0],
+    ))
     sim.process(sampling())
     sim.run_process(workload())
+    # The controller is the only consulter of the victim's NODE_DOWN
+    # window, so the window's log record carries the poll that killed it.
+    kill_observed = next(
+        (record.time for record in injector.log
+         if record.kind is FaultKind.NODE_DOWN), None,
+    )
     return (
         sim, cluster, client, injector, outcomes,
-        kill_observed[0], preload_end[0], sampler, monitor,
+        kill_observed, preload_end[0], sampler, monitor,
     )
 
 
@@ -283,7 +283,7 @@ def run_chaos(
         ops_succeeded=len(succeeded),
         ops_failed=len(outcomes) - len(succeeded),
         ops_retried=sum(1 for o in outcomes if o.retried),
-        failovers=client.stats.failovers,
+        failovers=client.failovers,
         availability=len(succeeded) / len(outcomes) if outcomes else 0.0,
         p50_latency=percentile(latencies, 0.50),
         p99_latency=p99,

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
 from repro.eval.report import Table
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, node_outage_controller
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
 from repro.hw.net import Network
 from repro.sharding import ShardedKvClient, ShardedKvCluster, ShardMigrator
@@ -314,32 +314,8 @@ def _run_sharded_schedule(seed: int, index: int) -> ScheduleVerdict:
 
     keys = _shard_keys()
     done = [False]
-    powered_off: set = set()
     down: set = set()
     migrated: List[object] = []
-
-    def controller():
-        # E13-style: NODE_DOWN windows and fired POWER_LOSS specs map to
-        # switch blackholes — a pulled cable is dead links.
-        while not done[0]:
-            yield sim.timeout(0.5e-3)
-            if done[0]:
-                return
-            for address in list(cluster.addresses):
-                if (address not in powered_off
-                        and injector.pending(address, FaultKind.POWER_LOSS)
-                        and injector.fires(address, FaultKind.POWER_LOSS)):
-                    powered_off.add(address)
-                want_down = (
-                    address in powered_off
-                    or injector.active(address, FaultKind.NODE_DOWN)
-                )
-                if want_down and address not in down:
-                    network.switch.blackhole(address)
-                    down.add(address)
-                elif not want_down and address in down:
-                    network.switch.restore(address)
-                    down.discard(address)
 
     def worker(client: ShardedKvClient, wrng: random.Random):
         sequence = 0
@@ -367,7 +343,12 @@ def _run_sharded_schedule(seed: int, index: int) -> ScheduleVerdict:
         report = yield from migrator.add_dpu()
         migrated.append(report)
 
-    sim.process(controller())
+    # E13-style: NODE_DOWN windows and fired POWER_LOSS specs map to
+    # switch blackholes.
+    sim.process(node_outage_controller(
+        sim, injector, network.switch, cluster.addresses, down,
+        lambda: done[0],
+    ))
     for worker_index, client in enumerate(clients):
         sim.process(worker(
             client, random.Random(f"verify/shard/{seed}/{index}/w{worker_index}")

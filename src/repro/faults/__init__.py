@@ -10,9 +10,13 @@ cluster failover, tiering degradation, ICAP scrubbing — rides through what
 the plan throws at it. E13 (``repro.eval.chaos``) measures the result.
 """
 
-from repro.faults.clock import ManualClock, SimClock
-from repro.faults.injector import FaultInjector, FaultRecord
+from repro.faults.injector import (
+    FaultInjector,
+    FaultRecord,
+    node_outage_controller,
+)
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.sim.clock import ManualClock, SimClock
 
 __all__ = [
     "FaultKind",
@@ -21,5 +25,6 @@ __all__ = [
     "FaultInjector",
     "FaultRecord",
     "ManualClock",
+    "node_outage_controller",
     "SimClock",
 ]

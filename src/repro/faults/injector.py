@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+
+#: How often :func:`node_outage_controller` consults the plan.
+OUTAGE_POLL = 0.5e-3
 
 
 @dataclass(frozen=True)
@@ -142,3 +145,37 @@ class FaultInjector:
         asserts.
         """
         return "\n".join(record.line() for record in self.log).encode()
+
+
+def node_outage_controller(sim, injector: FaultInjector, switch,
+                           addresses: List[str], down: Set[str],
+                           stopped: Callable[[], bool]):
+    """Process: map node outages in the plan onto switch blackholes.
+
+    Every :data:`OUTAGE_POLL` seconds, for each of *addresses* in order
+    (the list is re-read each poll, so a cluster may grow): a NODE_DOWN
+    window, or a POWER_LOSS spec once it has fired, blackholes the
+    address at *switch* — a pulled cable is dead links — and the end of
+    the window restores it. *down* is the caller's set of currently
+    blackholed addresses; the loop ends once ``stopped()`` is true.
+    """
+    powered_off: Set[str] = set()
+    while True:
+        yield sim.timeout(OUTAGE_POLL)
+        if stopped():
+            return
+        for address in list(addresses):
+            if (address not in powered_off
+                    and injector.pending(address, FaultKind.POWER_LOSS)
+                    and injector.fires(address, FaultKind.POWER_LOSS)):
+                powered_off.add(address)
+            want_down = (
+                address in powered_off
+                or injector.active(address, FaultKind.NODE_DOWN)
+            )
+            if want_down and address not in down:
+                switch.blackhole(address)
+                down.add(address)
+            elif not want_down and address in down:
+                switch.restore(address)
+                down.discard(address)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.formats.columnar import RecordBatch
-from repro.formats.parquet import ReadStats, read_table, write_table
+from repro.formats.parquet import ReadAccounting, read_table, write_table
 
 
 def parquet_to_batch(
@@ -18,7 +18,7 @@ def parquet_to_batch(
     columns: Optional[Sequence[str]] = None,
     predicate_column: Optional[str] = None,
     predicate_range: Optional[Tuple] = None,
-    stats: Optional[ReadStats] = None,
+    stats: Optional[ReadAccounting] = None,
 ) -> RecordBatch:
     """Decode storage bytes into the in-memory representation."""
     return read_table(

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.formats.columnar import RecordBatch, Schema
-from repro.telemetry import MetricScope
 
 MAGIC = b"HPQ1"
 
@@ -163,46 +162,14 @@ def read_footer(raw: bytes) -> ParquetFooter:
     return ParquetFooter(schema=schema, row_groups=groups)
 
 
-class ReadStats:
-    """I/O accounting: what projection + pushdown actually saved.
+@dataclass
+class ReadAccounting:
+    """I/O accounting a caller passes to :func:`read_table`: what
+    projection + pushdown actually saved."""
 
-    A facade over telemetry counters. Readers usually construct one
-    standalone (private registry); a DPU pipeline can pass a scope from
-    its simulator's central registry instead.
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("formats.read")
-        )
-        self._bytes_read = self._metrics.counter("bytes_read")
-        self._chunks_read = self._metrics.counter("chunks_read")
-        self._row_groups_skipped = self._metrics.counter("row_groups_skipped")
-
-    @property
-    def bytes_read(self) -> int:
-        return self._bytes_read.value
-
-    @bytes_read.setter
-    def bytes_read(self, value: int) -> None:
-        self._bytes_read._set(value)
-
-    @property
-    def chunks_read(self) -> int:
-        return self._chunks_read.value
-
-    @chunks_read.setter
-    def chunks_read(self, value: int) -> None:
-        self._chunks_read._set(value)
-
-    @property
-    def row_groups_skipped(self) -> int:
-        return self._row_groups_skipped.value
-
-    @row_groups_skipped.setter
-    def row_groups_skipped(self, value: int) -> None:
-        self._row_groups_skipped._set(value)
+    bytes_read: int = 0
+    chunks_read: int = 0
+    row_groups_skipped: int = 0
 
 
 def read_table(
@@ -210,7 +177,7 @@ def read_table(
     columns: Optional[Sequence[str]] = None,
     predicate_column: Optional[str] = None,
     predicate_range: Optional[Tuple[Any, Any]] = None,
-    stats: Optional[ReadStats] = None,
+    stats: Optional[ReadAccounting] = None,
 ) -> RecordBatch:
     """Read with column projection and min/max row-group pushdown.
 

@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, DegradedError
 from repro.georep.region import GeoCluster
-from repro.overload import BrownoutController, CircuitBreaker
+from repro.overload import BrownoutController, CircuitBreaker, CircuitOpenError
 from repro.transport import RetryBudget, RpcClient, RpcError, UdpSocket
+from repro.verify.history import NULL_HISTORY
 
 __all__ = ["GeoKvClient"]
 
@@ -86,7 +87,7 @@ class GeoKvClient:
         self.cluster = cluster
         self.name = name
         self.home = home
-        self.history = history
+        self.history = history if history is not None else NULL_HISTORY
         self.preference: List[str] = list(
             preference if preference is not None else cluster.regions
         )
@@ -150,11 +151,10 @@ class GeoKvClient:
             region for region in self.preference if region != self.current
         ]
 
-    def _settle(self, region: str, first: str, attempts: int,
-                write: bool) -> None:
+    def _settle(self, region: str, first: str, replayed: bool) -> None:
         if region != first:
             self._failovers.inc()
-        if write and attempts > 1:
+        if replayed:
             self._replayed.inc()
         if region != self.current:
             self.current = region
@@ -171,74 +171,73 @@ class GeoKvClient:
         by a region that logged it, or still the client's to retry.
         """
         first = self._ordered()[0]
-        attempts = 0
+        failed_attempts = 0
         for round_index in range(self.rounds):
             for region in self._ordered():
-                breaker = self.breakers[region]
-                if not breaker.allow():
-                    continue
-                attempts += 1
-                gateway = self.cluster.region(region).address
                 call_args = args + (region,) if method == "geo.get" else args
                 try:
-                    result = yield from self.rpc.call(
-                        gateway, method, *call_args,
-                        request_size=request_size,
-                        response_size=response_size,
-                        timeout=self.timeout, retries=self.retries,
-                        deadline=self.deadline,
+                    result = yield from self._call(
+                        region, method, call_args, request_size,
+                        response_size,
                     )
+                except CircuitOpenError:
+                    continue  # refused instantly: not an attempt
                 except RpcError:
-                    breaker.record_failure()
+                    failed_attempts += 1
                     continue
-                breaker.record_success()
-                self._settle(region, first, attempts, write)
+                self._settle(region, first, write and failed_attempts > 0)
                 return region, result
             if round_index + 1 < self.rounds:
                 yield self.sim.timeout(self.round_pause)
         self._failed.inc()
         raise DegradedError(
-            f"geo {method} failed in every region after {attempts} attempts"
+            f"geo {method} failed in every region after "
+            f"{failed_attempts} attempts"
+        )
+
+    def _call(self, region: str, method: str, args: tuple,
+              request_size: int, response_size: int):
+        """One breaker-guarded RPC to *region*'s gateway."""
+        return self.rpc.call_guarded(
+            self.breakers[region], self.cluster.region(region).address,
+            method, *args,
+            request_size=request_size, response_size=response_size,
+            timeout=self.timeout, retries=self.retries,
+            deadline=self.deadline,
         )
 
     # -- the KV surface -------------------------------------------------------
     def put(self, key: bytes, value: bytes):
         """Process: write via the current region; returns (stamp, region)."""
         key, value = bytes(key), bytes(value)
-        pending = (self.history.invoke(self.name, "w", key, value)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "w", key, value)
         try:
             region, stamp = yield from self._walk(
                 "geo.put", (key, value), 48 + len(key) + len(value), 24,
                 write=True,
             )
         except DegradedError:
-            if pending is not None:
-                pending.indeterminate()
+            pending.indeterminate()
             raise
         self._writes.inc()
         self._ops.inc()
-        if pending is not None:
-            pending.ok(stamp=stamp)
+        pending.ok(stamp=stamp)
         return stamp, region
 
     def delete(self, key: bytes):
         """Process: delete via the current region; returns (stamp, region)."""
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "d", key)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "d", key)
         try:
             region, stamp = yield from self._walk(
                 "geo.delete", (key,), 48 + len(key), 24, write=True,
             )
         except DegradedError:
-            if pending is not None:
-                pending.indeterminate()
+            pending.indeterminate()
             raise
         self._writes.inc()
         self._ops.inc()
-        if pending is not None:
-            pending.ok(stamp=stamp)
+        pending.ok(stamp=stamp)
         return stamp, region
 
     def get(self, key: bytes, *, max_staleness: Optional[float] = None):
@@ -251,8 +250,7 @@ class GeoKvClient:
         walk, so the bound is a guarantee, not a hint.
         """
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "r", key)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "r", key)
         bound = max_staleness
         if bound is None and self.brownout is not None \
                 and self.brownout.serve_stale:
@@ -261,41 +259,30 @@ class GeoKvClient:
             served = yield from self._stale_get(key, bound)
             if served is not _PRIMARY:
                 value, staleness = served
-                if pending is not None:
-                    pending.ok(value, staleness=staleness)
+                pending.ok(value, staleness=staleness)
                 return value
         try:
             __, (value, __) = yield from self._walk(
                 "geo.get", (key,), 48 + len(key), 136, write=False,
             )
         except DegradedError:
-            if pending is not None:
-                pending.fail()
+            pending.fail()
             raise
         self._reads.inc()
         self._ops.inc()
-        if pending is not None:
-            pending.ok(value)
+        pending.ok(value)
         return value
 
     def _stale_get(self, key: bytes, bound: float):
         """Process: home-follower read. Returns ``(value, staleness)``,
         or ``_PRIMARY`` when the primary walk must run instead."""
-        breaker = self.breakers[self.home]
-        if not breaker.allow():
-            return _PRIMARY
-        gateway = self.cluster.region(self.home).address
         try:
-            value, staleness = yield from self.rpc.call(
-                gateway, "geo.get", key, self.current,
-                request_size=48 + len(key), response_size=136,
-                timeout=self.timeout, retries=self.retries,
-                deadline=self.deadline,
+            value, staleness = yield from self._call(
+                self.home, "geo.get", (key, self.current),
+                48 + len(key), 136,
             )
-        except RpcError:
-            breaker.record_failure()
+        except (CircuitOpenError, RpcError):
             return _PRIMARY
-        breaker.record_success()
         if staleness > bound:
             self._stale_fallbacks.inc()
             return _PRIMARY

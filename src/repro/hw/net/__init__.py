@@ -6,8 +6,8 @@ datacenter fabric between clients and DPUs. Latency is serialization delay
 """
 
 from repro.hw.net.frames import Frame, ETHERNET_HEADER, MAX_FRAME_PAYLOAD
-from repro.hw.net.link import Link, LinkStats, QSFP28_100G
-from repro.hw.net.port import NetworkPort, PortStats
+from repro.hw.net.link import Link, QSFP28_100G
+from repro.hw.net.port import NetworkPort
 from repro.hw.net.switch import Switch, Network
 
 __all__ = [
@@ -15,10 +15,8 @@ __all__ = [
     "ETHERNET_HEADER",
     "MAX_FRAME_PAYLOAD",
     "Link",
-    "LinkStats",
     "QSFP28_100G",
     "NetworkPort",
-    "PortStats",
     "Switch",
     "Network",
 ]

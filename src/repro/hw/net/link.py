@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.units import gbps
@@ -17,33 +16,6 @@ QSFP28_100G = gbps(100)
 #: Propagation within one datacenter rack/row (~2-5 us is typical including
 #: switch transit; links default to 1 us each way and switches add more).
 DEFAULT_PROPAGATION = 1e-6
-
-
-@dataclass
-class LinkStats:
-    """Counters for one link's TX side, including every loss cause.
-
-    A read-through snapshot of the link's registry counters (see
-    ``Link.stats``); kept as a plain dataclass so port-level merging and
-    existing call sites work unchanged.
-    """
-
-    frames_sent: int = 0
-    frames_dropped: int = 0
-    frames_corrupted: int = 0
-    bytes_sent: int = 0
-
-    @property
-    def frames_delivered(self) -> int:
-        return self.frames_sent - self.frames_dropped - self.frames_corrupted
-
-    def merge(self, other: "LinkStats") -> "LinkStats":
-        return LinkStats(
-            self.frames_sent + other.frames_sent,
-            self.frames_dropped + other.frames_dropped,
-            self.frames_corrupted + other.frames_corrupted,
-            self.bytes_sent + other.bytes_sent,
-        )
 
 
 class Link:
@@ -103,7 +75,7 @@ class Link:
         self._metrics.rename(component)
         return self
 
-    # -- counter views (legacy attribute API) ---------------------------------
+    # -- counter views --------------------------------------------------------
     @property
     def frames_sent(self) -> int:
         return self._frames_sent.value
@@ -120,13 +92,11 @@ class Link:
     def bytes_sent(self) -> int:
         return self._bytes_sent.value
 
-    def stats(self) -> LinkStats:
-        return LinkStats(
-            self._frames_sent.value,
-            self._frames_dropped.value,
-            self._frames_corrupted.value,
-            self._bytes_sent.value,
-        )
+    @property
+    def frames_delivered(self) -> int:
+        """Frames sent minus every loss cause."""
+        return (self._frames_sent.value - self._frames_dropped.value
+                - self._frames_corrupted.value)
 
     def serialization_delay(self, frame: Frame) -> float:
         return frame.wire_size / self.bandwidth

@@ -35,7 +35,7 @@ AnyNamespace = Union[Namespace, ZonedNamespace]
 class NvmeQueuePair:
     """One submission/completion queue pair with bounded depth.
 
-    The legacy mode (``policy=None``) keeps the blocking
+    The default mode (``policy=None``) keeps the blocking
     :class:`~repro.sim.Store` submission path: a full queue stalls the
     submitter — an *implicit unbounded queue* of blocked putter state.
     With a :class:`~repro.overload.QueuePolicy`, submission goes through
@@ -151,7 +151,7 @@ class NvmeController(PcieDevice):
         self.flash.attach_faults(injector, f"{self.name}.flash")
         return self
 
-    # -- counter views (legacy attribute API) ------------------------------
+    # -- counter views -----------------------------------------------------
     @property
     def commands_executed(self) -> int:
         return self._commands_executed.value

@@ -68,7 +68,7 @@ class FlashArray:
         self._metrics.rename(component)
         return self
 
-    # -- counter views (legacy attribute API) ------------------------------
+    # -- counter views -----------------------------------------------------
     @property
     def reads(self) -> int:
         return self._reads.value

@@ -62,7 +62,7 @@ class PcieLink:
         self._metrics.rename(component)
         return self
 
-    # -- counter views (legacy attribute API) ------------------------------
+    # -- counter views -----------------------------------------------------
     @property
     def bytes_transferred(self) -> int:
         return self._bytes_transferred.value

@@ -20,7 +20,6 @@ from repro.memory.backends import DramBackend, NvmeBackend
 from repro.memory.segments import PlacementHint, Segment, SegmentLocation
 from repro.memory.table import SegmentTranslationTable
 from repro.sim import Simulator
-from repro.telemetry import MetricScope
 
 #: Bus-address bases of the static AXI range split (paper §2.1).
 DRAM_WINDOW_BASE = 0x0000_0000_0000
@@ -65,58 +64,6 @@ class _Allocator:
         return self._cursor - reclaimed
 
 
-class StoreStats:
-    """Counters for allocations, promotions, reads, and writes.
-
-    A facade over telemetry counters: each attribute reads through to the
-    registry, and ``stats.reads += 1``-style mutation still works. A
-    standalone instance (no scope given) keeps its counters in a private
-    registry, so tests can construct one in isolation.
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("memory.store")
-        )
-        self._allocations = self._metrics.counter("allocations")
-        self._promotions = self._metrics.counter("promotions")
-        self._reads = self._metrics.counter("reads")
-        self._writes = self._metrics.counter("writes")
-
-    @property
-    def allocations(self) -> int:
-        return self._allocations.value
-
-    @allocations.setter
-    def allocations(self, value: int) -> None:
-        self._allocations._set(value)
-
-    @property
-    def promotions(self) -> int:
-        return self._promotions.value
-
-    @promotions.setter
-    def promotions(self, value: int) -> None:
-        self._promotions._set(value)
-
-    @property
-    def reads(self) -> int:
-        return self._reads.value
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._reads._set(value)
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes._set(value)
-
-
 class SingleLevelStore:
     """Segments over DRAM + (optional) HBM + NVMe with one translation step."""
 
@@ -133,7 +80,11 @@ class SingleLevelStore:
         self.nvme = nvme
         self.hbm = hbm
         self.table = SegmentTranslationTable()
-        self.stats = StoreStats(sim.telemetry.unique_scope("memory.store"))
+        metrics = sim.telemetry.unique_scope("memory.store")
+        self._allocations = metrics.counter("allocations")
+        self._promotions = metrics.counter("promotions")
+        self._reads = metrics.counter("reads")
+        self._writes = metrics.counter("writes")
         self._rng = rng if rng is not None else random.Random(0)
         boot_bytes = BOOT_AREA_BLOCKS * LBA_SIZE
         if nvme.capacity <= boot_bytes:
@@ -144,6 +95,11 @@ class SingleLevelStore:
         }
         if hbm is not None:
             self._allocators[SegmentLocation.HBM] = _Allocator(hbm.capacity)
+
+    @property
+    def promotions(self) -> int:
+        """Segments moved between tiers so far."""
+        return self._promotions.value
 
     # -- placement -----------------------------------------------------------
     def _window_base(self, location: SegmentLocation) -> int:
@@ -192,7 +148,7 @@ class SingleLevelStore:
             durable=durable,
         )
         self.table.insert(segment)
-        self.stats.allocations += 1
+        self._allocations.inc()
         return segment
 
     def free(self, oid: ObjectId) -> None:
@@ -217,13 +173,13 @@ class SingleLevelStore:
             size = segment.size - offset
         segment, backend, at = self._resolve(oid, offset, size)
         segment.access_count += 1
-        self.stats.reads += 1
+        self._reads.inc()
         return backend.read(at, size)
 
     def write(self, oid: ObjectId, data: bytes, offset: int = 0) -> None:
         segment, backend, at = self._resolve(oid, offset, len(data))
         segment.access_count += 1
-        self.stats.writes += 1
+        self._writes.inc()
         backend.write(at, data)
 
     # -- access (timed processes) ----------------------------------------------
@@ -233,14 +189,14 @@ class SingleLevelStore:
             size = segment.size - offset
         segment, backend, at = self._resolve(oid, offset, size)
         segment.access_count += 1
-        self.stats.reads += 1
+        self._reads.inc()
         data = yield from backend.timed_read(at, size)
         return data
 
     def timed_write(self, oid: ObjectId, data: bytes, offset: int = 0):
         segment, backend, at = self._resolve(oid, offset, len(data))
         segment.access_count += 1
-        self.stats.writes += 1
+        self._writes.inc()
         yield from backend.timed_write(at, data)
 
     # -- promotion (hint-driven tiering) ----------------------------------------
@@ -259,7 +215,7 @@ class SingleLevelStore:
         self.write(oid, data)
         old_offset = old_bus - self._window_base(old_location)
         self._allocators[old_location].free(old_offset, segment.size)
-        self.stats.promotions += 1
+        self._promotions.inc()
         return segment
 
     # -- persistence / recovery ---------------------------------------------

@@ -25,7 +25,6 @@ from repro.memory.segments import Segment, SegmentLocation
 from repro.memory.store import SingleLevelStore
 from repro.overload.breaker import CircuitBreaker
 from repro.overload.queues import BoundedQueue, QueuePolicy
-from repro.telemetry import MetricScope
 
 
 @dataclass
@@ -36,59 +35,6 @@ class TieringDecision:
     moved_from: SegmentLocation
     moved_to: SegmentLocation
     accesses_in_epoch: int
-
-
-class TieringStats:
-    """Cumulative promotion/demotion counts across epochs.
-
-    Counts are a facade over telemetry counters; ``decisions`` stays a
-    plain list (structured records, not a metric).
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("memory.tiering")
-        )
-        self._epochs = self._metrics.counter("epochs")
-        self._promotions = self._metrics.counter("promotions")
-        self._demotions = self._metrics.counter("demotions")
-        # Promotions that fell back to a slower tier (or stayed on flash)
-        # because the preferred tier's backend was down or full.
-        self._degraded = self._metrics.counter("degraded")
-        self.decisions: List[TieringDecision] = []
-
-    @property
-    def epochs(self) -> int:
-        return self._epochs.value
-
-    @epochs.setter
-    def epochs(self, value: int) -> None:
-        self._epochs._set(value)
-
-    @property
-    def promotions(self) -> int:
-        return self._promotions.value
-
-    @promotions.setter
-    def promotions(self, value: int) -> None:
-        self._promotions._set(value)
-
-    @property
-    def demotions(self) -> int:
-        return self._demotions.value
-
-    @demotions.setter
-    def demotions(self, value: int) -> None:
-        self._demotions._set(value)
-
-    @property
-    def degraded(self) -> int:
-        return self._degraded.value
-
-    @degraded.setter
-    def degraded(self, value: int) -> None:
-        self._degraded._set(value)
 
 
 class TieringPolicy:
@@ -132,7 +78,14 @@ class TieringPolicy:
         self.injector = injector
         self.component = component
         self._metrics = store.sim.telemetry.unique_scope(f"memory.{component}")
-        self.stats = TieringStats(self._metrics)
+        self._epochs = self._metrics.counter("epochs")
+        self._promotions = self._metrics.counter("promotions")
+        self._demotions = self._metrics.counter("demotions")
+        # Promotions that fell back to a slower tier (or stayed on flash)
+        # because the preferred tier's backend was down or full.
+        self._degraded = self._metrics.counter("degraded")
+        #: Every migration so far, in order (structured records, not a metric).
+        self.decisions: List[TieringDecision] = []
         self._last_counts: Dict[ObjectId, int] = {}
         #: Hot candidates awaiting a move-budget slot: (segment, accesses).
         self.promotion_queue = BoundedQueue(
@@ -150,6 +103,18 @@ class TieringPolicy:
                 failure_threshold=breaker_failure_threshold,
                 reset_timeout=breaker_reset_timeout,
             )
+
+    @property
+    def epochs(self) -> int:
+        return self._epochs.value
+
+    @property
+    def promotions(self) -> int:
+        return self._promotions.value
+
+    @property
+    def degraded(self) -> int:
+        return self._degraded.value
 
     def _on_queue_drop(self, entry: Tuple[Segment, int], reason: str) -> None:
         segment, __ = entry
@@ -231,12 +196,12 @@ class TieringPolicy:
             if target is None:
                 # Every fast tier is down or circuit-open: serve from
                 # flash and hold the backlog until one recovers.
-                self.stats.degraded += 1
+                self._degraded.inc()
                 if self.promotion_queue.try_put((segment, accesses)):
                     self._queued.add(segment.oid)
                 break
             if target is not preferred:
-                self.stats.degraded += 1
+                self._degraded.inc()
             try:
                 self.store.promote(segment.oid, target)
             except CapacityError:
@@ -244,7 +209,7 @@ class TieringPolicy:
                 # breaker turns a persistently full tier into a fast skip.
                 if breaker is not None:
                     breaker.record_failure()
-                self.stats.degraded += 1
+                self._degraded.inc()
                 continue
             if breaker is not None:
                 breaker.record_success()
@@ -252,7 +217,7 @@ class TieringPolicy:
                 TieringDecision(segment.oid, SegmentLocation.NVME,
                                 target, accesses)
             )
-            self.stats.promotions += 1
+            self._promotions.inc()
             moves += 1
 
         # Demotions: under DRAM pressure, idle segments move down.
@@ -272,12 +237,12 @@ class TieringPolicy:
                                     SegmentLocation.NVME,
                                     self._epoch_accesses(segment))
                 )
-                self.stats.demotions += 1
+                self._demotions.inc()
                 moves += 1
 
         # Close the epoch.
         for segment in self.store.table:
             self._last_counts[segment.oid] = segment.access_count
-        self.stats.epochs += 1
-        self.stats.decisions.extend(decisions)
+        self._epochs.inc()
+        self.decisions.extend(decisions)
         return decisions

@@ -26,6 +26,7 @@ from repro.sharding.cache import HotKeyCache
 from repro.sharding.cluster import ShardedKvCluster
 from repro.sim import Simulator
 from repro.transport import BatchOp, MAX_BATCH_OPS, RpcClient, RpcError, UdpSocket
+from repro.verify.history import NULL_HISTORY
 
 __all__ = ["ShardedKvClient"]
 
@@ -77,7 +78,7 @@ class ShardedKvClient:
         self.timeout = timeout
         self.retries = retries
         self.deadline = deadline
-        self.history = history
+        self.history = history if history is not None else NULL_HISTORY
         self.rpc = RpcClient(
             sim, UdpSocket(sim, cluster.network.endpoint(f"shard-client-{name}"))
         )
@@ -102,15 +103,17 @@ class ShardedKvClient:
         """Process: read one key (cache → owner DPU), returns the value."""
         key = bytes(key)
         epoch = self.cluster.epoch
+        # Invoked before the cache lookup: a lease-served value is an
+        # observation too, and a stale one must reach the checker.
+        pending = self.history.invoke(self.name, "r", key)
         if self.cache is not None:
             cached = self.cache.lookup(key, epoch)
             if cached is not None:
                 self._ops.inc()
                 self._cache_served.inc()
+                pending.ok(cached)
                 return cached
         owner = self.cluster.owner_of(key)
-        pending = (self.history.invoke(self.name, "r", key)
-                   if self.history is not None else None)
         try:
             value = yield from self.rpc.call(
                 owner, "kv.get", key,
@@ -119,23 +122,20 @@ class ShardedKvClient:
                 retries=self.retries, deadline=self.deadline,
             )
         except RpcError:
-            if pending is not None:
-                pending.fail()
+            pending.fail()
             raise
         self._ops.inc()
         self._round_trips.inc()
         if self.cache is not None and value is not None:
             self.cache.fill(key, value, epoch)
-        if pending is not None:
-            pending.ok(value)
+        pending.ok(value)
         return value
 
     def put(self, key: bytes, value: bytes, *, priority: int = 0):
         """Process: write one key to its owner; invalidates the cache."""
         key, value = bytes(key), bytes(value)
         owner = self.cluster.owner_of(key)
-        pending = (self.history.invoke(self.name, "w", key, value)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "w", key, value)
         try:
             yield from self.rpc.call(
                 owner, "kv.put", key, value,
@@ -146,23 +146,20 @@ class ShardedKvClient:
         except RpcError:
             # The request (or only its ack) may have been lost: the
             # write may have landed. Never record it as a clean failure.
-            if pending is not None:
-                pending.indeterminate()
+            pending.indeterminate()
             raise
         self._ops.inc()
         self._round_trips.inc()
         if self.cache is not None:
             self.cache.invalidate(key)
-        if pending is not None:
-            pending.ok()
+        pending.ok()
         return True
 
     def delete(self, key: bytes, *, priority: int = 0):
         """Process: delete one key at its owner; invalidates the cache."""
         key = bytes(key)
         owner = self.cluster.owner_of(key)
-        pending = (self.history.invoke(self.name, "d", key)
-                   if self.history is not None else None)
+        pending = self.history.invoke(self.name, "d", key)
         try:
             yield from self.rpc.call(
                 owner, "kv.delete", key,
@@ -171,15 +168,13 @@ class ShardedKvClient:
                 retries=self.retries, deadline=self.deadline,
             )
         except RpcError:
-            if pending is not None:
-                pending.indeterminate()
+            pending.indeterminate()
             raise
         self._ops.inc()
         self._round_trips.inc()
         if self.cache is not None:
             self.cache.invalidate(key)
-        if pending is not None:
-            pending.ok()
+        pending.ok()
         return True
 
     # -- batched multi-key ops -------------------------------------------------

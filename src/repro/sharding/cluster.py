@@ -32,7 +32,25 @@ from repro.storage.kvssd import KvSsd
 from repro.telemetry.tracing import NULL_SPAN
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
-__all__ = ["ShardedKvCluster", "ShardForwarder"]
+__all__ = ["ShardedKvCluster", "ShardForwarder", "build_kv_dpu"]
+
+
+def build_kv_dpu(sim: Simulator, network: Network, address: str,
+                 ssd_blocks: int, **server_options):
+    """Stand up one KV-SSD DPU at *address*: flash controller, namespace,
+    :class:`~repro.storage.kvssd.KvSsd` and its :class:`RpcServer`.
+
+    Returns ``(device, server)`` with no ``kv.*`` handlers registered:
+    the caller decides what fronts the device (a :class:`ShardForwarder`
+    here, a plain ``KvSsdService`` in :mod:`repro.dpu.cluster`).
+    """
+    controller = NvmeController(sim, f"{address}-flash")
+    controller.add_namespace(Namespace(1, ssd_blocks))
+    device = KvSsd(sim, controller, memtable_limit=100_000)
+    server = RpcServer(
+        sim, UdpSocket(sim, network.endpoint(address)), **server_options
+    )
+    return device, server
 
 
 class _KeyLocks:
@@ -262,11 +280,12 @@ class ShardForwarder:
 class ShardedKvCluster:
     """KV-SSD DPUs on a consistent-hash ring with elastic membership.
 
-    Unlike :class:`~repro.dpu.cluster.DpuKvCluster` (static membership,
-    plain :class:`~repro.storage.kvssd.KvSsdService`), every DPU here
-    sits behind a :class:`ShardForwarder` and the cluster carries a
-    routing **epoch** that :class:`~repro.sharding.migration.
-    ShardMigrator` advances on every completed topology change.
+    The paper's §2.4 answer to multi-DPU applications: clients hash keys
+    to the owning DPU and talk to it directly — shared-nothing, no
+    coordinator in the data path. Every DPU sits behind a
+    :class:`ShardForwarder` and the cluster carries a routing **epoch**
+    that :class:`~repro.sharding.migration.ShardMigrator` advances on
+    every completed topology change.
 
     Args:
         sim: the simulator everything runs on.
@@ -345,11 +364,8 @@ class ShardedKvCluster:
         onto it and commits the new topology.
         """
         address = f"{self.name}-dpu-{len(self.addresses)}"
-        controller = NvmeController(self.sim, f"{address}-flash")
-        controller.add_namespace(Namespace(1, self.ssd_blocks))
-        device = KvSsd(self.sim, controller, memtable_limit=100_000)
-        server = RpcServer(
-            self.sim, UdpSocket(self.sim, self.network.endpoint(address)),
+        device, server = build_kv_dpu(
+            self.sim, self.network, address, self.ssd_blocks,
             queue_capacity=self.queue_capacity, workers=self.workers,
             queue_policy=self.queue_policy,
             codel_target=self.codel_target,

@@ -5,10 +5,7 @@ against *simulated* time — never the wall clock — so runs are
 reproducible. Any object exposing a ``now`` attribute works as a clock;
 :class:`repro.sim.Simulator` already does. :class:`ManualClock` exists
 for unit tests that want to step time by hand; :class:`SimClock` adapts
-a simulator into a read-only clock.
-
-(Home of these classes; ``repro.faults.clock`` re-exports them for
-backwards compatibility.)
+a simulator into a read-only clock. (``repro.faults`` re-exports both.)
 """
 
 from __future__ import annotations

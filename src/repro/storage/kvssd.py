@@ -89,9 +89,9 @@ class KvSsd:
         ):
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
             yield from self._wal_append(key, value, tombstone=False)
-            flushes_before = self.lsm.stats.flushes
+            flushes_before = self.lsm.flushes
             self.lsm.put(key, value)
-            if self.lsm.stats.flushes > flushes_before:
+            if self.lsm.flushes > flushes_before:
                 yield from self._persist_newest_sstable()
             self._puts.inc()
 

@@ -16,8 +16,9 @@ measurements live:
 
 Every :class:`repro.sim.Simulator` owns a lazily-created registry
 (``sim.telemetry``) and tracer (``sim.tracer``); every substrate model
-emits into them. The legacy ``*Stats`` dataclasses survive as thin
-read-through facades over registry metrics.
+emits into them. The registry is the only counting idiom: an owner
+holds its ``Counter``s, writes with ``.inc()``, and exposes a read-only
+property where someone reads the value.
 
 On top of the in-process plane sit the export-and-watch layers:
 

@@ -95,13 +95,6 @@ class Counter(Metric):
         self._value += amount
         return self._value
 
-    def _set(self, value: int) -> None:
-        """Facade back-door: lets legacy ``stats.field += n`` call sites
-        keep working through a property setter. Still monotonic."""
-        if value < self._value:
-            raise ConfigurationError(f"counter {self.name} cannot decrease")
-        self._value = value
-
     def snapshot_line(self) -> str:
         """One canonical line for :meth:`MetricsRegistry.snapshot_bytes`."""
         return f"counter {self.name} {self._value}"
@@ -362,7 +355,7 @@ class MetricScope:
     @staticmethod
     def standalone(prefix: str) -> "MetricScope":
         """A scope over a fresh private registry, for components built
-        without a simulator (a bare LsmTree, a ReadStats in a test)."""
+        without a simulator (a bare LsmTree)."""
         return MetricsRegistry().scope(prefix)
 
     def _path(self, name: str) -> str:

@@ -324,7 +324,7 @@ class Tracer:
         Returns :data:`NULL_SPAN` when tracing is disabled, so the
         instrumented datapaths pay (almost) nothing when not observed.
         With sampling on, a site executing outside any sampled flow also
-        gets :data:`NULL_SPAN`; at the legacy full rate, spans opened
+        gets :data:`NULL_SPAN`; at the default full rate, spans opened
         outside any flow share one ambient context (single-flow use).
         """
         if not self.enabled:

@@ -17,6 +17,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.overload.admission import AdmissionController, Priority
+from repro.overload.breaker import CircuitBreaker, CircuitOpenError
 from repro.overload.queues import BoundedQueue, QueuePolicy
 from repro.sim import Event, Simulator
 from repro.telemetry import MetricScope
@@ -583,6 +584,24 @@ class RpcClient:
         if not response.ok:
             raise RpcError(response.error)
         return response.result
+
+    def call_guarded(self, breaker: CircuitBreaker, server: str,
+                     method: str, *args: Any, **options: Any):
+        """Process: :meth:`call` under *breaker*'s allow/record protocol.
+
+        An open circuit raises :class:`~repro.overload.CircuitOpenError`
+        at once, spending nothing on the wire; otherwise the call's
+        outcome is recorded on the breaker and returned (or re-raised).
+        """
+        if not breaker.allow():
+            raise CircuitOpenError(f"{method} to {server}: circuit open")
+        try:
+            result = yield from self.call(server, method, *args, **options)
+        except RpcError:
+            breaker.record_failure()
+            raise
+        breaker.record_success()
+        return result
 
     def call_batch(
         self,

@@ -20,6 +20,10 @@ Recorders hand out :class:`PendingOp` tokens at invocation;
 the client resolves each exactly once. Histories render to canonical
 bytes (:meth:`HistoryRecorder.canonical_bytes`), so a same-seed rerun
 is byte-identical — the property chaos search and shrinking lean on.
+
+A client built without a recorder holds :data:`NULL_HISTORY` (the
+``NULL_SPAN`` discipline): its op bodies call ``invoke`` and resolve the
+token unconditionally, and recording nothing costs two no-op calls.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["HistoryRecorder", "Op", "OpStatus", "PendingOp"]
+__all__ = ["HistoryRecorder", "NULL_HISTORY", "Op", "OpStatus", "PendingOp"]
 
 
 class OpStatus(enum.Enum):
@@ -207,3 +211,32 @@ class HistoryRecorder:
     def digest(self) -> str:
         """Short stable digest of the canonical history."""
         return hashlib.sha256(self.canonical_bytes()).hexdigest()[:16]
+
+
+class _NullPendingOp:
+    """The token :data:`NULL_HISTORY` hands out: resolving it does nothing."""
+
+    def ok(self, value: Optional[bytes] = None, *,
+           stamp: Optional[float] = None,
+           staleness: Optional[float] = None) -> None:
+        pass
+
+    def fail(self) -> None:
+        pass
+
+    def indeterminate(self) -> None:
+        pass
+
+
+class _NullHistory:
+    """A recorder that records nothing (see :data:`NULL_HISTORY`)."""
+
+    _PENDING = _NullPendingOp()
+
+    def invoke(self, client: str, action: str, key: bytes,
+               value: Optional[bytes] = None) -> _NullPendingOp:
+        return self._PENDING
+
+
+#: What a client holds when no ``history=`` recorder was passed.
+NULL_HISTORY = _NullHistory()

@@ -63,13 +63,13 @@ class TestLsmBasics:
             lsm.put(f"key{i:03d}".encode(), f"val{i}".encode())
         lsm.flush()
         assert lsm.get(b"key050") == b"val50"
-        assert lsm.stats.flushes == 1
+        assert lsm.flushes == 1
 
     def test_auto_flush_at_limit(self):
         lsm = LsmTree(memtable_limit=10)
         for i in range(25):
             lsm.put(f"k{i:02d}".encode(), b"v")
-        assert lsm.stats.flushes >= 2
+        assert lsm.flushes >= 2
 
 
 class TestShadowingAndCompaction:
@@ -97,7 +97,7 @@ class TestShadowingAndCompaction:
         lsm.flush()
         lsm.put(b"c", b"3")
         lsm.flush()  # exceeds l0_limit -> compacts
-        assert lsm.stats.compactions == 1
+        assert lsm.compactions == 1
         assert lsm.l0 == []
         assert lsm.get(b"a") is None
         assert lsm.get(b"b") == b"2"

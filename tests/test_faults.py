@@ -197,10 +197,9 @@ class TestLinkFaults:
             yield from link.transmit(Frame("a", "b", None, 100))
 
         sim.run_process(scenario())
-        stats = link.stats()
-        assert stats.frames_sent == 2
-        assert stats.frames_dropped == 1
-        assert stats.frames_delivered == 1
+        assert link.frames_sent == 2
+        assert link.frames_dropped == 1
+        assert link.frames_delivered == 1
 
     def test_corruption_discards_frame(self):
         sim = Simulator()
@@ -209,7 +208,7 @@ class TestLinkFaults:
                            max_fires=1)
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "uplink")
         sim.run_process(link.transmit(Frame("a", "b", None, 100)))
-        assert link.stats().frames_corrupted == 1
+        assert link.frames_corrupted == 1
         assert len(link.rx_queue) == 0
 
     def test_link_down_window_flaps(self):
@@ -228,7 +227,7 @@ class TestLinkFaults:
             return got.payload
 
         assert sim.run_process(scenario()) == "ok"
-        assert link.stats().frames_dropped == 1
+        assert link.frames_dropped == 1
 
 
 def faulty_nvme(plan, blocks=64, read_retries=2):
@@ -335,10 +334,10 @@ class TestClusterFailover:
 
         values = sim.run_process(scenario())
         assert all(value == b"v" * 32 for value in values)
-        assert client.stats.failed_ops == 0
+        assert client.failed_ops == 0
         # Some keys are headed by the dead DPU; those reads failed over.
-        assert client.stats.failovers >= 1
-        assert "kv-dpu-1" in client.stats.marked_down
+        assert client.failovers >= 1
+        assert "kv-dpu-1" in client.marked_down
 
     def test_revive_and_probe_restores_health(self):
         sim = Simulator()
@@ -359,6 +358,34 @@ class TestClusterFailover:
         down, up = sim.run_process(scenario())
         assert down is False
         assert up is True
+
+    def test_marked_down_gauge_follows_the_health_map_both_ways(self):
+        """Regression: the gauge went up on a failed call but never came
+        back down, so a revived DPU was reported down forever."""
+        sim = Simulator()
+        network = Network(sim)
+        cluster = ReplicatedDpuKvCluster(
+            sim, network, dpu_count=3, replication=2, ssd_blocks=16384
+        )
+        client = FailoverKvClient(sim, network, "client", cluster)
+        gauge = sim.telemetry.gauge("dpu.failover.client.marked_down")
+        keys = [f"k{i}".encode() for i in range(12)]
+
+        def scenario():
+            for key in keys:
+                yield from client.put(key, b"v")
+            cluster.kill(1)
+            for key in keys:
+                yield from client.get(key)  # some fail over to the tail
+            after_kill = gauge.value
+            cluster.revive(1)
+            alive = yield from client.probe_all()
+            return after_kill, alive
+
+        assert sim.run_process(scenario()) == (1, 3)
+        assert client.failovers >= 1
+        assert gauge.value == 0
+        assert client.marked_down == []
 
     def test_asymmetric_partition_write_lands_but_ack_is_lost(self):
         """One-directional partition: kv-dpu-0 -> client is blackholed
@@ -385,9 +412,9 @@ class TestClusterFailover:
         value = sim.run_process(scenario())
         # The op succeeded via the tail replica; nothing was lost.
         assert value == b"payload"
-        assert client.stats.failed_ops == 0
-        assert client.stats.failovers >= 1
-        assert "kv-dpu-0" in client.stats.marked_down
+        assert client.failed_ops == 0
+        assert client.failovers >= 1
+        assert "kv-dpu-0" in client.marked_down
         # The request direction was never cut: the head replica applied
         # the write even though the client never saw its ack.
         head_value = sim.run_process(cluster.devices[0].get(key))
@@ -499,7 +526,7 @@ class TestTieringDegradation:
             store.read(seg.oid, 8)
         decisions = policy.run_epoch()
         assert decisions == []
-        assert policy.stats.degraded == 1
+        assert policy.degraded == 1
         assert store.table.lookup(seg.oid).location is SegmentLocation.NVME
 
     def test_promotion_resumes_after_window(self):

@@ -14,7 +14,7 @@ from repro.formats import (
     read_table,
     write_table,
 )
-from repro.formats.parquet import ReadStats
+from repro.formats.parquet import ReadAccounting
 
 
 def sample_schema():
@@ -104,7 +104,7 @@ class TestParquet:
 
     def test_projection_reads_fewer_bytes(self):
         raw = write_table(sample_batch(1000), rows_per_group=100)
-        all_stats, one_stats = ReadStats(), ReadStats()
+        all_stats, one_stats = ReadAccounting(), ReadAccounting()
         read_table(raw, stats=all_stats)
         read_table(raw, columns=["id"], stats=one_stats)
         assert one_stats.bytes_read < all_stats.bytes_read / 2
@@ -112,7 +112,7 @@ class TestParquet:
 
     def test_predicate_pushdown_skips_groups(self):
         raw = write_table(sample_batch(1000), rows_per_group=100)
-        stats = ReadStats()
+        stats = ReadAccounting()
         batch = read_table(
             raw,
             columns=["id"],

@@ -93,12 +93,11 @@ class TestLink:
             yield from link.transmit(Frame("a", "b", None, 100))
 
         sim.run_process(scenario())
-        stats = link.stats()
-        assert stats.frames_sent == 2
-        assert stats.frames_dropped == 1
-        assert stats.frames_corrupted == 0
-        assert stats.frames_delivered == 1
-        assert stats.bytes_sent == 2 * 138
+        assert link.frames_sent == 2
+        assert link.frames_dropped == 1
+        assert link.frames_corrupted == 0
+        assert link.frames_delivered == 1
+        assert link.bytes_sent == 2 * 138
 
 
 class TestNetwork:
@@ -166,6 +165,7 @@ class TestNetwork:
         sim.process(sender())
         sim.process(receiver())
         sim.run()
-        assert a.stats().tx.frames_sent == 2
-        assert a.stats().frames_dropped == 0
-        assert b.stats().frames_received == 2
+        assert a.route().frames_sent == 2
+        assert a.route().frames_dropped == 0
+        assert b.rx_link.frames_delivered == 2
+        assert sim.telemetry.counter("net.port.a.tx_frames").value == 2

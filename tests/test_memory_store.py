@@ -159,7 +159,7 @@ class TestPromotion:
         store, __ = make_store()
         segment = store.allocate(32)
         assert store.promote(segment.oid, SegmentLocation.DRAM) is segment
-        assert store.stats.promotions == 0
+        assert store.promotions == 0
 
     def test_durable_cannot_leave_nvme(self):
         store, __ = make_store()

@@ -132,6 +132,6 @@ class TestDemotion:
         store.read(hot.oid, 4)
         store.read(hot.oid, 4)
         policy.run_epoch()
-        assert policy.stats.epochs == 1
-        assert policy.stats.promotions == 1
-        assert len(policy.stats.decisions) == 1
+        assert policy.epochs == 1
+        assert policy.promotions == 1
+        assert len(policy.decisions) == 1

@@ -707,19 +707,19 @@ class TestTieringOverload:
         assert len(decisions) == 1
         breaker = policy.breakers[SegmentLocation.DRAM]
         assert breaker.state is BreakerState.OPEN
-        assert policy.stats.degraded == 1
+        assert policy.degraded == 1
         # While open, new hot candidates are held, not re-attempted.
         for __ in range(10):
             store.read(segments[1].oid, 8)
         policy.run_epoch()
-        assert policy.stats.degraded == 2
+        assert policy.degraded == 2
         assert policy.promotion_queue.depth == 1  # backlog held
         # After the reset timeout, a half-open probe re-attempts — DRAM
         # is still full, so the probe fails and the circuit re-opens.
         advance(store.sim, 150e-3)
         policy.run_epoch()
         assert breaker.state is BreakerState.OPEN
-        assert policy.stats.degraded == 3
+        assert policy.degraded == 3
         log = breaker.transition_log_bytes().decode()
         assert "open->half-open" in log
         assert "half-open->open" in log

@@ -18,6 +18,7 @@ from repro.sharding import (
 )
 from repro.sim import Simulator
 from repro.transport import BatchOp, MAX_BATCH_OPS, RpcClient, RpcError, UdpSocket
+from repro.verify import HistoryRecorder, check_history
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +460,34 @@ def test_cache_invalidation_race_during_migration():
     # The cached epoch-1 value was discarded, not served within lease.
     assert box["value"] == b"fresh"
     assert cache._epoch_invalidated.value > 0
+
+
+def test_cache_served_read_is_visible_to_the_verifier():
+    """Regression: a lease hit returned before ``history.invoke``, so a
+    stale in-lease read never reached the linearizability checker."""
+    sim = Simulator()
+    cluster = _sharded(sim, dpus=2)
+    history = HistoryRecorder(sim)
+    writer = ShardedKvClient(sim, cluster, name="writer", cache=None,
+                             history=history)
+    reader = ShardedKvClient(sim, cluster, name="reader",
+                             cache=HotKeyCache(sim, lease=5e-3),
+                             history=history)
+
+    def driver():
+        yield from writer.put(b"hot", b"old")
+        first = yield from reader.get(b"hot")       # fills the lease
+        yield from writer.put(b"hot", b"new")
+        yield sim.timeout(1e-6)  # strictly after the overwrite's ack
+        second = yield from reader.get(b"hot")      # served inside it
+        return first, second
+
+    assert sim.run_process(driver()) == (b"old", b"old")
+    reads = [op for op in history.ops
+             if op.client == "reader" and op.action == "r"]
+    assert [op.value for op in reads] == [b"old", b"old"]
+    check = check_history(history)
+    assert [result.key for result in check.violations] == [b"hot"]
 
 
 def test_batch_spanning_a_migrating_shard():

@@ -1,21 +1,25 @@
-"""Every legacy *Stats facade must keep mirroring the registry while a
-sampler is live on the same registry — sampling is read-only and must
-never perturb (or lag) what the facades report."""
+"""Every counting substrate reports to the registry under a live Sampler.
+
+Each owner (store, tiering policy, LSM tree, failover client, link, port,
+KV-SSD) holds its registry counters directly; its read-only properties
+and the registry path must agree while a sampler is watching the same
+registry — sampling is read-only and must never perturb (or lag) them.
+(File and test names predate the ``*Stats`` facades' removal; kept so
+test ids stay stable.)
+"""
 
 import pytest
 
 from repro.datastruct.lsm import LsmTree
-from repro.dpu.cluster import (
-    DpuKvCluster,
-    FailoverStats,
-    RoutingClient,
-)
-from repro.formats.parquet import ReadStats
+from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.hw.net import Frame, Network
-from repro.memory.store import StoreStats
-from repro.memory.tiering import TieringStats
+from repro.memory import PlacementHint
+from repro.memory.tiering import TieringPolicy
+from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import ManualClock, Simulator
 from repro.telemetry import MetricsRegistry, Sampler
+
+from tests.test_memory_tiering import make_store
 
 
 def _sampled(registry, clock, *prefixes):
@@ -25,27 +29,22 @@ def _sampled(registry, clock, *prefixes):
     return sampler
 
 
-def _tick(clock, sampler):
-    clock.advance(1e-3)
-    sampler.sample()
-
-
 class TestScopeBackedFacades:
-    """Facades that hold live counters: mutate, sample, compare."""
+    """Owners holding live counters: drive, sample, compare."""
 
     def test_store_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "memory.store")
-        stats = StoreStats(reg.scope("memory.store"))
-        stats.allocations += 2
-        stats.reads += 3
-        stats.writes += 1
-        _tick(clock, sampler)
-        assert stats.allocations == \
-            reg.counter("memory.store.allocations").value == 2
+        store = make_store()
+        reg = store.sim.telemetry
+        sampler = _sampled(reg, store.sim, "memory.store")
+        segments = [store.allocate(64), store.allocate(64)]
+        store.write(segments[0].oid, b"x" * 64)
+        for __ in range(3):
+            store.read(segments[0].oid, 8)
+        sampler.sample()
+        assert reg.counter("memory.store.allocations").value == 2
+        assert reg.counter("memory.store.writes").value == 1
         assert sampler.series("memory.store.reads").last[1] == 3.0
-        stats.reads += 1  # mutation after sampling still reads through
+        store.read(segments[1].oid, 8)  # counting continues after sampling
         assert reg.counter("memory.store.reads").value == 4
 
     def test_lsm_stats(self):
@@ -53,66 +52,62 @@ class TestScopeBackedFacades:
         clock = ManualClock()
         sampler = _sampled(reg, clock, "lsm")
         tree = LsmTree(memtable_limit=4, metrics=reg.scope("lsm"))
-        for index in range(16):
+        for index in range(24):
             tree.put(f"k{index:02d}".encode(), b"v")
-        _tick(clock, sampler)
-        assert tree.stats.flushes == reg.counter("lsm.flushes").value > 0
-        assert tree.stats.compactions == reg.counter("lsm.compactions").value
-        assert tree.stats.bytes_compacted == \
-            reg.counter("lsm.bytes_compacted").value
-        assert sampler.series("lsm.flushes").last[1] == \
-            float(tree.stats.flushes)
+        clock.advance(1e-3)
+        sampler.sample()
+        assert tree.flushes == reg.counter("lsm.flushes").value > 0
+        assert tree.compactions == reg.counter("lsm.compactions").value > 0
+        assert reg.counter("lsm.bytes_compacted").value > 0
+        assert sampler.series("lsm.flushes").last[1] == float(tree.flushes)
 
     def test_failover_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "dpu.failover")
-        stats = FailoverStats(reg.scope("dpu.failover"))
-        stats.reads += 5
-        stats.failovers += 1
-        stats.replica_failures += 2
-        stats.marked_down.add("kv-dpu-1")
-        _tick(clock, sampler)
-        assert stats.reads == reg.counter("dpu.failover.reads").value == 5
-        assert stats.failovers == \
-            reg.counter("dpu.failover.failovers").value == 1
-        # The marked-down set mirrors its size into a gauge the sampler sees.
-        assert reg.gauge("dpu.failover.marked_down").value == 1.0
-        assert sampler.series("dpu.failover.marked_down").last[1] == 1.0
-        stats.marked_down.discard("kv-dpu-1")
-        assert reg.gauge("dpu.failover.marked_down").value == 0.0
+        sim = Simulator()
+        network = Network(sim)
+        cluster = ReplicatedDpuKvCluster(
+            sim, network, dpu_count=3, replication=2, ssd_blocks=16384
+        )
+        client = FailoverKvClient(sim, network, "c", cluster)
+        sampler = _sampled(sim.telemetry, sim, "dpu.failover.c")
+        keys = [f"k{i}".encode() for i in range(12)]
+
+        def scenario():
+            for key in keys:
+                yield from client.put(key, b"v")
+            cluster.kill(1)
+            for key in keys:
+                yield from client.get(key)
+            sampler.sample()
+
+        sim.run_process(scenario())
+        reg = sim.telemetry
+        assert reg.counter("dpu.failover.c.reads").value == len(keys)
+        assert client.failovers == \
+            reg.counter("dpu.failover.c.failovers").value >= 1
+        # The health map's down count is a gauge the sampler sees.
+        assert reg.gauge("dpu.failover.c.marked_down").value == 1
+        assert sampler.series("dpu.failover.c.marked_down").last[1] == 1.0
 
     def test_tiering_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "memory.tiering")
-        stats = TieringStats(reg.scope("memory.tiering"))
-        stats.epochs += 2
-        stats.promotions += 4
-        stats.demotions += 1
-        _tick(clock, sampler)
-        assert stats.epochs == reg.counter("memory.tiering.epochs").value == 2
-        assert stats.promotions == \
-            reg.counter("memory.tiering.promotions").value == 4
-        assert sampler.series("memory.tiering.demotions").last[1] == 1.0
-
-    def test_read_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "formats.read")
-        stats = ReadStats(reg.scope("formats.read"))
-        stats.bytes_read += 4096
-        stats.chunks_read += 2
-        stats.row_groups_skipped += 1
-        _tick(clock, sampler)
-        assert stats.bytes_read == \
-            reg.counter("formats.read.bytes_read").value == 4096
-        assert sampler.series("formats.read.bytes_read").last[1] == 4096.0
+        store = make_store()
+        reg = store.sim.telemetry
+        sampler = _sampled(reg, store.sim, "memory.tiering")
+        policy = TieringPolicy(store, hot_threshold=1)
+        hot = store.allocate(64, hint=PlacementHint.COLD)
+        store.read(hot.oid, 4)
+        policy.run_epoch()
+        policy.run_epoch()
+        sampler.sample()
+        assert policy.epochs == reg.counter("memory.tiering.epochs").value == 2
+        assert policy.promotions == \
+            reg.counter("memory.tiering.promotions").value == 1
+        assert sampler.series("memory.tiering.promotions").last[1] == 1.0
+        assert sampler.series("memory.tiering.demotions").last[1] == 0.0
 
 
 class TestSnapshotFacades:
-    """Facades assembled from the registry at stats() time, exercised
-    through their real subsystems with a sampler running alongside."""
+    """Counters reached through their real subsystems with a sampler
+    running alongside."""
 
     def test_link_and_port_stats(self):
         sim = Simulator()
@@ -127,12 +122,13 @@ class TestSnapshotFacades:
             sampler.sample()
 
         sim.run_process(send())
-        stats = a.stats()
-        assert stats.tx.frames_sent == 3
-        assert stats.tx.frames_sent == \
+        uplink = a.route()
+        assert uplink.frames_sent == 3
+        assert uplink.frames_sent == \
             sim.telemetry.counter("net.link.a.up.frames_sent").value
-        assert stats.tx.bytes_sent == \
+        assert uplink.bytes_sent == \
             sim.telemetry.counter("net.link.a.up.bytes_sent").value
+        assert sim.telemetry.counter("net.port.a.tx_frames").value == 3
         sent = sampler.series("net.link.a.up.frames_sent")
         assert sent is not None and sent.last[1] == 3.0
 
@@ -140,8 +136,8 @@ class TestSnapshotFacades:
         sim = Simulator()
         sampler = _sampled(sim.telemetry, sim, "kvssd")
         network = Network(sim)
-        cluster = DpuKvCluster(sim, network, dpu_count=2, ssd_blocks=4096)
-        client = RoutingClient(sim, network, "host", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=2, ssd_blocks=4096)
+        client = ShardedKvClient(sim, cluster, "host", cache=None)
 
         def workload():
             for index in range(6):
@@ -152,15 +148,12 @@ class TestSnapshotFacades:
             sampler.sample()
 
         sim.run_process(workload())
-        stats = cluster.stats()
-        assert stats.routed_ops == 12
         registry_total = sum(
             sim.telemetry.counter(f"kvssd.{address}-flash.{op}").value
             for address in cluster.addresses
             for op in ("gets", "puts")
         )
-        assert stats.routed_ops == registry_total
-        assert sum(stats.per_dpu_ops.values()) == registry_total
+        assert registry_total == client.ops == 12
         sampled_total = sum(
             sampler.series(name).last[1]
             for name in sampler.names()

@@ -100,7 +100,7 @@ class TestDataStructureScale:
             reference[key] = value
         for key, value in list(reference.items())[:100]:
             assert lsm.get(key) == value
-        assert lsm.stats.compactions > 5
+        assert lsm.compactions > 5
 
 
 class TestConcurrentKvClients:

@@ -279,6 +279,9 @@ class TestTracer:
 
 
 class TestLegacyFacades:
+    """Counter views on the owner read the registry (the class name is
+    kept so the test id stays stable)."""
+
     def test_link_stats_read_through(self):
         from repro.hw.net import Frame, Network
 
@@ -291,23 +294,8 @@ class TestLegacyFacades:
             yield from a.send(Frame("a", "b", None, payload_size=100))
 
         sim.run_process(send())
-        assert a.stats().tx.frames_sent == 1
+        assert a.route().frames_sent == 1
         assert sim.telemetry.counter("net.link.a.up.frames_sent").value == 1
-
-    def test_store_stats_facade_writes_through(self):
-        from repro.memory.store import StoreStats
-
-        stats = StoreStats()
-        stats.allocations += 2
-        stats.reads += 1
-        assert stats.allocations == 2
-        assert stats.reads == 1
-
-    def test_clock_shim_reexports(self):
-        from repro.faults.clock import ManualClock as Shimmed
-        from repro.sim.clock import ManualClock as Canonical
-
-        assert Shimmed is Canonical
 
 
 class TestDeterministicSnapshots:
