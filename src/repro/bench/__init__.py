@@ -394,6 +394,8 @@ def _sim_metrics(report) -> Dict[str, Metric]:
             report.events_per_sec, HIGHER, "events/s", volatile=True),
         "rpc_roundtrips_per_sec": Metric(
             report.rpc_roundtrips_per_sec, HIGHER, "rt/s", volatile=True),
+        "rpc_roundtrip_entries": Metric(
+            report.rpc_roundtrip_entries, LOWER, "entries/rt"),
         "histogram_observes_per_sec": Metric(
             report.observes_per_sec, HIGHER, "obs/s", volatile=True),
         "engine_events_run": Metric(report.events_run, INFO, "events"),

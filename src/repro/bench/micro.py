@@ -40,6 +40,7 @@ import gc
 import random
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Tuple
 
 from repro.hw.net import Network
 from repro.sim import Simulator
@@ -69,6 +70,9 @@ class MicroReport:
     events_per_sec: float
     rpc_roundtrips_per_sec: float
     observes_per_sec: float
+    #: Engine entries (``Simulator._eid`` delta) per echo round trip:
+    #: the noise-free twin of ``rpc_roundtrips_per_sec``.
+    rpc_roundtrip_entries: float
     events_run: int
     rpc_roundtrips: int
     observes: int
@@ -122,9 +126,11 @@ def _engine_events() -> int:
     return ENGINE_PROCESSES * (ENGINE_TICKS + 2)
 
 
-def _bench_rpc(repeats: int) -> float:
-    """Echo round trips/sec over a UDP loopback pair (full RPC stack)."""
+def _bench_rpc(repeats: int) -> Tuple[float, float]:
+    """Echo round trips/sec over a UDP loopback pair (full RPC stack),
+    and the engine entries one of those round trips schedules."""
     times = []
+    entries = set()
     for __ in range(repeats):
         sim = Simulator()
         net = Network(sim)
@@ -133,11 +139,14 @@ def _bench_rpc(repeats: int) -> float:
         client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))
 
         def driver():
+            started = sim._eid
             for i in range(RPC_CALLS):
                 yield from client.call("server", "echo", i)
+            entries.add((sim._eid - started) / RPC_CALLS)
 
         times.append(_timed(lambda: sim.run_process(driver())))
-    return _best_rate(RPC_CALLS, times)
+    (per_roundtrip,) = entries  # deterministic: every repeat agrees
+    return _best_rate(RPC_CALLS, times), per_roundtrip
 
 
 def _bench_observes(seed: int, repeats: int) -> float:
@@ -166,9 +175,12 @@ def run_micro(seed: int = 0, repeats: int = DEFAULT_REPEATS) -> MicroReport:
     """Run all three micro-benchmarks, best-of-``repeats`` each."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    events_per_sec = _bench_engine(repeats)
+    rpc_rate, rpc_entries = _bench_rpc(repeats)
     return MicroReport(
-        events_per_sec=_bench_engine(repeats),
-        rpc_roundtrips_per_sec=_bench_rpc(repeats),
+        events_per_sec=events_per_sec,
+        rpc_roundtrips_per_sec=rpc_rate,
+        rpc_roundtrip_entries=rpc_entries,
         observes_per_sec=_bench_observes(seed, repeats),
         events_run=_engine_events(),
         rpc_roundtrips=RPC_CALLS,

@@ -30,8 +30,9 @@ class Frame:
     frame_id: int = field(default_factory=lambda: next(_frame_counter))
     #: The sampled :class:`~repro.telemetry.TraceContext` of the flow
     #: that sent this frame, if any. Stamped by the first (in-flow) hop
-    #: and read by switches so store-and-forward hops — which run as
-    #: their own processes — still attach their spans to the right flow.
+    #: and read by every later hop's link, so store-and-forward hops —
+    #: scheduled callbacks, outside any flow — still attach their spans
+    #: to the right one.
     trace: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

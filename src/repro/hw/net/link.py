@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.common.units import gbps
 from repro.faults import FaultInjector, FaultKind
 from repro.hw.net.frames import Frame
-from repro.sim import Resource, Simulator, Store
-from repro.telemetry.tracing import NULL_SPAN as _NULL_SPAN
+from repro.sim import Event, Simulator, Store
 
 #: 100 Gbit/s in bytes/second.
 QSFP28_100G = gbps(100)
@@ -19,13 +20,22 @@ DEFAULT_PROPAGATION = 1e-6
 
 
 class Link:
-    """A unidirectional link delivering frames into a receive queue.
+    """A unidirectional link delivering frames to its :attr:`sink`.
 
-    The transmitter is a unit-capacity resource, so back-to-back frames
-    serialize at line rate; propagation is pipelined (multiple frames can be
-    in flight). A fault injector attached via :meth:`attach_faults` can drop
-    frames (FRAME_DROP), corrupt them (FRAME_CORRUPT — the receiver's FCS
-    check discards them), or hold the link down for a window (LINK_DOWN).
+    The transmitter serializes one frame at a time — a busy flag plus a
+    FIFO backlog — so back-to-back frames leave at line rate;
+    propagation is pipelined (multiple frames can be in flight). No
+    process runs per frame: serialization is one timeout whose first
+    callback is the link's own bookkeeping, propagation one scheduled
+    callback that hands the frame to :attr:`sink`.
+
+    :attr:`sink` is a one-argument callable. It defaults to this link's
+    receive queue (drained with :meth:`receive`); a switch installs its
+    ingress stage there, a datagram socket its reassembly.
+
+    A fault injector attached via :meth:`attach_faults` can drop frames
+    (FRAME_DROP), corrupt them (FRAME_CORRUPT — the receiver's FCS check
+    discards them), or hold the link down for a window (LINK_DOWN).
 
     All counters live in the simulator's telemetry registry under this
     link's component path (the same id the fault injector consults).
@@ -54,7 +64,15 @@ class Link:
         self.bandwidth = bandwidth
         self.propagation = propagation
         self.rx_queue: Store = Store(sim)
-        self._tx = Resource(sim, capacity=1)
+        #: Where a frame goes once it has propagated.
+        self.sink: Callable[[Frame], None] = self.rx_queue.put_nowait
+        #: ``(frame, span, done)`` being serialized, then those waiting
+        #: for the transmitter in FIFO order. ``span`` is the open net.tx
+        #: span (None untraced); ``done`` wakes a sender that had to
+        #: queue (None when it holds the serialization timeout itself).
+        self._sending: Optional[Tuple[Frame, Any, Optional[Event]]] = None
+        self._backlog: Deque[Tuple[Frame, Any, Event]] = deque()
+        self._on_serialized_cb = self._on_serialized
         self._loss_fn = loss_fn
         self.injector = injector
         self.component = component
@@ -113,46 +131,75 @@ class Link:
             return "corrupt"
         return None
 
-    def transmit(self, frame: Frame):
-        """Process: serialize the frame, then deliver after propagation."""
+    def enqueue(self, frame: Frame) -> Event:
+        """Offer *frame* to the transmitter; the returned event fires once
+        it has been serialized (delivery follows ``propagation`` later).
+
+        On an idle transmitter that event is the serialization timeout
+        itself, so the sender resumes in the same engine entry the link's
+        bookkeeping runs in.
+        """
         # net.tx is the highest-frequency span site in the system; the
         # attrs dict is only built when tracing is actually on.
         tracer = self._tracer
+        span = None
         if tracer.enabled:
-            if frame.trace is None:
+            context = frame.trace
+            if context is None:
                 # First hop runs inside the sender's generator: stamp the
                 # active flow onto the frame so downstream switch hops
-                # (separate processes) can rejoin it.
-                frame.trace = tracer.active_context
-            span = tracer.span(
-                self.TX_SPAN, self.TX_SUBSTRATE,
-                component=self.component, bytes=frame.wire_size,
-            )
-        else:
-            span = _NULL_SPAN
-        with span:
-            yield self._tx.request()
-            try:
-                yield self.sim.timeout(self.serialization_delay(frame))
-            finally:
-                self._tx.release()
-            self._frames_sent.inc()
-            self._bytes_sent.inc(frame.wire_size)
-            if self._loss_fn is not None and self._loss_fn(frame):
-                self._frames_dropped.inc()
-                return
-            outcome = self._fault_outcome(frame)
-            if outcome == "drop":
-                self._frames_dropped.inc()
-                return
-            if outcome == "corrupt":
-                self._frames_corrupted.inc()
-                return
-        self.sim.process(self._deliver(frame))
+                # (scheduled callbacks, outside any flow) can rejoin it.
+                context = frame.trace = tracer.active_context
+            if context is not None:
+                span = tracer.begin(
+                    context, self.TX_SPAN, self.TX_SUBSTRATE,
+                    {"component": self.component, "bytes": frame.wire_size},
+                )
+            else:
+                span = tracer.span(
+                    self.TX_SPAN, self.TX_SUBSTRATE,
+                    component=self.component, bytes=frame.wire_size,
+                )
+        if self._sending is None:
+            return self._serialize((frame, span, None))
+        done = Event(self.sim)
+        self._backlog.append((frame, span, done))
+        return done
 
-    def _deliver(self, frame: Frame):
-        yield self.sim.timeout(self.propagation)
-        yield self.rx_queue.put(frame)
+    def transmit(self, frame: Frame):
+        """Process: returns once *frame* has been serialized."""
+        yield self.enqueue(frame)
+
+    def _serialize(self, entry: Tuple[Frame, Any, Optional[Event]]) -> Event:
+        self._sending = entry
+        serialized = self.sim.timeout(self.serialization_delay(entry[0]))
+        # Appended before any waiter can be: the link's bookkeeping runs
+        # first, the sender resumes after it, both in this one entry.
+        serialized.callbacks.append(self._on_serialized_cb)
+        return serialized
+
+    def _on_serialized(self, _event: Event) -> None:
+        frame, span, done = self._sending
+        if self._backlog:
+            self._serialize(self._backlog.popleft())
+        else:
+            self._sending = None
+        if done is not None:
+            done.succeed()
+        if span is not None:
+            span.finish()
+        self._frames_sent.inc()
+        self._bytes_sent.inc(frame.wire_size)
+        if self._loss_fn is not None and self._loss_fn(frame):
+            self._frames_dropped.inc()
+            return
+        outcome = self._fault_outcome(frame)
+        if outcome == "drop":
+            self._frames_dropped.inc()
+        elif outcome == "corrupt":
+            self._frames_corrupted.inc()
+        else:
+            self.sim.call_later(self.propagation, partial(self.sink, frame))
 
     def receive(self):
         """Event: the next frame out of the receive queue."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame
@@ -55,10 +55,18 @@ class NetworkPort:
                 f"port {self.address} has no route to {frame.dst}"
             )
         self._tx_frames.inc()
-        yield from link.transmit(frame)
+        yield link.enqueue(frame)
 
     def receive(self):
         """Event: next frame arriving at this port."""
+        return self._rx().receive()
+
+    def listen(self, on_frame: Callable[[Frame], None]) -> None:
+        """Hand every arriving frame to *on_frame* instead of queueing it
+        for :meth:`receive` (one listener per port; the last one wins)."""
+        self._rx().sink = on_frame
+
+    def _rx(self) -> Link:
         if self.rx_link is None:
             raise ConfigurationError(f"port {self.address} has no RX link")
-        return self.rx_link.receive()
+        return self.rx_link

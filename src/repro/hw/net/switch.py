@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.hw.net.frames import ETHERNET_HEADER, Frame
 from repro.hw.net.link import DEFAULT_PROPAGATION, QSFP28_100G, Link
 from repro.hw.net.port import NetworkPort
 from repro.sim import Simulator
@@ -18,7 +20,6 @@ class Switch:
 
     def __init__(self, sim: Simulator, forward_latency: float = SWITCH_FORWARD_LATENCY):
         self.sim = sim
-        self._tracer = sim.tracer
         self.forward_latency = forward_latency
         self._egress: Dict[str, Link] = {}
         self._blackholed: Set[str] = set()
@@ -61,30 +62,37 @@ class Switch:
         self._blackholed_pairs.discard((src, dst))
 
     def attach_ingress(self, link: Link) -> None:
-        """Start a forwarding process draining the given ingress link."""
-        self.sim.process(self._forward_loop(link))
+        """Forward every frame arriving over *link*.
 
-    def _forward_loop(self, ingress: Link):
-        while True:
-            frame = yield ingress.receive()
-            yield self.sim.timeout(self.forward_latency)
-            if (frame.dst in self._blackholed
-                    or (frame.src, frame.dst) in self._blackholed_pairs):
-                self._frames_blackholed.inc()
-                continue
-            egress = self._egress.get(frame.dst)
-            if egress is None:
-                # Unknown destination: drop, as a real switch floods/drops.
-                continue
-            self._frames_forwarded.inc()
-            if frame.trace is not None:
-                # The egress transmit is its own process; re-enter the
-                # sending flow so the hop's span lands in its trace.
-                self.sim.process(
-                    self._tracer.drive(egress.transmit(frame), frame.trace)
-                )
-            else:
-                self.sim.process(egress.transmit(frame))
+        The ingress stage takes one frame at a time, ``forward_latency``
+        each: a frame that arrives while the previous one is still being
+        looked up waits for it. No process — the arrival schedules the
+        forward at the instant the stage will be done with the frame.
+        """
+        sim = self.sim
+        forward = self._forward
+        busy_until = 0.0  # when the stage is done with its last frame
+
+        def on_arrival(frame: Frame) -> None:
+            nonlocal busy_until
+            now = sim.now
+            start = busy_until if busy_until > now else now
+            busy_until = start + self.forward_latency
+            sim.call_at(busy_until, partial(forward, frame))
+
+        link.sink = on_arrival
+
+    def _forward(self, frame: Frame) -> None:
+        if (frame.dst in self._blackholed
+                or (frame.src, frame.dst) in self._blackholed_pairs):
+            self._frames_blackholed.inc()
+            return
+        egress = self._egress.get(frame.dst)
+        if egress is None:
+            # Unknown destination: drop, as a real switch floods/drops.
+            return
+        self._frames_forwarded.inc()
+        egress.enqueue(frame)
 
 
 class Network:
@@ -133,7 +141,7 @@ class Network:
 
     def one_way_delay(self, payload_size: int) -> float:
         """Analytic minimum latency endpoint-to-endpoint for one frame."""
-        wire = payload_size + 38
+        wire = payload_size + ETHERNET_HEADER
         serialization = 2 * (wire / self.bandwidth)
         return serialization + 2 * self.propagation + self.switch.forward_latency
 

@@ -21,11 +21,17 @@ Hot-path design notes (every simulated operation crosses this module):
   first generator resume is scheduled directly as a *thunk* entry
   (``event is None``), consuming one eid exactly like the old bootstrap
   event did. Interrupt delivery uses the same mechanism.
+* The same thunk entries are the public *scheduled callback*:
+  :meth:`Simulator.call_later` / :meth:`Simulator.call_at` run a bare
+  callable at a simulated instant — one eid, no Event, no generator.
+  A fixed-latency stage (a frame propagating down a link, a switch
+  forwarding it) is a scheduled callback; a process is for anything
+  that waits on more than one thing.
 * The ``_schedule`` -> push path is inlined at the hot call sites
   (``Timeout.__init__``, ``succeed``/``fail``, process completion), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
-  entry. ``step()`` remains the single-entry API and both share the
-  exact pop order.
+  entry — with or without ``until``. ``step()`` remains the
+  single-entry API and both share the exact pop order.
 * Scheduling into the past is rejected (``delay < 0``) — the immediate
   lane's ordering proof needs monotonic time, and a negative delay was
   never meaningful in a causal simulation anyway. (:class:`Timeout`
@@ -37,6 +43,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.telemetry.flightrec import FlightRecorder
@@ -204,7 +211,7 @@ class Process(Event):
         self._resume_cb = self._resume
         # Kick off the process on the next simulator step. Scheduled as a
         # bare thunk: no bootstrap Event allocation, same eid accounting.
-        sim._schedule_thunk(self._bootstrap)
+        sim.call_later(0.0, self._bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -228,7 +235,7 @@ class Process(Event):
             self._waiting_on = None
             self._resume(poke)
 
-        self.sim._schedule_thunk(deliver)
+        self.sim.call_later(0.0, deliver)
 
     def _resume(self, event) -> None:
         # Ignore wakeups after the process finished, or from events we
@@ -408,10 +415,38 @@ class Simulator:
             heappush(self._heap, (when, eid, event, None))
         return when
 
-    def _schedule_thunk(self, thunk: Callable[[], None]) -> None:
-        """Schedule a bare callable at the current time (one eid, no Event)."""
-        self._eid = eid = self._eid + 1
-        self._imm.append((self.now, eid, None, thunk))
+    def call_later(self, delay: float, thunk: Callable[[], None]) -> None:
+        """Run the bare callable *thunk* after *delay* (one eid, no Event).
+
+        An exception *thunk* raises propagates out of :meth:`run` /
+        :meth:`step` unchanged; the entry is already off the queue, so
+        the next ``run()`` continues with the one after it.
+        """
+        if delay == 0.0:
+            self._eid = eid = self._eid + 1
+            self._imm.append((self.now, eid, None, thunk))
+        elif delay > 0:
+            self._eid = eid = self._eid + 1
+            heappush(self._heap, (self.now + delay, eid, None, thunk))
+        else:  # negative, or NaN
+            raise ValueError(f"cannot call_later into the past: {delay}")
+
+    def call_at(self, when: float, thunk: Callable[[], None]) -> None:
+        """Run *thunk* at the absolute simulated time *when*.
+
+        For callers that derive an instant from earlier instants
+        (``t_done + propagation``, ``busy_until + latency``): the entry
+        fires at exactly that float, never at ``now + (when - now)``.
+        """
+        now = self.now
+        if when == now:
+            self._eid = eid = self._eid + 1
+            self._imm.append((now, eid, None, thunk))
+        elif when > now:
+            self._eid = eid = self._eid + 1
+            heappush(self._heap, (when, eid, None, thunk))
+        else:  # earlier, or NaN
+            raise ValueError(f"cannot call_at the past: {when} (now {now})")
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -470,47 +505,43 @@ class Simulator:
         """
         imm = self._imm
         heap = self._heap
-        if until is None:
-            # Drain loop with the step body inlined: one call frame per
-            # event saved, identical (when, eid) pop order.
-            while True:
-                if imm:
-                    if heap:
-                        head = heap[0]
-                        first = imm[0]
-                        if head[0] < first[0] or (
-                            head[0] == first[0] and head[1] < first[1]
-                        ):
-                            entry = heappop(heap)
-                        else:
-                            entry = imm.popleft()
+        limit = inf if until is None else until
+        # Drain loop with the step body inlined: one call frame per
+        # entry saved, identical (when, eid) pop order.
+        while True:
+            if imm:
+                if heap:
+                    head = heap[0]
+                    first = imm[0]
+                    if head[0] < first[0] or (
+                        head[0] == first[0] and head[1] < first[1]
+                    ):
+                        entry = heappop(heap)
                     else:
                         entry = imm.popleft()
-                elif heap:
-                    entry = heappop(heap)
                 else:
-                    return
-                when, __, event, thunk = entry
-                self.now = when
-                if event is None:
-                    thunk()
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-        else:
-            step = self.step
-            while imm or heap:
-                # The lane front (== now) is never later than the heap
-                # head, so it is the next event time when non-empty.
-                when = imm[0][0] if imm else heap[0][0]
-                if when > until:
+                    entry = imm.popleft()
+            elif heap:
+                entry = heappop(heap)
+            else:
+                if until is not None and until > self.now:
                     self.now = until
-                    return
-                step()
-            if until > self.now:
+                return
+            when, __, event, thunk = entry
+            if when > limit:
+                # Past the horizon: put it back (the heap takes lane
+                # entries too — the merge orders by (when, eid) alone).
+                heappush(heap, entry)
                 self.now = until
+                return
+            self.now = when
+            if event is None:
+                thunk()
+                continue
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
 
     def run_process(self, generator: Generator) -> Any:
         """Convenience: run a generator to completion and return its value."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Any, Deque, Tuple
 
 from repro.sim.engine import Event, Simulator
 
@@ -60,7 +60,7 @@ class Store:
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: List = []
+        self._putters: Deque[Tuple[Event, Any]] = deque()
 
     def put(self, item: Any) -> Event:
         event = Event(self.sim)
@@ -74,13 +74,31 @@ class Store:
             self._putters.append((event, item))
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """Hand *item* to a waiting getter or append it; no completion event.
+
+        For producers that are callbacks rather than processes (a link's
+        delivery, a socket's reassembly): nothing could wait on a put
+        event, so none is allocated. A full bounded store raises instead
+        of blocking.
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif self.capacity is None or len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise RuntimeError(
+                f"put_nowait({item!r}) on a full store "
+                f"(capacity {self.capacity})"
+            )
+
     def get(self) -> Event:
         event = Event(self.sim)
         if self.items:
             item = self.items.popleft()
             event.succeed(item)
             if self._putters:
-                put_event, pending = self._putters.pop(0)
+                put_event, pending = self._putters.popleft()
                 self.items.append(pending)
                 put_event.succeed(None)
         else:

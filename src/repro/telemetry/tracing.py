@@ -106,7 +106,12 @@ class Span:
         _render_into(self, 0, lines)
         return "\n".join(lines)
 
-    # -- context manager -----------------------------------------------------
+    # -- closing ---------------------------------------------------------------
+    def finish(self) -> None:
+        """Close the span now; what leaving its ``with`` block does. For
+        spans whose end is a callback rather than the end of a block."""
+        self.tracer._finish(self)
+
     def __enter__(self) -> "Span":
         return self
 
@@ -145,6 +150,9 @@ class _NullSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
+
+    def finish(self) -> None:
+        """No-op finish matching :meth:`Span.finish`."""
 
     def annotate(self, **attrs: Any) -> "_NullSpan":
         """No-op annotate matching :meth:`Span.annotate`; returns self."""

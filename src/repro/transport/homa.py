@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
@@ -47,6 +47,11 @@ class HomaSocket:
         self.port = port
         self.rtt_bytes = rtt_bytes
         self.rx: Store = Store(sim)
+        #: Where a complete ``(src, payload, size)`` message goes: the
+        #: :meth:`recv` queue unless an upper layer takes them itself.
+        self.deliver: Callable[[Tuple[str, Any, int]], None] = (
+            self.rx.put_nowait
+        )
         self._grants: Dict[int, Event] = {}
         self._incoming: Dict[Tuple[str, int], int] = {}  # received byte counts
         self._payloads: Dict[Tuple[str, int], Any] = {}
@@ -127,7 +132,7 @@ class HomaSocket:
                 del self._incoming[key]
                 self._granted.discard(key)
                 payload = self._payloads.pop(key, None)
-                yield self.rx.put((frame.src, payload, message.total_size))
+                self.deliver((frame.src, payload, message.total_size))
 
     def _send_grant(self, dst: str, grant: _HomaGrant):
         yield from self.port.send(Frame(self.address, dst, grant, HOMA_HEADER))

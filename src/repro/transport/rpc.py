@@ -208,20 +208,19 @@ class BatchOp:
 
 
 class _DatagramAdapter:
-    """Uniform sendto/recv interface over UDP and HOMA sockets.
+    """Uniform sendto/listen interface over UDP and HOMA sockets.
 
-    The socket's send/receive entry points are resolved once at
-    construction (not ``hasattr``-probed per datagram), and
-    :meth:`sendto` hands back the socket's generator directly instead of
-    wrapping it in a delegating generator frame.
+    The socket's send entry point is resolved once at construction (not
+    ``hasattr``-probed per datagram), and :meth:`sendto` hands back the
+    socket's generator directly instead of wrapping it in a delegating
+    generator frame.
     """
 
-    __slots__ = ("socket", "_send", "_recv")
+    __slots__ = ("socket", "_send")
 
     def __init__(self, socket: Any):
         self.socket = socket
         self._send = getattr(socket, "sendto", None) or socket.send
-        self._recv = getattr(socket, "recvfrom", None) or socket.recv
 
     @property
     def address(self) -> str:
@@ -230,8 +229,10 @@ class _DatagramAdapter:
     def sendto(self, dst: str, payload: Any, size: int):
         return self._send(dst, payload, size)
 
-    def recv(self):
-        return self._recv()
+    def listen(self, on_datagram: Callable[[tuple], None]) -> None:
+        """Take every complete ``(src, payload, size)`` datagram as a
+        call to *on_datagram* instead of through the socket's queue."""
+        self.socket.deliver = on_datagram
 
 
 class RpcServer:
@@ -287,7 +288,7 @@ class RpcServer:
             )
             for __ in range(workers):
                 sim.process(self._worker_loop())
-        sim.process(self._serve_loop())
+        self.transport.listen(self._on_datagram)
 
     @property
     def requests_served(self) -> int:
@@ -338,34 +339,33 @@ class RpcServer:
             self._reject(src, request, f"overload: dropped ({reason})")
         )
 
-    def _serve_loop(self):
-        while True:
-            src, request, __ = yield self.transport.recv()
-            if not isinstance(request, RpcRequest):
-                continue
-            if self.admission is not None and not self.admission.admit(
-                self._priority_of(request)
-            ):
-                self._shed.inc()
-                self.sim.process(
-                    self._reject(src, request, "overload: admission shed")
-                )
-                continue
-            if self.queue is not None:
-                # A full queue rejects via _on_queue_drop — no hidden
-                # buffering, the client learns immediately.
-                self.queue.try_put((src, request))
-                continue
-            if request.trace is not None:
-                # Resume the caller's flow on this side of the wire: the
-                # handler process runs with the originating context
-                # active, so its spans join the caller's trace tree.
-                self.sim.process(
-                    self._tracer.drive(self._handle(src, request),
-                                       request.trace)
-                )
-            else:
-                self.sim.process(self._handle(src, request))
+    def _on_datagram(self, datagram: tuple) -> None:
+        src, request, __ = datagram
+        if not isinstance(request, RpcRequest):
+            return
+        if self.admission is not None and not self.admission.admit(
+            self._priority_of(request)
+        ):
+            self._shed.inc()
+            self.sim.process(
+                self._reject(src, request, "overload: admission shed")
+            )
+            return
+        if self.queue is not None:
+            # A full queue rejects via _on_queue_drop — no hidden
+            # buffering, the client learns immediately.
+            self.queue.try_put((src, request))
+            return
+        if request.trace is not None:
+            # Resume the caller's flow on this side of the wire: the
+            # handler process runs with the originating context
+            # active, so its spans join the caller's trace tree.
+            self.sim.process(
+                self._tracer.drive(self._handle(src, request),
+                                   request.trace)
+            )
+        else:
+            self.sim.process(self._handle(src, request))
 
     def _worker_loop(self):
         """One wimpy core: run-to-completion service off the queue."""
@@ -519,7 +519,7 @@ class RpcClient:
         self._deadline_exceeded = self._metrics.counter("deadline_exceeded")
         self._budget_exhausted = self._metrics.counter("retry_budget_exhausted")
         self._call_latency = self._metrics.histogram("call_latency")
-        sim.process(self._rx_loop())
+        self.transport.listen(self._on_datagram)
 
     @property
     def retransmits(self) -> int:
@@ -534,13 +534,12 @@ class RpcClient:
         """Calls failed fast because the shared retry budget was spent."""
         return self._budget_exhausted.value
 
-    def _rx_loop(self):
-        while True:
-            __, response, __ = yield self.transport.recv()
-            if isinstance(response, RpcResponse):
-                waiter = self._pending.pop(response.rpc_id, None)
-                if waiter is not None:
-                    waiter.succeed(response)
+    def _on_datagram(self, datagram: tuple) -> None:
+        response = datagram[1]
+        if isinstance(response, RpcResponse):
+            waiter = self._pending.pop(response.rpc_id, None)
+            if waiter is not None:
+                waiter.succeed(response)
 
     def call(
         self,

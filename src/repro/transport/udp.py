@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
@@ -12,6 +12,9 @@ from repro.sim import Simulator, Store
 
 #: IP + UDP headers.
 UDP_HEADER = 28
+
+#: Incomplete datagrams one socket keeps for reassembly at a time.
+MAX_PARTIAL_DATAGRAMS = 64
 
 _datagram_ids = itertools.count()
 
@@ -31,6 +34,8 @@ class UdpSocket:
     Datagrams larger than the MTU fragment across frames; the receiver
     reassembles by datagram id. There is no reliability: a dropped fragment
     silently kills the datagram (as with real UDP/IP fragmentation).
+    Frames reach the socket as callbacks from its port (no receive
+    process); complete datagrams leave through :attr:`deliver`.
     """
 
     def __init__(self, sim: Simulator, port: NetworkPort):
@@ -40,7 +45,14 @@ class UdpSocket:
         self._partial: Dict[Tuple[str, int], Dict[int, _Fragment]] = {}
         self.datagrams_sent = 0
         self.datagrams_received = 0
-        sim.process(self._rx_loop())
+        #: Incomplete datagrams dropped to keep ``_partial`` bounded.
+        self.reassembly_evicted = 0
+        #: Where a complete ``(src, payload, size)`` datagram goes: the
+        #: :meth:`recvfrom` queue unless an upper layer takes them itself.
+        self.deliver: Callable[[Tuple[str, Any, int]], None] = (
+            self.rx.put_nowait
+        )
+        port.listen(self._on_frame)
 
     @property
     def address(self) -> str:
@@ -66,24 +78,31 @@ class UdpSocket:
             yield from self.port.send(frame)
         self.datagrams_sent += 1
 
-    def _rx_loop(self):
-        while True:
-            frame = yield self.port.receive()
-            fragment = frame.payload
-            if not isinstance(fragment, _Fragment):
-                continue  # not UDP traffic
-            if fragment.total == 1:
-                self.datagrams_received += 1
-                yield self.rx.put((frame.src, fragment.payload, fragment.payload_size))
-                continue
-            key = (frame.src, fragment.datagram_id)
-            parts = self._partial.setdefault(key, {})
-            parts[fragment.index] = fragment
-            if len(parts) == fragment.total:
-                del self._partial[key]
-                head = parts[0]
-                self.datagrams_received += 1
-                yield self.rx.put((frame.src, head.payload, head.payload_size))
+    def _on_frame(self, frame: Frame) -> None:
+        fragment = frame.payload
+        if not isinstance(fragment, _Fragment):
+            return  # not UDP traffic
+        if fragment.total == 1:
+            self.datagrams_received += 1
+            self.deliver((frame.src, fragment.payload, fragment.payload_size))
+            return
+        key = (frame.src, fragment.datagram_id)
+        pending = self._partial
+        parts = pending.get(key)
+        if parts is None:
+            if len(pending) >= MAX_PARTIAL_DATAGRAMS:
+                # A datagram that lost a fragment never completes; the
+                # oldest incomplete one makes room (dicts keep insertion
+                # order), as an IP reassembly timer would have.
+                del pending[next(iter(pending))]
+                self.reassembly_evicted += 1
+            parts = pending[key] = {}
+        parts[fragment.index] = fragment
+        if len(parts) == fragment.total:
+            del pending[key]
+            head = parts[0]
+            self.datagrams_received += 1
+            self.deliver((frame.src, head.payload, head.payload_size))
 
     def recvfrom(self):
         """Event: next ``(src, payload, size)`` datagram."""

@@ -14,7 +14,7 @@ from repro.georep import (
     WanSpec,
     wan_component,
 )
-from repro.hw.net import Network
+from repro.hw.net import Frame, Network
 from repro.sim import Simulator
 from repro.transport import UdpSocket
 
@@ -78,6 +78,68 @@ class TestWanFabric:
         log = fabric.events_bytes().decode()
         assert "wan partition a->b" in log
         assert "wan heal a->b" in log
+
+
+class TestWanCrossing:
+    """The WAN link rides the same callback datapath as rack links."""
+
+    def _pair(self, sim, injector=None):
+        fabric = WanFabric(sim, injector=injector)
+        fabric.add_region("a", Network(sim))
+        fabric.add_region("b", Network(sim))
+        fabric.connect("a", "b", bandwidth=10e9, propagation=2e-3)
+        fabric.connect("b", "a", bandwidth=10e9, propagation=2e-3)
+        port_a = fabric.endpoint("a", "host-a")
+        port_b = fabric.endpoint("b", "host-b")
+        seen = []
+        port_b.listen(lambda frame: seen.append((sim.now, frame.payload)))
+        return fabric, port_a, seen
+
+    def test_crossing_time_is_the_sum_of_its_stages(self):
+        sim = Simulator()
+        fabric, port_a, seen = self._pair(sim)
+        sim.process(port_a.send(Frame("host-a", "host-b", "x", 62)))
+        sim.run()
+        rack = fabric.regions["a"]
+        ser, wan_ser = 100 / rack.bandwidth, 100 / 10e9
+        fwd = rack.switch.forward_latency
+        # uplink, a's switch, WAN link, b's switch, downlink.
+        expected = ser + rack.propagation
+        for delay in (fwd, wan_ser, 2e-3, fwd, ser, rack.propagation):
+            expected += delay
+        assert seen == [(expected, "x")]
+
+    def test_partitioned_frame_is_counted_once_and_never_delivered(self):
+        sim = Simulator()
+        fabric, port_a, seen = self._pair(sim)
+        link = fabric.link("a", "b")
+        fabric.partition("a", "b")
+        sim.process(port_a.send(Frame("host-a", "host-b", "lost", 62)))
+        sim.run()
+        assert seen == []
+        assert (link.frames_sent, link.frames_partitioned,
+                link.frames_dropped, link.frames_delivered) == (1, 1, 1, 0)
+        fabric.heal("a", "b")
+        sim.process(port_a.send(Frame("host-a", "host-b", "kept", 62)))
+        sim.run()
+        assert [payload for __, payload in seen] == ["kept"]
+        assert (link.frames_sent, link.frames_partitioned,
+                link.frames_dropped) == (2, 1, 1)
+
+    def test_plan_window_partitions_without_drawing_other_faults(self):
+        sim = Simulator()
+        plan = FaultPlan(seed=1)
+        plan.wan_partition("cut", "a", "b", 0.0, 1e-3)
+        plan.probabilistic("noise", wan_component("a", "b"),
+                           FaultKind.FRAME_DROP, 1.0)
+        injector = FaultInjector(sim, plan)
+        fabric, port_a, seen = self._pair(sim, injector)
+        sim.process(port_a.send(Frame("host-a", "host-b", "lost", 62)))
+        sim.run()
+        link = fabric.link("a", "b")
+        assert seen == [] and link.frames_partitioned == 1
+        # The partition decided the frame's fate; FRAME_DROP never drew.
+        assert [r.kind for r in injector.log] == [FaultKind.WAN_PARTITION]
 
 
 class TestWanPartitionFaults:

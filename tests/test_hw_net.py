@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import gbps
+from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.net import Frame, Link, Network, NetworkPort
 from repro.sim import Simulator
 
@@ -169,3 +170,260 @@ class TestNetwork:
         assert a.route().frames_dropped == 0
         assert b.rx_link.frames_delivered == 2
         assert sim.telemetry.counter("net.port.a.tx_frames").value == 2
+
+
+def arrivals(sim, port):
+    """Collect ``(time, payload)`` for every frame reaching *port*."""
+    seen = []
+    port.listen(lambda frame: seen.append((sim.now, frame.payload)))
+    return seen
+
+
+class TestCallbackDatapath:
+    """Frames ride scheduled callbacks; every modelled delay stays put.
+
+    Timing assertions here are ``==`` on purpose: the uncontended path
+    adds the same floats in the same order as the analytic helpers, so
+    a refactor that moves a timestamp by one ulp fails.
+    """
+
+    @pytest.mark.parametrize("size", [0, 64, 1000, 1462])
+    def test_one_frame_arrives_at_exactly_one_way_delay(self, size):
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.endpoint("a"), net.endpoint("b")
+        seen = arrivals(sim, b)
+        sim.process(a.send(Frame("a", "b", "x", size)))
+        sim.run()
+        assert seen == [(net.one_way_delay(size), "x")]
+
+    def test_one_way_delay_counts_the_ethernet_header(self):
+        net = Network(Simulator(), bandwidth=1e9, propagation=0.0)
+        assert net.one_way_delay(100) == (
+            2 * (138 / 1e9) + net.switch.forward_latency
+        )
+
+    def test_echo_rpc_completes_at_exactly_min_rtt(self):
+        from repro.transport import RpcClient, RpcServer, UdpSocket
+        from repro.transport.rpc import RPC_HEADER
+        from repro.transport.udp import UDP_HEADER
+
+        sim = Simulator()
+        net = Network(sim)
+        server = RpcServer(sim, UdpSocket(sim, net.endpoint("server")))
+        server.register("echo", lambda value: value)
+        client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))
+
+        def call():
+            value = yield from client.call("server", "echo", "hi")
+            return value, sim.now
+
+        value, done = sim.run_process(call())
+        size = RPC_HEADER + 64 + UDP_HEADER
+        assert value == "hi"
+        assert done == net.min_rtt(size, size) == 5.046719999999999e-06
+
+    def test_back_to_back_frames_leave_at_line_rate_in_fifo_order(self):
+        sim = Simulator()
+        link = Link(sim, bandwidth=gbps(100), propagation=1e-6)
+        seen = []
+        link.sink = lambda frame: seen.append((sim.now, frame.payload))
+        sender_done = []
+
+        def sender(i):
+            yield from link.transmit(Frame("a", "b", i, 1462))
+            sender_done.append((sim.now, i))
+
+        for i in range(4):
+            sim.process(sender(i))
+        sim.run()
+        ser = 1500 / gbps(100)
+        # Each frame starts when the previous one has left the
+        # transmitter: t_done(i) = t_done(i-1) + ser, accumulated.
+        done = [ser]
+        for __ in range(3):
+            done.append(done[-1] + ser)
+        assert sender_done == [(done[i], i) for i in range(4)]
+        assert seen == [(done[i] + 1e-6, i) for i in range(4)]
+        assert link.frames_sent == 4 and link.bytes_sent == 4 * 1500
+
+    def test_enqueue_without_a_process(self):
+        """A callback can send: ``enqueue`` needs no generator around it."""
+        sim = Simulator()
+        link = Link(sim, propagation=0)
+        events = [link.enqueue(Frame("a", "b", i, 100)) for i in range(2)]
+        sim.run()
+        assert all(event.processed for event in events)
+        assert [f.payload for f in link.rx_queue.items] == [0, 1]
+
+    def test_one_ingress_forwards_one_frame_at_a_time(self):
+        """Two frames reaching one ingress within ``forward_latency`` are
+        forwarded ``forward_latency`` apart."""
+        sim = Simulator()
+        net = Network(sim, bandwidth=gbps(100), propagation=1e-6)
+        fwd = net.switch.forward_latency
+        a, b = net.endpoint("a"), net.endpoint("b")
+        seen = arrivals(sim, b)
+
+        def burst():
+            yield from a.send(Frame("a", "b", "first", 0))
+            yield from a.send(Frame("a", "b", "second", 0))
+
+        sim.process(burst())
+        sim.run()
+        ser = 38 / gbps(100)
+        assert ser < fwd  # the second frame arrives mid-lookup
+        first_fwd = ser + 1e-6 + fwd
+        second_fwd = first_fwd + fwd  # max(arrival, busy_until) + fwd
+        assert seen == [
+            (first_fwd + ser + 1e-6, "first"),
+            (second_fwd + ser + 1e-6, "second"),
+        ]
+
+    def test_two_ingresses_forward_concurrently(self):
+        sim = Simulator()
+        net = Network(sim)
+        a, b, c = (net.endpoint(name) for name in "abc")
+        seen = arrivals(sim, c)
+        sim.process(a.send(Frame("a", "c", "from-a", 0)))
+        sim.process(b.send(Frame("b", "c", "from-b", 0)))
+        sim.run()
+        ser = 38 / net.bandwidth
+        forwarded = ser + net.propagation + net.switch.forward_latency
+        # Both lookups finish at the same instant; only c's downlink
+        # transmitter serializes them, one frame time apart.
+        assert seen == [
+            (forwarded + ser + net.propagation, "from-a"),
+            (forwarded + ser + ser + net.propagation, "from-b"),
+        ]
+        assert net.switch.frames_forwarded == 2
+
+    def test_blackhole_installed_mid_lookup_still_drops(self):
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.endpoint("a"), net.endpoint("b")
+        seen = arrivals(sim, b)
+        sim.process(a.send(Frame("a", "b", "doomed", 64)))
+        arrival = (64 + 38) / net.bandwidth + net.propagation
+        # After the frame reached the switch, before its lookup is done.
+        sim.call_at(arrival + net.switch.forward_latency / 2,
+                    lambda: net.switch.blackhole("b"))
+        sim.run()
+        assert seen == []
+        assert net.switch.frames_blackholed == 1
+        assert net.switch.frames_forwarded == 0
+
+    def test_blackholed_pair_is_one_direction(self):
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.endpoint("a"), net.endpoint("b")
+        at_a, at_b = arrivals(sim, a), arrivals(sim, b)
+        net.switch.blackhole_pair("a", "b")
+        sim.process(a.send(Frame("a", "b", "lost", 64)))
+        sim.process(b.send(Frame("b", "a", "kept", 64)))
+        sim.run()
+        assert at_b == [] and [p for __, p in at_a] == ["kept"]
+        assert net.switch.frames_blackholed == 1
+
+    def test_no_process_per_frame(self):
+        """One frame end to end is five instants and five engine entries
+        (two serializations, two propagations, one lookup) — plus the
+        sender process's own bootstrap and completion."""
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.endpoint("a"), net.endpoint("b")
+        arrivals(sim, b)
+        spawned = []
+        spawn = sim.process
+        sim.process = lambda generator: spawned.append(1) or spawn(generator)
+        before = sim._eid
+        sim.process(a.send(Frame("a", "b", None, 64)))
+        sim.run()
+        assert sim._eid - before == 5 + 2
+        assert len(spawned) == 1  # the sender; nothing inside hw.net
+
+    def test_listen_needs_an_rx_link(self):
+        port = NetworkPort(Simulator(), "tx-only")
+        with pytest.raises(ConfigurationError, match="tx-only"):
+            port.listen(lambda frame: None)
+
+
+class TestLinkLossAccounting:
+    """Every loss cause is counted once and never delivered."""
+
+    def _sent(self, sim, link, count=1):
+        seen = []
+        link.sink = lambda frame: seen.append(frame.payload)
+        for i in range(count):
+            sim.process(link.transmit(Frame("a", "b", i, 100)))
+        sim.run()
+        return seen
+
+    def test_loss_fn(self):
+        sim = Simulator()
+        link = Link(sim, loss_fn=lambda frame: frame.payload == 1)
+        assert self._sent(sim, link, 3) == [0, 2]
+        assert (link.frames_sent, link.frames_dropped,
+                link.frames_corrupted, link.frames_delivered) == (3, 1, 0, 2)
+
+    @pytest.mark.parametrize("kind, dropped, corrupted", [
+        ("FRAME_DROP", 1, 0), ("FRAME_CORRUPT", 0, 1),
+    ])
+    def test_injected_point_faults(self, kind, dropped, corrupted):
+        sim = Simulator()
+        plan = FaultPlan()
+        plan.probabilistic("f", "uplink", FaultKind[kind], 1.0, max_fires=1)
+        injector = FaultInjector(sim, plan)
+        link = Link(sim).attach_faults(injector, "uplink")
+        assert self._sent(sim, link, 2) == [1]
+        assert (link.frames_sent, link.frames_dropped,
+                link.frames_corrupted) == (2, dropped, corrupted)
+        assert len(injector.log) == 1
+
+    def test_link_down_window(self):
+        sim = Simulator()
+        plan = FaultPlan()
+        plan.windowed("flap", "uplink", FaultKind.LINK_DOWN, 0.0, 1e-3)
+        link = Link(sim).attach_faults(FaultInjector(sim, plan), "uplink")
+        assert self._sent(sim, link, 2) == []
+        sim.call_at(2e-3, lambda: link.enqueue(Frame("a", "b", "up", 100)))
+        assert self._sent(sim, link, 0) == ["up"]
+        assert (link.frames_sent, link.frames_dropped) == (3, 2)
+
+    def test_loss_fn_runs_before_the_injector_is_consulted(self):
+        """A frame ``loss_fn`` already dropped draws nothing from the
+        injector's RNG stream (draw order is part of determinism)."""
+        sim = Simulator()
+        plan = FaultPlan()
+        plan.probabilistic("f", "uplink", FaultKind.FRAME_DROP, 1.0)
+        injector = FaultInjector(sim, plan)
+        link = Link(sim, loss_fn=lambda frame: True).attach_faults(
+            injector, "uplink")
+        self._sent(sim, link, 2)
+        assert link.frames_dropped == 2 and injector.log == []
+
+    def test_injector_draws_in_serialization_completion_order(self):
+        """Two links share one injector spec; the frames' draws happen in
+        the order their serializations complete, not the order they
+        were offered — and a queued frame draws after the one ahead."""
+        sim = Simulator()
+        order = []
+
+        class Recording(FaultInjector):
+            def fires(self, component, kind):
+                if kind is FaultKind.FRAME_DROP:
+                    order.append((self.clock.now, component))
+                return super().fires(component, kind)
+
+        injector = Recording(sim, FaultPlan())
+        slow = Link(sim, bandwidth=1e9).attach_faults(injector, "slow")
+        fast = Link(sim, bandwidth=10e9).attach_faults(injector, "fast")
+        slow.enqueue(Frame("a", "b", "s0", 962))   # offered first: 1 us
+        fast.enqueue(Frame("a", "b", "f0", 962))   # 0.1 us
+        fast.enqueue(Frame("a", "b", "f1", 962))   # queued: 0.2 us
+        sim.run()
+        fast_ser, slow_ser = 1000 / 10e9, 1000 / 1e9
+        assert order == [
+            (fast_ser, "fast"), (fast_ser + fast_ser, "fast"),
+            (slow_ser, "slow"),
+        ]

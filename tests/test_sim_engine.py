@@ -494,3 +494,136 @@ class TestEngineEdges:
         while sim2._imm or sim2._heap:
             sim2.step()
         assert step_log == run_log
+
+
+class TestScheduledCallbacks:
+    """``call_later`` / ``call_at``: a bare callable at a simulated instant."""
+
+    def test_call_later_runs_at_now_plus_delay(self):
+        sim = Simulator()
+        seen = []
+        sim.call_later(1.5, lambda: seen.append(sim.now))
+        sim.call_later(0.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [0.0, 1.5]
+
+    def test_call_at_fires_at_exactly_that_float(self):
+        sim = Simulator()
+        when = 0.1 + 0.2  # not representable as now + (when - now) in general
+        seen = []
+
+        def later():
+            yield sim.timeout(0.1)
+            sim.call_at(when, lambda: seen.append(sim.now))
+
+        sim.process(later())
+        sim.run()
+        assert seen == [when]
+
+    def test_one_eid_each_and_scheduling_order_at_one_instant(self):
+        sim = Simulator()
+        log = []
+        before = sim._eid
+        sim.call_later(1.0, lambda: log.append("later"))
+        sim.call_at(1.0, lambda: log.append("at"))
+        timeout = sim.timeout(1.0)
+        timeout.callbacks.append(lambda event: log.append("timeout"))
+        assert sim._eid - before == 3
+        sim.run()
+        # Same instant: exact scheduling order, thunks and events alike.
+        assert log == ["later", "at", "timeout"]
+
+    def test_call_at_now_joins_the_lane_behind_earlier_entries(self):
+        sim = Simulator()
+        log = []
+        sim.call_later(0.0, lambda: log.append("first"))
+        sim.call_at(sim.now, lambda: log.append("second"))
+        sim.run()
+        assert log == ["first", "second"]
+
+    def test_negative_delay_names_the_value(self):
+        sim = Simulator()
+        before = sim._eid
+        with pytest.raises(ValueError, match="-2.5"):
+            sim.call_later(-2.5, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sim.call_later(float("nan"), lambda: None)
+        assert sim._eid == before and not sim._heap and not sim._imm
+
+    def test_call_at_the_past_names_the_value(self):
+        sim = Simulator()
+        sim.run(until=3.0)
+        before = sim._eid
+        with pytest.raises(ValueError, match=r"2\.0.*3\.0"):
+            sim.call_at(2.0, lambda: None)
+        assert sim._eid == before and not sim._heap and not sim._imm
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_exception_in_callback_leaves_the_queues_consistent(self, until):
+        sim = Simulator()
+        log = []
+        boom = RuntimeError("boom")
+
+        def explode():
+            raise boom
+
+        sim.call_later(1.0, lambda: log.append("before"))
+        sim.call_later(1.0, explode)
+        sim.call_later(1.0, lambda: log.append("after"))
+        sim.call_later(2.0, lambda: log.append("later"))
+        with pytest.raises(RuntimeError) as caught:
+            sim.run(until=until)
+        assert caught.value is boom  # unchanged, not wrapped
+        assert log == ["before"] and sim.now == 1.0
+        sim.run(until=until)  # continues with the entry after the bad one
+        assert log == ["before", "after", "later"]
+
+    def test_exception_in_callback_propagates_out_of_step(self):
+        sim = Simulator()
+        log = []
+
+        def explode():
+            raise KeyError("lost")
+
+        sim.call_later(0.0, explode)
+        sim.call_later(0.0, lambda: log.append("next"))
+        with pytest.raises(KeyError, match="lost"):
+            sim.step()
+        sim.step()
+        assert log == ["next"] and not sim._imm and not sim._heap
+
+    def test_run_until_leaves_later_callbacks_queued(self):
+        sim = Simulator()
+        log = []
+        sim.call_later(1.0, lambda: log.append(1.0))
+        sim.call_later(2.0, lambda: log.append(2.0))
+        sim.call_later(2.0, lambda: log.append("2.0 again"))
+        sim.run(until=1.0)
+        assert log == [1.0] and sim.now == 1.0
+        sim.run(until=1.5)
+        assert log == [1.0] and sim.now == 1.5
+        sim.run()
+        # The entry put back at the horizon kept its place in the order.
+        assert log == [1.0, 2.0, "2.0 again"] and sim.now == 2.0
+
+    def test_factories_stay_replaceable_instance_attributes(self):
+        """perfbench's ledger counts engine entries by wrapping these."""
+        sim = Simulator()
+        calls = []
+        for name in ("timeout", "event", "process"):
+            original = getattr(sim, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            setattr(sim, name, counting)
+
+        def worker():
+            yield sim.timeout(1.0)
+            gate = sim.event()
+            gate.succeed()
+            yield gate
+
+        sim.run_process(worker())
+        assert calls == ["process", "timeout", "event"]

@@ -162,3 +162,54 @@ class TestStore:
 
         sim.run_process(proc())
         assert len(store) == 2
+
+    def test_put_nowait_hands_to_a_waiting_getter(self):
+        sim = Simulator()
+        store = Store(sim)
+
+        def consumer():
+            item = yield store.get()
+            return item, sim.now
+
+        proc = sim.process(consumer())
+        sim.call_later(3.0, lambda: store.put_nowait("frame"))
+        sim.run()
+        assert proc.value == ("frame", 3.0)
+        assert len(store) == 0
+
+    def test_put_nowait_appends_without_an_event(self):
+        sim = Simulator()
+        store = Store(sim)
+        before = sim._eid
+        assert store.put_nowait("a") is None
+        store.put_nowait("b")
+        assert sim._eid == before  # nothing scheduled
+        assert list(store.items) == ["a", "b"]
+
+    def test_put_nowait_on_a_full_store_names_the_item(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        store.put_nowait("kept")
+        with pytest.raises(RuntimeError, match=r"'overflow'.*capacity 1"):
+            store.put_nowait("overflow")
+        assert list(store.items) == ["kept"]
+
+    def test_blocked_putters_wake_in_fifo_order(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        woken = []
+
+        def producer(name):
+            yield store.put(name)
+            woken.append(name)
+
+        def consumer():
+            yield sim.timeout(1.0)
+            for __ in range(4):
+                yield store.get()
+
+        for name in ("a", "b", "c", "d"):
+            sim.process(producer(name))
+        sim.process(consumer())
+        sim.run()
+        assert woken == ["a", "b", "c", "d"]

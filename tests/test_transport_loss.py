@@ -125,3 +125,55 @@ class TestUdpUnderLoss:
         sim.process(sender())
         sim.run()
         assert b.datagrams_received == 0  # the whole datagram is gone
+
+    def test_reassembly_state_is_bounded_on_a_lossy_link(self):
+        """A datagram that lost a fragment never completes; its partial
+        state must not be kept forever. (Before the bound, 500 broken
+        datagrams left 500 entries behind.)"""
+        from repro.transport.udp import MAX_PARTIAL_DATAGRAMS
+
+        sim = Simulator()
+        # Lose the second of every three-fragment datagram's frames;
+        # single-fragment datagrams (wire size < 1 KB) get through.
+        a_port, b_port = lossy_pair(
+            sim, lambda f: f.payload.total == 3 and f.payload.index == 1)
+        a = UdpSocket(sim, a_port)
+        b = UdpSocket(sim, b_port)
+
+        def sender():
+            for i in range(500):
+                yield from a.sendto("b", ("broken", i), 4_000)
+            yield from a.sendto("b", "small", 100)
+
+        sim.process(sender())
+        sim.run()
+        assert b.datagrams_received == 1
+        assert len(b._partial) == MAX_PARTIAL_DATAGRAMS == 64
+        assert b.reassembly_evicted == 500 - 64
+        # Oldest out first: what is left are the newest 64.
+        ids = sorted(dgram for __, dgram in b._partial)
+        assert ids == list(range(ids[0], ids[0] + 64))
+        # Plain ints beside datagrams_received: no telemetry path added.
+        assert not [path for path in sim.telemetry.paths()
+                    if "reassembl" in path or "evict" in path]
+
+    def test_eviction_spares_datagrams_still_completing(self):
+        """Interleaved senders below the bound reassemble untouched."""
+        sim = Simulator()
+        hub = NetworkPort(sim, "hub")
+        link = Link(sim)
+        hub.attach_rx(link)
+        receiver = UdpSocket(sim, hub)
+        senders = []
+        for i in range(8):
+            port = NetworkPort(sim, f"s{i}")
+            port.add_route("*", link)
+            port.attach_rx(Link(sim))
+            senders.append(UdpSocket(sim, port))
+        got = []
+        receiver.deliver = got.append
+        for i, sock in enumerate(senders):
+            sim.process(sock.sendto("hub", i, 10_000))
+        sim.run()
+        assert sorted(payload for __, payload, __ in got) == list(range(8))
+        assert receiver.reassembly_evicted == 0 and not receiver._partial
