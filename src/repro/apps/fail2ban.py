@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.baseline.datapath import CpuCentricDatapath
+from repro.common.errors import ProtocolError
 from repro.dpu.hyperion import HyperionDpu
 from repro.ebpf.builder import ProgramBuilder
 from repro.ebpf.helpers import HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE
@@ -136,32 +137,36 @@ class Fail2BanDpu:
         self.banned_packets = 0
         self.passed_packets = 0
 
+    def _write_log_block(self, data: bytes):
+        """Process: one block to the next log LBA; a failed write raises."""
+        lba = self._log_lba
+        completion = yield self._log_qp.submit(
+            NvmeCommand(NvmeOpcode.WRITE, lba=lba, data=data)
+        )
+        if not completion.ok:
+            raise ProtocolError(
+                f"packet log write failed at LBA {lba}: {completion.status.name}"
+            )
+        self._log_lba += 1
+
     def _append_log(self, record: bytes):
         self._log_buffer.extend(record)
         if len(self._log_buffer) >= 4096:
-            block, self._log_buffer = self._log_buffer[:4096], self._log_buffer[4096:]
-            completion = yield self._log_qp.submit(
-                NvmeCommand(NvmeOpcode.WRITE, lba=self._log_lba, data=bytes(block))
-            )
-            assert completion.ok
-            self._log_lba += 1
+            block = bytes(self._log_buffer[:4096])
+            del self._log_buffer[:4096]
+            yield from self._write_log_block(block)
 
     def flush_log(self):
         """Process: force the partial log block to flash."""
         if self._log_buffer:
-            completion = yield self._log_qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.WRITE, lba=self._log_lba, data=bytes(self._log_buffer)
-                )
-            )
-            assert completion.ok
-            self._log_lba += 1
+            yield from self._write_log_block(bytes(self._log_buffer))
             self._log_buffer = bytearray()
 
     def process_packet(self, packet: PacketRecord):
         """Process: NIC -> pipeline -> (persist log record) -> verdict."""
-        result = yield from self.pipeline.execute(packet.context())
-        yield from self._append_log(packet.context().ljust(16, b"\x00"))
+        context = packet.context()
+        result = yield from self.pipeline.execute(context)
+        yield from self._append_log(context.ljust(16, b"\x00"))
         if result.return_value == VERDICT_BAN:
             self.banned_packets += 1
         else:

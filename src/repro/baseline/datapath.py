@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.baseline.cpu import CpuModel
 from repro.baseline.os_model import OsModel
+from repro.common.errors import ProtocolError
 from repro.ebpf.vm import BpfVm
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
@@ -63,7 +64,11 @@ class CpuCentricDatapath:
                 completion = yield self.qp.submit(
                     NvmeCommand(NvmeOpcode.WRITE, lba=self._log_lba, data=block)
                 )
-                assert completion.ok
+                if not completion.ok:
+                    raise ProtocolError(
+                        f"packet log write failed at LBA {self._log_lba}: "
+                        f"{completion.status.name}"
+                    )
                 self._log_lba += 1
         self.packets_processed += 1
         return result.return_value

@@ -55,7 +55,7 @@ class ProgramBuilder:
         return self
 
     # -- ALU -----------------------------------------------------------------
-    def _alu(self, opcode: Opcode, dst: str, src: Operand) -> "ProgramBuilder":
+    def _emit_alu(self, opcode: Opcode, dst: str, src: Operand) -> "ProgramBuilder":
         if _is_reg(src):
             return self._emit(
                 Instruction(opcode, dst=_reg(dst), src=_reg(src), uses_reg_src=True)
@@ -63,40 +63,40 @@ class ProgramBuilder:
         return self._emit(Instruction(opcode, dst=_reg(dst), imm=int(src)))
 
     def mov(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.MOV, dst, src)
+        return self._emit_alu(Opcode.MOV, dst, src)
 
     def add(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.ADD, dst, src)
+        return self._emit_alu(Opcode.ADD, dst, src)
 
     def sub(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.SUB, dst, src)
+        return self._emit_alu(Opcode.SUB, dst, src)
 
     def mul(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.MUL, dst, src)
+        return self._emit_alu(Opcode.MUL, dst, src)
 
     def div(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.DIV, dst, src)
+        return self._emit_alu(Opcode.DIV, dst, src)
 
     def mod(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.MOD, dst, src)
+        return self._emit_alu(Opcode.MOD, dst, src)
 
     def and_(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.AND, dst, src)
+        return self._emit_alu(Opcode.AND, dst, src)
 
     def or_(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.OR, dst, src)
+        return self._emit_alu(Opcode.OR, dst, src)
 
     def xor(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.XOR, dst, src)
+        return self._emit_alu(Opcode.XOR, dst, src)
 
     def lsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.LSH, dst, src)
+        return self._emit_alu(Opcode.LSH, dst, src)
 
     def rsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.RSH, dst, src)
+        return self._emit_alu(Opcode.RSH, dst, src)
 
     def arsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._alu(Opcode.ARSH, dst, src)
+        return self._emit_alu(Opcode.ARSH, dst, src)
 
     def neg(self, dst: str) -> "ProgramBuilder":
         return self._emit(Instruction(Opcode.NEG, dst=_reg(dst)))

@@ -259,50 +259,47 @@ class Instruction:
 
     @classmethod
     def decode(cls, raw: bytes) -> "Instruction":
-        """Decode one instruction (16 bytes required for LDDW)."""
+        """Decode one instruction (16 bytes required for LDDW).
+
+        Only opcode bytes :meth:`encode` can produce are accepted, so
+        ``decode(raw).encode() == raw``; anything else is rejected by name.
+        """
         if len(raw) < 8:
             raise ProtocolError("instruction shorter than 8 bytes")
         opcode_byte, regs, offset, imm = struct.unpack("<BBhI", raw[:8])
         dst = regs & 0xF
         src = (regs >> 4) & 0xF
-        insn_class = opcode_byte & 0x07
-        if insn_class == BPF_LD and opcode_byte == (BPF_LD | BPF_IMM | BPF_DW):
+        decoded = _DECODE.get(opcode_byte)
+        if decoded is None:
+            if opcode_byte & 0x07 == BPF_ALU:
+                raise ProtocolError(
+                    f"ALU32 not modeled: opcode byte {opcode_byte:#04x}"
+                )
+            raise ProtocolError(f"cannot decode opcode byte {opcode_byte:#04x}")
+        op, uses_reg_src = decoded
+        if op is Opcode.LDDW:
             if len(raw) < 16:
                 raise ProtocolError("truncated LDDW")
             __, __, __, high = struct.unpack("<BBhI", raw[8:16])
             return cls(Opcode.LDDW, dst=dst, src=src, imm=(high << 32) | imm)
-        if insn_class in (BPF_ALU64, BPF_ALU):
-            code = (opcode_byte >> 4) & 0xF
-            op = {v: k for k, v in _ALU_CODE.items()}[code]
-            return cls(
-                op,
-                dst=dst,
-                src=src,
-                offset=offset,
-                imm=_sign32(imm),
-                uses_reg_src=bool(opcode_byte & BPF_X),
-            )
-        if insn_class == BPF_JMP:
-            code = (opcode_byte >> 4) & 0xF
-            op = {v: k for k, v in _JMP_CODE.items()}[code]
-            return cls(
-                op,
-                dst=dst,
-                src=src,
-                offset=offset,
-                imm=_sign32(imm),
-                uses_reg_src=bool(opcode_byte & BPF_X),
-            )
-        size = {BPF_B: 1, BPF_H: 2, BPF_W: 4, BPF_DW: 8}[opcode_byte & 0x18]
-        if insn_class == BPF_LDX:
-            op = {1: Opcode.LDXB, 2: Opcode.LDXH, 4: Opcode.LDXW, 8: Opcode.LDXDW}[size]
-        elif insn_class == BPF_STX:
-            op = {1: Opcode.STXB, 2: Opcode.STXH, 4: Opcode.STXW, 8: Opcode.STXDW}[size]
-        elif insn_class == BPF_ST:
-            op = {1: Opcode.STB, 2: Opcode.STH, 4: Opcode.STW, 8: Opcode.STDW}[size]
-        else:
-            raise ProtocolError(f"cannot decode opcode byte {opcode_byte:#x}")
-        return cls(op, dst=dst, src=src, offset=offset, imm=_sign32(imm))
+        return cls(
+            op,
+            dst=dst,
+            src=src,
+            offset=offset,
+            imm=_sign32(imm),
+            uses_reg_src=uses_reg_src,
+        )
+
+
+#: opcode byte -> (opcode, uses_reg_src): the inverse of
+#: ``Instruction._opcode_byte``, built once. Bytes outside it (ALU32, JMP32,
+#: atomics, legacy packet loads, unassigned ALU/JMP codes) do not decode.
+_DECODE = {
+    Instruction(op, uses_reg_src=reg_src)._opcode_byte(): (op, reg_src)
+    for op in Opcode
+    for reg_src in ((False, True) if op in ALU_OPS or op in JUMP_OPS else (False,))
+}
 
 
 def _sign32(value: int) -> int:

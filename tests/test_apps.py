@@ -18,12 +18,14 @@ from repro.apps import (
 )
 from repro.apps.fail2ban import BAN_MAP_FD, VERDICT_BAN, VERDICT_PASS, PacketRecord
 from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
+from repro.common.errors import ProtocolError
 from repro.dpu import HyperionDpu
 from repro.ebpf import BpfVm, HashMap, Verifier
 from repro.formats import RecordBatch, Schema, write_table
 from repro.fs import HyperExtFs
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
+from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.sim import Simulator
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
@@ -55,6 +57,21 @@ class TestFail2BanProgram:
         benign = PacketRecord(src_ip=5, auth_failed=False, size=100)
         for _ in range(20):
             assert vm.run(benign.context()).return_value == VERDICT_PASS
+
+    def test_instruction_and_helper_counts_per_path(self):
+        """(instructions_executed, helper_calls) drive the baseline's CPU
+        time: pinned per path so a mis-translated slot fails by name."""
+        program = build_fail2ban_program(threshold=2)
+        vm = BpfVm(program, maps={BAN_MAP_FD: HashMap(8, 8, 1024)})
+        attacker = PacketRecord(src_ip=99, auth_failed=True, size=100).context()
+        runs = [vm.run(attacker) for _ in range(3)]
+        counts = [(r.return_value, r.instructions_executed, r.helper_calls)
+                  for r in runs]
+        assert counts == [
+            (VERDICT_PASS, 19, 2),  # first sight: lookup miss + update
+            (VERDICT_PASS, 15, 1),  # found, count 2 <= threshold
+            (VERDICT_BAN, 15, 1),  # found, count 3 > threshold
+        ]
 
 
 class TestFail2BanDeployments:
@@ -89,6 +106,53 @@ class TestFail2BanDeployments:
         sim.run_process(scenario())
         log_namespace = app._log_ssd.namespaces[1]
         assert log_namespace.written_block_count() >= 2
+
+    def test_first_flushed_block_is_the_trace(self):
+        """256 sixteen-byte records fill one 4 KiB block: read LBA 0 back."""
+        sim = Simulator()
+        app = Fail2BanDpu(sim, booted_dpu(sim))
+        trace = generate_packet_trace(300)
+
+        def scenario():
+            for packet in trace:
+                yield from app.process_packet(packet)
+            yield from app.flush_log()
+            return (yield app._log_qp.submit(
+                NvmeCommand(NvmeOpcode.READ, lba=0, block_count=2)
+            ))
+
+        completion = sim.run_process(scenario())
+        assert completion.ok
+        records = b"".join(p.context().ljust(16, b"\x00") for p in trace)
+        assert completion.data[:4096] == records[:4096]
+        assert completion.data[4096:] == records[4096:].ljust(4096, b"\x00")
+
+    def test_failed_log_write_is_a_named_error(self):
+        sim = Simulator()
+        app = Fail2BanDpu(sim, booted_dpu(sim))
+        app._log_lba = 16384  # one past the namespace
+
+        def scenario():
+            yield from app.process_packet(PacketRecord(1, False, 64))
+            yield from app.flush_log()
+
+        with pytest.raises(ProtocolError, match="LBA 16384: LBA_OUT_OF_RANGE"):
+            sim.run_process(scenario())
+
+    def test_baseline_failed_log_write_is_a_named_error(self):
+        sim = Simulator()
+        cpu = CpuModel(sim)
+        ssd = NvmeController(sim, "ssd")
+        ssd.add_namespace(Namespace(1, 1))  # room for one 4 KiB page only
+        path = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu), ssd=ssd)
+        app = Fail2BanBaseline(sim, path)
+
+        def scenario():
+            for packet in generate_packet_trace(512):
+                yield from app.process_packet(packet)
+
+        with pytest.raises(ProtocolError, match="LBA 1: LBA_OUT_OF_RANGE"):
+            sim.run_process(scenario())
 
     def test_baseline_agrees_with_dpu(self):
         trace = generate_packet_trace(200, seed=3)

@@ -1,5 +1,7 @@
 """Tests for eBPF instruction encoding/decoding and the assembler."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,6 +72,65 @@ def test_lddw_roundtrip(imm):
     decoded = Instruction.decode(original.encode())
     assert decoded.opcode is Opcode.LDDW
     assert decoded.imm == imm
+
+
+def _raw(opcode_byte):
+    """One instruction with every other field non-trivial (16 B for LDDW)."""
+    regs = (2 << 4) | 1
+    if opcode_byte == 0x18:
+        return struct.pack("<BBhiBBhI", 0x18, regs, 0, -5, 0, 0, 0, 0x11223344)
+    return struct.pack("<BBhi", opcode_byte, regs, -3, -5)
+
+
+#: Every opcode byte the model implements, written out from the ISA tables
+#: (class | source | code<<4, class | MEM | size), not from the decoder.
+ACCEPTED_BYTES = (
+    {0x07 | source | (code << 4) for code in range(0xD) for source in (0, 8)}  # ALU64
+    | {0x05 | source | (code << 4) for code in range(0xE) for source in (0, 8)}  # JMP
+    | {cls | 0x60 | size for cls in (1, 2, 3) for size in (0x00, 0x08, 0x10, 0x18)}
+    | {0x18}  # LDDW
+)
+
+
+class TestDecoder:
+    def test_every_accepted_opcode_byte_round_trips(self):
+        assert len(ACCEPTED_BYTES) == 67
+        for opcode_byte in sorted(ACCEPTED_BYTES):
+            raw = _raw(opcode_byte)
+            assert Instruction.decode(raw).encode() == raw, hex(opcode_byte)
+
+    def test_every_other_opcode_byte_is_rejected_by_name(self):
+        for opcode_byte in sorted(set(range(256)) - ACCEPTED_BYTES):
+            with pytest.raises(ProtocolError, match=f"{opcode_byte:#04x}"):
+                Instruction.decode(_raw(opcode_byte))
+
+    def test_alu32_is_rejected_not_widened(self):
+        """``add32 r0, 1`` used to come back as the 64-bit ``add``."""
+        with pytest.raises(ProtocolError, match="ALU32 not modeled.*0x04"):
+            Instruction.decode(bytes([0x04, 0, 0, 0, 1, 0, 0, 0]))
+        mov_minus_one = Instruction(Opcode.MOV, dst=0, imm=-1).encode()
+        add32_zero = bytes([0x04, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ProtocolError, match="ALU32 not modeled"):
+            Program.decode(
+                mov_minus_one + add32_zero + Instruction(Opcode.EXIT).encode()
+            )
+
+    def test_known_encodings(self):
+        """Anchors from the ISA document, so encode and decode cannot drift
+        together."""
+        for opcode_byte, opcode, reg_src in [
+            (0x07, Opcode.ADD, False), (0x0F, Opcode.ADD, True),
+            (0xB7, Opcode.MOV, False), (0xBF, Opcode.MOV, True),
+            (0xC7, Opcode.ARSH, False), (0x87, Opcode.NEG, False),
+            (0x61, Opcode.LDXW, False), (0x79, Opcode.LDXDW, False),
+            (0x73, Opcode.STXB, False), (0x6A, Opcode.STH, False),
+            (0x05, Opcode.JA, False), (0x1D, Opcode.JEQ, True),
+            (0x55, Opcode.JNE, False), (0xD5, Opcode.JSLE, False),
+            (0x85, Opcode.CALL, False), (0x95, Opcode.EXIT, False),
+            (0x18, Opcode.LDDW, False),
+        ]:
+            decoded = Instruction.decode(_raw(opcode_byte))
+            assert (decoded.opcode, decoded.uses_reg_src) == (opcode, reg_src)
 
 
 class TestProgram:

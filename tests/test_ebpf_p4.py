@@ -84,6 +84,15 @@ class TestSemantics:
     def test_default_forward(self):
         assert self.run(l4_pipeline(), packet(8080)) == FORWARD_BASE + 0
 
+    @pytest.mark.parametrize("dst_port, executed", [
+        (22, 5), (80, 8), (443, 9), (8080, 9),
+    ])
+    def test_instruction_counts_per_table_path(self, dst_port, executed):
+        """One count per ACL outcome (drop, two hits, default): a skipped or
+        double-counted slot in the compiled program fails by port."""
+        result = BpfVm(l4_pipeline().compile()).run(packet(dst_port))
+        assert (result.instructions_executed, result.helper_calls) == (executed, 0)
+
     def test_two_tables_sequential_apply(self):
         """A later table overrides an earlier forward (P4 apply order)."""
         pipeline = P4Pipeline("chain")
