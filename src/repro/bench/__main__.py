@@ -8,17 +8,15 @@ Usage::
     python -m repro.bench --output-dir out  # artifact directory (default: .)
     python -m repro.bench --list            # registered experiments
     python -m repro.bench e12 e13           # subset (not published)
-    python -m repro.bench e20               # traffic plane / autoscaling
-                                            # (report: `make autoscale`)
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List, Optional
 
-from repro.bench import SPECS, BenchOutcome, publish, run_suite
+from repro.bench import BenchOutcome, publish, run_suite
+from repro.eval.registry import SelectionError, pop_option, select
 
 
 def _report(outcome: BenchOutcome) -> str:
@@ -38,18 +36,10 @@ def _report(outcome: BenchOutcome) -> str:
                  f"{'':>18}  {total_wall * 1e3:7.1f} ms wall")
     lines.append("")
     if outcome.unchanged:
-        if outcome.within_noise:
-            lines.append(
-                f"artifact unchanged: differs from "
-                f"{outcome.compared_against.name} only in volatile "
-                f"wall-clock metrics, all within the 20% gate; "
-                f"nothing written"
-            )
-        else:
-            lines.append(
-                f"artifact unchanged: payload is byte-identical to "
-                f"{outcome.compared_against.name}; nothing written"
-            )
+        lines.append(
+            f"artifact unchanged: payload is byte-identical to "
+            f"{outcome.compared_against.name}; nothing written"
+        )
         return "\n".join(lines)
     lines.append(f"wrote {outcome.written}")
     if outcome.compared_against is None:
@@ -72,43 +62,26 @@ def _report(outcome: BenchOutcome) -> str:
 def main(argv) -> int:
     args = list(argv[1:])
     if "--list" in args:
-        for spec in SPECS:
-            seeded = "seeded" if spec.seeded else "fixed"
-            print(f"{spec.key:>9}  [{seeded:>6}]  {spec.title}")
+        for experiment in select(benchmarked=True):
+            seeded = "seeded" if experiment.seeded else "fixed"
+            print(f"{experiment.key:>9}  [{seeded:>6}]  "
+                  f"{experiment.bench_title}")
         return 0
     check = "--check" in args
     if check:
         args.remove("--check")
-    seed: Optional[int] = None
-    if "--seed" in args:
-        at = args.index("--seed")
-        try:
-            seed = int(args[at + 1])
-        except (IndexError, ValueError):
-            print("--seed requires an integer argument", file=sys.stderr)
-            return 2
-        del args[at:at + 2]
-    directory = Path(".")
-    if "--output-dir" in args:
-        at = args.index("--output-dir")
-        try:
-            directory = Path(args[at + 1])
-        except IndexError:
-            print("--output-dir requires a path argument", file=sys.stderr)
-            return 2
-        del args[at:at + 2]
-    keys: Optional[List[str]] = [a.lower() for a in args] or None
-    if keys:
-        known = {spec.key for spec in SPECS}
-        unknown = [key for key in keys if key not in known]
-        if unknown:
-            print(f"unknown experiments: {', '.join(unknown)}",
-                  file=sys.stderr)
-            print("use --list to see the available ids", file=sys.stderr)
-            return 2
+    try:
+        seed = pop_option(args, "--seed", int, "an integer")
+        directory = Path(
+            pop_option(args, "--output-dir", str, "a path") or ".")
+        run = run_suite(seed=seed, keys=args)
+    except SelectionError as error:
+        print(error, file=sys.stderr)
+        return 2
+    if args:
         # Subset runs are for iterating locally; they never enter history.
-        run = run_suite(seed=seed, keys=keys)
-        print(f"subset run ({', '.join(keys)}); artifact not published")
+        print(f"subset run ({', '.join(run.payload['experiments'])}); "
+              "artifact not published")
         for key, experiment in sorted(run.payload["experiments"].items()):
             print(f"\n{key}: {experiment['title']}")
             for name, metric in experiment["metrics"].items():
@@ -116,7 +89,7 @@ def main(argv) -> int:
                       f"{metric['unit']} [{metric['better']}]")
         return 0
     directory.mkdir(parents=True, exist_ok=True)
-    outcome = publish(run_suite(seed=seed), directory)
+    outcome = publish(run, directory)
     print(_report(outcome))
     if check and outcome.regressions:
         return 1

@@ -1,9 +1,12 @@
 """The evaluation harness: regenerates every table, figure, and claim.
 
 One module per experiment in DESIGN.md's index; each exposes a ``run_*``
-function returning structured results and a ``format_*`` function printing
-the same rows the paper reports. The benchmark suite under ``benchmarks/``
-drives these and asserts the expected *shapes* (who wins, by what factor).
+function returning structured results, a ``format_*`` function printing
+the same rows the paper reports and, when benchmarked, a ``metrics``
+function naming the headline numbers. :mod:`repro.eval.registry` declares
+each experiment once for both CLIs. The benchmark suite under
+``benchmarks/`` drives the modules and asserts the expected *shapes*
+(who wins, by what factor).
 """
 
 from repro.eval.report import Table

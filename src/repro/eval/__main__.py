@@ -11,127 +11,25 @@ Usage::
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, Optional, Tuple
 
-from repro.eval.analytics import format_analytics, run_analytics
-from repro.eval.autoscale import format_autoscale, run_autoscale
-from repro.eval.chaos import format_chaos, run_chaos
-from repro.eval.compiler import format_compiler, run_compiler
-from repro.eval.corfu import format_corfu, run_corfu
-from repro.eval.efficiency import format_efficiency, run_efficiency
-from repro.eval.fail2ban import format_fail2ban, run_fail2ban
-from repro.eval.figures import format_figures, run_figures
-from repro.eval.georep import format_georep, run_georep
-from repro.eval.kvssd import format_kvssd, run_kvssd
-from repro.eval.loadbalancer import format_loadbalancer, run_loadbalancer
-from repro.eval.overload import format_overload, run_overload
-from repro.eval.pointer_chase import format_pointer_chase, run_pointer_chase
-from repro.eval.predictability import format_predictability, run_predictability
-from repro.eval.reconfig import format_reconfig, run_reconfig
-from repro.eval.recovery import format_recovery, run_recovery
-from repro.eval.p2pdma import format_p2pdma, run_p2pdma
-from repro.eval.scaleout import format_scaleout, run_scaleout
-from repro.eval.table1 import run_table1
-from repro.eval.telemetry import format_telemetry, run_telemetry
-from repro.eval.trace import format_trace, run_trace
-from repro.eval.translation import format_translation, run_translation
-from repro.eval.verify import format_verify, run_verify
-
-
-def _seeded(run, format_fn):
-    """A runner forwarding ``--seed`` into a seed-accepting ``run_*``."""
-    def runner(seed: Optional[int]) -> str:
-        result = run() if seed is None else run(seed=seed)
-        return format_fn(result)
-    return runner
-
-
-def _unseeded(run, format_fn):
-    """A runner for deterministic experiments with no seed parameter."""
-    def runner(seed: Optional[int]) -> str:
-        return format_fn(run())
-    return runner
-
-
-#: id -> (title, runner(seed) -> rendered text). Seeded experiments
-#: thread ``--seed`` into their ``run_*``; the rest ignore it.
-EXPERIMENTS: Dict[str, Tuple[str, Callable[[Optional[int]], str]]] = {
-    "t1": ("Table 1: state-of-the-art matrix",
-           _unseeded(run_table1, lambda table: table.render())),
-    "f12": ("Figures 1+2: BOM and schematic",
-            _unseeded(run_figures, format_figures)),
-    "e1": ("E1: volume + energy efficiency",
-           _unseeded(run_efficiency, format_efficiency)),
-    "e2": ("E2: pointer chasing",
-           _seeded(run_pointer_chase, format_pointer_chase)),
-    "e3": ("E3: fail2ban",
-           _seeded(run_fail2ban, format_fail2ban)),
-    "e4": ("E4: load balancer overflow",
-           _seeded(run_loadbalancer, format_loadbalancer)),
-    "e5": ("E5: segment vs page translation",
-           _seeded(run_translation, format_translation)),
-    "e6": ("E6: predictability + energy",
-           _unseeded(run_predictability, format_predictability)),
-    "e7": ("E7: partial reconfiguration",
-           _unseeded(run_reconfig, format_reconfig)),
-    "e8": ("E8: Corfu shared log",
-           _unseeded(run_corfu, format_corfu)),
-    "e9": ("E9: Parquet/Arrow end to end",
-           _unseeded(run_analytics, format_analytics)),
-    "e10": ("E10: eBPF->HDL compiler corpus",
-            _unseeded(run_compiler, format_compiler)),
-    "e11": ("E11: persistence + recovery",
-            _unseeded(run_recovery, format_recovery)),
-    "e12": ("E12: KV-SSD transports",
-            _unseeded(run_kvssd, format_kvssd)),
-    "e13": ("E13: chaos storm + replicated failover",
-            _seeded(run_chaos, format_chaos)),
-    "e15": ("E15: overload — congestion collapse vs graceful brownout",
-            _seeded(run_overload, format_overload)),
-    "e16": ("E16: scale-out data plane — sharding, batching, hot-key cache",
-            _seeded(run_scaleout, format_scaleout)),
-    "e17": ("E17: geo-replication — WAN log shipping + region-loss drill",
-            _seeded(run_georep, format_georep)),
-    "e19": ("E19: consistency verification — chaos search, linearizability, "
-            "shrinking",
-            _seeded(run_verify, format_verify)),
-    "e20": ("E20: traffic plane — manual vs SLO-driven capacity under a "
-            "daily curve",
-            _seeded(run_autoscale, format_autoscale)),
-    "p2p": ("EXT: NIC->SSD bounce vs P2P DMA vs Hyperion",
-            _unseeded(run_p2pdma, format_p2pdma)),
-    "telemetry": ("TEL: unified telemetry plane — traced KV get + registry",
-                  _unseeded(run_telemetry, format_telemetry)),
-    "trace": ("TRACE: causal trace analysis — cross-region quorum flows",
-              _seeded(run_trace, format_trace)),
-}
+from repro.eval.registry import SelectionError, pop_option, select
 
 
 def main(argv) -> int:
     args = [arg.lower() for arg in argv[1:]]
     if "--list" in args:
-        for key, (title, __) in EXPERIMENTS.items():
-            print(f"{key:>4}  {title}")
+        for experiment in select():
+            print(f"{experiment.key:>4}  {experiment.title}")
         return 0
-    seed: Optional[int] = None
-    if "--seed" in args:
-        at = args.index("--seed")
-        try:
-            seed = int(args[at + 1])
-        except (IndexError, ValueError):
-            print("--seed requires an integer argument", file=sys.stderr)
-            return 2
-        del args[at:at + 2]
-    selected = args if args else list(EXPERIMENTS)
-    unknown = [key for key in selected if key not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print("use --list to see the available ids", file=sys.stderr)
+    try:
+        seed = pop_option(args, "--seed", int, "an integer")
+        selected = select(args)
+    except SelectionError as error:
+        print(error, file=sys.stderr)
         return 2
-    for key in selected:
-        title, runner = EXPERIMENTS[key]
-        print(f"\n### {title}\n")
-        print(runner(seed))
+    for experiment in selected:
+        print(f"\n### {experiment.title}\n")
+        print(experiment.render(experiment.execute(seed)))
     return 0
 
 

@@ -11,12 +11,12 @@ grows with file size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.apps.analytics import AnalyticsQuery, cpu_scan, dpu_scan
 from repro.baseline import CpuModel, OsModel
 from repro.dpu import HyperionDpu
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table
 from repro.formats import RecordBatch, Schema, write_table
 from repro.fs import HyperExtFs
 from repro.hw.net import Network
@@ -37,6 +37,15 @@ class AnalyticsPoint:
     @property
     def speedup(self) -> float:
         return self.cpu_time / self.dpu_time
+
+
+def metrics(points) -> Dict[str, Metric]:
+    largest = max(points, key=lambda p: p.rows)
+    return {
+        "largest_dpu_time_s": Metric(largest.dpu_time, LOWER, "s"),
+        "largest_speedup": Metric(largest.speedup, HIGHER, "x"),
+        "largest_bytes_moved": Metric(largest.dpu_bytes, LOWER, "bytes"),
+    }
 
 
 def _dataset(rows: int) -> bytes:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.hw.net import Network
 from repro.overload import QueuePolicy
 from repro.sharding import (
@@ -180,7 +180,8 @@ class AutoscaleReport:
     #: Autoscaled worst-window p99 / static-peak worst-window p99.
     p99_ratio: float
     #: Whether the acceptance claim held (p99 within P99_FACTOR of
-    #: static-peak at strictly fewer DPU-seconds).
+    #: static-peak at strictly fewer DPU-seconds, every decided
+    #: migration completed).
     accepted: bool
     #: The autoscaler's canonical decision/completion log.
     autoscale_log: bytes
@@ -206,6 +207,28 @@ class AutoscaleReport:
         lines.append(self.autoscale_log.decode())
         lines.append(self.alert_log.decode())
         return "\n".join(lines).encode()
+
+
+def metrics(report) -> Dict[str, Metric]:
+    auto = report.variant("autoscaled")
+    peak = report.variant("static-peak")
+    low = report.variant("static-min")
+    return {
+        "capacity_ratio": Metric(report.capacity_ratio, LOWER, "x"),
+        "p99_vs_peak": Metric(report.p99_ratio, LOWER, "x"),
+        "auto_goodput": Metric(auto.goodput, HIGHER, "req/s"),
+        "auto_worst_window_p99_s": Metric(
+            auto.worst_window_p99, LOWER, "s"),
+        "auto_breach_fraction": Metric(auto.breach_fraction, LOWER, "frac"),
+        "peak_breach_fraction": Metric(peak.breach_fraction, INFO, "frac"),
+        "min_breach_fraction": Metric(low.breach_fraction, INFO, "frac"),
+        "auto_dpu_seconds": Metric(auto.dpu_seconds, LOWER, "s"),
+        "scale_outs": Metric(auto.scale_outs, INFO, "count"),
+        "drains": Metric(auto.drains, INFO, "count"),
+        "accepted": Metric(1.0 if report.accepted else 0.0, HIGHER, "bool"),
+        "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
+        "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
+    }
 
 
 def daily_spec() -> WorkloadSpec:
@@ -357,6 +380,10 @@ def run_autoscale(seed: int = 20) -> AutoscaleReport:
             autoscale_log = scaler.event_log_bytes()
             alert_log = monitor.alert_log_bytes()
             telemetry = sim.telemetry.snapshot_bytes()
+            # Still latched: a decided migration failed (the log says so)
+            # or never finished, so the capacity numbers describe a fleet
+            # the scaler asked for and did not get.
+            settled = not scaler.busy
     peak = variants[1]
     auto = variants[2]
     capacity_ratio = (
@@ -366,7 +393,7 @@ def run_autoscale(seed: int = 20) -> AutoscaleReport:
         auto.worst_window_p99 / peak.worst_window_p99
         if peak.worst_window_p99 else 0.0
     )
-    accepted = capacity_ratio < 1.0 and p99_ratio <= P99_FACTOR
+    accepted = settled and capacity_ratio < 1.0 and p99_ratio <= P99_FACTOR
     return AutoscaleReport(
         seed=seed,
         day=DAY,

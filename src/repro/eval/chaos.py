@@ -20,11 +20,11 @@ byte-identical fault schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import DegradedError
 from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -116,6 +116,20 @@ class ChaosReport:
     flight_dump: bytes = b""
     #: Every post-mortem trigger, in firing order.
     flight_triggers: tuple = ()
+
+
+def metrics(report) -> Dict[str, Metric]:
+    return {
+        "availability": Metric(report.availability, HIGHER, "frac"),
+        "p99_latency_s": Metric(report.p99_latency, LOWER, "s"),
+        "p99_inflation": Metric(report.p99_inflation, LOWER, "x"),
+        "failovers": Metric(report.failovers, INFO, "count"),
+        "sampler_ticks": Metric(report.samples, INFO, "samples"),
+        "slo_alerts_fired": Metric(report.slo_alerts_fired, INFO, "alerts"),
+        "alert_log_digest": Metric(0.0, INFO, digest(report.slo_alert_log)),
+        "series_digest": Metric(0.0, INFO, digest(report.series)),
+        "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
+    }
 
 
 def _key(index: int) -> bytes:

@@ -9,13 +9,13 @@ exactly the unsafe programs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.fail2ban import build_fail2ban_program
 from repro.common.errors import VerificationError
 from repro.ebpf.asm import assemble
 from repro.ebpf.isa import Program
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, Metric, Table
 from repro.hdl.engine import compile_program
 
 #: (name, source or Program, expected_verdict)
@@ -124,6 +124,14 @@ class CompileRow:
     fmax_unfused: Optional[float] = None
     insns_before_opt: Optional[int] = None
     insns_after_opt: Optional[int] = None
+
+
+def metrics(rows) -> Dict[str, Metric]:
+    verified = sum(1 for r in rows if r.verified)
+    return {
+        "programs_verified": Metric(verified, HIGHER, "programs"),
+        "programs_total": Metric(len(rows), INFO, "programs"),
+    }
 
 
 def run_compiler() -> List[CompileRow]:

@@ -9,9 +9,9 @@ survive one replica failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, Metric, Table
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -28,6 +28,15 @@ class CorfuPoint:
     duration: float
     throughput: float
     failover_reads_ok: bool
+
+
+def metrics(points) -> Dict[str, Metric]:
+    busiest = max(points, key=lambda p: p.clients)
+    return {
+        "peak_throughput_aps": Metric(busiest.throughput, HIGHER, "appends/s"),
+        "failover_reads_ok": Metric(
+            float(all(p.failover_reads_ok for p in points)), INFO, "bool"),
+    }
 
 
 def _run_point(client_count: int, appends_per_client: int,

@@ -8,9 +8,10 @@ Watts)."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.baseline.server import SUPERMICRO_X12
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table
 from repro.power.energy import HYPERION_POWER, total_tdp
 from repro.power.volume import HYPERION_VOLUME, DeviceVolume, volume_ratio
 
@@ -33,6 +34,14 @@ class EfficiencyReport:
     @property
     def volume_in_band(self) -> bool:
         return 5.0 <= self.volume_ratio <= 10.0
+
+
+def metrics(report) -> Dict[str, Metric]:
+    return {
+        "energy_ratio": Metric(report.energy_ratio, HIGHER, "x"),
+        "volume_ratio": Metric(report.volume_ratio, HIGHER, "x"),
+        "hyperion_tdp_w": Metric(report.hyperion_tdp_w, LOWER, "W"),
+    }
 
 
 def run_efficiency() -> EfficiencyReport:

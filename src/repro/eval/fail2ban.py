@@ -9,7 +9,7 @@ small fraction of the server's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.apps.fail2ban import (
     Fail2BanBaseline,
@@ -18,7 +18,7 @@ from repro.apps.fail2ban import (
 )
 from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
 from repro.dpu import HyperionDpu
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -34,6 +34,16 @@ class Fail2BanResult:
     total_time: float
     per_packet: float
     throughput_pps: float
+
+
+def metrics(results) -> Dict[str, Metric]:
+    dpu, base = results
+    return {
+        "dpu_throughput_pps": Metric(dpu.throughput_pps, HIGHER, "pps"),
+        "dpu_per_packet_s": Metric(dpu.per_packet, LOWER, "s"),
+        "speedup": Metric(base.total_time / dpu.total_time, HIGHER, "x"),
+        "banned": Metric(dpu.banned, INFO, "packets"),
+    }
 
 
 def run_fail2ban(packet_count: int = 2000, threshold: int = 3,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.faults import FaultInjector, FaultPlan
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
 from repro.overload import BrownoutController, BrownoutMode
@@ -197,6 +197,31 @@ class GeorepReport:
             [head, self.fault_log, self.brownout_log, self.alert_log,
              self.telemetry]
         )
+
+
+def metrics(report) -> Dict[str, Metric]:
+    drill = report.drill
+    by_mode = {point.mode: point for point in report.modes}
+    return {
+        "rpo_s": Metric(drill.rpo_seconds, LOWER, "s"),
+        "rto_detect_s": Metric(drill.rto_detect, LOWER, "s"),
+        "rto_steady_s": Metric(drill.rto_steady, LOWER, "s"),
+        "lost_acked_writes": Metric(drill.lost_acked_writes, LOWER, "writes"),
+        "diverged_keys": Metric(drill.diverged_keys, LOWER, "keys"),
+        "failover_goodput_retention": Metric(
+            drill.retention_during, HIGHER, "frac"),
+        "failover_goodput_floor_ops": Metric(
+            drill.goodput_floor, HIGHER, "ops/s"),
+        "async_put_p99_s": Metric(by_mode["async"].put_p99, LOWER, "s"),
+        "sync_put_p99_s": Metric(by_mode["sync"].put_p99, LOWER, "s"),
+        "async_peak_lag_s": Metric(by_mode["async"].peak_lag, INFO, "s"),
+        "failovers": Metric(drill.failovers, INFO, "count"),
+        "replayed_writes": Metric(drill.replayed_writes, INFO, "writes"),
+        "stale_reads_served": Metric(
+            drill.stale_reads_served, INFO, "reads"),
+        "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
+        "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ on values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -47,6 +47,17 @@ class TransportPoint:
     p99_put: float = 0.0
     #: Sampler ticks taken while the workload ran.
     sampled_points: int = 0
+
+
+def metrics(points) -> Dict[str, Metric]:
+    tracked: Dict[str, Metric] = {}
+    for p in points:
+        tracked[f"{p.transport}_ops_per_second"] = Metric(
+            p.ops_per_second, HIGHER, "ops/s")
+        tracked[f"{p.transport}_p99_get_s"] = Metric(p.p99_get, LOWER, "s")
+        tracked[f"{p.transport}_sampled_points"] = Metric(
+            p.sampled_points, INFO, "samples")
+    return tracked
 
 
 def _latency_probes(sim: Simulator):

@@ -9,11 +9,11 @@ flash-latency lookups; drop loses state and breaks returning flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.apps.loadbalancer import LoadBalancer, generate_connections
 from repro.dpu import HyperionDpu
-from repro.eval.report import Table
+from repro.eval.report import INFO, LOWER, Metric, Table
 from repro.hw.net import Network
 from repro.sim import Simulator
 
@@ -29,6 +29,18 @@ class LbResult:
     broken_connections: int
     mean_latency: float
     flash_state_bytes: int
+
+
+def metrics(results) -> Dict[str, Metric]:
+    overflow = next(r for r in results if r.policy == "overflow")
+    drop = next(r for r in results if r.policy == "drop")
+    return {
+        "overflow_mean_latency_s": Metric(overflow.mean_latency, LOWER, "s"),
+        "overflow_broken_connections": Metric(
+            overflow.broken_connections, LOWER, "conns"),
+        "drop_broken_connections": Metric(
+            drop.broken_connections, INFO, "conns"),
+    }
 
 
 def _run_policy(policy: str, packet_count: int, flow_count: int,

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.hw.net import Network
 from repro.overload import (
     AdmissionController,
@@ -153,6 +153,25 @@ class OverloadReport:
             part for part in
             (blob, self.brownout_log, self.slo_alert_log) if part
         )
+
+
+def metrics(report) -> Dict[str, Metric]:
+    return {
+        "goodput_at_2x_ops": Metric(report.goodput_at_2x, HIGHER, "ops/s"),
+        "goodput_retention_at_2x": Metric(
+            report.goodput_retention_at_2x, HIGHER, "frac"),
+        "controlled_p99_at_2x_s": Metric(
+            next(p.p99_latency for p in report.controlled
+                 if p.multiple == 2.0), LOWER, "s"),
+        "uncontrolled_collapse_ratio": Metric(
+            report.uncontrolled_collapse_ratio, INFO, "frac"),
+        "brownout_transitions": Metric(
+            report.brownout_transitions, INFO, "count"),
+        "slo_alerts_fired": Metric(report.slo_alerts_fired, INFO, "alerts"),
+        "brownout_log_digest": Metric(0.0, INFO, digest(report.brownout_log)),
+        "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
+        "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
+    }
 
 
 def _priority_for(index: int) -> int:

@@ -26,11 +26,11 @@ paying its copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.baseline.cpu import CpuCosts, CpuModel
 from repro.baseline.os_model import OsModel
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table
 from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.hw.pcie.link import PcieLink
 from repro.sim import Resource, Simulator
@@ -58,6 +58,15 @@ class DatapathPoint:
     @property
     def goodput(self) -> float:
         return self.transfer_size * self.transfers / self.total_time
+
+
+def metrics(points) -> Dict[str, Metric]:
+    hyperion = [p for p in points if p.path == "hyperion"]
+    largest = max(hyperion, key=lambda p: p.transfer_size)
+    return {
+        "hyperion_goodput_bps": Metric(largest.goodput, HIGHER, "B/s"),
+        "hyperion_per_transfer_s": Metric(largest.per_transfer, LOWER, "s"),
+    }
 
 
 def _make_ssd(sim):

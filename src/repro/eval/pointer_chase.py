@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.apps.pointer_chase import (
     RemoteTreeService,
     client_side_lookup,
     offloaded_lookup,
 )
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table
 from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.transport import RpcClient, RpcServer, UdpSocket
@@ -38,6 +38,17 @@ class ChasePoint:
     @property
     def speedup(self) -> float:
         return self.client_side_latency / self.offload_latency
+
+
+def metrics(points) -> Dict[str, Metric]:
+    deepest = max(points, key=lambda p: (p.propagation, p.keys))
+    return {
+        "deepest_offload_latency_s": Metric(
+            deepest.offload_latency, LOWER, "s"),
+        "deepest_speedup": Metric(deepest.speedup, HIGHER, "x"),
+        "mean_speedup": Metric(
+            sum(p.speedup for p in points) / len(points), HIGHER, "x"),
+    }
 
 
 def _measure(keys: int, propagation: float, lookups: int = 20,

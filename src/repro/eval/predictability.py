@@ -14,14 +14,14 @@ TDP ratio x the time ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.apps.fail2ban import BAN_MAP_FD, build_fail2ban_program
 from repro.baseline.cpu import CpuModel
 from repro.baseline.server import SUPERMICRO_X12
 from repro.ebpf.maps import HashMap
 from repro.ebpf.vm import BpfVm
-from repro.eval.report import Table
+from repro.eval.report import INFO, LOWER, Metric, Table
 from repro.hdl.engine import HardwarePipeline, compile_program
 from repro.power.energy import HYPERION_POWER, total_tdp
 from repro.sim import Simulator
@@ -49,6 +49,20 @@ class PredictabilityResult:
     def jitter_ratio(self) -> float:
         """p99 / p50 — 1.0 means perfectly predictable."""
         return self.p99 / self.p50 if self.p50 else float("inf")
+
+
+def metrics(results) -> Dict[str, Metric]:
+    by_name = {r.system: r for r in results}
+    hw = by_name["hyperion-pipeline"]
+    cpu = by_name["cpu-interpreter"]
+    return {
+        "hw_p99_s": Metric(hw.p99, LOWER, "s"),
+        "hw_jitter_ratio": Metric(hw.jitter_ratio, LOWER, "x"),
+        "hw_interval_p99_max_s": Metric(hw.interval_p99_max, LOWER, "s"),
+        "hw_energy_per_op_j": Metric(hw.energy_per_op_j, LOWER, "J"),
+        "cpu_p99_s": Metric(cpu.p99, INFO, "s"),
+        "hw_sampled_points": Metric(hw.sampled_points, INFO, "samples"),
+    }
 
 
 def _result(system: str, hist: Histogram, watts: float,

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.dpu import HyperionDpu, SlotScheduler
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table
 from repro.hdl.engine import compile_program
 from repro.ebpf.asm import assemble
 from repro.hw.net import Network
@@ -31,6 +32,14 @@ class ReconfigReport:
     mean_wait: float
     utilization: float
     in_band_fraction: float
+
+
+def metrics(report) -> Dict[str, Metric]:
+    return {
+        "mean_reconfig_s": Metric(report.mean_reconfig, LOWER, "s"),
+        "max_reconfig_s": Metric(report.max_reconfig, LOWER, "s"),
+        "utilization": Metric(report.utilization, HIGHER, "frac"),
+    }
 
 
 def _tenant_bitstreams(count: int, seed: int = 31):

@@ -10,11 +10,11 @@ size but stays milliseconds even for thousands of segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.common.ids import ObjectId
 from repro.dpu import HyperionDpu
-from repro.eval.report import Table
+from repro.eval.report import INFO, LOWER, Metric, Table
 from repro.hw.net import Network
 from repro.sim import Simulator
 
@@ -30,6 +30,16 @@ class RecoveryPoint:
     data_intact: bool
     ephemeral_gone: bool
     recovery_time: float
+
+
+def metrics(points) -> Dict[str, Metric]:
+    largest = max(points, key=lambda p: p.durable_segments)
+    return {
+        "largest_recovery_time_s": Metric(largest.recovery_time, LOWER, "s"),
+        "largest_persist_bytes": Metric(largest.persist_bytes, INFO, "bytes"),
+        "data_intact": Metric(
+            float(all(p.data_intact for p in points)), INFO, "bool"),
+    }
 
 
 def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:

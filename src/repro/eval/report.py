@@ -1,8 +1,34 @@
-"""Plain-text table rendering for experiment reports."""
+"""What every experiment report is made of: text tables for
+``repro.eval``, directional metrics and digests for ``repro.bench``."""
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+import hashlib
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence
+
+LOWER = "lower"
+HIGHER = "higher"
+INFO = "info"
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One tracked number: its value, unit, and which direction is good."""
+
+    value: float
+    better: str = INFO
+    unit: str = ""
+
+    def payload(self) -> Dict[str, Any]:
+        return {"value": self.value, "better": self.better, "unit": self.unit}
+
+
+def digest(data) -> str:
+    """The first 16 hex digits of the SHA-256 of *data* (str or bytes)."""
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class Table:

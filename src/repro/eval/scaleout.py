@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.hw.net import Network
 from repro.sharding import (
     HotKeyCache,
@@ -183,6 +183,25 @@ class ScaleoutReport:
             f"batching_gain_8dpu={self.batching_gain_8dpu!r}"
         )
         return "\n".join(lines).encode()
+
+
+def metrics(report) -> Dict[str, Metric]:
+    top = max(report.points, key=lambda p: (p.optimized, p.dpus))
+    return {
+        "speedup_8dpu": Metric(report.speedup_8dpu, HIGHER, "x"),
+        "batching_gain_8dpu": Metric(
+            report.batching_gain_8dpu, HIGHER, "x"),
+        "top_goodput_ops": Metric(top.goodput, HIGHER, "ops/s"),
+        "top_p99_s": Metric(top.p99_latency, LOWER, "s"),
+        "event_failures": Metric(report.event.failures, LOWER, "ops"),
+        "event_p99_inflation": Metric(
+            report.event.p99_inflation, LOWER, "x"),
+        "event_keys_moved": Metric(report.event.keys_moved, INFO, "keys"),
+        "event_migration_s": Metric(
+            report.event.migration_duration, INFO, "s"),
+        "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
+        "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
+    }
 
 
 def _keyspace() -> Tuple[List[bytes], List[bytes]]:
@@ -372,7 +391,7 @@ def _run_event(seed: int) -> Tuple[ScaleoutEvent, Simulator]:
             f.forwarded_ops for f in cluster.forwarders.values()
         ),
         gated_ops=sum(
-            f._gated.value for f in cluster.forwarders.values()
+            f.gated_ops for f in cluster.forwarders.values()
         ),
     )
     return event, sim

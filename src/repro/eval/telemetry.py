@@ -15,8 +15,9 @@ the identical dump on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
+from repro.eval.report import HIGHER, INFO, Metric, digest
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.hw.pcie.link import PcieLink
@@ -41,6 +42,17 @@ class TelemetryReport:
     #: at chrome://tracing or https://ui.perfetto.dev).
     prometheus: str = ""
     chrome_trace: str = ""
+
+
+def metrics(report) -> Dict[str, Metric]:
+    return {
+        "span_count": Metric(report.span_count, INFO, "spans"),
+        "substrates": Metric(len(report.substrates), HIGHER, "substrates"),
+        "snapshot_digest": Metric(0.0, INFO, digest(report.snapshot)),
+        "prometheus_digest": Metric(0.0, INFO, digest(report.prometheus)),
+        "chrome_trace_digest": Metric(
+            0.0, INFO, digest(report.chrome_trace)),
+    }
 
 
 def run_telemetry(preload: int = 8) -> TelemetryReport:

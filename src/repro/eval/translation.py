@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
 from repro.memory.vm import (
     PAGE_SIZE,
     SEGMENT_LOOKUP_LATENCY,
@@ -45,6 +45,17 @@ class TranslationPoint:
         if self.segment_translation_time == 0:
             return float("inf")
         return self.page_translation_time / self.segment_translation_time
+
+
+def metrics(points) -> Dict[str, Metric]:
+    largest = max(points, key=lambda p: p.working_set_bytes)
+    return {
+        "largest_segment_translation_s": Metric(
+            largest.segment_translation_time, LOWER, "s"),
+        "largest_segment_advantage": Metric(
+            largest.segment_advantage, HIGHER, "x"),
+        "largest_tlb_hit_rate": Metric(largest.tlb_hit_rate, INFO, "frac"),
+    }
 
 
 def _measure(working_set_bytes: int, accesses: int, tlb_entries: int,

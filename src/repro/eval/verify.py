@@ -35,13 +35,13 @@ and shrink traces included, across ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
-from repro.eval.report import Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
 from repro.faults import FaultInjector, FaultPlan, node_outage_controller
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
 from repro.hw.net import Network
@@ -137,14 +137,6 @@ PB_STRAGGLER_START = PB_T_KILL - 4e-3
 PB_STRAGGLER_END = PB_T_KILL + 6e-3
 PB_KEY = b"planted-key"
 SHRINK_BUDGET = 24
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _plan_digest(plan: FaultPlan) -> str:
-    return _digest(plan.describe().encode())
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +263,26 @@ class VerifyReport:
         return ("\n".join(lines) + "\n").encode()
 
 
+def metrics(report) -> Dict[str, Metric]:
+    by_mode = {outcome.mode: outcome for outcome in report.planted.outcomes}
+    caught = (not by_mode["async"].linearizable
+              and by_mode["quorum"].linearizable
+              and by_mode["sync"].linearizable)
+    return {
+        "schedules_clean": Metric(report.clean_schedules, HIGHER, "schedules"),
+        "schedules_total": Metric(len(report.schedules), INFO, "schedules"),
+        "history_ops": Metric(report.total_ops, INFO, "ops"),
+        "checker_states": Metric(report.checker_states, LOWER, "states"),
+        "planted_bug_caught": Metric(float(caught), HIGHER, "bool"),
+        "minimal_plan_specs": Metric(
+            report.planted.minimal_specs, LOWER, "specs"),
+        "shrink_runs": Metric(report.planted.shrink_runs, INFO, "runs"),
+        "replay_deterministic": Metric(
+            float(report.planted.replay_matches), HIGHER, "bool"),
+        "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
+    }
+
+
 # ---------------------------------------------------------------------------
 # the sharded-stack scenario
 # ---------------------------------------------------------------------------
@@ -389,7 +401,7 @@ def _run_sharded_schedule(seed: int, index: int) -> ScheduleVerdict:
         states=check.states,
         lost=len(state.lost),
         diverged=len(state.diverged),
-        plan_digest=_plan_digest(plan),
+        plan_digest=digest(plan.describe()),
         history_digest=history.digest(),
         violations=tuple(
             result.line() for result in check.violations
@@ -552,7 +564,7 @@ def _run_geo_schedule(seed: int, index: int,
         states=check.states,
         lost=len(state.lost),
         diverged=len(state.diverged),
-        plan_digest=_plan_digest(plan),
+        plan_digest=digest(plan.describe()),
         history_digest=run.history.digest(),
         violations=tuple(result.line() for result in check.violations),
     )
@@ -630,10 +642,10 @@ def _run_planted(seed: int, shrink_budget: int) -> PlantedReport:
         narrowed_windows=shrunk.narrowed_windows,
         minimal_specs=len(shrunk.plan.specs),
         minimal_plan=shrunk.plan.describe(),
-        replay_digest=_digest(replays[0]),
+        replay_digest=digest(replays[0]),
         replay_matches=replay_matches,
         flight_trigger=trigger,
-        flight_digest=_digest(dump),
+        flight_digest=digest(dump),
         flight_dump=dump,
     )
 
@@ -718,3 +730,38 @@ def format_verify(report: VerifyReport) -> str:
         f"verdict: {closing} (seed={report.seed}, "
         f"schedules={len(report.schedules)}, ops={report.total_ops})",
     ])
+
+
+def smoke(argv=None) -> int:
+    """``python -m repro.eval.verify --seed N``: E19 cut down to a smoke
+    run — one schedule per stack and mode, the planted-bug detection, no
+    shrinking — printed as canonical verdict lines.
+
+    Exit status 0 means every verdict came out as the model predicts:
+    searched schedules consistent, the planted async bug caught, quorum
+    and sync clean on the identical schedule. 2 means a verdict went the
+    wrong way, and the printed lines are the evidence.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.eval.verify",
+        description="bounded consistency-verification smoke run",
+    )
+    parser.add_argument("--seed", type=int, default=23,
+                        help="schedule seed (default 23)")
+    seed = parser.parse_args(argv).seed
+    report = run_verify(seed, shard_schedules=1, geo_schedules=1,
+                        shrink_budget=0)
+    outcomes = report.planted.outcomes
+    for result in report.schedules + outcomes:
+        print(result.line())
+    failures = len(report.schedules) - report.clean_schedules + sum(
+        outcome.linearizable == (outcome.mode == Consistency.ASYNC.value)
+        for outcome in outcomes
+    )
+    verdict = "ok" if failures == 0 else f"FAILED ({failures} wrong verdicts)"
+    print(f"smoke seed={seed} {verdict}")
+    return 0 if failures == 0 else 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(smoke())

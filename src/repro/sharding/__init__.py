@@ -15,7 +15,7 @@ the client/coordination machinery that makes that scaling real:
 * :class:`ShardedKvClient` — ring routing + the cache + batched RPC
   (:meth:`repro.transport.RpcClient.call_batch`) in one client.
 
-E16 (:mod:`repro.eval.scaleout`, ``make scaleout``) measures the result:
+E16 (:mod:`repro.eval.scaleout`, ``make exp E=e16``) measures the result:
 aggregate throughput vs DPU count with and without batching+caching, and
 a mid-run scale-out event with zero failed ops.
 """

@@ -134,6 +134,11 @@ class ShardForwarder:
         return self._forwarded.value
 
     @property
+    def gated_ops(self) -> int:
+        """Ops that had to wait for a key's lock (handoff or another op)."""
+        return self._gated.value
+
+    @property
     def keys_handed_off(self) -> int:
         """Keys this DPU has migrated away."""
         return self._keys_handed_off.value

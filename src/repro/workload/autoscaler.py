@@ -21,7 +21,12 @@ additionally vetoed whenever the breach objective is firing, so the
 controller cannot flap scale-out/drain across a breach/recover
 boundary.
 
-Every decision and completion is appended to a canonical event log
+A migration that fails (say, a handoff RPC shed by an overloaded
+source) is logged as ``autoscale <direction> failed ...`` and leaves the
+latch set: the scaler stops acting rather than retry on a
+half-committed topology change.
+
+Every decision, completion and failure is appended to a canonical event log
 (:meth:`Autoscaler.event_log_bytes`): same seed, byte-identical log,
 independent of ``PYTHONHASHSEED``.
 """
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.sharding.migration import MigrationReport, ShardMigrator
 from repro.telemetry.slo import SloAlert, SloMonitor
 
@@ -185,12 +190,29 @@ class Autoscaler:
             f"autoscale decide {direction} at={now!r} fleet={fleet}"
         )
         if direction == "scale-out":
-            self.sim.process(self.migrator.add_dpu())
+            migration = self.migrator.add_dpu()
         else:
             # Drain the newest member: join order is deterministic and
             # the latest joiner holds the least-warm working set.
             victim = self.cluster.members()[-1]
-            self.sim.process(self.migrator.remove_dpu(victim))
+            migration = self.migrator.remove_dpu(victim)
+        self.sim.process(self._drive(direction, migration))
+
+    def _drive(self, direction: str, migration):
+        """Process: run *migration*; a failure is logged, never swallowed.
+
+        The busy latch stays set afterwards: segments already handed off
+        live on their destination while the ring still names the source,
+        so a retry on top of the half-committed change would route those
+        keys to a node that never received them. An operator resolves it.
+        """
+        try:
+            yield from migration
+        except ReproError as error:
+            self._event(
+                f"autoscale {direction} failed at={self.sim.now!r} "
+                f"error={error}"
+            )
 
     def _on_migration(self, report: MigrationReport) -> None:
         if not self.busy:

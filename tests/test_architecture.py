@@ -57,6 +57,19 @@ class TestCpuFreeDiscipline:
                         f"{path.relative_to(SRC)} imports {module}"
                     )
 
+    def test_only_the_harness_imports_the_harness(self):
+        """``repro.eval`` and ``repro.bench`` sit on top: every other
+        package stays runnable (and measurable from outside, as
+        ``perfbench/`` does) without the experiment harness."""
+        for package in sorted(p.name for p in SRC.iterdir() if p.is_dir()):
+            if package in ("eval", "bench"):
+                continue
+            for path in _package_files(package):
+                for module in _imports_of(path):
+                    assert not module.startswith(
+                        ("repro.eval", "repro.bench")
+                    ), f"{path.relative_to(SRC)} imports {module}"
+
     def test_sim_kernel_is_near_leaf(self):
         """The DES kernel depends only on the telemetry plane below it.
 

@@ -3,30 +3,28 @@ and direction-aware regression detection."""
 
 import json
 
+import pytest
+
 from repro.bench import (
     BenchRun,
     Delta,
-    Metric,
-    SPECS,
     compare_payloads,
     discover_artifacts,
     publish,
     run_suite,
 )
+from repro.bench.__main__ import main
+from repro.eval.registry import EXPERIMENTS, SelectionError, select
+from repro.eval.report import Metric
 
 
 def _payload(**metric_values):
-    """A minimal one-experiment payload with the given tracked metrics.
-
-    A metric spec is ``(value, better)`` or ``(value, better, volatile)``.
-    """
-    metrics = {}
-    for name, spec in metric_values.items():
-        value, better = spec[0], spec[1]
-        metric = {"value": value, "better": better, "unit": ""}
-        if len(spec) > 2 and spec[2]:
-            metric["volatile"] = True
-        metrics[name] = metric
+    """A minimal one-experiment payload with the given tracked metrics,
+    each given as ``(value, better)``."""
+    metrics = {
+        name: {"value": value, "better": better, "unit": ""}
+        for name, (value, better) in metric_values.items()
+    }
     return {
         "format": 1,
         "seed": None,
@@ -38,8 +36,20 @@ def _payload(**metric_values):
 
 class TestSuite:
     def test_registry_covers_at_least_ten_experiments(self):
-        assert len(SPECS) >= 10
-        assert len({spec.key for spec in SPECS}) == len(SPECS)
+        assert len(select(benchmarked=True)) >= 10
+        assert len({row.key for row in EXPERIMENTS}) == len(EXPERIMENTS)
+
+    def test_list_is_the_registry_rows_with_metrics_in_order(self, capsys):
+        assert main(["prog", "--list"]) == 0
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [row.key for row in EXPERIMENTS
+                          if row.metrics is not None]
+
+    def test_unknown_key_is_named(self):
+        # t1 is registered but not benchmarked: unknown to the suite too.
+        with pytest.raises(SelectionError, match="nope, t1"):
+            run_suite(keys=["e1", "nope", "t1"])
 
     def test_same_seed_same_canonical_bytes(self):
         first = run_suite(keys=["e1", "e3"])
@@ -140,64 +150,3 @@ class TestCompare:
         assert Metric(3.0, "lower", "s").payload() == {
             "value": 3.0, "better": "lower", "unit": "s",
         }
-
-    def test_volatile_key_only_serialized_when_set(self):
-        # Pre-existing artifacts must stay byte-identical: the key is
-        # absent unless the metric opts in.
-        assert "volatile" not in Metric(3.0, "higher", "x").payload()
-        assert Metric(3.0, "higher", "x", volatile=True).payload() == {
-            "value": 3.0, "better": "higher", "unit": "x", "volatile": True,
-        }
-
-
-class TestVolatileNoiseTolerance:
-    """Wall-clock (volatile) metrics: within-gate jitter must not churn
-    the append-only history, while real movement still lands."""
-
-    def _publish_baseline(self, tmp_path):
-        baseline = BenchRun(seed=None, payload=_payload(
-            rate=(100.0, "higher", True), count=(7.0, "info"),
-        ))
-        publish(baseline, tmp_path)
-
-    def test_within_gate_jitter_writes_nothing(self, tmp_path):
-        self._publish_baseline(tmp_path)
-        jittered = BenchRun(seed=None, payload=_payload(
-            rate=(109.0, "higher", True), count=(7.0, "info"),
-        ))
-        outcome = publish(jittered, tmp_path)
-        assert outcome.unchanged and outcome.within_noise
-        assert outcome.written is None
-        assert [n for n, __ in discover_artifacts(tmp_path)] == [1]
-
-    def test_drift_past_gate_is_published_and_flagged(self, tmp_path):
-        self._publish_baseline(tmp_path)
-        slowed = BenchRun(seed=None, payload=_payload(
-            rate=(70.0, "higher", True), count=(7.0, "info"),
-        ))
-        outcome = publish(slowed, tmp_path)
-        assert not outcome.unchanged
-        assert outcome.written == tmp_path / "BENCH_2.json"
-        assert [d.metric for d in outcome.regressions] == ["rate"]
-
-    def test_deterministic_change_always_published(self, tmp_path):
-        self._publish_baseline(tmp_path)
-        # The volatile value jitters within the gate, but an info count
-        # moved: that is a semantics change and must enter the history.
-        changed = BenchRun(seed=None, payload=_payload(
-            rate=(101.0, "higher", True), count=(8.0, "info"),
-        ))
-        outcome = publish(changed, tmp_path)
-        assert not outcome.unchanged
-        assert outcome.written == tmp_path / "BENCH_2.json"
-
-    def test_non_volatile_drift_always_published(self, tmp_path):
-        baseline = BenchRun(seed=None, payload=_payload(
-            rate=(100.0, "higher"),
-        ))
-        publish(baseline, tmp_path)
-        moved = BenchRun(seed=None, payload=_payload(
-            rate=(101.0, "higher"),
-        ))
-        outcome = publish(moved, tmp_path)
-        assert not outcome.unchanged and outcome.written is not None

@@ -1,7 +1,11 @@
 """Tests for the evaluation harness (small configurations)."""
 
+import pathlib
+import re
+
 import pytest
 
+from repro.eval.__main__ import main
 from repro.eval.analytics import format_analytics, run_analytics
 from repro.eval.compiler import format_compiler, run_compiler
 from repro.eval.corfu import format_corfu, run_corfu
@@ -14,9 +18,58 @@ from repro.eval.pointer_chase import format_pointer_chase, run_pointer_chase
 from repro.eval.predictability import format_predictability, run_predictability
 from repro.eval.recovery import format_recovery, run_recovery
 from repro.eval.reconfig import format_reconfig, run_reconfig
-from repro.eval.report import Table
+from repro.eval.registry import EXPERIMENTS, select
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
 from repro.eval.table1 import only_complete_category, run_table1, table1_categories
 from repro.eval.translation import format_translation, run_translation
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Registry keys whose documentation row ids are not ``key.upper()``.
+DOC_ROW_IDS = {"p2p": ["EXT-p2p"], "telemetry": ["TEL"], "f12": ["F1", "F2"]}
+
+
+def _table_row_ids(markdown: str):
+    """First cells of every table row, emphasis stripped (``E18/SIM``
+    counts as both ``E18`` and ``SIM``)."""
+    ids = set()
+    for cell in re.findall(r"^\| *\**([A-Za-z0-9/-]+)\** *\|", markdown, re.M):
+        ids.update(cell.split("/"))
+    return ids
+
+
+class TestRegistry:
+    def test_list_is_the_registry_in_order(self, capsys):
+        assert main(["prog", "--list"]) == 0
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [row.key for row in EXPERIMENTS]
+
+    def test_metrics_are_directional(self):
+        # The cheap rows only; the full suite runs under repro.bench.
+        for row in select(["e1", "e6", "e7", "e10", "telemetry"]):
+            tracked = row.metrics(row.execute())
+            assert tracked, row.key
+            for name, metric in tracked.items():
+                assert isinstance(metric, Metric), (row.key, name)
+                assert metric.better in (LOWER, HIGHER, INFO), (row.key, name)
+
+    def test_every_experiment_has_its_doc_rows(self):
+        design = (ROOT / "DESIGN.md").read_text()
+        index = design[design.index("\n## 3. "):design.index("\n## 4. ")]
+        documents = {
+            "DESIGN.md §3": _table_row_ids(index),
+            "EXPERIMENTS.md": _table_row_ids(
+                (ROOT / "EXPERIMENTS.md").read_text()),
+        }
+        missing = [
+            f"{row.key}: no {row_id} row in {name}"
+            for row in EXPERIMENTS
+            for row_id in DOC_ROW_IDS.get(row.key, [row.key.upper()])
+            for name, ids in documents.items() if row_id not in ids
+        ]
+        assert not missing, missing
 
 
 class TestReportTable:

@@ -78,22 +78,6 @@ class TestEntriesPerOp:
         sim, stub = stack
         assert entries(sim, stub.put(b"warm", b"w" * 64)) == 34
 
-    def test_bench_publishes_the_same_count(self, monkeypatch):
-        import repro.bench.micro as micro
-        from repro.bench import SPECS
-
-        monkeypatch.setattr(micro, "ENGINE_PROCESSES", 1)
-        monkeypatch.setattr(micro, "ENGINE_TICKS", 10)
-        monkeypatch.setattr(micro, "RPC_CALLS", 7)
-        monkeypatch.setattr(micro, "OBSERVE_SAMPLES", 10)
-        spec = next(s for s in SPECS if s.key == "sim")
-        metric = spec.extract(micro.run_micro(repeats=2))[
-            "rpc_roundtrip_entries"]
-        # Deterministic, so gated like any simulated metric: directional
-        # and not volatile (a change always writes a new artifact).
-        assert (metric.value, metric.better, metric.volatile) == (
-            2 * FRAME_CROSSING + 3, "lower", False)
-
 
 def sharded_run(trace_seed):
     """Six closed-loop clients against two DPUs: single gets, puts and

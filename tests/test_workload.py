@@ -18,6 +18,7 @@ from repro.sim import ManualClock, Simulator
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo import SloMonitor, SloRule
 from repro.telemetry.timeseries import Sampler
+from repro.transport import RpcError
 from repro.workload import (
     Autoscaler,
     AutoscalerPolicy,
@@ -399,6 +400,30 @@ def test_breach_firing_scales_out_once_per_migration():
     assert scaler.scale_outs == 1
     decisions = [e for e in scaler.events if "decide" in e]
     assert decisions == [f"autoscale decide scale-out at={0.0!r} fleet=3"]
+
+
+def test_failed_migration_is_logged_and_keeps_the_scaler_latched():
+    sim, monitor, scaler = _scaler(dpus=3)
+    loader = ShardedKvClient(sim, scaler.cluster, name="loader")
+    sim.run_process(loader.put_many(
+        [(f"k{i:02d}".encode(), b"v") for i in range(32)]))
+
+    def refused(source, dest, keys):
+        raise RpcError("overload: dropped (deadline)")
+        yield  # a process, like the handoff it replaces
+
+    scaler.migrator._handoff = refused
+    monitor.firing = ["p99-breach"]
+    decided_at = sim.now
+    scaler.check(decided_at)
+    sim.run(until=decided_at + 0.2)
+    assert scaler.events[0].startswith("autoscale decide scale-out")
+    assert scaler.events[1].startswith("autoscale scale-out failed at=")
+    assert scaler.events[1].endswith("error=overload: dropped (deadline)")
+    # The half-committed join is not retried: no second decision.
+    assert scaler.busy and scaler.scale_outs == 0 and scaler.fleet == 3
+    scaler.check(sim.now)
+    assert len(scaler.events) == 2
 
 
 def test_scale_out_clamped_at_max_dpus():
