@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench bench-tables bench-report eval exp profile perf docs examples all
+.PHONY: help install test lint bench-report eval exp profile perf docs examples all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -15,26 +15,21 @@ test:  ## tier-1 test suite (pytest tests/)
 # Lints with ruff when it is installed (CI installs it); a missing ruff
 # is skipped so offline dev containers still pass `make all`, but a real
 # lint failure always fails the target.
-lint:  ## ruff over src/tests/benchmarks/examples (skipped if absent)
+lint:  ## ruff over src/tests/examples (skipped if absent)
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests examples; \
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
 
-# pytest-benchmark micro timings. The simulator's own host-clock speed
-# is perfbench's ledger: `make perf`, `make profile`.
-bench:  ## pytest-benchmark micro timings
-	pytest benchmarks/ --benchmark-only -q
-
-bench-tables:  ## micro timings with full comparison tables
-	pytest benchmarks/ --benchmark-only -s
-
-# E14 continuous benchmark: run every experiment under the telemetry
-# sampler, publish a canonical BENCH_<n>.json at the repo root, and diff
-# it against the previous artifact (>20% on a tracked latency/throughput
-# is a regression). Same seed => byte-identical artifact.
-bench-report:  ## E14 continuous benchmark: publish + gate BENCH_<n>.json
+# E14 continuous benchmark, the simulated clock's one harness (the host
+# clock's is perfbench: `make perf`, `make profile`): run every
+# experiment under the telemetry sampler, publish a canonical
+# BENCH_<n>.json at the repo root, diff it against the previous artifact
+# (>20% on a tracked latency/throughput is a regression) and hold every
+# default-config report to its paper claims (`accept` in the registry).
+# Same seed => byte-identical artifact.
+bench-report:  ## E14: publish + gate BENCH_<n>.json, check paper claims
 	python -m repro.bench --check
 
 eval:  ## run every experiment and print the artifacts
@@ -70,4 +65,4 @@ examples:  ## run every examples/*.py end to end
 		python $$ex || exit 1; \
 	done
 
-all: lint test bench  ## lint + test + bench
+all: lint test bench-report  ## lint + test + bench-report

@@ -19,8 +19,8 @@ Quickstart::
     segment = dpu.store.allocate(4096, durable=True)
     dpu.store.write(segment.oid, b"hello, CPU-free world")
 
-See ``examples/`` for complete scenarios and ``benchmarks/`` for the
-paper-artifact reproductions.
+See ``examples/`` for complete scenarios and ``python -m repro.eval`` for
+the paper-artifact reproductions.
 """
 
 from repro.sim import Simulator

@@ -24,6 +24,10 @@ Artifact protocol, mirroring the repo's append-only evaluation history:
   :data:`REGRESSION_THRESHOLD` (or throughput down by more than it) is
   flagged as a regression, which ``python -m repro.bench --check`` turns
   into a nonzero exit for CI.
+
+The same reports are held against the paper: each experiment's
+``accept(report)`` names the claims its default-config report violates,
+and ``--check`` fails on any. Claims are printed, never serialized.
 """
 
 from __future__ import annotations
@@ -55,6 +59,17 @@ class BenchRun:
     payload: Dict[str, Any]
     #: experiment key -> wall-clock seconds. Stdout only, never serialized.
     wall_clock: Dict[str, float] = field(default_factory=dict)
+    #: experiment key -> violated claims (``accept(report)``), one entry
+    #: per experiment that has claims. Stdout only, never serialized.
+    violations: Dict[str, List[str]] = field(default_factory=dict)
+
+    def claim_lines(self) -> List[str]:
+        """The claims summary, then one line per violated claim."""
+        broken = [f"  {key}: VIOLATED {claim}"
+                  for key, claims in self.violations.items()
+                  for claim in claims]
+        return [f"claims: {len(self.violations)} experiments checked, "
+                f"{len(broken)} claims violated"] + broken
 
     def canonical_bytes(self) -> bytes:
         text = json.dumps(self.payload, sort_keys=True, indent=2)
@@ -67,10 +82,13 @@ def run_suite(seed: Optional[int] = None,
     canonical payload. An unknown key raises ``SelectionError``."""
     experiments: Dict[str, Any] = {}
     wall: Dict[str, float] = {}
+    violations: Dict[str, List[str]] = {}
     for experiment in select(keys, benchmarked=True):
         started = time.perf_counter()
         report = experiment.execute(seed)
         wall[experiment.key] = time.perf_counter() - started
+        if experiment.accept is not None:
+            violations[experiment.key] = experiment.accept(report)
         experiments[experiment.key] = {
             "title": experiment.bench_title,
             "metrics": {
@@ -83,7 +101,8 @@ def run_suite(seed: Optional[int] = None,
         "seed": seed,
         "experiments": experiments,
     }
-    return BenchRun(seed=seed, payload=payload, wall_clock=wall)
+    return BenchRun(seed=seed, payload=payload, wall_clock=wall,
+                    violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Usage::
 
     python -m repro.bench                   # run all, publish BENCH_<n>.json
-    python -m repro.bench --check           # nonzero exit on regression (CI)
-    python -m repro.bench --seed 42         # alternate seed for seeded runs
+    python -m repro.bench --check           # exit 1 on a regression or a
+                                            # violated claim (CI)
+    python -m repro.bench --seed 42         # alternate seed (not published)
     python -m repro.bench --output-dir out  # artifact directory (default: .)
     python -m repro.bench --list            # registered experiments
     python -m repro.bench e12 e13           # subset (not published)
@@ -78,20 +79,25 @@ def main(argv) -> int:
     except SelectionError as error:
         print(error, file=sys.stderr)
         return 2
-    if args:
-        # Subset runs are for iterating locally; they never enter history.
-        print(f"subset run ({', '.join(run.payload['experiments'])}); "
+    claims_broken = any(run.violations.values())
+    if args or seed is not None:
+        # Subset and alternate-seed runs are for iterating locally; the
+        # history holds whole default-seed suites only.
+        kind = "subset" if args else f"seed {seed}"
+        print(f"{kind} run ({', '.join(run.payload['experiments'])}); "
               "artifact not published")
         for key, experiment in sorted(run.payload["experiments"].items()):
             print(f"\n{key}: {experiment['title']}")
             for name, metric in experiment["metrics"].items():
                 print(f"  {name:<34} {metric['value']!r:>24} "
                       f"{metric['unit']} [{metric['better']}]")
-        return 0
+        print("\n" + "\n".join(run.claim_lines()))
+        return 1 if check and claims_broken else 0
     directory.mkdir(parents=True, exist_ok=True)
     outcome = publish(run, directory)
     print(_report(outcome))
-    if check and outcome.regressions:
+    print("\n".join(run.claim_lines()))
+    if check and (outcome.regressions or claims_broken):
         return 1
     return 0
 

@@ -3,10 +3,11 @@
 One module per experiment in DESIGN.md's index; each exposes a ``run_*``
 function returning structured results, a ``format_*`` function printing
 the same rows the paper reports and, when benchmarked, a ``metrics``
-function naming the headline numbers. :mod:`repro.eval.registry` declares
-each experiment once for both CLIs. The benchmark suite under
-``benchmarks/`` drives the modules and asserts the expected *shapes*
-(who wins, by what factor).
+function naming the headline numbers and an ``accept`` function naming
+the claims (the expected *shapes*: who wins, by what factor) that the
+default-config report violates. :mod:`repro.eval.registry` declares each
+experiment once for both CLIs; ``python -m repro.bench --check`` fails on
+a violated claim.
 """
 
 from repro.eval.report import Table

@@ -16,7 +16,7 @@ from typing import Dict, List
 from repro.apps.analytics import AnalyticsQuery, cpu_scan, dpu_scan
 from repro.baseline import CpuModel, OsModel
 from repro.dpu import HyperionDpu
-from repro.eval.report import HIGHER, LOWER, Metric, Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table, violated
 from repro.formats import RecordBatch, Schema, write_table
 from repro.fs import HyperExtFs
 from repro.hw.net import Network
@@ -46,6 +46,17 @@ def metrics(points) -> Dict[str, Metric]:
         "largest_speedup": Metric(largest.speedup, HIGHER, "x"),
         "largest_bytes_moved": Metric(largest.dpu_bytes, LOWER, "bytes"),
     }
+
+
+def accept(points) -> List[str]:
+    speedups = [p.speedup for p in points]  # in row-count order
+    return violated(
+        (all(p.answers_agree for p in points),
+         "both stacks compute the same answer from the same bytes"),
+        (speedups == sorted(speedups),
+         "the DPU's advantage grows with the file"),
+        (speedups[-1] > 1.0, "the DPU wins the largest scan"),
+    )
 
 
 def _dataset(rows: int) -> bytes:

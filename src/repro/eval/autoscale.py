@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.hw.net import Network
 from repro.overload import QueuePolicy
 from repro.sharding import (
@@ -229,6 +229,28 @@ def metrics(report) -> Dict[str, Metric]:
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
+
+
+def accept(report) -> List[str]:
+    auto = report.variant("autoscaled")
+    peak = report.variant("static-peak")
+    low = report.variant("static-min")
+    log = report.autoscale_log
+    return violated(
+        (auto.offered == peak.offered == low.offered > 0,
+         "all three fleets serve the identical arrival stream"),
+        (low.breach_fraction > 5 * peak.breach_fraction
+         and low.failed > peak.failed,
+         "the trough-sized fleet breaches its SLO far more than peak"),
+        (auto.scale_outs >= 1 and auto.drains >= 1
+         and auto.dpus_max > auto.dpus_start,
+         "the autoscaler moved the fleet in both directions"),
+        (report.accepted,
+         f"autoscaled p99 within {P99_FACTOR}x of static-peak at fewer "
+         "DPU-seconds, every decided migration completed"),
+        (0 <= log.find(b"decide scale-out") < log.find(b"scale-out done"),
+         "the event log records each decision before its completion"),
+    )
 
 
 def daily_spec() -> WorkloadSpec:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import DegradedError
 from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -130,6 +130,20 @@ def metrics(report) -> Dict[str, Metric]:
         "series_digest": Metric(0.0, INFO, digest(report.series)),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
+
+
+def accept(report) -> List[str]:
+    return violated(
+        (report.kill_time is not None and report.faults_injected >= 1,
+         "the storm killed a DPU mid-run"),
+        (report.availability >= 0.99,
+         "a dead DPU is a latency event: availability stays >= 99%"),
+        (report.failovers > 0, "clients failed over to a live replica"),
+        (report.p99_inflation > 1.0, "the storm shows up in the p99"),
+        (report.recovery_time is not None and report.recovery_time < 20e-3,
+         "clients recover within 20 ms of the kill"),
+        (len(report.schedule) > 0, "the fired-fault schedule is recorded"),
+    )
 
 
 def _key(index: int) -> bytes:

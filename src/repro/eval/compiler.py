@@ -15,7 +15,7 @@ from repro.apps.fail2ban import build_fail2ban_program
 from repro.common.errors import VerificationError
 from repro.ebpf.asm import assemble
 from repro.ebpf.isa import Program
-from repro.eval.report import HIGHER, INFO, Metric, Table
+from repro.eval.report import HIGHER, INFO, Metric, Table, violated
 from repro.hdl.engine import compile_program
 
 #: (name, source or Program, expected_verdict)
@@ -132,6 +132,27 @@ def metrics(rows) -> Dict[str, Metric]:
         "programs_verified": Metric(verified, HIGHER, "programs"),
         "programs_total": Metric(len(rows), INFO, "programs"),
     }
+
+
+def accept(rows) -> List[str]:
+    compiled = [r for r in rows if r.verified]
+    return violated(
+        (all(r.verified == r.expected_ok for r in rows),
+         "the verifier accepts exactly the safe programs"),
+        (all(r.depth_fused <= r.depth_unfused
+             and r.ffs_fused <= r.ffs_unfused for r in compiled),
+         "fusion never deepens a pipeline or adds registers"),
+        (any(r.depth_fused < r.depth_unfused for r in compiled),
+         "fusion shortens at least one pipeline"),
+        (all(r.fmax_fused >= 0.7 * r.fmax_unfused for r in compiled),
+         "fusion costs at most 30% of f_max"),
+        (all(r.ii >= 1 for r in compiled),
+         "every pipeline has an initiation interval of at least 1"),
+        (all(r.insns_after_opt <= r.insns_before_opt for r in compiled),
+         "the optimizer never grows a program"),
+        (any(r.insns_after_opt < r.insns_before_opt for r in compiled),
+         "the optimizer shrinks at least one program"),
+    )
 
 
 def run_compiler() -> List[CompileRow]:

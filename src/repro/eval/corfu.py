@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.eval.report import HIGHER, INFO, Metric, Table
+from repro.eval.report import HIGHER, INFO, Metric, Table, violated
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -37,6 +37,18 @@ def metrics(points) -> Dict[str, Metric]:
         "failover_reads_ok": Metric(
             float(all(p.failover_reads_ok for p in points)), INFO, "bool"),
     }
+
+
+def accept(points) -> List[str]:
+    throughputs = [p.throughput for p in points]  # in client-count order
+    return violated(
+        (throughputs == sorted(throughputs),
+         "append throughput grows with concurrent clients"),
+        (throughputs[-1] > 4 * throughputs[0],
+         "8 clients append more than 4x faster than one"),
+        (all(p.failover_reads_ok for p in points),
+         "the log stays readable after losing the head replica"),
+    )
 
 
 def _run_point(client_count: int, appends_per_client: int,

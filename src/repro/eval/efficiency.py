@@ -8,10 +8,10 @@ Watts)."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.baseline.server import SUPERMICRO_X12
-from repro.eval.report import HIGHER, LOWER, Metric, Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table, violated
 from repro.power.energy import HYPERION_POWER, total_tdp
 from repro.power.volume import HYPERION_VOLUME, DeviceVolume, volume_ratio
 
@@ -42,6 +42,17 @@ def metrics(report) -> Dict[str, Metric]:
         "volume_ratio": Metric(report.volume_ratio, HIGHER, "x"),
         "hyperion_tdp_w": Metric(report.hyperion_tdp_w, LOWER, "W"),
     }
+
+
+def accept(report) -> List[str]:
+    return violated(
+        (abs(report.hyperion_tdp_w - 230.0) < 1.0,
+         "Hyperion's max TDP is ~230 W"),
+        (abs(report.server_tdp_w - 1600.0) < 1.0,
+         "the 1U server's max TDP is ~1600 W"),
+        (report.energy_in_band, "Hyperion is 4-8x more energy efficient"),
+        (report.volume_in_band, "Hyperion is 5-10x more compact in volume"),
+    )
 
 
 def run_efficiency() -> EfficiencyReport:

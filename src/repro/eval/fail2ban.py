@@ -18,7 +18,7 @@ from repro.apps.fail2ban import (
 )
 from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
 from repro.dpu import HyperionDpu
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -44,6 +44,18 @@ def metrics(results) -> Dict[str, Metric]:
         "speedup": Metric(base.total_time / dpu.total_time, HIGHER, "x"),
         "banned": Metric(dpu.banned, INFO, "packets"),
     }
+
+
+def accept(results) -> List[str]:
+    dpu, base = results
+    return violated(
+        (dpu.banned == base.banned,
+         "the same verified program bans the same packets on both paths"),
+        (base.total_time / dpu.total_time > 2.0,
+         "the inline DPU path finishes the trace more than 2x sooner"),
+        (dpu.throughput_pps > base.throughput_pps,
+         "the DPU path sustains more packets per second"),
+    )
 
 
 def run_fail2ban(packet_count: int = 2000, threshold: int = 3,

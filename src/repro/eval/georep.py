@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.faults import FaultInjector, FaultPlan
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
 from repro.overload import BrownoutController, BrownoutMode
@@ -222,6 +222,36 @@ def metrics(report) -> Dict[str, Metric]:
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
+
+
+def accept(report) -> List[str]:
+    drill = report.drill
+    outage = T_HEAL - T_KILL
+    by_mode = {point.mode: point for point in report.modes}
+    p99 = [by_mode[mode].put_p99 for mode in ("async", "quorum", "sync")]
+    return violated(
+        (drill.lost_acked_writes == 0 and drill.acked_writes > 0,
+         "a region loss loses zero acknowledged writes"),
+        (drill.diverged_keys == 0, "every region reconverges after the heal"),
+        (drill.failed_ops == 0, "no client op fails during the drill"),
+        (0.0 < drill.rto_detect <= drill.rto_steady < outage,
+         "detection and steady-state RTO fit inside the outage window"),
+        (drill.rpo_entries >= 0 and drill.rpo_seconds < outage,
+         "RPO exposure at the kill is bounded by the outage window"),
+        (drill.failovers > 0 and drill.replayed_writes > 0,
+         "clients failed over and replayed their unacked writes"),
+        (drill.stale_reads_served > 0 and drill.max_staleness_served > 0.0
+         and drill.brownout_transitions >= 2,
+         "brownout served bounded-stale reads, then stood down"),
+        (drill.goodput_during > 0.0 and drill.retention_during > 0.0,
+         "traffic keeps flowing through the outage"),
+        (len(by_mode) == 3 and p99 == sorted(set(p99)),
+         "stronger modes pay more per write: async < quorum < sync at p99"),
+        (by_mode["async"].peak_lag > 0.0 and by_mode["sync"].peak_lag == 0.0,
+         "async acks leave replication lag; sync acks leave none"),
+        (all(p.follower_staleness < 0.05 for p in report.modes),
+         "followers stay heartbeat-fresh (< 50 ms) in every mode"),
+    )
 
 
 # ---------------------------------------------------------------------------

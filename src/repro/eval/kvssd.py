@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -58,6 +58,21 @@ def metrics(points) -> Dict[str, Metric]:
         tracked[f"{p.transport}_sampled_points"] = Metric(
             p.sampled_points, INFO, "samples")
     return tracked
+
+
+def accept(points) -> List[str]:
+    by_name = {p.transport: p for p in points}
+    tcp, udp = by_name["tcp"], by_name["udp"]
+    puts = [p.mean_put for p in points]
+    return violated(
+        (udp.mean_get < tcp.mean_get
+         and by_name["homa"].mean_get < tcp.mean_get,
+         "datagram transports beat TCP on small gets"),
+        (by_name["rdma(read)"].mean_get < udp.mean_get,
+         "one-sided RDMA reads beat every request/response transport"),
+        (max(puts) / min(puts) < 1.5,
+         "puts are flash-bound: within 1.5x across transports"),
+    )
 
 
 def _latency_probes(sim: Simulator):

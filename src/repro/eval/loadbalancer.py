@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from repro.apps.loadbalancer import LoadBalancer, generate_connections
 from repro.dpu import HyperionDpu
-from repro.eval.report import INFO, LOWER, Metric, Table
+from repro.eval.report import INFO, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.sim import Simulator
 
@@ -41,6 +41,22 @@ def metrics(results) -> Dict[str, Metric]:
         "drop_broken_connections": Metric(
             drop.broken_connections, INFO, "conns"),
     }
+
+
+def accept(results) -> List[str]:
+    overflow, drop = results
+    return violated(
+        (overflow.broken_connections == 0,
+         "overflow to SSD keeps every returning flow on its backend"),
+        (drop.broken_connections > 0, "DRAM-only drop breaks flows"),
+        (overflow.cold_hits > 0, "overflow serves cold hits from flash"),
+        (overflow.mean_latency > drop.mean_latency,
+         "correctness costs latency: overflow is slower on average"),
+        (overflow.hot_hit_rate > 0.5,
+         "the hot path dominates: most packets never touch flash"),
+        (overflow.flash_state_bytes > 0 and drop.flash_state_bytes == 0,
+         "the spilled state sits on the DPU's own SSD, and only there"),
+    )
 
 
 def _run_policy(policy: str, packet_count: int, flow_count: int,

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.hw.net import Network
 from repro.overload import (
     AdmissionController,
@@ -172,6 +172,25 @@ def metrics(report) -> Dict[str, Metric]:
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
+
+
+def accept(report) -> List[str]:
+    at_2x = next(p for p in report.controlled if p.multiple == 2.0)
+    top = report.controlled[-1]
+    return violated(
+        (report.uncontrolled_collapse_ratio < 0.5,
+         "uncontrolled goodput collapses below half its peak at 3x load"),
+        (report.goodput_retention_at_2x >= 0.90,
+         "controlled goodput holds >= 90% of its peak at 2x load"),
+        (at_2x.p99_latency < 5e-3,
+         "controlled p99 at 2x load stays inside the 5 ms client budget"),
+        (any(p.server_shed > 0 for p in report.controlled)
+         and report.brownout_transitions > 0
+         and len(report.brownout_log) > 0,
+         "shedding and brownout both engaged, and the log says so"),
+        (top.shed_scrub > 0 and top.shed_scrub * 3 > top.shed_user,
+         "at top load scrub traffic is shed at a higher rate than user"),
+    )
 
 
 def _priority_for(index: int) -> int:

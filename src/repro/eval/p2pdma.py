@@ -30,7 +30,7 @@ from typing import Callable, Dict, List
 
 from repro.baseline.cpu import CpuCosts, CpuModel
 from repro.baseline.os_model import OsModel
-from repro.eval.report import HIGHER, LOWER, Metric, Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table, violated
 from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.hw.pcie.link import PcieLink
 from repro.sim import Resource, Simulator
@@ -67,6 +67,26 @@ def metrics(points) -> Dict[str, Metric]:
         "hyperion_goodput_bps": Metric(largest.goodput, HIGHER, "B/s"),
         "hyperion_per_transfer_s": Metric(largest.per_transfer, LOWER, "s"),
     }
+
+
+def accept(points) -> List[str]:
+    sizes = sorted({p.transfer_size for p in points})
+    at = {(p.transfer_size, p.path): p for p in points}
+    small = [at[(sizes[0], path)].goodput
+             for path in ("bounce", "p2p-dma", "hyperion")]
+    large = [at[(sizes[-1], path)].goodput
+             for path in ("bounce", "p2p-dma", "hyperion")]
+    return violated(
+        (small == sorted(set(small)) and small[2] > 1.5 * small[0],
+         "small transfers: hyperion > p2p-dma > bounce, hyperion by >1.5x"),
+        (max(large) / min(large) < 1.05,
+         "large transfers converge on the PCIe/flash bandwidth"),
+        (all(at[(size, "hyperion")].per_transfer
+             <= 1.001 * min(at[(size, "bounce")].per_transfer,
+                            at[(size, "p2p-dma")].per_transfer)
+             for size in sizes),
+         "Hyperion never loses at any transfer size"),
+    )
 
 
 def _make_ssd(sim):

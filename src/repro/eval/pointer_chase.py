@@ -18,7 +18,7 @@ from repro.apps.pointer_chase import (
     client_side_lookup,
     offloaded_lookup,
 )
-from repro.eval.report import HIGHER, LOWER, Metric, Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.transport import RpcClient, RpcServer, UdpSocket
@@ -49,6 +49,23 @@ def metrics(points) -> Dict[str, Metric]:
         "mean_speedup": Metric(
             sum(p.speedup for p in points) / len(points), HIGHER, "x"),
     }
+
+
+def accept(points) -> List[str]:
+    # One depth sweep per link delay; delays and depths both ascend.
+    sweeps = [[p for p in points if p.propagation == delay]
+              for delay in sorted({p.propagation for p in points})]
+    deepest = [sweep[-1].speedup for sweep in sweeps]
+    return violated(
+        (all(p.offload_latency < p.client_side_latency for p in points),
+         "the one-RTT offload beats client-side chasing at every point"),
+        (all(p.client_side_rtts == p.tree_height + 1 for p in points),
+         "client-side chasing pays one RTT per tree level, plus one"),
+        (all(sweep[-1].speedup > sweep[0].speedup for sweep in sweeps),
+         "the offload win grows with tree depth at every link delay"),
+        (deepest == sorted(deepest),
+         "the offload win shrinks as the link gets faster"),
+    )
 
 
 def _measure(keys: int, propagation: float, lookups: int = 20,

@@ -21,7 +21,7 @@ from repro.baseline.cpu import CpuModel
 from repro.baseline.server import SUPERMICRO_X12
 from repro.ebpf.maps import HashMap
 from repro.ebpf.vm import BpfVm
-from repro.eval.report import INFO, LOWER, Metric, Table
+from repro.eval.report import INFO, LOWER, Metric, Table, violated
 from repro.hdl.engine import HardwarePipeline, compile_program
 from repro.power.energy import HYPERION_POWER, total_tdp
 from repro.sim import Simulator
@@ -63,6 +63,20 @@ def metrics(results) -> Dict[str, Metric]:
         "cpu_p99_s": Metric(cpu.p99, INFO, "s"),
         "hw_sampled_points": Metric(hw.sampled_points, INFO, "samples"),
     }
+
+
+def accept(results) -> List[str]:
+    by_name = {r.system: r for r in results}
+    hw = by_name["hyperion-pipeline"]
+    cpu = by_name["cpu-interpreter"]
+    return violated(
+        (hw.jitter_ratio < 1.000001 and hw.stddev_latency < 1e-15,
+         "the hardware pipeline has one latency: no jitter, no tail"),
+        (cpu.jitter_ratio > 1.05 and cpu.stddev_latency > 0,
+         "the CPU shows a real tail (p99/p50 > 1.05)"),
+        (cpu.energy_per_op_j / hw.energy_per_op_j > 5,
+         "energy per op favours the DPU by more than 5x"),
+    )
 
 
 def _result(system: str, hist: Histogram, watts: float,

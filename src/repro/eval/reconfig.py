@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.dpu import HyperionDpu, SlotScheduler
-from repro.eval.report import HIGHER, LOWER, Metric, Table
+from repro.eval.report import HIGHER, LOWER, Metric, Table, violated
 from repro.hdl.engine import compile_program
 from repro.ebpf.asm import assemble
 from repro.hw.net import Network
@@ -40,6 +40,16 @@ def metrics(report) -> Dict[str, Metric]:
         "max_reconfig_s": Metric(report.max_reconfig, LOWER, "s"),
         "utilization": Metric(report.utilization, HIGHER, "frac"),
     }
+
+
+def accept(report) -> List[str]:
+    return violated(
+        (report.granted == report.tenants, "every tenant is granted a slot"),
+        (report.in_band_fraction == 1.0
+         and 10e-3 <= report.min_reconfig
+         and report.max_reconfig <= 100e-3,
+         "every partial reconfiguration takes 10-100 ms"),
+    )
 
 
 def _tenant_bitstreams(count: int, seed: int = 31):

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.common.ids import ObjectId
 from repro.dpu import HyperionDpu
-from repro.eval.report import INFO, LOWER, Metric, Table
+from repro.eval.report import INFO, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.sim import Simulator
 
@@ -40,6 +40,19 @@ def metrics(points) -> Dict[str, Metric]:
         "data_intact": Metric(
             float(all(p.data_intact for p in points)), INFO, "bool"),
     }
+
+
+def accept(points) -> List[str]:
+    return violated(
+        (all(p.recovered_segments == p.durable_segments and p.data_intact
+             for p in points),
+         "every durable segment survives power loss with its bytes"),
+        (all(p.ephemeral_gone for p in points),
+         "every ephemeral segment is gone after power loss"),
+        (all(p.persist_bytes == 16 + 40 * p.durable_segments
+             for p in points),
+         "the persisted table is 16 B of header plus 40 B per record"),
+    )
 
 
 def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:

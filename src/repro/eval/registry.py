@@ -2,14 +2,16 @@
 
 ``python -m repro.eval`` prints ``render(run())`` for each row;
 ``python -m repro.bench`` publishes ``metrics(run())`` for each row that
-has a ``metrics``. Adding an experiment is one module (``run_*``,
-``format_*`` and, when benchmarked, ``metrics`` next to its report
-dataclass) plus one row here, and one row each in EXPERIMENTS.md and
-DESIGN.md §3 (``tests/test_eval.py`` checks both).
+has a ``metrics`` and checks ``accept(run())`` — the claims the
+default-config report must meet. Adding an experiment is one module
+(``run_*``, ``format_*`` and, when benchmarked, ``metrics`` and ``accept``
+next to its report dataclass) plus one row here, and one row each in
+EXPERIMENTS.md and DESIGN.md §3 (``tests/test_eval.py`` checks both).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,10 +35,16 @@ class Experiment:
     bench_title: Optional[str]
     run: Callable[..., Any]
     render: Callable[[Any], str]
-    #: Whether ``run`` accepts a ``seed=`` keyword (threads ``--seed``).
-    seeded: bool = False
     #: Headline numbers of a default-config report; None: not benchmarked.
     metrics: Optional[Callable[[Any], Dict[str, Metric]]] = None
+    #: The claims a default-config report violates, as sentences (none:
+    #: the paper's shape holds); ``repro.bench --check`` gates on them.
+    accept: Optional[Callable[[Any], List[str]]] = None
+
+    @property
+    def seeded(self) -> bool:
+        """Whether ``run`` takes ``seed=``, so ``--seed`` reaches it."""
+        return "seed" in inspect.signature(self.run).parameters
 
     def execute(self, seed: Optional[int] = None) -> Any:
         """Run and return the report; *seed* reaches seeded runs only."""
@@ -53,82 +61,85 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("e1", "E1: volume + energy efficiency",
                "volume + energy efficiency",
                efficiency.run_efficiency, efficiency.format_efficiency,
-               False, efficiency.metrics),
+               efficiency.metrics, efficiency.accept),
     Experiment("e2", "E2: pointer chasing", "pointer chasing",
                pointer_chase.run_pointer_chase,
                pointer_chase.format_pointer_chase,
-               True, pointer_chase.metrics),
+               pointer_chase.metrics, pointer_chase.accept),
     Experiment("e3", "E3: fail2ban", "fail2ban",
                fail2ban.run_fail2ban, fail2ban.format_fail2ban,
-               True, fail2ban.metrics),
+               fail2ban.metrics, fail2ban.accept),
     Experiment("e4", "E4: load balancer overflow", "load balancer overflow",
                loadbalancer.run_loadbalancer, loadbalancer.format_loadbalancer,
-               True, loadbalancer.metrics),
+               loadbalancer.metrics, loadbalancer.accept),
     Experiment("e5", "E5: segment vs page translation",
                "segment vs page translation",
                translation.run_translation, translation.format_translation,
-               True, translation.metrics),
+               translation.metrics, translation.accept),
     Experiment("e6", "E6: predictability + energy", "predictability + energy",
                predictability.run_predictability,
                predictability.format_predictability,
-               False, predictability.metrics),
+               predictability.metrics, predictability.accept),
     Experiment("e7", "E7: partial reconfiguration", "partial reconfiguration",
                reconfig.run_reconfig, reconfig.format_reconfig,
-               False, reconfig.metrics),
+               reconfig.metrics, reconfig.accept),
     Experiment("e8", "E8: Corfu shared log", "Corfu shared log",
-               corfu.run_corfu, corfu.format_corfu, False, corfu.metrics),
+               corfu.run_corfu, corfu.format_corfu, corfu.metrics, corfu.accept),
     Experiment("e9", "E9: Parquet/Arrow end to end",
                "Parquet/Arrow end to end",
                analytics.run_analytics, analytics.format_analytics,
-               False, analytics.metrics),
+               analytics.metrics, analytics.accept),
     Experiment("e10", "E10: eBPF->HDL compiler corpus",
                "eBPF->HDL compiler corpus",
                compiler.run_compiler, compiler.format_compiler,
-               False, compiler.metrics),
+               compiler.metrics, compiler.accept),
     Experiment("e11", "E11: persistence + recovery", "persistence + recovery",
                recovery.run_recovery, recovery.format_recovery,
-               False, recovery.metrics),
+               recovery.metrics, recovery.accept),
     Experiment("e12", "E12: KV-SSD transports", "KV-SSD transports",
-               kvssd.run_kvssd, kvssd.format_kvssd, False, kvssd.metrics),
+               kvssd.run_kvssd, kvssd.format_kvssd, kvssd.metrics, kvssd.accept),
     Experiment("e13", "E13: chaos storm + replicated failover",
                "chaos storm + replicated failover",
-               chaos.run_chaos, chaos.format_chaos, True, chaos.metrics),
+               chaos.run_chaos, chaos.format_chaos, chaos.metrics, chaos.accept),
     Experiment("e15",
                "E15: overload — congestion collapse vs graceful brownout",
                "overload: collapse vs graceful brownout",
                overload.run_overload, overload.format_overload,
-               True, overload.metrics),
+               overload.metrics, overload.accept),
     Experiment("e16",
                "E16: scale-out data plane — sharding, batching, hot-key cache",
                "scale-out data plane: sharding + batching + cache",
                scaleout.run_scaleout, scaleout.format_scaleout,
-               True, scaleout.metrics),
+               scaleout.metrics, scaleout.accept),
     Experiment("e17",
                "E17: geo-replication — WAN log shipping + region-loss drill",
                "geo-replication: WAN log shipping + region-loss drill",
-               georep.run_georep, georep.format_georep, True, georep.metrics),
+               georep.run_georep, georep.format_georep,
+               georep.metrics, georep.accept),
     Experiment("e19",
                "E19: consistency verification — chaos search, "
                "linearizability, shrinking",
                "consistency verification: chaos search + shrinking",
-               verify.run_verify, verify.format_verify, True, verify.metrics),
+               verify.run_verify, verify.format_verify,
+               verify.metrics, verify.accept),
     Experiment("e20",
                "E20: traffic plane — manual vs SLO-driven capacity under a "
                "daily curve",
                "traffic plane: SLO-driven autoscaling vs static fleets",
                autoscale.run_autoscale, autoscale.format_autoscale,
-               True, autoscale.metrics),
+               autoscale.metrics, autoscale.accept),
     Experiment("p2p", "EXT: NIC->SSD bounce vs P2P DMA vs Hyperion",
                "NIC->SSD bounce vs P2P DMA vs Hyperion",
-               p2pdma.run_p2pdma, p2pdma.format_p2pdma, False, p2pdma.metrics),
+               p2pdma.run_p2pdma, p2pdma.format_p2pdma,
+               p2pdma.metrics, p2pdma.accept),
     Experiment("telemetry",
                "TEL: unified telemetry plane — traced KV get + registry",
                "unified telemetry plane",
                telemetry.run_telemetry, telemetry.format_telemetry,
-               False, telemetry.metrics),
+               telemetry.metrics, telemetry.accept),
     Experiment("trace",
                "TRACE: causal trace analysis — cross-region quorum flows",
-               None, trace.run_trace, trace.format_trace, True),
+               None, trace.run_trace, trace.format_trace),
 )
 
 

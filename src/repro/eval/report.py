@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 LOWER = "lower"
 HIGHER = "higher"
@@ -22,6 +22,12 @@ class Metric:
 
     def payload(self) -> Dict[str, Any]:
         return {"value": self.value, "better": self.better, "unit": self.unit}
+
+
+def violated(*claims: Tuple[bool, str]) -> List[str]:
+    """The sentence of every ``(held, "claim")`` pair that did not hold:
+    what an experiment's ``accept(report)`` returns."""
+    return [claim for held, claim in claims if not held]
 
 
 def digest(data) -> str:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.hw.net import Network
 from repro.sharding import (
     HotKeyCache,
@@ -202,6 +202,35 @@ def metrics(report) -> Dict[str, Metric]:
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
+
+
+def accept(report) -> List[str]:
+    event = report.event
+    series = [[p.goodput for p in report.points if p.optimized is optimized]
+              for optimized in (False, True)]
+    top = max(report.points, key=lambda p: (p.optimized, p.dpus))
+    return violated(
+        (all(goodputs == sorted(goodputs) for goodputs in series),
+         "goodput grows with DPU count, naive and optimized"),
+        (report.speedup_8dpu >= 4.0,
+         "8 optimized DPUs deliver >= 4x the goodput of one"),
+        (report.batching_gain_8dpu > 1.0,
+         "batching + cache beat the naive path at 8 DPUs"),
+        (top.cache_hit_rate > 0.0, "the hot-key cache serves reads"),
+        (all(p.failures == 0 for p in report.points),
+         "no client op fails anywhere in the sweep"),
+        (event.dpus_after == event.dpus_before + 1
+         and event.keys_moved > 0 and event.epoch > 1,
+         "the live scale-out added a DPU and moved keys to it"),
+        (event.failures == 0 and event.ops > 0,
+         "zero client ops fail across the scale-out window"),
+        (event.migrate_spans == 1 and event.handoff_spans >= 1,
+         "the trace holds the migration span and its handoffs"),
+        (event.forwarded_ops > 0,
+         "forwarding stubs served in-flight keys during the handoff"),
+        (event.p99_inflation < 50.0 and event.p99_after < event.p99_during,
+         "the migration's p99 inflation is bounded and recovers"),
+    )
 
 
 def _keyspace() -> Tuple[List[bytes], List[bytes]]:

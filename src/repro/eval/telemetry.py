@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.eval.report import HIGHER, INFO, Metric, digest
+from repro.eval.report import HIGHER, INFO, Metric, digest, violated
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.hw.pcie.link import PcieLink
@@ -53,6 +53,13 @@ def metrics(report) -> Dict[str, Metric]:
         "chrome_trace_digest": Metric(
             0.0, INFO, digest(report.chrome_trace)),
     }
+
+
+def accept(report) -> List[str]:
+    return violated(
+        (report.span_count > 0 and len(report.substrates) >= 3,
+         "one traced KV get crosses at least three substrates"),
+    )
 
 
 def run_telemetry(preload: int = 8) -> TelemetryReport:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
+from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, violated
 from repro.memory.vm import (
     PAGE_SIZE,
     SEGMENT_LOOKUP_LATENCY,
@@ -56,6 +56,24 @@ def metrics(points) -> Dict[str, Metric]:
             largest.segment_advantage, HIGHER, "x"),
         "largest_tlb_hit_rate": Metric(largest.tlb_hit_rate, INFO, "frac"),
     }
+
+
+def accept(points) -> List[str]:
+    small, large = points[0], points[-1]  # in working-set order
+    return violated(
+        (all(p.segment_translation_time < p.page_translation_time
+             for p in points if p.tlb_hit_rate < 0.9),
+         "segments translate cheaper wherever the TLB hit rate is < 0.9"),
+        (small.tlb_hit_rate > 0.9 and large.tlb_hit_rate < 0.2,
+         "the TLB covers the smallest working set and misses the largest"),
+        (large.segment_advantage > 10 * small.segment_advantage,
+         "the segment advantage grows >10x once the TLB reach is outrun"),
+        (large.huge_page_translation_time
+         > 10 * points[-2].huge_page_translation_time,
+         "2 MiB pages fall off their own cliff at the largest working set"),
+        (large.segment_translation_time < large.huge_page_translation_time,
+         "segments stay cheaper than huge pages at the largest working set"),
+    )
 
 
 def _measure(working_set_bytes: int, accesses: int, tlb_entries: int,

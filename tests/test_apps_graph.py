@@ -22,8 +22,8 @@ def booted_dpu(sim, net):
     return dpu
 
 
-def make_service(sim, vertex_count=50, edges=None):
-    net = Network(sim)
+def make_service(sim, vertex_count=50, edges=None, propagation=1e-6):
+    net = Network(sim, propagation=propagation)
     dpu = booted_dpu(sim, net)
     edges = edges if edges is not None else random_graph(vertex_count)
     graph = CsrGraph(dpu, vertex_count, edges)
@@ -32,6 +32,17 @@ def make_service(sim, vertex_count=50, edges=None):
     )
     client = RpcClient(sim, UdpSocket(sim, net.endpoint("analyst")))
     return graph, service, client
+
+
+def timed_bfs(sim, client, bfs, target):
+    """(simulated seconds, distance) of one BFS from vertex 0."""
+    start = sim.now
+
+    def proc():
+        distance, __ = yield from bfs(client, "graph-dpu", 0, target)
+        return sim.now - start, distance
+
+    return sim.run_process(proc())
 
 
 class TestCsrGraph:
@@ -111,20 +122,27 @@ class TestBfs:
     def test_offload_is_much_faster(self):
         sim = Simulator()
         __, service, client = make_service(sim, vertex_count=100)
-
-        def timed(fn):
-            start = sim.now
-
-            def proc():
-                yield from fn(client, "graph-dpu", 0, 95)
-                return sim.now - start
-
-            return sim.run_process(proc())
-
-        chase_time = timed(client_side_bfs)
-        offload_time = timed(offloaded_bfs)
+        chase_time, __ = timed_bfs(sim, client, client_side_bfs, 95)
+        offload_time, __ = timed_bfs(sim, client, offloaded_bfs, 95)
         # Frontier expansion over the network pays RTTs per vertex.
         assert offload_time < chase_time / 10
+
+    def test_offload_factor_grows_with_the_graph(self):
+        # E2's tree has a fixed height; a BFS frontier does not, so on a
+        # 10 us link the offload win grows with the vertex count.
+        speedups = []
+        for count in (20, 80, 320):
+            sim = Simulator()
+            __, service, client = make_service(
+                sim, vertex_count=count, propagation=10e-6)
+            chase_time, chased = timed_bfs(
+                sim, client, client_side_bfs, count - 2)
+            offload_time, offloaded = timed_bfs(
+                sim, client, offloaded_bfs, count - 2)
+            assert chased == offloaded
+            speedups.append(chase_time / offload_time)
+        assert speedups == sorted(speedups)
+        assert speedups[-1] > 20
 
     def test_khop_counts(self):
         sim = Simulator()

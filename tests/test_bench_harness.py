@@ -14,8 +14,8 @@ from repro.bench import (
     run_suite,
 )
 from repro.bench.__main__ import main
-from repro.eval.registry import EXPERIMENTS, SelectionError, select
-from repro.eval.report import Metric
+from repro.eval.registry import EXPERIMENTS, Experiment, SelectionError, select
+from repro.eval.report import LOWER, Metric, violated
 
 
 def _payload(**metric_values):
@@ -32,6 +32,21 @@ def _payload(**metric_values):
             "ex": {"title": "example", "metrics": metrics},
         },
     }
+
+
+def _register_fake(monkeypatch, accept=None):
+    """Make the registry one instant seeded experiment (its report is its
+    seed), so ``main`` runs whole suites in no time."""
+    fake = Experiment(
+        "fake", "FAKE: a stand-in", "a stand-in", lambda seed=5: seed, str,
+        metrics=lambda report: {"latency": Metric(float(report), LOWER, "s")},
+        accept=accept)
+    monkeypatch.setattr("repro.eval.registry.EXPERIMENTS", (fake,))
+
+
+def _second_claim_breaks(report):
+    return violated((report == 5, "the report is its seed"),
+                    (report > 5, "the second claim holds"))
 
 
 class TestSuite:
@@ -127,6 +142,56 @@ class TestArtifactHistory:
         assert outcome.regressions == []
         latency = next(d for d in outcome.deltas if d.metric == "latency")
         assert latency.improved and not latency.regressed
+
+
+    def test_alternate_seed_run_publishes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        _register_fake(monkeypatch)
+        assert main(["prog", "--seed", "42", "--output-dir",
+                     str(tmp_path)]) == 0
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out
+        assert "seed 42 run (fake); artifact not published" in out
+        assert "42.0" in out  # the metrics are still printed
+
+
+class TestClaims:
+    def test_violation_names_the_experiment_and_the_claim(self, monkeypatch):
+        _register_fake(monkeypatch, accept=_second_claim_breaks)
+        run = run_suite()
+        assert run.violations == {"fake": ["the second claim holds"]}
+        assert run.claim_lines() == [
+            "claims: 1 experiments checked, 1 claims violated",
+            "  fake: VIOLATED the second claim holds",
+        ]
+        assert "claims" not in run.canonical_bytes().decode()
+
+    def test_check_fails_on_a_violated_claim(
+            self, tmp_path, monkeypatch, capsys):
+        _register_fake(monkeypatch, accept=_second_claim_breaks)
+        out_dir = ["--output-dir", str(tmp_path)]
+        assert main(["prog"] + out_dir) == 0  # reported, not gated
+        assert "fake: VIOLATED the second claim holds" in (
+            capsys.readouterr().out)
+        # No regression against the artifact just written: the claim
+        # alone turns the exit code.
+        assert main(["prog", "--check"] + out_dir) == 1
+        assert "artifact unchanged" in capsys.readouterr().out
+
+    def test_check_passes_when_every_claim_holds(
+            self, tmp_path, monkeypatch, capsys):
+        _register_fake(monkeypatch, accept=lambda report: violated(
+            (report == 5, "the report is its seed")))
+        assert main(["prog", "--check", "--output-dir", str(tmp_path)]) == 0
+        assert "claims: 1 experiments checked, 0 claims violated" in (
+            capsys.readouterr().out)
+
+    def test_subset_runs_print_and_gate_claims_too(self, monkeypatch, capsys):
+        _register_fake(monkeypatch, accept=_second_claim_breaks)
+        assert main(["prog", "fake"]) == 0
+        assert "fake: VIOLATED the second claim holds" in (
+            capsys.readouterr().out)
+        assert main(["prog", "--check", "fake"]) == 1
 
 
 class TestCompare:

@@ -99,6 +99,46 @@ class TestPromotion:
         assert len(policy.run_epoch()) == 2
 
 
+class TestPlacementAblation:
+    """Static placement vs hint/access-driven promotion (DESIGN ablation 2)."""
+
+    @staticmethod
+    def epoch_latencies(tiered, epochs=4, accesses=20):
+        """Mean timed-read latency per epoch of one hot object allocated
+        on flash, and the tier it ends on."""
+        store = make_store()
+        sim = store.sim
+        policy = TieringPolicy(store, hot_threshold=5) if tiered else None
+        hot = store.allocate(256, hint=PlacementHint.COLD)
+        store.write(hot.oid, b"h" * 256)
+        means = []
+
+        def workload():
+            for _ in range(epochs):
+                start = sim.now
+                for _ in range(accesses):
+                    yield from store.timed_read(hot.oid, 64)
+                means.append((sim.now - start) / accesses)
+                if policy is not None:
+                    policy.run_epoch()
+
+        sim.run_process(workload())
+        return means, store.table.lookup(hot.oid).location
+
+    def test_static_placement_pays_flash_latency_forever(self):
+        means, location = self.epoch_latencies(tiered=False)
+        assert location is SegmentLocation.NVME
+        assert min(means) > 50e-6
+
+    def test_promotion_after_one_epoch_reads_at_dram_latency(self):
+        static, __ = self.epoch_latencies(tiered=False)
+        means, location = self.epoch_latencies(tiered=True)
+        assert location is SegmentLocation.DRAM
+        assert means[0] > 50e-6  # started on flash
+        assert means[-1] < 1e-6  # finished in DRAM
+        assert static[-1] / means[-1] > 50
+
+
 class TestDemotion:
     def test_cold_dram_demoted_under_pressure(self):
         store = make_store(dram_capacity=1024)

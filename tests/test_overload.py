@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
+from repro.eval.overload import run_overload
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.net import Network
@@ -781,3 +782,15 @@ class TestFailoverBreaker:
         assert ok
         assert breaker.state is BreakerState.CLOSED
         assert acked == 2
+
+
+class TestE15SameSeedSameBytes:
+    def test_report_telemetry_and_series_are_byte_identical(self):
+        # One point at 3x capacity for 10 ms: brownout engages, so the
+        # transition log is part of what must repeat.
+        first = run_overload(multiples=(3.0,), duration=10e-3)
+        second = run_overload(multiples=(3.0,), duration=10e-3)
+        assert len(first.brownout_log) > 0
+        assert first.canonical_bytes() == second.canonical_bytes()
+        assert first.telemetry == second.telemetry
+        assert first.series == second.series

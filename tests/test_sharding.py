@@ -244,6 +244,30 @@ def test_sharded_cluster_serves_and_balances():
             assert cluster.owner_of(key) == address
 
 
+def test_throughput_scales_with_shared_nothing_partitions():
+    # Client-driven routing, the MICA pattern (paper §2.4 C1): one writer
+    # per DPU, 60 uncached single-key puts each, on 1, 2 and 4 DPUs.
+    throughputs = []
+    for count in (1, 2, 4):
+        sim = Simulator()
+        cluster = ShardedKvCluster(sim, Network(sim), dpu_count=count,
+                                   ssd_blocks=16384, name="kv")
+
+        def writer(client, base):
+            for i in range(60):
+                yield from client.put(f"{base}:key:{i}".encode(), b"v" * 32)
+
+        for index in range(count):
+            client = ShardedKvClient(sim, cluster, f"client-{index}",
+                                     cache=None)
+            sim.process(writer(client, f"c{index}"))
+        sim.run()
+        throughputs.append(count * 60 / sim.now)
+        assert cluster.balance() < 1.8
+    assert throughputs == sorted(throughputs)
+    assert throughputs[-1] > 2.5 * throughputs[0]
+
+
 def test_join_migration_moves_only_new_ranges_and_loses_nothing():
     sim = Simulator()
     cluster = _sharded(sim, dpus=2)

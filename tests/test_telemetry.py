@@ -309,6 +309,7 @@ class TestDeterministicSnapshots:
         assert first.telemetry, "chaos run produced an empty snapshot"
         assert first.telemetry == second.telemetry
         assert first.schedule == second.schedule
+        assert first.availability == second.availability
 
     def test_different_seed_different_bytes(self):
         first = run_chaos(**self.CONFIG)

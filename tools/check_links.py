@@ -6,7 +6,10 @@ line, extracts every inline link and image reference, and verifies that
 relative targets resolve to real files. External links (http/https/
 mailto) are recorded but not fetched — the checker must work offline —
 and pure in-page anchors (``#section``) are validated against the
-headings of the containing file.
+headings of the containing file. Code references are held to the same
+standard: a backticked dotted name under ``repro`` must import (module)
+or resolve (attribute), and a backticked path under ``src/``, ``tests/``,
+``tools/``, ``perfbench/``, ``examples/`` or ``docs/`` must exist.
 
 Usage::
 
@@ -17,6 +20,7 @@ Exits non-zero listing every broken link, so it can gate CI.
 
 from __future__ import annotations
 
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -34,6 +38,16 @@ _REF_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 _FENCE = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
 
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: A backticked span that is nothing but a dotted name under ``repro``
+#: (a trailing ``()`` is allowed), or nothing but a repo path, with an
+#: optional ``::test`` or ``:line`` suffix. Spans holding anything else —
+#: a command line, a glob, a ``<placeholder>`` — are prose, not references.
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+_REPO_PATH = re.compile(
+    r"`((?:src|tests|tools|perfbench|examples|docs)/[\w./-]*)(?::[\w:.-]+)?`")
 
 
 def _anchor_of(heading: str) -> str:
@@ -60,6 +74,30 @@ def _targets(path: Path) -> List[str]:
     return found
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether *dotted* names an importable module under ``src/`` or an
+    attribute reachable from one."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def _code_references(path: Path) -> List[str]:
+    """A description of every dangling code reference in *path*."""
+    body = _FENCE.sub("", path.read_text(encoding="utf-8"))
+    dangling = [f"{path}: no such module or attribute {name}"
+                for name in sorted(set(_DOTTED.findall(body)))
+                if not _resolves(name)]
+    dangling += [f"{path}: no such path {name}"
+                 for name in sorted(set(_REPO_PATH.findall(body)))
+                 if not (ROOT / name).exists()]
+    return dangling
+
+
 def _expand(args: Iterable[str]) -> List[Path]:
     files: List[Path] = []
     for arg in args:
@@ -79,6 +117,7 @@ def check(paths: Iterable[str]) -> Tuple[int, int, List[str]]:
     broken: List[str] = []
     links = 0
     for md in files:
+        broken.extend(_code_references(md))
         for target in _targets(md):
             links += 1
             if target.startswith(_EXTERNAL):
