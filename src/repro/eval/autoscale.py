@@ -145,6 +145,9 @@ class VariantResult:
     dpu_seconds: float
     scale_outs: int
     drains: int
+    #: Engine entries the day cost (``Simulator._eid`` delta): what the
+    #: simulator paid, not what the model did, so not in :meth:`line`.
+    entries: int
 
     @property
     def breach_fraction(self) -> float:
@@ -190,6 +193,13 @@ class AutoscaleReport:
     #: Full telemetry snapshot of the autoscaled run.
     telemetry: bytes
 
+    @property
+    def entries_per_op(self) -> float:
+        """Engine entries per offered client op over the three days: the
+        deterministic proxy for what the experiment costs to run."""
+        return (sum(v.entries for v in self.variants)
+                / sum(v.offered for v in self.variants))
+
     def variant(self, mode: str) -> VariantResult:
         """The result for *mode* (static-min/static-peak/autoscaled)."""
         for result in self.variants:
@@ -226,6 +236,7 @@ def metrics(report) -> Dict[str, Metric]:
         "scale_outs": Metric(auto.scale_outs, INFO, "count"),
         "drains": Metric(auto.drains, INFO, "count"),
         "accepted": Metric(1.0 if report.accepted else 0.0, HIGHER, "bool"),
+        "entries_per_op": Metric(report.entries_per_op, LOWER, "1/op"),
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
@@ -305,6 +316,7 @@ def _run_variant(seed: int, mode: str):
         for tenant in spec.tenants
     }
     origin = sim.now
+    first_entry = sim._eid
     horizon = origin + DAY
     traffic = OpenLoopTraffic(
         sim, spec, clients, seed=seed, horizon=horizon, deadline=DEADLINE,
@@ -385,6 +397,7 @@ def _run_variant(seed: int, mode: str):
         dpu_seconds=captured["dpu_seconds"],
         scale_outs=scaler.scale_outs if scaler else 0,
         drains=scaler.drains if scaler else 0,
+        entries=sim._eid - first_entry,
     )
     return result, scaler, monitor, sim
 

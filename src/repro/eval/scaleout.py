@@ -110,6 +110,10 @@ class ScalePoint:
     p99_latency: float
     round_trips: int
     cache_hit_rate: float
+    #: Engine entries the measured window cost (``Simulator._eid``
+    #: delta): what the simulator paid, not what the model did, so it
+    #: stays out of :meth:`line`.
+    entries: int
 
     def line(self) -> str:
         """Canonical one-line form (same seed => same bytes)."""
@@ -144,6 +148,8 @@ class ScaleoutEvent:
     handoff_spans: int
     forwarded_ops: int
     gated_ops: int
+    #: Engine entries of the event window (see :class:`ScalePoint`).
+    entries: int
 
     def line(self) -> str:
         """Canonical one-line form (same seed => same bytes)."""
@@ -174,6 +180,14 @@ class ScaleoutReport:
     batching_gain_8dpu: float
     telemetry: bytes
 
+    @property
+    def entries_per_op(self) -> float:
+        """Engine entries per client op over every measured window: the
+        deterministic proxy for what the experiment costs to run."""
+        runs = [*self.points, self.event]
+        return (sum(run.entries for run in runs)
+                / sum(run.ops + run.failures for run in runs))
+
     def canonical_bytes(self) -> bytes:
         """The whole experiment as canonical bytes."""
         lines = [p.line() for p in self.points]
@@ -199,6 +213,7 @@ def metrics(report) -> Dict[str, Metric]:
         "event_keys_moved": Metric(report.event.keys_moved, INFO, "keys"),
         "event_migration_s": Metric(
             report.event.migration_duration, INFO, "s"),
+        "entries_per_op": Metric(report.entries_per_op, LOWER, "1/op"),
         "report_digest": Metric(0.0, INFO, digest(report.canonical_bytes())),
         "telemetry_digest": Metric(0.0, INFO, digest(report.telemetry)),
     }
@@ -310,6 +325,7 @@ def _run_point(seed: int, dpus: int, optimized: bool) -> ScalePoint:
     _preload(sim, cluster, hot + cold)
 
     start = sim.now
+    first_entry = sim._eid
     horizon = start + DURATION
     outcomes: List[Tuple[float, float, bool, int]] = []
     for index, client in enumerate(clients):
@@ -335,6 +351,7 @@ def _run_point(seed: int, dpus: int, optimized: bool) -> ScalePoint:
         p99_latency=percentile(latencies, 0.99) if latencies else 0.0,
         round_trips=sum(c.round_trips for c in clients),
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+        entries=sim._eid - first_entry,
     )
 
 
@@ -347,6 +364,7 @@ def _run_event(seed: int) -> Tuple[ScaleoutEvent, Simulator]:
     _preload(sim, cluster, hot + cold)
 
     start = sim.now
+    first_entry = sim._eid
     horizon = start + EVENT_DURATION
     outcomes: List[Tuple[float, float, bool, int]] = []
     for index, client in enumerate(clients):
@@ -422,6 +440,7 @@ def _run_event(seed: int) -> Tuple[ScaleoutEvent, Simulator]:
         gated_ops=sum(
             f.gated_ops for f in cluster.forwarders.values()
         ),
+        entries=sim._eid - first_entry,
     )
     return event, sim
 

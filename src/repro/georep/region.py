@@ -144,6 +144,10 @@ class LogShipper:
                 wake = Event(self.sim)
                 self.region._ship_wakes.append(wake)
                 yield self.sim.any_of([wake, self.sim.timeout(self.interval)])
+                if not wake.triggered:
+                    # The poll timed out: take the wake back, or an idle
+                    # region collects one dead event per interval.
+                    self.region._ship_wakes.remove(wake)
                 self._update_lag()
                 continue
             if not self.breaker.allow():

@@ -30,8 +30,11 @@ class Link:
     callback that hands the frame to :attr:`sink`.
 
     :attr:`sink` is a one-argument callable. It defaults to this link's
-    receive queue (drained with :meth:`receive`); a switch installs its
-    ingress stage there, a datagram socket its reassembly.
+    receive queue (drained with :meth:`receive`); a datagram socket
+    installs its reassembly there. A link that feeds a switch has an
+    :attr:`ingress` instead: it is told, as the frame leaves the
+    transmitter, the instant the frame will arrive, and schedules its
+    own stage from that — the propagation costs no entry of its own.
 
     A fault injector attached via :meth:`attach_faults` can drop frames
     (FRAME_DROP), corrupt them (FRAME_CORRUPT — the receiver's FCS check
@@ -66,6 +69,9 @@ class Link:
         self.rx_queue: Store = Store(sim)
         #: Where a frame goes once it has propagated.
         self.sink: Callable[[Frame], None] = self.rx_queue.put_nowait
+        #: ``ingress(frame, arrive_at)``, set by the switch this link
+        #: feeds; takes the place of the propagation entry and the sink.
+        self.ingress: Optional[Callable[[Frame, float], None]] = None
         #: ``(frame, span, done)`` being serialized, then those waiting
         #: for the transmitter in FIFO order. ``span`` is the open net.tx
         #: span (None untraced); ``done`` wakes a sender that had to
@@ -198,6 +204,8 @@ class Link:
             self._frames_dropped.inc()
         elif outcome == "corrupt":
             self._frames_corrupted.inc()
+        elif self.ingress is not None:
+            self.ingress(frame, self.sim.now + self.propagation)
         else:
             self.sim.call_later(self.propagation, partial(self.sink, frame))
 

@@ -66,21 +66,23 @@ class Switch:
 
         The ingress stage takes one frame at a time, ``forward_latency``
         each: a frame that arrives while the previous one is still being
-        looked up waits for it. No process — the arrival schedules the
-        forward at the instant the stage will be done with the frame.
+        looked up waits for it. The stage is fed by this one link, in
+        FIFO order, so when the stage will be done with a frame is known
+        as soon as its arrival instant is — when it leaves the link's
+        transmitter. That is when the forward is scheduled: one entry
+        per crossing of the stage, none for the arrival itself.
         """
         sim = self.sim
         forward = self._forward
         busy_until = 0.0  # when the stage is done with its last frame
 
-        def on_arrival(frame: Frame) -> None:
+        def ingress(frame: Frame, arrive_at: float) -> None:
             nonlocal busy_until
-            now = sim.now
-            start = busy_until if busy_until > now else now
+            start = busy_until if busy_until > arrive_at else arrive_at
             busy_until = start + self.forward_latency
             sim.call_at(busy_until, partial(forward, frame))
 
-        link.sink = on_arrival
+        link.ingress = ingress
 
     def _forward(self, frame: Frame) -> None:
         if (frame.dst in self._blackholed

@@ -81,7 +81,11 @@ class NvmeQueuePair:
             # try_put completes the command with QUEUE_FULL via _on_drop
             # when at capacity — the submitter never blocks.
             self.queue.try_put(command)
+        elif len(self.sq) < self.depth:
+            self.sq.put_nowait(command)
         else:
+            # A full submission queue stalls the submission, not the
+            # submitter: a process waits for the slot on its behalf.
             self.sim.process(self._enqueue(command))
         return done
 
@@ -257,13 +261,21 @@ class NvmeController(PcieDevice):
         if self.link is not None:
             yield from self.link.transfer(size_bytes)
 
+    def _stripe(self, page_op, lba: int, count: int):
+        """Process: *page_op* on *count* pages from *lba*. The FTL
+        stripes a multi-page command across dies in parallel; one page
+        has nothing to run beside and stays in this process."""
+        if count == 1:
+            yield from page_op(lba)
+            return
+        yield self.sim.all_of([
+            self.sim.process(page_op(lba + i)) for i in range(count)
+        ])
+
     def _do_read(self, namespace: AnyNamespace, command: NvmeCommand):
-        # The FTL stripes a multi-block command across dies in parallel.
-        reads = [
-            self.sim.process(self.flash.read_page(command.lba + i))
-            for i in range(command.block_count)
-        ]
-        yield self.sim.all_of(reads)
+        yield from self._stripe(
+            self.flash.read_page, command.lba, command.block_count
+        )
         try:
             data = namespace.read_blocks(command.lba, command.block_count)
         except ProtocolError:
@@ -282,11 +294,7 @@ class NvmeController(PcieDevice):
         else:
             namespace.write_blocks(command.lba, payload)
         count = max(1, (len(payload) + LBA_SIZE - 1) // LBA_SIZE)
-        programs = [
-            self.sim.process(self.flash.program_page(command.lba + i))
-            for i in range(count)
-        ]
-        yield self.sim.all_of(programs)
+        yield from self._stripe(self.flash.program_page, command.lba, count)
         return NvmeCompletion(command.cid, NvmeStatus.SUCCESS)
 
     def _do_append(self, namespace: AnyNamespace, command: NvmeCommand):

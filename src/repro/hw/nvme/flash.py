@@ -114,7 +114,7 @@ class FlashArray:
         the cell read completed but ECC could not correct the data.
         """
         die_index = self._die_for_page(page_index)
-        yield self._dies[die_index].request()
+        yield from self._dies[die_index].acquire()
         try:
             yield self.sim.timeout(self.timing.read_latency + self._stuck_penalty())
         finally:
@@ -127,7 +127,7 @@ class FlashArray:
                 f"{self.component}: uncorrectable read at page {page_index}"
             )
         channel = self._channels[self._channel_for_die(die_index)]
-        yield channel.request()
+        yield from channel.acquire()
         try:
             yield self.sim.timeout(self._transfer_time())
             self._reads.inc()
@@ -138,12 +138,12 @@ class FlashArray:
         """Process: one page program (channel transfer + cell program)."""
         die_index = self._die_for_page(page_index)
         channel = self._channels[self._channel_for_die(die_index)]
-        yield channel.request()
+        yield from channel.acquire()
         try:
             yield self.sim.timeout(self._transfer_time())
         finally:
             channel.release()
-        yield self._dies[die_index].request()
+        yield from self._dies[die_index].acquire()
         try:
             yield self.sim.timeout(
                 self.timing.program_latency + self._stuck_penalty()
@@ -155,7 +155,7 @@ class FlashArray:
     def erase_block(self, page_index: int):
         """Process: erase the block containing ``page_index``."""
         die_index = self._die_for_page(page_index)
-        yield self._dies[die_index].request()
+        yield from self._dies[die_index].acquire()
         try:
             yield self.sim.timeout(self.timing.erase_latency)
         finally:

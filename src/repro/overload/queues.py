@@ -50,10 +50,11 @@ class BoundedQueue:
     ``on_drop`` hook is set, reported) so backpressure propagates
     *immediately* instead of accumulating as hidden putter state.
 
-    Consumption comes in two shapes: :meth:`get` returns an
-    :class:`~repro.sim.Event` for simulation processes (waits while
-    empty), and :meth:`poll` synchronously returns an item or ``None``
-    for epoch-driven callers like the tiering policy.
+    Consumption comes in two shapes: :meth:`poll` synchronously returns
+    an item or ``None`` (epoch-driven callers like the tiering policy,
+    and a worker between two requests), and :meth:`get` returns an
+    :class:`~repro.sim.Event` for a process with nothing to do — the
+    next :meth:`try_put` hands it the item and resumes it inline.
     """
 
     def __init__(
@@ -121,11 +122,13 @@ class BoundedQueue:
     def try_put(self, item: Any) -> bool:
         """Enqueue ``item``; ``False`` (and a counted drop) when full."""
         if self._getters:
-            # Direct handoff to a waiting consumer: zero sojourn.
-            self._getters.popleft().succeed(item)
+            # Direct handoff to a waiting consumer: zero sojourn. The
+            # consumer starts on the item inside this call (an inline
+            # wake), so the accounting is settled first.
             self._enqueued.inc()
             self._dequeued.inc()
             self._sojourn.observe(0.0)
+            self._getters.popleft().wake(item)
             return True
         if len(self._entries) >= self.capacity:
             self._dropped_full.inc()

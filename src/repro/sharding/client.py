@@ -195,8 +195,12 @@ class ShardedKvClient:
         *slowest* owner's round trip, not the sum — without this, a
         batch spanning many DPUs serializes and scaling flattens. The
         first sub-batch failure is re-raised after every sub-batch has
-        settled (no orphaned in-flight work).
+        settled (no orphaned in-flight work). A single sub-batch has
+        nothing to overlap with and runs in the caller's process.
         """
+        if len(thunks) == 1:
+            yield from thunks[0]()
+            return
         errors: List[RpcError] = []
 
         def runner(thunk):

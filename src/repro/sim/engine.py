@@ -27,6 +27,10 @@ Hot-path design notes (every simulated operation crosses this module):
   A fixed-latency stage (a frame propagating down a link, a switch
   forwarding it) is a scheduled callback; a process is for anything
   that waits on more than one thing.
+* An entry is a modeled latency or a real wait. Where a waiter can
+  proceed at the current instant and the caller is at the root of its
+  own entry, :meth:`Event.wake` runs the waiter inline instead of
+  queueing a lane entry for it (see its docstring for the contract).
 * The ``_schedule`` -> push path is inlined at the hot call sites
   (``Timeout.__init__``, ``succeed``/``fail``, process completion), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
@@ -134,6 +138,32 @@ class Event:
             self._fire_at = sim._schedule(self, delay)
         self._value = exception
         self._ok = False
+        return self
+
+    def wake(self, value: Any = None) -> "Event":
+        """Trigger successfully and run the callbacks *now*, inside the
+        engine entry that is executing — no queue entry, no eid.
+
+        The waiter proceeds at the current instant anyway; this skips
+        the lane hop :meth:`succeed` would take to get there. The event
+        is processed when this returns, so a process that yields it
+        later resumes at once with *value*. Everything the waiters do up
+        to their next yield runs inside this call: use it only from the
+        root of a delivery or scheduled-callback entry, or as the last
+        thing a process does before it yields — never while the caller
+        still holds a half-updated invariant. A callback's exception
+        propagates to the caller (and so out of :meth:`Simulator.run`);
+        nothing was queued, so the queues stay consistent.
+        """
+        if self._value is not _PENDING:
+            raise RuntimeError("event already triggered")
+        self._fire_at = self.sim.now
+        self._value = value
+        self._ok = True
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:

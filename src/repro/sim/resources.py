@@ -32,6 +32,19 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def try_acquire(self) -> bool:
+        """Take a free unit synchronously; ``False`` when none is free.
+
+        An uncontended grant then costs no engine entry (see
+        :meth:`acquire`). It cannot overtake a queued waiter — a unit is
+        only ever free while nobody waits, because :meth:`release` hands
+        units straight on.
+        """
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise RuntimeError("release() without a matching request()")
@@ -42,8 +55,10 @@ class Resource:
             self.in_use -= 1
 
     def acquire(self):
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request()
+        """Generator helper: ``yield from resource.acquire()`` — takes
+        a free unit on the spot, waits for a grant only when none is."""
+        if not self.try_acquire():
+            yield self.request()
 
     @property
     def queue_length(self) -> int:

@@ -13,6 +13,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, ProtocolError
@@ -34,6 +35,16 @@ BATCH_METHOD = "rpc.batch"
 
 #: Most sub-operations one batch may coalesce into a single round trip.
 MAX_BATCH_OPS = 64
+
+
+#: What an attempt's event is woken with when nobody answered in time.
+_TIMED_OUT = object()
+
+
+def _expire(answered: Event) -> None:
+    """Scheduled at an attempt's expiry; a no-op once it was answered."""
+    if not answered.triggered:
+        answered.wake(_TIMED_OUT)
 
 
 class RpcError(ProtocolError):
@@ -369,9 +380,15 @@ class RpcServer:
 
     def _worker_loop(self):
         """One wimpy core: run-to-completion service off the queue."""
-        assert self.queue is not None
+        queue = self.queue
+        assert queue is not None
         while True:
-            src, request = yield self.queue.get()
+            # Take what is already waiting inside this entry; park on a
+            # getter (woken inline by try_put) only when there is nothing.
+            item = queue.poll()
+            if item is None:
+                item = yield queue.get()
+            src, request = item
             if request.trace is not None:
                 yield from self._tracer.drive(
                     self._handle(src, request), request.trace
@@ -413,15 +430,11 @@ class RpcServer:
         with span:
             try:
                 outcome = handler(*request.args)
-                if hasattr(outcome, "send"):  # a generator: run it in sim time
-                    if context is not None:
-                        # The handler runs as its own process; keep it on
-                        # the caller's flow across its resumptions too.
-                        outcome = yield self.sim.process(
-                            tracer.drive(outcome, context)
-                        )
-                    else:
-                        outcome = yield self.sim.process(outcome)
+                if hasattr(outcome, "send"):
+                    # A generator: run it to completion in sim time, in
+                    # this process (already on the caller's flow when
+                    # the request is traced).
+                    outcome = yield from outcome
                 response = RpcResponse(request.rpc_id, ok=True, result=outcome)
             except Exception as exc:  # noqa: BLE001 - marshalled to the client
                 response = RpcResponse(request.rpc_id, ok=False, error=str(exc))
@@ -469,12 +482,7 @@ class RpcServer:
                 try:
                     outcome = handler(*args)
                     if hasattr(outcome, "send"):
-                        if context is not None:
-                            outcome = yield self.sim.process(
-                                tracer.drive(outcome, context)
-                            )
-                        else:
-                            outcome = yield self.sim.process(outcome)
+                        outcome = yield from outcome
                     results.append(RpcResponse(position, ok=True,
                                                result=outcome))
                 except Exception as exc:  # noqa: BLE001 - marshalled per op
@@ -539,7 +547,8 @@ class RpcClient:
         if isinstance(response, RpcResponse):
             waiter = self._pending.pop(response.rpc_id, None)
             if waiter is not None:
-                waiter.succeed(response)
+                # Root of the delivery entry: the caller resumes here.
+                waiter.wake(response)
 
     def call(
         self,
@@ -713,8 +722,6 @@ class RpcClient:
     ):
         """Process: the shared send/retransmit/deadline loop for one id."""
         method = request.method
-        done = Event(self.sim)
-        self._pending[request.rpc_id] = done
         started = self.sim.now
         rng = policy.rng_for(request.rpc_id) if policy is not None else None
         attempts = 0
@@ -735,11 +742,17 @@ class RpcClient:
             span = NULL_SPAN
         with span:
             while True:
+                # One event per attempt, registered before the send so a
+                # late answer to an earlier transmission still lands.
+                # ``_on_datagram`` wakes it with the response; the
+                # attempt's expiry, if it gets there first, with
+                # ``_TIMED_OUT``.
+                answered = self._pending[request.rpc_id] = Event(self.sim)
                 yield from self.transport.sendto(
                     server, request, RPC_HEADER + request_size
                 )
                 if timeout is None and policy is None and deadline is None:
-                    response = yield done
+                    response = yield answered
                     break
                 # How long to wait before this attempt is declared lost.
                 if policy is not None:
@@ -757,9 +770,10 @@ class RpcClient:
                             f"{method} to {server}: deadline exceeded"
                         )
                     wait = min(wait, remaining)
-                outcome = yield self.sim.any_of([done, self.sim.timeout(wait)])
-                if done in outcome:
-                    response = done.value
+                if not answered.triggered:
+                    self.sim.call_later(wait, partial(_expire, answered))
+                response = yield answered
+                if response is not _TIMED_OUT:
                     break
                 if deadline is not None and self.sim.now - started >= deadline:
                     self._pending.pop(request.rpc_id, None)

@@ -441,6 +441,23 @@ class TestLogTruncation:
         with pytest.raises(KeyError):
             log.since(0, 4)
 
+    def test_idle_region_keeps_no_dead_shipper_wakes(self):
+        # A caught-up shipper polls every interval; a region that takes
+        # no writes (a follower, a lost region) must not collect one
+        # dead wake event per poll.
+        sim = Simulator()
+        cluster = GeoCluster(sim, ("a", "b"))
+        sim.run(until=1.0)
+        for region in cluster.regions.values():
+            assert len(region._ship_wakes) <= len(region.peers)
+        # A write still wakes the shipper ahead of its poll.
+        client = GeoKvClient(sim, cluster, "w", home="a")
+        put = sim.process(client.put(b"k", b"v"))
+        sim.run(until=1.1)
+        assert put.triggered and put.ok
+        drain(sim, cluster)
+        assert cluster.region("b").applied_from["a"] == 1
+
 
 class TestDeterminism:
     def test_replication_telemetry_byte_identical(self):

@@ -326,9 +326,11 @@ class TestCallbackDatapath:
         assert net.switch.frames_blackholed == 1
 
     def test_no_process_per_frame(self):
-        """One frame end to end is five instants and five engine entries
-        (two serializations, two propagations, one lookup) — plus the
-        sender process's own bootstrap and completion."""
+        """One frame end to end is four engine entries — two
+        serializations, the switch lookup (scheduled when the frame
+        leaves the uplink, for the instant it will have arrived and been
+        looked up), the propagation to the endpoint — plus the sender
+        process's own bootstrap and completion."""
         sim = Simulator()
         net = Network(sim)
         a, b = net.endpoint("a"), net.endpoint("b")
@@ -339,7 +341,7 @@ class TestCallbackDatapath:
         before = sim._eid
         sim.process(a.send(Frame("a", "b", None, 64)))
         sim.run()
-        assert sim._eid - before == 5 + 2
+        assert sim._eid - before == 4 + 2
         assert len(spawned) == 1  # the sender; nothing inside hw.net
 
     def test_listen_needs_an_rx_link(self):

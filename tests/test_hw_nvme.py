@@ -147,6 +147,30 @@ class TestController:
 
         assert run(True) < run(False) / 4
 
+    def test_full_submission_queue_stalls_submissions_in_fifo_order(self):
+        """Submissions beyond the queue depth wait for a slot (and keep
+        their order) instead of being refused; below it they are queued
+        on the spot, with no process in between."""
+        sim = Simulator()
+        ssd = NvmeController(sim, "nvme-0", queue_depth=2)
+        ssd.add_namespace(Namespace(1, 64))
+        qp = ssd.create_queue_pair()
+        finished = []
+
+        def submit(lba):
+            yield qp.submit(NvmeCommand(NvmeOpcode.FLUSH, lba=lba))
+            finished.append(lba)
+
+        for lba in range(5):
+            sim.process(submit(lba))
+        sim.run()  # nothing drains the queue yet
+        assert [c.lba for c in qp.sq.items] == [0, 1]
+        assert len(qp.sq._putters) == 3 and finished == []
+        ssd.start()
+        sim.run()
+        assert finished == [0, 1, 2, 3, 4]
+        assert ssd.commands_executed == 5
+
     def test_flush_succeeds(self):
         sim = Simulator()
         __, qp = make_ssd(sim)

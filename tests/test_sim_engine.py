@@ -627,3 +627,116 @@ class TestScheduledCallbacks:
 
         sim.run_process(worker())
         assert calls == ["process", "timeout", "event"]
+
+
+class TestInlineWake:
+    """``Event.wake``: trigger and run the callbacks inside the current
+    entry — no eid, no lane hop."""
+
+    def test_waiter_resumes_inside_the_call_and_no_eid_is_spent(self):
+        sim = Simulator()
+        gate = sim.event()
+        log = []
+
+        def waiter():
+            value = yield gate
+            log.append(("woken", value, sim.now))
+            yield sim.timeout(1.0)
+            log.append(("later", sim.now))
+
+        sim.process(waiter())
+        sim.run()  # the waiter is parked on the gate
+        before = sim._eid
+
+        def deliver():
+            gate.wake("payload")
+            log.append("after wake")  # the waiter already ran
+
+        sim.call_later(2.0, deliver)
+        sim.run()
+        assert log == [("woken", "payload", 2.0), "after wake",
+                       ("later", 3.0)]
+        # deliver, the waiter's timeout, its completion: nothing for the wake.
+        assert sim._eid - before == 3
+        assert gate.triggered and gate.processed and gate.ok
+
+    def test_waking_a_triggered_event_raises(self):
+        sim = Simulator()
+        for trigger in (lambda e: e.succeed(1), lambda e: e.wake(1),
+                        lambda e: e.fail(KeyError("x"))):
+            event = sim.event()
+            trigger(event)
+            with pytest.raises(RuntimeError, match="already triggered"):
+                event.wake(2)
+        # ... and the other way round: a woken event cannot be re-triggered.
+        event = sim.event()
+        event.wake()
+        with pytest.raises(RuntimeError, match="already triggered"):
+            event.succeed()
+
+    def test_late_yield_on_a_woken_event_resumes_at_once_with_its_value(self):
+        sim = Simulator()
+        gate = sim.event()
+        gate.wake(41)  # nobody waiting yet
+        before = sim._eid
+
+        def late():
+            value = yield gate
+            return value + 1, sim.now
+
+        assert sim.run_process(late()) == (42, 0.0)
+        assert sim._eid - before == 2  # bootstrap and completion only
+
+    def test_any_of_sees_a_woken_child_as_having_happened(self):
+        sim = Simulator()
+        gate = sim.event()
+
+        def waiter():
+            outcome = yield sim.any_of([gate, sim.timeout(5.0)])
+            return dict(outcome), sim.now
+
+        process = sim.process(waiter())
+        sim.call_later(1.0, lambda: gate.wake("first"))
+        sim.run()
+        assert process.value == ({gate: "first"}, 1.0)
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_exception_in_a_woken_callback_leaves_the_queues_consistent(
+            self, until):
+        sim = Simulator()
+        log = []
+        boom = RuntimeError("boom")
+        gate = sim.event()
+
+        def explode(event):
+            raise boom
+
+        gate.callbacks.append(lambda event: log.append("first waiter"))
+        gate.callbacks.append(explode)
+        sim.call_later(1.0, lambda: log.append("before"))
+        sim.call_later(1.0, lambda: gate.wake())
+        sim.call_later(1.0, lambda: log.append("after"))
+        sim.call_later(2.0, lambda: log.append("later"))
+        with pytest.raises(RuntimeError) as caught:
+            sim.run(until=until)
+        assert caught.value is boom  # unchanged, not wrapped
+        assert log == ["before", "first waiter"] and sim.now == 1.0
+        assert gate.processed  # triggered once, for good
+        sim.run(until=until)  # continues with the entry after the bad one
+        assert log == ["before", "first waiter", "after", "later"]
+
+    def test_exception_in_a_woken_callback_propagates_out_of_step(self):
+        sim = Simulator()
+        log = []
+        gate = sim.event()
+
+        def explode(event):
+            raise KeyError("lost")
+
+        gate.callbacks.append(explode)
+        sim.call_later(0.0, lambda: gate.wake())
+        sim.call_later(0.0, lambda: log.append("next"))
+        with pytest.raises(KeyError, match="lost"):
+            sim.step()
+        sim.step()
+        assert log == ["next"] and not sim._imm and not sim._heap

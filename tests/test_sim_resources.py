@@ -1,6 +1,8 @@
 """Tests for simulated resources and stores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Resource, Simulator, Store
 
@@ -80,6 +82,94 @@ class TestResource:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Simulator(), capacity=0)
+
+    def test_try_acquire_takes_a_free_unit_without_an_engine_entry(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=2)
+        before = sim._eid
+        assert res.try_acquire() and res.try_acquire()
+        assert not res.try_acquire()  # both units out
+        assert res.in_use == 2 and sim._eid == before
+        res.release()
+        assert res.in_use == 1 and res.try_acquire()
+
+    def test_acquire_waits_only_when_no_unit_is_free(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def worker(name, hold):
+            before = sim._eid
+            yield from res.acquire()
+            log.append((name, sim.now, sim._eid - before))
+            yield sim.timeout(hold)
+            res.release()
+
+        sim.process(worker("a", 5.0))
+        sim.process(worker("b", 1.0))
+        sim.run()
+        # "a" took the free unit on the spot; "b" waited for the grant.
+        assert [entry[:2] for entry in log] == [("a", 0.0), ("b", 5.0)]
+        assert log[0][2] == 0 and log[1][2] > 0
+
+    def test_release_after_try_acquire_serves_waiters_in_fifo_order(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        assert res.try_acquire()
+        granted = []
+        for name in "abc":
+            res.request().callbacks.append(
+                lambda event, name=name: granted.append(name))
+        # A queued waiter is never overtaken: the unit is not free.
+        assert not res.try_acquire() and res.queue_length == 3
+        for expected in (["a"], ["a", "b"], ["a", "b", "c"]):
+            res.release()
+            assert not res.try_acquire()  # handed on, not freed
+            sim.run()
+            assert granted == expected
+        res.release()
+        assert res.in_use == 0 and res.try_acquire()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=3),
+        ops=st.lists(st.sampled_from(["try", "request", "release"]),
+                     max_size=40),
+    )
+    def test_try_acquire_and_request_agree_with_a_reference_counter(
+            self, capacity, ops):
+        """Any interleaving of try_acquire / request / release grants
+        exactly what a counter plus a FIFO of waiters would."""
+        sim = Simulator()
+        res = Resource(sim, capacity=capacity)
+        granted = []  # request ids, in the order their events fired
+        held, waiting, expected, next_id = 0, [], [], 0
+        for op in ops:
+            if op == "try":
+                free = held < capacity
+                assert res.try_acquire() is free
+                held += free
+            elif op == "request":
+                res.request().callbacks.append(
+                    lambda event, rid=next_id: granted.append(rid))
+                if held < capacity:
+                    held += 1
+                    expected.append(next_id)
+                else:
+                    waiting.append(next_id)
+                next_id += 1
+            elif held:
+                res.release()
+                if waiting:
+                    expected.append(waiting.pop(0))
+                else:
+                    held -= 1
+            else:
+                with pytest.raises(RuntimeError):
+                    res.release()
+            assert (res.in_use, res.queue_length) == (held, len(waiting))
+        sim.run()
+        assert granted == expected
 
 
 class TestStore:
