@@ -139,7 +139,10 @@ class Fail2BanDpu:
 
     def _write_log_block(self, data: bytes):
         """Process: one block to the next log LBA; a failed write raises."""
+        # Reserve the LBA before submitting: callers overlap on the
+        # II-pipelined port, and each flush must get its own block.
         lba = self._log_lba
+        self._log_lba += 1
         completion = yield self._log_qp.submit(
             NvmeCommand(NvmeOpcode.WRITE, lba=lba, data=data)
         )
@@ -147,7 +150,6 @@ class Fail2BanDpu:
             raise ProtocolError(
                 f"packet log write failed at LBA {lba}: {completion.status.name}"
             )
-        self._log_lba += 1
 
     def _append_log(self, record: bytes):
         self._log_buffer.extend(record)

@@ -65,9 +65,12 @@ class RemoteTreeService:
     # -- offloaded interface ---------------------------------------------------
     def _lookup(self, key: Any):
         """The near-data walker: whole traversal at local latency."""
-        path = self.tree.search_path(key)
-        for _ in path:
-            yield self.sim.timeout(LOCAL_FETCH_LATENCY)
+        # One local fetch per node on the root-to-leaf path (never
+        # empty), back to back: one sleep to the instant the walk ends.
+        done_at = self.sim.now
+        for _ in self.tree.search_path(key):
+            done_at += LOCAL_FETCH_LATENCY
+        yield self.sim.timeout_at(done_at)
         self.offloaded_lookups_served += 1
         return self.tree.get(key)
 

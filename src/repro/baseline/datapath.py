@@ -60,15 +60,18 @@ class CpuCentricDatapath:
             self._page_cache.extend(packet)
             if len(self._page_cache) >= 4096:
                 block = bytes(self._page_cache[:4096])
-                self._page_cache = self._page_cache[4096:]
+                del self._page_cache[:4096]
+                # Reserve the LBA before submitting: a caller whose flush
+                # overlaps this one must get the next block, not this one.
+                lba = self._log_lba
+                self._log_lba += 1
                 completion = yield self.qp.submit(
-                    NvmeCommand(NvmeOpcode.WRITE, lba=self._log_lba, data=block)
+                    NvmeCommand(NvmeOpcode.WRITE, lba=lba, data=block)
                 )
                 if not completion.ok:
                     raise ProtocolError(
-                        f"packet log write failed at LBA {self._log_lba}: "
+                        f"packet log write failed at LBA {lba}: "
                         f"{completion.status.name}"
                     )
-                self._log_lba += 1
         self.packets_processed += 1
         return result.return_value

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.registry import select
+from repro.eval.registry import run_each, select
 from repro.eval.report import HIGHER, INFO, LOWER
 
 #: Relative change on a directional metric that counts as a regression.
@@ -76,25 +76,37 @@ class BenchRun:
         return (text + "\n").encode()
 
 
-def run_suite(seed: Optional[int] = None,
-              keys: Sequence[str] = ()) -> BenchRun:
+def measured(key: str, seed: Optional[int]) -> Tuple[
+        float, Dict[str, Any], Optional[List[str]]]:
+    """The ``run_each`` task: run one benchmarked row; its wall seconds,
+    metric payloads by name and violated claims (None: it has none)."""
+    (experiment,) = select([key], benchmarked=True)
+    started = time.perf_counter()
+    report = experiment.execute(seed)
+    wall = time.perf_counter() - started
+    metrics = {name: metric.payload()
+               for name, metric in sorted(experiment.metrics(report).items())}
+    claims = None if experiment.accept is None else experiment.accept(report)
+    return wall, metrics, claims
+
+
+def run_suite(seed: Optional[int] = None, keys: Sequence[str] = (),
+              jobs: int = 1) -> BenchRun:
     """Run the benchmarked experiments (all, or *keys*) and build the
-    canonical payload. An unknown key raises ``SelectionError``."""
+    canonical payload. An unknown key raises ``SelectionError``. *jobs*
+    worker processes share the rows; the payload does not depend on it."""
     experiments: Dict[str, Any] = {}
     wall: Dict[str, float] = {}
     violations: Dict[str, List[str]] = {}
-    for experiment in select(keys, benchmarked=True):
-        started = time.perf_counter()
-        report = experiment.execute(seed)
-        wall[experiment.key] = time.perf_counter() - started
-        if experiment.accept is not None:
-            violations[experiment.key] = experiment.accept(report)
+    selected = select(keys, benchmarked=True)
+    for experiment, (seconds, metrics, claims) in zip(
+            selected, run_each(measured, selected, seed, jobs)):
+        wall[experiment.key] = seconds
+        if claims is not None:
+            violations[experiment.key] = claims
         experiments[experiment.key] = {
             "title": experiment.bench_title,
-            "metrics": {
-                name: metric.payload()
-                for name, metric in sorted(experiment.metrics(report).items())
-            },
+            "metrics": metrics,
         }
     payload = {
         "format": ARTIFACT_FORMAT,

@@ -9,6 +9,7 @@ Usage::
     python -m repro.bench --output-dir out  # artifact directory (default: .)
     python -m repro.bench --list            # registered experiments
     python -m repro.bench e12 e13           # subset (not published)
+    python -m repro.bench --check -j 2      # rows in 2 processes, same bytes
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import sys
 from pathlib import Path
 
 from repro.bench import BenchOutcome, publish, run_suite
-from repro.eval.registry import SelectionError, pop_option, select
+from repro.eval.registry import (
+    SelectionError, pop_option, positive_int, select,
+)
 
 
 def _report(outcome: BenchOutcome) -> str:
@@ -75,7 +78,8 @@ def main(argv) -> int:
         seed = pop_option(args, "--seed", int, "an integer")
         directory = Path(
             pop_option(args, "--output-dir", str, "a path") or ".")
-        run = run_suite(seed=seed, keys=args)
+        jobs = pop_option(args, "-j", positive_int, "a positive integer") or 1
+        run = run_suite(seed=seed, keys=args, jobs=jobs)
     except SelectionError as error:
         print(error, file=sys.stderr)
         return 2

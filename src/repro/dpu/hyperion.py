@@ -112,9 +112,10 @@ class HyperionDpu:
             raise ConfigurationError("already booted")
         report = BootReport()
         started = self.sim.now
-        yield self.sim.timeout(JTAG_SELF_TEST_LATENCY)
+        shell_up_at = started + JTAG_SELF_TEST_LATENCY
+        shell_up_at += SHELL_CONFIG_LATENCY
+        yield self.sim.timeout_at(shell_up_at)
         report.jtag_ok = True
-        yield self.sim.timeout(SHELL_CONFIG_LATENCY)
         # PCIe enumeration by the on-fabric root complex.
         for record in self.root_complex.enumerate():
             report.enumerated_ssds.append(record.bdf)

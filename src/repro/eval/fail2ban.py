@@ -34,6 +34,9 @@ class Fail2BanResult:
     total_time: float
     per_packet: float
     throughput_pps: float
+    #: Engine entries the scenario consumed (``Simulator._eid`` delta):
+    #: what the path costs to simulate. Published, not rendered.
+    entries: int
 
 
 def metrics(results) -> Dict[str, Metric]:
@@ -43,6 +46,10 @@ def metrics(results) -> Dict[str, Metric]:
         "dpu_per_packet_s": Metric(dpu.per_packet, LOWER, "s"),
         "speedup": Metric(base.total_time / dpu.total_time, HIGHER, "x"),
         "banned": Metric(dpu.banned, INFO, "packets"),
+        "dpu_entries_per_packet": Metric(
+            dpu.entries / dpu.packets, LOWER, "1/packet"),
+        "baseline_entries_per_packet": Metric(
+            base.entries / base.packets, LOWER, "1/packet"),
     }
 
 
@@ -67,7 +74,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=65536)
     sim.run_process(dpu.boot())
     app = Fail2BanDpu(sim, dpu, threshold=threshold)
-    started = sim.now
+    started, entries = sim.now, sim._eid
 
     def dpu_scenario():
         for packet in trace:
@@ -79,6 +86,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     dpu_result = Fail2BanResult(
         "hyperion-dpu", packet_count, app.banned_packets, dpu_time,
         dpu_time / packet_count, packet_count / dpu_time,
+        sim._eid - entries,
     )
 
     # -- baseline ------------------------------------------------------------
@@ -88,7 +96,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     ssd.add_namespace(Namespace(1, 65536))
     datapath = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu), ssd=ssd)
     baseline = Fail2BanBaseline(sim, datapath, threshold=threshold)
-    started = sim.now
+    started, entries = sim.now, sim._eid
 
     def baseline_scenario():
         for packet in trace:
@@ -99,6 +107,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     base_result = Fail2BanResult(
         "cpu-server", packet_count, baseline.banned_packets, base_time,
         base_time / packet_count, packet_count / base_time,
+        sim._eid - entries,
     )
     return [dpu_result, base_result]
 

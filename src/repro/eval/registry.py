@@ -3,7 +3,9 @@
 ``python -m repro.eval`` prints ``render(run())`` for each row;
 ``python -m repro.bench`` publishes ``metrics(run())`` for each row that
 has a ``metrics`` and checks ``accept(run())`` — the claims the
-default-config report must meet. Adding an experiment is one module
+default-config report must meet. Both run their rows through
+:func:`run_each`, which ``-j N`` spreads over worker processes: same
+bytes for every ``N``. Adding an experiment is one module
 (``run_*``, ``format_*`` and, when benchmarked, ``metrics`` and ``accept``
 next to its report dataclass) plus one row here, and one row each in
 EXPERIMENTS.md and DESIGN.md §3 (``tests/test_eval.py`` checks both).
@@ -12,8 +14,13 @@ EXPERIMENTS.md and DESIGN.md §3 (``tests/test_eval.py`` checks both).
 from __future__ import annotations
 
 import inspect
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.eval import (
     analytics, autoscale, chaos, compiler, corfu, efficiency, fail2ban,
@@ -164,6 +171,41 @@ def select(keys: Sequence[str] = (),
             "use --list to see the available ids"
         )
     return [rows[key] for key in keys]
+
+
+def run_each(task: Callable[[str, Optional[int]], Any],
+             rows: Sequence[Experiment], seed: Optional[int],
+             jobs: int = 1) -> Iterator[Any]:
+    """``task(row.key, seed)`` for every row, yielded in row order.
+
+    With *jobs* > 1 the calls run in that many worker processes; a row
+    is a fresh simulator and a seed, so where it runs cannot show in
+    what it returns. *task* is a module-level function returning plain
+    data (it crosses a process boundary by import path and by pickle).
+    """
+    keys = [row.key for row in rows]
+    if jobs == 1:
+        yield from map(task, keys, repeat(seed))
+        return
+    # spawn: workers start from a fresh import, whatever the parent did.
+    with ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        yield from pool.map(task, keys, repeat(seed))
+
+
+def rendered(key: str, seed: Optional[int]) -> str:
+    """The ``repro.eval`` task: run one row, return its printed report."""
+    (row,) = select([key])
+    return row.render(row.execute(seed))
+
+
+def positive_int(text: str) -> int:
+    """``pop_option`` converter for counts such as ``-j``."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def pop_option(args: List[str], flag: str, convert: Callable[[str], Any],

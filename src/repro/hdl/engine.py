@@ -5,6 +5,10 @@
 :class:`HardwarePipeline` executes programs with *fixed* latency and an
 initiation-interval-limited accept rate — the zero-jitter property that the
 predictability experiment (E6) measures against CPU execution.
+
+One input costs one engine entry (see :class:`HardwarePipeline`: the
+input port is a busy-until instant); ``tests/hdl_reference.py`` keeps
+the port that queued callers in the engine as the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.ebpf.verifier import Verifier, VerifierReport
 from repro.hdl.codegen import generate_verilog
 from repro.hdl.resources import AreaEstimate, estimate
 from repro.hdl.schedule import PipelineSchedule, schedule_pipeline
-from repro.sim import Resource, Simulator
+from repro.sim import Simulator
 
 
 @dataclass
@@ -97,8 +101,13 @@ class HardwarePipeline:
     * Results are functionally identical to the interpreter (the pipeline
       wraps a :class:`BpfVm` for semantics).
     * Latency is **fixed**: ``depth / f_max`` for every input, no jitter.
-    * Throughput is bounded by the initiation interval: the input port is
-      held for ``II`` cycles per accepted tuple.
+    * Throughput is bounded by the initiation interval: the input port
+      takes one tuple per ``II`` cycles. The port is a *busy-until*
+      instant, not a queue in the engine — an input starts at
+      ``max(now, port free)``, frees the port ``II`` later and leaves
+      the last stage ``latency - II`` after that — so one input is one
+      engine entry, in call order, and a caller that goes away while it
+      waits leaves nothing behind but the slot its input occupied.
     """
 
     def __init__(
@@ -111,7 +120,7 @@ class HardwarePipeline:
         self.sim = sim
         self.compiled = compiled
         self._vm = BpfVm(compiled.program, maps=maps, helpers=helpers)
-        self._input_port = Resource(sim, capacity=1)
+        self._port_free_at = 0.0  # when the input port takes its next tuple
         self.executions = 0
 
     @property
@@ -125,15 +134,13 @@ class HardwarePipeline:
 
     def execute(self, context: bytes = b""):
         """Process: one input through the pipeline; returns ExecutionResult."""
-        yield self._input_port.request()
-        try:
-            # The port is busy for II cycles per input...
-            yield self.sim.timeout(self.accept_interval)
-        finally:
-            self._input_port.release()
+        sim = self.sim
+        interval = self.accept_interval
+        # The port is busy for II cycles per input...
+        start = max(sim.now, self._port_free_at)
+        self._port_free_at = free_at = start + interval
         # ...then the input drains through the remaining stages.
-        remaining = max(0.0, self.latency - self.accept_interval)
-        yield self.sim.timeout(remaining)
+        yield sim.timeout_at(free_at + max(0.0, self.latency - interval))
         self.executions += 1
         return self._vm.run(context)
 

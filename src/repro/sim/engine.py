@@ -31,6 +31,10 @@ Hot-path design notes (every simulated operation crosses this module):
   proceed at the current instant and the caller is at the root of its
   own entry, :meth:`Event.wake` runs the waiter inline instead of
   queueing a lane entry for it (see its docstring for the contract).
+* Consecutive latencies of one actor are one wait. A chain of sleeps
+  with nothing observable between them folds its instants left to
+  right and sleeps once on :meth:`Simulator.timeout_at`, which fires at
+  exactly the float the chain reached.
 * The ``_schedule`` -> push path is inlined at the hot call sites
   (``Timeout.__init__``, ``succeed``/``fail``, process completion), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
@@ -477,6 +481,35 @@ class Simulator:
             heappush(self._heap, (when, eid, None, thunk))
         else:  # earlier, or NaN
             raise ValueError(f"cannot call_at the past: {when} (now {now})")
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute simulated time *when*:
+        the waitable twin of :meth:`call_at` (one eid, lane when *when*
+        is now, heap when later, a past or NaN *when* raises before
+        anything is queued).
+
+        For an actor whose next observable instant lies several modeled
+        latencies ahead: fold them onto the clock left to right —
+        ``when = sim.now + a; when += b; when += c`` — and sleep once.
+        That is the float a chain of ``timeout(a)``, ``timeout(b)``,
+        ``timeout(c)`` reaches; ``timeout(a + b + c)`` is not.
+
+        The event comes from the public ``event`` factory, so whatever
+        counts factory calls still sees one entry per wait.
+        """
+        event = self.event()
+        now = self.now
+        if when == now:
+            self._eid = eid = self._eid + 1
+            self._imm.append((now, eid, event, None))
+        elif when > now:
+            self._eid = eid = self._eid + 1
+            heappush(self._heap, (when, eid, event, None))
+        else:  # earlier, or NaN
+            raise ValueError(f"cannot timeout_at the past: {when} (now {now})")
+        event._fire_at = when
+        event._value = value
+        return event
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:

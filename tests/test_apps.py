@@ -127,6 +127,23 @@ class TestFail2BanDeployments:
         assert completion.data[:4096] == records[:4096]
         assert completion.data[4096:] == records[4096:].ljust(4096, b"\x00")
 
+    def test_overlapping_log_flushes_each_get_their_own_block(self):
+        """Two streams share the II-pipelined port, so their block
+        flushes overlap: 2 x 1024 sixteen-byte records are 8 blocks."""
+        sim = Simulator()
+        app = Fail2BanDpu(sim, booted_dpu(sim))
+
+        def stream(seed):
+            for packet in generate_packet_trace(1024, seed=seed):
+                yield from app.process_packet(packet)
+
+        sim.process(stream(1))
+        sim.process(stream(2))
+        sim.run()
+        assert app.banned_packets + app.passed_packets == 2048
+        assert app._log_lba == 8
+        assert app._log_ssd.namespaces[1].written_block_count() == 8
+
     def test_failed_log_write_is_a_named_error(self):
         sim = Simulator()
         app = Fail2BanDpu(sim, booted_dpu(sim))
@@ -153,6 +170,28 @@ class TestFail2BanDeployments:
 
         with pytest.raises(ProtocolError, match="LBA 1: LBA_OUT_OF_RANGE"):
             sim.run_process(scenario())
+
+    def test_baseline_overlapping_flushes_each_get_their_own_block(self):
+        """Half-page packets: while one caller waits on its flush the
+        other fills and flushes the next page."""
+        sim = Simulator()
+        cpu = CpuModel(sim)
+        ssd = NvmeController(sim, "ssd")
+        ssd.add_namespace(Namespace(1, 64))
+        path = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu), ssd=ssd)
+        vm = BpfVm(build_fail2ban_program(), maps={
+            BAN_MAP_FD: HashMap(key_size=8, value_size=8, max_entries=16)})
+
+        def stream():
+            for _ in range(8):
+                yield from path.process_packet(vm, bytes(2048), persist=True)
+
+        sim.process(stream())
+        sim.process(stream())
+        sim.run()
+        assert path.packets_processed == 16
+        assert path._log_lba == 8
+        assert ssd.namespaces[1].written_block_count() == 8
 
     def test_baseline_agrees_with_dpu(self):
         trace = generate_packet_trace(200, seed=3)

@@ -75,6 +75,18 @@ class TestSuite:
         reseeded = run_suite(seed=99, keys=["e1", "e3"])
         assert reseeded.canonical_bytes() != first.canonical_bytes()
 
+    def test_worker_processes_do_not_change_the_payload(self):
+        keys = ["e1", "e3", "e7"]
+        serial = run_suite(keys=keys)
+        pooled = run_suite(keys=keys, jobs=2)
+        assert pooled.canonical_bytes() == serial.canonical_bytes()
+        assert pooled.violations == serial.violations
+        assert list(pooled.wall_clock) == keys  # assembled in row order
+
+    def test_zero_jobs_is_a_usage_error(self, capsys):
+        assert main(["prog", "-j", "0", "e1"]) == 2
+        assert "-j requires a positive integer" in capsys.readouterr().err
+
     def test_wall_clock_never_enters_the_artifact(self):
         run = run_suite(keys=["e1"])
         assert run.wall_clock  # measured...

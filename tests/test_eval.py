@@ -51,6 +51,12 @@ class TestRegistry:
                   for line in capsys.readouterr().out.splitlines()]
         assert listed == [row.key for row in EXPERIMENTS]
 
+    def test_worker_processes_print_the_same_bytes(self, capsys):
+        assert main(["prog", "e1", "t1", "e7"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["prog", "-j", "2", "e1", "t1", "e7"]) == 0
+        assert capsys.readouterr().out == serial != ""
+
     def test_metrics_are_directional(self):
         # The cheap rows only; the full suite runs under repro.bench.
         for row in select(["e1", "e6", "e7", "e10", "telemetry"]):

@@ -14,6 +14,11 @@ at the same simulated instant.
 
 import pytest
 
+from repro.apps.fail2ban import Fail2BanBaseline, Fail2BanDpu, PacketRecord
+from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
+from repro.dpu import HyperionDpu
+from repro.ebpf import assemble
+from repro.hdl import HardwarePipeline, compile_program
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.sharding import ShardedKvClient, ShardedKvCluster
@@ -118,6 +123,55 @@ class TestEntriesPerOp:
         # spawned a process, the page program another under an all_of,
         # and each free channel/die grant was an event.)
         assert entries(sim, write()) == 7 + 3
+
+
+#: The think timeout and the driving process's bootstrap and completion.
+DRIVER = 3
+
+
+class TestEntriesPerPacket:
+    """The inline pipeline against the CPU-centric path, per packet:
+    back-to-back latencies of one actor are one entry."""
+
+    PACKET = PacketRecord(src_ip=7, auth_failed=True, size=512)
+
+    @staticmethod
+    def baseline():
+        sim = Simulator()
+        cpu = CpuModel(sim)
+        ssd = NvmeController(sim, "server-ssd")
+        ssd.add_namespace(Namespace(1, 1024))
+        return sim, CpuCentricDatapath(sim, cpu, OsModel(sim, cpu), ssd=ssd)
+
+    def test_pipeline_input(self):
+        sim = Simulator()
+        pipeline = HardwarePipeline(
+            sim, compile_program(assemble("mov r0, 1\nexit")))
+        # Port wait, initiation interval and drain are one instant on
+        # the clock. (3 while the port was a Resource: grant, II, drain.)
+        assert entries(sim, pipeline.execute()) == 1 + DRIVER
+
+    def test_os_receive_and_write(self):
+        sim, path = self.baseline()
+        # Interrupt + syscall + copy, and syscall + block layer + copy:
+        # one sleep each (3 each while every latency was its own).
+        assert entries(sim, path.os.receive_packet(512)) == 1 + DRIVER
+        assert entries(sim, path.os.write_storage(512)) == 1 + DRIVER
+
+    def test_baseline_packet_without_a_flush(self):
+        sim, path = self.baseline()
+        app = Fail2BanBaseline(sim, path)
+        # Receive, software execution (its own entry, so the VM runs at
+        # its place in the order), page-cache write. (7 before.)
+        assert entries(sim, app.process_packet(self.PACKET)) == 3 + DRIVER
+
+    def test_dpu_packet_without_a_flush(self):
+        sim = Simulator()
+        dpu = HyperionDpu(sim, Network(sim), ssd_blocks=4096)
+        sim.run_process(dpu.boot())
+        app = Fail2BanDpu(sim, dpu)
+        # The pipeline input; the log record lands in BRAM. (3 before.)
+        assert entries(sim, app.process_packet(self.PACKET)) == 1 + DRIVER
 
 
 def sharded_run(trace_seed):

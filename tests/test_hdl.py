@@ -1,9 +1,12 @@
 """Tests for the eBPF-to-HDL compilation pipeline."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.apps.fail2ban import BAN_MAP_FD, PacketRecord, build_fail2ban_program
 from repro.common.errors import VerificationError
-from repro.ebpf import assemble
+from repro.ebpf import HashMap, assemble
 from repro.hdl import (
     HardwarePipeline,
     build_cfg,
@@ -15,7 +18,8 @@ from repro.hdl import (
 )
 from repro.hdl.fusion import fusion_ratio
 from repro.hdl.resources import estimate
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
+from tests.hdl_reference import ReferencePipeline
 
 STRAIGHT_LINE = """
     mov r0, 1
@@ -262,3 +266,72 @@ class TestHardwarePipeline:
         gaps = [b - a for a, b in zip(finished, finished[1:])]
         for gap in gaps:
             assert gap == pytest.approx(pipeline.accept_interval)
+
+    def test_interrupted_caller_does_not_wedge_the_pipeline(self):
+        """A caller that goes away while it waits for the input port must
+        not take the port with it: its input occupied a slot, no more."""
+        sim = Simulator()
+        pipeline = HardwarePipeline(sim, compile_program(assemble(STRAIGHT_LINE)))
+        log = []
+
+        def caller(name):
+            try:
+                yield from pipeline.execute()
+            except Interrupt:
+                log.append((name, "interrupted"))
+            else:
+                log.append((name, "done"))
+
+        def late_caller():
+            yield sim.timeout(pipeline.accept_interval / 2 + 1e-6)
+            yield from caller("c")
+
+        sim.process(caller("a"))
+        waiting = sim.process(caller("b"))  # queued behind a on the port
+        sim.call_later(pipeline.accept_interval / 2, waiting.interrupt)
+        late = sim.process(late_caller())
+        sim.run()
+        assert log == [("b", "interrupted"), ("a", "done"), ("c", "done")]
+        assert late.triggered and pipeline.executions == 2
+
+
+FAIL2BAN = compile_program(build_fail2ban_program(threshold=1))
+
+
+def drive_pipeline(pipeline_class, arrivals):
+    """Completion order, instants and results of concurrent callers that
+    each arrive ``offset`` accept intervals in and push one packet."""
+    sim = Simulator()
+    ban_map = HashMap(key_size=8, value_size=8, max_entries=64)
+    pipeline = pipeline_class(sim, FAIL2BAN, maps={BAN_MAP_FD: ban_map})
+    completions = []
+
+    def caller(index, offset, packet):
+        yield sim.timeout(offset * pipeline.accept_interval)
+        result = yield from pipeline.execute(packet.context())
+        completions.append((index, sim.now, result))
+
+    for index, (offset, source, failed) in enumerate(arrivals):
+        sim.process(caller(index, offset, PacketRecord(source, failed, 64)))
+    sim.run()
+    return completions, pipeline.executions, sorted(ban_map.items())
+
+
+class TestBusyUntilPortAgainstTheResourcePort:
+    """The arithmetic port against the queueing one it replaced
+    (``tests/hdl_reference.py``): callers contend for a few initiation
+    intervals, the verdicts depend on who ran first."""
+
+    @given(st.lists(
+        st.tuples(
+            # Whole and half intervals collide often; the rest are ragged.
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                      st.floats(min_value=0.0, max_value=6.0)),
+            st.integers(min_value=1, max_value=2),  # source: few, so bans
+            st.booleans(),                          # auth failed
+        ),
+        min_size=2, max_size=6,
+    ))
+    def test_same_order_same_floats_same_results(self, arrivals):
+        assert (drive_pipeline(HardwarePipeline, arrivals)
+                == drive_pipeline(ReferencePipeline, arrivals))

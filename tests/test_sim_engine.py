@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulator
 
@@ -740,3 +742,152 @@ class TestInlineWake:
             sim.step()
         sim.step()
         assert log == ["next"] and not sim._imm and not sim._heap
+
+
+def sleep_each(sim, lead, delays, finished):
+    """Process: sleep *lead*, then every delay in turn, one entry each."""
+    yield sim.timeout(lead)
+    for delay in delays:
+        yield sim.timeout(delay)
+    finished.append(sim.now)
+
+
+def sleep_once(sim, lead, delays, finished, instant):
+    """Process: sleep *lead*, then once until ``instant(now, delays)``."""
+    yield sim.timeout(lead)
+    yield sim.timeout_at(instant(sim.now, delays))
+    finished.append(sim.now)
+
+
+def left_fold(now, delays):
+    when = now
+    for delay in delays:
+        when += delay
+    return when
+
+
+def summed_first(now, delays):
+    """The mutant: adds the delays together before adding ``now``."""
+    return now + sum(delays)
+
+
+def chain_and_single_sleep(lead, delays, instant):
+    """Finish instants of the sleep-by-sleep chain and of the one sleep."""
+    finished = []
+    for sleeper in (
+        lambda sim: sleep_each(sim, lead, delays, finished),
+        lambda sim: sleep_once(sim, lead, delays, finished, instant),
+    ):
+        sim = Simulator()
+        sim.run_process(sleeper(sim))
+    return finished
+
+
+DELAYS = st.lists(
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False), max_size=8)
+
+
+class TestTimeoutAt:
+    """``timeout_at``: the waitable twin of ``call_at``."""
+
+    def test_fires_at_exactly_that_float(self):
+        sim = Simulator()
+        when = (0.1 + 0.3) + 1e-06  # now + (when - now) lands an ulp short
+
+        def later():
+            yield sim.timeout(0.1)
+            assert sim.now + (when - sim.now) != when
+            yield sim.timeout_at(when)
+            return sim.now
+
+        assert sim.run_process(later()) == when
+
+    def test_now_rides_the_lane_in_eid_order(self):
+        sim = Simulator()
+        log = []
+        sim.call_later(0.0, lambda: log.append("first"))
+        before = sim._eid
+        event = sim.timeout_at(sim.now)
+        event.callbacks.append(lambda event: log.append("second"))
+        sim.call_later(0.0, lambda: log.append("third"))
+        assert sim._eid - before == 2 and not sim._heap
+        sim.run()
+        assert log == ["first", "second", "third"] and sim.now == 0.0
+
+    def test_later_is_one_heap_entry_in_scheduling_order(self):
+        sim = Simulator()
+        log = []
+        before = sim._eid
+        sim.timeout(1.0).callbacks.append(lambda event: log.append("timeout"))
+        sim.timeout_at(1.0).callbacks.append(lambda event: log.append("at"))
+        sim.call_at(1.0, lambda: log.append("call"))
+        assert sim._eid - before == 3 and not sim._imm
+        sim.run()
+        assert log == ["timeout", "at", "call"]
+
+    def test_past_and_nan_raise_and_leave_the_queues_untouched(self):
+        sim = Simulator()
+        sim.run(until=3.0)
+        before = sim._eid
+        with pytest.raises(ValueError, match=r"2\.0.*3\.0"):
+            sim.timeout_at(2.0)
+        with pytest.raises(ValueError, match="nan"):
+            sim.timeout_at(float("nan"))
+        assert sim._eid == before and not sim._heap and not sim._imm
+
+    def test_value_passes_through_to_the_waiter(self):
+        sim = Simulator()
+
+        def waiter():
+            return (yield sim.timeout_at(2.0, "payload"))
+
+        assert sim.run_process(waiter()) == "payload"
+        assert sim.now == 2.0
+
+    def test_any_of_sees_it_at_its_instant(self):
+        sim = Simulator()
+        gate = sim.event()
+        sim.call_at(2.0, gate.succeed)
+
+        def waiter():
+            timer = sim.timeout_at(2.0, "timer")
+            fired = yield sim.any_of([timer, gate])
+            return timer, fired
+
+        timer, fired = sim.run_process(waiter())
+        # The gate triggers at 2.0 behind the timer: still queued when the
+        # timer's callbacks run, but its instant has come, so it counts.
+        assert fired == {timer: "timer", gate: None} and sim.now == 2.0
+
+    def test_any_of_excludes_it_before_its_instant(self):
+        sim = Simulator()
+
+        def waiter():
+            timer = sim.timeout_at(5.0)
+            fired = yield sim.any_of([timer, sim.timeout(1.0, "early")])
+            return timer in fired, sim.now
+
+        assert sim.run_process(waiter()) == (False, 1.0)
+
+    def test_a_wrapped_event_factory_sees_one_call_per_wait(self):
+        """perfbench's ledger counts engine entries by wrapping the public
+        factories: a wait that bypassed them would vanish from its count."""
+        sim = Simulator()
+        original, calls = sim.event, []
+        sim.event = lambda: calls.append("event") or original()
+        sim.timeout_at(1.0)
+        assert calls == ["event"]
+
+    @given(lead=st.floats(min_value=0.0, max_value=1e3), delays=DELAYS)
+    def test_one_sleep_to_the_left_fold_ends_where_the_chain_ends(
+            self, lead, delays):
+        chain, single = chain_and_single_sleep(lead, delays, left_fold)
+        assert chain == single
+
+    def test_summing_the_delays_first_is_caught(self):
+        """The mutant check: the comparison above must tell ``now + (a +
+        b)`` from ``(now + a) + b``."""
+        chain, single = chain_and_single_sleep(0.1, [0.2, 0.3], summed_first)
+        assert chain == (0.1 + 0.2) + 0.3 != single == 0.1 + (0.2 + 0.3)
+        chain, single = chain_and_single_sleep(0.1, [0.2, 0.3], left_fold)
+        assert chain == single

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Interrupt, Resource, Simulator, Store
 
 
 class TestResource:
@@ -129,6 +129,44 @@ class TestResource:
             assert granted == expected
         res.release()
         assert res.in_use == 0 and res.try_acquire()
+
+    @pytest.mark.parametrize("granted_first", [False, True])
+    def test_acquire_withdraws_when_the_waiter_is_interrupted(
+            self, granted_first):
+        """Queued, or granted in the very instant the interrupt lands
+        (the grant still undelivered): either way the unit goes on to
+        the next caller, not to a process that will never release it."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def worker(name, hold):
+            try:
+                yield from res.acquire()
+            except Interrupt:
+                log.append((name, "interrupted", sim.now))
+                return
+            log.append((name, "got", sim.now))
+            yield sim.timeout(hold)
+            res.release()
+
+        def late():
+            yield sim.timeout(3.0)
+            yield from worker("c", 1.0)
+
+        sim.process(worker("a", 5.0))
+        waiter = sim.process(worker("b", 1.0))
+        # At 5.0 the interrupt's delivery is queued ahead of a's release.
+        sim.call_at(5.0 if granted_first else 2.0, waiter.interrupt)
+        sim.process(late())
+        sim.run()
+        assert log == [
+            ("a", "got", 0.0),
+            ("b", "interrupted", 5.0 if granted_first else 2.0),
+            ("c", "got", 5.0),
+        ]
+        assert res.in_use == 0 and res.queue_length == 0
+        assert sim.now == 6.0
 
     @settings(max_examples=200, deadline=None)
     @given(
