@@ -15,14 +15,23 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError, DegradedError
-from repro.overload.breaker import CircuitBreaker, CircuitOpenError
 from repro.sharding.cluster import build_kv_dpu
+from repro.sharding.core import KvClientCore
 from repro.sharding.ring import HashRing
 from repro.hw.net import Network
 from repro.sim import Simulator
-from repro.storage.kvssd import KvSsd, KvSsdService
-from repro.transport import RetryPolicy, RpcClient, RpcError, UdpSocket
-from repro.verify.history import NULL_HISTORY
+from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, KvSsd, KvSsdService
+from repro.transport import RetryPolicy, RpcError
+
+#: Per-call wire timing (exponential backoff from ``CALL_TIMEOUT``), and
+#: the failed calls that open a replica's circuit and for how long.
+CALL_TIMEOUT = 1.5e-3
+CALL_RETRIES = 1
+CALL_DEADLINE = 50e-3
+CALL_POLICY = RetryPolicy(base=CALL_TIMEOUT, multiplier=2.0,
+                          max_interval=CALL_TIMEOUT * 8, jitter=0.1)
+BREAKER_FAILURES = 3
+BREAKER_RESET = CALL_TIMEOUT * 20
 
 
 class ReplicatedDpuKvCluster:
@@ -85,15 +94,17 @@ class ReplicatedDpuKvCluster:
         return address
 
 
-class FailoverKvClient:
+class FailoverKvClient(KvClientCore):
     """Client-driven failover over a :class:`ReplicatedDpuKvCluster`.
 
-    The client owns the partition map *and* the health map: replicas that
-    time out are marked down and demoted in the read preference order;
-    :meth:`probe` (or a background :meth:`probe_all` sweep) marks them up
-    again. Every RPC carries a timeout, bounded retries with exponential
-    backoff + jitter, and an overall deadline, so a dead DPU costs a few
-    retransmit intervals — never a hung simulation.
+    Chain replication as a policy on the shared
+    :class:`~repro.sharding.core.KvClientCore`: the client owns the
+    partition map *and* the health map. Replicas that time out are marked
+    down and demoted in the read preference order; any answer — or a
+    :meth:`probe` (or a background :meth:`probe_all` sweep) — marks them
+    up again. Every RPC carries a timeout, bounded retries with
+    exponential backoff + jitter, and an overall deadline, so a dead DPU
+    costs a few retransmit intervals — never a hung simulation.
 
     Each replica is additionally guarded by a
     :class:`~repro.overload.CircuitBreaker`: after a few consecutive
@@ -109,28 +120,14 @@ class FailoverKvClient:
         network: Network,
         name: str,
         cluster: ReplicatedDpuKvCluster,
-        timeout: float = 1.5e-3,
-        retries: int = 1,
-        deadline: float = 50e-3,
-        policy: Optional[RetryPolicy] = None,
-        breaker_failure_threshold: int = 3,
-        breaker_reset_timeout: Optional[float] = None,
         history=None,
     ):
-        self.sim = sim
-        self.cluster = cluster
-        self.name = name
-        #: A :class:`~repro.verify.HistoryRecorder` when one was passed:
-        #: every KV op records invoke/outcome for consistency checking.
-        self.history = history if history is not None else NULL_HISTORY
-        self.rpc = RpcClient(sim, UdpSocket(sim, network.endpoint(name)))
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
-        self.policy = policy if policy is not None else RetryPolicy(
-            base=timeout, multiplier=2.0, max_interval=max(timeout * 8, timeout),
-            jitter=0.1,
+        super().__init__(
+            sim, network.endpoint(name), name, timeout=CALL_TIMEOUT,
+            retries=CALL_RETRIES, deadline=CALL_DEADLINE, policy=CALL_POLICY,
+            history=history,
         )
+        self.cluster = cluster
         self.health: Dict[str, bool] = {
             address: True for address in cluster.addresses
         }
@@ -143,16 +140,8 @@ class FailoverKvClient:
         # Individual replica RPCs that timed out or errored.
         self._replica_failures = scope.counter("replica_failures")
         self._marked_down = scope.gauge("marked_down")
-        if breaker_reset_timeout is None:
-            breaker_reset_timeout = timeout * 20
-        self.breakers: Dict[str, CircuitBreaker] = {
-            address: CircuitBreaker(
-                sim, scope.scope(f"breaker.{address}"),
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout=breaker_reset_timeout,
-            )
-            for address in cluster.addresses
-        }
+        self._guard(scope, {a: a for a in cluster.addresses}, BREAKER_FAILURES,
+                    BREAKER_RESET)
 
     # -- read-through counters -------------------------------------------------
     @property
@@ -176,23 +165,6 @@ class FailoverKvClient:
         return [a for a, up in self.health.items() if not up]
 
     # -- internals -----------------------------------------------------------
-    def _call(self, address: str, method: str, *args,
-              request_size: int = 64, response_size: int = 64):
-        return self.rpc.call_guarded(
-            self.breakers[address], address, method, *args,
-            request_size=request_size, response_size=response_size,
-            timeout=self.timeout, retries=self.retries,
-            deadline=self.deadline, policy=self.policy,
-        )
-
-    def _ordered_replicas(self, key: bytes) -> List[str]:
-        """The replica chain, healthy members first (stable order)."""
-        chain = self.cluster.replicas_of(key)
-        return (
-            [a for a in chain if self.health[a]]
-            + [a for a in chain if not self.health[a]]
-        )
-
     def _set_health(self, address: str, up: bool) -> None:
         """Record a health change; the gauge follows the map both ways."""
         if self.health[address] is not up:
@@ -238,86 +210,67 @@ class FailoverKvClient:
         """Process: write the replica chain head-to-tail; one ack suffices
         for availability (skipped replicas are marked down for repair)."""
         key, value = bytes(key), bytes(value)
-        pending = self.history.invoke(self.name, "w", key, value)
-        acked = 0
-        last_error: Optional[RpcError] = None
-        for position, address in enumerate(self.cluster.replicas_of(key)):
-            try:
-                yield from self._call(
-                    address, "kv.put", key, value,
-                    request_size=32 + len(key) + len(value), response_size=16,
-                )
-            except CircuitOpenError:
-                continue  # open circuit: fail over instantly, spend nothing
-            except RpcError as error:
-                self._mark_down(address)
-                last_error = error
-                continue
+        return self._write("w", "kv.put", key, value,
+                           KV_HEADER + len(key) + len(value))
+
+    def delete(self, key: bytes):
+        """Process: chain-wide delete (the same walk as put)."""
+        key = bytes(key)
+        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key))
+
+    def _write(self, action: str, method: str, key: bytes,
+               value: Optional[bytes], request_size: int):
+        """Process: the one write path — every replica of the chain, in
+        order, as successive first answers: each ack marks its replica up
+        and the walk resumes after it. Returns the ack count."""
+        pending = self.history.invoke(self.name, action, key, value)
+        chain = self.cluster.replicas_of(key)
+        replicas = iter(chain)
+        acked = sent = 0
+        while True:
+            address, answer, attempts = yield from self._first_answer(
+                replicas, method, key, value, request_size=request_size,
+                response_size=KV_ACK, on_failure=self._mark_down,
+            )
+            sent += attempts
+            if address is None:
+                break
             self._set_health(address, True)
-            acked += 1
-            if position > 0 and acked == 1:
+            if acked == 0 and address != chain[0]:
                 self._failovers.inc()
+            acked += 1
         if acked == 0:
             self._failed_ops.inc()
             # Zero acks does not mean zero effect: a request may have
             # landed on a replica whose response frame was lost.
-            pending.indeterminate()
-            raise DegradedError(f"put {key!r}: no replica reachable ({last_error})")
+            pending.raised(sent=sent > 0)
+            raise DegradedError(
+                f"{method} {key!r}: no replica reachable ({answer})"
+            )
         self._writes.inc()
         pending.ok()
         return acked
 
-    def get(self, key: bytes, expected_value_size: int = 128):
+    def get(self, key: bytes, expected_value_size: int = KV_VALUE):
         """Process: read from the first live replica, failing over down
         the chain when the preferred one is dead."""
         key = bytes(key)
         pending = self.history.invoke(self.name, "r", key)
-        last_error: Optional[RpcError] = None
-        head = self.cluster.replicas_of(key)[0]
-        for address in self._ordered_replicas(key):
-            try:
-                value = yield from self._call(
-                    address, "kv.get", key,
-                    request_size=32 + len(key),
-                    response_size=expected_value_size,
-                )
-            except CircuitOpenError:
-                continue  # open circuit: fail over instantly, spend nothing
-            except RpcError as error:
-                self._mark_down(address)
-                last_error = error
-                continue
-            self._set_health(address, True)
-            if address != head:
-                self._failovers.inc()
-            self._reads.inc()
-            pending.ok(value)
-            return value
-        self._failed_ops.inc()
-        pending.fail()
-        raise DegradedError(f"get {key!r}: no replica reachable ({last_error})")
-
-    def delete(self, key: bytes):
-        """Process: chain-wide delete (same walk as put)."""
-        key = bytes(key)
-        pending = self.history.invoke(self.name, "d", key)
-        acked = 0
-        for address in self.cluster.replicas_of(key):
-            try:
-                yield from self._call(
-                    address, "kv.delete", key,
-                    request_size=32 + len(key), response_size=16,
-                )
-            except CircuitOpenError:
-                continue  # open circuit: fail over instantly, spend nothing
-            except RpcError:
-                self._mark_down(address)
-                continue
-            acked += 1
-        if acked == 0:
+        chain = self.cluster.replicas_of(key)
+        # The replica chain, healthy members first (stable order).
+        ordered = ([a for a in chain if self.health[a]]
+                   + [a for a in chain if not self.health[a]])
+        address, value, __ = yield from self._first_answer(
+            ordered, "kv.get", key, request_size=KV_HEADER + len(key),
+            response_size=expected_value_size, on_failure=self._mark_down,
+        )
+        if address is None:
             self._failed_ops.inc()
-            pending.indeterminate()
-            raise DegradedError(f"delete {key!r}: no replica reachable")
-        self._writes.inc()
-        pending.ok()
-        return acked
+            pending.raised()
+            raise DegradedError(f"get {key!r}: no replica reachable ({value})")
+        self._set_health(address, True)
+        if address != chain[0]:
+            self._failovers.inc()
+        self._reads.inc()
+        pending.ok(value)
+        return value

@@ -21,13 +21,13 @@ trip exactly when the system needs the capacity back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, DegradedError
-from repro.georep.region import GeoCluster
-from repro.overload import BrownoutController, CircuitBreaker, CircuitOpenError
-from repro.transport import RetryBudget, RpcClient, RpcError, UdpSocket
-from repro.verify.history import NULL_HISTORY
+from repro.georep.region import BREAKER_FAILURES, BREAKER_RESET, GeoCluster
+from repro.overload import BrownoutController
+from repro.sharding.core import KvClientCore
+from repro.transport import RetryBudget
 
 __all__ = ["GeoKvClient"]
 
@@ -39,8 +39,11 @@ CALL_DEADLINE = 30e-3
 ROUND_PAUSE = 10e-3
 
 
-class GeoKvClient:
+class GeoKvClient(KvClientCore):
     """One tenant's geo-replicated KV handle.
+
+    A :class:`~repro.sharding.core.KvClientCore` whose candidates are
+    regions in sticky preference order, each behind its own breaker.
 
     Args:
         sim: the simulator.
@@ -50,6 +53,8 @@ class GeoKvClient:
             serves its bounded-staleness follower reads).
         preference: region failover order, primary first; defaults to
             the cluster's region order. Must include *home*.
+        timeout / retries: per-attempt wire timing of every call.
+        rounds: full preference-order walks before an op gives up.
         stale_bound: max follower staleness (seconds) accepted when
             stale reads are active.
         brownout: optional ladder; while its mode has ``serve_stale``
@@ -58,9 +63,10 @@ class GeoKvClient:
             under this client's metric path.
         history: optional :class:`~repro.verify.HistoryRecorder`; when
             set, every op's invoke/outcome is recorded on the sim clock
-            for consistency checking. Failed writes record as
+            for consistency checking. A failed write records as
             *indeterminate* (the ack was lost, the write may have
-            landed); follower reads record their served staleness.
+            landed) unless no region's circuit let a request out;
+            follower reads record their served staleness.
     """
 
     def __init__(
@@ -73,21 +79,14 @@ class GeoKvClient:
         preference: Optional[Sequence[str]] = None,
         timeout: float = CALL_TIMEOUT,
         retries: int = CALL_RETRIES,
-        deadline: float = CALL_DEADLINE,
         rounds: int = 3,
-        round_pause: float = ROUND_PAUSE,
         stale_bound: float = 50e-3,
         brownout: Optional[BrownoutController] = None,
         retry_budget: Optional[RetryBudget] = None,
-        breaker_failures: int = 2,
-        breaker_reset: float = 25e-3,
         history=None,
     ):
-        self.sim = sim
         self.cluster = cluster
-        self.name = name
         self.home = home
-        self.history = history if history is not None else NULL_HISTORY
         self.preference: List[str] = list(
             preference if preference is not None else cluster.regions
         )
@@ -95,29 +94,20 @@ class GeoKvClient:
             raise ConfigurationError(f"home {home!r} not in preference list")
         for region in self.preference:
             cluster.region(region)  # validate names
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
         self.rounds = rounds
-        self.round_pause = round_pause
         self.stale_bound = stale_bound
         self.brownout = brownout
         #: Region ops are currently routed to (sticky across failovers).
         self.current = self.preference[0]
-        self.rpc = RpcClient(
-            sim,
-            UdpSocket(sim, cluster.fabric.endpoint(home, f"geo-{name}")),
-            retry_budget=retry_budget,
+        super().__init__(
+            sim, cluster.fabric.endpoint(home, f"geo-{name}"), name,
+            timeout=timeout, retries=retries, deadline=CALL_DEADLINE,
+            retry_budget=retry_budget, history=history,
         )
         self._metrics = sim.telemetry.unique_scope(f"geo.client.{name}")
-        self.breakers: Dict[str, CircuitBreaker] = {
-            region: CircuitBreaker(
-                sim, self._metrics.scope(f"breaker.{region}"),
-                failure_threshold=breaker_failures,
-                reset_timeout=breaker_reset,
-            )
-            for region in self.preference
-        }
+        self._guard(self._metrics,
+                    {r: cluster.region(r).address for r in self.preference},
+                    BREAKER_FAILURES, BREAKER_RESET)
         self._ops = self._metrics.counter("ops")
         self._reads = self._metrics.counter("reads")
         self._writes = self._metrics.counter("writes")
@@ -160,8 +150,8 @@ class GeoKvClient:
             self.current = region
             self._region_gauge.set(self.preference.index(region))
 
-    def _walk(self, method: str, args: tuple, request_size: int,
-              response_size: int, *, write: bool):
+    def _walk(self, pending, method: str, key: bytes, value: Optional[bytes],
+              request_size: int, response_size: int, *, write: bool):
         """Process: try regions in order until one answers, with replay.
 
         A full walk that fails everywhere pauses and retries (up to
@@ -169,72 +159,47 @@ class GeoKvClient:
         instead of failing, which is what lets the disaster drill
         promise zero lost *acknowledged* writes: an op is either acked
         by a region that logged it, or still the client's to retry.
+        When every walk failed, *pending* resolves by the core's rule.
         """
-        first = self._ordered()[0]
+        first = self.current
         failed_attempts = 0
         for round_index in range(self.rounds):
-            for region in self._ordered():
-                call_args = args + (region,) if method == "geo.get" else args
-                try:
-                    result = yield from self._call(
-                        region, method, call_args, request_size,
-                        response_size,
-                    )
-                except CircuitOpenError:
-                    continue  # refused instantly: not an attempt
-                except RpcError:
-                    failed_attempts += 1
-                    continue
+            region, result, attempts = yield from self._first_answer(
+                self._ordered(), method, key, value, request_size=request_size,
+                response_size=response_size,
+            )
+            failed_attempts += attempts
+            if region is not None:
                 self._settle(region, first, write and failed_attempts > 0)
                 return region, result
             if round_index + 1 < self.rounds:
-                yield self.sim.timeout(self.round_pause)
+                yield self.sim.timeout(ROUND_PAUSE)
         self._failed.inc()
+        pending.raised(sent=failed_attempts > 0)
         raise DegradedError(
             f"geo {method} failed in every region after "
             f"{failed_attempts} attempts"
-        )
-
-    def _call(self, region: str, method: str, args: tuple,
-              request_size: int, response_size: int):
-        """One breaker-guarded RPC to *region*'s gateway."""
-        return self.rpc.call_guarded(
-            self.breakers[region], self.cluster.region(region).address,
-            method, *args,
-            request_size=request_size, response_size=response_size,
-            timeout=self.timeout, retries=self.retries,
-            deadline=self.deadline,
         )
 
     # -- the KV surface -------------------------------------------------------
     def put(self, key: bytes, value: bytes):
         """Process: write via the current region; returns (stamp, region)."""
         key, value = bytes(key), bytes(value)
-        pending = self.history.invoke(self.name, "w", key, value)
-        try:
-            region, stamp = yield from self._walk(
-                "geo.put", (key, value), 48 + len(key) + len(value), 24,
-                write=True,
-            )
-        except DegradedError:
-            pending.indeterminate()
-            raise
-        self._writes.inc()
-        self._ops.inc()
-        pending.ok(stamp=stamp)
-        return stamp, region
+        return self._write("w", "geo.put", key, value,
+                           48 + len(key) + len(value))
 
     def delete(self, key: bytes):
         """Process: delete via the current region; returns (stamp, region)."""
         key = bytes(key)
-        pending = self.history.invoke(self.name, "d", key)
-        try:
-            region, stamp = yield from self._walk(
-                "geo.delete", (key,), 48 + len(key), 24, write=True,
-            )
-        except DegradedError:
-            pending.indeterminate()
-            raise
+        return self._write("d", "geo.delete", key, None, 48 + len(key))
+
+    def _write(self, action: str, method: str, key: bytes,
+               value: Optional[bytes], request_size: int):
+        """Process: the one write path; returns ``(stamp, region)``."""
+        pending = self.history.invoke(self.name, action, key, value)
+        region, stamp = yield from self._walk(
+            pending, method, key, value, request_size, 24, write=True,
+        )
         self._writes.inc()
         self._ops.inc()
         pending.ok(stamp=stamp)
@@ -261,13 +226,9 @@ class GeoKvClient:
                 value, staleness = served
                 pending.ok(value, staleness=staleness)
                 return value
-        try:
-            __, (value, __) = yield from self._walk(
-                "geo.get", (key,), 48 + len(key), 136, write=False,
-            )
-        except DegradedError:
-            pending.fail()
-            raise
+        __, (value, __) = yield from self._walk(
+            pending, "geo.get", key, None, 48 + len(key), 136, write=False,
+        )
         self._reads.inc()
         self._ops.inc()
         pending.ok(value)
@@ -276,13 +237,13 @@ class GeoKvClient:
     def _stale_get(self, key: bytes, bound: float):
         """Process: home-follower read. Returns ``(value, staleness)``,
         or ``_PRIMARY`` when the primary walk must run instead."""
-        try:
-            value, staleness = yield from self._call(
-                self.home, "geo.get", (key, self.current),
-                48 + len(key), 136,
-            )
-        except (CircuitOpenError, RpcError):
+        home, answer, __ = yield from self._first_answer(
+            (self.home,), "geo.get", key, self.current,
+            request_size=48 + len(key), response_size=136,
+        )
+        if home is None:
             return _PRIMARY
+        value, staleness = answer
         if staleness > bound:
             self._stale_fallbacks.inc()
             return _PRIMARY

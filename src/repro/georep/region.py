@@ -56,6 +56,11 @@ SHIP_HEARTBEAT = 5e-3
 SHIP_TIMEOUT = 15e-3
 SHIP_RETRIES = 1
 SHIP_DEADLINE = 35e-3
+#: Breaker tuning for every cross-region caller (shippers and
+#: :class:`~repro.georep.GeoKvClient`): two failed calls open a peer's
+#: circuit for 25 ms.
+BREAKER_FAILURES = 2
+BREAKER_RESET = 25e-3
 
 
 class LogShipper:
@@ -74,26 +79,11 @@ class LogShipper:
         region: "Region",
         peer: str,
         peer_address: str,
-        *,
-        interval: float = SHIP_INTERVAL,
-        batch: int = SHIP_BATCH,
-        heartbeat: float = SHIP_HEARTBEAT,
-        timeout: float = SHIP_TIMEOUT,
-        retries: int = SHIP_RETRIES,
-        deadline: float = SHIP_DEADLINE,
-        breaker_failures: int = 2,
-        breaker_reset: float = 25e-3,
     ):
         self.sim = sim
         self.region = region
         self.peer = peer
         self.peer_address = peer_address
-        self.interval = interval
-        self.batch = batch
-        self.heartbeat = heartbeat
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
         self.shipped = 0
         self.stopped = False
         self._last_ship = sim.now
@@ -107,7 +97,7 @@ class LogShipper:
         )
         self.breaker = CircuitBreaker(
             sim, self._metrics.scope("breaker"),
-            failure_threshold=breaker_failures, reset_timeout=breaker_reset,
+            failure_threshold=BREAKER_FAILURES, reset_timeout=BREAKER_RESET,
         )
         self._batches = self._metrics.counter("batches")
         self._entries = self._metrics.counter("entries")
@@ -140,10 +130,10 @@ class LogShipper:
     def _run(self):
         while not self.stopped:
             caught_up = self.region.log.head <= self.shipped
-            if caught_up and self.sim.now - self._last_ship < self.heartbeat:
+            if caught_up and self.sim.now - self._last_ship < SHIP_HEARTBEAT:
                 wake = Event(self.sim)
                 self.region._ship_wakes.append(wake)
-                yield self.sim.any_of([wake, self.sim.timeout(self.interval)])
+                yield self.sim.any_of([wake, self.sim.timeout(SHIP_INTERVAL)])
                 if not wake.triggered:
                     # The poll timed out: take the wake back, or an idle
                     # region collects one dead event per interval.
@@ -152,9 +142,9 @@ class LogShipper:
                 continue
             if not self.breaker.allow():
                 self._update_lag()
-                yield self.sim.timeout(self.interval)
+                yield self.sim.timeout(SHIP_INTERVAL)
                 continue
-            entries = self.region.log.since(self.shipped, self.batch)
+            entries = self.region.log.since(self.shipped, SHIP_BATCH)
             # Freshness the peer may claim after applying this batch: if
             # the batch drains the log we vouch for "now", otherwise only
             # through the last shipped entry's stamp.
@@ -184,7 +174,7 @@ class LogShipper:
                 self.breaker.record_failure()
                 self._failures.inc()
                 self._update_lag()
-                yield self.sim.timeout(self.interval)
+                yield self.sim.timeout(SHIP_INTERVAL)
                 continue
             self.breaker.record_success()
             self._last_ship = self.sim.now
@@ -209,8 +199,8 @@ class LogShipper:
                 self.peer_address, "repl.ship",
                 self.region.name, tuple(entries), through,
                 request_size=size, response_size=24,
-                timeout=self.timeout, retries=self.retries,
-                deadline=self.deadline,
+                timeout=SHIP_TIMEOUT, retries=SHIP_RETRIES,
+                deadline=SHIP_DEADLINE,
             )
         return acked
 
@@ -281,14 +271,14 @@ class Region:
         self._entries_applied = self._metrics.counter("entries_applied")
         self._entries_stale = self._metrics.counter("entries_stale")
         self._staleness_gauge = self._metrics.gauge("staleness")
-        self.server.register("geo.put", self._geo_put)
+        self.server.register("geo.put", self._geo_write)
         self.server.register("geo.get", self._geo_get)
-        self.server.register("geo.delete", self._geo_delete)
+        self.server.register("geo.delete", self._geo_write)
         self.server.register("geo.ping", lambda: True)
         self.server.register("repl.ship", self._repl_ship)
 
     # -- peering --------------------------------------------------------------
-    def add_peer(self, name: str, address: str, **shipper_kwargs) -> LogShipper:
+    def add_peer(self, name: str, address: str) -> LogShipper:
         """Start replicating to the peer region at *address*."""
         if name == self.name or name in self.peers:
             raise ConfigurationError(f"bad peer {name!r} for {self.name!r}")
@@ -296,7 +286,7 @@ class Region:
         self.fresh_through[name] = self.sim.now
         self.applied_from[name] = 0
         self.peer_acked[name] = 0
-        shipper = LogShipper(self.sim, self, name, address, **shipper_kwargs)
+        shipper = LogShipper(self.sim, self, name, address)
         self.shippers[name] = shipper
         self.fabric.refresh()
         return shipper
@@ -372,44 +362,37 @@ class Region:
         return self.sim.now - self.fresh_through[origin]
 
     # -- the gateway surface --------------------------------------------------
-    def _geo_put(self, key: bytes, value: bytes):
-        key, value = bytes(key), bytes(value)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            context = tracer.active_context
-            span = tracer.span("geo.put", "georep", region=self.name)
-        else:
-            context = None
-            span = NULL_SPAN
-        with span:
-            stamp = self._next_stamp()
-            entry = self.log.append("put", key, value, stamp, self.name,
-                                    trace=context)
-            self.version[key] = (stamp, self.name)
-            self._wake_shippers()
-            yield from self.store.put(key, value)
-            yield from self._await_acks(entry.seq)
-            self._puts.inc()
-        return stamp
+    def _apply(self, key: bytes, value: Optional[bytes]):
+        """Process: a put — a delete when *value* is None — on the
+        region's own cluster."""
+        if value is None:
+            return self.store.delete(key)
+        return self.store.put(key, value)
 
-    def _geo_delete(self, key: bytes):
+    def _geo_write(self, key: bytes, value: Optional[bytes] = None):
+        """The one write path (``geo.put``, or ``geo.delete`` with no
+        value): stamp, log, apply locally, then wait for the peer acks
+        the consistency mode asks for. Returns the write's stamp."""
         key = bytes(key)
+        if value is not None:
+            value = bytes(value)
+        op = "delete" if value is None else "put"
         tracer = self.sim.tracer
         if tracer.enabled:
             context = tracer.active_context
-            span = tracer.span("geo.delete", "georep", region=self.name)
+            span = tracer.span(f"geo.{op}", "georep", region=self.name)
         else:
             context = None
             span = NULL_SPAN
         with span:
             stamp = self._next_stamp()
-            entry = self.log.append("delete", key, None, stamp, self.name,
+            entry = self.log.append(op, key, value, stamp, self.name,
                                     trace=context)
             self.version[key] = (stamp, self.name)
             self._wake_shippers()
-            yield from self.store.delete(key)
+            yield from self._apply(key, value)
             yield from self._await_acks(entry.seq)
-            self._deletes.inc()
+            (self._deletes if value is None else self._puts).inc()
         return stamp
 
     def _geo_get(self, key: bytes, origin: Optional[str] = None):
@@ -455,10 +438,7 @@ class Region:
                 current = self.version.get(entry.key)
                 if current is None or (entry.stamp, entry.origin) > current:
                     self.version[entry.key] = (entry.stamp, entry.origin)
-                    if entry.op == "put":
-                        yield from self.store.put(entry.key, entry.value)
-                    else:
-                        yield from self.store.delete(entry.key)
+                    yield from self._apply(entry.key, entry.value)
                     self._entries_applied.inc()
                 else:
                     self._entries_stale.inc()
@@ -493,7 +473,6 @@ class GeoCluster:
         injector: optional fault injector the WAN links consult (for
             :meth:`~repro.faults.FaultPlan.wan_partition` windows).
         dpu_count / region_kwargs: forwarded to each :class:`Region`.
-        shipper_kwargs: forwarded to every :class:`LogShipper`.
     """
 
     def __init__(
@@ -505,7 +484,6 @@ class GeoCluster:
         consistency: Consistency = Consistency.ASYNC,
         injector=None,
         dpu_count: int = 2,
-        shipper_kwargs: Optional[dict] = None,
         **region_kwargs,
     ):
         if len(names) < 2:
@@ -527,13 +505,10 @@ class GeoCluster:
             for dst in names:
                 if src != dst and (src, dst) not in specified:
                     self.fabric.connect(src, dst)
-        shipper_kwargs = shipper_kwargs or {}
         for src in names:
             for dst in names:
                 if src != dst:
-                    self.regions[src].add_peer(
-                        dst, self.regions[dst].address, **shipper_kwargs,
-                    )
+                    self.regions[src].add_peer(dst, self.regions[dst].address)
         self.fabric.refresh()
 
     def region(self, name: str) -> Region:

@@ -19,20 +19,24 @@ batching and caching on, which is the point.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.sharding.cache import HotKeyCache
 from repro.sharding.cluster import ShardedKvCluster
+from repro.sharding.core import KvClientCore
 from repro.sim import Simulator
-from repro.transport import BatchOp, MAX_BATCH_OPS, RpcClient, RpcError, UdpSocket
-from repro.verify.history import NULL_HISTORY
+from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, kv_op
+from repro.transport import BatchOp, MAX_BATCH_OPS, RpcError
 
 __all__ = ["ShardedKvClient"]
 
 
-class ShardedKvClient:
+class ShardedKvClient(KvClientCore):
     """One tenant's handle onto a :class:`ShardedKvCluster`.
+
+    A :class:`~repro.sharding.core.KvClientCore` whose placement is the
+    ring owner: one candidate per key, no breaker.
 
     Args:
         sim: the simulator.
@@ -70,18 +74,14 @@ class ShardedKvClient:
             raise ConfigurationError(
                 f"batch_limit must be in 1..{MAX_BATCH_OPS}"
             )
-        self.sim = sim
+        super().__init__(
+            sim, cluster.network.endpoint(f"shard-client-{name}"), name,
+            timeout=timeout, retries=retries, deadline=deadline,
+            history=history,
+        )
         self.cluster = cluster
-        self.name = name
         self.cache = cache
         self.batch_limit = batch_limit
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
-        self.history = history if history is not None else NULL_HISTORY
-        self.rpc = RpcClient(
-            sim, UdpSocket(sim, cluster.network.endpoint(f"shard-client-{name}"))
-        )
         self._metrics = sim.telemetry.unique_scope(f"shard.client.{name}")
         self._ops = self._metrics.counter("ops")
         self._round_trips = self._metrics.counter("round_trips")
@@ -115,14 +115,13 @@ class ShardedKvClient:
                 return cached
         owner = self.cluster.owner_of(key)
         try:
-            value = yield from self.rpc.call(
+            value = yield from self._call(
                 owner, "kv.get", key,
-                request_size=32 + len(key), response_size=128,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
+                request_size=KV_HEADER + len(key), response_size=KV_VALUE,
+                priority=priority,
             )
         except RpcError:
-            pending.fail()
+            pending.raised()
             raise
         self._ops.inc()
         self._round_trips.inc()
@@ -134,41 +133,30 @@ class ShardedKvClient:
     def put(self, key: bytes, value: bytes, *, priority: int = 0):
         """Process: write one key to its owner; invalidates the cache."""
         key, value = bytes(key), bytes(value)
-        owner = self.cluster.owner_of(key)
-        pending = self.history.invoke(self.name, "w", key, value)
-        try:
-            yield from self.rpc.call(
-                owner, "kv.put", key, value,
-                request_size=32 + len(key) + len(value), response_size=16,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
-            )
-        except RpcError:
-            # The request (or only its ack) may have been lost: the
-            # write may have landed. Never record it as a clean failure.
-            pending.indeterminate()
-            raise
-        self._ops.inc()
-        self._round_trips.inc()
-        if self.cache is not None:
-            self.cache.invalidate(key)
-        pending.ok()
-        return True
+        return self._write("w", "kv.put", key, value,
+                           KV_HEADER + len(key) + len(value), priority)
 
     def delete(self, key: bytes, *, priority: int = 0):
         """Process: delete one key at its owner; invalidates the cache."""
         key = bytes(key)
+        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key),
+                           priority)
+
+    def _write(self, action: str, method: str, key: bytes,
+               value: Optional[bytes], request_size: int, priority: int):
+        """Process: the one write path — a put, or a delete (no value)."""
         owner = self.cluster.owner_of(key)
-        pending = self.history.invoke(self.name, "d", key)
+        pending = self.history.invoke(self.name, action, key, value)
         try:
-            yield from self.rpc.call(
-                owner, "kv.delete", key,
-                request_size=32 + len(key), response_size=16,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
+            yield from self._call(
+                owner, method, key, value,
+                request_size=request_size, response_size=KV_ACK,
+                priority=priority,
             )
         except RpcError:
-            pending.indeterminate()
+            # The request (or only its ack) may have been lost: the
+            # write may have landed. Never record it as a clean failure.
+            pending.raised()
             raise
         self._ops.inc()
         self._round_trips.inc()
@@ -178,38 +166,51 @@ class ShardedKvClient:
         return True
 
     # -- batched multi-key ops -------------------------------------------------
-    def _group_by_owner(
-        self, keys: Sequence[bytes]
-    ) -> "List[Tuple[str, List[int]]]":
-        """Partition key *positions* by owning DPU, preserving order."""
-        groups: Dict[str, List[int]] = {}
-        for position, key in enumerate(keys):
-            groups.setdefault(self.cluster.owner_of(key), []).append(position)
-        return list(groups.items())
+    def _batched(self, ops: List[Tuple[int, BatchOp]], settle,
+                 priority: int):
+        """Process: the one batched path for ``(position, op)`` pairs.
 
-    def _scatter(self, thunks):
-        """Process: run sub-batch processes concurrently, join them all.
-
-        The pipelined half of batching: per-owner sub-batches of one
-        multi-key op travel in parallel, so the op's latency is the
-        *slowest* owner's round trip, not the sum — without this, a
+        Ops are grouped by their key's owner and coalesced into one
+        ``call_batch`` per owner per :attr:`batch_limit` ops; each answer
+        goes to ``settle(position, result)``. The per-owner sub-batches
+        of one multi-key op travel in parallel, so the op's latency is
+        the *slowest* owner's round trip, not the sum — without this, a
         batch spanning many DPUs serializes and scaling flattens. The
         first sub-batch failure is re-raised after every sub-batch has
         settled (no orphaned in-flight work). A single sub-batch has
         nothing to overlap with and runs in the caller's process.
         """
-        if len(thunks) == 1:
-            yield from thunks[0]()
+        groups: Dict[str, List[Tuple[int, BatchOp]]] = {}
+        for entry in ops:
+            groups.setdefault(self.cluster.owner_of(entry[1].args[0]), []).append(entry)
+
+        def send(owner, chunk):
+            responses = yield from self.rpc.call_batch(
+                owner, [op for __, op in chunk], priority=priority,
+            )
+            self._round_trips.inc()
+            for (p, __), response in zip(chunk, responses):
+                if not response.ok:
+                    raise RpcError(response.error)
+                settle(p, response.result)
+
+        calls = [
+            send(owner, group[start:start + self.batch_limit])
+            for owner, group in groups.items()
+            for start in range(0, len(group), self.batch_limit)
+        ]
+        if len(calls) == 1:
+            yield from calls[0]
             return
         errors: List[RpcError] = []
 
-        def runner(thunk):
+        def runner(call):
             try:
-                yield from thunk()
+                yield from call
             except RpcError as error:
                 errors.append(error)
 
-        for process in [self.sim.process(runner(t)) for t in thunks]:
+        for process in [self.sim.process(runner(c)) for c in calls]:
             yield process
         if errors:
             raise errors[0]
@@ -224,7 +225,7 @@ class ShardedKvClient:
         keys = [bytes(key) for key in keys]
         epoch = self.cluster.epoch
         values: List[object] = [None] * len(keys)
-        misses: List[int] = []
+        misses: List[Tuple[int, BatchOp]] = []
         for position, key in enumerate(keys):
             if self.cache is not None:
                 cached = self.cache.lookup(key, epoch)
@@ -232,71 +233,27 @@ class ShardedKvClient:
                     values[position] = cached
                     self._cache_served.inc()
                     continue
-            misses.append(position)
-        def fetch(owner, chunk):
-            ops = [
-                BatchOp("kv.get", (keys[p],),
-                        request_size=32 + len(keys[p]),
-                        response_size=128)
-                for p in chunk
-            ]
-            responses = yield from self.rpc.call_batch(
-                owner, ops, priority=priority,
-            )
-            self._round_trips.inc()
-            for p, response in zip(chunk, responses):
-                if not response.ok:
-                    raise RpcError(response.error)
-                values[p] = response.result
-                if self.cache is not None and response.result is not None:
-                    self.cache.fill(keys[p], response.result, epoch)
+            misses.append((position, kv_op("kv.get", key)))
 
-        thunks = []
-        for owner, positions in self._group_by_owner(
-            [keys[p] for p in misses]
-        ):
-            actual = [misses[p] for p in positions]
-            for start in range(0, len(actual), self.batch_limit):
-                chunk = actual[start:start + self.batch_limit]
-                thunks.append(
-                    lambda owner=owner, chunk=chunk: fetch(owner, chunk)
-                )
-        if thunks:
-            yield from self._scatter(thunks)
+        def fill(p, value):
+            values[p] = value
+            if self.cache is not None and value is not None:
+                self.cache.fill(keys[p], value, epoch)
+
+        yield from self._batched(misses, fill, priority)
         self._ops.inc(len(keys))
         return values
 
     def put_many(self, pairs: Iterable[Tuple[bytes, bytes]], *,
                  priority: int = 0):
         """Process: write many pairs with batched, owner-grouped RPCs."""
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
+        ops = [(p, kv_op("kv.put", bytes(k), bytes(v)))
+               for p, (k, v) in enumerate(pairs)]
 
-        def push(owner, chunk):
-            ops = [
-                BatchOp("kv.put", pairs[p],
-                        request_size=32 + len(pairs[p][0])
-                        + len(pairs[p][1]),
-                        response_size=16)
-                for p in chunk
-            ]
-            responses = yield from self.rpc.call_batch(
-                owner, ops, priority=priority,
-            )
-            self._round_trips.inc()
-            for p, response in zip(chunk, responses):
-                if not response.ok:
-                    raise RpcError(response.error)
-                if self.cache is not None:
-                    self.cache.invalidate(pairs[p][0])
+        def invalidate(p, _result):
+            if self.cache is not None:
+                self.cache.invalidate(ops[p][1].args[0])
 
-        thunks = []
-        for owner, positions in self._group_by_owner([k for k, _ in pairs]):
-            for start in range(0, len(positions), self.batch_limit):
-                chunk = positions[start:start + self.batch_limit]
-                thunks.append(
-                    lambda owner=owner, chunk=chunk: push(owner, chunk)
-                )
-        if thunks:
-            yield from self._scatter(thunks)
-        self._ops.inc(len(pairs))
+        yield from self._batched(ops, invalidate, priority)
+        self._ops.inc(len(ops))
         return True

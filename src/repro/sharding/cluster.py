@@ -28,7 +28,7 @@ from repro.overload.admission import Priority
 from repro.overload.queues import QueuePolicy
 from repro.sharding.ring import DEFAULT_VNODES, HashRing
 from repro.sim import Event, Simulator
-from repro.storage.kvssd import KvSsd
+from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, KvSsd
 from repro.telemetry.tracing import NULL_SPAN
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
@@ -120,8 +120,8 @@ class ShardForwarder:
         self._bytes_handed_off = self._metrics.counter("bytes_handed_off")
         self._forward_entries = self._metrics.gauge("forward_entries")
         server.register("kv.get", self._get)
-        server.register("kv.put", self._put)
-        server.register("kv.delete", self._delete)
+        server.register("kv.put", self._write)
+        server.register("kv.delete", self._write)
         server.register("kv.ping", lambda: True)
         server.register("shard.keys", self._keys)
         server.register("shard.handoff", self._handoff)
@@ -173,7 +173,7 @@ class ShardForwarder:
         if dest is not None:
             value = yield from self.rpc.call(
                 dest, "kv.get", key,
-                request_size=32 + len(key), response_size=128,
+                request_size=KV_HEADER + len(key), response_size=KV_VALUE,
             )
             return value
         try:
@@ -182,34 +182,26 @@ class ShardForwarder:
         finally:
             self._locks.release(key)
 
-    def _put(self, key: bytes, value: bytes):
-        """Process: apply a put locally, or proxy it to the new owner."""
-        key, value = bytes(key), bytes(value)
-        dest = yield from self._route(key)
-        if dest is not None:
-            yield from self.rpc.call(
-                dest, "kv.put", key, value,
-                request_size=32 + len(key) + len(value), response_size=16,
-            )
-            return True
-        try:
-            yield from self.device.put(key, value)
-            return True
-        finally:
-            self._locks.release(key)
-
-    def _delete(self, key: bytes):
-        """Process: apply a delete locally, or proxy it to the new owner."""
+    def _write(self, key: bytes, value: Optional[bytes] = None):
+        """Process: the one write path — a put, or with no value a
+        delete — applied locally, or proxied to the new owner."""
         key = bytes(key)
+        if value is not None:
+            value = bytes(value)
         dest = yield from self._route(key)
         if dest is not None:
+            args = (key,) if value is None else (key, value)
             yield from self.rpc.call(
-                dest, "kv.delete", key,
-                request_size=32 + len(key), response_size=16,
+                dest, "kv.delete" if value is None else "kv.put", *args,
+                request_size=KV_HEADER + sum(map(len, args)),
+                response_size=KV_ACK,
             )
             return True
         try:
-            yield from self.device.delete(key)
+            if value is None:
+                yield from self.device.delete(key)
+            else:
+                yield from self.device.put(key, value)
             return True
         finally:
             self._locks.release(key)
@@ -266,8 +258,8 @@ class ShardForwarder:
                     if value is not None:
                         yield from self.rpc.call(
                             dest, "shard.receive", key, value,
-                            request_size=32 + len(key) + len(value),
-                            response_size=16,
+                            request_size=KV_HEADER + len(key) + len(value),
+                            response_size=KV_ACK,
                             priority=int(Priority.BACKGROUND),
                         )
                         self._bytes_handed_off.inc(len(key) + len(value))

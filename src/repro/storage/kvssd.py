@@ -16,11 +16,24 @@ from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
 from repro.hw.nvme.namespace import LBA_SIZE
 from repro.sim import Simulator
-from repro.transport.rpc import RpcClient, RpcServer
+from repro.transport.rpc import BatchOp, RpcClient, RpcServer
 
 #: In-device KV engine time per command (index walk, request parsing) —
 #: the processing a one-sided RDMA read of a cached value bypasses.
 KV_REQUEST_PROCESSING = 2e-6
+
+#: The ``kv.*`` wire format: a request is this header plus its key (and
+#: value) bytes; a write is answered by a ``KV_ACK``-byte ack and a
+#: ``kv.get`` by a ``KV_VALUE``-byte value budget.
+KV_HEADER = 32
+KV_ACK = 16
+KV_VALUE = 128
+
+
+def kv_op(method: str, *args: bytes) -> BatchOp:
+    """One ``kv.*`` sub-op of a batch, sized as its single-key request."""
+    return BatchOp(method, args, KV_HEADER + sum(map(len, args)),
+                   KV_VALUE if method == "kv.get" else KV_ACK)
 
 
 class KvSsd:
@@ -233,23 +246,23 @@ class KvSsdClient:
         self.client = client
         self.target = target_address
 
-    def get(self, key: bytes, expected_value_size: int = 128):
+    def get(self, key: bytes, expected_value_size: int = KV_VALUE):
         value = yield from self.client.call(
             self.target, "kv.get", bytes(key),
-            request_size=32 + len(key), response_size=expected_value_size,
+            request_size=KV_HEADER + len(key), response_size=expected_value_size,
         )
         return value
 
     def put(self, key: bytes, value: bytes):
         yield from self.client.call(
             self.target, "kv.put", bytes(key), bytes(value),
-            request_size=32 + len(key) + len(value), response_size=16,
+            request_size=KV_HEADER + len(key) + len(value), response_size=KV_ACK,
         )
 
     def delete(self, key: bytes):
         yield from self.client.call(
             self.target, "kv.delete", bytes(key),
-            request_size=32 + len(key), response_size=16,
+            request_size=KV_HEADER + len(key), response_size=KV_ACK,
         )
 
     def scan(self, start: bytes, end: bytes, limit: int = 100):

@@ -9,7 +9,8 @@ completed]`` with one of three outcomes:
 * ``OK`` — the client got an answer; the op definitely took effect (for
   writes) or definitely returned that value (for reads).
 * ``FAIL`` — the client got a definite error *before* the op could take
-  effect (a refused read). Failed ops are excluded from checking.
+  effect (a refused read, or a write whose every candidate's circuit
+  was open, so no request left). Failed ops are excluded from checking.
 * ``INDETERMINATE`` — a timeout or degraded error on a write: the ack
   was lost, but the write may have landed. The checker must allow the
   op to take effect at any point after its invocation *or never* —
@@ -143,6 +144,13 @@ class PendingOp:
         return self._close(OpStatus.INDETERMINATE, self.value, math.inf,
                            None, None)
 
+    def raised(self, sent: bool = True) -> Op:
+        """The op raised: a write whose request was *sent* may have
+        landed (indeterminate); a read, or an unsent write, failed."""
+        if sent and self.action != "r":
+            return self.indeterminate()
+        return self.fail()
+
 
 class HistoryRecorder:
     """Collects one run's client-observed operations.
@@ -225,6 +233,9 @@ class _NullPendingOp:
         pass
 
     def indeterminate(self) -> None:
+        pass
+
+    def raised(self, sent: bool = True) -> None:
         pass
 
 

@@ -8,6 +8,7 @@ the CPU-free paths.
 """
 
 import ast
+import inspect
 import pathlib
 
 import pytest
@@ -97,6 +98,54 @@ class TestCpuFreeDiscipline:
                     assert module.startswith(
                         ("repro.telemetry", "repro.common")
                     ), f"telemetry imports {module}"
+
+
+def _uses_of(path: pathlib.Path, name: str) -> int:
+    """References in *path* to a name or attribute called *name*."""
+    tree = ast.parse(path.read_text())
+    return sum(
+        1 for node in ast.walk(tree)
+        if name in (getattr(node, "attr", None), getattr(node, "id", None))
+    )
+
+
+#: The modules holding the three KV clients.
+CLIENT_MODULES = ["dpu/cluster.py", "sharding/client.py", "georep/client.py"]
+
+
+def test_kv_clients_stand_on_one_core():
+    """One client core: the three KV clients subclass it, only it calls
+    ``call_guarded``, none builds its own ``RpcClient``, and their
+    constructor knobs are pinned so a deleted one cannot come back."""
+    from repro.dpu.cluster import FailoverKvClient
+    from repro.georep.client import GeoKvClient
+    from repro.georep.region import LogShipper
+    from repro.sharding.client import ShardedKvClient
+    from repro.sharding.core import KvClientCore
+
+    for client in (ShardedKvClient, FailoverKvClient, GeoKvClient):
+        assert issubclass(client, KvClientCore), client
+    guarded = [
+        str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+        if _uses_of(path, "call_guarded")
+    ]
+    assert guarded == ["sharding/core.py"]
+    for module in CLIENT_MODULES:
+        assert _uses_of(SRC / module, "RpcClient") == 0, module
+    knobs = {
+        cls.__name__: list(inspect.signature(cls).parameters)
+        for cls in (ShardedKvClient, FailoverKvClient, GeoKvClient,
+                    LogShipper)
+    }
+    assert knobs == {
+        "ShardedKvClient": ["sim", "cluster", "name", "cache", "batch_limit",
+                            "timeout", "retries", "deadline", "history"],
+        "FailoverKvClient": ["sim", "network", "name", "cluster", "history"],
+        "GeoKvClient": ["sim", "cluster", "name", "home", "preference",
+                        "timeout", "retries", "rounds", "stale_bound",
+                        "brownout", "retry_budget", "history"],
+        "LogShipper": ["sim", "region", "peer", "peer_address"],
+    }
 
 
 class TestDocstringsEverywhere:

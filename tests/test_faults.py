@@ -387,6 +387,33 @@ class TestClusterFailover:
         assert gauge.value == 0
         assert client.marked_down == []
 
+    def test_a_replica_answering_a_delete_is_marked_up(self):
+        """Regression: put and get marked an answering replica up, but
+        delete did not, so a revived replica that served a delete stayed
+        demoted in read order."""
+        sim = Simulator()
+        network = Network(sim)
+        cluster = ReplicatedDpuKvCluster(
+            sim, network, dpu_count=3, replication=2, ssd_blocks=16384
+        )
+        client = FailoverKvClient(sim, network, "client", cluster)
+        key = next(
+            k for k in (f"k{i}".encode() for i in range(256))
+            if cluster.replicas_of(k)[0] == "kv-dpu-1"
+        )
+
+        def scenario():
+            yield from client.put(key, b"v")
+            cluster.kill(1)
+            yield from client.get(key)  # fails over to the tail
+            down = client.marked_down
+            cluster.revive(1)
+            acked = yield from client.delete(key)
+            return down, acked
+
+        assert sim.run_process(scenario()) == (["kv-dpu-1"], 2)
+        assert client.marked_down == []
+
     def test_asymmetric_partition_write_lands_but_ack_is_lost(self):
         """One-directional partition: kv-dpu-0 -> client is blackholed
         while client -> kv-dpu-0 still flows. Writes *land* at the head

@@ -372,7 +372,7 @@ class TestDisasterRecovery:
         sim = Simulator()
         cluster = GeoCluster(sim, ("a", "b"))
         client = GeoKvClient(sim, cluster, "w", home="a",
-                             rounds=1, timeout=2e-3, deadline=5e-3)
+                             rounds=1, timeout=2e-3)
         cluster.fabric.isolate("a")
         cluster.fabric.isolate("b")
         # The client's home network still reaches its own gateway; cut

@@ -35,6 +35,7 @@ from repro.verify import (
     shrink_plan,
     zero_lost_acks,
 )
+from repro.verify.history import NULL_HISTORY
 from repro.verify.linearizability import BudgetExceeded
 from repro.verify.nemesis import geo_plan, primary_kill_plan, sharded_plan
 
@@ -91,6 +92,31 @@ class TestHistoryRecorder:
             op.status is OpStatus.INDETERMINATE and op.completed == math.inf
             for op in recorder.ops
         )
+
+    @pytest.mark.parametrize("action, sent, status", [
+        ("w", True, OpStatus.INDETERMINATE),
+        ("d", True, OpStatus.INDETERMINATE),
+        ("w", False, OpStatus.FAIL),
+        ("d", False, OpStatus.FAIL),
+        ("r", True, OpStatus.FAIL),
+        ("r", False, OpStatus.FAIL),
+    ])
+    def test_raised_is_the_one_outcome_rule(self, action, sent, status):
+        recorder = HistoryRecorder(_Clock())
+        op = recorder.invoke("c", action, b"k").raised(sent=sent)
+        assert op.status is status
+        assert op.completed == (math.inf if status is OpStatus.INDETERMINATE
+                                else 0.0)
+
+    def test_raised_defaults_to_a_sent_request(self):
+        recorder = HistoryRecorder(_Clock())
+        assert recorder.invoke("c", "w", b"k", b"v").raised().status \
+            is OpStatus.INDETERMINATE
+
+    def test_null_token_raised_records_nothing(self):
+        pending = NULL_HISTORY.invoke("c", "w", b"k", b"v")
+        assert pending.raised() is None
+        assert pending.raised(sent=False) is None
 
     def test_canonical_bytes_stable(self):
         def build():
