@@ -53,11 +53,11 @@ class SlotScheduler:
         self.granted: List[TenantRequest] = []
         self._queue: Store = Store(sim)
         self._released: Store = Store(sim)
-        sim.process(self._scheduler_loop())
+        sim.spawn(self._scheduler_loop())
 
     def submit(self, tenant: str, bitstream: Bitstream) -> TenantRequest:
         request = TenantRequest(tenant, bitstream, arrived_at=self.sim.now)
-        self.sim.process(self._enqueue(request))
+        self.sim.spawn(self._enqueue(request))
         return request
 
     def _enqueue(self, request: TenantRequest):
@@ -66,7 +66,7 @@ class SlotScheduler:
     def release(self, slot_index: int) -> None:
         """Tenant done: slot becomes reclaimable."""
         slot = self.fabric.slots[slot_index]
-        self.sim.process(self._signal_release(slot))
+        self.sim.spawn(self._signal_release(slot))
 
     def _signal_release(self, slot: ReconfigurableSlot):
         if slot.occupied:

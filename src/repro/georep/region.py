@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -39,7 +40,7 @@ from repro.georep.wan import (
 from repro.hw.net import Network
 from repro.overload import CircuitBreaker
 from repro.sharding import ShardedKvClient, ShardedKvCluster
-from repro.sim import Event, Simulator
+from repro.sim import TIMED_OUT, Event, Simulator, expire
 from repro.telemetry.tracing import NULL_SPAN
 from repro.transport import RpcClient, RpcError, RpcServer, UdpSocket
 
@@ -105,7 +106,7 @@ class LogShipper:
         self._failures = self._metrics.counter("failures")
         self._lag_entries = self._metrics.gauge("lag_entries")
         self._lag_seconds = self._metrics.gauge("lag_seconds")
-        sim.process(self._run())
+        sim.spawn(self._run())
 
     # -- lag (the live RPO exposure toward this peer) -------------------------
     @property
@@ -131,12 +132,13 @@ class LogShipper:
         while not self.stopped:
             caught_up = self.region.log.head <= self.shipped
             if caught_up and self.sim.now - self._last_ship < SHIP_HEARTBEAT:
+                # Idle: a new log entry wakes us, or the interval does.
                 wake = Event(self.sim)
                 self.region._ship_wakes.append(wake)
-                yield self.sim.any_of([wake, self.sim.timeout(SHIP_INTERVAL)])
-                if not wake.triggered:
-                    # The poll timed out: take the wake back, or an idle
-                    # region collects one dead event per interval.
+                self.sim.call_later(SHIP_INTERVAL, partial(expire, wake))
+                if (yield wake) is TIMED_OUT:
+                    # Take the wake back, or an idle region collects one
+                    # dead event per interval.
                     self.region._ship_wakes.remove(wake)
                 self._update_lag()
                 continue

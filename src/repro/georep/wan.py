@@ -112,6 +112,11 @@ class WanLink(Link):
         self._manual_partition = False
         self._partitioned_gauge.set(0)
 
+    def forward(self, frame: Frame) -> None:
+        # A partition (manual or planned) is decided as the frame
+        # finishes serializing, so a WAN hop keeps that entry.
+        self.enqueue(frame)
+
     def _fault_outcome(self, frame: Frame) -> Optional[str]:
         if self.partitioned:
             self._frames_partitioned.inc()

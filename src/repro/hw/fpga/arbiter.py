@@ -39,7 +39,7 @@ class WeightedAxisArbiter:
         self._deficits: Dict[str, int] = {}
         self._wakeup: Store = Store(sim)
         self.bytes_served: Dict[str, int] = {}
-        sim.process(self._arbiter_loop())
+        sim.spawn(self._arbiter_loop())
 
     def register_tenant(self, tenant: str, weight: int = 1) -> None:
         if weight < 1:

@@ -139,7 +139,7 @@ class ConfigScrubber:
         self.poll_interval = poll_interval
         #: (slot index, repair completion time, scrub latency) per repair.
         self.repairs: List[Tuple[int, float, float]] = []
-        sim.process(self._run())
+        sim.spawn(self._run())
 
     def _slot_component(self, slot: ReconfigurableSlot) -> str:
         return f"{self.component}.slot{slot.index}"

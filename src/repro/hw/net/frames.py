@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -10,8 +9,6 @@ from typing import Any
 ETHERNET_HEADER = 38
 #: Standard (non-jumbo) MTU payload.
 MAX_FRAME_PAYLOAD = 1500
-
-_frame_counter = itertools.count()
 
 
 @dataclass
@@ -27,7 +24,6 @@ class Frame:
     dst: str
     payload: Any
     payload_size: int
-    frame_id: int = field(default_factory=lambda: next(_frame_counter))
     #: The sampled :class:`~repro.telemetry.TraceContext` of the flow
     #: that sent this frame, if any. Stamped by the first (in-flow) hop
     #: and read by every later hop's link, so store-and-forward hops —

@@ -27,7 +27,9 @@ class Link:
     propagation is pipelined (multiple frames can be in flight). No
     process runs per frame: serialization is one timeout whose first
     callback is the link's own bookkeeping, propagation one scheduled
-    callback that hands the frame to :attr:`sink`.
+    callback that hands the frame to :attr:`sink`. A frame nobody waits
+    on (:meth:`forward`, a switch egress) skips the serialization entry:
+    when it will have left is busy-until arithmetic.
 
     :attr:`sink` is a one-argument callable. It defaults to this link's
     receive queue (drained with :meth:`receive`); a datagram socket
@@ -78,6 +80,9 @@ class Link:
         #: queue (None when it holds the serialization timeout itself).
         self._sending: Optional[Tuple[Frame, Any, Optional[Event]]] = None
         self._backlog: Deque[Tuple[Frame, Any, Event]] = deque()
+        #: When the last :meth:`forward`-ed frame has left the
+        #: transmitter; an enqueued frame cannot start before it.
+        self._busy_until = 0.0
         self._on_serialized_cb = self._on_serialized
         self._loss_fn = loss_fn
         self.injector = injector
@@ -147,30 +152,62 @@ class Link:
         """
         # net.tx is the highest-frequency span site in the system; the
         # attrs dict is only built when tracing is actually on.
-        tracer = self._tracer
-        span = None
-        if tracer.enabled:
-            context = frame.trace
-            if context is None:
-                # First hop runs inside the sender's generator: stamp the
-                # active flow onto the frame so downstream switch hops
-                # (scheduled callbacks, outside any flow) can rejoin it.
-                context = frame.trace = tracer.active_context
-            if context is not None:
-                span = tracer.begin(
-                    context, self.TX_SPAN, self.TX_SUBSTRATE,
-                    {"component": self.component, "bytes": frame.wire_size},
-                )
-            else:
-                span = tracer.span(
-                    self.TX_SPAN, self.TX_SUBSTRATE,
-                    component=self.component, bytes=frame.wire_size,
-                )
+        span = self._tx_span(frame) if self._tracer.enabled else None
         if self._sending is None:
             return self._serialize((frame, span, None))
         done = Event(self.sim)
         self._backlog.append((frame, span, done))
         return done
+
+    def forward(self, frame: Frame) -> None:
+        """Transmit *frame* for a sender that does not wait on it (a
+        switch egress).
+
+        When it will have left the transmitter is known now — ``done =
+        max(now, busy_until) + serialization``, the float the
+        serialization timeout would reach — so the frame is counted,
+        its span closed at ``done`` and its arrival scheduled at ``done
+        + propagation``: no serialization entry. A link with a fault
+        surface (``loss_fn``, injector) takes the :meth:`enqueue` path
+        instead, so its draws happen at the completion instant and in
+        completion order; so does a frame behind one that is.
+        """
+        if (self._sending is not None or self.injector is not None
+                or self._loss_fn is not None):
+            self.enqueue(frame)
+            return
+        now = self.sim.now
+        busy = self._busy_until
+        self._busy_until = done = (
+            (busy if busy > now else now) + frame.wire_size / self.bandwidth
+        )
+        if self._tracer.enabled:
+            self._tx_span(frame).finish(end=done)
+        self._frames_sent.inc()
+        self._bytes_sent.inc(frame.wire_size)
+        if self.ingress is not None:
+            self.ingress(frame, done + self.propagation)
+        else:
+            self.sim.call_at(done + self.propagation, partial(self.sink, frame))
+
+    def _tx_span(self, frame: Frame):
+        """Open the ``net.tx`` span of *frame* (tracing is on)."""
+        tracer = self._tracer
+        context = frame.trace
+        if context is None:
+            # First hop runs inside the sender's generator: stamp the
+            # active flow onto the frame so downstream switch hops
+            # (scheduled callbacks, outside any flow) can rejoin it.
+            context = frame.trace = tracer.active_context
+        if context is not None:
+            return tracer.begin(
+                context, self.TX_SPAN, self.TX_SUBSTRATE,
+                {"component": self.component, "bytes": frame.wire_size},
+            )
+        return tracer.span(
+            self.TX_SPAN, self.TX_SUBSTRATE,
+            component=self.component, bytes=frame.wire_size,
+        )
 
     def transmit(self, frame: Frame):
         """Process: returns once *frame* has been serialized."""
@@ -178,7 +215,13 @@ class Link:
 
     def _serialize(self, entry: Tuple[Frame, Any, Optional[Event]]) -> Event:
         self._sending = entry
-        serialized = self.sim.timeout(self.serialization_delay(entry[0]))
+        sim = self.sim
+        delay = self.serialization_delay(entry[0])
+        if self._busy_until > sim.now:
+            # Behind a forwarded frame still on the wire.
+            serialized = sim.timeout_at(self._busy_until + delay)
+        else:
+            serialized = sim.timeout(delay)
         # Appended before any waiter can be: the link's bookkeeping runs
         # first, the sender resumes after it, both in this one entry.
         serialized.callbacks.append(self._on_serialized_cb)

@@ -94,7 +94,7 @@ class Switch:
             # Unknown destination: drop, as a real switch floods/drops.
             return
         self._frames_forwarded.inc()
-        egress.enqueue(frame)
+        egress.forward(frame)
 
 
 class Network:

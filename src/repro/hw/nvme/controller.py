@@ -8,7 +8,8 @@ the bifurcated PCIe links.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.common.errors import CapacityError, FaultInjectedError, ProtocolError
 from repro.faults import FaultInjector, FaultKind
@@ -38,6 +39,9 @@ class NvmeQueuePair:
     The default mode (``policy=None``) keeps the blocking
     :class:`~repro.sim.Store` submission path: a full queue stalls the
     submitter — an *implicit unbounded queue* of blocked putter state.
+    Once the controller runs, a submission starts its command at once
+    (commands overlap across dies); the store only holds what was
+    submitted before :meth:`NvmeController.start`.
     With a :class:`~repro.overload.QueuePolicy`, submission goes through
     a :class:`~repro.overload.BoundedQueue` instead: a full queue
     completes the command immediately with ``QUEUE_FULL`` (the host sees
@@ -72,12 +76,17 @@ class NvmeQueuePair:
                 on_drop=self._on_drop,
             )
         self._waiters: Dict[int, Event] = {}
+        #: The started controller's command execution, on a ``Store``-mode
+        #: pair: a submission starts it directly.
+        self._execute: Optional[Callable[[NvmeCommand], Generator]] = None
 
     def submit(self, command: NvmeCommand) -> Event:
         """Queue a command; the returned event fires with its completion."""
         done = Event(self.sim)
         self._waiters[command.cid] = done
-        if self.queue is not None:
+        if self._execute is not None:
+            self.sim.spawn(self._execute(command))
+        elif self.queue is not None:
             # try_put completes the command with QUEUE_FULL via _on_drop
             # when at capacity — the submitter never blocks.
             self.queue.try_put(command)
@@ -86,7 +95,7 @@ class NvmeQueuePair:
         else:
             # A full submission queue stalls the submission, not the
             # submitter: a process waits for the slot on its behalf.
-            self.sim.process(self._enqueue(command))
+            self.sim.spawn(self._enqueue(command))
         return done
 
     def _enqueue(self, command: NvmeCommand):
@@ -106,10 +115,19 @@ class NvmeQueuePair:
         return self.sq.get()
 
     def complete(self, completion: NvmeCompletion) -> None:
+        """Post *completion*; the submitter resumes in an entry of its own."""
+        self._waiter(completion).succeed(completion)
+
+    def post(self, completion: NvmeCompletion) -> None:
+        """Post *completion* as the last act of the command's own
+        process: the submitter resumes inside this entry."""
+        self._waiter(completion).wake(completion)
+
+    def _waiter(self, completion: NvmeCompletion) -> Event:
         waiter = self._waiters.pop(completion.cid, None)
         if waiter is None:
             raise ProtocolError(f"completion for unknown cid {completion.cid}")
-        waiter.succeed(completion)
+        return waiter
 
 
 class NvmeController(PcieDevice):
@@ -183,7 +201,7 @@ class NvmeController(PcieDevice):
         )
         self.queue_pairs.append(qp)
         if self._started:
-            self.sim.process(self._queue_loop(qp))
+            self._serve(qp)
         return qp
 
     def start(self) -> None:
@@ -192,17 +210,28 @@ class NvmeController(PcieDevice):
             return
         self._started = True
         for qp in self.queue_pairs:
-            self.sim.process(self._queue_loop(qp))
+            self._serve(qp)
+
+    def _serve(self, qp: NvmeQueuePair) -> None:
+        """Execute *qp*'s commands from now on. NVMe runs them in
+        parallel across flash dies: each is a process of its own, started
+        without waiting for the ones before it."""
+        if qp.queue is not None:
+            self.sim.spawn(self._queue_loop(qp))
+            return
+        qp._execute = partial(self._execute, qp)
+        while len(qp.sq):  # submitted before start(), in order
+            self.sim.spawn(self._execute(qp, qp.sq.get().value))
 
     def _queue_loop(self, qp: NvmeQueuePair):
+        """A policy-mode pair's dispatcher: its queue decides what runs."""
         while True:
             command = yield qp.next_command()
-            # Dispatch without waiting: NVMe executes queued commands in
-            # parallel across flash dies.
-            self.sim.process(self._execute(qp, command))
+            self.sim.spawn(self._execute(qp, command))
 
     # -- command execution ---------------------------------------------------
     def _execute(self, qp: NvmeQueuePair, command: NvmeCommand):
+        """Process: one command; posting its completion is its last act."""
         started = self.sim.now
         with self.sim.tracer.span(
             "nvme.cmd", "nvme",
@@ -218,44 +247,49 @@ class NvmeController(PcieDevice):
                 self._commands_aborted.inc()
                 self._cmd_latency.observe(self.sim.now - started)
                 span.annotate(status="COMMAND_ABORTED")
-                qp.complete(
-                    NvmeCompletion(command.cid, NvmeStatus.COMMAND_ABORTED)
-                )
-                return
-            namespace = self.namespaces.get(command.namespace_id)
-            if namespace is None:
-                qp.complete(
-                    NvmeCompletion(command.cid, NvmeStatus.LBA_OUT_OF_RANGE)
-                )
-                return
-            try:
-                if command.opcode is NvmeOpcode.READ:
-                    completion = yield from self._do_read(namespace, command)
-                elif command.opcode is NvmeOpcode.WRITE:
-                    completion = yield from self._do_write(namespace, command)
-                elif command.opcode is NvmeOpcode.FLUSH:
-                    completion = NvmeCompletion(command.cid, NvmeStatus.SUCCESS)
-                elif command.opcode is NvmeOpcode.ZONE_APPEND:
-                    completion = yield from self._do_append(namespace, command)
-                elif command.opcode is NvmeOpcode.ZONE_RESET:
-                    completion = yield from self._do_reset(namespace, command)
-                else:
-                    completion = NvmeCompletion(
-                        command.cid, NvmeStatus.INVALID_OPCODE
-                    )
-            except FaultInjectedError:
-                self._media_errors.inc()
                 completion = NvmeCompletion(
-                    command.cid, NvmeStatus.UNRECOVERED_READ_ERROR
+                    command.cid, NvmeStatus.COMMAND_ABORTED
                 )
-            except (CapacityError, ProtocolError):
+            elif command.namespace_id not in self.namespaces:
                 completion = NvmeCompletion(
                     command.cid, NvmeStatus.LBA_OUT_OF_RANGE
                 )
-            self._commands_executed.inc()
-            self._cmd_latency.observe(self.sim.now - started)
-            span.annotate(status=completion.status.name)
-        qp.complete(completion)
+            else:
+                namespace = self.namespaces[command.namespace_id]
+                try:
+                    if command.opcode is NvmeOpcode.READ:
+                        completion = yield from self._do_read(namespace, command)
+                    elif command.opcode is NvmeOpcode.WRITE:
+                        completion = yield from self._do_write(namespace, command)
+                    elif command.opcode is NvmeOpcode.FLUSH:
+                        completion = NvmeCompletion(
+                            command.cid, NvmeStatus.SUCCESS
+                        )
+                    elif command.opcode is NvmeOpcode.ZONE_APPEND:
+                        completion = yield from self._do_append(
+                            namespace, command
+                        )
+                    elif command.opcode is NvmeOpcode.ZONE_RESET:
+                        completion = yield from self._do_reset(
+                            namespace, command
+                        )
+                    else:
+                        completion = NvmeCompletion(
+                            command.cid, NvmeStatus.INVALID_OPCODE
+                        )
+                except FaultInjectedError:
+                    self._media_errors.inc()
+                    completion = NvmeCompletion(
+                        command.cid, NvmeStatus.UNRECOVERED_READ_ERROR
+                    )
+                except (CapacityError, ProtocolError):
+                    completion = NvmeCompletion(
+                        command.cid, NvmeStatus.LBA_OUT_OF_RANGE
+                    )
+                self._commands_executed.inc()
+                self._cmd_latency.observe(self.sim.now - started)
+                span.annotate(status=completion.status.name)
+        qp.post(completion)
 
     def _dma(self, size_bytes: int):
         if self.link is not None:

@@ -8,6 +8,7 @@ resumed when those events fire.
 
 from repro.sim.clock import ManualClock, SimClock
 from repro.sim.engine import (
+    TIMED_OUT,
     AllOf,
     AnyOf,
     Event,
@@ -15,6 +16,7 @@ from repro.sim.engine import (
     Process,
     Simulator,
     Timeout,
+    expire,
 )
 from repro.sim.resources import Resource, Store
 
@@ -30,4 +32,6 @@ __all__ = [
     "Store",
     "ManualClock",
     "SimClock",
+    "TIMED_OUT",
+    "expire",
 ]

@@ -21,6 +21,9 @@ Hot-path design notes (every simulated operation crosses this module):
   first generator resume is scheduled directly as a *thunk* entry
   (``event is None``), consuming one eid exactly like the old bootstrap
   event did. Interrupt delivery uses the same mechanism.
+* A process nobody waits on is started with :meth:`Simulator.spawn`:
+  the same bootstrap entry, no completion entry, and a failure raises
+  out of ``run()`` rather than vanishing onto an event nobody holds.
 * The same thunk entries are the public *scheduled callback*:
   :meth:`Simulator.call_later` / :meth:`Simulator.call_at` run a bare
   callable at a simulated instant — one eid, no Event, no generator.
@@ -179,6 +182,22 @@ class Event:
             self.callbacks.append(callback)
 
 
+#: What :func:`expire` wakes an event with: nothing triggered it in time.
+TIMED_OUT = object()
+
+
+def expire(event: Event) -> None:
+    """Wake *event* with :data:`TIMED_OUT` unless it was triggered first.
+
+    A bounded wait is one event plus ``sim.call_later(wait,
+    partial(expire, event))``: the expiry thunk wakes the waiter inline,
+    and is a no-op entry once something else answered — where an
+    ``any_of([event, timeout])`` costs a second event and a hop.
+    """
+    if event._value is _PENDING:
+        event.wake(TIMED_OUT)
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
@@ -234,6 +253,10 @@ class Process(Event):
 
     __slots__ = ("_generator", "_waiting_on", "_resume_cb")
 
+    #: Whether anything can wait on this process: its completion is
+    #: then an entry of its own, and a failure is stored on the event.
+    _awaited = True
+
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
@@ -288,6 +311,8 @@ class Process(Event):
         except StopIteration as stop:
             self._value = stop.value
             self._ok = True
+            if not self._awaited:
+                return
             sim = self.sim
             self._fire_at = now = sim.now
             sim._eid = eid = sim._eid + 1
@@ -296,6 +321,8 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self._value = exc
             self._ok = False
+            if not self._awaited:
+                raise
             sim = self.sim
             self._fire_at = now = sim.now
             sim._eid = eid = sim._eid + 1
@@ -312,6 +339,15 @@ class Process(Event):
             self._resume(target)
         else:
             callbacks.append(self._resume_cb)
+
+
+class _Spawned(Process):
+    """A process nobody waits on (:meth:`Simulator.spawn`): finishing
+    queues no completion entry, and a failure raises out of the entry
+    that resumed it instead of being stored where nobody looks."""
+
+    __slots__ = ()
+    _awaited = False
 
 
 class _MultiEvent(Event):
@@ -520,6 +556,18 @@ class Simulator:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
+
+    def spawn(self, generator: Generator) -> None:
+        """Start *generator* as a process nobody waits on.
+
+        It starts exactly as :meth:`process` starts one — one bootstrap
+        entry, at the same place in the order — but its end queues no
+        completion entry, and an exception it raises propagates out of
+        :meth:`run` with its original traceback instead of being stored
+        on an event no one holds. There is no handle to wait on or
+        interrupt: use :meth:`process` for that.
+        """
+        _Spawned(self, generator)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -246,7 +246,7 @@ class Sampler:
         """Run ``generator`` as a process with this sampler ticking beside
         it; returns the process value (like ``sim.run_process``)."""
         process = sim.process(generator)
-        sim.process(self.pump(sim, process))
+        sim.spawn(self.pump(sim, process))
         sim.run()
         if not process.triggered:
             raise RuntimeError("process did not finish (deadlock?)")

@@ -107,10 +107,12 @@ class Span:
         return "\n".join(lines)
 
     # -- closing ---------------------------------------------------------------
-    def finish(self) -> None:
+    def finish(self, end: Optional[float] = None) -> None:
         """Close the span now; what leaving its ``with`` block does. For
-        spans whose end is a callback rather than the end of a block."""
-        self.tracer._finish(self)
+        spans whose end is a callback rather than the end of a block.
+        *end* closes it at an instant already known instead (a frame's
+        serialization, computed when the frame is handed over)."""
+        self.tracer._finish(self, end)
 
     def __enter__(self) -> "Span":
         return self
@@ -151,7 +153,7 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def finish(self) -> None:
+    def finish(self, end: Optional[float] = None) -> None:
         """No-op finish matching :meth:`Span.finish`."""
 
     def annotate(self, **attrs: Any) -> "_NullSpan":
@@ -373,8 +375,8 @@ class Tracer:
         context.stack.append(span)
         return span
 
-    def _finish(self, span: Span) -> None:
-        span.end = self.clock.now
+    def _finish(self, span: Span, end: Optional[float] = None) -> None:
+        span.end = self.clock.now if end is None else end
         context = span.context
         if context is not None:
             stack = context.stack

@@ -58,7 +58,7 @@ class HomaSocket:
         self._granted: set = set()
         self.messages_sent = 0
         self.unscheduled_only = 0
-        sim.process(self._rx_loop())
+        sim.spawn(self._rx_loop())
 
     @property
     def address(self) -> str:
@@ -127,7 +127,7 @@ class HomaSocket:
             ):
                 self._granted.add(key)
                 grant = _HomaGrant(message.message_id, message.total_size)
-                self.sim.process(self._send_grant(frame.src, grant))
+                self.sim.spawn(self._send_grant(frame.src, grant))
             if received >= message.total_size:
                 del self._incoming[key]
                 self._granted.discard(key)

@@ -70,7 +70,7 @@ class RdmaNic:
         self._completions: Dict[int, Event] = {}
         self._next_rkey = itertools.count(1)
         self.remote_ops_served = 0
-        sim.process(self._rx_loop())
+        sim.spawn(self._rx_loop())
 
     @property
     def address(self) -> str:
@@ -121,7 +121,7 @@ class RdmaNic:
             frame = yield self.port.receive()
             message = frame.payload
             if isinstance(message, _RdmaRequest):
-                self.sim.process(self._serve(frame.src, message))
+                self.sim.spawn(self._serve(frame.src, message))
             elif isinstance(message, _RdmaResponse):
                 waiter = self._completions.pop(message.op_id, None)
                 if waiter is not None:

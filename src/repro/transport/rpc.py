@@ -20,7 +20,7 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.overload.admission import AdmissionController, Priority
 from repro.overload.breaker import CircuitBreaker, CircuitOpenError
 from repro.overload.queues import BoundedQueue, QueuePolicy
-from repro.sim import Event, Simulator
+from repro.sim import TIMED_OUT, Event, Simulator, expire
 from repro.telemetry import MetricScope
 from repro.telemetry.tracing import NULL_SPAN
 
@@ -35,16 +35,6 @@ BATCH_METHOD = "rpc.batch"
 
 #: Most sub-operations one batch may coalesce into a single round trip.
 MAX_BATCH_OPS = 64
-
-
-#: What an attempt's event is woken with when nobody answered in time.
-_TIMED_OUT = object()
-
-
-def _expire(answered: Event) -> None:
-    """Scheduled at an attempt's expiry; a no-op once it was answered."""
-    if not answered.triggered:
-        answered.wake(_TIMED_OUT)
 
 
 class RpcError(ProtocolError):
@@ -298,7 +288,7 @@ class RpcServer:
                 codel_interval=codel_interval, on_drop=self._on_queue_drop,
             )
             for __ in range(workers):
-                sim.process(self._worker_loop())
+                sim.spawn(self._worker_loop())
         self.transport.listen(self._on_datagram)
 
     @property
@@ -346,7 +336,7 @@ class RpcServer:
         self._shed.inc()
         if self.admission is not None:
             self.admission.record_overload()
-        self.sim.process(
+        self.sim.spawn(
             self._reject(src, request, f"overload: dropped ({reason})")
         )
 
@@ -358,7 +348,7 @@ class RpcServer:
             self._priority_of(request)
         ):
             self._shed.inc()
-            self.sim.process(
+            self.sim.spawn(
                 self._reject(src, request, "overload: admission shed")
             )
             return
@@ -371,12 +361,12 @@ class RpcServer:
             # Resume the caller's flow on this side of the wire: the
             # handler process runs with the originating context
             # active, so its spans join the caller's trace tree.
-            self.sim.process(
+            self.sim.spawn(
                 self._tracer.drive(self._handle(src, request),
                                    request.trace)
             )
         else:
-            self.sim.process(self._handle(src, request))
+            self.sim.spawn(self._handle(src, request))
 
     def _worker_loop(self):
         """One wimpy core: run-to-completion service off the queue."""
@@ -746,7 +736,7 @@ class RpcClient:
                 # late answer to an earlier transmission still lands.
                 # ``_on_datagram`` wakes it with the response; the
                 # attempt's expiry, if it gets there first, with
-                # ``_TIMED_OUT``.
+                # ``TIMED_OUT``.
                 answered = self._pending[request.rpc_id] = Event(self.sim)
                 yield from self.transport.sendto(
                     server, request, RPC_HEADER + request_size
@@ -771,9 +761,9 @@ class RpcClient:
                         )
                     wait = min(wait, remaining)
                 if not answered.triggered:
-                    self.sim.call_later(wait, partial(_expire, answered))
+                    self.sim.call_later(wait, partial(expire, answered))
                 response = yield answered
-                if response is not _TIMED_OUT:
+                if response is not TIMED_OUT:
                     break
                 if deadline is not None and self.sim.now - started >= deadline:
                     self._pending.pop(request.rpc_id, None)

@@ -139,7 +139,7 @@ class TcpStack:
         self.connections: Dict[int, TcpConnection] = {}
         self.accept_queue: Store = Store(sim)
         self._pending_connect: Dict[int, Event] = {}
-        sim.process(self._rx_loop())
+        sim.spawn(self._rx_loop())
 
     @property
     def address(self) -> str:
@@ -194,7 +194,7 @@ class TcpStack:
             elif isinstance(message, _DataSegment):
                 connection = self.connections.get(message.conn_id)
                 if connection is not None:
-                    self.sim.process(connection._on_segment(message))
+                    self.sim.spawn(connection._on_segment(message))
             elif isinstance(message, _Ack):
                 connection = self.connections.get(message.conn_id)
                 if connection is not None and message.index >= 0:

@@ -16,8 +16,6 @@ UDP_HEADER = 28
 #: Incomplete datagrams one socket keeps for reassembly at a time.
 MAX_PARTIAL_DATAGRAMS = 64
 
-_datagram_ids = itertools.count()
-
 
 @dataclass
 class _Fragment:
@@ -43,6 +41,9 @@ class UdpSocket:
         self.port = port
         self.rx: Store = Store(sim)
         self._partial: Dict[Tuple[str, int], Dict[int, _Fragment]] = {}
+        # Per-socket ids: reassembly keys on (source address, id), so
+        # only this socket's datagrams need distinct ones.
+        self._datagram_ids = itertools.count()
         self.datagrams_sent = 0
         self.datagrams_received = 0
         #: Incomplete datagrams dropped to keep ``_partial`` bounded.
@@ -60,7 +61,7 @@ class UdpSocket:
 
     def sendto(self, dst: str, payload: Any, size: int):
         """Process: transmit one datagram of modeled ``size`` bytes."""
-        datagram_id = next(_datagram_ids)
+        datagram_id = next(self._datagram_ids)
         mtu_payload = MAX_FRAME_PAYLOAD - UDP_HEADER
         total = max(1, -(-size // mtu_payload))
         remaining = size

@@ -196,7 +196,7 @@ class Autoscaler:
             # the latest joiner holds the least-warm working set.
             victim = self.cluster.members()[-1]
             migration = self.migrator.remove_dpu(victim)
-        self.sim.process(self._drive(direction, migration))
+        self.sim.spawn(self._drive(direction, migration))
 
     def _drive(self, direction: str, migration):
         """Process: run *migration*; a failure is logged, never swallowed.

@@ -195,8 +195,8 @@ class OpenLoopTraffic(_TrafficBase):
         """Spawn arrival processes; curve time 0 is the call instant."""
         self.origin = self.sim.now
         for tenant in self.spec.tenants:
-            self.sim.process(self._arrivals(tenant))
-        self.sim.process(self._rates_loop())
+            self.sim.spawn(self._arrivals(tenant))
+        self.sim.spawn(self._rates_loop())
 
     def _arrivals(self, tenant: TenantSpec):
         rng = random.Random(f"{self.seed}/arrivals/{tenant.name}")
@@ -211,7 +211,7 @@ class OpenLoopTraffic(_TrafficBase):
                 continue  # thinned: below the instantaneous rate
             kind, keys = self._draw(tenant, oprng)
             self._offered.inc()
-            self.sim.process(self._op(tenant, kind, keys))
+            self.sim.spawn(self._op(tenant, kind, keys))
 
 
 class ClosedLoopTraffic(_TrafficBase):
@@ -248,8 +248,8 @@ class ClosedLoopTraffic(_TrafficBase):
         self.origin = self.sim.now
         for tenant in self.spec.tenants:
             for worker in range(self.workers_for(tenant)):
-                self.sim.process(self._worker(tenant, worker))
-        self.sim.process(self._rates_loop())
+                self.sim.spawn(self._worker(tenant, worker))
+        self.sim.spawn(self._rates_loop())
 
     def _worker(self, tenant: TenantSpec, worker: int):
         rng = random.Random(f"{self.seed}/worker/{tenant.name}/{worker}")

@@ -18,8 +18,10 @@ from repro.apps.fail2ban import Fail2BanBaseline, Fail2BanDpu, PacketRecord
 from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
 from repro.dpu import HyperionDpu
 from repro.ebpf import assemble
+from repro.georep import Consistency, GeoCluster, GeoKvClient, WanFabric
+from repro.georep.region import SHIP_INTERVAL
 from repro.hdl import HardwarePipeline, compile_program
-from repro.hw.net import Network
+from repro.hw.net import Frame, Network
 from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
@@ -28,12 +30,14 @@ from repro.transport import RpcClient, RpcServer, UdpSocket
 
 THINK = 2e-6
 
-#: One frame endpoint -> switch -> endpoint: two serializations, the
-#: lookup (scheduled as the frame leaves the uplink, for the instant it
-#: will have propagated and been looked up), one propagation to the
-#: endpoint. (19 before frames rode callbacks; 5 while the arrival at
-#: the switch was an entry of its own.)
-FRAME_CROSSING = 4
+#: One frame endpoint -> switch -> endpoint: the uplink serialization
+#: (its sender waits on it), the lookup (scheduled as the frame leaves
+#: the uplink, for the instant it will have propagated and been looked
+#: up), the arrival at the endpoint (scheduled by the lookup, for the
+#: instant the downlink will have serialized and propagated it). (19
+#: before frames rode callbacks; 5 while the arrival at the switch was
+#: an entry of its own; 4 while the downlink serialization was.)
+FRAME_CROSSING = 3
 
 
 def entries(sim, operation, think=THINK):
@@ -76,33 +80,40 @@ class TestEntriesPerOp:
 
     def test_echo_round_trip(self):
         sim, client = self.echo_pair()
-        # Two crossings and the request's own process (an unqueued
-        # server serves requests concurrently): bootstrap, completion.
-        # The caller resumes inside the reply's delivery entry. Plus the
-        # think timeout and the driving process's bootstrap, completion.
+        # Two crossings and the start of the request's own process (an
+        # unqueued server serves requests concurrently; nobody waits on
+        # it, so its end is no entry: 2 before). The caller resumes
+        # inside the reply's delivery entry. Plus the think timeout and
+        # the driving process's bootstrap, completion. (13 before the
+        # downlink serialization became busy-until arithmetic.)
         assert entries(sim, client.call("server", "echo", 1)) == (
-            2 * FRAME_CROSSING + 2 + 3
+            2 * FRAME_CROSSING + 1 + 3
         )
 
     def test_answered_call_with_a_timeout_costs_one_stale_entry(self):
         sim, client = self.echo_pair()
         # The attempt's expiry callback, popped as a no-op after the
         # answer. (An any_of([done, timeout]) wait cost two and left
-        # the caller's wake-up a hop of its own.)
+        # the caller's wake-up a hop of its own. 14 before the
+        # downlink serialization and the handler's end left the count.)
         assert entries(
             sim, client.call("server", "echo", 1, timeout=1e-3, retries=2)
-        ) == 2 * FRAME_CROSSING + 2 + 3 + 1
+        ) == 2 * FRAME_CROSSING + 1 + 3 + 1
 
     def test_uncontended_get(self, stack):
         sim, stub = stack
-        # The echo's 13 plus the KV-SSD's service time; the handler
-        # generator runs in the request's process.
-        assert entries(sim, stub.get(b"warm")) == 14
+        # The echo's 10 plus the KV-SSD's service time; the handler
+        # generator runs in the request's process. (14 before: hw.net's
+        # two downlink serializations and the request process's end.)
+        assert entries(sim, stub.get(b"warm")) == 11
 
     def test_uncontended_put(self, stack):
         sim, stub = stack
-        # The get's 14 plus the WAL's single-page write command.
-        assert entries(sim, stub.put(b"warm", b"w" * 64)) == 21
+        # The get's 11 plus the WAL's single-page write command's 4: its
+        # start and its three latencies. (21 before: the get's three,
+        # and hw.nvme's queue-loop hand-off, command end and deferred
+        # completion.)
+        assert entries(sim, stub.put(b"warm", b"w" * 64)) == 15
 
     def test_single_page_nvme_write_command(self):
         sim = Simulator()
@@ -117,12 +128,47 @@ class TestEntriesPerOp:
             assert completion.ok
 
         # Three latencies (firmware, channel transfer, cell program) and
-        # four hops that stay: the queue loop takes the command, the
-        # command's own process starts and ends (commands overlap across
-        # dies), the completion wakes the submitter. (15 while submit
-        # spawned a process, the page program another under an all_of,
-        # and each free channel/die grant was an event.)
-        assert entries(sim, write()) == 7 + 3
+        # the start of the command's own process (commands overlap across
+        # dies), which submit spawns directly and which wakes the
+        # submitter inline as its last act. (10 while a queue loop took
+        # the command, the command's end was an entry and the completion
+        # woke the submitter in one of its own; 15 while submit spawned
+        # a process, the page program another under an all_of, and each
+        # free channel/die grant was an event.)
+        assert entries(sim, write()) == 4 + 3
+
+    def test_cross_region_crossing(self):
+        """Uplink, region a's lookup, the WAN link, region b's lookup, the
+        arrival: the WAN link keeps its serialization entry, because a
+        partition is decided as the frame finishes serializing. (6 while
+        region b's downlink serialization was an entry too.)"""
+        sim = Simulator()
+        fabric = WanFabric(sim)
+        for region in "ab":
+            fabric.add_region(region, Network(sim))
+        fabric.connect("a", "b")
+        port = fabric.endpoint("a", "host-a")
+        fabric.endpoint("b", "host-b").listen(lambda frame: None)
+        frame = Frame("host-a", "host-b", None, 64)
+        assert entries(sim, port.send(frame)) == 5 + 3
+
+    def test_idle_log_shipper_interval(self):
+        """A caught-up shipper between heartbeats: one expiry entry per
+        ``SHIP_INTERVAL``, which wakes it inline. (2 while the poll was an
+        ``any_of([wake, timeout])``: the timeout and the any_of's hop.)"""
+        sim = Simulator()
+        cluster = GeoCluster(sim, ("a", "b"), dpu_count=1)
+        shippers = [shipper for region in cluster.regions.values()
+                    for shipper in region.shippers.values()]
+        # Past the first heartbeat's WAN round trip, before the next.
+        idle = 16e-3
+        sim.run(until=idle)
+        heartbeats = [shipper._heartbeats.value for shipper in shippers]
+        before = sim._eid
+        sim.run(until=idle + SHIP_INTERVAL)
+        assert [shipper._heartbeats.value for shipper in shippers] == (
+            heartbeats)
+        assert sim._eid - before == 1 * len(shippers)
 
 
 #: The think timeout and the driving process's bootstrap and completion.
@@ -208,6 +254,38 @@ def sharded_run(trace_seed):
     return sim, completions
 
 
+def geo_run(trace_seed):
+    """Two clients of a 2-region QUORUM cluster, one homed in each
+    region: every write crosses the WAN in a ship, every request and
+    reply crosses rack downlinks whose ``net.tx`` spans close at their
+    known end. Returns what must not depend on whether the run was
+    observed."""
+    sim = Simulator()
+    cluster = GeoCluster(sim, ("a", "b"), consistency=Consistency.QUORUM,
+                         dpu_count=1)
+    clients = [GeoKvClient(sim, cluster, f"c-{home}", home=home)
+               for home in "ab"]
+    if trace_seed is not None:
+        sim.tracer.enable(sample_rate=0.5, seed=trace_seed)
+    completions = []
+
+    def loop(index, client):
+        for round_ in range(6):
+            yield sim.timeout(THINK)
+            key = f"k{(index + round_) % 4}".encode()
+            yield from client.put(key, b"v%d" % round_)
+            completions.append((index, round_, "put", sim.now))
+            value = yield from client.get(key)
+            completions.append((index, round_, "get", sim.now, value))
+
+    for index, client in enumerate(clients):
+        sim.process(loop(index, client))
+    sim.run(until=0.2)
+    cluster.stop()
+    sim.run()
+    return sim, completions
+
+
 class TestTracingDoesNotMoveTheSchedule:
     @pytest.mark.parametrize("trace_seed", [0, 1, 7])
     def test_same_eids_same_clock_same_completions(self, trace_seed):
@@ -217,6 +295,19 @@ class TestTracingDoesNotMoveTheSchedule:
         sampled = sum(1 for root in traced_sim.tracer.roots
                       if root.name == "rpc.call")
         assert 0 < sampled < len(plain)  # ...and something was not
+        assert traced_sim._eid == plain_sim._eid
+        assert traced_sim.now == plain_sim.now
+        assert traced == plain
+
+    @pytest.mark.parametrize("trace_seed", [0, 3])
+    def test_geo_cluster_same_eids_same_clock_same_completions(
+            self, trace_seed):
+        plain_sim, plain = geo_run(None)
+        traced_sim, traced = geo_run(trace_seed)
+        names = {span.name for root in traced_sim.tracer.roots
+                 for span in root.walk()}
+        assert {"wan.tx", "net.tx", "repl.ship"} <= names
+        assert len(plain) == 2 * 6 * 2
         assert traced_sim._eid == plain_sim._eid
         assert traced_sim.now == plain_sim.now
         assert traced == plain

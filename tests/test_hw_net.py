@@ -1,6 +1,10 @@
 """Tests for the Ethernet substrate."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import gbps
@@ -17,11 +21,6 @@ class TestFrame:
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
             Frame("a", "b", None, payload_size=-1)
-
-    def test_frame_ids_unique(self):
-        a = Frame("a", "b", None, 10)
-        b = Frame("a", "b", None, 10)
-        assert a.frame_id != b.frame_id
 
 
 class TestLink:
@@ -326,11 +325,14 @@ class TestCallbackDatapath:
         assert net.switch.frames_blackholed == 1
 
     def test_no_process_per_frame(self):
-        """One frame end to end is four engine entries — two
-        serializations, the switch lookup (scheduled when the frame
-        leaves the uplink, for the instant it will have arrived and been
-        looked up), the propagation to the endpoint — plus the sender
-        process's own bootstrap and completion."""
+        """One frame end to end is three engine entries — the uplink
+        serialization its sender waits on, the switch lookup (scheduled
+        when the frame leaves the uplink, for the instant it will have
+        arrived and been looked up), the arrival at the endpoint
+        (scheduled by the lookup: the downlink's serialization is
+        busy-until arithmetic) — plus the sender process's own bootstrap
+        and completion. (4 + 2 while the downlink serialization was an
+        entry.)"""
         sim = Simulator()
         net = Network(sim)
         a, b = net.endpoint("a"), net.endpoint("b")
@@ -341,7 +343,7 @@ class TestCallbackDatapath:
         before = sim._eid
         sim.process(a.send(Frame("a", "b", None, 64)))
         sim.run()
-        assert sim._eid - before == 4 + 2
+        assert sim._eid - before == 3 + 2
         assert len(spawned) == 1  # the sender; nothing inside hw.net
 
     def test_listen_needs_an_rx_link(self):
@@ -429,3 +431,104 @@ class TestLinkLossAccounting:
             (fast_ser, "fast"), (fast_ser + fast_ser, "fast"),
             (slow_ser, "slow"),
         ]
+
+
+def serialized_one_by_one(link):
+    """The downlink as it was: every frame one serialization entry."""
+    link.forward = link.enqueue
+
+
+def summed_first(link):
+    """The mutant: a frame queued behind another leaves at the burst's
+    start plus the *summed* serializations, ``start + (s1 + s2)``, where
+    the chain reaches ``(start + s1) + s2``."""
+    burst = [0.0, 0.0]  # start, serialization so far
+
+    def forward(frame):
+        now = link.sim.now
+        delay = frame.wire_size / link.bandwidth
+        if link._busy_until > now:
+            burst[1] += delay
+        else:
+            burst[:] = [now, delay]
+        link._busy_until = done = burst[0] + burst[1]
+        link.sim.call_at(done + link.propagation, partial(link.sink, frame))
+
+    link.forward = forward
+
+
+def two_frames_onto_one_downlink(size, bandwidth, propagation, egress=None):
+    """``a`` and ``b`` each send one *size*-byte frame to ``c`` at once:
+    both lookups finish at one instant and forward onto c's downlink
+    together. Returns ``(time, payload)`` of every arrival at ``c``."""
+    sim = Simulator()
+    net = Network(sim, bandwidth=bandwidth, propagation=propagation)
+    a, b, c = (net.endpoint(name) for name in "abc")
+    seen = arrivals(sim, c)
+    if egress is not None:
+        egress(c.rx_link)
+    sim.process(a.send(Frame("a", "c", "from-a", size)))
+    sim.process(b.send(Frame("b", "c", "from-b", size)))
+    sim.run()
+    return seen
+
+
+class TestForwardedEgress:
+    """A switch egress is busy-until arithmetic: the frame's arrival is
+    scheduled when it is forwarded, at the float the serialization
+    entries would have reached."""
+
+    @given(size=st.integers(min_value=0, max_value=1500),
+           bandwidth=st.floats(min_value=1e6, max_value=1e12),
+           propagation=st.floats(min_value=0.0, max_value=1e-3))
+    def test_same_instant_frames_arrive_where_the_chain_does(
+            self, size, bandwidth, propagation):
+        forwarded = two_frames_onto_one_downlink(size, bandwidth, propagation)
+        chain = two_frames_onto_one_downlink(
+            size, bandwidth, propagation, serialized_one_by_one)
+        assert forwarded == chain
+        assert [payload for __, payload in forwarded] == ["from-a", "from-b"]
+
+    def test_summing_the_serializations_first_is_caught(self):
+        """The mutant check: the comparison above must tell ``start + (s1
+        + s2)`` from ``(start + s1) + s2`` (here on default links, with
+        a payload whose two sums differ in the last bit)."""
+        args = (14, gbps(100), 1e-6)
+        chain = two_frames_onto_one_downlink(*args, serialized_one_by_one)
+        assert two_frames_onto_one_downlink(*args, summed_first) != chain
+        assert two_frames_onto_one_downlink(*args) == chain
+
+    def test_a_faulty_downlink_draws_at_serialization_completion(self):
+        """An injector on the egress keeps its serialization entry: the
+        fault is drawn, and logged, when the frame has left."""
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.endpoint("a"), net.endpoint("b")
+        plan = FaultPlan()
+        plan.probabilistic("drop", "b.down", FaultKind.FRAME_DROP, 1.0,
+                           max_fires=1)
+        injector = FaultInjector(sim, plan)
+        downlink = b.rx_link.attach_faults(injector, "b.down")
+        seen = arrivals(sim, b)
+        sim.process(a.send(Frame("a", "b", "lost", 64)))
+        sim.run()
+        ser = (64 + 38) / net.bandwidth
+        looked_up = ser + net.propagation + net.switch.forward_latency
+        assert [record.time for record in injector.log] == [looked_up + ser]
+        assert seen == [] and downlink.frames_dropped == 1
+
+    def test_an_enqueued_frame_waits_for_a_forwarded_one(self):
+        """Both paths share one transmitter: a frame offered through
+        ``enqueue`` behind a forwarded frame starts when that one has
+        left, and its sender resumes then."""
+        sim = Simulator()
+        link = Link(sim, bandwidth=gbps(100), propagation=1e-6)
+        seen = []
+        link.sink = lambda frame: seen.append((sim.now, frame.payload))
+        link.forward(Frame("a", "b", "forwarded", 1462))
+        sent = link.enqueue(Frame("a", "b", "enqueued", 1462))
+        sim.run()
+        ser = 1500 / gbps(100)
+        assert sent.processed
+        assert seen == [(ser + 1e-6, "forwarded"), (ser + ser + 1e-6, "enqueued")]
+        assert link.frames_sent == 2

@@ -171,6 +171,27 @@ class TestController:
         assert finished == [0, 1, 2, 3, 4]
         assert ssd.commands_executed == 5
 
+    def test_an_unexpected_namespace_error_raises_out_of_the_run(self):
+        """A command's process is spawned, not awaited: an error the
+        controller does not map to a status is the original exception
+        out of the run, not "process did not finish (deadlock?)"."""
+
+        class Broken(Namespace):
+            def write_blocks(self, lba, data):
+                raise ZeroDivisionError("firmware bug")
+
+        sim = Simulator()
+        ssd = NvmeController(sim, "nvme-0")
+        ssd.add_namespace(Broken(1, 64))
+        qp = ssd.create_queue_pair()
+        ssd.start()
+
+        def write():
+            yield qp.submit(NvmeCommand(NvmeOpcode.WRITE, data=b"x"))
+
+        with pytest.raises(ZeroDivisionError, match="firmware bug"):
+            sim.run_process(write())
+
     def test_flush_succeeds(self):
         sim = Simulator()
         __, qp = make_ssd(sim)

@@ -744,6 +744,87 @@ class TestInlineWake:
         assert log == ["next"] and not sim._imm and not sim._heap
 
 
+class TestSpawn:
+    """``spawn``: a process nobody waits on — same start, no completion
+    entry, failures out of ``run()``."""
+
+    def test_starts_at_the_place_process_would_and_ends_without_an_entry(
+            self):
+        for start in ("process", "spawn"):
+            sim = Simulator()
+            log = []
+
+            def body():
+                log.append(("started", sim.now))
+                yield sim.timeout(1.0)
+                log.append(("done", sim.now))
+
+            sim.call_later(0.0, lambda: log.append("before"))
+            before = sim._eid
+            getattr(sim, start)(body())
+            sim.call_later(0.0, lambda: log.append("after"))
+            sim.run()
+            assert log == ["before", ("started", 0.0), "after",
+                           ("done", 1.0)]
+            # bootstrap, "after", the timeout (+ completion for process)
+            assert sim._eid - before == (4 if start == "process" else 3)
+
+    def test_returns_nothing(self):
+        sim = Simulator()
+
+        def idle():
+            return
+            yield
+
+        assert sim.spawn(idle()) is None
+        sim.run()
+
+    def test_failure_raises_out_of_run_with_its_traceback(self):
+        sim = Simulator()
+        log = []
+
+        def failing():
+            yield sim.timeout(1.0)
+            raise KeyError("lost")
+
+        sim.spawn(failing())
+        sim.call_later(2.0, lambda: log.append("later"))
+        with pytest.raises(KeyError, match="lost") as caught:
+            sim.run()
+        assert sim.now == 1.0
+        frames = [entry.name for entry in caught.traceback]
+        assert "failing" in frames  # the generator's own frame
+        sim.run()  # the queues stay consistent: the next entry runs
+        assert log == ["later"]
+
+    def test_a_process_stores_the_failure_a_spawn_raises(self):
+        sim = Simulator()
+
+        def failing():
+            raise ValueError("quiet")
+            yield
+
+        process = sim.process(failing())
+        sim.run()  # stored on the event for whoever waits on it
+        assert not process.ok and isinstance(process.value, ValueError)
+        sim.spawn(failing())
+        with pytest.raises(ValueError, match="quiet"):
+            sim.run()
+
+    def test_failure_while_woken_inline_propagates_to_the_waker(self):
+        sim = Simulator()
+        gate = sim.event()
+
+        def waiter():
+            yield gate
+            raise RuntimeError("woken into a bug")
+
+        sim.spawn(waiter())
+        sim.run()
+        with pytest.raises(RuntimeError, match="woken into a bug"):
+            gate.wake()
+
+
 def sleep_each(sim, lead, delays, finished):
     """Process: sleep *lead*, then every delay in turn, one entry each."""
     yield sim.timeout(lead)

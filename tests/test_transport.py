@@ -65,6 +65,28 @@ class TestUdp:
 
         assert elapsed(100_000) > elapsed(100)
 
+    def test_datagram_ids_start_at_zero_per_socket(self):
+        """Reassembly keys on (source address, datagram id), so ids only
+        have to be distinct per sending socket: a fresh socket numbers
+        from 0 whatever another simulator in this process has sent."""
+        def ids_on_the_wire():
+            sim = Simulator()
+            net = make_net(sim)
+            a = UdpSocket(sim, net.endpoint("a"))
+            seen = []
+            net.endpoint("b").listen(
+                lambda frame: seen.append(frame.payload.datagram_id))
+
+            def send_two():
+                yield from a.sendto("b", None, 64)
+                yield from a.sendto("b", None, 64)
+
+            sim.run_process(send_two())
+            return seen
+
+        assert ids_on_the_wire() == [0, 1]
+        assert ids_on_the_wire() == [0, 1]  # after another run's traffic
+
 
 class TestTcp:
     def test_connect_and_send(self):

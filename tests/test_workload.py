@@ -253,6 +253,25 @@ def test_open_loop_accounting_consistent():
     assert all(lat >= 0 for lat in traffic.latencies())
 
 
+def test_open_loop_op_failure_raises_out_of_the_run():
+    """An op that raises anything but an RPC error is a bug in the
+    client, not a failed request: it surfaces from ``sim.run()`` instead
+    of leaving ``inflight`` stuck and ``offered != served + failed``."""
+
+    class Broken:
+        def get(self, key):
+            raise ValueError(f"broken client: {key!r}")
+            yield  # a generator, like a real client's get
+
+    spec = WorkloadSpec.parse("keys 8\ntenant web mix get=1.0 curve steady rate=1000")
+    sim = Simulator()
+    traffic = OpenLoopTraffic(sim, spec, {"web": Broken()}, 1, 0.05)
+    traffic.start()
+    with pytest.raises(ValueError, match="broken client"):
+        sim.run(until=0.06)
+    assert traffic.offered == 1 and traffic.served + traffic.failed == 0
+
+
 def test_open_loop_requires_a_client_per_tenant():
     sim = Simulator()
     network = Network(sim)
