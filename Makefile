@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench-report eval exp profile perf docs examples all
+.PHONY: help install test lint bench-report eval exp profile perf docs examples reachability all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -15,9 +15,9 @@ test:  ## tier-1 test suite (pytest tests/)
 # Lints with ruff when it is installed (CI installs it); a missing ruff
 # is skipped so offline dev containers still pass `make all`, but a real
 # lint failure always fails the target.
-lint:  ## ruff over src/tests/examples (skipped if absent)
+lint:  ## ruff over src/tests/examples/tools (skipped if absent)
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests examples; \
+		ruff check src tests examples tools; \
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
@@ -58,6 +58,11 @@ perf:  ## full perfbench run: five workloads, two clocks
 docs:  ## markdown link check + doctest examples (CI docs job)
 	python tools/check_links.py README.md DESIGN.md EXPERIMENTS.md docs
 	pytest --doctest-modules src/repro/sharding src/repro/workload -q
+
+# What under src/ no root runs (the CLIs and so every registry row,
+# examples/, perfbench/). tests/test_architecture.py pins this list.
+reachability:  ## list modules/defs under src/ that nothing runs
+	python tools/reachability.py
 
 examples:  ## run every examples/*.py end to end
 	@for ex in examples/*.py; do \

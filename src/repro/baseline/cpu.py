@@ -71,7 +71,3 @@ class CpuModel:
         yield self.sim.timeout(self.execution_time(result.instructions_executed))
         self.executions += 1
         return result
-
-    def memcpy(self, size: int):
-        """Process: one software copy (the tax the DPU path never pays)."""
-        yield self.sim.timeout(self.costs.memcpy_time(size))

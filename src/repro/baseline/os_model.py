@@ -58,13 +58,6 @@ class OsModel:
                           self.costs.syscall_latency,
                           self.cpu.costs.memcpy_time(size))
 
-    def send_packet(self, size: int):
-        """Process: send syscall + copy to kernel."""
-        self.syscalls += 1
-        self.bytes_copied += size
-        yield self._after(self.costs.syscall_latency,
-                          self.cpu.costs.memcpy_time(size))
-
     def write_storage(self, size: int):
         """Process: write syscall + block layer + copy to page cache."""
         self.syscalls += 1

@@ -23,11 +23,6 @@ class ConventionalServer:
     power_budget_w: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def volume_liters(self) -> float:
-        w, h, d = self.dimensions_mm
-        return (w * h * d) / 1e6
-
-    @property
     def max_tdp_watts(self) -> float:
         return sum(self.power_budget_w.values())
 

@@ -21,10 +21,6 @@ class VerificationError(ReproError):
     """An eBPF program was rejected by the verifier."""
 
 
-class PowerLossError(ReproError):
-    """Raised to model an abrupt power failure on a device."""
-
-
 class FaultInjectedError(ReproError):
     """A fault scheduled by :mod:`repro.faults` fired inside a component.
 
@@ -37,4 +33,4 @@ class FaultInjectedError(ReproError):
 class DegradedError(ReproError):
     """An operation completed only partially, or a component is running in
     a degraded mode (e.g. all replicas of a key are unreachable, or a
-    promotion target tier is down and the segment stayed on flash)."""
+    read failed on every retry)."""

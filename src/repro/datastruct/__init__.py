@@ -10,7 +10,6 @@ per traversal hop.
 
 from repro.datastruct.bptree import BPlusTree, InMemoryNodeStore, NodeStore
 from repro.datastruct.lsm import LsmTree, SsTable
-from repro.datastruct.hashtable import BucketHashTable
 from repro.datastruct.extent import ExtentTree, Extent
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "InMemoryNodeStore",
     "LsmTree",
     "SsTable",
-    "BucketHashTable",
     "ExtentTree",
     "Extent",
 ]

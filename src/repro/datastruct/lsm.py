@@ -36,10 +36,6 @@ class SsTable:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def key_range(self) -> Tuple[bytes, bytes]:
-        return self._keys[0], self._keys[-1]
-
     def might_contain(self, key: bytes) -> bool:
         return (hash(key) & 0xFFFF) in self._filter
 
@@ -118,10 +114,6 @@ class LsmTree:
     @property
     def flushes(self) -> int:
         return self._flushes.value
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions.value
 
     # -- writes --------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:

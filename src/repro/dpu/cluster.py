@@ -21,7 +21,7 @@ from repro.sharding.ring import HashRing
 from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, KvSsd, KvSsdService
-from repro.transport import RetryPolicy, RpcError
+from repro.transport import RetryPolicy
 
 #: Per-call wire timing (exponential backoff from ``CALL_TIMEOUT``), and
 #: the failed calls that open a replica's circuit and for how long.
@@ -79,20 +79,6 @@ class ReplicatedDpuKvCluster:
         """
         return self.ring.replicas_of(key, self.replication)
 
-    def kill(self, index: int) -> str:
-        """Abruptly kill one DPU: all frames to it vanish at the switch."""
-        address = self.addresses[index]
-        self.down.add(address)
-        self.network.switch.blackhole(address)
-        return address
-
-    def revive(self, index: int) -> str:
-        """Bring a killed DPU back (its replica data may be stale)."""
-        address = self.addresses[index]
-        self.down.discard(address)
-        self.network.switch.restore(address)
-        return address
-
 
 class FailoverKvClient(KvClientCore):
     """Client-driven failover over a :class:`ReplicatedDpuKvCluster`.
@@ -100,8 +86,7 @@ class FailoverKvClient(KvClientCore):
     Chain replication as a policy on the shared
     :class:`~repro.sharding.core.KvClientCore`: the client owns the
     partition map *and* the health map. Replicas that time out are marked
-    down and demoted in the read preference order; any answer — or a
-    :meth:`probe` (or a background :meth:`probe_all` sweep) — marks them
+    down and demoted in the read preference order; any answer marks them
     up again. Every RPC carries a timeout, bounded retries with
     exponential backoff + jitter, and an overall deadline, so a dead DPU
     costs a few retransmit intervals — never a hung simulation.
@@ -110,8 +95,7 @@ class FailoverKvClient(KvClientCore):
     :class:`~repro.overload.CircuitBreaker`: after a few consecutive
     failed calls the circuit opens and further calls to that replica are
     refused *instantly* — an immediate failover down the chain instead
-    of burning the per-call deadline re-timing-out against a corpse. A
-    successful :meth:`probe` closes the circuit again.
+    of burning the per-call deadline re-timing-out against a corpse.
     """
 
     def __init__(
@@ -174,36 +158,6 @@ class FailoverKvClient(KvClientCore):
     def _mark_down(self, address: str) -> None:
         self._set_health(address, False)
         self._replica_failures.inc()
-
-    # -- health probing ------------------------------------------------------
-    def probe(self, address: str):
-        """Process: one health probe; updates the health map.
-
-        Probes bypass the breaker (they *are* the recovery mechanism): a
-        verified success closes an open circuit immediately, a failed
-        probe counts as breaker evidence like any failed call.
-        """
-        breaker = self.breakers[address]
-        try:
-            yield from self.rpc.call(
-                address, "kv.ping", request_size=16, response_size=16,
-                timeout=self.timeout, retries=0, deadline=self.timeout * 2,
-            )
-        except RpcError:
-            self._mark_down(address)
-            breaker.record_failure()
-            return False
-        self._set_health(address, True)
-        breaker.record_success()
-        return True
-
-    def probe_all(self):
-        """Process: sweep every DPU once (run periodically by the owner)."""
-        alive = 0
-        for address in self.cluster.addresses:
-            ok = yield from self.probe(address)
-            alive += 1 if ok else 0
-        return alive
 
     # -- the KV surface ------------------------------------------------------
     def put(self, key: bytes, value: bytes):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigurationError, PowerLossError
-from repro.faults import FaultInjector, FaultKind
+from repro.common.errors import ConfigurationError
 from repro.hw.fpga.axi import AddressRange, AxiStreamInterconnect
 from repro.hw.fpga.fabric import Fabric
 from repro.hw.fpga.icap import Icap
@@ -31,7 +30,7 @@ from repro.memory.store import (
     NVME_WINDOW_BASE,
     SingleLevelStore,
 )
-from repro.power.energy import EnergyMeter, HYPERION_POWER
+from repro.power.energy import HYPERION_POWER, total_tdp
 from repro.sim import Simulator
 
 #: FPGA configuration + JTAG self-test at power-on (paper §2: "the DPU
@@ -98,12 +97,8 @@ class HyperionDpu:
         )
         self._store_qp: Optional[NvmeQueuePair] = None
         self.store: Optional[SingleLevelStore] = None
-        # -- accounting
-        self.energy = EnergyMeter(HYPERION_POWER)
         self.boot_report: Optional[BootReport] = None
         self._booted = False
-        self.power_failed = False
-        self.power_failed_at: Optional[float] = None
 
     # -- bring-up ------------------------------------------------------------
     def boot(self, recover_store: bool = False):
@@ -185,38 +180,9 @@ class HyperionDpu:
         twin._store_qp = None
         twin.boot_report = None
         twin._booted = False
-        twin.power_failed = False
-        twin.power_failed_at = None
         return twin
 
-    def monitor_power(self, injector: FaultInjector,
-                      component: Optional[str] = None,
-                      poll_interval: float = 10e-3):
-        """Process: trip on an injected POWER_LOSS fault mid-run.
-
-        Polls the injector under ``component`` (default: this DPU's network
-        address) and, when the fault fires, snapshots the un-booted twin via
-        :meth:`power_cycle` and raises :class:`PowerLossError` carrying it
-        (``exc.twin``). The loop exits once the plan has no pending
-        POWER_LOSS specs, so it never wedges a fault-free simulation.
-        """
-        component = component or self.address
-        while injector.pending(component, FaultKind.POWER_LOSS):
-            yield self.sim.timeout(poll_interval)
-            if injector.fires(component, FaultKind.POWER_LOSS):
-                self.power_failed = True
-                self.power_failed_at = self.sim.now
-                error = PowerLossError(
-                    f"{self.address}: power lost at t={self.sim.now:.6f}"
-                )
-                error.twin = self.power_cycle()
-                raise error
-
     # -- convenience -----------------------------------------------------------
-    @property
-    def booted(self) -> bool:
-        return self._booted
-
     def require_booted(self) -> None:
         if not self._booted:
             raise ConfigurationError("DPU not booted")
@@ -230,7 +196,5 @@ class HyperionDpu:
             "nvme_ssds": len(self.ssds),
             "pcie_bridges": len(self.root_complex.root_ports),
             "pcie_lanes_per_bridge": 4,
-            "tdp_watts": sum(
-                component.tdp_watts for component in self.energy.components.values()
-            ),
+            "tdp_watts": total_tdp(HYPERION_POWER),
         }

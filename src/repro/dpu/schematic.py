@@ -58,9 +58,6 @@ class Schematic:
             stack.extend(self.nodes[name].outputs)
         return seen
 
-    def nodes_of_kind(self, kind: str) -> List[str]:
-        return sorted(n.name for n in self.nodes.values() if n.kind == kind)
-
 
 def build_schematic(num_slots: int = 5, num_ssds: int = 4) -> Schematic:
     """Construct the Figure 2 graph."""

@@ -20,7 +20,7 @@ from repro.ebpf.isa import (
 )
 from repro.ebpf.asm import assemble, disassemble
 from repro.ebpf.builder import ProgramBuilder
-from repro.ebpf.maps import ArrayMap, BpfMap, HashMap
+from repro.ebpf.maps import BpfMap, HashMap
 from repro.ebpf.helpers import HelperRegistry, standard_helpers
 from repro.ebpf.vm import BpfVm, ExecutionResult
 from repro.ebpf.verifier import Verifier, VerifierReport
@@ -35,7 +35,6 @@ __all__ = [
     "ProgramBuilder",
     "BpfMap",
     "HashMap",
-    "ArrayMap",
     "HelperRegistry",
     "standard_helpers",
     "BpfVm",

@@ -71,15 +71,6 @@ class ProgramBuilder:
     def sub(self, dst: str, src: Operand) -> "ProgramBuilder":
         return self._emit_alu(Opcode.SUB, dst, src)
 
-    def mul(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.MUL, dst, src)
-
-    def div(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.DIV, dst, src)
-
-    def mod(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.MOD, dst, src)
-
     def and_(self, dst: str, src: Operand) -> "ProgramBuilder":
         return self._emit_alu(Opcode.AND, dst, src)
 
@@ -88,21 +79,6 @@ class ProgramBuilder:
 
     def xor(self, dst: str, src: Operand) -> "ProgramBuilder":
         return self._emit_alu(Opcode.XOR, dst, src)
-
-    def lsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.LSH, dst, src)
-
-    def rsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.RSH, dst, src)
-
-    def arsh(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.ARSH, dst, src)
-
-    def neg(self, dst: str) -> "ProgramBuilder":
-        return self._emit(Instruction(Opcode.NEG, dst=_reg(dst)))
-
-    def lddw(self, dst: str, imm: int) -> "ProgramBuilder":
-        return self._emit(Instruction(Opcode.LDDW, dst=_reg(dst), imm=imm))
 
     # -- memory --------------------------------------------------------------
     def load(self, size: int, dst: str, base: str, offset: int = 0) -> "ProgramBuilder":
@@ -125,9 +101,6 @@ class ProgramBuilder:
         )
 
     # -- control flow ----------------------------------------------------------
-    def jump(self, target: str) -> "ProgramBuilder":
-        return self._emit_branch(Opcode.JA, 0, 0, 0, False, target)
-
     def branch(self, opcode: Opcode, dst: str, src: Operand, target: str) -> "ProgramBuilder":
         if opcode not in COND_JUMPS:
             raise ProtocolError(f"{opcode} is not a conditional jump")
@@ -135,23 +108,11 @@ class ProgramBuilder:
             return self._emit_branch(opcode, _reg(dst), _reg(src), 0, True, target)
         return self._emit_branch(opcode, _reg(dst), 0, int(src), False, target)
 
-    def jeq(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
-        return self.branch(Opcode.JEQ, dst, src, target)
-
     def jne(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
         return self.branch(Opcode.JNE, dst, src, target)
 
     def jgt(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
         return self.branch(Opcode.JGT, dst, src, target)
-
-    def jge(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
-        return self.branch(Opcode.JGE, dst, src, target)
-
-    def jlt(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
-        return self.branch(Opcode.JLT, dst, src, target)
-
-    def jle(self, dst: str, src: Operand, target: str) -> "ProgramBuilder":
-        return self.branch(Opcode.JLE, dst, src, target)
 
     def call(self, helper_id: int) -> "ProgramBuilder":
         return self._emit(Instruction(Opcode.CALL, imm=helper_id))

@@ -44,9 +44,6 @@ class HelperRegistry:
             raise ProtocolError(f"unknown helper {helper_id}")
         return helper(vm, args)
 
-    def ids(self) -> List[int]:
-        return sorted(self._helpers)
-
 
 def _map_lookup(vm: "BpfVm", args: List[int]) -> int:
     bpf_map = vm.map_by_fd(args[0])

@@ -213,10 +213,6 @@ class Instruction:
         return self.opcode in STORE_OPS
 
     @property
-    def is_jump(self) -> bool:
-        return self.opcode in JUMP_OPS
-
-    @property
     def is_cond_jump(self) -> bool:
         return self.opcode in COND_JUMPS
 

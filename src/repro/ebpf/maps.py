@@ -76,38 +76,3 @@ class HashMap(BpfMap):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class ArrayMap(BpfMap):
-    """BPF_MAP_TYPE_ARRAY: dense u32 indices, pre-allocated values."""
-
-    def __init__(self, value_size: int, max_entries: int):
-        super().__init__(key_size=4, value_size=value_size, max_entries=max_entries)
-        self._values = [bytearray(value_size) for _ in range(max_entries)]
-
-    def _index(self, key: bytes) -> int:
-        self._check_key(key)
-        index = int.from_bytes(key, "little")
-        if index >= self.max_entries:
-            raise CapacityError(f"index {index} >= {self.max_entries}")
-        return index
-
-    def lookup(self, key: bytes) -> Optional[bytearray]:
-        return self._values[self._index(key)]
-
-    def lookup_index(self, index: int) -> bytearray:
-        if not 0 <= index < self.max_entries:
-            raise CapacityError(f"index {index} out of range")
-        return self._values[index]
-
-    def update(self, key: bytes, value: bytes) -> None:
-        self._check_value(value)
-        self._values[self._index(key)][:] = value
-
-    def delete(self, key: bytes) -> bool:
-        # Array entries cannot be deleted, only zeroed (kernel semantics).
-        self._values[self._index(key)][:] = bytes(self.value_size)
-        return True
-
-    def __len__(self) -> int:
-        return self.max_entries

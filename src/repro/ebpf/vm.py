@@ -167,10 +167,6 @@ class ExecutionResult:
     helper_calls: int
     context: bytearray
 
-    @property
-    def r0(self) -> int:
-        return self.return_value
-
 
 class BpfVm:
     """An execution environment bound to a program, maps, and helpers."""
@@ -207,9 +203,6 @@ class BpfVm:
     def clock_ns(self) -> int:
         self._clock_ns += 1
         return self._clock_ns
-
-    def set_clock_ns(self, value: int) -> None:
-        self._clock_ns = value
 
     def expose_buffer(self, buffer: bytearray) -> int:
         """Register a live buffer as a region; returns a VM pointer to it."""

@@ -41,10 +41,6 @@ class IntegrationCategory:
             missing.append("block-level only, no file systems")
         return missing
 
-    @property
-    def is_complete(self) -> bool:
-        return not self.missing_legs()
-
 
 def table1_categories() -> List[IntegrationCategory]:
     """The six surveyed categories plus Hyperion."""
@@ -106,11 +102,3 @@ def run_table1() -> Table:
             missing,
         )
     return table
-
-
-def only_complete_category() -> str:
-    """The table's argument: exactly one row has no missing leg."""
-    complete = [c.name for c in table1_categories() if c.is_complete]
-    if len(complete) != 1:
-        raise AssertionError(f"expected one complete category, got {complete}")
-    return complete[0]

@@ -2,8 +2,9 @@
 
 Substrates never schedule faults themselves; they *consult* the injector at
 the points where real hardware would fail — a link about to deliver a
-frame, a flash die about to return a page, an ICAP scrubber polling for
-SEUs — and the injector answers against the plan and the simulated clock.
+frame, a flash die about to return a page, a poll mapping node outages
+onto the switch — and the injector answers against the plan and the
+simulated clock.
 
 Determinism: every probabilistic spec draws from its own RNG seeded with
 ``(plan.seed, spec.name)``, so adding or reordering unrelated specs never
@@ -133,10 +134,6 @@ class FaultInjector:
         return False
 
     # -- the schedule log ----------------------------------------------------
-    def fired(self, name: str) -> int:
-        """How many times the named spec has fired so far."""
-        return self._fires[name]
-
     def schedule_bytes(self) -> bytes:
         """The fired-fault schedule in canonical bytes.
 

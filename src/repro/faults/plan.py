@@ -30,12 +30,9 @@ class FaultKind(enum.Enum):
     COMMAND_TIMEOUT = "command-timeout"
     # -- PCIe
     COMPLETION_TIMEOUT = "completion-timeout"
-    # -- FPGA fabric
-    SEU = "seu"
-    # -- whole devices / backends
+    # -- whole devices
     POWER_LOSS = "power-loss"
     NODE_DOWN = "node-down"
-    BACKEND_DOWN = "backend-down"
     # -- WAN / inter-region
     WAN_PARTITION = "wan-partition"
 
@@ -50,7 +47,7 @@ class FaultSpec:
     * ``probability`` — fires per consult with probability p (optionally
       only inside ``window`` and at most ``max_fires`` times);
     * ``window`` alone — deterministically *active* during ``[start, end)``
-      (link flaps, node outages, backend brownouts).
+      (link flaps, node outages, WAN partitions).
     """
 
     name: str
@@ -94,7 +91,7 @@ class FaultPlan:
     Convenience constructors mirror the three timing modes::
 
         plan = FaultPlan(seed=7)
-        plan.once("seu-0", "fabric.slot0", FaultKind.SEU, at=5e-3)
+        plan.once("cut", "kv-dpu-0", FaultKind.POWER_LOSS, at=5e-3)
         plan.probabilistic("lossy", "uplink", FaultKind.FRAME_DROP, 0.01)
         plan.windowed("outage", "kv-dpu-1", FaultKind.NODE_DOWN, 0.1, 0.4)
     """

@@ -15,7 +15,6 @@ from repro.formats.parquet import (
     read_table,
     write_table,
 )
-from repro.formats.convert import parquet_to_batch, batch_to_parquet
 
 __all__ = [
     "Schema",
@@ -25,6 +24,4 @@ __all__ = [
     "read_table",
     "read_footer",
     "ParquetFooter",
-    "parquet_to_batch",
-    "batch_to_parquet",
 ]

@@ -86,10 +86,6 @@ class ParquetFooter:
     schema: Schema
     row_groups: List[RowGroupMeta]
 
-    @property
-    def total_rows(self) -> int:
-        return sum(group.row_count for group in self.row_groups)
-
 
 def write_table(batch: RecordBatch, rows_per_group: int = 1024) -> bytes:
     """Serialize a batch into HyperParquet bytes."""
@@ -162,22 +158,11 @@ def read_footer(raw: bytes) -> ParquetFooter:
     return ParquetFooter(schema=schema, row_groups=groups)
 
 
-@dataclass
-class ReadAccounting:
-    """I/O accounting a caller passes to :func:`read_table`: what
-    projection + pushdown actually saved."""
-
-    bytes_read: int = 0
-    chunks_read: int = 0
-    row_groups_skipped: int = 0
-
-
 def read_table(
     raw: bytes,
     columns: Optional[Sequence[str]] = None,
     predicate_column: Optional[str] = None,
     predicate_range: Optional[Tuple[Any, Any]] = None,
-    stats: Optional[ReadAccounting] = None,
 ) -> RecordBatch:
     """Read with column projection and min/max row-group pushdown.
 
@@ -196,15 +181,10 @@ def read_table(
             if meta.min_value is not None and (
                 meta.max_value < low or meta.min_value > high
             ):
-                if stats is not None:
-                    stats.row_groups_skipped += 1
                 continue
         for name in names:
             meta = group.chunks[name]
             chunk_raw = raw[meta.offset : meta.offset + meta.length]
-            if stats is not None:
-                stats.bytes_read += meta.length
-                stats.chunks_read += 1
             out[name].extend(
                 _decode_chunk(schema.type_of(name), chunk_raw, group.row_count)
             )

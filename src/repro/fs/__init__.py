@@ -1,36 +1,29 @@
 """File systems and layout annotations (paper §2.3).
 
-Two on-disk layouts — an ext4-like extent-based file system and an
-F2FS-like log-structured one — plus a Spiffy-style annotation DSL. The
-annotations describe the layouts declaratively; from them the package
-*generates* a layout walker that resolves directories and files to data
-blocks with no file-system code in the loop, which is exactly how the DPU
-reads "Arrow/Parquet format, on the F2FS/ext4 file system on NVMe storage
-without any host-side, or client-side CPU involvement".
+An ext4-like extent-based file system plus a Spiffy-style annotation
+DSL. The annotation describes the layout declaratively; from it the
+package *generates* a layout walker that resolves directories and files
+to data blocks with no file-system code in the loop, which is exactly how
+the DPU reads "Arrow/Parquet format, on the F2FS/ext4 file system on NVMe
+storage without any host-side, or client-side CPU involvement".
 """
 
 from repro.fs.ext4 import HyperExtFs
-from repro.fs.f2fs import LogStructuredFs
 from repro.fs.spiffy import (
     Field,
     LayoutAnnotation,
     LayoutWalker,
-    LogFsWalker,
     StructDef,
     ext4_annotation,
-    f2fs_annotation,
     generate_walker_code,
 )
 
 __all__ = [
     "HyperExtFs",
-    "LogStructuredFs",
     "Field",
     "StructDef",
     "LayoutAnnotation",
     "LayoutWalker",
-    "LogFsWalker",
     "ext4_annotation",
-    "f2fs_annotation",
     "generate_walker_code",
 ]

@@ -286,101 +286,6 @@ def ext4_annotation() -> LayoutAnnotation:
     return layout
 
 
-def f2fs_annotation() -> LayoutAnnotation:
-    """The generated annotation for the log-structured (F2FS-like) layout.
-
-    Resolution is indirection-based rather than extent-based: the newest
-    checkpoint carries a node-address table mapping inodes to their latest
-    log record; names live in a blob inside the checkpoint.
-    """
-    layout = LayoutAnnotation("hyperf2fs")
-    layout.structure(
-        "checkpoint",
-        [
-            Field("magic", "u32"),
-            Field("generation", "u32"),
-            Field("log_head", "u32"),
-            Field("nat_count", "u32"),
-            Field("nat", "struct:nat_entry", count_field="nat_count"),
-            Field("names_len", "u32"),
-            Field("names", "bytes", length_field="names_len"),
-        ],
-    )
-    layout.structure(
-        "nat_entry", [Field("inode", "u32"), Field("block", "u32")]
-    )
-    layout.structure(
-        "record",
-        [
-            Field("inode", "u32"),
-            Field("name_len", "u16"),
-            Field("size", "u32"),
-        ],
-    )
-    layout.bind("checkpoint_blocks", (0, 1))
-    layout.bind("magic_value", 0xF2F5)
-    return layout
-
-
-class LogFsWalker:
-    """Resolves files on the F2FS-like layout using only its annotation.
-
-    The chase: read both checkpoint slots, pick the newer valid one, parse
-    the NAT + name blob, then read the named inode's latest log record.
-    """
-
-    def __init__(self, layout: LayoutAnnotation, read_block: Callable[[int, int], bytes]):
-        self.layout = layout
-        self.walker = LayoutWalker(layout, read_block)
-
-    @property
-    def blocks_read(self) -> int:
-        return self.walker.blocks_read
-
-    def _best_checkpoint(self) -> Dict[str, Any]:
-        best: Optional[Dict[str, Any]] = None
-        for slot in self.layout.bindings["checkpoint_blocks"]:
-            raw = self.walker._read(slot, 1)
-            parsed, __ = self.walker.parse_struct("checkpoint", raw)
-            if parsed["magic"] != self.layout.bindings["magic_value"]:
-                continue
-            if best is None or parsed["generation"] > best["generation"]:
-                best = parsed
-        if best is None:
-            raise ProtocolError("no valid checkpoint found")
-        return best
-
-    def _name_table(self, checkpoint: Dict[str, Any]) -> Dict[str, int]:
-        blob = checkpoint["names"].decode()
-        table: Dict[str, int] = {}
-        if blob:
-            for item in blob.split("\x00"):
-                path, inode = item.split("\x01")
-                table[path] = int(inode)
-        return table
-
-    def read_file(self, path: str) -> bytes:
-        checkpoint = self._best_checkpoint()
-        names = self._name_table(checkpoint)
-        if path not in names:
-            raise FileNotFoundError(path)
-        inode = names[path]
-        nat = {entry["inode"]: entry["block"] for entry in checkpoint["nat"]}
-        if inode not in nat:
-            raise ProtocolError(f"NAT missing inode {inode}")
-        block = nat[inode]
-        head_raw = self.walker._read(block, 1)
-        record, consumed = self.walker.parse_struct("record", head_raw)
-        total = consumed + record["name_len"] + record["size"]
-        blocks = max(1, -(-total // self.layout.block_size))
-        raw = self.walker._read(block, blocks) if blocks > 1 else head_raw
-        start = consumed + record["name_len"]
-        return raw[start : start + record["size"]]
-
-    def listdir(self) -> List[str]:
-        return sorted(self._name_table(self._best_checkpoint()))
-
-
 def generate_walker_code(layout: LayoutAnnotation) -> str:
     """Emit C-like accessor code from the annotation (paper §2.3: "generate
     file system layout and metadata access codes (in C/C++)"). This text is

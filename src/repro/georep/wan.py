@@ -17,14 +17,12 @@ propagation exactly once per crossing.
 Partitions are directional too: :meth:`WanLink.partition` (manual, or a
 :data:`~repro.faults.FaultKind.WAN_PARTITION` window from a
 :class:`~repro.faults.FaultPlan`) silently drops frames on that direction
-only. A symmetric partition is two directional ones; a full region loss
-is a partition of every link touching the region
-(:meth:`WanFabric.isolate`).
+only. A symmetric partition is two directional ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import gbps
@@ -99,18 +97,10 @@ class WanLink(Link):
             and self.injector.active(self.component, FaultKind.WAN_PARTITION)
         )
 
-    @property
-    def frames_partitioned(self) -> int:
-        return self._frames_partitioned.value
-
     def partition(self) -> None:
-        """Manually partition this direction (until :meth:`heal`)."""
+        """Manually partition this direction, for good."""
         self._manual_partition = True
         self._partitioned_gauge.set(1)
-
-    def heal(self) -> None:
-        self._manual_partition = False
-        self._partitioned_gauge.set(0)
 
     def forward(self, frame: Frame) -> None:
         # A partition (manual or planned) is decided as the frame
@@ -141,11 +131,11 @@ class WanFabric:
         self.injector = injector
         self.regions: Dict[str, Network] = {}
         self.links: Dict[Tuple[str, str], WanLink] = {}
-        #: (time, "partition" | "heal", src, dst) — canonical history.
-        self.events: List[Tuple[float, str, str, str]] = []
         self._metrics = sim.telemetry.unique_scope("wan.fabric")
         self._partitions = self._metrics.counter("partitions")
-        self._heals = self._metrics.counter("heals")
+        # Frozen path: registry snapshots (and so E17's digests) list
+        # it, though nothing heals a manual partition any more.
+        self._metrics.counter("heals")
 
     # -- topology -------------------------------------------------------------
     def add_region(self, name: str, network: Network) -> Network:
@@ -219,17 +209,10 @@ class WanFabric:
         self.refresh()
         return port
 
-    def region_of(self, address: str) -> Optional[str]:
-        for region, network in self.regions.items():
-            if address in network._ports:
-                return region
-        return None
-
     # -- partitions -----------------------------------------------------------
     def partition(self, src: str, dst: str, *, symmetric: bool = False) -> None:
         """Partition ``src -> dst`` (and the reverse when *symmetric*)."""
         self.link(src, dst).partition()
-        self.events.append((self.sim.now, "partition", src, dst))
         self._partitions.inc()
         if self._recorder is not None:
             self._recorder.record(
@@ -237,32 +220,3 @@ class WanFabric:
             )
         if symmetric:
             self.partition(dst, src)
-
-    def heal(self, src: str, dst: str, *, symmetric: bool = False) -> None:
-        self.link(src, dst).heal()
-        self.events.append((self.sim.now, "heal", src, dst))
-        self._heals.inc()
-        if self._recorder is not None:
-            self._recorder.record(
-                "wan", f"wan heal {src}->{dst} at={self.sim.now!r}"
-            )
-        if symmetric:
-            self.heal(dst, src)
-
-    def isolate(self, region: str) -> None:
-        """Full region loss: partition every link into and out of *region*."""
-        for src, dst in self.links:
-            if region in (src, dst):
-                self.partition(src, dst)
-
-    def rejoin(self, region: str) -> None:
-        for src, dst in self.links:
-            if region in (src, dst):
-                self.heal(src, dst)
-
-    def events_bytes(self) -> bytes:
-        """The partition/heal history as canonical bytes."""
-        return "\n".join(
-            f"wan {kind} {src}->{dst} at={at!r}"
-            for at, kind, src, dst in self.events
-        ).encode()

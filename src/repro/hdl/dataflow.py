@@ -9,7 +9,7 @@ mutual dependencies and can issue in the same hardware stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.ebpf.isa import Instruction, Opcode, Program
 
@@ -89,29 +89,6 @@ class DataflowGraph:
     instructions: List[Instruction]
     #: edges[i] = set of instruction indices that i depends on
     edges: Dict[int, Set[int]]
-
-    def independent_pairs(self) -> List[Tuple[int, int]]:
-        """Pairs with no dependency either way — the extractable ILP."""
-        pairs = []
-        closure = self._transitive_closure()
-        for i in range(len(self.instructions)):
-            for j in range(i + 1, len(self.instructions)):
-                if i not in closure[j] and j not in closure[i]:
-                    pairs.append((i, j))
-        return pairs
-
-    def _transitive_closure(self) -> Dict[int, Set[int]]:
-        closure: Dict[int, Set[int]] = {}
-        for i in range(len(self.instructions)):
-            reach: Set[int] = set()
-            stack = list(self.edges.get(i, ()))
-            while stack:
-                dep = stack.pop()
-                if dep not in reach:
-                    reach.add(dep)
-                    stack.extend(self.edges.get(dep, ()))
-            closure[i] = reach
-        return closure
 
 
 def _reads(insn: Instruction) -> Set[int]:

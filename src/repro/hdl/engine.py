@@ -20,7 +20,7 @@ from repro.common.errors import VerificationError
 from repro.ebpf.helpers import HelperRegistry
 from repro.ebpf.isa import Program
 from repro.ebpf.maps import BpfMap
-from repro.ebpf.vm import BpfVm, ExecutionResult
+from repro.ebpf.vm import BpfVm
 from repro.hw.fpga.bitstream import Bitstream
 from repro.ebpf.verifier import Verifier, VerifierReport
 from repro.hdl.codegen import generate_verilog
@@ -106,8 +106,7 @@ class HardwarePipeline:
       instant, not a queue in the engine — an input starts at
       ``max(now, port free)``, frees the port ``II`` later and leaves
       the last stage ``latency - II`` after that — so one input is one
-      engine entry, in call order, and a caller that goes away while it
-      waits leaves nothing behind but the slot its input occupied.
+      engine entry, in call order.
     """
 
     def __init__(
@@ -142,8 +141,4 @@ class HardwarePipeline:
         # ...then the input drains through the remaining stages.
         yield sim.timeout_at(free_at + max(0.0, self.latency - interval))
         self.executions += 1
-        return self._vm.run(context)
-
-    def execute_now(self, context: bytes = b"") -> ExecutionResult:
-        """Functional-only execution (no simulated time)."""
         return self._vm.run(context)

@@ -37,10 +37,6 @@ class FusedOp:
     def is_fused(self) -> bool:
         return len(self.instructions) > 1
 
-    @property
-    def primary(self) -> Instruction:
-        return self.instructions[-1]
-
     def describe(self) -> str:
         return "+".join(insn.opcode.value for insn in self.instructions)
 
@@ -94,11 +90,3 @@ def fuse_instructions(instructions: Sequence[Instruction],
             fused.append(FusedOp([current]))
             index += 1
     return fused
-
-
-def fusion_ratio(instructions: Sequence[Instruction]) -> float:
-    """Fraction of instructions eliminated as separate ops by fusion."""
-    if not instructions:
-        return 0.0
-    ops = fuse_instructions(instructions)
-    return 1.0 - len(ops) / len(instructions)

@@ -68,11 +68,6 @@ class AreaEstimate:
         """Input-to-output latency: depth cycles, no jitter."""
         return self.pipeline_depth * self.cycle_time
 
-    @property
-    def throughput_ops(self) -> float:
-        """Sustained inputs/second at the initiation interval."""
-        return self.fmax_hz / self.initiation_interval
-
 
 def _insn_luts(insn: Instruction) -> int:
     if insn.is_cond_jump:

@@ -34,14 +34,6 @@ class PipelineSchedule:
     def width(self) -> int:
         return max((len(stage) for stage in self.stages), default=0)
 
-    @property
-    def op_count(self) -> int:
-        return sum(len(stage) for stage in self.stages)
-
-    def parallelism(self) -> float:
-        """Average ops per stage: >1 means extracted ILP."""
-        return self.op_count / self.depth if self.depth else 0.0
-
 
 def _memory_ops_in(ops: Sequence[FusedOp]) -> int:
     count = 0

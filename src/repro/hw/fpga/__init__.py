@@ -14,7 +14,7 @@ from repro.hw.fpga.fabric import (
     ReconfigurableSlot,
 )
 from repro.hw.fpga.bitstream import Bitstream, BitstreamAuthority, SignedBitstream
-from repro.hw.fpga.icap import ConfigScrubber, Icap
+from repro.hw.fpga.icap import Icap
 from repro.hw.fpga.axi import AxiStreamInterconnect, AddressRange
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "SignedBitstream",
     "BitstreamAuthority",
     "Icap",
-    "ConfigScrubber",
     "AxiStreamInterconnect",
     "AddressRange",
 ]

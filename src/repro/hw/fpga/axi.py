@@ -59,10 +59,3 @@ class AxiStreamInterconnect:
             if window.contains(address):
                 return window, address - window.base
         raise ConfigurationError(f"bus address {address:#x} is unmapped")
-
-    def target_for(self, address: int) -> Any:
-        return self.route(address)[0].target
-
-    @property
-    def ranges(self) -> List[AddressRange]:
-        return list(self._ranges)

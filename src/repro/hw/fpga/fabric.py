@@ -64,27 +64,14 @@ class ReconfigurableSlot:
         if self.metrics is None:
             self.metrics = MetricScope.standalone(f"fpga.slot{self.index}")
         self._load_count = self.metrics.counter("load_count")
-        self._seu_count = self.metrics.counter("seu_count")
 
     @property
     def load_count(self) -> int:
         return self._load_count.value
 
     @property
-    def seu_count(self) -> int:
-        return self._seu_count.value
-
-    @property
     def occupied(self) -> bool:
         return self.loaded is not None
-
-    def take_seu(self) -> None:
-        """A single-event upset flipped configuration bits in this slot.
-
-        The slot keeps "running" (possibly corrupt) until the configuration
-        scrubber rewrites it through the ICAP; we only count the hit here.
-        """
-        self._seu_count.inc()
 
     def can_host(self, bitstream: Bitstream) -> bool:
         return bitstream.resources.fits_within(self.budget)

@@ -12,13 +12,11 @@ squarely in the paper's 10-100 ms band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.common.errors import ConfigurationError
-from repro.faults import FaultInjector, FaultKind
 from repro.sim import Resource, Simulator
 from repro.hw.fpga.bitstream import Bitstream
-from repro.hw.fpga.fabric import Fabric, ReconfigurableSlot
+from repro.hw.fpga.fabric import ReconfigurableSlot
 
 #: ICAPE3 on UltraScale+: 32-bit wide at 200 MHz -> 0.8 GB/s.
 ICAP_BANDWIDTH = 0.8e9
@@ -52,12 +50,7 @@ class Icap:
         self.history: List[ReconfigurationRecord] = []
         self._metrics = sim.telemetry.unique_scope("fpga.icap")
         self._loads = self._metrics.counter("loads")
-        self._scrubs = self._metrics.counter("scrubs")
         self._reconfig_latency = self._metrics.histogram("reconfig_latency")
-
-    @property
-    def scrubs(self) -> int:
-        return self._scrubs.value
 
     def reconfiguration_latency(self, bitstream: Bitstream) -> float:
         """Pure configuration time for one bitstream (no queueing)."""
@@ -97,66 +90,3 @@ class Icap:
         self._loads.inc()
         self._reconfig_latency.observe(self.sim.now - requested_at)
         return self.sim.now - requested_at
-
-    def scrub(self, slot: ReconfigurableSlot):
-        """Process: repair an SEU-hit slot by rewriting its own bitstream.
-
-        This is a full partial reconfiguration of the same image through the
-        same serialized port, so it costs exactly the ICAP latency model —
-        the recovery the paper's "self-hosting" claim needs with no CPU to
-        reprogram the device.
-        """
-        if not slot.occupied:
-            raise ConfigurationError(f"slot {slot.index} is empty; nothing to scrub")
-        bitstream, tenant = slot.loaded, slot.tenant
-        latency = yield from self.load(slot, bitstream, tenant)
-        self._scrubs.inc()
-        return latency
-
-
-class ConfigScrubber:
-    """Polls for injected SEUs and repairs hit slots through the ICAP.
-
-    Consults component id ``<component>.slot<i>`` with :data:`FaultKind.SEU`
-    for each occupied slot. The loop ends once the plan has no pending SEU
-    specs, so a finished fault plan never keeps the simulation alive.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        icap: Icap,
-        injector: FaultInjector,
-        component: str = "fabric",
-        poll_interval: float = 1e-3,
-    ):
-        self.sim = sim
-        self.fabric = fabric
-        self.icap = icap
-        self.injector = injector
-        self.component = component
-        self.poll_interval = poll_interval
-        #: (slot index, repair completion time, scrub latency) per repair.
-        self.repairs: List[Tuple[int, float, float]] = []
-        sim.spawn(self._run())
-
-    def _slot_component(self, slot: ReconfigurableSlot) -> str:
-        return f"{self.component}.slot{slot.index}"
-
-    def _pending(self) -> bool:
-        return any(
-            self.injector.pending(self._slot_component(slot), FaultKind.SEU)
-            for slot in self.fabric.slots
-        )
-
-    def _run(self):
-        while self._pending():
-            yield self.sim.timeout(self.poll_interval)
-            for slot in self.fabric.slots:
-                if not slot.occupied:
-                    continue
-                if self.injector.fires(self._slot_component(slot), FaultKind.SEU):
-                    slot.take_seu()
-                    latency = yield from self.icap.scrub(slot)
-                    self.repairs.append((slot.index, self.sim.now, latency))

@@ -104,29 +104,6 @@ class Link:
         self._metrics.rename(component)
         return self
 
-    # -- counter views --------------------------------------------------------
-    @property
-    def frames_sent(self) -> int:
-        return self._frames_sent.value
-
-    @property
-    def frames_dropped(self) -> int:
-        return self._frames_dropped.value
-
-    @property
-    def frames_corrupted(self) -> int:
-        return self._frames_corrupted.value
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent.value
-
-    @property
-    def frames_delivered(self) -> int:
-        """Frames sent minus every loss cause."""
-        return (self._frames_sent.value - self._frames_dropped.value
-                - self._frames_corrupted.value)
-
     def serialization_delay(self, frame: Frame) -> float:
         return frame.wire_size / self.bandwidth
 
@@ -208,10 +185,6 @@ class Link:
             self.TX_SPAN, self.TX_SUBSTRATE,
             component=self.component, bytes=frame.wire_size,
         )
-
-    def transmit(self, frame: Frame):
-        """Process: returns once *frame* has been serialized."""
-        yield self.enqueue(frame)
 
     def _serialize(self, entry: Tuple[Frame, Any, Optional[Event]]) -> Event:
         self._sending = entry

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import ETHERNET_HEADER, Frame
@@ -23,18 +23,9 @@ class Switch:
         self.forward_latency = forward_latency
         self._egress: Dict[str, Link] = {}
         self._blackholed: Set[str] = set()
-        self._blackholed_pairs: Set[Tuple[str, str]] = set()
         self._metrics = sim.telemetry.unique_scope("net.switch")
         self._frames_forwarded = self._metrics.counter("frames_forwarded")
         self._frames_blackholed = self._metrics.counter("frames_blackholed")
-
-    @property
-    def frames_forwarded(self) -> int:
-        return self._frames_forwarded.value
-
-    @property
-    def frames_blackholed(self) -> int:
-        return self._frames_blackholed.value
 
     def connect_egress(self, address: str, link: Link) -> None:
         self._egress[address] = link
@@ -45,21 +36,6 @@ class Switch:
 
     def restore(self, address: str) -> None:
         self._blackholed.discard(address)
-
-    def is_blackholed(self, address: str) -> bool:
-        return address in self._blackholed
-
-    def blackhole_pair(self, src: str, dst: str) -> None:
-        """Silently drop frames from ``src`` to ``dst`` (one direction only).
-
-        Unlike :meth:`blackhole` (a dead endpoint: nothing *reaches* it),
-        this models an asymmetric partition — ``src``'s requests to
-        ``dst`` vanish while ``dst``'s traffic to ``src`` still flows.
-        """
-        self._blackholed_pairs.add((src, dst))
-
-    def restore_pair(self, src: str, dst: str) -> None:
-        self._blackholed_pairs.discard((src, dst))
 
     def attach_ingress(self, link: Link) -> None:
         """Forward every frame arriving over *link*.
@@ -85,8 +61,7 @@ class Switch:
         link.ingress = ingress
 
     def _forward(self, frame: Frame) -> None:
-        if (frame.dst in self._blackholed
-                or (frame.src, frame.dst) in self._blackholed_pairs):
+        if frame.dst in self._blackholed:
             self._frames_blackholed.inc()
             return
         egress = self._egress.get(frame.dst)
@@ -146,7 +121,3 @@ class Network:
         wire = payload_size + ETHERNET_HEADER
         serialization = 2 * (wire / self.bandwidth)
         return serialization + 2 * self.propagation + self.switch.forward_latency
-
-    def min_rtt(self, request_size: int, response_size: int) -> float:
-        """Analytic minimum request/response round trip."""
-        return self.one_way_delay(request_size) + self.one_way_delay(response_size)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,9 +30,6 @@ class NvmeStatus(enum.Enum):
     UNRECOVERED_READ_ERROR = 0x281  # media error SCT, injected or real
 
 
-_cid_counter = itertools.count()
-
-
 @dataclass
 class NvmeCommand:
     """One submission-queue entry."""
@@ -43,7 +39,9 @@ class NvmeCommand:
     lba: int = 0
     block_count: int = 1
     data: Optional[bytes] = None
-    cid: int = field(default_factory=lambda: next(_cid_counter))
+    #: Set by the queue pair it is submitted to: unique among that pair's
+    #: commands, as an NVMe CID is per submission queue.
+    cid: int = field(default=-1, init=False)
 
     def __post_init__(self) -> None:
         if self.block_count < 1:

@@ -8,6 +8,7 @@ the bifurcated PCIe links.
 
 from __future__ import annotations
 
+import itertools
 from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Union
 
@@ -76,6 +77,7 @@ class NvmeQueuePair:
                 on_drop=self._on_drop,
             )
         self._waiters: Dict[int, Event] = {}
+        self._cids = itertools.count()
         #: The started controller's command execution, on a ``Store``-mode
         #: pair: a submission starts it directly.
         self._execute: Optional[Callable[[NvmeCommand], Generator]] = None
@@ -83,7 +85,8 @@ class NvmeQueuePair:
     def submit(self, command: NvmeCommand) -> Event:
         """Queue a command; the returned event fires with its completion."""
         done = Event(self.sim)
-        self._waiters[command.cid] = done
+        command.cid = cid = next(self._cids)
+        self._waiters[cid] = done
         if self._execute is not None:
             self.sim.spawn(self._execute(command))
         elif self.queue is not None:
@@ -172,19 +175,6 @@ class NvmeController(PcieDevice):
         self.injector = injector
         self.flash.attach_faults(injector, f"{self.name}.flash")
         return self
-
-    # -- counter views -----------------------------------------------------
-    @property
-    def commands_executed(self) -> int:
-        return self._commands_executed.value
-
-    @property
-    def commands_aborted(self) -> int:
-        return self._commands_aborted.value
-
-    @property
-    def media_errors(self) -> int:
-        return self._media_errors.value
 
     def add_namespace(self, namespace: AnyNamespace) -> None:
         self.namespaces[namespace.namespace_id] = namespace

@@ -73,18 +73,6 @@ class FlashArray:
     def reads(self) -> int:
         return self._reads.value
 
-    @property
-    def programs(self) -> int:
-        return self._programs.value
-
-    @property
-    def read_errors(self) -> int:
-        return self._read_errors.value
-
-    @property
-    def stuck_busy_ops(self) -> int:
-        return self._stuck_busy_ops.value
-
     def _stuck_penalty(self) -> float:
         """Extra busy time if a DIE_STUCK window currently holds this array."""
         if self.injector is not None and self.injector.active(

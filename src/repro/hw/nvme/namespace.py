@@ -24,10 +24,6 @@ class Namespace:
         self.capacity_blocks = capacity_blocks
         self._blocks: Dict[int, bytes] = {}
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * LBA_SIZE
-
     def check_range(self, lba: int, count: int) -> bool:
         return 0 <= lba and lba + count <= self.capacity_blocks
 
@@ -50,6 +46,3 @@ class Namespace:
         for i in range(count):
             self._blocks[lba + i] = padded[i * LBA_SIZE : (i + 1) * LBA_SIZE]
         return count
-
-    def written_block_count(self) -> int:
-        return len(self._blocks)

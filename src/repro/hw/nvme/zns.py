@@ -109,6 +109,3 @@ class ZonedNamespace:
             self._blocks.pop(lba, None)
         zone.write_pointer = 0
         zone.state = ZoneState.EMPTY
-
-    def open_zones(self) -> List[Zone]:
-        return [z for z in self.zones if z.state is ZoneState.OPEN]

@@ -62,15 +62,6 @@ class PcieLink:
         self._metrics.rename(component)
         return self
 
-    # -- counter views -----------------------------------------------------
-    @property
-    def bytes_transferred(self) -> int:
-        return self._bytes_transferred.value
-
-    @property
-    def completion_timeouts(self) -> int:
-        return self._completion_timeouts.value
-
     def wire_bytes(self, payload_bytes: int) -> int:
         """Payload plus amortized TLP overhead."""
         if payload_bytes <= 0:

@@ -85,17 +85,3 @@ class RootComplex:
         bar.base = base
         self._next_mmio = base + bar.size
         return base
-
-    # -- address routing -----------------------------------------------------
-    def device_for_address(self, address: int) -> PcieDevice:
-        """Which endpoint claims a given MMIO address (BAR decoding)."""
-        for record in self.devices.values():
-            for bar in record.device.bars:
-                if bar.base is not None and bar.base <= address < bar.base + bar.size:
-                    return record.device
-        raise ConfigurationError(f"MMIO address {address:#x} claimed by no BAR")
-
-    @property
-    def mmio_window(self) -> Tuple[int, int]:
-        """``(base, end)`` of all assigned MMIO space."""
-        return self.mmio_base, self._next_mmio

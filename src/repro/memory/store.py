@@ -34,7 +34,6 @@ class _Allocator:
     """First-fit free-list allocator over one backend's byte range."""
 
     def __init__(self, capacity: int, base: int = 0):
-        self.capacity = capacity
         self._cursor = base
         self._limit = base + capacity
         self._free: List[Tuple[int, int]] = []  # (offset, size)
@@ -57,11 +56,6 @@ class _Allocator:
 
     def free(self, offset: int, size: int) -> None:
         self._free.append((offset, size))
-
-    @property
-    def bytes_used(self) -> int:
-        reclaimed = sum(size for __, size in self._free)
-        return self._cursor - reclaimed
 
 
 class SingleLevelStore:
@@ -266,6 +260,3 @@ class SingleLevelStore:
         if self.hbm is not None:
             total += self.hbm.capacity
         return total
-
-    def segments_at(self, location: SegmentLocation) -> List[Segment]:
-        return [s for s in self.table if s.location is location]

@@ -98,14 +98,3 @@ class VirtualMemoryModel:
         if self.tlb.lookup(vaddr):
             return TranslationResult(hit=True, memory_accesses=0, latency=0.0)
         return self.page_table.walk()
-
-    def total_cost(self) -> float:
-        """Cumulative translation latency so far."""
-        return self.page_table.walks * self.page_table.levels * (
-            self.page_table.access_latency
-        )
-
-
-def segment_translation_result() -> TranslationResult:
-    """One segment-table lookup: a single associative access."""
-    return TranslationResult(hit=True, memory_accesses=1, latency=SEGMENT_LOOKUP_LATENCY)

@@ -29,7 +29,7 @@ class Priority(enum.IntEnum):
     """Load-shedding classes, most-protected first."""
 
     USER = 0        # foreground gets/puts: shed last
-    BACKGROUND = 1  # compaction, tiering moves, repair traffic
+    BACKGROUND = 1  # compaction, repair traffic
     SCRUB = 2       # integrity scans: shed first
 
 
@@ -150,10 +150,6 @@ class AdmissionController:
     def rate(self) -> float:
         """The current AIMD-controlled admission rate, in requests/s."""
         return self.bucket.rate
-
-    def admitted(self, priority: Priority = Priority.USER) -> int:
-        """Requests admitted so far at *priority*."""
-        return self._admitted[priority].value
 
     def shed(self, priority: Priority = Priority.USER) -> int:
         """Requests shed so far at *priority*."""

@@ -86,11 +86,6 @@ class CircuitBreaker:
         self._closed = metrics.counter("closed")
         self._rejected = metrics.counter("rejected")
 
-    @property
-    def rejected(self) -> int:
-        """Calls refused without touching the backend."""
-        return self._rejected.value
-
     def _transition(self, to: BreakerState) -> None:
         self.transition_log.append(
             (self.clock.now, self.state.value, to.value)
@@ -157,8 +152,8 @@ class CircuitBreaker:
                 self._transition(BreakerState.CLOSED)
             return
         if self.state is BreakerState.OPEN:
-            # An out-of-band verified success (e.g. a health probe that
-            # bypassed the breaker): the backend is demonstrably back.
+            # An out-of-band verified success (a call that bypassed the
+            # breaker): the backend is demonstrably back.
             self._transition(BreakerState.CLOSED)
             return
         self._consecutive_failures = 0

@@ -106,11 +106,6 @@ class BrownoutController:
         return self.mode.batch_scale
 
     @property
-    def compaction_enabled(self) -> bool:
-        """Whether background compaction may run at this level."""
-        return self.mode.compaction_enabled
-
-    @property
     def serve_stale(self) -> bool:
         """Whether reads may serve stale data to shed work at this level."""
         return self.mode.serve_stale

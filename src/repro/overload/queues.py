@@ -1,11 +1,11 @@
 """Bounded, policy-driven queues with backpressure telemetry.
 
 The implicit queues this replaces (RPC pending handlers, NVMe
-submission, tiering promotion backlogs) all shared the same failure
-mode: under overload they buffer without limit, so sojourn time grows
-past every client deadline and the server ends up doing work nobody is
-waiting for. A :class:`BoundedQueue` makes the limit explicit and the
-overflow *visible*: a full queue rejects at enqueue (``dropped_full``),
+submission) shared the same failure mode: under overload they buffer
+without limit, so sojourn time grows past every client deadline and
+the server ends up doing work nobody is waiting for. A
+:class:`BoundedQueue` makes the limit explicit and the overflow
+*visible*: a full queue rejects at enqueue (``dropped_full``),
 and the CoDel-style policy additionally drops entries at dequeue once
 queueing delay has exceeded the target sojourn for a full interval
 (``dropped_deadline``) — serving fresh requests instead of stale ones.
@@ -51,10 +51,10 @@ class BoundedQueue:
     *immediately* instead of accumulating as hidden putter state.
 
     Consumption comes in two shapes: :meth:`poll` synchronously returns
-    an item or ``None`` (epoch-driven callers like the tiering policy,
-    and a worker between two requests), and :meth:`get` returns an
-    :class:`~repro.sim.Event` for a process with nothing to do — the
-    next :meth:`try_put` hands it the item and resumes it inline.
+    an item or ``None`` (a worker between two requests), and :meth:`get`
+    returns an :class:`~repro.sim.Event` for a process with nothing to
+    do — the next :meth:`try_put` hands it the item and resumes it
+    inline.
     """
 
     def __init__(

@@ -94,11 +94,6 @@ class HotKeyCache:
         """Lookups that found nothing servable (cold, expired, or stale)."""
         return self._misses.value
 
-    @property
-    def evicted(self) -> int:
-        """Entries evicted by the LRU capacity bound."""
-        return self._evicted.value
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -153,15 +148,3 @@ class HotKeyCache:
         if self._entries.pop(key, None) is not None:
             self._invalidated.inc()
             self._size.set(len(self._entries))
-
-    def invalidate_epoch(self, before: int) -> int:
-        """Eagerly drop every entry filled under an epoch older than
-        *before*; returns how many were dropped. (Lazy per-lookup epoch
-        checks make this optional — it just reclaims space sooner.)"""
-        stale = [k for k, e in self._entries.items() if e.epoch < before]
-        for key in stale:
-            del self._entries[key]
-            self._epoch_invalidated.inc()
-        if stale:
-            self._size.set(len(self._entries))
-        return len(stale)

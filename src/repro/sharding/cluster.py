@@ -122,7 +122,6 @@ class ShardForwarder:
         server.register("kv.get", self._get)
         server.register("kv.put", self._write)
         server.register("kv.delete", self._write)
-        server.register("kv.ping", lambda: True)
         server.register("shard.keys", self._keys)
         server.register("shard.handoff", self._handoff)
         server.register("shard.receive", self._receive)
@@ -137,11 +136,6 @@ class ShardForwarder:
     def gated_ops(self) -> int:
         """Ops that had to wait for a key's lock (handoff or another op)."""
         return self._gated.value
-
-    @property
-    def keys_handed_off(self) -> int:
-        """Keys this DPU has migrated away."""
-        return self._keys_handed_off.value
 
     # -- the locked, forwarding kv surface -----------------------------------
     def _route(self, key: bytes):
@@ -400,14 +394,3 @@ class ShardedKvCluster:
         self._epoch_gauge.set(self.epoch)
         self._nodes_gauge.set(len(self.ring))
         return self.epoch
-
-    # -- introspection -------------------------------------------------------
-    def resident_keys(self, address: str) -> List[bytes]:
-        """Keys physically resident on one DPU (sorted, minus forwards)."""
-        return self.forwarders[address]._keys()
-
-    def balance(self) -> float:
-        """max/mean resident keys across ring members; 1.0 is perfect."""
-        counts = [len(self.resident_keys(a)) for a in self.ring.nodes]
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean else 1.0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.common.errors import ConfigurationError
 
@@ -58,10 +58,9 @@ class HashRing:
     already in the chain, so replicas always land on distinct physical
     nodes (when enough exist).
 
-    >>> ring = HashRing(["a", "b"])
-    >>> moved = HashRing.moved_keys(
-    ...     ring, ring.with_node("c"),
-    ...     [f"k{i}".encode() for i in range(100)])
+    >>> ring, bigger = HashRing(["a", "b"]), HashRing(["a", "b", "c"])
+    >>> keys = [f"k{i}".encode() for i in range(100)]
+    >>> moved = [k for k in keys if ring.owner_of(k) != bigger.owner_of(k)]
     >>> 0 < len(moved) < 100   # only the new node's arcs move
     True
     """
@@ -169,18 +168,3 @@ class HashRing:
         load = self.load_of(keys)
         mean = sum(load.values()) / len(load)
         return max(load.values()) / mean if mean else 1.0
-
-    @staticmethod
-    def moved_keys(old: "HashRing", new: "HashRing",
-                   keys: Iterable[bytes]) -> List[Tuple[bytes, str, str]]:
-        """Keys whose owner differs between two topologies.
-
-        Returns ``(key, old_owner, new_owner)`` triples in input order —
-        the handoff work list a live migration must transfer.
-        """
-        moved = []
-        for key in keys:
-            before, after = old.owner_of(key), new.owner_of(key)
-            if before != after:
-                moved.append((key, before, after))
-        return moved

@@ -6,13 +6,11 @@ yield :class:`Event` objects (timeouts, resource grants, store gets) and are
 resumed when those events fire.
 """
 
-from repro.sim.clock import ManualClock, SimClock
 from repro.sim.engine import (
     TIMED_OUT,
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     Simulator,
     Timeout,
@@ -25,13 +23,10 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AnyOf",
     "AllOf",
     "Resource",
     "Store",
-    "ManualClock",
-    "SimClock",
     "TIMED_OUT",
     "expire",
 ]

@@ -20,7 +20,7 @@ Hot-path design notes (every simulated operation crosses this module):
 * Spawning a :class:`Process` does not allocate a bootstrap event: the
   first generator resume is scheduled directly as a *thunk* entry
   (``event is None``), consuming one eid exactly like the old bootstrap
-  event did. Interrupt delivery uses the same mechanism.
+  event did.
 * A process nobody waits on is started with :meth:`Simulator.spawn`:
   the same bootstrap entry, no completion entry, and a failure raises
   out of ``run()`` rather than vanishing onto an event nobody holds.
@@ -62,14 +62,6 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 _PENDING = object()
 
 
@@ -92,10 +84,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -234,16 +222,6 @@ class _Bootstrap:
 _BOOT = _Bootstrap()
 
 
-class _Poke:
-    """Sentinel 'event' that delivers an :class:`Interrupt` into a process."""
-
-    __slots__ = ("_value",)
-    _ok = False
-
-    def __init__(self, exc: BaseException):
-        self._value = exc
-
-
 class Process(Event):
     """A generator executing in simulated time.
 
@@ -270,33 +248,12 @@ class Process(Event):
         # bare thunk: no bootstrap Event allocation, same eid accounting.
         sim.call_later(0.0, self._bootstrap)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
     def _bootstrap(self) -> None:
         self._resume(_BOOT)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            return
-        poke = _Poke(Interrupt(cause))
-
-        def deliver() -> None:
-            if self._value is not _PENDING:
-                return
-            # Detach from whatever we were waiting on; the stale event's
-            # callback becomes a no-op because _waiting_on no longer
-            # matches.
-            self._waiting_on = None
-            self._resume(poke)
-
-        self.sim.call_later(0.0, deliver)
-
     def _resume(self, event) -> None:
-        # Ignore wakeups after the process finished, or from events we
-        # stopped waiting on (interrupts).
+        # Ignore wakeups after the process finished, or from an event
+        # it no longer waits on.
         if self._value is not _PENDING:
             return
         waiting = self._waiting_on
@@ -564,8 +521,8 @@ class Simulator:
         entry, at the same place in the order — but its end queues no
         completion entry, and an exception it raises propagates out of
         :meth:`run` with its original traceback instead of being stored
-        on an event no one holds. There is no handle to wait on or
-        interrupt: use :meth:`process` for that.
+        on an event no one holds. There is no handle to wait on: use
+        :meth:`process` for that.
         """
         _Spawned(self, generator)
 

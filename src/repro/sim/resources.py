@@ -56,26 +56,9 @@ class Resource:
 
     def acquire(self):
         """Generator helper: ``yield from resource.acquire()`` — takes
-        a free unit on the spot, waits for a grant only when none is.
-
-        A waiter that is thrown into (interrupted) withdraws its
-        request: left queued, :meth:`release` would hand a unit to a
-        process that will never release it.
-        """
+        a free unit on the spot, waits for a grant only when none is."""
         if not self.try_acquire():
-            request = self.request()
-            try:
-                yield request
-            except BaseException:
-                if request.triggered:  # granted, not yet delivered
-                    self.release()
-                else:
-                    self._waiters.remove(request)
-                raise
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+            yield self.request()
 
 
 class Store:

@@ -1,7 +1,5 @@
 """Storage services exported by network-attached Hyperion DPUs (§2.4).
 
-* :mod:`repro.storage.nvmeof` — block-level remote access (NVMe-oF), the
-  baseline "storage-with-network" capability of Table 1;
 * :mod:`repro.storage.kvssd` — a key-value SSD: the device exports get/put
   instead of blocks, with an LSM tree running next to the flash;
 * :mod:`repro.storage.corfu` — a Corfu-style shared log: sequencer +
@@ -9,13 +7,10 @@
   abstraction the paper proposes exporting from network-attached SSDs.
 """
 
-from repro.storage.nvmeof import NvmeOfTarget, NvmeOfInitiator
 from repro.storage.kvssd import KvSsd, KvSsdService, KvSsdClient
 from repro.storage.corfu import CorfuSequencer, CorfuLogUnit, CorfuClient
 
 __all__ = [
-    "NvmeOfTarget",
-    "NvmeOfInitiator",
     "KvSsd",
     "KvSsdService",
     "KvSsdClient",

@@ -8,10 +8,8 @@ actual namespace blocks, so the on-flash state is real bytes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.common.errors import CapacityError
-from repro.datastruct.lsm import LsmTree, SsTable
+from repro.datastruct.lsm import LsmTree
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
 from repro.hw.nvme.namespace import LBA_SIZE
@@ -61,13 +59,8 @@ class KvSsd:
         )
         self._wal_lba = wal_start_lba
         self._sstable_lba = sstable_start_lba
-        self._sstable_extents: List[Tuple[int, int]] = []  # (lba, blocks)
         self._gets = self._metrics.counter("gets")
         self._puts = self._metrics.counter("puts")
-
-    @property
-    def gets(self) -> int:
-        return self._gets.value
 
     @property
     def puts(self) -> int:
@@ -160,69 +153,7 @@ class KvSsd:
         )
         if not completion.ok:
             raise CapacityError("SSTable persist failed")
-        blocks = max(1, (len(image) + LBA_SIZE - 1) // LBA_SIZE)
-        self._sstable_extents.append((self._sstable_lba, blocks))
-        self._sstable_lba += blocks
-
-    def recover_from_wal(self, wal_start_lba: int = 0):
-        """Process: replay the write-ahead log after a power cut.
-
-        Rebuilds the in-device LSM state from the durable WAL alone
-        (records are idempotent, so replaying over flushed SSTables is
-        safe). Returns the number of records applied.
-        """
-        namespace = self.controller.namespaces[self.namespace_id]
-        lba = wal_start_lba
-        applied = 0
-        # Same metric scope: counters stay cumulative across the recovery.
-        fresh = LsmTree(
-            memtable_limit=self.lsm.memtable_limit,
-            metrics=self._metrics.scope("lsm"),
-        )
-        wal_limit = min(namespace.capacity_blocks, self._sstable_lba)
-        while lba < wal_limit:
-            completion = yield self.qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.READ, namespace_id=self.namespace_id, lba=lba
-                )
-            )
-            if not completion.ok:
-                break
-            head = completion.data
-            key_len = int.from_bytes(head[0:4], "little")
-            value_len = int.from_bytes(head[4:8], "little")
-            if key_len == 0:
-                break  # zeroed block: end of the log
-            total = 9 + key_len + value_len
-            blocks = max(1, (total + LBA_SIZE - 1) // LBA_SIZE)
-            raw = namespace.read_blocks(lba, blocks)
-            tombstone = raw[8] == 1
-            key = raw[9 : 9 + key_len]
-            value = raw[9 + key_len : 9 + key_len + value_len]
-            if tombstone:
-                fresh.delete(key)
-            else:
-                fresh.put(key, value)
-            applied += 1
-            lba += blocks
-        self.lsm = fresh
-        self._wal_lba = lba  # new appends continue past the replayed log
-        return applied
-
-    def recover_sstables(self):
-        """Process: reload persisted SSTables after a restart."""
-        restored: List[SsTable] = []
-        for lba, blocks in self._sstable_extents:
-            completion = yield self.qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.READ,
-                    namespace_id=self.namespace_id,
-                    lba=lba,
-                    block_count=blocks,
-                )
-            )
-            restored.append(SsTable.deserialize(completion.data))
-        return restored
+        self._sstable_lba += max(1, (len(image) + LBA_SIZE - 1) // LBA_SIZE)
 
 
 class KvSsdService:
@@ -234,9 +165,6 @@ class KvSsdService:
         server.register("kv.put", device.put)
         server.register("kv.delete", device.delete)
         server.register("kv.scan", device.scan)
-        # Health probe: answers iff the DPU is alive and reachable, used by
-        # failover clients to steer around dead replicas.
-        server.register("kv.ping", lambda: True)
 
 
 class KvSsdClient:

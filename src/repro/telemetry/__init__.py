@@ -33,8 +33,6 @@ On top of the in-process plane sit the export-and-watch layers:
 
 from repro.telemetry.export import (
     chrome_trace_json,
-    distributed_chrome_trace_json,
-    distributed_trace_events,
     parse_prometheus_text,
     prometheus_text,
     trace_events,
@@ -70,8 +68,6 @@ __all__ = [
     "parse_prometheus_text",
     "chrome_trace_json",
     "trace_events",
-    "distributed_trace_events",
-    "distributed_chrome_trace_json",
     "Sampler",
     "Series",
     "SloRule",

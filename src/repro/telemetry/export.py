@@ -44,8 +44,6 @@ __all__ = [
     "PromSample",
     "trace_events",
     "chrome_trace_json",
-    "distributed_trace_events",
-    "distributed_chrome_trace_json",
 ]
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
@@ -162,12 +160,6 @@ _LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 _EXEMPLAR = re.compile(r"^\{(.*)\}\s+(\S+)$")
 
 
-def _unescape_label(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
-
-
 def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
     """Parse exposition text into ``{family name: PromFamily}``.
 
@@ -177,6 +169,11 @@ def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
     their base family. Malformed sample lines raise ``ValueError``.
     """
     families: Dict[str, PromFamily] = {}
+
+    def unescape(value: str) -> str:
+        return (
+            value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
+        )
 
     def family_for(sample_name: str) -> PromFamily:
         for suffix in ("", "_bucket", "_sum", "_count"):
@@ -211,7 +208,7 @@ def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
                 raise ValueError(f"malformed sample line: {line!r}")
             name, raw_labels, raw_value = match.groups()
             labels = {
-                key: _unescape_label(value)
+                key: unescape(value)
                 for key, value in _LABEL.findall(raw_labels or "")
             }
             family = family_for(name)
@@ -221,7 +218,7 @@ def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
                 if ex_match is None:
                     raise ValueError(f"malformed exemplar: {line!r}")
                 ex_labels = {
-                    key: _unescape_label(value)
+                    key: unescape(value)
                     for key, value in _LABEL.findall(ex_match.group(1))
                 }
                 key = labels.get("le", "")
@@ -295,117 +292,5 @@ def chrome_trace_json(tracer: Tracer, pid: int = 1,
     payload = {
         "displayTimeUnit": "ns",
         "traceEvents": trace_events(tracer, pid, process_name),
-    }
-    return json.dumps(payload, sort_keys=True, indent=indent)
-
-
-# -- distributed (multi-region) Chrome trace events --------------------------
-
-def _span_region(span: Span, default: str) -> str:
-    """The span's region: its own ``region`` attr or the nearest
-    ancestor's (the client side of a geo trace has none)."""
-    node: Optional[Span] = span
-    while node is not None:
-        region = node.attrs.get("region")
-        if region is not None:
-            return str(region)
-        node = node.parent
-    return default
-
-
-def distributed_trace_events(tracer: Tracer,
-                             default_region: str = "client"
-                             ) -> List[Dict[str, Any]]:
-    """Distributed traces as trace-event dicts, one pid per region.
-
-    Spans are grouped onto per-region process tracks (``region`` span
-    attributes, inherited downward; region-less prefixes land on
-    ``default_region``), and every cross-region parent/child edge — an
-    RPC hop whose ``rpc.handle`` executed in another region than its
-    caller — emits a flow-event pair (``"ph": "s"`` at the caller,
-    ``"ph": "f"`` at the callee) so viewers draw the causal arrow
-    across tracks. Deterministic: pids follow sorted region names,
-    flow ids follow depth-first visit order.
-    """
-    regions: List[str] = []
-    seen = set()
-
-    def collect(span: Span, inherited: str) -> None:
-        region = str(span.attrs.get("region", inherited))
-        if region not in seen:
-            seen.add(region)
-            regions.append(region)
-        for child in span.children:
-            collect(child, region)
-
-    for root in tracer.roots:
-        collect(root, default_region)
-    pids = {region: pid for pid, region in enumerate(sorted(regions), 1)}
-
-    events: List[Dict[str, Any]] = []
-    for region in sorted(regions):
-        events.append({
-            "ph": "M", "name": "process_name", "pid": pids[region],
-            "tid": 0, "args": {"name": f"region {region}"},
-        })
-        events.append({
-            "ph": "M", "name": "thread_name", "pid": pids[region],
-            "tid": 1, "args": {"name": "simulated-datapath"},
-        })
-
-    flow_ids = 0
-
-    def emit(span: Span, depth: int, parent_end: Optional[float],
-             inherited: str, parent_pid: Optional[int],
-             parent_start: Optional[float]) -> None:
-        nonlocal flow_ids
-        region = str(span.attrs.get("region", inherited))
-        pid = pids[region]
-        args: Dict[str, Any] = {
-            key: str(value) for key, value in sorted(span.attrs.items())
-        }
-        args["depth"] = depth
-        if span.trace_id:
-            args["trace_id"] = span.trace_id
-        start = span.start * 1e6
-        end = start + span.duration * 1e6
-        if parent_end is not None and end > parent_end:
-            end = parent_end
-        if parent_pid is not None and parent_pid != pid:
-            # The hop crossed regions: tie the tracks together.
-            flow_ids += 1
-            events.append({
-                "ph": "s", "id": flow_ids, "name": "rpc-hop", "cat": "flow",
-                "pid": parent_pid, "tid": 1, "ts": parent_start,
-            })
-            events.append({
-                "ph": "f", "bp": "e", "id": flow_ids, "name": "rpc-hop",
-                "cat": "flow", "pid": pid, "tid": 1, "ts": start,
-            })
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": span.substrate or "sim",
-            "ts": start,
-            "dur": end - start,
-            "pid": pid,
-            "tid": 1,
-            "args": args,
-        })
-        for child in span.children:
-            emit(child, depth + 1, end, region, pid, start)
-
-    for root in tracer.roots:
-        emit(root, 0, None, default_region, None, None)
-    return events
-
-
-def distributed_chrome_trace_json(tracer: Tracer,
-                                  default_region: str = "client",
-                                  indent: Optional[int] = None) -> str:
-    """:func:`distributed_trace_events` as a canonical JSON blob."""
-    payload = {
-        "displayTimeUnit": "ns",
-        "traceEvents": distributed_trace_events(tracer, default_region),
     }
     return json.dumps(payload, sort_keys=True, indent=indent)

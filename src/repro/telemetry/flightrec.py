@@ -22,7 +22,7 @@ owns its metrics registry and tracer. Recording is append-only into
 RNG streams, or simulated time, so enabling it (it is never off)
 changes no canonical artifact bytes. Sources reach the recorder via
 ``getattr(clock, "recorder", None)`` at construction time: components
-built on a bare ``ManualClock`` simply record nothing.
+built on a bare clock (anything with a ``now``) simply record nothing.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class FlightRecorder:
             f"{at:.9f} [{source}] {line}"
             for at, source, line in self.journal
         ]
-
-    def journal_bytes(self) -> bytes:
-        """The current journal ring as canonical bytes."""
-        return "\n".join(self.journal_lines()).encode()
 
     # -- post-mortem dumps ---------------------------------------------------
     def dump(self, trigger: str) -> bytes:

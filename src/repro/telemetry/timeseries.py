@@ -140,8 +140,8 @@ _INTERVAL_STATS = ("mean", "max", "p99")
 class Sampler:
     """Periodically snapshots watched metrics into :class:`Series`.
 
-    Works against any clock exposing ``now`` (a ``Simulator``, a
-    ``ManualClock``): call :meth:`sample` yourself, or let :meth:`run`
+    Works against any clock exposing ``now`` (a ``Simulator``, or a
+    hand-stepped test clock): call :meth:`sample` yourself, or let :meth:`run`
     drive a workload process with a sampling side-process on the same
     simulator. ``on_sample`` hooks (the SLO monitor) fire after each
     tick with the tick's timestamp.

@@ -69,11 +69,6 @@ class Span:
         return (self.end if self.end is not None else self.start) - self.start
 
     @property
-    def open(self) -> bool:
-        """Whether the span has not finished yet."""
-        return self.end is None
-
-    @property
     def trace_id(self) -> str:
         """The owning flow's trace id (empty for pre-context spans)."""
         return self.context.trace_id if self.context is not None else ""
@@ -259,14 +254,6 @@ class Tracer:
         self.enabled = False
         return self
 
-    def reset(self) -> "Tracer":
-        """Drop all recorded spans, flows, and sampling state; returns self."""
-        self.roots = []
-        self._active = None
-        self._ambient = None
-        self._flows = 0
-        return self
-
     # -- flows ---------------------------------------------------------------
     def flow(self) -> Optional[TraceContext]:
         """Head-sample a new root flow.
@@ -287,10 +274,6 @@ class Tracer:
             f"trace/{self.sample_seed}/{self._flows}".encode(), digest_size=8
         ).hexdigest()
         return TraceContext(self, trace_id)
-
-    def activate(self, context: Optional[TraceContext]) -> None:
-        """Make *context* the flow for the current synchronous segment."""
-        self._active = context
 
     @property
     def active_context(self) -> Optional[TraceContext]:

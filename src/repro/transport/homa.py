@@ -21,8 +21,6 @@ HOMA_HEADER = 40
 #: Bytes a sender may push without a grant (~one 100 GbE bandwidth-delay).
 RTT_BYTES = 10_000
 
-_msg_ids = itertools.count()
-
 
 @dataclass
 class _HomaData:
@@ -52,6 +50,10 @@ class HomaSocket:
         self.deliver: Callable[[Tuple[str, Any, int]], None] = (
             self.rx.put_nowait
         )
+        # Per-socket ids: the receiver keys on (source address, id) and
+        # grants come back to this socket, so only its messages need
+        # distinct ones.
+        self._message_ids = itertools.count()
         self._grants: Dict[int, Event] = {}
         self._incoming: Dict[Tuple[str, int], int] = {}  # received byte counts
         self._payloads: Dict[Tuple[str, int], Any] = {}
@@ -66,7 +68,7 @@ class HomaSocket:
 
     def send(self, dst: str, payload: Any, size: int):
         """Process: transmit one message (unscheduled head, granted tail)."""
-        message_id = next(_msg_ids)
+        message_id = next(self._message_ids)
         mtu = MAX_FRAME_PAYLOAD - HOMA_HEADER
         sent = 0
         # Unscheduled region: fire immediately.

@@ -22,8 +22,6 @@ RDMA_HEADER = 58
 #: NIC-internal processing per operation (no CPU involved).
 NIC_PROCESSING = 600e-9
 
-_op_ids = itertools.count()
-
 
 class MemoryRegion:
     """A registered, remotely-accessible buffer with an rkey."""
@@ -68,6 +66,9 @@ class RdmaNic:
         self.port = port
         self.regions: Dict[int, MemoryRegion] = {}
         self._completions: Dict[int, Event] = {}
+        # Per-NIC ids: responses come back to the issuing NIC, so only
+        # its operations need distinct ones.
+        self._op_ids = itertools.count()
         self._next_rkey = itertools.count(1)
         self.remote_ops_served = 0
         sim.spawn(self._rx_loop())
@@ -85,7 +86,7 @@ class RdmaNic:
     def read(self, peer: str, rkey: int, offset: int, size: int):
         """Process: RDMA READ; returns the remote bytes."""
         response = yield from self._issue(
-            peer, _RdmaRequest(next(_op_ids), "read", rkey, offset, size),
+            peer, _RdmaRequest(next(self._op_ids), "read", rkey, offset, size),
             request_size=RDMA_HEADER,
         )
         if not response.ok:
@@ -96,7 +97,8 @@ class RdmaNic:
         """Process: RDMA WRITE of ``data`` into the remote region."""
         response = yield from self._issue(
             peer,
-            _RdmaRequest(next(_op_ids), "write", rkey, offset, len(data), bytes(data)),
+            _RdmaRequest(next(self._op_ids), "write", rkey, offset, len(data),
+                         bytes(data)),
             request_size=RDMA_HEADER + len(data),
         )
         if not response.ok:

@@ -74,14 +74,6 @@ class RetryBudget:
     def granted(self) -> int:
         return self._granted.value
 
-    @property
-    def exhausted(self) -> int:
-        return self._exhausted.value
-
-    def remaining(self) -> int:
-        self._expire()
-        return self.budget - len(self._spends)
-
     def _expire(self) -> None:
         now = self.clock.now
         while self._spends and now - self._spends[0] > self.window:
@@ -292,23 +284,9 @@ class RpcServer:
         self.transport.listen(self._on_datagram)
 
     @property
-    def requests_served(self) -> int:
-        return self._requests_served.value
-
-    @property
     def requests_shed(self) -> int:
         """Requests refused by admission control or queue drops."""
         return self._shed.value
-
-    @property
-    def batches_served(self) -> int:
-        """Coalesced :data:`BATCH_METHOD` requests served."""
-        return self._batches_served.value
-
-    @property
-    def batched_ops(self) -> int:
-        """Sub-operations executed inside batch requests."""
-        return self._batched_ops.value
 
     @property
     def address(self) -> str:
@@ -522,10 +500,6 @@ class RpcClient:
     @property
     def retransmits(self) -> int:
         return self._retransmits.value
-
-    @property
-    def deadline_exceeded(self) -> int:
-        return self._deadline_exceeded.value
 
     @property
     def retry_budget_exhausted(self) -> int:

@@ -26,22 +26,25 @@ SEGMENT_PROCESSING = 500e-9
 #: segment retransmits spuriously before the ACK can possibly arrive.
 RTO = 200e-6
 
-_conn_ids = itertools.count()
+#: A connection id: the initiating stack's address and its sequence
+#: number. Every stack keys its connections on it, in both directions,
+#: so it must be unique among all stacks a stack talks to.
+ConnId = Tuple[str, int]
 
 
 @dataclass
 class _Syn:
-    conn_id: int
+    conn_id: ConnId
 
 
 @dataclass
 class _SynAck:
-    conn_id: int
+    conn_id: ConnId
 
 
 @dataclass
 class _DataSegment:
-    conn_id: int
+    conn_id: ConnId
     message_id: int
     index: int
     total: int
@@ -51,7 +54,7 @@ class _DataSegment:
 
 @dataclass
 class _Ack:
-    conn_id: int
+    conn_id: ConnId
     message_id: int
     index: int
 
@@ -59,7 +62,7 @@ class _Ack:
 class TcpConnection:
     """One established connection; created via ``TcpStack.connect``."""
 
-    def __init__(self, stack: "TcpStack", peer: str, conn_id: int):
+    def __init__(self, stack: "TcpStack", peer: str, conn_id: ConnId):
         self.stack = stack
         self.peer = peer
         self.conn_id = conn_id
@@ -136,9 +139,10 @@ class TcpStack:
         self.sim = sim
         self.port = port
         self.rto = rto
-        self.connections: Dict[int, TcpConnection] = {}
+        self.connections: Dict[ConnId, TcpConnection] = {}
         self.accept_queue: Store = Store(sim)
-        self._pending_connect: Dict[int, Event] = {}
+        self._pending_connect: Dict[ConnId, Event] = {}
+        self._conn_ids = itertools.count()
         sim.spawn(self._rx_loop())
 
     @property
@@ -147,7 +151,7 @@ class TcpStack:
 
     def connect(self, peer: str):
         """Process: 3-way handshake (SYN retransmitted on loss)."""
-        conn_id = next(_conn_ids)
+        conn_id = (self.address, next(self._conn_ids))
         done = Event(self.sim)
         self._pending_connect[conn_id] = done
         attempts = 0

@@ -49,7 +49,7 @@ class UdpSocket:
         #: Incomplete datagrams dropped to keep ``_partial`` bounded.
         self.reassembly_evicted = 0
         #: Where a complete ``(src, payload, size)`` datagram goes: the
-        #: :meth:`recvfrom` queue unless an upper layer takes them itself.
+        #: :attr:`rx` queue unless an upper layer takes them itself.
         self.deliver: Callable[[Tuple[str, Any, int]], None] = (
             self.rx.put_nowait
         )
@@ -104,7 +104,3 @@ class UdpSocket:
             head = parts[0]
             self.datagrams_received += 1
             self.deliver((frame.src, head.payload, head.payload_size))
-
-    def recvfrom(self):
-        """Event: next ``(src, payload, size)`` datagram."""
-        return self.rx.get()

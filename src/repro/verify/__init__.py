@@ -30,7 +30,6 @@ reduces, while quorum/sync survive the identical schedule.
 
 from repro.verify.history import HistoryRecorder, Op, OpStatus, PendingOp
 from repro.verify.invariants import (
-    bounded_staleness,
     final_state_check,
     zero_lost_acks,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "OpStatus",
     "PendingOp",
     "ShrinkResult",
-    "bounded_staleness",
     "check_history",
     "check_register",
     "final_state_check",

@@ -197,13 +197,6 @@ class HistoryRecorder:
         return len(pending)
 
     # -- views ---------------------------------------------------------------
-    def by_key(self) -> Dict[bytes, List[Op]]:
-        """Ops grouped per key, each list in invocation order."""
-        grouped: Dict[bytes, List[Op]] = {}
-        for op in sorted(self.ops, key=lambda o: o.index):
-            grouped.setdefault(op.key, []).append(op)
-        return grouped
-
     def counts(self) -> Dict[str, int]:
         out = {"ok": 0, "fail": 0, "indeterminate": 0}
         for op in self.ops:

@@ -8,10 +8,6 @@ that name the failure directly when they fire:
   overwrite must be readable in the final swept state, and after a heal
   every replica must agree on it. "Lost acked write" and "divergence
   after heal" are the two headline failure modes of replicated stores.
-* :func:`bounded_staleness` — follower reads served under an explicit
-  staleness bound must never exceed it; that bound *is* their contract
-  (they are exempt from the linearizability search for the same
-  reason).
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from repro.verify.history import HistoryRecorder, Op, OpStatus
 
 __all__ = [
     "FinalStateResult",
-    "bounded_staleness",
     "final_state_check",
     "zero_lost_acks",
 ]
@@ -130,15 +125,3 @@ def final_state_check(
                     f"diverged: key={key.hex()} {detail}"
                 )
     return result
-
-
-def bounded_staleness(history: HistoryRecorder, bound: float) -> List[str]:
-    """Every staleness-tagged read must respect *bound* (seconds)."""
-    violations = []
-    for op in sorted(history.ops, key=lambda o: o.index):
-        if op.staleness is not None and op.staleness > bound:
-            violations.append(
-                f"staleness: op={op.index} key={op.key.hex()} "
-                f"served={op.staleness!r} bound={bound!r}"
-            )
-    return violations

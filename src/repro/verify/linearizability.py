@@ -72,9 +72,8 @@ def _entries(ops: Iterable[Op]) -> List[_Entry]:
 
     Dropped: definite failures (never took effect), timed-out reads (no
     observed value, no effect), and staleness-bounded follower reads
-    (their contract is the bound, checked by
-    :func:`repro.verify.invariants.bounded_staleness`, not
-    linearizability).
+    (their contract is the bound, not linearizability; nothing checks
+    the bound yet).
     """
     entries = []
     for op in ops:

@@ -6,9 +6,8 @@ This package turns the sharded data plane into something that serves
 * :mod:`repro.workload.spec` — declarative scenarios: tenants ×
   operation mixes × arrival curves (steady/diurnal/burst/step) with
   Zipfian key popularity (:mod:`repro.workload.popularity`);
-* :mod:`repro.workload.generator` — open-loop (arrival-curve-driven,
-  simulated millions of independent users) and closed-loop (bounded
-  worker population) generators driving
+* :mod:`repro.workload.generator` — the open-loop (arrival-curve-driven,
+  simulated millions of independent users) generator driving
   :class:`~repro.sharding.ShardedKvCluster` through per-tenant
   :class:`~repro.sharding.ShardedKvClient` handles;
 * :mod:`repro.workload.autoscaler` — the control loop: SLO firings
@@ -24,7 +23,6 @@ capacity under a compressed daily curve.
 
 from repro.workload.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.workload.generator import (
-    ClosedLoopTraffic,
     OpenLoopTraffic,
     arrival_preview,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
     "BurstCurve",
-    "ClosedLoopTraffic",
     "DiurnalCurve",
     "OpMix",
     "OpenLoopTraffic",

@@ -1,6 +1,6 @@
-"""Open- and closed-loop traffic generators over the sharded data plane.
+"""Open-loop traffic generation over the sharded data plane.
 
-Both generators drive a :class:`~repro.sharding.ShardedKvCluster`
+The generator drives a :class:`~repro.sharding.ShardedKvCluster`
 through per-tenant :class:`~repro.sharding.ShardedKvClient` handles,
 translating a :class:`~repro.workload.spec.WorkloadSpec` into simulated
 operations:
@@ -16,8 +16,6 @@ offered rate follows each tenant's arrival curve regardless of how the
 cluster is coping, via Lewis thinning of a Poisson process at the
 curve's peak rate.  Overload therefore shows up as queueing, shed ops,
 and latency — never as a politely backing-off client.
-:class:`ClosedLoopTraffic` models a bounded worker population with
-think time, the classic benchmark-harness shape.
 
 Every random draw comes from ``random.Random(f"{seed}/...")`` streams
 owned per tenant, so a given seed produces a byte-identical operation
@@ -38,7 +36,7 @@ from repro.transport import RpcError
 from repro.workload.popularity import ZipfKeys
 from repro.workload.spec import TenantSpec, WorkloadSpec
 
-__all__ = ["OpenLoopTraffic", "ClosedLoopTraffic", "arrival_preview"]
+__all__ = ["OpenLoopTraffic", "arrival_preview"]
 
 #: How often the offered/goodput gauges are refreshed (simulated s).
 RATE_PERIOD = 0.002
@@ -212,55 +210,6 @@ class OpenLoopTraffic(_TrafficBase):
             kind, keys = self._draw(tenant, oprng)
             self._offered.inc()
             self.sim.spawn(self._op(tenant, kind, keys))
-
-
-class ClosedLoopTraffic(_TrafficBase):
-    """A bounded worker population with think time.
-
-    ``population`` workers are split across tenants proportionally to
-    ``TenantSpec.weight`` (at least one each).  Each worker loops
-    think → draw op → run to completion, so offered load self-limits
-    under slowdown — the classic closed-loop harness, useful for
-    capacity probing where :class:`OpenLoopTraffic` measures overload.
-    """
-
-    def __init__(self, sim, spec: WorkloadSpec, clients: Dict[str, object],
-                 seed: int, horizon: float, *,
-                 population: int = 64, think: float = 0.001,
-                 deadline: Optional[float] = None,
-                 scope: str = "workload.closed") -> None:
-        super().__init__(sim, spec, clients, seed, horizon,
-                         deadline=deadline, scope=scope)
-        if population < len(spec.tenants):
-            raise ValueError("population must cover every tenant")
-        if think < 0:
-            raise ValueError("think time must be >= 0")
-        self.population = population
-        self.think = think
-
-    def workers_for(self, tenant: TenantSpec) -> int:
-        """Worker count for *tenant*: weight-proportional, at least 1."""
-        total = sum(t.weight for t in self.spec.tenants)
-        return max(1, round(self.population * tenant.weight / total))
-
-    def start(self) -> None:
-        """Spawn the worker population; curve time 0 is the call instant."""
-        self.origin = self.sim.now
-        for tenant in self.spec.tenants:
-            for worker in range(self.workers_for(tenant)):
-                self.sim.spawn(self._worker(tenant, worker))
-        self.sim.spawn(self._rates_loop())
-
-    def _worker(self, tenant: TenantSpec, worker: int):
-        rng = random.Random(f"{self.seed}/worker/{tenant.name}/{worker}")
-        while True:
-            yield self.sim.timeout(rng.expovariate(1.0 / self.think)
-                                   if self.think else 0.0)
-            if self.sim.now >= self.horizon:
-                return
-            kind, keys = self._draw(tenant, rng)
-            self._offered.inc()
-            yield from self._op(tenant, kind, keys)
 
 
 def arrival_preview(spec: WorkloadSpec, seed: int,

@@ -265,8 +265,7 @@ class TenantSpec:
 
     ``scan_span`` is the number of consecutive keys a scan touches;
     ``analytics_span`` the number of Zipf-drawn keys one analytics
-    scatter reads; ``value_size`` the put payload in bytes; ``weight``
-    the tenant's share of the closed-loop worker population.
+    scatter reads; ``value_size`` the put payload in bytes.
     """
 
     name: str
@@ -275,7 +274,6 @@ class TenantSpec:
     scan_span: int = 16
     analytics_span: int = 64
     value_size: int = 64
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
@@ -284,8 +282,6 @@ class TenantSpec:
             raise ConfigurationError("tenant spans must be >= 1")
         if self.value_size < 1:
             raise ConfigurationError("tenant value_size must be >= 1")
-        if self.weight <= 0:
-            raise ConfigurationError("tenant weight must be positive")
 
     def describe(self) -> str:
         return (
@@ -357,7 +353,7 @@ def _parse_curve(kind: str, tokens: Sequence[str], context: str) -> _Curve:
     )
 
 
-_TENANT_OPTIONS = ("scan_span", "analytics_span", "value_size", "weight")
+_TENANT_OPTIONS = ("scan_span", "analytics_span", "value_size")
 
 
 @dataclass(frozen=True)
@@ -429,7 +425,6 @@ class WorkloadSpec:
             scan_span=int(options.get("scan_span", 16)),
             analytics_span=int(options.get("analytics_span", 64)),
             value_size=int(options.get("value_size", 64)),
-            weight=options.get("weight", 1.0),
         )
 
     def peak_rate(self) -> float:

@@ -105,7 +105,7 @@ class TestFail2BanDeployments:
 
         sim.run_process(scenario())
         log_namespace = app._log_ssd.namespaces[1]
-        assert log_namespace.written_block_count() >= 2
+        assert len(log_namespace._blocks) >= 2
 
     def test_first_flushed_block_is_the_trace(self):
         """256 sixteen-byte records fill one 4 KiB block: read LBA 0 back."""
@@ -142,7 +142,7 @@ class TestFail2BanDeployments:
         sim.run()
         assert app.banned_packets + app.passed_packets == 2048
         assert app._log_lba == 8
-        assert app._log_ssd.namespaces[1].written_block_count() == 8
+        assert len(app._log_ssd.namespaces[1]._blocks) == 8
 
     def test_failed_log_write_is_a_named_error(self):
         sim = Simulator()
@@ -191,7 +191,7 @@ class TestFail2BanDeployments:
         sim.run()
         assert path.packets_processed == 16
         assert path._log_lba == 8
-        assert ssd.namespaces[1].written_block_count() == 8
+        assert len(ssd.namespaces[1]._blocks) == 8
 
     def test_baseline_agrees_with_dpu(self):
         trace = generate_packet_trace(200, seed=3)

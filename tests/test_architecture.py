@@ -8,12 +8,23 @@ the CPU-free paths.
 """
 
 import ast
+import importlib.util
 import inspect
 import pathlib
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+from repro.faults import FaultKind
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+_spec = importlib.util.spec_from_file_location(
+    "reachability", ROOT / "tools" / "reachability.py")
+reachability = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = reachability  # its dataclasses look themselves up
+_spec.loader.exec_module(reachability)
 
 #: Packages that model the CPU-free side and must never touch the baseline.
 CPU_FREE_PACKAGES = [
@@ -173,3 +184,96 @@ class TestDocstringsEverywhere:
                             f"{path.relative_to(SRC)}::{node.name}"
                         )
         assert not undocumented, f"classes without docstrings: {undocumented}"
+
+
+#: What no root reaches and stays anyway: test oracles, kept by the
+#: rule that reference implementations tests compare against are safety
+#: code. Each entry says which tests lean on it.
+UNREACHABLE_ALLOWED = {
+    "repro.hw.net.switch.Network.one_way_delay":
+        "the analytic frame delay test_hw_net pins the datapath to, ==",
+    "repro.telemetry.export.PromFamily":
+        "what parse_prometheus_text returns",
+    "repro.telemetry.export.parse_prometheus_text":
+        "the exporter tests parse prometheus_text output back with it",
+}
+
+#: Dead code that goes next, in a change of its own together with its
+#: 28 tests (ROADMAP item 5). Nothing may join this set; it only shrinks.
+UNREACHABLE_TO_DELETE = {
+    "repro.common.units.transfer_time",
+    "repro.datastruct.bptree.BPlusTree.range",
+    "repro.ebpf.asm._disassemble_insn",
+    "repro.ebpf.asm.disassemble",
+    "repro.formats.columnar.RecordBatch.concat",
+    "repro.fs.ext4.HyperExtFs.listdir",
+    "repro.fs.ext4.HyperExtFs.unlink",
+    "repro.fs.ext4.HyperExtFs.write_file",
+    "repro.memory.store.SingleLevelStore.capacity_bytes",
+    "repro.memory.store.SingleLevelStore.free",
+    "repro.memory.store.SingleLevelStore.promote",
+    "repro.memory.store.SingleLevelStore.promotions",
+    "repro.memory.store._Allocator.free",
+    "repro.power.energy.EnergyMeter",
+}
+
+
+@pytest.fixture(scope="module")
+def reach():
+    return reachability.Reachability()
+
+
+def test_nothing_unreachable_but_the_allowed_oracles(reach):
+    """Every module and def under ``src/repro`` is run by a registry
+    row, a CLI, perfbench or an example (``tools/reachability.py``),
+    except the oracles and what is queued for deletion."""
+    dead = [name for name, _lines in reach.unreachable()]
+    assert dead == sorted(UNREACHABLE_ALLOWED.keys() | UNREACHABLE_TO_DELETE)
+
+
+def test_the_pass_reports_planted_dead_code(tmp_path):
+    """The pin above cannot pass vacuously: an unimported module, an
+    unreferenced def, a def only dead code calls, and a name only a
+    package re-exports are all reported; what the CLI runs is not."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from repro.used import reexported\n")
+    (package / "__main__.py").write_text(
+        "from repro import used\n\nused.live()\n")
+    (package / "used.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.value = 1\n"
+        "    def get(self):\n        return self.value\n"
+        "    def unused(self):\n        return 2\n\n\n"
+        "def live():\n    return Box().get()\n\n\n"
+        "def planted():\n    return only_from_dead_code()\n\n\n"
+        "def only_from_dead_code():\n    return 3\n\n\n"
+        "def reexported():\n    return 4\n")
+    (package / "orphan.py").write_text("def anything():\n    return 5\n")
+    assert reachability.unreachable(tmp_path) == [
+        "repro.orphan",
+        "repro.used.Box.unused",
+        "repro.used.only_from_dead_code",
+        "repro.used.planted",
+        "repro.used.reexported",
+    ]
+
+
+def test_every_fault_kind_is_consulted_where_something_runs(reach):
+    """A FaultPlan cannot name a fault that silently injects nothing:
+    every FaultKind is passed to an injector's ``fires``/``active`` in
+    code a root reaches."""
+    consulted = set()
+    for unit in reach.live_units():
+        for node in unit.nodes:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in ("fires", "active")
+                        and len(call.args) == 2
+                        and isinstance(call.args[1], ast.Attribute)
+                        and getattr(call.args[1].value, "id", None)
+                        == "FaultKind"):
+                    consulted.add(call.args[1].attr)
+    assert consulted == {kind.name for kind in FaultKind}

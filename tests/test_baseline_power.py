@@ -52,14 +52,9 @@ class TestCpuModel:
         assert elapsed > 0
 
     def test_memcpy_bandwidth(self):
-        sim = Simulator()
-        cpu = CpuModel(sim)
-
-        def scenario():
-            yield from cpu.memcpy(12_000_000)  # 1 ms at 12 GB/s
-            return sim.now
-
-        assert sim.run_process(scenario()) == pytest.approx(1e-3)
+        cpu = CpuModel(Simulator())
+        # 1 ms at 12 GB/s
+        assert cpu.costs.memcpy_time(12_000_000) == pytest.approx(1e-3)
 
 
 class TestOsModel:
@@ -138,7 +133,6 @@ class TestCpuCentricDatapath:
 class TestServerAndPower:
     def test_x12_envelope(self):
         assert SUPERMICRO_X12.max_tdp_watts == pytest.approx(1600.0)
-        assert 10 < SUPERMICRO_X12.volume_liters < 20
 
     def test_hyperion_tdp_matches_paper(self):
         assert total_tdp(HYPERION_POWER) == pytest.approx(230.0)

@@ -25,7 +25,7 @@ def test_good_names_and_paths_pass(tmp_path):
     assert _broken(tmp_path, (
         "The module `repro.eval.registry`, its attribute "
         "`repro.eval.registry.EXPERIMENTS`, the method "
-        "`repro.storage.kvssd.KvSsd.recover_from_wal()`, the file "
+        "`repro.storage.kvssd.KvSsd.put()`, the file "
         "`tools/check_links.py`, the directory `examples/` and the test "
         "`tests/test_eval.py::TestRegistry::test_metrics_are_directional`.\n"
     )) == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.datastruct import LsmTree, SsTable
+from repro.telemetry import MetricsRegistry
 
 
 class TestSsTable:
@@ -21,10 +22,6 @@ class TestSsTable:
         table = SsTable([(b"a", b"1"), (b"b", b"2")])
         assert table.get(b"a") == b"1"
         assert table.get(b"zz") is None
-
-    def test_key_range(self):
-        table = SsTable([(b"a", b"1"), (b"m", b"2"), (b"z", b"3")])
-        assert table.key_range == (b"a", b"z")
 
     def test_serialize_roundtrip(self):
         table = SsTable([(b"alpha", b"one"), (b"beta", b"two")])
@@ -89,7 +86,9 @@ class TestShadowingAndCompaction:
         assert lsm.get(b"k") is None
 
     def test_compaction_merges_and_drops_tombstones(self):
-        lsm = LsmTree(memtable_limit=1000, l0_limit=2)
+        registry = MetricsRegistry()
+        lsm = LsmTree(memtable_limit=1000, l0_limit=2,
+                      metrics=registry.scope("lsm"))
         lsm.put(b"a", b"1")
         lsm.flush()
         lsm.put(b"b", b"2")
@@ -97,7 +96,7 @@ class TestShadowingAndCompaction:
         lsm.flush()
         lsm.put(b"c", b"3")
         lsm.flush()  # exceeds l0_limit -> compacts
-        assert lsm.compactions == 1
+        assert registry.get("lsm.compactions").value == 1
         assert lsm.l0 == []
         assert lsm.get(b"a") is None
         assert lsm.get(b"b") == b"2"

@@ -1,73 +1,9 @@
-"""Tests for the hash table and extent tree."""
+"""Tests for the extent tree."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.errors import CapacityError, ConfigurationError
-from repro.datastruct import BucketHashTable, Extent, ExtentTree
-
-
-class TestHashTable:
-    def test_put_get(self):
-        table = BucketHashTable()
-        table.put(b"key", b"value")
-        assert table.get(b"key") == b"value"
-
-    def test_missing(self):
-        assert BucketHashTable().get(b"nope") is None
-
-    def test_overwrite(self):
-        table = BucketHashTable()
-        table.put(b"k", b"1")
-        table.put(b"k", b"2")
-        assert table.get(b"k") == b"2"
-        assert len(table) == 1
-
-    def test_delete(self):
-        table = BucketHashTable()
-        table.put(b"k", b"v")
-        assert table.delete(b"k")
-        assert not table.delete(b"k")
-        assert len(table) == 0
-
-    def test_capacity(self):
-        table = BucketHashTable(max_entries=2)
-        table.put(b"a", b"1")
-        table.put(b"b", b"2")
-        with pytest.raises(CapacityError):
-            table.put(b"c", b"3")
-
-    def test_collisions_chain(self):
-        table = BucketHashTable(bucket_count=1)
-        for i in range(20):
-            table.put(f"key{i}".encode(), str(i).encode())
-        for i in range(20):
-            assert table.get(f"key{i}".encode()) == str(i).encode()
-        assert table.load_factor() == 20.0
-
-    def test_serialize_roundtrip(self):
-        table = BucketHashTable(bucket_count=8)
-        for i in range(30):
-            table.put(f"k{i}".encode(), f"v{i}".encode())
-        restored = BucketHashTable.deserialize(table.serialize())
-        assert dict(restored.items()) == dict(table.items())
-        assert restored.bucket_count == 8
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.dictionaries(
-        st.binary(min_size=1, max_size=16), st.binary(max_size=16), max_size=100
-    )
-)
-def test_hashtable_matches_dict(reference):
-    table = BucketHashTable(bucket_count=16)
-    for key, value in reference.items():
-        table.put(key, value)
-    assert dict(table.items()) == reference
-    restored = BucketHashTable.deserialize(table.serialize())
-    assert dict(restored.items()) == reference
+from repro.common.errors import ConfigurationError
+from repro.datastruct import Extent, ExtentTree
 
 
 class TestExtent:

@@ -1,5 +1,7 @@
 """Tests for the composed Hyperion DPU, schematic, OS-shell, and tenancy."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -29,11 +31,11 @@ def booted_dpu(sim, net=None, **kwargs):
 
 class TestSchematic:
     def test_figure2_inventory(self):
-        s = build_schematic()
-        assert len(s.nodes_of_kind("accelerator-slot")) == 5
-        assert len(s.nodes_of_kind("ssd")) == 4
-        assert len(s.nodes_of_kind("pcie-bridge")) == 4
-        assert len(s.nodes_of_kind("network-port")) == 2
+        kinds = Counter(node.kind for node in build_schematic().nodes.values())
+        assert kinds["accelerator-slot"] == 5
+        assert kinds["ssd"] == 4
+        assert kinds["pcie-bridge"] == 4
+        assert kinds["network-port"] == 2
 
     def test_network_reaches_storage(self):
         """The end-to-end hardware path: QSFP -> slots -> NVMe, no CPU."""
@@ -67,7 +69,7 @@ class TestBoot:
         assert report.jtag_ok
         assert len(report.enumerated_ssds) == 4
         assert report.boot_time >= 0.16  # JTAG + shell config
-        assert dpu.booted
+        dpu.require_booted()
 
     def test_double_boot_rejected(self):
         sim = Simulator()

@@ -32,7 +32,6 @@ class TestInstruction:
         assert Instruction(Opcode.LDXW, dst=0, src=1).is_load
         assert Instruction(Opcode.STXB, dst=1, src=0).is_store
         assert Instruction(Opcode.JEQ, dst=0, imm=0, offset=1).is_cond_jump
-        assert Instruction(Opcode.EXIT).is_jump
 
 
 ENCODABLE_OPS = [

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError, ReproError
-from repro.ebpf import ArrayMap, BpfVm, HashMap, assemble
+from repro.ebpf import BpfVm, HashMap, assemble
 from repro.ebpf.helpers import (
     HELPER_GET_PRANDOM_U32,
     HELPER_KTIME_GET_NS,
@@ -38,7 +38,7 @@ from repro.eval.compiler import program_corpus
 from tests.ebpf_reference import ReferenceVm
 
 U64 = (1 << 64) - 1
-HASH_FD, ARRAY_FD, MISSING_FD = 1, 2, 3
+HASH_FD, MISSING_FD = 1, 3
 UNKNOWN_HELPER = 99
 CTX_REG = 9  # holds the context pointer: r1 is clobbered by the first CALL
 
@@ -54,10 +54,10 @@ STORES_IMM_BY_SIZE = {MEM_SIZE[op]: op for op in STORES_IMM}
 
 
 def fresh_maps():
-    """A small hash (so "map full" is reachable) and a small array."""
+    """A small hash, so "map full" is reachable."""
     hash_map = HashMap(8, 8, max_entries=3)
     hash_map.update(bytes(8), (7).to_bytes(8, "little"))
-    return {HASH_FD: hash_map, ARRAY_FD: ArrayMap(value_size=8, max_entries=4)}
+    return {HASH_FD: hash_map}
 
 
 def observe(vm_class, program, contexts, budget):
@@ -81,7 +81,6 @@ def observe(vm_class, program, contexts, budget):
     return (
         outcomes,
         list(maps[HASH_FD].items()),
-        [bytes(maps[ARRAY_FD].lookup_index(i)) for i in range(4)],
         vm.trace_log,
     )
 
@@ -229,7 +228,7 @@ def _call(draw):
     ]))
     setup = []
     if helper in (HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE):
-        fd = draw(st.sampled_from([HASH_FD, HASH_FD, HASH_FD, ARRAY_FD, MISSING_FD]))
+        fd = draw(st.sampled_from([HASH_FD, HASH_FD, HASH_FD, MISSING_FD]))
         # Key at a slot the stores above may have filled; sometimes off the stack.
         key_at = draw(st.sampled_from([-8, -16, -24, -4, 0]))
         setup += [Instruction(Opcode.MOV, dst=1, imm=fd)] + _stack_pointer(2, key_at)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CapacityError, ProtocolError
-from repro.ebpf import ArrayMap, BpfVm, HashMap, ProgramBuilder, assemble
+from repro.ebpf import BpfVm, HashMap, Opcode, ProgramBuilder, assemble
 from repro.ebpf.helpers import (
     HELPER_GET_PRANDOM_U32,
     HELPER_KTIME_GET_NS,
@@ -313,23 +313,6 @@ class TestMaps:
         with pytest.raises(ProtocolError):
             HashMap(key_size=4, value_size=4).lookup(b"too-long-key")
 
-    def test_arraymap_lookup_index(self):
-        array = ArrayMap(value_size=8, max_entries=4)
-        array.update((2).to_bytes(4, "little"), (99).to_bytes(8, "little"))
-        assert int.from_bytes(array.lookup_index(2), "little") == 99
-
-    def test_arraymap_out_of_range(self):
-        array = ArrayMap(value_size=8, max_entries=4)
-        with pytest.raises(CapacityError):
-            array.lookup((7).to_bytes(4, "little"))
-
-    def test_arraymap_delete_zeroes(self):
-        array = ArrayMap(value_size=4, max_entries=2)
-        key = (0).to_bytes(4, "little")
-        array.update(key, b"\x01\x02\x03\x04")
-        array.delete(key)
-        assert bytes(array.lookup(key)) == b"\x00" * 4
-
     def test_hashmap_items(self):
         table = HashMap(key_size=1, value_size=1)
         table.update(b"a", b"1")
@@ -342,7 +325,7 @@ class TestBuilder:
         built = (
             ProgramBuilder()
             .mov("r0", 0)
-            .jeq("r1", 0, "done")
+            .branch(Opcode.JEQ, "r1", 0, "done")
             .add("r0", 1)
             .label("done")
             .exit()
@@ -369,7 +352,7 @@ class TestBuilder:
         assert BpfVm(program).run().return_value == 42
 
     def test_undefined_label_rejected(self):
-        builder = ProgramBuilder().jump("nowhere").exit()
+        builder = ProgramBuilder().jne("r0", 0, "nowhere").exit()
         with pytest.raises(ProtocolError):
             builder.build()
 

@@ -1,40 +1,27 @@
 """Tests for the unified fault-injection subsystem (repro.faults).
 
-Covers the four contracts ISSUE 1 asks for: deterministic schedules from a
-seed, NVMe read errors recovered by the backend retry policy, replicated
-cluster reads surviving a dead DPU, and SEU repair through the ICAP — plus
-the substrate hooks (links, PCIe, tiering, power) the plans drive.
+Covers deterministic schedules from a seed, NVMe read errors recovered
+by the backend retry policy, and replicated cluster reads surviving a
+dead DPU — plus the substrate hooks (links, PCIe, NVMe) the plans drive.
 """
 
 import pytest
 
-from repro.common.errors import (
-    ConfigurationError,
-    DegradedError,
-    PowerLossError,
-)
-from repro.dpu import FailoverKvClient, HyperionDpu, ReplicatedDpuKvCluster
+from repro.common.errors import ConfigurationError, DegradedError
+from repro.dpu import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.faults import (
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ManualClock,
 )
-from repro.hw.fpga import Bitstream, ConfigScrubber, Fabric, FabricResources, Icap
-from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.net import Frame, Link, Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.hw.pcie.link import PcieLink
-from repro.memory import (
-    DramBackend,
-    NvmeBackend,
-    PlacementHint,
-    SegmentLocation,
-    SingleLevelStore,
-)
-from repro.memory.tiering import TieringPolicy
+from repro.memory import NvmeBackend
 from repro.sim import Simulator
+
+from tests.manual_clock import ManualClock
 
 
 class TestFaultPlan:
@@ -56,9 +43,9 @@ class TestFaultPlan:
 
     def test_duplicate_names_rejected(self):
         plan = FaultPlan()
-        plan.once("seu", "slot0", FaultKind.SEU, at=1.0)
+        plan.once("cut", "dpu-0", FaultKind.POWER_LOSS, at=1.0)
         with pytest.raises(ConfigurationError):
-            plan.once("seu", "slot1", FaultKind.SEU, at=2.0)
+            plan.once("cut", "dpu-1", FaultKind.POWER_LOSS, at=2.0)
 
     def test_describe_is_stable(self):
         def build():
@@ -78,29 +65,34 @@ class TestFaultPlan:
             a.once("b-power", "dpu-1", FaultKind.POWER_LOSS, at=1.0)
             a.windowed("d-down", "dpu-2", FaultKind.NODE_DOWN, 2.0, 3.0)
             b = FaultPlan(seed=seed)
-            b.once("a-seu", "slot0", FaultKind.SEU, at=0.5)
+            b.once("a-cut", "dpu-0", FaultKind.POWER_LOSS, at=0.5)
             b.probabilistic("c-drop", "uplink", FaultKind.FRAME_DROP, 0.5)
             return a, b
 
         a, b = operands(9)
         merged = a.merge(b)
         assert [spec.name for spec in merged.specs] == [
-            "a-seu", "b-power", "c-drop", "d-down",
+            "a-cut", "b-power", "c-drop", "d-down",
         ]
         a2, b2 = operands(9)
         assert merged.describe() == b2.merge(a2).describe()
 
     def test_merge_keeps_left_seed_and_rejects_duplicates(self):
         a = FaultPlan(seed=1)
-        a.once("x", "c", FaultKind.SEU, at=1.0)
+        a.once("x", "c", FaultKind.POWER_LOSS, at=1.0)
         b = FaultPlan(seed=2)
-        b.once("y", "c", FaultKind.SEU, at=2.0)
+        b.once("y", "c", FaultKind.POWER_LOSS, at=2.0)
         assert a.merge(b).seed == 1
         assert b.merge(a).seed == 2
         dup = FaultPlan(seed=3)
-        dup.once("x", "other", FaultKind.SEU, at=3.0)
+        dup.once("x", "other", FaultKind.POWER_LOSS, at=3.0)
         with pytest.raises(ConfigurationError):
             a.merge(dup)
+
+
+def counter(sim, path):
+    """The value of the registry counter at *path*."""
+    return sim.telemetry.get(path).value
 
 
 def consult_storm(seed):
@@ -147,15 +139,15 @@ class TestDeterminism:
 
     def test_once_fires_exactly_once(self):
         plan = FaultPlan()
-        plan.once("seu", "slot0", FaultKind.SEU, at=1.0)
+        plan.once("cut", "dpu-0", FaultKind.POWER_LOSS, at=1.0)
         clock = ManualClock()
         injector = FaultInjector(clock, plan)
-        assert not injector.fires("slot0", FaultKind.SEU)  # before `at`
+        assert not injector.fires("dpu-0", FaultKind.POWER_LOSS)  # before `at`
         clock.advance(2.0)
-        assert injector.fires("slot0", FaultKind.SEU)
-        assert not injector.fires("slot0", FaultKind.SEU)
-        assert injector.fired("seu") == 1
-        assert not injector.pending("slot0", FaultKind.SEU)
+        assert injector.fires("dpu-0", FaultKind.POWER_LOSS)
+        assert not injector.fires("dpu-0", FaultKind.POWER_LOSS)
+        assert [record.name for record in injector.log] == ["cut"]
+        assert not injector.pending("dpu-0", FaultKind.POWER_LOSS)
 
     def test_window_active_semantics(self):
         plan = FaultPlan()
@@ -193,13 +185,13 @@ class TestLinkFaults:
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "uplink")
 
         def scenario():
-            yield from link.transmit(Frame("a", "b", None, 100))
-            yield from link.transmit(Frame("a", "b", None, 100))
+            yield link.enqueue(Frame("a", "b", None, 100))
+            yield link.enqueue(Frame("a", "b", None, 100))
 
         sim.run_process(scenario())
-        assert link.frames_sent == 2
-        assert link.frames_dropped == 1
-        assert link.frames_delivered == 1
+        assert counter(sim, "uplink.frames_sent") == 2
+        assert counter(sim, "uplink.frames_dropped") == 1
+        assert counter(sim, "uplink.frames_corrupted") == 0
 
     def test_corruption_discards_frame(self):
         sim = Simulator()
@@ -207,8 +199,12 @@ class TestLinkFaults:
         plan.probabilistic("emi", "uplink", FaultKind.FRAME_CORRUPT, 1.0,
                            max_fires=1)
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "uplink")
-        sim.run_process(link.transmit(Frame("a", "b", None, 100)))
-        assert link.frames_corrupted == 1
+
+        def scenario():
+            yield link.enqueue(Frame("a", "b", None, 100))
+
+        sim.run_process(scenario())
+        assert counter(sim, "uplink.frames_corrupted") == 1
         assert len(link.rx_queue) == 0
 
     def test_link_down_window_flaps(self):
@@ -220,14 +216,14 @@ class TestLinkFaults:
         )
 
         def scenario():
-            yield from link.transmit(Frame("a", "b", "lost", 100))
+            yield link.enqueue(Frame("a", "b", "lost", 100))
             yield sim.timeout(2e-3)  # window closes; link back up
-            yield from link.transmit(Frame("a", "b", "ok", 100))
+            yield link.enqueue(Frame("a", "b", "ok", 100))
             got = yield link.receive()
             return got.payload
 
         assert sim.run_process(scenario()) == "ok"
-        assert link.frames_dropped == 1
+        assert counter(sim, "uplink.frames_dropped") == 1
 
 
 def faulty_nvme(plan, blocks=64, read_retries=2):
@@ -238,7 +234,7 @@ def faulty_nvme(plan, blocks=64, read_retries=2):
     controller.start()
     controller.attach_faults(FaultInjector(sim, plan))
     backend = NvmeBackend(sim, controller, qp, read_retries=read_retries)
-    return sim, controller, backend
+    return sim, backend
 
 
 class TestNvmeReadRetry:
@@ -247,7 +243,7 @@ class TestNvmeReadRetry:
         backend's FTL-style retry recovers the data transparently."""
         plan = FaultPlan(seed=2)
         plan.once("bad-read", "ssd.flash", FaultKind.READ_ERROR, at=0.0)
-        sim, controller, backend = faulty_nvme(plan)
+        sim, backend = faulty_nvme(plan)
         backend.write(0, b"survives the media error")
 
         def scenario():
@@ -256,12 +252,12 @@ class TestNvmeReadRetry:
 
         assert sim.run_process(scenario()) == b"survives the media error"
         assert backend.retried_reads == 1
-        assert controller.media_errors == 1
+        assert counter(sim, "ssd.media_errors") == 1
 
     def test_persistent_errors_exhaust_retries(self):
         plan = FaultPlan(seed=2)
         plan.probabilistic("dead-media", "ssd.flash", FaultKind.READ_ERROR, 1.0)
-        sim, __, backend = faulty_nvme(plan, read_retries=1)
+        sim, backend = faulty_nvme(plan, read_retries=1)
         backend.write(0, b"unreachable")
 
         def scenario():
@@ -273,7 +269,7 @@ class TestNvmeReadRetry:
     def test_command_timeout_aborts_after_watchdog(self):
         plan = FaultPlan(seed=2)
         plan.once("hung-cmd", "ssd", FaultKind.COMMAND_TIMEOUT, at=0.0)
-        sim, controller, backend = faulty_nvme(plan)
+        sim, backend = faulty_nvme(plan)
         backend.write(0, b"eventually")
 
         def scenario():
@@ -282,7 +278,7 @@ class TestNvmeReadRetry:
 
         data, elapsed = sim.run_process(scenario())
         assert data == b"eventually"  # retried after the abort
-        assert controller.commands_aborted == 1
+        assert counter(sim, "ssd.commands_aborted") == 1
         assert elapsed >= 10e-3  # the watchdog latency was paid
 
 
@@ -306,7 +302,7 @@ class TestPcieFaults:
             return clean_sim.now
 
         clean = clean_sim.run_process(clean_transfer())
-        assert link.completion_timeouts == 1
+        assert counter(sim, "pcie0.completion_timeouts") == 1
         assert with_fault == pytest.approx(clean + 50e-6)
 
 
@@ -325,7 +321,7 @@ class TestClusterFailover:
         def scenario():
             for key in keys:
                 yield from client.put(key, b"v" * 32)
-            cluster.kill(1)
+            network.switch.blackhole("kv-dpu-1")
             values = []
             for key in keys:
                 value = yield from client.get(key)
@@ -338,26 +334,6 @@ class TestClusterFailover:
         # Some keys are headed by the dead DPU; those reads failed over.
         assert client.failovers >= 1
         assert "kv-dpu-1" in client.marked_down
-
-    def test_revive_and_probe_restores_health(self):
-        sim = Simulator()
-        network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2, ssd_blocks=16384
-        )
-        client = FailoverKvClient(sim, network, "client", cluster)
-
-        def scenario():
-            cluster.kill(1)
-            yield from client.probe("kv-dpu-1")
-            down = client.health["kv-dpu-1"]
-            cluster.revive(1)
-            yield from client.probe("kv-dpu-1")
-            return down, client.health["kv-dpu-1"]
-
-        down, up = sim.run_process(scenario())
-        assert down is False
-        assert up is True
 
     def test_marked_down_gauge_follows_the_health_map_both_ways(self):
         """Regression: the gauge went up on a failed call but never came
@@ -374,15 +350,16 @@ class TestClusterFailover:
         def scenario():
             for key in keys:
                 yield from client.put(key, b"v")
-            cluster.kill(1)
+            network.switch.blackhole("kv-dpu-1")
             for key in keys:
                 yield from client.get(key)  # some fail over to the tail
             after_kill = gauge.value
-            cluster.revive(1)
-            alive = yield from client.probe_all()
-            return after_kill, alive
+            network.switch.restore("kv-dpu-1")
+            for key in keys:
+                yield from client.put(key, b"v")  # every replica answers
+            return after_kill
 
-        assert sim.run_process(scenario()) == (1, 3)
+        assert sim.run_process(scenario()) == 1
         assert client.failovers >= 1
         assert gauge.value == 0
         assert client.marked_down == []
@@ -404,10 +381,10 @@ class TestClusterFailover:
 
         def scenario():
             yield from client.put(key, b"v")
-            cluster.kill(1)
+            network.switch.blackhole("kv-dpu-1")
             yield from client.get(key)  # fails over to the tail
             down = client.marked_down
-            cluster.revive(1)
+            network.switch.restore("kv-dpu-1")
             acked = yield from client.delete(key)
             return down, acked
 
@@ -415,8 +392,8 @@ class TestClusterFailover:
         assert client.marked_down == []
 
     def test_asymmetric_partition_write_lands_but_ack_is_lost(self):
-        """One-directional partition: kv-dpu-0 -> client is blackholed
-        while client -> kv-dpu-0 still flows. Writes *land* at the head
+        """One-directional partition: kv-dpu-0's uplink is down while
+        client -> kv-dpu-0 still flows. Writes *land* at the head
         replica but their acks vanish, so the client must fail over —
         and must not count the op as lost."""
         sim = Simulator()
@@ -429,7 +406,11 @@ class TestClusterFailover:
             k for k in (f"k{i}".encode() for i in range(256))
             if cluster.replicas_of(k)[0] == "kv-dpu-0"
         )
-        network.switch.blackhole_pair("kv-dpu-0", "client")
+        plan = FaultPlan()
+        plan.windowed("uplink-down", "net.link.kv-dpu-0.up",
+                      FaultKind.LINK_DOWN, 0.0, 0.5)
+        network.port("kv-dpu-0").route().attach_faults(
+            FaultInjector(sim, plan), "net.link.kv-dpu-0.up")
 
         def scenario():
             yield from client.put(key, b"payload")
@@ -446,9 +427,14 @@ class TestClusterFailover:
         # the write even though the client never saw its ack.
         head_value = sim.run_process(cluster.devices[0].get(key))
         assert head_value == b"payload"
-        # Healing the direction makes the head probeable again.
-        network.switch.restore_pair("kv-dpu-0", "client")
-        assert sim.run_process(client.probe("kv-dpu-0")) is True
+
+        # Once the direction heals, the head acks again and is marked up.
+        def after_heal():
+            yield sim.timeout(0.5)
+            acked = yield from client.put(key, b"again")
+            return acked
+
+        assert sim.run_process(after_heal()) == 2
         assert client.health["kv-dpu-0"] is True
 
     def test_replica_chain_is_consecutive(self):
@@ -464,111 +450,3 @@ class TestClusterFailover:
             cluster.addresses[(start + i) % 4] for i in range(3)
         ]
         assert chain == expected
-
-
-class TestSeuScrub:
-    def test_seu_triggers_slot_reconfiguration(self):
-        """An injected SEU is repaired by rewriting the slot's bitstream,
-        within the ICAP latency model (plus one scrubber poll)."""
-        sim = Simulator()
-        fabric = Fabric()
-        icap = Icap(sim)
-        bitstream = Bitstream(
-            "accel", FabricResources(luts=1000), size_bytes=1 * 1024 * 1024
-        )
-        slot = fabric.slots[0]
-        sim.run_process(icap.load(slot, bitstream, tenant="t0"))
-        loaded_at = sim.now
-
-        hit_at = loaded_at + 5e-3
-        plan = FaultPlan(seed=4)
-        plan.once("seu-0", "fabric.slot0", FaultKind.SEU, at=hit_at)
-        injector = FaultInjector(sim, plan)
-        scrubber = ConfigScrubber(
-            sim, fabric, icap, injector, poll_interval=1e-3
-        )
-        sim.run()  # drains once the plan has no pending SEU specs
-
-        assert icap.scrubs == 1
-        assert slot.seu_count == 1
-        assert slot.occupied and slot.loaded is bitstream
-        (index, completed_at, latency), = scrubber.repairs
-        assert index == 0
-        assert latency == pytest.approx(
-            icap.reconfiguration_latency(bitstream)
-        )
-        # Detection within one poll, repair within the ICAP model.
-        assert completed_at - hit_at <= 1e-3 + latency + 1e-9
-
-    def test_fault_free_plan_never_wedges_the_sim(self):
-        sim = Simulator()
-        fabric = Fabric()
-        icap = Icap(sim)
-        ConfigScrubber(sim, fabric, icap, FaultInjector(sim, FaultPlan()))
-        sim.run()  # returns immediately: nothing pending
-        assert icap.scrubs == 0
-
-
-class TestPowerLossMonitor:
-    def test_injected_power_loss_trips_with_twin(self):
-        sim = Simulator()
-        dpu = HyperionDpu(sim, Network(sim), ssd_blocks=4096)
-        sim.run_process(dpu.boot())
-        plan = FaultPlan(seed=5)
-        plan.once("blackout", "hyperion", FaultKind.POWER_LOSS,
-                  at=sim.now + 5e-3)
-        injector = FaultInjector(sim, plan)
-
-        with pytest.raises(PowerLossError) as excinfo:
-            sim.run_process(dpu.monitor_power(injector, poll_interval=1e-3))
-        assert dpu.power_failed
-        assert dpu.power_failed_at == pytest.approx(sim.now)
-        assert not excinfo.value.twin.booted  # cold spare, ready to re-boot
-
-
-class TestTieringDegradation:
-    def make_policy(self, plan):
-        sim = Simulator()
-        dram = DramBackend(
-            sim, MemoryBank("ddr4-0", 1 << 16, 19.2e9, 80e-9), 1 << 16
-        )
-        controller = NvmeController(sim, "tier-ssd")
-        controller.add_namespace(Namespace(1, 4096))
-        qp = controller.create_queue_pair()
-        controller.start()
-        store = SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
-        injector = FaultInjector(sim, plan)
-        return sim, store, TieringPolicy(
-            store, hot_threshold=5, injector=injector
-        )
-
-    def test_promotion_skipped_while_dram_down(self):
-        plan = FaultPlan()
-        plan.windowed("brownout", "tiering.dram", FaultKind.BACKEND_DOWN,
-                      0.0, 10.0)
-        sim, store, policy = self.make_policy(plan)
-        seg = store.allocate(64, hint=PlacementHint.COLD)
-        store.write(seg.oid, b"x" * 64)
-        for _ in range(10):
-            store.read(seg.oid, 8)
-        decisions = policy.run_epoch()
-        assert decisions == []
-        assert policy.degraded == 1
-        assert store.table.lookup(seg.oid).location is SegmentLocation.NVME
-
-    def test_promotion_resumes_after_window(self):
-        plan = FaultPlan()
-        plan.windowed("brownout", "tiering.dram", FaultKind.BACKEND_DOWN,
-                      0.0, 1e-9)
-        sim, store, policy = self.make_policy(plan)
-        sim.run_process(self.advance(sim, 1e-3))
-        seg = store.allocate(64, hint=PlacementHint.COLD)
-        store.write(seg.oid, b"x" * 64)
-        for _ in range(10):
-            store.read(seg.oid, 8)
-        policy.run_epoch()
-        assert store.table.lookup(seg.oid).location is SegmentLocation.DRAM
-
-    @staticmethod
-    def advance(sim, delta):
-        yield sim.timeout(delta)

@@ -123,68 +123,6 @@ class TestWalkerOnRealImage:
         assert parsed["size"] == size
 
 
-class TestF2fsWalker:
-    """The §2.3 claim covers F2FS too: resolve via checkpoint + NAT."""
-
-    def make_image(self):
-        from repro.fs import LogStructuredFs
-
-        namespace = Namespace(1, 1024)
-        fs = LogStructuredFs.mkfs(namespace)
-        fs.write_file("/data.parquet", b"columnar on a log fs")
-        fs.write_file("/notes", b"short")
-        fs.checkpoint()
-        return namespace, fs
-
-    def make_walker(self, namespace):
-        from repro.fs import LogFsWalker, f2fs_annotation
-
-        return LogFsWalker(f2fs_annotation(), namespace.read_blocks)
-
-    def test_read_file_via_annotation_only(self):
-        namespace, __ = self.make_image()
-        walker = self.make_walker(namespace)
-        assert walker.read_file("/data.parquet") == b"columnar on a log fs"
-
-    def test_newest_checkpoint_wins(self):
-        namespace, fs = self.make_image()
-        fs.write_file("/data.parquet", b"updated content")
-        fs.checkpoint()  # lands in the other slot with a newer generation
-        walker = self.make_walker(namespace)
-        assert walker.read_file("/data.parquet") == b"updated content"
-
-    def test_listdir(self):
-        namespace, __ = self.make_image()
-        assert self.make_walker(namespace).listdir() == ["/data.parquet", "/notes"]
-
-    def test_missing_file(self):
-        namespace, __ = self.make_image()
-        with pytest.raises(FileNotFoundError):
-            self.make_walker(namespace).read_file("/ghost")
-
-    def test_no_checkpoint(self):
-        walker = self.make_walker(Namespace(1, 64))
-        with pytest.raises(ProtocolError, match="checkpoint"):
-            walker.read_file("/anything")
-
-    def test_multi_block_file(self):
-        from repro.fs import LogStructuredFs
-
-        namespace = Namespace(1, 1024)
-        fs = LogStructuredFs.mkfs(namespace)
-        big = b"Z" * 9000
-        fs.write_file("/big", big)
-        fs.checkpoint()
-        assert self.make_walker(namespace).read_file("/big") == big
-
-    def test_block_read_accounting(self):
-        namespace, __ = self.make_image()
-        walker = self.make_walker(namespace)
-        walker.read_file("/notes")
-        # checkpoints (2) + record block(s): a handful.
-        assert 0 < walker.blocks_read <= 8
-
-
 class TestCodegen:
     def test_generated_code_contains_structs(self):
         code = generate_walker_code(ext4_annotation())

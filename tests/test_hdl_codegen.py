@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ebpf import assemble
-from repro.ebpf.builder import ProgramBuilder
 from repro.ebpf.isa import Instruction, Opcode, Program
 from repro.hdl import generate_verilog, schedule_pipeline
 
@@ -85,7 +84,5 @@ class TestExpressionRendering:
         assert "<" in text
 
     def test_ja_rendering(self):
-        builder = ProgramBuilder("jatest")
-        builder.mov("r0", 1).jump("end").label("end").exit()
-        text = generate_verilog(schedule_pipeline(builder.build(), fuse=False))
+        text = verilog_for("mov r0, 1\nja end\nend:\nexit", fuse=False)
         assert "branch_taken <= 1'b1" in text

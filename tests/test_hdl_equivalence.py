@@ -12,36 +12,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebpf.builder import ProgramBuilder
+from repro.ebpf.isa import Instruction, Opcode, Program
 from repro.ebpf.vm import BpfVm
 from repro.ebpf.verifier import Verifier
 from repro.hdl import compile_program, HardwarePipeline
 from repro.sim import Simulator
 
 #: Registers the generator may use freely (r0 is the result).
-SCRATCH_REGS = ["r0", "r3", "r4", "r5"]
+SCRATCH_REGS = [0, 3, 4, 5]
 
-_alu_op = st.sampled_from(["add", "sub", "mul", "and_", "or_", "xor", "lsh", "rsh"])
+_alu_op = st.sampled_from([
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.LSH, Opcode.RSH,
+])
 
 
 @st.composite
 def straight_line_program(draw):
     """A random sequence of ALU ops over initialized registers."""
-    builder = ProgramBuilder("random")
     # Initialize every scratch register first so the verifier accepts.
-    for reg in SCRATCH_REGS:
-        builder.mov(reg, draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    instructions = [
+        Instruction(Opcode.MOV, dst=reg,
+                    imm=draw(st.integers(min_value=0, max_value=2**31 - 1)))
+        for reg in SCRATCH_REGS
+    ]
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         op = draw(_alu_op)
         dst = draw(st.sampled_from(SCRATCH_REGS))
         if draw(st.booleans()):
             src = draw(st.sampled_from(SCRATCH_REGS))
+            instructions.append(
+                Instruction(op, dst=dst, src=src, uses_reg_src=True))
         else:
-            src = draw(st.integers(min_value=0, max_value=2**31 - 1))
-            if op in ("lsh", "rsh"):
-                src = src % 64
-        getattr(builder, op)(dst, src)
-    builder.exit()
-    return builder.build()
+            imm = draw(st.integers(min_value=0, max_value=2**31 - 1))
+            if op in (Opcode.LSH, Opcode.RSH):
+                imm = imm % 64
+            instructions.append(Instruction(op, dst=dst, imm=imm))
+    instructions.append(Instruction(Opcode.EXIT))
+    return Program(instructions, name="random")
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,7 +61,8 @@ def test_pipeline_matches_interpreter(program):
         compiled = compile_program(program, fuse=fuse)
         sim = Simulator()
         pipeline = HardwarePipeline(sim, compiled)
-        assert pipeline.execute_now().return_value == vm_result.return_value
+        result = sim.run_process(pipeline.execute())
+        assert result.return_value == vm_result.return_value
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,13 +97,14 @@ def branchy_program(draw):
     builder.load(4, "r4", "r1", 4)
     builder.mov("r0", 0)
     block_count = draw(st.integers(min_value=1, max_value=4))
-    jump_ops = ["jeq", "jne", "jgt", "jge", "jlt", "jle"]
+    jump_ops = [Opcode.JEQ, Opcode.JNE, Opcode.JGT, Opcode.JGE, Opcode.JLT,
+                Opcode.JLE]
     for index in range(block_count):
         op = draw(st.sampled_from(jump_ops))
         reg = draw(st.sampled_from(["r3", "r4"]))
         threshold = draw(st.integers(min_value=0, max_value=100))
         label = f"taken_{index}"
-        getattr(builder, op)(reg, threshold, label)
+        builder.branch(op, reg, threshold, label)
         builder.add("r0", draw(st.integers(min_value=0, max_value=50)))
         builder.label(label)
         builder.add("r0", draw(st.integers(min_value=0, max_value=50)))
@@ -115,14 +125,13 @@ def test_branchy_pipeline_matches_interpreter(program, a, b):
     compiled = compile_program(program)
     sim = Simulator()
     pipeline = HardwarePipeline(sim, compiled)
-    assert pipeline.execute_now(context).return_value == vm_result.return_value
+    result = sim.run_process(pipeline.execute(context))
+    assert result.return_value == vm_result.return_value
 
 
 @settings(max_examples=40, deadline=None)
 @given(program=straight_line_program())
 def test_binary_roundtrip_preserves_semantics(program):
     """encode -> decode -> run gives the same result (ISA correctness)."""
-    from repro.ebpf.isa import Program
-
     restored = Program.decode(program.encode(), name="restored")
     assert BpfVm(restored).run().return_value == BpfVm(program).run().return_value

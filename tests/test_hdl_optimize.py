@@ -136,11 +136,11 @@ class TestCompileIntegration:
         from repro.sim import Simulator
         from repro.hdl import HardwarePipeline
 
-        assert (
-            HardwarePipeline(Simulator(), plain).execute_now().return_value
-            == HardwarePipeline(Simulator(), optimized).execute_now().return_value
-            == 42
-        )
+        def run(compiled):
+            sim = Simulator()
+            return sim.run_process(HardwarePipeline(sim, compiled).execute())
+
+        assert run(plain).return_value == run(optimized).return_value == 42
 
 
 @settings(max_examples=60, deadline=None)

@@ -174,9 +174,3 @@ class TestAxiInterconnect:
         axi.add_range(AddressRange(0, 1024, "a", "a"))
         with pytest.raises(ConfigurationError):
             axi.add_range(AddressRange(512, 1024, "b", "b"))
-
-    def test_ranges_sorted(self):
-        axi = AxiStreamInterconnect()
-        axi.add_range(AddressRange(2048, 10, "b", "b"))
-        axi.add_range(AddressRange(0, 10, "a", "a"))
-        assert [r.name for r in axi.ranges] == ["a", "b"]

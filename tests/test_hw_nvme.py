@@ -106,7 +106,7 @@ class TestController:
         completion = sim.run_process(scenario())
         assert completion.ok
         assert completion.data[:11] == b"persistent!"
-        assert ssd.commands_executed == 2
+        assert sim.telemetry.get("nvme-0.commands_executed").value == 2
 
     def test_read_latency_dominated_by_flash(self):
         sim = Simulator()
@@ -169,7 +169,7 @@ class TestController:
         ssd.start()
         sim.run()
         assert finished == [0, 1, 2, 3, 4]
-        assert ssd.commands_executed == 5
+        assert sim.telemetry.get("nvme-0.commands_executed").value == 5
 
     def test_an_unexpected_namespace_error_raises_out_of_the_run(self):
         """A command's process is spawned, not awaited: an error the

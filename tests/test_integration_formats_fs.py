@@ -1,22 +1,15 @@
-"""Integration: columnar data on both file systems via annotation walkers.
+"""Integration: columnar data on the file system via the annotation walker.
 
 Paper §2.3's full sentence: "Hyperion can access and process data that is
 stored in Arrow/Parquet format, on the F2FS/ext4 file system on NVMe
-storage without any host-side, or client-side CPU involvement." These tests
-run the format pipeline over *both* layouts through their walkers.
+storage without any host-side, or client-side CPU involvement." This test
+runs the format pipeline over the ext4-like layout through its walker.
 """
 
 import pytest
 
-from repro.formats import RecordBatch, Schema, parquet_to_batch, write_table
-from repro.fs import (
-    HyperExtFs,
-    LayoutWalker,
-    LogFsWalker,
-    LogStructuredFs,
-    ext4_annotation,
-    f2fs_annotation,
-)
+from repro.formats import RecordBatch, Schema, read_table, write_table
+from repro.fs import HyperExtFs, LayoutWalker, ext4_annotation
 from repro.hw.nvme import Namespace
 
 
@@ -40,34 +33,8 @@ class TestParquetOnExt4:
         # The walker knows nothing about HyperExtFs; only the annotation.
         walker = LayoutWalker(ext4_annotation(), namespace.read_blocks)
         fetched = walker.read_file("/tables/t.parquet")
-        batch = parquet_to_batch(fetched, columns=["score"])
+        batch = read_table(fetched, columns=["score"])
         assert batch.aggregate("score", "count") == 200
         assert batch.aggregate("score", "sum") == pytest.approx(
             sum(i * 0.1 for i in range(200))
         )
-
-
-class TestParquetOnF2fs:
-    def test_end_to_end(self):
-        namespace = Namespace(1, 2048)
-        fs = LogStructuredFs.mkfs(namespace)
-        raw = dataset()
-        fs.write_file("/t.parquet", raw)
-        fs.checkpoint()
-        walker = LogFsWalker(f2fs_annotation(), namespace.read_blocks)
-        fetched = walker.read_file("/t.parquet")
-        batch = parquet_to_batch(fetched, columns=["id", "tag"])
-        assert batch.column("id").values == list(range(200))
-        assert batch.column("tag").values[:2] == ["a", "b"]
-
-    def test_update_then_rescan(self):
-        """Log-structured overwrite: the walker sees the newest version."""
-        namespace = Namespace(1, 2048)
-        fs = LogStructuredFs.mkfs(namespace)
-        fs.write_file("/t.parquet", dataset(50))
-        fs.checkpoint()
-        fs.write_file("/t.parquet", dataset(75))
-        fs.checkpoint()
-        walker = LogFsWalker(f2fs_annotation(), namespace.read_blocks)
-        batch = parquet_to_batch(walker.read_file("/t.parquet"))
-        assert len(batch) == 75

@@ -96,7 +96,7 @@ def test_full_lifecycle(stack):
     pipeline2 = HardwarePipeline(
         sim, compiled, maps={BAN_MAP_FD: recovered_map}
     )
-    result = pipeline2.execute_now(attacker)
+    result = sim.run_process(pipeline2.execute(attacker))
     assert result.return_value == 0  # still banned after the power cut
 
 

@@ -4,9 +4,9 @@ import random
 
 from repro.memory.vm import (
     PAGE_SIZE,
+    SEGMENT_LOOKUP_LATENCY,
     TlbModel,
     VirtualMemoryModel,
-    segment_translation_result,
 )
 
 
@@ -79,11 +79,7 @@ class TestVirtualMemoryModel:
 
 
 class TestSegmentComparison:
-    def test_segment_lookup_is_single_access(self):
-        result = segment_translation_result()
-        assert result.memory_accesses == 1
-
     def test_segment_cheaper_than_walk(self):
         vm = VirtualMemoryModel()
         walk = vm.translate(0)
-        assert segment_translation_result().latency < walk.latency
+        assert SEGMENT_LOOKUP_LATENCY < walk.latency

@@ -1,14 +1,17 @@
 """Tests for the overload-protection stack (bounded queues, admission,
 circuit breakers, brownout) and its integrations into the RPC server,
-the NVMe submission path, the tiering policy, and the failover client."""
+the NVMe submission path, and the failover client."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
+from repro.dpu.cluster import (
+    BREAKER_RESET,
+    FailoverKvClient,
+    ReplicatedDpuKvCluster,
+)
 from repro.eval.overload import run_overload
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.net import Network
 from repro.hw.net.link import Link
 from repro.hw.net.port import NetworkPort
@@ -20,14 +23,6 @@ from repro.hw.nvme import (
     NvmeQueuePair,
     NvmeStatus,
 )
-from repro.memory import (
-    DramBackend,
-    NvmeBackend,
-    PlacementHint,
-    SegmentLocation,
-    SingleLevelStore,
-)
-from repro.memory.tiering import TieringPolicy
 from repro.overload import (
     AdmissionController,
     BoundedQueue,
@@ -54,6 +49,11 @@ from repro.transport import (
     RpcServer,
     UdpSocket,
 )
+
+
+def counter(sim, path):
+    """The value of the registry counter at *path*."""
+    return sim.telemetry.get(path).value
 
 
 def advance(sim, dt):
@@ -211,7 +211,7 @@ class TestAdmissionController:
         assert adm.admit(Priority.USER)
         # Empty: even user is refused.
         assert not adm.admit(Priority.USER)
-        assert adm.admitted(Priority.USER) == 8
+        assert counter(sim, "adm.admitted.user") == 8
         assert adm.shed(Priority.SCRUB) == 1
         assert adm.shed(Priority.BACKGROUND) == 1
         assert adm.shed(Priority.USER) == 1
@@ -259,7 +259,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
-        assert breaker.rejected == 1
+        assert counter(sim, "brk.rejected") == 1
 
     def test_success_resets_the_failure_streak(self):
         sim = Simulator()
@@ -287,7 +287,7 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.HALF_OPEN
         assert not breaker.allow()  # the probe slot is taken
         assert not breaker.allow()
-        assert breaker.rejected == 2
+        assert counter(sim, "brk.rejected") == 2
         # ...its outcome frees the slot for the next sequential probe...
         breaker.record_success()
         assert breaker.state is BreakerState.HALF_OPEN
@@ -325,8 +325,8 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_out_of_band_success_closes_an_open_circuit(self):
-        """A verified health probe that bypassed the breaker is proof
-        the backend is back — no half-open dance needed."""
+        """A verified success on a call that bypassed the breaker is
+        proof the backend is back — no half-open dance needed."""
         sim = Simulator()
         breaker = make_breaker(sim)
         for __ in range(3):
@@ -444,7 +444,7 @@ class TestBrownout:
         assert brownout.level == 1  # dwell not yet elapsed
         tick(sim, sampler)
         assert brownout.level == 2
-        assert not brownout.compaction_enabled
+        assert not brownout.mode.compaction_enabled
         tick(sim, sampler)
         tick(sim, sampler)
         assert brownout.level == 3  # the ladder's last rung
@@ -573,7 +573,7 @@ class TestRpcServerOverload:
                 )
 
         sim.run_process(scenario())
-        assert admission.admitted(Priority.USER) == 2
+        assert counter(sim, "adm.admitted.user") == 2
         assert admission.shed(Priority.SCRUB) == 1
         assert server.requests_shed == 1
 
@@ -647,85 +647,6 @@ class TestNvmeBoundedSubmission:
         assert completion.data[:7] == b"bounded"
 
 
-def make_tiered_store(dram_capacity=1 << 16):
-    sim = Simulator()
-    dram = DramBackend(
-        sim, MemoryBank("ddr4-0", dram_capacity, 19.2e9, 80e-9), dram_capacity
-    )
-    controller = NvmeController(sim, "tier-ssd-ov")
-    controller.add_namespace(Namespace(1, 4096))
-    qp = controller.create_queue_pair()
-    controller.start()
-    return SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
-
-
-class TestTieringOverload:
-    def test_backlog_drains_across_epochs_without_reheating(self):
-        store = make_tiered_store()
-        policy = TieringPolicy(store, hot_threshold=5, max_moves_per_epoch=2)
-        oids = []
-        for __ in range(5):
-            segment = store.allocate(64, hint=PlacementHint.COLD)
-            store.write(segment.oid, b"x" * 64)
-            for __ in range(10):
-                store.read(segment.oid, 8)
-            oids.append(segment.oid)
-        assert len(policy.run_epoch()) == 2  # move budget caps the epoch
-        assert policy.promotion_queue.depth == 3  # backlog is explicit
-        # The backlog drains in later epochs with no further accesses.
-        assert len(policy.run_epoch()) == 2
-        assert len(policy.run_epoch()) == 1
-        for oid in oids:
-            assert store.table.lookup(oid).location is SegmentLocation.DRAM
-
-    def test_promotion_queue_gauges_are_published(self):
-        store = make_tiered_store()
-        policy = TieringPolicy(store, hot_threshold=5, max_moves_per_epoch=1)
-        for __ in range(3):
-            segment = store.allocate(64, hint=PlacementHint.COLD)
-            store.write(segment.oid, b"y" * 64)
-            for __ in range(10):
-                store.read(segment.oid, 8)
-        policy.run_epoch()
-        depth = store.sim.telemetry.gauge("memory.tiering.queue.depth")
-        assert depth.value == policy.promotion_queue.depth == 2
-
-    def test_capacity_breaker_opens_and_holds_the_backlog(self):
-        store = make_tiered_store(dram_capacity=100)  # room for one segment
-        policy = TieringPolicy(
-            store, hot_threshold=5, breaker_failure_threshold=1,
-            breaker_reset_timeout=100e-3,
-        )
-        segments = []
-        for __ in range(2):
-            segment = store.allocate(64, hint=PlacementHint.COLD)
-            store.write(segment.oid, b"z" * 64)
-            for __ in range(10):
-                store.read(segment.oid, 8)
-            segments.append(segment)
-        decisions = policy.run_epoch()
-        # The first promotion fills DRAM; the second trips the breaker.
-        assert len(decisions) == 1
-        breaker = policy.breakers[SegmentLocation.DRAM]
-        assert breaker.state is BreakerState.OPEN
-        assert policy.degraded == 1
-        # While open, new hot candidates are held, not re-attempted.
-        for __ in range(10):
-            store.read(segments[1].oid, 8)
-        policy.run_epoch()
-        assert policy.degraded == 2
-        assert policy.promotion_queue.depth == 1  # backlog held
-        # After the reset timeout, a half-open probe re-attempts — DRAM
-        # is still full, so the probe fails and the circuit re-opens.
-        advance(store.sim, 150e-3)
-        policy.run_epoch()
-        assert breaker.state is BreakerState.OPEN
-        assert policy.degraded == 3
-        log = breaker.transition_log_bytes().decode()
-        assert "open->half-open" in log
-        assert "half-open->open" in log
-
-
 class TestFailoverBreaker:
     def test_open_circuit_gives_immediate_failover_during_blackhole(self):
         """Satellite regression: once the dead head's circuit opens, ops
@@ -748,9 +669,9 @@ class TestFailoverBreaker:
         def scenario():
             # The chaos-controller idiom: NODE_DOWN windows map onto
             # switch blackholes.
-            for index, address in enumerate(cluster.addresses):
+            for address in cluster.addresses:
                 if injector.active(address, FaultKind.NODE_DOWN):
-                    cluster.kill(index)
+                    network.switch.blackhole(address)
             durations = []
             for __ in range(8):
                 started = sim.now
@@ -763,7 +684,7 @@ class TestFailoverBreaker:
         assert value == b"value"
         breaker = client.breakers[dead]
         assert breaker.state is BreakerState.OPEN
-        assert breaker.rejected > 0
+        assert counter(sim, f"dpu.failover.ov-client.breaker.{dead}.rejected") > 0
         # The first puts each burned the head's timeout+retry budget...
         assert durations[0] > client.timeout
         # ...but once the circuit opened, every put completes in well
@@ -771,15 +692,14 @@ class TestFailoverBreaker:
         assert all(d < client.timeout for d in durations[3:])
 
         def recover():
-            cluster.revive(0)
-            ok = yield from client.probe(dead)
+            network.switch.restore(dead)
+            yield sim.timeout(BREAKER_RESET)
             acked = yield from client.put(key, b"value2")
-            return ok, acked
+            return acked
 
-        ok, acked = sim.run_process(recover())
-        # A verified probe success closes the circuit on the spot, and
-        # the next put reaches the whole chain again.
-        assert ok
+        acked = sim.run_process(recover())
+        # Past the reset timeout the next put is the half-open probe: it
+        # succeeds, closes the circuit, and reaches the whole chain again.
         assert breaker.state is BreakerState.CLOSED
         assert acked == 2
 

@@ -16,6 +16,11 @@ from repro.transport import (
 )
 
 
+def deadline_exceeded(sim):
+    """Calls of the ``lossy_rpc_pair`` client that ran out of deadline."""
+    return sim.telemetry.get("rpc.client.client.deadline_exceeded").value
+
+
 def lossy_rpc_pair(sim, loss_fn, retry_budget=None):
     """Client whose *requests* traverse a lossy link; replies are clean."""
     client_port = NetworkPort(sim, "client")
@@ -77,7 +82,7 @@ class TestRetry:
 
         proc = sim.process(scenario())
         sim.run(until=10.0)
-        assert proc.is_alive  # still waiting, by design
+        assert not proc.triggered  # still waiting, by design
 
     def test_duplicate_response_after_retry_is_harmless(self):
         """At-least-once: a slow (not lost) response racing a retry."""
@@ -131,7 +136,7 @@ class TestDeadline:
         with pytest.raises(RpcError, match="deadline exceeded"):
             sim.run_process(scenario())
         assert sim.now == pytest.approx(5e-3, rel=0.01)
-        assert client.deadline_exceeded == 1
+        assert deadline_exceeded(sim) == 1
         assert client.retransmits == 0  # deadline-only calls never resend
 
     def test_deadline_cuts_retries_short(self):
@@ -161,7 +166,7 @@ class TestDeadline:
             return result
 
         assert sim.run_process(scenario()) == "ok"
-        assert client.deadline_exceeded == 0
+        assert deadline_exceeded(sim) == 0
 
 
 class TestRetryPolicy:
@@ -213,13 +218,13 @@ class TestRetryPolicy:
 class TestRetryBudget:
     def test_budget_caps_spends_per_window(self):
         sim = Simulator()
-        budget = RetryBudget(sim, budget=2, window=10e-3)
+        budget = RetryBudget(sim, budget=2, window=10e-3,
+                             metrics=sim.telemetry.scope("budget"))
         assert budget.try_spend()
         assert budget.try_spend()
         assert not budget.try_spend()  # spent, clock unchanged
-        assert budget.remaining() == 0
         assert budget.granted == 2
-        assert budget.exhausted == 1
+        assert sim.telemetry.get("budget.exhausted").value == 1
 
     def test_window_expiry_restores_grants(self):
         sim = Simulator()
@@ -231,8 +236,8 @@ class TestRetryBudget:
             yield sim.timeout(6e-3)
 
         sim.run_process(wait())
-        assert budget.remaining() == 1  # the old spend aged out
-        assert budget.try_spend()
+        assert budget.try_spend()  # the old spend aged out...
+        assert not budget.try_spend()  # ...and only it
 
     def test_exhausted_budget_fails_the_call_fast(self):
         """With the budget spent, a timed-out call raises instead of

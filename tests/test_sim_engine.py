@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 class TestTimeout:
@@ -182,64 +182,7 @@ class TestProcess:
         proc = sim.process(bad())
         with pytest.raises(TypeError):
             sim.run()
-        assert proc.is_alive  # never finished
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self):
-        sim = Simulator()
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-
-        def poker(target):
-            yield sim.timeout(1.0)
-            target.interrupt("wake up")
-
-        target = sim.process(sleeper())
-        sim.process(poker(target))
-        sim.run()
-        assert target.value == ("interrupted", "wake up", 1.0)
-
-    def test_interrupt_finished_process_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-            return "done"
-
-        proc = sim.process(quick())
-        sim.run()
-        proc.interrupt("too late")
-        sim.run()
-        assert proc.value == "done"
-
-    def test_stale_event_after_interrupt_ignored(self):
-        sim = Simulator()
-        resumed = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(10.0)
-                resumed.append("timeout")
-            except Interrupt:
-                yield sim.timeout(100.0)
-                resumed.append("after-interrupt")
-
-        def poker(target):
-            yield sim.timeout(1.0)
-            target.interrupt()
-
-        target = sim.process(sleeper())
-        sim.process(poker(target))
-        sim.run()
-        # The original 10s timeout must not resume the process twice.
-        assert resumed == ["after-interrupt"]
-        assert target.triggered
+        assert not proc.triggered  # never finished
 
 
 class TestComposition:
@@ -354,31 +297,6 @@ class TestAnyOfSemantics:
 
 
 class TestEngineEdges:
-    def test_interrupt_while_waiting_on_any_of(self):
-        sim = Simulator()
-        resumed = []
-
-        def sleeper():
-            a = sim.timeout(10.0, value="a")
-            b = sim.timeout(20.0, value="b")
-            try:
-                yield sim.any_of([a, b])
-                resumed.append("any_of")
-            except Interrupt as intr:
-                resumed.append(("interrupted", intr.cause, sim.now))
-
-        def poker(target):
-            yield sim.timeout(1.0)
-            target.interrupt("cancel")
-
-        target = sim.process(sleeper())
-        sim.process(poker(target))
-        sim.run()
-        # The interrupt wins; the children firing later must not resume
-        # the process a second time.
-        assert resumed == [("interrupted", "cancel", 1.0)]
-        assert target.triggered
-
     def test_fail_then_late_waiter_raises(self):
         sim = Simulator()
         gate = sim.event()
@@ -398,7 +316,7 @@ class TestEngineEdges:
         gate = sim.event()
         gate.fail(ValueError("boom"))
         sim.run()
-        assert gate.processed and not gate.ok
+        assert gate.callbacks is None and not gate.ok  # processed
         seen = []
         gate._add_callback(seen.append)
         assert seen == [gate]
@@ -660,7 +578,7 @@ class TestInlineWake:
                        ("later", 3.0)]
         # deliver, the waiter's timeout, its completion: nothing for the wake.
         assert sim._eid - before == 3
-        assert gate.triggered and gate.processed and gate.ok
+        assert gate.triggered and gate.callbacks is None and gate.ok
 
     def test_waking_a_triggered_event_raises(self):
         sim = Simulator()
@@ -723,7 +641,7 @@ class TestInlineWake:
             sim.run(until=until)
         assert caught.value is boom  # unchanged, not wrapped
         assert log == ["before", "first waiter"] and sim.now == 1.0
-        assert gate.processed  # triggered once, for good
+        assert gate.callbacks is None  # processed once, for good
         sim.run(until=until)  # continues with the entry after the bad one
         assert log == ["before", "first waiter", "after", "later"]
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.eval.telemetry import run_telemetry
-from repro.sim import ManualClock
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -14,6 +13,8 @@ from repro.telemetry import (
     prometheus_text,
     trace_events,
 )
+
+from tests.manual_clock import ManualClock
 
 
 def _sample_registry() -> MetricsRegistry:

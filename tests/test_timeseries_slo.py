@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.eval.chaos import run_chaos
-from repro.sim import ManualClock, Simulator
+from repro.sim import Simulator
 from repro.telemetry import (
     MetricsRegistry,
     Sampler,
@@ -13,6 +13,8 @@ from repro.telemetry import (
     SloMonitor,
     SloRule,
 )
+
+from tests.manual_clock import ManualClock
 
 
 class TestSeries:

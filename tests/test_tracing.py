@@ -12,7 +12,7 @@ import pytest
 from repro.eval.chaos import run_chaos
 from repro.eval.trace import run_trace
 from repro.georep import Consistency, GeoCluster, GeoKvClient
-from repro.sim import ManualClock, Simulator
+from repro.sim import Simulator
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -20,6 +20,8 @@ from repro.telemetry import (
     parse_prometheus_text,
     prometheus_text,
 )
+
+from tests.manual_clock import ManualClock
 
 
 class TestSpanTree:

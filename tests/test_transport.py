@@ -29,7 +29,7 @@ class TestUdp:
 
         def scenario():
             yield from a.sendto("b", {"op": "ping"}, 64)
-            src, payload, size = yield b.recvfrom()
+            src, payload, size = yield b.rx.get()
             return src, payload["op"], size
 
         assert sim.run_process(scenario()) == ("a", "ping", 64)
@@ -42,7 +42,7 @@ class TestUdp:
 
         def scenario():
             yield from a.sendto("b", "big-payload", 100_000)
-            src, payload, size = yield b.recvfrom()
+            src, payload, size = yield b.rx.get()
             return payload, size
 
         payload, size = sim.run_process(scenario())
@@ -58,7 +58,7 @@ class TestUdp:
 
             def scenario():
                 yield from a.sendto("b", None, size)
-                yield b.recvfrom()
+                yield b.rx.get()
                 return sim.now
 
             return sim.run_process(scenario())
@@ -159,7 +159,7 @@ class TestTcp:
 
         def scenario():
             yield from a.sendto("b", None, 64)
-            yield b.recvfrom()
+            yield b.rx.get()
             return sim2.now
 
         udp_time = sim2.run_process(scenario())

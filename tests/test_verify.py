@@ -28,7 +28,6 @@ from repro.verify import (
     HistoryRecorder,
     Op,
     OpStatus,
-    bounded_staleness,
     check_history,
     check_register,
     final_state_check,
@@ -70,7 +69,6 @@ class TestHistoryRecorder:
         assert ops[0].invoked == 0.0 and ops[0].completed == 1.0
         assert ops[1].value == b"v"  # reads capture the observed value
         assert ops[2].completed == math.inf  # lost ack never completes
-        assert list(recorder.by_key()) == [b"k"]
 
     def test_double_resolution_rejected(self):
         recorder = HistoryRecorder(_Clock())
@@ -301,15 +299,6 @@ class TestInvariants:
             history, {"r1": {b"k": b"v"}, "r2": {b"k": b"stale"}},
         )
         assert result.diverged and not result.ok
-
-    def test_bounded_staleness(self):
-        history = _recorded([
-            _op(0, "r", b"v", 0.0, 1.0, staleness=2e-3),
-            _op(1, "r", b"v", 2.0, 3.0, staleness=9e-3),
-        ])
-        assert bounded_staleness(history, 10e-3) == []
-        violations = bounded_staleness(history, 5e-3)
-        assert len(violations) == 1 and "op=1" in violations[0]
 
 
 # ---------------------------------------------------------------------------

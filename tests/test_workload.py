@@ -14,7 +14,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.hw.net import Network
 from repro.sharding import ShardedKvClient, ShardedKvCluster, ShardMigrator
-from repro.sim import ManualClock, Simulator
+from repro.sim import Simulator
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo import SloMonitor, SloRule
 from repro.telemetry.timeseries import Sampler
@@ -23,7 +23,6 @@ from repro.workload import (
     Autoscaler,
     AutoscalerPolicy,
     BurstCurve,
-    ClosedLoopTraffic,
     DiurnalCurve,
     OpenLoopTraffic,
     OpMix,
@@ -35,6 +34,8 @@ from repro.workload import (
 )
 from repro.workload.generator import _draw_op
 from repro.workload.spec import SteadyCurve, parse_quantity
+
+from tests.manual_clock import ManualClock
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ SPEC_TEXT = """
 keys 64
 zipf 1.2
 tenant web   mix get=0.78,put=0.22 curve diurnal trough=4000 peak=28000 period=240ms
-tenant batch mix scan=0.7,analytics=0.3 curve steady rate=800 scan_span=8 weight=2
+tenant batch mix scan=0.7,analytics=0.3 curve steady rate=800 scan_span=8
 """
 
 
@@ -166,7 +167,7 @@ def test_workload_spec_parse():
     assert web.name == "web" and web.mix.put == 0.22
     assert isinstance(web.curve, DiurnalCurve)
     assert web.curve.period == pytest.approx(0.240)
-    assert batch.scan_span == 8 and batch.weight == 2.0
+    assert batch.scan_span == 8
     assert spec.peak_rate() == pytest.approx(28800)
     assert spec.rate(0.120) == pytest.approx(28800)
 
@@ -297,32 +298,6 @@ def test_put_keys_are_uniform_while_reads_stay_zipfian():
     put_hot = hits["put"] / hits["put_n"]
     assert get_hot == pytest.approx(zipf.hot_mass(1), abs=0.03)
     assert put_hot == pytest.approx(1 / 128, abs=0.01)
-
-
-def test_closed_loop_population_split_and_self_limiting():
-    sim = Simulator()
-    network = Network(sim)
-    cluster = ShardedKvCluster(sim, network, dpu_count=2)
-    clients = {
-        tenant.name: ShardedKvClient(sim, cluster, name=f"t-{tenant.name}")
-        for tenant in RUN_SPEC.tenants
-    }
-    traffic = ClosedLoopTraffic(sim, RUN_SPEC, clients, 9, 0.03,
-                                population=6, think=0.001)
-    web, batch = RUN_SPEC.tenants
-    assert traffic.workers_for(web) == 3  # equal weights -> even split
-    assert traffic.workers_for(batch) == 3
-    traffic.start()
-    sim.run(until=0.05)
-    assert traffic.offered == traffic.served + traffic.failed > 0
-    # Closed loop: never more outstanding ops than workers.
-    assert traffic.offered <= 6 * (0.03 / 0.001) * 2
-
-
-def test_closed_loop_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        ClosedLoopTraffic(sim, RUN_SPEC, {}, 1, 0.1, population=1)
 
 
 def test_arrival_preview_replays_the_generator_stream():
