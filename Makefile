@@ -60,8 +60,10 @@ docs:  ## markdown link check + doctest examples (CI docs job)
 	pytest --doctest-modules src/repro/sharding src/repro/workload -q
 
 # What under src/ no root runs (the CLIs and so every registry row,
-# examples/, perfbench/). tests/test_architecture.py pins this list.
-reachability:  ## list modules/defs under src/ that nothing runs
+# examples/, perfbench/), then every defaulted parameter of a live def
+# outside repro.eval that no live call passes, each list with its total.
+# tests/test_architecture.py pins both lists.
+reachability:  ## list what under src/ nothing runs, and options nothing sets
 	python tools/reachability.py
 
 examples:  ## run every examples/*.py end to end

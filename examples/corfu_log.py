@@ -70,7 +70,7 @@ def main() -> None:
         samples = []
         for position in (0, total // 2, total - 1):
             data = yield from reader.read(position)
-            samples.append((position, bytes(data[:24]).rstrip(b"\x00")))
+            samples.append((position, data))
         tail = yield from reader.tail()
         return samples, tail
 

@@ -92,27 +92,35 @@ def build_fail2ban_program(threshold: int = 3) -> Program:
     return b.build()
 
 
+#: Source addresses a generated trace draws from.
+TRACE_SOURCES = 100
+#: How often an attacker's packet fails authentication (a benign
+#: source's fails 1% of the time).
+ATTACK_INTENSITY = 0.9
+#: Wire size of every generated packet.
+TRACE_PACKET_SIZE = 512
+
+
 def generate_packet_trace(
     packet_count: int,
     attacker_fraction: float = 0.1,
-    attack_intensity: float = 0.9,
-    source_count: int = 100,
-    packet_size: int = 512,
     seed: int = 7,
 ) -> List[PacketRecord]:
     """A mixed trace: most sources are benign, attackers fail auth often."""
     rng = random.Random(seed)
     attackers = {
-        ip for ip in range(source_count) if rng.random() < attacker_fraction
+        ip for ip in range(TRACE_SOURCES) if rng.random() < attacker_fraction
     }
     trace = []
     for _ in range(packet_count):
-        src = rng.randrange(source_count)
+        src = rng.randrange(TRACE_SOURCES)
         if src in attackers:
-            failed = rng.random() < attack_intensity
+            failed = rng.random() < ATTACK_INTENSITY
         else:
             failed = rng.random() < 0.01
-        trace.append(PacketRecord(src_ip=src, auth_failed=failed, size=packet_size))
+        trace.append(
+            PacketRecord(src_ip=src, auth_failed=failed, size=TRACE_PACKET_SIZE)
+        )
     return trace
 
 

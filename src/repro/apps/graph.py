@@ -27,6 +27,9 @@ from repro.transport.rpc import RpcClient, RpcServer
 #: DPU-local adjacency fetch (segment in DRAM/flash-backed cache).
 LOCAL_FETCH_LATENCY = 300e-9
 
+#: Seed of :func:`random_graph`'s edge draws.
+GRAPH_SEED = 3
+
 
 class CsrGraph:
     """Compressed-sparse-row adjacency stored in two segments."""
@@ -74,10 +77,11 @@ class CsrGraph:
         return [v[0] for v in struct.iter_unpack("<I", raw)]
 
 
-def random_graph(vertex_count: int, avg_degree: float = 4.0,
-                 seed: int = 3) -> List[Tuple[int, int]]:
-    """A random digraph with a connected backbone (path + random edges)."""
-    rng = random.Random(seed)
+def random_graph(vertex_count: int,
+                 avg_degree: float = 4.0) -> List[Tuple[int, int]]:
+    """A random digraph with a connected backbone (path + random edges),
+    the same one for the same arguments."""
+    rng = random.Random(GRAPH_SEED)
     edges = [(v, v + 1) for v in range(vertex_count - 1)]
     extra = int(vertex_count * max(0.0, avg_degree - 1))
     for _ in range(extra):

@@ -37,19 +37,26 @@ class LbPacket:
     size: int = 1500
 
 
+#: A generated trace's hot set: this fraction of its flows...
+HOT_FRACTION = 0.1
+#: ...gets this fraction of its packets.
+HOT_PROBABILITY = 0.8
+
+#: Backends a flow is balanced across.
+BACKENDS = 8
+
+
 def generate_connections(
     packet_count: int,
     flow_count: int,
-    hot_fraction: float = 0.1,
-    hot_probability: float = 0.8,
     seed: int = 11,
 ) -> List[LbPacket]:
     """A skewed trace: a small hot set gets most packets (elephant flows)."""
     rng = random.Random(seed)
-    hot_flows = max(1, int(flow_count * hot_fraction))
+    hot_flows = max(1, int(flow_count * HOT_FRACTION))
     packets = []
     for _ in range(packet_count):
-        if rng.random() < hot_probability:
+        if rng.random() < HOT_PROBABILITY:
             flow = rng.randrange(hot_flows)
         else:
             flow = hot_flows + rng.randrange(max(1, flow_count - hot_flows))
@@ -64,7 +71,6 @@ class LoadBalancer:
         self,
         sim: Simulator,
         dpu: HyperionDpu,
-        backend_count: int = 8,
         dram_table_entries: int = 128,
         policy: str = "overflow",
     ):
@@ -73,7 +79,6 @@ class LoadBalancer:
         dpu.require_booted()
         self.sim = sim
         self.dpu = dpu
-        self.backend_count = backend_count
         self.dram_table_entries = dram_table_entries
         self.policy = policy
         #: LRU hot table: flow -> backend (conceptually in FPGA DRAM)
@@ -98,7 +103,7 @@ class LoadBalancer:
         # arrival time (modeled as a random draw), so a flow whose state is
         # dropped and re-inserted may land on a *different* backend — the
         # broken connection Tiara's state offload exists to prevent.
-        return self._rng.randrange(self.backend_count)
+        return self._rng.randrange(BACKENDS)
 
     def _evict_one(self):
         victim_flow, victim_backend = self._hot.popitem(last=False)

@@ -27,6 +27,9 @@ NODE_WIRE_SIZE = 1024
 #: DPU-local node fetch cost (node cached in FPGA DRAM).
 LOCAL_FETCH_LATENCY = 200e-9
 
+#: Seed of the order :meth:`RemoteTreeService.populate` inserts keys in.
+POPULATE_SEED = 5
+
 
 class RemoteTreeService:
     """Hosts a B+ tree at the DPU; exports both access granularities."""
@@ -41,9 +44,10 @@ class RemoteTreeService:
         server.register("tree.lookup", self._lookup)
         server.register("tree.insert", self._insert)
 
-    def populate(self, count: int, seed: int = 5) -> None:
+    def populate(self, count: int) -> None:
+        """Insert keys ``0 .. count-1`` in a seeded shuffled order."""
         keys = list(range(count))
-        random.Random(seed).shuffle(keys)
+        random.Random(POPULATE_SEED).shuffle(keys)
         for key in keys:
             self.tree.insert(key, f"value-{key}")
 

@@ -37,6 +37,10 @@ class CpuCosts:
         return size / self.memcpy_bandwidth
 
 
+#: Interpreter overhead vs native: ~25 host instructions per eBPF insn.
+INTERPRETER_EXPANSION = 25.0
+
+
 class CpuModel:
     """Executes eBPF programs in software with interference effects."""
 
@@ -45,19 +49,16 @@ class CpuModel:
         sim: Simulator,
         costs: CpuCosts = CpuCosts(),
         rng: Optional[random.Random] = None,
-        #: interpreter overhead vs native: ~25 host instructions per eBPF insn
-        interpreter_expansion: float = 25.0,
     ):
         self.sim = sim
         self.costs = costs
         self.rng = rng if rng is not None else random.Random(42)
-        self.interpreter_expansion = interpreter_expansion
         self.executions = 0
 
     def execution_time(self, instructions_executed: int) -> float:
         """Wall time for one program run, with jitter and preemption."""
         base = self.costs.instruction_time(
-            int(instructions_executed * self.interpreter_expansion)
+            int(instructions_executed * INTERPRETER_EXPANSION)
         )
         jitter = 1.0 + self.rng.uniform(0, self.costs.jitter_fraction)
         time = base * jitter

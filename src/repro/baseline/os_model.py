@@ -33,10 +33,10 @@ class OsModel:
     """Charges the kernel's share of each datapath operation: counters
     up front, then one sleep (one engine entry) per operation."""
 
-    def __init__(self, sim: Simulator, cpu: CpuModel, costs: OsCosts = OsCosts()):
+    def __init__(self, sim: Simulator, cpu: CpuModel):
         self.sim = sim
         self.cpu = cpu
-        self.costs = costs
+        self.costs = OsCosts()
         self.syscalls = 0
         self.interrupts = 0
         self.bytes_copied = 0

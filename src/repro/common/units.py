@@ -28,13 +28,6 @@ def gbps(rate_gbit: float) -> float:
     return rate_gbit * GBPS
 
 
-def transfer_time(size_bytes: int, bandwidth_bytes_per_s: float) -> float:
-    """Serialization delay of ``size_bytes`` at the given bandwidth."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    return size_bytes / bandwidth_bytes_per_s
-
-
 def format_bytes(size: int) -> str:
     """Render a byte count using binary units, e.g. ``1.5 MiB``."""
     if size < 0:

@@ -69,13 +69,13 @@ class InMemoryNodeStore(NodeStore):
 
 
 class BPlusTree:
-    """Ordered map with range scans; order = max children per node."""
+    """Ordered map; order = max children per node."""
 
-    def __init__(self, order: int = 16, store: Optional[NodeStore] = None):
+    def __init__(self, order: int = 16):
         if order < 3:
             raise ConfigurationError("B+ tree order must be >= 3")
         self.order = order
-        self.store = store if store is not None else InMemoryNodeStore()
+        self.store = InMemoryNodeStore()
         root = BPlusNode(self.store.allocate(), is_leaf=True)
         self.store.store(root)
         self.root_id = root.node_id
@@ -203,20 +203,6 @@ class BPlusTree:
         self.store.store(leaf)
         self.size -= 1
         return True
-
-    # -- scans ---------------------------------------------------------------
-    def range(self, start: Any, end: Any) -> Iterator[Tuple[Any, Any]]:
-        """Yield (key, value) for start <= key < end, via leaf chaining."""
-        __, leaf = self._walk(start)
-        while leaf is not None:
-            for key, value in zip(leaf.keys, leaf.values):
-                if key >= end:
-                    return
-                if key >= start:
-                    yield key, value
-            if leaf.next_leaf is None:
-                return
-            leaf = self.store.fetch(leaf.next_leaf)
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         node = self.store.fetch(self.root_id)

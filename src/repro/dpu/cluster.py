@@ -104,12 +104,10 @@ class FailoverKvClient(KvClientCore):
         network: Network,
         name: str,
         cluster: ReplicatedDpuKvCluster,
-        history=None,
     ):
         super().__init__(
             sim, network.endpoint(name), name, timeout=CALL_TIMEOUT,
             retries=CALL_RETRIES, deadline=CALL_DEADLINE, policy=CALL_POLICY,
-            history=history,
         )
         self.cluster = cluster
         self.health: Dict[str, bool] = {

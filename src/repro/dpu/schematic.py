@@ -59,7 +59,12 @@ class Schematic:
         return seen
 
 
-def build_schematic(num_slots: int = 5, num_ssds: int = 4) -> Schematic:
+#: Figure 2's reconfigurable accelerator slots and NVMe SSDs.
+FIGURE2_SLOTS = 5
+FIGURE2_SSDS = 4
+
+
+def build_schematic() -> Schematic:
     """Construct the Figure 2 graph."""
     s = Schematic()
     s.add("qsfp0", "network-port")
@@ -69,12 +74,12 @@ def build_schematic(num_slots: int = 5, num_ssds: int = 4) -> Schematic:
     s.add("axis-arbiter-0", "arbiter")
     s.add("axis-arbiter-1", "arbiter")
     s.add("runtime-config-engine", "config")
-    for i in range(num_slots):
+    for i in range(FIGURE2_SLOTS):
         s.add(f"ehdl-slot-{i}", "accelerator-slot")
     s.add("nvme-host-ip", "nvme-host")
     s.add("refclk-100mhz", "clock")
     s.add("xover-board", "passive")
-    for i in range(num_ssds):
+    for i in range(FIGURE2_SSDS):
         s.add(f"pcie-bridge-{i}", "pcie-bridge")
         s.add(f"nvme-ssd-{i}", "ssd")
 
@@ -84,7 +89,7 @@ def build_schematic(num_slots: int = 5, num_ssds: int = 4) -> Schematic:
     s.connect("axis-arbiter-0", "demux")
     s.connect("demux", "qsfp0")
     s.connect("demux", "qsfp1")
-    for i in range(num_slots):
+    for i in range(FIGURE2_SLOTS):
         slot = f"ehdl-slot-{i}"
         s.connect("axis-arbiter-0", slot)
         s.connect(slot, "axis-arbiter-1")
@@ -92,7 +97,7 @@ def build_schematic(num_slots: int = 5, num_ssds: int = 4) -> Schematic:
     s.connect("axis-arbiter-1", "demux")
     s.connect("axis-arbiter-1", "nvme-host-ip")
     s.connect("nvme-host-ip", "axis-arbiter-1")
-    for i in range(num_ssds):
+    for i in range(FIGURE2_SSDS):
         bridge = f"pcie-bridge-{i}"
         s.connect("nvme-host-ip", bridge)
         s.connect(bridge, "xover-board")

@@ -1,8 +1,8 @@
 """Slot scheduling for multi-tenant DPUs (paper §2.2, §4(4)).
 
 Tenants arrive with compiled bitstreams; the scheduler grants free slots
-immediately and otherwise queues, evicting the least-recently-loaded idle
-slot when preemption is allowed. Every placement is a partial
+immediately and otherwise queues until a tenant releases one (no
+preemption: a loaded slot is never evicted). Every placement is a partial
 reconfiguration through the (serialized) ICAP, which is what bounds how
 fast the DPU can be re-multiplexed — experiment E7.
 """
@@ -39,17 +39,10 @@ class TenantRequest:
 class SlotScheduler:
     """FIFO tenant queue over the fabric's reconfigurable slots."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        icap: Icap,
-        allow_preemption: bool = False,
-    ):
+    def __init__(self, sim: Simulator, fabric: Fabric, icap: Icap):
         self.sim = sim
         self.fabric = fabric
         self.icap = icap
-        self.allow_preemption = allow_preemption
         self.granted: List[TenantRequest] = []
         self._queue: Store = Store(sim)
         self._released: Store = Store(sim)
@@ -73,21 +66,10 @@ class SlotScheduler:
             slot.unload()
         yield self._released.put(slot)
 
-    def _pick_slot(self) -> Optional[ReconfigurableSlot]:
-        free = self.fabric.free_slot()
-        if free is not None:
-            return free
-        if self.allow_preemption:
-            # Evict the slot with the fewest loads (least recently useful).
-            victim = min(self.fabric.slots, key=lambda s: s.load_count)
-            victim.unload()
-            return victim
-        return None
-
     def _scheduler_loop(self):
         while True:
             request = yield self._queue.get()
-            slot = self._pick_slot()
+            slot = self.fabric.free_slot()
             while slot is None:
                 slot = yield self._released.get()
                 if slot.occupied:  # raced with someone else

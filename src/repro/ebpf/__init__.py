@@ -3,7 +3,7 @@
 The paper's position: FPGA programming should decouple frontends from HDL
 backends through an IR that is (1) domain-neutral, (2) verifiable, and
 (3) retargetable — and eBPF is that IR. This package implements the eBPF
-ISA with an assembler/disassembler, an interpreter VM with maps and
+ISA with an assembler, an interpreter VM with maps and
 helpers, and a verifier performing simplified symbolic execution (register
 state tracking, bounds checks, termination) in the spirit of the Linux
 kernel's verifier the paper cites.
@@ -18,7 +18,7 @@ from repro.ebpf.isa import (
     Opcode,
     Program,
 )
-from repro.ebpf.asm import assemble, disassemble
+from repro.ebpf.asm import assemble
 from repro.ebpf.builder import ProgramBuilder
 from repro.ebpf.maps import BpfMap, HashMap
 from repro.ebpf.helpers import HelperRegistry, standard_helpers
@@ -31,7 +31,6 @@ __all__ = [
     "Program",
     "BPF_REG_COUNT",
     "assemble",
-    "disassemble",
     "ProgramBuilder",
     "BpfMap",
     "HashMap",

@@ -1,4 +1,4 @@
-"""A two-pass textual assembler and disassembler for eBPF.
+"""A two-pass textual assembler for eBPF.
 
 Syntax (one instruction per line, ``;`` comments, ``name:`` labels)::
 
@@ -153,37 +153,3 @@ def _assemble_line(
             return Instruction(opcode, dst=dst, src=_parse_reg(ops[1]), uses_reg_src=True)
         return Instruction(opcode, dst=dst, imm=_parse_int(ops[1]))
     raise ProtocolError(f"cannot assemble {mnemonic!r}")
-
-
-def disassemble(program: Program) -> str:
-    """Render a program back into assembler text (offsets, not labels)."""
-    lines = []
-    for insn in program:
-        lines.append(_disassemble_insn(insn))
-    return "\n".join(lines)
-
-
-def _disassemble_insn(insn: Instruction) -> str:
-    op = insn.opcode
-    name = op.value
-    if op is Opcode.EXIT:
-        return "exit"
-    if op is Opcode.CALL:
-        return f"call {insn.imm}"
-    if op is Opcode.JA:
-        return f"ja {insn.offset:+d}"
-    if op in COND_JUMPS:
-        src = f"r{insn.src}" if insn.uses_reg_src else str(insn.imm)
-        return f"{name} r{insn.dst}, {src}, {insn.offset:+d}"
-    if op is Opcode.LDDW:
-        return f"lddw r{insn.dst}, {insn.imm:#x}"
-    if op in LOAD_OPS:
-        return f"{name} r{insn.dst}, [r{insn.src}{insn.offset:+d}]"
-    if op in STORE_REG_OPS:
-        return f"{name} [r{insn.dst}{insn.offset:+d}], r{insn.src}"
-    if op in STORE_IMM_OPS:
-        return f"{name} [r{insn.dst}{insn.offset:+d}], {insn.imm}"
-    if op is Opcode.NEG:
-        return f"neg r{insn.dst}"
-    src = f"r{insn.src}" if insn.uses_reg_src else str(insn.imm)
-    return f"{name} r{insn.dst}, {src}"

@@ -338,7 +338,7 @@ class Program:
         return b"".join(insn.encode() for insn in self.instructions)
 
     @classmethod
-    def decode(cls, raw: bytes, name: str = "prog") -> "Program":
+    def decode(cls, raw: bytes) -> "Program":
         if len(raw) % 8 != 0:
             raise ProtocolError("program length not a multiple of 8")
         instructions = []
@@ -347,4 +347,4 @@ class Program:
             insn = Instruction.decode(raw[index : index + 16])
             instructions.append(insn)
             index += 8 * insn.slots
-        return cls(instructions, name=name)
+        return cls(instructions)

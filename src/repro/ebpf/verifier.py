@@ -12,8 +12,8 @@ with known immediates (stack pointers are relative to r10):
 * loads and stores require a pointer base; stack accesses are bounds-checked
   against the 512-byte frame, context accesses must be non-negative;
 * a map-value pointer must be null-checked before dereference;
-* back-edges (loops) are rejected unless ``allow_bounded_loops`` is set, in
-  which case exploration is bounded by a state budget (kernel-style);
+* back-edges (loops) are rejected, and exploration is bounded by a state
+  budget (kernel-style);
 * every path must reach EXIT with r0 initialized;
 * division/modulo by a zero immediate is rejected.
 """
@@ -28,7 +28,6 @@ from repro.ebpf.helpers import (
     HELPER_MAP_DELETE,
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
-    HelperRegistry,
     standard_helpers,
 )
 from repro.ebpf.isa import Instruction, MEM_SIZE, Opcode, Program, STACK_SIZE
@@ -56,6 +55,9 @@ class RegType(enum.Enum):
 #: One abstract register: (type, known pointer offset or None).
 RegState = Tuple[RegType, Optional[int]]
 State = Tuple[RegState, ...]
+
+#: Distinct (pc, state) pairs explored before a program is rejected.
+MAX_STATES = 100_000
 
 _UNINIT: RegState = (RegType.UNINIT, None)
 _SCALAR: RegState = (RegType.SCALAR, None)
@@ -97,15 +99,8 @@ _INITIAL_STATE: State = tuple(
 class Verifier:
     """Path-sensitive abstract interpreter over a :class:`Program`."""
 
-    def __init__(
-        self,
-        helpers: Optional[HelperRegistry] = None,
-        allow_bounded_loops: bool = False,
-        max_states: int = 100_000,
-    ):
-        self.helpers = helpers if helpers is not None else standard_helpers()
-        self.allow_bounded_loops = allow_bounded_loops
-        self.max_states = max_states
+    def __init__(self):
+        self.helpers = standard_helpers()
 
     def verify(self, program: Program) -> VerifierReport:
         report = VerifierReport(ok=True)
@@ -126,7 +121,7 @@ class Verifier:
             if (pc, state) in seen:
                 continue
             seen.add((pc, state))
-            if len(seen) > self.max_states:
+            if len(seen) > MAX_STATES:
                 report.ok = False
                 report.errors.append(
                     VerifierError(pc, "state budget exhausted (unbounded loop?)")
@@ -138,13 +133,10 @@ class Verifier:
             if not report.ok:
                 break
             for next_pc, next_state in successors:
-                if next_pc <= pc and not self.allow_bounded_loops:
+                if next_pc <= pc:
                     report.ok = False
                     report.errors.append(
-                        VerifierError(
-                            pc,
-                            "back-edge detected; loops need allow_bounded_loops",
-                        )
+                        VerifierError(pc, "back-edge detected; loops are rejected")
                     )
                     break
                 worklist.append((next_pc, next_state))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ProtocolError
-from repro.ebpf.helpers import HelperRegistry, standard_helpers
+from repro.ebpf.helpers import standard_helpers
 from repro.ebpf.isa import (
     ALU_OPS,
     COND_JUMPS,
@@ -54,6 +54,10 @@ _OFFSET_MASK = (1 << REGION_SHIFT) - 1
 STACK_REGION = 1
 CONTEXT_REGION = 2
 _FIRST_DYNAMIC_REGION = 16
+
+#: A new VM's instruction budget per run (the ``max_instructions``
+#: attribute a caller may lower before a run).
+MAX_INSTRUCTIONS = 1_000_000
 
 #: One translated instruction slot: mutates ``regs`` (and memory), returns
 #: the next pc, or ``None`` from EXIT.
@@ -171,19 +175,14 @@ class ExecutionResult:
 class BpfVm:
     """An execution environment bound to a program, maps, and helpers."""
 
-    def __init__(
-        self,
-        program: Program,
-        maps: Optional[Dict[int, BpfMap]] = None,
-        helpers: Optional[HelperRegistry] = None,
-        max_instructions: int = 1_000_000,
-        rng: Optional[random.Random] = None,
-    ):
+    def __init__(self, program: Program,
+                 maps: Optional[Dict[int, BpfMap]] = None):
         self.program = program
         self.maps = maps or {}
-        self.helpers = helpers if helpers is not None else standard_helpers()
-        self.max_instructions = max_instructions
-        self.rng = rng if rng is not None else random.Random(0)
+        self.helpers = standard_helpers()
+        #: Instructions one run may execute; read per run.
+        self.max_instructions = MAX_INSTRUCTIONS
+        self.rng = random.Random(0)
         self.trace_log: List[tuple] = []
         self._clock_ns = 0
         # One dict for the VM's life, refilled per run: the load/store

@@ -129,17 +129,6 @@ class RecordBatch:
             return sum(values) / len(values) if values else 0.0
         raise ConfigurationError(f"unknown aggregate {how!r}")
 
-    def concat(self, other: "RecordBatch") -> "RecordBatch":
-        if other.schema != self.schema:
-            raise ConfigurationError("schema mismatch in concat")
-        return RecordBatch(
-            self.schema,
-            {
-                name: self.columns[name].values + other.columns[name].values
-                for name in self.schema.names
-            },
-        )
-
     @classmethod
     def from_rows(cls, schema: Schema, rows: Sequence[Sequence[Any]]) -> "RecordBatch":
         names = schema.names

@@ -7,9 +7,11 @@ Structure (mirroring Parquet's essentials)::
     footer: schema, per-chunk (offset, length, min, max), row counts
     footer_length u32 | magic "HPQ1"
 
-Why it matters for the paper: column *projection* reads only the needed
-chunks and min/max *statistics* skip whole row groups — the I/O the DPU
-avoids without any CPU-side format translation (§2.3).
+Why it matters for the paper: the footer's chunk offsets let a reader
+fetch only the columns a query needs, and the min/max *statistics* let
+it skip whole row groups — the I/O the DPU path in
+:mod:`repro.apps.analytics` avoids without any CPU-side format
+translation (§2.3). :func:`read_table` is the plain whole-table read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List
 
 from repro.common.errors import ProtocolError
 from repro.formats.columnar import RecordBatch, Schema
@@ -158,31 +160,13 @@ def read_footer(raw: bytes) -> ParquetFooter:
     return ParquetFooter(schema=schema, row_groups=groups)
 
 
-def read_table(
-    raw: bytes,
-    columns: Optional[Sequence[str]] = None,
-    predicate_column: Optional[str] = None,
-    predicate_range: Optional[Tuple[Any, Any]] = None,
-) -> RecordBatch:
-    """Read with column projection and min/max row-group pushdown.
-
-    ``predicate_range=(low, high)`` skips row groups whose statistics prove
-    no value of ``predicate_column`` falls in ``[low, high]``. The caller
-    still must filter rows exactly; pushdown only prunes I/O.
-    """
+def read_table(raw: bytes) -> RecordBatch:
+    """Read every column of every row group."""
     footer = read_footer(raw)
-    names = list(columns) if columns is not None else footer.schema.names
-    schema = footer.schema.select(names)
-    out: Dict[str, List[Any]] = {name: [] for name in names}
+    schema = footer.schema
+    out: Dict[str, List[Any]] = {name: [] for name in schema.names}
     for group in footer.row_groups:
-        if predicate_column is not None and predicate_range is not None:
-            meta = group.chunks[predicate_column]
-            low, high = predicate_range
-            if meta.min_value is not None and (
-                meta.max_value < low or meta.min_value > high
-            ):
-                continue
-        for name in names:
+        for name in schema.names:
             meta = group.chunks[name]
             chunk_raw = raw[meta.offset : meta.offset + meta.length]
             out[name].extend(

@@ -223,36 +223,6 @@ class HyperExtFs:
         self._write_dir(parent, entries)
         return inode
 
-    def write_file(self, path: str, data: bytes) -> int:
-        """Replace an existing file's contents (new extents, same inode).
-
-        Old blocks are not reclaimed — HyperExt uses a bump allocator and
-        leaves garbage collection to reformat, like early log-structured
-        designs.
-        """
-        inode = self.lookup(path)
-        mode, __, ___ = self.read_inode(inode)
-        if mode != MODE_FILE:
-            raise ProtocolError(f"{path} is not a file")
-        extents = self._store_data(data)
-        self._write_inode(inode, MODE_FILE, len(data), extents)
-        return inode
-
-    def unlink(self, path: str) -> None:
-        """Remove a file: drop the directory entry and free the inode."""
-        *parents, name = [p for p in path.split("/") if p]
-        parent = self._resolve_dir(parents)
-        entries = self._read_dir(parent)
-        if name not in entries:
-            raise FileNotFoundError(path)
-        inode = entries[name]
-        mode, __, ___ = self.read_inode(inode)
-        if mode == MODE_DIR and self._read_dir(inode):
-            raise ProtocolError(f"directory {path} not empty")
-        del entries[name]
-        self._write_dir(parent, entries)
-        self._write_inode(inode, 0, 0, [])  # mark the inode free
-
     def lookup(self, path: str) -> int:
         components = [p for p in path.split("/") if p]
         if not components:
@@ -269,10 +239,6 @@ class HyperExtFs:
         if mode != MODE_FILE:
             raise ProtocolError(f"{path} is not a file")
         return self._read_extents(tree, size)
-
-    def listdir(self, path: str) -> List[str]:
-        inode = self.lookup(path)
-        return sorted(self._read_dir(inode))
 
     def file_extents(self, path: str) -> List[Extent]:
         """The physical extents of a file — what the DPU datapath needs."""

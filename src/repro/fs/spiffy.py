@@ -29,6 +29,9 @@ from repro.common.errors import ConfigurationError, ProtocolError
 
 _SCALARS = {"u8": 1, "u16": 2, "u32": 4, "u64": 8}
 
+#: The block size every annotated layout is addressed in.
+BLOCK_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Field:
@@ -76,9 +79,8 @@ class StructDef:
 class LayoutAnnotation:
     """A named bundle of struct definitions plus semantic bindings."""
 
-    def __init__(self, name: str, block_size: int = 4096):
+    def __init__(self, name: str):
         self.name = name
-        self.block_size = block_size
         self.structs: Dict[str, StructDef] = {}
         self.bindings: Dict[str, Any] = {}
 
@@ -157,7 +159,7 @@ class LayoutWalker:
         inode_size = self.layout.structs[
             self.layout.bindings["inode_struct"]
         ].fixed_size(self.layout)
-        per_block = self.layout.block_size // inode_size
+        per_block = BLOCK_SIZE // inode_size
         table_start = sb[self.layout.bindings["inode_table_start_field"]]
         block = table_start + inode // per_block
         offset = (inode % per_block) * inode_size

@@ -62,6 +62,9 @@ SHIP_DEADLINE = 35e-3
 #: circuit for 25 ms.
 BREAKER_FAILURES = 2
 BREAKER_RESET = 25e-3
+#: Each region's sharded cluster: DPUs, and flash blocks per DPU.
+REGION_DPUS = 2
+REGION_SSD_BLOCKS = 4096
 
 
 class LogShipper:
@@ -216,11 +219,11 @@ class Region:
             registers its own internal :class:`~repro.hw.net.Network`).
         name: region name; prefixes every internal address
             (``{name}-dpu-N``, gateway ``{name}-gw``).
-        dpu_count: DPUs in the region's sharded cluster.
         consistency: peer-ack mode writes wait for (see
             :class:`~repro.georep.log.Consistency`).
-        ssd_blocks / queue_capacity / workers: forwarded to the
-            region's :class:`~repro.sharding.ShardedKvCluster`.
+
+    The region's :class:`~repro.sharding.ShardedKvCluster` has
+    :data:`REGION_DPUS` DPUs of :data:`REGION_SSD_BLOCKS` blocks each.
     """
 
     def __init__(
@@ -228,12 +231,7 @@ class Region:
         sim: Simulator,
         fabric: WanFabric,
         name: str,
-        *,
-        dpu_count: int = 2,
         consistency: Consistency = Consistency.ASYNC,
-        ssd_blocks: int = 4096,
-        queue_capacity: Optional[int] = None,
-        workers: int = 2,
     ):
         self.sim = sim
         self.fabric = fabric
@@ -241,8 +239,8 @@ class Region:
         self.consistency = consistency
         self.network = fabric.add_region(name, Network(sim))
         self.cluster = ShardedKvCluster(
-            sim, self.network, dpu_count=dpu_count, ssd_blocks=ssd_blocks,
-            queue_capacity=queue_capacity, workers=workers, name=name,
+            sim, self.network, dpu_count=REGION_DPUS,
+            ssd_blocks=REGION_SSD_BLOCKS, name=name,
         )
         self.store = ShardedKvClient(sim, self.cluster, name=f"{name}-gw")
         self.address = f"{name}-gw"
@@ -474,7 +472,6 @@ class GeoCluster:
         consistency: ack mode for every region's writes.
         injector: optional fault injector the WAN links consult (for
             :meth:`~repro.faults.FaultPlan.wan_partition` windows).
-        dpu_count / region_kwargs: forwarded to each :class:`Region`.
     """
 
     def __init__(
@@ -485,8 +482,6 @@ class GeoCluster:
         wan: Sequence[WanSpec] = (),
         consistency: Consistency = Consistency.ASYNC,
         injector=None,
-        dpu_count: int = 2,
-        **region_kwargs,
     ):
         if len(names) < 2:
             raise ConfigurationError("a geo cluster needs >= 2 regions")
@@ -494,10 +489,7 @@ class GeoCluster:
         self.fabric = WanFabric(sim, injector=injector)
         self.regions: Dict[str, Region] = {}
         for name in names:
-            self.regions[name] = Region(
-                sim, self.fabric, name, dpu_count=dpu_count,
-                consistency=consistency, **region_kwargs,
-            )
+            self.regions[name] = Region(sim, self.fabric, name, consistency)
         specified = {(spec.src, spec.dst) for spec in wan}
         for spec in wan:
             self.fabric.connect(spec.src, spec.dst,

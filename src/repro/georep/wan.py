@@ -210,13 +210,11 @@ class WanFabric:
         return port
 
     # -- partitions -----------------------------------------------------------
-    def partition(self, src: str, dst: str, *, symmetric: bool = False) -> None:
-        """Partition ``src -> dst`` (and the reverse when *symmetric*)."""
+    def partition(self, src: str, dst: str) -> None:
+        """Partition ``src -> dst``."""
         self.link(src, dst).partition()
         self._partitions.inc()
         if self._recorder is not None:
             self._recorder.record(
                 "wan", f"wan partition {src}->{dst} at={self.sim.now!r}"
             )
-        if symmetric:
-            self.partition(dst, src)

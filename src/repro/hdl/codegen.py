@@ -78,9 +78,9 @@ def _expr(insn: Instruction, stage: int) -> str:
     return f"// unhandled {op.value}"
 
 
-def generate_verilog(schedule: PipelineSchedule, module_name: str = "") -> str:
-    """Emit the pipeline as a Verilog module string."""
-    name = module_name or f"ebpf_{schedule.program_name}"
+def generate_verilog(schedule: PipelineSchedule) -> str:
+    """Emit the pipeline as a Verilog module ``ebpf_<program name>``."""
+    name = f"ebpf_{schedule.program_name}"
     lines: List[str] = []
     lines.append(f"// Generated from eBPF program '{schedule.program_name}'")
     lines.append(

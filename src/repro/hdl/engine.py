@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.errors import VerificationError
-from repro.ebpf.helpers import HelperRegistry
 from repro.ebpf.isa import Program
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.vm import BpfVm
@@ -59,33 +58,24 @@ class CompiledPipeline:
 
 def compile_program(
     program: Program,
-    verify: bool = True,
     fuse: bool = True,
     optimize: bool = False,
-    memory_ports: int = 2,
-    helpers: Optional[HelperRegistry] = None,
-    allow_bounded_loops: bool = False,
 ) -> CompiledPipeline:
     """Verify and compile an eBPF program into a hardware pipeline.
 
     ``optimize=True`` runs the warping-style folding/DCE passes
     (:mod:`repro.hdl.optimize`) before scheduling.
     """
-    if verify:
-        report = Verifier(
-            helpers=helpers, allow_bounded_loops=allow_bounded_loops
-        ).verify(program)
-        if not report.ok:
-            raise VerificationError(
-                f"program {program.name!r} rejected: {report.reject_reason()}"
-            )
-    else:
-        report = VerifierReport(ok=True)
+    report = Verifier().verify(program)
+    if not report.ok:
+        raise VerificationError(
+            f"program {program.name!r} rejected: {report.reject_reason()}"
+        )
     if optimize:
         from repro.hdl.optimize import optimize_straightline
 
         program = optimize_straightline(program)
-    schedule = schedule_pipeline(program, fuse=fuse, memory_ports=memory_ports)
+    schedule = schedule_pipeline(program, fuse=fuse)
     return CompiledPipeline(
         program=program,
         schedule=schedule,
@@ -114,11 +104,10 @@ class HardwarePipeline:
         sim: Simulator,
         compiled: CompiledPipeline,
         maps: Optional[Dict[int, BpfMap]] = None,
-        helpers: Optional[HelperRegistry] = None,
     ):
         self.sim = sim
         self.compiled = compiled
-        self._vm = BpfVm(compiled.program, maps=maps, helpers=helpers)
+        self._vm = BpfVm(compiled.program, maps=maps)
         self._port_free_at = 0.0  # when the input port takes its next tuple
         self.executions = 0
 

@@ -31,6 +31,9 @@ from repro.hdl.dataflow import BasicBlock, build_cfg, _reads, _writes
 
 _U64 = (1 << 64) - 1
 
+#: Fold + DCE passes before the optimizer stops short of a fixpoint.
+MAX_ROUNDS = 8
+
 
 def _fold(op: Opcode, dst: int, src: int) -> Optional[int]:
     """Evaluate one ALU op over known 64-bit constants."""
@@ -143,7 +146,7 @@ def _eliminate_dead_block(
     return list(reversed(kept_reversed))
 
 
-def optimize_program(program: Program, max_rounds: int = 4) -> Program:
+def optimize_program(program: Program) -> Program:
     """Apply folding + DCE per basic block until fixpoint.
 
     Registers are conservatively assumed live out of every block except
@@ -151,7 +154,7 @@ def optimize_program(program: Program, max_rounds: int = 4) -> Program:
     (which reads r0). Blocks ending in jumps keep all registers live.
     """
     instructions = list(program.instructions)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         blocks = build_cfg(Program(instructions, name=program.name))
         changed = False
         rebuilt: List[Instruction] = []
@@ -184,14 +187,14 @@ def _block_spans_changed(blocks: List[BasicBlock], rebuilt: List[Instruction]) -
     return original != new
 
 
-def optimize_straightline(program: Program, max_rounds: int = 8) -> Program:
+def optimize_straightline(program: Program) -> Program:
     """Aggressive variant for single-block programs (no branch offsets to
     preserve): folding and DCE genuinely shrink the program."""
     blocks = build_cfg(program)
     if len(blocks) != 1:
-        return optimize_program(program, max_rounds=max_rounds)
+        return optimize_program(program)
     instructions = list(program.instructions)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         folded = _propagate_block(instructions)
         cleaned = _eliminate_dead_block(folded, live_out=set())
         if cleaned == instructions:

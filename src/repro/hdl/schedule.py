@@ -15,6 +15,10 @@ from repro.ebpf.isa import Opcode, Program
 from repro.hdl.dataflow import build_cfg, build_dfg
 from repro.hdl.fusion import FusedOp, fuse_instructions
 
+#: Concurrent memory operations (loads, stores, helper calls) one
+#: pipeline stage can issue per cycle.
+MEMORY_PORTS = 2
+
 
 @dataclass
 class PipelineSchedule:
@@ -44,11 +48,7 @@ def _memory_ops_in(ops: Sequence[FusedOp]) -> int:
     return count
 
 
-def schedule_pipeline(
-    program: Program,
-    fuse: bool = True,
-    memory_ports: int = 2,
-) -> PipelineSchedule:
+def schedule_pipeline(program: Program, fuse: bool = True) -> PipelineSchedule:
     """Schedule the whole program as a linearized pipeline.
 
     Control flow becomes predication (every block is scheduled; hardware
@@ -91,5 +91,5 @@ def schedule_pipeline(
     # Memory contention bounds the initiation interval: if any stage needs
     # more concurrent memory operations than ports, inputs must be spaced.
     worst = max((_memory_ops_in(stage) for stage in stages), default=0)
-    schedule.initiation_interval = max(1, -(-worst // memory_ports))
+    schedule.initiation_interval = max(1, -(-worst // MEMORY_PORTS))
     return schedule

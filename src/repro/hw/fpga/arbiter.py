@@ -16,6 +16,9 @@ from typing import Dict, List
 from repro.common.errors import ConfigurationError
 from repro.sim import Event, Simulator, Store
 
+#: Bytes a weight-1 tenant may send per round-robin round.
+QUANTUM_BYTES = 4096
+
 
 @dataclass
 class _PendingTransfer:
@@ -27,13 +30,11 @@ class _PendingTransfer:
 class WeightedAxisArbiter:
     """Shares one bus of ``bandwidth`` bytes/s among weighted tenants."""
 
-    def __init__(self, sim: Simulator, bandwidth: float,
-                 quantum_bytes: int = 4096):
-        if bandwidth <= 0 or quantum_bytes <= 0:
-            raise ConfigurationError("bandwidth and quantum must be positive")
+    def __init__(self, sim: Simulator, bandwidth: float):
+        if bandwidth <= 0:
+            raise ConfigurationError("bandwidth must be positive")
         self.sim = sim
         self.bandwidth = bandwidth
-        self.quantum_bytes = quantum_bytes
         self._weights: Dict[str, int] = {}
         self._queues: Dict[str, List[_PendingTransfer]] = {}
         self._deficits: Dict[str, int] = {}
@@ -74,7 +75,7 @@ class WeightedAxisArbiter:
                         self._deficits[tenant] = 0
                         continue
                     self._deficits[tenant] += (
-                        self._weights[tenant] * self.quantum_bytes
+                        self._weights[tenant] * QUANTUM_BYTES
                     )
                     while queue and self._deficits[tenant] > 0:
                         head = queue[0]

@@ -64,8 +64,9 @@ class BitstreamAuthority:
         material = f"{bitstream.name}:{bitstream.size_bytes}:{bitstream.clock_hz}"
         return hmac.new(self._key, material.encode(), hashlib.sha256).digest()
 
-    def sign(self, bitstream: Bitstream, encrypt: bool = True) -> SignedBitstream:
-        return SignedBitstream(bitstream, self._digest(bitstream), encrypt)
+    def sign(self, bitstream: Bitstream) -> SignedBitstream:
+        """Seal *bitstream*: signed and encrypted."""
+        return SignedBitstream(bitstream, self._digest(bitstream))
 
     def verify(self, signed: SignedBitstream) -> bool:
         return hmac.compare_digest(self._digest(signed.bitstream), signed.signature)

@@ -56,7 +56,6 @@ class Link:
         sim: Simulator,
         bandwidth: float = QSFP28_100G,
         propagation: float = DEFAULT_PROPAGATION,
-        loss_fn: Optional[Callable[[Frame], bool]] = None,
         injector: Optional[FaultInjector] = None,
         component: str = "link",
     ):
@@ -84,7 +83,6 @@ class Link:
         #: transmitter; an enqueued frame cannot start before it.
         self._busy_until = 0.0
         self._on_serialized_cb = self._on_serialized
-        self._loss_fn = loss_fn
         self.injector = injector
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)
@@ -145,12 +143,11 @@ class Link:
         serialization timeout would reach — so the frame is counted,
         its span closed at ``done`` and its arrival scheduled at ``done
         + propagation``: no serialization entry. A link with a fault
-        surface (``loss_fn``, injector) takes the :meth:`enqueue` path
-        instead, so its draws happen at the completion instant and in
-        completion order; so does a frame behind one that is.
+        injector takes the :meth:`enqueue` path instead, so its draws
+        happen at the completion instant and in completion order; so does
+        a frame behind one that is.
         """
-        if (self._sending is not None or self.injector is not None
-                or self._loss_fn is not None):
+        if self._sending is not None or self.injector is not None:
             self.enqueue(frame)
             return
         now = self.sim.now
@@ -212,9 +209,6 @@ class Link:
             span.finish()
         self._frames_sent.inc()
         self._bytes_sent.inc(frame.wire_size)
-        if self._loss_fn is not None and self._loss_fn(frame):
-            self._frames_dropped.inc()
-            return
         outcome = self._fault_outcome(frame)
         if outcome == "drop":
             self._frames_dropped.inc()

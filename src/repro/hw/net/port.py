@@ -36,13 +36,11 @@ class NetworkPort:
     def add_route(self, destination: str, link: Link) -> None:
         self._routes[destination] = link
 
-    def route(self, destination: str = "*") -> Link:
-        """The TX link used to reach ``destination`` (fault wiring hook)."""
-        link = self._routes.get(destination) or self._routes.get("*")
+    def route(self) -> Link:
+        """The default (``"*"``) TX link: the fault wiring hook."""
+        link = self._routes.get("*")
         if link is None:
-            raise ConfigurationError(
-                f"port {self.address} has no route to {destination}"
-            )
+            raise ConfigurationError(f"port {self.address} has no route to *")
         return link
 
     def send(self, frame: Frame):

@@ -18,9 +18,9 @@ SWITCH_FORWARD_LATENCY = 500e-9
 class Switch:
     """Forwards frames between attached links by destination address."""
 
-    def __init__(self, sim: Simulator, forward_latency: float = SWITCH_FORWARD_LATENCY):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.forward_latency = forward_latency
+        self.forward_latency = SWITCH_FORWARD_LATENCY
         self._egress: Dict[str, Link] = {}
         self._blackholed: Set[str] = set()
         self._metrics = sim.telemetry.unique_scope("net.switch")
@@ -80,14 +80,9 @@ class Network:
     realistic two-hop RTT with serialization at each hop.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float = QSFP28_100G,
-        propagation: float = DEFAULT_PROPAGATION,
-    ):
+    def __init__(self, sim: Simulator, propagation: float = DEFAULT_PROPAGATION):
         self.sim = sim
-        self.bandwidth = bandwidth
+        self.bandwidth = QSFP28_100G
         self.propagation = propagation
         self.switch = Switch(sim)
         self._ports: Dict[str, NetworkPort] = {}

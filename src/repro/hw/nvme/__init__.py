@@ -1,4 +1,4 @@
-"""NVMe substrate: flash timing, namespaces, controllers, queues, ZNS.
+"""NVMe substrate: flash timing, namespaces, controllers, queues.
 
 Four off-the-shelf NVMe SSDs hang off the Hyperion FPGA through bifurcated
 PCIe (paper Figure 2). The model stores real bytes (so file systems and data
@@ -10,7 +10,6 @@ from repro.hw.nvme.flash import FlashTiming, FlashArray
 from repro.hw.nvme.commands import NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus
 from repro.hw.nvme.controller import NvmeController, NvmeQueuePair
 from repro.hw.nvme.namespace import Namespace, LBA_SIZE
-from repro.hw.nvme.zns import Zone, ZonedNamespace, ZoneState
 
 __all__ = [
     "FlashTiming",
@@ -23,7 +22,4 @@ __all__ = [
     "NvmeQueuePair",
     "Namespace",
     "LBA_SIZE",
-    "Zone",
-    "ZonedNamespace",
-    "ZoneState",
 ]

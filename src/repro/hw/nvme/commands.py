@@ -13,20 +13,14 @@ class NvmeOpcode(enum.Enum):
     READ = 0x02
     WRITE = 0x01
     FLUSH = 0x00
-    ZONE_APPEND = 0x7D
-    ZONE_RESET = 0x7C
 
 
 class NvmeStatus(enum.Enum):
     """Completion status codes."""
 
     SUCCESS = 0x0
-    INVALID_OPCODE = 0x1
     COMMAND_ABORTED = 0x07
     LBA_OUT_OF_RANGE = 0x80
-    QUEUE_FULL = 0x86  # submission refused: bounded queue at capacity
-    ZONE_FULL = 0xB9
-    ZONE_INVALID_WRITE = 0xBC
     UNRECOVERED_READ_ERROR = 0x281  # media error SCT, injected or real
 
 
@@ -55,7 +49,6 @@ class NvmeCompletion:
     cid: int
     status: NvmeStatus
     data: Optional[bytes] = None
-    result_lba: Optional[int] = None  # assigned LBA for ZONE_APPEND
 
     @property
     def ok(self) -> bool:

@@ -38,14 +38,12 @@ class FlashArray:
         sim: Simulator,
         channels: int = 8,
         dies_per_channel: int = 4,
-        timing: FlashTiming = FlashTiming(),
-        injector: Optional[FaultInjector] = None,
         component: str = "flash",
     ):
         if channels < 1 or dies_per_channel < 1:
             raise ConfigurationError("need at least one channel and die")
         self.sim = sim
-        self.timing = timing
+        self.timing = FlashTiming()
         self.channels = channels
         self.dies_per_channel = dies_per_channel
         self._dies: List[Resource] = [
@@ -54,7 +52,7 @@ class FlashArray:
         self._channels: List[Resource] = [
             Resource(sim, capacity=1) for _ in range(channels)
         ]
-        self.injector = injector
+        self.injector: Optional[FaultInjector] = None
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)
         self._reads = self._metrics.counter("reads")
@@ -137,14 +135,5 @@ class FlashArray:
                 self.timing.program_latency + self._stuck_penalty()
             )
             self._programs.inc()
-        finally:
-            self._dies[die_index].release()
-
-    def erase_block(self, page_index: int):
-        """Process: erase the block containing ``page_index``."""
-        die_index = self._die_for_page(page_index)
-        yield from self._dies[die_index].acquire()
-        try:
-            yield self.sim.timeout(self.timing.erase_latency)
         finally:
             self._dies[die_index].release()

@@ -38,19 +38,15 @@ class PcieLink:
         self,
         sim: Simulator,
         lanes: int = 4,
-        per_lane_bandwidth: float = PCIE_GEN3_PER_LANE,
-        hop_latency: float = PCIE_HOP_LATENCY,
-        injector: Optional[FaultInjector] = None,
         component: str = "pcie-link",
     ):
         if lanes not in (1, 2, 4, 8, 16):
             raise ConfigurationError(f"invalid PCIe lane width: {lanes}")
         self.sim = sim
         self.lanes = lanes
-        self.bandwidth = lanes * per_lane_bandwidth
-        self.hop_latency = hop_latency
+        self.bandwidth = lanes * PCIE_GEN3_PER_LANE
         self._channel = Resource(sim, capacity=1)
-        self.injector = injector
+        self.injector: Optional[FaultInjector] = None
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)
         self._bytes_transferred = self._metrics.counter("bytes_transferred")
@@ -70,7 +66,7 @@ class PcieLink:
         return payload_bytes + tlps * TLP_OVERHEAD_BYTES
 
     def transfer_latency(self, payload_bytes: int) -> float:
-        return self.hop_latency + self.wire_bytes(payload_bytes) / self.bandwidth
+        return PCIE_HOP_LATENCY + self.wire_bytes(payload_bytes) / self.bandwidth
 
     def transfer(self, payload_bytes: int):
         """Process: move ``payload_bytes`` across the link.

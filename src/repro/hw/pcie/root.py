@@ -14,6 +14,8 @@ from repro.common.errors import ConfigurationError
 from repro.hw.pcie.device import Bar, PcieBridge, PcieDevice
 from repro.hw.pcie.link import PcieLink
 
+#: Where the BAR window handed to devices starts.
+MMIO_BASE = 0x4000_0000
 
 @dataclass
 class EnumeratedDevice:
@@ -31,18 +33,17 @@ def _align_up(value: int, alignment: int) -> int:
 class RootComplex:
     """Walks the PCIe tree, numbers buses, and assigns BAR windows.
 
-    The memory window handed to devices starts at ``mmio_base``; the AXI
+    The memory window handed to devices starts at :data:`MMIO_BASE`; the AXI
     interconnect later routes this window to the NVMe controllers (paper
     §2.1's "NVMe PCIe BAR addresses").
     """
 
-    def __init__(self, name: str = "fpga-root-complex", mmio_base: int = 0x4000_0000):
+    def __init__(self, name: str = "fpga-root-complex"):
         self.name = name
-        self.mmio_base = mmio_base
         self.root_ports: List[Tuple[PcieBridge, PcieLink]] = []
         self.devices: Dict[str, EnumeratedDevice] = {}
         self._next_bus = 0
-        self._next_mmio = mmio_base
+        self._next_mmio = MMIO_BASE
         self._enumerated = False
 
     def add_root_port(self, bridge: PcieBridge, link: PcieLink) -> None:

@@ -19,6 +19,10 @@ from repro.hw.nvme.controller import NvmeController, NvmeQueuePair
 from repro.hw.nvme.namespace import LBA_SIZE, Namespace
 from repro.sim import Simulator
 
+#: Times a failed read is retried (the in-device read-retry of an FTL)
+#: before it surfaces.
+READ_RETRIES = 2
+
 
 class DramBackend:
     """A byte-addressable on-card memory bank (DDR4 or HBM)."""
@@ -57,7 +61,7 @@ class DramBackend:
 
 
 class NvmeBackend:
-    """A window of an NVMe namespace, addressed in bytes.
+    """Namespace 1 of an NVMe controller, addressed in bytes.
 
     Byte offsets map to LBAs; sub-block writes do read-modify-write the way
     a flash translation layer would.
@@ -68,36 +72,25 @@ class NvmeBackend:
         sim: Simulator,
         controller: NvmeController,
         queue_pair: NvmeQueuePair,
-        namespace_id: int = 1,
-        base_lba: int = 0,
-        block_count: Optional[int] = None,
-        read_retries: int = 2,
     ):
         self.sim = sim
         self.controller = controller
         self.qp = queue_pair
-        self.namespace_id = namespace_id
-        self.base_lba = base_lba
-        self.read_retries = read_retries
         self.retried_reads = 0
-        namespace = controller.namespaces[namespace_id]
-        max_blocks = namespace.capacity_blocks - base_lba
-        self.block_count = block_count if block_count is not None else max_blocks
-        if self.block_count <= 0 or self.block_count > max_blocks:
-            raise CapacityError("NVMe backend window out of range")
+        self.block_count = self._namespace().capacity_blocks
 
     @property
     def capacity(self) -> int:
         return self.block_count * LBA_SIZE
 
     def _namespace(self) -> Namespace:
-        return self.controller.namespaces[self.namespace_id]
+        return self.controller.namespaces[1]
 
     def _span(self, offset: int, size: int):
         if offset < 0 or offset + size > self.capacity:
             raise CapacityError("access beyond NVMe backend window")
-        first = self.base_lba + offset // LBA_SIZE
-        last = self.base_lba + (offset + size - 1) // LBA_SIZE if size else first
+        first = offset // LBA_SIZE
+        last = (offset + size - 1) // LBA_SIZE if size else first
         return first, last - first + 1, offset % LBA_SIZE
 
     # -- functional access ---------------------------------------------------
@@ -121,7 +114,7 @@ class NvmeBackend:
         """Process: one read, retried per the backend's recovery policy.
 
         Transient media errors (injected UNRECOVERED_READ_ERROR, aborted
-        commands) are retried up to ``read_retries`` times — the in-device
+        commands) are retried up to :data:`READ_RETRIES` times — the in-device
         read-retry a real FTL performs — before the failure surfaces as a
         :class:`DegradedError`.
         """
@@ -129,23 +122,18 @@ class NvmeBackend:
             return b""
         first, count, __ = self._span(offset, size)
         retryable = (NvmeStatus.UNRECOVERED_READ_ERROR, NvmeStatus.COMMAND_ABORTED)
-        for attempt in range(self.read_retries + 1):
+        for attempt in range(READ_RETRIES + 1):
             completion = yield self.qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.READ,
-                    namespace_id=self.namespace_id,
-                    lba=first,
-                    block_count=count,
-                )
+                NvmeCommand(NvmeOpcode.READ, lba=first, block_count=count)
             )
             if completion.ok:
                 return self.read(offset, size)
             if completion.status not in retryable:
                 raise CapacityError(f"NVMe read failed: {completion.status}")
-            if attempt < self.read_retries:
+            if attempt < READ_RETRIES:
                 self.retried_reads += 1
         raise DegradedError(
-            f"NVMe read failed after {self.read_retries + 1} attempts: "
+            f"NVMe read failed after {READ_RETRIES + 1} attempts: "
             f"{completion.status}"
         )
 
@@ -156,12 +144,7 @@ class NvmeBackend:
         raw = bytearray(self._namespace().read_blocks(first, count))
         raw[skip : skip + len(data)] = data
         completion = yield self.qp.submit(
-            NvmeCommand(
-                NvmeOpcode.WRITE,
-                namespace_id=self.namespace_id,
-                lba=first,
-                data=bytes(raw),
-            )
+            NvmeCommand(NvmeOpcode.WRITE, lba=first, data=bytes(raw))
         )
         if not completion.ok:
             raise CapacityError(f"NVMe write failed: {completion.status}")

@@ -11,7 +11,7 @@ loss.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.common.errors import CapacityError, ConfigurationError
 from repro.common.ids import ObjectId
@@ -31,31 +31,20 @@ BOOT_AREA_BLOCKS = 256
 
 
 class _Allocator:
-    """First-fit free-list allocator over one backend's byte range."""
+    """Bump allocator over one backend's byte range (nothing is freed)."""
 
     def __init__(self, capacity: int, base: int = 0):
         self._cursor = base
         self._limit = base + capacity
-        self._free: List[Tuple[int, int]] = []  # (offset, size)
 
     def allocate(self, size: int) -> int:
         if size <= 0:
             raise ValueError("allocation size must be positive")
-        for index, (offset, free_size) in enumerate(self._free):
-            if free_size >= size:
-                if free_size == size:
-                    self._free.pop(index)
-                else:
-                    self._free[index] = (offset + size, free_size - size)
-                return offset
         if self._cursor + size > self._limit:
             raise CapacityError("backend full")
         offset = self._cursor
         self._cursor += size
         return offset
-
-    def free(self, offset: int, size: int) -> None:
-        self._free.append((offset, size))
 
 
 class SingleLevelStore:
@@ -67,7 +56,6 @@ class SingleLevelStore:
         dram: DramBackend,
         nvme: NvmeBackend,
         hbm: Optional[DramBackend] = None,
-        rng: Optional[random.Random] = None,
     ):
         self.sim = sim
         self.dram = dram
@@ -76,10 +64,9 @@ class SingleLevelStore:
         self.table = SegmentTranslationTable()
         metrics = sim.telemetry.unique_scope("memory.store")
         self._allocations = metrics.counter("allocations")
-        self._promotions = metrics.counter("promotions")
         self._reads = metrics.counter("reads")
         self._writes = metrics.counter("writes")
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng = random.Random(0)  # object ids
         boot_bytes = BOOT_AREA_BLOCKS * LBA_SIZE
         if nvme.capacity <= boot_bytes:
             raise ConfigurationError("NVMe window smaller than the boot area")
@@ -89,11 +76,6 @@ class SingleLevelStore:
         }
         if hbm is not None:
             self._allocators[SegmentLocation.HBM] = _Allocator(hbm.capacity)
-
-    @property
-    def promotions(self) -> int:
-        """Segments moved between tiers so far."""
-        return self._promotions.value
 
     # -- placement -----------------------------------------------------------
     def _window_base(self, location: SegmentLocation) -> int:
@@ -145,11 +127,6 @@ class SingleLevelStore:
         self._allocations.inc()
         return segment
 
-    def free(self, oid: ObjectId) -> None:
-        segment = self.table.remove(oid)
-        offset = segment.bus_address - self._window_base(segment.location)
-        self._allocators[segment.location].free(offset, segment.size)
-
     # -- access (functional) ---------------------------------------------------
     def _resolve(self, oid: ObjectId, offset: int, size: int):
         segment = self.table.lookup(oid)
@@ -170,8 +147,9 @@ class SingleLevelStore:
         self._reads.inc()
         return backend.read(at, size)
 
-    def write(self, oid: ObjectId, data: bytes, offset: int = 0) -> None:
-        segment, backend, at = self._resolve(oid, offset, len(data))
+    def write(self, oid: ObjectId, data: bytes) -> None:
+        """Overwrite the start of the segment with *data*."""
+        segment, backend, at = self._resolve(oid, 0, len(data))
         segment.access_count += 1
         self._writes.inc()
         backend.write(at, data)
@@ -192,25 +170,6 @@ class SingleLevelStore:
         segment.access_count += 1
         self._writes.inc()
         yield from backend.timed_write(at, data)
-
-    # -- promotion (hint-driven tiering) ----------------------------------------
-    def promote(self, oid: ObjectId, to_location: SegmentLocation) -> Segment:
-        """Move a segment's bytes to another tier and remap it."""
-        segment = self.table.lookup(oid)
-        if segment.location is to_location:
-            return segment
-        if segment.durable and to_location is not SegmentLocation.NVME:
-            raise ConfigurationError("durable segments must stay on NVMe")
-        data = self.read(oid)
-        old_location, old_bus = segment.location, segment.bus_address
-        new_offset = self._allocators[to_location].allocate(segment.size)
-        segment.location = to_location
-        segment.bus_address = self._window_base(to_location) + new_offset
-        self.write(oid, data)
-        old_offset = old_bus - self._window_base(old_location)
-        self._allocators[old_location].free(old_offset, segment.size)
-        self._promotions.inc()
-        return segment
 
     # -- persistence / recovery ---------------------------------------------
     def persist_table(self) -> int:
@@ -252,11 +211,3 @@ class SingleLevelStore:
             if offset + segment.size > allocator._cursor:
                 allocator._cursor = offset + segment.size
         return store
-
-    # -- introspection -------------------------------------------------------
-    def capacity_bytes(self) -> int:
-        """Total addressable capacity: DRAM + HBM + NVMe (paper §2.1)."""
-        total = self.dram.capacity + self.nvme.capacity
-        if self.hbm is not None:
-            total += self.hbm.capacity
-        return total

@@ -46,12 +46,6 @@ class SegmentTranslationTable:
             raise KeyError(f"unmapped segment {oid}")
         return segment
 
-    def remove(self, oid: ObjectId) -> Segment:
-        segment = self._segments.pop(oid, None)
-        if segment is None:
-            raise KeyError(f"unmapped segment {oid}")
-        return segment
-
     def durable_segments(self) -> List[Segment]:
         return [s for s in self._segments.values() if s.durable]
 

@@ -43,6 +43,19 @@ SHED_THRESHOLDS: Dict[Priority, float] = {
 }
 
 
+#: The bucket holds this many seconds' worth of the rate (and at least
+#: one token).
+BURST_SECONDS = 0.01
+
+#: The AIMD rate stays between these multiples of the initial rate.
+MIN_RATE_FACTOR = 0.05
+MAX_RATE_FACTOR = 4.0
+
+#: Additive step per healthy tick, as a fraction of the *initial* rate
+#: (so the climb-back speed does not depend on the current rate).
+ADDITIVE_INCREASE = 0.05
+
+
 class TokenBucket:
     """A deterministic token bucket on any ``now``-bearing clock.
 
@@ -78,11 +91,11 @@ class TokenBucket:
         """Fill fraction in [0, 1]."""
         return self.tokens / self.capacity
 
-    def try_take(self, cost: float = 1.0) -> bool:
-        """Take *cost* tokens if available; ``False`` means the caller sheds."""
+    def try_take(self) -> bool:
+        """Take one token if available; ``False`` means the caller sheds."""
         self._refill()
-        if self._tokens >= cost:
-            self._tokens -= cost
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
@@ -108,32 +121,17 @@ class AdmissionController:
         clock,
         metrics: MetricScope,
         rate: float,
-        burst: Optional[float] = None,
-        min_rate: Optional[float] = None,
-        max_rate: Optional[float] = None,
-        additive_increase: float = 0.05,
         multiplicative_decrease: float = 0.5,
-        shed_thresholds: Optional[Dict[Priority, float]] = None,
     ):
         if not 0 < multiplicative_decrease < 1:
             raise ConfigurationError(
                 "multiplicative decrease must be in (0, 1)"
             )
-        if additive_increase <= 0:
-            raise ConfigurationError("additive increase must be positive")
-        self.bucket = TokenBucket(
-            clock, rate, burst if burst is not None else max(rate * 0.01, 1.0)
-        )
+        self.bucket = TokenBucket(clock, rate, max(rate * BURST_SECONDS, 1.0))
         self.initial_rate = rate
-        self.min_rate = min_rate if min_rate is not None else rate * 0.05
-        self.max_rate = max_rate if max_rate is not None else rate * 4.0
-        #: Additive step per tick, as a fraction of the *initial* rate
-        #: (so the climb-back speed does not depend on the current rate).
-        self.additive_increase = additive_increase
+        self.min_rate = rate * MIN_RATE_FACTOR
+        self.max_rate = rate * MAX_RATE_FACTOR
         self.multiplicative_decrease = multiplicative_decrease
-        self.shed_thresholds = dict(
-            SHED_THRESHOLDS if shed_thresholds is None else shed_thresholds
-        )
         self._overloaded_this_window = False
         self._rate_gauge = metrics.gauge("rate")
         self._tokens_gauge = metrics.gauge("tokens")
@@ -156,11 +154,10 @@ class AdmissionController:
         return self._shed[priority].value
 
     # -- the decision ----------------------------------------------------
-    def admit(self, priority: Priority = Priority.USER,
-              cost: float = 1.0) -> bool:
-        """Admit or shed one request of the given class."""
-        threshold = self.shed_thresholds.get(priority, 0.0)
-        if self.bucket.level < threshold or not self.bucket.try_take(cost):
+    def admit(self, priority: Priority = Priority.USER) -> bool:
+        """Admit or shed one request (one token) of the given class."""
+        if (self.bucket.level < SHED_THRESHOLDS[priority]
+                or not self.bucket.try_take()):
             self._shed[priority].inc()
             self._tokens_gauge.set(self.bucket._tokens)
             return False
@@ -190,7 +187,7 @@ class AdmissionController:
         else:
             new_rate = min(
                 self.max_rate,
-                self.rate + self.additive_increase * self.initial_rate,
+                self.rate + ADDITIVE_INCREASE * self.initial_rate,
             )
         self.bucket.set_rate(new_rate)
         self._rate_gauge.set(new_rate)

@@ -61,9 +61,8 @@ class CircuitBreaker:
         metrics: MetricScope,
         failure_threshold: int = 5,
         reset_timeout: float = 50e-3,
-        success_threshold: int = 1,
     ):
-        if failure_threshold < 1 or success_threshold < 1:
+        if failure_threshold < 1:
             raise ConfigurationError("breaker thresholds must be >= 1")
         if reset_timeout <= 0:
             raise ConfigurationError("reset_timeout must be positive")
@@ -71,12 +70,10 @@ class CircuitBreaker:
         self._recorder = getattr(clock, "recorder", None)
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.success_threshold = success_threshold
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
-        self._probe_successes = 0
         #: (time, from-state, to-state) — canonical per-seed history.
         self.transition_log: List[Tuple[float, str, str]] = []
         self._metrics = metrics
@@ -108,7 +105,6 @@ class CircuitBreaker:
         elif to is BreakerState.HALF_OPEN:
             self._half_opened.inc()
             self._probe_in_flight = False
-            self._probe_successes = 0
         else:
             self._closed.inc()
             self._consecutive_failures = 0
@@ -144,12 +140,11 @@ class CircuitBreaker:
 
     # -- outcomes --------------------------------------------------------
     def record_success(self) -> None:
-        """Record a successful call; enough successes close a half-open breaker."""
+        """Record a successful call; a successful probe closes a half-open
+        breaker."""
         if self.state is BreakerState.HALF_OPEN:
             self._probe_in_flight = False
-            self._probe_successes += 1
-            if self._probe_successes >= self.success_threshold:
-                self._transition(BreakerState.CLOSED)
+            self._transition(BreakerState.CLOSED)
             return
         if self.state is BreakerState.OPEN:
             # An out-of-band verified success (a call that bypassed the

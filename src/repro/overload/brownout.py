@@ -5,7 +5,7 @@ out*: it sheds quality in declared, ordered steps — shrink batch sizes,
 stop compaction and scrub work, serve stale reads — and steps back up
 as the overload clears. The controller subscribes to an
 :class:`~repro.telemetry.slo.SloMonitor`: it escalates one mode per
-dwell period while any watched rule is firing, and de-escalates after
+dwell period while any of the monitor's rules is firing, and de-escalates after
 the objectives have been healthy for a recovery period.
 
 Because evaluation happens on sampler ticks of the simulated clock,
@@ -64,7 +64,6 @@ class BrownoutController:
         modes: Sequence[BrownoutMode] = DEFAULT_MODES,
         dwell: float = 5e-3,
         recovery: float = 10e-3,
-        rules: Optional[Sequence[str]] = None,
     ):
         if len(modes) < 2:
             raise ConfigurationError("brownout needs at least two modes")
@@ -77,8 +76,6 @@ class BrownoutController:
         self.modes: Tuple[BrownoutMode, ...] = tuple(modes)
         self.dwell = dwell
         self.recovery = recovery
-        #: Restrict to these rule names; None watches every monitor rule.
-        self.rules = set(rules) if rules is not None else None
         self._level = 0
         self._last_transition: Optional[float] = None
         self._healthy_since: Optional[float] = None
@@ -118,12 +115,6 @@ class BrownoutController:
         ).encode()
 
     # -- the control loop ------------------------------------------------
-    def _firing(self) -> bool:
-        firing = self.monitor.firing
-        if self.rules is None:
-            return bool(firing)
-        return any(name in self.rules for name in firing)
-
     def _step(self, now: float, to_level: int, direction: str) -> None:
         frm = self.modes[self._level].name
         self._level = to_level
@@ -144,7 +135,7 @@ class BrownoutController:
 
     def check(self, now: float) -> None:
         """One evaluation pass (normally invoked by the sampler)."""
-        if self._firing():
+        if self.monitor.firing:
             self._healthy_since = None
             if self._level + 1 < len(self.modes) and (
                 self._last_transition is None

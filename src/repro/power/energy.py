@@ -1,4 +1,4 @@
-"""Energy accounting: component TDPs and integrated energy over sim time."""
+"""Energy accounting: component TDPs."""
 
 from __future__ import annotations
 
@@ -35,31 +35,3 @@ HYPERION_POWER: Dict[str, ComponentPower] = {
 
 def total_tdp(components: Dict[str, ComponentPower]) -> float:
     return sum(component.tdp_watts for component in components.values())
-
-
-class EnergyMeter:
-    """Integrates power over busy time per component.
-
-    ``charge(name, duration, utilization)`` adds
-    ``tdp * utilization * duration`` joules; experiments charge the meters
-    as their datapaths run.
-    """
-
-    def __init__(self, components: Dict[str, ComponentPower]):
-        self.components = dict(components)
-        self.joules: Dict[str, float] = {name: 0.0 for name in components}
-
-    def charge(self, name: str, duration: float, utilization: float = 1.0) -> None:
-        if name not in self.components:
-            raise ConfigurationError(f"unknown component {name}")
-        if duration < 0 or not 0 <= utilization <= 1:
-            raise ConfigurationError("bad duration/utilization")
-        self.joules[name] += self.components[name].tdp_watts * utilization * duration
-
-    def total_joules(self) -> float:
-        return sum(self.joules.values())
-
-    def energy_per_op(self, operations: int) -> float:
-        if operations <= 0:
-            raise ConfigurationError("need at least one operation")
-        return self.total_joules() / operations

@@ -166,8 +166,7 @@ class ShardedKvClient(KvClientCore):
         return True
 
     # -- batched multi-key ops -------------------------------------------------
-    def _batched(self, ops: List[Tuple[int, BatchOp]], settle,
-                 priority: int):
+    def _batched(self, ops: List[Tuple[int, BatchOp]], settle):
         """Process: the one batched path for ``(position, op)`` pairs.
 
         Ops are grouped by their key's owner and coalesced into one
@@ -186,7 +185,7 @@ class ShardedKvClient(KvClientCore):
 
         def send(owner, chunk):
             responses = yield from self.rpc.call_batch(
-                owner, [op for __, op in chunk], priority=priority,
+                owner, [op for __, op in chunk]
             )
             self._round_trips.inc()
             for (p, __), response in zip(chunk, responses):
@@ -215,7 +214,7 @@ class ShardedKvClient(KvClientCore):
         if errors:
             raise errors[0]
 
-    def get_many(self, keys: Iterable[bytes], *, priority: int = 0):
+    def get_many(self, keys: Iterable[bytes]):
         """Process: read many keys with batched, owner-grouped RPCs.
 
         Returns values aligned with *keys* (``None`` for absent keys).
@@ -240,12 +239,11 @@ class ShardedKvClient(KvClientCore):
             if self.cache is not None and value is not None:
                 self.cache.fill(keys[p], value, epoch)
 
-        yield from self._batched(misses, fill, priority)
+        yield from self._batched(misses, fill)
         self._ops.inc(len(keys))
         return values
 
-    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]], *,
-                 priority: int = 0):
+    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]):
         """Process: write many pairs with batched, owner-grouped RPCs."""
         ops = [(p, kv_op("kv.put", bytes(k), bytes(v)))
                for p, (k, v) in enumerate(pairs)]
@@ -254,6 +252,6 @@ class ShardedKvClient(KvClientCore):
             if self.cache is not None:
                 self.cache.invalidate(ops[p][1].args[0])
 
-        yield from self._batched(ops, invalidate, priority)
+        yield from self._batched(ops, invalidate)
         self._ops.inc(len(ops))
         return True

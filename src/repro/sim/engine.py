@@ -38,7 +38,7 @@ Hot-path design notes (every simulated operation crosses this module):
   with nothing observable between them folds its instants left to
   right and sleeps once on :meth:`Simulator.timeout_at`, which fires at
   exactly the float the chain reached.
-* The ``_schedule`` -> push path is inlined at the hot call sites
+* The queue push is inlined at the hot call sites
   (``Timeout.__init__``, ``succeed``/``fail``, process completion), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
   entry — with or without ``until``. ``step()`` remains the
@@ -97,26 +97,20 @@ class Event:
             raise RuntimeError("event has not been triggered")
         return self._value
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with an optional payload."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully, now, with an optional payload."""
         if self._value is not _PENDING:
             raise RuntimeError("event already triggered")
         sim = self.sim
-        # Schedule before mutating: a rejected delay (< 0) must leave the
-        # event untriggered. Nothing runs callbacks between the push and
-        # the field writes, so the ordering is unobservable otherwise.
-        if delay == 0.0:
-            self._fire_at = now = sim.now
-            sim._eid = eid = sim._eid + 1
-            sim._imm.append((now, eid, self, None))
-        else:
-            self._fire_at = sim._schedule(self, delay)
+        self._fire_at = now = sim.now
+        sim._eid = eid = sim._eid + 1
+        sim._imm.append((now, eid, self, None))
         self._value = value
         self._ok = True
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event with an exception.
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event, now, with an exception.
 
         The exception is re-raised inside every process waiting on it.
         """
@@ -125,12 +119,9 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         sim = self.sim
-        if delay == 0.0:
-            self._fire_at = now = sim.now
-            sim._eid = eid = sim._eid + 1
-            sim._imm.append((now, eid, self, None))
-        else:
-            self._fire_at = sim._schedule(self, delay)
+        self._fire_at = now = sim.now
+        sim._eid = eid = sim._eid + 1
+        sim._imm.append((now, eid, self, None))
         self._value = exception
         self._ok = False
         return self
@@ -429,19 +420,6 @@ class Simulator:
         return self._recorder
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> float:
-        """Queue *event* after *delay*; returns its absolute fire time."""
-        self._eid = eid = self._eid + 1
-        if delay == 0.0:
-            when = self.now
-            self._imm.append((when, eid, event, None))
-        else:
-            if delay < 0:
-                raise ValueError(f"cannot schedule into the past: {delay}")
-            when = self.now + delay
-            heappush(self._heap, (when, eid, event, None))
-        return when
-
     def call_later(self, delay: float, thunk: Callable[[], None]) -> None:
         """Run the bare callable *thunk* after *delay* (one eid, no Event).
 
@@ -475,7 +453,7 @@ class Simulator:
         else:  # earlier, or NaN
             raise ValueError(f"cannot call_at the past: {when} (now {now})")
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
+    def timeout_at(self, when: float) -> Event:
         """An event that fires at the absolute simulated time *when*:
         the waitable twin of :meth:`call_at` (one eid, lane when *when*
         is now, heap when later, a past or NaN *when* raises before
@@ -501,7 +479,7 @@ class Simulator:
         else:  # earlier, or NaN
             raise ValueError(f"cannot timeout_at the past: {when} (now {now})")
         event._fire_at = when
-        event._value = value
+        event._value = None
         return event
 
     # -- factories ---------------------------------------------------------

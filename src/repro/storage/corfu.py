@@ -13,13 +13,19 @@ Three roles, all CPU-free on the DPU side:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
+from repro.hw.nvme.namespace import LBA_SIZE
 from repro.sim import Simulator
 from repro.transport.rpc import RpcClient, RpcError, RpcServer
+
+
+def _blocks(length: int) -> int:
+    """Blocks an entry of *length* bytes takes (an empty one takes one)."""
+    return max(1, -(-length // LBA_SIZE))
 
 
 class CorfuSequencer:
@@ -42,31 +48,18 @@ class CorfuSequencer:
 class CorfuLogUnit:
     """Write-once storage for log entries, backed by NVMe flash.
 
-    With ``use_zone_append=True`` the unit's namespace must be a
-    :class:`~repro.hw.nvme.zns.ZonedNamespace` and every entry lands via
-    ZONE_APPEND — the device picks the LBA, which is the natural fit the
-    paper's "KV-SSD, Corfu-SSD" + ZNS combination points at.
+    An entry takes as many blocks as its bytes need, from the next free
+    LBA, and reads back exactly as appended.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        server: RpcServer,
-        controller: NvmeController,
-        namespace_id: int = 1,
-        blocks_per_entry: int = 1,
-        use_zone_append: bool = False,
-    ):
+    def __init__(self, sim: Simulator, server: RpcServer,
+                 controller: NvmeController):
         self.sim = sim
         self.controller = controller
-        self.namespace_id = namespace_id
-        self.blocks_per_entry = blocks_per_entry
-        self.use_zone_append = use_zone_append
         self.qp = controller.create_queue_pair()
         controller.start()
-        self._written: Dict[int, int] = {}  # position -> lba
+        self._written: Dict[int, Tuple[int, int]] = {}  # position -> (lba, length)
         self._next_lba = 0
-        self._active_zone = 0
         self.failed = False
         server.register("corfu.write", self._write)
         server.register("corfu.read", self._read)
@@ -87,60 +80,27 @@ class CorfuLogUnit:
         self._check_alive()
         if position in self._written:
             raise ProtocolError(f"position {position} already written")
-        if self.use_zone_append:
-            # Device-chosen placement: append into the active zone; when it
-            # fills, roll forward to the next zone (the log-structured way).
-            namespace = self.controller.namespaces[self.namespace_id]
-            zone_count = len(namespace.zones)
-            lba = None
-            while self._active_zone < zone_count:
-                zone_start = namespace.zones[self._active_zone].start_lba
-                completion = yield self.qp.submit(
-                    NvmeCommand(
-                        NvmeOpcode.ZONE_APPEND,
-                        namespace_id=self.namespace_id,
-                        lba=zone_start,
-                        data=bytes(data),
-                    )
-                )
-                if completion.ok:
-                    lba = completion.result_lba
-                    break
-                self._active_zone += 1  # zone full: move on
-            if lba is None:
-                raise ProtocolError("zone append failed: namespace full")
-        else:
-            lba = self._next_lba
-            self._next_lba += self.blocks_per_entry
-            completion = yield self.qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.WRITE,
-                    namespace_id=self.namespace_id,
-                    lba=lba,
-                    data=bytes(data),
-                )
-            )
-            if not completion.ok:
-                raise ProtocolError("flash write failed")
-        self._written[position] = lba
+        lba = self._next_lba
+        self._next_lba += _blocks(len(data))
+        completion = yield self.qp.submit(
+            NvmeCommand(NvmeOpcode.WRITE, lba=lba, data=bytes(data))
+        )
+        if not completion.ok:
+            raise ProtocolError("flash write failed")
+        self._written[position] = (lba, len(data))
         return True
 
     def _read(self, position: int):
         self._check_alive()
-        lba = self._written.get(position)
-        if lba is None:
+        if position not in self._written:
             raise ProtocolError(f"position {position} not written")
+        lba, length = self._written[position]
         completion = yield self.qp.submit(
-            NvmeCommand(
-                NvmeOpcode.READ,
-                namespace_id=self.namespace_id,
-                lba=lba,
-                block_count=self.blocks_per_entry,
-            )
+            NvmeCommand(NvmeOpcode.READ, lba=lba, block_count=_blocks(length))
         )
         if not completion.ok:
             raise ProtocolError("flash read failed")
-        return completion.data
+        return completion.data[:length]
 
     def _filled(self, position: int) -> bool:
         self._check_alive()

@@ -20,6 +20,10 @@ from repro.transport.rpc import BatchOp, RpcClient, RpcServer
 #: the processing a one-sided RDMA read of a cached value bypasses.
 KV_REQUEST_PROCESSING = 2e-6
 
+#: Where the write-ahead log and the flushed SSTables start on namespace 1.
+WAL_START_LBA = 0
+SSTABLE_START_LBA = 1024
+
 #: The ``kv.*`` wire format: a request is this header plus its key (and
 #: value) bytes; a write is answered by a ``KV_ACK``-byte ack and a
 #: ``kv.get`` by a ``KV_VALUE``-byte value budget.
@@ -41,14 +45,10 @@ class KvSsd:
         self,
         sim: Simulator,
         controller: NvmeController,
-        namespace_id: int = 1,
-        wal_start_lba: int = 0,
-        sstable_start_lba: int = 1024,
         memtable_limit: int = 256,
     ):
         self.sim = sim
         self.controller = controller
-        self.namespace_id = namespace_id
         self.qp = controller.create_queue_pair()
         controller.start()
         self._metrics = sim.telemetry.unique_scope(
@@ -57,8 +57,8 @@ class KvSsd:
         self.lsm = LsmTree(
             memtable_limit=memtable_limit, metrics=self._metrics.scope("lsm")
         )
-        self._wal_lba = wal_start_lba
-        self._sstable_lba = sstable_start_lba
+        self._wal_lba = WAL_START_LBA
+        self._sstable_lba = SSTABLE_START_LBA
         self._gets = self._metrics.counter("gets")
         self._puts = self._metrics.counter("puts")
 
@@ -77,12 +77,7 @@ class KvSsd:
             + value
         )
         completion = yield self.qp.submit(
-            NvmeCommand(
-                NvmeOpcode.WRITE,
-                namespace_id=self.namespace_id,
-                lba=self._wal_lba,
-                data=record,
-            )
+            NvmeCommand(NvmeOpcode.WRITE, lba=self._wal_lba, data=record)
         )
         if not completion.ok:
             raise CapacityError("WAL append failed")
@@ -110,11 +105,7 @@ class KvSsd:
             runs_consulted = self.lsm.search_cost(key) - 1  # memtable is free
             span.annotate(runs_consulted=max(0, runs_consulted))
             for _ in range(max(0, runs_consulted)):
-                yield self.qp.submit(
-                    NvmeCommand(
-                        NvmeOpcode.READ, namespace_id=self.namespace_id, lba=0
-                    )
-                )
+                yield self.qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
             self._gets.inc()
             return self.lsm.get(key)
 
@@ -134,22 +125,13 @@ class KvSsd:
                     break
         # One flash read per SSTable run touched by the scan.
         for _ in range(len(self.lsm.l0) + (1 if self.lsm.l1 else 0)):
-            yield self.qp.submit(
-                NvmeCommand(
-                    NvmeOpcode.READ, namespace_id=self.namespace_id, lba=0
-                )
-            )
+            yield self.qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
         return results
 
     def _persist_newest_sstable(self):
         image = self.lsm.l0[0].serialize()
         completion = yield self.qp.submit(
-            NvmeCommand(
-                NvmeOpcode.WRITE,
-                namespace_id=self.namespace_id,
-                lba=self._sstable_lba,
-                data=image,
-            )
+            NvmeCommand(NvmeOpcode.WRITE, lba=self._sstable_lba, data=image)
         )
         if not completion.ok:
             raise CapacityError("SSTable persist failed")

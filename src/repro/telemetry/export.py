@@ -48,8 +48,15 @@ __all__ = [
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
 
+#: Namespace of every generated Prometheus family name.
+FAMILY_PREFIX = "repro_"
 
-def _family_names(paths: List[str], prefix: str) -> Dict[str, str]:
+#: The one process a trace-event export describes.
+TRACE_PID = 1
+TRACE_PROCESS_NAME = "hyperion-sim"
+
+
+def _family_names(paths: List[str]) -> Dict[str, str]:
     """Deterministic path -> Prometheus family name, collision-free.
 
     ``dpu0.net.port0.rx_frames`` becomes ``repro_dpu0_net_port0_rx_frames``;
@@ -59,7 +66,7 @@ def _family_names(paths: List[str], prefix: str) -> Dict[str, str]:
     names: Dict[str, str] = {}
     used: Dict[str, int] = {}
     for path in paths:
-        base = prefix + _UNSAFE.sub("_", path)
+        base = FAMILY_PREFIX + _UNSAFE.sub("_", path)
         seen = used.get(base, 0)
         used[base] = seen + 1
         names[path] = base if seen == 0 else f"{base}_{seen + 1}"
@@ -79,17 +86,15 @@ def _escape_label(value: str) -> str:
     )
 
 
-def prometheus_text(registry: MetricsRegistry, prefix: str = "",
-                    name_prefix: str = "repro_") -> str:
-    """The registry in the Prometheus text exposition format.
+def prometheus_text(registry: MetricsRegistry) -> str:
+    """The whole registry in the Prometheus text exposition format.
 
-    ``prefix`` restricts to one component subtree (same semantics as
-    ``snapshot_bytes``); ``name_prefix`` namespaces the generated family
-    names. Families appear in sorted-path order; histogram buckets are
-    cumulative with a closing ``le="+Inf"`` as the format requires.
+    Family names carry :data:`FAMILY_PREFIX`. Families appear in
+    sorted-path order; histogram buckets are cumulative with a closing
+    ``le="+Inf"`` as the format requires.
     """
-    paths = registry.paths(prefix)
-    names = _family_names(paths, name_prefix)
+    paths = registry.paths()
+    names = _family_names(paths)
     lines: List[str] = []
     for path in paths:
         metric = registry.get(path)
@@ -230,8 +235,7 @@ def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
 
 # -- Chrome trace events -----------------------------------------------------
 
-def trace_events(tracer: Tracer, pid: int = 1,
-                 process_name: str = "hyperion-sim") -> List[Dict[str, Any]]:
+def trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     """The tracer's span trees as trace-event dicts.
 
     Every span becomes one complete event (``"ph": "X"``) with
@@ -242,11 +246,11 @@ def trace_events(tracer: Tracer, pid: int = 1,
     """
     events: List[Dict[str, Any]] = [
         {
-            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": process_name},
+            "ph": "M", "name": "process_name", "pid": TRACE_PID, "tid": 0,
+            "args": {"name": TRACE_PROCESS_NAME},
         },
         {
-            "ph": "M", "name": "thread_name", "pid": pid, "tid": 1,
+            "ph": "M", "name": "thread_name", "pid": TRACE_PID, "tid": 1,
             "args": {"name": "simulated-datapath"},
         },
     ]
@@ -269,7 +273,7 @@ def trace_events(tracer: Tracer, pid: int = 1,
             "cat": span.substrate or "sim",
             "ts": start,
             "dur": end - start,
-            "pid": pid,
+            "pid": TRACE_PID,
             "tid": 1,
             "args": args,
         })
@@ -281,9 +285,7 @@ def trace_events(tracer: Tracer, pid: int = 1,
     return events
 
 
-def chrome_trace_json(tracer: Tracer, pid: int = 1,
-                      process_name: str = "hyperion-sim",
-                      indent: Optional[int] = None) -> str:
+def chrome_trace_json(tracer: Tracer) -> str:
     """The tracer serialized as a ``chrome://tracing``/Perfetto JSON blob.
 
     Canonical: keys sorted, events in depth-first root order, floats via
@@ -291,6 +293,6 @@ def chrome_trace_json(tracer: Tracer, pid: int = 1,
     """
     payload = {
         "displayTimeUnit": "ns",
-        "traceEvents": trace_events(tracer, pid, process_name),
+        "traceEvents": trace_events(tracer),
     }
-    return json.dumps(payload, sort_keys=True, indent=indent)
+    return json.dumps(payload, sort_keys=True)

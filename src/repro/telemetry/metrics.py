@@ -127,9 +127,9 @@ class Gauge(Metric):
         self._value += amount
         return self._value
 
-    def dec(self, amount: float = 1.0) -> float:
-        """Subtract *amount* and return the new value."""
-        self._value -= amount
+    def dec(self) -> float:
+        """Subtract one and return the new value."""
+        self._value -= 1.0
         return self._value
 
     def snapshot_line(self) -> str:
@@ -489,13 +489,13 @@ class MetricsRegistry:
             yield self._metrics[path]
 
     # -- canonical output ----------------------------------------------------
-    def snapshot_bytes(self, prefix: str = "") -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """The whole registry as canonical bytes.
 
         Same seed => byte-identical output, the same contract
         ``FaultInjector.schedule_bytes`` gives for fault schedules.
         """
-        lines = [metric.snapshot_line() for metric in self.walk(prefix)]
+        lines = [metric.snapshot_line() for metric in self.walk()]
         return "\n".join(lines).encode()
 
     def render(self, prefix: str = "") -> str:

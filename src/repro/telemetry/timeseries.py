@@ -14,7 +14,7 @@ End-of-run totals say *what* happened; a time series says *when*. The
   samples append no interval points — a silent histogram produces a
   gap, not a misleading zero.
 
-Series are ring buffers (the newest ``capacity`` points), and every
+Series are ring buffers (the newest :data:`SERIES_CAPACITY` points), and every
 windowed aggregation (``rate``, ``mean``, ``max``, ``quantile``) reads
 the points inside a trailing simulated-time window. All of it follows
 the determinism contract: sampling runs on the simulated clock, and
@@ -40,20 +40,18 @@ __all__ = ["Series", "Sampler"]
 #: One sampled point: (simulated time, value).
 Point = Tuple[float, float]
 
+#: Points a series keeps; the oldest is evicted past this.
+SERIES_CAPACITY = 1024
+
 
 class Series:
     """A ring buffer of ``(time, value)`` points for one statistic."""
 
-    __slots__ = ("name", "capacity", "_points")
+    __slots__ = ("name", "_points")
 
-    def __init__(self, name: str, capacity: int = 1024):
-        if capacity < 1:
-            raise ConfigurationError(
-                f"series {name} needs a positive capacity"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.capacity = capacity
-        self._points: Deque[Point] = deque(maxlen=capacity)
+        self._points: Deque[Point] = deque(maxlen=SERIES_CAPACITY)
 
     # -- recording -----------------------------------------------------------
     def append(self, when: float, value: float) -> None:
@@ -148,13 +146,12 @@ class Sampler:
     """
 
     def __init__(self, registry: MetricsRegistry, clock,
-                 period: float = 1e-3, capacity: int = 1024):
+                 period: float = 1e-3):
         if period <= 0:
             raise ConfigurationError("sampler period must be positive")
         self.registry = registry
         self.clock = clock
         self.period = period
-        self.capacity = capacity
         self.ticks = 0
         self.on_sample: List[Callable[[float], None]] = []
         self._watched: List[str] = []
@@ -186,7 +183,7 @@ class Sampler:
     def _series_for(self, name: str) -> Series:
         series = self._series.get(name)
         if series is None:
-            series = Series(name, self.capacity)
+            series = Series(name)
             self._series[name] = series
         return series
 

@@ -575,33 +575,21 @@ class RpcClient:
         breaker.record_success()
         return result
 
-    def call_batch(
-        self,
-        server: str,
-        ops: "List[BatchOp]",
-        *,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        deadline: Optional[float] = None,
-        policy: Optional[RetryPolicy] = None,
-        priority: int = 0,
-    ):
+    def call_batch(self, server: str, ops: "List[BatchOp]"):
         """Process: coalesce up to :data:`MAX_BATCH_OPS` ops into one RPC.
 
         The whole batch travels as a single request (one network round
         trip, one admission token, one queue slot, one worker dispatch)
         and is answered with a list of per-op :class:`RpcResponse`
         objects in op order — a sub-op failure is marshalled in its slot
-        instead of failing the batch. Transport-level failures (timeout,
-        deadline, shed batch) raise :class:`RpcError` for the batch as a
-        whole; retransmission knobs behave exactly as in :meth:`call`
-        (handlers must stay idempotent).
+        instead of failing the batch. A transport-level failure (a shed
+        batch) raises :class:`RpcError` for the batch as a whole. The
+        batch is sent once, at the default priority, and awaited with no
+        timeout or deadline, as :meth:`call` is without those options.
 
         Args:
             server: destination address.
             ops: the :class:`BatchOp` sequence to coalesce (1..64).
-            timeout/retries/deadline/policy/priority: as in :meth:`call`;
-                ``priority`` classes the *whole batch* for admission.
 
         Returns:
             ``List[RpcResponse]``, index-aligned with *ops*.
@@ -614,19 +602,16 @@ class RpcClient:
         response_size = sum(op.response_size for op in ops)
         wire_ops = tuple((op.method, op.args) for op in ops)
         request = RpcRequest(
-            next(self._rpc_ids), BATCH_METHOD, (wire_ops,), response_size,
-            priority=priority,
+            next(self._rpc_ids), BATCH_METHOD, (wire_ops,), response_size
         )
         self._batched_ops.inc(len(ops))
         if self._tracer.enabled:
             response = yield from self._issue_traced(
-                server, request, request_size, timeout, retries, deadline,
-                policy,
+                server, request, request_size, None, 0, None, None
             )
         else:
             response = yield from self._issue(
-                server, request, request_size, timeout, retries, deadline,
-                policy,
+                server, request, request_size, None, 0, None, None
             )
         if not response.ok:
             raise RpcError(response.error)

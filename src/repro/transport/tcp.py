@@ -21,9 +21,9 @@ TCP_HEADER = 40
 MSS = MAX_FRAME_PAYLOAD - TCP_HEADER
 #: Protocol processing per segment (checksums, state machine).
 SEGMENT_PROCESSING = 500e-9
-#: Default retransmission timeout, sized for intra-rack RTTs. Stacks on
-#: WAN-RTT paths must pass a larger ``rto`` to ``TcpStack`` or every
-#: segment retransmits spuriously before the ACK can possibly arrive.
+#: Retransmission timeout, sized for intra-rack RTTs. On a WAN-RTT path
+#: every segment would retransmit spuriously before its ACK could arrive
+#: (and ``connect`` gives up after 16 SYNs).
 RTO = 200e-6
 
 #: A connection id: the initiating stack's address and its sequence
@@ -94,7 +94,7 @@ class TcpConnection:
                 yield from self.stack.port.send(
                     Frame(self.stack.address, self.peer, segment, chunk + TCP_HEADER)
                 )
-                timeout = sim.timeout(self.stack.rto)
+                timeout = sim.timeout(RTO)
                 outcome = yield sim.any_of([ack_event, timeout])
                 if ack_event in outcome:
                     break
@@ -133,12 +133,9 @@ class TcpConnection:
 class TcpStack:
     """Per-endpoint TCP state: listening, connections, demux."""
 
-    def __init__(self, sim: Simulator, port: NetworkPort, rto: float = RTO):
-        if rto <= 0:
-            raise ProtocolError("rto must be positive")
+    def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
         self.port = port
-        self.rto = rto
         self.connections: Dict[ConnId, TcpConnection] = {}
         self.accept_queue: Store = Store(sim)
         self._pending_connect: Dict[ConnId, Event] = {}
@@ -159,7 +156,7 @@ class TcpStack:
             yield from self.port.send(
                 Frame(self.address, peer, _Syn(conn_id), TCP_HEADER)
             )
-            timeout = self.sim.timeout(self.rto)
+            timeout = self.sim.timeout(RTO)
             outcome = yield self.sim.any_of([done, timeout])
             if done in outcome:
                 break  # SYN-ACK received

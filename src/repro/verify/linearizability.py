@@ -46,7 +46,7 @@ __all__ = [
 
 #: Search-state budget per key; generous for the op counts E19 produces
 #: (tens of ops per key), a hard stop against pathological histories.
-DEFAULT_MAX_STATES = 500_000
+MAX_STATES = 500_000
 
 
 class BudgetExceeded(Exception):
@@ -134,9 +134,10 @@ class CheckResult:
         return [result.line() for result in self.keys]
 
 
-def _search(entries: List[_Entry], initial: Optional[bytes],
+def _search(entries: List[_Entry],
             budget: List[int]) -> Optional[List[int]]:
-    """One Wing & Gong search; a linearization (entry indexes) or None."""
+    """One Wing & Gong search from an absent register; a linearization
+    (entry indexes) or None."""
     count = len(entries)
     if count == 0:
         return []
@@ -194,7 +195,7 @@ def _search(entries: List[_Entry], initial: Optional[bytes],
         return False
 
     full = (1 << count) - 1
-    if recurse(full, initial):
+    if recurse(full, None):
         return list(order)
     return None
 
@@ -215,14 +216,12 @@ def _prefix_at(entries: List[_Entry], cutoff: float) -> List[_Entry]:
     return prefix
 
 
-def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
-                   max_states: int = DEFAULT_MAX_STATES,
-                   key: bytes = b"") -> KeyResult:
+def check_register(ops: Iterable[Op], *, key: bytes = b"") -> KeyResult:
     """Check one key's ops against the sequential register model."""
     entries = _entries(ops)
-    budget = [max_states]
-    order = _search(entries, initial, budget)
-    states = max_states - budget[0]
+    budget = [MAX_STATES]
+    order = _search(entries, budget)
+    states = MAX_STATES - budget[0]
     if order is not None:
         return KeyResult(key, True, len(entries), states,
                          linearization=[entries[i].op.index for i in order])
@@ -233,7 +232,7 @@ def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
     witness = None
     for cutoff in sorted({e.ret for e in entries if math.isfinite(e.ret)}):
         prefix = _prefix_at(entries, cutoff)
-        if _search(prefix, initial, [max_states]) is None:
+        if _search(prefix, [MAX_STATES]) is None:
             closers = [e.op for e in entries if e.ret == cutoff]
             witness = min(closers, key=lambda op: op.index)
             break
@@ -242,9 +241,6 @@ def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
 
 def check_history(
     history: Union[HistoryRecorder, Iterable[Op]],
-    *,
-    initial: Optional[bytes] = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> CheckResult:
     """Check a whole multi-key history, one register search per key.
 
@@ -259,8 +255,7 @@ def check_history(
     results = []
     total_states = 0
     for key in sorted(grouped):
-        result = check_register(grouped[key], initial=initial,
-                                max_states=max_states, key=key)
+        result = check_register(grouped[key], key=key)
         total_states += result.states
         results.append(result)
     ok = all(result.ok for result in results)

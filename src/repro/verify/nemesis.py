@@ -47,6 +47,9 @@ from repro.faults.plan import FaultKind, FaultPlan
 
 __all__ = ["geo_plan", "primary_kill_plan", "sharded_plan"]
 
+#: The component id the recording client's uplink consults for faults.
+CLIENT_UPLINK = "client.uplink"
+
 
 def _window(rng: random.Random, lo: float, hi: float,
             min_dur: float, max_dur: float) -> tuple:
@@ -61,7 +64,6 @@ def sharded_plan(
     addresses: Sequence[str],
     *,
     horizon: float,
-    uplink: str = "client.uplink",
     migration_at: Optional[float] = None,
 ) -> FaultPlan:
     """A randomized schedule against one sharded KV cluster.
@@ -73,7 +75,8 @@ def sharded_plan(
     * with probability 1/2, one fire-once power cut on another DPU —
       down for the rest of the run;
     * one stuck-die window on a random DPU's flash (latency, not loss);
-    * a lossy client-uplink window (bounded probabilistic frame drops);
+    * a lossy window on the :data:`CLIENT_UPLINK` link (bounded
+      probabilistic frame drops);
     * when *migration_at* is given, a kill window on the first DPU
       timed to land mid-``shard.handoff``.
     """
@@ -102,7 +105,7 @@ def sharded_plan(
                  0.1 * horizon, 0.25 * horizon),
     )
     devices.probabilistic(
-        "lossy-uplink", uplink, FaultKind.FRAME_DROP,
+        "lossy-uplink", CLIENT_UPLINK, FaultKind.FRAME_DROP,
         probability=rng.uniform(0.004, 0.015),
         window=_window(rng, 0.0, horizon, 0.3 * horizon, 0.6 * horizon),
         max_fires=rng.randint(4, 10),
@@ -127,12 +130,11 @@ def _primary_edges(regions: Sequence[str], primary: str):
 
 
 def primary_kill_plan(seed: int, regions: Sequence[str], primary: str,
-                      start: float, end: float,
-                      prefix: str = "kill") -> FaultPlan:
+                      start: float, end: float) -> FaultPlan:
     """Symmetrically cut every WAN edge of *primary* over one window."""
     plan = FaultPlan(seed=seed)
     for src, dst in _primary_edges(regions, primary):
-        plan.wan_partition(f"{prefix}-{src}-{dst}", src, dst, start, end)
+        plan.wan_partition(f"kill-{src}-{dst}", src, dst, start, end)
     return plan
 
 

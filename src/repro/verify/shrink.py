@@ -70,7 +70,6 @@ def shrink_plan(
     violates: Callable[[FaultPlan], bool],
     *,
     max_runs: int = 64,
-    min_window: float = MIN_WINDOW,
 ) -> ShrinkResult:
     """Delta-debug *plan* down to a minimal still-violating reproducer.
 
@@ -80,7 +79,8 @@ def shrink_plan(
             plan and reports whether the violation still occurs. Must be
             a pure function of the plan (same plan => same verdict).
         max_runs: hard cap on scenario re-runs across both passes.
-        min_window: stop narrowing windows below this duration.
+
+    Windows are narrowed no further than :data:`MIN_WINDOW`.
     """
     runs = [0]
 
@@ -123,13 +123,13 @@ def shrink_plan(
         # Halve from the end, then from the start, keeping halves that
         # still violate. Each accepted halving tightens the reproducer.
         for side in ("end", "start"):
-            while end - start > min_window and runs[0] < max_runs:
+            while end - start > MIN_WINDOW and runs[0] < max_runs:
                 if side == "end":
                     trial = (start, max(start + (end - start) / 2,
-                                        start + min_window))
+                                        start + MIN_WINDOW))
                 else:
                     trial = (min(end - (end - start) / 2,
-                                 end - min_window), end)
+                                 end - MIN_WINDOW), end)
                 if trial == (start, end):
                     break
                 candidate = list(specs)

@@ -77,8 +77,7 @@ class _TrafficBase:
 
     def __init__(self, sim, spec: WorkloadSpec, clients: Dict[str, object],
                  seed: int, horizon: float, *,
-                 deadline: Optional[float] = None,
-                 scope: str = "workload.traffic") -> None:
+                 deadline: Optional[float] = None) -> None:
         missing = [t.name for t in spec.tenants if t.name not in clients]
         if missing:
             raise ValueError(f"no client for tenants: {', '.join(missing)}")
@@ -91,7 +90,7 @@ class _TrafficBase:
         self.zipf = ZipfKeys(spec.key_count, spec.zipf_skew)
         self.outcomes: List[Tuple[float, float, bool, int, str, str]] = []
         self.origin = 0.0
-        metrics = sim.telemetry.unique_scope(scope)
+        metrics = sim.telemetry.unique_scope("workload.traffic")
         self._offered = metrics.counter("offered_ops")
         self._served = metrics.counter("served_ops")
         self._failed = metrics.counter("failed_ops")

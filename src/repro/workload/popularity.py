@@ -41,16 +41,14 @@ class ZipfKeys:
     so :meth:`pick_index` is one ``rng.random()`` plus a bisect.
     """
 
-    def __init__(self, count: int, skew: float = 1.0,
-                 prefix: str = "key-") -> None:
+    def __init__(self, count: int, skew: float = 1.0) -> None:
         if count < 1:
             raise ConfigurationError("zipf key count must be >= 1")
         if skew < 0:
             raise ConfigurationError("zipf skew must be >= 0")
         self.count = count
         self.skew = skew
-        self.prefix = prefix
-        self._keys = [f"{prefix}{i:05d}".encode() for i in range(count)]
+        self._keys = [f"key-{i:05d}".encode() for i in range(count)]
         cumulative: List[float] = []
         total = 0.0
         for rank in range(count):

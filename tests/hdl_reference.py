@@ -18,8 +18,8 @@ from repro.sim import Resource
 class ReferencePipeline(HardwarePipeline):
     """Same constructor and result as :class:`HardwarePipeline`."""
 
-    def __init__(self, sim, compiled, maps=None, helpers=None):
-        super().__init__(sim, compiled, maps=maps, helpers=helpers)
+    def __init__(self, sim, compiled, maps=None):
+        super().__init__(sim, compiled, maps=maps)
         self._input_port = Resource(sim, capacity=1)
 
     def execute(self, context: bytes = b""):

@@ -265,7 +265,7 @@ class TestLoadBalancer:
         sim = Simulator()
         dpu = booted_dpu(sim)
         lb = LoadBalancer(sim, dpu, dram_table_entries=64, policy="overflow")
-        trace = generate_connections(3000, flow_count=500, hot_probability=0.9)
+        trace = generate_connections(3000, flow_count=500)
 
         def scenario():
             for packet in trace:
@@ -280,8 +280,7 @@ class TestLoadBalancer:
         lb = LoadBalancer(sim, dpu, dram_table_entries=8, policy="overflow")
 
         def scenario():
-            for packet in generate_connections(500, flow_count=300,
-                                               hot_probability=0.1):
+            for packet in generate_connections(500, flow_count=300):
                 yield from lb.handle_packet(packet)
 
         sim.run_process(scenario())

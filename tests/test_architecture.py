@@ -151,7 +151,7 @@ def test_kv_clients_stand_on_one_core():
     assert knobs == {
         "ShardedKvClient": ["sim", "cluster", "name", "cache", "batch_limit",
                             "timeout", "retries", "deadline", "history"],
-        "FailoverKvClient": ["sim", "network", "name", "cluster", "history"],
+        "FailoverKvClient": ["sim", "network", "name", "cluster"],
         "GeoKvClient": ["sim", "cluster", "name", "home", "preference",
                         "timeout", "retries", "rounds", "stale_bound",
                         "brownout", "retry_budget", "history"],
@@ -198,26 +198,6 @@ UNREACHABLE_ALLOWED = {
         "the exporter tests parse prometheus_text output back with it",
 }
 
-#: Dead code that goes next, in a change of its own together with its
-#: 28 tests (ROADMAP item 5). Nothing may join this set; it only shrinks.
-UNREACHABLE_TO_DELETE = {
-    "repro.common.units.transfer_time",
-    "repro.datastruct.bptree.BPlusTree.range",
-    "repro.ebpf.asm._disassemble_insn",
-    "repro.ebpf.asm.disassemble",
-    "repro.formats.columnar.RecordBatch.concat",
-    "repro.fs.ext4.HyperExtFs.listdir",
-    "repro.fs.ext4.HyperExtFs.unlink",
-    "repro.fs.ext4.HyperExtFs.write_file",
-    "repro.memory.store.SingleLevelStore.capacity_bytes",
-    "repro.memory.store.SingleLevelStore.free",
-    "repro.memory.store.SingleLevelStore.promote",
-    "repro.memory.store.SingleLevelStore.promotions",
-    "repro.memory.store._Allocator.free",
-    "repro.power.energy.EnergyMeter",
-}
-
-
 @pytest.fixture(scope="module")
 def reach():
     return reachability.Reachability()
@@ -226,9 +206,9 @@ def reach():
 def test_nothing_unreachable_but_the_allowed_oracles(reach):
     """Every module and def under ``src/repro`` is run by a registry
     row, a CLI, perfbench or an example (``tools/reachability.py``),
-    except the oracles and what is queued for deletion."""
+    except the oracles."""
     dead = [name for name, _lines in reach.unreachable()]
-    assert dead == sorted(UNREACHABLE_ALLOWED.keys() | UNREACHABLE_TO_DELETE)
+    assert dead == sorted(UNREACHABLE_ALLOWED)
 
 
 def test_the_pass_reports_planted_dead_code(tmp_path):
@@ -258,6 +238,50 @@ def test_the_pass_reports_planted_dead_code(tmp_path):
         "repro.used.planted",
         "repro.used.reexported",
     ]
+
+
+#: Defaulted parameters that no live call passes and that stay anyway.
+#: Only two kinds may: a deployment setting (a name, address or
+#: component id), or a seam tests use to inject an RNG or a clock. At
+#: most 12, each with the reason it stays.
+UNSET_ALLOWED = {
+    "repro.telemetry.timeseries.Series.quantile(now)":
+        "clock seam: tests end the window at an explicit instant",
+}
+
+
+def test_every_option_is_passed_by_something_that_runs(reach):
+    """Every defaulted parameter of a live def outside ``repro.eval`` is
+    passed by a live call (``tools/reachability.py``), bar the allowed
+    seams: an option only tests set keeps alive a branch nothing runs."""
+    assert len(UNSET_ALLOWED) <= 12
+    assert reach.unset_options() == sorted(UNSET_ALLOWED)
+
+
+def test_the_census_reports_only_a_default_nobody_passes(tmp_path):
+    """The pin above cannot pass vacuously: of five defaulted parameters
+    only the one no call passes is reported, not one passed by keyword,
+    one passed by position, one forwarded through ``**kw``, or one on a
+    def registered as a callback."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "from repro import lib\n\n"
+        "lib.by_keyword(1, flag=True)\n"
+        "lib.by_position(1, 2)\n"
+        "lib.forwarding(level=3)\n"
+        "lib.register(lib.handler)\n"
+        "lib.unset()\n")
+    (package / "lib.py").write_text(
+        "def by_keyword(x, flag=False):\n    return x, flag\n\n\n"
+        "def by_position(x, y=0):\n    return x + y\n\n\n"
+        "def target(level=0):\n    return level\n\n\n"
+        "def forwarding(**kw):\n    return target(**kw)\n\n\n"
+        "def handler(request, retries=1):\n    return request, retries\n\n\n"
+        "def register(callback):\n    return callback\n\n\n"
+        "def unset(knob=5):\n    return knob\n")
+    assert reachability.unset_options(tmp_path) == ["repro.lib.unset(knob)"]
 
 
 def test_every_fault_kind_is_consulted_where_something_runs(reach):

@@ -10,11 +10,9 @@ from repro.baseline import (
     OsModel,
     SUPERMICRO_X12,
 )
-from repro.common.errors import ConfigurationError
 from repro.ebpf import BpfVm, assemble
 from repro.hw.nvme import Namespace, NvmeController
 from repro.power import (
-    EnergyMeter,
     HYPERION_POWER,
     HYPERION_VOLUME,
     volume_ratio,
@@ -145,18 +143,3 @@ class TestServerAndPower:
         server_volume = DeviceVolume("x12", SUPERMICRO_X12.dimensions_mm)
         ratio = volume_ratio(server_volume, HYPERION_VOLUME)
         assert 5 <= ratio <= 10
-
-    def test_energy_meter(self):
-        meter = EnergyMeter(HYPERION_POWER)
-        meter.charge("alveo-u280", duration=2.0, utilization=0.5)
-        assert meter.total_joules() == pytest.approx(170.0)
-        assert meter.energy_per_op(100) == pytest.approx(1.7)
-
-    def test_energy_meter_validation(self):
-        meter = EnergyMeter(HYPERION_POWER)
-        with pytest.raises(ConfigurationError):
-            meter.charge("unknown", 1.0)
-        with pytest.raises(ConfigurationError):
-            meter.charge("alveo-u280", -1.0)
-        with pytest.raises(ConfigurationError):
-            meter.energy_per_op(0)

@@ -70,8 +70,8 @@ class _Failover(_Stack):
         self.switch = network.switch
         self.cluster = ReplicatedDpuKvCluster(self.sim, network, dpu_count=3,
                                               replication=2, ssd_blocks=4096)
-        self.client = FailoverKvClient(self.sim, network, "c", self.cluster,
-                                       history=self.history)
+        self.client = FailoverKvClient(self.sim, network, "c", self.cluster)
+        self.client.history = self.history
 
     def candidates(self, key):
         return self.cluster.replicas_of(key)

@@ -26,15 +26,6 @@ class TestBandwidth:
     def test_gbps_is_bytes_per_second(self):
         assert units.gbps(8) == pytest.approx(1e9)
 
-    def test_transfer_time_100gbe(self):
-        # A 1500-byte frame at 100 Gbit/s serializes in 120 ns.
-        t = units.transfer_time(1500, units.gbps(100))
-        assert t == pytest.approx(120e-9)
-
-    def test_transfer_time_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.transfer_time(100, 0)
-
 
 class TestFormatBytes:
     def test_plain_bytes(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.datastruct import BPlusTree, InMemoryNodeStore
+from repro.datastruct import BPlusTree
 
 
 class TestBasics:
@@ -91,34 +91,12 @@ class TestSearchPath:
         assert tree.search_path(1) == [tree.root_id]
 
     def test_fetch_counting(self):
-        store = InMemoryNodeStore()
-        tree = BPlusTree(order=4, store=store)
+        tree = BPlusTree(order=4)
         for key in range(100):
             tree.insert(key, key)
-        before = store.fetches
+        before = tree.store.fetches
         tree.get(42)
-        assert store.fetches - before == tree.height
-
-
-class TestRangeScan:
-    def test_range(self):
-        tree = BPlusTree(order=4)
-        for key in range(50):
-            tree.insert(key, key * 2)
-        got = list(tree.range(10, 20))
-        assert got == [(k, k * 2) for k in range(10, 20)]
-
-    def test_range_across_leaves(self):
-        tree = BPlusTree(order=4)
-        for key in range(200):
-            tree.insert(key, key)
-        got = [k for k, __ in tree.range(50, 150)]
-        assert got == list(range(50, 150))
-
-    def test_empty_range(self):
-        tree = BPlusTree()
-        tree.insert(1, 1)
-        assert list(tree.range(5, 10)) == []
+        assert tree.store.fetches - before == tree.height
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,18 +111,3 @@ def test_matches_dict_semantics(keys):
         assert tree.get(key) == reference[key]
     assert tree.size == len(reference)
     assert [k for k, __ in tree.items()] == sorted(reference)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=200),
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=0, max_value=500),
-)
-def test_range_scan_property(keys, low, high):
-    low, high = min(low, high), max(low, high)
-    tree = BPlusTree(order=4)
-    for key in keys:
-        tree.insert(key, key)
-    expected = sorted(k for k in set(keys) if low <= k < high)
-    assert [k for k, __ in tree.range(low, high)] == expected

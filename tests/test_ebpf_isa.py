@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
-from repro.ebpf import Instruction, Opcode, Program, assemble, disassemble
+from repro.ebpf import Instruction, Opcode, Program, assemble
 
 
 class TestInstruction:
@@ -243,25 +243,3 @@ class TestAssembler:
     def test_call_and_exit(self):
         program = assemble("call 1\nexit")
         assert program.instructions[0].imm == 1
-
-
-class TestDisassembler:
-    def test_roundtrip_through_text(self):
-        source = """
-            mov r0, 0
-            lddw r1, 0xdeadbeef
-            ldxdw r2, [r1+16]
-            jeq r2, 0, +1
-            add r0, r2
-            exit
-        """
-        program = assemble(source)
-        text = disassemble(program)
-        reassembled = assemble(text)
-        assert reassembled.encode() == program.encode()
-
-    def test_readable_output(self):
-        program = assemble("mov r3, 9\nexit")
-        text = disassemble(program)
-        assert "mov r3, 9" in text
-        assert "exit" in text

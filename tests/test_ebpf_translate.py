@@ -21,7 +21,6 @@ from repro.ebpf.helpers import (
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
     HELPER_TRACE_PRINTK,
-    standard_helpers,
 )
 from repro.ebpf.isa import (
     ALU_OPS,
@@ -60,11 +59,18 @@ def fresh_maps():
     return {HASH_FD: hash_map}
 
 
+def budgeted(vm, budget):
+    """*vm* with its instruction budget lowered to *budget*."""
+    vm.max_instructions = budget
+    return vm
+
+
 def observe(vm_class, program, contexts, budget):
     """Everything a caller can see of running *program* on each context."""
     maps = fresh_maps()
-    kwargs = {} if budget is None else {"max_instructions": budget}
-    vm = vm_class(program, maps=maps, **kwargs)
+    vm = vm_class(program, maps=maps)
+    if budget is not None:
+        budgeted(vm, budget)
     outcomes = []
     for context in contexts:
         try:
@@ -365,13 +371,18 @@ def test_corpus_program_counts_are_pinned(name):
 # -- fault edges (programs no verifier would pass) ----------------------------
 
 
-def fault(program, **kwargs):
-    with pytest.raises(ProtocolError) as caught:
-        BpfVm(program, **kwargs).run()
-    with pytest.raises(ProtocolError) as expected:
-        ReferenceVm(program, **kwargs).run()
-    assert str(caught.value) == str(expected.value)
-    return str(caught.value)
+def fault(program, budget=None):
+    """The error both VMs raise running *program* (under *budget*)."""
+    messages = []
+    for vm_class in (BpfVm, ReferenceVm):
+        vm = vm_class(program)
+        if budget is not None:
+            budgeted(vm, budget)
+        with pytest.raises(ProtocolError) as caught:
+            vm.run()
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
 class TestFaultEdges:
@@ -393,14 +404,14 @@ class TestFaultEdges:
 
     def test_budget_is_checked_before_the_pc(self):
         program = assemble("ja +5\nexit")
-        assert fault(program, max_instructions=1) == "instruction budget exhausted (1)"
-        assert fault(program, max_instructions=2) == "pc 6 out of range"
+        assert fault(program, budget=1) == "instruction budget exhausted (1)"
+        assert fault(program, budget=2) == "pc 6 out of range"
 
     def test_budget_raises_before_the_first_over_budget_instruction(self):
         program = assemble("mov r0, 1\nmov r0, 2\nexit")
-        assert fault(program, max_instructions=2) == "instruction budget exhausted (2)"
-        assert BpfVm(program, max_instructions=3).run().instructions_executed == 3
-        assert fault(program, max_instructions=0) == "instruction budget exhausted (0)"
+        assert fault(program, budget=2) == "instruction budget exhausted (2)"
+        assert budgeted(BpfVm(program), 3).run().instructions_executed == 3
+        assert fault(program, budget=0) == "instruction budget exhausted (0)"
 
     def test_budget_hit_after_a_call_keeps_its_side_effect(self):
         program = assemble(
@@ -409,7 +420,7 @@ class TestFaultEdges:
         )
         logs = []
         for vm_class in (ReferenceVm, BpfVm):
-            vm = vm_class(program, max_instructions=3)
+            vm = budgeted(vm_class(program), 3)
             with pytest.raises(ProtocolError, match="budget exhausted"):
                 vm.run()
             logs.append(vm.trace_log)
@@ -438,11 +449,10 @@ class TestFaultEdges:
 
 class TestLateBinding:
     def test_helper_registered_after_construction_is_callable(self):
-        helpers = standard_helpers()
-        vm = BpfVm(assemble("call 42\nexit"), helpers=helpers)
+        vm = BpfVm(assemble("call 42\nexit"))
         with pytest.raises(ProtocolError, match="unknown helper 42"):
             vm.run()
-        helpers.register(42, lambda vm, args: 4242)
+        vm.helpers.register(42, lambda vm, args: 4242)
         result = vm.run()
         assert (result.return_value, result.helper_calls) == (4242, 1)
 

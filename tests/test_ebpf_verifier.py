@@ -6,8 +6,8 @@ from repro.ebpf import Verifier, assemble
 from repro.ebpf.helpers import HELPER_MAP_LOOKUP
 
 
-def verify(source, **kwargs):
-    return Verifier(**kwargs).verify(assemble(source))
+def verify(source):
+    return Verifier().verify(assemble(source))
 
 
 class TestAcceptance:
@@ -172,37 +172,6 @@ class TestRejection:
     def test_negative_context_offset(self):
         report = verify("ldxw r0, [r1-4]\nexit")
         assert not report.ok
-
-
-class TestBoundedLoops:
-    def test_loop_allowed_with_flag(self):
-        report = verify(
-            """
-            mov r0, 10
-        top:
-            sub r0, 1
-            jne r0, 0, top
-            exit
-        """,
-            allow_bounded_loops=True,
-        )
-        assert report.ok
-
-    def test_state_budget_catches_exploding_programs(self):
-        # A loop whose state keeps changing would exhaust the budget; with
-        # our coarse abstraction the state converges, so exploration ends.
-        report = verify(
-            """
-        top:
-            mov r0, 1
-            ja top
-        """,
-            allow_bounded_loops=True,
-        )
-        # The abstract state converges: explored, no error, but also no exit
-        # requirement violated (the exit is unreachable, which is legal).
-        assert report.ok
-        assert report.states_explored < 10
 
 
 class TestReportMetadata:

@@ -13,8 +13,11 @@ from repro.ebpf.helpers import (
 )
 
 
-def run(source, context=b"", **kwargs):
-    return BpfVm(assemble(source), **kwargs).run(context)
+def run(source, context=b"", budget=None):
+    vm = BpfVm(assemble(source))
+    if budget is not None:
+        vm.max_instructions = budget
+    return vm.run(context)
 
 
 class TestArithmetic:
@@ -131,7 +134,7 @@ class TestControlFlow:
             ja top
         """
         with pytest.raises(ProtocolError, match="budget"):
-            run(source, max_instructions=1000)
+            run(source, budget=1000)
 
 
 class TestMemory:

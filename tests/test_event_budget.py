@@ -157,7 +157,7 @@ class TestEntriesPerOp:
         ``SHIP_INTERVAL``, which wakes it inline. (2 while the poll was an
         ``any_of([wake, timeout])``: the timeout and the any_of's hop.)"""
         sim = Simulator()
-        cluster = GeoCluster(sim, ("a", "b"), dpu_count=1)
+        cluster = GeoCluster(sim, ("a", "b"))
         shippers = [shipper for region in cluster.regions.values()
                     for shipper in region.shippers.values()]
         # Past the first heartbeat's WAN round trip, before the next.
@@ -261,8 +261,7 @@ def geo_run(trace_seed):
     known end. Returns what must not depend on whether the run was
     observed."""
     sim = Simulator()
-    cluster = GeoCluster(sim, ("a", "b"), consistency=Consistency.QUORUM,
-                         dpu_count=1)
+    cluster = GeoCluster(sim, ("a", "b"), consistency=Consistency.QUORUM)
     clients = [GeoKvClient(sim, cluster, f"c-{home}", home=home)
                for home in "ab"]
     if trace_seed is not None:

@@ -226,14 +226,14 @@ class TestLinkFaults:
         assert counter(sim, "uplink.frames_dropped") == 1
 
 
-def faulty_nvme(plan, blocks=64, read_retries=2):
+def faulty_nvme(plan, blocks=64):
     sim = Simulator()
     controller = NvmeController(sim, "ssd")
     controller.add_namespace(Namespace(1, blocks))
     qp = controller.create_queue_pair()
     controller.start()
     controller.attach_faults(FaultInjector(sim, plan))
-    backend = NvmeBackend(sim, controller, qp, read_retries=read_retries)
+    backend = NvmeBackend(sim, controller, qp)
     return sim, backend
 
 
@@ -257,13 +257,13 @@ class TestNvmeReadRetry:
     def test_persistent_errors_exhaust_retries(self):
         plan = FaultPlan(seed=2)
         plan.probabilistic("dead-media", "ssd.flash", FaultKind.READ_ERROR, 1.0)
-        sim, backend = faulty_nvme(plan, read_retries=1)
+        sim, backend = faulty_nvme(plan)
         backend.write(0, b"unreachable")
 
         def scenario():
             yield from backend.timed_read(0, 8)
 
-        with pytest.raises(DegradedError, match="after 2 attempts"):
+        with pytest.raises(DegradedError, match="after 3 attempts"):
             sim.run_process(scenario())
 
     def test_command_timeout_aborts_after_watchdog(self):

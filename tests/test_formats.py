@@ -69,10 +69,6 @@ class TestRecordBatch:
         assert batch.aggregate("id", "count") == 4
         assert batch.aggregate("id", "mean") == 1.5
 
-    def test_concat(self):
-        merged = sample_batch(2).concat(sample_batch(3))
-        assert len(merged) == 5
-
     def test_type_coercion(self):
         batch = RecordBatch(Schema.of(x="float64"), {"x": [1, 2]})
         assert batch.column("x").values == [1.0, 2.0]
@@ -98,17 +94,6 @@ class TestParquet:
     def test_empty_table(self):
         raw = write_table(sample_batch(0))
         assert len(read_table(raw)) == 0
-
-    def test_predicate_pushdown_skips_groups(self):
-        raw = write_table(sample_batch(1000), rows_per_group=100)
-        batch = read_table(
-            raw,
-            columns=["id"],
-            predicate_column="id",
-            predicate_range=(950, 999),
-        )
-        # Only the last row group can hold 950..999; rows are not filtered.
-        assert batch.column("id").values == list(range(900, 1000))
 
     def test_string_dictionary_roundtrip(self):
         schema = Schema.of(word="string")

@@ -7,8 +7,8 @@ from repro.hw.fpga.arbiter import WeightedAxisArbiter
 from repro.sim import Simulator
 
 
-def make_arbiter(sim, bandwidth=1e9, quantum=4096):
-    return WeightedAxisArbiter(sim, bandwidth, quantum_bytes=quantum)
+def make_arbiter(sim, bandwidth=1e9):
+    return WeightedAxisArbiter(sim, bandwidth)
 
 
 class TestBasics:

@@ -72,70 +72,6 @@ class TestFiles:
         assert all(e.physical >= fs.superblock()["data_start"] for e in extents)
 
 
-class TestUpdateAndUnlink:
-    def test_write_file_replaces_content(self):
-        fs = make_fs()
-        fs.create_file("/f", b"version one")
-        fs.write_file("/f", b"version two, which is rather longer than one")
-        assert fs.read_file("/f") == b"version two, which is rather longer than one"
-
-    def test_write_file_keeps_inode(self):
-        fs = make_fs()
-        fs.create_file("/f", b"old")
-        inode_before = fs.lookup("/f")
-        fs.write_file("/f", b"new")
-        assert fs.lookup("/f") == inode_before
-
-    def test_write_file_shrink(self):
-        fs = make_fs()
-        fs.create_file("/f", b"x" * 10_000)
-        fs.write_file("/f", b"tiny")
-        assert fs.read_file("/f") == b"tiny"
-
-    def test_write_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            make_fs().write_file("/ghost", b"x")
-
-    def test_write_file_on_directory_rejected(self):
-        fs = make_fs()
-        fs.mkdir("/d")
-        with pytest.raises(ProtocolError):
-            fs.write_file("/d", b"x")
-
-    def test_unlink(self):
-        fs = make_fs()
-        fs.create_file("/doomed", b"bye")
-        fs.unlink("/doomed")
-        with pytest.raises(FileNotFoundError):
-            fs.read_file("/doomed")
-        assert fs.listdir("/") == []
-
-    def test_unlink_frees_inode_for_reuse(self):
-        fs = make_fs()
-        fs.create_file("/a", b"1")
-        freed = fs.lookup("/a")
-        fs.unlink("/a")
-        fs.create_file("/b", b"2")
-        assert fs.lookup("/b") == freed
-
-    def test_unlink_missing(self):
-        with pytest.raises(FileNotFoundError):
-            make_fs().unlink("/ghost")
-
-    def test_unlink_nonempty_dir_rejected(self):
-        fs = make_fs()
-        fs.mkdir("/d")
-        fs.create_file("/d/child", b"")
-        with pytest.raises(ProtocolError, match="not empty"):
-            fs.unlink("/d")
-
-    def test_unlink_empty_dir(self):
-        fs = make_fs()
-        fs.mkdir("/d")
-        fs.unlink("/d")
-        assert fs.listdir("/") == []
-
-
 class TestDirectories:
     def test_mkdir_and_nested_files(self):
         fs = make_fs()
@@ -143,14 +79,6 @@ class TestDirectories:
         fs.mkdir("/data/warehouse")
         fs.create_file("/data/warehouse/table.parquet", b"columns")
         assert fs.read_file("/data/warehouse/table.parquet") == b"columns"
-
-    def test_listdir(self):
-        fs = make_fs()
-        fs.mkdir("/a")
-        fs.create_file("/b", b"")
-        fs.create_file("/a/c", b"")
-        assert fs.listdir("/") == ["a", "b"]
-        assert fs.listdir("/a") == ["c"]
 
     def test_read_dir_as_file_fails(self):
         fs = make_fs()

@@ -246,7 +246,8 @@ class TestConsistencyModes:
         cluster = GeoCluster(sim, ("a", "b", "c"),
                              consistency=Consistency.QUORUM)
         client = GeoKvClient(sim, cluster, "m", home="a")
-        cluster.fabric.partition("a", "c", symmetric=True)
+        cluster.fabric.partition("a", "c")
+        cluster.fabric.partition("c", "a")
         done = []
 
         def driver():

@@ -30,11 +30,6 @@ class TestModuleShape:
         for index in range(schedule.depth):
             assert f"s{index}_r0" in text
 
-    def test_custom_module_name(self):
-        schedule = schedule_pipeline(assemble("mov r0, 1\nexit"))
-        text = generate_verilog(schedule, module_name="my_accel")
-        assert "module my_accel (" in text
-
 
 class TestExpressionRendering:
     def test_alu_operators(self):

@@ -133,5 +133,5 @@ def test_branchy_pipeline_matches_interpreter(program, a, b):
 @given(program=straight_line_program())
 def test_binary_roundtrip_preserves_semantics(program):
     """encode -> decode -> run gives the same result (ISA correctness)."""
-    restored = Program.decode(program.encode(), name="restored")
+    restored = Program.decode(program.encode())
     assert BpfVm(restored).run().return_value == BpfVm(program).run().return_value

@@ -46,7 +46,7 @@ class TestFabricResources:
 
 class TestFabric:
     def test_default_carving(self):
-        fabric = Fabric(num_slots=5, shell_fraction=0.25)
+        fabric = Fabric(num_slots=5)
         assert len(fabric.slots) == 5
         total_slot_luts = sum(s.budget.luts for s in fabric.slots)
         assert total_slot_luts + fabric.shell.luts <= ALVEO_U280.luts
@@ -77,10 +77,6 @@ class TestFabric:
         huge = small_bitstream("huge", luts=ALVEO_U280.luts)
         with pytest.raises(CapacityError):
             fabric.slots[0].load(huge)
-
-    def test_bad_shell_fraction(self):
-        with pytest.raises(ConfigurationError):
-            Fabric(shell_fraction=1.5)
 
     def test_unload_empty_slot(self):
         with pytest.raises(ConfigurationError):
@@ -131,7 +127,8 @@ class TestIcap:
 
         latency = sim.run_process(scenario())
         assert slot.loaded.name == "second"
-        assert slot.load_count == 2
+        metrics = slot.metrics
+        assert metrics.registry.get(f"{metrics.prefix}.load_count").value == 2
         assert len(icap.history) == 2
         assert latency == pytest.approx(icap.history[1].latency)
 

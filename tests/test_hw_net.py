@@ -90,7 +90,9 @@ class TestLink:
 
     def test_loss_function_drops(self):
         sim = Simulator()
-        link = Link(sim, loss_fn=lambda f: True)
+        plan = FaultPlan()
+        plan.once("drop", "link", FaultKind.FRAME_DROP, at=0.0)
+        link = Link(sim).attach_faults(FaultInjector(sim, plan), "link")
 
         def scenario():
             yield from send(link, Frame("a", "b", None, 100))
@@ -107,8 +109,9 @@ class TestLink:
 
     def test_stats_expose_drops(self):
         sim = Simulator()
-        drops = [True, False]
-        link = Link(sim, loss_fn=lambda f: drops.pop(0))
+        plan = FaultPlan()
+        plan.once("drop", "link", FaultKind.FRAME_DROP, at=0.0)
+        link = Link(sim).attach_faults(FaultInjector(sim, plan), "link")
 
         def scenario():
             yield from send(link, Frame("a", "b", None, 100))
@@ -219,9 +222,9 @@ class TestCallbackDatapath:
         assert seen == [(net.one_way_delay(size), "x")]
 
     def test_one_way_delay_counts_the_ethernet_header(self):
-        net = Network(Simulator(), bandwidth=1e9, propagation=0.0)
+        net = Network(Simulator(), propagation=0.0)
         assert net.one_way_delay(100) == (
-            2 * (138 / 1e9) + net.switch.forward_latency
+            2 * (138 / gbps(100)) + net.switch.forward_latency
         )
 
     def test_echo_rpc_completes_at_exactly_min_rtt(self):
@@ -281,7 +284,7 @@ class TestCallbackDatapath:
         """Two frames reaching one ingress within ``forward_latency`` are
         forwarded ``forward_latency`` apart."""
         sim = Simulator()
-        net = Network(sim, bandwidth=gbps(100), propagation=1e-6)
+        net = Network(sim, propagation=1e-6)
         fwd = net.switch.forward_latency
         a, b = net.endpoint("a"), net.endpoint("b")
         seen = arrivals(sim, b)
@@ -373,13 +376,6 @@ class TestLinkLossAccounting:
         sim.run()
         return seen
 
-    def test_loss_fn(self):
-        sim = Simulator()
-        link = Link(sim, loss_fn=lambda frame: frame.payload == 1)
-        assert self._sent(sim, link, 3) == [0, 2]
-        assert (stat(link, "frames_sent"), stat(link, "frames_dropped"),
-                stat(link, "frames_corrupted"), delivered(link)) == (3, 1, 0, 2)
-
     @pytest.mark.parametrize("kind, dropped, corrupted", [
         ("FRAME_DROP", 1, 0), ("FRAME_CORRUPT", 0, 1),
     ])
@@ -403,18 +399,6 @@ class TestLinkLossAccounting:
         sim.call_at(2e-3, lambda: link.enqueue(Frame("a", "b", "up", 100)))
         assert self._sent(sim, link, 0) == ["up"]
         assert (stat(link, "frames_sent"), stat(link, "frames_dropped")) == (3, 2)
-
-    def test_loss_fn_runs_before_the_injector_is_consulted(self):
-        """A frame ``loss_fn`` already dropped draws nothing from the
-        injector's RNG stream (draw order is part of determinism)."""
-        sim = Simulator()
-        plan = FaultPlan()
-        plan.probabilistic("f", "uplink", FaultKind.FRAME_DROP, 1.0)
-        injector = FaultInjector(sim, plan)
-        link = Link(sim, loss_fn=lambda frame: True).attach_faults(
-            injector, "uplink")
-        self._sent(sim, link, 2)
-        assert stat(link, "frames_dropped") == 2 and injector.log == []
 
     def test_injector_draws_in_serialization_completion_order(self):
         """Two links share one injector spec; the frames' draws happen in
@@ -467,12 +451,12 @@ def summed_first(link):
     link.forward = forward
 
 
-def two_frames_onto_one_downlink(size, bandwidth, propagation, egress=None):
+def two_frames_onto_one_downlink(size, propagation, egress=None):
     """``a`` and ``b`` each send one *size*-byte frame to ``c`` at once:
     both lookups finish at one instant and forward onto c's downlink
     together. Returns ``(time, payload)`` of every arrival at ``c``."""
     sim = Simulator()
-    net = Network(sim, bandwidth=bandwidth, propagation=propagation)
+    net = Network(sim, propagation=propagation)
     a, b, c = (net.endpoint(name) for name in "abc")
     seen = arrivals(sim, c)
     if egress is not None:
@@ -489,13 +473,12 @@ class TestForwardedEgress:
     entries would have reached."""
 
     @given(size=st.integers(min_value=0, max_value=1500),
-           bandwidth=st.floats(min_value=1e6, max_value=1e12),
            propagation=st.floats(min_value=0.0, max_value=1e-3))
     def test_same_instant_frames_arrive_where_the_chain_does(
-            self, size, bandwidth, propagation):
-        forwarded = two_frames_onto_one_downlink(size, bandwidth, propagation)
+            self, size, propagation):
+        forwarded = two_frames_onto_one_downlink(size, propagation)
         chain = two_frames_onto_one_downlink(
-            size, bandwidth, propagation, serialized_one_by_one)
+            size, propagation, serialized_one_by_one)
         assert forwarded == chain
         assert [payload for __, payload in forwarded] == ["from-a", "from-b"]
 
@@ -503,7 +486,7 @@ class TestForwardedEgress:
         """The mutant check: the comparison above must tell ``start + (s1
         + s2)`` from ``(start + s1) + s2`` (here on default links, with
         a payload whose two sums differ in the last bit)."""
-        args = (14, gbps(100), 1e-6)
+        args = (14, 1e-6)
         chain = two_frames_onto_one_downlink(*args, serialized_one_by_one)
         assert two_frames_onto_one_downlink(*args, summed_first) != chain
         assert two_frames_onto_one_downlink(*args) == chain

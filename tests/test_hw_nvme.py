@@ -1,8 +1,8 @@
-"""Tests for the NVMe controller, flash timing, namespaces, and ZNS."""
+"""Tests for the NVMe controller, flash timing, and namespaces."""
 
 import pytest
 
-from repro.common.errors import CapacityError, ProtocolError
+from repro.common.errors import CapacityError
 from repro.hw.nvme import (
     FlashArray,
     FlashTiming,
@@ -12,8 +12,6 @@ from repro.hw.nvme import (
     NvmeController,
     NvmeOpcode,
     NvmeStatus,
-    ZonedNamespace,
-    ZoneState,
 )
 from repro.sim import Simulator
 
@@ -226,64 +224,3 @@ class TestController:
 
         assert sim.run_process(scenario()).status is NvmeStatus.LBA_OUT_OF_RANGE
 
-
-class TestZns:
-    def make_zns_ssd(self, sim, zones=4, zone_blocks=8):
-        ssd = NvmeController(sim, "zns-0")
-        ssd.add_namespace(ZonedNamespace(1, zones, zone_blocks))
-        qp = ssd.create_queue_pair()
-        ssd.start()
-        return ssd, qp
-
-    def test_append_returns_lba(self):
-        sim = Simulator()
-        __, qp = self.make_zns_ssd(sim)
-
-        def scenario():
-            first = yield qp.submit(
-                NvmeCommand(NvmeOpcode.ZONE_APPEND, lba=0, data=b"a")
-            )
-            second = yield qp.submit(
-                NvmeCommand(NvmeOpcode.ZONE_APPEND, lba=0, data=b"b")
-            )
-            return first, second
-
-        first, second = sim.run_process(scenario())
-        assert first.result_lba == 0
-        assert second.result_lba == 1
-
-    def test_sequential_write_enforced(self):
-        zns = ZonedNamespace(1, 2, 8)
-        zns.write(0, b"ok")
-        with pytest.raises(ProtocolError):
-            zns.write(5, b"skip ahead")
-
-    def test_zone_full(self):
-        zns = ZonedNamespace(1, 1, 2)
-        zns.append(0, b"x" * LBA_SIZE)
-        zns.append(0, b"y" * LBA_SIZE)
-        assert zns.zones[0].state is ZoneState.FULL
-        with pytest.raises(ProtocolError):
-            zns.append(0, b"overflow")
-
-    def test_read_past_write_pointer_rejected(self):
-        zns = ZonedNamespace(1, 1, 8)
-        zns.append(0, b"data")
-        with pytest.raises(ProtocolError):
-            zns.read_blocks(0, 2)
-
-    def test_reset_zone(self):
-        sim = Simulator()
-        __, qp = self.make_zns_ssd(sim)
-
-        def scenario():
-            yield qp.submit(NvmeCommand(NvmeOpcode.ZONE_APPEND, lba=0, data=b"x"))
-            completion = yield qp.submit(NvmeCommand(NvmeOpcode.ZONE_RESET, lba=0))
-            return completion
-
-        assert sim.run_process(scenario()).ok
-
-    def test_zone_roundtrip(self):
-        zns = ZonedNamespace(1, 2, 8)
-        lba = zns.append(1, b"zoned payload")
-        assert zns.read_blocks(lba, 1)[:13] == b"zoned payload"

@@ -33,7 +33,7 @@ class TestParquetOnExt4:
         # The walker knows nothing about HyperExtFs; only the annotation.
         walker = LayoutWalker(ext4_annotation(), namespace.read_blocks)
         fetched = walker.read_file("/tables/t.parquet")
-        batch = read_table(fetched, columns=["score"])
+        batch = read_table(fetched)
         assert batch.aggregate("score", "count") == 200
         assert batch.aggregate("score", "sum") == pytest.approx(
             sum(i * 0.1 for i in range(200))

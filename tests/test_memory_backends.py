@@ -74,26 +74,6 @@ class TestNvmeBackend:
         __, nvme, ___ = make_backends(blocks=4)
         with pytest.raises(CapacityError):
             nvme.read(nvme.capacity - 2, 10)
-        with pytest.raises(CapacityError):
-            NvmeBackend(
-                nvme.sim, nvme.controller, nvme.qp, base_lba=3, block_count=10
-            )
-
-    def test_base_lba_offsets_window(self):
-        sim = Simulator()
-        controller = NvmeController(sim, "ssd")
-        controller.add_namespace(Namespace(1, 64))
-        qp = controller.create_queue_pair()
-        controller.start()
-        low = NvmeBackend(sim, controller, qp, base_lba=0, block_count=8)
-        high = NvmeBackend(sim, controller, qp, base_lba=8, block_count=8)
-        low.write(0, b"low")
-        high.write(0, b"high")
-        assert low.read(0, 3) == b"low"
-        assert high.read(0, 4) == b"high"
-        # They are disjoint windows of the same namespace.
-        assert controller.namespaces[1].read_blocks(0, 1)[:3] == b"low"
-        assert controller.namespaces[1].read_blocks(8, 1)[:4] == b"high"
 
     def test_timed_ops_charge_flash(self):
         __, nvme, sim = make_backends()

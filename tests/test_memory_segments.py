@@ -78,12 +78,6 @@ class TestTranslationTable:
         with pytest.raises(KeyError):
             SegmentTranslationTable().lookup(ObjectId(9))
 
-    def test_remove(self):
-        table = SegmentTranslationTable()
-        table.insert(seg(5))
-        table.remove(ObjectId(5))
-        assert ObjectId(5) not in table
-
     def test_durable_filter(self):
         table = SegmentTranslationTable()
         table.insert(seg(1, durable=True, location=SegmentLocation.NVME))

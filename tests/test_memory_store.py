@@ -1,8 +1,8 @@
-"""Tests for the single-level store: placement, access, promotion, recovery."""
+"""Tests for the single-level store: placement, access, recovery."""
 
 import pytest
 
-from repro.common.errors import CapacityError, ConfigurationError
+from repro.common.errors import CapacityError
 from repro.common.ids import ObjectId
 from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.nvme import Namespace, NvmeController
@@ -61,12 +61,6 @@ class TestPlacement:
         segment = store.allocate(128, hint=PlacementHint.PERFORMANCE_CRITICAL)
         assert segment.location is SegmentLocation.DRAM
 
-    def test_capacity_is_sum_of_tiers(self):
-        store, __ = make_store(with_hbm=True)
-        assert store.capacity_bytes() == (
-            store.dram.capacity + store.nvme.capacity + store.hbm.capacity
-        )
-
 
 class TestAccess:
     def test_write_read_roundtrip_dram(self):
@@ -85,8 +79,8 @@ class TestAccess:
         store, __ = make_store()
         segment = store.allocate(64)
         store.write(segment.oid, b"abcdef")
-        store.write(segment.oid, b"XY", offset=2)
-        assert store.read(segment.oid, 6) == b"abXYef"
+        assert store.read(segment.oid, 2, offset=2) == b"cd"
+        assert store.read(segment.oid, offset=60) == bytes(4)
 
     def test_out_of_bounds_rejected(self):
         store, __ = make_store()
@@ -130,42 +124,6 @@ class TestAccess:
             return local_sim.run_process(proc())
 
         assert timed(hot.oid) < timed(cold.oid) / 100
-
-    def test_free_then_lookup_fails(self):
-        store, __ = make_store()
-        segment = store.allocate(16)
-        store.free(segment.oid)
-        with pytest.raises(KeyError):
-            store.read(segment.oid, 1)
-
-    def test_free_space_reused(self):
-        store, __ = make_store(dram_capacity=1024)
-        first = store.allocate(1024)
-        store.free(first.oid)
-        second = store.allocate(1024)  # only fits if space was reclaimed
-        assert second.size == 1024
-
-
-class TestPromotion:
-    def test_promote_preserves_data(self):
-        store, __ = make_store()
-        segment = store.allocate(32, hint=PlacementHint.COLD)
-        store.write(segment.oid, b"move me around")
-        store.promote(segment.oid, SegmentLocation.DRAM)
-        assert segment.location is SegmentLocation.DRAM
-        assert store.read(segment.oid, 14) == b"move me around"
-
-    def test_promote_same_location_noop(self):
-        store, __ = make_store()
-        segment = store.allocate(32)
-        assert store.promote(segment.oid, SegmentLocation.DRAM) is segment
-        assert store.promotions == 0
-
-    def test_durable_cannot_leave_nvme(self):
-        store, __ = make_store()
-        segment = store.allocate(32, durable=True)
-        with pytest.raises(ConfigurationError):
-            store.promote(segment.oid, SegmentLocation.DRAM)
 
 
 class TestPersistence:

@@ -1,6 +1,6 @@
 """Tests for the overload-protection stack (bounded queues, admission,
-circuit breakers, brownout) and its integrations into the RPC server,
-the NVMe submission path, and the failover client."""
+circuit breakers, brownout) and its integrations into the RPC server
+and the failover client."""
 
 import pytest
 
@@ -15,14 +15,6 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.net import Network
 from repro.hw.net.link import Link
 from repro.hw.net.port import NetworkPort
-from repro.hw.nvme import (
-    Namespace,
-    NvmeCommand,
-    NvmeController,
-    NvmeOpcode,
-    NvmeQueuePair,
-    NvmeStatus,
-)
 from repro.overload import (
     AdmissionController,
     BoundedQueue,
@@ -187,9 +179,10 @@ class TestTokenBucket:
             TokenBucket(sim, rate=1.0, capacity=0.0)
 
 
-def make_admission(sim, rate=1000.0, burst=10.0, **kwargs):
+def make_admission(sim, rate=1000.0, **kwargs):
+    """A controller whose bucket holds ``rate / 100`` tokens (10 here)."""
     return AdmissionController(
-        sim, sim.telemetry.unique_scope("adm"), rate, burst=burst, **kwargs
+        sim, sim.telemetry.unique_scope("adm"), rate, **kwargs
     )
 
 
@@ -226,21 +219,20 @@ class TestAdmissionController:
         assert adm.tick(overloaded=True) == pytest.approx(275.0)
 
     def test_aimd_respects_rate_clamps(self):
+        """The rate stays within 5% and 4x of the initial rate."""
         sim = Simulator()
-        adm = make_admission(sim, rate=1000.0, min_rate=100.0, max_rate=1200.0)
+        adm = make_admission(sim, rate=1000.0)
         for __ in range(20):
             adm.tick(overloaded=True)
-        assert adm.rate == pytest.approx(100.0)
-        for __ in range(50):
+        assert adm.rate == pytest.approx(50.0)
+        for __ in range(100):
             adm.tick()
-        assert adm.rate == pytest.approx(1200.0)
+        assert adm.rate == pytest.approx(4000.0)
 
     def test_invalid_configs_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
             make_admission(sim, multiplicative_decrease=1.0)
-        with pytest.raises(ConfigurationError):
-            make_admission(sim, additive_increase=0.0)
 
 
 def make_breaker(sim, **kwargs):
@@ -278,7 +270,7 @@ class TestCircuitBreaker:
         behind an open breaker must not rush the recovering backend all
         at once and re-trip it off its own traffic."""
         sim = Simulator()
-        breaker = make_breaker(sim, success_threshold=2)
+        breaker = make_breaker(sim)
         for __ in range(3):
             breaker.record_failure()
         advance(sim, 10e-3)
@@ -288,14 +280,10 @@ class TestCircuitBreaker:
         assert not breaker.allow()  # the probe slot is taken
         assert not breaker.allow()
         assert counter(sim, "brk.rejected") == 2
-        # ...its outcome frees the slot for the next sequential probe...
-        breaker.record_success()
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert breaker.allow()
-        assert not breaker.allow()
-        # ...and enough successes close the circuit again.
+        # ...and its success closes the circuit again.
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
+        assert breaker.allow()
 
     def test_failed_probe_frees_the_slot_for_the_next_half_open(self):
         sim = Simulator()
@@ -366,11 +354,9 @@ class TestCircuitBreaker:
             make_breaker(sim, failure_threshold=0)
         with pytest.raises(ConfigurationError):
             make_breaker(sim, reset_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            make_breaker(sim, success_threshold=0)
 
 
-def make_brownout(sim, dwell=2e-3, recovery=4e-3, rules=None):
+def make_brownout(sim, dwell=2e-3, recovery=4e-3):
     """A pressure gauge, a sampler, an SLO rule on it, and a controller."""
     pressure = sim.telemetry.gauge("press.level")
     sampler = Sampler(sim.telemetry, sim, period=1e-3)
@@ -380,7 +366,6 @@ def make_brownout(sim, dwell=2e-3, recovery=4e-3, rules=None):
     )
     controller = BrownoutController(
         monitor, sim.telemetry.scope("bo"), dwell=dwell, recovery=recovery,
-        rules=rules,
     )
     return pressure, sampler, controller
 
@@ -477,16 +462,6 @@ class TestBrownout:
         assert first.transition_log_bytes() == second.transition_log_bytes()
         assert len(first.transition_log_bytes()) > 0
 
-    def test_rule_filter_ignores_other_firings(self):
-        sim = Simulator()
-        pressure, sampler, brownout = make_brownout(
-            sim, rules=["some-other-rule"]
-        )
-        pressure.set(1.0)
-        for __ in range(6):
-            tick(sim, sampler)
-        assert brownout.level == 0  # "pressure" fires but is not watched
-
     def test_invalid_configs_rejected(self):
         sim = Simulator()
         pressure, sampler, __ = make_brownout(sim)
@@ -549,8 +524,8 @@ class TestRpcServerOverload:
 
     def test_admission_sheds_by_priority_class(self):
         sim = Simulator()
-        admission = AdmissionController(
-            sim, sim.telemetry.unique_scope("adm"), rate=100.0, burst=2.0
+        admission = AdmissionController(  # a two-token bucket
+            sim, sim.telemetry.unique_scope("adm"), rate=200.0
         )
         server, client = rpc_pair(
             sim, admission=admission, queue_capacity=8
@@ -576,75 +551,6 @@ class TestRpcServerOverload:
         assert counter(sim, "adm.admitted.user") == 2
         assert admission.shed(Priority.SCRUB) == 1
         assert server.requests_shed == 1
-
-
-class TestNvmeBoundedSubmission:
-    def test_full_submission_queue_completes_queue_full(self):
-        sim = Simulator()
-        ssd = NvmeController(
-            sim, "nvme-ov", queue_depth=2, queue_policy=QueuePolicy.FIFO
-        )
-        ssd.add_namespace(Namespace(1, 256))
-        qp = ssd.create_queue_pair()  # controller never started: no drain
-        first = qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
-        second = qp.submit(NvmeCommand(NvmeOpcode.READ, lba=1))
-        third = qp.submit(NvmeCommand(NvmeOpcode.READ, lba=2))
-        # The overflowing submit completes immediately — backpressure,
-        # not a blocked submitter.
-        assert third.triggered
-        assert third.value.status is NvmeStatus.QUEUE_FULL
-        assert not first.triggered and not second.triggered
-        assert qp.queue.dropped_full == 1
-
-    def test_codel_aborts_stale_commands(self):
-        sim = Simulator()
-        scope = sim.telemetry.unique_scope("qp-codel")
-        qp = NvmeQueuePair(
-            sim, qid=0, depth=16, policy=QueuePolicy.CODEL, metrics=scope,
-            codel_target=200e-6, codel_interval=1e-3,
-        )
-        commands = [NvmeCommand(NvmeOpcode.READ, lba=i) for i in range(3)]
-        completions = [qp.submit(command) for command in commands]
-
-        def scenario():
-            yield sim.timeout(2e-3)
-            first = yield qp.next_command()  # first stale head is served
-            yield sim.timeout(2e-3)
-            pending = qp.next_command()  # sheds the rest, then waits
-            qp.submit(NvmeCommand(NvmeOpcode.READ, lba=9))
-            fresh = yield pending
-            return first, fresh
-
-        first, fresh = sim.run_process(scenario())
-        assert first is commands[0]
-        assert fresh.lba == 9
-        for stale in completions[1:]:
-            assert stale.triggered
-            assert stale.value.status is NvmeStatus.COMMAND_ABORTED
-        assert qp.queue.dropped_deadline == 2
-
-    def test_bounded_controller_still_serves_io(self):
-        sim = Simulator()
-        ssd = NvmeController(
-            sim, "nvme-ov-live", queue_policy=QueuePolicy.FIFO
-        )
-        ssd.add_namespace(Namespace(1, 256))
-        qp = ssd.create_queue_pair()
-        ssd.start()
-
-        def scenario():
-            done = yield qp.submit(
-                NvmeCommand(NvmeOpcode.WRITE, lba=3, data=b"bounded")
-            )
-            assert done.ok
-            completion = yield qp.submit(
-                NvmeCommand(NvmeOpcode.READ, lba=3, block_count=1)
-            )
-            return completion
-
-        completion = sim.run_process(scenario())
-        assert completion.status is NvmeStatus.SUCCESS
-        assert completion.data[:7] == b"bounded"
 
 
 class TestFailoverBreaker:

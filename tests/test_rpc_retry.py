@@ -22,10 +22,11 @@ def deadline_exceeded(sim):
 
 
 def lossy_rpc_pair(sim, loss_fn, retry_budget=None):
-    """Client whose *requests* traverse a lossy link; replies are clean."""
+    """Client whose *requests* traverse a link that loses the frames
+    *loss_fn* picks (none when it is None); replies are clean."""
     client_port = NetworkPort(sim, "client")
     server_port = NetworkPort(sim, "server")
-    to_server = Link(sim, loss_fn=loss_fn)
+    to_server = Link(sim)
     to_client = Link(sim)
     client_port.add_route("*", to_server)
     server_port.attach_rx(to_server)
@@ -35,6 +36,10 @@ def lossy_rpc_pair(sim, loss_fn, retry_budget=None):
     client = RpcClient(
         sim, UdpSocket(sim, client_port), retry_budget=retry_budget
     )
+    if loss_fn is not None:
+        # Wrapped after the server's socket installed its listener.
+        deliver = to_server.sink
+        to_server.sink = lambda f: None if loss_fn(f) else deliver(f)
     return server, client
 
 

@@ -151,7 +151,25 @@ class TestCorfu:
             data = yield from client.read(position)
             return data
 
-        assert sim.run_process(scenario())[:9] == b"hello log"
+        assert sim.run_process(scenario()) == b"hello log"
+
+    def test_entries_read_back_exactly_as_appended(self):
+        """An entry is neither padded to the block size nor clobbered by
+        the next append when it spans more than one block."""
+        sim = Simulator()
+        client, __, __ = self.setup_log(sim)
+        entries = [b"hello", b"A" * 5000, b"B" * 10, b""]
+
+        def scenario():
+            positions = []
+            for entry in entries:
+                positions.append((yield from client.append(entry)))
+            read = []
+            for position in positions:
+                read.append((yield from client.read(position)))
+            return read
+
+        assert sim.run_process(scenario()) == entries
 
     def test_write_once_enforced(self):
         sim = Simulator()
@@ -179,7 +197,7 @@ class TestCorfu:
             data = yield from client.read(position)
             return data
 
-        assert sim.run_process(scenario())[:10] == b"replicated"
+        assert sim.run_process(scenario()) == b"replicated"
 
     def test_all_replicas_down(self):
         sim = Simulator()

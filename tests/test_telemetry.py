@@ -61,8 +61,8 @@ class TestRegistry:
         assert c.value == 5
         g = reg.gauge("a.depth")
         g.set(3.5)
-        g.dec(1.5)
-        assert g.value == 2.0
+        g.dec()
+        assert g.value == 2.5
         h = reg.histogram("a.lat")
         h.observe(1e-6)
         assert h.count == 1

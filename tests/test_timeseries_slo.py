@@ -13,27 +13,26 @@ from repro.telemetry import (
     SloMonitor,
     SloRule,
 )
+from repro.telemetry.timeseries import SERIES_CAPACITY
 
 from tests.manual_clock import ManualClock
 
 
 class TestSeries:
     def test_ring_buffer_keeps_newest(self):
-        series = Series("s", capacity=3)
-        for tick in range(5):
+        series = Series("s")
+        for tick in range(SERIES_CAPACITY + 2):
             series.append(float(tick), tick * 10.0)
-        assert series.points == ((2.0, 20.0), (3.0, 30.0), (4.0, 40.0))
-        assert series.last == (4.0, 40.0)
+        assert len(series.points) == SERIES_CAPACITY
+        assert series.points[0] == (2.0, 20.0)
+        last = float(SERIES_CAPACITY + 1)
+        assert series.last == (last, last * 10.0)
 
     def test_rejects_backwards_time(self):
         series = Series("s")
         series.append(1.0, 0.0)
         with pytest.raises(ConfigurationError):
             series.append(0.5, 0.0)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ConfigurationError):
-            Series("s", capacity=0)
 
     def test_windowed_aggregation(self):
         series = Series("s")

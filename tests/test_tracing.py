@@ -20,6 +20,7 @@ from repro.telemetry import (
     parse_prometheus_text,
     prometheus_text,
 )
+from repro.telemetry.flightrec import JOURNAL_LIMIT
 
 from tests.manual_clock import ManualClock
 
@@ -210,15 +211,15 @@ class TestFlightRecorder:
 
     def test_journal_ring_is_bounded(self):
         clock = ManualClock()
-        recorder = FlightRecorder(clock, journal_limit=4)
-        for index in range(6):
+        recorder = FlightRecorder(clock)
+        for index in range(JOURNAL_LIMIT + 2):
             clock.advance(1.0)
             recorder.record("breaker", f"event-{index}")
         lines = recorder.journal_lines()
-        assert len(lines) == 4
+        assert len(lines) == JOURNAL_LIMIT
         assert lines[0].endswith("[breaker] event-2")
-        assert lines[-1].endswith("[breaker] event-5")
-        assert recorder.recorded == 6
+        assert lines[-1].endswith(f"[breaker] event-{JOURNAL_LIMIT + 1}")
+        assert recorder.recorded == JOURNAL_LIMIT + 2
 
     def test_dump_snapshots_journal_and_traces(self):
         clock = ManualClock()

@@ -16,17 +16,27 @@ from repro.transport.tcp import TcpStack
 from repro.transport.udp import UdpSocket
 
 
-def lossy_pair(sim, loss_fn):
-    """Two ports wired directly with a lossy A->B link and a clean B->A."""
+def lose(link, loss_fn):
+    """*link* loses the frames *loss_fn* picks: its sink never sees them."""
+    deliver = link.sink
+    link.sink = lambda frame: None if loss_fn(frame) else deliver(frame)
+
+
+def lossy_pair(sim, loss_fn, endpoint):
+    """``endpoint(sim, port)`` on two ports wired directly, with a lossy
+    A->B link (unless *loss_fn* is None) and a clean B->A."""
     a = NetworkPort(sim, "a")
     b = NetworkPort(sim, "b")
-    a_to_b = Link(sim, loss_fn=loss_fn)
+    a_to_b = Link(sim)
     b_to_a = Link(sim)
     a.add_route("*", a_to_b)
     b.attach_rx(a_to_b)
     b.add_route("*", b_to_a)
     a.attach_rx(b_to_a)
-    return a, b
+    ends = endpoint(sim, a), endpoint(sim, b)
+    if loss_fn is not None:
+        lose(a_to_b, loss_fn)  # after B's endpoint installed its listener
+    return ends
 
 
 class TestTcpUnderLoss:
@@ -34,9 +44,8 @@ class TestTcpUnderLoss:
         sim = Simulator()
         rng = random.Random(4)
         # Drop 30% of frames a->b (data direction).
-        a_port, b_port = lossy_pair(sim, lambda f: rng.random() < 0.3)
-        client = TcpStack(sim, a_port)
-        server = TcpStack(sim, b_port)
+        client, server = lossy_pair(
+            sim, lambda f: rng.random() < 0.3, TcpStack)
         got = []
 
         def server_side():
@@ -61,11 +70,10 @@ class TestTcpUnderLoss:
         def run(loss):
             sim = Simulator()
             rng = random.Random(11)
-            a_port, b_port = lossy_pair(
-                sim, (lambda f: rng.random() < loss) if loss else None
+            client, server = lossy_pair(
+                sim, (lambda f: rng.random() < loss) if loss else None,
+                TcpStack,
             )
-            client = TcpStack(sim, a_port)
-            server = TcpStack(sim, b_port)
             done = []
 
             def server_side():
@@ -94,9 +102,7 @@ class TestUdpUnderLoss:
             counter[0] += 1
             return counter[0] % 2 == 0
 
-        a_port, b_port = lossy_pair(sim, drop_every_other)
-        a = UdpSocket(sim, a_port)
-        b = UdpSocket(sim, b_port)
+        a, b = lossy_pair(sim, drop_every_other, UdpSocket)
 
         def sender():
             for i in range(10):
@@ -115,9 +121,7 @@ class TestUdpUnderLoss:
             counter[0] += 1
             return counter[0] == 3
 
-        a_port, b_port = lossy_pair(sim, drop_third_frame)
-        a = UdpSocket(sim, a_port)
-        b = UdpSocket(sim, b_port)
+        a, b = lossy_pair(sim, drop_third_frame, UdpSocket)
 
         def sender():
             yield from a.sendto("b", "big", 50_000)  # many fragments
@@ -135,10 +139,9 @@ class TestUdpUnderLoss:
         sim = Simulator()
         # Lose the second of every three-fragment datagram's frames;
         # single-fragment datagrams (wire size < 1 KB) get through.
-        a_port, b_port = lossy_pair(
-            sim, lambda f: f.payload.total == 3 and f.payload.index == 1)
-        a = UdpSocket(sim, a_port)
-        b = UdpSocket(sim, b_port)
+        a, b = lossy_pair(
+            sim, lambda f: f.payload.total == 3 and f.payload.index == 1,
+            UdpSocket)
 
         def sender():
             for i in range(500):

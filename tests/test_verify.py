@@ -35,8 +35,10 @@ from repro.verify import (
     zero_lost_acks,
 )
 from repro.verify.history import NULL_HISTORY
+from repro.verify import linearizability
 from repro.verify.linearizability import BudgetExceeded
 from repro.verify.nemesis import geo_plan, primary_kill_plan, sharded_plan
+from repro.verify.shrink import MIN_WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +221,14 @@ class TestCheckRegister:
         ]
         assert check_register(ops).ok
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         ops = [
             _op(0, "w", b"a", 0.0, 1.0),
             _op(1, "r", b"a", 2.0, 3.0),
         ]
+        monkeypatch.setattr(linearizability, "MAX_STATES", 0)
         with pytest.raises(BudgetExceeded):
-            check_register(ops, max_states=0)
+            check_register(ops)
 
 
 class TestCheckHistory:
@@ -305,17 +308,23 @@ class TestInvariants:
 # schedule shrinking
 # ---------------------------------------------------------------------------
 
-def _noisy_plan():
+#: The noisy plan's time unit: windows narrow down to half a unit.
+UNIT = 2 * MIN_WINDOW
+
+
+def _noisy_plan(unit=UNIT):
+    """Four specs, times in *unit*s; only the culprit matters."""
     plan = FaultPlan(seed=5)
-    plan.windowed("culprit", "wan.a->b", FaultKind.WAN_PARTITION, 0.0, 10.0)
-    plan.windowed("noise-a", "link0", FaultKind.LINK_DOWN, 1.0, 2.0)
-    plan.once("noise-b", "dpu-1", FaultKind.POWER_LOSS, at=3.0)
+    plan.windowed("culprit", "wan.a->b", FaultKind.WAN_PARTITION,
+                  0.0, 10 * unit)
+    plan.windowed("noise-a", "link0", FaultKind.LINK_DOWN, unit, 2 * unit)
+    plan.once("noise-b", "dpu-1", FaultKind.POWER_LOSS, at=3 * unit)
     plan.probabilistic("noise-c", "uplink", FaultKind.FRAME_DROP,
-                       probability=0.5, window=(0.0, 4.0))
+                       probability=0.5, window=(0.0, 4 * unit))
     return plan
 
 
-def _culprit_covers(candidate, at=5.0):
+def _culprit_covers(candidate, at=5 * UNIT):
     for spec in candidate.specs:
         if spec.name == "culprit" and spec.window is not None:
             start, end = spec.window
@@ -326,19 +335,19 @@ def _culprit_covers(candidate, at=5.0):
 
 class TestShrink:
     def test_ddmin_isolates_the_culprit_and_narrows_its_window(self):
-        result = shrink_plan(_noisy_plan(), _culprit_covers,
-                             min_window=0.5)
+        result = shrink_plan(_noisy_plan(), _culprit_covers)
         assert [spec.name for spec in result.plan.specs] == ["culprit"]
         assert result.removed_specs == 3
         assert result.narrowed_windows >= 1  # counts accepted halvings
         start, end = result.plan.specs[0].window
-        assert start <= 5.0 <= end
-        assert 0.5 <= end - start <= 1.0  # locally tight, not degenerate
+        assert start <= 5 * UNIT <= end
+        # Locally tight, not degenerate (to the last bit of the halving).
+        assert MIN_WINDOW - 1e-12 <= end - start <= 2 * MIN_WINDOW
         assert _culprit_covers(result.plan)  # still violates
 
     def test_shrink_is_deterministic(self):
-        first = shrink_plan(_noisy_plan(), _culprit_covers, min_window=0.5)
-        second = shrink_plan(_noisy_plan(), _culprit_covers, min_window=0.5)
+        first = shrink_plan(_noisy_plan(), _culprit_covers)
+        second = shrink_plan(_noisy_plan(), _culprit_covers)
         assert first.plan.describe() == second.plan.describe()
         assert first.runs == second.runs
 
@@ -349,8 +358,11 @@ class TestShrink:
     def test_subplan_replays_surviving_spec_draws(self):
         # The injector keys each spec's RNG on {seed}/{name}, so a
         # shrunk plan must not perturb the surviving specs' schedules.
-        full = _noisy_plan()
-        shrunk = shrink_plan(full, _culprit_covers, min_window=20.0).plan
+        # Every window here is shorter than MIN_WINDOW: none narrows.
+        unit = MIN_WINDOW / 20
+        full = _noisy_plan(unit)
+        shrunk = shrink_plan(
+            full, lambda plan: _culprit_covers(plan, at=5 * unit)).plan
         by_name = {spec.name: spec for spec in full.specs}
         for spec in shrunk.specs:
             assert spec == by_name[spec.name]

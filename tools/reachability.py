@@ -27,16 +27,22 @@ top-level statements then run. The pass prints every module nothing
 reaches and every def, public or private, nothing reaches inside a live
 module, with its size in lines.
 
-Usage: ``python tools/reachability.py`` (or ``make reachability``).
+Over the live code it then takes a census of options: every defaulted
+parameter of a live def outside ``repro.eval`` that no live call passes
+(see :class:`_Census` for what counts as passing). Such a parameter is
+a constant in all but name, and any branch only its other values select
+is dead.
+
+Usage: ``python tools/reachability.py`` (or ``make reachability``)
+prints both lists, each followed by its total.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +65,8 @@ class Unit:
     is_class: bool = False
     #: A class's methods by name (a property and its setter share one).
     methods: Dict[str, List["Unit"]] = field(default_factory=dict)
+    #: The ``def`` or ``class`` statement (None for a module's body).
+    node: Optional[ast.AST] = None
 
     @property
     def dotted(self) -> str:
@@ -104,7 +112,7 @@ def _def_unit(module: str, node: ast.AST, owner: str = "") -> Unit:
     qualname = f"{owner}.{node.name}" if owner else node.name
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
     unit = Unit(module, qualname, [], node.end_lineno - first + 1,
-                isinstance(node, ast.ClassDef))
+                isinstance(node, ast.ClassDef), node=node)
     if not unit.is_class:
         unit.nodes = list(node.body)
         return unit
@@ -320,18 +328,243 @@ class Reachability:
         return [found for methods in unit.methods.values()
                 for method in methods for found in self._dead_in(method)]
 
+    def unset_options(self) -> List[str]:
+        """``module.def(param)`` of every defaulted parameter of a live
+        def outside ``repro.eval`` that no live call passes, sorted."""
+        return _Census(self).unset()
+
+
+#: Where the census does not look for options: a registry row's ``run_*``
+#: signature is that experiment's declared config, which tests shrink.
+CENSUS_SKIPS = ("repro.eval",)
+
+#: Where an expression is handed on as a value rather than used in place:
+#: a def found there may be called later with any arguments.
+_PASSING = (ast.Call, ast.keyword, ast.Assign, ast.Return, ast.Dict,
+            ast.List, ast.Tuple, ast.Set, ast.IfExp)
+
+
+def _walk(nodes: List[ast.AST]) -> Iterator[Tuple[ast.AST, Optional[ast.AST]]]:
+    """``(node, parent)`` for every node under *nodes*, skipping
+    annotations (never evaluated here)."""
+    stack: List[Tuple[ast.AST, Optional[ast.AST]]] = [(n, None) for n in nodes]
+    while stack:
+        node, parent = stack.pop()
+        yield node, parent
+        skip = (getattr(node, "annotation", None), getattr(node, "returns", None))
+        stack += [(child, node) for child in ast.iter_child_nodes(node)
+                  if child not in skip and not isinstance(child, ast.arg)]
+
+
+def _is_call_to(node: Optional[ast.AST], *names: str) -> bool:
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return (getattr(func, "id", None) in names
+            or getattr(func, "attr", None) in names)
+
+
+class _Census:
+    """Which defaulted parameters live calls pass.
+
+    A call sets a parameter by keyword or by position. ``partial(f, …)``
+    is a call of ``f``, and calls of the name it is bound to go on from
+    its arguments. Calling a class calls the ``__init__`` it has or
+    inherits, and ``super().__init__(…)`` calls the base's. A def handed
+    on as a value (a handler, a callback), or a call with ``*args`` or
+    ``**kwargs``, sets every parameter. A callee that does not resolve
+    to a def is matched by name, so the census errs towards "set".
+    """
+
+    def __init__(self, reach: Reachability):
+        self.reach = reach
+        self.infos = dict(reach.modules)
+        self.infos.update((s.name, s) for s in reach.scripts)
+        self.by_name: Dict[str, List[Unit]] = {}
+        for info in reach.modules.values():
+            for unit in info.defs.values():
+                if unit.is_class:
+                    init = self._init_of(info, unit)
+                    if init is not None:
+                        self.by_name.setdefault(unit.node.name, []).append(init)
+                    for methods in unit.methods.values():
+                        for method in methods:
+                            if method.node.name != "__init__":
+                                self._index(method)
+                else:
+                    self._index(unit)
+        self.passed: Dict[int, Set[str]] = {}  # by id(def unit)
+        #: Names a ``partial`` is bound to: ``(def, arguments it binds)``.
+        self.aliases: Dict[str, List[Tuple[Unit, int]]] = {}
+        live = list(reach._live.values())
+        for unit in live:
+            for node, _parent in _walk(unit.nodes):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    self._alias(self.infos[unit.module], unit, node)
+        for unit in live:
+            info = self.infos[unit.module]
+            for node, parent in _walk(unit.nodes):
+                if isinstance(node, ast.Call):
+                    self._call(info, unit, node)
+                elif (isinstance(parent, _PASSING)
+                      and isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load)
+                      and getattr(parent, "func", None) is not node
+                      and not _is_call_to(parent, "isinstance", "issubclass",
+                                          "partial")):
+                    self._value(info, unit, node)
+
+    def _index(self, unit: Unit) -> None:
+        self.by_name.setdefault(unit.node.name, []).append(unit)
+
+    # -- what a name calls --------------------------------------------------
+    def _init_of(self, info: ModuleInfo, cls: Unit,
+                 seen: Tuple = ()) -> Optional[Unit]:
+        """The ``__init__`` *cls* has or inherits, if it is in ``src``."""
+        if "__init__" in cls.methods:
+            return cls.methods["__init__"][0]
+        for base in cls.node.bases:
+            found = self.reach._lookup(info, info.body, base)
+            if isinstance(found, Unit) and found.is_class and found not in seen:
+                init = self._init_of(self.infos[found.module], found,
+                                     seen + (cls,))
+                if init is not None:
+                    return init
+        return None
+
+    def _enclosing_class(self, unit: Unit) -> Optional[Unit]:
+        """The class *unit* is a method of, if it is one."""
+        if "." not in unit.qualname:
+            return None
+        cls = self.infos[unit.module].defs.get(unit.qualname.split(".")[0])
+        return cls if cls is not None and cls.is_class else None
+
+    def _resolved(self, info: ModuleInfo, target) -> List[Unit]:
+        if isinstance(target, list):
+            return target
+        if isinstance(target, Unit):
+            if not target.is_class:
+                return [target]
+            init = self._init_of(self.infos[target.module], target)
+            return [init] if init is not None else []
+        return []
+
+    def _callees(self, info: ModuleInfo, unit: Unit,
+                 func: ast.AST) -> List[Tuple[Unit, int]]:
+        """The defs a call of *func* may run, each with the number of
+        positional arguments bound before the call's own."""
+        if isinstance(func, ast.Attribute) and func.attr == "__init__":
+            if _is_call_to(func.value, "super"):
+                cls = self._enclosing_class(unit)
+                bases = [] if cls is None else [
+                    self.reach._lookup(info, info.body, b) for b in cls.node.bases]
+                return [(init, 0) for b in bases
+                        for init in self._resolved(info, b)]
+            base = self.reach._lookup(info, info.body, func.value)
+            return [(init, 1) for init in self._resolved(info, base)]
+        if isinstance(func, ast.Name) and func.id == "cls":
+            cls = self._enclosing_class(unit)
+            return [(init, 0) for init in self._resolved(info, cls)]
+        if not isinstance(func, (ast.Name, ast.Attribute)):
+            return []
+        found = self._resolved(info, self.reach._lookup(info, unit, func))
+        name = func.id if isinstance(func, ast.Name) else func.attr
+        if not found:
+            found = self.by_name.get(name, [])
+        return [(d, 0) for d in found] + self.aliases.get(name, [])
+
+    def _alias(self, info: ModuleInfo, unit: Unit, assign: ast.Assign) -> None:
+        """``name = partial(f, …)`` (either arm of an ``if``-expression)."""
+        target = assign.targets[0]
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        values = [assign.value]
+        while values:
+            value = values.pop()
+            if isinstance(value, ast.IfExp):
+                values += [value.body, value.orelse]
+            elif name and _is_call_to(value, "partial") and value.args:
+                bound = len(value.args) - 1
+                self.aliases.setdefault(name, []).extend(
+                    (d, n + bound) for d, n in
+                    self._callees(info, unit, value.args[0]))
+
+    # -- what a call passes -------------------------------------------------
+    def _call(self, info: ModuleInfo, unit: Unit, call: ast.Call) -> None:
+        func, args = call.func, call.args
+        if _is_call_to(call, "partial") and args:
+            func, args = args[0], args[1:]
+        spread = (any(isinstance(a, ast.Starred) for a in args)
+                  or any(k.arg is None for k in call.keywords))
+        for callee, bound in self._callees(info, unit, func):
+            if spread:
+                self._set_all(callee)
+                continue
+            names = self.passed.setdefault(id(callee), set())
+            names.update(_positional(callee)[:bound + len(args)])
+            names.update(k.arg for k in call.keywords)
+
+    def _value(self, info: ModuleInfo, unit: Unit, node: ast.AST) -> None:
+        found = self._resolved(info, self.reach._lookup(info, unit, node))
+        if not found and isinstance(node, ast.Attribute):
+            found = self.by_name.get(node.attr, [])
+        for callee in found:
+            self._set_all(callee)
+
+    def _set_all(self, callee: Unit) -> None:
+        self.passed.setdefault(id(callee), set()).update(_defaulted(callee))
+
+    # -- the answer ---------------------------------------------------------
+    def unset(self) -> List[str]:
+        found = []
+        for unit in self.reach.live_units():
+            if (unit.is_class or unit.node is None
+                    or unit.module.startswith(CENSUS_SKIPS)):
+                continue
+            passed = self.passed.get(id(unit), set())
+            found += [f"{unit.dotted}({name})" for name in _defaulted(unit)
+                      if name not in passed]
+        return sorted(found)
+
+
+def _is_method(unit: Unit) -> bool:
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in unit.node.decorator_list)
+    return "." in unit.qualname and not static
+
+
+def _positional(unit: Unit) -> List[str]:
+    """The parameters a call's positional arguments fill, in order."""
+    args = unit.node.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    return names[1:] if _is_method(unit) else names
+
+
+def _defaulted(unit: Unit) -> List[str]:
+    args = unit.node.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    return (names[len(names) - len(args.defaults):]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
 
 def unreachable(root: Path = ROOT) -> List[str]:
     """Dotted names of everything under ``src/repro`` no root reaches."""
     return [name for name, _lines in Reachability(root).unreachable()]
 
 
+def unset_options(root: Path = ROOT) -> List[str]:
+    """Every defaulted parameter of a live def no live call passes."""
+    return Reachability(root).unset_options()
+
+
 def main() -> None:
-    dead = Reachability().unreachable()
+    reach = Reachability()
+    dead = reach.unreachable()
     for name, lines in dead:
         print(f"{name}  ({lines} lines)")
-    print(f"{len(dead)} unreachable, {sum(n for _, n in dead)} lines",
-          file=sys.stderr)
+    print(f"{len(dead)} unreachable, {sum(n for _, n in dead)} lines")
+    unset = reach.unset_options()
+    for name in unset:
+        print(name)
+    print(f"{len(unset)} defaulted parameters no live call passes")
 
 
 if __name__ == "__main__":
