@@ -3,10 +3,10 @@
 The paper's position: FPGA programming should decouple frontends from HDL
 backends through an IR that is (1) domain-neutral, (2) verifiable, and
 (3) retargetable — and eBPF is that IR. This package implements the eBPF
-ISA with an assembler, an interpreter VM with maps and
-helpers, and a verifier performing simplified symbolic execution (register
-state tracking, bounds checks, termination) in the spirit of the Linux
-kernel's verifier the paper cites.
+ISA with an assembler, a VM that compiles each program into one Python
+function, maps and helpers, and a verifier performing simplified symbolic
+execution (register state tracking, bounds checks, termination) in the
+spirit of the Linux kernel's verifier the paper cites.
 
 The :mod:`repro.hdl` package consumes the same instructions to generate
 hardware pipelines, completing the frontend -> IR -> HDL flow of §2.2.

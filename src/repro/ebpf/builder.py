@@ -71,15 +71,6 @@ class ProgramBuilder:
     def sub(self, dst: str, src: Operand) -> "ProgramBuilder":
         return self._emit_alu(Opcode.SUB, dst, src)
 
-    def and_(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.AND, dst, src)
-
-    def or_(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.OR, dst, src)
-
-    def xor(self, dst: str, src: Operand) -> "ProgramBuilder":
-        return self._emit_alu(Opcode.XOR, dst, src)
-
     # -- memory --------------------------------------------------------------
     def load(self, size: int, dst: str, base: str, offset: int = 0) -> "ProgramBuilder":
         opcode = {1: Opcode.LDXB, 2: Opcode.LDXH, 4: Opcode.LDXW, 8: Opcode.LDXDW}[size]

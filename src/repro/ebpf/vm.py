@@ -1,5 +1,5 @@
-"""The eBPF interpreter: one of "many possible implementations of an eBPF
-execution environment" (paper §2.2; cf. ubpf).
+"""The eBPF execution environment: one of "many possible implementations of
+an eBPF execution environment" (paper §2.2; cf. ubpf).
 
 Memory model
 ------------
@@ -11,26 +11,30 @@ Every access is bounds-checked; faults raise :class:`ProtocolError`.
 
 Execution model
 ---------------
-A program is translated once, when its :class:`BpfVm` is built, into one
-*step* per instruction slot: a closure ``step(regs) -> next_pc`` that has
-captured everything constant about its instruction (operand registers, the
-masked immediate, the access size, pre-encoded store bytes, the ALU or
-comparison operator, the fall-through and taken pcs). ``run()`` is then a
-single loop — budget check, pc check, count, ``pc = steps[pc](regs)`` —
-and EXIT's step returns ``None``. What is *not* captured is anything a
-caller may change after construction: a CALL still goes through
-``vm.helpers.call`` (late registration, "unknown helper"), maps through
-``vm.map_by_fd``, and the budget is read per run. There is one execution
-path; ``tests/ebpf_reference.py`` keeps the former ``if``-chain
-interpreter as the oracle the translation is tested against.
+A program is compiled once, when its :class:`BpfVm` is built, into one
+Python function. r0-r10 are its locals; each basic block (leaders: pc 0,
+every jump target, the slot after a jump, EXIT or trap) is straight-line
+code under ``if pc == leader:``, and the instruction budget is checked once
+per block. A block that would cross the budget continues in a *checked*
+twin, compiled the first time a run needs it, which checks and counts
+before every instruction. The text comes from fixed statement templates
+and two closed expression tables; the only things interpolated are
+integers and register numbers from :class:`Instruction` fields. What is
+*not* compiled in is anything a caller may change after construction: a
+CALL still goes through ``vm.helpers.call`` (late registration, "unknown
+helper"), maps through ``vm.map_by_fd``, and the budget is read per run.
+There is one execution path; ``tests/ebpf_reference.py`` keeps the former
+``if``-chain interpreter as the oracle the compiled code is tested against.
 """
 
 from __future__ import annotations
 
-import operator
+import hashlib
+import linecache
+import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.ebpf.helpers import standard_helpers
@@ -59,107 +63,164 @@ _FIRST_DYNAMIC_REGION = 16
 #: attribute a caller may lower before a run).
 MAX_INSTRUCTIONS = 1_000_000
 
-#: One translated instruction slot: mutates ``regs`` (and memory), returns
-#: the next pc, or ``None`` from EXIT.
-Step = Callable[[List[int]], Optional[int]]
+#: Compiled programs get a pseudo-filename in this package's directory, so
+#: a profile charges them to ``ebpf``.
+_HERE = os.path.dirname(os.path.abspath(__file__))
 
+_REGS = ", ".join(f"r{reg}" for reg in range(11))
 
-def _u64(value: int) -> int:
-    return value & _U64
-
-
-def _s64(value: int) -> int:
-    value &= _U64
-    return value - (1 << 64) if value >= (1 << 63) else value
-
-
-#: ``(dst, src) -> new dst`` on u64 operands. Division by zero yields 0 and
-#: modulo by zero leaves dst, as the kernel defines them.
-_ALU: Dict[Opcode, Callable[[int, int], int]] = {
-    Opcode.MOV: lambda dst, src: src,
-    Opcode.ADD: lambda dst, src: (dst + src) & _U64,
-    Opcode.SUB: lambda dst, src: (dst - src) & _U64,
-    Opcode.MUL: lambda dst, src: (dst * src) & _U64,
-    Opcode.DIV: lambda dst, src: dst // src if src else 0,
-    Opcode.MOD: lambda dst, src: dst % src if src else dst,
-    Opcode.OR: operator.or_,
-    Opcode.AND: operator.and_,
-    Opcode.XOR: operator.xor,
-    Opcode.LSH: lambda dst, src: (dst << (src & 63)) & _U64,
-    Opcode.RSH: lambda dst, src: dst >> (src & 63),
-    Opcode.ARSH: lambda dst, src: (_s64(dst) >> (src & 63)) & _U64,
-    Opcode.NEG: lambda dst, src: -dst & _U64,
+#: The new dst per ALU opcode, over u64 operands: ``{d}`` a register,
+#: ``{s}`` a register or the immediate masked to u64. Division by zero
+#: yields 0 and modulo by zero leaves dst, as the kernel defines them.
+_ALU_EXPR = {
+    Opcode.MOV: "{s}",
+    Opcode.ADD: "({d} + {s}) & 0xffffffffffffffff",
+    Opcode.SUB: "({d} - {s}) & 0xffffffffffffffff",
+    Opcode.MUL: "({d} * {s}) & 0xffffffffffffffff",
+    Opcode.DIV: "{d} // {s} if {s} else 0",
+    Opcode.MOD: "{d} % {s} if {s} else {d}",
+    Opcode.OR: "{d} | {s}",
+    Opcode.AND: "{d} & {s}",
+    Opcode.XOR: "{d} ^ {s}",
+    Opcode.LSH: "({d} << ({s} & 63)) & 0xffffffffffffffff",
+    Opcode.RSH: "{d} >> ({s} & 63)",
+    Opcode.ARSH: "((({d} ^ 0x8000000000000000) - 0x8000000000000000)"
+                 " >> ({s} & 63)) & 0xffffffffffffffff",
+    Opcode.NEG: "-{d} & 0xffffffffffffffff",
 }
 
-#: ``(dst, src) -> truthy when the branch is taken``.
-_TAKEN: Dict[Opcode, Callable[[int, int], object]] = {
-    Opcode.JEQ: operator.eq,
-    Opcode.JNE: operator.ne,
-    Opcode.JGT: operator.gt,
-    Opcode.JGE: operator.ge,
-    Opcode.JLT: operator.lt,
-    Opcode.JLE: operator.le,
-    Opcode.JSET: operator.and_,
-    Opcode.JSGT: lambda dst, src: _s64(dst) > _s64(src),
-    Opcode.JSGE: lambda dst, src: _s64(dst) >= _s64(src),
-    Opcode.JSLT: lambda dst, src: _s64(dst) < _s64(src),
-    Opcode.JSLE: lambda dst, src: _s64(dst) <= _s64(src),
+#: When a conditional jump is taken. Signed order on u64 values is
+#: unsigned order with the sign bit flipped.
+_TAKEN_EXPR = {
+    Opcode.JEQ: "{d} == {s}",
+    Opcode.JNE: "{d} != {s}",
+    Opcode.JGT: "{d} > {s}",
+    Opcode.JGE: "{d} >= {s}",
+    Opcode.JLT: "{d} < {s}",
+    Opcode.JLE: "{d} <= {s}",
+    Opcode.JSET: "{d} & {s}",
+    Opcode.JSGT: "{d} ^ 0x8000000000000000 > {s} ^ 0x8000000000000000",
+    Opcode.JSGE: "{d} ^ 0x8000000000000000 >= {s} ^ 0x8000000000000000",
+    Opcode.JSLT: "{d} ^ 0x8000000000000000 < {s} ^ 0x8000000000000000",
+    Opcode.JSLE: "{d} ^ 0x8000000000000000 <= {s} ^ 0x8000000000000000",
 }
 
+_BUDGET_CHECK = [
+    "if executed >= budget:",
+    '    raise ProtocolError(f"instruction budget exhausted ({budget})")',
+]
 
-def _exit_step(regs: List[int]) -> None:
+#: One slot's code: its lines, the pcs it may jump to (``None`` when it
+#: falls through, empty when it ends the run), and the pc after it.
+Statement = Tuple[List[str], Optional[Tuple[int, ...]], int]
+
+
+def _access(base: str, offset: int, size: int, access: str) -> List[str]:
+    """``buffer[start:end]`` is ``[base + offset]``, or the access faults."""
+    pointer = f"({base} + {offset:d}) & 0xffffffffffffffff" if offset else base
+    return [
+        f"pointer = {pointer}",
+        f"buffer = region_of(pointer >> {REGION_SHIFT:d})",
+        f"start = pointer & {_OFFSET_MASK:#x}",
+        f"end = start + {size:d}",
+        "if buffer is None or end > len(buffer):",
+        f"    raise fault(vm, pointer, {size:d}, '{access}')",
+    ]
+
+
+def _statement(insn: Instruction, pc: int) -> Optional[Statement]:
+    """The code of the instruction at *pc*; ``None`` for an unknown opcode."""
+    op, d, after = insn.opcode, f"r{insn.dst:d}", pc + insn.slots
+    s = f"r{insn.src:d}" if insn.uses_reg_src else f"{insn.imm & _U64:d}"
+    if op in ALU_OPS:
+        return [f"{d} = " + _ALU_EXPR[op].format(d=d, s=s)], None, after
+    if op in COND_JUMPS:
+        taken, target = _TAKEN_EXPR[op].format(d=d, s=s), after + insn.offset
+        return [f"pc = {target:d} if {taken} else {after:d}"], (target,), after
+    if op is Opcode.JA:
+        return [f"pc = {after + insn.offset:d}"], (after + insn.offset,), after
+    if op is Opcode.EXIT:
+        return ["return r0, executed, calls"], (), after
+    if op is Opcode.CALL:
+        return [
+            # Resolved per call: helpers may be registered after the VM is built.
+            f"r0 = vm.helpers.call({insn.imm:d}, vm, [r1, r2, r3, r4, r5])"
+            " & 0xffffffffffffffff",
+            "r1 = r2 = r3 = r4 = r5 = 0",  # clobbered by calls (kernel semantics)
+            "calls += 1",
+        ], None, after
+    if op is Opcode.LDDW:
+        return [f"{d} = {insn.imm & _U64:d}"], None, after
+    if op in LOAD_OPS:
+        return _access(f"r{insn.src:d}", insn.offset, MEM_SIZE[op], "read") + [
+            f"{d} = from_bytes(buffer[start:end], 'little')",
+        ], None, after
+    if op in STORE_OPS:
+        size = MEM_SIZE[op]
+        mask = (1 << (8 * size)) - 1
+        value = (f"r{insn.src:d} & {mask:#x}" if op in STORE_REG_OPS
+                 else f"{insn.imm & mask:d}")
+        return _access(d, insn.offset, size, "write") + [
+            f"buffer[start:end] = ({value}).to_bytes({size:d}, 'little')",
+        ], None, after
     return None
 
 
-def _trap_step(message: str) -> Step:
-    """A slot that faults when (and only when) execution reaches it."""
+def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
+    """The text of *program*'s ``run`` function, and the messages its traps
+    raise. *checked*: the twin that checks the budget per instruction."""
+    traps: List[str] = []
 
-    def trap(regs: List[int]) -> int:
-        raise ProtocolError(message)
+    def trap(message: str, pc: int) -> Statement:
+        traps.append(message)
+        return [f"raise ProtocolError(traps[{len(traps) - 1:d}])"], (), pc + 1
 
-    return trap
+    code: Dict[int, Statement] = {}
+    slots = 0
+    for insn in program.instructions:
+        code[slots] = (_statement(insn, slots)
+                       or trap(f"unhandled opcode {insn.opcode}", slots))
+        slots += insn.slots
+    leaders = {0}
+    for _, successors, after in code.values():
+        if successors is not None:
+            leaders.update(successors, (after,))
+    # A jump into an LDDW's second slot traps there; the LDDW itself
+    # falls through past it.
+    for pc in sorted(leaders - code.keys()):
+        if 0 < pc < slots:
+            code[pc] = trap(f"pc {pc} lands in the middle of LDDW", pc)
+            leaders.add(pc + 1)
 
-
-def _lddw_step(dst: int, value: int, next_pc: int) -> Step:
-    def lddw(regs: List[int]) -> int:
-        regs[dst] = value
-        return next_pc
-
-    return lddw
-
-
-def _ja_step(target: int) -> Step:
-    def ja(regs: List[int]) -> int:
-        return target
-
-    return ja
-
-
-def _binop_step(insn: Instruction, next_pc: int) -> Step:
-    fn, dst, src, imm = _ALU[insn.opcode], insn.dst, insn.src, _u64(insn.imm)
-
-    def alu_reg(regs: List[int]) -> int:
-        regs[dst] = fn(regs[dst], regs[src])
-        return next_pc
-
-    def alu_imm(regs: List[int]) -> int:
-        regs[dst] = fn(regs[dst], imm)
-        return next_pc
-
-    return alu_reg if insn.uses_reg_src else alu_imm
-
-
-def _jump_step(insn: Instruction, next_pc: int) -> Step:
-    taken, dst, src, imm = _TAKEN[insn.opcode], insn.dst, insn.src, _u64(insn.imm)
-    target = next_pc + insn.offset
-
-    def jump_reg(regs: List[int]) -> int:
-        return target if taken(regs[dst], regs[src]) else next_pc
-
-    def jump_imm(regs: List[int]) -> int:
-        return target if taken(regs[dst], imm) else next_pc
-
-    return jump_reg if insn.uses_reg_src else jump_imm
+    # ``**_`` takes the scratch locals (``pointer``, ``buffer``, ...) that
+    # come along when the unchecked function hands over its ``locals()``.
+    lines = [f"def run(vm, region_of, budget, pc, executed, calls, {_REGS}, **_):",
+             "    while True:"]
+    starts = sorted(pc for pc in leaders if 0 <= pc < slots)
+    for leader, end in zip(starts, starts[1:] + [slots]):
+        body, pc, successors = [], leader, None
+        while pc < end and successors is None:
+            statement, successors, pc = code[pc]
+            body.append(statement)
+        lines.append(f"        if pc == {leader:d}:")
+        if not checked:
+            lines += [f"            if executed + {len(body):d} > budget:",
+                      "                break",
+                      f"            executed += {len(body):d}"]
+        for statement in body:
+            if checked:
+                statement = _BUDGET_CHECK + ["executed += 1"] + statement
+            lines += ["            " + line for line in statement]
+        if successors is None:
+            lines.append(f"            pc = {pc:d}")
+    lines.append(f"        if not 0 <= pc < {slots:d}:")
+    if checked:
+        lines += ["            " + line for line in _BUDGET_CHECK]
+        lines.append('            raise ProtocolError(f"pc {pc} out of range")')
+    else:
+        # Over budget at a block, or off the program: the twin raises.
+        lines += ["            break", "    return checked(vm)(**locals())"]
+    return "\n".join(lines) + "\n", traps
 
 
 @dataclass
@@ -185,12 +246,11 @@ class BpfVm:
         self.rng = random.Random(0)
         self.trace_log: List[tuple] = []
         self._clock_ns = 0
-        # One dict for the VM's life, refilled per run: the load/store
-        # steps hold its ``get``.
+        # One dict for the VM's life, refilled per run.
         self._regions: Dict[int, bytearray] = {}
         self._next_region = _FIRST_DYNAMIC_REGION
-        self._helper_calls = 0
-        self._steps = self._translate()
+        self._run = self._compile(checked=False)
+        self._checked_run: Optional[Callable] = None
 
     # -- environment hooks ---------------------------------------------------
     def map_by_fd(self, fd: int) -> BpfMap:
@@ -226,93 +286,31 @@ class BpfVm:
             raise self._memory_fault(pointer, size, "read")
         return bytes(buffer[offset : offset + size])
 
-    # -- translation ---------------------------------------------------------
-    def _translate(self) -> List[Step]:
-        """One step per instruction slot, built once per VM."""
-        steps: List[Step] = []
-        for insn in self.program.instructions:
-            pc = len(steps)
-            steps.append(self._step(insn, pc + insn.slots))
-            if insn.slots == 2:
-                steps.append(
-                    _trap_step(f"pc {pc + 1} lands in the middle of LDDW")
-                )
-        return steps
+    # -- compilation ---------------------------------------------------------
+    def _compile(self, checked: bool) -> Callable:
+        """The program as one function (see the module docstring)."""
+        source, traps = _source(self.program, checked)
+        digest = hashlib.blake2b(source.encode(), digest_size=8).hexdigest()
+        filename = os.path.join(_HERE, f"<bpf:{digest}>")
+        # Tracebacks show the generated line; identical programs share it.
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        namespace = {
+            "ProtocolError": ProtocolError,
+            "from_bytes": int.from_bytes,
+            "fault": BpfVm._memory_fault,
+            "checked": BpfVm._checked,
+            "traps": traps,
+        }
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace["run"]
 
-    def _step(self, insn: Instruction, next_pc: int) -> Step:
-        op = insn.opcode
-        if op is Opcode.EXIT:
-            return _exit_step
-        if op is Opcode.CALL:
-            return self._call_step(insn.imm, next_pc)
-        if op is Opcode.LDDW:
-            return _lddw_step(insn.dst, _u64(insn.imm), next_pc)
-        if op in ALU_OPS:
-            return _binop_step(insn, next_pc)
-        if op in LOAD_OPS:
-            return self._load_step(insn, next_pc)
-        if op in STORE_OPS:
-            return self._store_step(insn, next_pc)
-        if op is Opcode.JA:
-            return _ja_step(next_pc + insn.offset)
-        if op in COND_JUMPS:
-            return _jump_step(insn, next_pc)
-        return _trap_step(f"unhandled opcode {op}")
-
-    def _call_step(self, helper_id: int, next_pc: int) -> Step:
-        def call(regs: List[int]) -> int:
-            # Resolved per call: helpers may be registered after the VM is built.
-            regs[0] = _u64(self.helpers.call(helper_id, self, regs[1:6]))
-            # r1-r5 are clobbered by calls (kernel semantics).
-            regs[1:6] = (0, 0, 0, 0, 0)
-            self._helper_calls += 1
-            return next_pc
-
-        return call
-
-    def _load_step(self, insn: Instruction, next_pc: int) -> Step:
-        dst, src, offset, size = insn.dst, insn.src, insn.offset, MEM_SIZE[insn.opcode]
-        region_of, fault = self._regions.get, self._memory_fault
-
-        def load(regs: List[int]) -> int:
-            pointer = (regs[src] + offset) & _U64
-            buffer = region_of(pointer >> REGION_SHIFT)
-            start = pointer & _OFFSET_MASK
-            end = start + size
-            if buffer is None or end > len(buffer):
-                raise fault(pointer, size, "read")
-            regs[dst] = int.from_bytes(buffer[start:end], "little")
-            return next_pc
-
-        return load
-
-    def _store_step(self, insn: Instruction, next_pc: int) -> Step:
-        dst, src, offset, size = insn.dst, insn.src, insn.offset, MEM_SIZE[insn.opcode]
-        mask = (1 << (8 * size)) - 1
-        data = (insn.imm & mask).to_bytes(size, "little")
-        region_of, fault = self._regions.get, self._memory_fault
-
-        def store_reg(regs: List[int]) -> int:
-            pointer = (regs[dst] + offset) & _U64
-            buffer = region_of(pointer >> REGION_SHIFT)
-            start = pointer & _OFFSET_MASK
-            end = start + size
-            if buffer is None or end > len(buffer):
-                raise fault(pointer, size, "write")
-            buffer[start:end] = (regs[src] & mask).to_bytes(size, "little")
-            return next_pc
-
-        def store_imm(regs: List[int]) -> int:
-            pointer = (regs[dst] + offset) & _U64
-            buffer = region_of(pointer >> REGION_SHIFT)
-            start = pointer & _OFFSET_MASK
-            end = start + size
-            if buffer is None or end > len(buffer):
-                raise fault(pointer, size, "write")
-            buffer[start:end] = data
-            return next_pc
-
-        return store_reg if insn.opcode in STORE_REG_OPS else store_imm
+    def _checked(self) -> Callable:
+        """The twin a block that would cross the budget continues in."""
+        if self._checked_run is None:
+            self._checked_run = self._compile(checked=True)
+        return self._checked_run
 
     # -- execution -----------------------------------------------------------
     def run(self, context: bytes = b"") -> ExecutionResult:
@@ -322,27 +320,9 @@ class BpfVm:
         regions[STACK_REGION] = bytearray(STACK_SIZE)
         regions[CONTEXT_REGION] = packet = bytearray(context)
         self._next_region = _FIRST_DYNAMIC_REGION
-        self._helper_calls = 0
-        regs = [0] * 11
-        regs[1] = CONTEXT_REGION << REGION_SHIFT
-        regs[2] = len(context)
-        regs[10] = (STACK_REGION << REGION_SHIFT) + STACK_SIZE
-
-        steps = self._steps
-        slots = len(steps)
-        budget = self.max_instructions
-        pc: Optional[int] = 0
-        executed = 0
-        while pc is not None:
-            if executed >= budget:
-                raise ProtocolError(f"instruction budget exhausted ({budget})")
-            if not 0 <= pc < slots:
-                raise ProtocolError(f"pc {pc} out of range")
-            executed += 1
-            pc = steps[pc](regs)
-        return ExecutionResult(
-            return_value=regs[0],
-            instructions_executed=executed,
-            helper_calls=self._helper_calls,
-            context=packet,
+        return_value, executed, calls = self._run(
+            self, regions.get, self.max_instructions, 0, 0, 0,
+            0, CONTEXT_REGION << REGION_SHIFT, len(context), 0, 0, 0, 0, 0,
+            0, 0, (STACK_REGION << REGION_SHIFT) + STACK_SIZE,
         )
+        return ExecutionResult(return_value, executed, calls, packet)

@@ -88,7 +88,7 @@ def compile_program(
 class HardwarePipeline:
     """Executes a compiled program with hardware timing semantics.
 
-    * Results are functionally identical to the interpreter (the pipeline
+    * Results are functionally identical to the VM's (the pipeline
       wraps a :class:`BpfVm` for semantics).
     * Latency is **fixed**: ``depth / f_max`` for every input, no jitter.
     * Throughput is bounded by the initiation interval: the input port

@@ -51,6 +51,7 @@ Hot-path design notes (every simulated operation crosses this module):
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
@@ -241,6 +242,28 @@ class Process(Event):
 
     def _bootstrap(self) -> None:
         self._resume(_BOOT)
+
+    def result(self) -> Any:
+        """The return value once the simulator has run dry; a failure is
+        re-raised, and a process that never finished raises a
+        ``RuntimeError`` naming where it is stuck: the generator, the
+        innermost generator it delegates to with ``yield from`` and that
+        one's line, and the class of the awaited event. All of it is read
+        off the suspended frames, so nothing is recorded per wait."""
+        if self._value is _PENDING:
+            inner = self._generator
+            while hasattr(inner.gi_yieldfrom, "gi_frame"):
+                inner = inner.gi_yieldfrom
+            where = os.path.basename(inner.gi_code.co_filename)
+            raise RuntimeError(
+                "process did not finish (deadlock?): "
+                f"{self._generator.__qualname__} suspended in "
+                f"{inner.__qualname__} ({where}:{inner.gi_frame.f_lineno}), "
+                f"waiting on {type(self._waiting_on).__name__}"
+            )
+        if not self._ok:
+            raise self._value
+        return self._value
 
     def _resume(self, event) -> None:
         # Ignore wakeups after the process finished, or from an event
@@ -593,8 +616,4 @@ class Simulator:
         """Convenience: run a generator to completion and return its value."""
         process = self.process(generator)
         self.run()
-        if not process.triggered:
-            raise RuntimeError("process did not finish (deadlock?)")
-        if not process._ok:
-            raise process._value
-        return process._value
+        return process.result()

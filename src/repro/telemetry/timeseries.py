@@ -245,11 +245,7 @@ class Sampler:
         process = sim.process(generator)
         sim.spawn(self.pump(sim, process))
         sim.run()
-        if not process.triggered:
-            raise RuntimeError("process did not finish (deadlock?)")
-        if not process._ok:
-            raise process._value
-        return process._value
+        return process.result()
 
     # -- canonical output ----------------------------------------------------
     def snapshot_bytes(self) -> bytes:

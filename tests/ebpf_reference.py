@@ -1,14 +1,15 @@
 """Test-only reference interpreter: the oracle for ``repro.ebpf.vm``.
 
 This is the ``if op is Opcode.X`` interpreter that ``BpfVm.run`` used
-before programs were translated into step closures, kept verbatim
-(``run``, ``_alu``, ``_evaluate_jump`` and the memory accessors) so the
-translation can be compared against an implementation that shares none of
-its execution code. It re-derives every fact per executed instruction and
-is slow on purpose. Nothing under ``src/`` imports it.
+before programs were compiled, kept verbatim (``run``, ``_alu``,
+``_evaluate_jump`` and the memory accessors) so the generated code can be
+compared against an implementation that shares none of its execution code.
+It re-derives every fact per executed instruction and is slow on purpose.
+Nothing under ``src/`` imports it.
 
 Only the environment helpers see (``map_by_fd``, ``clock_ns``,
-``expose_buffer``, ``trace_log``, ``rng``) is inherited from ``BpfVm``.
+``expose_buffer``, ``trace_log``, ``rng``) is inherited from ``BpfVm``;
+``_compile`` is overridden, so building one compiles nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ def _s64(value: int) -> int:
 
 class ReferenceVm(BpfVm):
     """Same constructor and result as :class:`BpfVm`, interpreted slot by slot."""
+
+    def _compile(self, checked: bool) -> None:
+        """Nothing to compile: :meth:`run` interprets the program."""
+        return None
 
     # -- memory --------------------------------------------------------------
     def _region_buffer(self, pointer: int) -> tuple:

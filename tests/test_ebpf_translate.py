@@ -1,6 +1,7 @@
-"""Differential tests: the translated ``BpfVm`` against the reference oracle.
+"""Differential tests: the compiled ``BpfVm`` against the reference oracle.
 
-``BpfVm`` translates a program into step closures once; ``ReferenceVm``
+``BpfVm`` compiles a program into one Python function once (and a checked
+twin when a run would cross the budget mid-block); ``ReferenceVm``
 (``tests/ebpf_reference.py``) is the former ``if``-chain interpreter.
 Every program here runs on both, each with its own copy of the maps, and
 must produce the same result object or the same named error, and leave the
@@ -8,11 +9,17 @@ same map contents and ``trace_log`` behind.
 """
 
 import itertools
+import linecache
+import os
+import struct
+import traceback
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ebpf.vm as vm_module
+from repro.apps.fail2ban import build_fail2ban_program
 from repro.common.errors import ProtocolError, ReproError
 from repro.ebpf import BpfVm, HashMap, assemble
 from repro.ebpf.helpers import (
@@ -104,39 +111,64 @@ EDGE_VALUES = [0, 1, 2, 63, 64, 65, (1 << 31) - 1, 1 << 31, (1 << 32) - 1,
 EDGE_IMMS = [0, 1, 7, 63, 64, -1, -8, (1 << 31) - 1, -(1 << 31)]
 
 
+def operands(dst, src=0):
+    """A context holding *dst* and *src* as two u64s, loaded by the grid."""
+    return dst.to_bytes(8, "little") + src.to_bytes(8, "little")
+
+
+#: Every (dst, src) edge pair, and every dst edge value, as contexts: one VM
+#: per program form runs them all (building a VM compiles its program).
+EDGE_PAIRS = [operands(dst, src)
+              for dst, src in itertools.product(EDGE_VALUES, EDGE_VALUES)]
+EDGE_DSTS = [operands(dst) for dst in EDGE_VALUES]
+
+
+def load_operands(dst, src):
+    """Registers *dst* and *src* from the two u64s of the context."""
+    return [
+        Instruction(Opcode.LDXDW, dst=dst, src=1, offset=0),
+        Instruction(Opcode.LDXDW, dst=src, src=1, offset=8),
+    ]
+
+
+def test_lddw_loads_every_edge_value():
+    for value in EDGE_VALUES:
+        (outcome,), *_ = assert_same(Program([
+            Instruction(Opcode.LDDW, dst=0, imm=value),
+            Instruction(Opcode.EXIT),
+        ]))
+        assert outcome[0] == value
+
+
 @pytest.mark.parametrize("op", ALU, ids=lambda op: op.value)
 def test_every_alu_op_matches_the_oracle(op):
-    for dst, src in itertools.product(EDGE_VALUES, EDGE_VALUES):
+    assert_same(Program([
+        *load_operands(0, 3),
+        Instruction(op, dst=0, src=3, uses_reg_src=True),
+        Instruction(Opcode.EXIT),
+    ]), EDGE_PAIRS)
+    for imm in EDGE_IMMS:
         assert_same(Program([
-            Instruction(Opcode.LDDW, dst=0, imm=dst),
-            Instruction(Opcode.LDDW, dst=3, imm=src),
-            Instruction(op, dst=0, src=3, uses_reg_src=True),
-            Instruction(Opcode.EXIT),
-        ]))
-    for dst, imm in itertools.product(EDGE_VALUES, EDGE_IMMS):
-        assert_same(Program([
-            Instruction(Opcode.LDDW, dst=0, imm=dst),
+            *load_operands(0, 3),
             Instruction(op, dst=0, imm=imm),
             Instruction(Opcode.EXIT),
-        ]))
+        ]), EDGE_DSTS)
 
 
 @pytest.mark.parametrize("op", JUMPS, ids=lambda op: op.value)
 def test_every_branch_kind_matches_the_oracle(op):
-    def check(dst, src, compare):
+    def check(compare, contexts):
         assert_same(Program([
-            Instruction(Opcode.LDDW, dst=3, imm=dst),
-            Instruction(Opcode.LDDW, dst=4, imm=src),
+            *load_operands(3, 4),
             Instruction(Opcode.MOV, dst=0, imm=1),
             compare,
             Instruction(Opcode.MOV, dst=0, imm=2),
             Instruction(Opcode.EXIT),
-        ]))
+        ]), contexts)
 
-    for dst, src in itertools.product(EDGE_VALUES, EDGE_VALUES):
-        check(dst, src, Instruction(op, dst=3, src=4, offset=1, uses_reg_src=True))
-    for dst, imm in itertools.product(EDGE_VALUES, EDGE_IMMS):
-        check(dst, 0, Instruction(op, dst=3, imm=imm, offset=1))
+    check(Instruction(op, dst=3, src=4, offset=1, uses_reg_src=True), EDGE_PAIRS)
+    for imm in EDGE_IMMS:
+        check(Instruction(op, dst=3, imm=imm, offset=1), EDGE_DSTS)
 
 
 def _stack_pointer(reg, offset):
@@ -485,3 +517,91 @@ class TestLateBinding:
         assert outcomes[0][0] == outcomes[1][0] == 16 << 48
         assert outcomes[2] == (
             "ProtocolError", "dereference of invalid pointer 0x10000000000000")
+
+
+# -- the compiled function ----------------------------------------------------
+
+FAIL2BAN_CONTEXTS = [  # a miss that inserts, a hit on it, a hit on the 7
+    struct.pack("<IB", 5, 1).ljust(16, b"\0"),
+    struct.pack("<IB", 5, 1).ljust(16, b"\0"),
+    struct.pack("<IB", 0, 0).ljust(16, b"\0"),
+]
+CORPUS_CONTEXT = (443).to_bytes(4, "little") + bytes(28)
+
+
+#: Where the sweep stops for a run that faults or never ends.
+SWEEP_LIMIT = 24
+
+
+def longest_run(program, contexts):
+    """The most instructions a run on one of *contexts* executes."""
+    vm = budgeted(ReferenceVm(program, maps=fresh_maps()), SWEEP_LIMIT)
+    longest = 0
+    for context in contexts:
+        try:
+            longest = max(longest, vm.run(context).instructions_executed)
+        except ProtocolError:
+            longest = SWEEP_LIMIT
+    return longest
+
+
+@pytest.mark.parametrize("name", [entry[0] for entry in program_corpus()])
+def test_every_budget_cuts_where_the_oracle_does(name):
+    """The E10 corpus (the fail2ban filter on a miss, a hit and a ban),
+    under every budget from 0 to one past its longest run: a block the
+    budget cuts runs its instructions under the budget, side effects
+    included, and raises before the first one over it."""
+    program = {entry[0]: entry[1] for entry in program_corpus()}[name]
+    contexts = FAIL2BAN_CONTEXTS if name == "fail2ban" else [CORPUS_CONTEXT]
+    for budget in range(longest_run(program, contexts) + 2):
+        assert_same(program, contexts, budget)
+
+
+def test_the_program_name_never_reaches_the_source():
+    program = assemble(f"mov r0, 7\ncall {HELPER_TRACE_PRINTK}\nexit")
+    program.name = 'q"uo\'te\n"""\\'
+    (outcome,), *_ = assert_same(program)
+    assert outcome[0] == 0
+
+
+def test_the_reference_compiles_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile() called")
+
+    monkeypatch.setattr(vm_module, "compile", refuse, raising=False)
+    program = assemble("mov r0, 1\nmov r0, 2\nexit")
+    assert ReferenceVm(program).run().return_value == 2
+    with pytest.raises(ProtocolError, match="budget exhausted"):
+        budgeted(ReferenceVm(program), 1).run()
+    with pytest.raises(AssertionError, match="compile"):
+        BpfVm(program)
+
+
+def test_the_checked_twin_is_compiled_only_when_a_run_needs_it():
+    vm = BpfVm(assemble("mov r0, 1\nmov r0, 2\nexit"))
+    vm.run()
+    assert vm._checked_run is None
+    with pytest.raises(ProtocolError, match="budget exhausted"):
+        budgeted(vm, 2).run()
+    assert vm._checked_run is not None
+
+
+def test_generated_code_is_charged_to_ebpf_and_shows_in_tracebacks():
+    """The pseudo-filename sits in the package directory (a profile charges
+    it to ``ebpf``) and ``linecache`` holds the generated text under it."""
+    program = assemble("mov r3, 64\nstxb [r3+0], r3\nexit")
+    with pytest.raises(ProtocolError) as caught:
+        BpfVm(program).run()
+    frame, = [frame for frame in traceback.extract_tb(caught.value.__traceback__)
+              if "<bpf:" in frame.filename]
+    assert os.path.dirname(frame.filename) == os.path.dirname(
+        os.path.abspath(vm_module.__file__))
+    assert frame.line == "raise fault(vm, pointer, 1, 'write')"
+
+
+def test_identical_programs_share_one_source_entry():
+    program = assemble("mov r0, 3\nexit")
+    first = BpfVm(program)._run.__code__.co_filename
+    entries = len(linecache.cache)
+    second = BpfVm(assemble("mov r0, 3\nexit"))._run.__code__.co_filename
+    assert second == first and len(linecache.cache) == entries

@@ -228,6 +228,25 @@ class TestComposition:
         with pytest.raises(RuntimeError, match="deadlock"):
             sim.run_process(stuck())
 
+    def test_deadlock_names_where_the_process_is_stuck(self):
+        sim = Simulator()
+
+        def await_both():
+            yield sim.all_of([sim.timeout(1.0), sim.event()])  # one never fires
+
+        def consumer():
+            yield sim.timeout(1.0)
+            yield from await_both()
+
+        with pytest.raises(RuntimeError) as caught:
+            sim.run_process(consumer())
+        line = await_both.__code__.co_firstlineno + 1
+        assert str(caught.value) == (
+            f"process did not finish (deadlock?): {consumer.__qualname__} "
+            f"suspended in {await_both.__qualname__} (test_sim_engine.py:{line}), "
+            "waiting on AllOf"
+        )
+
 
 class TestAnyOfSemantics:
     """Pins AnyOf's result collection: every successful child whose
