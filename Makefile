@@ -43,10 +43,12 @@ exp:  ## one experiment's report: make exp E=e16
 	python -m repro.eval $(E)
 
 # Simulator hot-spot profile: one traced perfbench run, host time and
-# event counts attributed per layer. Start perf PRs here; for another
-# workload run perfbench/run.py --workload W --seconds S --trace 1.
-profile:  ## per-layer hot-spot report: one traced perfbench run
-	python3 perfbench/run.py --workload kv-unbatched-rw --seconds 3 --trace 1
+# event counts attributed per layer. Start perf PRs here: `make profile
+# W=offload-fail2ban` (workloads: python3 perfbench/run.py --help;
+# default kv-unbatched-rw).
+W ?= kv-unbatched-rw
+profile:  ## per-layer hot-spot report: make profile W=offload-fail2ban
+	python3 perfbench/run.py --workload $(W) --seconds 3 --trace 1
 
 # The repository's performance benchmark (BENCHMARK.json): all five
 # workloads, one sample each, results under perfbench/out/.

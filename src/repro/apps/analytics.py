@@ -207,17 +207,17 @@ def cpu_scan(
                 )
             )
             assert completion.ok
-    # Host-side: syscalls + copy of the whole file.
-    yield from os_model.read_storage(len(raw))
-    # Software decode of every column (format translation on the CPU).
+    # Host-side, back to back on one core (one sleep): syscalls + copy
+    # of the whole file,
+    when = os_model.read_storage(sim.now, len(raw))
+    # software decode of every column (format translation on the CPU),
     batch = read_table(raw)
-    decode_time = cpu.costs.memcpy_time(len(raw)) * 2  # decode ~2 passes
-    yield sim.timeout(decode_time)
+    when += cpu.costs.memcpy_time(len(raw)) * 2  # decode ~2 passes
     filtered = batch.filter(query.row_predicate)
-    # Software scan with interference jitter.
+    # and the software scan with interference jitter.
     scan_time = len(batch) * CPU_ROW_TIME
     jitter = 1.0 + cpu.rng.uniform(0, cpu.costs.jitter_fraction)
-    yield sim.timeout(scan_time * jitter)
+    yield sim.timeout_at(when + scan_time * jitter)
     value = filtered.aggregate(query.aggregate_column, query.aggregate)
     return ScanResult(
         value=value,

@@ -159,13 +159,6 @@ class Fail2BanDpu:
                 f"packet log write failed at LBA {lba}: {completion.status.name}"
             )
 
-    def _append_log(self, record: bytes):
-        self._log_buffer.extend(record)
-        if len(self._log_buffer) >= 4096:
-            block = bytes(self._log_buffer[:4096])
-            del self._log_buffer[:4096]
-            yield from self._write_log_block(block)
-
     def flush_log(self):
         """Process: force the partial log block to flash."""
         if self._log_buffer:
@@ -176,7 +169,12 @@ class Fail2BanDpu:
         """Process: NIC -> pipeline -> (persist log record) -> verdict."""
         context = packet.context()
         result = yield from self.pipeline.execute(context)
-        yield from self._append_log(context.ljust(16, b"\x00"))
+        # The log record lands in BRAM; a full block goes to flash.
+        self._log_buffer.extend(context.ljust(16, b"\x00"))
+        if len(self._log_buffer) >= 4096:
+            block = bytes(self._log_buffer[:4096])
+            del self._log_buffer[:4096]
+            yield from self._write_log_block(block)
         if result.return_value == VERDICT_BAN:
             self.banned_packets += 1
         else:

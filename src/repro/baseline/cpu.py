@@ -66,9 +66,9 @@ class CpuModel:
             time += self.costs.preemption_latency
         return time
 
-    def execute_ebpf(self, vm: BpfVm, context: bytes = b""):
-        """Process: run a program on the CPU, charging simulated time."""
+    def run(self, vm: BpfVm, context: bytes, when: float):
+        """Run a program on the CPU from the instant *when*: its result,
+        and the instant its jittered execution ends."""
         result = vm.run(context)
-        yield self.sim.timeout(self.execution_time(result.instructions_executed))
         self.executions += 1
-        return result
+        return result, when + self.execution_time(result.instructions_executed)

@@ -44,19 +44,23 @@ class CpuCentricDatapath:
     def process_packet(self, vm: BpfVm, packet: bytes, persist: bool):
         """Process: one packet through the full CPU-centric path.
 
+        The host costs run back to back on one core, so they are one
+        sleep: the program runs, and draws its jitter, when the packet
+        arrives — concurrent callers run their programs in arrival order.
         Persistence goes through the page cache: every packet pays the
-        write syscall + copy, and full 4 KiB pages flush to the device —
-        the same block-granular flash traffic as the DPU log.
+        write syscall + copy, and full 4 KiB pages flush to the device.
 
         Returns the program's verdict (r0).
         """
-        # NIC -> kernel -> user
-        yield from self.os.receive_packet(len(packet))
-        # software program execution (jittery)
-        result = yield from self.cpu.execute_ebpf(vm, packet)
-        if persist and self.qp is not None:
-            # user -> kernel -> block layer -> page cache
-            yield from self.os.write_storage(len(packet))
+        # NIC -> kernel -> user -> software execution (jittery) ->
+        # kernel -> block layer -> page cache
+        when = self.os.receive_packet(self.sim.now, len(packet))
+        result, when = self.cpu.run(vm, packet, when)
+        persist = persist and self.qp is not None
+        if persist:
+            when = self.os.write_storage(when, len(packet))
+        yield self.sim.timeout_at(when)
+        if persist:
             self._page_cache.extend(packet)
             if len(self._page_cache) >= 4096:
                 block = bytes(self._page_cache[:4096])

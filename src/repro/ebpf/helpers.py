@@ -25,24 +25,23 @@ HELPER_GET_PRANDOM_U32 = 7
 
 
 class HelperRegistry:
-    """id -> helper function table, per execution environment."""
+    """id -> helper function table, per execution environment.
+
+    A CALL looks its helper up in ``table`` at the call, so a helper
+    registered after a VM was built is callable; an id missing there is
+    the "unknown helper" fault.
+    """
 
     def __init__(self) -> None:
-        self._helpers: Dict[int, Helper] = {}
+        self.table: Dict[int, Helper] = {}
 
     def register(self, helper_id: int, fn: Helper) -> None:
-        if helper_id in self._helpers:
+        if helper_id in self.table:
             raise ProtocolError(f"helper {helper_id} already registered")
-        self._helpers[helper_id] = fn
+        self.table[helper_id] = fn
 
     def known(self, helper_id: int) -> bool:
-        return helper_id in self._helpers
-
-    def call(self, helper_id: int, vm: "BpfVm", args: List[int]) -> int:
-        helper = self._helpers.get(helper_id)
-        if helper is None:
-            raise ProtocolError(f"unknown helper {helper_id}")
-        return helper(vm, args)
+        return helper_id in self.table
 
 
 def _map_lookup(vm: "BpfVm", args: List[int]) -> int:

@@ -55,7 +55,8 @@ class HashMap(BpfMap):
         self._entries: Dict[bytes, bytearray] = {}
 
     def lookup(self, key: bytes) -> Optional[bytearray]:
-        self._check_key(key)
+        if len(key) != self.key_size:
+            self._check_key(key)  # raises
         return self._entries.get(bytes(key))
 
     def update(self, key: bytes, value: bytes) -> None:

@@ -21,8 +21,9 @@ before every instruction. The text comes from fixed statement templates
 and two closed expression tables; the only things interpolated are
 integers and register numbers from :class:`Instruction` fields. What is
 *not* compiled in is anything a caller may change after construction: a
-CALL still goes through ``vm.helpers.call`` (late registration, "unknown
-helper"), maps through ``vm.map_by_fd``, and the budget is read per run.
+CALL looks its helper up in the registry's table at the call (late
+registration, "unknown helper"), maps go through ``vm.map_by_fd``, and
+the budget and the registry are read per run.
 There is one execution path; ``tests/ebpf_reference.py`` keeps the former
 ``if``-chain interpreter as the oracle the compiled code is tested against.
 """
@@ -144,8 +145,10 @@ def _statement(insn: Instruction, pc: int) -> Optional[Statement]:
     if op is Opcode.CALL:
         return [
             # Resolved per call: helpers may be registered after the VM is built.
-            f"r0 = vm.helpers.call({insn.imm:d}, vm, [r1, r2, r3, r4, r5])"
-            " & 0xffffffffffffffff",
+            f"helper = helper_of({insn.imm:d})",
+            "if helper is None:",
+            f"    raise ProtocolError('unknown helper {insn.imm:d}')",
+            "r0 = helper(vm, [r1, r2, r3, r4, r5]) & 0xffffffffffffffff",
             "r1 = r2 = r3 = r4 = r5 = 0",  # clobbered by calls (kernel semantics)
             "calls += 1",
         ], None, after
@@ -194,7 +197,8 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
 
     # ``**_`` takes the scratch locals (``pointer``, ``buffer``, ...) that
     # come along when the unchecked function hands over its ``locals()``.
-    lines = [f"def run(vm, region_of, budget, pc, executed, calls, {_REGS}, **_):",
+    lines = [f"def run(vm, region_of, helper_of, budget, pc, executed, calls,"
+             f" {_REGS}, **_):",
              "    while True:"]
     starts = sorted(pc for pc in leaders if 0 <= pc < slots)
     for leader, end in zip(starts, starts[1:] + [slots]):
@@ -227,6 +231,8 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
 class ExecutionResult:
     """Outcome of one program run."""
 
+    __slots__ = ("return_value", "instructions_executed", "helper_calls",
+                 "context")
     return_value: int
     instructions_executed: int
     helper_calls: int
@@ -321,7 +327,8 @@ class BpfVm:
         regions[CONTEXT_REGION] = packet = bytearray(context)
         self._next_region = _FIRST_DYNAMIC_REGION
         return_value, executed, calls = self._run(
-            self, regions.get, self.max_instructions, 0, 0, 0,
+            self, regions.get, self.helpers.table.get,
+            self.max_instructions, 0, 0, 0,
             0, CONTEXT_REGION << REGION_SHIFT, len(context), 0, 0, 0, 0, 0,
             0, 0, (STACK_REGION << REGION_SHIFT) + STACK_SIZE,
         )

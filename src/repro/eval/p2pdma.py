@@ -127,7 +127,7 @@ def _run_pipelined(path: str, size: int, transfers: int,
         done.append(sim.now)
 
     for index in range(transfers):
-        sim.process(one(index))
+        sim.spawn(one(index))
     sim.run()
     return DatapathPoint(path, size, transfers, max(done))
 
@@ -146,8 +146,8 @@ def _run_bounce(size: int, transfers: int) -> DatapathPoint:
         yield from host_link.transfer(size_bytes)  # NIC DMA to DRAM
         yield core.request()
         try:
-            yield from os_model.receive_packet(size_bytes)
-            yield from os_model.write_storage(size_bytes)
+            when = os_model.receive_packet(sim.now, size_bytes)
+            yield sim.timeout_at(os_model.write_storage(when, size_bytes))
         finally:
             core.release()
 

@@ -139,7 +139,8 @@ def run_predictability(runs: int = 1000) -> List[PredictabilityResult]:
     def cpu_scenario():
         for _ in range(runs):
             start = sim.now
-            yield from cpu.execute_ebpf(vm, context)
+            _result, when = cpu.run(vm, context, start)
+            yield sim.timeout_at(when)
             cpu_hist.observe(sim.now - start)
 
     cpu_sampler = _run_sampled(

@@ -108,26 +108,20 @@ class HardwarePipeline:
         self.sim = sim
         self.compiled = compiled
         self._vm = BpfVm(compiled.program, maps=maps)
+        area = compiled.area
+        self.latency = area.fixed_latency
+        #: The port is busy for II cycles per input, then the input
+        #: drains through the remaining stages.
+        self.accept_interval = area.initiation_interval * area.cycle_time
+        self._drain = max(0.0, self.latency - self.accept_interval)
         self._port_free_at = 0.0  # when the input port takes its next tuple
         self.executions = 0
-
-    @property
-    def latency(self) -> float:
-        return self.compiled.area.fixed_latency
-
-    @property
-    def accept_interval(self) -> float:
-        area = self.compiled.area
-        return area.initiation_interval * area.cycle_time
 
     def execute(self, context: bytes = b""):
         """Process: one input through the pipeline; returns ExecutionResult."""
         sim = self.sim
-        interval = self.accept_interval
-        # The port is busy for II cycles per input...
         start = max(sim.now, self._port_free_at)
-        self._port_free_at = free_at = start + interval
-        # ...then the input drains through the remaining stages.
-        yield sim.timeout_at(free_at + max(0.0, self.latency - interval))
+        self._port_free_at = free_at = start + self.accept_interval
+        yield sim.timeout_at(free_at + self._drain)
         self.executions += 1
         return self._vm.run(context)

@@ -105,7 +105,12 @@ class ReferenceVm(BpfVm):
                 )
             if op is Opcode.CALL:
                 args = [regs[1], regs[2], regs[3], regs[4], regs[5]]
-                regs[0] = _u64(self.helpers.call(insn.imm, self, args))
+                # What ``HelperRegistry.call`` did before the compiled
+                # CALL read the registry's table itself.
+                helper = self.helpers.table.get(insn.imm)
+                if helper is None:
+                    raise ProtocolError(f"unknown helper {insn.imm}")
+                regs[0] = _u64(helper(self, args))
                 # r1-r5 are clobbered by calls (kernel semantics).
                 regs[1:6] = [0, 0, 0, 0, 0]
                 helper_calls += 1

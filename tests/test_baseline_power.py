@@ -1,7 +1,18 @@
 """Tests for the CPU-centric baseline and the power/volume models."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.fail2ban import (
+    BAN_MAP_FD,
+    VERDICT_BAN,
+    VERDICT_PASS,
+    PacketRecord,
+    build_fail2ban_program,
+)
 from repro.baseline import (
     ConventionalServer,
     CpuCentricDatapath,
@@ -10,7 +21,7 @@ from repro.baseline import (
     OsModel,
     SUPERMICRO_X12,
 )
-from repro.ebpf import BpfVm, assemble
+from repro.ebpf import BpfVm, HashMap, assemble
 from repro.hw.nvme import Namespace, NvmeController
 from repro.power import (
     HYPERION_POWER,
@@ -21,6 +32,7 @@ from repro.power.energy import total_tdp
 from repro.power.volume import DeviceVolume
 from repro.baseline.server import SUPERMICRO_X12 as SERVER
 from repro.sim import Simulator
+from tests.baseline_reference import ReferenceDatapath
 
 
 class TestCpuModel:
@@ -36,18 +48,13 @@ class TestCpuModel:
                                            preemption_probability=0.0))
         assert cpu.execution_time(10_000) > cpu.execution_time(100)
 
-    def test_execute_ebpf_advances_time(self):
-        sim = Simulator()
-        cpu = CpuModel(sim)
+    def test_run_ends_its_jittered_time_after_the_instant(self):
+        cpu = CpuModel(Simulator())
         vm = BpfVm(assemble("mov r0, 7\nexit"))
-
-        def scenario():
-            result = yield from cpu.execute_ebpf(vm)
-            return result.return_value, sim.now
-
-        value, elapsed = sim.run_process(scenario())
-        assert value == 7
-        assert elapsed > 0
+        result, when = cpu.run(vm, b"", 1.0)
+        assert result.return_value == 7
+        assert when > 1.0
+        assert cpu.executions == 1
 
     def test_memcpy_bandwidth(self):
         cpu = CpuModel(Simulator())
@@ -60,12 +67,7 @@ class TestOsModel:
         sim = Simulator()
         cpu = CpuModel(sim)
         os_model = OsModel(sim, cpu)
-
-        def scenario():
-            yield from os_model.receive_packet(1500)
-            return sim.now
-
-        elapsed = sim.run_process(scenario())
+        elapsed = os_model.receive_packet(0.0, 1500)
         assert elapsed > os_model.costs.interrupt_latency
         assert os_model.interrupts == 1
         assert os_model.syscalls == 1
@@ -74,13 +76,34 @@ class TestOsModel:
     def test_storage_write_includes_block_layer(self):
         sim = Simulator()
         os_model = OsModel(sim, CpuModel(sim))
-
-        def scenario():
-            yield from os_model.write_storage(4096)
-            return sim.now
-
-        elapsed = sim.run_process(scenario())
+        elapsed = os_model.write_storage(0.0, 4096)
         assert elapsed >= os_model.costs.block_layer_latency
+
+    @pytest.mark.parametrize("charge", [
+        ("receive_packet", ("interrupt_latency", "syscall_latency")),
+        ("write_storage", ("syscall_latency", "block_layer_latency")),
+        ("read_storage", ("syscall_latency", "block_layer_latency")),
+    ])
+    def test_each_charge_adds_its_latencies_left_to_right(self, charge):
+        """``when += a; when += b; when += copy`` — the float three
+        sleeps reached. Summing the latencies first differs in the last
+        bit on some of these instants, so that mutant fails here."""
+        name, latencies = charge
+        sim = Simulator()
+        os_model = OsModel(sim, CpuModel(sim))
+        summed_first_differs = False
+        for when in (0.0, 1e-6, 0.1, 0.3, 1.7, 12.345678):
+            for size in (0, 1, 512, 1500, 4096, 65536):
+                chain = when
+                for latency in latencies:
+                    chain += getattr(os_model.costs, latency)
+                copy = os_model.cpu.costs.memcpy_time(size)
+                chain += copy
+                assert getattr(os_model, name)(when, size) == chain
+                total = sum(getattr(os_model.costs, latency)
+                            for latency in latencies) + copy
+                summed_first_differs |= when + total != chain
+        assert summed_first_differs
 
 
 class TestCpuCentricDatapath:
@@ -126,6 +149,112 @@ class TestCpuCentricDatapath:
             return sim.run_process(scenario())
 
         assert run(False) < run(True)
+
+    def test_concurrent_callers_run_their_programs_in_arrival_order(self):
+        """A 64 KiB packet arrives first, a 64 B one 1 us later: the small
+        packet's receive completes first, but the programs run in arrival
+        order, when each operation starts."""
+        sim = Simulator()
+        cpu = CpuModel(sim)
+        path = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu))
+        ran = []
+
+        class RecordingVm(BpfVm):
+            def run(self, context=b""):
+                ran.append(len(context))
+                return super().run(context)
+
+        vm = RecordingVm(assemble("mov r0, 1\nexit"))
+        costs = path.os.costs
+
+        def received(offset, size):
+            return (offset + costs.interrupt_latency + costs.syscall_latency
+                    + cpu.costs.memcpy_time(size))
+
+        assert received(1e-6, 64) < received(0.0, 65536)
+
+        def caller(offset, size):
+            yield sim.timeout(offset)
+            yield from path.process_packet(vm, bytes(size), persist=False)
+
+        sim.process(caller(0.0, 65536))
+        sim.process(caller(1e-6, 64))
+        sim.run()
+        assert ran == [65536, 64]
+        assert path.packets_processed == 2
+
+
+def drive_datapath(datapath_class, costs, seed, packets):
+    """One caller pushes *packets* (gap, size, source, auth failed,
+    persist) through fail2ban back to back; everything either datapath
+    may change, per packet and at the end."""
+    sim = Simulator()
+    cpu = CpuModel(sim, costs=costs, rng=random.Random(seed))
+    os_model = OsModel(sim, cpu)
+    ssd = NvmeController(sim, "ssd")
+    ssd.add_namespace(Namespace(1, 64))
+    path = datapath_class(sim, cpu, os_model, ssd=ssd)
+    ban_map = HashMap(key_size=8, value_size=8, max_entries=16)
+    vm = BpfVm(build_fail2ban_program(), maps={BAN_MAP_FD: ban_map})
+    seen = []
+
+    def caller():
+        for gap, size, source, failed, persist in packets:
+            yield sim.timeout(gap)
+            context = PacketRecord(source, failed, size).context()
+            verdict = yield from path.process_packet(
+                vm, context.ljust(size, b"\x00"), persist)
+            seen.append((sim.now, verdict))
+
+    sim.run_process(caller())
+    return (seen, os_model.syscalls, os_model.interrupts,
+            os_model.bytes_copied, cpu.executions, cpu.rng.getstate(),
+            path._log_lba, path.packets_processed, bytes(path._page_cache),
+            sorted(ssd.namespaces[1]._blocks.items()), sorted(ban_map.items()))
+
+
+class TestFoldAgainstTheChain:
+    """The single sleep per packet against the three-sleep chain it
+    replaced (``tests/baseline_reference.py``): with jitter and
+    preemption on, misses, hits and bans (two sources, so the threshold
+    is crossed) and page flushes, every instant, verdict, counter, RNG
+    state and LBA must be bit-identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        costs=st.builds(
+            CpuCosts,
+            jitter_fraction=st.floats(min_value=0.0, max_value=0.5),
+            preemption_probability=st.floats(min_value=0.0, max_value=1.0),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        packets=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0),
+                          st.floats(min_value=0.0, max_value=1e-3)),
+                st.integers(min_value=16, max_value=3000),  # size
+                st.integers(min_value=1, max_value=2),      # source
+                st.booleans(),                              # auth failed
+                st.booleans(),                              # persist
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_same_floats_same_state(self, costs, seed, packets):
+        assert (drive_datapath(CpuCentricDatapath, costs, seed, packets)
+                == drive_datapath(ReferenceDatapath, costs, seed, packets))
+
+    def test_a_trace_with_every_verdict_and_a_flush(self):
+        """The Hypothesis run above cannot pass on trivial inputs: this
+        fixed trace bans, passes and flushes a page."""
+        packets = [(1e-5, 1500, 1, True, True)] * 5 + [
+            (0.0, 700, 2, False, True), (3e-6, 64, 1, False, False)]
+        folded = drive_datapath(CpuCentricDatapath, CpuCosts(), 11, packets)
+        assert folded == drive_datapath(ReferenceDatapath, CpuCosts(), 11,
+                                        packets)
+        verdicts = [verdict for _when, verdict in folded[0]]
+        assert VERDICT_BAN in verdicts and VERDICT_PASS in verdicts
+        assert folded[6] >= 1  # a page reached flash
 
 
 class TestServerAndPower:

@@ -14,6 +14,7 @@ from repro.eval.fail2ban import format_fail2ban, run_fail2ban
 from repro.eval.figures import format_figures, run_figures
 from repro.eval.kvssd import format_kvssd, run_kvssd
 from repro.eval.loadbalancer import format_loadbalancer, run_loadbalancer
+from repro.eval.p2pdma import _run_pipelined
 from repro.eval.pointer_chase import format_pointer_chase, run_pointer_chase
 from repro.eval.predictability import format_predictability, run_predictability
 from repro.eval.recovery import format_recovery, run_recovery
@@ -22,6 +23,9 @@ from repro.eval.registry import EXPERIMENTS, Experiment, select
 from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table
 from repro.eval.table1 import run_table1, table1_categories
 from repro.eval.translation import format_translation, run_translation
+from repro.hw.nvme import Namespace, NvmeController
+from repro.hw.pcie.link import PcieLink
+from repro.sim import Simulator
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -185,6 +189,25 @@ class TestFail2BanShape:
         assert dpu.banned == base.banned
         assert dpu.total_time < base.total_time
         assert "speedup" in format_fail2ban([dpu, base])
+
+
+class TestP2pShape:
+    def test_a_failed_transfer_fails_the_run(self):
+        """A transfer whose NVMe write fails must not vanish from the
+        row: with the transfers' handles dropped, the run reported the
+        last completion of the transfers that did not fail."""
+        sim = Simulator()
+        ssd = NvmeController(sim, "ssd")
+        ssd.add_namespace(Namespace(1, 1))  # room for the first block only
+        qp = ssd.create_queue_pair()
+        ssd.start()
+
+        def control(size):
+            yield sim.timeout(1e-6)
+
+        with pytest.raises(AssertionError):
+            _run_pipelined("bounce", 4096, 2, control, PcieLink(sim, lanes=4),
+                           sim, qp)
 
 
 class TestLoadBalancerShape:

@@ -18,6 +18,7 @@ from repro.apps.fail2ban import Fail2BanBaseline, Fail2BanDpu, PacketRecord
 from repro.baseline import CpuCentricDatapath, CpuModel, OsModel
 from repro.dpu import HyperionDpu
 from repro.ebpf import assemble
+from repro.eval import p2pdma
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanFabric
 from repro.georep.region import SHIP_INTERVAL
 from repro.hdl import HardwarePipeline, compile_program
@@ -199,17 +200,39 @@ class TestEntriesPerPacket:
 
     def test_os_receive_and_write(self):
         sim, path = self.baseline()
+        sim.run()
+        before = sim._eid
         # Interrupt + syscall + copy, and syscall + block layer + copy:
-        # one sleep each (3 each while every latency was its own).
-        assert entries(sim, path.os.receive_packet(512)) == 1 + DRIVER
-        assert entries(sim, path.os.write_storage(512)) == 1 + DRIVER
+        # arithmetic on an instant, no entry at all (one sleep each
+        # before the caller folded them; 3 each before that).
+        when = path.os.write_storage(path.os.receive_packet(sim.now, 512), 512)
+        assert when > sim.now
+        assert sim._eid == before
 
     def test_baseline_packet_without_a_flush(self):
         sim, path = self.baseline()
         app = Fail2BanBaseline(sim, path)
-        # Receive, software execution (its own entry, so the VM runs at
-        # its place in the order), page-cache write. (7 before.)
-        assert entries(sim, app.process_packet(self.PACKET)) == 3 + DRIVER
+        # Receive, software execution and page-cache write run back to
+        # back on one core: one sleep. (3 while the program ran at its
+        # receive completion; 7 before that.)
+        assert entries(sim, app.process_packet(self.PACKET)) == 1 + DRIVER
+
+    def test_p2p_bounce_transfer(self, monkeypatch):
+        """One bounce transfer (NIC DMA, the core's interrupt + copy +
+        write syscall, DMA to the SSD, the NVMe write), counted over the
+        run that carries it. (14 while receive and write were a sleep
+        each and the transfer's end queued a completion nobody awaited.)"""
+        counted = []
+
+        class CountingSimulator(Simulator):
+            def run(self, until=None):
+                before = self._eid
+                super().run(until)
+                counted.append(self._eid - before)
+
+        monkeypatch.setattr(p2pdma, "Simulator", CountingSimulator)
+        p2pdma._run_bounce(4096, 1)
+        assert counted == [12]
 
     def test_dpu_packet_without_a_flush(self):
         sim = Simulator()
