@@ -36,7 +36,6 @@ class CpuCentricDatapath:
         self.qp = None
         if ssd is not None:
             self.qp = ssd.create_queue_pair()
-            ssd.start()
         self.packets_processed = 0
         self._log_lba = 0
         self._page_cache = bytearray()

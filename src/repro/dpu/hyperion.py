@@ -123,9 +123,7 @@ class HyperionDpu:
             AddressRange(HBM_WINDOW_BASE, self.hbm_backend.capacity,
                          self.hbm_backend, "fpga-hbm")
         )
-        # Start the SSD controllers and build the store over SSD 0.
-        for ssd in self.ssds:
-            ssd.start()
+        # Build the store over SSD 0.
         self._store_qp = self.ssds[0].create_queue_pair()
         nvme_backend = NvmeBackend(self.sim, self.ssds[0], self._store_qp)
         self.axi.add_range(

@@ -90,8 +90,9 @@ def accept(points) -> List[str]:
 
 
 def _make_ssd(sim):
-    # A datacenter-class drive: 16 channels x 8 dies soak up the queue
-    # depth, so the *movement* path (not the flash) sets the pace.
+    # A datacenter-class drive: 16 channels x 8 dies soak up the
+    # outstanding commands, so the *movement* path (not the flash) sets
+    # the pace.
     from repro.hw.nvme.flash import FlashArray
 
     ssd = NvmeController(
@@ -99,11 +100,9 @@ def _make_ssd(sim):
         "target-ssd",
         flash=FlashArray(sim, channels=16, dies_per_channel=8),
         link=PcieLink(sim, lanes=4),
-        queue_depth=1024,
     )
     ssd.add_namespace(Namespace(1, 1 << 20))
     qp = ssd.create_queue_pair()
-    ssd.start()
     return ssd, qp
 
 
@@ -137,7 +136,7 @@ def _run_bounce(size: int, transfers: int) -> DatapathPoint:
     cpu = CpuModel(sim, costs=CpuCosts(jitter_fraction=0.0,
                                        preemption_probability=0.0))
     os_model = OsModel(sim, cpu)
-    core = Resource(sim, capacity=1)  # one CPU core runs the datapath
+    core = Resource(sim)  # one CPU core runs the datapath
     ssd, qp = _make_ssd(sim)
     host_link = PcieLink(sim, lanes=8)  # NIC -> host DRAM
     dram_to_ssd = PcieLink(sim, lanes=4)
@@ -156,7 +155,7 @@ def _run_bounce(size: int, transfers: int) -> DatapathPoint:
 
 def _run_p2p(size: int, transfers: int) -> DatapathPoint:
     sim = Simulator()
-    core = Resource(sim, capacity=1)
+    core = Resource(sim)
     ssd, qp = _make_ssd(sim)
     nic_to_ssd = PcieLink(sim, lanes=4)  # through the host root complex
 

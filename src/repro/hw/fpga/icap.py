@@ -39,7 +39,7 @@ class Icap:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._port = Resource(sim, capacity=1)
+        self._port = Resource(sim)
         self.history: List[ReconfigurationRecord] = []
         self._metrics = sim.telemetry.unique_scope("fpga.icap")
         self._loads = self._metrics.counter("loads")

@@ -6,10 +6,11 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Deque, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.units import gbps
 from repro.faults import FaultInjector, FaultKind
 from repro.hw.net.frames import Frame
-from repro.sim import Event, Simulator, Store
+from repro.sim import Event, Simulator
 
 #: 100 Gbit/s in bytes/second.
 QSFP28_100G = gbps(100)
@@ -31,9 +32,9 @@ class Link:
     on (:meth:`forward`, a switch egress) skips the serialization entry:
     when it will have left is busy-until arithmetic.
 
-    :attr:`sink` is a one-argument callable. It defaults to this link's
-    receive queue (drained with :meth:`receive`); a datagram socket
-    installs its reassembly there. A link that feeds a switch has an
+    :attr:`sink` is a one-argument callable the consumer installs (via
+    :meth:`NetworkPort.listen`); until then a frame raises
+    ``ConfigurationError``. A link that feeds a switch has an
     :attr:`ingress` instead: it is told, as the frame leaves the
     transmitter, the instant the frame will arrive, and schedules its
     own stage from that — the propagation costs no entry of its own.
@@ -67,9 +68,8 @@ class Link:
         self._tracer = sim.tracer
         self.bandwidth = bandwidth
         self.propagation = propagation
-        self.rx_queue: Store = Store(sim)
         #: Where a frame goes once it has propagated.
-        self.sink: Callable[[Frame], None] = self.rx_queue.put_nowait
+        self.sink: Callable[[Frame], None] = self._unheard
         #: ``ingress(frame, arrive_at)``, set by the switch this link
         #: feeds; takes the place of the propagation entry and the sink.
         self.ingress: Optional[Callable[[Frame, float], None]] = None
@@ -219,6 +219,8 @@ class Link:
         else:
             self.sim.call_later(self.propagation, partial(self.sink, frame))
 
-    def receive(self):
-        """Event: the next frame out of the receive queue."""
-        return self.rx_queue.get()
+    def _unheard(self, frame: Frame) -> None:
+        raise ConfigurationError(
+            f"frame for {frame.dst} arrived on {self.component}, "
+            "where nothing listens"
+        )

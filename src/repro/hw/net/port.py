@@ -55,16 +55,9 @@ class NetworkPort:
         self._tx_frames.inc()
         yield link.enqueue(frame)
 
-    def receive(self):
-        """Event: next frame arriving at this port."""
-        return self._rx().receive()
-
     def listen(self, on_frame: Callable[[Frame], None]) -> None:
-        """Hand every arriving frame to *on_frame* instead of queueing it
-        for :meth:`receive` (one listener per port; the last one wins)."""
-        self._rx().sink = on_frame
-
-    def _rx(self) -> Link:
+        """Hand every arriving frame to *on_frame* (one listener per
+        port; the last one wins)."""
         if self.rx_link is None:
             raise ConfigurationError(f"port {self.address} has no RX link")
-        return self.rx_link
+        self.rx_link.sink = on_frame

@@ -6,7 +6,7 @@ from functools import partial
 from typing import Dict, Set
 
 from repro.common.errors import ConfigurationError
-from repro.hw.net.frames import ETHERNET_HEADER, Frame
+from repro.hw.net.frames import Frame
 from repro.hw.net.link import DEFAULT_PROPAGATION, QSFP28_100G, Link
 from repro.hw.net.port import NetworkPort
 from repro.sim import Simulator
@@ -110,9 +110,3 @@ class Network:
         if address not in self._ports:
             raise ConfigurationError(f"no endpoint named {address}")
         return self._ports[address]
-
-    def one_way_delay(self, payload_size: int) -> float:
-        """Analytic minimum latency endpoint-to-endpoint for one frame."""
-        wire = payload_size + ETHERNET_HEADER
-        serialization = 2 * (wire / self.bandwidth)
-        return serialization + 2 * self.propagation + self.switch.forward_latency

@@ -9,8 +9,7 @@ the bifurcated PCIe links.
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Optional
 
 from repro.common.errors import CapacityError, FaultInjectedError, ProtocolError
 from repro.faults import FaultInjector, FaultKind
@@ -19,7 +18,7 @@ from repro.hw.nvme.flash import FlashArray
 from repro.hw.nvme.namespace import LBA_SIZE, Namespace
 from repro.hw.pcie.device import Bar, PcieDevice
 from repro.hw.pcie.link import PcieLink
-from repro.sim import Event, Simulator, Store
+from repro.sim import Event, Simulator
 
 #: Firmware command decode + completion posting overhead.
 CONTROLLER_LATENCY = 2e-6
@@ -30,43 +29,23 @@ COMMAND_WATCHDOG_LATENCY = 10e-3
 
 
 class NvmeQueuePair:
-    """One submission/completion queue pair with bounded depth.
+    """One submission/completion queue pair of a controller: a
+    submission starts its command at once, as a process of its own
+    (commands overlap across dies)."""
 
-    Submission keeps the blocking :class:`~repro.sim.Store` path: a full
-    queue stalls the submitter — an *implicit unbounded queue* of
-    blocked putter state. Once the controller runs, a submission starts
-    its command at once (commands overlap across dies); the store only
-    holds what was submitted before :meth:`NvmeController.start`.
-    """
-
-    def __init__(self, sim: Simulator, qid: int, depth: int = 256):
-        self.sim = sim
-        self.qid = qid
-        self.depth = depth
-        self.sq = Store(sim, capacity=depth)
+    def __init__(self, controller: "NvmeController"):
+        self.sim = controller.sim
+        self._controller = controller
         self._waiters: Dict[int, Event] = {}
         self._cids = itertools.count()
-        #: The started controller's command execution: a submission
-        #: starts it directly.
-        self._execute: Optional[Callable[[NvmeCommand], Generator]] = None
 
     def submit(self, command: NvmeCommand) -> Event:
-        """Queue a command; the returned event fires with its completion."""
+        """Start *command*; the returned event fires with its completion."""
         done = Event(self.sim)
         command.cid = cid = next(self._cids)
         self._waiters[cid] = done
-        if self._execute is not None:
-            self.sim.spawn(self._execute(command))
-        elif len(self.sq) < self.depth:
-            self.sq.put_nowait(command)
-        else:
-            # A full submission queue stalls the submission, not the
-            # submitter: a process waits for the slot on its behalf.
-            self.sim.spawn(self._enqueue(command))
+        self.sim.spawn(self._controller._execute(self, command))
         return done
-
-    def _enqueue(self, command: NvmeCommand):
-        yield self.sq.put(command)
 
     def post(self, completion: NvmeCompletion) -> None:
         """Post *completion* as the last act of the command's own
@@ -86,7 +65,6 @@ class NvmeController(PcieDevice):
         name: str,
         flash: Optional[FlashArray] = None,
         link: Optional[PcieLink] = None,
-        queue_depth: int = 256,
     ):
         super().__init__(name, bars=[Bar(16 * 1024)])
         self.sim = sim
@@ -95,15 +73,12 @@ class NvmeController(PcieDevice):
             sim, component=f"{name}.flash"
         )
         self.link = link
-        self.queue_pairs: List[NvmeQueuePair] = []
-        self._queue_depth = queue_depth
         self.injector: Optional[FaultInjector] = None
         self._metrics = sim.telemetry.unique_scope(name)
         self._commands_executed = self._metrics.counter("commands_executed")
         self._commands_aborted = self._metrics.counter("commands_aborted")
         self._media_errors = self._metrics.counter("media_errors")
         self._cmd_latency = self._metrics.histogram("cmd_latency")
-        self._started = False
 
     def attach_faults(self, injector: FaultInjector) -> "NvmeController":
         """Bind the controller (and its flash) to a fault injector.
@@ -120,29 +95,7 @@ class NvmeController(PcieDevice):
         self.namespaces[namespace.namespace_id] = namespace
 
     def create_queue_pair(self) -> NvmeQueuePair:
-        qp = NvmeQueuePair(
-            self.sim, qid=len(self.queue_pairs), depth=self._queue_depth
-        )
-        self.queue_pairs.append(qp)
-        if self._started:
-            self._serve(qp)
-        return qp
-
-    def start(self) -> None:
-        """Begin draining all queue pairs (call once after setup)."""
-        if self._started:
-            return
-        self._started = True
-        for qp in self.queue_pairs:
-            self._serve(qp)
-
-    def _serve(self, qp: NvmeQueuePair) -> None:
-        """Execute *qp*'s commands from now on. NVMe runs them in
-        parallel across flash dies: each is a process of its own, started
-        without waiting for the ones before it."""
-        qp._execute = partial(self._execute, qp)
-        while len(qp.sq):  # submitted before start(), in order
-            self.sim.spawn(self._execute(qp, qp.sq.get().value))
+        return NvmeQueuePair(self)
 
     # -- command execution ---------------------------------------------------
     def _execute(self, qp: NvmeQueuePair, command: NvmeCommand):

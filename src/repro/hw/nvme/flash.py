@@ -47,10 +47,10 @@ class FlashArray:
         self.channels = channels
         self.dies_per_channel = dies_per_channel
         self._dies: List[Resource] = [
-            Resource(sim, capacity=1) for _ in range(channels * dies_per_channel)
+            Resource(sim) for _ in range(channels * dies_per_channel)
         ]
         self._channels: List[Resource] = [
-            Resource(sim, capacity=1) for _ in range(channels)
+            Resource(sim) for _ in range(channels)
         ]
         self.injector: Optional[FaultInjector] = None
         self.component = component

@@ -45,7 +45,7 @@ class PcieLink:
         self.sim = sim
         self.lanes = lanes
         self.bandwidth = lanes * PCIE_GEN3_PER_LANE
-        self._channel = Resource(sim, capacity=1)
+        self._channel = Resource(sim)
         self.injector: Optional[FaultInjector] = None
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)

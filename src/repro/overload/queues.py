@@ -45,10 +45,10 @@ class QueuePolicy(enum.Enum):
 class BoundedQueue:
     """A bounded queue of ``(enqueue time, item)`` entries.
 
-    Unlike :class:`repro.sim.Store`, a full queue never blocks the
-    producer: :meth:`try_put` returns ``False`` (counted and, when an
-    ``on_drop`` hook is set, reported) so backpressure propagates
-    *immediately* instead of accumulating as hidden putter state.
+    A full queue never blocks the producer: :meth:`try_put` returns
+    ``False`` (counted and, when an ``on_drop`` hook is set, reported)
+    so backpressure propagates *immediately* instead of accumulating as
+    hidden putter state.
 
     Consumption comes in two shapes: :meth:`poll` synchronously returns
     an item or ``None`` (a worker between two requests), and :meth:`get`

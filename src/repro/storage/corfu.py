@@ -57,7 +57,6 @@ class CorfuLogUnit:
         self.sim = sim
         self.controller = controller
         self.qp = controller.create_queue_pair()
-        controller.start()
         self._written: Dict[int, Tuple[int, int]] = {}  # position -> (lba, length)
         self._next_lba = 0
         self.failed = False

@@ -50,7 +50,6 @@ class KvSsd:
         self.sim = sim
         self.controller = controller
         self.qp = controller.create_queue_pair()
-        controller.start()
         self._metrics = sim.telemetry.unique_scope(
             f"kvssd.{controller.name}"
         )

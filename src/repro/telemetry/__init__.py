@@ -33,7 +33,6 @@ On top of the in-process plane sit the export-and-watch layers:
 
 from repro.telemetry.export import (
     chrome_trace_json,
-    parse_prometheus_text,
     prometheus_text,
     trace_events,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "NULL_SPAN",
     "FlightRecorder",
     "prometheus_text",
-    "parse_prometheus_text",
     "chrome_trace_json",
     "trace_events",
     "Sampler",

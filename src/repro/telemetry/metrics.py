@@ -165,16 +165,9 @@ class Histogram(Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
+    def __init__(self, name: str):
         super().__init__(name)
-        bounds = tuple(buckets)
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ConfigurationError(
-                f"histogram {name} needs strictly increasing bucket bounds"
-            )
-        self.bounds = bounds
+        self.bounds = bounds = DEFAULT_BUCKETS
         #: counts[i] = samples <= bounds[i]; counts[-1] = overflow.
         self._counts = [0] * (len(bounds) + 1)
         self._samples: List[float] = []
@@ -369,11 +362,9 @@ class MetricScope:
         """The gauge at ``prefix.name`` (created on first use)."""
         return self.registry.gauge(self._path(name))
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram at ``prefix.name`` (created on first use)."""
-        return self.registry.histogram(self._path(name), buckets)
+        return self.registry.histogram(self._path(name))
 
     def scope(self, sub: str) -> "MetricScope":
         """A child scope at ``prefix.sub``, over the same registry."""
@@ -420,9 +411,7 @@ class MetricsRegistry:
         """The gauge at *path* (created on first use)."""
         return self._get_or_create(path, Gauge)
 
-    def histogram(
-        self, path: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, path: str) -> Histogram:
         """The histogram at *path* (created on first use)."""
         return self._get_or_create(path, Histogram)
 

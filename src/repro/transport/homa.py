@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
-from repro.sim import Event, Simulator, Store
+from repro.sim import Event, Simulator
 
 HOMA_HEADER = 40
 #: Bytes a sender may push without a grant (~one 100 GbE bandwidth-delay).
@@ -37,17 +38,18 @@ class _HomaGrant:
 
 
 class HomaSocket:
-    """A message-oriented endpoint with unscheduled/scheduled transmission."""
+    """A message-oriented endpoint with unscheduled/scheduled transmission.
+
+    Frames arrive as port callbacks; complete messages leave through
+    :attr:`deliver`, which the consumer installs (until then, one
+    raises :class:`~repro.common.errors.ConfigurationError`).
+    """
 
     def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
         self.port = port
-        self.rx: Store = Store(sim)
-        #: Where a complete ``(src, payload, size)`` message goes: the
-        #: :meth:`recv` queue unless an upper layer takes them itself.
-        self.deliver: Callable[[Tuple[str, Any, int]], None] = (
-            self.rx.put_nowait
-        )
+        #: Where a complete ``(src, payload, size)`` message goes.
+        self.deliver: Callable[[Tuple[str, Any, int]], None] = self._unheard
         # Per-socket ids: the receiver keys on (source address, id) and
         # grants come back to this socket, so only its messages need
         # distinct ones.
@@ -58,13 +60,13 @@ class HomaSocket:
         self._granted: set = set()
         self.messages_sent = 0
         self.unscheduled_only = 0
-        sim.spawn(self._rx_loop())
+        port.listen(self._on_frame)
 
     @property
     def address(self) -> str:
         return self.port.address
 
-    def send(self, dst: str, payload: Any, size: int):
+    def sendto(self, dst: str, payload: Any, size: int):
         """Process: transmit one message (unscheduled head, granted tail)."""
         message_id = next(self._message_ids)
         mtu = MAX_FRAME_PAYLOAD - HOMA_HEADER
@@ -97,42 +99,42 @@ class HomaSocket:
             sent += chunk
         self.messages_sent += 1
 
-    def recv(self):
-        """Event: next ``(src, payload, size)`` message."""
-        return self.rx.get()
+    def _unheard(self, message: Tuple[str, Any, int]) -> None:
+        raise ConfigurationError(
+            f"message from {message[0]} reached HOMA socket {self.address}, "
+            "which has no consumer"
+        )
 
-    def _rx_loop(self):
-        while True:
-            frame = yield self.port.receive()
-            message = frame.payload
-            if isinstance(message, _HomaGrant):
-                waiter = self._grants.pop(message.message_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(None)
-                continue
-            if not isinstance(message, _HomaData):
-                continue
-            key = (frame.src, message.message_id)
-            if message.payload is not None:
-                self._payloads[key] = message.payload
-            chunk = frame.payload_size - HOMA_HEADER
-            received = self._incoming.get(key, 0) + chunk
-            self._incoming[key] = received
-            # Issue a grant once the unscheduled region has landed.
-            if (
-                message.total_size > RTT_BYTES
-                and received >= min(RTT_BYTES, message.total_size)
-                and received < message.total_size
-                and key not in self._granted
-            ):
-                self._granted.add(key)
-                grant = _HomaGrant(message.message_id, message.total_size)
-                self.sim.spawn(self._send_grant(frame.src, grant))
-            if received >= message.total_size:
-                del self._incoming[key]
-                self._granted.discard(key)
-                payload = self._payloads.pop(key, None)
-                self.deliver((frame.src, payload, message.total_size))
+    def _on_frame(self, frame: Frame) -> None:
+        message = frame.payload
+        if isinstance(message, _HomaGrant):
+            waiter = self._grants.pop(message.message_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(None)
+            return
+        if not isinstance(message, _HomaData):
+            return
+        key = (frame.src, message.message_id)
+        if message.payload is not None:
+            self._payloads[key] = message.payload
+        chunk = frame.payload_size - HOMA_HEADER
+        received = self._incoming.get(key, 0) + chunk
+        self._incoming[key] = received
+        # Issue a grant once the unscheduled region has landed.
+        if (
+            message.total_size > RTT_BYTES
+            and received >= min(RTT_BYTES, message.total_size)
+            and received < message.total_size
+            and key not in self._granted
+        ):
+            self._granted.add(key)
+            grant = _HomaGrant(message.message_id, message.total_size)
+            self.sim.spawn(self.port.send(
+                Frame(self.address, frame.src, grant, HOMA_HEADER)
+            ))
+        if received >= message.total_size:
+            del self._incoming[key]
+            self._granted.discard(key)
+            payload = self._payloads.pop(key, None)
+            self.deliver((frame.src, payload, message.total_size))
 
-    def _send_grant(self, dst: str, grant: _HomaGrant):
-        yield from self.port.send(Frame(self.address, dst, grant, HOMA_HEADER))

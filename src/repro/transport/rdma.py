@@ -59,7 +59,8 @@ class _RdmaResponse:
 
 
 class RdmaNic:
-    """An RDMA-capable NIC bound to one port; serves one-sided ops."""
+    """An RDMA-capable NIC bound to one port; serves one-sided ops.
+    Frames arrive as port callbacks."""
 
     def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
@@ -71,7 +72,7 @@ class RdmaNic:
         self._op_ids = itertools.count()
         self._next_rkey = itertools.count(1)
         self.remote_ops_served = 0
-        sim.spawn(self._rx_loop())
+        port.listen(self._on_frame)
 
     @property
     def address(self) -> str:
@@ -118,16 +119,14 @@ class RdmaNic:
         return response
 
     # -- remote side -----------------------------------------------------------
-    def _rx_loop(self):
-        while True:
-            frame = yield self.port.receive()
-            message = frame.payload
-            if isinstance(message, _RdmaRequest):
-                self.sim.spawn(self._serve(frame.src, message))
-            elif isinstance(message, _RdmaResponse):
-                waiter = self._completions.pop(message.op_id, None)
-                if waiter is not None:
-                    waiter.succeed(message)
+    def _on_frame(self, frame: Frame) -> None:
+        message = frame.payload
+        if isinstance(message, _RdmaRequest):
+            self.sim.spawn(self._serve(frame.src, message))
+        elif isinstance(message, _RdmaResponse):
+            waiter = self._completions.pop(message.op_id, None)
+            if waiter is not None:
+                waiter.succeed(message)
 
     def _serve(self, peer: str, request: _RdmaRequest):
         yield self.sim.timeout(NIC_PROCESSING)

@@ -4,7 +4,8 @@ Paper §2.4: "we take inspiration from the flexible RPC interface pioneered
 by Willow. The RPC interface can be specialized end-to-end with network,
 storage, and application-level protocols." Servers register named handlers
 (which may be simulation processes touching flash, segments, or pipelines);
-clients call them over UDP, HOMA, or a TCP adapter — the E12 sweep.
+clients call them over UDP, HOMA, or a TCP adapter — the E12 sweep. Any
+socket with a ``sendto`` process and a ``deliver`` hook plugs in directly.
 """
 
 from __future__ import annotations
@@ -200,34 +201,6 @@ class BatchOp:
                 f"response_size={self.response_size})")
 
 
-class _DatagramAdapter:
-    """Uniform sendto/listen interface over UDP and HOMA sockets.
-
-    The socket's send entry point is resolved once at construction (not
-    ``hasattr``-probed per datagram), and :meth:`sendto` hands back the
-    socket's generator directly instead of wrapping it in a delegating
-    generator frame.
-    """
-
-    __slots__ = ("socket", "_send")
-
-    def __init__(self, socket: Any):
-        self.socket = socket
-        self._send = getattr(socket, "sendto", None) or socket.send
-
-    @property
-    def address(self) -> str:
-        return self.socket.address
-
-    def sendto(self, dst: str, payload: Any, size: int):
-        return self._send(dst, payload, size)
-
-    def listen(self, on_datagram: Callable[[tuple], None]) -> None:
-        """Take every complete ``(src, payload, size)`` datagram as a
-        call to *on_datagram* instead of through the socket's queue."""
-        self.socket.deliver = on_datagram
-
-
 class RpcServer:
     """Dispatches incoming requests to registered handler processes.
 
@@ -260,10 +233,10 @@ class RpcServer:
     ):
         self.sim = sim
         self._tracer = sim.tracer
-        self.transport = _DatagramAdapter(socket)
+        self.socket = socket
         self._handlers: Dict[str, Callable] = {}
         self._metrics = sim.telemetry.unique_scope(
-            f"rpc.server.{self.transport.address}"
+            f"rpc.server.{socket.address}"
         )
         self._requests_served = self._metrics.counter("requests_served")
         self._shed = self._metrics.counter("requests_shed")
@@ -281,7 +254,7 @@ class RpcServer:
             )
             for __ in range(workers):
                 sim.spawn(self._worker_loop())
-        self.transport.listen(self._on_datagram)
+        socket.deliver = self._on_datagram
 
     @property
     def requests_shed(self) -> int:
@@ -290,7 +263,7 @@ class RpcServer:
 
     @property
     def address(self) -> str:
-        return self.transport.address
+        return self.socket.address
 
     def register(self, method: str, handler: Callable) -> None:
         """Bind *handler* to *method*; one handler per name, no rebinding."""
@@ -307,7 +280,7 @@ class RpcServer:
     def _reject(self, src: str, request: RpcRequest, reason: str):
         """Process: an immediate, header-sized overload error response."""
         response = RpcResponse(request.rpc_id, ok=False, error=reason)
-        yield from self.transport.sendto(src, response, RPC_HEADER)
+        yield from self.socket.sendto(src, response, RPC_HEADER)
 
     def _on_queue_drop(self, item, reason: str) -> None:
         src, request = item
@@ -373,7 +346,7 @@ class RpcServer:
             response = RpcResponse(
                 request.rpc_id, ok=False, error=f"no method {request.method!r}"
             )
-            yield from self.transport.sendto(src, response, RPC_HEADER)
+            yield from self.socket.sendto(src, response, RPC_HEADER)
             return
         # Attribute dicts for spans are only built when tracing is on;
         # the disabled path allocates nothing (NULL_SPAN is a singleton).
@@ -385,13 +358,13 @@ class RpcServer:
             # through one server must not cross-link.
             span = tracer.begin(
                 context, "rpc.handle", "transport",
-                {"method": request.method, "server": self.transport.address},
+                {"method": request.method, "server": self.socket.address},
                 parent=request.parent_span,
             )
         elif tracer.enabled:
             span = tracer.span(
                 "rpc.handle", "transport",
-                method=request.method, server=self.transport.address,
+                method=request.method, server=self.socket.address,
             )
         else:
             span = NULL_SPAN
@@ -407,7 +380,7 @@ class RpcServer:
             except Exception as exc:  # noqa: BLE001 - marshalled to the client
                 response = RpcResponse(request.rpc_id, ok=False, error=str(exc))
             self._requests_served.inc()
-            yield from self.transport.sendto(
+            yield from self.socket.sendto(
                 src, response, RPC_HEADER + request.response_size
             )
 
@@ -426,14 +399,14 @@ class RpcServer:
         if context is not None:
             span = tracer.begin(
                 context, "rpc.handle", "transport",
-                {"method": BATCH_METHOD, "server": self.transport.address,
+                {"method": BATCH_METHOD, "server": self.socket.address,
                  "ops": len(ops)},
                 parent=request.parent_span,
             )
         elif tracer.enabled:
             span = tracer.span(
                 "rpc.handle", "transport",
-                method=BATCH_METHOD, server=self.transport.address,
+                method=BATCH_METHOD, server=self.socket.address,
                 ops=len(ops),
             )
         else:
@@ -460,7 +433,7 @@ class RpcServer:
             self._requests_served.inc()
             self._batches_served.inc()
             response = RpcResponse(request.rpc_id, ok=True, result=results)
-            yield from self.transport.sendto(
+            yield from self.socket.sendto(
                 src, response, RPC_HEADER + request.response_size
             )
 
@@ -478,7 +451,7 @@ class RpcClient:
                  retry_budget: Optional[RetryBudget] = None):
         self.sim = sim
         self._tracer = sim.tracer
-        self.transport = _DatagramAdapter(socket)
+        self.socket = socket
         self.retry_budget = retry_budget
         self._pending: Dict[int, Event] = {}
         # Per-client ids: rpc ids only need to be unique within this
@@ -487,7 +460,7 @@ class RpcClient:
         # breaking same-seed => byte-identical telemetry.
         self._rpc_ids = itertools.count()
         self._metrics = sim.telemetry.unique_scope(
-            f"rpc.client.{self.transport.address}"
+            f"rpc.client.{socket.address}"
         )
         self._calls = self._metrics.counter("calls")
         self._batched_ops = self._metrics.counter("batched_ops")
@@ -495,7 +468,7 @@ class RpcClient:
         self._deadline_exceeded = self._metrics.counter("deadline_exceeded")
         self._budget_exhausted = self._metrics.counter("retry_budget_exhausted")
         self._call_latency = self._metrics.histogram("call_latency")
-        self.transport.listen(self._on_datagram)
+        socket.deliver = self._on_datagram
 
     @property
     def retransmits(self) -> int:
@@ -697,7 +670,7 @@ class RpcClient:
                 # attempt's expiry, if it gets there first, with
                 # ``TIMED_OUT``.
                 answered = self._pending[request.rpc_id] = Event(self.sim)
-                yield from self.transport.sendto(
+                yield from self.socket.sendto(
                     server, request, RPC_HEADER + request_size
                 )
                 if timeout is None and policy is None and deadline is None:

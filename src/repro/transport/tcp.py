@@ -131,7 +131,10 @@ class TcpConnection:
 
 
 class TcpStack:
-    """Per-endpoint TCP state: listening, connections, demux."""
+    """Per-endpoint TCP state: listening, connections, demux.
+
+    Frames arrive as port callbacks; a process pulls the streams
+    (:meth:`accept`, :meth:`TcpConnection.recv`)."""
 
     def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
@@ -140,7 +143,7 @@ class TcpStack:
         self.accept_queue: Store = Store(sim)
         self._pending_connect: Dict[ConnId, Event] = {}
         self._conn_ids = itertools.count()
-        sim.spawn(self._rx_loop())
+        port.listen(self._on_frame)
 
     @property
     def address(self) -> str:
@@ -175,28 +178,26 @@ class TcpStack:
         """Event: next incoming TcpConnection."""
         return self.accept_queue.get()
 
-    def _rx_loop(self):
-        while True:
-            frame = yield self.port.receive()
-            message = frame.payload
-            if isinstance(message, _Syn):
-                if message.conn_id not in self.connections:
-                    connection = TcpConnection(self, frame.src, message.conn_id)
-                    self.connections[message.conn_id] = connection
-                    yield self.accept_queue.put(connection)
-                # Duplicate SYNs (retransmissions) just re-trigger the ack.
-                yield from self.port.send(
-                    Frame(self.address, frame.src, _SynAck(message.conn_id), TCP_HEADER)
-                )
-            elif isinstance(message, _SynAck):
-                waiter = self._pending_connect.pop(message.conn_id, None)
-                if waiter is not None:
-                    waiter.succeed(None)
-            elif isinstance(message, _DataSegment):
-                connection = self.connections.get(message.conn_id)
-                if connection is not None:
-                    self.sim.spawn(connection._on_segment(message))
-            elif isinstance(message, _Ack):
-                connection = self.connections.get(message.conn_id)
-                if connection is not None and message.index >= 0:
-                    connection._on_ack(message)
+    def _on_frame(self, frame: Frame) -> None:
+        message = frame.payload
+        if isinstance(message, _Syn):
+            if message.conn_id not in self.connections:
+                connection = TcpConnection(self, frame.src, message.conn_id)
+                self.connections[message.conn_id] = connection
+                self.accept_queue.put_nowait(connection)
+            # Duplicate SYNs (retransmissions) just re-trigger the ack.
+            self.sim.spawn(self.port.send(
+                Frame(self.address, frame.src, _SynAck(message.conn_id), TCP_HEADER)
+            ))
+        elif isinstance(message, _SynAck):
+            waiter = self._pending_connect.pop(message.conn_id, None)
+            if waiter is not None:
+                waiter.succeed(None)
+        elif isinstance(message, _DataSegment):
+            connection = self.connections.get(message.conn_id)
+            if connection is not None:
+                self.sim.spawn(connection._on_segment(message))
+        elif isinstance(message, _Ack):
+            connection = self.connections.get(message.conn_id)
+            if connection is not None and message.index >= 0:
+                connection._on_ack(message)

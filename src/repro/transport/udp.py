@@ -6,9 +6,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 #: IP + UDP headers.
 UDP_HEADER = 28
@@ -33,13 +34,13 @@ class UdpSocket:
     reassembles by datagram id. There is no reliability: a dropped fragment
     silently kills the datagram (as with real UDP/IP fragmentation).
     Frames reach the socket as callbacks from its port (no receive
-    process); complete datagrams leave through :attr:`deliver`.
+    process); complete datagrams leave through :attr:`deliver`, which the
+    consumer installs (until then, one raises ``ConfigurationError``).
     """
 
     def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
         self.port = port
-        self.rx: Store = Store(sim)
         self._partial: Dict[Tuple[str, int], Dict[int, _Fragment]] = {}
         # Per-socket ids: reassembly keys on (source address, id), so
         # only this socket's datagrams need distinct ones.
@@ -48,11 +49,8 @@ class UdpSocket:
         self.datagrams_received = 0
         #: Incomplete datagrams dropped to keep ``_partial`` bounded.
         self.reassembly_evicted = 0
-        #: Where a complete ``(src, payload, size)`` datagram goes: the
-        #: :attr:`rx` queue unless an upper layer takes them itself.
-        self.deliver: Callable[[Tuple[str, Any, int]], None] = (
-            self.rx.put_nowait
-        )
+        #: Where a complete ``(src, payload, size)`` datagram goes.
+        self.deliver: Callable[[Tuple[str, Any, int]], None] = self._unheard
         port.listen(self._on_frame)
 
     @property
@@ -78,6 +76,12 @@ class UdpSocket:
             frame = Frame(self.port.address, dst, fragment, chunk + UDP_HEADER)
             yield from self.port.send(frame)
         self.datagrams_sent += 1
+
+    def _unheard(self, datagram: Tuple[str, Any, int]) -> None:
+        raise ConfigurationError(
+            f"datagram from {datagram[0]} reached UDP socket {self.address}, "
+            "which has no consumer"
+        )
 
     def _on_frame(self, frame: Frame) -> None:
         fragment = frame.payload

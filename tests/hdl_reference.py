@@ -20,7 +20,7 @@ class ReferencePipeline(HardwarePipeline):
 
     def __init__(self, sim, compiled, maps=None):
         super().__init__(sim, compiled, maps=maps)
-        self._input_port = Resource(sim, capacity=1)
+        self._input_port = Resource(sim)
 
     def execute(self, context: bytes = b""):
         yield self._input_port.request()

@@ -186,18 +186,6 @@ class TestDocstringsEverywhere:
         assert not undocumented, f"classes without docstrings: {undocumented}"
 
 
-#: What no root reaches and stays anyway: test oracles, kept by the
-#: rule that reference implementations tests compare against are safety
-#: code. Each entry says which tests lean on it.
-UNREACHABLE_ALLOWED = {
-    "repro.hw.net.switch.Network.one_way_delay":
-        "the analytic frame delay test_hw_net pins the datapath to, ==",
-    "repro.telemetry.export.PromFamily":
-        "what parse_prometheus_text returns",
-    "repro.telemetry.export.parse_prometheus_text":
-        "the exporter tests parse prometheus_text output back with it",
-}
-
 @pytest.fixture(scope="module")
 def reach():
     return reachability.Reachability()
@@ -205,10 +193,11 @@ def reach():
 
 def test_nothing_unreachable_but_the_allowed_oracles(reach):
     """Every module and def under ``src/repro`` is run by a registry
-    row, a CLI, perfbench or an example (``tools/reachability.py``),
-    except the oracles."""
+    row, a CLI, perfbench or an example (``tools/reachability.py``).
+    A test oracle lives under ``tests/`` (``prometheus_reference.py``,
+    ``hdl_reference.py``), not in ``src/``."""
     dead = [name for name, _lines in reach.unreachable()]
-    assert dead == sorted(UNREACHABLE_ALLOWED)
+    assert dead == []
 
 
 def test_the_pass_reports_planted_dead_code(tmp_path):

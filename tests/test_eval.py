@@ -200,7 +200,6 @@ class TestP2pShape:
         ssd = NvmeController(sim, "ssd")
         ssd.add_namespace(Namespace(1, 1))  # room for the first block only
         qp = ssd.create_queue_pair()
-        ssd.start()
 
         def control(size):
             yield sim.timeout(1e-6)

@@ -27,7 +27,14 @@ from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
 from repro.storage.kvssd import KvSsd, KvSsdClient, KvSsdService
-from repro.transport import RpcClient, RpcServer, UdpSocket
+from repro.transport import (
+    HomaSocket,
+    RdmaNic,
+    RpcClient,
+    RpcServer,
+    TcpStack,
+    UdpSocket,
+)
 
 THINK = 2e-6
 
@@ -121,7 +128,6 @@ class TestEntriesPerOp:
         controller = NvmeController(sim, "ssd")
         controller.add_namespace(Namespace(1, 1024))
         qp = controller.create_queue_pair()
-        controller.start()
         command = NvmeCommand(NvmeOpcode.WRITE, lba=3, data=b"x" * 512)
 
         def write():
@@ -241,6 +247,59 @@ class TestEntriesPerPacket:
         app = Fail2BanDpu(sim, dpu)
         # The pipeline input; the log record lands in BRAM. (3 before.)
         assert entries(sim, app.process_packet(self.PACKET)) == 1 + DRIVER
+
+
+class TestEntriesPerTransportMessage:
+    """TCP, HOMA and RDMA take frames as port callbacks, as UDP does:
+    no receive process resumes per arriving frame. (Each pin below was
+    one entry higher per frame its endpoints received while a receive
+    loop pulled frames off a queue.)"""
+
+    @staticmethod
+    def pair(endpoint):
+        sim = Simulator()
+        network = Network(sim)
+        return (sim, endpoint(sim, network.endpoint("a")),
+                endpoint(sim, network.endpoint("b")))
+
+    def test_tcp_message(self):
+        sim, client, __ = self.pair(TcpStack)
+        connection = sim.run_process(client.connect("b"))
+        # The segment and its ACK cross; the sender's segment processing,
+        # its RTO timer, the ACK's wake-up and the any_of's; the
+        # receiver's segment process, its processing and its put into
+        # the connection's stream. (18 before.)
+        assert entries(sim, connection.send("m", 64)) == (
+            2 * FRAME_CROSSING + 4 + 3 + DRIVER
+        )
+
+    def test_short_homa_message(self):
+        sim, sender, receiver = self.pair(HomaSocket)
+        receiver.deliver = lambda message: None
+        # One unscheduled frame, delivered inside its arrival. (7 before.)
+        assert entries(sim, sender.sendto("b", "m", 200)) == (
+            FRAME_CROSSING + DRIVER
+        )
+
+    def test_granted_homa_message(self):
+        sim, sender, receiver = self.pair(HomaSocket)
+        receiver.deliver = lambda message: None
+        # 14 data frames (7 unscheduled, 7 granted) and the grant; the
+        # grant's sender process and the wake-up of the message waiting
+        # on it. (65 before: 15 frames received.)
+        assert entries(sim, sender.sendto("b", "m", 20_000)) == (
+            15 * FRAME_CROSSING + 2 + DRIVER
+        )
+
+    def test_rdma_read(self):
+        sim, client, server = self.pair(RdmaNic)
+        region = server.register_region(bytearray(64))
+        # Request and response cross; the remote NIC's serving process
+        # and its processing latency, and the completion's wake-up.
+        # (14 before.)
+        assert entries(sim, client.read("b", region.rkey, 0, 64)) == (
+            2 * FRAME_CROSSING + 3 + DRIVER
+        )
 
 
 def sharded_run(trace_seed):

@@ -53,18 +53,13 @@ class TestWanFabric:
         sock_b = UdpSocket(sim, fabric.endpoint("b", "host-b"))
         stamps = {}
 
-        def receiver():
-            yield sock_b.rx.get()
+        def on_ping(datagram):
             stamps["a_to_b"] = sim.now
-            yield from sock_b.sendto("host-a", b"pong", 64)
+            sim.spawn(sock_b.sendto("host-a", b"pong", 64))
 
-        def sender():
-            yield from sock_a.sendto("host-b", b"ping", 64)
-            yield sock_a.rx.get()
-            stamps["rtt"] = sim.now
-
-        sim.process(receiver())
-        sim.run_process(sender())
+        sock_b.deliver = on_ping
+        sock_a.deliver = lambda datagram: stamps.setdefault("rtt", sim.now)
+        sim.run_process(sock_a.sendto("host-b", b"ping", 64))
         # The forward path pays its 2 ms; the return pays its 6 ms.
         assert 2e-3 < stamps["a_to_b"] < 3e-3
         assert 8e-3 < stamps["rtt"] < 10e-3

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.common.units import gbps
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.hw.net import Frame, Link, Network, NetworkPort
+from repro.hw.net import ETHERNET_HEADER, Frame, Link, Network, NetworkPort
 from repro.sim import Simulator
+
+from tests.capture import arrivals
 
 
 def send(link, frame):
@@ -24,9 +26,17 @@ def stat(component, name):
     return metrics.registry.get(f"{metrics.prefix}.{name}").value
 
 
+def one_way_delay(net, payload_size):
+    """The analytic minimum latency of one frame endpoint to endpoint:
+    two serializations, two propagations and the switch lookup."""
+    wire = payload_size + ETHERNET_HEADER
+    serialization = 2 * (wire / net.bandwidth)
+    return serialization + 2 * net.propagation + net.switch.forward_latency
+
+
 def min_rtt(net, request_size, response_size):
     """The analytic request/response round trip: two one-way delays."""
-    return net.one_way_delay(request_size) + net.one_way_delay(response_size)
+    return one_way_delay(net, request_size) + one_way_delay(net, response_size)
 
 
 def delivered(link):
@@ -55,51 +65,37 @@ class TestLink:
     def test_transmit_delivers(self):
         sim = Simulator()
         link = Link(sim, bandwidth=gbps(100), propagation=1e-6)
-
-        def scenario():
-            yield from send(link, Frame("a", "b", "hello", 100))
-            got = yield link.receive()
-            return got.payload, sim.now
-
-        payload, now = sim.run_process(scenario())
+        seen = arrivals(sim, link)
+        sim.run_process(send(link, Frame("a", "b", "hello", 100)))
+        [(now, payload)] = seen
         assert payload == "hello"
         assert now == pytest.approx(138 / gbps(100) + 1e-6)
 
     def test_back_to_back_serializes(self):
         sim = Simulator()
         link = Link(sim, bandwidth=gbps(100), propagation=0)
-        arrivals = []
-
-        def sender():
-            for i in range(3):
-                sim.process(send(link, Frame("a", "b", i, 1462)))
-            if False:
-                yield
-
-        def receiver():
-            for _ in range(3):
-                yield link.receive()
-                arrivals.append(sim.now)
-
-        sim.process(sender())
-        sim.process(receiver())
+        seen = arrivals(sim, link)
+        for i in range(3):
+            sim.process(send(link, Frame("a", "b", i, 1462)))
         sim.run()
+        times = [now for now, __ in seen]
         gap = 1500 / gbps(100)
-        assert arrivals[1] - arrivals[0] == pytest.approx(gap)
-        assert arrivals[2] - arrivals[1] == pytest.approx(gap)
+        assert times[1] - times[0] == pytest.approx(gap)
+        assert times[2] - times[1] == pytest.approx(gap)
 
     def test_loss_function_drops(self):
         sim = Simulator()
         plan = FaultPlan()
         plan.once("drop", "link", FaultKind.FRAME_DROP, at=0.0)
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "link")
+        seen = arrivals(sim, link)
 
         def scenario():
             yield from send(link, Frame("a", "b", None, 100))
 
         sim.run_process(scenario())
         assert stat(link, "frames_dropped") == 1
-        assert len(link.rx_queue) == 0
+        assert seen == []
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -112,6 +108,7 @@ class TestLink:
         plan = FaultPlan()
         plan.once("drop", "link", FaultKind.FRAME_DROP, at=0.0)
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "link")
+        arrivals(sim, link)
 
         def scenario():
             yield from send(link, Frame("a", "b", None, 100))
@@ -131,22 +128,13 @@ class TestNetwork:
         net = Network(sim)
         client = net.endpoint("client")
         server = net.endpoint("server")
-
-        def server_loop():
-            request = yield server.receive()
-            yield from server.send(
-                Frame("server", request.src, f"re:{request.payload}", 64)
-            )
-
-        def client_req():
-            yield from client.send(Frame("client", "server", "ping", 64))
-            reply = yield client.receive()
-            return reply.payload, sim.now
-
-        sim.process(server_loop())
-        proc = sim.process(client_req())
+        server.listen(lambda request: sim.spawn(server.send(
+            Frame("server", request.src, f"re:{request.payload}", 64)
+        )))
+        replies = arrivals(sim, client)
+        sim.process(client.send(Frame("client", "server", "ping", 64)))
         sim.run()
-        payload, rtt = proc.value
+        [(rtt, payload)] = replies
         assert payload == "re:ping"
         assert rtt == pytest.approx(min_rtt(net, 64, 64), rel=0.01)
 
@@ -160,6 +148,20 @@ class TestNetwork:
 
         sim.run_process(scenario())
         assert stat(net.switch, "frames_forwarded") == 0
+
+    def test_a_frame_nobody_listens_for_fails_the_run(self):
+        """No queue holds an unheard frame: its arrival raises, naming
+        the destination and the link it arrived on."""
+        sim = Simulator()
+        net = Network(sim)
+        a = net.endpoint("a")
+        net.endpoint("b")  # wired to the switch; nothing listens
+        sim.process(a.send(Frame("a", "b", "unheard", 64)))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"frame for b arrived on net\.link\.b\.down, where nothing",
+        ):
+            sim.run()
 
     def test_port_without_route(self):
         sim = Simulator()
@@ -178,29 +180,19 @@ class TestNetwork:
         net = Network(sim)
         a = net.endpoint("a")
         b = net.endpoint("b")
+        seen = arrivals(sim, b)
 
         def sender():
             yield from a.send(Frame("a", "b", "one", 64))
             yield from a.send(Frame("a", "b", "two", 64))
 
-        def receiver():
-            yield b.receive()
-            yield b.receive()
-
         sim.process(sender())
-        sim.process(receiver())
         sim.run()
+        assert [payload for __, payload in seen] == ["one", "two"]
         assert stat(a.route(), "frames_sent") == 2
         assert stat(a.route(), "frames_dropped") == 0
         assert delivered(b.rx_link) == 2
         assert sim.telemetry.counter("net.port.a.tx_frames").value == 2
-
-
-def arrivals(sim, port):
-    """Collect ``(time, payload)`` for every frame reaching *port*."""
-    seen = []
-    port.listen(lambda frame: seen.append((sim.now, frame.payload)))
-    return seen
 
 
 class TestCallbackDatapath:
@@ -219,11 +211,11 @@ class TestCallbackDatapath:
         seen = arrivals(sim, b)
         sim.process(a.send(Frame("a", "b", "x", size)))
         sim.run()
-        assert seen == [(net.one_way_delay(size), "x")]
+        assert seen == [(one_way_delay(net, size), "x")]
 
     def test_one_way_delay_counts_the_ethernet_header(self):
         net = Network(Simulator(), propagation=0.0)
-        assert net.one_way_delay(100) == (
+        assert one_way_delay(net, 100) == (
             2 * (138 / gbps(100)) + net.switch.forward_latency
         )
 
@@ -275,10 +267,11 @@ class TestCallbackDatapath:
         """A callback can send: ``enqueue`` needs no generator around it."""
         sim = Simulator()
         link = Link(sim, propagation=0)
+        seen = arrivals(sim, link)
         events = [link.enqueue(Frame("a", "b", i, 100)) for i in range(2)]
         sim.run()
         assert all(event.callbacks is None for event in events)
-        assert [f.payload for f in link.rx_queue.items] == [0, 1]
+        assert [payload for __, payload in seen] == [0, 1]
 
     def test_one_ingress_forwards_one_frame_at_a_time(self):
         """Two frames reaching one ingress within ``forward_latency`` are
@@ -416,6 +409,8 @@ class TestLinkLossAccounting:
         injector = Recording(sim, FaultPlan())
         slow = Link(sim, bandwidth=1e9).attach_faults(injector, "slow")
         fast = Link(sim, bandwidth=10e9).attach_faults(injector, "fast")
+        for link in (slow, fast):
+            arrivals(sim, link)
         slow.enqueue(Frame("a", "b", "s0", 962))   # offered first: 1 us
         fast.enqueue(Frame("a", "b", "f0", 962))   # 0.1 us
         fast.enqueue(Frame("a", "b", "f1", 962))   # queued: 0.2 us

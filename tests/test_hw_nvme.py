@@ -16,11 +16,10 @@ from repro.hw.nvme import (
 from repro.sim import Simulator
 
 
-def make_ssd(sim, blocks=4096, **kwargs):
-    ssd = NvmeController(sim, "nvme-0", **kwargs)
+def make_ssd(sim, blocks=4096):
+    ssd = NvmeController(sim, "nvme-0")
     ssd.add_namespace(Namespace(1, blocks))
     qp = ssd.create_queue_pair()
-    ssd.start()
     return ssd, qp
 
 
@@ -145,30 +144,6 @@ class TestController:
 
         assert run(True) < run(False) / 4
 
-    def test_full_submission_queue_stalls_submissions_in_fifo_order(self):
-        """Submissions beyond the queue depth wait for a slot (and keep
-        their order) instead of being refused; below it they are queued
-        on the spot, with no process in between."""
-        sim = Simulator()
-        ssd = NvmeController(sim, "nvme-0", queue_depth=2)
-        ssd.add_namespace(Namespace(1, 64))
-        qp = ssd.create_queue_pair()
-        finished = []
-
-        def submit(lba):
-            yield qp.submit(NvmeCommand(NvmeOpcode.FLUSH, lba=lba))
-            finished.append(lba)
-
-        for lba in range(5):
-            sim.process(submit(lba))
-        sim.run()  # nothing drains the queue yet
-        assert [c.lba for c in qp.sq.items] == [0, 1]
-        assert len(qp.sq._putters) == 3 and finished == []
-        ssd.start()
-        sim.run()
-        assert finished == [0, 1, 2, 3, 4]
-        assert sim.telemetry.get("nvme-0.commands_executed").value == 5
-
     def test_an_unexpected_namespace_error_raises_out_of_the_run(self):
         """A command's process is spawned, not awaited: an error the
         controller does not map to a status is the original exception
@@ -182,7 +157,6 @@ class TestController:
         ssd = NvmeController(sim, "nvme-0")
         ssd.add_namespace(Broken(1, 64))
         qp = ssd.create_queue_pair()
-        ssd.start()
 
         def write():
             yield qp.submit(NvmeCommand(NvmeOpcode.WRITE, data=b"x"))

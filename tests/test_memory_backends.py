@@ -16,7 +16,6 @@ def make_backends(sim=None, blocks=64):
     controller = NvmeController(sim, "ssd")
     controller.add_namespace(Namespace(1, blocks))
     qp = controller.create_queue_pair()
-    controller.start()
     return dram, NvmeBackend(sim, controller, qp), sim
 
 

@@ -24,7 +24,6 @@ def make_store(sim=None, dram_capacity=1 << 20, nvme_blocks=2048, with_hbm=False
     controller = NvmeController(sim, "nvme-0")
     controller.add_namespace(Namespace(1, nvme_blocks))
     qp = controller.create_queue_pair()
-    controller.start()
     nvme = NvmeBackend(sim, controller, qp)
     hbm = None
     if with_hbm:

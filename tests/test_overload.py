@@ -31,7 +31,6 @@ from repro.telemetry import (
     Sampler,
     SloMonitor,
     SloRule,
-    parse_prometheus_text,
     prometheus_text,
 )
 from repro.transport import (
@@ -41,6 +40,8 @@ from repro.transport import (
     RpcServer,
     UdpSocket,
 )
+
+from tests.prometheus_reference import parse_prometheus_text
 
 
 def counter(sim, path):

@@ -11,13 +11,14 @@ from repro.transport.homa import HomaSocket
 from repro.transport.rdma import RdmaNic
 from repro.transport.tcp import TcpStack
 
+from tests.capture import arrivals
+
 
 def first_nvme_cid():
     sim = Simulator()
     controller = NvmeController(sim, "ssd")
     controller.add_namespace(Namespace(1, 64))
     qp = controller.create_queue_pair()
-    controller.start()
     command = NvmeCommand(NvmeOpcode.READ, lba=0)
 
     def submit():
@@ -35,30 +36,23 @@ def first_tcp_conn_id():
     return sim.run_process(client.connect("server")).conn_id
 
 
-def sniffed(sim, network, address):
-    """Payloads of every frame reaching a bare endpoint at *address*."""
-    seen = []
-    network.endpoint(address).listen(lambda frame: seen.append(frame.payload))
-    return seen
-
-
 def first_homa_message_id():
     sim = Simulator()
     network = Network(sim)
     sender = HomaSocket(sim, network.endpoint("a"))
-    seen = sniffed(sim, network, "b")
-    sim.run_process(sender.send("b", "hello", 100))
-    return seen[0].message_id
+    seen = arrivals(sim, network.endpoint("b"))
+    sim.run_process(sender.sendto("b", "hello", 100))
+    return seen[0][1].message_id
 
 
 def first_rdma_op_id():
     sim = Simulator()
     network = Network(sim)
     nic = RdmaNic(sim, network.endpoint("a"))
-    seen = sniffed(sim, network, "b")
+    seen = arrivals(sim, network.endpoint("b"))
     sim.process(nic.read("b", rkey=1, offset=0, size=8))
     sim.run()  # nobody answers: the read stays pending
-    return seen[0].op_id
+    return seen[0][1].op_id
 
 
 @pytest.mark.parametrize("first_id, expected", [

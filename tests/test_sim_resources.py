@@ -10,7 +10,7 @@ from repro.sim import Resource, Simulator, Store
 class TestResource:
     def test_grant_immediately_when_free(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
 
         def proc():
             yield res.request()
@@ -22,7 +22,7 @@ class TestResource:
 
     def test_contention_serializes(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
 
         def worker(name, hold):
@@ -36,22 +36,6 @@ class TestResource:
         sim.run()
         assert log == [("a", "got", 0.0), ("b", "got", 5.0)]
 
-    def test_capacity_two_runs_in_parallel(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        log = []
-
-        def worker(name):
-            yield res.request()
-            log.append((name, sim.now))
-            yield sim.timeout(3.0)
-            res.release()
-
-        for name in "abc":
-            sim.process(worker(name))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 0.0), ("c", 3.0)]
-
     def test_release_without_request_raises(self):
         sim = Simulator()
         res = Resource(sim)
@@ -60,7 +44,7 @@ class TestResource:
 
     def test_queue_length(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
 
         def holder():
             yield res.request()
@@ -79,23 +63,19 @@ class TestResource:
         sim.run()
         assert len(res._waiters) == 0
 
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
-
     def test_try_acquire_takes_a_free_unit_without_an_engine_entry(self):
         sim = Simulator()
-        res = Resource(sim, capacity=2)
+        res = Resource(sim)
         before = sim._eid
-        assert res.try_acquire() and res.try_acquire()
-        assert not res.try_acquire()  # both units out
-        assert res.in_use == 2 and sim._eid == before
+        assert res.try_acquire()
+        assert not res.try_acquire()  # the unit is out
+        assert res.held and sim._eid == before
         res.release()
-        assert res.in_use == 1 and res.try_acquire()
+        assert not res.held and res.try_acquire()
 
     def test_acquire_waits_only_when_no_unit_is_free(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         log = []
 
         def worker(name, hold):
@@ -114,7 +94,7 @@ class TestResource:
 
     def test_release_after_try_acquire_serves_waiters_in_fifo_order(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         assert res.try_acquire()
         granted = []
         for name in "abc":
@@ -128,46 +108,44 @@ class TestResource:
             sim.run()
             assert granted == expected
         res.release()
-        assert res.in_use == 0 and res.try_acquire()
+        assert not res.held and res.try_acquire()
 
     @settings(max_examples=200, deadline=None)
     @given(
-        capacity=st.integers(min_value=1, max_value=3),
         ops=st.lists(st.sampled_from(["try", "request", "release"]),
                      max_size=40),
     )
     def test_try_acquire_and_request_agree_with_a_reference_counter(
-            self, capacity, ops):
+            self, ops):
         """Any interleaving of try_acquire / request / release grants
-        exactly what a counter plus a FIFO of waiters would."""
+        exactly what a flag plus a FIFO of waiters would."""
         sim = Simulator()
-        res = Resource(sim, capacity=capacity)
+        res = Resource(sim)
         granted = []  # request ids, in the order their events fired
-        held, waiting, expected, next_id = 0, [], [], 0
+        held, waiting, expected, next_id = False, [], [], 0
         for op in ops:
             if op == "try":
-                free = held < capacity
-                assert res.try_acquire() is free
-                held += free
+                assert res.try_acquire() is not held
+                held = True
             elif op == "request":
                 res.request().callbacks.append(
                     lambda event, rid=next_id: granted.append(rid))
-                if held < capacity:
-                    held += 1
-                    expected.append(next_id)
-                else:
+                if held:
                     waiting.append(next_id)
+                else:
+                    held = True
+                    expected.append(next_id)
                 next_id += 1
             elif held:
                 res.release()
                 if waiting:
                     expected.append(waiting.pop(0))
                 else:
-                    held -= 1
+                    held = False
             else:
                 with pytest.raises(RuntimeError):
                     res.release()
-            assert (res.in_use, len(res._waiters)) == (held, len(waiting))
+            assert (res.held, len(res._waiters)) == (held, len(waiting))
         sim.run()
         assert granted == expected
 
@@ -220,28 +198,6 @@ class TestStore:
         sim.run()
         assert got == [0, 1, 2]
 
-    def test_bounded_put_blocks(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("first")
-            log.append(("put-first", sim.now))
-            yield store.put("second")
-            log.append(("put-second", sim.now))
-
-        def consumer():
-            yield sim.timeout(5.0)
-            item = yield store.get()
-            log.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put-first", 0.0) in log
-        assert ("put-second", 5.0) in log
-
     def test_len(self):
         sim = Simulator()
         store = Store(sim)
@@ -275,31 +231,3 @@ class TestStore:
         store.put_nowait("b")
         assert sim._eid == before  # nothing scheduled
         assert list(store.items) == ["a", "b"]
-
-    def test_put_nowait_on_a_full_store_names_the_item(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        store.put_nowait("kept")
-        with pytest.raises(RuntimeError, match=r"'overflow'.*capacity 1"):
-            store.put_nowait("overflow")
-        assert list(store.items) == ["kept"]
-
-    def test_blocked_putters_wake_in_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        woken = []
-
-        def producer(name):
-            yield store.put(name)
-            woken.append(name)
-
-        def consumer():
-            yield sim.timeout(1.0)
-            for __ in range(4):
-                yield store.get()
-
-        for name in ("a", "b", "c", "d"):
-            sim.process(producer(name))
-        sim.process(consumer())
-        sim.run()
-        assert woken == ["a", "b", "c", "d"]

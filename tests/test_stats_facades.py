@@ -20,6 +20,7 @@ from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
 from repro.telemetry import MetricsRegistry, Sampler
 
+from tests.capture import arrivals
 from tests.manual_clock import ManualClock
 
 
@@ -31,7 +32,6 @@ def make_store(dram_capacity=1 << 16):
     controller = NvmeController(sim, "store-ssd")
     controller.add_namespace(Namespace(1, 4096))
     qp = controller.create_queue_pair()
-    controller.start()
     return SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
 
 
@@ -111,7 +111,7 @@ class TestSnapshotFacades:
         sampler = _sampled(sim.telemetry, sim, "net")
         network = Network(sim)
         a = network.endpoint("a")
-        network.endpoint("b")
+        seen = arrivals(sim, network.endpoint("b"))
 
         def send():
             for __ in range(3):
@@ -124,6 +124,7 @@ class TestSnapshotFacades:
         assert sim.telemetry.counter("net.port.a.tx_frames").value == 3
         sent = sampler.series("net.link.a.up.frames_sent")
         assert sent is not None and sent.last[1] == 3.0
+        assert len(seen) == 3
 
     def test_cluster_stats(self):
         sim = Simulator()

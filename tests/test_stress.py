@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.datastruct import BPlusTree, LsmTree
 from repro.eval.report import Table
 from repro.hw.net import Network
@@ -43,7 +41,7 @@ class TestSimulatorScale:
 
     def test_resource_under_thundering_herd(self):
         sim = Simulator()
-        lock = Resource(sim, capacity=1)
+        lock = Resource(sim)
         order = []
 
         def contender(index):
@@ -59,7 +57,7 @@ class TestSimulatorScale:
 
     def test_store_pipeline_throughput(self):
         sim = Simulator()
-        queue = Store(sim, capacity=8)
+        queue = Store(sim)
         consumed = []
 
         def producer():

@@ -18,6 +18,7 @@ from repro.telemetry import (
     percentile,
 )
 
+from tests.capture import arrivals
 from tests.manual_clock import ManualClock
 
 
@@ -290,13 +291,14 @@ class TestLegacyFacades:
         sim = Simulator()
         network = Network(sim)
         a = network.endpoint("a")
-        network.endpoint("b")
+        seen = arrivals(sim, network.endpoint("b"))
 
         def send():
             yield from a.send(Frame("a", "b", None, payload_size=100))
 
         sim.run_process(send())
         assert sim.telemetry.counter("net.link.a.up.frames_sent").value == 1
+        assert len(seen) == 1
 
 
 class TestDeterministicSnapshots:

@@ -8,13 +8,12 @@ from repro.eval.telemetry import run_telemetry
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
-    chrome_trace_json,
-    parse_prometheus_text,
     prometheus_text,
     trace_events,
 )
 
 from tests.manual_clock import ManualClock
+from tests.prometheus_reference import parse_prometheus_text
 
 
 def _sample_registry() -> MetricsRegistry:

@@ -7,8 +7,6 @@ post-mortems when incidents open; histogram exemplars link tail
 buckets back to sampled traces.
 """
 
-import pytest
-
 from repro.eval.chaos import run_chaos
 from repro.eval.trace import run_trace
 from repro.georep import Consistency, GeoCluster, GeoKvClient
@@ -17,12 +15,12 @@ from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
     Tracer,
-    parse_prometheus_text,
     prometheus_text,
 )
 from repro.telemetry.flightrec import JOURNAL_LIMIT
 
 from tests.manual_clock import ManualClock
+from tests.prometheus_reference import parse_prometheus_text
 
 
 class TestSpanTree:

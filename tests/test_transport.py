@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.transport import (
@@ -16,6 +16,8 @@ from repro.transport import (
 )
 from repro.transport.tcp import RTO
 
+from tests.capture import arrivals
+
 
 def make_net(sim):
     return Network(sim)
@@ -27,26 +29,19 @@ class TestUdp:
         net = make_net(sim)
         a = UdpSocket(sim, net.endpoint("a"))
         b = UdpSocket(sim, net.endpoint("b"))
-
-        def scenario():
-            yield from a.sendto("b", {"op": "ping"}, 64)
-            src, payload, size = yield b.rx.get()
-            return src, payload["op"], size
-
-        assert sim.run_process(scenario()) == ("a", "ping", 64)
+        seen = arrivals(sim, b)
+        sim.run_process(a.sendto("b", {"op": "ping"}, 64))
+        [(__, (src, payload, size))] = seen
+        assert (src, payload["op"], size) == ("a", "ping", 64)
 
     def test_large_datagram_fragments(self):
         sim = Simulator()
         net = make_net(sim)
         a = UdpSocket(sim, net.endpoint("a"))
         b = UdpSocket(sim, net.endpoint("b"))
-
-        def scenario():
-            yield from a.sendto("b", "big-payload", 100_000)
-            src, payload, size = yield b.rx.get()
-            return payload, size
-
-        payload, size = sim.run_process(scenario())
+        seen = arrivals(sim, b)
+        sim.run_process(a.sendto("b", "big-payload", 100_000))
+        [(__, (src, payload, size))] = seen
         assert payload == "big-payload"
         assert size == 100_000
 
@@ -56,13 +51,10 @@ class TestUdp:
             net = make_net(sim)
             a = UdpSocket(sim, net.endpoint("a"))
             b = UdpSocket(sim, net.endpoint("b"))
-
-            def scenario():
-                yield from a.sendto("b", None, size)
-                yield b.rx.get()
-                return sim.now
-
-            return sim.run_process(scenario())
+            seen = arrivals(sim, b)
+            sim.run_process(a.sendto("b", None, size))
+            [(arrived, __)] = seen
+            return arrived
 
         assert elapsed(100_000) > elapsed(100)
 
@@ -87,6 +79,22 @@ class TestUdp:
 
         assert ids_on_the_wire() == [0, 1]
         assert ids_on_the_wire() == [0, 1]  # after another run's traffic
+
+
+@pytest.mark.parametrize("socket_type, kind", [
+    (UdpSocket, "datagram from a reached UDP socket b"),
+    (HomaSocket, "message from a reached HOMA socket b"),
+], ids=["udp", "homa"])
+def test_a_message_nobody_consumes_fails_the_run(socket_type, kind):
+    """No queue holds a message no upper layer took: delivering it
+    raises, naming the sender and the socket."""
+    sim = Simulator()
+    net = make_net(sim)
+    a = socket_type(sim, net.endpoint("a"))
+    socket_type(sim, net.endpoint("b"))  # takes frames; nothing above it
+    sim.process(a.sendto("b", "unheard", 64))
+    with pytest.raises(ConfigurationError, match=kind):
+        sim.run()
 
 
 class TestTcp:
@@ -157,13 +165,9 @@ class TestTcp:
         net2 = make_net(sim2)
         a = UdpSocket(sim2, net2.endpoint("a"))
         b = UdpSocket(sim2, net2.endpoint("b"))
-
-        def scenario():
-            yield from a.sendto("b", None, 64)
-            yield b.rx.get()
-            return sim2.now
-
-        udp_time = sim2.run_process(scenario())
+        seen = arrivals(sim2, b)
+        sim2.run_process(a.sendto("b", None, 64))
+        [(udp_time, __)] = seen
         assert tcp_done[0] > 2 * udp_time
 
 
@@ -255,18 +259,9 @@ class TestHoma:
         net = make_net(sim)
         a = HomaSocket(sim, net.endpoint("a"))
         b = HomaSocket(sim, net.endpoint("b"))
-
-        def send():
-            yield from a.send("b", "short", 200)
-
-        def recv():
-            src, payload, size = yield b.recv()
-            return src, payload, size
-
-        sim.process(send())
-        proc = sim.process(recv())
-        sim.run()
-        assert proc.value == ("a", "short", 200)
+        seen = arrivals(sim, b)
+        sim.run_process(a.sendto("b", "short", 200))
+        assert [message for __, message in seen] == [("a", "short", 200)]
         assert a.unscheduled_only == 1
 
     def test_long_message_needs_grant(self):
@@ -274,18 +269,10 @@ class TestHoma:
         net = make_net(sim)
         a = HomaSocket(sim, net.endpoint("a"))
         b = HomaSocket(sim, net.endpoint("b"))
-
-        def send():
-            yield from a.send("b", "long", 100_000)
-
-        def recv():
-            __, payload, size = yield b.recv()
-            return payload, size
-
-        sim.process(send())
-        proc = sim.process(recv())
-        sim.run()
-        assert proc.value == ("long", 100_000)
+        seen = arrivals(sim, b)
+        sim.run_process(a.sendto("b", "long", 100_000))
+        [(__, (__, payload, size))] = seen
+        assert (payload, size) == ("long", 100_000)
         assert a.unscheduled_only == 0
 
     def test_short_beats_long_latency_disproportionately(self):
@@ -294,13 +281,10 @@ class TestHoma:
             net = make_net(sim)
             a = HomaSocket(sim, net.endpoint("a"))
             b = HomaSocket(sim, net.endpoint("b"))
-
-            def scenario():
-                sim.process(a.send("b", None, size))
-                yield b.recv()
-                return sim.now
-
-            return sim.run_process(scenario())
+            seen = arrivals(sim, b)
+            sim.run_process(a.sendto("b", None, size))
+            [(arrived, __)] = seen
+            return arrived
 
         # The grant round-trip penalizes messages beyond RTT_BYTES.
         assert homa_latency(50_000) > 3 * homa_latency(5_000)

@@ -6,14 +6,13 @@ the reliability split the RPC layer's users choose between.
 
 import random
 
-import pytest
-
-from repro.hw.net.frames import Frame
 from repro.hw.net.link import Link
 from repro.hw.net.port import NetworkPort
 from repro.sim import Simulator
 from repro.transport.tcp import TcpStack
 from repro.transport.udp import UdpSocket
+
+from tests.capture import arrivals
 
 
 def lose(link, loss_fn):
@@ -103,6 +102,7 @@ class TestUdpUnderLoss:
             return counter[0] % 2 == 0
 
         a, b = lossy_pair(sim, drop_every_other, UdpSocket)
+        seen = arrivals(sim, b)
 
         def sender():
             for i in range(10):
@@ -112,6 +112,7 @@ class TestUdpUnderLoss:
         sim.run()
         assert a.datagrams_sent == 10
         assert b.datagrams_received == 5
+        assert [datagram[1] for __, datagram in seen] == [0, 2, 4, 6, 8]
 
     def test_fragmented_datagram_dies_on_one_lost_fragment(self):
         sim = Simulator()
@@ -142,6 +143,7 @@ class TestUdpUnderLoss:
         a, b = lossy_pair(
             sim, lambda f: f.payload.total == 3 and f.payload.index == 1,
             UdpSocket)
+        seen = arrivals(sim, b)
 
         def sender():
             for i in range(500):
@@ -151,6 +153,7 @@ class TestUdpUnderLoss:
         sim.process(sender())
         sim.run()
         assert b.datagrams_received == 1
+        assert [datagram[1] for __, datagram in seen] == ["small"]
         assert len(b._partial) == MAX_PARTIAL_DATAGRAMS == 64
         assert b.reassembly_evicted == 500 - 64
         # Oldest out first: what is left are the newest 64.
