@@ -143,9 +143,9 @@ class GeoKvClient(KvClientCore):
 
     def _settle(self, region: str, first: str, replayed: bool) -> None:
         if region != first:
-            self._failovers.inc()
+            self._failovers.value += 1
         if replayed:
-            self._replayed.inc()
+            self._replayed.value += 1
         if region != self.current:
             self.current = region
             self._region_gauge.set(self.preference.index(region))
@@ -174,7 +174,7 @@ class GeoKvClient(KvClientCore):
                 return region, result
             if round_index + 1 < self.rounds:
                 yield self.sim.timeout(ROUND_PAUSE)
-        self._failed.inc()
+        self._failed.value += 1
         pending.raised(sent=failed_attempts > 0)
         raise DegradedError(
             f"geo {method} failed in every region after "
@@ -200,8 +200,8 @@ class GeoKvClient(KvClientCore):
         region, stamp = yield from self._walk(
             pending, method, key, value, request_size, 24, write=True,
         )
-        self._writes.inc()
-        self._ops.inc()
+        self._writes.value += 1
+        self._ops.value += 1
         pending.ok(stamp=stamp)
         return stamp, region
 
@@ -229,8 +229,8 @@ class GeoKvClient(KvClientCore):
         __, (value, __) = yield from self._walk(
             pending, "geo.get", key, None, 48 + len(key), 136, write=False,
         )
-        self._reads.inc()
-        self._ops.inc()
+        self._reads.value += 1
+        self._ops.value += 1
         pending.ok(value)
         return value
 
@@ -245,13 +245,13 @@ class GeoKvClient(KvClientCore):
             return _PRIMARY
         value, staleness = answer
         if staleness > bound:
-            self._stale_fallbacks.inc()
+            self._stale_fallbacks.value += 1
             return _PRIMARY
-        self._stale_served.inc()
+        self._stale_served.value += 1
         if staleness > self.max_staleness_served:
             self.max_staleness_served = staleness
-        self._reads.inc()
-        self._ops.inc()
+        self._reads.value += 1
+        self._ops.value += 1
         return value, staleness
 
 

@@ -91,7 +91,7 @@ class ReplicationLog:
                stamp: float, origin: str, trace: Any = None) -> LogEntry:
         entry = LogEntry(self.head, op, key, value, stamp, origin, trace)
         self.entries.append(entry)
-        self._appended.inc()
+        self._appended.value += 1
         self._head_gauge.set(self.head)
         self._retained_gauge.set(len(self.entries))
         return entry
@@ -124,6 +124,6 @@ class ReplicationLog:
             return 0
         del self.entries[:drop]
         self.base += drop
-        self._truncated.inc(drop)
+        self._truncated.value += drop
         self._retained_gauge.set(len(self.entries))
         return drop

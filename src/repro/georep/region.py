@@ -177,17 +177,17 @@ class LogShipper:
                     acked = yield from ship
             except RpcError:
                 self.breaker.record_failure()
-                self._failures.inc()
+                self._failures.value += 1
                 self._update_lag()
                 yield self.sim.timeout(SHIP_INTERVAL)
                 continue
             self.breaker.record_success()
             self._last_ship = self.sim.now
             if entries:
-                self._batches.inc()
-                self._entries.inc(len(entries))
+                self._batches.value += 1
+                self._entries.value += len(entries)
             else:
-                self._heartbeats.inc()
+                self._heartbeats.value += 1
             self.shipped = max(self.shipped, int(acked))
             self.region._on_peer_ack(self.peer, self.shipped)
             self._update_lag()
@@ -392,7 +392,7 @@ class Region:
             self._wake_shippers()
             yield from self._apply(key, value)
             yield from self._await_acks(entry.seq)
-            (self._deletes if value is None else self._puts).inc()
+            (self._deletes if value is None else self._puts).value += 1
         return stamp
 
     def _geo_get(self, key: bytes, origin: Optional[str] = None):
@@ -411,7 +411,7 @@ class Region:
             value = yield from self.store.get(bytes(key))
             staleness = self.staleness_of(origin)
             self._staleness_gauge.set(staleness)
-            self._gets.inc()
+            self._gets.value += 1
         return value, staleness
 
     def _repl_ship(self, origin: str, entries: Tuple[LogEntry, ...],
@@ -439,14 +439,14 @@ class Region:
                 if current is None or (entry.stamp, entry.origin) > current:
                     self.version[entry.key] = (entry.stamp, entry.origin)
                     yield from self._apply(entry.key, entry.value)
-                    self._entries_applied.inc()
+                    self._entries_applied.value += 1
                 else:
-                    self._entries_stale.inc()
+                    self._entries_stale.value += 1
                 cursor = entry.seq + 1
             self.applied_from[origin] = cursor
             self.fresh_through[origin] = max(self.fresh_through[origin],
                                              through)
-            self._ships_received.inc()
+            self._ships_received.value += 1
         return cursor
 
 

@@ -83,6 +83,10 @@ class WanLink(Link):
         )
         self.src = src
         self.dst = dst
+        # A partition can drop a frame with no injector attached; it is
+        # decided as the frame finishes serializing, so a WAN hop that
+        # forwards keeps that entry.
+        self._screened = True
         self._manual_partition = False
         self._partitioned_gauge = self._metrics.gauge("partitioned")
         self._frames_partitioned = self._metrics.counter("frames_partitioned")
@@ -102,14 +106,9 @@ class WanLink(Link):
         self._manual_partition = True
         self._partitioned_gauge.set(1)
 
-    def forward(self, frame: Frame) -> None:
-        # A partition (manual or planned) is decided as the frame
-        # finishes serializing, so a WAN hop keeps that entry.
-        self.enqueue(frame)
-
     def _fault_outcome(self, frame: Frame) -> Optional[str]:
         if self.partitioned:
-            self._frames_partitioned.inc()
+            self._frames_partitioned.value += 1
             return "drop"
         return super()._fault_outcome(frame)
 
@@ -213,7 +212,7 @@ class WanFabric:
     def partition(self, src: str, dst: str) -> None:
         """Partition ``src -> dst``."""
         self.link(src, dst).partition()
-        self._partitions.inc()
+        self._partitions.value += 1
         if self._recorder is not None:
             self._recorder.record(
                 "wan", f"wan partition {src}->{dst} at={self.sim.now!r}"

@@ -84,6 +84,9 @@ class Link:
         self._busy_until = 0.0
         self._on_serialized_cb = self._on_serialized
         self.injector = injector
+        #: Whether a serialized frame consults :meth:`_fault_outcome`:
+        #: only once something here can fail one.
+        self._screened = injector is not None
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)
         self._frames_sent = self._metrics.counter("frames_sent")
@@ -98,12 +101,10 @@ class Link:
         and the telemetry snapshot agree on names.
         """
         self.injector = injector
+        self._screened = True
         self.component = component
         self._metrics.rename(component)
         return self
-
-    def serialization_delay(self, frame: Frame) -> float:
-        return frame.wire_size / self.bandwidth
 
     def _fault_outcome(self, frame: Frame) -> Optional[str]:
         """Consult the injector once per transmitted frame."""
@@ -142,12 +143,12 @@ class Link:
         max(now, busy_until) + serialization``, the float the
         serialization timeout would reach — so the frame is counted,
         its span closed at ``done`` and its arrival scheduled at ``done
-        + propagation``: no serialization entry. A link with a fault
-        injector takes the :meth:`enqueue` path instead, so its draws
-        happen at the completion instant and in completion order; so does
-        a frame behind one that is.
+        + propagation``: no serialization entry. A link that can fail a
+        frame (:attr:`_screened`) takes the :meth:`enqueue` path instead,
+        so its draws happen at the completion instant and in completion
+        order; so does a frame behind one that is.
         """
-        if self._sending is not None or self.injector is not None:
+        if self._sending is not None or self._screened:
             self.enqueue(frame)
             return
         now = self.sim.now
@@ -157,8 +158,8 @@ class Link:
         )
         if self._tracer.enabled:
             self._tx_span(frame).finish(end=done)
-        self._frames_sent.inc()
-        self._bytes_sent.inc(frame.wire_size)
+        self._frames_sent.value += 1
+        self._bytes_sent.value += frame.wire_size
         if self.ingress is not None:
             self.ingress(frame, done + self.propagation)
         else:
@@ -186,7 +187,7 @@ class Link:
     def _serialize(self, entry: Tuple[Frame, Any, Optional[Event]]) -> Event:
         self._sending = entry
         sim = self.sim
-        delay = self.serialization_delay(entry[0])
+        delay = entry[0].wire_size / self.bandwidth
         if self._busy_until > sim.now:
             # Behind a forwarded frame still on the wire.
             serialized = sim.timeout_at(self._busy_until + delay)
@@ -207,14 +208,17 @@ class Link:
             done.succeed()
         if span is not None:
             span.finish()
-        self._frames_sent.inc()
-        self._bytes_sent.inc(frame.wire_size)
-        outcome = self._fault_outcome(frame)
-        if outcome == "drop":
-            self._frames_dropped.inc()
-        elif outcome == "corrupt":
-            self._frames_corrupted.inc()
-        elif self.ingress is not None:
+        self._frames_sent.value += 1
+        self._bytes_sent.value += frame.wire_size
+        if self._screened:
+            outcome = self._fault_outcome(frame)
+            if outcome == "drop":
+                self._frames_dropped.value += 1
+                return
+            if outcome == "corrupt":
+                self._frames_corrupted.value += 1
+                return
+        if self.ingress is not None:
             self.ingress(frame, self.sim.now + self.propagation)
         else:
             self.sim.call_later(self.propagation, partial(self.sink, frame))

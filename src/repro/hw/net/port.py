@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame
 from repro.hw.net.link import Link
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 class NetworkPort:
@@ -43,17 +43,52 @@ class NetworkPort:
             raise ConfigurationError(f"port {self.address} has no route to *")
         return link
 
-    def send(self, frame: Frame):
-        """Process: transmit a frame toward its destination."""
+    def send(self, frame: Frame) -> Event:
+        """Transmit a frame toward its destination; the returned event
+        (the link's, see :meth:`Link.enqueue`) fires once the frame has
+        been serialized."""
         link = self._routes.get(frame.dst)
         if link is None:
             link = self._routes.get("*")
-        if link is None:
-            raise ConfigurationError(
-                f"port {self.address} has no route to {frame.dst}"
-            )
-        self._tx_frames.inc()
-        yield link.enqueue(frame)
+            if link is None:
+                raise ConfigurationError(
+                    f"port {self.address} has no route to {frame.dst}"
+                )
+        self._tx_frames.value += 1
+        return link.enqueue(frame)
+
+    def send_in_turn(self, frames: List[Union[Frame, Event]],
+                     then: Callable[[], None]) -> None:
+        """Send *frames* back to back — the first now, each later one
+        as the one before it has been serialized — and call *then* once
+        the last one has. An :class:`Event` among them holds the frames
+        after it until it fires (a HOMA tail waits for its grant).
+
+        No process runs: each frame's serialization event carries the
+        callback that sends the next, behind the link's own bookkeeping,
+        so the frames take exactly the entries a sender process looping
+        over :meth:`send` would, and *then* runs in the last one. Those
+        later sends run outside any flow, so when tracing is on every
+        frame is stamped now with the caller's flow.
+        """
+        tracer = self.sim.tracer
+        context = tracer.active_context if tracer.enabled else None
+        if context is not None:
+            for frame in frames:
+                if isinstance(frame, Frame):
+                    frame.trace = context
+        pending = iter(frames)
+
+        def send_next(_event=None) -> None:
+            item = next(pending, None)
+            if item is None:
+                then()
+            elif isinstance(item, Event):
+                item.callbacks.append(send_next)
+            else:
+                self.send(item).callbacks.append(send_next)
+
+        send_next()
 
     def listen(self, on_frame: Callable[[Frame], None]) -> None:
         """Hand every arriving frame to *on_frame* (one listener per

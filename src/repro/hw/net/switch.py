@@ -62,13 +62,13 @@ class Switch:
 
     def _forward(self, frame: Frame) -> None:
         if frame.dst in self._blackholed:
-            self._frames_blackholed.inc()
+            self._frames_blackholed.value += 1
             return
         egress = self._egress.get(frame.dst)
         if egress is None:
             # Unknown destination: drop, as a real switch floods/drops.
             return
-        self._frames_forwarded.inc()
+        self._frames_forwarded.value += 1
         egress.forward(frame)
 
 

@@ -112,7 +112,7 @@ class NvmeController(PcieDevice):
                 # Firmware hang: the watchdog eventually aborts the command
                 # and posts an error completion instead of silently losing it.
                 yield self.sim.timeout(COMMAND_WATCHDOG_LATENCY)
-                self._commands_aborted.inc()
+                self._commands_aborted.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
                 span.annotate(status="COMMAND_ABORTED")
                 completion = NvmeCompletion(
@@ -134,7 +134,7 @@ class NvmeController(PcieDevice):
                             command.cid, NvmeStatus.SUCCESS
                         )
                 except FaultInjectedError:
-                    self._media_errors.inc()
+                    self._media_errors.value += 1
                     completion = NvmeCompletion(
                         command.cid, NvmeStatus.UNRECOVERED_READ_ERROR
                     )
@@ -142,7 +142,7 @@ class NvmeController(PcieDevice):
                     completion = NvmeCompletion(
                         command.cid, NvmeStatus.LBA_OUT_OF_RANGE
                     )
-                self._commands_executed.inc()
+                self._commands_executed.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
                 span.annotate(status=completion.status.name)
         qp.post(completion)

@@ -76,7 +76,7 @@ class FlashArray:
         if self.injector is not None and self.injector.active(
             self.component, FaultKind.DIE_STUCK
         ):
-            self._stuck_busy_ops.inc()
+            self._stuck_busy_ops.value += 1
             return STUCK_BUSY_PENALTY
         return 0.0
 
@@ -108,7 +108,7 @@ class FlashArray:
         if self.injector is not None and self.injector.fires(
             self.component, FaultKind.READ_ERROR
         ):
-            self._read_errors.inc()
+            self._read_errors.value += 1
             raise FaultInjectedError(
                 f"{self.component}: uncorrectable read at page {page_index}"
             )
@@ -116,7 +116,7 @@ class FlashArray:
         yield from channel.acquire()
         try:
             yield self.sim.timeout(self._transfer_time())
-            self._reads.inc()
+            self._reads.value += 1
         finally:
             channel.release()
 
@@ -134,6 +134,6 @@ class FlashArray:
             yield self.sim.timeout(
                 self.timing.program_latency + self._stuck_penalty()
             )
-            self._programs.inc()
+            self._programs.value += 1
         finally:
             self._dies[die_index].release()

@@ -158,10 +158,10 @@ class AdmissionController:
         """Admit or shed one request (one token) of the given class."""
         if (self.bucket.level < SHED_THRESHOLDS[priority]
                 or not self.bucket.try_take()):
-            self._shed[priority].inc()
+            self._shed[priority].value += 1
             self._tokens_gauge.set(self.bucket._tokens)
             return False
-        self._admitted[priority].inc()
+        self._admitted[priority].value += 1
         self._tokens_gauge.set(self.bucket._tokens)
         return True
 
@@ -183,7 +183,7 @@ class AdmissionController:
             new_rate = max(
                 self.min_rate, self.rate * self.multiplicative_decrease
             )
-            self._decreases.inc()
+            self._decreases.value += 1
         else:
             new_rate = min(
                 self.max_rate,

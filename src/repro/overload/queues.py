@@ -125,18 +125,18 @@ class BoundedQueue:
             # Direct handoff to a waiting consumer: zero sojourn. The
             # consumer starts on the item inside this call (an inline
             # wake), so the accounting is settled first.
-            self._enqueued.inc()
-            self._dequeued.inc()
+            self._enqueued.value += 1
+            self._dequeued.value += 1
             self._sojourn.observe(0.0)
             self._getters.popleft().wake(item)
             return True
         if len(self._entries) >= self.capacity:
-            self._dropped_full.inc()
+            self._dropped_full.value += 1
             if self.on_drop is not None:
                 self.on_drop(item, "full")
             return False
         self._entries.append((self.sim.now, item))
-        self._enqueued.inc()
+        self._enqueued.value += 1
         self._sync_gauges()
         return True
 
@@ -159,11 +159,11 @@ class BoundedQueue:
                 elif self.sim.now - self._first_above >= self.codel_interval:
                     # Delay has been above target for a whole interval:
                     # this entry is stale — drop it and try the next.
-                    self._dropped_deadline.inc()
+                    self._dropped_deadline.value += 1
                     if self.on_drop is not None:
                         self.on_drop(item, "deadline")
                     continue
-            self._dequeued.inc()
+            self._dequeued.value += 1
             self._sojourn.observe(sojourn)
             self._sync_gauges()
             return item

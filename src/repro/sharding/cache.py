@@ -114,22 +114,22 @@ class HotKeyCache:
         """
         entry = self._entries.get(key)
         if entry is None:
-            self._misses.inc()
+            self._misses.value += 1
             return None
         if entry.epoch != epoch:
             del self._entries[key]
-            self._epoch_invalidated.inc()
-            self._misses.inc()
+            self._epoch_invalidated.value += 1
+            self._misses.value += 1
             self._size.set(len(self._entries))
             return None
         if self.clock.now >= entry.expires:
             del self._entries[key]
-            self._lease_expired.inc()
-            self._misses.inc()
+            self._lease_expired.value += 1
+            self._misses.value += 1
             self._size.set(len(self._entries))
             return None
         self._entries.move_to_end(key)
-        self._hits.inc()
+        self._hits.value += 1
         return entry.value
 
     def fill(self, key: bytes, value: bytes, epoch: int) -> None:
@@ -140,11 +140,11 @@ class HotKeyCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self._evicted.inc()
+            self._evicted.value += 1
         self._size.set(len(self._entries))
 
     def invalidate(self, key: bytes) -> None:
         """Drop one key (the caller wrote or deleted it)."""
         if self._entries.pop(key, None) is not None:
-            self._invalidated.inc()
+            self._invalidated.value += 1
             self._size.set(len(self._entries))

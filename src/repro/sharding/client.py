@@ -109,8 +109,8 @@ class ShardedKvClient(KvClientCore):
         if self.cache is not None:
             cached = self.cache.lookup(key, epoch)
             if cached is not None:
-                self._ops.inc()
-                self._cache_served.inc()
+                self._ops.value += 1
+                self._cache_served.value += 1
                 pending.ok(cached)
                 return cached
         owner = self.cluster.owner_of(key)
@@ -123,8 +123,8 @@ class ShardedKvClient(KvClientCore):
         except RpcError:
             pending.raised()
             raise
-        self._ops.inc()
-        self._round_trips.inc()
+        self._ops.value += 1
+        self._round_trips.value += 1
         if self.cache is not None and value is not None:
             self.cache.fill(key, value, epoch)
         pending.ok(value)
@@ -158,8 +158,8 @@ class ShardedKvClient(KvClientCore):
             # write may have landed. Never record it as a clean failure.
             pending.raised()
             raise
-        self._ops.inc()
-        self._round_trips.inc()
+        self._ops.value += 1
+        self._round_trips.value += 1
         if self.cache is not None:
             self.cache.invalidate(key)
         pending.ok()
@@ -187,7 +187,7 @@ class ShardedKvClient(KvClientCore):
             responses = yield from self.rpc.call_batch(
                 owner, [op for __, op in chunk]
             )
-            self._round_trips.inc()
+            self._round_trips.value += 1
             for (p, __), response in zip(chunk, responses):
                 if not response.ok:
                     raise RpcError(response.error)
@@ -230,7 +230,7 @@ class ShardedKvClient(KvClientCore):
                 cached = self.cache.lookup(key, epoch)
                 if cached is not None:
                     values[position] = cached
-                    self._cache_served.inc()
+                    self._cache_served.value += 1
                     continue
             misses.append((position, kv_op("kv.get", key)))
 
@@ -240,7 +240,7 @@ class ShardedKvClient(KvClientCore):
                 self.cache.fill(keys[p], value, epoch)
 
         yield from self._batched(misses, fill)
-        self._ops.inc(len(keys))
+        self._ops.value += len(keys)
         return values
 
     def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]):
@@ -253,5 +253,5 @@ class ShardedKvClient(KvClientCore):
                 self.cache.invalidate(ops[p][1].args[0])
 
         yield from self._batched(ops, invalidate)
-        self._ops.inc(len(ops))
+        self._ops.value += len(ops)
         return True

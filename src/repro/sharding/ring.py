@@ -130,8 +130,14 @@ class HashRing:
 
     # -- placement -----------------------------------------------------------
     def owner_of(self, key: bytes) -> str:
-        """The physical node owning *key*."""
-        return self.replicas_of(key, 1)[0]
+        """The physical node owning *key*: the head of its replica
+        chain, the owner of the first point at or after the key's."""
+        if not self._nodes:
+            raise ConfigurationError("ring has no nodes")
+        points = self._points
+        return self._owners[
+            bisect.bisect_left(points, _key_point(key)) % len(points)
+        ]
 
     def replicas_of(self, key: bytes, count: int) -> List[str]:
         """The first *count* distinct nodes clockwise from the key's point.

@@ -93,7 +93,7 @@ class KvSsd:
             self.lsm.put(key, value)
             if self.lsm.flushes > flushes_before:
                 yield from self._persist_newest_sstable()
-            self._puts.inc()
+            self._puts.value += 1
 
     def get(self, key: bytes):
         """Process: memtable first, then one flash read per run consulted."""
@@ -105,7 +105,7 @@ class KvSsd:
             span.annotate(runs_consulted=max(0, runs_consulted))
             for _ in range(max(0, runs_consulted)):
                 yield self.qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
-            self._gets.inc()
+            self._gets.value += 1
             return self.lsm.get(key)
 
     def delete(self, key: bytes):

@@ -64,6 +64,7 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
 class Metric:
     """Base: a named value owned by (exactly one) registry."""
 
+    __slots__ = ("name",)
     kind = "metric"
 
     def __init__(self, name: str):
@@ -75,32 +76,38 @@ class Metric:
 
 
 class Counter(Metric):
-    """A monotonically increasing integer (frames sent, ops served...)."""
+    """A monotonically increasing integer (frames sent, ops served...).
 
+    :attr:`value` is a plain slot, and a module uses one way to add to
+    it throughout. The modules on the per-frame and per-op paths (the
+    network, transports, overload queues and admission, sharding client
+    and cache, KV-SSD, NVMe and geo-replication) write ``counter.value
+    += n``, where ``n`` is a literal or a count they computed and cannot
+    be negative; that saves a call per op. Every other module calls
+    :meth:`inc`, which rejects a negative amount.
+    """
+
+    __slots__ = ("value",)
     kind = "counter"
 
     def __init__(self, name: str):
         super().__init__(name)
-        self._value = 0
-
-    @property
-    def value(self) -> int:
-        """The current count."""
-        return self._value
+        #: The current count.
+        self.value = 0
 
     def inc(self, amount: int = 1) -> int:
         """Add *amount* (>= 0) and return the new count."""
         if amount < 0:
             raise ConfigurationError(f"counter {self.name} cannot decrease")
-        self._value += amount
-        return self._value
+        self.value += amount
+        return self.value
 
     def snapshot_line(self) -> str:
         """One canonical line for :meth:`MetricsRegistry.snapshot_bytes`."""
-        return f"counter {self.name} {self._value}"
+        return f"counter {self.name} {self.value}"
 
     def __repr__(self) -> str:
-        return f"Counter({self.name}={self._value})"
+        return f"Counter({self.name}={self.value})"
 
 
 class Gauge(Metric):

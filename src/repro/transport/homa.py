@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -66,10 +67,19 @@ class HomaSocket:
     def address(self) -> str:
         return self.port.address
 
-    def sendto(self, dst: str, payload: Any, size: int):
-        """Process: transmit one message (unscheduled head, granted tail)."""
+    def sendto(self, dst: str, payload: Any, size: int) -> Event:
+        """Transmit one message (unscheduled head, granted tail); the
+        returned event fires once its last frame has been serialized.
+
+        No process runs: the frames go out in turn
+        (:meth:`NetworkPort.send_in_turn`), and a message longer than the
+        unscheduled region holds its tail until the receiver's grant
+        fires. The event is woken inside the last frame's serialization
+        entry.
+        """
         message_id = next(self._message_ids)
         mtu = MAX_FRAME_PAYLOAD - HOMA_HEADER
+        head = []
         sent = 0
         # Unscheduled region: fire immediately.
         unscheduled = min(size, RTT_BYTES)
@@ -77,27 +87,31 @@ class HomaSocket:
         while sent < unscheduled or first:
             chunk = min(mtu, max(0, unscheduled - sent)) if not first else min(mtu, max(1, unscheduled))
             data = _HomaData(message_id, sent, size, payload if first else None)
-            yield from self.port.send(
-                Frame(self.address, dst, data, chunk + HOMA_HEADER)
-            )
+            head.append(Frame(self.address, dst, data, chunk + HOMA_HEADER))
             sent += chunk
             first = False
-        if sent >= size:
-            self.messages_sent += 1
-            self.unscheduled_only += 1
-            return
-        # Scheduled region: wait for the receiver's grant, then stream.
-        grant_event = Event(self.sim)
-        self._grants[message_id] = grant_event
-        yield grant_event
+        # Scheduled region: streamed once the receiver grants it.
+        tail = []
         while sent < size:
             chunk = min(mtu, size - sent)
             data = _HomaData(message_id, sent, size, None)
-            yield from self.port.send(
-                Frame(self.address, dst, data, chunk + HOMA_HEADER)
-            )
+            tail.append(Frame(self.address, dst, data, chunk + HOMA_HEADER))
             sent += chunk
-        self.messages_sent += 1
+        done = Event(self.sim)
+
+        def finished() -> None:
+            self.messages_sent += 1
+            if not tail:
+                self.unscheduled_only += 1
+            done.wake()
+
+        if tail:
+            # Registered now; the grant cannot arrive before the receiver
+            # has the whole head, i.e. after the head has been serialized.
+            self._grants[message_id] = grant = Event(self.sim)
+            head.append(grant)
+        self.port.send_in_turn(head + tail, finished)
+        return done
 
     def _unheard(self, message: Tuple[str, Any, int]) -> None:
         raise ConfigurationError(
@@ -129,8 +143,9 @@ class HomaSocket:
         ):
             self._granted.add(key)
             grant = _HomaGrant(message.message_id, message.total_size)
-            self.sim.spawn(self.port.send(
-                Frame(self.address, frame.src, grant, HOMA_HEADER)
+            self.sim.call_later(0.0, partial(
+                self.port.send,
+                Frame(self.address, frame.src, grant, HOMA_HEADER),
             ))
         if received >= message.total_size:
             del self._incoming[key]

@@ -114,7 +114,7 @@ class RdmaNic:
             chunk = min(MAX_FRAME_PAYLOAD, remaining)
             remaining -= chunk
             payload = request if remaining == 0 else None
-            yield from self.port.send(Frame(self.address, peer, payload, chunk))
+            yield self.port.send(Frame(self.address, peer, payload, chunk))
         response = yield done
         return response
 
@@ -156,4 +156,4 @@ class RdmaNic:
             chunk = min(MAX_FRAME_PAYLOAD, remaining)
             remaining -= chunk
             payload = response if remaining == 0 else None
-            yield from self.port.send(Frame(self.address, peer, payload, chunk))
+            yield self.port.send(Frame(self.address, peer, payload, chunk))

@@ -5,7 +5,9 @@ by Willow. The RPC interface can be specialized end-to-end with network,
 storage, and application-level protocols." Servers register named handlers
 (which may be simulation processes touching flash, segments, or pipelines);
 clients call them over UDP, HOMA, or a TCP adapter — the E12 sweep. Any
-socket with a ``sendto`` process and a ``deliver`` hook plugs in directly.
+socket plugs in directly whose ``sendto(dst, payload, size)`` returns an
+event that fires once the message's last frame has been serialized, and
+whose ``deliver`` hook takes each complete ``(src, payload, size)``.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ class RetryBudget:
         self._expire()
         if len(self._spends) < self.budget:
             self._spends.append(self.clock.now)
-            self._granted.inc()
+            self._granted.value += 1
             return True
-        self._exhausted.inc()
+        self._exhausted.value += 1
         return False
 
 
@@ -277,19 +279,20 @@ class RpcServer:
     def _priority_of(request: RpcRequest) -> Priority:
         return Priority(max(0, min(int(request.priority), _MAX_PRIORITY)))
 
-    def _reject(self, src: str, request: RpcRequest, reason: str):
-        """Process: an immediate, header-sized overload error response."""
+    def _reject(self, src: str, request: RpcRequest, reason: str) -> None:
+        """Answer with an immediate, header-sized overload error (sent
+        from an entry of its own, as the rejection is decided)."""
         response = RpcResponse(request.rpc_id, ok=False, error=reason)
-        yield from self.socket.sendto(src, response, RPC_HEADER)
+        self.sim.call_later(
+            0.0, partial(self.socket.sendto, src, response, RPC_HEADER)
+        )
 
     def _on_queue_drop(self, item, reason: str) -> None:
         src, request = item
-        self._shed.inc()
+        self._shed.value += 1
         if self.admission is not None:
             self.admission.record_overload()
-        self.sim.spawn(
-            self._reject(src, request, f"overload: dropped ({reason})")
-        )
+        self._reject(src, request, f"overload: dropped ({reason})")
 
     def _on_datagram(self, datagram: tuple) -> None:
         src, request, __ = datagram
@@ -298,10 +301,8 @@ class RpcServer:
         if self.admission is not None and not self.admission.admit(
             self._priority_of(request)
         ):
-            self._shed.inc()
-            self.sim.spawn(
-                self._reject(src, request, "overload: admission shed")
-            )
+            self._shed.value += 1
+            self._reject(src, request, "overload: admission shed")
             return
         if self.queue is not None:
             # A full queue rejects via _on_queue_drop — no hidden
@@ -346,7 +347,7 @@ class RpcServer:
             response = RpcResponse(
                 request.rpc_id, ok=False, error=f"no method {request.method!r}"
             )
-            yield from self.socket.sendto(src, response, RPC_HEADER)
+            yield self.socket.sendto(src, response, RPC_HEADER)
             return
         # Attribute dicts for spans are only built when tracing is on;
         # the disabled path allocates nothing (NULL_SPAN is a singleton).
@@ -379,8 +380,8 @@ class RpcServer:
                 response = RpcResponse(request.rpc_id, ok=True, result=outcome)
             except Exception as exc:  # noqa: BLE001 - marshalled to the client
                 response = RpcResponse(request.rpc_id, ok=False, error=str(exc))
-            self._requests_served.inc()
-            yield from self.socket.sendto(
+            self._requests_served.value += 1
+            yield self.socket.sendto(
                 src, response, RPC_HEADER + request.response_size
             )
 
@@ -429,11 +430,11 @@ class RpcServer:
                 except Exception as exc:  # noqa: BLE001 - marshalled per op
                     results.append(RpcResponse(position, ok=False,
                                                error=str(exc)))
-                self._batched_ops.inc()
-            self._requests_served.inc()
-            self._batches_served.inc()
+                self._batched_ops.value += 1
+            self._requests_served.value += 1
+            self._batches_served.value += 1
             response = RpcResponse(request.rpc_id, ok=True, result=results)
-            yield from self.socket.sendto(
+            yield self.socket.sendto(
                 src, response, RPC_HEADER + request.response_size
             )
 
@@ -577,7 +578,7 @@ class RpcClient:
         request = RpcRequest(
             next(self._rpc_ids), BATCH_METHOD, (wire_ops,), response_size
         )
-        self._batched_ops.inc(len(ops))
+        self._batched_ops.value += len(ops)
         if self._tracer.enabled:
             response = yield from self._issue_traced(
                 server, request, request_size, None, 0, None, None
@@ -647,7 +648,7 @@ class RpcClient:
         started = self.sim.now
         rng = policy.rng_for(request.rpc_id) if policy is not None else None
         attempts = 0
-        self._calls.inc()
+        self._calls.value += 1
         tracer = self._tracer
         context = request.trace
         if context is not None:
@@ -670,12 +671,17 @@ class RpcClient:
                 # attempt's expiry, if it gets there first, with
                 # ``TIMED_OUT``.
                 answered = self._pending[request.rpc_id] = Event(self.sim)
-                yield from self.socket.sendto(
+                sent = self.socket.sendto(
                     server, request, RPC_HEADER + request_size
                 )
                 if timeout is None and policy is None and deadline is None:
+                    # Nothing here is timed from the send: skip the
+                    # wake-up at the instant the request has left.
                     response = yield answered
                     break
+                # The attempt's expiry runs from when the request has
+                # left the transmitter.
+                yield sent
                 # How long to wait before this attempt is declared lost.
                 if policy is not None:
                     wait = policy.interval(attempts, rng)
@@ -687,7 +693,7 @@ class RpcClient:
                     remaining = deadline - (self.sim.now - started)
                     if remaining <= 0:
                         self._pending.pop(request.rpc_id, None)
-                        self._deadline_exceeded.inc()
+                        self._deadline_exceeded.value += 1
                         raise RpcError(
                             f"{method} to {server}: deadline exceeded"
                         )
@@ -699,7 +705,7 @@ class RpcClient:
                     break
                 if deadline is not None and self.sim.now - started >= deadline:
                     self._pending.pop(request.rpc_id, None)
-                    self._deadline_exceeded.inc()
+                    self._deadline_exceeded.value += 1
                     raise RpcError(f"{method} to {server}: deadline exceeded")
                 attempts += 1
                 if timeout is None and policy is None:
@@ -713,11 +719,11 @@ class RpcClient:
                 if (self.retry_budget is not None
                         and not self.retry_budget.try_spend()):
                     self._pending.pop(request.rpc_id, None)
-                    self._budget_exhausted.inc()
+                    self._budget_exhausted.value += 1
                     raise RpcError(
                         f"{method} to {server}: retry budget exhausted"
                     )
-                self._retransmits.inc()
+                self._retransmits.value += 1
             if attempts:
                 span.annotate(retransmits=attempts)
         latency = self.sim.now - started

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Tuple
 
 from repro.common.errors import ProtocolError
@@ -91,7 +92,7 @@ class TcpConnection:
             self._acks[(message_id, index)] = ack_event
             attempts = 0
             while True:
-                yield from self.stack.port.send(
+                yield self.stack.port.send(
                     Frame(self.stack.address, self.peer, segment, chunk + TCP_HEADER)
                 )
                 timeout = sim.timeout(RTO)
@@ -113,7 +114,7 @@ class TcpConnection:
         sim = self.stack.sim
         yield sim.timeout(SEGMENT_PROCESSING)
         ack = _Ack(self.conn_id, segment.message_id, segment.index)
-        yield from self.stack.port.send(
+        yield self.stack.port.send(
             Frame(self.stack.address, self.peer, ack, TCP_HEADER)
         )
         parts = self._reassembly.setdefault(segment.message_id, {})
@@ -156,7 +157,7 @@ class TcpStack:
         self._pending_connect[conn_id] = done
         attempts = 0
         while True:
-            yield from self.port.send(
+            yield self.port.send(
                 Frame(self.address, peer, _Syn(conn_id), TCP_HEADER)
             )
             timeout = self.sim.timeout(RTO)
@@ -169,7 +170,7 @@ class TcpStack:
         connection = TcpConnection(self, peer, conn_id)
         self.connections[conn_id] = connection
         # Final ACK of the handshake.
-        yield from self.port.send(
+        yield self.port.send(
             Frame(self.address, peer, _Ack(conn_id, -1, -1), TCP_HEADER)
         )
         return connection
@@ -186,8 +187,10 @@ class TcpStack:
                 self.connections[message.conn_id] = connection
                 self.accept_queue.put_nowait(connection)
             # Duplicate SYNs (retransmissions) just re-trigger the ack.
-            self.sim.spawn(self.port.send(
-                Frame(self.address, frame.src, _SynAck(message.conn_id), TCP_HEADER)
+            self.sim.call_later(0.0, partial(
+                self.port.send,
+                Frame(self.address, frame.src, _SynAck(message.conn_id),
+                      TCP_HEADER),
             ))
         elif isinstance(message, _SynAck):
             waiter = self._pending_connect.pop(message.conn_id, None)

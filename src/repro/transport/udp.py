@@ -3,28 +3,34 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 #: IP + UDP headers.
 UDP_HEADER = 28
+#: Datagram bytes one frame carries.
+_MTU_PAYLOAD = MAX_FRAME_PAYLOAD - UDP_HEADER
 
 #: Incomplete datagrams one socket keeps for reassembly at a time.
 MAX_PARTIAL_DATAGRAMS = 64
 
 
-@dataclass
 class _Fragment:
-    datagram_id: int
-    index: int
-    total: int
-    payload: Any  # carried only on fragment 0
-    payload_size: int
+    """One frame's share of a datagram (a ``__slots__`` value object)."""
+
+    __slots__ = ("datagram_id", "index", "total", "payload", "payload_size")
+
+    def __init__(self, datagram_id: int, index: int, total: int,
+                 payload: Any, payload_size: int):
+        self.datagram_id = datagram_id
+        self.index = index
+        self.total = total
+        self.payload = payload  # carried only on fragment 0
+        self.payload_size = payload_size
 
 
 class UdpSocket:
@@ -57,25 +63,36 @@ class UdpSocket:
     def address(self) -> str:
         return self.port.address
 
-    def sendto(self, dst: str, payload: Any, size: int):
-        """Process: transmit one datagram of modeled ``size`` bytes."""
+    def sendto(self, dst: str, payload: Any, size: int) -> Event:
+        """Transmit one datagram of modeled ``size`` bytes; the returned
+        event fires once its last frame has been serialized.
+
+        A datagram that fits one frame returns that frame's own link
+        event. A larger one sends its fragments in turn
+        (:meth:`NetworkPort.send_in_turn`), and its event is woken
+        inside the last fragment's serialization entry.
+        """
         datagram_id = next(self._datagram_ids)
-        mtu_payload = MAX_FRAME_PAYLOAD - UDP_HEADER
-        total = max(1, -(-size // mtu_payload))
-        remaining = size
-        for index in range(total):
-            chunk = min(mtu_payload, remaining)
-            remaining -= chunk
-            fragment = _Fragment(
-                datagram_id=datagram_id,
-                index=index,
-                total=total,
-                payload=payload if index == 0 else None,
-                payload_size=size,
-            )
-            frame = Frame(self.port.address, dst, fragment, chunk + UDP_HEADER)
-            yield from self.port.send(frame)
         self.datagrams_sent += 1
+        src = self.port.address
+        if size <= _MTU_PAYLOAD:
+            return self.port.send(Frame(
+                src, dst, _Fragment(datagram_id, 0, 1, payload, size),
+                size + UDP_HEADER,
+            ))
+        total = -(-size // _MTU_PAYLOAD)
+        frames = [
+            Frame(
+                src, dst,
+                _Fragment(datagram_id, index, total,
+                          payload if index == 0 else None, size),
+                min(_MTU_PAYLOAD, size - index * _MTU_PAYLOAD) + UDP_HEADER,
+            )
+            for index in range(total)
+        ]
+        done = Event(self.sim)
+        self.port.send_in_turn(frames, done.wake)
+        return done
 
     def _unheard(self, datagram: Tuple[str, Any, int]) -> None:
         raise ConfigurationError(

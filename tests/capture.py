@@ -26,3 +26,14 @@ def arrivals(sim, endpoint):
     else:
         endpoint.listen(on_frame)
     return seen
+
+
+def sending(send, *args):
+    """Process: call ``send(*args)`` — a port's ``send`` or a socket's
+    ``sendto``, both of which return the event of their last frame's
+    serialization — once the process starts, and wait for that event.
+
+    A test that ran a send as a process (``sim.process(...)``,
+    ``sim.run_process(...)``, ``sim.spawn(...)``) wraps it in this, so
+    the frame still leaves in the process's first entry."""
+    return (yield send(*args))

@@ -36,6 +36,8 @@ from repro.transport import (
     UdpSocket,
 )
 
+from tests.capture import sending
+
 THINK = 2e-6
 
 #: One frame endpoint -> switch -> endpoint: the uplink serialization
@@ -157,7 +159,7 @@ class TestEntriesPerOp:
         port = fabric.endpoint("a", "host-a")
         fabric.endpoint("b", "host-b").listen(lambda frame: None)
         frame = Frame("host-a", "host-b", None, 64)
-        assert entries(sim, port.send(frame)) == 5 + 3
+        assert entries(sim, sending(port.send, frame)) == 5 + 3
 
     def test_idle_log_shipper_interval(self):
         """A caught-up shipper between heartbeats: one expiry entry per
@@ -277,7 +279,7 @@ class TestEntriesPerTransportMessage:
         sim, sender, receiver = self.pair(HomaSocket)
         receiver.deliver = lambda message: None
         # One unscheduled frame, delivered inside its arrival. (7 before.)
-        assert entries(sim, sender.sendto("b", "m", 200)) == (
+        assert entries(sim, sending(sender.sendto, "b", "m", 200)) == (
             FRAME_CROSSING + DRIVER
         )
 
@@ -285,9 +287,10 @@ class TestEntriesPerTransportMessage:
         sim, sender, receiver = self.pair(HomaSocket)
         receiver.deliver = lambda message: None
         # 14 data frames (7 unscheduled, 7 granted) and the grant; the
-        # grant's sender process and the wake-up of the message waiting
-        # on it. (65 before: 15 frames received.)
-        assert entries(sim, sender.sendto("b", "m", 20_000)) == (
+        # grant's send (a scheduled callback where a spawned sender
+        # process's bootstrap was) and the grant event's entry, in
+        # which the tail starts. (65 before: 15 frames received.)
+        assert entries(sim, sending(sender.sendto, "b", "m", 20_000)) == (
             15 * FRAME_CROSSING + 2 + DRIVER
         )
 

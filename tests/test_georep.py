@@ -18,6 +18,8 @@ from repro.hw.net import Frame, Network
 from repro.sim import Simulator
 from repro.transport import UdpSocket
 
+from tests.capture import sending
+
 
 def drain(sim, cluster):
     """Stop the shippers and run the heap dry (post-scenario idiom)."""
@@ -55,11 +57,11 @@ class TestWanFabric:
 
         def on_ping(datagram):
             stamps["a_to_b"] = sim.now
-            sim.spawn(sock_b.sendto("host-a", b"pong", 64))
+            sim.spawn(sending(sock_b.sendto, "host-a", b"pong", 64))
 
         sock_b.deliver = on_ping
         sock_a.deliver = lambda datagram: stamps.setdefault("rtt", sim.now)
-        sim.run_process(sock_a.sendto("host-b", b"ping", 64))
+        sim.run_process(sending(sock_a.sendto, "host-b", b"ping", 64))
         # The forward path pays its 2 ms; the return pays its 6 ms.
         assert 2e-3 < stamps["a_to_b"] < 3e-3
         assert 8e-3 < stamps["rtt"] < 10e-3
@@ -93,7 +95,7 @@ class TestWanCrossing:
     def test_crossing_time_is_the_sum_of_its_stages(self):
         sim = Simulator()
         fabric, port_a, seen = self._pair(sim)
-        sim.process(port_a.send(Frame("host-a", "host-b", "x", 62)))
+        sim.process(sending(port_a.send, Frame("host-a", "host-b", "x", 62)))
         sim.run()
         rack = fabric.regions["a"]
         ser, wan_ser = 100 / rack.bandwidth, 100 / 10e9
@@ -109,7 +111,7 @@ class TestWanCrossing:
         fabric, port_a, seen = self._pair(sim)
         fabric.partition("a", "b")
         assert not fabric.link("b", "a").partitioned  # one direction only
-        sim.process(port_a.send(Frame("host-a", "host-b", "lost", 62)))
+        sim.process(sending(port_a.send, Frame("host-a", "host-b", "lost", 62)))
         sim.run()
         assert seen == []
         assert [counter(sim, f"wan.a->b.{name}") for name in (
@@ -124,7 +126,7 @@ class TestWanCrossing:
                            FaultKind.FRAME_DROP, 1.0)
         injector = FaultInjector(sim, plan)
         __, port_a, seen = self._pair(sim, injector)
-        sim.process(port_a.send(Frame("host-a", "host-b", "lost", 62)))
+        sim.process(sending(port_a.send, Frame("host-a", "host-b", "lost", 62)))
         sim.run()
         assert seen == [] and counter(sim, "wan.a->b.frames_partitioned") == 1
         # The partition decided the frame's fate; FRAME_DROP never drew.

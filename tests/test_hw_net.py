@@ -12,7 +12,7 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.net import ETHERNET_HEADER, Frame, Link, Network, NetworkPort
 from repro.sim import Simulator
 
-from tests.capture import arrivals
+from tests.capture import arrivals, sending
 
 
 def send(link, frame):
@@ -59,8 +59,9 @@ class TestLink:
     def test_serialization_delay_100g(self):
         sim = Simulator()
         link = Link(sim, bandwidth=gbps(100), propagation=0)
-        frame = Frame("a", "b", None, payload_size=1500 - 38)
-        assert link.serialization_delay(frame) == pytest.approx(1500 / gbps(100))
+        link.sink = lambda frame: None
+        sim.run_process(send(link, Frame("a", "b", None, payload_size=1500 - 38)))
+        assert sim.now == pytest.approx(1500 / gbps(100))
 
     def test_transmit_delivers(self):
         sim = Simulator()
@@ -128,11 +129,12 @@ class TestNetwork:
         net = Network(sim)
         client = net.endpoint("client")
         server = net.endpoint("server")
-        server.listen(lambda request: sim.spawn(server.send(
-            Frame("server", request.src, f"re:{request.payload}", 64)
+        server.listen(lambda request: sim.spawn(sending(
+            server.send,
+            Frame("server", request.src, f"re:{request.payload}", 64),
         )))
         replies = arrivals(sim, client)
-        sim.process(client.send(Frame("client", "server", "ping", 64)))
+        sim.process(sending(client.send, Frame("client", "server", "ping", 64)))
         sim.run()
         [(rtt, payload)] = replies
         assert payload == "re:ping"
@@ -144,7 +146,7 @@ class TestNetwork:
         a = net.endpoint("a")
 
         def scenario():
-            yield from a.send(Frame("a", "nowhere", None, 64))
+            yield a.send(Frame("a", "nowhere", None, 64))
 
         sim.run_process(scenario())
         assert stat(net.switch, "frames_forwarded") == 0
@@ -156,7 +158,7 @@ class TestNetwork:
         net = Network(sim)
         a = net.endpoint("a")
         net.endpoint("b")  # wired to the switch; nothing listens
-        sim.process(a.send(Frame("a", "b", "unheard", 64)))
+        sim.process(sending(a.send, Frame("a", "b", "unheard", 64)))
         with pytest.raises(
             ConfigurationError,
             match=r"frame for b arrived on net\.link\.b\.down, where nothing",
@@ -167,7 +169,7 @@ class TestNetwork:
         sim = Simulator()
         port = NetworkPort(sim, "lonely")
         with pytest.raises(ConfigurationError):
-            sim.run_process(port.send(Frame("lonely", "x", None, 10)))
+            sim.run_process(sending(port.send, Frame("lonely", "x", None, 10)))
 
     def test_min_rtt_scales_with_propagation(self):
         sim = Simulator()
@@ -183,8 +185,8 @@ class TestNetwork:
         seen = arrivals(sim, b)
 
         def sender():
-            yield from a.send(Frame("a", "b", "one", 64))
-            yield from a.send(Frame("a", "b", "two", 64))
+            yield a.send(Frame("a", "b", "one", 64))
+            yield a.send(Frame("a", "b", "two", 64))
 
         sim.process(sender())
         sim.run()
@@ -209,7 +211,7 @@ class TestCallbackDatapath:
         net = Network(sim)
         a, b = net.endpoint("a"), net.endpoint("b")
         seen = arrivals(sim, b)
-        sim.process(a.send(Frame("a", "b", "x", size)))
+        sim.process(sending(a.send, Frame("a", "b", "x", size)))
         sim.run()
         assert seen == [(one_way_delay(net, size), "x")]
 
@@ -283,8 +285,8 @@ class TestCallbackDatapath:
         seen = arrivals(sim, b)
 
         def burst():
-            yield from a.send(Frame("a", "b", "first", 0))
-            yield from a.send(Frame("a", "b", "second", 0))
+            yield a.send(Frame("a", "b", "first", 0))
+            yield a.send(Frame("a", "b", "second", 0))
 
         sim.process(burst())
         sim.run()
@@ -302,8 +304,8 @@ class TestCallbackDatapath:
         net = Network(sim)
         a, b, c = (net.endpoint(name) for name in "abc")
         seen = arrivals(sim, c)
-        sim.process(a.send(Frame("a", "c", "from-a", 0)))
-        sim.process(b.send(Frame("b", "c", "from-b", 0)))
+        sim.process(sending(a.send, Frame("a", "c", "from-a", 0)))
+        sim.process(sending(b.send, Frame("b", "c", "from-b", 0)))
         sim.run()
         ser = 38 / net.bandwidth
         forwarded = ser + net.propagation + net.switch.forward_latency
@@ -320,7 +322,7 @@ class TestCallbackDatapath:
         net = Network(sim)
         a, b = net.endpoint("a"), net.endpoint("b")
         seen = arrivals(sim, b)
-        sim.process(a.send(Frame("a", "b", "doomed", 64)))
+        sim.process(sending(a.send, Frame("a", "b", "doomed", 64)))
         arrival = (64 + 38) / net.bandwidth + net.propagation
         # After the frame reached the switch, before its lookup is done.
         sim.call_at(arrival + net.switch.forward_latency / 2,
@@ -347,7 +349,7 @@ class TestCallbackDatapath:
         spawn = sim.process
         sim.process = lambda generator: spawned.append(1) or spawn(generator)
         before = sim._eid
-        sim.process(a.send(Frame("a", "b", None, 64)))
+        sim.process(sending(a.send, Frame("a", "b", None, 64)))
         sim.run()
         assert sim._eid - before == 3 + 2
         assert len(spawned) == 1  # the sender; nothing inside hw.net
@@ -456,8 +458,8 @@ def two_frames_onto_one_downlink(size, propagation, egress=None):
     seen = arrivals(sim, c)
     if egress is not None:
         egress(c.rx_link)
-    sim.process(a.send(Frame("a", "c", "from-a", size)))
-    sim.process(b.send(Frame("b", "c", "from-b", size)))
+    sim.process(sending(a.send, Frame("a", "c", "from-a", size)))
+    sim.process(sending(b.send, Frame("b", "c", "from-b", size)))
     sim.run()
     return seen
 
@@ -498,7 +500,7 @@ class TestForwardedEgress:
         injector = FaultInjector(sim, plan)
         downlink = b.rx_link.attach_faults(injector, "b.down")
         seen = arrivals(sim, b)
-        sim.process(a.send(Frame("a", "b", "lost", 64)))
+        sim.process(sending(a.send, Frame("a", "b", "lost", 64)))
         sim.run()
         ser = (64 + 38) / net.bandwidth
         looked_up = ser + net.propagation + net.switch.forward_latency

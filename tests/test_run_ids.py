@@ -11,7 +11,7 @@ from repro.transport.homa import HomaSocket
 from repro.transport.rdma import RdmaNic
 from repro.transport.tcp import TcpStack
 
-from tests.capture import arrivals
+from tests.capture import arrivals, sending
 
 
 def first_nvme_cid():
@@ -41,7 +41,7 @@ def first_homa_message_id():
     network = Network(sim)
     sender = HomaSocket(sim, network.endpoint("a"))
     seen = arrivals(sim, network.endpoint("b"))
-    sim.run_process(sender.sendto("b", "hello", 100))
+    sim.run_process(sending(sender.sendto, "b", "hello", 100))
     return seen[0][1].message_id
 
 

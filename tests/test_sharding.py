@@ -108,6 +108,29 @@ def test_node_removal_only_moves_the_removed_nodes_keys():
     assert all(before[key] == "dpu-2" for key in moved)
 
 
+def test_owner_is_the_chain_head_after_every_membership_change():
+    """``owner_of`` looks the owner up directly; after every change to
+    the ring, in place or into a copy, it must equal the head of the
+    key's replica chain."""
+    keys = [f"owner-{i}".encode() for i in range(1000)]
+
+    def agrees(ring):
+        assert [ring.owner_of(key) for key in keys] == [
+            ring.replicas_of(key, 1)[0] for key in keys
+        ]
+
+    ring = HashRing(["dpu-0", "dpu-1"])
+    agrees(ring)
+    for step in [("add", "dpu-2"), ("add", "dpu-3"), ("remove", "dpu-1"),
+                 ("remove", "dpu-3"), ("add", "dpu-1")]:
+        action, node = step
+        (ring.add_node if action == "add" else ring.remove_node)(node)
+        agrees(ring)
+        agrees(ring.with_node("dpu-9"))
+        agrees(ring.without_node(ring.nodes[0]))
+        agrees(ring)
+
+
 def test_replicas_are_distinct_and_clockwise_stable():
     ring = HashRing()
     for index in range(5):

@@ -115,7 +115,7 @@ class TestSnapshotFacades:
 
         def send():
             for __ in range(3):
-                yield from a.send(Frame("a", "b", None, payload_size=100))
+                yield a.send(Frame("a", "b", None, payload_size=100))
             sampler.sample()
 
         sim.run_process(send())

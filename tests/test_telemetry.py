@@ -294,7 +294,7 @@ class TestLegacyFacades:
         seen = arrivals(sim, network.endpoint("b"))
 
         def send():
-            yield from a.send(Frame("a", "b", None, payload_size=100))
+            yield a.send(Frame("a", "b", None, payload_size=100))
 
         sim.run_process(send())
         assert sim.telemetry.counter("net.link.a.up.frames_sent").value == 1

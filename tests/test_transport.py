@@ -16,7 +16,7 @@ from repro.transport import (
 )
 from repro.transport.tcp import RTO
 
-from tests.capture import arrivals
+from tests.capture import arrivals, sending
 
 
 def make_net(sim):
@@ -30,7 +30,7 @@ class TestUdp:
         a = UdpSocket(sim, net.endpoint("a"))
         b = UdpSocket(sim, net.endpoint("b"))
         seen = arrivals(sim, b)
-        sim.run_process(a.sendto("b", {"op": "ping"}, 64))
+        sim.run_process(sending(a.sendto, "b", {"op": "ping"}, 64))
         [(__, (src, payload, size))] = seen
         assert (src, payload["op"], size) == ("a", "ping", 64)
 
@@ -40,7 +40,7 @@ class TestUdp:
         a = UdpSocket(sim, net.endpoint("a"))
         b = UdpSocket(sim, net.endpoint("b"))
         seen = arrivals(sim, b)
-        sim.run_process(a.sendto("b", "big-payload", 100_000))
+        sim.run_process(sending(a.sendto, "b", "big-payload", 100_000))
         [(__, (src, payload, size))] = seen
         assert payload == "big-payload"
         assert size == 100_000
@@ -52,7 +52,7 @@ class TestUdp:
             a = UdpSocket(sim, net.endpoint("a"))
             b = UdpSocket(sim, net.endpoint("b"))
             seen = arrivals(sim, b)
-            sim.run_process(a.sendto("b", None, size))
+            sim.run_process(sending(a.sendto, "b", None, size))
             [(arrived, __)] = seen
             return arrived
 
@@ -71,8 +71,8 @@ class TestUdp:
                 lambda frame: seen.append(frame.payload.datagram_id))
 
             def send_two():
-                yield from a.sendto("b", None, 64)
-                yield from a.sendto("b", None, 64)
+                yield a.sendto("b", None, 64)
+                yield a.sendto("b", None, 64)
 
             sim.run_process(send_two())
             return seen
@@ -92,7 +92,7 @@ def test_a_message_nobody_consumes_fails_the_run(socket_type, kind):
     net = make_net(sim)
     a = socket_type(sim, net.endpoint("a"))
     socket_type(sim, net.endpoint("b"))  # takes frames; nothing above it
-    sim.process(a.sendto("b", "unheard", 64))
+    sim.process(sending(a.sendto, "b", "unheard", 64))
     with pytest.raises(ConfigurationError, match=kind):
         sim.run()
 
@@ -166,7 +166,7 @@ class TestTcp:
         a = UdpSocket(sim2, net2.endpoint("a"))
         b = UdpSocket(sim2, net2.endpoint("b"))
         seen = arrivals(sim2, b)
-        sim2.run_process(a.sendto("b", None, 64))
+        sim2.run_process(sending(a.sendto, "b", None, 64))
         [(udp_time, __)] = seen
         assert tcp_done[0] > 2 * udp_time
 
@@ -260,7 +260,7 @@ class TestHoma:
         a = HomaSocket(sim, net.endpoint("a"))
         b = HomaSocket(sim, net.endpoint("b"))
         seen = arrivals(sim, b)
-        sim.run_process(a.sendto("b", "short", 200))
+        sim.run_process(sending(a.sendto, "b", "short", 200))
         assert [message for __, message in seen] == [("a", "short", 200)]
         assert a.unscheduled_only == 1
 
@@ -270,7 +270,7 @@ class TestHoma:
         a = HomaSocket(sim, net.endpoint("a"))
         b = HomaSocket(sim, net.endpoint("b"))
         seen = arrivals(sim, b)
-        sim.run_process(a.sendto("b", "long", 100_000))
+        sim.run_process(sending(a.sendto, "b", "long", 100_000))
         [(__, (__, payload, size))] = seen
         assert (payload, size) == ("long", 100_000)
         assert a.unscheduled_only == 0
@@ -282,7 +282,7 @@ class TestHoma:
             a = HomaSocket(sim, net.endpoint("a"))
             b = HomaSocket(sim, net.endpoint("b"))
             seen = arrivals(sim, b)
-            sim.run_process(a.sendto("b", None, size))
+            sim.run_process(sending(a.sendto, "b", None, size))
             [(arrived, __)] = seen
             return arrived
 
@@ -350,6 +350,54 @@ class TestRpc:
 
         with pytest.raises(RpcError, match="handler blew up"):
             sim.run_process(scenario())
+
+    @staticmethod
+    def resumes(sim, call):
+        """Run *call*; the instants its caller resumed at after it started."""
+        instants = []
+
+        def counted():
+            value = None
+            while True:
+                try:
+                    event = call.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                value = yield event
+                instants.append(sim.now)
+
+        assert sim.run_process(counted()) == 1
+        return instants
+
+    #: The 146-byte request leaves the client's 100 Gb/s uplink at 11.68
+    #: ns; the answer lands at 5.04672 us (both as the floats the
+    #: engine reaches).
+    REQUEST_SERIALIZED = 1.168e-08
+    ANSWERED = 5.046719999999999e-06
+
+    def test_a_timer_free_call_resumes_its_caller_once(self):
+        """With no timeout, policy or deadline nothing is timed from the
+        send, so the caller is not woken as its request leaves the
+        uplink: it resumes once, when the answer lands, at the instant
+        and the engine entry count it did when it was woken twice."""
+        sim = Simulator()
+        server, client = self.make_pair(sim)
+        server.register("echo", lambda x: x)
+        assert self.resumes(sim, client.call("server", "echo", 1)) == [
+            self.ANSWERED
+        ]
+        assert sim._eid == 9
+
+    def test_a_timed_call_waits_for_its_request_to_leave(self):
+        """A per-attempt timeout runs from when the request has left the
+        uplink, so a timed call still resumes there first."""
+        sim = Simulator()
+        server, client = self.make_pair(sim)
+        server.register("echo", lambda x: x)
+        call = client.call("server", "echo", 1, timeout=1e-3)
+        assert self.resumes(sim, call) == [
+            self.REQUEST_SERIALIZED, self.ANSWERED
+        ]
 
     def test_concurrent_calls_matched_by_id(self):
         sim = Simulator()

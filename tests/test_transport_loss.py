@@ -12,7 +12,7 @@ from repro.sim import Simulator
 from repro.transport.tcp import TcpStack
 from repro.transport.udp import UdpSocket
 
-from tests.capture import arrivals
+from tests.capture import arrivals, sending
 
 
 def lose(link, loss_fn):
@@ -106,7 +106,7 @@ class TestUdpUnderLoss:
 
         def sender():
             for i in range(10):
-                yield from a.sendto("b", i, 100)
+                yield a.sendto("b", i, 100)
 
         sim.process(sender())
         sim.run()
@@ -125,7 +125,7 @@ class TestUdpUnderLoss:
         a, b = lossy_pair(sim, drop_third_frame, UdpSocket)
 
         def sender():
-            yield from a.sendto("b", "big", 50_000)  # many fragments
+            yield a.sendto("b", "big", 50_000)  # many fragments
 
         sim.process(sender())
         sim.run()
@@ -147,8 +147,8 @@ class TestUdpUnderLoss:
 
         def sender():
             for i in range(500):
-                yield from a.sendto("b", ("broken", i), 4_000)
-            yield from a.sendto("b", "small", 100)
+                yield a.sendto("b", ("broken", i), 4_000)
+            yield a.sendto("b", "small", 100)
 
         sim.process(sender())
         sim.run()
@@ -179,7 +179,7 @@ class TestUdpUnderLoss:
         got = []
         receiver.deliver = got.append
         for i, sock in enumerate(senders):
-            sim.process(sock.sendto("hub", i, 10_000))
+            sim.process(sending(sock.sendto, "hub", i, 10_000))
         sim.run()
         assert sorted(payload for __, payload, __ in got) == list(range(8))
         assert receiver.reassembly_evicted == 0 and not receiver._partial
