@@ -59,7 +59,7 @@ perf:  ## full perfbench run: five workloads, two clocks
 # (mirrors the CI docs job).
 docs:  ## markdown link check + doctest examples (CI docs job)
 	python tools/check_links.py README.md DESIGN.md EXPERIMENTS.md docs
-	pytest --doctest-modules src/repro/sharding src/repro/workload -q
+	pytest --doctest-modules src/repro/sharding src/repro/workload src/repro/hw/nvme -q
 
 # What under src/ no root runs (the CLIs and so every registry row,
 # examples/, perfbench/), then every defaulted parameter of a live def

@@ -173,7 +173,6 @@ class NvmeController(PcieDevice):
     def _do_write(self, namespace: Namespace, command: NvmeCommand):
         payload = command.data if command.data is not None else b""
         yield from self._dma(max(len(payload), command.block_count * LBA_SIZE))
-        namespace.write_blocks(command.lba, payload)
-        count = max(1, (len(payload) + LBA_SIZE - 1) // LBA_SIZE)
+        count = namespace.write_blocks(command.lba, payload)
         yield from self._stripe(self.flash.program_page, command.lba, count)
         return NvmeCompletion(command.cid, NvmeStatus.SUCCESS)

@@ -59,7 +59,6 @@ class HomaSocket:
         self._incoming: Dict[Tuple[str, int], int] = {}  # received byte counts
         self._payloads: Dict[Tuple[str, int], Any] = {}
         self._granted: set = set()
-        self.messages_sent = 0
         self.unscheduled_only = 0
         port.listen(self._on_frame)
 
@@ -100,7 +99,6 @@ class HomaSocket:
         done = Event(self.sim)
 
         def finished() -> None:
-            self.messages_sent += 1
             if not tail:
                 self.unscheduled_only += 1
             done.wake()

@@ -71,7 +71,6 @@ class RdmaNic:
         # its operations need distinct ones.
         self._op_ids = itertools.count()
         self._next_rkey = itertools.count(1)
-        self.remote_ops_served = 0
         port.listen(self._on_frame)
 
     @property
@@ -150,7 +149,6 @@ class RdmaNic:
             except CapacityError:
                 response = _RdmaResponse(request.op_id, ok=False)
                 size = RDMA_HEADER
-        self.remote_ops_served += 1
         remaining = size
         while remaining > 0:
             chunk = min(MAX_FRAME_PAYLOAD, remaining)

@@ -71,7 +71,6 @@ class TcpConnection:
         self._message_ids = itertools.count()
         self._acks: Dict[Tuple[int, int], Event] = {}
         self._reassembly: Dict[int, Dict[int, _DataSegment]] = {}
-        self.messages_sent = 0
         self.retransmissions = 0
 
     def send(self, payload: Any, size: int):
@@ -103,7 +102,6 @@ class TcpConnection:
                 self.retransmissions += 1
                 if attempts > 16:
                     raise ProtocolError("TCP gave up after 16 retransmissions")
-        self.messages_sent += 1
 
     def recv(self):
         """Event: next ``(payload, size)`` message."""

@@ -77,7 +77,6 @@ class ReferenceHomaSocket(HomaSocket):
             sent += chunk
             first = False
         if sent >= size:
-            self.messages_sent += 1
             self.unscheduled_only += 1
             return
         grant_event = Event(self.sim)
@@ -90,7 +89,6 @@ class ReferenceHomaSocket(HomaSocket):
                 self.port, Frame(self.address, dst, data, chunk + HOMA_HEADER)
             )
             sent += chunk
-        self.messages_sent += 1
 
     def _on_frame(self, frame):
         message = frame.payload

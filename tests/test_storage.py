@@ -1,5 +1,8 @@
 """Tests for the KV-SSD and the Corfu shared log."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ProtocolError
@@ -83,6 +86,30 @@ class TestKvSsd:
         first = SsTable.deserialize(namespace.read_blocks(1024, 1))
         assert len(first) == 8
         assert first.get(b"key00") == b"value"
+
+    def test_a_put_pins_its_record_not_a_block(self):
+        """A WAL record is stored without its block's trailing zeros, so
+        1,000 overwrites of one key grow the heap by a record's worth
+        each, not by a 4 KiB page (4,226 B per put when it was padded)."""
+        sim = Simulator()
+        device = self.make_device(sim)
+        value = bytes(range(1, 65))
+
+        def puts(count):
+            for _ in range(count):
+                yield from device.put(b"pinned", value)
+
+        sim.run_process(puts(100))  # warm-up: every lazy structure exists
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run_process(puts(1_000))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / 1_000 <= 512
 
     def test_scan(self):
         sim = Simulator()
