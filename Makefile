@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench-report eval exp profile perf docs examples reachability all
+.PHONY: help install test lint bench-report eval exp profile entries perf docs examples reachability all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -49,6 +49,12 @@ exp:  ## one experiment's report: make exp E=e16
 W ?= kv-unbatched-rw
 profile:  ## per-layer hot-spot report: make profile W=offload-fail2ban
 	python3 perfbench/run.py --workload $(W) --seconds 3 --trace 1
+
+# Where a workload's engine entries go: one untimed perfbench run on a
+# simulator that names what every entry runs, printed as entries per
+# attempted op by owner (tools/entry_census.py; writes nothing). Same W.
+entries:  ## engine-entry census: make entries W=kv-batched-read
+	python tools/entry_census.py $(W)
 
 # The repository's performance benchmark (BENCHMARK.json): all five
 # workloads, one sample each, results under perfbench/out/.

@@ -30,7 +30,11 @@ class Link:
     callback is the link's own bookkeeping, propagation one scheduled
     callback that hands the frame to :attr:`sink`. A frame nobody waits
     on (:meth:`forward`, a switch egress) skips the serialization entry:
-    when it will have left is busy-until arithmetic.
+    when it will have left is busy-until arithmetic. A frame that had to
+    queue behind another is woken as the one before it has left: in an
+    entry of its own when its sender waits on it, inline (no entry) when
+    nobody does — a sender waits on :meth:`enqueue`'s event in the entry
+    that sent, or never.
 
     :attr:`sink` is a one-argument callable the consumer installs (via
     :meth:`NetworkPort.listen`); until then a frame raises
@@ -205,7 +209,12 @@ class Link:
         else:
             self._sending = None
         if done is not None:
-            done.succeed()
+            if done.callbacks:
+                done.succeed()
+            else:
+                # Nobody waits, and nobody will (a sender waits on its
+                # send's event at once or never): no wake-up entry.
+                done.wake()
         if span is not None:
             span.finish()
         self._frames_sent.value += 1

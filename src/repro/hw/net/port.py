@@ -46,7 +46,11 @@ class NetworkPort:
     def send(self, frame: Frame) -> Event:
         """Transmit a frame toward its destination; the returned event
         (the link's, see :meth:`Link.enqueue`) fires once the frame has
-        been serialized."""
+        been serialized.
+
+        Wait on it in the entry that sent, or never: when a queued frame
+        has left and nobody waits on its event, the event is woken
+        inline, without the entry a waiter would resume in."""
         link = self._routes.get(frame.dst)
         if link is None:
             link = self._routes.get("*")

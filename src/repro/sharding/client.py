@@ -19,6 +19,7 @@ batching and caching on, which is the point.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -170,49 +171,76 @@ class ShardedKvClient(KvClientCore):
         """Process: the one batched path for ``(position, op)`` pairs.
 
         Ops are grouped by their key's owner and coalesced into one
-        ``call_batch`` per owner per :attr:`batch_limit` ops; each answer
-        goes to ``settle(position, result)``. The per-owner sub-batches
-        of one multi-key op travel in parallel, so the op's latency is
-        the *slowest* owner's round trip, not the sum — without this, a
-        batch spanning many DPUs serializes and scaling flattens. The
-        first sub-batch failure is re-raised after every sub-batch has
-        settled (no orphaned in-flight work). A single sub-batch has
-        nothing to overlap with and runs in the caller's process.
+        batch per owner per :attr:`batch_limit` ops; each answer goes to
+        ``settle(position, result)`` inside the entry that delivers it,
+        so a cache fill carries its own sub-batch's delivery instant.
+        The per-owner sub-batches of one multi-key op travel in
+        parallel, so the op's latency is the *slowest* owner's round
+        trip, not the sum — without this, a batch spanning many DPUs
+        serializes and scaling flattens.
+
+        No process runs per sub-batch: each is sent from a scheduled
+        callback (one entry, where a sender process's start was) and
+        settled by :meth:`~repro.transport.RpcClient.issue_batch`'s
+        answer callback; the caller waits on one event, succeeded as
+        the last sub-batch settles, and resumes in an entry of its own.
+        The first sub-batch failure is re-raised after every sub-batch
+        has settled (no orphaned in-flight work). No misses means no
+        wait at all; a single sub-batch has nothing to overlap with and
+        runs in the caller's process.
         """
         groups: Dict[str, List[Tuple[int, BatchOp]]] = {}
         for entry in ops:
             groups.setdefault(self.cluster.owner_of(entry[1].args[0]), []).append(entry)
-
-        def send(owner, chunk):
+        limit = self.batch_limit
+        chunks = [
+            (owner, group[start:start + limit])
+            for owner, group in groups.items()
+            for start in range(0, len(group), limit)
+        ]
+        if not chunks:
+            return
+        if len(chunks) == 1:
+            owner, chunk = chunks[0]
             responses = yield from self.rpc.call_batch(
                 owner, [op for __, op in chunk]
             )
-            self._round_trips.value += 1
-            for (p, __), response in zip(chunk, responses):
+            self._settle(chunk, responses, settle)
+            return
+        done = self.sim.event()
+        errors: List[RpcError] = []
+        remaining = len(chunks)
+
+        def answered(chunk, response) -> None:
+            nonlocal remaining
+            try:
                 if not response.ok:
                     raise RpcError(response.error)
-                settle(p, response.result)
-
-        calls = [
-            send(owner, group[start:start + self.batch_limit])
-            for owner, group in groups.items()
-            for start in range(0, len(group), self.batch_limit)
-        ]
-        if len(calls) == 1:
-            yield from calls[0]
-            return
-        errors: List[RpcError] = []
-
-        def runner(call):
-            try:
-                yield from call
+                self._settle(chunk, response.result, settle)
             except RpcError as error:
                 errors.append(error)
+            remaining -= 1
+            if not remaining:
+                done.succeed()
 
-        for process in [self.sim.process(runner(c)) for c in calls]:
-            yield process
+        for owner, chunk in chunks:
+            self.sim.call_later(0.0, partial(
+                self.rpc.issue_batch, owner, [op for __, op in chunk],
+                partial(answered, chunk),
+            ))
+        yield done
         if errors:
             raise errors[0]
+
+    def _settle(self, chunk: List[Tuple[int, BatchOp]], responses,
+                settle) -> None:
+        """Count one round trip and settle *chunk*'s answers in order;
+        the first failed sub-op raises, after those before it settled."""
+        self._round_trips.value += 1
+        for (p, __), response in zip(chunk, responses):
+            if not response.ok:
+                raise RpcError(response.error)
+            settle(p, response.result)
 
     def get_many(self, keys: Iterable[bytes]):
         """Process: read many keys with batched, owner-grouped RPCs.

@@ -279,6 +279,12 @@ class Tracer:
         """The flow executing right now, or ``None`` between segments."""
         return self._active
 
+    def activate(self, context: Optional[TraceContext]) -> None:
+        """Make *context* the executing flow (``None``: no flow) — what
+        :meth:`drive` does around each resumption, for a callback that
+        runs a flow's segment outside any generator."""
+        self._active = context
+
     def drive(self, generator, context: TraceContext):
         """Run *generator* with *context* active across every resumption.
 

@@ -552,21 +552,45 @@ class RpcClient:
     def call_batch(self, server: str, ops: "List[BatchOp]"):
         """Process: coalesce up to :data:`MAX_BATCH_OPS` ops into one RPC.
 
+        :meth:`issue_batch` plus a wait: the caller resumes inside the
+        entry that delivers the answer, as from any untimed call. A
+        transport-level failure (a shed batch) raises :class:`RpcError`
+        for the batch as a whole.
+
+        Returns:
+            ``List[RpcResponse]``, index-aligned with *ops*.
+        """
+        answered = Event(self.sim)
+        self.issue_batch(server, ops, answered.wake)
+        response = yield answered
+        if not response.ok:
+            raise RpcError(response.error)
+        return response.result
+
+    def issue_batch(self, server: str, ops: "List[BatchOp]",
+                    answer: Callable[[RpcResponse], None]) -> None:
+        """Send *ops* as one batch now; ``answer(response)`` runs inside
+        the entry that delivers the response.
+
         The whole batch travels as a single request (one network round
         trip, one admission token, one queue slot, one worker dispatch)
         and is answered with a list of per-op :class:`RpcResponse`
         objects in op order — a sub-op failure is marshalled in its slot
-        instead of failing the batch. A transport-level failure (a shed
-        batch) raises :class:`RpcError` for the batch as a whole. The
-        batch is sent once, at the default priority, and awaited with no
-        timeout or deadline, as :meth:`call` is without those options.
+        instead of failing the batch; a shed batch answers with
+        ``ok=False``. The batch is sent once, at the default priority,
+        with no timeout or deadline, so nothing is timed from the send
+        and no process is needed: the answer is a callback.
+
+        Tracing follows :meth:`_issue_traced`: an active flow is carried
+        onto the wire; with head sampling and no active flow, a drawn
+        flow is active around the send (``net.tx`` is stamped with it)
+        and around the close of its ``rpc.call`` span; otherwise the
+        span lands on the ambient context.
 
         Args:
             server: destination address.
             ops: the :class:`BatchOp` sequence to coalesce (1..64).
-
-        Returns:
-            ``List[RpcResponse]``, index-aligned with *ops*.
+            answer: called with the batch's :class:`RpcResponse`.
         """
         if not 1 <= len(ops) <= MAX_BATCH_OPS:
             raise ConfigurationError(
@@ -579,17 +603,47 @@ class RpcClient:
             next(self._rpc_ids), BATCH_METHOD, (wire_ops,), response_size
         )
         self._batched_ops.value += len(ops)
-        if self._tracer.enabled:
-            response = yield from self._issue_traced(
-                server, request, request_size, None, 0, None, None
-            )
-        else:
-            response = yield from self._issue(
-                server, request, request_size, None, 0, None, None
-            )
-        if not response.ok:
-            raise RpcError(response.error)
-        return response.result
+        self._calls.value += 1
+        sim = self.sim
+        started = sim.now
+        tracer = self._tracer
+        context = flow = None
+        span = NULL_SPAN
+        if tracer.enabled:
+            context = tracer.active_context
+            if context is None and tracer.sample_rate < 1.0:
+                context = flow = tracer.flow()
+            if context is not None:
+                request.trace = context
+                if flow is not None:
+                    tracer.activate(flow)
+                span = request.parent_span = tracer.begin(
+                    context, "rpc.call", "transport",
+                    {"method": BATCH_METHOD, "server": server},
+                )
+            else:
+                span = tracer.span(
+                    "rpc.call", "transport", method=BATCH_METHOD,
+                    server=server,
+                )
+        answered = self._pending[request.rpc_id] = Event(sim)
+        self.socket.sendto(server, request, RPC_HEADER + request_size)
+        if flow is not None:
+            tracer.activate(None)
+
+        def on_answer(event: Event) -> None:
+            if flow is not None:
+                tracer.activate(flow)
+            span.finish()
+            latency = sim.now - started
+            self._call_latency.observe(latency)
+            if context is not None and tracer.exemplars:
+                self._call_latency.exemplar(latency, context.trace_id)
+            if flow is not None:
+                tracer.activate(None)
+            answer(event.value)
+
+        answered.callbacks.append(on_answer)
 
     def _issue_traced(
         self,

@@ -70,7 +70,9 @@ class UdpSocket:
         A datagram that fits one frame returns that frame's own link
         event. A larger one sends its fragments in turn
         (:meth:`NetworkPort.send_in_turn`), and its event is woken
-        inside the last fragment's serialization entry.
+        inside the last fragment's serialization entry. As with
+        :meth:`NetworkPort.send`, wait on the event in the entry that
+        sent, or never.
         """
         datagram_id = next(self._datagram_ids)
         self.datagrams_sent += 1

@@ -22,7 +22,7 @@ from repro.eval import p2pdma
 from repro.georep import Consistency, GeoCluster, GeoKvClient, WanFabric
 from repro.georep.region import SHIP_INTERVAL
 from repro.hdl import HardwarePipeline, compile_program
-from repro.hw.net import Frame, Network
+from repro.hw.net import Frame, Link, Network
 from repro.hw.nvme import Namespace, NvmeCommand, NvmeController, NvmeOpcode
 from repro.sharding import ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
@@ -125,6 +125,28 @@ class TestEntriesPerOp:
         # completion.)
         assert entries(sim, stub.put(b"warm", b"w" * 64)) == 15
 
+    def test_three_owner_get_many(self):
+        """One key on each of three DPUs: three sub-batches in flight at
+        once. Each is sent from a scheduled callback (where a runner
+        process started) and settled in its reply's delivery entry; the
+        caller resumes once, in an entry of its own, as the last one
+        settles. The second and third requests queue behind the first on
+        the client's uplink, and nobody waits on their sends. (35 while
+        each sub-batch ran in a process whose end was an entry, two of
+        them popped as no-ops, and a queued frame's send woke in an
+        entry of its own with nobody waiting.)"""
+        sim = Simulator()
+        cluster = ShardedKvCluster(sim, Network(sim), dpu_count=3)
+        client = ShardedKvClient(sim, cluster, name="c0")
+        keys = [b"k00", b"k01", b"k02"]
+        assert len({cluster.owner_of(key) for key in keys}) == 3
+        sim.run_process(client.put_many([(key, b"v" * 64) for key in keys]))
+        # Per owner: two crossings, the request's process start, the
+        # KV-SSD's service time and the send; the caller's resume.
+        assert entries(sim, client.get_many(keys)) == (
+            3 * (2 * FRAME_CROSSING + 1 + 1 + 1) + 1 + DRIVER
+        ) == 31
+
     def test_single_page_nvme_write_command(self):
         sim = Simulator()
         controller = NvmeController(sim, "ssd")
@@ -182,6 +204,48 @@ class TestEntriesPerOp:
 
 #: The think timeout and the driving process's bootstrap and completion.
 DRIVER = 3
+
+
+class TestEntriesPerSend:
+    """A frame queued behind another on its link is woken as the one
+    before it has left: in an entry of its own only when a sender waits
+    on it."""
+
+    @staticmethod
+    def link():
+        sim = Simulator()
+        link = Link(sim)
+        arrivals = []
+        link.sink = lambda frame: arrivals.append((sim.now, frame.wire_size))
+        return sim, link, arrivals
+
+    def test_a_queued_send_nobody_waits_on_costs_no_wake(self):
+        sim, link, arrivals = self.link()
+        before = sim._eid
+        link.enqueue(Frame("a", "b", None, 64))
+        link.enqueue(Frame("a", "b", None, 1500))
+        sim.run()
+        # Two serializations and two propagations. (5 while the queued
+        # frame's event was succeeded into an entry nobody waited in.)
+        assert sim._eid - before == 4
+        assert [size for __, size in arrivals] == [102, 1538]
+
+    def test_a_queued_send_a_process_waits_on_resumes_in_its_own_entry(self):
+        sim, link, arrivals = self.link()
+        resumed = []
+
+        def sender():
+            link.enqueue(Frame("a", "b", None, 64))
+            yield link.enqueue(Frame("a", "b", None, 1500))
+            resumed.append((sim.now, len(arrivals)))
+
+        # The two frames' four entries, the wake-up of the waiting
+        # sender, and the process's bootstrap and completion.
+        before = sim._eid
+        sim.run_process(sender())
+        assert sim._eid - before == 4 + 1 + 2
+        # Resumed as the second frame has left, before either arrives.
+        assert resumed == [(102 / link.bandwidth + 1538 / link.bandwidth, 0)]
 
 
 class TestEntriesPerPacket:

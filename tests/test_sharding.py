@@ -584,6 +584,78 @@ def test_batch_spanning_a_migrating_shard():
     assert forwarded > 0, "migration window produced no forwarded ops"
 
 
+def test_an_all_hit_get_many_returns_at_its_start_with_no_rpc():
+    """Regression: a read served wholly from the cache sends nothing and
+    waits on nothing — no sub-batch means no wait (a fan-out that waited
+    for zero answers would never resume)."""
+    sim = Simulator()
+    cluster = _sharded(sim, dpus=3)
+    keys = [f"key-{i:03d}".encode() for i in range(12)]
+    _preload(sim, cluster, keys)
+    client = ShardedKvClient(sim, cluster, name="c",
+                             cache=HotKeyCache(sim, lease=1.0))
+    sim.run_process(client.get_many(keys))  # fills the cache
+    round_trips, started, before = client.round_trips, sim.now, sim._eid
+    box = {}
+
+    def read():
+        box["values"] = yield from client.get_many(keys)
+        box["at"] = sim.now
+
+    sim.run_process(read())
+    assert box == {"values": [b"v0"] * len(keys), "at": started}
+    assert client.round_trips == round_trips
+    # The driving process's bootstrap and completion, nothing else.
+    assert sim._eid - before == 2
+
+
+class _RefuseAll:
+    """An admission controller that sheds every request."""
+
+    def admit(self, priority):
+        return False
+
+
+def test_a_shed_sub_batch_raises_after_its_siblings_settle():
+    """Regression: one owner sheds its sub-batch of a multi-owner read.
+    The error is raised only after every other sub-batch has settled, and
+    each of their cache fills carries its own delivery instant, not the
+    instant the caller resumed."""
+    sim = Simulator()
+    cluster = _sharded(sim, dpus=3)
+    keys = [f"key-{i:03d}".encode() for i in range(24)]
+    _preload(sim, cluster, keys)
+    victim = cluster.owner_of(keys[0])
+    cluster.servers[victim].admission = _RefuseAll()
+    fills = []
+
+    class RecordingCache(HotKeyCache):
+        def fill(self, key, value, epoch):
+            fills.append((sim.now, cluster.owner_of(key)))
+            super().fill(key, value, epoch)
+
+    client = ShardedKvClient(sim, cluster, name="c",
+                             cache=RecordingCache(sim, lease=1.0))
+    box = {}
+
+    def read():
+        try:
+            yield from client.get_many(keys)
+        except RpcError as error:
+            box["error"], box["at"] = str(error), sim.now
+
+    sim.run_process(read())
+    assert box["error"] == "overload: admission shed"
+    others = {cluster.owner_of(key) for key in keys} - {victim}
+    assert len(others) == 2
+    assert len(fills) == sum(cluster.owner_of(key) != victim for key in keys)
+    assert client.round_trips == 2
+    instants = {owner: {t for t, o in fills if o == owner} for owner in others}
+    assert all(len(at) == 1 for at in instants.values())
+    first, last = sorted(min(at) for at in instants.values())
+    assert first < last <= box["at"]
+
+
 def test_sharded_cluster_rejects_bad_config():
     sim = Simulator()
     network = Network(sim)

@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Engine-entry census of one perfbench workload: what each entry runs.
+
+Usage::
+
+    python tools/entry_census.py kv-batched-read [--seed 11]
+
+(``make entries W=kv-batched-read``.) The workload is built and measured
+as ``perfbench/worker.py`` does it, on a :class:`CensusSimulator`: a
+``Simulator`` whose ``run(until)`` drains through ``step()`` and names
+the owner of every entry just before it runs. The owner of a scheduled
+callback is its function. The owner of an event is what the event
+resumes: its callbacks, with a process shown as the innermost generator
+it resumes. An event with no callbacks is a no-op entry.
+
+Only entries scheduled inside the measured window are counted (the
+``Simulator._eid`` delta over ``measure()``, build and final sweep
+excluded). Any of them still queued when the window ends are classified
+too. The table prints each owner's entries per attempted op, the unit of
+the ``entries/op`` figures in DESIGN.md and ROADMAP.md.
+
+Read-only: nothing is written, not perfbench's output directory and not a
+``BENCH_<n>.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from collections import Counter
+from functools import partial
+from math import inf
+from typing import List, Optional
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from repro.sim import Simulator  # noqa: E402
+from repro.sim.engine import Process  # noqa: E402
+
+
+def _innermost(generator) -> str:
+    """The generator a resumption lands in: down every ``yield from``."""
+    while hasattr(generator.gi_yieldfrom, "gi_frame"):
+        generator = generator.gi_yieldfrom
+    return generator.__qualname__
+
+
+def _name(function) -> str:
+    """A callable as a census row names it."""
+    while isinstance(function, partial):
+        function = function.func
+    owner = getattr(function, "__self__", None)
+    if isinstance(owner, Process):
+        if function.__func__ is Process._bootstrap:
+            return f"start {owner._generator.__qualname__}"
+        return f"resume {_innermost(owner._generator)}"
+    return getattr(function, "__qualname__", type(function).__name__)
+
+
+def owner_of(entry) -> str:
+    """The census row of one queue entry ``(when, eid, event, thunk)``."""
+    event, thunk = entry[2], entry[3]
+    if event is None:
+        name = _name(thunk)
+        return name if name.startswith("start ") else f"call {name}"
+    kind = type(event).__name__
+    if not event.callbacks:
+        return f"{kind}: no-op (nobody waits)"
+    return f"{kind} -> " + ", ".join(_name(cb) for cb in event.callbacks)
+
+
+class CensusSimulator(Simulator):
+    """A ``Simulator`` that names every entry it runs while counting.
+
+    ``run`` peeks the entry ``step()`` will pop next, in the engine's
+    own ``(when, eid)`` order, stops where the inlined drain loop stops,
+    and otherwise steps — the same schedule, one entry at a time.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Entries counted per owner; ``None`` while not counting.
+        self.census: Optional[Counter] = None
+        #: Entries with an eid above this one are counted.
+        self.since = 0
+
+    def _head(self):
+        imm, heap = self._imm, self._heap
+        if imm:
+            if heap:
+                head, first = heap[0], imm[0]
+                if head[0] < first[0] or (
+                    head[0] == first[0] and head[1] < first[1]
+                ):
+                    return head
+            return imm[0]
+        return heap[0] if heap else None
+
+    def run(self, until: Optional[float] = None) -> None:
+        limit = inf if until is None else until
+        while True:
+            entry = self._head()
+            if entry is None:
+                if until is not None and until > self.now:
+                    self.now = until
+                return
+            if entry[0] > limit:
+                self.now = until
+                return
+            if self.census is not None and entry[1] > self.since:
+                self.census[owner_of(entry)] += 1
+            self.step()
+
+    def begin(self) -> None:
+        """Count every entry scheduled from now on."""
+        self.census = Counter()
+        self.since = self._eid
+
+    def end(self) -> Counter:
+        """Stop counting; classify what the window left queued."""
+        census, self.census = self.census, None
+        for entry in list(self._imm) + list(self._heap):
+            if entry[1] > self.since:
+                census[owner_of(entry) + " (still queued)"] += 1
+        return census
+
+
+def take(workload_name: str, seed: int, scale: float = 1.0):
+    """Run one workload under the census.
+
+    Returns ``(census, eid_delta, attempted, summary)``: the counts per
+    owner summed over the workload's simulators, their ``_eid`` delta
+    over the measured window, the attempted ops and perfbench's summary
+    of the run (its ``result_digest`` and ``sim_*`` values).
+    """
+    import metrics
+    import workloads
+
+    workload = workloads.WORKLOADS[workload_name](seed, scale)
+    sims: List[CensusSimulator] = []
+
+    def new_sim() -> CensusSimulator:
+        sim = CensusSimulator()
+        sims.append(sim)
+        return sim
+
+    workload.build(new_sim)
+    before = [sim._eid for sim in sims]
+    for sim in sims:
+        sim.begin()
+    for __ in workload.measure():
+        pass
+    census: Counter = Counter()
+    for sim in sims:
+        census.update(sim.end())
+    delta = sum(sim._eid - start for sim, start in zip(sims, before))
+    summary = metrics.summarise(workload.finish(), [])
+    return census, delta, summary["attempted"], summary
+
+
+def render(workload_name: str, seed: int, census: Counter, delta: int,
+           attempted: int) -> str:
+    ops = max(1, attempted)
+    lines = [
+        f"{workload_name} seed {seed}: {delta} entries over {attempted} "
+        f"attempted ops = {delta / ops:.3f} per op",
+        f"{'per op':>9}  {'share':>6}  owner",
+    ]
+    for owner, count in sorted(census.items(), key=lambda kv: (-kv[1], kv[0])):
+        lines.append(f"{count / ops:9.3f}  {count / max(1, delta):6.1%}  {owner}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    import workloads
+
+    parser = argparse.ArgumentParser(
+        description="Engine entries per attempted op of one perfbench "
+                    "workload, grouped by owner.")
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=11)
+    args = parser.parse_args(argv)
+    census, delta, attempted, __ = take(args.workload, args.seed)
+    print(render(args.workload, args.seed, census, delta, attempted))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
