@@ -65,13 +65,16 @@ perf:  ## full perfbench run: five workloads, two clocks
 # (mirrors the CI docs job).
 docs:  ## markdown link check + doctest examples (CI docs job)
 	python tools/check_links.py README.md DESIGN.md EXPERIMENTS.md docs
-	pytest --doctest-modules src/repro/sharding src/repro/workload src/repro/hw/nvme -q
+	pytest --doctest-modules src/repro/common src/repro/sharding src/repro/workload src/repro/hw/nvme -q
 
 # What under src/ no root runs (the CLIs and so every registry row,
-# examples/, perfbench/), then every defaulted parameter of a live def
-# outside repro.eval that no live call passes, each list with its total.
-# tests/test_architecture.py pins both lists.
-reachability:  ## list what under src/ nothing runs, and options nothing sets
+# examples/, perfbench/, the make tools), methods resolved through the
+# receiver's class; then every defaulted parameter of a live def outside
+# repro.eval that no live call passes; every attribute or dataclass field
+# stored and never read; every parameter or field every live call sets
+# to one value. Each list ends with its total;
+# tests/test_architecture.py pins all four.
+reachability:  ## list what under src/ nothing runs, sets, reads or varies
 	python tools/reachability.py
 
 examples:  ## run every examples/*.py end to end

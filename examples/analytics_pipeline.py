@@ -41,7 +41,7 @@ def main() -> None:
     sim.run_process(dpu.boot())
 
     # Lay the data out on a real file system on the DPU's flash.
-    fs = HyperExtFs.mkfs(dpu.ssds[0].namespaces[1], inode_blocks=8)
+    fs = HyperExtFs.mkfs(dpu.ssds[0].namespaces[1])
     fs.mkdir("/warehouse")
     dataset = build_dataset()
     fs.create_file("/warehouse/orders.parquet", dataset)

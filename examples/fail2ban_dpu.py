@@ -34,7 +34,7 @@ def main() -> None:
     print(f"verifier: ok={report.ok}, "
           f"{report.states_explored} abstract states explored")
 
-    trace = generate_packet_trace(PACKETS, attacker_fraction=0.1, seed=99)
+    trace = generate_packet_trace(PACKETS, seed=99)
 
     # --- Hyperion ---------------------------------------------------------
     sim = Simulator()

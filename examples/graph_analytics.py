@@ -31,7 +31,7 @@ def main() -> None:
     dpu = HyperionDpu(sim, net, ssd_blocks=16384)
     sim.run_process(dpu.boot())
 
-    graph = CsrGraph(dpu, VERTICES, random_graph(VERTICES, avg_degree=4))
+    graph = CsrGraph(dpu, VERTICES, random_graph(VERTICES))
     GraphService(
         sim, RpcServer(sim, UdpSocket(sim, net.endpoint("graph-dpu"))), graph
     )

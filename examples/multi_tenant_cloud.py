@@ -90,7 +90,7 @@ def main() -> None:
 
     # --- microarchitectural isolation on the interconnect -------------------
     print("\nweighted AXIS arbitration under contention (premium weight 3):")
-    arbiter = WeightedAxisArbiter(sim, bandwidth=10e9)
+    arbiter = WeightedAxisArbiter(sim)
     arbiter.register_tenant("premium", weight=3)
     arbiter.register_tenant("basic", weight=1)
     finish = {}

@@ -29,7 +29,7 @@ def measure(keys: int, propagation: float):
     sim = Simulator()
     net = Network(sim, propagation=propagation)
     service = RemoteTreeService(
-        sim, RpcServer(sim, UdpSocket(sim, net.endpoint("dpu"))), order=4
+        sim, RpcServer(sim, UdpSocket(sim, net.endpoint("dpu")))
     )
     service.populate(keys)
     client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))

@@ -97,19 +97,17 @@ TRACE_SOURCES = 100
 #: How often an attacker's packet fails authentication (a benign
 #: source's fails 1% of the time).
 ATTACK_INTENSITY = 0.9
+#: The share of trace sources that attack.
+ATTACKER_FRACTION = 0.1
 #: Wire size of every generated packet.
 TRACE_PACKET_SIZE = 512
 
 
-def generate_packet_trace(
-    packet_count: int,
-    attacker_fraction: float = 0.1,
-    seed: int = 7,
-) -> List[PacketRecord]:
+def generate_packet_trace(packet_count: int, seed: int = 7) -> List[PacketRecord]:
     """A mixed trace: most sources are benign, attackers fail auth often."""
     rng = random.Random(seed)
     attackers = {
-        ip for ip in range(TRACE_SOURCES) if rng.random() < attacker_fraction
+        ip for ip in range(TRACE_SOURCES) if rng.random() < ATTACKER_FRACTION
     }
     trace = []
     for _ in range(packet_count):
@@ -129,8 +127,6 @@ class Fail2BanDpu:
 
     def __init__(self, sim: Simulator, dpu: HyperionDpu, threshold: int = 3):
         dpu.require_booted()
-        self.sim = sim
-        self.dpu = dpu
         self.ban_map = HashMap(key_size=8, value_size=8, max_entries=65536)
         compiled = compile_program(build_fail2ban_program(threshold))
         self.pipeline = HardwarePipeline(
@@ -143,7 +139,6 @@ class Fail2BanDpu:
         self._log_lba = 0
         self._log_buffer = bytearray()
         self.banned_packets = 0
-        self.passed_packets = 0
 
     def _write_log_block(self, data: bytes):
         """Process: one block to the next log LBA; a failed write raises."""
@@ -177,8 +172,6 @@ class Fail2BanDpu:
             yield from self._write_log_block(block)
         if result.return_value == VERDICT_BAN:
             self.banned_packets += 1
-        else:
-            self.passed_packets += 1
         return result.return_value
 
     def banned_sources(self) -> List[int]:
@@ -195,21 +188,17 @@ class Fail2BanBaseline:
 
     def __init__(self, sim: Simulator, datapath: CpuCentricDatapath,
                  threshold: int = 3):
-        self.sim = sim
         self.datapath = datapath
         self.ban_map = HashMap(key_size=8, value_size=8, max_entries=65536)
         self.vm = BpfVm(build_fail2ban_program(threshold),
                         maps={BAN_MAP_FD: self.ban_map})
         self.banned_packets = 0
-        self.passed_packets = 0
 
     def process_packet(self, packet: PacketRecord):
         """Process: the full CPU-centric path with persistence."""
         verdict = yield from self.datapath.process_packet(
-            self.vm, packet.context().ljust(16, b"\x00"), persist=True
+            self.vm, packet.context().ljust(16, b"\x00")
         )
         if verdict == VERDICT_BAN:
             self.banned_packets += 1
-        else:
-            self.passed_packets += 1
         return verdict

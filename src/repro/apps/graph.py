@@ -29,6 +29,8 @@ LOCAL_FETCH_LATENCY = 300e-9
 
 #: Seed of :func:`random_graph`'s edge draws.
 GRAPH_SEED = 3
+#: Mean out-degree of a :func:`random_graph`.
+AVG_DEGREE = 4
 
 
 class CsrGraph:
@@ -77,13 +79,12 @@ class CsrGraph:
         return [v[0] for v in struct.iter_unpack("<I", raw)]
 
 
-def random_graph(vertex_count: int,
-                 avg_degree: float = 4.0) -> List[Tuple[int, int]]:
-    """A random digraph with a connected backbone (path + random edges),
-    the same one for the same arguments."""
+def random_graph(vertex_count: int) -> List[Tuple[int, int]]:
+    """A random digraph with a connected backbone (path + random edges)
+    of :data:`AVG_DEGREE`, the same one for the same size."""
     rng = random.Random(GRAPH_SEED)
     edges = [(v, v + 1) for v in range(vertex_count - 1)]
-    extra = int(vertex_count * max(0.0, avg_degree - 1))
+    extra = int(vertex_count * (AVG_DEGREE - 1))
     for _ in range(extra):
         edges.append((rng.randrange(vertex_count), rng.randrange(vertex_count)))
     return edges
@@ -95,8 +96,6 @@ class GraphService:
     def __init__(self, sim: Simulator, server: RpcServer, graph: CsrGraph):
         self.sim = sim
         self.graph = graph
-        self.adjacency_fetches = 0
-        self.offloaded_queries = 0
         server.register("graph.neighbors", self._neighbors)
         server.register("graph.bfs", self._bfs)
         server.register("graph.khop", self._khop)
@@ -104,7 +103,6 @@ class GraphService:
     # -- fine-grained (client-side traversal) ----------------------------------
     def _neighbors(self, vertex: int):
         yield self.sim.timeout(LOCAL_FETCH_LATENCY)
-        self.adjacency_fetches += 1
         return self.graph.neighbors(vertex)
 
     # -- offloaded ---------------------------------------------------------
@@ -112,7 +110,6 @@ class GraphService:
         """Whole BFS at the DPU; returns hop distance or -1."""
         distance, visited = _bfs_distance(self.graph, source, target)
         yield self.sim.timeout(LOCAL_FETCH_LATENCY * max(1, visited))
-        self.offloaded_queries += 1
         return distance
 
     def _khop(self, source: int, hops: int):
@@ -127,7 +124,6 @@ class GraphService:
             seen |= nxt
             frontier = nxt
         yield self.sim.timeout(LOCAL_FETCH_LATENCY * max(1, len(seen)))
-        self.offloaded_queries += 1
         return len(seen)
 
 

@@ -94,7 +94,6 @@ class LoadBalancer:
         self.packets = 0
         self.hot_hits = 0
         self.cold_hits = 0
-        self.inserts = 0
         self.broken_connections = 0
         self._ever_assigned: Dict[int, int] = {}
 
@@ -141,7 +140,6 @@ class LoadBalancer:
             self.cold_hits += 1
         else:
             backend = self._assign_backend(flow)
-            self.inserts += 1
             previous = self._ever_assigned.get(flow)
             if previous is not None and previous != backend:
                 self.broken_connections += 1

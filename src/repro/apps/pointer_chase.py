@@ -29,16 +29,16 @@ LOCAL_FETCH_LATENCY = 200e-9
 
 #: Seed of the order :meth:`RemoteTreeService.populate` inserts keys in.
 POPULATE_SEED = 5
+#: Fan-out of the hosted B+ tree.
+TREE_ORDER = 4
 
 
 class RemoteTreeService:
     """Hosts a B+ tree at the DPU; exports both access granularities."""
 
-    def __init__(self, sim: Simulator, server: RpcServer, order: int = 8):
+    def __init__(self, sim: Simulator, server: RpcServer):
         self.sim = sim
-        self.tree = BPlusTree(order=order)
-        self.node_fetches_served = 0
-        self.offloaded_lookups_served = 0
+        self.tree = BPlusTree(order=TREE_ORDER)
         server.register("tree.root", self._root)
         server.register("tree.node", self._fetch_node)
         server.register("tree.lookup", self._lookup)
@@ -57,7 +57,6 @@ class RemoteTreeService:
 
     def _fetch_node(self, node_id: int):
         yield self.sim.timeout(LOCAL_FETCH_LATENCY)
-        self.node_fetches_served += 1
         node = self.tree.store.fetch(node_id)
         return {
             "is_leaf": node.is_leaf,
@@ -75,7 +74,6 @@ class RemoteTreeService:
         for _ in self.tree.search_path(key):
             done_at += LOCAL_FETCH_LATENCY
         yield self.sim.timeout_at(done_at)
-        self.offloaded_lookups_served += 1
         return self.tree.get(key)
 
     def _insert(self, key: Any, value: Any):

@@ -50,10 +50,8 @@ class CpuModel:
         costs: CpuCosts = CpuCosts(),
         rng: Optional[random.Random] = None,
     ):
-        self.sim = sim
         self.costs = costs
         self.rng = rng if rng is not None else random.Random(42)
-        self.executions = 0
 
     def execution_time(self, instructions_executed: int) -> float:
         """Wall time for one program run, with jitter and preemption."""
@@ -70,5 +68,4 @@ class CpuModel:
         """Run a program on the CPU from the instant *when*: its result,
         and the instant its jittered execution ends."""
         result = vm.run(context)
-        self.executions += 1
         return result, when + self.execution_time(result.instructions_executed)

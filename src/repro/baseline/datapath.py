@@ -32,22 +32,21 @@ class CpuCentricDatapath:
         self.sim = sim
         self.cpu = cpu
         self.os = os_model
-        self.ssd = ssd
         self.qp = None
         if ssd is not None:
             self.qp = ssd.create_queue_pair()
-        self.packets_processed = 0
         self._log_lba = 0
         self._page_cache = bytearray()
 
-    def process_packet(self, vm: BpfVm, packet: bytes, persist: bool):
+    def process_packet(self, vm: BpfVm, packet: bytes):
         """Process: one packet through the full CPU-centric path.
 
         The host costs run back to back on one core, so they are one
         sleep: the program runs, and draws its jitter, when the packet
         arrives — concurrent callers run their programs in arrival order.
-        Persistence goes through the page cache: every packet pays the
-        write syscall + copy, and full 4 KiB pages flush to the device.
+        With an SSD, every packet is persisted through the page cache: it
+        pays the write syscall + copy, and full 4 KiB pages flush to the
+        device.
 
         Returns the program's verdict (r0).
         """
@@ -55,7 +54,7 @@ class CpuCentricDatapath:
         # kernel -> block layer -> page cache
         when = self.os.receive_packet(self.sim.now, len(packet))
         result, when = self.cpu.run(vm, packet, when)
-        persist = persist and self.qp is not None
+        persist = self.qp is not None
         if persist:
             when = self.os.write_storage(when, len(packet))
         yield self.sim.timeout_at(when)
@@ -76,5 +75,4 @@ class CpuCentricDatapath:
                         f"packet log write failed at LBA {lba}: "
                         f"{completion.status.name}"
                     )
-        self.packets_processed += 1
         return result.return_value

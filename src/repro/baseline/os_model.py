@@ -34,7 +34,6 @@ class OsModel:
     then the instant the operation started at *when* ends."""
 
     def __init__(self, sim: Simulator, cpu: CpuModel):
-        self.sim = sim
         self.cpu = cpu
         self.costs = OsCosts()
         self.syscalls = 0

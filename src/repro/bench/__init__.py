@@ -200,7 +200,6 @@ class BenchOutcome:
     """What one ``repro.bench`` invocation did with the artifact history."""
 
     run: BenchRun
-    directory: Path
     written: Optional[Path]
     compared_against: Optional[Path]
     deltas: List[Delta]
@@ -218,7 +217,7 @@ def publish(run: BenchRun, directory: Path) -> BenchOutcome:
     payload_bytes = run.canonical_bytes()
     if newest is not None and newest.read_bytes() == payload_bytes:
         return BenchOutcome(
-            run=run, directory=directory, written=None,
+            run=run, written=None,
             compared_against=newest, deltas=[], unchanged=True,
         )
     deltas = [] if newest is None else compare_payloads(
@@ -226,6 +225,6 @@ def publish(run: BenchRun, directory: Path) -> BenchOutcome:
     target = directory / f"BENCH_{number + 1}.json"
     target.write_bytes(payload_bytes)
     return BenchOutcome(
-        run=run, directory=directory, written=target,
+        run=run, written=target,
         compared_against=newest, deltas=deltas, unchanged=False,
     )

@@ -24,6 +24,7 @@ from repro.common.units import (
     GBPS,
     format_bytes,
     format_time,
+    parse_quantity,
 )
 
 __all__ = [
@@ -44,4 +45,5 @@ __all__ = [
     "GBPS",
     "format_bytes",
     "format_time",
+    "parse_quantity",
 ]

@@ -5,7 +5,14 @@ Conventions
 * Simulated time is a ``float`` measured in **seconds**.
 * Sizes are ``int`` **bytes**.
 * Bandwidths are ``float`` **bytes per second** (helpers accept Gbit/s).
+
+Text configs (workload specs, SLO rules) spell quantities with the same
+suffixes, read by :func:`parse_quantity`.
 """
+
+import math
+
+from repro.common.errors import ConfigurationError
 
 # --- sizes (bytes) ---------------------------------------------------------
 KIB = 1024
@@ -26,6 +33,42 @@ GBPS = 1e9 / 8.0  # one gigabit per second, expressed in bytes/second
 def gbps(rate_gbit: float) -> float:
     """Convert a rate in Gbit/s into bytes/second."""
     return rate_gbit * GBPS
+
+
+#: The time suffixes :func:`parse_quantity` reads, two-letter ones first.
+_SUFFIXES = {"ns": NSEC, "us": USEC, "ms": MSEC, "s": SEC}
+
+
+def parse_quantity(text: str) -> float:
+    """A finite number, optionally with a time suffix, in seconds.
+
+    >>> parse_quantity("2ms")
+    0.002
+    >>> parse_quantity("150us") == 150 * USEC
+    True
+    >>> parse_quantity("0.25")
+    0.25
+    >>> parse_quantity("nanms")
+    Traceback (most recent call last):
+    ...
+    repro.common.errors.ConfigurationError: quantity 'nanms' is not finite
+    """
+    value = None
+    for suffix, unit in _SUFFIXES.items():
+        if text.endswith(suffix) and len(text) > len(suffix):
+            try:
+                value = float(text[: -len(suffix)]) * unit
+            except ValueError:
+                pass
+            break
+    if value is None:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigurationError(f"cannot parse quantity {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"quantity {text!r} is not finite")
+    return value
 
 
 def format_bytes(size: int) -> str:

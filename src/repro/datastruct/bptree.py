@@ -43,13 +43,11 @@ class NodeStore:
 
 
 class InMemoryNodeStore(NodeStore):
-    """Plain dict-backed store with fetch counting."""
+    """Plain dict-backed store."""
 
     def __init__(self) -> None:
         self._nodes: Dict[int, BPlusNode] = {}
         self._next_id = 0
-        self.fetches = 0
-        self.stores = 0
 
     def allocate(self) -> int:
         node_id = self._next_id
@@ -57,14 +55,12 @@ class InMemoryNodeStore(NodeStore):
         return node_id
 
     def fetch(self, node_id: int) -> BPlusNode:
-        self.fetches += 1
         node = self._nodes.get(node_id)
         if node is None:
             raise KeyError(f"no node {node_id}")
         return node
 
     def store(self, node: BPlusNode) -> None:
-        self.stores += 1
         self._nodes[node.node_id] = node
 
 

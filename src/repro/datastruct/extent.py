@@ -66,17 +66,12 @@ class ExtentTree:
             return extent
         return None
 
-    def translate(self, logical_block: int) -> int:
-        extent = self.lookup(logical_block)
-        if extent is None:
-            raise KeyError(f"unmapped logical block {logical_block}")
-        return extent.translate(logical_block)
-
-    def translate_range(self, logical_block: int, count: int) -> List[Tuple[int, int]]:
-        """``(physical, run_length)`` pieces covering the logical range."""
+    def translate_range(self, count: int) -> List[Tuple[int, int]]:
+        """``(physical, run_length)`` pieces covering logical blocks
+        ``[0, count)``."""
         pieces: List[Tuple[int, int]] = []
         remaining = count
-        cursor = logical_block
+        cursor = 0
         while remaining > 0:
             extent = self.lookup(cursor)
             if extent is None:

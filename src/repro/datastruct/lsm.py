@@ -59,23 +59,6 @@ class SsTable:
             parts.append(value)
         return b"".join(parts)
 
-    @classmethod
-    def deserialize(cls, raw: bytes) -> "SsTable":
-        if raw[:4] != _MAGIC:
-            raise ProtocolError("bad SSTable image")
-        (count,) = struct.unpack_from("<I", raw, 4)
-        entries: List[Tuple[bytes, bytes]] = []
-        offset = 8
-        for _ in range(count):
-            key_len, value_len = struct.unpack_from("<II", raw, offset)
-            offset += 8
-            key = raw[offset : offset + key_len]
-            offset += key_len
-            value = raw[offset : offset + value_len]
-            offset += value_len
-            entries.append((key, value))
-        return cls(entries)
-
 
 class LsmTree:
     """Leveled LSM: writes hit the memtable; reads check newest-first.

@@ -32,6 +32,8 @@ CALL_POLICY = RetryPolicy(base=CALL_TIMEOUT, multiplier=2.0,
                           max_interval=CALL_TIMEOUT * 8, jitter=0.1)
 BREAKER_FAILURES = 3
 BREAKER_RESET = CALL_TIMEOUT * 20
+#: Blocks on each replica's SSD namespace.
+SSD_BLOCKS = 16384
 
 
 class ReplicatedDpuKvCluster:
@@ -48,7 +50,7 @@ class ReplicatedDpuKvCluster:
     """
 
     def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
-                 replication: int = 2, ssd_blocks: int = 65536):
+                 replication: int = 2):
         if dpu_count < 1:
             raise ConfigurationError("need at least one DPU")
         if not 1 <= replication <= dpu_count:
@@ -56,8 +58,6 @@ class ReplicatedDpuKvCluster:
                 f"replication factor {replication} needs "
                 f"1..{dpu_count} replicas"
             )
-        self.sim = sim
-        self.network = network
         self.replication = replication
         self.addresses: List[str] = []
         self.devices: List[KvSsd] = []
@@ -65,7 +65,7 @@ class ReplicatedDpuKvCluster:
         self.down: Set[str] = set()
         for index in range(dpu_count):
             address = f"kv-dpu-{index}"
-            device, server = build_kv_dpu(sim, network, address, ssd_blocks)
+            device, server = build_kv_dpu(sim, network, address, SSD_BLOCKS)
             KvSsdService(server, device)
             self.addresses.append(address)
             self.devices.append(device)

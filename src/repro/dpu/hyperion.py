@@ -16,7 +16,6 @@ from repro.common.errors import ConfigurationError
 from repro.hw.fpga.axi import AddressRange, AxiStreamInterconnect
 from repro.hw.fpga.fabric import Fabric
 from repro.hw.fpga.icap import Icap
-from repro.hw.net.port import NetworkPort
 from repro.hw.net.switch import Network
 from repro.hw.nvme.controller import NvmeController, NvmeQueuePair
 from repro.hw.nvme.namespace import Namespace
@@ -46,7 +45,6 @@ class BootReport:
 
     jtag_ok: bool = False
     enumerated_ssds: List[str] = field(default_factory=list)
-    segment_table_recovered: bool = False
     recovered_segments: int = 0
     boot_time: float = 0.0
 
@@ -76,8 +74,8 @@ class HyperionDpu:
         )
         self.icap = Icap(sim)
         # -- network: 2x QSFP28, modeled as two endpoints on the fabric
-        self.port0: NetworkPort = network.endpoint(address)
-        self.port1: NetworkPort = network.endpoint(f"{address}.qsfp1")
+        network.endpoint(address)
+        network.endpoint(f"{address}.qsfp1")
         # -- PCIe: FPGA-hosted root complex, x16 bifurcated to 4x x4
         self.root_complex = RootComplex(name=f"{address}-root")
         self.ssds: List[NvmeController] = []
@@ -86,7 +84,7 @@ class HyperionDpu:
             link = PcieLink(sim, lanes=4)
             ssd = NvmeController(sim, f"{address}-nvme-{i}", link=link)
             ssd.add_namespace(Namespace(1, ssd_blocks))
-            bridge.attach(ssd, link)
+            bridge.attach(ssd)
             self.root_complex.add_root_port(bridge, PcieLink(sim, lanes=4))
             self.ssds.append(ssd)
         # -- memory system
@@ -97,7 +95,6 @@ class HyperionDpu:
         )
         self._store_qp: Optional[NvmeQueuePair] = None
         self.store: Optional[SingleLevelStore] = None
-        self.boot_report: Optional[BootReport] = None
         self._booted = False
 
     # -- bring-up ------------------------------------------------------------
@@ -112,8 +109,7 @@ class HyperionDpu:
         yield self.sim.timeout_at(shell_up_at)
         report.jtag_ok = True
         # PCIe enumeration by the on-fabric root complex.
-        for record in self.root_complex.enumerate():
-            report.enumerated_ssds.append(record.bdf)
+        report.enumerated_ssds.extend(self.root_complex.enumerate())
         # Static AXI range split (paper §2.1).
         self.axi.add_range(
             AddressRange(DRAM_WINDOW_BASE, self.dram_backend.capacity,
@@ -134,14 +130,12 @@ class HyperionDpu:
             self.store = SingleLevelStore.recover(
                 self.sim, self.dram_backend, nvme_backend, hbm=self.hbm_backend
             )
-            report.segment_table_recovered = True
             report.recovered_segments = len(self.store.table)
         else:
             self.store = SingleLevelStore(
                 self.sim, self.dram_backend, nvme_backend, hbm=self.hbm_backend
             )
         report.boot_time = self.sim.now - started
-        self.boot_report = report
         self._booted = True
         return report
 
@@ -165,7 +159,7 @@ class HyperionDpu:
             bridge = PcieBridge(f"{self.address}-bridge-{i}r")
             ssd.bus = None
             ssd.device = None
-            bridge.attach(ssd, ssd.link)
+            bridge.attach(ssd)
             twin.root_complex.add_root_port(bridge, PcieLink(self.sim, lanes=4))
         twin.axi = AxiStreamInterconnect()
         twin.dram_backend = DramBackend(
@@ -176,7 +170,6 @@ class HyperionDpu:
         )
         twin.store = None
         twin._store_qp = None
-        twin.boot_report = None
         twin._booted = False
         return twin
 

@@ -28,7 +28,6 @@ class OsShell:
         server: RpcServer,
         authority: BitstreamAuthority,
     ):
-        self.sim = sim
         self.dpu = dpu
         self.authority = authority
         self.loads_accepted = 0

@@ -10,7 +10,7 @@ reference generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.common.errors import ConfigurationError
 
@@ -41,11 +41,6 @@ class Schematic:
         if src not in self.nodes or dst not in self.nodes:
             raise ConfigurationError(f"unknown node in edge {src} -> {dst}")
         self.nodes[src].outputs.append(dst)
-
-    def edges(self) -> List[Tuple[str, str]]:
-        return [
-            (node.name, dst) for node in self.nodes.values() for dst in node.outputs
-        ]
 
     def reachable_from(self, start: str) -> Set[str]:
         seen: Set[str] = set()

@@ -1,4 +1,4 @@
-"""The eBPF instruction set: encoding, decoding, and classification.
+"""The eBPF instruction set: encoding and classification.
 
 Instructions follow the documented eBPF ISA: 64-bit fixed-width encoding
 with ``(opcode:8, dst:4, src:4, offset:16, imm:32)`` fields, eleven 64-bit
@@ -253,54 +253,6 @@ class Instruction:
             return BPF_LD | BPF_IMM | BPF_DW
         raise ProtocolError(f"cannot encode {op}")
 
-    @classmethod
-    def decode(cls, raw: bytes) -> "Instruction":
-        """Decode one instruction (16 bytes required for LDDW).
-
-        Only opcode bytes :meth:`encode` can produce are accepted, so
-        ``decode(raw).encode() == raw``; anything else is rejected by name.
-        """
-        if len(raw) < 8:
-            raise ProtocolError("instruction shorter than 8 bytes")
-        opcode_byte, regs, offset, imm = struct.unpack("<BBhI", raw[:8])
-        dst = regs & 0xF
-        src = (regs >> 4) & 0xF
-        decoded = _DECODE.get(opcode_byte)
-        if decoded is None:
-            if opcode_byte & 0x07 == BPF_ALU:
-                raise ProtocolError(
-                    f"ALU32 not modeled: opcode byte {opcode_byte:#04x}"
-                )
-            raise ProtocolError(f"cannot decode opcode byte {opcode_byte:#04x}")
-        op, uses_reg_src = decoded
-        if op is Opcode.LDDW:
-            if len(raw) < 16:
-                raise ProtocolError("truncated LDDW")
-            __, __, __, high = struct.unpack("<BBhI", raw[8:16])
-            return cls(Opcode.LDDW, dst=dst, src=src, imm=(high << 32) | imm)
-        return cls(
-            op,
-            dst=dst,
-            src=src,
-            offset=offset,
-            imm=_sign32(imm),
-            uses_reg_src=uses_reg_src,
-        )
-
-
-#: opcode byte -> (opcode, uses_reg_src): the inverse of
-#: ``Instruction._opcode_byte``, built once. Bytes outside it (ALU32, JMP32,
-#: atomics, legacy packet loads, unassigned ALU/JMP codes) do not decode.
-_DECODE = {
-    Instruction(op, uses_reg_src=reg_src)._opcode_byte(): (op, reg_src)
-    for op in Opcode
-    for reg_src in ((False, True) if op in ALU_OPS or op in JUMP_OPS else (False,))
-}
-
-
-def _sign32(value: int) -> int:
-    return value - (1 << 32) if value >= (1 << 31) else value
-
 
 @dataclass
 class Program:
@@ -336,15 +288,3 @@ class Program:
 
     def encode(self) -> bytes:
         return b"".join(insn.encode() for insn in self.instructions)
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "Program":
-        if len(raw) % 8 != 0:
-            raise ProtocolError("program length not a multiple of 8")
-        instructions = []
-        index = 0
-        while index < len(raw):
-            insn = Instruction.decode(raw[index : index + 16])
-            instructions.append(insn)
-            index += 8 * insn.slots
-        return cls(instructions)

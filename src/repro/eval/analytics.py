@@ -84,7 +84,7 @@ def _run_point(rows: int) -> AnalyticsPoint:
     sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=262144)
     sim.run_process(dpu.boot())
-    fs = HyperExtFs.mkfs(dpu.ssds[0].namespaces[1], inode_blocks=8)
+    fs = HyperExtFs.mkfs(dpu.ssds[0].namespaces[1])
     fs.mkdir("/warehouse")
     fs.create_file("/warehouse/sales.parquet", _dataset(rows))
     query = _query()

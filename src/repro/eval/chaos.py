@@ -172,7 +172,6 @@ def _run_storm(
     network = Network(sim)
     cluster = ReplicatedDpuKvCluster(
         sim, network, dpu_count=dpu_count, replication=replication,
-        ssd_blocks=16384,
     )
     injector = FaultInjector(sim, plan)
     # Wire the storm into the substrates: NVMe controllers + flash consult

@@ -115,9 +115,6 @@ class CompileRow:
     depth_fused: Optional[int] = None
     depth_unfused: Optional[int] = None
     ii: Optional[int] = None
-    luts_fused: Optional[int] = None
-    luts_unfused: Optional[int] = None
-    luts_optimized: Optional[int] = None
     ffs_fused: Optional[int] = None
     ffs_unfused: Optional[int] = None
     fmax_fused: Optional[float] = None
@@ -170,9 +167,6 @@ def run_compiler() -> List[CompileRow]:
         row.depth_fused = fused.schedule.depth
         row.depth_unfused = unfused.schedule.depth
         row.ii = fused.schedule.initiation_interval
-        row.luts_fused = fused.area.resources.luts
-        row.luts_unfused = unfused.area.resources.luts
-        row.luts_optimized = optimized.area.resources.luts
         row.ffs_fused = fused.area.resources.ffs
         row.ffs_unfused = unfused.area.resources.ffs
         row.fmax_fused = fused.area.fmax_hz

@@ -93,12 +93,10 @@ class OverloadPoint:
     p50_latency: float
     p99_latency: float
     retransmits: int
-    retry_budget_exhausted: int
     server_shed: int
     queue_dropped_full: int
     queue_dropped_deadline: int
     shed_user: int
-    shed_background: int
     shed_scrub: int
     brownout_peak_level: int
 
@@ -220,9 +218,6 @@ def _run_point(
         admission = AdmissionController(
             sim, sim.telemetry.unique_scope("eval.overload.admission"),
             rate=1.0 / service_time,
-            # A harsh halving oscillates the admitted rate far below
-            # capacity; a gentle step keeps it hugging the service rate.
-            multiplicative_decrease=0.85,
         )
     server = RpcServer(
         sim, UdpSocket(sim, network.endpoint(server_address)),
@@ -338,13 +333,10 @@ def _run_point(
         p50_latency=percentile(latencies, 0.50) if latencies else 0.0,
         p99_latency=percentile(latencies, 0.99) if latencies else 0.0,
         retransmits=client.retransmits,
-        retry_budget_exhausted=client.retry_budget_exhausted,
         server_shed=server.requests_shed,
         queue_dropped_full=server.queue.dropped_full,
         queue_dropped_deadline=server.queue.dropped_deadline,
         shed_user=admission.shed(Priority.USER) if admission else 0,
-        shed_background=(
-            admission.shed(Priority.BACKGROUND) if admission else 0),
         shed_scrub=admission.shed(Priority.SCRUB) if admission else 0,
         brownout_peak_level=peak_level,
     )

@@ -73,7 +73,7 @@ def _measure(keys: int, propagation: float, lookups: int = 20,
     sim = Simulator()
     net = Network(sim, propagation=propagation)
     server = RpcServer(sim, UdpSocket(sim, net.endpoint("dpu")))
-    service = RemoteTreeService(sim, server, order=4)
+    service = RemoteTreeService(sim, server)
     service.populate(keys)
     client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))
     rng = random.Random(seed)

@@ -89,7 +89,7 @@ def run_reconfig(tenants: int = 12, hold_time: float = 50e-3) -> ReconfigReport:
 
     sim.process(arrivals())
     sim.run()
-    latencies = [record.latency for record in dpu.icap.history]
+    latencies = dpu.icap.history
     in_band = [lat for lat in latencies if 10e-3 <= lat <= 100e-3]
     return ReconfigReport(
         tenants=tenants,

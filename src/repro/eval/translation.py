@@ -33,7 +33,6 @@ class TranslationPoint:
     """One E5 sweep point: paging vs segment translation cost."""
 
     working_set_bytes: int
-    accesses: int
     tlb_hit_rate: float
     page_walk_accesses: int
     page_translation_time: float
@@ -88,14 +87,13 @@ def _measure(working_set_bytes: int, accesses: int, tlb_entries: int,
     huge_time = 0.0
     for _ in range(accesses):
         vaddr = rng.randrange(working_set_bytes)
-        page_time += vm.translate(vaddr).latency
-        huge_time += huge.translate(vaddr).latency
+        page_time += vm.translate(vaddr)
+        huge_time += huge.translate(vaddr)
     # Segments: the same accesses name (object id, offset); each access is
     # one associative lookup regardless of working-set size.
     segment_time = accesses * SEGMENT_LOOKUP_LATENCY
     return TranslationPoint(
         working_set_bytes=working_set_bytes,
-        accesses=accesses,
         tlb_hit_rate=vm.tlb.hit_rate,
         page_walk_accesses=vm.page_table.walks * vm.page_table.levels,
         page_translation_time=page_time,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import argparse
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
@@ -439,7 +439,6 @@ class _GeoRun:
     history: HistoryRecorder
     sweeps: Dict[str, Dict[bytes, Optional[bytes]]]
     sim: Simulator
-    extra_keys: List[bytes] = field(default_factory=list)
 
 
 def _run_geo_scenario(
@@ -548,7 +547,7 @@ def _run_geo_scenario(
         sweeps[name] = {
             key: sim.run_process(store.get(key)) for key in keys + extra
         }
-    return _GeoRun(history, sweeps, sim, extra)
+    return _GeoRun(history, sweeps, sim)
 
 
 def _run_geo_schedule(seed: int, index: int,
@@ -556,8 +555,7 @@ def _run_geo_schedule(seed: int, index: int,
     """One randomized WAN schedule against a quorum/sync geo cluster."""
     rng = random.Random(f"verify/geo/{seed}/{consistency.value}/{index}")
     plan_seed = rng.randrange(1 << 30)
-    plan = geo_plan(plan_seed, REGIONS, PRIMARY, horizon=GEO_T_END,
-                    windows=1)
+    plan = geo_plan(plan_seed, REGIONS, PRIMARY, horizon=GEO_T_END)
     label = f"g{index}-{consistency.value}"
     homes = (GEO_WORKERS_QUORUM if consistency is Consistency.QUORUM
              else GEO_WORKERS_SYNC)

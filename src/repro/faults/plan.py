@@ -28,8 +28,6 @@ class FaultKind(enum.Enum):
     READ_ERROR = "read-error"
     DIE_STUCK = "die-stuck"
     COMMAND_TIMEOUT = "command-timeout"
-    # -- PCIe
-    COMPLETION_TIMEOUT = "completion-timeout"
     # -- whole devices
     POWER_LOSS = "power-loss"
     NODE_DOWN = "node-down"

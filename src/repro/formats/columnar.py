@@ -94,11 +94,6 @@ class RecordBatch:
             yield tuple(self.columns[name].values[index] for name in names)
 
     # -- kernels -----------------------------------------------------------
-    def project(self, names: Sequence[str]) -> "RecordBatch":
-        schema = self.schema.select(names)
-        return RecordBatch(
-            schema, {name: list(self.columns[name].values) for name in names}
-        )
 
     def filter(self, predicate: Callable[[Dict[str, Any]], bool]) -> "RecordBatch":
         names = self.schema.names

@@ -64,9 +64,9 @@ def _decode_chunk(kind: str, raw: bytes, count: int) -> List[Any]:
 
 @dataclass
 class ChunkMeta:
-    """Footer metadata of one column chunk: location and min/max stats."""
+    """Footer metadata of one column chunk (keyed by its column's name in
+    :attr:`RowGroupMeta.chunks`): location and min/max stats."""
 
-    column: str
     offset: int
     length: int
     min_value: Any
@@ -104,7 +104,6 @@ def write_table(batch: RecordBatch, rows_per_group: int = 1024) -> bytes:
             values = column.values[start:end]
             encoded = _encode_chunk(column.kind, values)
             group.chunks[name] = ChunkMeta(
-                column=name,
                 offset=len(body),
                 length=len(encoded),
                 min_value=min(values) if values else None,
@@ -150,7 +149,6 @@ def read_footer(raw: bytes) -> ParquetFooter:
         group = RowGroupMeta(row_count=group_meta["rows"])
         for name, chunk in group_meta["chunks"].items():
             group.chunks[name] = ChunkMeta(
-                column=name,
                 offset=chunk["offset"],
                 length=chunk["length"],
                 min_value=chunk["min"],

@@ -29,6 +29,8 @@ INODE_SIZE = 64
 INODES_PER_BLOCK = LBA_SIZE // INODE_SIZE
 MAX_EXTENTS = 4
 ROOT_INODE = 0
+#: Blocks of the inode table ``mkfs`` lays down after the superblock.
+INODE_BLOCKS = 8
 
 _SUPERBLOCK = struct.Struct("<IIIII")  # magic, blocks, itable_start, itable_blocks, data_start
 _INODE_HEAD = struct.Struct("<IQI")  # mode, size, extent_count
@@ -43,12 +45,12 @@ class HyperExtFs:
 
     # -- formatting ------------------------------------------------------------
     @classmethod
-    def mkfs(cls, namespace: Namespace, inode_blocks: int = 4) -> "HyperExtFs":
-        data_start = 1 + inode_blocks
+    def mkfs(cls, namespace: Namespace) -> "HyperExtFs":
+        data_start = 1 + INODE_BLOCKS
         if namespace.capacity_blocks <= data_start:
             raise CapacityError("namespace too small for HyperExt")
         sb = _SUPERBLOCK.pack(
-            MAGIC, namespace.capacity_blocks, 1, inode_blocks, data_start
+            MAGIC, namespace.capacity_blocks, 1, INODE_BLOCKS, data_start
         )
         namespace.write_blocks(0, sb)
         fs = cls(namespace)
@@ -184,7 +186,7 @@ class HyperExtFs:
             return b""
         blocks = max(1, -(-size // LBA_SIZE))
         parts = []
-        for physical, run in tree.translate_range(0, blocks):
+        for physical, run in tree.translate_range(blocks):
             parts.append(self.namespace.read_blocks(physical, run))
         return b"".join(parts)[:size]
 

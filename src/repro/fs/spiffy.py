@@ -223,11 +223,6 @@ class LayoutWalker:
         ]
         return size, physical
 
-    def read_file(self, path: str) -> bytes:
-        size, pieces = self.resolve_file(path)
-        parts = [self._read(block, run) for block, run in pieces]
-        return b"".join(parts)[:size]
-
 
 def ext4_annotation() -> LayoutAnnotation:
     """The generated annotation for the HyperExt (ext4-like) layout.

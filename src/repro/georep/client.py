@@ -85,7 +85,6 @@ class GeoKvClient(KvClientCore):
         retry_budget: Optional[RetryBudget] = None,
         history=None,
     ):
-        self.cluster = cluster
         self.home = home
         self.preference: List[str] = list(
             preference if preference is not None else cluster.regions
@@ -205,23 +204,20 @@ class GeoKvClient(KvClientCore):
         pending.ok(stamp=stamp)
         return stamp, region
 
-    def get(self, key: bytes, *, max_staleness: Optional[float] = None):
+    def get(self, key: bytes):
         """Process: read *key*; possibly from the home follower.
 
-        A bounded-staleness local read is attempted when the caller
-        passes ``max_staleness`` or the attached brownout ladder is in a
-        ``serve_stale`` mode. The follower's reported staleness is
-        checked against the bound; too stale falls back to the primary
-        walk, so the bound is a guarantee, not a hint.
+        A bounded-staleness local read is attempted while the attached
+        brownout ladder is in a ``serve_stale`` mode. The follower's
+        reported staleness is checked against ``stale_bound``; too stale
+        falls back to the primary walk, so the bound is a guarantee, not
+        a hint.
         """
         key = bytes(key)
         pending = self.history.invoke(self.name, "r", key)
-        bound = max_staleness
-        if bound is None and self.brownout is not None \
-                and self.brownout.serve_stale:
-            bound = self.stale_bound
-        if bound is not None and self.home != self.current:
-            served = yield from self._stale_get(key, bound)
+        if (self.brownout is not None and self.brownout.serve_stale
+                and self.home != self.current):
+            served = yield from self._stale_get(key, self.stale_bound)
             if served is not _PRIMARY:
                 value, staleness = served
                 pending.ok(value, staleness=staleness)

@@ -26,6 +26,9 @@ from repro.telemetry import MetricScope
 
 __all__ = ["Consistency", "LogEntry", "ReplicationLog"]
 
+#: Entries coalesced into one ``repl.ship`` request.
+SHIP_BATCH = 32
+
 
 class Consistency(enum.Enum):
     """How many peer acks a write waits for before it is acknowledged."""
@@ -102,14 +105,15 @@ class ReplicationLog:
             raise KeyError(f"log entry {seq} truncated (base={self.base})")
         return self.entries[seq - self.base]
 
-    def since(self, seq: int, limit: int) -> List[LogEntry]:
-        """Up to *limit* entries starting at sequence number *seq*."""
+    def since(self, seq: int) -> List[LogEntry]:
+        """Up to :data:`SHIP_BATCH` entries starting at sequence number
+        *seq*."""
         if seq < self.base:
             raise KeyError(
                 f"replication cursor {seq} below truncation base {self.base}"
             )
         at = seq - self.base
-        return self.entries[at:at + limit]
+        return self.entries[at:at + SHIP_BATCH]
 
     def truncate_through(self, seq: int) -> int:
         """Drop every entry with sequence number below *seq*.

@@ -48,8 +48,6 @@ __all__ = ["GeoCluster", "LogShipper", "Region", "WanSpec"]
 
 #: Shipper cadence: how often an idle shipper polls for new log entries.
 SHIP_INTERVAL = 1e-3
-#: Entries coalesced into one ``repl.ship`` request.
-SHIP_BATCH = 32
 #: Idle shippers send an empty ship at least this often, so follower
 #: staleness stays bounded even with no write traffic.
 SHIP_HEARTBEAT = 5e-3
@@ -149,7 +147,7 @@ class LogShipper:
                 self._update_lag()
                 yield self.sim.timeout(SHIP_INTERVAL)
                 continue
-            entries = self.region.log.since(self.shipped, SHIP_BATCH)
+            entries = self.region.log.since(self.shipped)
             # Freshness the peer may claim after applying this batch: if
             # the batch drains the log we vouch for "now", otherwise only
             # through the last shipped entry's stamp.
@@ -485,7 +483,6 @@ class GeoCluster:
     ):
         if len(names) < 2:
             raise ConfigurationError("a geo cluster needs >= 2 regions")
-        self.sim = sim
         self.fabric = WanFabric(sim, injector=injector)
         self.regions: Dict[str, Region] = {}
         for name in names:

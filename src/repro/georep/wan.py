@@ -57,12 +57,10 @@ class WanLink(Link):
 
     On top of the base :class:`~repro.hw.net.link.Link` fault surface
     (drops, corruption, LINK_DOWN windows) a WAN link can be
-    *partitioned*: every frame offered while partitioned is silently
-    dropped, whether the partition came from a manual
-    :meth:`partition` call or an active
+    *partitioned*: every frame offered while an active
     :data:`~repro.faults.FaultKind.WAN_PARTITION` window in the attached
-    fault plan. The ``partitioned`` gauge and ``frames_partitioned``
-    counter make the split visible in telemetry snapshots.
+    fault plan holds it is silently dropped, and counted in
+    ``frames_partitioned``.
     """
 
     TX_SPAN = "wan.tx"
@@ -83,28 +81,25 @@ class WanLink(Link):
         )
         self.src = src
         self.dst = dst
-        # A partition can drop a frame with no injector attached; it is
-        # decided as the frame finishes serializing, so a WAN hop that
-        # forwards keeps that entry.
+        # Screened even with no injector, which can drop nothing: a
+        # screened hop serializes through ``enqueue``, which takes the
+        # entry tests/test_event_budget.py pins per crossing and places
+        # the ``wan.tx`` span where the trace experiment prints it.
+        # Unscreening it moves that report, so it belongs to a
+        # rebaseline change.
         self._screened = True
-        self._manual_partition = False
-        self._partitioned_gauge = self._metrics.gauge("partitioned")
+        # Frozen path: registry snapshots list the gauge, though nothing
+        # partitions a link by hand any more.
+        self._metrics.gauge("partitioned")
         self._frames_partitioned = self._metrics.counter("frames_partitioned")
 
     @property
     def partitioned(self) -> bool:
         """Whether frames offered right now would be dropped by a partition."""
-        if self._manual_partition:
-            return True
         return (
             self.injector is not None
             and self.injector.active(self.component, FaultKind.WAN_PARTITION)
         )
-
-    def partition(self) -> None:
-        """Manually partition this direction, for good."""
-        self._manual_partition = True
-        self._partitioned_gauge.set(1)
 
     def _fault_outcome(self, frame: Frame) -> Optional[str]:
         if self.partitioned:
@@ -126,14 +121,13 @@ class WanFabric:
     def __init__(self, sim: Simulator,
                  injector: Optional[FaultInjector] = None):
         self.sim = sim
-        self._recorder = getattr(sim, "recorder", None)
         self.injector = injector
         self.regions: Dict[str, Network] = {}
         self.links: Dict[Tuple[str, str], WanLink] = {}
         self._metrics = sim.telemetry.unique_scope("wan.fabric")
-        self._partitions = self._metrics.counter("partitions")
-        # Frozen path: registry snapshots (and so E17's digests) list
-        # it, though nothing heals a manual partition any more.
+        # Frozen paths: registry snapshots (and so E17's digests) list
+        # them, though nothing partitions or heals by hand any more.
+        self._metrics.counter("partitions")
         self._metrics.counter("heals")
 
     # -- topology -------------------------------------------------------------
@@ -169,12 +163,6 @@ class WanFabric:
         self.regions[dst].switch.attach_ingress(link)
         return link
 
-    def link(self, src: str, dst: str) -> WanLink:
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise ConfigurationError(f"no WAN link {src}->{dst}") from None
-
     def refresh(self) -> None:
         """(Re)register every remote address in every region's switch.
 
@@ -207,13 +195,3 @@ class WanFabric:
         port = self.regions[region].endpoint(address)
         self.refresh()
         return port
-
-    # -- partitions -----------------------------------------------------------
-    def partition(self, src: str, dst: str) -> None:
-        """Partition ``src -> dst``."""
-        self.link(src, dst).partition()
-        self._partitions.value += 1
-        if self._recorder is not None:
-            self._recorder.record(
-                "wan", f"wan partition {src}->{dst} at={self.sim.now!r}"
-            )

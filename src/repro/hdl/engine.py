@@ -21,7 +21,7 @@ from repro.ebpf.isa import Program
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.vm import BpfVm
 from repro.hw.fpga.bitstream import Bitstream
-from repro.ebpf.verifier import Verifier, VerifierReport
+from repro.ebpf.verifier import Verifier
 from repro.hdl.codegen import generate_verilog
 from repro.hdl.resources import AreaEstimate, estimate
 from repro.hdl.schedule import PipelineSchedule, schedule_pipeline
@@ -36,7 +36,6 @@ class CompiledPipeline:
     schedule: PipelineSchedule
     verilog: str
     area: AreaEstimate
-    verifier_report: VerifierReport
 
     def to_bitstream(self, name: Optional[str] = None) -> Bitstream:
         """Package as a loadable bitstream for a reconfigurable slot.
@@ -81,7 +80,6 @@ def compile_program(
         schedule=schedule,
         verilog=generate_verilog(schedule),
         area=estimate(schedule),
-        verifier_report=report,
     )
 
 
@@ -106,7 +104,6 @@ class HardwarePipeline:
         maps: Optional[Dict[int, BpfMap]] = None,
     ):
         self.sim = sim
-        self.compiled = compiled
         self._vm = BpfVm(compiled.program, maps=maps)
         area = compiled.area
         self.latency = area.fixed_latency
@@ -115,7 +112,6 @@ class HardwarePipeline:
         self.accept_interval = area.initiation_interval * area.cycle_time
         self._drain = max(0.0, self.latency - self.accept_interval)
         self._port_free_at = 0.0  # when the input port takes its next tuple
-        self.executions = 0
 
     def execute(self, context: bytes = b""):
         """Process: one input through the pipeline; returns ExecutionResult."""
@@ -123,5 +119,4 @@ class HardwarePipeline:
         start = max(sim.now, self._port_free_at)
         self._port_free_at = free_at = start + self.accept_interval
         yield sim.timeout_at(free_at + self._drain)
-        self.executions += 1
         return self._vm.run(context)

@@ -18,6 +18,8 @@ from repro.sim import Event, Simulator, Store
 
 #: Bytes a weight-1 tenant may send per round-robin round.
 QUANTUM_BYTES = 4096
+#: The AXIS interconnect's bandwidth, bytes/s.
+AXIS_BANDWIDTH = 10e9
 
 
 @dataclass
@@ -28,13 +30,12 @@ class _PendingTransfer:
 
 
 class WeightedAxisArbiter:
-    """Shares one bus of ``bandwidth`` bytes/s among weighted tenants."""
+    """Shares one bus of :data:`AXIS_BANDWIDTH` bytes/s among weighted
+    tenants."""
 
-    def __init__(self, sim: Simulator, bandwidth: float):
-        if bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.bandwidth = bandwidth
+        self.bandwidth = AXIS_BANDWIDTH
         self._weights: Dict[str, int] = {}
         self._queues: Dict[str, List[_PendingTransfer]] = {}
         self._deficits: Dict[str, int] = {}

@@ -1,4 +1,4 @@
-"""AXI-stream interconnect with address-range routing.
+"""AXI-stream interconnect: the bus's static address-range map.
 
 Paper §2.1: "we statically divide FPGA AXI-streaming bus address ranges to
 map to FPGA DRAM addresses, and others to NVMe PCIe BAR addresses". The
@@ -9,7 +9,7 @@ NVMe controller BAR) purely by range."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, List
 
 from repro.common.errors import ConfigurationError
 
@@ -31,15 +31,13 @@ class AddressRange:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
-
     def overlaps(self, other: "AddressRange") -> bool:
         return self.base < other.end and other.base < self.end
 
 
 class AxiStreamInterconnect:
-    """Routes bus addresses to targets; the arbiter of paper Figure 2."""
+    """The bus's address windows, overlap-checked; the arbiter of paper
+    Figure 2."""
 
     def __init__(self) -> None:
         self._ranges: List[AddressRange] = []
@@ -53,9 +51,3 @@ class AxiStreamInterconnect:
         self._ranges.append(window)
         self._ranges.sort(key=lambda r: r.base)
 
-    def route(self, address: int) -> Tuple[AddressRange, int]:
-        """Resolve an address to ``(range, offset_within_range)``."""
-        for window in self._ranges:
-            if window.contains(address):
-                return window, address - window.base
-        raise ConfigurationError(f"bus address {address:#x} is unmapped")

@@ -109,7 +109,6 @@ class Fabric:
     ):
         if num_slots < 1:
             raise ConfigurationError("need at least one slot")
-        self.shell = ALVEO_U280.scaled(SHELL_FRACTION)
         # A fabric has no simulator of its own: slot counters live either
         # under an owner-provided scope (the DPU's central registry) or in
         # a private standalone one.

@@ -11,7 +11,6 @@ squarely in the paper's 10-100 ms band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim import Resource, Simulator
@@ -24,23 +23,14 @@ ICAP_BANDWIDTH = 0.8e9
 ICAP_SETUP_LATENCY = 2e-3
 
 
-@dataclass
-class ReconfigurationRecord:
-    """One completed partial reconfiguration, for the E7 bench."""
-
-    slot_index: int
-    bitstream_name: str
-    started_at: float
-    latency: float
-
-
 class Icap:
     """The (single) configuration port; reconfigurations serialize here."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._port = Resource(sim)
-        self.history: List[ReconfigurationRecord] = []
+        #: Configuration time of every completed reconfiguration, in order.
+        self.history: List[float] = []
         self._metrics = sim.telemetry.unique_scope("fpga.icap")
         self._loads = self._metrics.counter("loads")
         self._reconfig_latency = self._metrics.histogram("reconfig_latency")
@@ -67,17 +57,12 @@ class Icap:
         ):
             yield self._port.request()
             try:
-                started_at = self.sim.now
                 if slot.occupied:
                     slot.unload()
                 config_time = self.reconfiguration_latency(bitstream)
                 yield self.sim.timeout(config_time)
                 slot.load(bitstream, tenant)
-                self.history.append(
-                    ReconfigurationRecord(
-                        slot.index, bitstream.name, started_at, config_time
-                    )
-                )
+                self.history.append(config_time)
             finally:
                 self._port.release()
         self._loads.inc()

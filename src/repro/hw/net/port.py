@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame
@@ -11,16 +11,17 @@ from repro.sim import Event, Simulator
 
 
 class NetworkPort:
-    """A device-side attachment point with a TX link per peer.
+    """A device-side attachment point: one TX link up to the switch and
+    one RX link down from it.
 
-    Ports are wired together by a :class:`repro.hw.net.switch.Network`; the
-    port only knows "to reach address X, transmit on link L".
+    Ports are wired together by a :class:`repro.hw.net.switch.Network`;
+    the port transmits every frame on its TX link, whatever its address.
     """
 
     def __init__(self, sim: Simulator, address: str):
         self.sim = sim
         self.address = address
-        self._routes: Dict[str, Link] = {}
+        self._tx_link: Optional[Link] = None
         self.rx_link: Optional[Link] = None
         self._metrics = sim.telemetry.unique_scope(f"net.port.{address}")
         self._tx_frames = self._metrics.counter("tx_frames")
@@ -33,14 +34,14 @@ class NetworkPort:
     def attach_rx(self, link: Link) -> None:
         self.rx_link = link
 
-    def add_route(self, destination: str, link: Link) -> None:
-        self._routes[destination] = link
+    def attach_tx(self, link: Link) -> None:
+        self._tx_link = link
 
     def route(self) -> Link:
-        """The default (``"*"``) TX link: the fault wiring hook."""
-        link = self._routes.get("*")
+        """The TX link: the fault wiring hook."""
+        link = self._tx_link
         if link is None:
-            raise ConfigurationError(f"port {self.address} has no route to *")
+            raise ConfigurationError(f"port {self.address} has no TX link")
         return link
 
     def send(self, frame: Frame) -> Event:
@@ -51,13 +52,11 @@ class NetworkPort:
         Wait on it in the entry that sent, or never: when a queued frame
         has left and nobody waits on its event, the event is woken
         inline, without the entry a waiter would resume in."""
-        link = self._routes.get(frame.dst)
+        link = self._tx_link
         if link is None:
-            link = self._routes.get("*")
-            if link is None:
-                raise ConfigurationError(
-                    f"port {self.address} has no route to {frame.dst}"
-                )
+            raise ConfigurationError(
+                f"port {self.address} has no route to {frame.dst}"
+            )
         self._tx_frames.value += 1
         return link.enqueue(frame)
 

@@ -99,7 +99,7 @@ class Network:
             self.sim, self.bandwidth, self.propagation,
             component=f"net.link.{address}.down",
         )
-        port.add_route("*", uplink)
+        port.attach_tx(uplink)
         port.attach_rx(downlink)
         self.switch.attach_ingress(uplink)
         self.switch.connect_egress(address, downlink)

@@ -45,7 +45,6 @@ class FlashArray:
         self.sim = sim
         self.timing = FlashTiming()
         self.channels = channels
-        self.dies_per_channel = dies_per_channel
         self._dies: List[Resource] = [
             Resource(sim) for _ in range(channels * dies_per_channel)
         ]
@@ -67,9 +66,6 @@ class FlashArray:
         return self
 
     # -- counter views -----------------------------------------------------
-    @property
-    def reads(self) -> int:
-        return self._reads.value
 
     def _stuck_penalty(self) -> float:
         """Extra busy time if a DIE_STUCK window currently holds this array."""

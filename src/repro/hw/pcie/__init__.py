@@ -9,7 +9,7 @@ cores (Figure 2), and transfer timing.
 
 from repro.hw.pcie.link import PcieLink, PCIE_GEN3_PER_LANE
 from repro.hw.pcie.device import PcieDevice, PcieBridge, Bar
-from repro.hw.pcie.root import RootComplex, EnumeratedDevice
+from repro.hw.pcie.root import RootComplex
 
 __all__ = [
     "PcieLink",
@@ -18,5 +18,4 @@ __all__ = [
     "PcieBridge",
     "Bar",
     "RootComplex",
-    "EnumeratedDevice",
 ]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.hw.pcie.link import PcieLink
 
 
 @dataclass
@@ -29,7 +28,6 @@ class PcieDevice:
         self.bars = bars if bars is not None else [Bar(16 * 1024)]
         self.bus: Optional[int] = None
         self.device: Optional[int] = None
-        self.upstream_link: Optional[PcieLink] = None
 
     @property
     def enumerated(self) -> bool:
@@ -49,11 +47,9 @@ class PcieBridge:
         self.name = name
         self.children: List[object] = []  # devices or bridges
         self.bus: Optional[int] = None
-        self.upstream_link: Optional[PcieLink] = None
 
-    def attach(self, child: object, link: PcieLink) -> None:
+    def attach(self, child: object) -> None:
         if isinstance(child, PcieDevice) or isinstance(child, PcieBridge):
-            child.upstream_link = link
             self.children.append(child)
         else:
             raise ConfigurationError("can only attach devices or bridges")

@@ -7,8 +7,7 @@ complex, so enumeration runs on the DPU at boot with no CPU involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.hw.pcie.device import Bar, PcieBridge, PcieDevice
@@ -16,14 +15,6 @@ from repro.hw.pcie.link import PcieLink
 
 #: Where the BAR window handed to devices starts.
 MMIO_BASE = 0x4000_0000
-
-@dataclass
-class EnumeratedDevice:
-    """The outcome of enumeration for one endpoint."""
-
-    device: PcieDevice
-    bdf: str
-    bar_bases: List[int]
 
 
 def _align_up(value: int, alignment: int) -> int:
@@ -41,7 +32,6 @@ class RootComplex:
     def __init__(self, name: str = "fpga-root-complex"):
         self.name = name
         self.root_ports: List[Tuple[PcieBridge, PcieLink]] = []
-        self.devices: Dict[str, EnumeratedDevice] = {}
         self._next_bus = 0
         self._next_mmio = MMIO_BASE
         self._enumerated = False
@@ -49,24 +39,24 @@ class RootComplex:
     def add_root_port(self, bridge: PcieBridge, link: PcieLink) -> None:
         if self._enumerated:
             raise ConfigurationError("cannot add ports after enumeration")
-        bridge.upstream_link = link
         self.root_ports.append((bridge, link))
 
     # -- enumeration ---------------------------------------------------------
-    def enumerate(self) -> List[EnumeratedDevice]:
-        """Depth-first bus walk: number buses, then place BARs."""
+    def enumerate(self) -> List[str]:
+        """Depth-first bus walk: number buses, then place BARs; returns
+        each endpoint's bus:device.function."""
         if self._enumerated:
             raise ConfigurationError("already enumerated")
         self._enumerated = True
-        found: List[EnumeratedDevice] = []
+        found: List[str] = []
         for bridge, __ in self.root_ports:
             found.extend(self._walk_bridge(bridge))
         return found
 
-    def _walk_bridge(self, bridge: PcieBridge) -> List[EnumeratedDevice]:
+    def _walk_bridge(self, bridge: PcieBridge) -> List[str]:
         bridge.bus = self._next_bus
         self._next_bus += 1
-        found: List[EnumeratedDevice] = []
+        found: List[str] = []
         device_number = 0
         for child in bridge.children:
             if isinstance(child, PcieBridge):
@@ -75,14 +65,12 @@ class RootComplex:
                 child.bus = bridge.bus
                 child.device = device_number
                 device_number += 1
-                bases = [self._place_bar(bar) for bar in child.bars]
-                record = EnumeratedDevice(child, child.bdf(), bases)
-                self.devices[child.name] = record
-                found.append(record)
+                for bar in child.bars:
+                    self._place_bar(bar)
+                found.append(child.bdf())
         return found
 
-    def _place_bar(self, bar: Bar) -> int:
+    def _place_bar(self, bar: Bar) -> None:
         base = _align_up(self._next_mmio, bar.size)
         bar.base = base
         self._next_mmio = base + bar.size
-        return base

@@ -32,8 +32,6 @@ class DramBackend:
         self.bank = bank
         self.capacity = capacity if capacity is not None else bank.capacity
         self._bytes = bytearray()
-        self.reads = 0
-        self.writes = 0
 
     def _ensure(self, end: int) -> None:
         if end > self.capacity:
@@ -43,12 +41,10 @@ class DramBackend:
 
     def read(self, offset: int, size: int) -> bytes:
         self._ensure(offset + size)
-        self.reads += 1
         return bytes(self._bytes[offset : offset + size])
 
     def write(self, offset: int, data: bytes) -> None:
         self._ensure(offset + len(data))
-        self.writes += 1
         self._bytes[offset : offset + len(data)] = data
 
     def timed_read(self, offset: int, size: int):
@@ -73,10 +69,8 @@ class NvmeBackend:
         controller: NvmeController,
         queue_pair: NvmeQueuePair,
     ):
-        self.sim = sim
         self.controller = controller
         self.qp = queue_pair
-        self.retried_reads = 0
         self.block_count = self._namespace().capacity_blocks
 
     @property
@@ -130,8 +124,6 @@ class NvmeBackend:
                 return self.read(offset, size)
             if completion.status not in retryable:
                 raise CapacityError(f"NVMe read failed: {completion.status}")
-            if attempt < READ_RETRIES:
-                self.retried_reads += 1
         raise DegradedError(
             f"NVMe read failed after {READ_RETRIES + 1} attempts: "
             f"{completion.status}"

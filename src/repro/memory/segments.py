@@ -41,7 +41,6 @@ class Segment:
     location: SegmentLocation
     bus_address: int
     durable: bool = False
-    access_count: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:

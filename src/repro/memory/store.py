@@ -57,7 +57,6 @@ class SingleLevelStore:
         nvme: NvmeBackend,
         hbm: Optional[DramBackend] = None,
     ):
-        self.sim = sim
         self.dram = dram
         self.nvme = nvme
         self.hbm = hbm
@@ -136,21 +135,19 @@ class SingleLevelStore:
                 f"{segment.size} bytes"
             )
         backend_offset = segment.bus_address - self._window_base(segment.location)
-        return segment, self._backend(segment.location), backend_offset + offset
+        return self._backend(segment.location), backend_offset + offset
 
     def read(self, oid: ObjectId, size: Optional[int] = None, offset: int = 0) -> bytes:
         segment = self.table.lookup(oid)
         if size is None:
             size = segment.size - offset
-        segment, backend, at = self._resolve(oid, offset, size)
-        segment.access_count += 1
+        backend, at = self._resolve(oid, offset, size)
         self._reads.inc()
         return backend.read(at, size)
 
     def write(self, oid: ObjectId, data: bytes) -> None:
         """Overwrite the start of the segment with *data*."""
-        segment, backend, at = self._resolve(oid, 0, len(data))
-        segment.access_count += 1
+        backend, at = self._resolve(oid, 0, len(data))
         self._writes.inc()
         backend.write(at, data)
 
@@ -159,29 +156,27 @@ class SingleLevelStore:
         segment = self.table.lookup(oid)
         if size is None:
             size = segment.size - offset
-        segment, backend, at = self._resolve(oid, offset, size)
-        segment.access_count += 1
+        backend, at = self._resolve(oid, offset, size)
         self._reads.inc()
         data = yield from backend.timed_read(at, size)
         return data
 
     def timed_write(self, oid: ObjectId, data: bytes, offset: int = 0):
-        segment, backend, at = self._resolve(oid, offset, len(data))
-        segment.access_count += 1
+        backend, at = self._resolve(oid, offset, len(data))
         self._writes.inc()
         yield from backend.timed_write(at, data)
 
     # -- persistence / recovery ---------------------------------------------
     def persist_table(self) -> int:
         """Write the durable-segment table into the boot area; returns bytes."""
-        image = self.table.serialize(durable_only=True)
+        image = self.table.serialize()
         if len(image) > BOOT_AREA_BLOCKS * LBA_SIZE:
             raise CapacityError("segment table exceeds the boot area")
         self.nvme.write(0, image)
         return len(image)
 
     def timed_persist_table(self):
-        image = self.table.serialize(durable_only=True)
+        image = self.table.serialize()
         if len(image) > BOOT_AREA_BLOCKS * LBA_SIZE:
             raise CapacityError("segment table exceeds the boot area")
         yield from self.nvme.timed_write(0, image)

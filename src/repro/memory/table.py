@@ -22,7 +22,6 @@ class SegmentTranslationTable:
 
     def __init__(self) -> None:
         self._segments: Dict[ObjectId, Segment] = {}
-        self.lookups = 0
 
     def __len__(self) -> int:
         return len(self._segments)
@@ -40,7 +39,6 @@ class SegmentTranslationTable:
 
     def lookup(self, oid: ObjectId) -> Segment:
         """One translation: a single associative lookup (vs a 4-level walk)."""
-        self.lookups += 1
         segment = self._segments.get(oid)
         if segment is None:
             raise KeyError(f"unmapped segment {oid}")
@@ -50,9 +48,10 @@ class SegmentTranslationTable:
         return [s for s in self._segments.values() if s.durable]
 
     # -- persistence ---------------------------------------------------------
-    def serialize(self, durable_only: bool = True) -> bytes:
-        """Flat record pack: magic, count, then fixed-size records."""
-        segments = self.durable_segments() if durable_only else list(self)
+    def serialize(self) -> bytes:
+        """Flat record pack of the durable segments: magic, count, then
+        fixed-size records."""
+        segments = self.durable_segments()
         header = _MAGIC + len(segments).to_bytes(8, "big")
         return header + b"".join(s.to_record() for s in segments)
 

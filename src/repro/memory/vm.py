@@ -11,7 +11,6 @@ one associative lookup per segment.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 PAGE_SIZE = 4096
 #: x86-64 style 4-level radix table.
@@ -20,15 +19,6 @@ WALK_LEVELS = 4
 WALK_ACCESS_LATENCY = 80e-9
 #: An on-fabric associative lookup (BRAM hit) for segment translation.
 SEGMENT_LOOKUP_LATENCY = 5e-9
-
-
-@dataclass
-class TranslationResult:
-    """Cost accounting for one address translation."""
-
-    hit: bool
-    memory_accesses: int
-    latency: float
 
 
 class TlbModel:
@@ -68,13 +58,10 @@ class PageTableModel:
         self.levels = levels
         self.walks = 0
 
-    def walk(self) -> TranslationResult:
+    def walk(self) -> float:
+        """One walk; returns its latency: ``levels`` dependent reads."""
         self.walks += 1
-        return TranslationResult(
-            hit=False,
-            memory_accesses=self.levels,
-            latency=self.levels * WALK_ACCESS_LATENCY,
-        )
+        return self.levels * WALK_ACCESS_LATENCY
 
 
 class VirtualMemoryModel:
@@ -89,7 +76,8 @@ class VirtualMemoryModel:
         self.tlb = TlbModel(entries=tlb_entries, page_size=page_size)
         self.page_table = PageTableModel(levels=levels)
 
-    def translate(self, vaddr: int) -> TranslationResult:
+    def translate(self, vaddr: int) -> float:
+        """One translation's latency: free on a TLB hit, a walk on a miss."""
         if self.tlb.lookup(vaddr):
-            return TranslationResult(hit=True, memory_accesses=0, latency=0.0)
+            return 0.0
         return self.page_table.walk()

@@ -54,6 +54,10 @@ MAX_RATE_FACTOR = 4.0
 #: Additive step per healthy tick, as a fraction of the *initial* rate
 #: (so the climb-back speed does not depend on the current rate).
 ADDITIVE_INCREASE = 0.05
+#: Rate multiplier on an overloaded tick. A harsh halving oscillates the
+#: admitted rate far below capacity; a gentle step keeps it hugging the
+#: service rate.
+MULTIPLICATIVE_DECREASE = 0.85
 
 
 class TokenBucket:
@@ -121,17 +125,12 @@ class AdmissionController:
         clock,
         metrics: MetricScope,
         rate: float,
-        multiplicative_decrease: float = 0.5,
     ):
-        if not 0 < multiplicative_decrease < 1:
-            raise ConfigurationError(
-                "multiplicative decrease must be in (0, 1)"
-            )
         self.bucket = TokenBucket(clock, rate, max(rate * BURST_SECONDS, 1.0))
         self.initial_rate = rate
         self.min_rate = rate * MIN_RATE_FACTOR
         self.max_rate = rate * MAX_RATE_FACTOR
-        self.multiplicative_decrease = multiplicative_decrease
+        self.multiplicative_decrease = MULTIPLICATIVE_DECREASE
         self._overloaded_this_window = False
         self._rate_gauge = metrics.gauge("rate")
         self._tokens_gauge = metrics.gauge("tokens")

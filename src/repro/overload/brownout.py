@@ -87,10 +87,6 @@ class BrownoutController:
         monitor.sampler.on_sample.append(self.check)
 
     # -- reading ---------------------------------------------------------
-    @property
-    def level(self) -> int:
-        """Current degradation level: 0 (normal) .. len(LADDER)-1 (deepest)."""
-        return self._level
 
     @property
     def mode(self) -> BrownoutMode:

@@ -95,11 +95,6 @@ class BoundedQueue:
         return len(self._entries)
 
     @property
-    def depth(self) -> int:
-        """Items currently waiting in the queue."""
-        return len(self._entries)
-
-    @property
     def saturation(self) -> float:
         """Fill fraction in [0, 1] — the backpressure signal."""
         return len(self._entries) / self.capacity

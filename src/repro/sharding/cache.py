@@ -97,11 +97,6 @@ class HotKeyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # -- the cache surface ---------------------------------------------------
     def lookup(self, key: bytes, epoch: int) -> Optional[bytes]:
         """The cached value, or ``None`` on miss/expiry/epoch mismatch.

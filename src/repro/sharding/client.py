@@ -100,7 +100,7 @@ class ShardedKvClient(KvClientCore):
         return self._round_trips.value
 
     # -- single-key ops --------------------------------------------------------
-    def get(self, key: bytes, *, priority: int = 0):
+    def get(self, key: bytes):
         """Process: read one key (cache → owner DPU), returns the value."""
         key = bytes(key)
         epoch = self.cluster.epoch
@@ -119,7 +119,6 @@ class ShardedKvClient(KvClientCore):
             value = yield from self._call(
                 owner, "kv.get", key,
                 request_size=KV_HEADER + len(key), response_size=KV_VALUE,
-                priority=priority,
             )
         except RpcError:
             pending.raised()
@@ -131,20 +130,19 @@ class ShardedKvClient(KvClientCore):
         pending.ok(value)
         return value
 
-    def put(self, key: bytes, value: bytes, *, priority: int = 0):
+    def put(self, key: bytes, value: bytes):
         """Process: write one key to its owner; invalidates the cache."""
         key, value = bytes(key), bytes(value)
         return self._write("w", "kv.put", key, value,
-                           KV_HEADER + len(key) + len(value), priority)
+                           KV_HEADER + len(key) + len(value))
 
-    def delete(self, key: bytes, *, priority: int = 0):
+    def delete(self, key: bytes):
         """Process: delete one key at its owner; invalidates the cache."""
         key = bytes(key)
-        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key),
-                           priority)
+        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key))
 
     def _write(self, action: str, method: str, key: bytes,
-               value: Optional[bytes], request_size: int, priority: int):
+               value: Optional[bytes], request_size: int):
         """Process: the one write path — a put, or a delete (no value)."""
         owner = self.cluster.owner_of(key)
         pending = self.history.invoke(self.name, action, key, value)
@@ -152,7 +150,6 @@ class ShardedKvClient(KvClientCore):
             yield from self._call(
                 owner, method, key, value,
                 request_size=request_size, response_size=KV_ACK,
-                priority=priority,
             )
         except RpcError:
             # The request (or only its ack) may have been lost: the

@@ -53,7 +53,7 @@ class KvClientCore:
 
     def _call(self, address: str, method: str, key, arg=None, *,
               request_size: int, response_size: int,
-              breaker: Optional[CircuitBreaker] = None, priority: int = 0):
+              breaker: Optional[CircuitBreaker] = None):
         """Process: one ``method(key[, arg])`` RPC with this client's wire
         options; with a *breaker*, under its allow/record protocol. The
         arguments are named, not ``*args``: re-packing them (and the
@@ -64,11 +64,11 @@ class KvClientCore:
             return call(address, method, key, request_size=request_size,
                         response_size=response_size, timeout=self.timeout,
                         retries=self.retries, deadline=self.deadline,
-                        policy=self.policy, priority=priority)
+                        policy=self.policy)
         return call(address, method, key, arg, request_size=request_size,
                     response_size=response_size, timeout=self.timeout,
                     retries=self.retries, deadline=self.deadline,
-                    policy=self.policy, priority=priority)
+                    policy=self.policy)
 
     def _first_answer(self, candidates: Iterable[str], method: str, key,
                       arg=None, *, request_size: int, response_size: int,

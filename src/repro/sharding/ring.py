@@ -162,15 +162,4 @@ class HashRing:
         return chain
 
     # -- load accounting -----------------------------------------------------
-    def load_of(self, keys: Iterable[bytes]) -> Dict[str, int]:
-        """Keys per owning node (every node present, zero included)."""
-        load = {node: 0 for node in self._nodes}
-        for key in keys:
-            load[self.owner_of(key)] += 1
-        return load
 
-    def skew(self, keys: Iterable[bytes]) -> float:
-        """max/mean keys per node over *keys* — 1.0 is a perfect spread."""
-        load = self.load_of(keys)
-        mean = sum(load.values()) / len(load)
-        return max(load.values()) / mean if mean else 1.0

@@ -181,9 +181,9 @@ def expire(event: Event) -> None:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ + schedule: this constructor runs once
@@ -191,9 +191,8 @@ class Timeout(Event):
         # in the whole simulation.
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
-        self.delay = delay
         sim._eid = eid = sim._eid + 1
         if delay == 0.0:
             self._fire_at = now = sim.now
@@ -509,8 +508,8 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

@@ -54,7 +54,6 @@ class CorfuLogUnit:
 
     def __init__(self, sim: Simulator, server: RpcServer,
                  controller: NvmeController):
-        self.sim = sim
         self.controller = controller
         self.qp = controller.create_queue_pair()
         self._written: Dict[int, Tuple[int, int]] = {}  # position -> (lba, length)
@@ -67,9 +66,6 @@ class CorfuLogUnit:
     def fail(self) -> None:
         """Fault injection: the unit stops serving."""
         self.failed = True
-
-    def recover(self) -> None:
-        self.failed = False
 
     def _check_alive(self) -> None:
         if self.failed:

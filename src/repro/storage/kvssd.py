@@ -141,7 +141,6 @@ class KvSsdService:
     """Exports a KvSsd over the Willow-style RPC interface."""
 
     def __init__(self, server: RpcServer, device: KvSsd):
-        self.device = device
         server.register("kv.get", device.get)
         server.register("kv.put", device.put)
         server.register("kv.delete", device.delete)
@@ -174,9 +173,3 @@ class KvSsdClient:
             request_size=KV_HEADER + len(key), response_size=KV_ACK,
         )
 
-    def scan(self, start: bytes, end: bytes, limit: int = 100):
-        results = yield from self.client.call(
-            self.target, "kv.scan", bytes(start), bytes(end), limit,
-            request_size=64, response_size=limit * 64,
-        )
-        return results

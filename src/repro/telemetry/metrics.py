@@ -129,9 +129,9 @@ class Gauge(Metric):
         self._value = value
         return self._value
 
-    def inc(self, amount: float = 1.0) -> float:
-        """Add *amount* and return the new value."""
-        self._value += amount
+    def inc(self) -> float:
+        """Add one and return the new value."""
+        self._value += 1.0
         return self._value
 
     def dec(self) -> float:
@@ -479,9 +479,9 @@ class MetricsRegistry:
             if not prefix or path == prefix or path.startswith(prefix + ".")
         )
 
-    def walk(self, prefix: str = "") -> Iterator[Metric]:
-        """The metrics under *prefix*, in path order."""
-        for path in self.paths(prefix):
+    def walk(self) -> Iterator[Metric]:
+        """Every metric, in path order."""
+        for path in self.paths():
             yield self._metrics[path]
 
     # -- canonical output ----------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.common.units import parse_quantity
 from repro.telemetry.timeseries import Sampler
 
 __all__ = ["SloRule", "SloAlert", "SloMonitor"]
@@ -38,22 +39,6 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
 }
 
 _STATS = ("value", "count", "mean", "max", "p99", "rate")
-
-_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-
-
-def _quantity(text: str) -> float:
-    """``2ms`` -> 0.002; ``150us`` -> 1.5e-4; bare numbers pass through."""
-    for suffix in sorted(_UNITS, key=len, reverse=True):
-        if text.endswith(suffix):
-            head = text[: -len(suffix)]
-            if head:
-                try:
-                    return float(head) * _UNITS[suffix]
-                except ValueError:
-                    break
-    return float(text)
-
 
 @dataclass(frozen=True)
 class SloRule:
@@ -92,13 +77,19 @@ class SloRule:
                 "'<path> <stat> <op> <threshold> [for <duration>]'"
             )
         path, stat, op, threshold = tokens[:4]
-        for_duration = _quantity(tokens[5]) if len(tokens) == 6 else 0.0
+        try:
+            threshold_value = parse_quantity(threshold)
+            for_duration = (parse_quantity(tokens[5]) if len(tokens) == 6
+                            else 0.0)
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"cannot parse SLO rule {text!r}: {error}") from None
         return cls(
             name=name if name is not None else text,
             path=path,
             stat=stat,
             op=op,
-            threshold=_quantity(threshold),
+            threshold=threshold_value,
             for_duration=for_duration,
         )
 

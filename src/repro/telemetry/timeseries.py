@@ -77,50 +77,38 @@ class Series:
         """The most recent point, or ``None`` when empty."""
         return self._points[-1] if self._points else None
 
-    def window(self, duration: Optional[float] = None,
-               now: Optional[float] = None) -> List[Point]:
-        """Points inside the trailing ``duration`` ending at ``now``.
-
-        ``duration=None`` means every retained point; ``now`` defaults to
-        the newest point's timestamp.
-        """
+    def window(self, duration: Optional[float] = None) -> List[Point]:
+        """Points inside the trailing ``duration`` ending at the newest
+        point (``None``: every retained point)."""
         if not self._points:
             return []
         if duration is None:
             return list(self._points)
-        end = self._points[-1][0] if now is None else now
-        start = end - duration
-        return [(t, v) for t, v in self._points if start <= t <= end]
+        start = self._points[-1][0] - duration
+        return [(t, v) for t, v in self._points if start <= t]
 
-    # -- windowed aggregation ------------------------------------------------
-    def rate(self, duration: Optional[float] = None,
-             now: Optional[float] = None) -> float:
+    # -- aggregation -----------------------------------------------------------
+    def rate(self, duration: Optional[float] = None) -> float:
         """Per-second increase across the window (counter series slope)."""
-        points = self.window(duration, now)
+        points = self.window(duration)
         if len(points) < 2:
             return 0.0
         (t0, v0), (t1, v1) = points[0], points[-1]
         return (v1 - v0) / (t1 - t0) if t1 > t0 else 0.0
 
-    def mean(self, duration: Optional[float] = None,
-             now: Optional[float] = None) -> float:
-        """Mean of the values in the window (see :meth:`window`)."""
-        points = self.window(duration, now)
-        if not points:
+    def mean(self) -> float:
+        """Mean of every retained value."""
+        if not self._points:
             return 0.0
-        return sum(v for __, v in points) / len(points)
+        return sum(v for __, v in self._points) / len(self._points)
 
-    def max(self, duration: Optional[float] = None,
-            now: Optional[float] = None) -> float:
-        """Largest value in the window (see :meth:`window`)."""
-        points = self.window(duration, now)
-        return max((v for __, v in points), default=0.0)
+    def max(self) -> float:
+        """Largest retained value."""
+        return max((v for __, v in self._points), default=0.0)
 
-    def quantile(self, fraction: float, duration: Optional[float] = None,
-                 now: Optional[float] = None) -> float:
-        """Interpolated quantile (0..1) of the window's values."""
-        return percentile([v for __, v in self.window(duration, now)],
-                          fraction)
+    def quantile(self, fraction: float) -> float:
+        """Interpolated quantile (0..1) of every retained value."""
+        return percentile([v for __, v in self._points], fraction)
 
     def snapshot_line(self) -> str:
         """One canonical line summarizing the series for snapshots."""

@@ -89,12 +89,6 @@ class Span:
         """Every substrate this span tree touches."""
         return {span.substrate for span in self.walk()}
 
-    def depth(self) -> int:
-        """Levels of nesting below this span (0 for a leaf)."""
-        if not self.children:
-            return 0
-        return 1 + max(child.depth() for child in self.children)
-
     def render(self) -> str:
         """This subtree as an indented text tree (microsecond times)."""
         lines: List[str] = []
@@ -379,14 +373,6 @@ class Tracer:
                 recorder = getattr(self.clock, "recorder", None)
                 if recorder is not None:
                     recorder.record_trace(span)
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The active flow's innermost open span, or ``None``."""
-        context = self._active if self._active is not None else self._ambient
-        if context is None or not context.stack:
-            return None
-        return context.stack[-1]
 
     # -- rendering -----------------------------------------------------------
     def substrates(self) -> Set[str]:

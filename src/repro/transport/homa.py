@@ -35,7 +35,6 @@ class _HomaData:
 @dataclass
 class _HomaGrant:
     message_id: int
-    granted_up_to: int
 
 
 class HomaSocket:
@@ -140,7 +139,7 @@ class HomaSocket:
             and key not in self._granted
         ):
             self._granted.add(key)
-            grant = _HomaGrant(message.message_id, message.total_size)
+            grant = _HomaGrant(message.message_id)
             self.sim.call_later(0.0, partial(
                 self.port.send,
                 Frame(self.address, frame.src, grant, HOMA_HEADER),

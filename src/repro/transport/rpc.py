@@ -475,11 +475,6 @@ class RpcClient:
     def retransmits(self) -> int:
         return self._retransmits.value
 
-    @property
-    def retry_budget_exhausted(self) -> int:
-        """Calls failed fast because the shared retry budget was spent."""
-        return self._budget_exhausted.value
-
     def _on_datagram(self, datagram: tuple) -> None:
         response = datagram[1]
         if isinstance(response, RpcResponse):

@@ -67,9 +67,6 @@ class FinalStateResult:
     def ok(self) -> bool:
         return not self.lost and not self.diverged
 
-    def lines(self) -> List[str]:
-        return sorted(self.lost) + sorted(self.diverged)
-
 
 def zero_lost_acks(history: HistoryRecorder,
                    final: Dict[bytes, Optional[bytes]]) -> FinalStateResult:

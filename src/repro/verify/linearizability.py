@@ -130,9 +130,6 @@ class CheckResult:
     def violations(self) -> List[KeyResult]:
         return [result for result in self.keys if not result.ok]
 
-    def lines(self) -> List[str]:
-        return [result.line() for result in self.keys]
-
 
 def _search(entries: List[_Entry],
             budget: List[int]) -> Optional[List[int]]:

@@ -144,29 +144,19 @@ def geo_plan(
     primary: str,
     *,
     horizon: float,
-    windows: int = 2,
 ) -> FaultPlan:
     """A randomized WAN schedule against one geo cluster.
 
-    Composes up to *windows* non-overlapping symmetric primary-kill
-    windows (see the module docstring for why the space is exactly
-    this). Sync schedules still exercise the checker's indeterminate
-    handling hard — every write invoked inside a window times out
+    One symmetric primary-kill window inside 15-40 % of the *horizon*
+    (see the module docstring for why the space is exactly this). Sync schedules still exercise the checker's indeterminate
+    handling hard — every write invoked inside the window times out
     everywhere — without ever flagging mere unavailability.
     """
     rng = random.Random(f"verify/nemesis/{seed}")
-
     kills = FaultPlan(seed=seed)
     cursor = 0.15 * horizon
-    for index in range(windows):
-        if cursor >= 0.65 * horizon:
-            break
-        start, end = _window(rng, cursor, min(cursor + 0.25 * horizon,
-                                              0.65 * horizon),
-                             0.05 * horizon, 0.12 * horizon)
-        for src, dst in _primary_edges(regions, primary):
-            kills.wan_partition(
-                f"kill{index}-{src}-{dst}", src, dst, start, end,
-            )
-        cursor = end + 0.05 * horizon
+    start, end = _window(rng, cursor, cursor + 0.25 * horizon,
+                         0.05 * horizon, 0.12 * horizon)
+    for src, dst in _primary_edges(regions, primary):
+        kills.wan_partition(f"kill0-{src}-{dst}", src, dst, start, end)
     return kills

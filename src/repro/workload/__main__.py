@@ -8,7 +8,9 @@ Without ``--spec`` a small built-in demo scenario is used.  The output
 is the spec echo followed by the first ``--limit`` arrivals exactly as
 :class:`~repro.workload.generator.OpenLoopTraffic` would replay them —
 same seed, byte-identical lines, independent of ``PYTHONHASHSEED``
-(CI diffs this output across hash seeds).
+(``tests/test_workload.py`` diffs this output across hash seeds).  A
+malformed spec prints one line naming the bad line and exits with
+status 2.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.common.errors import ConfigurationError
 from repro.workload.generator import arrival_preview
 from repro.workload.spec import WorkloadSpec
 
@@ -46,10 +49,15 @@ def main(argv=None) -> int:
     else:
         with open(args.spec, "r", encoding="utf-8") as handle:
             text = handle.read()
-    spec = WorkloadSpec.parse(text)
+    try:
+        spec = WorkloadSpec.parse(text)
+        arrivals = list(arrival_preview(spec, args.seed, limit=args.limit))
+    except ConfigurationError as error:
+        print(f"{parser.prog}: {error}", file=sys.stderr)
+        return 2
     print(spec.describe())
     print(f"# first {args.limit} arrivals, seed {args.seed}")
-    for line in arrival_preview(spec, args.seed, limit=args.limit):
+    for line in arrivals:
         print(line)
     return 0
 

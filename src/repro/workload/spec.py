@@ -16,12 +16,12 @@ as readable strings rather than code:
 4000.0
 >>> spec.tenants[0].curve.rate(0.120)  # midday == peak
 28000.0
->>> round(spec.peak_rate())
-28800
 
 Rates are operations per simulated second; durations accept the same
-``ns/us/ms/s`` suffixes as SLO rules.  See ``docs/WORKLOADS.md`` for
-the full authoring guide.
+``ns/us/ms/s`` suffixes as SLO rules (:func:`repro.common.units.parse_quantity`
+reads both), and every number must be finite.  A malformed line raises
+:class:`~repro.common.errors.ConfigurationError` naming it.  See
+``docs/WORKLOADS.md`` for the full authoring guide.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.units import parse_quantity
 
 __all__ = [
     "OpMix",
@@ -40,29 +41,18 @@ __all__ = [
     "StepCurve",
     "TenantSpec",
     "WorkloadSpec",
-    "parse_quantity",
 ]
-
-_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 #: Operation kinds a mix may reference, in canonical order.
 OP_KINDS = ("get", "put", "scan", "analytics")
 
 
-def parse_quantity(text: str) -> float:
-    """``"2ms"`` -> 0.002, ``"150us"`` -> 1.5e-4; bare numbers pass through."""
-    for suffix in sorted(_UNITS, key=len, reverse=True):
-        if text.endswith(suffix):
-            head = text[: -len(suffix)]
-            if head:
-                try:
-                    return float(head) * _UNITS[suffix]
-                except ValueError:
-                    break
+def _integer(text: str, name: str) -> int:
     try:
-        return float(text)
+        return int(text)
     except ValueError:
-        raise ConfigurationError(f"cannot parse quantity {text!r}") from None
+        raise ConfigurationError(
+            f"{name} must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -290,39 +280,37 @@ class TenantSpec:
         )
 
 
-def _parse_kv(tokens: Sequence[str], context: str) -> Dict[str, str]:
+def _parse_kv(tokens: Sequence[str]) -> Dict[str, str]:
     out: Dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
-            raise ConfigurationError(
-                f"{context}: expected key=value, got {token!r}"
-            )
+            raise ConfigurationError(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
         if key in out:
-            raise ConfigurationError(f"{context}: duplicate key {key!r}")
+            raise ConfigurationError(f"duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def _parse_mix(text: str, context: str) -> OpMix:
+def _parse_mix(text: str) -> OpMix:
     fractions = {}
     for part in text.split(","):
         kind, _, value = part.partition("=")
         if kind not in OP_KINDS:
             raise ConfigurationError(
-                f"{context}: unknown op kind {kind!r} "
+                f"unknown op kind {kind!r} "
                 f"(expected one of {', '.join(OP_KINDS)})"
             )
         fractions[kind] = parse_quantity(value)
     return OpMix(**fractions)
 
 
-def _parse_curve(kind: str, tokens: Sequence[str], context: str) -> _Curve:
+def _parse_curve(kind: str, tokens: Sequence[str]) -> _Curve:
     if kind == "steady":
-        kv = _parse_kv(tokens, context)
+        kv = _parse_kv(tokens)
         return SteadyCurve(steady=parse_quantity(kv.pop("rate", "0")))
     if kind == "diurnal":
-        kv = _parse_kv(tokens, context)
+        kv = _parse_kv(tokens)
         return DiurnalCurve(
             trough=parse_quantity(kv.pop("trough", "0")),
             peak=parse_quantity(kv.pop("peak", "0")),
@@ -330,7 +318,7 @@ def _parse_curve(kind: str, tokens: Sequence[str], context: str) -> _Curve:
             phase=parse_quantity(kv.pop("phase", "0")),
         )
     if kind == "burst":
-        kv = _parse_kv(tokens, context)
+        kv = _parse_kv(tokens)
         return BurstCurve(
             base=parse_quantity(kv.pop("base", "0")),
             burst=parse_quantity(kv.pop("burst", "0")),
@@ -339,16 +327,14 @@ def _parse_curve(kind: str, tokens: Sequence[str], context: str) -> _Curve:
         )
     if kind == "step":
         if len(tokens) != 1:
-            raise ConfigurationError(
-                f"{context}: step curve takes one start=rate,... token"
-            )
+            raise ConfigurationError("step curve takes one start=rate,... token")
         steps = []
         for part in tokens[0].split(","):
             start, _, rate = part.partition("=")
             steps.append((parse_quantity(start), parse_quantity(rate)))
         return StepCurve(steps=tuple(steps))
     raise ConfigurationError(
-        f"{context}: unknown curve kind {kind!r} "
+        f"unknown curve kind {kind!r} "
         "(expected steady, diurnal, burst, or step)"
     )
 
@@ -375,7 +361,8 @@ class WorkloadSpec:
 
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
-        """Parse the line-oriented spec format (see module docstring)."""
+        """Parse the line-oriented spec format (see module docstring); a
+        malformed line raises ConfigurationError naming its number."""
         key_count = 128
         zipf_skew = 1.0
         tenants: List[TenantSpec] = []
@@ -384,18 +371,21 @@ class WorkloadSpec:
             if not line:
                 continue
             tokens = line.split()
-            context = f"workload spec line {lineno}"
-            if tokens[0] == "keys" and len(tokens) == 2:
-                key_count = int(tokens[1])
-            elif tokens[0] == "zipf" and len(tokens) == 2:
-                zipf_skew = float(tokens[1])
-            elif tokens[0] == "tenant":
-                tenants.append(cls._parse_tenant(tokens[1:], context))
-            else:
+            try:
+                if tokens[0] == "keys" and len(tokens) == 2:
+                    key_count = _integer(tokens[1], "keys")
+                elif tokens[0] == "zipf" and len(tokens) == 2:
+                    zipf_skew = parse_quantity(tokens[1])
+                elif tokens[0] == "tenant":
+                    tenants.append(cls._parse_tenant(tokens[1:]))
+                else:
+                    raise ConfigurationError(
+                        "expected 'keys', 'zipf', or 'tenant', "
+                        f"got {tokens[0]!r}"
+                    )
+            except ConfigurationError as error:
                 raise ConfigurationError(
-                    f"{context}: expected 'keys', 'zipf', or 'tenant', "
-                    f"got {tokens[0]!r}"
-                )
+                    f"workload spec line {lineno}: {error}") from None
         return cls(
             tenants=tuple(tenants),
             key_count=key_count,
@@ -403,37 +393,19 @@ class WorkloadSpec:
         )
 
     @staticmethod
-    def _parse_tenant(tokens: Sequence[str], context: str) -> TenantSpec:
+    def _parse_tenant(tokens: Sequence[str]) -> TenantSpec:
         if len(tokens) < 5 or tokens[1] != "mix" or tokens[3] != "curve":
             raise ConfigurationError(
-                f"{context}: expected 'tenant <name> mix <fractions> "
+                "expected 'tenant <name> mix <fractions> "
                 "curve <kind> <args...>'"
             )
-        name = tokens[0]
-        mix = _parse_mix(tokens[2], context)
-        curve_kind = tokens[4]
         rest = list(tokens[5:])
-        options: Dict[str, float] = {}
+        options: Dict[str, int] = {}
         while rest and rest[-1].partition("=")[0] in _TENANT_OPTIONS:
             key, _, value = rest.pop().partition("=")
-            options[key] = parse_quantity(value)
-        curve = _parse_curve(curve_kind, rest, context)
-        return TenantSpec(
-            name=name,
-            mix=mix,
-            curve=curve,
-            scan_span=int(options.get("scan_span", 16)),
-            analytics_span=int(options.get("analytics_span", 64)),
-            value_size=int(options.get("value_size", 64)),
-        )
-
-    def peak_rate(self) -> float:
-        """Sum of the tenants' curve peaks — worst-case offered ops/s."""
-        return sum(t.curve.peak_rate for t in self.tenants)
-
-    def rate(self, t: float) -> float:
-        """Total offered rate at curve time *t* across every tenant."""
-        return sum(t_.curve.rate(t) for t_ in self.tenants)
+            options[key] = _integer(value, key)
+        return TenantSpec(name=tokens[0], mix=_parse_mix(tokens[2]),
+                          curve=_parse_curve(tokens[4], rest), **options)
 
     def describe(self) -> str:
         """Canonical multi-line echo of the spec (deterministic)."""

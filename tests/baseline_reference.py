@@ -19,53 +19,52 @@ from repro.common.errors import ProtocolError
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 
 
-def _after(os_model, *latencies: float):
+def _after(sim, *latencies: float):
     """The event at the end of back-to-back *latencies*: each added
     onto the clock in turn, as sleeping them one by one would."""
-    when = os_model.sim.now
+    when = sim.now
     for latency in latencies:
         when += latency
-    return os_model.sim.timeout_at(when)
+    return sim.timeout_at(when)
 
 
-def receive_packet(os_model, size: int):
+def receive_packet(sim, os_model, size: int):
     """Process: NIC interrupt + socket read syscall + copy to user."""
     os_model.interrupts += 1
     os_model.syscalls += 1
     os_model.bytes_copied += size
-    yield _after(os_model, os_model.costs.interrupt_latency,
+    yield _after(sim, os_model.costs.interrupt_latency,
                  os_model.costs.syscall_latency,
                  os_model.cpu.costs.memcpy_time(size))
 
 
-def write_storage(os_model, size: int):
+def write_storage(sim, os_model, size: int):
     """Process: write syscall + block layer + copy to page cache."""
     os_model.syscalls += 1
     os_model.bytes_copied += size
-    yield _after(os_model, os_model.costs.syscall_latency,
+    yield _after(sim, os_model.costs.syscall_latency,
                  os_model.costs.block_layer_latency,
                  os_model.cpu.costs.memcpy_time(size))
 
 
-def execute_ebpf(cpu, vm, context: bytes = b""):
+def execute_ebpf(sim, cpu, vm, context: bytes = b""):
     """Process: run a program on the CPU, charging simulated time."""
     result = vm.run(context)
-    yield cpu.sim.timeout(cpu.execution_time(result.instructions_executed))
-    cpu.executions += 1
+    yield sim.timeout(cpu.execution_time(result.instructions_executed))
     return result
 
 
 class ReferenceDatapath(CpuCentricDatapath):
     """Same constructor and verdicts as :class:`CpuCentricDatapath`."""
 
-    def process_packet(self, vm, packet: bytes, persist: bool):
+    def process_packet(self, vm, packet: bytes):
         # NIC -> kernel -> user
-        yield from receive_packet(self.os, len(packet))
+        yield from receive_packet(self.sim, self.os, len(packet))
         # software program execution (jittery)
-        result = yield from execute_ebpf(self.cpu, vm, packet)
-        if persist and self.qp is not None:
+        result = yield from execute_ebpf(self.sim, self.cpu, vm, packet)
+        if self.qp is not None:
             # user -> kernel -> block layer -> page cache
-            yield from write_storage(self.os, len(packet))
+            yield from write_storage(self.sim, self.os, len(packet))
             self._page_cache.extend(packet)
             if len(self._page_cache) >= 4096:
                 block = bytes(self._page_cache[:4096])
@@ -82,5 +81,4 @@ class ReferenceDatapath(CpuCentricDatapath):
                         f"packet log write failed at LBA {lba}: "
                         f"{completion.status.name}"
                     )
-        self.packets_processed += 1
         return result.return_value

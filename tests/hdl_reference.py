@@ -32,5 +32,4 @@ class ReferencePipeline(HardwarePipeline):
         # ...then the input drains through the remaining stages.
         remaining = max(0.0, self.latency - self.accept_interval)
         yield self.sim.timeout(remaining)
-        self.executions += 1
         return self._vm.run(context)

@@ -25,9 +25,7 @@ from repro.transport.udp import UDP_HEADER, UdpSocket, _Fragment
 
 def port_send(port, frame):
     """Process: transmit a frame toward its destination."""
-    link = port._routes.get(frame.dst)
-    if link is None:
-        link = port._routes.get("*")
+    link = port._tx_link
     if link is None:
         raise ConfigurationError(
             f"port {port.address} has no route to {frame.dst}"
@@ -112,7 +110,7 @@ class ReferenceHomaSocket(HomaSocket):
             and key not in self._granted
         ):
             self._granted.add(key)
-            grant = _HomaGrant(message.message_id, message.total_size)
+            grant = _HomaGrant(message.message_id)
             self.sim.spawn(port_send(
                 self.port, Frame(self.address, frame.src, grant, HOMA_HEADER)
             ))

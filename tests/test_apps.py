@@ -133,14 +133,16 @@ class TestFail2BanDeployments:
         sim = Simulator()
         app = Fail2BanDpu(sim, booted_dpu(sim))
 
+        verdicts = []
+
         def stream(seed):
             for packet in generate_packet_trace(1024, seed=seed):
-                yield from app.process_packet(packet)
+                verdicts.append((yield from app.process_packet(packet)))
 
         sim.process(stream(1))
         sim.process(stream(2))
         sim.run()
-        assert app.banned_packets + app.passed_packets == 2048
+        assert len(verdicts) == 2048
         assert app._log_lba == 8
         assert len(app._log_ssd.namespaces[1]._blocks) == 8
 
@@ -182,14 +184,17 @@ class TestFail2BanDeployments:
         vm = BpfVm(build_fail2ban_program(), maps={
             BAN_MAP_FD: HashMap(key_size=8, value_size=8, max_entries=16)})
 
+        verdicts = []
+
         def stream():
             for _ in range(8):
-                yield from path.process_packet(vm, bytes(2048), persist=True)
+                verdicts.append((yield from path.process_packet(
+                    vm, bytes(2048))))
 
         sim.process(stream())
         sim.process(stream())
         sim.run()
-        assert path.packets_processed == 16
+        assert len(verdicts) == 16
         assert path._log_lba == 8
         assert len(ssd.namespaces[1]._blocks) == 8
 
@@ -297,7 +302,7 @@ class TestPointerChase:
     def setup_service(self, sim, keys=500):
         net = Network(sim)
         server = RpcServer(sim, UdpSocket(sim, net.endpoint("tree-dpu")))
-        service = RemoteTreeService(sim, server, order=4)
+        service = RemoteTreeService(sim, server)
         service.populate(keys)
         client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))
         return service, client

@@ -193,11 +193,23 @@ def reach():
 
 def test_nothing_unreachable_but_the_allowed_oracles(reach):
     """Every module and def under ``src/repro`` is run by a registry
-    row, a CLI, perfbench or an example (``tools/reachability.py``).
-    A test oracle lives under ``tests/`` (``prometheus_reference.py``,
-    ``hdl_reference.py``), not in ``src/``."""
+    row, a CLI, perfbench, an example or a ``make`` tool
+    (``tools/reachability.py``), with methods resolved through the
+    receiver's class where the pass can tell it. A test oracle lives
+    under ``tests/`` (``prometheus_reference.py``, ``hdl_reference.py``,
+    ``isa_reference.py``), not in ``src/``."""
     dead = [name for name, _lines in reach.unreachable()]
     assert dead == []
+
+
+def _plant(tmp_path, main, lib):
+    """A ``repro`` package whose CLI runs *main* over module ``lib``."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(main)
+    (package / "lib.py").write_text(lib)
+    return tmp_path
 
 
 def test_the_pass_reports_planted_dead_code(tmp_path):
@@ -229,13 +241,58 @@ def test_the_pass_reports_planted_dead_code(tmp_path):
     ]
 
 
+def test_a_method_is_kept_by_its_receivers_class_not_its_name(tmp_path):
+    """Class resolution: ``text.partition("=")`` on a ``str`` does not
+    keep ``Fabric.partition`` alive, nor does ``self.ledger.step(x)``
+    keep ``Sim.step`` alive when ``self.ledger = Ledger()``; a call
+    through ``self.sim = Sim()``, an annotation, a ``-> Cls`` return or
+    a subclass's ``self`` does keep its method, as does an untyped
+    receiver whose call fits the method's arguments."""
+    root = _plant(tmp_path, (
+        "from repro import lib\n\n"
+        "lib.Runner().go('a=b')\n"
+        "lib.by_annotation(lib.Fabric())\n"
+        "lib.untyped(lib.Fabric())\n"), (
+        "class Sim:\n"
+        "    def step(self):\n        return 1\n"
+        "    def run(self):\n        return 2\n\n\n"
+        "class Traced(Sim):\n"
+        "    def go(self):\n        return self.run()\n\n\n"
+        "class Ledger:\n"
+        "    def step(self, pieces):\n        return pieces\n\n\n"
+        "class Link:\n"
+        "    def cut(self):\n        return 3\n\n\n"
+        "class Fabric:\n"
+        "    def partition(self, src, dst):\n        return src, dst\n"
+        "    def link(self) -> Link:\n        return Link()\n"
+        "    def heal(self, src):\n        return src\n"
+        "    def drain(self, src, dst, when):\n        return when\n\n\n"
+        "class Runner:\n"
+        "    def __init__(self):\n"
+        "        self.sim = Traced()\n"
+        "        self.ledger = Ledger()\n"
+        "    def go(self, text: str):\n"
+        "        self.sim.go()\n"
+        "        self.ledger.step(text)\n"
+        "        return text.partition('=')\n\n\n"
+        "def by_annotation(fabric: Fabric):\n"
+        "    return fabric.link().cut()\n\n\n"
+        "def untyped(fabric):\n"
+        "    return fabric.heal(1), fabric.drain(1, 2)\n"))
+    assert reachability.unreachable(root) == [
+        "repro.lib.Fabric.drain",
+        "repro.lib.Fabric.partition",
+        "repro.lib.Sim.step",
+    ]
+
+
 #: Defaulted parameters that no live call passes and that stay anyway.
 #: Only two kinds may: a deployment setting (a name, address or
-#: component id), or a seam tests use to inject an RNG or a clock. At
-#: most 12, each with the reason it stays.
+#: component id), or a seam tests use to inject an RNG, a clock or a
+#: CLI's arguments. At most 12, each with the reason it stays.
 UNSET_ALLOWED = {
-    "repro.telemetry.timeseries.Series.quantile(now)":
-        "clock seam: tests end the window at an explicit instant",
+    "repro.workload.__main__.main(argv)":
+        "CLI seam: tests run the preview with explicit arguments",
 }
 
 
@@ -252,25 +309,197 @@ def test_the_census_reports_only_a_default_nobody_passes(tmp_path):
     only the one no call passes is reported, not one passed by keyword,
     one passed by position, one forwarded through ``**kw``, or one on a
     def registered as a callback."""
-    package = tmp_path / "src" / "repro"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "__main__.py").write_text(
+    root = _plant(tmp_path, (
         "from repro import lib\n\n"
         "lib.by_keyword(1, flag=True)\n"
         "lib.by_position(1, 2)\n"
         "lib.forwarding(level=3)\n"
         "lib.register(lib.handler)\n"
-        "lib.unset()\n")
-    (package / "lib.py").write_text(
+        "lib.unset()\n"), (
         "def by_keyword(x, flag=False):\n    return x, flag\n\n\n"
         "def by_position(x, y=0):\n    return x + y\n\n\n"
         "def target(level=0):\n    return level\n\n\n"
         "def forwarding(**kw):\n    return target(**kw)\n\n\n"
         "def handler(request, retries=1):\n    return request, retries\n\n\n"
         "def register(callback):\n    return callback\n\n\n"
-        "def unset(knob=5):\n    return knob\n")
-    assert reachability.unset_options(tmp_path) == ["repro.lib.unset(knob)"]
+        "def unset(knob=5):\n    return knob\n"))
+    assert reachability.unset_options(root) == ["repro.lib.unset(knob)"]
+
+
+#: Attributes and dataclass fields live code stores and only tests read,
+#: kept because a test observes the model through them. Each names the
+#: test. The set may only shrink.
+WRITE_ONLY_ALLOWED = {
+    "repro.ebpf.verifier.VerifierReport.instructions_covered":
+        "test_ebpf_verifier: both arms of a branch were walked",
+    "repro.ebpf.vm.ExecutionResult.context":
+        "test_ebpf_translate: the packet the program wrote, against "
+        "the reference interpreter",
+    "repro.ebpf.vm.ExecutionResult.helper_calls":
+        "test_ebpf_translate: helper calls, against the reference "
+        "interpreter",
+    "repro.hdl.engine.CompiledPipeline.verilog":
+        "test_hdl, test_hdl_equivalence: the compiler's HDL output",
+    "repro.transport.homa.HomaSocket.unscheduled_only":
+        "test_transport: a short message went without a grant",
+    "repro.transport.tcp.TcpConnection.retransmissions":
+        "test_transport_loss: a lost segment was retransmitted",
+    "repro.transport.udp.UdpSocket.datagrams_received":
+        "test_transport_loss: loss is counted per datagram",
+    "repro.transport.udp.UdpSocket.datagrams_sent":
+        "test_transport_loss: loss is counted per datagram",
+    "repro.transport.udp.UdpSocket.reassembly_evicted":
+        "test_transport_loss: an incomplete datagram is evicted",
+    "repro.verify.invariants.FinalStateResult.checked":
+        "test_verify: a binding write was judged",
+    "repro.verify.invariants.FinalStateResult.skipped":
+        "test_verify: a non-binding write was skipped, not judged",
+    "repro.verify.linearizability.KeyResult.linearization":
+        "test_verify: the witness order the checker found",
+}
+
+
+def test_no_state_is_written_that_nothing_reads(reach):
+    """Every attribute live code stores on an object of a class under
+    ``src``, and every field of a live dataclass, is read by live code
+    (``tools/reachability.py``), bar the allowed observation points: a
+    counter nothing reads costs every run and tells nobody anything."""
+    assert len(WRITE_ONLY_ALLOWED) <= 12
+    assert reach.write_only() == sorted(WRITE_ONLY_ALLOWED)
+
+
+def test_the_state_census_reports_only_what_nothing_reads(tmp_path):
+    """The pin above cannot pass vacuously: of a counter read by a live
+    method, one read through ``getattr``, one read only by dead code, a
+    ``+=`` counter nothing reads, a stored field of a live dataclass and
+    one nothing reads, only the unread ones are reported."""
+    root = _plant(tmp_path, (
+        "from repro import lib\n\n"
+        "box = lib.Box()\n"
+        "box.bump()\n"
+        "print(box.total(), getattr(box, 'named'), lib.Row(1, 2).shown)\n"), (
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    shown: int\n"
+        "    hidden: int\n\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.read = 0\n"
+        "        self.named = 0\n"
+        "        self.dead_read = 0\n"
+        "        self.bumps = 0\n"
+        "    def bump(self):\n"
+        "        self.read += 1\n"
+        "        self.bumps += 1\n"
+        "    def total(self):\n        return self.read\n"
+        "    def never_called(self):\n        return self.dead_read\n"))
+    assert reachability.write_only(root) == [
+        "repro.lib.Box.bumps",
+        "repro.lib.Box.dead_read",
+        "repro.lib.Row.hidden",
+    ]
+
+
+#: Parameters and fields every live call sets to one value that stay
+#: settable. Six kinds may, each entry saying which: a deployment
+#: *name* (a name, address, component or namespace id); a
+#: ProgramBuilder *operand* (the text of the one program built); *data*
+#: an operation acts on (a path, key, length, query or metric prefix);
+#: the *geometry* of a structure tests build in other shapes; an option
+#: *perfbench* sets, whose API must keep working; an E19 *schedule*
+#: shape declared in ``repro.eval``. The set may only shrink.
+ONE_VALUE_ALLOWED = {
+    "repro.apps.analytics.AnalyticsQuery(aggregate)='sum'": "data",
+    "repro.apps.analytics.AnalyticsQuery(aggregate_column)='amount'": "data",
+    "repro.apps.graph.CsrGraph.__init__(vertex_count)=300": "geometry",
+    "repro.apps.graph.random_graph(vertex_count)=300": "geometry",
+    "repro.datastruct.bptree.BPlusTree.__init__(order)=4": "geometry",
+    "repro.dpu.cluster.FailoverKvClient.__init__(name)='chaos-client'": "name",
+    "repro.ebpf.builder.ProgramBuilder.__init__(name)='fail2ban'": "name",
+    "repro.ebpf.builder.ProgramBuilder.jgt(dst)='r8'": "operand",
+    "repro.ebpf.builder.ProgramBuilder.jgt(target)='ban'": "operand",
+    "repro.ebpf.builder.ProgramBuilder.jne(dst)='r0'": "operand",
+    "repro.ebpf.builder.ProgramBuilder.jne(src)=0": "operand",
+    "repro.ebpf.builder.ProgramBuilder.jne(target)='found'": "operand",
+    "repro.ebpf.maps.HashMap.__init__(key_size)=8": "geometry",
+    "repro.ebpf.maps.HashMap.__init__(max_entries)=65536": "geometry",
+    "repro.ebpf.maps.HashMap.__init__(value_size)=8": "geometry",
+    "repro.faults.plan.FaultPlan.probabilistic(component)='client.uplink'":
+        "name",
+    "repro.faults.plan.FaultPlan.probabilistic(name)='lossy-uplink'": "name",
+    "repro.fs.ext4.HyperExtFs.mkdir(path)='/warehouse'": "data",
+    "repro.fs.spiffy.LayoutAnnotation.__init__(name)='hyperext'": "name",
+    "repro.hw.fpga.fabric.Fabric.slot_for(bitstream_name)='tenant-red'":
+        "data",
+    "repro.hw.net.link.Link.attach_faults(component)='client.uplink'": "name",
+    "repro.hw.nvme.commands.NvmeCommand(namespace_id)=1": "name",
+    "repro.hw.nvme.namespace.Namespace.__init__(namespace_id)=1": "name",
+    "repro.hw.pcie.device.Bar(size)=16384": "geometry",
+    "repro.sharding.cache.HotKeyCache.__init__(capacity)=32": "perfbench",
+    "repro.sharding.cache.HotKeyCache.__init__(lease)=0.001": "perfbench",
+    "repro.sharding.cluster.ShardedKvCluster.__init__(workers)=2": "perfbench",
+    "repro.storage.corfu.CorfuClient.__init__(sequencer_address)='sequencer'":
+        "name",
+    "repro.telemetry.timeseries.Sampler.watch_prefix(prefix)="
+    "'rpc.client.chaos-client'": "data",
+    "repro.transport.rdma.RdmaNic.read(peer)='dpu-rdma'": "name",
+    "repro.transport.rdma.RdmaNic.read(size)=64": "data",
+    "repro.transport.tcp.TcpStack.connect(peer)='dpu'": "name",
+    "repro.verify.nemesis.geo_plan(horizon)=0.3": "schedule",
+    "repro.verify.nemesis.geo_plan(primary)='r1'": "name",
+    "repro.verify.nemesis.geo_plan(regions)=('r1', 'r2', 'r3')": "name",
+    "repro.verify.nemesis.primary_kill_plan(end)=0.24": "schedule",
+    "repro.verify.nemesis.primary_kill_plan(primary)='r1'": "name",
+    "repro.verify.nemesis.primary_kill_plan(regions)=('r1', 'r2', 'r3')":
+        "name",
+    "repro.verify.nemesis.primary_kill_plan(start)=0.1": "schedule",
+    "repro.verify.nemesis.sharded_plan(horizon)=0.25": "schedule",
+    "repro.workload.generator._TrafficBase.__init__(deadline)=0.005":
+        "perfbench",
+    "repro.workload.popularity.ZipfKeys.hot_mass(top)=8": "data",
+}
+
+
+def test_every_setting_varies_or_is_allowed(reach):
+    """Every parameter of a live def outside ``repro.eval``, and every
+    field of a live dataclass, that every live call sets to one literal
+    or module constant is on the allowlist (``tools/reachability.py``):
+    anything else is a constant in all but name, and its other values
+    select branches nothing runs."""
+    kinds = {"name", "operand", "data", "geometry", "perfbench", "schedule"}
+    assert set(ONE_VALUE_ALLOWED.values()) <= kinds
+    assert len(ONE_VALUE_ALLOWED) <= 42
+    assert reach.one_value() == sorted(ONE_VALUE_ALLOWED)
+
+
+def test_the_value_census_reports_only_one_value_settings(tmp_path):
+    """The pin above cannot pass vacuously: a parameter two calls set
+    to the same module constant and the literal it names, and a field
+    every construction sets alike, are reported with the value; one set
+    to two values, one passed a variable, a field live code changes
+    after construction, and a default nobody passes (the options
+    census's) are not."""
+    root = _plant(tmp_path, (
+        "import sys\n\n"
+        "from repro import lib\n\n"
+        "lib.send(lib.PORT, 1)\n"
+        "lib.send(8080, 2)\n"
+        "lib.send(8080, len(sys.argv))\n"
+        "lib.Job(4, 0).done += 1\n"
+        "lib.Job(4, 0)\n"), (
+        "from dataclasses import dataclass\n\n"
+        "PORT = 8000 + 80\n\n\n"
+        "def send(port, size, retries=3):\n"
+        "    return port, size, retries\n\n\n"
+        "@dataclass\n"
+        "class Job:\n"
+        "    cores: int\n"
+        "    done: int\n"))
+    assert reachability.one_value(root) == [
+        "repro.lib.Job(cores)=4",
+        "repro.lib.send(port)=8080",
+    ]
 
 
 def test_every_fault_kind_is_consulted_where_something_runs(reach):

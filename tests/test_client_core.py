@@ -69,7 +69,7 @@ class _Failover(_Stack):
         network = Network(self.sim)
         self.switch = network.switch
         self.cluster = ReplicatedDpuKvCluster(self.sim, network, dpu_count=3,
-                                              replication=2, ssd_blocks=4096)
+                                              replication=2)
         self.client = FailoverKvClient(self.sim, network, "c", self.cluster)
         self.client.history = self.history
 

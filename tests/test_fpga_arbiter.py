@@ -8,7 +8,11 @@ from repro.sim import Simulator
 
 
 def make_arbiter(sim, bandwidth=1e9):
-    return WeightedAxisArbiter(sim, bandwidth)
+    """An arbiter over a bus of *bandwidth* bytes/s (lowered from
+    :data:`~repro.hw.fpga.arbiter.AXIS_BANDWIDTH`)."""
+    arbiter = WeightedAxisArbiter(sim)
+    arbiter.bandwidth = bandwidth
+    return arbiter
 
 
 class TestBasics:

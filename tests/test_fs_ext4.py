@@ -16,7 +16,7 @@ class TestMkfs:
         fs = make_fs()
         sb = fs.superblock()
         assert sb["magic"] == 0x48595045
-        assert sb["data_start"] == 5
+        assert sb["data_start"] == 9  # superblock + 8 inode-table blocks
 
     def test_mount_rejects_garbage(self):
         namespace = Namespace(1, 64)

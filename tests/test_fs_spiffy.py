@@ -19,6 +19,13 @@ from repro.fs import (
 from repro.hw.nvme import Namespace
 
 
+def read_file(walker, path):
+    """The bytes of the file at *path*, read the way ``resolve_file``
+    maps it (the DPU scan reads the same pieces over NVMe)."""
+    size, pieces = walker.resolve_file(path)
+    return b"".join(walker._read(block, run) for block, run in pieces)[:size]
+
+
 def make_image():
     namespace = Namespace(1, 1024)
     fs = HyperExtFs.mkfs(namespace)
@@ -98,7 +105,7 @@ class TestWalkerOnRealImage:
     def test_resolve_nested_file(self):
         namespace, __ = make_image()
         walker = make_walker(namespace)
-        assert walker.read_file("/data/table.parquet") == b"columnar bytes here"
+        assert read_file(walker, "/data/table.parquet") == b"columnar bytes here"
 
     def test_missing_file(self):
         namespace, __ = make_image()
@@ -109,7 +116,7 @@ class TestWalkerOnRealImage:
         """Each walker step is one device read — the DPU's cost model."""
         namespace, __ = make_image()
         walker = make_walker(namespace)
-        walker.read_file("/data/table.parquet")
+        read_file(walker, "/data/table.parquet")
         # superblock + inodes + dir data + file data: a handful, not O(fs).
         assert 0 < walker.blocks_read <= 16
 

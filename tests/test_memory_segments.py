@@ -66,7 +66,6 @@ class TestTranslationTable:
         segment = seg(42)
         table.insert(segment)
         assert table.lookup(ObjectId(42)) is segment
-        assert table.lookups == 1
 
     def test_duplicate_insert_rejected(self):
         table = SegmentTranslationTable()
@@ -91,15 +90,6 @@ class TestTranslationTable:
         restored = SegmentTranslationTable.deserialize(table.serialize())
         assert len(restored) == 1
         assert ObjectId(1) in restored
-
-    def test_serialize_all(self):
-        table = SegmentTranslationTable()
-        table.insert(seg(1))
-        table.insert(seg(2))
-        restored = SegmentTranslationTable.deserialize(
-            table.serialize(durable_only=False)
-        )
-        assert len(restored) == 2
 
     def test_bad_magic(self):
         with pytest.raises(ConfigurationError):

@@ -5,6 +5,7 @@ import random
 from repro.memory.vm import (
     PAGE_SIZE,
     SEGMENT_LOOKUP_LATENCY,
+    WALK_ACCESS_LATENCY,
     TlbModel,
     VirtualMemoryModel,
 )
@@ -46,16 +47,14 @@ class TestTlb:
 class TestVirtualMemoryModel:
     def test_miss_costs_four_accesses(self):
         vm = VirtualMemoryModel()
-        result = vm.translate(0)
-        assert not result.hit
-        assert result.memory_accesses == 4
+        assert vm.translate(0) == 4 * WALK_ACCESS_LATENCY
+        assert vm.page_table.walks == 1
 
     def test_hit_costs_nothing(self):
         vm = VirtualMemoryModel()
         vm.translate(0)
-        result = vm.translate(64)
-        assert result.hit
-        assert result.memory_accesses == 0
+        assert vm.translate(64) == 0.0
+        assert vm.page_table.walks == 1
 
     def test_large_working_set_thrashes(self):
         """Working sets beyond TLB reach miss almost always — the overhead
@@ -66,7 +65,7 @@ class TestVirtualMemoryModel:
         misses = 0
         for _ in range(5_000):
             vaddr = rng.randrange(pages) * PAGE_SIZE
-            if not vm.translate(vaddr).hit:
+            if vm.translate(vaddr) > 0.0:
                 misses += 1
         assert misses / 5_000 > 0.95
 
@@ -81,5 +80,4 @@ class TestVirtualMemoryModel:
 class TestSegmentComparison:
     def test_segment_cheaper_than_walk(self):
         vm = VirtualMemoryModel()
-        walk = vm.translate(0)
-        assert SEGMENT_LOOKUP_LATENCY < walk.latency
+        assert SEGMENT_LOOKUP_LATENCY < vm.translate(0)

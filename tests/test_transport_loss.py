@@ -28,9 +28,9 @@ def lossy_pair(sim, loss_fn, endpoint):
     b = NetworkPort(sim, "b")
     a_to_b = Link(sim)
     b_to_a = Link(sim)
-    a.add_route("*", a_to_b)
+    a.attach_tx(a_to_b)
     b.attach_rx(a_to_b)
-    b.add_route("*", b_to_a)
+    b.attach_tx(b_to_a)
     a.attach_rx(b_to_a)
     ends = endpoint(sim, a), endpoint(sim, b)
     if loss_fn is not None:
@@ -173,7 +173,7 @@ class TestUdpUnderLoss:
         senders = []
         for i in range(8):
             port = NetworkPort(sim, f"s{i}")
-            port.add_route("*", link)
+            port.attach_tx(link)
             port.attach_rx(Link(sim))
             senders.append(UdpSocket(sim, port))
         got = []

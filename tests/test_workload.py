@@ -33,7 +33,8 @@ from repro.workload import (
     arrival_preview,
 )
 from repro.workload.generator import _draw_op
-from repro.workload.spec import SteadyCurve, parse_quantity
+from repro.common.units import parse_quantity
+from repro.workload.spec import SteadyCurve
 
 from tests.manual_clock import ManualClock
 
@@ -168,8 +169,8 @@ def test_workload_spec_parse():
     assert isinstance(web.curve, DiurnalCurve)
     assert web.curve.period == pytest.approx(0.240)
     assert batch.scan_span == 8
-    assert spec.peak_rate() == pytest.approx(28800)
-    assert spec.rate(0.120) == pytest.approx(28800)
+    assert sum(t.curve.peak_rate for t in spec.tenants) == pytest.approx(28800)
+    assert sum(t.curve.rate(0.120) for t in spec.tenants) == pytest.approx(28800)
 
 
 def test_workload_spec_describe_reparses_identically():
