@@ -11,6 +11,7 @@ failure experiments.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -73,8 +74,18 @@ class FaultSpec:
             raise ConfigurationError(
                 f"{self.name}: probability must be in (0, 1]"
             )
-        if self.window is not None and self.window[1] <= self.window[0]:
-            raise ConfigurationError(f"{self.name}: empty fault window")
+        if self.at is not None and not math.isfinite(self.at):
+            raise ConfigurationError(f"{self.name}: at= must be finite")
+        if self.window is not None:
+            start, end = self.window
+            # A window may stay open for the rest of the run (end=inf).
+            if not math.isfinite(start) or math.isnan(end):
+                raise ConfigurationError(
+                    f"{self.name}: window start must be finite, end "
+                    "finite or inf"
+                )
+            if end <= start:
+                raise ConfigurationError(f"{self.name}: empty fault window")
         if self.max_fires is not None and self.max_fires < 1:
             raise ConfigurationError(f"{self.name}: max_fires must be >= 1")
 

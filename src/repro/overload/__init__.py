@@ -30,7 +30,7 @@ controls off and flat goodput with them on.
 """
 
 from repro.overload.admission import AdmissionController, Priority, TokenBucket
-from repro.overload.breaker import BreakerState, CircuitBreaker, CircuitOpenError
+from repro.overload.breaker import BreakerState, CircuitBreaker
 from repro.overload.brownout import BrownoutController, BrownoutMode
 from repro.overload.queues import BoundedQueue, QueuePolicy
 
@@ -42,7 +42,6 @@ __all__ = [
     "Priority",
     "CircuitBreaker",
     "BreakerState",
-    "CircuitOpenError",
     "BrownoutController",
     "BrownoutMode",
 ]

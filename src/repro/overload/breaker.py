@@ -20,14 +20,10 @@ from __future__ import annotations
 import enum
 from typing import List, Tuple
 
-from repro.common.errors import ConfigurationError, DegradedError
+from repro.common.errors import ConfigurationError
 from repro.telemetry import MetricScope
 
-__all__ = ["BreakerState", "CircuitBreaker", "CircuitOpenError"]
-
-
-class CircuitOpenError(DegradedError):
-    """The call was refused because the target's circuit is open."""
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState(enum.Enum):

@@ -9,10 +9,9 @@ replication and read policy.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Iterable, Optional
 
-from repro.overload.breaker import CircuitBreaker, CircuitOpenError
+from repro.overload.breaker import CircuitBreaker
 from repro.transport import RetryBudget, RetryPolicy, RpcClient, RpcError, UdpSocket
 from repro.verify.history import NULL_HISTORY
 
@@ -52,51 +51,53 @@ class KvClientCore:
             reset_timeout=reset) for c in addresses}
 
     def _call(self, address: str, method: str, key, arg=None, *,
-              request_size: int, response_size: int,
-              breaker: Optional[CircuitBreaker] = None):
+              request_size: int, response_size: int):
         """Process: one ``method(key[, arg])`` RPC with this client's wire
-        options; with a *breaker*, under its allow/record protocol. The
-        arguments are named, not ``*args``: re-packing them (and the
-        options) would cost the hot path more than this extra frame."""
-        call = (self.rpc.call if breaker is None
-                else partial(self.rpc.call_guarded, breaker))
+        options. The arguments are named, not ``*args``: re-packing them
+        (and the options) would cost the hot path more than this extra
+        frame."""
         if arg is None:
-            return call(address, method, key, request_size=request_size,
-                        response_size=response_size, timeout=self.timeout,
-                        retries=self.retries, deadline=self.deadline,
-                        policy=self.policy)
-        return call(address, method, key, arg, request_size=request_size,
-                    response_size=response_size, timeout=self.timeout,
-                    retries=self.retries, deadline=self.deadline,
-                    policy=self.policy)
+            return self.rpc.call(
+                address, method, key, request_size=request_size,
+                response_size=response_size, timeout=self.timeout,
+                retries=self.retries, deadline=self.deadline,
+                policy=self.policy)
+        return self.rpc.call(
+            address, method, key, arg, request_size=request_size,
+            response_size=response_size, timeout=self.timeout,
+            retries=self.retries, deadline=self.deadline, policy=self.policy)
 
     def _first_answer(self, candidates: Iterable[str], method: str, key,
                       arg=None, *, request_size: int, response_size: int,
                       on_failure=None):
         """Process: call *candidates* in order until one answers.
 
-        An open circuit is skipped without spending an attempt; an
-        :class:`RpcError` is an attempt, reported to
-        ``on_failure(candidate)`` and passed over. Returns ``(candidate,
-        result, attempts)``; if nobody answered, ``candidate`` is
-        ``None`` and ``result`` the last error. Given an iterator, a
-        second walk resumes after the candidate that answered.
+        Each candidate's breaker is asked first: an open circuit is
+        skipped without spending an attempt. An allowed call's outcome
+        is recorded on the breaker; an :class:`RpcError` is an attempt,
+        reported to ``on_failure(candidate)`` and passed over. Returns
+        ``(candidate, result, attempts)``; if nobody answered,
+        ``candidate`` is ``None`` and ``result`` the last error. Given an
+        iterator, a second walk resumes after the candidate that
+        answered.
         """
         attempts = 0
         error = None
         for candidate in candidates:
+            breaker = self.breakers[candidate]
+            if not breaker.allow():
+                continue  # refused instantly: not an attempt
             try:
                 result = yield from self._call(
                     self._addresses[candidate], method, key, arg,
-                    request_size=request_size, response_size=response_size,
-                    breaker=self.breakers[candidate])
-            except CircuitOpenError:
-                continue  # refused instantly: not an attempt
+                    request_size=request_size, response_size=response_size)
             except RpcError as failure:
+                breaker.record_failure()
                 attempts += 1
                 error = failure
                 if on_failure is not None:
                     on_failure(candidate)
                 continue
+            breaker.record_success()
             return candidate, result, attempts
         return None, error, attempts

@@ -21,7 +21,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.overload.admission import AdmissionController, Priority
-from repro.overload.breaker import CircuitBreaker, CircuitOpenError
 from repro.overload.queues import BoundedQueue, QueuePolicy
 from repro.sim import TIMED_OUT, Event, Simulator, expire
 from repro.telemetry import MetricScope
@@ -309,16 +308,7 @@ class RpcServer:
             # buffering, the client learns immediately.
             self.queue.try_put((src, request))
             return
-        if request.trace is not None:
-            # Resume the caller's flow on this side of the wire: the
-            # handler process runs with the originating context
-            # active, so its spans join the caller's trace tree.
-            self.sim.spawn(
-                self._tracer.drive(self._handle(src, request),
-                                   request.trace)
-            )
-        else:
-            self.sim.spawn(self._handle(src, request))
+        self.sim.spawn(self._serve(src, request))
 
     def _worker_loop(self):
         """One wimpy core: run-to-completion service off the queue."""
@@ -330,22 +320,25 @@ class RpcServer:
             item = queue.poll()
             if item is None:
                 item = yield queue.get()
-            src, request = item
-            if request.trace is not None:
-                yield from self._tracer.drive(
-                    self._handle(src, request), request.trace
-                )
-            else:
-                yield from self._handle(src, request)
+            yield from self._serve(*item)
+
+    def _serve(self, src: str, request: RpcRequest):
+        """The process that handles *request*. A traced request resumes
+        the caller's flow on this side of the wire: the handler runs
+        with the originating context active, so its spans join the
+        caller's trace tree."""
+        if request.trace is not None:
+            return self._tracer.drive(self._handle(src, request),
+                                      request.trace)
+        return self._handle(src, request)
 
     def _handle(self, src: str, request: RpcRequest):
-        if request.method == BATCH_METHOD:
-            yield from self._handle_batch(src, request)
-            return
-        handler = self._handlers.get(request.method)
+        method = request.method
+        handler = (self._batch if method == BATCH_METHOD
+                   else self._handlers.get(method))
         if handler is None:
             response = RpcResponse(
-                request.rpc_id, ok=False, error=f"no method {request.method!r}"
+                request.rpc_id, ok=False, error=f"no method {method!r}"
             )
             yield self.socket.sendto(src, response, RPC_HEADER)
             return
@@ -359,16 +352,18 @@ class RpcServer:
             # through one server must not cross-link.
             span = tracer.begin(
                 context, "rpc.handle", "transport",
-                {"method": request.method, "server": self.socket.address},
+                {"method": method, "server": self.socket.address},
                 parent=request.parent_span,
             )
         elif tracer.enabled:
             span = tracer.span(
                 "rpc.handle", "transport",
-                method=request.method, server=self.socket.address,
+                method=method, server=self.socket.address,
             )
         else:
             span = NULL_SPAN
+        if span is not NULL_SPAN and method == BATCH_METHOD:
+            span.annotate(ops=len(request.args[0]))
         with span:
             try:
                 outcome = handler(*request.args)
@@ -385,58 +380,36 @@ class RpcServer:
                 src, response, RPC_HEADER + request.response_size
             )
 
-    def _handle_batch(self, src: str, request: RpcRequest):
-        """Process: run every sub-op run-to-completion, answer once.
+    def _batch(self, ops: tuple):
+        """The built-in :data:`BATCH_METHOD` handler: run every sub-op
+        run-to-completion; return one :class:`RpcResponse` per op.
 
         The batch occupied exactly one admission-controller token and one
         queue slot (it is an ordinary request until it reaches a worker),
         so coalescing N ops costs the overload machinery 1/N of the
-        per-op accounting — the point of batching. Sub-op failures are
-        marshalled per-op; the batch response itself always succeeds.
+        per-op accounting — the point of batching. Sub-ops are looked up
+        among the registered handlers only (a nested batch answers "no
+        method" in its slot); a sub-op failure is marshalled in its slot.
         """
-        (ops,) = request.args
-        tracer = self._tracer
-        context = request.trace
-        if context is not None:
-            span = tracer.begin(
-                context, "rpc.handle", "transport",
-                {"method": BATCH_METHOD, "server": self.socket.address,
-                 "ops": len(ops)},
-                parent=request.parent_span,
-            )
-        elif tracer.enabled:
-            span = tracer.span(
-                "rpc.handle", "transport",
-                method=BATCH_METHOD, server=self.socket.address,
-                ops=len(ops),
-            )
-        else:
-            span = NULL_SPAN
-        with span:
-            results = []
-            for position, (method, args) in enumerate(ops):
-                handler = self._handlers.get(method)
-                if handler is None:
-                    results.append(RpcResponse(
-                        position, ok=False, error=f"no method {method!r}"
-                    ))
-                    continue
-                try:
-                    outcome = handler(*args)
-                    if hasattr(outcome, "send"):
-                        outcome = yield from outcome
-                    results.append(RpcResponse(position, ok=True,
-                                               result=outcome))
-                except Exception as exc:  # noqa: BLE001 - marshalled per op
-                    results.append(RpcResponse(position, ok=False,
-                                               error=str(exc)))
-                self._batched_ops.value += 1
-            self._requests_served.value += 1
-            self._batches_served.value += 1
-            response = RpcResponse(request.rpc_id, ok=True, result=results)
-            yield self.socket.sendto(
-                src, response, RPC_HEADER + request.response_size
-            )
+        results = []
+        for position, (method, args) in enumerate(ops):
+            handler = self._handlers.get(method)
+            if handler is None:
+                results.append(RpcResponse(
+                    position, ok=False, error=f"no method {method!r}"
+                ))
+                continue
+            try:
+                outcome = handler(*args)
+                if hasattr(outcome, "send"):
+                    outcome = yield from outcome
+                results.append(RpcResponse(position, ok=True, result=outcome))
+            except Exception as exc:  # noqa: BLE001 - marshalled per op
+                results.append(RpcResponse(position, ok=False,
+                                           error=str(exc)))
+            self._batched_ops.value += 1
+        self._batches_served.value += 1
+        return results
 
 
 class RpcClient:
@@ -499,11 +472,12 @@ class RpcClient:
         """Process: one RPC; returns the handler's result or raises RpcError.
 
         With ``timeout`` set, an unanswered request is retransmitted up to
-        ``retries`` times (needed over lossy datagram transports; handlers
-        must be idempotent, as with any at-least-once RPC). A
-        :class:`RetryPolicy` replaces the fixed retransmit interval with
-        exponential backoff + jitter (``timeout`` then seeds the policy's
-        first interval if the policy leaves ``base`` at its default).
+        ``retries`` times (needed over lossy datagram transports), each
+        attempt waiting ``timeout``. A :class:`RetryPolicy` replaces that
+        wait with exponential backoff + jitter; ``timeout`` is then
+        ignored. A retransmit whose first copy was only late runs the
+        handler again: delivery is at least once, so a non-idempotent
+        handler can apply twice (DESIGN §11; ROADMAP item 1 closes it).
 
         ``deadline`` bounds the *whole call* in simulated seconds: when the
         budget runs out — even with ``timeout=None``, which otherwise waits
@@ -512,37 +486,18 @@ class RpcClient:
         """
         request = RpcRequest(next(self._rpc_ids), method, args, response_size,
                              priority=priority)
+        issuing = self._issue(server, request, request_size, timeout, retries,
+                              deadline, policy)
         if self._tracer.enabled:
-            response = yield from self._issue_traced(
-                server, request, request_size, timeout, retries, deadline,
-                policy,
-            )
-        else:
-            response = yield from self._issue(
-                server, request, request_size, timeout, retries, deadline,
-                policy,
-            )
+            flow = self._flow(request)
+            if flow is not None:
+                # This call is a new root flow: keep it active across
+                # every resumption of the send/retry loop.
+                issuing = self._tracer.drive(issuing, flow)
+        response = yield from issuing
         if not response.ok:
             raise RpcError(response.error)
         return response.result
-
-    def call_guarded(self, breaker: CircuitBreaker, server: str,
-                     method: str, *args: Any, **options: Any):
-        """Process: :meth:`call` under *breaker*'s allow/record protocol.
-
-        An open circuit raises :class:`~repro.overload.CircuitOpenError`
-        at once, spending nothing on the wire; otherwise the call's
-        outcome is recorded on the breaker and returned (or re-raised).
-        """
-        if not breaker.allow():
-            raise CircuitOpenError(f"{method} to {server}: circuit open")
-        try:
-            result = yield from self.call(server, method, *args, **options)
-        except RpcError:
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-        return result
 
     def call_batch(self, server: str, ops: "List[BatchOp]"):
         """Process: coalesce up to :data:`MAX_BATCH_OPS` ops into one RPC.
@@ -576,11 +531,9 @@ class RpcClient:
         with no timeout or deadline, so nothing is timed from the send
         and no process is needed: the answer is a callback.
 
-        Tracing follows :meth:`_issue_traced`: an active flow is carried
-        onto the wire; with head sampling and no active flow, a drawn
-        flow is active around the send (``net.tx`` is stamped with it)
-        and around the close of its ``rpc.call`` span; otherwise the
-        span lands on the ambient context.
+        Tracing follows :meth:`_flow`, as :meth:`call` does; a flow the
+        batch draws itself is active around the send (``net.tx`` is
+        stamped with it) and around the close of its ``rpc.call`` span.
 
         Args:
             server: destination address.
@@ -602,25 +555,13 @@ class RpcClient:
         sim = self.sim
         started = sim.now
         tracer = self._tracer
-        context = flow = None
+        flow = None
         span = NULL_SPAN
         if tracer.enabled:
-            context = tracer.active_context
-            if context is None and tracer.sample_rate < 1.0:
-                context = flow = tracer.flow()
-            if context is not None:
-                request.trace = context
-                if flow is not None:
-                    tracer.activate(flow)
-                span = request.parent_span = tracer.begin(
-                    context, "rpc.call", "transport",
-                    {"method": BATCH_METHOD, "server": server},
-                )
-            else:
-                span = tracer.span(
-                    "rpc.call", "transport", method=BATCH_METHOD,
-                    server=server,
-                )
+            flow = self._flow(request)
+            if flow is not None:
+                tracer.activate(flow)
+            span = self._call_span(request, server)
         answered = self._pending[request.rpc_id] = Event(sim)
         self.socket.sendto(server, request, RPC_HEADER + request_size)
         if flow is not None:
@@ -632,55 +573,47 @@ class RpcClient:
             span.finish()
             latency = sim.now - started
             self._call_latency.observe(latency)
-            if context is not None and tracer.exemplars:
-                self._call_latency.exemplar(latency, context.trace_id)
+            if request.trace is not None and tracer.exemplars:
+                self._call_latency.exemplar(latency, request.trace.trace_id)
             if flow is not None:
                 tracer.activate(None)
             answer(event.value)
 
         answered.callbacks.append(on_answer)
 
-    def _issue_traced(
-        self,
-        server: str,
-        request: RpcRequest,
-        request_size: int,
-        timeout: Optional[float],
-        retries: int,
-        deadline: Optional[float],
-        policy: Optional[RetryPolicy],
-    ):
-        """Process: attach a flow to the request, then run :meth:`_issue`.
+    def _flow(self, request: RpcRequest):
+        """Put the caller's flow on *request*; return the flow this call
+        draws itself, or ``None``.
 
-        An already-active flow (the enclosing generator is being driven)
-        is simply carried onto the wire. With head sampling on and no
-        active flow, this call *is* a new root flow: draw the sampling
-        decision and, when sampled, keep the fresh context active across
-        every resumption of the send/retry loop. Unsampled calls carry
-        ``trace=None`` and trace nothing anywhere downstream.
+        An active flow (the enclosing generator is being driven) is
+        carried onto the wire. With head sampling on and no active flow,
+        this call is a new root flow: draw the sampling decision, and
+        return the fresh context for the caller to keep active around
+        the call's own segments. Otherwise ``request.trace`` stays
+        ``None``: an unsampled call traces nothing downstream, and at
+        full rate the call's span lands on the ambient context.
         """
         tracer = self._tracer
         context = tracer.active_context
+        if context is None and tracer.sample_rate < 1.0:
+            request.trace = drawn = tracer.flow()
+            return drawn
+        request.trace = context
+        return None
+
+    def _call_span(self, request: RpcRequest, server: str):
+        """Open the ``rpc.call`` span (tracing on): on the request's flow,
+        where the server parents its ``rpc.handle``, else ambient."""
+        tracer = self._tracer
+        context = request.trace
         if context is not None:
-            request.trace = context
-            return (yield from self._issue(
-                server, request, request_size, timeout, retries, deadline,
-                policy,
-            ))
-        if tracer.sample_rate < 1.0:
-            context = tracer.flow()
-            if context is not None:
-                request.trace = context
-                return (yield from tracer.drive(
-                    self._issue(server, request, request_size, timeout,
-                                retries, deadline, policy),
-                    context,
-                ))
-        # Legacy full-rate path outside any flow: _issue's span() call
-        # lands on the shared ambient context, as it always has.
-        return (yield from self._issue(
-            server, request, request_size, timeout, retries, deadline, policy,
-        ))
+            request.parent_span = tracer.begin(
+                context, "rpc.call", "transport",
+                {"method": request.method, "server": server},
+            )
+            return request.parent_span
+        return tracer.span("rpc.call", "transport", method=request.method,
+                           server=server)
 
     def _issue(
         self,
@@ -693,25 +626,13 @@ class RpcClient:
         policy: Optional[RetryPolicy],
     ):
         """Process: the shared send/retransmit/deadline loop for one id."""
-        method = request.method
         started = self.sim.now
         rng = policy.rng_for(request.rpc_id) if policy is not None else None
         attempts = 0
+        failure = None
         self._calls.value += 1
-        tracer = self._tracer
-        context = request.trace
-        if context is not None:
-            span = tracer.begin(
-                context, "rpc.call", "transport",
-                {"method": method, "server": server},
-            )
-            request.parent_span = span
-        elif tracer.enabled:
-            span = tracer.span(
-                "rpc.call", "transport", method=method, server=server,
-            )
-        else:
-            span = NULL_SPAN
+        span = (self._call_span(request, server) if self._tracer.enabled
+                else NULL_SPAN)
         with span:
             while True:
                 # One event per attempt, registered before the send so a
@@ -741,11 +662,8 @@ class RpcClient:
                 if deadline is not None:
                     remaining = deadline - (self.sim.now - started)
                     if remaining <= 0:
-                        self._pending.pop(request.rpc_id, None)
-                        self._deadline_exceeded.value += 1
-                        raise RpcError(
-                            f"{method} to {server}: deadline exceeded"
-                        )
+                        failure = self._deadline_exceeded, ": deadline exceeded"
+                        break
                     wait = min(wait, remaining)
                 if not answered.triggered:
                     self.sim.call_later(wait, partial(expire, answered))
@@ -753,30 +671,30 @@ class RpcClient:
                 if response is not TIMED_OUT:
                     break
                 if deadline is not None and self.sim.now - started >= deadline:
-                    self._pending.pop(request.rpc_id, None)
-                    self._deadline_exceeded.value += 1
-                    raise RpcError(f"{method} to {server}: deadline exceeded")
+                    failure = self._deadline_exceeded, ": deadline exceeded"
+                    break
                 attempts += 1
                 if timeout is None and policy is None:
                     continue  # deadline-only calls do not retransmit
                 if attempts > retries:
-                    self._pending.pop(request.rpc_id, None)
-                    raise RpcError(
-                        f"{method} to {server} timed out after "
-                        f"{attempts} attempt(s)"
-                    )
+                    failure = None, f" timed out after {attempts} attempt(s)"
+                    break
                 if (self.retry_budget is not None
                         and not self.retry_budget.try_spend()):
-                    self._pending.pop(request.rpc_id, None)
-                    self._budget_exhausted.value += 1
-                    raise RpcError(
-                        f"{method} to {server}: retry budget exhausted"
-                    )
+                    failure = (self._budget_exhausted,
+                               ": retry budget exhausted")
+                    break
                 self._retransmits.value += 1
+            if failure is not None:
+                self._pending.pop(request.rpc_id, None)
+                counter, reason = failure
+                if counter is not None:
+                    counter.value += 1
+                raise RpcError(f"{request.method} to {server}{reason}")
             if attempts:
                 span.annotate(retransmits=attempts)
         latency = self.sim.now - started
         self._call_latency.observe(latency)
-        if context is not None and tracer.exemplars:
-            self._call_latency.exemplar(latency, context.trace_id)
+        if request.trace is not None and self._tracer.exemplars:
+            self._call_latency.exemplar(latency, request.trace.trace_id)
         return response

@@ -3,7 +3,8 @@
 This is ``ShardedKvClient._batched`` as it was while every sub-batch of
 a multi-owner op ran in a runner process of its own, and
 ``RpcClient.call_batch`` as it was while it was a generator over
-``_issue_traced``/``_issue``. Both bodies are kept verbatim, so the
+``_issue_traced``/``_issue``; ``_issue_traced`` is kept here too, since
+the client no longer has it. The bodies are kept verbatim, so the
 callback fan-out that replaced them can be compared against them entry
 for entry (``tests/test_batched_oracle.py``). Nothing under ``src/``
 imports it.
@@ -11,12 +12,12 @@ imports it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.sharding import ShardedKvClient
 from repro.transport import BatchOp, MAX_BATCH_OPS, RpcClient, RpcError
-from repro.transport.rpc import BATCH_METHOD, RpcRequest
+from repro.transport.rpc import BATCH_METHOD, RetryPolicy, RpcRequest
 
 
 class ReferenceRpcClient(RpcClient):
@@ -63,6 +64,48 @@ class ReferenceRpcClient(RpcClient):
         if not response.ok:
             raise RpcError(response.error)
         return response.result
+
+    def _issue_traced(
+        self,
+        server: str,
+        request: RpcRequest,
+        request_size: int,
+        timeout: Optional[float],
+        retries: int,
+        deadline: Optional[float],
+        policy: Optional[RetryPolicy],
+    ):
+        """Process: attach a flow to the request, then run :meth:`_issue`.
+
+        An already-active flow (the enclosing generator is being driven)
+        is simply carried onto the wire. With head sampling on and no
+        active flow, this call *is* a new root flow: draw the sampling
+        decision and, when sampled, keep the fresh context active across
+        every resumption of the send/retry loop. Unsampled calls carry
+        ``trace=None`` and trace nothing anywhere downstream.
+        """
+        tracer = self._tracer
+        context = tracer.active_context
+        if context is not None:
+            request.trace = context
+            return (yield from self._issue(
+                server, request, request_size, timeout, retries, deadline,
+                policy,
+            ))
+        if tracer.sample_rate < 1.0:
+            context = tracer.flow()
+            if context is not None:
+                request.trace = context
+                return (yield from tracer.drive(
+                    self._issue(server, request, request_size, timeout,
+                                retries, deadline, policy),
+                    context,
+                ))
+        # Legacy full-rate path outside any flow: _issue's span() call
+        # lands on the shared ambient context, as it always has.
+        return (yield from self._issue(
+            server, request, request_size, timeout, retries, deadline, policy,
+        ))
 
 
 class ReferenceShardedKvClient(ShardedKvClient):

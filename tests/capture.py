@@ -2,7 +2,9 @@
 
 Every layer hands its output to a callback its consumer installs (a
 link's ``sink``, a port's ``listen``, a socket's ``deliver``); nothing
-queues it for a later pull. A test that only observes installs this.
+queues it for a later pull. A test that only observes installs this;
+a test that drives an RPC server with no network under it gives it a
+:class:`StubSocket`.
 """
 
 from repro.hw.net import Link
@@ -37,3 +39,19 @@ def sending(send, *args):
     ``sim.run_process(...)``, ``sim.spawn(...)``) wraps it in this, so
     the frame still leaves in the process's first entry."""
     return (yield send(*args))
+
+
+class StubSocket:
+    """A datagram socket with no network: the test calls ``deliver``
+    with ``(src, payload, size)`` itself, and each send is recorded as
+    ``(time, dst, payload, size)`` in ``sent`` and serialized at once."""
+
+    def __init__(self, sim, address):
+        self.sim = sim
+        self.address = address
+        self.deliver = None
+        self.sent = []
+
+    def sendto(self, dst, payload, size):
+        self.sent.append((self.sim.now, dst, payload, size))
+        return self.sim.timeout(0.0)

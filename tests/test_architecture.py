@@ -124,10 +124,33 @@ def _uses_of(path: pathlib.Path, name: str) -> int:
 CLIENT_MODULES = ["dpu/cluster.py", "sharding/client.py", "georep/client.py"]
 
 
+#: The circuit breaker's allow/record protocol.
+BREAKER_PROTOCOL = ("allow", "record_success", "record_failure")
+
+
+def _breaker_speakers():
+    """``module:Class.method`` of every def that speaks the breaker
+    protocol (outside the breaker itself)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                    getattr(node, "attr", None) in BREAKER_PROTOCOL
+                    for node in ast.walk(fn)
+                ):
+                    found.append(f"{path.relative_to(SRC)}:"
+                                 f"{cls.name}.{fn.name}")
+    return found
+
+
 def test_kv_clients_stand_on_one_core():
-    """One client core: the three KV clients subclass it, only it calls
-    ``call_guarded``, none builds its own ``RpcClient``, and their
-    constructor knobs are pinned so a deleted one cannot come back."""
+    """One client core: the three KV clients subclass it, only its
+    candidate walk speaks the breaker protocol, none builds its own
+    ``RpcClient``, and their constructor knobs are pinned so a deleted
+    one cannot come back."""
     from repro.dpu.cluster import FailoverKvClient
     from repro.georep.client import GeoKvClient
     from repro.georep.region import LogShipper
@@ -136,11 +159,11 @@ def test_kv_clients_stand_on_one_core():
 
     for client in (ShardedKvClient, FailoverKvClient, GeoKvClient):
         assert issubclass(client, KvClientCore), client
-    guarded = [
-        str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-        if _uses_of(path, "call_guarded")
+    # The log shipper guards its peer on its own loop; it is no KV client.
+    assert _breaker_speakers() == [
+        "georep/region.py:LogShipper._run",
+        "sharding/core.py:KvClientCore._first_answer",
     ]
-    assert guarded == ["sharding/core.py"]
     for module in CLIENT_MODULES:
         assert _uses_of(SRC / module, "RpcClient") == 0, module
     knobs = {

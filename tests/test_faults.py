@@ -5,6 +5,8 @@ by the backend retry policy, and replicated cluster reads surviving a
 dead DPU — plus the substrate hooks (links, PCIe, NVMe) the plans drive.
 """
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError, DegradedError
@@ -40,6 +42,15 @@ class TestFaultPlan:
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultSpec("f", "c", FaultKind.NODE_DOWN, window=(2.0, 1.0))
+
+    @pytest.mark.parametrize("timing", [
+        {"at": math.nan}, {"at": math.inf},
+        {"window": (math.nan, 1.0)}, {"window": (0.0, math.nan)},
+        {"probability": 0.5, "window": (-math.inf, 1.0)},
+    ])
+    def test_non_finite_instants_rejected(self, timing):
+        with pytest.raises(ConfigurationError, match="^cut: .*finite"):
+            FaultSpec("cut", "c", FaultKind.NODE_DOWN, **timing)
 
     def test_duplicate_names_rejected(self):
         plan = FaultPlan()

@@ -14,9 +14,10 @@ from repro.transport import (
     TcpStack,
     UdpSocket,
 )
+from repro.transport.rpc import BATCH_METHOD, RPC_HEADER, RpcRequest
 from repro.transport.tcp import RTO
 
-from tests.capture import arrivals, sending
+from tests.capture import StubSocket, arrivals, sending
 
 
 def make_net(sim):
@@ -335,6 +336,35 @@ class TestRpc:
 
         with pytest.raises(RpcError, match="no method"):
             sim.run_process(scenario())
+
+    def test_batch_handler_keeps_the_single_call_edges(self):
+        """``rpc.batch`` is a built-in handler, not a registered one: a
+        nested batch answers "no method" in its slot, and an unknown
+        single method gets a header-sized error and is not served."""
+        sim = Simulator()
+        socket = StubSocket(sim, "server")
+        server = RpcServer(sim, socket)
+        server.register("add", lambda a, b: a + b)
+        ops = (("add", (1, 2)), (BATCH_METHOD, (((("add", (3, 4)),),))))
+        socket.deliver(("client", RpcRequest(0, BATCH_METHOD, (ops,), 128),
+                        RPC_HEADER))
+        socket.deliver(("client", RpcRequest(1, "nope", (), 64), RPC_HEADER))
+        sim.run()
+        sent = {payload.rpc_id: (payload, size)
+                for __, __, payload, size in socket.sent}
+        batch, size = sent[0]
+        assert batch.ok and size == RPC_HEADER + 128
+        added, nested = batch.result
+        assert added.ok and added.result == 3
+        assert not nested.ok and nested.error == f"no method {BATCH_METHOD!r}"
+        unknown, size = sent[1]
+        assert not unknown.ok and unknown.error == "no method 'nope'"
+        assert size == RPC_HEADER
+        served = {name: sim.telemetry.get(f"rpc.server.server.{name}").value
+                  for name in ("requests_served", "batches_served",
+                               "batched_ops")}
+        assert served == {"requests_served": 1, "batches_served": 1,
+                          "batched_ops": 1}
 
     def test_handler_exception_marshalled(self):
         sim = Simulator()
