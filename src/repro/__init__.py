@@ -23,29 +23,58 @@ See ``examples/`` for complete scenarios and ``python -m repro.eval`` for
 the paper-artifact reproductions.
 """
 
-from repro.sim import Simulator
-from repro.hw.net import Network
-from repro.dpu import HyperionDpu, OsShell, SlotScheduler
-from repro.ebpf import BpfVm, ProgramBuilder, Verifier, assemble
-from repro.hdl import HardwarePipeline, compile_program
-from repro.memory import PlacementHint, SegmentLocation, SingleLevelStore
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Simulator",
-    "Network",
-    "HyperionDpu",
-    "OsShell",
-    "SlotScheduler",
-    "assemble",
-    "BpfVm",
-    "ProgramBuilder",
-    "Verifier",
-    "compile_program",
-    "HardwarePipeline",
-    "SingleLevelStore",
-    "SegmentLocation",
-    "PlacementHint",
-    "__version__",
-]
+
+def lazy_exports(package: str, exports: Dict[str, Tuple[str, ...]]
+                 ) -> Tuple[Callable[[str], object], Callable[[], List[str]],
+                            List[str]]:
+    """The PEP 562 hooks that serve *package*'s public names.
+
+    *exports* maps each submodule (relative to *package*) to the names
+    it defines and the package exports. Importing the package loads none
+    of its submodules: a name loads the module that defines it on first
+    use and is then kept in the package's namespace, so a later lookup
+    is a plain attribute read. Returns ``(__getattr__, __dir__,
+    __all__)`` for the package to bind; ``__all__`` and ``dir()`` list
+    exactly the map.
+    """
+    home = {name: f"{package}.{module}"
+            for module, names in exports.items() for name in names}
+    served = sys.modules[package]
+    public = list(home)
+
+    def __getattr__(name: str) -> object:
+        if name not in home:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(home[name]), name)
+        setattr(served, name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return list(public)
+
+    return __getattr__, __dir__, public
+
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "sim.engine": ("Simulator",),
+    "hw.net.switch": ("Network",),
+    "dpu.hyperion": ("HyperionDpu",),
+    "dpu.osshell": ("OsShell",),
+    "dpu.tenancy": ("SlotScheduler",),
+    "ebpf.vm": ("BpfVm",),
+    "ebpf.builder": ("ProgramBuilder",),
+    "ebpf.verifier": ("Verifier",),
+    "ebpf.asm": ("assemble",),
+    "hdl.engine": ("HardwarePipeline", "compile_program"),
+    "memory.segments": ("PlacementHint", "SegmentLocation"),
+    "memory.store": ("SingleLevelStore",),
+})

@@ -10,46 +10,15 @@
   annotation walker -> Parquet chunks -> Arrow -> filter/aggregate.
 """
 
-from repro.apps.fail2ban import (
-    Fail2BanDpu,
-    Fail2BanBaseline,
-    PacketRecord,
-    build_fail2ban_program,
-    generate_packet_trace,
-)
-from repro.apps.loadbalancer import LoadBalancer, LbPacket, generate_connections
-from repro.apps.pointer_chase import (
-    RemoteTreeService,
-    client_side_lookup,
-    offloaded_lookup,
-)
-from repro.apps.analytics import AnalyticsQuery, dpu_scan, cpu_scan
-from repro.apps.graph import (
-    CsrGraph,
-    GraphService,
-    client_side_bfs,
-    offloaded_bfs,
-    random_graph,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Fail2BanDpu",
-    "Fail2BanBaseline",
-    "PacketRecord",
-    "build_fail2ban_program",
-    "generate_packet_trace",
-    "LoadBalancer",
-    "LbPacket",
-    "generate_connections",
-    "RemoteTreeService",
-    "client_side_lookup",
-    "offloaded_lookup",
-    "AnalyticsQuery",
-    "dpu_scan",
-    "cpu_scan",
-    "CsrGraph",
-    "GraphService",
-    "client_side_bfs",
-    "offloaded_bfs",
-    "random_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fail2ban": ("Fail2BanDpu", "Fail2BanBaseline", "PacketRecord",
+                 "build_fail2ban_program", "generate_packet_trace"),
+    "loadbalancer": ("LoadBalancer", "LbPacket", "generate_connections"),
+    "pointer_chase": ("RemoteTreeService", "client_side_lookup",
+                      "offloaded_lookup"),
+    "analytics": ("AnalyticsQuery", "dpu_scan", "cpu_scan"),
+    "graph": ("CsrGraph", "GraphService", "client_side_bfs", "offloaded_bfs",
+              "random_graph"),
+})

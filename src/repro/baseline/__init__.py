@@ -6,17 +6,11 @@ every NIC<->SSD transfer. Experiments E1/E3/E6/E9 run the same workloads
 through this model and through the DPU path.
 """
 
-from repro.baseline.cpu import CpuModel, CpuCosts
-from repro.baseline.os_model import OsModel, OsCosts
-from repro.baseline.server import ConventionalServer, SUPERMICRO_X12
-from repro.baseline.datapath import CpuCentricDatapath
+from repro import lazy_exports
 
-__all__ = [
-    "CpuModel",
-    "CpuCosts",
-    "OsModel",
-    "OsCosts",
-    "ConventionalServer",
-    "SUPERMICRO_X12",
-    "CpuCentricDatapath",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cpu": ("CpuModel", "CpuCosts"),
+    "os_model": ("OsModel", "OsCosts"),
+    "server": ("ConventionalServer", "SUPERMICRO_X12"),
+    "datapath": ("CpuCentricDatapath",),
+})

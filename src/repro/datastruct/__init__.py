@@ -8,16 +8,10 @@ exactly what the pointer-chasing experiment (E2) needs to count round trips
 per traversal hop.
 """
 
-from repro.datastruct.bptree import BPlusTree, InMemoryNodeStore, NodeStore
-from repro.datastruct.lsm import LsmTree, SsTable
-from repro.datastruct.extent import ExtentTree, Extent
+from repro import lazy_exports
 
-__all__ = [
-    "BPlusTree",
-    "NodeStore",
-    "InMemoryNodeStore",
-    "LsmTree",
-    "SsTable",
-    "ExtentTree",
-    "Extent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bptree": ("BPlusTree", "InMemoryNodeStore", "NodeStore"),
+    "lsm": ("LsmTree", "SsTable"),
+    "extent": ("ExtentTree", "Extent"),
+})

@@ -10,21 +10,12 @@
 * :mod:`repro.dpu.tenancy` — slot scheduling for multi-tenant use.
 """
 
-from repro.dpu.schematic import SchematicNode, build_schematic, schematic_table
-from repro.dpu.hyperion import HyperionDpu, BootReport
-from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
-from repro.dpu.osshell import OsShell
-from repro.dpu.tenancy import SlotScheduler, TenantRequest
+from repro import lazy_exports
 
-__all__ = [
-    "SchematicNode",
-    "build_schematic",
-    "schematic_table",
-    "HyperionDpu",
-    "BootReport",
-    "ReplicatedDpuKvCluster",
-    "FailoverKvClient",
-    "OsShell",
-    "SlotScheduler",
-    "TenantRequest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "schematic": ("SchematicNode", "build_schematic", "schematic_table"),
+    "hyperion": ("HyperionDpu", "BootReport"),
+    "cluster": ("FailoverKvClient", "ReplicatedDpuKvCluster"),
+    "osshell": ("OsShell",),
+    "tenancy": ("SlotScheduler", "TenantRequest"),
+})

@@ -12,32 +12,14 @@ The :mod:`repro.hdl` package consumes the same instructions to generate
 hardware pipelines, completing the frontend -> IR -> HDL flow of §2.2.
 """
 
-from repro.ebpf.isa import (
-    BPF_REG_COUNT,
-    Instruction,
-    Opcode,
-    Program,
-)
-from repro.ebpf.asm import assemble
-from repro.ebpf.builder import ProgramBuilder
-from repro.ebpf.maps import BpfMap, HashMap
-from repro.ebpf.helpers import HelperRegistry, standard_helpers
-from repro.ebpf.vm import BpfVm, ExecutionResult
-from repro.ebpf.verifier import Verifier, VerifierReport
+from repro import lazy_exports
 
-__all__ = [
-    "Instruction",
-    "Opcode",
-    "Program",
-    "BPF_REG_COUNT",
-    "assemble",
-    "ProgramBuilder",
-    "BpfMap",
-    "HashMap",
-    "HelperRegistry",
-    "standard_helpers",
-    "BpfVm",
-    "ExecutionResult",
-    "Verifier",
-    "VerifierReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "isa": ("BPF_REG_COUNT", "Instruction", "Opcode", "Program"),
+    "asm": ("assemble",),
+    "builder": ("ProgramBuilder",),
+    "maps": ("BpfMap", "HashMap"),
+    "helpers": ("HelperRegistry", "standard_helpers"),
+    "vm": ("BpfVm", "ExecutionResult"),
+    "verifier": ("Verifier", "VerifierReport"),
+})

@@ -10,6 +10,8 @@ experiment once for both CLIs; ``python -m repro.bench --check`` fails on
 a violated claim.
 """
 
-from repro.eval.report import Table
+from repro import lazy_exports
 
-__all__ = ["Table"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "report": ("Table",),
+})

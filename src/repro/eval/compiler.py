@@ -3,7 +3,8 @@
 For each program: verifier verdict, pipeline depth, initiation interval,
 estimated area and f_max — with fusion on and off. Expected shape: fusion
 reduces depth and register area at a small f_max cost; the verifier rejects
-exactly the unsafe programs.
+exactly the unsafe programs; the emitted HDL module has one stage block
+per pipeline stage.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ class CompileRow:
     fmax_unfused: Optional[float] = None
     insns_before_opt: Optional[int] = None
     insns_after_opt: Optional[int] = None
+    #: Stage blocks in the fused pipeline's emitted Verilog-like module.
+    hdl_stages: Optional[int] = None
 
 
 def metrics(rows) -> Dict[str, Metric]:
@@ -143,6 +146,8 @@ def accept(rows) -> List[str]:
          "fusion shortens at least one pipeline"),
         (all(r.fmax_fused >= 0.7 * r.fmax_unfused for r in compiled),
          "fusion costs at most 30% of f_max"),
+        (all(r.hdl_stages == r.depth_fused for r in compiled),
+         "the emitted HDL module has one stage block per pipeline stage"),
         (all(r.ii >= 1 for r in compiled),
          "every pipeline has an initiation interval of at least 1"),
         (all(r.insns_after_opt <= r.insns_before_opt for r in compiled),
@@ -173,6 +178,7 @@ def run_compiler() -> List[CompileRow]:
         row.fmax_unfused = unfused.area.fmax_hz
         row.insns_before_opt = len(program.instructions)
         row.insns_after_opt = len(optimized.program.instructions)
+        row.hdl_stages = fused.verilog.count("// ---- stage ")
         rows.append(row)
     return rows
 

@@ -10,18 +10,9 @@ cluster failover, geo-replication — rides through what the plan throws
 at it. E13 (``repro.eval.chaos``) measures the result.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultRecord,
-    node_outage_controller,
-)
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro import lazy_exports
 
-__all__ = [
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjector",
-    "FaultRecord",
-    "node_outage_controller",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector", "FaultRecord", "node_outage_controller"),
+    "plan": ("FaultKind", "FaultPlan", "FaultSpec"),
+})

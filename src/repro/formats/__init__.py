@@ -8,20 +8,9 @@ the end-to-end analytics experiment (E9) drives it over the annotation
 walker + NVMe path with no CPU in the loop.
 """
 
-from repro.formats.columnar import Column, RecordBatch, Schema
-from repro.formats.parquet import (
-    ParquetFooter,
-    read_footer,
-    read_table,
-    write_table,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Schema",
-    "Column",
-    "RecordBatch",
-    "write_table",
-    "read_table",
-    "read_footer",
-    "ParquetFooter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "columnar": ("Column", "RecordBatch", "Schema"),
+    "parquet": ("ParquetFooter", "read_footer", "read_table", "write_table"),
+})

@@ -8,22 +8,10 @@ the DPU reads "Arrow/Parquet format, on the F2FS/ext4 file system on NVMe
 storage without any host-side, or client-side CPU involvement".
 """
 
-from repro.fs.ext4 import HyperExtFs
-from repro.fs.spiffy import (
-    Field,
-    LayoutAnnotation,
-    LayoutWalker,
-    StructDef,
-    ext4_annotation,
-    generate_walker_code,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "HyperExtFs",
-    "Field",
-    "StructDef",
-    "LayoutAnnotation",
-    "LayoutWalker",
-    "ext4_annotation",
-    "generate_walker_code",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ext4": ("HyperExtFs",),
+    "spiffy": ("Field", "LayoutAnnotation", "LayoutWalker", "StructDef",
+               "ext4_annotation", "generate_walker_code"),
+})

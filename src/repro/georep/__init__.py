@@ -9,29 +9,12 @@ behind circuit breakers, replays unacknowledged writes, and serves
 staleness-bounded follower reads when the brownout ladder asks for them.
 """
 
-from repro.georep.client import GeoKvClient
-from repro.georep.log import Consistency, LogEntry, ReplicationLog
-from repro.georep.region import GeoCluster, LogShipper, Region, WanSpec
-from repro.georep.wan import (
-    DEFAULT_WAN_BANDWIDTH,
-    DEFAULT_WAN_PROPAGATION,
-    WanFabric,
-    WanLink,
-    wan_component,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Consistency",
-    "DEFAULT_WAN_BANDWIDTH",
-    "DEFAULT_WAN_PROPAGATION",
-    "GeoCluster",
-    "GeoKvClient",
-    "LogEntry",
-    "LogShipper",
-    "Region",
-    "ReplicationLog",
-    "WanFabric",
-    "WanLink",
-    "WanSpec",
-    "wan_component",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("GeoKvClient",),
+    "log": ("Consistency", "LogEntry", "ReplicationLog"),
+    "region": ("GeoCluster", "LogShipper", "Region", "WanSpec"),
+    "wan": ("DEFAULT_WAN_BANDWIDTH", "DEFAULT_WAN_PROPAGATION", "WanFabric",
+            "WanLink", "wan_component"),
+})

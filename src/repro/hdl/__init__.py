@@ -10,27 +10,13 @@ hardware property: fixed-latency, zero-jitter execution (paper §2's
 "predictable performance").
 """
 
-from repro.hdl.dataflow import BasicBlock, DataflowGraph, build_cfg, build_dfg
-from repro.hdl.fusion import FusedOp, fuse_instructions
-from repro.hdl.schedule import PipelineSchedule, schedule_pipeline
-from repro.hdl.codegen import generate_verilog
-from repro.hdl.resources import AreaEstimate, estimate_area, estimate_fmax
-from repro.hdl.engine import CompiledPipeline, HardwarePipeline, compile_program
+from repro import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "DataflowGraph",
-    "build_cfg",
-    "build_dfg",
-    "FusedOp",
-    "fuse_instructions",
-    "PipelineSchedule",
-    "schedule_pipeline",
-    "generate_verilog",
-    "AreaEstimate",
-    "estimate_area",
-    "estimate_fmax",
-    "CompiledPipeline",
-    "HardwarePipeline",
-    "compile_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dataflow": ("BasicBlock", "DataflowGraph", "build_cfg", "build_dfg"),
+    "fusion": ("FusedOp", "fuse_instructions"),
+    "schedule": ("PipelineSchedule", "schedule_pipeline"),
+    "codegen": ("generate_verilog",),
+    "resources": ("AreaEstimate", "estimate_area", "estimate_fmax"),
+    "engine": ("CompiledPipeline", "HardwarePipeline", "compile_program"),
+})

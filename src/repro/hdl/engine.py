@@ -1,7 +1,8 @@
 """The compiler driver and the executable hardware-pipeline model.
 
-``compile_program`` runs the full §2.2 flow: verify -> extract parallelism
--> fuse -> schedule -> codegen -> estimate. The resulting
+``compile_program`` runs the §2.2 flow: verify -> extract parallelism ->
+fuse -> schedule -> estimate; codegen runs when the Verilog-like text
+(:attr:`CompiledPipeline.verilog`) is read. The resulting
 :class:`HardwarePipeline` executes programs with *fixed* latency and an
 initiation-interval-limited accept rate — the zero-jitter property that the
 predictability experiment (E6) measures against CPU execution.
@@ -22,7 +23,6 @@ from repro.ebpf.maps import BpfMap
 from repro.ebpf.vm import BpfVm
 from repro.hw.fpga.bitstream import Bitstream
 from repro.ebpf.verifier import Verifier
-from repro.hdl.codegen import generate_verilog
 from repro.hdl.resources import AreaEstimate, estimate
 from repro.hdl.schedule import PipelineSchedule, schedule_pipeline
 from repro.sim import Simulator
@@ -34,8 +34,14 @@ class CompiledPipeline:
 
     program: Program
     schedule: PipelineSchedule
-    verilog: str
     area: AreaEstimate
+
+    @property
+    def verilog(self) -> str:
+        """The Verilog-like module text, emitted from :attr:`schedule`."""
+        from repro.hdl.codegen import generate_verilog
+
+        return generate_verilog(self.schedule)
 
     def to_bitstream(self, name: Optional[str] = None) -> Bitstream:
         """Package as a loadable bitstream for a reconfigurable slot.
@@ -78,7 +84,6 @@ def compile_program(
     return CompiledPipeline(
         program=program,
         schedule=schedule,
-        verilog=generate_verilog(schedule),
         area=estimate(schedule),
     )
 

@@ -6,27 +6,12 @@ dynamically reconfigurable slots multiplexed via the Internal Configuration
 Access Port (ICAP) at 10-100 ms timescales (paper §2).
 """
 
-from repro.hw.fpga.fabric import (
-    ALVEO_U280,
-    Fabric,
-    FabricResources,
-    MemoryBank,
-    ReconfigurableSlot,
-)
-from repro.hw.fpga.bitstream import Bitstream, BitstreamAuthority, SignedBitstream
-from repro.hw.fpga.icap import Icap
-from repro.hw.fpga.axi import AxiStreamInterconnect, AddressRange
+from repro import lazy_exports
 
-__all__ = [
-    "ALVEO_U280",
-    "Fabric",
-    "FabricResources",
-    "MemoryBank",
-    "ReconfigurableSlot",
-    "Bitstream",
-    "SignedBitstream",
-    "BitstreamAuthority",
-    "Icap",
-    "AxiStreamInterconnect",
-    "AddressRange",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "resources": ("ALVEO_U280", "FabricResources"),
+    "fabric": ("Fabric", "MemoryBank", "ReconfigurableSlot"),
+    "bitstream": ("Bitstream", "BitstreamAuthority", "SignedBitstream"),
+    "icap": ("Icap",),
+    "axi": ("AxiStreamInterconnect", "AddressRange"),
+})

@@ -5,18 +5,11 @@ datacenter fabric between clients and DPUs. Latency is serialization delay
 (size / bandwidth) plus propagation; switches add a store-and-forward hop.
 """
 
-from repro.hw.net.frames import Frame, ETHERNET_HEADER, MAX_FRAME_PAYLOAD
-from repro.hw.net.link import Link, QSFP28_100G
-from repro.hw.net.port import NetworkPort
-from repro.hw.net.switch import Switch, Network
+from repro import lazy_exports
 
-__all__ = [
-    "Frame",
-    "ETHERNET_HEADER",
-    "MAX_FRAME_PAYLOAD",
-    "Link",
-    "QSFP28_100G",
-    "NetworkPort",
-    "Switch",
-    "Network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "frames": ("Frame", "ETHERNET_HEADER", "MAX_FRAME_PAYLOAD"),
+    "link": ("Link", "QSFP28_100G"),
+    "port": ("NetworkPort",),
+    "switch": ("Switch", "Network"),
+})

@@ -6,20 +6,11 @@ formats above it round-trip) and charges realistic flash timing through
 per-die queueing.
 """
 
-from repro.hw.nvme.flash import FlashTiming, FlashArray
-from repro.hw.nvme.commands import NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus
-from repro.hw.nvme.controller import NvmeController, NvmeQueuePair
-from repro.hw.nvme.namespace import Namespace, LBA_SIZE
+from repro import lazy_exports
 
-__all__ = [
-    "FlashTiming",
-    "FlashArray",
-    "NvmeCommand",
-    "NvmeCompletion",
-    "NvmeOpcode",
-    "NvmeStatus",
-    "NvmeController",
-    "NvmeQueuePair",
-    "Namespace",
-    "LBA_SIZE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "flash": ("FlashTiming", "FlashArray"),
+    "commands": ("NvmeCommand", "NvmeCompletion", "NvmeOpcode", "NvmeStatus"),
+    "controller": ("NvmeController", "NvmeQueuePair"),
+    "namespace": ("Namespace", "LBA_SIZE"),
+})

@@ -7,15 +7,10 @@ implements enumeration, BAR assignment, x16 bifurcation into four x4 bridge
 cores (Figure 2), and transfer timing.
 """
 
-from repro.hw.pcie.link import PcieLink, PCIE_GEN3_PER_LANE
-from repro.hw.pcie.device import PcieDevice, PcieBridge, Bar
-from repro.hw.pcie.root import RootComplex
+from repro import lazy_exports
 
-__all__ = [
-    "PcieLink",
-    "PCIE_GEN3_PER_LANE",
-    "PcieDevice",
-    "PcieBridge",
-    "Bar",
-    "RootComplex",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "link": ("PcieLink", "PCIE_GEN3_PER_LANE"),
+    "device": ("PcieDevice", "PcieBridge", "Bar"),
+    "root": ("RootComplex",),
+})

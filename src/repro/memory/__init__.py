@@ -11,21 +11,12 @@ contains a baseline page-based virtual memory model with a 4-level walk and
 TLB.
 """
 
-from repro.memory.segments import Segment, SegmentLocation, PlacementHint
-from repro.memory.table import SegmentTranslationTable
-from repro.memory.backends import DramBackend, NvmeBackend
-from repro.memory.store import SingleLevelStore
-from repro.memory.vm import PageTableModel, TlbModel, VirtualMemoryModel
+from repro import lazy_exports
 
-__all__ = [
-    "Segment",
-    "SegmentLocation",
-    "PlacementHint",
-    "SegmentTranslationTable",
-    "DramBackend",
-    "NvmeBackend",
-    "SingleLevelStore",
-    "PageTableModel",
-    "TlbModel",
-    "VirtualMemoryModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "segments": ("Segment", "SegmentLocation", "PlacementHint"),
+    "table": ("SegmentTranslationTable",),
+    "backends": ("DramBackend", "NvmeBackend"),
+    "store": ("SingleLevelStore",),
+    "vm": ("PageTableModel", "TlbModel", "VirtualMemoryModel"),
+})

@@ -29,19 +29,11 @@ E15 (:mod:`repro.eval.overload`) demonstrates collapse with these
 controls off and flat goodput with them on.
 """
 
-from repro.overload.admission import AdmissionController, Priority, TokenBucket
-from repro.overload.breaker import BreakerState, CircuitBreaker
-from repro.overload.brownout import BrownoutController, BrownoutMode
-from repro.overload.queues import BoundedQueue, QueuePolicy
+from repro import lazy_exports
 
-__all__ = [
-    "BoundedQueue",
-    "QueuePolicy",
-    "TokenBucket",
-    "AdmissionController",
-    "Priority",
-    "CircuitBreaker",
-    "BreakerState",
-    "BrownoutController",
-    "BrownoutMode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "admission": ("AdmissionController", "Priority", "TokenBucket"),
+    "breaker": ("BreakerState", "CircuitBreaker"),
+    "brownout": ("BrownoutController", "BrownoutMode"),
+    "queues": ("BoundedQueue", "QueuePolicy"),
+})

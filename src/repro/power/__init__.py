@@ -1,12 +1,8 @@
 """Power and volume models for the efficiency claims (paper §2, E1)."""
 
-from repro.power.energy import ComponentPower, HYPERION_POWER
-from repro.power.volume import HYPERION_VOLUME, DeviceVolume, volume_ratio
+from repro import lazy_exports
 
-__all__ = [
-    "ComponentPower",
-    "HYPERION_POWER",
-    "DeviceVolume",
-    "HYPERION_VOLUME",
-    "volume_ratio",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "energy": ("ComponentPower", "HYPERION_POWER"),
+    "volume": ("HYPERION_VOLUME", "DeviceVolume", "volume_ratio"),
+})

@@ -20,20 +20,12 @@ aggregate throughput vs DPU count with and without batching+caching, and
 a mid-run scale-out event with zero failed ops.
 """
 
-from repro.sharding.cache import CacheEntry, HotKeyCache
-from repro.sharding.cluster import ShardedKvCluster, ShardForwarder
-from repro.sharding.client import ShardedKvClient
-from repro.sharding.migration import MigrationReport, ShardMigrator
-from repro.sharding.ring import DEFAULT_VNODES, HashRing
+from repro import lazy_exports
 
-__all__ = [
-    "HashRing",
-    "DEFAULT_VNODES",
-    "HotKeyCache",
-    "CacheEntry",
-    "ShardedKvCluster",
-    "ShardForwarder",
-    "ShardedKvClient",
-    "ShardMigrator",
-    "MigrationReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CacheEntry", "HotKeyCache"),
+    "cluster": ("ShardedKvCluster", "ShardForwarder"),
+    "client": ("ShardedKvClient",),
+    "migration": ("MigrationReport", "ShardMigrator"),
+    "ring": ("DEFAULT_VNODES", "HashRing"),
+})

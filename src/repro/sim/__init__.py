@@ -6,27 +6,10 @@ yield :class:`Event` objects (timeouts, resource grants, store gets) and are
 resumed when those events fire.
 """
 
-from repro.sim.engine import (
-    TIMED_OUT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Simulator,
-    Timeout,
-    expire,
-)
-from repro.sim.resources import Resource, Store
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "AnyOf",
-    "AllOf",
-    "Resource",
-    "Store",
-    "TIMED_OUT",
-    "expire",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": ("TIMED_OUT", "AllOf", "AnyOf", "Event", "Process", "Simulator",
+               "Timeout", "expire"),
+    "resources": ("Resource", "Store"),
+})

@@ -7,14 +7,9 @@
   abstraction the paper proposes exporting from network-attached SSDs.
 """
 
-from repro.storage.kvssd import KvSsd, KvSsdService, KvSsdClient
-from repro.storage.corfu import CorfuSequencer, CorfuLogUnit, CorfuClient
+from repro import lazy_exports
 
-__all__ = [
-    "KvSsd",
-    "KvSsdService",
-    "KvSsdClient",
-    "CorfuSequencer",
-    "CorfuLogUnit",
-    "CorfuClient",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "kvssd": ("KvSsd", "KvSsdService", "KvSsdClient"),
+    "corfu": ("CorfuSequencer", "CorfuLogUnit", "CorfuClient"),
+})

@@ -31,44 +31,14 @@ On top of the in-process plane sit the export-and-watch layers:
   evaluated on sampler ticks into a deterministic alert log.
 """
 
-from repro.telemetry.export import (
-    chrome_trace_json,
-    prometheus_text,
-    trace_events,
-)
-from repro.telemetry.flightrec import FlightRecorder
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricScope,
-    MetricsRegistry,
-    percentile,
-)
-from repro.telemetry.slo import SloAlert, SloMonitor, SloRule
-from repro.telemetry.timeseries import Sampler, Series
-from repro.telemetry.tracing import NULL_SPAN, Span, TraceContext, Tracer
+from repro import lazy_exports
 
-__all__ = [
-    "Metric",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricScope",
-    "MetricsRegistry",
-    "percentile",
-    "Span",
-    "TraceContext",
-    "Tracer",
-    "NULL_SPAN",
-    "FlightRecorder",
-    "prometheus_text",
-    "chrome_trace_json",
-    "trace_events",
-    "Sampler",
-    "Series",
-    "SloRule",
-    "SloAlert",
-    "SloMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "export": ("chrome_trace_json", "prometheus_text", "trace_events"),
+    "flightrec": ("FlightRecorder",),
+    "metrics": ("Counter", "Gauge", "Histogram", "Metric", "MetricScope",
+                "MetricsRegistry", "percentile"),
+    "slo": ("SloAlert", "SloMonitor", "SloRule"),
+    "timeseries": ("Sampler", "Series"),
+    "tracing": ("NULL_SPAN", "Span", "TraceContext", "Tracer"),
+})

@@ -7,32 +7,13 @@ grants, one-sided completions — so the KV-SSD experiment (E12) can sweep
 them and show where each wins.
 """
 
-from repro.transport.udp import UdpSocket
-from repro.transport.tcp import TcpStack, TcpConnection
-from repro.transport.rdma import RdmaNic, MemoryRegion
-from repro.transport.homa import HomaSocket
-from repro.transport.rpc import (
-    MAX_BATCH_OPS,
-    BatchOp,
-    RetryBudget,
-    RetryPolicy,
-    RpcClient,
-    RpcServer,
-    RpcError,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "UdpSocket",
-    "TcpStack",
-    "TcpConnection",
-    "RdmaNic",
-    "MemoryRegion",
-    "HomaSocket",
-    "RpcClient",
-    "RpcServer",
-    "RpcError",
-    "RetryBudget",
-    "RetryPolicy",
-    "BatchOp",
-    "MAX_BATCH_OPS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "udp": ("UdpSocket",),
+    "tcp": ("TcpStack", "TcpConnection"),
+    "rdma": ("RdmaNic", "MemoryRegion"),
+    "homa": ("HomaSocket",),
+    "rpc": ("MAX_BATCH_OPS", "BatchOp", "RetryBudget", "RetryPolicy",
+            "RpcClient", "RpcServer", "RpcError"),
+})

@@ -28,30 +28,12 @@ non-linearizable history that the checker catches and the shrinker
 reduces, while quorum/sync survive the identical schedule.
 """
 
-from repro.verify.history import HistoryRecorder, Op, OpStatus, PendingOp
-from repro.verify.invariants import (
-    final_state_check,
-    zero_lost_acks,
-)
-from repro.verify.linearizability import (
-    CheckResult,
-    KeyResult,
-    check_history,
-    check_register,
-)
-from repro.verify.shrink import ShrinkResult, shrink_plan
+from repro import lazy_exports
 
-__all__ = [
-    "CheckResult",
-    "HistoryRecorder",
-    "KeyResult",
-    "Op",
-    "OpStatus",
-    "PendingOp",
-    "ShrinkResult",
-    "check_history",
-    "check_register",
-    "final_state_check",
-    "shrink_plan",
-    "zero_lost_acks",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "history": ("HistoryRecorder", "Op", "OpStatus", "PendingOp"),
+    "invariants": ("final_state_check", "zero_lost_acks"),
+    "linearizability": ("CheckResult", "KeyResult", "check_history",
+                        "check_register"),
+    "shrink": ("ShrinkResult", "shrink_plan"),
+})

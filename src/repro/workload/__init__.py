@@ -21,33 +21,12 @@ E20 (``python -m repro.eval e20``) compares static vs. SLO-driven
 capacity under a compressed daily curve.
 """
 
-from repro.workload.autoscaler import Autoscaler, AutoscalerPolicy
-from repro.workload.generator import (
-    OpenLoopTraffic,
-    arrival_preview,
-)
-from repro.workload.popularity import ZipfKeys
-from repro.workload.spec import (
-    BurstCurve,
-    DiurnalCurve,
-    OpMix,
-    StepCurve,
-    SteadyCurve,
-    TenantSpec,
-    WorkloadSpec,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "BurstCurve",
-    "DiurnalCurve",
-    "OpMix",
-    "OpenLoopTraffic",
-    "StepCurve",
-    "SteadyCurve",
-    "TenantSpec",
-    "WorkloadSpec",
-    "ZipfKeys",
-    "arrival_preview",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "autoscaler": ("Autoscaler", "AutoscalerPolicy"),
+    "generator": ("OpenLoopTraffic", "arrival_preview"),
+    "popularity": ("ZipfKeys",),
+    "spec": ("BurstCurve", "DiurnalCurve", "OpMix", "StepCurve", "SteadyCurve",
+             "TenantSpec", "WorkloadSpec"),
+})

@@ -264,6 +264,33 @@ def test_the_pass_reports_planted_dead_code(tmp_path):
     ]
 
 
+def test_an_export_map_entry_is_a_re_export(tmp_path):
+    """A package's export map (``lazy_exports``) is read as the
+    ``from … import`` lines it replaced: a name imported through it
+    keeps its defining module's def, a name only the map exports is
+    reported, and a live module's ``__getattr__``/``__dir__`` defs are
+    kept, since Python calls them."""
+    package = tmp_path / "src" / "repro"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "def lazy_exports(package, exports):\n"
+        "    return None, None, []\n")
+    (package / "sub" / "__init__.py").write_text(
+        "from repro import lazy_exports\n\n"
+        "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+        "    \"impl\": (\"used\", \"only_exported\"),\n"
+        "})\n")
+    (package / "sub" / "impl.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def only_exported():\n    return 2\n\n\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
+        "def __dir__():\n    return []\n")
+    (package / "__main__.py").write_text(
+        "from repro.sub import used\n\nused()\n")
+    assert reachability.unreachable(tmp_path) == [
+        "repro.sub.impl.only_exported"]
+
+
 def test_a_method_is_kept_by_its_receivers_class_not_its_name(tmp_path):
     """Class resolution: ``text.partition("=")`` on a ``str`` does not
     keep ``Fabric.partition`` alive, nor does ``self.ledger.step(x)``
@@ -361,8 +388,6 @@ WRITE_ONLY_ALLOWED = {
     "repro.ebpf.vm.ExecutionResult.helper_calls":
         "test_ebpf_translate: helper calls, against the reference "
         "interpreter",
-    "repro.hdl.engine.CompiledPipeline.verilog":
-        "test_hdl, test_hdl_equivalence: the compiler's HDL output",
     "repro.transport.homa.HomaSocket.unscheduled_only":
         "test_transport: a short message went without a grant",
     "repro.transport.tcp.TcpConnection.retransmissions":

@@ -15,7 +15,9 @@ only dead code references is dead too:
 
 * a name resolves lexically, to a def of its own module or to what an
   import binds it to; ``from pkg import X`` is followed through the
-  package's re-exports to the module that defines ``X``;
+  package's re-exports to the module that defines ``X``. An entry of a
+  package's export map (``__getattr__, __dir__, __all__ =
+  lazy_exports(__name__, {"sub": ("X", …)})``) is such a re-export;
 * ``mod.X`` resolves the same way when ``mod`` names a module;
 * ``obj.attr`` resolves through the class of ``obj`` when the pass can
   tell it (see :class:`_Types`): ``self``, a class, a local or attribute
@@ -26,7 +28,8 @@ only dead code references is dead too:
 * any other ``obj.attr`` (and ``getattr(obj, "attr")``) keeps every
   method called ``attr`` of a live class, except that a call
   ``obj.attr(…)`` keeps only those its arguments fit. Dunders of a live
-  class are live: Python calls them;
+  class are live, and so are a live module's ``__getattr__`` and
+  ``__dir__`` defs: Python calls them;
 * an import only binds a name, it is not a use. Neither is a package
   ``__init__`` re-exporting a name, nor ``__all__``, nor an annotation.
 
@@ -174,6 +177,25 @@ def _bind(info: ModuleInfo, node: ast.AST, package: str) -> None:
             info.bindings[alias.asname or alias.name] = (source, alias.name)
 
 
+def export_map(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
+    """A package's export map, ``{submodule: names}``: the dict literal
+    handed with ``__name__`` to the call bound to ``__getattr__`` at the
+    top level (empty when there is none)."""
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and any(isinstance(target, ast.Name)
+                        and target.id == "__getattr__"
+                        for target in _targets(node.targets[0]))):
+            continue
+        args = node.value.args
+        if (len(args) == 2 and isinstance(args[0], ast.Name)
+                and args[0].id == "__name__" and isinstance(args[1], ast.Dict)):
+            return {key.value: tuple(name.value for name in names.elts)
+                    for key, names in zip(args[1].keys, args[1].values)}
+    return {}
+
+
 def _parse(name: str, path: Path, package: str, whole: bool) -> ModuleInfo:
     """*path* as a module; a *whole* one (a script root) is one unit,
     though its defs are indexed too (for what its classes inherit)."""
@@ -193,6 +215,9 @@ def _parse(name: str, path: Path, package: str, whole: bool) -> ModuleInfo:
             info.body.nodes.append(node)
     for node in ast.walk(tree):
         _bind(info, node, package)
+    for module, names in export_map(tree).items():
+        for export in names:
+            info.bindings[export] = (f"{package}.{module}", export)
     return info
 
 
@@ -902,6 +927,9 @@ class Reachability:
             if info is not None and prefix not in self.live_modules:
                 self.live_modules.add(prefix)
                 self._mark(info, info.body)
+                for hook in ("__getattr__", "__dir__"):
+                    if hook in info.defs:
+                        self._mark(info, info.defs[hook])
 
     def _mark_target(self, target: Union[None, str, Unit, _Variable]) -> None:
         if isinstance(target, _Variable):
