@@ -9,7 +9,7 @@ resumed when those events fire.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "engine": ("TIMED_OUT", "AllOf", "AnyOf", "Event", "Process", "Simulator",
+    "engine": ("TIMED_OUT", "AllOf", "Event", "Process", "Simulator",
                "Timeout", "expire"),
     "resources": ("Resource", "Store"),
 })

@@ -5,18 +5,11 @@ Hot-path design notes (every simulated operation crosses this module):
 * All event classes carry ``__slots__`` — at E16 scale the engine
   allocates millions of events per run, and slotted instances are both
   smaller and faster to touch than ``__dict__``-backed ones.
-* Queue entries are plain ``(when, eid, event, thunk)`` tuples. ``eid``
-  is a global monotonically increasing sequence number, so ``(when,
-  eid)`` is a total order over everything ever scheduled: same-time
-  events run in exact scheduling order, which is the root of the
-  same-seed => byte-identical guarantee.
-* The dominant ``delay == 0.0`` case (event completions, process
-  wakeups) skips the heap entirely: zero-delay entries go to an append
-  /popleft *immediate lane* (a deque). Because simulated time never
-  moves backwards, every lane entry's timestamp equals the current
-  ``now`` and lane entries are already in ``(when, eid)`` order, so a
-  two-way merge against the heap head preserves the exact total order
-  the single heap produced.
+* Queue entries are plain ``(when, eid, event, thunk)`` tuples on one
+  heap. ``eid`` is a global monotonically increasing sequence number,
+  so ``(when, eid)`` is a total order over everything ever scheduled:
+  at one instant, earlier-scheduled entries run first, which is the
+  root of the same-seed => byte-identical guarantee.
 * Spawning a :class:`Process` does not allocate a bootstrap event: the
   first generator resume is scheduled directly as a *thunk* entry
   (``event is None``), consuming one eid exactly like the old bootstrap
@@ -33,7 +26,7 @@ Hot-path design notes (every simulated operation crosses this module):
 * An entry is a modeled latency or a real wait. Where a waiter can
   proceed at the current instant and the caller is at the root of its
   own entry, :meth:`Event.wake` runs the waiter inline instead of
-  queueing a lane entry for it (see its docstring for the contract).
+  queueing an entry for it (see its docstring for the contract).
 * Consecutive latencies of one actor are one wait. A chain of sleeps
   with nothing observable between them folds its instants left to
   right and sleeps once on :meth:`Simulator.timeout_at`, which fires at
@@ -43,16 +36,15 @@ Hot-path design notes (every simulated operation crosses this module):
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
   entry — with or without ``until``. ``step()`` remains the
   single-entry API and both share the exact pop order.
-* Scheduling into the past is rejected (``delay < 0``) — the immediate
-  lane's ordering proof needs monotonic time, and a negative delay was
-  never meaningful in a causal simulation anyway. (:class:`Timeout`
-  already enforced this at construction.)
+* A bounded wait is one event plus ``call_later(wait, partial(expire,
+  event))``: whichever comes first wakes the waiter (see :func:`expire`).
+* Scheduling into the past is rejected (``delay < 0``): simulated time
+  never moves backwards.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
@@ -70,11 +62,10 @@ class Event:
     """A one-shot occurrence that processes can wait on.
 
     An event is *triggered* once :meth:`succeed` or :meth:`fail` is called;
-    its callbacks run when the simulator reaches the trigger time (the
-    event's ``_fire_at``, recorded when it is scheduled).
+    its callbacks run in the queue entry the trigger schedules.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_fire_at")
+    __slots__ = ("sim", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -103,9 +94,8 @@ class Event:
         if self._value is not _PENDING:
             raise RuntimeError("event already triggered")
         sim = self.sim
-        self._fire_at = now = sim.now
         sim._eid = eid = sim._eid + 1
-        sim._imm.append((now, eid, self, None))
+        heappush(sim._heap, (sim.now, eid, self, None))
         self._value = value
         self._ok = True
         return self
@@ -120,9 +110,8 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         sim = self.sim
-        self._fire_at = now = sim.now
         sim._eid = eid = sim._eid + 1
-        sim._imm.append((now, eid, self, None))
+        heappush(sim._heap, (sim.now, eid, self, None))
         self._value = exception
         self._ok = False
         return self
@@ -132,7 +121,7 @@ class Event:
         engine entry that is executing — no queue entry, no eid.
 
         The waiter proceeds at the current instant anyway; this skips
-        the lane hop :meth:`succeed` would take to get there. The event
+        the entry :meth:`succeed` would queue to get there. The event
         is processed when this returns, so a process that yields it
         later resumes at once with *value*. Everything the waiters do up
         to their next yield runs inside this call: use it only from the
@@ -144,7 +133,6 @@ class Event:
         """
         if self._value is not _PENDING:
             raise RuntimeError("event already triggered")
-        self._fire_at = self.sim.now
         self._value = value
         self._ok = True
         callbacks = self.callbacks
@@ -171,8 +159,8 @@ def expire(event: Event) -> None:
 
     A bounded wait is one event plus ``sim.call_later(wait,
     partial(expire, event))``: the expiry thunk wakes the waiter inline,
-    and is a no-op entry once something else answered — where an
-    ``any_of([event, timeout])`` costs a second event and a hop.
+    and is a no-op entry once something else answered. The waiter tells
+    the two apart by the value it resumes with.
     """
     if event._value is _PENDING:
         event.wake(TIMED_OUT)
@@ -194,12 +182,7 @@ class Timeout(Event):
         self._value = None
         self._ok = True
         sim._eid = eid = sim._eid + 1
-        if delay == 0.0:
-            self._fire_at = now = sim.now
-            sim._imm.append((now, eid, self, None))
-        else:
-            self._fire_at = when = sim.now + delay
-            heappush(sim._heap, (when, eid, self, None))
+        heappush(sim._heap, (sim.now + delay, eid, self, None))
 
 
 class _Bootstrap:
@@ -284,9 +267,8 @@ class Process(Event):
             if not self._awaited:
                 return
             sim = self.sim
-            self._fire_at = now = sim.now
             sim._eid = eid = sim._eid + 1
-            sim._imm.append((now, eid, self, None))
+            heappush(sim._heap, (sim.now, eid, self, None))
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self._value = exc
@@ -294,9 +276,8 @@ class Process(Event):
             if not self._awaited:
                 raise
             sim = self.sim
-            self._fire_at = now = sim.now
             sim._eid = eid = sim._eid + 1
-            sim._imm.append((now, eid, self, None))
+            heappush(sim._heap, (sim.now, eid, self, None))
             return
         if not isinstance(target, Event):
             raise TypeError(
@@ -320,8 +301,8 @@ class _Spawned(Process):
     _awaited = False
 
 
-class _MultiEvent(Event):
-    """Base for AnyOf/AllOf composition events."""
+class AllOf(Event):
+    """Triggers when all child events have triggered."""
 
     __slots__ = ("events", "_done")
 
@@ -336,46 +317,6 @@ class _MultiEvent(Event):
             event._add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_MultiEvent):
-    """Triggers when the first of its child events triggers.
-
-    The result dict contains every successful child whose occurrence
-    time has arrived: children already processed by the event loop *and*
-    children that triggered with a fire time at (or before) the current
-    timestamp but are still queued behind this one. A ``Timeout`` or a
-    ``succeed(delay=...)`` due strictly in the future is excluded — it
-    has not happened yet — but a same-timestamp completion is never
-    silently dropped just because its callbacks have not run yet (the
-    old ``processed``-only filter's bug, pinned by a regression test).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            now = self.sim.now
-            self.succeed({
-                e: e._value for e in self.events
-                if e._ok and (
-                    e.callbacks is None
-                    or (e._value is not _PENDING and e._fire_at <= now)
-                )
-            })
-        else:
-            self.fail(event._value)
-
-
-class AllOf(_MultiEvent):
-    """Triggers when all child events have triggered."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
         if not event._ok:
@@ -387,15 +328,11 @@ class AllOf(_MultiEvent):
 
 
 class Simulator:
-    """The event loop: a time-ordered heap plus a zero-delay fast lane."""
+    """The event loop: one heap of entries in ``(when, eid)`` order."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List = []
-        #: Zero-delay fast lane; every entry's time equals the current
-        #: ``now`` and eids are appended in increasing order, so the
-        #: deque is always sorted by (when, eid).
-        self._imm: deque = deque()
         self._eid = 0
         self._telemetry: Optional[MetricsRegistry] = None
         self._tracer: Optional[Tracer] = None
@@ -449,10 +386,7 @@ class Simulator:
         :meth:`step` unchanged; the entry is already off the queue, so
         the next ``run()`` continues with the one after it.
         """
-        if delay == 0.0:
-            self._eid = eid = self._eid + 1
-            self._imm.append((self.now, eid, None, thunk))
-        elif delay > 0:
+        if delay >= 0:
             self._eid = eid = self._eid + 1
             heappush(self._heap, (self.now + delay, eid, None, thunk))
         else:  # negative, or NaN
@@ -465,21 +399,16 @@ class Simulator:
         (``t_done + propagation``, ``busy_until + latency``): the entry
         fires at exactly that float, never at ``now + (when - now)``.
         """
-        now = self.now
-        if when == now:
-            self._eid = eid = self._eid + 1
-            self._imm.append((now, eid, None, thunk))
-        elif when > now:
+        if when >= self.now:
             self._eid = eid = self._eid + 1
             heappush(self._heap, (when, eid, None, thunk))
         else:  # earlier, or NaN
-            raise ValueError(f"cannot call_at the past: {when} (now {now})")
+            raise ValueError(f"cannot call_at the past: {when} (now {self.now})")
 
     def timeout_at(self, when: float) -> Event:
         """An event that fires at the absolute simulated time *when*:
-        the waitable twin of :meth:`call_at` (one eid, lane when *when*
-        is now, heap when later, a past or NaN *when* raises before
-        anything is queued).
+        the waitable twin of :meth:`call_at` (one eid; a past or NaN
+        *when* raises before anything is queued).
 
         For an actor whose next observable instant lies several modeled
         latencies ahead: fold them onto the clock left to right —
@@ -491,16 +420,12 @@ class Simulator:
         counts factory calls still sees one entry per wait.
         """
         event = self.event()
-        now = self.now
-        if when == now:
-            self._eid = eid = self._eid + 1
-            self._imm.append((now, eid, event, None))
-        elif when > now:
+        if when >= self.now:
             self._eid = eid = self._eid + 1
             heappush(self._heap, (when, eid, event, None))
         else:  # earlier, or NaN
-            raise ValueError(f"cannot timeout_at the past: {when} (now {now})")
-        event._fire_at = when
+            raise ValueError(
+                f"cannot timeout_at the past: {when} (now {self.now})")
         event._value = None
         return event
 
@@ -526,34 +451,13 @@ class Simulator:
         """
         _Spawned(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
         """Process the single next entry in exact (when, eid) order."""
-        imm = self._imm
-        if imm:
-            heap = self._heap
-            if heap:
-                head = heap[0]
-                first = imm[0]
-                # Heap entries are >= now; lane entries are == now. The
-                # heap head wins only on a same-time, smaller-eid tie.
-                if head[0] < first[0] or (
-                    head[0] == first[0] and head[1] < first[1]
-                ):
-                    entry = heappop(heap)
-                else:
-                    entry = imm.popleft()
-            else:
-                entry = imm.popleft()
-        else:
-            entry = heappop(self._heap)
-        when, __, event, thunk = entry
+        when, __, event, thunk = heappop(self._heap)
         self.now = when
         if event is None:
             thunk()
@@ -564,42 +468,22 @@ class Simulator:
             callback(event)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queues drain or simulated time passes ``until``.
+        """Run until the queue drains or simulated time passes ``until``.
 
         Boundary semantics (pinned by tests): entries scheduled exactly
         at ``until`` still run; the first entry strictly later does not,
-        and the clock is left at ``until`` — also when the queues drain
+        and the clock is left at ``until`` — also when the queue drains
         before reaching it.
         """
-        imm = self._imm
         heap = self._heap
         limit = inf if until is None else until
         # Drain loop with the step body inlined: one call frame per
         # entry saved, identical (when, eid) pop order.
-        while True:
-            if imm:
-                if heap:
-                    head = heap[0]
-                    first = imm[0]
-                    if head[0] < first[0] or (
-                        head[0] == first[0] and head[1] < first[1]
-                    ):
-                        entry = heappop(heap)
-                    else:
-                        entry = imm.popleft()
-                else:
-                    entry = imm.popleft()
-            elif heap:
-                entry = heappop(heap)
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-                return
+        while heap:
+            entry = heappop(heap)
             when, __, event, thunk = entry
             if when > limit:
-                # Past the horizon: put it back (the heap takes lane
-                # entries too — the merge orders by (when, eid) alone).
-                heappush(heap, entry)
+                heappush(heap, entry)  # past the horizon: put it back
                 self.now = until
                 return
             self.now = when
@@ -610,6 +494,8 @@ class Simulator:
             event.callbacks = None
             for callback in callbacks:
                 callback(event)
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_process(self, generator: Generator) -> Any:
         """Convenience: run a generator to completion and return its value."""

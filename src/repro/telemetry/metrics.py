@@ -163,26 +163,17 @@ class Histogram(Metric):
 
     Recording is the hot path (every RPC, NVMe command, and queue
     sojourn observes a latency), so :meth:`observe` is a single list
-    append. The bucket counts and the running sum are materialized
-    lazily, on first read, from the samples recorded since the last
-    materialization — same left-to-right float additions, same
-    ``bisect`` binning, so every derived value is *bit-identical* to
-    what eager per-observe accounting produced.
+    append. The sum and the bucket counts are computed on read from the
+    samples — the sum by left-to-right float additions from ``0.0``, so
+    it is *bit-identical* to eager per-observe accounting.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str):
         super().__init__(name)
-        self.bounds = bounds = DEFAULT_BUCKETS
-        #: counts[i] = samples <= bounds[i]; counts[-1] = overflow.
-        self._counts = [0] * (len(bounds) + 1)
+        self.bounds = DEFAULT_BUCKETS
         self._samples: List[float] = []
-        self._sum = 0.0
-        # Lazy-materialization cursors: samples[:_binned] are reflected
-        # in _counts, samples[:_summed] in _sum.
-        self._binned = 0
-        self._summed = 0
         #: bucket index -> (value, trace_id): the last traced request
         #: whose sample landed in that bucket (see :meth:`exemplar`).
         self._exemplars: Dict[int, Tuple[float, str]] = {}
@@ -210,31 +201,6 @@ class Histogram(Metric):
         """Captured exemplars: bucket index -> (value, trace_id)."""
         return dict(self._exemplars)
 
-    # -- lazy materialization ------------------------------------------------
-    def _materialized_sum(self) -> float:
-        samples = self._samples
-        fresh = len(samples)
-        if self._summed != fresh:
-            # Sequential left-to-right additions from the previous
-            # partial sum: the exact float result of eager ``+=``.
-            total = self._sum
-            for value in samples[self._summed:]:
-                total += value
-            self._sum = total
-            self._summed = fresh
-        return self._sum
-
-    def _materialized_counts(self) -> List[int]:
-        samples = self._samples
-        fresh = len(samples)
-        if self._binned != fresh:
-            counts = self._counts
-            bounds = self.bounds
-            for value in samples[self._binned:]:
-                counts[bisect_left(bounds, value)] += 1
-            self._binned = fresh
-        return self._counts
-
     # -- reading -------------------------------------------------------------
     @property
     def count(self) -> int:
@@ -243,8 +209,12 @@ class Histogram(Metric):
 
     @property
     def sum(self) -> float:
-        """Sum of all observed samples."""
-        return self._materialized_sum()
+        """Sum of all observed samples, added left to right (not with
+        ``sum()``, which compensates from Python 3.12 on)."""
+        total = 0.0
+        for value in self._samples:
+            total += value
+        return total
 
     @property
     def samples(self) -> Tuple[float, ...]:
@@ -256,7 +226,7 @@ class Histogram(Metric):
         """Arithmetic mean of the samples (0.0 when empty)."""
         if not self._samples:
             return 0.0
-        return self._materialized_sum() / len(self._samples)
+        return self.sum / len(self._samples)
 
     @property
     def pstdev(self) -> float:
@@ -302,11 +272,19 @@ class Histogram(Metric):
         """
         return tuple(self._samples[index:])
 
+    def _counts(self) -> List[int]:
+        """counts[i] = samples <= bounds[i]; counts[-1] = overflow."""
+        bounds = self.bounds
+        counts = [0] * (len(bounds) + 1)
+        for value in self._samples:
+            counts[bisect_left(bounds, value)] += 1
+        return counts
+
     def bucket_counts(self) -> List[Tuple[Optional[float], int]]:
         """(upper bound, count) pairs; the last bound is None (overflow)."""
         bounds: List[Optional[float]] = list(self.bounds)
         bounds.append(None)
-        return list(zip(bounds, self._materialized_counts()))
+        return list(zip(bounds, self._counts()))
 
     def snapshot_line(self) -> str:
         """One canonical line for :meth:`MetricsRegistry.snapshot_bytes`."""
@@ -314,10 +292,10 @@ class Histogram(Metric):
             f"p{int(f * 100):02d}={percentile(self._samples, f)!r}"
             for f in (0.50, 0.90, 0.99)
         )
-        buckets = ",".join(str(c) for c in self._materialized_counts())
+        buckets = ",".join(str(c) for c in self._counts())
         return (
             f"histogram {self.name} count={self.count} "
-            f"sum={self._materialized_sum()!r} "
+            f"sum={self.sum!r} "
             f"min={self.min!r} max={self.max!r} {quantiles} "
             f"buckets={buckets}"
         )

@@ -15,7 +15,7 @@ from typing import Any, Dict, Tuple
 from repro.common.errors import ProtocolError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
-from repro.sim import Event, Simulator, Store
+from repro.sim import TIMED_OUT, Event, Simulator, Store, expire
 
 #: IP + TCP headers.
 TCP_HEADER = 40
@@ -87,16 +87,17 @@ class TcpConnection:
                 payload if index == 0 else None, size,
             )
             yield sim.timeout(SEGMENT_PROCESSING)
-            ack_event = Event(sim)
-            self._acks[(message_id, index)] = ack_event
             attempts = 0
             while True:
+                # One event per attempt, registered before the send: an
+                # ACK of any attempt answers the one waiting now.
+                acked = Event(sim)
+                self._acks[(message_id, index)] = acked
                 yield self.stack.port.send(
                     Frame(self.stack.address, self.peer, segment, chunk + TCP_HEADER)
                 )
-                timeout = sim.timeout(RTO)
-                outcome = yield sim.any_of([ack_event, timeout])
-                if ack_event in outcome:
+                sim.call_later(RTO, partial(expire, acked))
+                if (yield acked) is not TIMED_OUT:
                     break
                 attempts += 1
                 self.retransmissions += 1
@@ -151,16 +152,15 @@ class TcpStack:
     def connect(self, peer: str):
         """Process: 3-way handshake (SYN retransmitted on loss)."""
         conn_id = (self.address, next(self._conn_ids))
-        done = Event(self.sim)
-        self._pending_connect[conn_id] = done
         attempts = 0
         while True:
+            done = Event(self.sim)
+            self._pending_connect[conn_id] = done
             yield self.port.send(
                 Frame(self.address, peer, _Syn(conn_id), TCP_HEADER)
             )
-            timeout = self.sim.timeout(RTO)
-            outcome = yield self.sim.any_of([done, timeout])
-            if done in outcome:
+            self.sim.call_later(RTO, partial(expire, done))
+            if (yield done) is not TIMED_OUT:
                 break  # SYN-ACK received
             attempts += 1
             if attempts > 16:
@@ -192,7 +192,8 @@ class TcpStack:
             ))
         elif isinstance(message, _SynAck):
             waiter = self._pending_connect.pop(message.conn_id, None)
-            if waiter is not None:
+            # An expired waiter: connect gave up before the SYN-ACK came.
+            if waiter is not None and not waiter.triggered:
                 waiter.succeed(None)
         elif isinstance(message, _DataSegment):
             connection = self.connections.get(message.conn_id)

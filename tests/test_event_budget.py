@@ -103,9 +103,10 @@ class TestEntriesPerOp:
     def test_answered_call_with_a_timeout_costs_one_stale_entry(self):
         sim, client = self.echo_pair()
         # The attempt's expiry callback, popped as a no-op after the
-        # answer. (An any_of([done, timeout]) wait cost two and left
-        # the caller's wake-up a hop of its own. 14 before the
-        # downlink serialization and the handler's end left the count.)
+        # answer. (Racing the answer against a timeout event in a
+        # composite wait cost two and left the caller's wake-up a hop of
+        # its own. 14 before the downlink serialization and the
+        # handler's end left the count.)
         assert entries(
             sim, client.call("server", "echo", 1, timeout=1e-3, retries=2)
         ) == 2 * FRAME_CROSSING + 1 + 3 + 1
@@ -185,8 +186,9 @@ class TestEntriesPerOp:
 
     def test_idle_log_shipper_interval(self):
         """A caught-up shipper between heartbeats: one expiry entry per
-        ``SHIP_INTERVAL``, which wakes it inline. (2 while the poll was an
-        ``any_of([wake, timeout])``: the timeout and the any_of's hop.)"""
+        ``SHIP_INTERVAL``, which wakes it inline. (2 while the poll raced
+        the wake against a timeout event: the timeout and the composite
+        wait's hop.)"""
         sim = Simulator()
         cluster = GeoCluster(sim, ("a", "b"))
         shippers = [shipper for region in cluster.regions.values()
@@ -332,11 +334,12 @@ class TestEntriesPerTransportMessage:
         sim, client, __ = self.pair(TcpStack)
         connection = sim.run_process(client.connect("b"))
         # The segment and its ACK cross; the sender's segment processing,
-        # its RTO timer, the ACK's wake-up and the any_of's; the
-        # receiver's segment process, its processing and its put into
-        # the connection's stream. (18 before.)
+        # its RTO expiry callback (a no-op once acked) and the ACK's
+        # wake-up; the receiver's segment process, its processing and its
+        # put into the connection's stream. (16 while the wait raced the
+        # ACK against a timeout event, 18 before that.)
         assert entries(sim, connection.send("m", 64)) == (
-            2 * FRAME_CROSSING + 4 + 3 + DRIVER
+            2 * FRAME_CROSSING + 3 + 3 + DRIVER
         )
 
     def test_short_homa_message(self):

@@ -185,19 +185,6 @@ class TestProcess:
 
 
 class TestComposition:
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-
-        def proc():
-            fast = timer(sim, 1.0, "fast")
-            slow = timer(sim, 5.0, "slow")
-            results = yield sim.any_of([fast, slow])
-            return (sim.now, list(results.values()))
-
-        now, values = sim.run_process(proc())
-        assert now == 1.0
-        assert values == ["fast"]
-
     def test_all_of_waits_for_all(self):
         sim = Simulator()
 
@@ -247,55 +234,6 @@ class TestComposition:
         )
 
 
-class TestAnyOfSemantics:
-    """Pins AnyOf's result collection: every successful child whose
-    occurrence time has arrived is in the dict — including same-timestamp
-    children still queued behind the winner (the old ``processed``-only
-    filter silently dropped those)."""
-
-    def test_same_timestamp_child_included(self):
-        sim = Simulator()
-
-        def proc():
-            a = timer(sim, 1.0, "a")
-            b = timer(sim, 1.0, "b")
-            results = yield sim.any_of([a, b])
-            return {e.value for e in results}
-
-        # b fires at the same instant as a; it must not be dropped just
-        # because its callbacks have not run yet.
-        assert sim.run_process(proc()) == {"a", "b"}
-
-    def test_future_child_excluded(self):
-        sim = Simulator()
-
-        def proc():
-            fast = timer(sim, 1.0, "fast")
-            slow = timer(sim, 5.0, "slow")
-            results = yield sim.any_of([fast, slow])
-            return (sim.now, [e.value for e in results])
-
-        assert sim.run_process(proc()) == (1.0, ["fast"])
-
-    def test_same_time_manual_succeeds_included(self):
-        sim = Simulator()
-        one, two = sim.event(), sim.event()
-
-        def trigger():
-            yield sim.timeout(1.0)
-            one.succeed("one")
-            two.succeed("two")
-
-        def waiter():
-            results = yield sim.any_of([one, two])
-            return sorted(results.values())
-
-        sim.process(trigger())
-        proc = sim.process(waiter())
-        sim.run()
-        assert proc.value == ["one", "two"]
-
-
 class TestEngineEdges:
     def test_fail_then_late_waiter_raises(self):
         sim = Simulator()
@@ -322,11 +260,10 @@ class TestEngineEdges:
         assert seen == [gate]
 
     def test_same_time_ordering_across_fast_lane_and_heap(self):
-        # At t=1.0 the heap holds entries scheduled at t=0 while the fast
-        # lane receives zero-delay continuations; the merge must follow
-        # exact (time, eid) scheduling order: a's heap timeout (older
-        # eid), then b's (younger eid), then a's zero-delay continuation
-        # (youngest eid, lane).
+        # At t=1.0 the queue holds entries scheduled at t=0 and receives
+        # zero-delay continuations; they run in exact (time, eid)
+        # scheduling order: a's timeout (older eid), then b's (younger
+        # eid), then a's zero-delay continuation (youngest eid).
         sim = Simulator()
         log = []
 
@@ -393,7 +330,7 @@ class TestEngineEdges:
         sim.run()
         sim2 = Simulator()
         schedule(sim2, step_log)
-        while sim2._imm or sim2._heap:
+        while sim2._heap:
             sim2.step()
         assert step_log == run_log
 
@@ -450,7 +387,7 @@ class TestScheduledCallbacks:
             sim.call_later(-2.5, lambda: None)
         with pytest.raises(ValueError, match="nan"):
             sim.call_later(float("nan"), lambda: None)
-        assert sim._eid == before and not sim._heap and not sim._imm
+        assert sim._eid == before and not sim._heap
 
     def test_call_at_the_past_names_the_value(self):
         sim = Simulator()
@@ -458,7 +395,7 @@ class TestScheduledCallbacks:
         before = sim._eid
         with pytest.raises(ValueError, match=r"2\.0.*3\.0"):
             sim.call_at(2.0, lambda: None)
-        assert sim._eid == before and not sim._heap and not sim._imm
+        assert sim._eid == before and not sim._heap
 
     @pytest.mark.parametrize("until", [None, 10.0])
     def test_exception_in_callback_leaves_the_queues_consistent(self, until):
@@ -492,7 +429,7 @@ class TestScheduledCallbacks:
         with pytest.raises(KeyError, match="lost"):
             sim.step()
         sim.step()
-        assert log == ["next"] and not sim._imm and not sim._heap
+        assert log == ["next"] and not sim._heap
 
     def test_run_until_leaves_later_callbacks_queued(self):
         sim = Simulator()
@@ -533,7 +470,7 @@ class TestScheduledCallbacks:
 
 class TestInlineWake:
     """``Event.wake``: trigger and run the callbacks inside the current
-    entry — no eid, no lane hop."""
+    entry — no eid, no queued hop."""
 
     def test_waiter_resumes_inside_the_call_and_no_eid_is_spent(self):
         sim = Simulator()
@@ -589,19 +526,6 @@ class TestInlineWake:
         assert sim.run_process(late()) == (42, 0.0)
         assert sim._eid - before == 2  # bootstrap and completion only
 
-    def test_any_of_sees_a_woken_child_as_having_happened(self):
-        sim = Simulator()
-        gate = sim.event()
-
-        def waiter():
-            outcome = yield sim.any_of([gate, sim.timeout(5.0)])
-            return dict(outcome), sim.now
-
-        process = sim.process(waiter())
-        sim.call_later(1.0, lambda: gate.wake("first"))
-        sim.run()
-        assert process.value == ({gate: "first"}, 1.0)
-
     @pytest.mark.parametrize("until", [None, 10.0])
     def test_exception_in_a_woken_callback_leaves_the_queues_consistent(
             self, until):
@@ -641,7 +565,7 @@ class TestInlineWake:
         with pytest.raises(KeyError, match="lost"):
             sim.step()
         sim.step()
-        assert log == ["next"] and not sim._imm and not sim._heap
+        assert log == ["next"] and not sim._heap
 
 
 class TestSpawn:
@@ -783,7 +707,7 @@ class TestTimeoutAt:
 
         assert sim.run_process(later()) == when
 
-    def test_now_rides_the_lane_in_eid_order(self):
+    def test_now_runs_in_eid_order_at_its_instant(self):
         sim = Simulator()
         log = []
         sim.call_later(0.0, lambda: log.append("first"))
@@ -791,7 +715,7 @@ class TestTimeoutAt:
         event = sim.timeout_at(sim.now)
         event.callbacks.append(lambda event: log.append("second"))
         sim.call_later(0.0, lambda: log.append("third"))
-        assert sim._eid - before == 2 and not sim._heap
+        assert sim._eid - before == 2
         sim.run()
         assert log == ["first", "second", "third"] and sim.now == 0.0
 
@@ -802,7 +726,7 @@ class TestTimeoutAt:
         sim.timeout(1.0).callbacks.append(lambda event: log.append("timeout"))
         sim.timeout_at(1.0).callbacks.append(lambda event: log.append("at"))
         sim.call_at(1.0, lambda: log.append("call"))
-        assert sim._eid - before == 3 and not sim._imm
+        assert sim._eid - before == 3
         sim.run()
         assert log == ["timeout", "at", "call"]
 
@@ -814,32 +738,7 @@ class TestTimeoutAt:
             sim.timeout_at(2.0)
         with pytest.raises(ValueError, match="nan"):
             sim.timeout_at(float("nan"))
-        assert sim._eid == before and not sim._heap and not sim._imm
-
-    def test_any_of_sees_it_at_its_instant(self):
-        sim = Simulator()
-        gate = sim.event()
-        sim.call_at(2.0, gate.succeed)
-
-        def waiter():
-            timer = sim.timeout_at(2.0)
-            fired = yield sim.any_of([timer, gate])
-            return timer, fired
-
-        timer, fired = sim.run_process(waiter())
-        # The gate triggers at 2.0 behind the timer: still queued when the
-        # timer's callbacks run, but its instant has come, so it counts.
-        assert fired == {timer: None, gate: None} and sim.now == 2.0
-
-    def test_any_of_excludes_it_before_its_instant(self):
-        sim = Simulator()
-
-        def waiter():
-            late = sim.timeout_at(5.0)
-            fired = yield sim.any_of([late, timer(sim, 1.0, "early")])
-            return late in fired, sim.now
-
-        assert sim.run_process(waiter()) == (False, 1.0)
+        assert sim._eid == before and not sim._heap
 
     def test_a_wrapped_event_factory_sees_one_call_per_wait(self):
         """perfbench's ledger counts engine entries by wrapping the public

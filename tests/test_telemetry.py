@@ -194,14 +194,6 @@ class TestLazyHistogramMaterialization:
                 assert read_often.mean >= 0
         assert read_often.snapshot_line() == read_once.snapshot_line()
 
-    def test_observe_itself_defers_all_accounting(self):
-        h = Histogram("lat")
-        h.observe(1e-3)
-        # Nothing materialized until a read asks for it.
-        assert h._summed == 0 and h._binned == 0
-        assert h.sum == 1e-3
-        assert h._summed == 1
-
 
 class TestSpanFreeWhenTracingOff:
     def test_no_span_constructed_across_substrates(self, monkeypatch):

@@ -5,7 +5,11 @@ the reliability split the RPC layer's users choose between.
 """
 
 import random
+from functools import partial
 
+import pytest
+
+from repro.common.errors import ProtocolError
 from repro.hw.net.link import Link
 from repro.hw.net.port import NetworkPort
 from repro.sim import Simulator
@@ -90,6 +94,20 @@ class TestTcpUnderLoss:
             return done[0]
 
         assert run(0.3) > run(0.0)
+
+    def test_a_syn_ack_after_connect_gave_up_is_ignored(self):
+        sim = Simulator()
+        client, server = lossy_pair(sim, None, TcpStack)
+        # Every B->A frame arrives a second late: connect gives up after
+        # its 17th SYN, long before the first SYN-ACK lands.
+        late = client.port.rx_link
+        deliver = late.sink
+        late.sink = lambda frame: sim.call_later(1.0, partial(deliver, frame))
+        proc = sim.process(client.connect("b"))
+        sim.run()
+        with pytest.raises(ProtocolError, match="16 SYNs"):
+            proc.result()
+        assert sim.now > 1.0 and not client.connections
 
 
 class TestUdpUnderLoss:

@@ -87,32 +87,19 @@ class CensusSimulator(Simulator):
         #: Entries with an eid above this one are counted.
         self.since = 0
 
-    def _head(self):
-        imm, heap = self._imm, self._heap
-        if imm:
-            if heap:
-                head, first = heap[0], imm[0]
-                if head[0] < first[0] or (
-                    head[0] == first[0] and head[1] < first[1]
-                ):
-                    return head
-            return imm[0]
-        return heap[0] if heap else None
-
     def run(self, until: Optional[float] = None) -> None:
         limit = inf if until is None else until
-        while True:
-            entry = self._head()
-            if entry is None:
-                if until is not None and until > self.now:
-                    self.now = until
-                return
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             if entry[0] > limit:
                 self.now = until
                 return
             if self.census is not None and entry[1] > self.since:
                 self.census[owner_of(entry)] += 1
             self.step()
+        if until is not None and until > self.now:
+            self.now = until
 
     def begin(self) -> None:
         """Count every entry scheduled from now on."""
@@ -122,7 +109,7 @@ class CensusSimulator(Simulator):
     def end(self) -> Counter:
         """Stop counting; classify what the window left queued."""
         census, self.census = self.census, None
-        for entry in list(self._imm) + list(self._heap):
+        for entry in self._heap:
             if entry[1] > self.since:
                 census[owner_of(entry) + " (still queued)"] += 1
         return census
