@@ -8,7 +8,8 @@ This verifier walks every control-flow path with abstract register states.
 Each register is ``(type, offset)`` where offset tracks pointer arithmetic
 with known immediates (stack pointers are relative to r10):
 
-* reads of uninitialized registers are rejected;
+* reads of uninitialized registers are rejected, and so is any write to
+  the frame pointer r10 (ALU, LDDW or a load into it), as in the kernel;
 * loads and stores require a pointer base; stack accesses are bounds-checked
   against the 512-byte frame, context accesses must be non-negative;
 * a map-value pointer must be null-checked before dereference;
@@ -225,6 +226,9 @@ class Verifier:
             for clobbered in range(1, 6):
                 regs[clobbered] = _UNINIT
             return [(pc + 1, tuple(regs))]
+
+        if insn.dst == 10 and (op is Opcode.LDDW or insn.is_alu or insn.is_load):
+            return fail("frame pointer r10 is read only")
 
         if op is Opcode.LDDW:
             regs[insn.dst] = _SCALAR

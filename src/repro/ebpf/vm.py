@@ -1,31 +1,37 @@
-"""The eBPF execution environment: one of "many possible implementations of
+r"""The eBPF execution environment: one of "many possible implementations of
 an eBPF execution environment" (paper §2.2; cf. ubpf).
 
-Memory model
-------------
-The VM exposes a segmented 64-bit pointer space: the high 16 bits select a
-region, the low 48 bits are an offset. Region 1 is the 512-byte stack
-(r10 points one past its end), region 2 is the program context (the packet
-or input buffer), and further regions are map values exposed by helpers.
-Every access is bounds-checked; faults raise :class:`ProtocolError`.
+Memory model: a segmented 64-bit pointer space, the high 16 bits a region
+and the low 48 an offset. Region 1 is the 512-byte stack (r10 points one
+past its end), region 2 the program context (the packet or input buffer),
+and further regions are map values exposed by helpers. Every access is
+bounds-checked; faults raise :class:`ProtocolError`.
 
-Execution model
----------------
-A program is compiled once, when its :class:`BpfVm` is built, into one
-Python function. r0-r10 are its locals; each basic block (leaders: pc 0,
-every jump target, the slot after a jump, EXIT or trap) is straight-line
-code under ``if pc == leader:``, and the instruction budget is checked once
-per block. A block that would cross the budget continues in a *checked*
-twin, compiled the first time a run needs it, which checks and counts
-before every instruction. The text comes from fixed statement templates
-and two closed expression tables; the only things interpolated are
-integers and register numbers from :class:`Instruction` fields. What is
-*not* compiled in is anything a caller may change after construction: a
-CALL looks its helper up in the registry's table at the call (late
-registration, "unknown helper"), maps go through ``vm.map_by_fd``, and
-the budget and the registry are read per run.
-There is one execution path; ``tests/ebpf_reference.py`` keeps the former
-``if``-chain interpreter as the oracle the compiled code is tested against.
+Execution model: a program is compiled once, when its :class:`BpfVm` is
+built, into one Python function. r0-r10 are its locals; each basic block
+(leaders: pc 0, every jump target, the slot after a jump, EXIT or trap) is
+straight-line code under ``if pc == leader:``, and the instruction budget
+is checked once per block. A block that would cross the budget continues in
+a *checked* twin, compiled the first time a run needs it, which checks and
+counts before every instruction. An access through a pointer the compiler
+can see (r10 when nothing writes it, r1 in the pc-0 block when nothing
+jumps there, their MOV copies and immediate ADD/SUB shifts) is a struct
+codec on the run's stack, unchecked, or on its context, checked against its
+length; any other access looks its region up per run. The text comes from
+fixed templates and two closed expression tables; only integers and
+register numbers from :class:`Instruction` fields are interpolated. Helpers
+(looked up at the call), maps and the budget are never compiled in.
+``tests/ebpf_reference.py`` keeps the former ``if``-chain interpreter as
+the oracle the compiled code is tested against.
+
+>>> from repro.ebpf import assemble
+>>> result = BpfVm(assemble("ldxb r0, [r1+0]\nadd r0, 1\nexit")).run(b"\x29")
+>>> result.return_value, result.instructions_executed
+(42, 3)
+>>> BpfVm(assemble("ldxdw r0, [r10+0]\nexit")).run()
+Traceback (most recent call last):
+...
+repro.common.errors.ProtocolError: out-of-bounds read at 0x1000000000200 (8 bytes)
 """
 
 from __future__ import annotations
@@ -34,22 +40,15 @@ import hashlib
 import linecache
 import os
 import random
+import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.ebpf.helpers import standard_helpers
 from repro.ebpf.isa import (
-    ALU_OPS,
-    COND_JUMPS,
-    Instruction,
-    LOAD_OPS,
-    MEM_SIZE,
-    Opcode,
-    Program,
-    STACK_SIZE,
-    STORE_OPS,
-    STORE_REG_OPS,
+    ALU_OPS, COND_JUMPS, Instruction, LOAD_OPS, MEM_SIZE, Opcode, Program,
+    STACK_SIZE, STORE_OPS, STORE_REG_OPS,
 )
 from repro.ebpf.maps import BpfMap
 
@@ -59,6 +58,15 @@ _OFFSET_MASK = (1 << REGION_SHIFT) - 1
 STACK_REGION = 1
 CONTEXT_REGION = 2
 _FIRST_DYNAMIC_REGION = 16
+#: r10 and r1 when a run starts: one past the stack's end, the context.
+FRAME_POINTER = (STACK_REGION << REGION_SHIFT) + STACK_SIZE
+CONTEXT_POINTER = CONTEXT_REGION << REGION_SHIFT
+
+#: The generated code's unsigned little-endian codecs, by access size:
+#: ``load4(buffer, start)`` and ``store4(buffer, start, value)``.
+_CODECS = {f"{kind}{size}": getattr(struct.Struct(code), method)
+           for size, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
+           for kind, method in (("load", "unpack_from"), ("store", "pack_into"))}
 
 #: A new VM's instruction budget per run (the ``max_instructions``
 #: attribute a caller may lower before a run).
@@ -116,21 +124,72 @@ _BUDGET_CHECK = [
 Statement = Tuple[List[str], Optional[Tuple[int, ...]], int]
 
 
-def _access(base: str, offset: int, size: int, access: str) -> List[str]:
-    """``buffer[start:end]`` is ``[base + offset]``, or the access faults."""
-    pointer = f"({base} + {offset:d}) & 0xffffffffffffffff" if offset else base
+#: The opcodes that write their dst register; a CALL writes r0-r5.
+_WRITES_DST = ALU_OPS | LOAD_OPS | {Opcode.LDDW}
+
+
+def _bases(program: Program,
+           targets: Set[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The registers known as a block starts, at pc 0 and elsewhere: r10 when
+    no instruction writes it, r1 at pc 0 when no jump (*targets*) leads there."""
+    frame = ({} if any(insn.dst == 10 and insn.opcode in _WRITES_DST
+                       for insn in program.instructions) else {10: FRAME_POINTER})
+    return (frame if 0 in targets else {**frame, 1: CONTEXT_POINTER}), frame
+
+
+def _track(insn: Instruction, known: Dict[int, int]) -> None:
+    """*known* after *insn*: MOV copies a known register, ADD/SUB of an
+    immediate shifts it with the same u64 wrap, any other write forgets."""
+    op, dst = insn.opcode, insn.dst
+    if op is Opcode.CALL:
+        for reg in range(6):
+            known.pop(reg, None)
+    elif op in _WRITES_DST:
+        source, base = known.get(insn.src), known.pop(dst, None)
+        shift = {Opcode.ADD: insn.imm, Opcode.SUB: -insn.imm}.get(op)
+        if op is Opcode.MOV and insn.uses_reg_src and source is not None:
+            known[dst] = source
+        elif shift is not None and not insn.uses_reg_src and base is not None:
+            known[dst] = (base + shift) & _U64
+
+
+def _direct(pointer: int, size: int, access: str) -> Optional[Tuple[List[str], str]]:
+    """An access at a pointer known at compile time, on the run's stack or
+    context with no lookup: its checks and its codec's ``buffer, start``."""
+    region, start = pointer >> REGION_SHIFT, pointer & _OFFSET_MASK
+    if region == STACK_REGION and start + size <= STACK_SIZE:
+        return [], f"stack, {start:d}"
+    if region != CONTEXT_REGION:
+        return None
+    return [
+        f"if {start + size:d} > len(context):",
+        f"    raise fault(vm, {pointer:#x}, {size:d}, '{access}')",
+    ], f"context, {start:d}"
+
+
+def _access(base: int, offset: int, size: int, access: str,
+            known: Dict[int, int]) -> Tuple[List[str], str]:
+    """The checks that ``[r{base} + offset]`` holds *size* bytes, or the
+    access faults, and the ``buffer, start`` its codec then takes."""
+    if base in known:
+        direct = _direct((known[base] + offset) & _U64, size, access)
+        if direct is not None:
+            return direct
+    pointer = (f"(r{base:d} + {offset:d}) & 0xffffffffffffffff" if offset
+               else f"r{base:d}")
     return [
         f"pointer = {pointer}",
         f"buffer = region_of(pointer >> {REGION_SHIFT:d})",
         f"start = pointer & {_OFFSET_MASK:#x}",
-        f"end = start + {size:d}",
-        "if buffer is None or end > len(buffer):",
+        f"if buffer is None or start + {size:d} > len(buffer):",
         f"    raise fault(vm, pointer, {size:d}, '{access}')",
-    ]
+    ], "buffer, start"
 
 
-def _statement(insn: Instruction, pc: int) -> Optional[Statement]:
-    """The code of the instruction at *pc*; ``None`` for an unknown opcode."""
+def _statement(insn: Instruction, pc: int,
+               known: Dict[int, int]) -> Optional[Statement]:
+    """The code of the instruction at *pc*, given the registers *known* at
+    compile time; ``None`` for an unknown opcode."""
     op, d, after = insn.opcode, f"r{insn.dst:d}", pc + insn.slots
     s = f"r{insn.src:d}" if insn.uses_reg_src else f"{insn.imm & _U64:d}"
     if op in ALU_OPS:
@@ -155,17 +214,15 @@ def _statement(insn: Instruction, pc: int) -> Optional[Statement]:
     if op is Opcode.LDDW:
         return [f"{d} = {insn.imm & _U64:d}"], None, after
     if op in LOAD_OPS:
-        return _access(f"r{insn.src:d}", insn.offset, MEM_SIZE[op], "read") + [
-            f"{d} = from_bytes(buffer[start:end], 'little')",
-        ], None, after
+        checks, args = _access(insn.src, insn.offset, MEM_SIZE[op], "read", known)
+        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"], None, after
     if op in STORE_OPS:
         size = MEM_SIZE[op]
         mask = (1 << (8 * size)) - 1
         value = (f"r{insn.src:d} & {mask:#x}" if op in STORE_REG_OPS
                  else f"{insn.imm & mask:d}")
-        return _access(d, insn.offset, size, "write") + [
-            f"buffer[start:end] = ({value}).to_bytes({size:d}, 'little')",
-        ], None, after
+        checks, args = _access(insn.dst, insn.offset, size, "write", known)
+        return checks + [f"store{size:d}({args}, {value})"], None, after
     return None
 
 
@@ -178,15 +235,20 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
         traps.append(message)
         return [f"raise ProtocolError(traps[{len(traps) - 1:d}])"], (), pc + 1
 
+    # Every slot's generic code: the checked twin runs it, and the leaders
+    # come from it.
     code: Dict[int, Statement] = {}
+    instructions: Dict[int, Instruction] = {}
     slots = 0
     for insn in program.instructions:
-        code[slots] = (_statement(insn, slots)
+        instructions[slots] = insn
+        code[slots] = (_statement(insn, slots, {})
                        or trap(f"unhandled opcode {insn.opcode}", slots))
         slots += insn.slots
-    leaders = {0}
+    leaders, targets = {0}, set()
     for _, successors, after in code.values():
         if successors is not None:
+            targets.update(successors)
             leaders.update(successors, (after,))
     # A jump into an LDDW's second slot traps there; the LDDW itself
     # falls through past it.
@@ -194,18 +256,24 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
         if 0 < pc < slots:
             code[pc] = trap(f"pc {pc} lands in the middle of LDDW", pc)
             leaders.add(pc + 1)
+    at_entry, anywhere = ({}, {}) if checked else _bases(program, targets)
 
     # ``**_`` takes the scratch locals (``pointer``, ``buffer``, ...) that
     # come along when the unchecked function hands over its ``locals()``.
-    lines = [f"def run(vm, region_of, helper_of, budget, pc, executed, calls,"
-             f" {_REGS}, **_):",
+    lines = [f"def run(vm, region_of, helper_of, stack, context, budget, pc,"
+             f" executed, calls, {_REGS}, **_):",
              "    while True:"]
     starts = sorted(pc for pc in leaders if 0 <= pc < slots)
     for leader, end in zip(starts, starts[1:] + [slots]):
         body, pc, successors = [], leader, None
+        known = dict(at_entry if leader == 0 else anywhere)
         while pc < end and successors is None:
-            statement, successors, pc = code[pc]
+            statement, successors, after = code[pc]
+            if known and pc in instructions:  # emitted again, against *known*
+                statement = (_statement(instructions[pc], pc, known) or code[pc])[0]
+                _track(instructions[pc], known)
             body.append(statement)
+            pc = after
         lines.append(f"        if pc == {leader:d}:")
         if not checked:
             lines += [f"            if executed + {len(body):d} > budget:",
@@ -231,8 +299,7 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
 class ExecutionResult:
     """Outcome of one program run."""
 
-    __slots__ = ("return_value", "instructions_executed", "helper_calls",
-                 "context")
+    __slots__ = ("return_value", "instructions_executed", "helper_calls", "context")
     return_value: int
     instructions_executed: int
     helper_calls: int
@@ -281,9 +348,7 @@ class BpfVm:
         """The named error for an access that failed its checks."""
         if pointer >> REGION_SHIFT not in self._regions:
             return ProtocolError(f"dereference of invalid pointer {pointer:#x}")
-        return ProtocolError(
-            f"out-of-bounds {access} at {pointer:#x} ({size} bytes)"
-        )
+        return ProtocolError(f"out-of-bounds {access} at {pointer:#x} ({size} bytes)")
 
     def read_memory(self, pointer: int, size: int) -> bytes:
         buffer = self._regions.get(pointer >> REGION_SHIFT)
@@ -299,15 +364,14 @@ class BpfVm:
         digest = hashlib.blake2b(source.encode(), digest_size=8).hexdigest()
         filename = os.path.join(_HERE, f"<bpf:{digest}>")
         # Tracebacks show the generated line; identical programs share it.
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(True), filename
-        )
+        linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                     filename)
         namespace = {
             "ProtocolError": ProtocolError,
-            "from_bytes": int.from_bytes,
             "fault": BpfVm._memory_fault,
             "checked": BpfVm._checked,
             "traps": traps,
+            **_CODECS,
         }
         exec(compile(source, filename, "exec"), namespace)
         return namespace["run"]
@@ -321,15 +385,16 @@ class BpfVm:
     # -- execution -----------------------------------------------------------
     def run(self, context: bytes = b"") -> ExecutionResult:
         """Execute the program with ``context`` as its input (r1)."""
+        # Regions 1 and 2 for the helpers, and reached directly by the code.
         regions = self._regions
         regions.clear()
-        regions[STACK_REGION] = bytearray(STACK_SIZE)
+        regions[STACK_REGION] = stack = bytearray(STACK_SIZE)
         regions[CONTEXT_REGION] = packet = bytearray(context)
         self._next_region = _FIRST_DYNAMIC_REGION
         return_value, executed, calls = self._run(
-            self, regions.get, self.helpers.table.get,
+            self, regions.get, self.helpers.table.get, stack, packet,
             self.max_instructions, 0, 0, 0,
-            0, CONTEXT_REGION << REGION_SHIFT, len(context), 0, 0, 0, 0, 0,
-            0, 0, (STACK_REGION << REGION_SHIFT) + STACK_SIZE,
+            0, CONTEXT_POINTER, len(context), 0, 0, 0, 0, 0,
+            0, 0, FRAME_POINTER,
         )
         return ExecutionResult(return_value, executed, calls, packet)

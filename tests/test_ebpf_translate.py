@@ -37,6 +37,7 @@ from repro.ebpf.isa import (
     MEM_SIZE,
     Opcode,
     Program,
+    STACK_SIZE,
     STORE_IMM_OPS,
     STORE_REG_OPS,
 )
@@ -247,8 +248,9 @@ _imm64 = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, U64))
 def _memory_operand(draw, context_size):
     """(base register, offset): mostly near a real buffer's edges."""
     where = draw(st.sampled_from(["stack"] * 4 + ["context"] * 3 + ["r0", "any"]))
-    if where == "stack":
-        return 10, draw(st.integers(min_value=-520, max_value=8))
+    if where == "stack":  # often at the stack's end, where bounds are off by one
+        return 10, draw(st.one_of(st.integers(min_value=-520, max_value=8),
+                                  st.integers(min_value=-9, max_value=1)))
     if where == "context":
         return CTX_REG, draw(st.integers(min_value=-4, max_value=context_size + 4))
     if where == "r0":  # a map-value pointer after a lookup hit, else garbage
@@ -277,11 +279,28 @@ def _call(draw):
 
 
 @st.composite
+def _frame_write(draw):
+    """A write to r10, which no verifier passes: the compiler must then
+    stop taking r10 for the frame pointer anywhere in the program."""
+    form = draw(st.sampled_from(["mov", "alu", "lddw", "load"]))
+    if form == "mov":  # r9 holds the context: r10 may stay a valid pointer
+        return [Instruction(Opcode.MOV, dst=10, src=draw(_reg), uses_reg_src=True)]
+    if form == "alu":
+        return [Instruction(draw(st.sampled_from(ALU)), dst=10, imm=draw(_imm32))]
+    if form == "lddw":
+        return [Instruction(Opcode.LDDW, dst=10, imm=draw(_imm64))]
+    base, offset = draw(_memory_operand(8))
+    return [Instruction(draw(st.sampled_from(LOADS)), dst=10, src=base, offset=offset)]
+
+
+@st.composite
 def _instruction(draw, context_size):
-    """One body element: a list of instructions, or a pending branch."""
+    """One body element: a list of instructions, or a pending branch. A
+    branch back to pc 0 is pending at the end of a list that first moves
+    r1, so pc 0 may see another r1 than the context pointer."""
     kind = draw(st.sampled_from(
         ["alu"] * 4 + ["load"] * 3 + ["store"] * 3 + ["branch"] * 3
-        + ["lddw", "call", "call", "ja"]
+        + ["lddw", "call", "call", "ja", "frame", "back"]
     ))
     if kind == "alu":
         return [Instruction(
@@ -308,18 +327,26 @@ def _instruction(draw, context_size):
         )]
     if kind == "call":
         return draw(_call())
-    skip = draw(st.integers(min_value=0, max_value=4))
+    if kind == "frame":
+        return draw(_frame_write())
     if kind == "ja":
-        return ("branch", Instruction(Opcode.JA), skip)
-    return ("branch", Instruction(
+        return ("branch", Instruction(Opcode.JA), draw(st.integers(0, 4)))
+    branch = Instruction(
         draw(st.sampled_from(JUMPS)), dst=draw(_reg), src=draw(_reg),
         imm=draw(_imm32), uses_reg_src=draw(st.booleans()),
-    ), skip)
+    )
+    if kind == "back":  # to pc 0 (skip None), after moving r1 there
+        if draw(st.booleans()):
+            branch = Instruction(Opcode.JA)
+        return [Instruction(Opcode.MOV, dst=1, src=draw(_reg), uses_reg_src=True),
+                (branch, None)]
+    return ("branch", branch, draw(st.integers(0, 4)))
 
 
 @st.composite
 def mixed_program(draw, context_size):
-    """ALU, LDDW, memory, forward branches and helper calls, unverified."""
+    """ALU, LDDW, memory, forward branches, branches back to pc 0, helper
+    calls and writes to r10, unverified."""
     prelude = [Instruction(Opcode.MOV, dst=CTX_REG, src=1, uses_reg_src=True)]
     for reg in (0, 3, 4, 5, 6, 7, 8):
         prelude.append(Instruction(Opcode.LDDW, dst=reg, imm=draw(_imm64)))
@@ -338,11 +365,14 @@ def mixed_program(draw, context_size):
             instructions.append(item)
             continue
         branch, skip = item
-        skipped = flat[index + 1 : index + 1 + skip]
-        offset = sum(
-            (entry if isinstance(entry, Instruction) else entry[0]).slots
-            for entry in skipped
-        )
+        if skip is None:  # to pc 0
+            offset = -1 - sum(insn.slots for insn in instructions)
+        else:
+            skipped = flat[index + 1 : index + 1 + skip]
+            offset = sum(
+                (entry if isinstance(entry, Instruction) else entry[0]).slots
+                for entry in skipped
+            )
         instructions.append(Instruction(
             branch.opcode, dst=branch.dst, src=branch.src, offset=offset,
             imm=branch.imm, uses_reg_src=branch.uses_reg_src,
@@ -351,15 +381,26 @@ def mixed_program(draw, context_size):
     return Program(instructions, name="mixed")
 
 
+#: The budget of a generated program that jumps back to pc 0.
+LOOP_BUDGET = 64
+
+
 @st.composite
 def _case(draw):
     context_size = draw(st.sampled_from([0, 1, 5, 8, 16]))
     program = draw(mixed_program(context_size))
     contexts = [draw(st.binary(min_size=context_size, max_size=context_size))
                 for _ in range(2)]
-    budget = draw(st.one_of(
-        st.none(), st.none(), st.integers(min_value=0, max_value=len(program) + 1)
-    ))
+    if any(insn.offset < 0 for insn in program.instructions
+           if insn.is_cond_jump or insn.opcode is Opcode.JA):
+        # May loop: a small budget ends every run of the reference quickly.
+        budget = draw(st.one_of(st.just(LOOP_BUDGET),
+                                st.integers(min_value=0, max_value=LOOP_BUDGET)))
+    else:
+        budget = draw(st.one_of(
+            st.none(), st.none(),
+            st.integers(min_value=0, max_value=len(program) + 1),
+        ))
     return program, contexts, budget
 
 
@@ -517,6 +558,74 @@ class TestLateBinding:
         assert outcomes[0][0] == outcomes[1][0] == 16 << 48
         assert outcomes[2] == (
             "ProtocolError", "dereference of invalid pointer 0x10000000000000")
+
+
+# -- mutants of the emitter's rules ------------------------------------------
+#
+# Where the compiler can see a pointer it drops the region lookup
+# (``vm._bases`` says which registers it sees at a block's entry,
+# ``vm._direct`` which static accesses skip the lookup). Each mutant
+# below breaks one of those rules; the oracle must catch it on a pinned
+# program that the real rules compile correctly.
+
+real_bases, real_direct = vm_module._bases, vm_module._direct
+
+
+def r10_known_although_written(program, targets):
+    at_entry, anywhere = real_bases(program, targets)
+    frame = {10: vm_module.FRAME_POINTER}
+    return {**at_entry, **frame}, {**anywhere, **frame}
+
+
+def stack_bound_off_by_one(pointer, size, access):
+    start = pointer & ((1 << vm_module.REGION_SHIFT) - 1)
+    if (pointer >> vm_module.REGION_SHIFT == vm_module.STACK_REGION
+            and start + size == STACK_SIZE + 1):
+        return [], f"stack, {start:d}"
+    return real_direct(pointer, size, access)
+
+
+def r1_known_at_a_jumped_to_pc_0(program, targets):
+    return real_bases(program, targets - {0})
+
+
+MUTANTS = {
+    # r10 moved to the context in one block, read through in the next.
+    "r10 known although written": ("_bases", r10_known_although_written, assemble(
+        "mov r10, r1\nadd r10, 8\nja +0\nldxdw r0, [r10-8]\nexit"
+    ), [bytes(range(1, 9))]),
+    # The first byte past the stack's end.
+    "stack bound off by one": ("_direct", stack_bound_off_by_one, assemble(
+        "ldxb r0, [r10+0]\nexit"
+    ), [b""]),
+    # The second pass through pc 0 reads the stack through r1.
+    "r1 known at a jumped-to pc 0": ("_bases", r1_known_at_a_jumped_to_pc_0, assemble(
+        "top:\nldxb r0, [r1+0]\njne r6, 0, done\nmov r6, 1\nstb [r10-8], 9\n"
+        "mov r1, r10\nadd r1, -8\nja top\ndone:\nexit"
+    ), [b"\x01"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_mutant_of_the_emitter_rules_is_killed(name, monkeypatch):
+    rule, mutant, program, contexts = MUTANTS[name]
+    assert_same(program, contexts)
+    monkeypatch.setattr(vm_module, rule, mutant)
+    # A wrong direct access past the stack surfaces as the codec's error.
+    with pytest.raises((AssertionError, struct.error)):
+        assert_same(program, contexts)
+
+
+def test_known_bases_compile_to_direct_codecs():
+    """What the rules buy on the fail2ban filter: its stack and context
+    accesses name their buffer and a constant start; only the map value
+    behind r0 is looked up per run."""
+    source, _ = vm_module._source(build_fail2ban_program(), checked=False)
+    assert source.count("region_of(") == 2
+    assert "r6, = load4(context, 0)" in source and "store8(stack, 496, r7" in source
+    checked, _ = vm_module._source(build_fail2ban_program(), checked=True)
+    assert "stack" not in checked.split("**_):")[1]
+    assert "context" not in checked.split("**_):")[1]
 
 
 # -- the compiled function ----------------------------------------------------

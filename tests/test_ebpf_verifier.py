@@ -4,6 +4,7 @@ import pytest
 
 from repro.ebpf import Verifier, assemble
 from repro.ebpf.helpers import HELPER_MAP_LOOKUP
+from repro.eval.compiler import program_corpus
 
 
 def verify(source):
@@ -172,6 +173,27 @@ class TestRejection:
     def test_negative_context_offset(self):
         report = verify("ldxw r0, [r1-4]\nexit")
         assert not report.ok
+
+    @pytest.mark.parametrize("write", [
+        "mov r10, r1", "add r10, 8", "neg r10", "lddw r10, 0x10000000001f8",
+        "ldxdw r10, [r1+0]",
+    ])
+    def test_frame_pointer_is_read_only(self, write):
+        """As in the kernel: no ALU op, LDDW or load may write r10, even one
+        that leaves it a valid pointer."""
+        report = verify(f"{write}\nmov r0, 0\nexit")
+        assert not report.ok
+        assert report.reject_reason() == "pc 0: frame pointer r10 is read only"
+
+    def test_no_corpus_program_writes_the_frame_pointer(self):
+        """The rule moves no E10 verdict: each of the nine corpus programs
+        still gets the verdict it expects, for a reason other than r10."""
+        corpus = program_corpus()
+        assert len(corpus) == 9
+        for name, program, expected in corpus:
+            report = Verifier().verify(program)
+            assert report.ok == expected, name
+            assert "r10" not in (report.reject_reason() or ""), name
 
 
 class TestReportMetadata:
