@@ -65,7 +65,7 @@ perf:  ## full perfbench run: five workloads, two clocks
 # (mirrors the CI docs job).
 docs:  ## markdown link check + doctest examples (CI docs job)
 	python tools/check_links.py README.md DESIGN.md EXPERIMENTS.md docs
-	pytest --doctest-modules src/repro/common src/repro/sharding src/repro/workload src/repro/hw/nvme src/repro/ebpf -q
+	pytest --doctest-modules src/repro/common src/repro/sharding src/repro/workload src/repro/hw/nvme src/repro/ebpf src/repro/hdl -q
 
 # What under src/ no root runs (the CLIs and so every registry row,
 # examples/, perfbench/, the make tools), methods resolved through the

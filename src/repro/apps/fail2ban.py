@@ -163,7 +163,9 @@ class Fail2BanDpu:
     def process_packet(self, packet: PacketRecord):
         """Process: NIC -> pipeline -> (persist log record) -> verdict."""
         context = packet.context()
-        result = yield from self.pipeline.execute(context)
+        pipeline = self.pipeline
+        result, when = pipeline.run(context, pipeline.sim.now)
+        yield pipeline.sim.timeout_at(when)
         # The log record lands in BRAM; a full block goes to flash.
         self._log_buffer.extend(context.ljust(16, b"\x00"))
         if len(self._log_buffer) >= 4096:

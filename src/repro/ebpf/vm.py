@@ -8,19 +8,22 @@ and further regions are map values exposed by helpers. Every access is
 bounds-checked; faults raise :class:`ProtocolError`.
 
 Execution model: a program is compiled once, when its :class:`BpfVm` is
-built, into one Python function. r0-r10 are its locals; each basic block
-(leaders: pc 0, every jump target, the slot after a jump, EXIT or trap) is
-straight-line code under ``if pc == leader:``, and the instruction budget
-is checked once per block. A block that would cross the budget continues in
-a *checked* twin, compiled the first time a run needs it, which checks and
-counts before every instruction. An access through a pointer the compiler
-can see (r10 when nothing writes it, r1 in the pc-0 block when nothing
-jumps there, their MOV copies and immediate ADD/SUB shifts) is a struct
-codec on the run's stack, unchecked, or on its context, checked against its
-length; any other access looks its region up per run. The text comes from
-fixed templates and two closed expression tables; only integers and
-register numbers from :class:`Instruction` fields are interpolated. Helpers
-(looked up at the call), maps and the budget are never compiled in.
+built, into one Python function that owns the run: it builds the regions
+and registers, reads the context's length and returns the result. r0-r10
+are its locals; each basic block (leaders: pc 0, every jump target, the
+slot after a jump, EXIT or trap) is straight-line code under ``if pc ==
+leader:``, and the budget (read per run) is checked once per block. A
+block that would cross it continues in a *checked* twin, compiled the
+first time a run needs it, which checks and counts before every
+instruction. An access through a pointer the compiler can see (r10 when
+nothing writes it, r1 in the pc-0 block when nothing jumps there,
+immediates, MOV copies and immediate ADD/SUB shifts) is a struct codec on
+the run's stack, unchecked, or on its context, checked against its length;
+any other access looks its region up per run. The text comes from fixed
+templates and two closed expression tables; only integers and register
+numbers from :class:`Instruction` fields are interpolated. Helpers are
+looked up at the call, maps per run; a lookup with a constant fd and a
+stack key runs inline behind ``helper is map_lookup``.
 ``tests/ebpf_reference.py`` keeps the former ``if``-chain interpreter as
 the oracle the compiled code is tested against.
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.ebpf.helpers import standard_helpers
+from repro.ebpf.helpers import HELPER_MAP_LOOKUP, _map_lookup, standard_helpers
 from repro.ebpf.isa import (
     ALU_OPS, COND_JUMPS, Instruction, LOAD_OPS, MEM_SIZE, Opcode, Program,
     STACK_SIZE, STORE_OPS, STORE_REG_OPS,
@@ -138,8 +141,9 @@ def _bases(program: Program,
 
 
 def _track(insn: Instruction, known: Dict[int, int]) -> None:
-    """*known* after *insn*: MOV copies a known register, ADD/SUB of an
-    immediate shifts it with the same u64 wrap, any other write forgets."""
+    """*known* after *insn*: MOV copies a known register or an immediate,
+    ADD/SUB of an immediate shifts it with the same u64 wrap, any other
+    write forgets."""
     op, dst = insn.opcode, insn.dst
     if op is Opcode.CALL:
         for reg in range(6):
@@ -147,8 +151,10 @@ def _track(insn: Instruction, known: Dict[int, int]) -> None:
     elif op in _WRITES_DST:
         source, base = known.get(insn.src), known.pop(dst, None)
         shift = {Opcode.ADD: insn.imm, Opcode.SUB: -insn.imm}.get(op)
-        if op is Opcode.MOV and insn.uses_reg_src and source is not None:
-            known[dst] = source
+        if op is Opcode.MOV:
+            source = source if insn.uses_reg_src else insn.imm & _U64
+            if source is not None:
+                known[dst] = source
         elif shift is not None and not insn.uses_reg_src and base is not None:
             known[dst] = (base + shift) & _U64
 
@@ -162,16 +168,16 @@ def _direct(pointer: int, size: int, access: str) -> Optional[Tuple[List[str], s
     if region != CONTEXT_REGION:
         return None
     return [
-        f"if {start + size:d} > len(context):",
+        f"if {start + size:d} > length:",
         f"    raise fault(vm, {pointer:#x}, {size:d}, '{access}')",
     ], f"context, {start:d}"
 
 
 def _access(base: int, offset: int, size: int, access: str,
-            known: Dict[int, int]) -> Tuple[List[str], str]:
+            known: Optional[Dict[int, int]]) -> Tuple[List[str], str]:
     """The checks that ``[r{base} + offset]`` holds *size* bytes, or the
     access faults, and the ``buffer, start`` its codec then takes."""
-    if base in known:
+    if known and base in known:
         direct = _direct((known[base] + offset) & _U64, size, access)
         if direct is not None:
             return direct
@@ -186,10 +192,43 @@ def _access(base: int, offset: int, size: int, access: str,
     ], "buffer, start"
 
 
+def _call(helper_id: int, known: Optional[Dict[int, int]]) -> List[str]:
+    """A CALL: the helper looked up per call (it may be registered late),
+    r1-r5 clobbered after it as in the kernel. A map lookup whose fd and
+    stack key are *known* runs inline while the helper is the standard one."""
+    lines = [f"helper = helper_of({helper_id:d})",
+             "if helper is None:",
+             f"    raise ProtocolError('unknown helper {helper_id:d}')"]
+    call = ["r0 = helper(vm, [r1, r2, r3, r4, r5]) & 0xffffffffffffffff"]
+    key = (known or {}).get(2, 0)
+    if (helper_id == HELPER_MAP_LOOKUP and key >> REGION_SHIFT == STACK_REGION
+            and 1 in known):
+        start = key & _OFFSET_MASK
+        call = [  # ``map_lookup`` and ``expose_buffer``, faults included
+            "if helper is map_lookup:",
+            f"    bpf_map = vm.map_by_fd({known[1]:d})",
+            "    size = bpf_map.key_size",
+            f"    if size > {STACK_SIZE - start:d}:",
+            f"        raise fault(vm, {key:#x}, size, 'read')",
+            f"    value = bpf_map.lookup(bytes(stack[{start:d}:{start:d} + size]))",
+            "    if value is None:",
+            "        r0 = 0",
+            "    else:",
+            "        region = vm._next_region",
+            "        vm._next_region = region + 1",
+            "        regions[region] = value",
+            f"        r0 = (region << {REGION_SHIFT:d}) & 0xffffffffffffffff",
+            "else:",
+            "    " + call[0],
+        ]
+    return lines + call + ["r1 = r2 = r3 = r4 = r5 = 0", "calls += 1"]
+
+
 def _statement(insn: Instruction, pc: int,
-               known: Dict[int, int]) -> Optional[Statement]:
+               known: Optional[Dict[int, int]]) -> Optional[Statement]:
     """The code of the instruction at *pc*, given the registers *known* at
-    compile time; ``None`` for an unknown opcode."""
+    compile time, or ``None`` in the checked twin (which sees none and
+    returns a tuple); ``None`` for an unknown opcode."""
     op, d, after = insn.opcode, f"r{insn.dst:d}", pc + insn.slots
     s = f"r{insn.src:d}" if insn.uses_reg_src else f"{insn.imm & _U64:d}"
     if op in ALU_OPS:
@@ -200,17 +239,11 @@ def _statement(insn: Instruction, pc: int,
     if op is Opcode.JA:
         return [f"pc = {after + insn.offset:d}"], (after + insn.offset,), after
     if op is Opcode.EXIT:
-        return ["return r0, executed, calls"], (), after
+        if known is None:
+            return ["return r0, executed, calls"], (), after
+        return ["return ExecutionResult(r0, executed, calls, context)"], (), after
     if op is Opcode.CALL:
-        return [
-            # Resolved per call: helpers may be registered after the VM is built.
-            f"helper = helper_of({insn.imm:d})",
-            "if helper is None:",
-            f"    raise ProtocolError('unknown helper {insn.imm:d}')",
-            "r0 = helper(vm, [r1, r2, r3, r4, r5]) & 0xffffffffffffffff",
-            "r1 = r2 = r3 = r4 = r5 = 0",  # clobbered by calls (kernel semantics)
-            "calls += 1",
-        ], None, after
+        return _call(insn.imm, known), None, after
     if op is Opcode.LDDW:
         return [f"{d} = {insn.imm & _U64:d}"], None, after
     if op in LOAD_OPS:
@@ -242,7 +275,7 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
     slots = 0
     for insn in program.instructions:
         instructions[slots] = insn
-        code[slots] = (_statement(insn, slots, {})
+        code[slots] = (_statement(insn, slots, None)
                        or trap(f"unhandled opcode {insn.opcode}", slots))
         slots += insn.slots
     leaders, targets = {0}, set()
@@ -258,18 +291,32 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
             leaders.add(pc + 1)
     at_entry, anywhere = ({}, {}) if checked else _bases(program, targets)
 
-    # ``**_`` takes the scratch locals (``pointer``, ``buffer``, ...) that
-    # come along when the unchecked function hands over its ``locals()``.
-    lines = [f"def run(vm, region_of, helper_of, stack, context, budget, pc,"
-             f" executed, calls, {_REGS}, **_):",
-             "    while True:"]
+    if checked:
+        # ``**_`` takes the scratch locals (``pointer``, ``data``, ...) that
+        # come along when the unchecked function hands over its ``locals()``.
+        lines = [f"def run(vm, region_of, helper_of, stack, context, budget, pc,"
+                 f" executed, calls, {_REGS}, **_):"]
+    else:  # The run's set-up: regions 1 and 2 for the helpers and the code.
+        lines = [
+            "def run(vm, data, helper_of, budget):",
+            "    regions = vm._regions",
+            "    regions.clear()",
+            f"    regions[{STACK_REGION:d}] = stack = bytearray({STACK_SIZE:d})",
+            f"    regions[{CONTEXT_REGION:d}] = context = bytearray(data)",
+            f"    vm._next_region = {_FIRST_DYNAMIC_REGION:d}",
+            "    region_of = regions.get",
+            "    pc = executed = calls = r0 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
+            f"    r1, r2, r10 = {CONTEXT_POINTER:d}, len(context), {FRAME_POINTER:d}",
+            "    length = r2",
+        ]
+    lines.append("    while True:")
     starts = sorted(pc for pc in leaders if 0 <= pc < slots)
     for leader, end in zip(starts, starts[1:] + [slots]):
         body, pc, successors = [], leader, None
         known = dict(at_entry if leader == 0 else anywhere)
         while pc < end and successors is None:
             statement, successors, after = code[pc]
-            if known and pc in instructions:  # emitted again, against *known*
+            if not checked and pc in instructions:  # again, against *known*
                 statement = (_statement(instructions[pc], pc, known) or code[pc])[0]
                 _track(instructions[pc], known)
             body.append(statement)
@@ -291,7 +338,8 @@ def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
         lines.append('            raise ProtocolError(f"pc {pc} out of range")')
     else:
         # Over budget at a block, or off the program: the twin raises.
-        lines += ["            break", "    return checked(vm)(**locals())"]
+        lines += ["            break",
+                  "    return ExecutionResult(*checked(vm)(**locals()), context)"]
     return "\n".join(lines) + "\n", traps
 
 
@@ -312,7 +360,7 @@ class BpfVm:
     def __init__(self, program: Program,
                  maps: Optional[Dict[int, BpfMap]] = None):
         self.program = program
-        self.maps = maps or {}
+        self.maps = maps if maps is not None else {}
         self.helpers = standard_helpers()
         #: Instructions one run may execute; read per run.
         self.max_instructions = MAX_INSTRUCTIONS
@@ -370,6 +418,8 @@ class BpfVm:
             "ProtocolError": ProtocolError,
             "fault": BpfVm._memory_fault,
             "checked": BpfVm._checked,
+            "map_lookup": _map_lookup,
+            "ExecutionResult": ExecutionResult,
             "traps": traps,
             **_CODECS,
         }
@@ -385,16 +435,5 @@ class BpfVm:
     # -- execution -----------------------------------------------------------
     def run(self, context: bytes = b"") -> ExecutionResult:
         """Execute the program with ``context`` as its input (r1)."""
-        # Regions 1 and 2 for the helpers, and reached directly by the code.
-        regions = self._regions
-        regions.clear()
-        regions[STACK_REGION] = stack = bytearray(STACK_SIZE)
-        regions[CONTEXT_REGION] = packet = bytearray(context)
-        self._next_region = _FIRST_DYNAMIC_REGION
-        return_value, executed, calls = self._run(
-            self, regions.get, self.helpers.table.get, stack, packet,
-            self.max_instructions, 0, 0, 0,
-            0, CONTEXT_POINTER, len(context), 0, 0, 0, 0, 0,
-            0, 0, FRAME_POINTER,
-        )
-        return ExecutionResult(return_value, executed, calls, packet)
+        return self._run(self, context, self.helpers.table.get,
+                         self.max_instructions)

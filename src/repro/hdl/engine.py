@@ -8,8 +8,9 @@ initiation-interval-limited accept rate — the zero-jitter property that the
 predictability experiment (E6) measures against CPU execution.
 
 One input costs one engine entry (see :class:`HardwarePipeline`: the
-input port is a busy-until instant); ``tests/hdl_reference.py`` keeps
-the port that queued callers in the engine as the oracle.
+input port is a busy-until instant, and :meth:`HardwarePipeline.run` is
+arithmetic on it); ``tests/hdl_reference.py`` keeps the port that queued
+callers in the engine as the oracle.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class HardwarePipeline:
       ``max(now, port free)``, frees the port ``II`` later and leaves
       the last stage ``latency - II`` after that — so one input is one
       engine entry, in call order.
+    * An input runs its program when the port admits it: a map update is
+      visible to the next input, and to the control plane, while the
+      input is still in flight. Admission order is completion order.
     """
 
     def __init__(
@@ -118,10 +122,28 @@ class HardwarePipeline:
         self._drain = max(0.0, self.latency - self.accept_interval)
         self._port_free_at = 0.0  # when the input port takes its next tuple
 
+    def run(self, context: bytes, when: float):
+        r"""Offer one input to the port at the instant *when*: its result,
+        run as the port admits it, and the instant it leaves the last stage.
+
+        >>> from repro.ebpf import assemble
+        >>> from repro.sim import Simulator
+        >>> pipeline = HardwarePipeline(
+        ...     Simulator(), compile_program(assemble("mov r0, 7\nexit")))
+        >>> result, when = pipeline.run(b"", 0.0)
+        >>> result.return_value, when == pipeline.latency
+        (7, True)
+        >>> _, later = pipeline.run(b"", 0.0)  # waits one II for the port
+        >>> round((later - when) / pipeline.accept_interval)
+        1
+        """
+        start = max(when, self._port_free_at)
+        self._port_free_at = when = start + self.accept_interval
+        when += self._drain
+        return self._vm.run(context), when
+
     def execute(self, context: bytes = b""):
         """Process: one input through the pipeline; returns ExecutionResult."""
-        sim = self.sim
-        start = max(sim.now, self._port_free_at)
-        self._port_free_at = free_at = start + self.accept_interval
-        yield sim.timeout_at(free_at + self._drain)
-        return self._vm.run(context)
+        result, when = self.run(context, self.sim.now)
+        yield self.sim.timeout_at(when)
+        return result

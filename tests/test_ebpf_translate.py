@@ -11,6 +11,7 @@ same map contents and ``trace_log`` behind.
 import itertools
 import linecache
 import os
+import re
 import struct
 import traceback
 
@@ -28,6 +29,7 @@ from repro.ebpf.helpers import (
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
     HELPER_TRACE_PRINTK,
+    standard_helpers,
 )
 from repro.ebpf.isa import (
     ALU_OPS,
@@ -73,12 +75,25 @@ def budgeted(vm, budget):
     return vm
 
 
-def observe(vm_class, program, contexts, budget):
-    """Everything a caller can see of running *program* on each context."""
+STANDARD_LOOKUP = standard_helpers().table[HELPER_MAP_LOOKUP]
+
+
+def traced_lookup(vm, args):
+    """A replacement lookup helper: the standard one, logged to ``trace_log``
+    so a run that skips it differs."""
+    vm.trace_log.append(("lookup", args[0], args[1]))
+    return STANDARD_LOOKUP(vm, args)
+
+
+def observe(vm_class, program, contexts, budget, lookup=None):
+    """Everything a caller can see of running *program* on each context,
+    with *lookup* in place of the standard lookup helper when given."""
     maps = fresh_maps()
     vm = vm_class(program, maps=maps)
     if budget is not None:
         budgeted(vm, budget)
+    if lookup is not None:
+        vm.helpers.table[HELPER_MAP_LOOKUP] = lookup
     outcomes = []
     for context in contexts:
         try:
@@ -99,9 +114,9 @@ def observe(vm_class, program, contexts, budget):
     )
 
 
-def assert_same(program, contexts=(b"",), budget=None):
-    expected = observe(ReferenceVm, program, contexts, budget)
-    assert observe(BpfVm, program, contexts, budget) == expected
+def assert_same(program, contexts=(b"",), budget=None, lookup=None):
+    expected = observe(ReferenceVm, program, contexts, budget, lookup)
+    assert observe(BpfVm, program, contexts, budget, lookup) == expected
     return expected
 
 
@@ -259,9 +274,10 @@ def _memory_operand(draw, context_size):
 
 
 @st.composite
-def _call(draw):
-    """A helper call with its argument set-up."""
-    helper = draw(st.sampled_from([
+def _call(draw, helper=None):
+    """A call of *helper* (else a drawn one) with its argument set-up; a map
+    call is sometimes followed by a lookup on the registers it clobbered."""
+    helper = helper or draw(st.sampled_from([
         HELPER_MAP_LOOKUP, HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE,
         HELPER_MAP_UPDATE, HELPER_KTIME_GET_NS, HELPER_TRACE_PRINTK,
         HELPER_GET_PRANDOM_U32, UNKNOWN_HELPER,
@@ -269,13 +285,17 @@ def _call(draw):
     setup = []
     if helper in (HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE):
         fd = draw(st.sampled_from([HASH_FD, HASH_FD, HASH_FD, MISSING_FD]))
-        # Key at a slot the stores above may have filled; sometimes off the stack.
-        key_at = draw(st.sampled_from([-8, -16, -24, -4, 0]))
+        # Key at a slot the stores above may have filled; sometimes off the
+        # stack, by one byte (-7) or more.
+        key_at = draw(st.sampled_from([-8, -16, -24, -7, -4, 0]))
         setup += [Instruction(Opcode.MOV, dst=1, imm=fd)] + _stack_pointer(2, key_at)
         if helper == HELPER_MAP_UPDATE:
             setup += _stack_pointer(3, draw(st.sampled_from([-16, -32, -8, -4])))
             setup.append(Instruction(Opcode.MOV, dst=4, imm=0))
-    return setup + [Instruction(Opcode.CALL, imm=helper)]
+    calls = [Instruction(Opcode.CALL, imm=helper)]
+    if setup and draw(st.booleans()):
+        calls.append(Instruction(Opcode.CALL, imm=HELPER_MAP_LOOKUP))
+    return setup + calls
 
 
 @st.composite
@@ -294,10 +314,24 @@ def _frame_write(draw):
 
 
 @st.composite
+def _back(draw):
+    """A pending branch back to pc 0 at the end of a list that reads through
+    r9 and moves r1: pc 0 may see another r1 than the context pointer, and
+    copies it to r9, which the pc-0 block then reads through."""
+    branch = Instruction(Opcode.JA)
+    if draw(st.booleans()):
+        branch = Instruction(
+            draw(st.sampled_from(JUMPS)), dst=draw(_reg), src=draw(_reg),
+            imm=draw(_imm32), uses_reg_src=draw(st.booleans()),
+        )
+    return [Instruction(draw(st.sampled_from(LOADS)), dst=draw(_writable), src=CTX_REG),
+            Instruction(Opcode.MOV, dst=1, src=draw(_reg), uses_reg_src=True),
+            (branch, None)]
+
+
+@st.composite
 def _instruction(draw, context_size):
-    """One body element: a list of instructions, or a pending branch. A
-    branch back to pc 0 is pending at the end of a list that first moves
-    r1, so pc 0 may see another r1 than the context pointer."""
+    """One body element: a list of instructions, or a pending branch."""
     kind = draw(st.sampled_from(
         ["alu"] * 4 + ["load"] * 3 + ["store"] * 3 + ["branch"] * 3
         + ["lddw", "call", "call", "ja", "frame", "back"]
@@ -331,15 +365,12 @@ def _instruction(draw, context_size):
         return draw(_frame_write())
     if kind == "ja":
         return ("branch", Instruction(Opcode.JA), draw(st.integers(0, 4)))
+    if kind == "back":
+        return draw(_back())
     branch = Instruction(
         draw(st.sampled_from(JUMPS)), dst=draw(_reg), src=draw(_reg),
         imm=draw(_imm32), uses_reg_src=draw(st.booleans()),
     )
-    if kind == "back":  # to pc 0 (skip None), after moving r1 there
-        if draw(st.booleans()):
-            branch = Instruction(Opcode.JA)
-        return [Instruction(Opcode.MOV, dst=1, src=draw(_reg), uses_reg_src=True),
-                (branch, None)]
     return ("branch", branch, draw(st.integers(0, 4)))
 
 
@@ -350,7 +381,11 @@ def mixed_program(draw, context_size):
     prelude = [Instruction(Opcode.MOV, dst=CTX_REG, src=1, uses_reg_src=True)]
     for reg in (0, 3, 4, 5, 6, 7, 8):
         prelude.append(Instruction(Opcode.LDDW, dst=reg, imm=draw(_imm64)))
-    body = draw(st.lists(_instruction(context_size), min_size=1, max_size=14))
+    # Half the programs start with a map lookup and half with a branch back
+    # to pc 0, so each is reached before a faulting access ends the run.
+    body = [draw(_call(HELPER_MAP_LOOKUP))] if draw(st.booleans()) else []
+    body += [draw(_back())] if draw(st.booleans()) else []
+    body += draw(st.lists(_instruction(context_size), min_size=1, max_size=14))
     flat = []  # Instruction, or (Instruction, elements to skip)
     for element in body:
         if isinstance(element, tuple):
@@ -401,7 +436,10 @@ def _case(draw):
             st.none(), st.none(),
             st.integers(min_value=0, max_value=len(program) + 1),
         ))
-    return program, contexts, budget
+    # A replaced lookup helper must be called, even where the compiler
+    # would inline the standard one.
+    lookup = draw(st.sampled_from([None, None, None, traced_lookup]))
+    return program, contexts, budget, lookup
 
 
 @settings(max_examples=400, deadline=None)
@@ -409,8 +447,8 @@ def _case(draw):
 def test_translated_vm_matches_the_reference(case):
     """Two runs on one VM pair: the second sees the first's map state and
     must not see its registers, regions or counters."""
-    program, contexts, budget = case
-    assert_same(program, contexts, budget)
+    program, contexts, budget, lookup = case
+    assert_same(program, contexts, budget, lookup)
 
 
 def test_generator_draws_from_every_operator():
@@ -559,16 +597,26 @@ class TestLateBinding:
         assert outcomes[2] == (
             "ProtocolError", "dereference of invalid pointer 0x10000000000000")
 
+    def test_a_map_added_to_the_callers_empty_dict_is_seen(self):
+        maps = {}
+        vm = BpfVm(Program(_lookup_hit() + [Instruction(Opcode.EXIT)]), maps=maps)
+        assert vm.maps is maps
+        maps.update(fresh_maps())
+        assert vm.run().return_value == 16 << 48
+
 
 # -- mutants of the emitter's rules ------------------------------------------
 #
 # Where the compiler can see a pointer it drops the region lookup
 # (``vm._bases`` says which registers it sees at a block's entry,
-# ``vm._direct`` which static accesses skip the lookup). Each mutant
-# below breaks one of those rules; the oracle must catch it on a pinned
-# program that the real rules compile correctly.
+# ``vm._track`` what it learns from each instruction, ``vm._direct`` which
+# static accesses skip the lookup), and where it sees a map lookup's fd
+# and key it inlines the helper (``vm._call``). Each mutant below breaks
+# one of those rules; the oracle must catch it on a pinned program that
+# the real rules compile correctly.
 
 real_bases, real_direct = vm_module._bases, vm_module._direct
+real_track, real_call = vm_module._track, vm_module._call
 
 
 def r10_known_although_written(program, targets):
@@ -589,6 +637,21 @@ def r1_known_at_a_jumped_to_pc_0(program, targets):
     return real_bases(program, targets - {0})
 
 
+def lookup_inlined_without_the_identity_guard(helper_id, known):
+    return [line.replace("helper is map_lookup", "True")
+            for line in real_call(helper_id, known)]
+
+
+def constant_kept_across_a_call(insn, known):
+    if insn.opcode is not Opcode.CALL:
+        real_track(insn, known)
+
+
+def key_bound_off_by_one(helper_id, known):
+    return [re.sub(r"if size > (\d+):", lambda m: f"if size > {int(m[1]) + 1}:",
+                   line) for line in real_call(helper_id, known)]
+
+
 MUTANTS = {
     # r10 moved to the context in one block, read through in the next.
     "r10 known although written": ("_bases", r10_known_although_written, assemble(
@@ -603,17 +666,32 @@ MUTANTS = {
         "top:\nldxb r0, [r1+0]\njne r6, 0, done\nmov r6, 1\nstb [r10-8], 9\n"
         "mov r1, r10\nadd r1, -8\nja top\ndone:\nexit"
     ), [b"\x01"]),
+    # The filter's lookup, with a replaced helper that logs each call.
+    "lookup inlined without the identity guard": (
+        "_call", lookup_inlined_without_the_identity_guard,
+        build_fail2ban_program(), [struct.pack("<IB", 0, 0).ljust(16, b"\0")],
+        traced_lookup),
+    # After the first call r1 is 0: the lookup asks for map fd 0.
+    "constant kept across a CALL": ("_track", constant_kept_across_a_call, assemble(
+        f"stdw [r10-8], 0\nmov r1, {HASH_FD}\nmov r2, r10\nadd r2, -8\n"
+        f"call {HELPER_KTIME_GET_NS}\ncall {HELPER_MAP_LOOKUP}\nexit"
+    ), [b""]),
+    # An 8-byte key one byte short of the stack's end.
+    "key bound off by one": ("_call", key_bound_off_by_one, assemble(
+        f"mov r1, {HASH_FD}\nmov r2, r10\nadd r2, -7\ncall {HELPER_MAP_LOOKUP}\nexit"
+    ), [b""]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_each_mutant_of_the_emitter_rules_is_killed(name, monkeypatch):
-    rule, mutant, program, contexts = MUTANTS[name]
-    assert_same(program, contexts)
+    rule, mutant, program, contexts, *replaced = MUTANTS[name]
+    lookup = replaced[0] if replaced else None  # the lookup helper, replaced
+    assert_same(program, contexts, lookup=lookup)
     monkeypatch.setattr(vm_module, rule, mutant)
     # A wrong direct access past the stack surfaces as the codec's error.
     with pytest.raises((AssertionError, struct.error)):
-        assert_same(program, contexts)
+        assert_same(program, contexts, lookup=lookup)
 
 
 def test_known_bases_compile_to_direct_codecs():
