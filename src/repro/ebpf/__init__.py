@@ -19,7 +19,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "asm": ("assemble",),
     "builder": ("ProgramBuilder",),
     "maps": ("BpfMap", "HashMap"),
-    "helpers": ("HelperRegistry", "standard_helpers"),
+    "helpers": ("HELPERS",),
     "vm": ("BpfVm", "ExecutionResult"),
     "verifier": ("Verifier", "VerifierReport"),
 })

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, TYPE_CHECKING
 
-from repro.common.errors import ProtocolError
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ebpf.vm import BpfVm
 
@@ -22,26 +20,6 @@ HELPER_MAP_DELETE = 3
 HELPER_KTIME_GET_NS = 5
 HELPER_TRACE_PRINTK = 6
 HELPER_GET_PRANDOM_U32 = 7
-
-
-class HelperRegistry:
-    """id -> helper function table, per execution environment.
-
-    A CALL looks its helper up in ``table`` at the call, so a helper
-    registered after a VM was built is callable; an id missing there is
-    the "unknown helper" fault.
-    """
-
-    def __init__(self) -> None:
-        self.table: Dict[int, Helper] = {}
-
-    def register(self, helper_id: int, fn: Helper) -> None:
-        if helper_id in self.table:
-            raise ProtocolError(f"helper {helper_id} already registered")
-        self.table[helper_id] = fn
-
-    def known(self, helper_id: int) -> bool:
-        return helper_id in self.table
 
 
 def _map_lookup(vm: "BpfVm", args: List[int]) -> int:
@@ -80,13 +58,14 @@ def _get_prandom_u32(vm: "BpfVm", args: List[int]) -> int:
     return vm.rng.getrandbits(32)
 
 
-def standard_helpers() -> HelperRegistry:
-    """The default helper set every Hyperion execution environment offers."""
-    registry = HelperRegistry()
-    registry.register(HELPER_MAP_LOOKUP, _map_lookup)
-    registry.register(HELPER_MAP_UPDATE, _map_update)
-    registry.register(HELPER_MAP_DELETE, _map_delete)
-    registry.register(HELPER_KTIME_GET_NS, _ktime_get_ns)
-    registry.register(HELPER_TRACE_PRINTK, _trace_printk)
-    registry.register(HELPER_GET_PRANDOM_U32, _get_prandom_u32)
-    return registry
+#: id -> helper: the default set every Hyperion execution environment
+#: offers. The verifier rejects a CALL of any other id, and the compiled
+#: code binds each helper by id.
+HELPERS: Dict[int, Helper] = {
+    HELPER_MAP_LOOKUP: _map_lookup,
+    HELPER_MAP_UPDATE: _map_update,
+    HELPER_MAP_DELETE: _map_delete,
+    HELPER_KTIME_GET_NS: _ktime_get_ns,
+    HELPER_TRACE_PRINTK: _trace_printk,
+    HELPER_GET_PRANDOM_U32: _get_prandom_u32,
+}

@@ -124,6 +124,8 @@ COND_JUMPS = {
     Opcode.JSLE,
 }
 JUMP_OPS = COND_JUMPS | {Opcode.JA, Opcode.EXIT, Opcode.CALL}
+#: The opcodes that end a basic block: every jump, and EXIT (a CALL returns).
+BLOCK_END_OPS = COND_JUMPS | {Opcode.JA, Opcode.EXIT}
 
 MEM_SIZE = {
     Opcode.LDXB: 1,
@@ -288,3 +290,17 @@ class Program:
 
     def encode(self) -> bytes:
         return b"".join(insn.encode() for insn in self.instructions)
+
+
+def leaders(program: Program) -> List[int]:
+    """The slots where *program*'s basic blocks begin, in order: pc 0, each
+    jump target and the slot after each jump or EXIT, within the program."""
+    found = {0}
+    slot = 0
+    for insn in program:
+        slot += insn.slots
+        if insn.opcode in BLOCK_END_OPS:
+            found.add(slot)
+            if insn.opcode is not Opcode.EXIT:
+                found.add(slot + insn.offset)
+    return sorted(pc for pc in found if 0 <= pc < len(program))

@@ -16,7 +16,12 @@ with known immediates (stack pointers are relative to r10):
 * back-edges (loops) are rejected, and exploration is bounded by a state
   budget (kernel-style);
 * every path must reach EXIT with r0 initialized;
-* division/modulo by a zero immediate is rejected.
+* division/modulo by a zero immediate, an opcode outside :class:`Opcode`
+  and a call of a helper outside :data:`HELPERS` are rejected anywhere in
+  the program, reached or not.
+
+:func:`require_verified` is the admission check: a :class:`BpfVm` and
+``compile_program`` accept only what it passes.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+from repro.common.errors import VerificationError
 from repro.ebpf.helpers import (
     HELPER_MAP_DELETE,
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
-    standard_helpers,
+    HELPERS,
 )
 from repro.ebpf.isa import Instruction, MEM_SIZE, Opcode, Program, STACK_SIZE
 
@@ -100,9 +106,6 @@ _INITIAL_STATE: State = tuple(
 class Verifier:
     """Path-sensitive abstract interpreter over a :class:`Program`."""
 
-    def __init__(self):
-        self.helpers = standard_helpers()
-
     def verify(self, program: Program) -> VerifierReport:
         report = VerifierReport(ok=True)
         if len(program) == 0:
@@ -152,6 +155,11 @@ class Verifier:
         length = len(program)
         pc = 0
         for insn in program:
+            if not isinstance(insn.opcode, Opcode):
+                report.ok = False
+                report.errors.append(
+                    VerifierError(pc, f"unknown opcode {insn.opcode!r}")
+                )
             if insn.is_cond_jump or insn.opcode is Opcode.JA:
                 target = pc + 1 + insn.offset
                 if not 0 <= target < length:
@@ -167,7 +175,7 @@ class Verifier:
                         report.errors.append(
                             VerifierError(pc, "jump into the middle of LDDW")
                         )
-            if insn.opcode is Opcode.CALL and not self.helpers.known(insn.imm):
+            if insn.opcode is Opcode.CALL and insn.imm not in HELPERS:
                 report.ok = False
                 report.errors.append(
                     VerifierError(pc, f"call to unknown helper {insn.imm}")
@@ -257,32 +265,30 @@ class Verifier:
         if op is Opcode.JA:
             return [(pc + 1 + insn.offset, tuple(regs))]
 
-        if insn.is_cond_jump:
-            if not require_init(insn.dst):
-                return []
-            if insn.uses_reg_src and not require_init(insn.src):
-                return []
-            taken = list(regs)
-            fallthrough = list(regs)
-            # Null-check refinement: `jeq rX, 0` / `jne rX, 0` on a
-            # maybe-null map value splits into null/non-null branches.
-            if (
-                not insn.uses_reg_src
-                and insn.imm == 0
-                and regs[insn.dst][0] is RegType.PTR_MAP_VALUE_OR_NULL
-            ):
-                if op is Opcode.JEQ:
-                    taken[insn.dst] = _SCALAR  # the null branch
-                    fallthrough[insn.dst] = (RegType.PTR_MAP_VALUE, 0)
-                elif op is Opcode.JNE:
-                    taken[insn.dst] = (RegType.PTR_MAP_VALUE, 0)
-                    fallthrough[insn.dst] = _SCALAR
-            return [
-                (pc + 1 + insn.offset, tuple(taken)),
-                (pc + 1, tuple(fallthrough)),
-            ]
-
-        return fail(f"unhandled opcode {op}")
+        # A conditional jump: the structural checks admit no other opcode.
+        if not require_init(insn.dst):
+            return []
+        if insn.uses_reg_src and not require_init(insn.src):
+            return []
+        taken = list(regs)
+        fallthrough = list(regs)
+        # Null-check refinement: `jeq rX, 0` / `jne rX, 0` on a
+        # maybe-null map value splits into null/non-null branches.
+        if (
+            not insn.uses_reg_src
+            and insn.imm == 0
+            and regs[insn.dst][0] is RegType.PTR_MAP_VALUE_OR_NULL
+        ):
+            if op is Opcode.JEQ:
+                taken[insn.dst] = _SCALAR  # the null branch
+                fallthrough[insn.dst] = (RegType.PTR_MAP_VALUE, 0)
+            elif op is Opcode.JNE:
+                taken[insn.dst] = (RegType.PTR_MAP_VALUE, 0)
+                fallthrough[insn.dst] = _SCALAR
+        return [
+            (pc + 1 + insn.offset, tuple(taken)),
+            (pc + 1, tuple(fallthrough)),
+        ]
 
     def _step_alu(self, pc, insn, regs, fail, require_init):
         op = insn.opcode
@@ -346,3 +352,14 @@ class Verifier:
         elif effective < 0:
             return f"negative {base_type.value} offset {effective}"
         return None
+
+
+def require_verified(program: Program) -> None:
+    """Raise :class:`VerificationError`, naming the first pc rejected, unless
+    the verifier accepts *program*: the one admission check of the VM and
+    the hardware compiler."""
+    report = Verifier().verify(program)
+    if not report.ok:
+        raise VerificationError(
+            f"program {program.name!r} rejected: {report.reject_reason()}"
+        )

@@ -1,40 +1,49 @@
 r"""The eBPF execution environment: one of "many possible implementations of
 an eBPF execution environment" (paper §2.2; cf. ubpf).
 
+A :class:`BpfVm` runs only what the verifier accepts: building one
+verifies its program and raises :class:`VerificationError` naming the pc
+it rejects (:func:`repro.ebpf.verifier.require_verified`). So every jump
+a run takes goes forward, to an instruction's first slot, no run writes
+r10, every CALL names a helper in :data:`repro.ebpf.helpers.HELPERS`, and
+every stack access a run makes is inside the 512 bytes.
+
 Memory model: a segmented 64-bit pointer space, the high 16 bits a region
 and the low 48 an offset. Region 1 is the 512-byte stack (r10 points one
 past its end), region 2 the program context (the packet or input buffer),
-and further regions are map values exposed by helpers. Every access is
-bounds-checked; faults raise :class:`ProtocolError`.
+and further regions are map values exposed by helpers. What the verifier
+cannot bound (the end of the context, of a map value, of a helper's key)
+is checked at run time; faults raise :class:`ProtocolError`.
 
 Execution model: a program is compiled once, when its :class:`BpfVm` is
 built, into one Python function that owns the run: it builds the regions
 and registers, reads the context's length and returns the result. r0-r10
-are its locals; each basic block (leaders: pc 0, every jump target, the
-slot after a jump, EXIT or trap) is straight-line code under ``if pc ==
-leader:``, and the budget (read per run) is checked once per block. A
-block that would cross it continues in a *checked* twin, compiled the
-first time a run needs it, which checks and counts before every
-instruction. An access through a pointer the compiler can see (r10 when
-nothing writes it, r1 in the pc-0 block when nothing jumps there,
-immediates, MOV copies and immediate ADD/SUB shifts) is a struct codec on
-the run's stack, unchecked, or on its context, checked against its length;
-any other access looks its region up per run. The text comes from fixed
-templates and two closed expression tables; only integers and register
-numbers from :class:`Instruction` fields are interpolated. Helpers are
-looked up at the call, maps per run; a lookup with a constant fd and a
-stack key runs inline behind ``helper is map_lookup``.
-``tests/ebpf_reference.py`` keeps the former ``if``-chain interpreter as
-the oracle the compiled code is tested against.
+are its locals; each basic block (:func:`repro.ebpf.isa.leaders`) is
+straight-line code under ``if pc == leader:``, and since every jump goes
+forward the blocks are tested once each, in pc order. An access through a
+pointer the compiler can see (r10 anywhere, r1 in the pc-0 block, and
+their MOV copies and immediate ADD/SUB shifts) is a struct codec on the
+run's stack, unchecked, or on its context, checked against its length;
+any other access looks its region up per run. The text comes from
+fixed templates and two closed expression tables; only integers and
+register numbers from :class:`Instruction` fields are interpolated. Each
+helper is bound into the function by id; a lookup with a constant fd and a
+stack key runs inline. ``tests/ebpf_reference.py`` keeps the former
+``if``-chain interpreter as the oracle the compiled code is tested
+against.
 
 >>> from repro.ebpf import assemble
 >>> result = BpfVm(assemble("ldxb r0, [r1+0]\nadd r0, 1\nexit")).run(b"\x29")
 >>> result.return_value, result.instructions_executed
 (42, 3)
->>> BpfVm(assemble("ldxdw r0, [r10+0]\nexit")).run()
+>>> BpfVm(assemble("ldxb r0, [r1+1]\nexit")).run(b"\x29")
 Traceback (most recent call last):
 ...
-repro.common.errors.ProtocolError: out-of-bounds read at 0x1000000000200 (8 bytes)
+repro.common.errors.ProtocolError: out-of-bounds read at 0x2000000000001 (1 bytes)
+>>> BpfVm(assemble("ldxdw r0, [r10+0]\nexit"))
+Traceback (most recent call last):
+...
+repro.common.errors.VerificationError: program 'prog' rejected: pc 0: stack access [0, 8) outside [-512, 0)
 """
 
 from __future__ import annotations
@@ -45,15 +54,16 @@ import os
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.ebpf.helpers import HELPER_MAP_LOOKUP, _map_lookup, standard_helpers
+from repro.ebpf.helpers import HELPER_MAP_LOOKUP, HELPERS
 from repro.ebpf.isa import (
-    ALU_OPS, COND_JUMPS, Instruction, LOAD_OPS, MEM_SIZE, Opcode, Program,
-    STACK_SIZE, STORE_OPS, STORE_REG_OPS,
+    ALU_OPS, BLOCK_END_OPS, COND_JUMPS, Instruction, LOAD_OPS, MEM_SIZE, Opcode,
+    Program, STACK_SIZE, STORE_REG_OPS, leaders,
 )
 from repro.ebpf.maps import BpfMap
+from repro.ebpf.verifier import require_verified
 
 _U64 = (1 << 64) - 1
 REGION_SHIFT = 48
@@ -71,15 +81,9 @@ _CODECS = {f"{kind}{size}": getattr(struct.Struct(code), method)
            for size, code in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
            for kind, method in (("load", "unpack_from"), ("store", "pack_into"))}
 
-#: A new VM's instruction budget per run (the ``max_instructions``
-#: attribute a caller may lower before a run).
-MAX_INSTRUCTIONS = 1_000_000
-
 #: Compiled programs get a pseudo-filename in this package's directory, so
 #: a profile charges them to ``ebpf``.
 _HERE = os.path.dirname(os.path.abspath(__file__))
-
-_REGS = ", ".join(f"r{reg}" for reg in range(11))
 
 #: The new dst per ALU opcode, over u64 operands: ``{d}`` a register,
 #: ``{s}`` a register or the immediate masked to u64. Division by zero
@@ -117,27 +121,8 @@ _TAKEN_EXPR = {
     Opcode.JSLE: "{d} ^ 0x8000000000000000 <= {s} ^ 0x8000000000000000",
 }
 
-_BUDGET_CHECK = [
-    "if executed >= budget:",
-    '    raise ProtocolError(f"instruction budget exhausted ({budget})")',
-]
-
-#: One slot's code: its lines, the pcs it may jump to (``None`` when it
-#: falls through, empty when it ends the run), and the pc after it.
-Statement = Tuple[List[str], Optional[Tuple[int, ...]], int]
-
-
 #: The opcodes that write their dst register; a CALL writes r0-r5.
 _WRITES_DST = ALU_OPS | LOAD_OPS | {Opcode.LDDW}
-
-
-def _bases(program: Program,
-           targets: Set[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The registers known as a block starts, at pc 0 and elsewhere: r10 when
-    no instruction writes it, r1 at pc 0 when no jump (*targets*) leads there."""
-    frame = ({} if any(insn.dst == 10 and insn.opcode in _WRITES_DST
-                       for insn in program.instructions) else {10: FRAME_POINTER})
-    return (frame if 0 in targets else {**frame, 1: CONTEXT_POINTER}), frame
 
 
 def _track(insn: Instruction, known: Dict[int, int]) -> None:
@@ -159,28 +144,22 @@ def _track(insn: Instruction, known: Dict[int, int]) -> None:
             known[dst] = (base + shift) & _U64
 
 
-def _direct(pointer: int, size: int, access: str) -> Optional[Tuple[List[str], str]]:
-    """An access at a pointer known at compile time, on the run's stack or
-    context with no lookup: its checks and its codec's ``buffer, start``."""
-    region, start = pointer >> REGION_SHIFT, pointer & _OFFSET_MASK
-    if region == STACK_REGION and start + size <= STACK_SIZE:
-        return [], f"stack, {start:d}"
-    if region != CONTEXT_REGION:
-        return None
-    return [
-        f"if {start + size:d} > length:",
-        f"    raise fault(vm, {pointer:#x}, {size:d}, '{access}')",
-    ], f"context, {start:d}"
-
-
 def _access(base: int, offset: int, size: int, access: str,
-            known: Optional[Dict[int, int]]) -> Tuple[List[str], str]:
+            known: Dict[int, int]) -> Tuple[List[str], str]:
     """The checks that ``[r{base} + offset]`` holds *size* bytes, or the
-    access faults, and the ``buffer, start`` its codec then takes."""
-    if known and base in known:
-        direct = _direct((known[base] + offset) & _U64, size, access)
-        if direct is not None:
-            return direct
+    access faults, and the ``buffer, start`` its codec then takes. A
+    verified access through a *known* base is on the stack, inside the
+    window the verifier checked, or on the context, whose end only the
+    run knows."""
+    if base in known:
+        pointer = (known[base] + offset) & _U64
+        start = pointer & _OFFSET_MASK
+        if pointer >> REGION_SHIFT == STACK_REGION:
+            return [], f"stack, {start:d}"
+        return [
+            f"if {start + size:d} > length:",
+            f"    raise fault(vm, {pointer:#x}, {size:d}, '{access}')",
+        ], f"context, {start:d}"
     pointer = (f"(r{base:d} + {offset:d}) & 0xffffffffffffffff" if offset
                else f"r{base:d}")
     return [
@@ -192,155 +171,97 @@ def _access(base: int, offset: int, size: int, access: str,
     ], "buffer, start"
 
 
-def _call(helper_id: int, known: Optional[Dict[int, int]]) -> List[str]:
-    """A CALL: the helper looked up per call (it may be registered late),
-    r1-r5 clobbered after it as in the kernel. A map lookup whose fd and
-    stack key are *known* runs inline while the helper is the standard one."""
-    lines = [f"helper = helper_of({helper_id:d})",
-             "if helper is None:",
-             f"    raise ProtocolError('unknown helper {helper_id:d}')"]
-    call = ["r0 = helper(vm, [r1, r2, r3, r4, r5]) & 0xffffffffffffffff"]
-    key = (known or {}).get(2, 0)
+def _call(helper_id: int, known: Dict[int, int]) -> List[str]:
+    """A CALL of the helper bound as ``helper{id}``, r1-r5 clobbered after
+    it as in the kernel. A map lookup whose fd and stack key are *known*
+    runs inline."""
+    key = known.get(2, 0)
     if (helper_id == HELPER_MAP_LOOKUP and key >> REGION_SHIFT == STACK_REGION
             and 1 in known):
         start = key & _OFFSET_MASK
         call = [  # ``map_lookup`` and ``expose_buffer``, faults included
-            "if helper is map_lookup:",
-            f"    bpf_map = vm.map_by_fd({known[1]:d})",
-            "    size = bpf_map.key_size",
-            f"    if size > {STACK_SIZE - start:d}:",
-            f"        raise fault(vm, {key:#x}, size, 'read')",
-            f"    value = bpf_map.lookup(bytes(stack[{start:d}:{start:d} + size]))",
-            "    if value is None:",
-            "        r0 = 0",
-            "    else:",
-            "        region = vm._next_region",
-            "        vm._next_region = region + 1",
-            "        regions[region] = value",
-            f"        r0 = (region << {REGION_SHIFT:d}) & 0xffffffffffffffff",
+            f"bpf_map = vm.map_by_fd({known[1]:d})",
+            "size = bpf_map.key_size",
+            f"if size > {STACK_SIZE - start:d}:",
+            f"    raise fault(vm, {key:#x}, size, 'read')",
+            f"value = bpf_map.lookup(bytes(stack[{start:d}:{start:d} + size]))",
+            "if value is None:",
+            "    r0 = 0",
             "else:",
-            "    " + call[0],
+            "    region = vm._next_region",
+            "    vm._next_region = region + 1",
+            "    regions[region] = value",
+            f"    r0 = (region << {REGION_SHIFT:d}) & 0xffffffffffffffff",
         ]
-    return lines + call + ["r1 = r2 = r3 = r4 = r5 = 0", "calls += 1"]
+    else:
+        call = [f"r0 = helper{helper_id:d}(vm, [r1, r2, r3, r4, r5])"
+                " & 0xffffffffffffffff"]
+    return call + ["r1 = r2 = r3 = r4 = r5 = 0", "calls += 1"]
 
 
-def _statement(insn: Instruction, pc: int,
-               known: Optional[Dict[int, int]]) -> Optional[Statement]:
+def _statement(insn: Instruction, pc: int, known: Dict[int, int]) -> List[str]:
     """The code of the instruction at *pc*, given the registers *known* at
-    compile time, or ``None`` in the checked twin (which sees none and
-    returns a tuple); ``None`` for an unknown opcode."""
+    compile time."""
     op, d, after = insn.opcode, f"r{insn.dst:d}", pc + insn.slots
     s = f"r{insn.src:d}" if insn.uses_reg_src else f"{insn.imm & _U64:d}"
     if op in ALU_OPS:
-        return [f"{d} = " + _ALU_EXPR[op].format(d=d, s=s)], None, after
+        return [f"{d} = " + _ALU_EXPR[op].format(d=d, s=s)]
     if op in COND_JUMPS:
-        taken, target = _TAKEN_EXPR[op].format(d=d, s=s), after + insn.offset
-        return [f"pc = {target:d} if {taken} else {after:d}"], (target,), after
+        taken = _TAKEN_EXPR[op].format(d=d, s=s)
+        return [f"pc = {after + insn.offset:d} if {taken} else {after:d}"]
     if op is Opcode.JA:
-        return [f"pc = {after + insn.offset:d}"], (after + insn.offset,), after
+        return [f"pc = {after + insn.offset:d}"]
     if op is Opcode.EXIT:
-        if known is None:
-            return ["return r0, executed, calls"], (), after
-        return ["return ExecutionResult(r0, executed, calls, context)"], (), after
+        return ["return ExecutionResult(r0, executed, calls, context)"]
     if op is Opcode.CALL:
-        return _call(insn.imm, known), None, after
+        return _call(insn.imm, known)
     if op is Opcode.LDDW:
-        return [f"{d} = {insn.imm & _U64:d}"], None, after
+        return [f"{d} = {insn.imm & _U64:d}"]
     if op in LOAD_OPS:
         checks, args = _access(insn.src, insn.offset, MEM_SIZE[op], "read", known)
-        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"], None, after
-    if op in STORE_OPS:
-        size = MEM_SIZE[op]
-        mask = (1 << (8 * size)) - 1
-        value = (f"r{insn.src:d} & {mask:#x}" if op in STORE_REG_OPS
-                 else f"{insn.imm & mask:d}")
-        checks, args = _access(insn.dst, insn.offset, size, "write", known)
-        return checks + [f"store{size:d}({args}, {value})"], None, after
-    return None
+        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"]
+    # A store: the verifier admits no other opcode.
+    size = MEM_SIZE[op]
+    mask = (1 << (8 * size)) - 1
+    value = (f"r{insn.src:d} & {mask:#x}" if op in STORE_REG_OPS
+             else f"{insn.imm & mask:d}")
+    checks, args = _access(insn.dst, insn.offset, size, "write", known)
+    return checks + [f"store{size:d}({args}, {value})"]
 
 
-def _source(program: Program, checked: bool) -> Tuple[str, List[str]]:
-    """The text of *program*'s ``run`` function, and the messages its traps
-    raise. *checked*: the twin that checks the budget per instruction."""
-    traps: List[str] = []
-
-    def trap(message: str, pc: int) -> Statement:
-        traps.append(message)
-        return [f"raise ProtocolError(traps[{len(traps) - 1:d}])"], (), pc + 1
-
-    # Every slot's generic code: the checked twin runs it, and the leaders
-    # come from it.
-    code: Dict[int, Statement] = {}
-    instructions: Dict[int, Instruction] = {}
-    slots = 0
-    for insn in program.instructions:
-        instructions[slots] = insn
-        code[slots] = (_statement(insn, slots, None)
-                       or trap(f"unhandled opcode {insn.opcode}", slots))
-        slots += insn.slots
-    leaders, targets = {0}, set()
-    for _, successors, after in code.values():
-        if successors is not None:
-            targets.update(successors)
-            leaders.update(successors, (after,))
-    # A jump into an LDDW's second slot traps there; the LDDW itself
-    # falls through past it.
-    for pc in sorted(leaders - code.keys()):
-        if 0 < pc < slots:
-            code[pc] = trap(f"pc {pc} lands in the middle of LDDW", pc)
-            leaders.add(pc + 1)
-    at_entry, anywhere = ({}, {}) if checked else _bases(program, targets)
-
-    if checked:
-        # ``**_`` takes the scratch locals (``pointer``, ``data``, ...) that
-        # come along when the unchecked function hands over its ``locals()``.
-        lines = [f"def run(vm, region_of, helper_of, stack, context, budget, pc,"
-                 f" executed, calls, {_REGS}, **_):"]
-    else:  # The run's set-up: regions 1 and 2 for the helpers and the code.
-        lines = [
-            "def run(vm, data, helper_of, budget):",
-            "    regions = vm._regions",
-            "    regions.clear()",
-            f"    regions[{STACK_REGION:d}] = stack = bytearray({STACK_SIZE:d})",
-            f"    regions[{CONTEXT_REGION:d}] = context = bytearray(data)",
-            f"    vm._next_region = {_FIRST_DYNAMIC_REGION:d}",
-            "    region_of = regions.get",
-            "    pc = executed = calls = r0 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
-            f"    r1, r2, r10 = {CONTEXT_POINTER:d}, len(context), {FRAME_POINTER:d}",
-            "    length = r2",
-        ]
-    lines.append("    while True:")
-    starts = sorted(pc for pc in leaders if 0 <= pc < slots)
-    for leader, end in zip(starts, starts[1:] + [slots]):
-        body, pc, successors = [], leader, None
-        known = dict(at_entry if leader == 0 else anywhere)
-        while pc < end and successors is None:
-            statement, successors, after = code[pc]
-            if not checked and pc in instructions:  # again, against *known*
-                statement = (_statement(instructions[pc], pc, known) or code[pc])[0]
-                _track(instructions[pc], known)
-            body.append(statement)
-            pc = after
-        lines.append(f"        if pc == {leader:d}:")
-        if not checked:
-            lines += [f"            if executed + {len(body):d} > budget:",
-                      "                break",
-                      f"            executed += {len(body):d}"]
+def _source(program: Program) -> str:
+    """The text of *program*'s ``run`` function."""
+    lines = [  # The run's set-up: regions 1 and 2 for the helpers and the code.
+        "def run(vm, data):",
+        "    regions = vm._regions",
+        "    regions.clear()",
+        f"    regions[{STACK_REGION:d}] = stack = bytearray({STACK_SIZE:d})",
+        f"    regions[{CONTEXT_REGION:d}] = context = bytearray(data)",
+        f"    vm._next_region = {_FIRST_DYNAMIC_REGION:d}",
+        "    region_of = regions.get",
+        "    pc = executed = calls = r0 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
+        f"    r1, r2, r10 = {CONTEXT_POINTER:d}, len(context), {FRAME_POINTER:d}",
+        "    length = r2",
+    ]
+    starts = leaders(program)
+    for leader, end in zip(starts, starts[1:] + [len(program)]):
+        # r10 is the frame pointer throughout, and r1 the context at pc 0,
+        # which no jump reaches.
+        known = {10: FRAME_POINTER}
+        if leader == 0:
+            known[1] = CONTEXT_POINTER
+        body, pc = [], leader
+        while pc < end:
+            insn = program.at_slot(pc)
+            body.append(_statement(insn, pc, known))
+            _track(insn, known)
+            pc += insn.slots
+        lines += [f"    if pc == {leader:d}:", f"        executed += {len(body):d}"]
         for statement in body:
-            if checked:
-                statement = _BUDGET_CHECK + ["executed += 1"] + statement
-            lines += ["            " + line for line in statement]
-        if successors is None:
-            lines.append(f"            pc = {pc:d}")
-    lines.append(f"        if not 0 <= pc < {slots:d}:")
-    if checked:
-        lines += ["            " + line for line in _BUDGET_CHECK]
-        lines.append('            raise ProtocolError(f"pc {pc} out of range")')
-    else:
-        # Over budget at a block, or off the program: the twin raises.
-        lines += ["            break",
-                  "    return ExecutionResult(*checked(vm)(**locals()), context)"]
-    return "\n".join(lines) + "\n", traps
+            lines += ["        " + line for line in statement]
+        if insn.opcode not in BLOCK_END_OPS:
+            lines.append(f"        pc = {pc:d}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -355,23 +276,20 @@ class ExecutionResult:
 
 
 class BpfVm:
-    """An execution environment bound to a program, maps, and helpers."""
+    """An execution environment bound to a verified program and its maps."""
 
     def __init__(self, program: Program,
                  maps: Optional[Dict[int, BpfMap]] = None):
+        require_verified(program)
         self.program = program
         self.maps = maps if maps is not None else {}
-        self.helpers = standard_helpers()
-        #: Instructions one run may execute; read per run.
-        self.max_instructions = MAX_INSTRUCTIONS
         self.rng = random.Random(0)
         self.trace_log: List[tuple] = []
         self._clock_ns = 0
         # One dict for the VM's life, refilled per run.
         self._regions: Dict[int, bytearray] = {}
         self._next_region = _FIRST_DYNAMIC_REGION
-        self._run = self._compile(checked=False)
-        self._checked_run: Optional[Callable] = None
+        self._run = self._compile()
 
     # -- environment hooks ---------------------------------------------------
     def map_by_fd(self, fd: int) -> BpfMap:
@@ -406,34 +324,24 @@ class BpfVm:
         return bytes(buffer[offset : offset + size])
 
     # -- compilation ---------------------------------------------------------
-    def _compile(self, checked: bool) -> Callable:
+    def _compile(self) -> Callable:
         """The program as one function (see the module docstring)."""
-        source, traps = _source(self.program, checked)
+        source = _source(self.program)
         digest = hashlib.blake2b(source.encode(), digest_size=8).hexdigest()
         filename = os.path.join(_HERE, f"<bpf:{digest}>")
         # Tracebacks show the generated line; identical programs share it.
         linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                      filename)
         namespace = {
-            "ProtocolError": ProtocolError,
             "fault": BpfVm._memory_fault,
-            "checked": BpfVm._checked,
-            "map_lookup": _map_lookup,
             "ExecutionResult": ExecutionResult,
-            "traps": traps,
+            **{f"helper{helper_id:d}": helper for helper_id, helper in HELPERS.items()},
             **_CODECS,
         }
         exec(compile(source, filename, "exec"), namespace)
         return namespace["run"]
 
-    def _checked(self) -> Callable:
-        """The twin a block that would cross the budget continues in."""
-        if self._checked_run is None:
-            self._checked_run = self._compile(checked=True)
-        return self._checked_run
-
     # -- execution -----------------------------------------------------------
     def run(self, context: bytes = b"") -> ExecutionResult:
         """Execute the program with ``context`` as its input (r1)."""
-        return self._run(self, context, self.helpers.table.get,
-                         self.max_instructions)
+        return self._run(self, context)

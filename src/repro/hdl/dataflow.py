@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.ebpf.isa import Instruction, Opcode, Program
+from repro.ebpf.isa import Instruction, Opcode, Program, leaders
 
 
 @dataclass
@@ -28,24 +28,9 @@ class BasicBlock:
         return sum(insn.slots for insn in self.instructions)
 
 
-def _leaders(program: Program) -> List[int]:
-    """Slot indices where basic blocks begin."""
-    leaders: Set[int] = {0}
-    slot = 0
-    for insn in program:
-        next_slot = slot + insn.slots
-        if insn.is_cond_jump or insn.opcode is Opcode.JA:
-            leaders.add(slot + 1 + insn.offset)
-            leaders.add(next_slot)
-        elif insn.opcode is Opcode.EXIT:
-            leaders.add(next_slot)
-        slot = next_slot
-    return sorted(index for index in leaders if 0 <= index < len(program))
-
-
 def build_cfg(program: Program) -> List[BasicBlock]:
     """Split into basic blocks and wire successor edges."""
-    leader_slots = _leaders(program)
+    leader_slots = leaders(program)
     slot_to_block: Dict[int, int] = {}
     blocks: List[BasicBlock] = []
     for index, start in enumerate(leader_slots):

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.errors import VerificationError
 from repro.ebpf.isa import Program
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.vm import BpfVm
 from repro.hw.fpga.bitstream import Bitstream
-from repro.ebpf.verifier import Verifier
+from repro.ebpf.verifier import require_verified
 from repro.hdl.resources import AreaEstimate, estimate
 from repro.hdl.schedule import PipelineSchedule, schedule_pipeline
 from repro.sim import Simulator
@@ -72,11 +71,7 @@ def compile_program(
     ``optimize=True`` runs the warping-style folding/DCE passes
     (:mod:`repro.hdl.optimize`) before scheduling.
     """
-    report = Verifier().verify(program)
-    if not report.ok:
-        raise VerificationError(
-            f"program {program.name!r} rejected: {report.reject_reason()}"
-        )
+    require_verified(program)
     if optimize:
         from repro.hdl.optimize import optimize_straightline
 

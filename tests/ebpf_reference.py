@@ -8,8 +8,10 @@ It re-derives every fact per executed instruction and is slow on purpose.
 Nothing under ``src/`` imports it.
 
 Only the environment helpers see (``map_by_fd``, ``clock_ns``,
-``expose_buffer``, ``trace_log``, ``rng``) is inherited from ``BpfVm``;
-``_compile`` is overridden, so building one compiles nothing.
+``expose_buffer``, ``trace_log``, ``rng``) and the verification at
+construction are inherited from ``BpfVm``; ``_compile`` is overridden, so
+building one compiles nothing. It runs only verified programs, so it
+needs no instruction budget.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.common.errors import ProtocolError
+from repro.ebpf.helpers import HELPERS
 from repro.ebpf.isa import Instruction, MEM_SIZE, Opcode, STACK_SIZE
 from repro.ebpf.vm import (
     CONTEXT_REGION,
@@ -42,7 +45,7 @@ def _s64(value: int) -> int:
 class ReferenceVm(BpfVm):
     """Same constructor and result as :class:`BpfVm`, interpreted slot by slot."""
 
-    def _compile(self, checked: bool) -> None:
+    def _compile(self) -> None:
         """Nothing to compile: :meth:`run` interprets the program."""
         return None
 
@@ -88,10 +91,6 @@ class ReferenceVm(BpfVm):
         executed = 0
         helper_calls = 0
         while True:
-            if executed >= self.max_instructions:
-                raise ProtocolError(
-                    f"instruction budget exhausted ({self.max_instructions})"
-                )
             insn = self.program.at_slot(pc)
             executed += 1
             op = insn.opcode
@@ -105,12 +104,7 @@ class ReferenceVm(BpfVm):
                 )
             if op is Opcode.CALL:
                 args = [regs[1], regs[2], regs[3], regs[4], regs[5]]
-                # What ``HelperRegistry.call`` did before the compiled
-                # CALL read the registry's table itself.
-                helper = self.helpers.table.get(insn.imm)
-                if helper is None:
-                    raise ProtocolError(f"unknown helper {insn.imm}")
-                regs[0] = _u64(helper(self, args))
+                regs[0] = _u64(HELPERS[insn.imm](self, args))
                 # r1-r5 are clobbered by calls (kernel semantics).
                 regs[1:6] = [0, 0, 0, 0, 0]
                 helper_calls += 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ebpf import Verifier, assemble
 from repro.ebpf.helpers import HELPER_MAP_LOOKUP
+from repro.ebpf.isa import Instruction, Opcode, Program
 from repro.eval.compiler import program_corpus
 
 
@@ -109,6 +110,20 @@ class TestRejection:
         report = verify("call 1234\nexit")
         assert not report.ok
         assert "unknown helper" in report.reject_reason()
+
+    def test_unknown_opcode_rejected_even_unreached(self):
+        """An opcode outside the enum is named by its pc wherever it sits,
+        like an unknown helper, so every instruction a VM compiles has a
+        known opcode."""
+        program = Program([
+            Instruction(Opcode.MOV, dst=0, imm=0),
+            Instruction(Opcode.EXIT),
+            Instruction("bogus"),  # the dataclass does not police its opcode
+            Instruction(Opcode.EXIT),
+        ])
+        report = Verifier().verify(program)
+        assert not report.ok
+        assert report.reject_reason() == "pc 2: unknown opcode 'bogus'"
 
     def test_div_by_zero_imm(self):
         report = verify("mov r0, 1\ndiv r0, 0\nexit")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import CapacityError, ProtocolError
+from repro.common.errors import CapacityError, ProtocolError, VerificationError
 from repro.ebpf import BpfVm, HashMap, Opcode, ProgramBuilder, assemble
 from repro.ebpf.helpers import (
     HELPER_GET_PRANDOM_U32,
@@ -10,14 +10,19 @@ from repro.ebpf.helpers import (
     HELPER_MAP_DELETE,
     HELPER_MAP_LOOKUP,
     HELPER_MAP_UPDATE,
+    HELPER_TRACE_PRINTK,
 )
 
 
-def run(source, context=b"", budget=None):
-    vm = BpfVm(assemble(source))
-    if budget is not None:
-        vm.max_instructions = budget
-    return vm.run(context)
+def run(source, context=b""):
+    return BpfVm(assemble(source)).run(context)
+
+
+def refused(source):
+    """The verifier's reason, naming the pc, for not building a VM."""
+    with pytest.raises(VerificationError) as caught:
+        BpfVm(assemble(source))
+    return str(caught.value)
 
 
 class TestArithmetic:
@@ -116,6 +121,7 @@ class TestControlFlow:
         assert run(source).return_value == 1
 
     def test_loop_with_counter(self):
+        """A loop is a back-edge: the VM refuses it at construction."""
         source = """
             mov r1, 10
             mov r0, 0
@@ -125,16 +131,8 @@ class TestControlFlow:
             jne r1, 0, top
             exit
         """
-        assert run(source).return_value == 55
-
-    def test_instruction_budget(self):
-        source = """
-        top:
-            mov r0, 1
-            ja top
-        """
-        with pytest.raises(ProtocolError, match="budget"):
-            run(source, budget=1000)
+        assert refused(source) == (
+            "program 'prog' rejected: pc 4: back-edge detected; loops are rejected")
 
 
 class TestMemory:
@@ -177,16 +175,31 @@ class TestMemory:
         assert run(source, context=b"x" * 17).return_value == 17
 
     def test_out_of_bounds_stack_faults(self):
-        with pytest.raises(ProtocolError, match="out-of-bounds"):
-            run("ldxdw r0, [r10+0]\nexit")
+        assert refused("ldxdw r0, [r10+0]\nexit").endswith(
+            "pc 0: stack access [0, 8) outside [-512, 0)")
 
     def test_out_of_bounds_context_faults(self):
         with pytest.raises(ProtocolError, match="out-of-bounds"):
             run("ldxw r0, [r1+100]\nexit", context=b"abcd")
 
     def test_invalid_pointer_faults(self):
-        with pytest.raises(ProtocolError, match="invalid pointer"):
-            run("mov r1, 0\nldxw r0, [r1+0]\nexit")
+        """The verifier refuses a load through a scalar, but checks no
+        helper argument besides a map key: an update's value is read at
+        run time."""
+        assert refused("mov r1, 0\nldxw r0, [r1+0]\nexit").endswith(
+            "pc 1: memory access via non-pointer (scalar)")
+        source = f"""
+            mov r1, 1
+            mov r2, r10
+            add r2, -8
+            mov r3, 0
+            mov r4, 0
+            call {HELPER_MAP_UPDATE}
+            exit
+        """
+        vm = BpfVm(assemble(source), maps={1: HashMap(key_size=8, value_size=8)})
+        with pytest.raises(ProtocolError, match="invalid pointer 0x0"):
+            vm.run()
 
 
 class TestHelpersAndMaps:
@@ -291,17 +304,17 @@ class TestHelpersAndMaps:
         assert 0 <= result.return_value < (1 << 32)
 
     def test_unknown_helper_faults(self):
-        with pytest.raises(ProtocolError, match="unknown helper"):
-            run("call 999\nexit")
+        assert refused("call 999\nexit").endswith("pc 0: call to unknown helper 999")
 
     def test_call_clobbers_caller_saved(self):
-        source = f"""
-            mov r1, 55
-            call {HELPER_KTIME_GET_NS}
-            mov r0, r1
-            exit
-        """
-        assert run(source).return_value == 0
+        """The verifier refuses a read of r1 after a call; the next helper
+        sees the zero the call left there."""
+        assert refused(f"mov r1, 55\ncall {HELPER_KTIME_GET_NS}\nmov r0, r1\nexit"
+                       ).endswith("pc 2: read of uninitialized register r1")
+        vm = BpfVm(assemble(
+            f"mov r1, 55\ncall {HELPER_KTIME_GET_NS}\ncall {HELPER_TRACE_PRINTK}\nexit"))
+        vm.run()
+        assert vm.trace_log == [(0, 0, 0, 0, 0)]
 
 
 class TestMaps:

@@ -259,11 +259,10 @@ class TestEngineEdges:
         gate._add_callback(seen.append)
         assert seen == [gate]
 
-    def test_same_time_ordering_across_fast_lane_and_heap(self):
-        # At t=1.0 the queue holds entries scheduled at t=0 and receives
-        # zero-delay continuations; they run in exact (time, eid)
-        # scheduling order: a's timeout (older eid), then b's (younger
-        # eid), then a's zero-delay continuation (youngest eid).
+    def test_same_time_entries_run_in_plain_when_eid_order(self):
+        # At t=1.0 the heap holds the two timeouts scheduled at t=0; a's
+        # zero-delay wait, pushed while a runs, gets the youngest eid.
+        # Plain (when, eid) order: a's timeout, b's, then a's wait.
         sim = Simulator()
         log = []
 
