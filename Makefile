@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench-report eval exp profile entries perf docs examples reachability all
+.PHONY: help install test lint bench-report eval exp profile entries bpf-source perf docs examples reachability all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -55,6 +55,13 @@ profile:  ## per-layer hot-spot report: make profile W=offload-fail2ban
 # attempted op by owner (tools/entry_census.py; writes nothing). Same W.
 entries:  ## engine-entry census: make entries W=kv-batched-read
 	python tools/entry_census.py $(W)
+
+# What the eBPF compiler makes of the fail2ban filter: the Python text of
+# its run function (repro.ebpf.vm._source), pinned by
+# tests/test_ebpf_translate.py, so an emitter change shows as a diff.
+bpf-source:  ## print the fail2ban filter's compiled run function
+	python -c "from repro.apps.fail2ban import build_fail2ban_program as b; \
+		from repro.ebpf.vm import _source; print(_source(b()), end='')"
 
 # The repository's performance benchmark (BENCHMARK.json): all five
 # workloads, one sample each, results under perfbench/out/.

@@ -18,6 +18,15 @@ from repro.common.errors import ProtocolError
 BPF_REG_COUNT = 11
 STACK_SIZE = 512
 
+#: A run's segmented pointer space: the high 16 bits a region, the low 48
+#: an offset. Region 1 is the stack, 2 the context; r10 and r1 start as
+#: one past the stack's end and the context's start.
+REGION_SHIFT = 48
+STACK_REGION = 1
+CONTEXT_REGION = 2
+FRAME_POINTER = (STACK_REGION << REGION_SHIFT) + STACK_SIZE
+CONTEXT_POINTER = CONTEXT_REGION << REGION_SHIFT
+
 # -- opcode building blocks (instruction class in the low 3 bits) -----------
 BPF_LD = 0x00
 BPF_LDX = 0x01

@@ -12,6 +12,8 @@ with known immediates (stack pointers are relative to r10):
   the frame pointer r10 (ALU, LDDW or a load into it), as in the kernel;
 * loads and stores require a pointer base; stack accesses are bounds-checked
   against the 512-byte frame, context accesses must be non-negative;
+* a map helper takes a scalar fd in r1 and a pointer key in r2, and an
+  update a value pointer in r3 inside the stack frame;
 * a map-value pointer must be null-checked before dereference;
 * back-edges (loops) are rejected, and exploration is bounded by a state
   budget (kernel-style);
@@ -20,15 +22,25 @@ with known immediates (stack pointers are relative to r10):
   and a call of a helper outside :data:`HELPERS` are rejected anywhere in
   the program, reached or not.
 
+What a program it accepts knows at each pc is its :class:`Facts`: one
+more pass over the verified control flow, in pc order, joins what every
+path brings to a pc (a register's value when it is a known constant or a
+stack or context pointer, the lookup a map-value pointer came from), and
+one pass back says which registers a later instruction reads. No
+accept/reject decision reads them.
+
 :func:`require_verified` is the admission check: a :class:`BpfVm` and
-``compile_program`` accept only what it passes.
+``compile_program`` accept only what it passes, and a :class:`BpfVm`
+compiles from the facts it returns.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.common.errors import VerificationError
 from repro.ebpf.helpers import (
@@ -37,7 +49,10 @@ from repro.ebpf.helpers import (
     HELPER_MAP_UPDATE,
     HELPERS,
 )
-from repro.ebpf.isa import Instruction, MEM_SIZE, Opcode, Program, STACK_SIZE
+from repro.ebpf.isa import (
+    CONTEXT_POINTER, FRAME_POINTER, Instruction, MEM_SIZE, Opcode, Program,
+    STACK_SIZE, STORE_REG_OPS,
+)
 
 
 class RegType(enum.Enum):
@@ -79,6 +94,25 @@ class VerifierError:
 
     def __str__(self) -> str:
         return f"pc {self.pc}: {self.message}"
+
+
+#: What holds of one register at a pc on every path there: its u64 value,
+#: ``(k, offset)`` for a pointer that far into the map value the lookup at
+#: pc k returned, ``(k, None)`` for that lookup's r0 before its null
+#: check, or None.
+Fact = Union[None, int, Tuple[int, Optional[int]]]
+
+
+@dataclass(frozen=True)
+class Facts:
+    """Per reachable pc: ``state`` the registers' facts before it, ``live``
+    the registers whose value it or a later instruction reads, and
+    ``successors`` the pcs a run goes to from it. A read of a register
+    whose value is known is no read: the compiled code uses the value."""
+
+    state: Dict[int, Tuple[Fact, ...]]
+    live: Dict[int, FrozenSet[int]]
+    successors: Dict[int, List[int]]
 
 
 @dataclass
@@ -153,6 +187,8 @@ class Verifier:
     # -- structural checks -----------------------------------------------------
     def _structural_checks(self, program: Program, report: VerifierReport) -> None:
         length = len(program)
+        ends = itertools.accumulate(insn.slots for insn in program)
+        lddw_halves = {end - 1 for insn, end in zip(program, ends) if insn.slots == 2}
         pc = 0
         for insn in program:
             if not isinstance(insn.opcode, Opcode):
@@ -167,14 +203,11 @@ class Verifier:
                     report.errors.append(
                         VerifierError(pc, f"jump target {target} out of range")
                     )
-                else:
-                    try:
-                        program.at_slot(target)
-                    except Exception:
-                        report.ok = False
-                        report.errors.append(
-                            VerifierError(pc, "jump into the middle of LDDW")
-                        )
+                elif target in lddw_halves:
+                    report.ok = False
+                    report.errors.append(
+                        VerifierError(pc, "jump into the middle of LDDW")
+                    )
             if insn.opcode is Opcode.CALL and insn.imm not in HELPERS:
                 report.ok = False
                 report.errors.append(
@@ -224,8 +257,16 @@ class Verifier:
 
         if op is Opcode.CALL:
             if insn.imm in (HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE, HELPER_MAP_DELETE):
+                if regs[1][0] is not RegType.SCALAR:
+                    return fail("map helper needs a scalar map fd in r1")
                 if not regs[2][0].is_pointer:
                     return fail("map helper needs a pointer key in r2")
+                value_type, value_offset = regs[3]
+                if insn.imm == HELPER_MAP_UPDATE and not (
+                    value_type is RegType.PTR_STACK and value_offset is not None
+                    and -STACK_SIZE <= value_offset < 0
+                ):
+                    return fail("map update needs a value on the stack in r3")
             regs[0] = (
                 (RegType.PTR_MAP_VALUE_OR_NULL, 0)
                 if insn.imm == HELPER_MAP_LOOKUP
@@ -354,12 +395,112 @@ class Verifier:
         return None
 
 
-def require_verified(program: Program) -> None:
+# -- facts of an accepted program -----------------------------------------------
+
+_U64 = (1 << 64) - 1
+#: A map-value offset is tracked while it stays this close to 0.
+_VALUE_OFFSET_LIMIT = 1 << 31
+#: At pc 0 a run has zeroed r0 and r3-r9; r2 holds the context's length.
+_ENTRY_FACTS = (0, CONTEXT_POINTER, None, 0, 0, 0, 0, 0, 0, 0, FRAME_POINTER)
+
+
+def _join(a: Fact, b: Fact) -> Fact:
+    """A fact holds where two paths meet only if it holds on both."""
+    return a if a == b else None
+
+
+def _after(pc: int, insn: Instruction, state: Tuple[Fact, ...]):
+    """(successor pc, facts there) along each edge out of *insn*: MOV and
+    LDDW set a value, ADD/SUB of an immediate shift it, a CALL zeroes
+    r1-r5, and a null check splits a lookup's r0 into 0 and the value."""
+    regs, op, dst = list(state), insn.opcode, insn.dst
+    fact, after = regs[dst], pc + insn.slots
+    if op is Opcode.CALL:
+        regs[0:6] = [(pc, None) if insn.imm == HELPER_MAP_LOOKUP else None] + [0] * 5
+    elif op is Opcode.LDDW or (op is Opcode.MOV and not insn.uses_reg_src):
+        regs[dst] = insn.imm & _U64
+    elif op is Opcode.MOV:
+        regs[dst] = regs[insn.src]
+    elif op in (Opcode.ADD, Opcode.SUB) and not insn.uses_reg_src:
+        delta = insn.imm if op is Opcode.ADD else -insn.imm
+        if isinstance(fact, int):
+            regs[dst] = (fact + delta) & _U64
+        elif fact is not None and fact[1] is not None and (
+                abs(fact[1] + delta) < _VALUE_OFFSET_LIMIT):
+            regs[dst] = fact[0], fact[1] + delta
+        else:
+            regs[dst] = None
+    elif insn.is_alu or insn.is_load:
+        regs[dst] = None
+    if op is Opcode.EXIT:
+        return []
+    if op is Opcode.JA:
+        return [(after + insn.offset, regs)]
+    if not insn.is_cond_jump:
+        return [(after, regs)]
+    taken, fallthrough = list(regs), regs
+    if (op in (Opcode.JEQ, Opcode.JNE) and not insn.uses_reg_src and insn.imm == 0
+            and isinstance(fact, tuple) and fact[1] is None):
+        null, value = (taken, fallthrough) if op is Opcode.JEQ else (fallthrough, taken)
+        null[dst], value[dst] = 0, (fact[0], 0)
+    return [(after + insn.offset, taken), (after, fallthrough)]
+
+
+def _reads(insn: Instruction, state: Tuple[Fact, ...]) -> Set[int]:
+    """The registers whose value *insn* needs at run time: its operands (a
+    helper's are r1-r5), but none whose value is known, nor a memory base
+    known to point into a map value."""
+    op = insn.opcode
+    if op is Opcode.CALL:
+        regs = {1, 2, 3, 4, 5}
+    elif insn.is_load or insn.is_store:
+        base = insn.src if insn.is_load else insn.dst
+        regs = {insn.src} if op in STORE_REG_OPS else set()
+        if not isinstance(state[base], tuple) or state[base][1] is None:
+            regs.add(base)
+    elif op is Opcode.EXIT:
+        regs = {0}
+    elif op is Opcode.MOV or not (insn.is_alu or insn.is_cond_jump):  # or LDDW, JA
+        regs = {insn.src} if insn.uses_reg_src else set()
+    else:
+        regs = {insn.dst, insn.src} if insn.uses_reg_src else {insn.dst}
+    return {reg for reg in regs if not isinstance(state[reg], int)}
+
+
+def _facts(program: Program) -> Facts:
+    """One pass in pc order joins the facts of every edge into a pc (each
+    edge a run can take goes forward), one pass back finds what is live.
+    A write no later instruction reads is dropped, and its reads with it."""
+    arriving: Dict[int, List[Tuple[Fact, ...]]] = {0: [_ENTRY_FACTS]}
+    state, successors, live = {}, {}, {}
+    for pc in range(len(program)):
+        if pc in arriving:
+            state[pc] = functools.reduce(
+                lambda a, b: tuple(map(_join, a, b)), arriving.pop(pc))
+            edges = _after(pc, program.at_slot(pc), state[pc])
+            successors[pc] = [target for target, _ in edges]
+            for target, regs in edges:
+                arriving.setdefault(target, []).append(tuple(regs))
+    for pc in reversed(list(state)):
+        insn = program.at_slot(pc)
+        out = frozenset().union(*(live[target] for target in successors[pc]))
+        pure = insn.is_alu or insn.opcode is Opcode.LDDW
+        if pure and insn.dst not in out:
+            live[pc] = out
+            continue
+        written = (range(6) if insn.opcode is Opcode.CALL
+                   else [insn.dst] if pure or insn.is_load else [])
+        live[pc] = out.difference(written) | _reads(insn, state[pc])
+    return Facts(state, live, successors)
+
+
+def require_verified(program: Program) -> Facts:
     """Raise :class:`VerificationError`, naming the first pc rejected, unless
     the verifier accepts *program*: the one admission check of the VM and
-    the hardware compiler."""
+    the hardware compiler. Returns the accepted program's facts."""
     report = Verifier().verify(program)
     if not report.ok:
         raise VerificationError(
             f"program {program.name!r} rejected: {report.reject_reason()}"
         )
+    return _facts(program)

@@ -16,21 +16,32 @@ cannot bound (the end of the context, of a map value, of a helper's key)
 is checked at run time; faults raise :class:`ProtocolError`.
 
 Execution model: a program is compiled once, when its :class:`BpfVm` is
-built, into one Python function that owns the run: it builds the regions
-and registers, reads the context's length and returns the result. r0-r10
-are its locals; each basic block (:func:`repro.ebpf.isa.leaders`) is
-straight-line code under ``if pc == leader:``, and since every jump goes
-forward the blocks are tested once each, in pc order. An access through a
-pointer the compiler can see (r10 anywhere, r1 in the pc-0 block, and
-their MOV copies and immediate ADD/SUB shifts) is a struct codec on the
-run's stack, unchecked, or on its context, checked against its length;
-any other access looks its region up per run. The text comes from
-fixed templates and two closed expression tables; only integers and
-register numbers from :class:`Instruction` fields are interpolated. Each
-helper is bound into the function by id; a lookup with a constant fd and a
-stack key runs inline. ``tests/ebpf_reference.py`` keeps the former
-``if``-chain interpreter as the oracle the compiled code is tested
-against.
+built, into one Python function that owns the run: it sets up the stack
+and context and returns the result; r0-r10 are its locals. The compiler
+reads the :class:`~repro.ebpf.verifier.Facts` that ``require_verified``
+returns, the join at each pc of what every verified path brings there:
+
+* a register whose value is known is read as that value, and a write
+  no later instruction reads is dropped;
+* an access through a known stack or context pointer, or through a
+  pointer into the value the lookup at pc k returned, is a struct codec
+  on ``stack`` (unchecked: the verifier bounds it), ``context`` or
+  ``value<k>`` (both checked against their run-time length);
+* a map lookup, update or delete whose fd and stack pointers are known
+  runs inline;
+* a basic block (:func:`repro.ebpf.isa.leaders`) that one edge enters is
+  nested where that edge leaves; only a block that several edges enter
+  is tested, ``if pc == leader:``, in pc order (every jump goes forward).
+
+A run builds the region table the helpers read (region 16 and up for the
+map values they expose) only if some access or map helper goes through a
+pointer the facts do not know; that access looks its region up per run.
+Either way the lookups number their values' regions from 16, per run.
+The text comes from fixed templates and two closed expression tables;
+only integers and register numbers from :class:`Instruction` fields and
+the facts are interpolated. Each other helper is bound into the function
+by id. ``tests/ebpf_reference.py`` keeps the former ``if``-chain
+interpreter as the oracle the compiled code is tested against.
 
 >>> from repro.ebpf import assemble
 >>> result = BpfVm(assemble("ldxb r0, [r1+0]\nadd r0, 1\nexit")).run(b"\x29")
@@ -48,7 +59,9 @@ repro.common.errors.VerificationError: program 'prog' rejected: pc 0: stack acce
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import heapq
 import linecache
 import os
 import random
@@ -57,23 +70,24 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.ebpf.helpers import HELPER_MAP_LOOKUP, HELPERS
+from repro.ebpf.helpers import (
+    HELPER_MAP_DELETE, HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE, HELPERS,
+)
 from repro.ebpf.isa import (
-    ALU_OPS, BLOCK_END_OPS, COND_JUMPS, Instruction, LOAD_OPS, MEM_SIZE, Opcode,
-    Program, STACK_SIZE, STORE_REG_OPS, leaders,
+    ALU_OPS, BLOCK_END_OPS, CONTEXT_POINTER, CONTEXT_REGION,
+    Instruction, LOAD_OPS, MEM_SIZE, Opcode, Program, REGION_SHIFT, STACK_REGION,
+    STACK_SIZE, STORE_REG_OPS, leaders,
 )
 from repro.ebpf.maps import BpfMap
-from repro.ebpf.verifier import require_verified
+from repro.ebpf.verifier import Fact, Facts, require_verified
 
 _U64 = (1 << 64) - 1
-REGION_SHIFT = 48
 _OFFSET_MASK = (1 << REGION_SHIFT) - 1
-STACK_REGION = 1
-CONTEXT_REGION = 2
 _FIRST_DYNAMIC_REGION = 16
-#: r10 and r1 when a run starts: one past the stack's end, the context.
-FRAME_POINTER = (STACK_REGION << REGION_SHIFT) + STACK_SIZE
-CONTEXT_POINTER = CONTEXT_REGION << REGION_SHIFT
+#: How deep single-entry blocks nest before one is tested by its pc.
+_MAX_NESTING = 32
+#: The argument registers a map helper reads: the fd, then stack pointers.
+_MAP_ARGUMENTS = {HELPER_MAP_LOOKUP: 2, HELPER_MAP_UPDATE: 3, HELPER_MAP_DELETE: 2}
 
 #: The generated code's unsigned little-endian codecs, by access size:
 #: ``load4(buffer, start)`` and ``store4(buffer, start, value)``.
@@ -121,46 +135,45 @@ _TAKEN_EXPR = {
     Opcode.JSLE: "{d} ^ 0x8000000000000000 <= {s} ^ 0x8000000000000000",
 }
 
-#: The opcodes that write their dst register; a CALL writes r0-r5.
-_WRITES_DST = ALU_OPS | LOAD_OPS | {Opcode.LDDW}
+
+def _read(reg: int, state: Tuple[Fact, ...]) -> str:
+    """Register *reg* as an operand: its value, when *state* knows it."""
+    return f"{state[reg]:d}" if isinstance(state[reg], int) else f"r{reg:d}"
 
 
-def _track(insn: Instruction, known: Dict[int, int]) -> None:
-    """*known* after *insn*: MOV copies a known register or an immediate,
-    ADD/SUB of an immediate shifts it with the same u64 wrap, any other
-    write forgets."""
-    op, dst = insn.opcode, insn.dst
-    if op is Opcode.CALL:
-        for reg in range(6):
-            known.pop(reg, None)
-    elif op in _WRITES_DST:
-        source, base = known.get(insn.src), known.pop(dst, None)
-        shift = {Opcode.ADD: insn.imm, Opcode.SUB: -insn.imm}.get(op)
-        if op is Opcode.MOV:
-            source = source if insn.uses_reg_src else insn.imm & _U64
-            if source is not None:
-                known[dst] = source
-        elif shift is not None and not insn.uses_reg_src and base is not None:
-            known[dst] = (base + shift) & _U64
+def _operands(insn: Instruction, state: Tuple[Fact, ...]) -> Dict[str, str]:
+    """``{d}`` and ``{s}`` of *insn* for the expression tables."""
+    source = (_read(insn.src, state) if insn.uses_reg_src
+              else f"{insn.imm & _U64:d}")
+    return {"d": _read(insn.dst, state), "s": source}
 
 
 def _access(base: int, offset: int, size: int, access: str,
-            known: Dict[int, int]) -> Tuple[List[str], str]:
+            fact: Fact) -> Tuple[List[str], str]:
     """The checks that ``[r{base} + offset]`` holds *size* bytes, or the
-    access faults, and the ``buffer, start`` its codec then takes. A
-    verified access through a *known* base is on the stack, inside the
-    window the verifier checked, or on the context, whose end only the
-    run knows."""
-    if base in known:
-        pointer = (known[base] + offset) & _U64
-        start = pointer & _OFFSET_MASK
-        if pointer >> REGION_SHIFT == STACK_REGION:
-            return [], f"stack, {start:d}"
+    access faults, and the ``buffer, start`` its codec then takes. Through
+    a pointer the *fact* knows, that is the stack (the verifier bounds the
+    access), the context or ``value<k>``, the value the lookup at pc k
+    returned (``base<k>`` its pointer); else the region the run looks up."""
+    buffer = None
+    if isinstance(fact, int):
+        pointer = (fact + offset) & _U64
+        start, end, address = pointer & _OFFSET_MASK, "length", f"{pointer:#x}"
+        buffer = {STACK_REGION: "stack", CONTEXT_REGION: "context"}.get(
+            pointer >> REGION_SHIFT)
+    elif fact is not None and fact[1] is not None:
+        lookup, start = fact[0], fact[1] + offset
+        buffer, end = f"value{lookup:d}", f"len(value{lookup:d})"
+        address = f"base{lookup:d} + {start:d}" if start else f"base{lookup:d}"
+    if buffer == "stack":
+        return [], f"stack, {start:d}"
+    if buffer is not None:
         return [
-            f"if {start + size:d} > length:",
-            f"    raise fault(vm, {pointer:#x}, {size:d}, '{access}')",
-        ], f"context, {start:d}"
-    pointer = (f"(r{base:d} + {offset:d}) & 0xffffffffffffffff" if offset
+            f"if {start + size:d} > {end}:",
+            f"    raise bounds({address}, {size:d}, '{access}')",
+        ], f"{buffer}, {start:d}"
+    pointer = (f"{(fact + offset) & _U64:d}" if isinstance(fact, int)
+               else f"(r{base:d} + {offset:d}) & 0xffffffffffffffff" if offset
                else f"r{base:d}")
     return [
         f"pointer = {pointer}",
@@ -171,97 +184,181 @@ def _access(base: int, offset: int, size: int, access: str,
     ], "buffer, start"
 
 
-def _call(helper_id: int, known: Dict[int, int]) -> List[str]:
-    """A CALL of the helper bound as ``helper{id}``, r1-r5 clobbered after
-    it as in the kernel. A map lookup whose fd and stack key are *known*
-    runs inline."""
-    key = known.get(2, 0)
-    if (helper_id == HELPER_MAP_LOOKUP and key >> REGION_SHIFT == STACK_REGION
-            and 1 in known):
-        start = key & _OFFSET_MASK
-        call = [  # ``map_lookup`` and ``expose_buffer``, faults included
-            f"bpf_map = vm.map_by_fd({known[1]:d})",
-            "size = bpf_map.key_size",
+def _call(helper_id: int, pc: int, state: Tuple[Fact, ...],
+          table: bool) -> List[str]:
+    """A CALL of the helper bound as ``helper{id}``, or inline, faults
+    included, a map helper whose fd and stack pointers the facts know. A
+    lookup's value is ``value<pc>``, its region the next the run numbers."""
+    fd, *pointers = (state[1:1 + _MAP_ARGUMENTS[helper_id]]
+                     if helper_id in _MAP_ARGUMENTS else [None])
+    if not isinstance(fd, int) or not all(
+            isinstance(pointer, int) and pointer >> REGION_SHIFT == STACK_REGION
+            for pointer in pointers):
+        args = ", ".join(_read(reg, state) for reg in range(1, 6))
+        return [f"r0 = helper{helper_id:d}(vm, [{args}]) & 0xffffffffffffffff"]
+    call = [f"bpf_map = vm.maps.get({fd:d})",
+            "if bpf_map is None:",
+            f"    vm.map_by_fd({fd:d})  # raises"]
+    for name, pointer in zip(("key", "value"), pointers):
+        start = pointer & _OFFSET_MASK
+        call += [
+            f"size = bpf_map.{name}_size",
             f"if size > {STACK_SIZE - start:d}:",
-            f"    raise fault(vm, {key:#x}, size, 'read')",
-            f"value = bpf_map.lookup(bytes(stack[{start:d}:{start:d} + size]))",
-            "if value is None:",
-            "    r0 = 0",
-            "else:",
-            "    region = vm._next_region",
-            "    vm._next_region = region + 1",
-            "    regions[region] = value",
-            f"    r0 = (region << {REGION_SHIFT:d}) & 0xffffffffffffffff",
+            f"    raise bounds({pointer:#x}, size, 'read')",
+            f"{name} = bytes(stack[{start:d}:{start:d} + size])",
         ]
-    else:
-        call = [f"r0 = helper{helper_id:d}(vm, [r1, r2, r3, r4, r5])"
-                " & 0xffffffffffffffff"]
-    return call + ["r1 = r2 = r3 = r4 = r5 = 0", "calls += 1"]
+    if helper_id == HELPER_MAP_UPDATE:
+        return call + ["bpf_map.update(key, value)", "r0 = 0"]
+    if helper_id == HELPER_MAP_DELETE:
+        return call + ["r0 = 0 if bpf_map.delete(key) else 0xffffffffffffffff"]
+    exposed = ([  # as expose_buffer does, for the helpers that read regions
+        "    region = vm._next_region",
+        "    vm._next_region = region + 1",
+        f"    regions[region] = value{pc:d}",
+    ] if table else ["    region = next_region", "    next_region = region + 1"])
+    return call + [
+        f"value{pc:d} = bpf_map.lookup(key)",
+        f"if value{pc:d} is None:",
+        "    r0 = 0",
+        "else:",
+        *exposed,
+        f"    r0 = base{pc:d} = (region << {REGION_SHIFT:d}) & 0xffffffffffffffff",
+    ]
 
 
-def _statement(insn: Instruction, pc: int, known: Dict[int, int]) -> List[str]:
-    """The code of the instruction at *pc*, given the registers *known* at
-    compile time."""
-    op, d, after = insn.opcode, f"r{insn.dst:d}", pc + insn.slots
-    s = f"r{insn.src:d}" if insn.uses_reg_src else f"{insn.imm & _U64:d}"
-    if op in ALU_OPS:
-        return [f"{d} = " + _ALU_EXPR[op].format(d=d, s=s)]
-    if op in COND_JUMPS:
-        taken = _TAKEN_EXPR[op].format(d=d, s=s)
-        return [f"pc = {after + insn.offset:d} if {taken} else {after:d}"]
-    if op is Opcode.JA:
-        return [f"pc = {after + insn.offset:d}"]
-    if op is Opcode.EXIT:
-        return ["return ExecutionResult(r0, executed, calls, context)"]
+def _statement(insn: Instruction, pc: int, facts: Facts, table: bool) -> List[str]:
+    """The code of the straight-line instruction at *pc*: none for a write
+    that no later instruction reads."""
+    op, d, state = insn.opcode, f"r{insn.dst:d}", facts.state[pc]
+    live = facts.live[pc + insn.slots]
     if op is Opcode.CALL:
-        return _call(insn.imm, known)
+        clobbered = "".join(f"r{reg:d} = " for reg in range(1, 6) if reg in live)
+        call = _call(insn.imm, pc, state, table)
+        return call + [clobbered + "0"] if clobbered else call
+    if op in LOAD_OPS:
+        checks, args = _access(insn.src, insn.offset, MEM_SIZE[op], "read",
+                               state[insn.src])
+        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"]
+    if insn.dst not in live and (op in ALU_OPS or op is Opcode.LDDW):
+        return []
+    if op in ALU_OPS:
+        return [f"{d} = " + _ALU_EXPR[op].format(**_operands(insn, state))]
     if op is Opcode.LDDW:
         return [f"{d} = {insn.imm & _U64:d}"]
-    if op in LOAD_OPS:
-        checks, args = _access(insn.src, insn.offset, MEM_SIZE[op], "read", known)
-        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"]
     # A store: the verifier admits no other opcode.
     size = MEM_SIZE[op]
     mask = (1 << (8 * size)) - 1
-    value = (f"r{insn.src:d} & {mask:#x}" if op in STORE_REG_OPS
+    value = (f"{_read(insn.src, state)} & {mask:#x}" if op in STORE_REG_OPS
              else f"{insn.imm & mask:d}")
-    checks, args = _access(insn.dst, insn.offset, size, "write", known)
+    checks, args = _access(insn.dst, insn.offset, size, "write", state[insn.dst])
     return checks + [f"store{size:d}({args}, {value})"]
 
 
+def _entries(facts: Facts) -> Dict[int, int]:
+    """How many edges a run can take into each pc."""
+    return collections.Counter(
+        target for targets in facts.successors.values() for target in targets)
+
+
+class _Emitter:
+    """The blocks of one program, nested: a block that one edge enters is
+    emitted where that edge leaves; any other is a root, tested by pc."""
+
+    def __init__(self, program: Program, facts: Facts, table: bool):
+        self.program, self.facts, self.table = program, facts, table
+        starts = leaders(program)
+        self.ends = dict(zip(starts, starts[1:] + [len(program)]))
+        self.entries = _entries(facts)
+        self.roots, self.placed = [0], {0}
+
+    def goto(self, target: int, depth: int, counts: Tuple[int, int],
+             counted: bool) -> List[str]:
+        """Go on at the block *target*: the block itself, the first time
+        and if one edge enters it, else a jump to the root it is."""
+        if target not in self.placed:
+            self.placed.add(target)
+            if self.entries[target] == 1 and depth < _MAX_NESTING:
+                return self.block(target, depth + 1, counts, counted)
+            heapq.heappush(self.roots, target)
+        executed, calls = counts
+        return [f"executed += {executed:d}"] + (
+            [f"calls += {calls:d}"] if calls else []) + [f"pc = {target:d}"]
+
+    def block(self, pc: int, depth: int, counts: Tuple[int, int],
+              counted: bool) -> List[str]:
+        """The block at *pc* and what it reaches; *counts* are the
+        instructions and calls run since ``executed`` and ``calls`` were
+        last added to, which a root other than pc 0 has (*counted*)."""
+        executed, calls = counts
+        end, lines = self.ends[pc], []
+        while True:
+            insn, state = self.program.at_slot(pc), self.facts.state[pc]
+            executed, after = executed + 1, pc + insn.slots
+            if insn.opcode in BLOCK_END_OPS:
+                break
+            lines += _statement(insn, pc, self.facts, self.table)
+            calls += insn.opcode is Opcode.CALL
+            if after == end:  # no jump: the next block
+                return lines + self.goto(after, depth, (executed, calls), counted)
+            pc = after
+        op, counts = insn.opcode, (executed, calls)
+        if op is Opcode.EXIT:
+            total = "executed + {:d}, calls + {:d}" if counted else "{:d}, {:d}"
+            return lines + [f"return ExecutionResult({_read(0, state)}, "
+                            f"{total.format(executed, calls)}, context)"]
+        if op is Opcode.JA:
+            return lines + self.goto(after + insn.offset, depth, counts, counted)
+        taken = self.goto(after + insn.offset, depth, counts, counted)
+        fallthrough = self.goto(after, depth, counts, counted)
+        return lines + [f"if {_TAKEN_EXPR[op].format(**_operands(insn, state))}:",
+                        *("    " + line for line in taken), "else:",
+                        *("    " + line for line in fallthrough)]
+
+    def body(self) -> List[str]:
+        """Every root in pc order: pc 0's tree first, then each other."""
+        lines = []
+        while self.roots:
+            root = heapq.heappop(self.roots)
+            code = self.block(root, 0, (0, 0), root != 0)
+            lines += ([f"if pc == {root:d}:"] + ["    " + line for line in code]
+                      if root else code)
+        return lines
+
+
 def _source(program: Program) -> str:
-    """The text of *program*'s ``run`` function."""
+    """The text of *program*'s ``run`` function; raises
+    :class:`VerificationError` for a program the verifier rejects."""
+    facts = require_verified(program)
+    body = _Emitter(program, facts, False).body()
+    # A run that looks a region up, or has a helper do so, needs the table.
+    table = any(mark in line for line in body for mark in (
+        "region_of(", *(f"helper{helper:d}(" for helper in _MAP_ARGUMENTS)))
+    if table:
+        body = _Emitter(program, facts, True).body()
     lines = [  # The run's set-up: regions 1 and 2 for the helpers and the code.
         "def run(vm, data):",
-        "    regions = vm._regions",
-        "    regions.clear()",
-        f"    regions[{STACK_REGION:d}] = stack = bytearray({STACK_SIZE:d})",
-        f"    regions[{CONTEXT_REGION:d}] = context = bytearray(data)",
-        f"    vm._next_region = {_FIRST_DYNAMIC_REGION:d}",
-        "    region_of = regions.get",
-        "    pc = executed = calls = r0 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
-        f"    r1, r2, r10 = {CONTEXT_POINTER:d}, len(context), {FRAME_POINTER:d}",
-        "    length = r2",
+        "    context = bytearray(data)",
+        "    length = len(context)",
+        f"    stack = bytearray({STACK_SIZE:d})",
+        *([
+            "    regions = vm._regions",
+            "    regions.clear()",
+            f"    regions[{STACK_REGION:d}] = stack",
+            f"    regions[{CONTEXT_REGION:d}] = context",
+            f"    vm._next_region = {_FIRST_DYNAMIC_REGION:d}",
+            "    region_of = regions.get",
+        ] if table else [f"    next_region = {_FIRST_DYNAMIC_REGION:d}"]),
     ]
-    starts = leaders(program)
-    for leader, end in zip(starts, starts[1:] + [len(program)]):
-        # r10 is the frame pointer throughout, and r1 the context at pc 0,
-        # which no jump reaches.
-        known = {10: FRAME_POINTER}
-        if leader == 0:
-            known[1] = CONTEXT_POINTER
-        body, pc = [], leader
-        while pc < end:
-            insn = program.at_slot(pc)
-            body.append(_statement(insn, pc, known))
-            _track(insn, known)
-            pc += insn.slots
-        lines += [f"    if pc == {leader:d}:", f"        executed += {len(body):d}"]
-        for statement in body:
-            lines += ["        " + line for line in statement]
-        if insn.opcode not in BLOCK_END_OPS:
-            lines.append(f"        pc = {pc:d}")
-    return "\n".join(lines) + "\n"
+    entry = {1: f"{CONTEXT_POINTER:d}", 2: "length"}
+    lines += [f"    r{reg:d} = {entry.get(reg, '0')}" for reg in sorted(facts.live[0])]
+    if any(line.startswith("if pc == ") for line in body):
+        lines.append("    pc = executed = calls = 0")
+    return "\n".join(lines + ["    " + line for line in body]) + "\n"
+
+
+def _out_of_bounds(pointer: int, size: int, access: str) -> ProtocolError:
+    """The error for an access past the end of a live region."""
+    return ProtocolError(f"out-of-bounds {access} at {pointer:#x} ({size} bytes)")
 
 
 @dataclass
@@ -280,7 +377,6 @@ class BpfVm:
 
     def __init__(self, program: Program,
                  maps: Optional[Dict[int, BpfMap]] = None):
-        require_verified(program)
         self.program = program
         self.maps = maps if maps is not None else {}
         self.rng = random.Random(0)
@@ -289,7 +385,7 @@ class BpfVm:
         # One dict for the VM's life, refilled per run.
         self._regions: Dict[int, bytearray] = {}
         self._next_region = _FIRST_DYNAMIC_REGION
-        self._run = self._compile()
+        self._run = self._compile()  # verifies first
 
     # -- environment hooks ---------------------------------------------------
     def map_by_fd(self, fd: int) -> BpfMap:
@@ -314,7 +410,7 @@ class BpfVm:
         """The named error for an access that failed its checks."""
         if pointer >> REGION_SHIFT not in self._regions:
             return ProtocolError(f"dereference of invalid pointer {pointer:#x}")
-        return ProtocolError(f"out-of-bounds {access} at {pointer:#x} ({size} bytes)")
+        return _out_of_bounds(pointer, size, access)
 
     def read_memory(self, pointer: int, size: int) -> bytes:
         buffer = self._regions.get(pointer >> REGION_SHIFT)
@@ -334,6 +430,7 @@ class BpfVm:
                                      filename)
         namespace = {
             "fault": BpfVm._memory_fault,
+            "bounds": _out_of_bounds,
             "ExecutionResult": ExecutionResult,
             **{f"helper{helper_id:d}": helper for helper_id, helper in HELPERS.items()},
             **_CODECS,

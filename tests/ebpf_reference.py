@@ -8,9 +8,8 @@ It re-derives every fact per executed instruction and is slow on purpose.
 Nothing under ``src/`` imports it.
 
 Only the environment helpers see (``map_by_fd``, ``clock_ns``,
-``expose_buffer``, ``trace_log``, ``rng``) and the verification at
-construction are inherited from ``BpfVm``; ``_compile`` is overridden, so
-building one compiles nothing. It runs only verified programs, so it
+``expose_buffer``, ``trace_log``, ``rng``) are inherited from ``BpfVm``;
+``_compile`` is overridden to verify the program and compile nothing. It runs only verified programs, so it
 needs no instruction budget.
 """
 
@@ -21,6 +20,7 @@ from typing import List
 from repro.common.errors import ProtocolError
 from repro.ebpf.helpers import HELPERS
 from repro.ebpf.isa import Instruction, MEM_SIZE, Opcode, STACK_SIZE
+from repro.ebpf.verifier import require_verified
 from repro.ebpf.vm import (
     CONTEXT_REGION,
     REGION_SHIFT,
@@ -46,8 +46,8 @@ class ReferenceVm(BpfVm):
     """Same constructor and result as :class:`BpfVm`, interpreted slot by slot."""
 
     def _compile(self) -> None:
-        """Nothing to compile: :meth:`run` interprets the program."""
-        return None
+        """Verify, and compile nothing: :meth:`run` interprets the program."""
+        require_verified(self.program)
 
     # -- memory --------------------------------------------------------------
     def _region_buffer(self, pointer: int) -> tuple:

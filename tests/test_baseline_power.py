@@ -79,18 +79,20 @@ class TestOsModel:
         assert elapsed >= os_model.costs.block_layer_latency
 
     @pytest.mark.parametrize("charge", [
-        ("receive_packet", ("interrupt_latency", "syscall_latency")),
-        ("write_storage", ("syscall_latency", "block_layer_latency")),
-        ("read_storage", ("syscall_latency", "block_layer_latency")),
+        ("receive_packet", ("interrupt_latency", "syscall_latency"), (1, 1)),
+        ("write_storage", ("syscall_latency", "block_layer_latency"), (1, 0)),
+        ("read_storage", ("syscall_latency", "block_layer_latency"), (1, 0)),
     ])
     def test_each_charge_adds_its_latencies_left_to_right(self, charge):
         """``when += a; when += b; when += copy`` — the float three
         sleeps reached. Summing the latencies first differs in the last
-        bit on some of these instants, so that mutant fails here."""
-        name, latencies = charge
+        bit on some of these instants, so that mutant fails here. Each
+        charge counts its syscalls, interrupts and copied bytes."""
+        name, latencies, (syscalls, interrupts) = charge
         sim = Simulator()
         os_model = OsModel(sim, CpuModel(sim))
         summed_first_differs = False
+        charged = copied = 0
         for when in (0.0, 1e-6, 0.1, 0.3, 1.7, 12.345678):
             for size in (0, 1, 512, 1500, 4096, 65536):
                 chain = when
@@ -99,6 +101,10 @@ class TestOsModel:
                 copy = os_model.cpu.costs.memcpy_time(size)
                 chain += copy
                 assert getattr(os_model, name)(when, size) == chain
+                charged, copied = charged + 1, copied + size
+                counters = (os_model.syscalls, os_model.interrupts,
+                            os_model.bytes_copied)
+                assert counters == (charged * syscalls, charged * interrupts, copied)
                 total = sum(getattr(os_model.costs, latency)
                             for latency in latencies) + copy
                 summed_first_differs |= when + total != chain

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ebpf.verifier as verifier_module
 import repro.ebpf.vm as vm_module
 from repro.apps.fail2ban import build_fail2ban_program
 from repro.common.errors import ProtocolError, ReproError, VerificationError
@@ -52,7 +53,7 @@ from tests.ebpf_reference import ReferenceVm
 
 U64 = (1 << 64) - 1
 HASH_FD, MISSING_FD = 1, 3
-EMPTY_FD = 0  # the fd a lookup asks for with the r1 a call left
+EMPTY_FD = 0  # lookups there miss until an update fills it
 CTX_REG = 9  # holds the context pointer: r1 is clobbered by the first CALL
 
 # Sorted so a draw does not depend on set order (PYTHONHASHSEED).
@@ -278,8 +279,8 @@ def test_call_clobbers_r1_to_r5_and_nothing_else():
 # forward branch skips whole, and leaves the registers as the prelude set
 # them: r0 and r6-r8 scalars, r9 the context pointer, r10 the frame pointer.
 # r1-r5 are scratch: an element reads one only after writing it, except
-# that a helper call passes whatever they hold (the verifier checks no
-# helper argument but a map key's r2 being a pointer).
+# that a helper call passes whatever they hold (the verifier types only a
+# map helper's fd in r1, key pointer in r2 and an update's value in r3).
 
 SCALARS = [0, 6, 7, 8]
 SCRATCH = [1, 2, 3, 4, 5]
@@ -314,8 +315,14 @@ def _memory_operand(draw, size, context_size):
     """(set-up, base, offset) of a *size*-byte access through r10 or r9, or
     a copy of either shifted by an immediate: on the stack inside the
     frame, often at either end of it, or on the context from its start to
-    past its end."""
-    if draw(st.sampled_from(["stack"] * 4 + ["context"] * 3)) == "stack":
+    past its end; or through a register a branch points at one or the
+    other, which the run looks up."""
+    kind = draw(st.sampled_from(["stack"] * 4 + ["context"] * 3 + ["either"] * 2))
+    if kind == "either":
+        reg = draw(st.sampled_from(SCRATCH))
+        pointer = _shifted(reg, CTX_REG, draw(st.sampled_from([0, 4])), False)
+        return _either(draw, reg, pointer), reg, draw(st.integers(0, 24 - size))
+    if kind == "stack":
         base, shift = 10, draw(st.sampled_from([-16, -8, 8, -STACK_SIZE]))
         effective = draw(st.one_of(
             st.integers(min_value=-STACK_SIZE, max_value=-size),
@@ -349,12 +356,31 @@ def _access(draw, base_and_offset, kinds=("load", "store_reg", "store_imm"),
     return setup + [Instruction(op, dst=base, offset=offset, imm=draw(_imm32))]
 
 
-def _at_map_value(size):
-    """(no set-up, r0, an offset near the end of the 8-byte map value)."""
-    return st.tuples(st.just([]), st.just(0), _below(8 - size, 10))
+def _either(draw, reg, pointer):
+    """*reg* = a pointer the branch drawn here leaves as *pointer* set it,
+    or as it then sets it to 24 bytes below r10."""
+    branch = Instruction(draw(st.sampled_from(JUMPS)), dst=draw(_scalar),
+                         imm=draw(_imm32), offset=2)
+    return [*pointer, branch, *_stack_pointer(reg, -24)]
 
 
-_fd = st.sampled_from([HASH_FD] * 9 + [MISSING_FD])
+@st.composite
+def _at_map_value(draw, size):
+    """(set-up, base, offset) of an access near the end of the 8-byte map
+    value: through r0, through a copy of it in r1-r5 shifted by an
+    immediate, or through a copy that a branch may point at the stack."""
+    offset = draw(_below(8 - size, 10))
+    kind = draw(st.sampled_from(["r0", "copy", "either"]))
+    reg = draw(st.sampled_from(SCRATCH))
+    if kind == "r0":
+        return [], 0, offset
+    if kind == "either":
+        return _either(draw, reg, _shifted(reg, 0, 0, False)), reg, offset
+    shift = draw(st.sampled_from([0, 2, 8, -4]))
+    return _shifted(reg, 0, shift, draw(st.booleans())), reg, offset - shift
+
+
+_fd = st.sampled_from([HASH_FD] * 8 + [EMPTY_FD, MISSING_FD])
 
 
 def _key_pointer(draw):
@@ -364,16 +390,13 @@ def _key_pointer(draw):
 
 
 @st.composite
-def _lookup(draw, set_fd=True):
+def _lookup(draw):
     """A map lookup and, on a hit, an access near the value's 8-byte end,
-    then its first word in r0. The fd is set here, or (not *set_fd*) left
-    in r1 from before: ``EMPTY_FD`` after a call, which a compiler that
-    kept r1 across the call would miss."""
-    setup = [Instruction(Opcode.MOV, dst=1, imm=draw(_fd))] if set_fd else []
-    setup += _key_pointer(draw)
-    hit = [Instruction(Opcode.LDXDW, dst=0, src=0, offset=0)]
-    if draw(st.booleans()):  # loaded into r6-r8: r0 stays the value pointer
-        hit = draw(_access(_at_map_value, loaded=SCALARS[1:])) + hit
+    then its first word in r0."""
+    setup = [Instruction(Opcode.MOV, dst=1, imm=draw(_fd)), *_key_pointer(draw)]
+    # Loaded into r6-r8: r0 stays the value pointer.
+    hit = draw(_access(_at_map_value, loaded=SCALARS[1:])) + [
+        Instruction(Opcode.LDXDW, dst=0, src=0, offset=0)]
     return setup + [
         Instruction(Opcode.CALL, imm=HELPER_MAP_LOOKUP),
         Instruction(Opcode.JEQ, dst=0, imm=0, offset=sum(i.slots for i in hit)),
@@ -385,8 +408,8 @@ def _lookup(draw, set_fd=True):
 def _call(draw):
     """A call with its argument set-up: a lookup, an update or a delete on
     the stack key, or a helper that reads r1-r5 as they stand. Half the
-    calls but a lookup set r1 to an fd and are followed by a lookup that
-    leaves r1 as the call clobbered it."""
+    calls but a lookup set r1 to an fd and are followed by a trace that
+    logs r1-r5 as the call clobbered them."""
     helper = draw(st.sampled_from([
         HELPER_MAP_LOOKUP, HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE,
         HELPER_MAP_UPDATE, HELPER_MAP_DELETE, HELPER_KTIME_GET_NS,
@@ -400,13 +423,11 @@ def _call(draw):
     if helper in (HELPER_MAP_UPDATE, HELPER_MAP_DELETE):
         setup += _key_pointer(draw)
     if helper == HELPER_MAP_UPDATE:
-        value = draw(st.sampled_from([-16, -32, -8, -4, None]))
-        setup += (_stack_pointer(3, value) if value is not None  # else no pointer
-                  else [Instruction(Opcode.MOV, dst=3, src=draw(_scalar),
-                                    uses_reg_src=True)])
+        setup += _stack_pointer(3, draw(st.sampled_from([-16, -32, -8, -4])))
         setup.append(Instruction(Opcode.MOV, dst=4, imm=0))
     call = setup + [Instruction(Opcode.CALL, imm=helper)]
-    return call + draw(_lookup(set_fd=False)) if follow else call
+    trace = Instruction(Opcode.CALL, imm=HELPER_TRACE_PRINTK)
+    return call + [trace] if follow else call
 
 
 @st.composite
@@ -575,7 +596,7 @@ class TestFaultEdges:
 
     def test_memory_faults_are_named(self):
         """What the verifier cannot bound: the context's end, a map value's
-        end, and a helper argument that is no pointer."""
+        end, and a key a helper reads past the context's end."""
         assert fault(assemble("ldxw r0, [r1+2]\nexit")) == (
             "out-of-bounds read at 0x2000000000002 (4 bytes)")
         write_past_value = Program([
@@ -586,11 +607,10 @@ class TestFaultEdges:
         ])
         assert fault(write_past_value, fresh_maps()) == (
             "out-of-bounds write at 0x10000000000006 (4 bytes)")
-        update_from_a_scalar = assemble(
-            f"mov r1, {HASH_FD}\nmov r2, r10\nadd r2, -8\nmov r3, 64\n"
-            f"mov r4, 0\ncall {HELPER_MAP_UPDATE}\nexit")
-        assert fault(update_from_a_scalar, fresh_maps()) == (
-            "dereference of invalid pointer 0x40")
+        key_past_the_context = assemble(
+            f"mov r2, r1\nadd r2, 2\nmov r1, {HASH_FD}\ncall {HELPER_MAP_LOOKUP}\nexit")
+        assert fault(key_past_the_context, fresh_maps()) == (
+            "out-of-bounds read at 0x2000000000002 (8 bytes)")
 
 
 class TestLateBinding:
@@ -621,56 +641,189 @@ class TestLateBinding:
         assert vm.run().return_value == 16 << 48
 
 
-# -- mutants of the emitter's rules ------------------------------------------
+# -- mutants of the compiler's rules ------------------------------------------
 #
-# Where the compiler can see a pointer it drops the region lookup
-# (``vm._track`` says what it learns from each instruction), and where it
-# sees a map lookup's fd and key it inlines the helper (``vm._call``). Each
-# mutant below breaks one of those rules; the oracle must catch it on a
-# pinned program that the real rules compile correctly.
+# The compiler reads the verifier's facts (``verifier._facts``: what each
+# instruction makes known, ``_after``; what two paths agree on, ``_join``;
+# which registers an instruction reads, ``_reads``) and from them resolves
+# accesses (``vm._access``), inlines map helpers (``vm._call``) and nests
+# single-entry blocks (``vm._entries``). Each mutant below breaks one rule;
+# the oracle must catch it on a pinned program that the real rules compile
+# correctly: by a different outcome, or by an exception it does not raise.
 
-real_track, real_call = vm_module._track, vm_module._call
+real_after, real_join, real_reads = (
+    verifier_module._after, verifier_module._join, verifier_module._reads)
+real_call, real_access, real_entries = (
+    vm_module._call, vm_module._access, vm_module._entries)
 
 
-def constant_kept_across_a_call(insn, known):
-    if insn.opcode is not Opcode.CALL:
-        real_track(insn, known)
+def constant_kept_across_a_call(pc, insn, state):
+    edges = real_after(pc, insn, state)
+    if insn.opcode is Opcode.CALL:
+        for _, regs in edges:
+            regs[1:6] = state[1:6]
+    return edges
 
 
-def key_bound_off_by_one(helper_id, known):
+def key_bound_off_by_one(*args):
     return [re.sub(r"if size > (\d+):", lambda m: f"if size > {int(m[1]) + 1}:",
-                   line) for line in real_call(helper_id, known)]
+                   line) for line in real_call(*args)]
 
 
+def fact_kept_where_one_path_lacks_it(a, b):
+    return b if a is None else a if b is None else real_join(a, b)
+
+
+def value_length_unchecked(*args):
+    checks, codec = real_access(*args)
+    return ([] if codec.startswith("value") else checks), codec
+
+
+def jump_operands_unread(insn, state):
+    return set() if insn.opcode in COND_JUMPS else real_reads(insn, state)
+
+
+def one_entry_per_block(facts):
+    return {target: 1 for target in real_entries(facts)}
+
+
+#: name -> (module, rule, mutant, program, contexts)
 MUTANTS = {
-    # After the first call r1 is 0: the lookup asks for map fd 0.
-    "constant kept across a CALL": ("_track", constant_kept_across_a_call, assemble(
-        f"stdw [r10-8], 0\nmov r1, {HASH_FD}\ncall {HELPER_KTIME_GET_NS}\n"
-        f"mov r2, r10\nadd r2, -8\ncall {HELPER_MAP_LOOKUP}\nexit"
-    ), [b""]),
+    # After a call r1 is 0: the trace shows it.
+    "constant kept across a CALL": (verifier_module, "_after",
+                                    constant_kept_across_a_call, assemble(
+        f"mov r1, 77\ncall {HELPER_KTIME_GET_NS}\ncall {HELPER_TRACE_PRINTK}\n"
+        "mov r0, 0\nexit"), [b""]),
     # An 8-byte key one byte short of the stack's end.
-    "key bound off by one": ("_call", key_bound_off_by_one, assemble(
+    "key bound off by one": (vm_module, "_call", key_bound_off_by_one, assemble(
         f"mov r1, {HASH_FD}\nmov r2, r10\nadd r2, -7\ncall {HELPER_MAP_LOOKUP}\nexit"
     ), [b""]),
+    # r6 is 5 on one path into pc 3 and the loaded byte on the other.
+    "fact kept at a join that one path lacks": (
+        verifier_module, "_join", fact_kept_where_one_path_lacks_it, assemble(
+            "ldxb r6, [r1+0]\njeq r6, 0, +1\nmov r6, 5\nmov r0, r6\nexit"),
+        [b"\x00", b"\x03"]),
+    # A 4-byte store 6 bytes into the 8-byte value.
+    "value length check dropped": (
+        vm_module, "_access", value_length_unchecked, Program([
+            *_lookup_hit(),
+            Instruction(Opcode.JEQ, dst=0, imm=0, offset=1),
+            Instruction(Opcode.STW, dst=0, offset=6, imm=1),
+            Instruction(Opcode.EXIT),
+        ]), [b""]),
+    # Only the jump reads the incremented r3.
+    "live write treated as dead": (verifier_module, "_reads", jump_operands_unread,
+                                   assemble(
+        "ldxb r3, [r1+0]\nadd r3, 1\nmov r0, 0\njeq r3, 1, +1\nmov r0, 1\nexit"
+    ), [b"\x00", b"\x05"]),
+    # pc 3 is entered from pc 1 and from pc 2.
+    "nested block loses its second entry": (
+        vm_module, "_entries", one_entry_per_block, assemble(
+            "ldxb r6, [r1+0]\njeq r6, 0, +1\nmov r6, 5\nmov r0, r6\nexit"),
+        [b"\x00", b"\x03"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_each_mutant_of_the_emitter_rules_is_killed(name, monkeypatch):
-    rule, mutant, program, contexts = MUTANTS[name]
+    module, rule, mutant, program, contexts = MUTANTS[name]
     assert_same(program, contexts)
-    monkeypatch.setattr(vm_module, rule, mutant)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(module, rule, mutant)
+    BpfVm(program, maps=fresh_maps())  # the mutant still compiles
+    with pytest.raises(Exception):
         assert_same(program, contexts)
 
 
 def test_known_bases_compile_to_direct_codecs():
-    """What the rules buy on the fail2ban filter: its stack and context
-    accesses name their buffer and a constant start; only the map value
-    behind r0 is looked up per run."""
+    """What the facts buy on the fail2ban filter: every stack, context and
+    map-value access names its buffer and a constant start, both map
+    helpers run inline, no region table is built and no block tests its
+    pc."""
     source = vm_module._source(build_fail2ban_program())
-    assert source.count("region_of(") == 2
+    for absent in ("region_of(", "regions", "helper", "pc ==", "r1 =", "r2 ="):
+        assert absent not in source
+    assert "r8, = load8(value7, 0)" in source
+    assert "store8(value7, 0, r8 & 0xffffffffffffffff)" in source
     assert "r6, = load4(context, 0)" in source and "store8(stack, 496, r7" in source
+
+
+#: ``make bpf-source``: the fail2ban filter's run function, as compiled.
+FAIL2BAN_SOURCE = """\
+def run(vm, data):
+    context = bytearray(data)
+    length = len(context)
+    stack = bytearray(512)
+    next_region = 16
+    if 4 > length:
+        raise bounds(0x2000000000000, 4, 'read')
+    r6, = load4(context, 0)
+    if 5 > length:
+        raise bounds(0x2000000000004, 1, 'read')
+    r7, = load1(context, 4)
+    store4(stack, 504, r6 & 0xffffffff)
+    store4(stack, 508, 0)
+    bpf_map = vm.maps.get(1)
+    if bpf_map is None:
+        vm.map_by_fd(1)  # raises
+    size = bpf_map.key_size
+    if size > 8:
+        raise bounds(0x10000000001f8, size, 'read')
+    key = bytes(stack[504:504 + size])
+    value7 = bpf_map.lookup(key)
+    if value7 is None:
+        r0 = 0
+    else:
+        region = next_region
+        next_region = region + 1
+        r0 = base7 = (region << 48) & 0xffffffffffffffff
+    if r0 != 0:
+        if 8 > len(value7):
+            raise bounds(base7, 8, 'read')
+        r8, = load8(value7, 0)
+        r8 = (r8 + r7) & 0xffffffffffffffff
+        if 8 > len(value7):
+            raise bounds(base7, 8, 'write')
+        store8(value7, 0, r8 & 0xffffffffffffffff)
+        if r8 > 3:
+            return ExecutionResult(0, 15, 1, context)
+        else:
+            return ExecutionResult(1, 15, 1, context)
+    else:
+        store8(stack, 496, r7 & 0xffffffffffffffff)
+        bpf_map = vm.maps.get(1)
+        if bpf_map is None:
+            vm.map_by_fd(1)  # raises
+        size = bpf_map.key_size
+        if size > 8:
+            raise bounds(0x10000000001f8, size, 'read')
+        key = bytes(stack[504:504 + size])
+        size = bpf_map.value_size
+        if size > 16:
+            raise bounds(0x10000000001f0, size, 'read')
+        value = bytes(stack[496:496 + size])
+        bpf_map.update(key, value)
+        r0 = 0
+        return ExecutionResult(1, 19, 2, context)
+"""
+
+
+def test_the_fail2ban_filter_compiles_to_the_pinned_text():
+    """An emitter change shows here as a diff of generated code; when it
+    is meant, paste the new ``make bpf-source`` output above."""
+    assert vm_module._source(build_fail2ban_program()) == FAIL2BAN_SOURCE
+
+
+def test_a_chain_deeper_than_the_nesting_limit_is_tested_by_pc():
+    """A block one edge enters nests in the block it leaves; past
+    ``_MAX_NESTING`` levels the chain goes on as roots, tested by pc."""
+    lines = ["ldxb r3, [r1+0]", "mov r0, 0"]
+    for value in range(2 * vm_module._MAX_NESTING):
+        lines += [f"jne r3, {value}, +2", f"mov r0, {value}", "exit"]
+    program = assemble("\n".join(lines + ["exit"]))
+    assert "if pc == " in vm_module._source(program)
+    outcomes, *_ = assert_same(program, [b"\x00", b"\x25", b"\x3f", b"\xff"])
+    assert [outcome[:2] for outcome in outcomes] == [
+        (0, 5), (37, 42), (63, 68), (0, 67)]
 
 
 # -- the compiled function ----------------------------------------------------
@@ -727,7 +880,7 @@ def test_generated_code_is_charged_to_ebpf_and_shows_in_tracebacks():
               if "<bpf:" in frame.filename]
     assert os.path.dirname(frame.filename) == os.path.dirname(
         os.path.abspath(vm_module.__file__))
-    assert frame.line == "raise fault(vm, 0x2000000000000, 1, 'read')"
+    assert frame.line == "raise bounds(0x2000000000000, 1, 'read')"
 
 
 def test_identical_programs_share_one_source_entry():

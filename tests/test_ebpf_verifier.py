@@ -3,8 +3,20 @@
 import pytest
 
 from repro.ebpf import Verifier, assemble
-from repro.ebpf.helpers import HELPER_MAP_LOOKUP
-from repro.ebpf.isa import Instruction, Opcode, Program
+from repro.ebpf.helpers import (
+    HELPER_KTIME_GET_NS,
+    HELPER_MAP_DELETE,
+    HELPER_MAP_LOOKUP,
+    HELPER_MAP_UPDATE,
+)
+from repro.ebpf.isa import (
+    CONTEXT_POINTER,
+    FRAME_POINTER,
+    Instruction,
+    Opcode,
+    Program,
+)
+from repro.ebpf.verifier import require_verified
 from repro.eval.compiler import program_corpus
 
 
@@ -153,6 +165,66 @@ class TestRejection:
         report = verify("mov r1, 1\nstxdw [r10+8], r1\nmov r0, 0\nexit")
         assert not report.ok
 
+    @pytest.mark.parametrize("helper", [
+        HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE, HELPER_MAP_DELETE])
+    @pytest.mark.parametrize("fd", [
+        f"call {HELPER_KTIME_GET_NS}",  # r1 clobbered: uninitialized
+        "mov r1, r10",  # a pointer
+    ], ids=["clobbered", "pointer"])
+    def test_map_helper_fd_must_be_an_initialized_scalar(self, helper, fd):
+        report = verify(f"""
+            {fd}
+            mov r2, r10
+            add r2, -8
+            mov r3, r10
+            add r3, -16
+            call {helper}
+            exit
+        """)
+        assert report.reject_reason() == "pc 5: map helper needs a scalar map fd in r1"
+
+    @pytest.mark.parametrize("value", [
+        "mov r3, 64",  # a scalar
+        "mov r3, r1",  # the context
+        "mov r3, r10",  # one past the frame's end
+        "mov r3, r10\nadd r3, -520",  # below it
+        "ldxw r3, [r1+0]\nmov r4, r10\nadd r4, r3\nmov r3, r4",  # unknown offset
+    ], ids=["scalar", "context", "frame-end", "below-frame", "unknown-offset"])
+    def test_map_update_value_must_be_on_the_stack(self, value):
+        report = verify(f"""
+            {value}
+            mov r1, 1
+            mov r2, r10
+            add r2, -8
+            call {HELPER_MAP_UPDATE}
+            mov r0, 0
+            exit
+        """)
+        assert not report.ok
+        assert report.reject_reason().endswith(
+            "map update needs a value on the stack in r3")
+        edge = verify(f"""
+            mov r3, r10
+            add r3, -512
+            mov r1, 1
+            mov r2, r10
+            add r2, -8
+            call {HELPER_MAP_UPDATE}
+            exit
+        """)
+        assert edge.ok
+
+    def test_only_an_lddw_half_is_an_lddw_jump_error(self, monkeypatch):
+        """A jump target in an LDDW's second slot is found without asking
+        ``Program.at_slot``: any other error it raises escapes."""
+        def broken(program, pc):
+            raise RuntimeError(f"slot {pc} unreadable")
+
+        program = assemble("mov r0, 0\nja +0\nexit")
+        monkeypatch.setattr(Program, "at_slot", broken)
+        with pytest.raises(RuntimeError, match="unreadable"):
+            Verifier().verify(program)
+
     def test_memory_access_via_scalar(self):
         report = verify("mov r1, 1000\nldxdw r0, [r1+0]\nexit")
         assert not report.ok
@@ -209,6 +281,60 @@ class TestRejection:
             report = Verifier().verify(program)
             assert report.ok == expected, name
             assert "r10" not in (report.reject_reason() or ""), name
+
+
+class TestFacts:
+    """What ``require_verified`` returns: per pc, the facts every path
+    agrees on, and the registers a later instruction reads."""
+
+    def test_a_fact_holds_at_a_join_only_if_every_path_brings_it(self):
+        facts = require_verified(assemble("""
+            ldxb r6, [r1+0]
+            mov r7, 3
+            mov r8, r10
+            jeq r6, 0, +2
+            mov r7, 4
+            add r8, -8
+            mov r0, r7
+            exit
+        """))
+        assert facts.state[0][1] == CONTEXT_POINTER
+        assert facts.state[4][7:9] == (3, FRAME_POINTER)
+        assert facts.state[6][6:9] == (None, None, None)
+        assert facts.successors[3] == [6, 4]
+
+    def test_a_null_check_splits_the_lookup_it_tests(self):
+        facts = require_verified(assemble(f"""
+            stdw [r10-8], 0
+            mov r1, 1
+            mov r2, r10
+            add r2, -8
+            call {HELPER_MAP_LOOKUP}
+            mov r6, r0
+            jeq r6, 0, +3
+            add r6, 4
+            ldxw r0, [r6+0]
+            exit
+            exit
+        """))
+        assert facts.state[5][:6] == ((4, None), 0, 0, 0, 0, 0)
+        assert facts.state[7][6] == (4, 0) and facts.state[8][6] == (4, 4)
+        assert facts.state[10][6] == 0
+
+    def test_a_write_no_path_reads_is_dead(self):
+        facts = require_verified(assemble("""
+            ldxb r6, [r1+0]
+            mov r7, r6
+            mov r7, 1
+            jeq r6, 0, +1
+            mov r0, r7
+            mov r0, r6
+            exit
+        """))
+        assert 7 not in facts.live[2]  # ``mov r7, r6`` is overwritten
+        assert 6 in facts.live[3] and 7 not in facts.live[3]  # r7 is known
+        assert facts.live[0] == frozenset()  # r1 is the known context pointer
+        assert 0 not in facts.live[5]
 
 
 class TestReportMetadata:
