@@ -28,14 +28,17 @@ returns, the join at each pc of what every verified path brings there:
   on ``stack`` (unchecked: the verifier bounds it), ``context`` or
   ``value<k>`` (both checked against their run-time length);
 * a map lookup, update or delete whose fd and stack pointers are known
-  runs inline;
+  runs inline, reading ``vm.maps`` itself (``map_by_fd`` only raises
+  its fault); any other lookup is the helper, its value bound from the
+  region table, so an access through it is a codec on ``value<k>`` too;
 * a basic block (:func:`repro.ebpf.isa.leaders`) that one edge enters is
   nested where that edge leaves; only a block that several edges enter
   is tested, ``if pc == leader:``, in pc order (every jump goes forward).
 
 A run builds the region table the helpers read (region 16 and up for the
-map values they expose) only if some access or map helper goes through a
-pointer the facts do not know; that access looks its region up per run.
+map values they expose) only if the facts say some access goes through a
+pointer they do not know, or some map helper is not inline; that access
+looks its region up per run.
 Either way the lookups number their values' regions from 16, per run.
 The text comes from fixed templates and two closed expression tables;
 only integers and register numbers from :class:`Instruction` fields and
@@ -148,30 +151,37 @@ def _operands(insn: Instruction, state: Tuple[Fact, ...]) -> Dict[str, str]:
     return {"d": _read(insn.dst, state), "s": source}
 
 
+def _direct(fact: Fact, offset: int) -> Optional[Tuple[str, int, str, str]]:
+    """``(buffer, start, end, address)`` of an access at *offset* from a
+    pointer the *fact* knows: the stack, the context or ``value<k>``, the
+    value the lookup at pc k returned (``base<k>`` its pointer); None for
+    any other pointer, whose region the run looks up."""
+    if isinstance(fact, int):
+        pointer = (fact + offset) & _U64
+        buffer = {STACK_REGION: "stack", CONTEXT_REGION: "context"}.get(
+            pointer >> REGION_SHIFT)
+        return None if buffer is None else (
+            buffer, pointer & _OFFSET_MASK, "length", f"{pointer:#x}")
+    if fact is None or fact[1] is None:
+        return None
+    lookup, start = fact[0], fact[1] + offset
+    return (f"value{lookup:d}", start, f"len(value{lookup:d})",
+            f"base{lookup:d} + {start:d}" if start else f"base{lookup:d}")
+
+
 def _access(base: int, offset: int, size: int, access: str,
             fact: Fact) -> Tuple[List[str], str]:
     """The checks that ``[r{base} + offset]`` holds *size* bytes, or the
-    access faults, and the ``buffer, start`` its codec then takes. Through
-    a pointer the *fact* knows, that is the stack (the verifier bounds the
-    access), the context or ``value<k>``, the value the lookup at pc k
-    returned (``base<k>`` its pointer); else the region the run looks up."""
-    buffer = None
-    if isinstance(fact, int):
-        pointer = (fact + offset) & _U64
-        start, end, address = pointer & _OFFSET_MASK, "length", f"{pointer:#x}"
-        buffer = {STACK_REGION: "stack", CONTEXT_REGION: "context"}.get(
-            pointer >> REGION_SHIFT)
-    elif fact is not None and fact[1] is not None:
-        lookup, start = fact[0], fact[1] + offset
-        buffer, end = f"value{lookup:d}", f"len(value{lookup:d})"
-        address = f"base{lookup:d} + {start:d}" if start else f"base{lookup:d}"
-    if buffer == "stack":
-        return [], f"stack, {start:d}"
-    if buffer is not None:
-        return [
+    access faults, and the ``buffer, start`` its codec then takes: none on
+    the stack (the verifier bounds it), a length check on the context or a
+    map value, a region lookup through any other pointer."""
+    direct = _direct(fact, offset)
+    if direct is not None:
+        buffer, start, end, address = direct
+        return ([] if buffer == "stack" else [
             f"if {start + size:d} > {end}:",
             f"    raise bounds({address}, {size:d}, '{access}')",
-        ], f"{buffer}, {start:d}"
+        ]), f"{buffer}, {start:d}"
     pointer = (f"{(fact + offset) & _U64:d}" if isinstance(fact, int)
                else f"(r{base:d} + {offset:d}) & 0xffffffffffffffff" if offset
                else f"r{base:d}")
@@ -184,18 +194,46 @@ def _access(base: int, offset: int, size: int, access: str,
     ], "buffer, start"
 
 
+def _inline(helper_id: int, state: Tuple[Fact, ...]) -> bool:
+    """Whether a CALL runs inline: a map helper whose fd and stack
+    pointers the facts know."""
+    if helper_id not in _MAP_ARGUMENTS:
+        return False
+    fd, *pointers = state[1:1 + _MAP_ARGUMENTS[helper_id]]
+    return isinstance(fd, int) and all(
+        isinstance(pointer, int) and pointer >> REGION_SHIFT == STACK_REGION
+        for pointer in pointers)
+
+
+def _looks_regions_up(program: Program, facts: Facts) -> bool:
+    """Whether a run needs the region table: some access goes through a
+    pointer the facts do not know, or some map helper is not inline."""
+    for pc, state in facts.state.items():
+        insn = program.at_slot(pc)
+        if insn.opcode is Opcode.CALL and insn.imm in _MAP_ARGUMENTS:
+            if not _inline(insn.imm, state):
+                return True
+        elif insn.is_load or insn.is_store:
+            base = insn.src if insn.is_load else insn.dst
+            if _direct(state[base], insn.offset) is None:
+                return True
+    return False
+
+
 def _call(helper_id: int, pc: int, state: Tuple[Fact, ...],
           table: bool) -> List[str]:
-    """A CALL of the helper bound as ``helper{id}``, or inline, faults
-    included, a map helper whose fd and stack pointers the facts know. A
-    lookup's value is ``value<pc>``, its region the next the run numbers."""
-    fd, *pointers = (state[1:1 + _MAP_ARGUMENTS[helper_id]]
-                     if helper_id in _MAP_ARGUMENTS else [None])
-    if not isinstance(fd, int) or not all(
-            isinstance(pointer, int) and pointer >> REGION_SHIFT == STACK_REGION
-            for pointer in pointers):
+    """A CALL of the helper bound as ``helper{id}``, or, faults included,
+    a map helper inline. A lookup's value is ``value<pc>`` either way, its
+    region the next the run numbers."""
+    if not _inline(helper_id, state):
         args = ", ".join(_read(reg, state) for reg in range(1, 6))
-        return [f"r0 = helper{helper_id:d}(vm, [{args}]) & 0xffffffffffffffff"]
+        call = [f"r0 = helper{helper_id:d}(vm, [{args}]) & 0xffffffffffffffff"]
+        return call + ([  # a lookup that is not inline needs the table
+            f"base{pc:d} = r0",
+            f"value{pc:d} = region_of(r0 >> {REGION_SHIFT:d})",
+        ] if helper_id == HELPER_MAP_LOOKUP else [])
+    fd, *pointers = state[1:1 + _MAP_ARGUMENTS[helper_id]]
+    # The compiled code reads ``vm.maps`` itself; ``map_by_fd`` names the fault.
     call = [f"bpf_map = vm.maps.get({fd:d})",
             "if bpf_map is None:",
             f"    vm.map_by_fd({fd:d})  # raises"]
@@ -315,13 +353,15 @@ class _Emitter:
                         *("    " + line for line in fallthrough)]
 
     def body(self) -> List[str]:
-        """Every root in pc order: pc 0's tree first, then each other."""
-        lines = []
+        """pc 0's tree, then every other root in pc order, tested by pc:
+        the roots start ``pc`` and the counters they add to."""
+        lines = self.block(heapq.heappop(self.roots), 0, (0, 0), False)
+        if self.roots:
+            lines.insert(0, "pc = executed = calls = 0")
         while self.roots:
             root = heapq.heappop(self.roots)
-            code = self.block(root, 0, (0, 0), root != 0)
-            lines += ([f"if pc == {root:d}:"] + ["    " + line for line in code]
-                      if root else code)
+            code = self.block(root, 0, (0, 0), True)
+            lines += [f"if pc == {root:d}:"] + ["    " + line for line in code]
         return lines
 
 
@@ -329,12 +369,7 @@ def _source(program: Program) -> str:
     """The text of *program*'s ``run`` function; raises
     :class:`VerificationError` for a program the verifier rejects."""
     facts = require_verified(program)
-    body = _Emitter(program, facts, False).body()
-    # A run that looks a region up, or has a helper do so, needs the table.
-    table = any(mark in line for line in body for mark in (
-        "region_of(", *(f"helper{helper:d}(" for helper in _MAP_ARGUMENTS)))
-    if table:
-        body = _Emitter(program, facts, True).body()
+    table = _looks_regions_up(program, facts)
     lines = [  # The run's set-up: regions 1 and 2 for the helpers and the code.
         "def run(vm, data):",
         "    context = bytearray(data)",
@@ -351,8 +386,7 @@ def _source(program: Program) -> str:
     ]
     entry = {1: f"{CONTEXT_POINTER:d}", 2: "length"}
     lines += [f"    r{reg:d} = {entry.get(reg, '0')}" for reg in sorted(facts.live[0])]
-    if any(line.startswith("if pc == ") for line in body):
-        lines.append("    pc = executed = calls = 0")
+    body = _Emitter(program, facts, table).body()
     return "\n".join(lines + ["    " + line for line in body]) + "\n"
 
 

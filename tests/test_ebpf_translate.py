@@ -392,8 +392,21 @@ def _key_pointer(draw):
 @st.composite
 def _lookup(draw):
     """A map lookup and, on a hit, an access near the value's 8-byte end,
-    then its first word in r0."""
-    setup = [Instruction(Opcode.MOV, dst=1, imm=draw(_fd)), *_key_pointer(draw)]
+    then its first word in r0. In 1 of 4 draws the facts do not know the
+    fd (an OR forgets it), and in 1 of 4 the key is on the context or at a
+    register offset on the stack, so the lookup is not inline."""
+    setup = [Instruction(Opcode.MOV, dst=1, imm=draw(_fd))]
+    if draw(st.integers(0, 3)) == 0:
+        setup.append(Instruction(Opcode.OR, dst=1, imm=0))
+    key = draw(st.sampled_from(["stack"] * 6 + ["context", "register"]))
+    if key == "stack":
+        setup += _key_pointer(draw)
+    elif key == "context":
+        setup.append(Instruction(Opcode.MOV, dst=2, src=CTX_REG, uses_reg_src=True))
+    else:
+        setup += [Instruction(Opcode.MOV, dst=3, imm=draw(st.sampled_from([-8, -16]))),
+                  Instruction(Opcode.MOV, dst=2, src=10, uses_reg_src=True),
+                  Instruction(Opcode.ADD, dst=2, src=3, uses_reg_src=True)]
     # Loaded into r6-r8: r0 stays the value pointer.
     hit = draw(_access(_at_map_value, loaded=SCALARS[1:])) + [
         Instruction(Opcode.LDXDW, dst=0, src=0, offset=0)]
@@ -726,12 +739,35 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_each_mutant_of_the_emitter_rules_is_killed(name, monkeypatch):
+    """The real rules run the program as the oracle does, raising nothing
+    but a named ProtocolError; each mutant gives a different outcome, or
+    the overrun value's ``struct.error`` or the lost entry's unbound
+    counter."""
     module, rule, mutant, program, contexts = MUTANTS[name]
     assert_same(program, contexts)
     monkeypatch.setattr(module, rule, mutant)
     BpfVm(program, maps=fresh_maps())  # the mutant still compiles
-    with pytest.raises(Exception):
+    with pytest.raises((AssertionError, struct.error, UnboundLocalError)):
         assert_same(program, contexts)
+
+
+@pytest.mark.parametrize("program", [
+    # The fd is the context's first byte: 1 hits, 0 misses, 3 names no map.
+    "stdw [r10-8], 0\nldxb r1, [r1+0]\nmov r2, r10\nadd r2, -8\ncall 1\n"
+    "jeq r0, 0, +2\nstxw [r0+4], r0\nldxdw r0, [r0+0]\nexit",
+    # The key is the context: all zeros hits, a short one faults.
+    "mov r2, r1\nmov r1, 1\ncall 1\njeq r0, 0, +1\nldxdw r0, [r0+4]\nexit",
+    # The key's offset is a register, one path sets the fd to another map.
+    "ldxb r6, [r1+0]\nmov r1, 1\njne r6, 7, +1\nmov r1, 0\nmov r3, -8\n"
+    "mov r2, r10\nadd r2, r3\ncall 1\njne r0, 0, +1\nexit\nldxw r0, [r0+4]\n"
+    "exit",
+], ids=["fd-from-context", "key-on-context", "fd-joined-key-by-register"])
+def test_a_lookup_that_is_not_inline_exposes_its_value(program):
+    """A lookup whose fd or key the facts do not know runs as the helper,
+    and the accesses through its value still reach that value."""
+    assert "region_of(r0 >> 48)" in vm_module._source(assemble(program))
+    assert_same(assemble(program), [bytes(8), b"\x00" * 3, b"\x07" + bytes(7),
+                                    b"\x03" + bytes(7), b"\x01" * 8])
 
 
 def test_known_bases_compile_to_direct_codecs():
