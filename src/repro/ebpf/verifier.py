@@ -14,7 +14,7 @@ with known immediates (stack pointers are relative to r10):
   against the 512-byte frame, context accesses must be non-negative;
 * a map helper takes a scalar fd in r1 and a pointer key in r2, and an
   update a value pointer in r3 inside the stack frame;
-* a map-value pointer must be null-checked before dereference;
+* a map-value pointer must be null-checked before dereference or arithmetic;
 * back-edges (loops) are rejected, and exploration is bounded by a state
   budget (kernel-style);
 * every path must reach EXIT with r0 initialized;
@@ -353,7 +353,9 @@ class Verifier:
             return []
         src_type = regs[insn.src][0] if insn.uses_reg_src else RegType.SCALAR
         dst_type, dst_offset = regs[insn.dst]
-        if dst_type.is_pointer or dst_type is RegType.PTR_MAP_VALUE_OR_NULL:
+        if dst_type is RegType.PTR_MAP_VALUE_OR_NULL:
+            return fail("arithmetic on a map value that may be null")
+        if dst_type.is_pointer:
             if op not in (Opcode.ADD, Opcode.SUB) or src_type is not RegType.SCALAR:
                 return fail(f"illegal pointer arithmetic ({op.value})")
             if insn.uses_reg_src or dst_offset is None:

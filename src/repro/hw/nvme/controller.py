@@ -19,6 +19,7 @@ from repro.hw.nvme.namespace import LBA_SIZE, Namespace
 from repro.hw.pcie.device import Bar, PcieDevice
 from repro.hw.pcie.link import PcieLink
 from repro.sim import Event, Simulator
+from repro.telemetry.tracing import NULL_SPAN
 
 #: Firmware command decode + completion posting overhead.
 CONTROLLER_LATENCY = 2e-6
@@ -68,6 +69,7 @@ class NvmeController(PcieDevice):
     ):
         super().__init__(name, bars=[Bar(16 * 1024)])
         self.sim = sim
+        self._tracer = sim.tracer
         self.namespaces: Dict[int, Namespace] = {}
         self.flash = flash if flash is not None else FlashArray(
             sim, component=f"{name}.flash"
@@ -101,10 +103,10 @@ class NvmeController(PcieDevice):
     def _execute(self, qp: NvmeQueuePair, command: NvmeCommand):
         """Process: one command; posting its completion is its last act."""
         started = self.sim.now
-        with self.sim.tracer.span(
-            "nvme.cmd", "nvme",
-            device=self.name, opcode=command.opcode.name, lba=command.lba,
-        ) as span:
+        span = (self._tracer.span("nvme.cmd", "nvme", device=self.name,
+                                  opcode=command.opcode.name, lba=command.lba)
+                if self._tracer.enabled else NULL_SPAN)
+        with span:
             yield self.sim.timeout(CONTROLLER_LATENCY)
             if self.injector is not None and self.injector.fires(
                 self.name, FaultKind.COMMAND_TIMEOUT
@@ -114,7 +116,8 @@ class NvmeController(PcieDevice):
                 yield self.sim.timeout(COMMAND_WATCHDOG_LATENCY)
                 self._commands_aborted.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
-                span.annotate(status="COMMAND_ABORTED")
+                if span is not NULL_SPAN:
+                    span.annotate(status="COMMAND_ABORTED")
                 completion = NvmeCompletion(
                     command.cid, NvmeStatus.COMMAND_ABORTED
                 )
@@ -144,12 +147,9 @@ class NvmeController(PcieDevice):
                     )
                 self._commands_executed.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
-                span.annotate(status=completion.status.name)
+                if span is not NULL_SPAN:
+                    span.annotate(status=completion.status.name)
         qp.post(completion)
-
-    def _dma(self, size_bytes: int):
-        if self.link is not None:
-            yield from self.link.transfer(size_bytes)
 
     def _stripe(self, page_op, lba: int, count: int):
         """Process: *page_op* on *count* pages from *lba*. The FTL
@@ -167,12 +167,15 @@ class NvmeController(PcieDevice):
             self.flash.read_page, command.lba, command.block_count
         )
         data = namespace.read_blocks(command.lba, command.block_count)
-        yield from self._dma(len(data))
+        if self.link is not None:
+            yield from self.link.transfer(len(data))
         return NvmeCompletion(command.cid, NvmeStatus.SUCCESS, data=data)
 
     def _do_write(self, namespace: Namespace, command: NvmeCommand):
         payload = command.data if command.data is not None else b""
-        yield from self._dma(max(len(payload), command.block_count * LBA_SIZE))
+        if self.link is not None:
+            yield from self.link.transfer(
+                max(len(payload), command.block_count * LBA_SIZE))
         count = namespace.write_blocks(command.lba, payload)
         yield from self._stripe(self.flash.program_page, command.lba, count)
         return NvmeCompletion(command.cid, NvmeStatus.SUCCESS)

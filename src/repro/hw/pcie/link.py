@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
 from repro.sim import Resource, Simulator
+from repro.telemetry.tracing import NULL_SPAN
 
 #: Effective per-lane payload bandwidth (bytes/s) after 128b/130b encoding
 #: and protocol overhead, per generation.
@@ -35,6 +36,7 @@ class PcieLink:
         if lanes not in (1, 2, 4, 8, 16):
             raise ConfigurationError(f"invalid PCIe lane width: {lanes}")
         self.sim = sim
+        self._tracer = sim.tracer
         self.bandwidth = lanes * PCIE_GEN3_PER_LANE
         self._channel = Resource(sim)
         self.component = component
@@ -56,10 +58,10 @@ class PcieLink:
 
     def transfer(self, payload_bytes: int):
         """Process: move ``payload_bytes`` across the link."""
-        with self.sim.tracer.span(
-            "pcie.transfer", "pcie",
-            component=self.component, bytes=payload_bytes,
-        ):
+        span = (self._tracer.span("pcie.transfer", "pcie", component=self.component,
+                                  bytes=payload_bytes)
+                if self._tracer.enabled else NULL_SPAN)
+        with span:
             yield self._channel.request()
             try:
                 yield self.sim.timeout(self.transfer_latency(payload_bytes))

@@ -32,7 +32,6 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
@@ -41,13 +40,15 @@ from repro.telemetry import MetricScope
 __all__ = ["HotKeyCache", "CacheEntry"]
 
 
-@dataclass
 class CacheEntry:
     """One cached value: payload, lease expiry, fill-time routing epoch."""
 
-    value: bytes
-    expires: float
-    epoch: int
+    __slots__ = ("value", "expires", "epoch")
+
+    def __init__(self, value: bytes, expires: float, epoch: int):
+        self.value = value
+        self.expires = expires
+        self.epoch = epoch
 
 
 class HotKeyCache:
@@ -129,9 +130,7 @@ class HotKeyCache:
 
     def fill(self, key: bytes, value: bytes, epoch: int) -> None:
         """Install a freshly-read value under the reader's epoch."""
-        self._entries[key] = CacheEntry(
-            value=value, expires=self.clock.now + self.lease, epoch=epoch,
-        )
+        self._entries[key] = CacheEntry(value, self.clock.now + self.lease, epoch)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -187,8 +187,9 @@ class ShardedKvClient(KvClientCore):
         runs in the caller's process.
         """
         groups: Dict[str, List[Tuple[int, BatchOp]]] = {}
+        owner_of = self.cluster.ring.owner_of
         for entry in ops:
-            groups.setdefault(self.cluster.owner_of(entry[1].args[0]), []).append(entry)
+            groups.setdefault(owner_of(entry[1].args[0]), []).append(entry)
         limit = self.batch_limit
         chunks = [
             (owner, group[start:start + limit])
@@ -248,21 +249,21 @@ class ShardedKvClient(KvClientCore):
         """
         keys = [bytes(key) for key in keys]
         epoch = self.cluster.epoch
-        values: List[object] = [None] * len(keys)
-        misses: List[Tuple[int, BatchOp]] = []
-        for position, key in enumerate(keys):
-            if self.cache is not None:
-                cached = self.cache.lookup(key, epoch)
-                if cached is not None:
-                    values[position] = cached
-                    self._cache_served.value += 1
-                    continue
-            misses.append((position, kv_op("kv.get", key)))
+        cache = self.cache
+        if cache is None:
+            values: List[object] = [None] * len(keys)
+        else:
+            lookup = cache.lookup
+            values = [lookup(key, epoch) for key in keys]
+        misses = [(position, kv_op("kv.get", key))
+                  for position, key in enumerate(keys) if values[position] is None]
+        # Nothing above yields: counting the hits once is invisible.
+        self._cache_served.value += len(keys) - len(misses)
 
         def fill(p, value):
             values[p] = value
-            if self.cache is not None and value is not None:
-                self.cache.fill(keys[p], value, epoch)
+            if cache is not None and value is not None:
+                cache.fill(keys[p], value, epoch)
 
         yield from self._batched(misses, fill)
         self._ops.value += len(keys)

@@ -67,18 +67,17 @@ class _KeyLocks:
         self.sim = sim
         #: key -> waiter queue; presence in the dict means "locked".
         self._locks: Dict[bytes, Deque[Event]] = {}
-        self.contended = 0
 
-    def acquire(self, key: bytes):
-        """Process: take the key's lock (returns immediately when free)."""
+    def acquire(self, key: bytes) -> Optional[Event]:
+        """Take a free lock and return ``None`` (no generator, no entry),
+        or queue and return the gate to ``yield``: it fires with the lock."""
         waiters = self._locks.get(key)
         if waiters is None:
             self._locks[key] = deque()
-            return
-        self.contended += 1
+            return None
         gate = Event(self.sim)
         waiters.append(gate)
-        yield gate
+        return gate
 
     def release(self, key: bytes) -> None:
         """Hand the lock to the next waiter, or free it."""
@@ -98,7 +97,10 @@ class ShardForwarder:
     owner over the DPU's own egress socket; ops for keys *mid-handoff*
     wait on a per-key gate until the handoff completes (at most one
     value-copy round trip), so no window exists where a key is servable
-    by nobody.
+    by nobody. A proxied op releases the key's lock before its hop: held
+    across the RPC, it would deadlock with a drain handing the key back
+    (the peer holds its own key lock while it waits on our
+    ``shard.receive``).
     """
 
     def __init__(self, sim: Simulator, network: Network, address: str,
@@ -138,41 +140,23 @@ class ShardForwarder:
         return self._gated.value
 
     # -- the locked, forwarding kv surface -----------------------------------
-    def _route(self, key: bytes):
-        """Process: take the key's lock; on a forwarded key, release it
-        and return the destination instead.
-
-        The lock only guards *local device* access against a concurrent
-        handoff copy. A forwarded op never touches the device, and
-        holding the lock across the proxy RPC would deadlock with a
-        drain handing the key back (the peer holds its own key lock
-        while it waits on our ``shard.receive``), so the lock is dropped
-        before the hop. Mid-proxy ownership changes are safe: the op
-        just chases one more forwarding entry at the destination.
-        """
-        contended = self._locks.contended
-        yield from self._locks.acquire(key)
-        if self._locks.contended > contended:
+    def _get(self, key: bytes):
+        """Process: serve a get locally, or proxy it to the new owner."""
+        key = bytes(key)
+        gate = self._locks.acquire(key)
+        if gate is not None:
+            yield gate
             self._gated.inc()
         dest = self.forward.get(key)
         if dest is not None:
             self._locks.release(key)
             self._forwarded.inc()
-        return dest
-
-    def _get(self, key: bytes):
-        """Process: serve a get locally, or proxy it to the new owner."""
-        key = bytes(key)
-        dest = yield from self._route(key)
-        if dest is not None:
-            value = yield from self.rpc.call(
+            return (yield from self.rpc.call(
                 dest, "kv.get", key,
                 request_size=KV_HEADER + len(key), response_size=KV_VALUE,
-            )
-            return value
+            ))
         try:
-            value = yield from self.device.get(key)
-            return value
+            return (yield from self.device.get(key))
         finally:
             self._locks.release(key)
 
@@ -182,8 +166,14 @@ class ShardForwarder:
         key = bytes(key)
         if value is not None:
             value = bytes(value)
-        dest = yield from self._route(key)
+        gate = self._locks.acquire(key)
+        if gate is not None:
+            yield gate
+            self._gated.inc()
+        dest = self.forward.get(key)
         if dest is not None:
+            self._locks.release(key)
+            self._forwarded.inc()
             args = (key,) if value is None else (key, value)
             yield from self.rpc.call(
                 dest, "kv.delete" if value is None else "kv.put", *args,
@@ -217,7 +207,9 @@ class ShardForwarder:
         key's lock and is waiting on this very RPC.
         """
         key = bytes(key)
-        yield from self._locks.acquire(key)
+        gate = self._locks.acquire(key)
+        if gate is not None:
+            yield gate
         try:
             if self.forward.pop(key, None) is not None:
                 self._forward_entries.set(len(self.forward))
@@ -244,7 +236,9 @@ class ShardForwarder:
         with span:
             for key in keys:
                 key = bytes(key)
-                yield from self._locks.acquire(key)
+                gate = self._locks.acquire(key)
+                if gate is not None:
+                    yield gate
                 try:
                     if key in self.forward:
                         continue

@@ -8,12 +8,15 @@ actual namespace blocks, so the on-flash state is real bytes.
 
 from __future__ import annotations
 
+import struct
+
 from repro.common.errors import CapacityError
 from repro.datastruct.lsm import LsmTree
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
 from repro.hw.nvme.namespace import LBA_SIZE
 from repro.sim import Simulator
+from repro.telemetry.tracing import NULL_SPAN
 from repro.transport.rpc import BatchOp, RpcClient, RpcServer
 
 #: In-device KV engine time per command (index walk, request parsing) —
@@ -48,6 +51,7 @@ class KvSsd:
         memtable_limit: int = 256,
     ):
         self.sim = sim
+        self._tracer = sim.tracer
         self.controller = controller
         self.qp = controller.create_queue_pair()
         self._metrics = sim.telemetry.unique_scope(
@@ -68,13 +72,8 @@ class KvSsd:
     # -- device commands (timed processes) ------------------------------------
     def _wal_append(self, key: bytes, value: bytes, tombstone: bool):
         """Process: one durable write-ahead record."""
-        record = (
-            len(key).to_bytes(4, "little")
-            + len(value).to_bytes(4, "little")
-            + (b"\x01" if tombstone else b"\x00")
-            + key
-            + value
-        )
+        # Key length, value length (little-endian u32), tombstone byte.
+        record = struct.pack("<IIB", len(key), len(value), tombstone) + key + value
         completion = yield self.qp.submit(
             NvmeCommand(NvmeOpcode.WRITE, lba=self._wal_lba, data=record)
         )
@@ -84,9 +83,9 @@ class KvSsd:
 
     def put(self, key: bytes, value: bytes):
         """Process: WAL append + memtable insert; flush spills to flash."""
-        with self.sim.tracer.span(
-            "kv.put", "kvssd", device=self.controller.name,
-        ):
+        span = (self._tracer.span("kv.put", "kvssd", device=self.controller.name)
+                if self._tracer.enabled else NULL_SPAN)
+        with span:
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
             yield from self._wal_append(key, value, tombstone=False)
             flushes_before = self.lsm.flushes
@@ -97,13 +96,14 @@ class KvSsd:
 
     def get(self, key: bytes):
         """Process: memtable first, then one flash read per run consulted."""
-        with self.sim.tracer.span(
-            "kv.get", "kvssd", device=self.controller.name,
-        ) as span:
+        span = (self._tracer.span("kv.get", "kvssd", device=self.controller.name)
+                if self._tracer.enabled else NULL_SPAN)
+        with span:
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
             runs_consulted = self.lsm.search_cost(key) - 1  # memtable is free
-            span.annotate(runs_consulted=max(0, runs_consulted))
-            for _ in range(max(0, runs_consulted)):
+            if span is not NULL_SPAN:
+                span.annotate(runs_consulted=runs_consulted)
+            for _ in range(runs_consulted):
                 yield self.qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
             self._gets.value += 1
             return self.lsm.get(key)

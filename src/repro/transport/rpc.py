@@ -274,10 +274,6 @@ class RpcServer:
             raise ProtocolError(f"handler for {method!r} already registered")
         self._handlers[method] = handler
 
-    @staticmethod
-    def _priority_of(request: RpcRequest) -> Priority:
-        return Priority(max(0, min(int(request.priority), _MAX_PRIORITY)))
-
     def _reject(self, src: str, request: RpcRequest, reason: str) -> None:
         """Answer with an immediate, header-sized overload error (sent
         from an entry of its own, as the rejection is decided)."""
@@ -298,7 +294,7 @@ class RpcServer:
         if not isinstance(request, RpcRequest):
             return
         if self.admission is not None and not self.admission.admit(
-            self._priority_of(request)
+            Priority(max(0, min(int(request.priority), _MAX_PRIORITY)))
         ):
             self._shed.value += 1
             self._reject(src, request, "overload: admission shed")
@@ -544,12 +540,14 @@ class RpcClient:
             raise ConfigurationError(
                 f"batch needs 1..{MAX_BATCH_OPS} ops, got {len(ops)}"
             )
-        request_size = sum(op.request_size for op in ops)
-        response_size = sum(op.response_size for op in ops)
-        wire_ops = tuple((op.method, op.args) for op in ops)
-        request = RpcRequest(
-            next(self._rpc_ids), BATCH_METHOD, (wire_ops,), response_size
-        )
+        request_size = response_size = 0
+        wire_ops = []
+        for op in ops:
+            request_size += op.request_size
+            response_size += op.response_size
+            wire_ops.append((op.method, op.args))
+        request = RpcRequest(next(self._rpc_ids), BATCH_METHOD,
+                             (tuple(wire_ops),), response_size)
         self._batched_ops.value += len(ops)
         self._calls.value += 1
         sim = self.sim

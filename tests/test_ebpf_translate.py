@@ -19,7 +19,7 @@ import struct
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.ebpf.verifier as verifier_module
@@ -516,7 +516,10 @@ def _case(draw):
     return program, contexts
 
 
-@settings(max_examples=400, deadline=None)
+# No shrink phase: a compiler defect that fails one draw in ten reports
+# the drawn case within seconds instead of shrinking it for minutes.
+@settings(max_examples=400, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(case=_case())
 def test_translated_vm_matches_the_reference(case):
     """Every drawn program verifies. Two runs on one VM pair: the second

@@ -156,6 +156,28 @@ class TestRejection:
         assert not report.ok
         assert "null check" in report.reject_reason()
 
+    @pytest.mark.parametrize("alu", ["add r0, 4", "sub r0, 4", "add r0, r1"])
+    def test_arithmetic_on_a_maybe_null_map_value(self, alu):
+        """The kernel refuses to move a pointer before its null check: the
+        check would then test the moved pointer, and a miss would reach
+        the dereference as address 4."""
+        report = verify(f"""
+            stdw [r10-8], 0
+            mov r1, 1
+            mov r2, r10
+            add r2, -8
+            call {HELPER_MAP_LOOKUP}
+            mov r1, 4
+            {alu}
+            jeq r0, 0, +1
+            ldxw r0, [r0+0]
+            exit
+        """)
+        assert not report.ok
+        assert report.reject_reason() == (
+            "pc 6: arithmetic on a map value that may be null"
+        )
+
     def test_stack_overflow_access(self):
         report = verify("ldxdw r0, [r10-520]\nexit")
         assert not report.ok

@@ -592,6 +592,61 @@ def test_batch_spanning_a_migrating_shard():
     assert forwarded > 0, "migration window produced no forwarded ops"
 
 
+@pytest.mark.parametrize("order", [("get", "handoff", "get"),
+                                   ("get", "get", "handoff")],
+                         ids=["get-handoff-get", "get-get-handoff"])
+def test_a_key_lock_is_taken_in_arrival_order(order):
+    """Ops on one key take its lock first come, first served. A waiting op
+    counts one ``gated_ops`` once its gate has fired, never while it
+    waits (a handoff's wait is not an op). A get that finds its key
+    handed off releases the lock before its proxy hop and counts one
+    ``forwarded_ops`` after that release."""
+    sim = Simulator()
+    cluster = _sharded(sim, dpus=2)
+    key = b"key-000"
+    _preload(sim, cluster, [key])
+    owner = cluster.owner_of(key)
+    dest = next(address for address in cluster.addresses if address != owner)
+    forwarder = cluster.forwarders[owner]
+    locks = forwarder._locks
+    release = locks.release
+    releases = []
+
+    def recording_release(held):
+        releases.append((sim.now, forwarder.gated_ops, forwarder.forwarded_ops))
+        release(held)
+
+    locks.release = recording_release
+    finished = []
+
+    def run(position, kind):
+        op = (forwarder._get(key) if kind == "get"
+              else forwarder._handoff(dest, [key]))
+        result = yield from op
+        finished.append((sim.now, position, result))
+
+    for position, kind in enumerate(order):
+        sim.process(run(position, kind))
+    sim.run()
+
+    assert [position for __, position, __ in sorted(finished)] == [0, 1, 2]
+    results = {position: result for __, position, result in finished}
+    assert results == {position: 1 if kind == "handoff" else b"v0"
+                       for position, kind in enumerate(order)}
+    assert forwarder.gated_ops == 1
+    if order[1] == "handoff":
+        # The second get resumes in the instant the handoff releases the
+        # key, counts its wait, releases and only then proxies.
+        assert [entry[1:] for entry in releases] == [(0, 0), (0, 0), (1, 0)]
+        assert releases[2][0] == releases[1][0] < finished[-1][0]
+        assert forwarder.forwarded_ops == 1
+    else:
+        assert [entry[1:] for entry in releases] == [(0, 0), (1, 0), (1, 0)]
+        assert forwarder.forwarded_ops == 0
+    assert locks._locks == {}
+    assert cluster.forwarders[dest].gated_ops == 0
+
+
 def test_an_all_hit_get_many_returns_at_its_start_with_no_rpc():
     """Regression: a read served wholly from the cache sends nothing and
     waits on nothing — no sub-batch means no wait (a fan-out that waited

@@ -198,8 +198,9 @@ class TestLazyHistogramMaterialization:
 class TestSpanFreeWhenTracingOff:
     def test_no_span_constructed_across_substrates(self, monkeypatch):
         """With tracing off, a KV get crossing transport -> net -> kvssd
-        -> nvme -> pcie must construct zero Span objects: every
-        instrumented site has to hit the ``NULL_SPAN`` fast path."""
+        -> nvme -> pcie must construct zero Span objects, and no per-op
+        site may even call ``Tracer.span``: each checks
+        ``tracer.enabled`` first, so it builds no attribute dict either."""
         import repro.telemetry.tracing as tracing
         from repro.hw.net import Network
         from repro.hw.nvme import Namespace, NvmeController
@@ -210,7 +211,17 @@ class TestSpanFreeWhenTracingOff:
         def exploding_init(self, *args, **kwargs):
             raise AssertionError("Span constructed while tracing disabled")
 
+        span = tracing.Tracer.span
+
+        def guarded_span(self, name, *args, **kwargs):
+            if not self.enabled:
+                raise AssertionError(
+                    f"Tracer.span({name!r}) called while tracing disabled"
+                )
+            return span(self, name, *args, **kwargs)
+
         monkeypatch.setattr(tracing.Span, "__init__", exploding_init)
+        monkeypatch.setattr(tracing.Tracer, "span", guarded_span)
 
         sim = Simulator()
         network = Network(sim)
