@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench-report eval exp profile entries bpf-source perf docs examples reachability all
+.PHONY: help install test lint bench-report eval exp profile entries opcodes bpf-source perf docs examples reachability all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -55,6 +55,16 @@ profile:  ## per-layer hot-spot report: make profile W=offload-fail2ban
 # attempted op by owner (tools/entry_census.py; writes nothing). Same W.
 entries:  ## engine-entry census: make entries W=kv-batched-read
 	python tools/entry_census.py $(W)
+
+# Interpreter work per op: the same workload's measured window under a
+# bytecode-counting trace hook, bytecodes and Python calls per attempted
+# op, in total and by function (tools/opcount.py; exact, so a few per cent
+# of host work shows without timed pairs; ~50x slower than a plain run,
+# SCALE shrinks the window). Same W.
+SEED ?= 11
+SCALE ?= 1.0
+opcodes:  ## bytecodes + Python calls per op: make opcodes W=kv-unbatched-rw
+	python tools/opcount.py $(W) --seed $(SEED) --scale $(SCALE)
 
 # What the eBPF compiler makes of the fail2ban filter: the Python text of
 # its run function (repro.ebpf.vm._source), pinned by

@@ -67,7 +67,7 @@ def main() -> None:
     for i in range(4):
         lsm.put(f"newer-{i}".encode(), b"x")
         lsm.flush()
-    runs = lsm.search_cost(b"old-key")
+    runs = 1 + lsm.probe(b"old-key")[0]  # the memtable is consulted too
     one_rtt = 2 * 10e-6
     print(f"  'old-key' sits under {runs} runs -> "
           f"{format_time(runs * one_rtt)} client-side vs "

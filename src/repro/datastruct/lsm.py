@@ -143,35 +143,25 @@ class LsmTree:
 
     # -- reads ---------------------------------------------------------------
     def get(self, key: bytes) -> Optional[bytes]:
-        key = bytes(key)
-        if key in self._memtable:
-            value = self._memtable[key]
-            return None if value == _TOMBSTONE else value
-        for table in self.l0:
-            value = table.get(key)
-            if value is not None:
-                return None if value == _TOMBSTONE else value
-        if self.l1 is not None:
-            value = self.l1.get(key)
-            if value is not None and value != _TOMBSTONE:
-                return value
-        return None
+        return self.probe(key)[1]
 
-    def search_cost(self, key: bytes) -> int:
-        """Number of distinct storage runs consulted for this key — each is
-        a potential network/flash round trip when disaggregated."""
+    def probe(self, key: bytes) -> Tuple[int, Optional[bytes]]:
+        """``(runs consulted past the memtable, value)`` of one
+        newest-first walk. Each run is a potential network/flash round
+        trip when disaggregated; the memtable is not."""
         key = bytes(key)
-        cost = 0
-        if key in self._memtable:
-            return 1
-        cost += 1  # memtable check
-        for table in self.l0:
-            cost += 1
-            if table.get(key) is not None:
-                return cost
-        if self.l1 is not None:
-            cost += 1
-        return cost
+        value = self._memtable.get(key)
+        runs = 0
+        if value is None:
+            for table in self.l0:
+                runs += 1
+                value = table.get(key)
+                if value is not None:
+                    break
+        if value is None and self.l1 is not None:
+            runs += 1
+            value = self.l1.get(key)
+        return runs, (None if value == _TOMBSTONE else value)
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         merged: Dict[bytes, bytes] = {}

@@ -77,11 +77,12 @@ class Link:
         #: ``ingress(frame, arrive_at)``, set by the switch this link
         #: feeds; takes the place of the propagation entry and the sink.
         self.ingress: Optional[Callable[[Frame, float], None]] = None
-        #: ``(frame, span, done)`` being serialized, then those waiting
-        #: for the transmitter in FIFO order. ``span`` is the open net.tx
-        #: span (None untraced); ``done`` wakes a sender that had to
-        #: queue (None when it holds the serialization timeout itself).
-        self._sending: Optional[Tuple[Frame, Any, Optional[Event]]] = None
+        #: The frame being serialized, its net.tx span (None untraced)
+        #: and what wakes its sender if it had to queue (else None); then
+        #: ``(frame, span, done)`` of those waiting, in FIFO order.
+        self._sending: Optional[Frame] = None
+        self._sending_span: Any = None
+        self._sending_done: Optional[Event] = None
         self._backlog: Deque[Tuple[Frame, Any, Event]] = deque()
         #: When the last :meth:`forward`-ed frame has left the
         #: transmitter; an enqueued frame cannot start before it.
@@ -134,7 +135,7 @@ class Link:
         # attrs dict is only built when tracing is actually on.
         span = self._tx_span(frame) if self._tracer.enabled else None
         if self._sending is None:
-            return self._serialize((frame, span, None))
+            return self._start(frame, span, None)
         done = Event(self.sim)
         self._backlog.append((frame, span, done))
         return done
@@ -188,10 +189,11 @@ class Link:
             component=self.component, bytes=frame.wire_size,
         )
 
-    def _serialize(self, entry: Tuple[Frame, Any, Optional[Event]]) -> Event:
-        self._sending = entry
+    def _start(self, frame: Frame, span: Any, done: Optional[Event]) -> Event:
+        """Serialize *frame* now: the one start of an enqueued frame."""
+        self._sending, self._sending_span, self._sending_done = frame, span, done
         sim = self.sim
-        delay = entry[0].wire_size / self.bandwidth
+        delay = frame.wire_size / self.bandwidth
         if self._busy_until > sim.now:
             # Behind a forwarded frame still on the wire.
             serialized = sim.timeout_at(self._busy_until + delay)
@@ -203,9 +205,9 @@ class Link:
         return serialized
 
     def _on_serialized(self, _event: Event) -> None:
-        frame, span, done = self._sending
+        frame, span, done = self._sending, self._sending_span, self._sending_done
         if self._backlog:
-            self._serialize(self._backlog.popleft())
+            self._start(*self._backlog.popleft())
         else:
             self._sending = None
         if done is not None:

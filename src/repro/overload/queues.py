@@ -89,6 +89,7 @@ class BoundedQueue:
         self._dropped_full = metrics.counter("dropped_full")
         self._dropped_deadline = metrics.counter("dropped_deadline")
         self._sojourn = metrics.histogram("sojourn")
+        self._sync_gauges()  # from here on, every mutation syncs them
 
     # -- gauges ----------------------------------------------------------
     def __len__(self) -> int:
@@ -136,8 +137,11 @@ class BoundedQueue:
         return True
 
     # -- consuming -------------------------------------------------------
-    def _take(self) -> Optional[Any]:
-        """Pop one entry per policy, applying CoDel deadline drops."""
+    def poll(self) -> Optional[Any]:
+        """Synchronous dequeue: one item per policy (CoDel drops applied),
+        or ``None`` when drained; an empty queue has nothing to sync."""
+        if not self._entries:
+            return None
         while self._entries:
             if self.policy is QueuePolicy.LIFO:
                 enqueued_at, item = self._entries.pop()
@@ -162,17 +166,13 @@ class BoundedQueue:
             self._sojourn.observe(sojourn)
             self._sync_gauges()
             return item
-        self._sync_gauges()
+        self._sync_gauges()  # CoDel dropped every entry
         return None
-
-    def poll(self) -> Optional[Any]:
-        """Synchronous dequeue: one item, or ``None`` when drained."""
-        return self._take()
 
     def get(self) -> Event:
         """Process-facing dequeue: fires with the item (waits if empty)."""
         event = Event(self.sim)
-        item = self._take()
+        item = self.poll()
         if item is not None:
             event.succeed(item)
         else:

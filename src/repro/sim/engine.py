@@ -31,11 +31,14 @@ Hot-path design notes (every simulated operation crosses this module):
   with nothing observable between them folds its instants left to
   right and sleeps once on :meth:`Simulator.timeout_at`, which fires at
   exactly the float the chain reached.
-* The queue push is inlined at the hot call sites
-  (``Timeout.__init__``, ``succeed``/``fail``, process completion), and
+* The queue push is inlined at the hot call sites (``Timeout`` and
+  ``Process`` construction, ``succeed``/``fail``, process completion), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
   entry — with or without ``until``. ``step()`` remains the
   single-entry API and both share the exact pop order.
+* A process's one resume callback sits only on the event it last
+  yielded, and an event drops its callbacks as it fires: no resume is
+  stale, so ``_resume`` checks for none.
 * A bounded wait is one event plus ``call_later(wait, partial(expire,
   event))``: whichever comes first wakes the waiter (see :func:`expire`).
 * Scheduling into the past is rejected (``delay < 0``): simulated time
@@ -212,7 +215,10 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
-        Event.__init__(self, sim)
+        self.sim = sim  # Event.__init__ and call_later inlined
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # One bound method per process instead of one per yield: the same
@@ -220,7 +226,8 @@ class Process(Event):
         self._resume_cb = self._resume
         # Kick off the process on the next simulator step. Scheduled as a
         # bare thunk: no bootstrap Event allocation, same eid accounting.
-        sim.call_later(0.0, self._bootstrap)
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now, eid, None, self._bootstrap))
 
     def _bootstrap(self) -> None:
         self._resume(_BOOT)
@@ -248,14 +255,7 @@ class Process(Event):
         return self._value
 
     def _resume(self, event) -> None:
-        # Ignore wakeups after the process finished, or from an event
-        # it no longer waits on.
-        if self._value is not _PENDING:
-            return
-        waiting = self._waiting_on
-        if waiting is not None and event is not waiting:
-            return
-        self._waiting_on = None
+        # Never a stale wakeup: see the module notes.
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -264,32 +264,28 @@ class Process(Event):
         except StopIteration as stop:
             self._value = stop.value
             self._ok = True
-            if not self._awaited:
-                return
-            sim = self.sim
-            sim._eid = eid = sim._eid + 1
-            heappush(sim._heap, (sim.now, eid, self, None))
-            return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self._value = exc
             self._ok = False
             if not self._awaited:
                 raise
+        else:
+            try:
+                callbacks = target.callbacks
+            except AttributeError:
+                raise TypeError(f"process yielded {target!r}; processes "
+                                "must yield Event objects") from None
+            self._waiting_on = target
+            if callbacks is None:
+                # Already processed: resume immediately (late waiter).
+                self._resume(target)
+            else:
+                callbacks.append(self._resume_cb)
+            return
+        if self._awaited:  # the completion entry its waiters resume in
             sim = self.sim
             sim._eid = eid = sim._eid + 1
             heappush(sim._heap, (sim.now, eid, self, None))
-            return
-        if not isinstance(target, Event):
-            raise TypeError(
-                f"process yielded {target!r}; processes must yield Event objects"
-            )
-        self._waiting_on = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            # Already processed: resume immediately (late waiter).
-            self._resume(target)
-        else:
-            callbacks.append(self._resume_cb)
 
 
 class _Spawned(Process):

@@ -16,7 +16,6 @@ from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
 from repro.hw.nvme.namespace import LBA_SIZE
 from repro.sim import Simulator
-from repro.telemetry.tracing import NULL_SPAN
 from repro.transport.rpc import BatchOp, RpcClient, RpcServer
 
 #: In-device KV engine time per command (index walk, request parsing) —
@@ -84,8 +83,8 @@ class KvSsd:
     def put(self, key: bytes, value: bytes):
         """Process: WAL append + memtable insert; flush spills to flash."""
         span = (self._tracer.span("kv.put", "kvssd", device=self.controller.name)
-                if self._tracer.enabled else NULL_SPAN)
-        with span:
+                if self._tracer.enabled else None)
+        try:
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
             yield from self._wal_append(key, value, tombstone=False)
             flushes_before = self.lsm.flushes
@@ -93,20 +92,28 @@ class KvSsd:
             if self.lsm.flushes > flushes_before:
                 yield from self._persist_newest_sstable()
             self._puts.value += 1
+        finally:
+            if span is not None:
+                span.finish()
 
     def get(self, key: bytes):
         """Process: memtable first, then one flash read per run consulted."""
         span = (self._tracer.span("kv.get", "kvssd", device=self.controller.name)
-                if self._tracer.enabled else NULL_SPAN)
-        with span:
+                if self._tracer.enabled else None)
+        try:
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
-            runs_consulted = self.lsm.search_cost(key) - 1  # memtable is free
-            if span is not NULL_SPAN:
+            runs_consulted, value = self.lsm.probe(key)  # memtable is free
+            if span is not None:
                 span.annotate(runs_consulted=runs_consulted)
             for _ in range(runs_consulted):
                 yield self.qp.submit(NvmeCommand(NvmeOpcode.READ, lba=0))
+            if runs_consulted:  # as of the last read: a put may have landed
+                value = self.lsm.get(key)
             self._gets.value += 1
-            return self.lsm.get(key)
+            return value
+        finally:
+            if span is not None:
+                span.finish()
 
     def delete(self, key: bytes):
         yield self.sim.timeout(KV_REQUEST_PROCESSING)

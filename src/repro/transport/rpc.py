@@ -316,7 +316,11 @@ class RpcServer:
             item = queue.poll()
             if item is None:
                 item = yield queue.get()
-            yield from self._serve(*item)
+            src, request = item
+            if request.trace is None:
+                yield from self._handle(src, request)
+            else:
+                yield from self._serve(src, request)
 
     def _serve(self, src: str, request: RpcRequest):
         """The process that handles *request*. A traced request resumes
@@ -338,16 +342,16 @@ class RpcServer:
             )
             yield self.socket.sendto(src, response, RPC_HEADER)
             return
-        # Attribute dicts for spans are only built when tracing is on;
-        # the disabled path allocates nothing (NULL_SPAN is a singleton).
+        # The span and its attribute dict exist only when tracing is on;
+        # untraced, there is no span to enter or finish.
+        span = None
         tracer = self._tracer
-        context = request.trace
-        if context is not None:
+        if request.trace is not None:
             # Parent explicitly under the caller's rpc.call span rather
             # than whatever happens to be innermost — concurrent flows
             # through one server must not cross-link.
             span = tracer.begin(
-                context, "rpc.handle", "transport",
+                request.trace, "rpc.handle", "transport",
                 {"method": method, "server": self.socket.address},
                 parent=request.parent_span,
             )
@@ -356,11 +360,9 @@ class RpcServer:
                 "rpc.handle", "transport",
                 method=method, server=self.socket.address,
             )
-        else:
-            span = NULL_SPAN
-        if span is not NULL_SPAN and method == BATCH_METHOD:
+        if span is not None and method == BATCH_METHOD:
             span.annotate(ops=len(request.args[0]))
-        with span:
+        try:
             try:
                 outcome = handler(*request.args)
                 if hasattr(outcome, "send"):
@@ -375,6 +377,9 @@ class RpcServer:
             yield self.socket.sendto(
                 src, response, RPC_HEADER + request.response_size
             )
+        finally:
+            if span is not None:
+                span.finish()
 
     def _batch(self, ops: tuple):
         """The built-in :data:`BATCH_METHOD` handler: run every sub-op
@@ -623,28 +628,26 @@ class RpcClient:
         deadline: Optional[float],
         policy: Optional[RetryPolicy],
     ):
-        """Process: the shared send/retransmit/deadline loop for one id."""
-        started = self.sim.now
-        rng = policy.rng_for(request.rpc_id) if policy is not None else None
-        attempts = 0
-        failure = None
+        """Process: the shared send/retransmit/deadline loop for one id;
+        returns the :class:`RpcResponse`. An untimed call is one event,
+        one send and one wait: nothing is timed from the send."""
+        sim = self.sim
+        started = sim.now
         self._calls.value += 1
         span = (self._call_span(request, server) if self._tracer.enabled
-                else NULL_SPAN)
-        with span:
+                else None)
+        timed = timeout is not None or policy is not None or deadline is not None
+        attempts = 0
+        try:
             while True:
                 # One event per attempt, registered before the send so a
                 # late answer to an earlier transmission still lands.
                 # ``_on_datagram`` wakes it with the response; the
                 # attempt's expiry, if it gets there first, with
                 # ``TIMED_OUT``.
-                answered = self._pending[request.rpc_id] = Event(self.sim)
-                sent = self.socket.sendto(
-                    server, request, RPC_HEADER + request_size
-                )
-                if timeout is None and policy is None and deadline is None:
-                    # Nothing here is timed from the send: skip the
-                    # wake-up at the instant the request has left.
+                answered = self._pending[request.rpc_id] = Event(sim)
+                sent = self.socket.sendto(server, request, RPC_HEADER + request_size)
+                if not timed:
                     response = yield answered
                     break
                 # The attempt's expiry runs from when the request has
@@ -652,46 +655,48 @@ class RpcClient:
                 yield sent
                 # How long to wait before this attempt is declared lost.
                 if policy is not None:
+                    if not attempts:
+                        rng = policy.rng_for(request.rpc_id)
                     wait = policy.interval(attempts, rng)
-                elif timeout is not None:
-                    wait = timeout
-                else:
-                    wait = deadline  # no retransmission: just bound the wait
+                else:  # a deadline-only call just bounds its one wait
+                    wait = timeout if timeout is not None else deadline
                 if deadline is not None:
-                    remaining = deadline - (self.sim.now - started)
+                    remaining = deadline - (sim.now - started)
                     if remaining <= 0:
-                        failure = self._deadline_exceeded, ": deadline exceeded"
-                        break
+                        self._deadline_exceeded.value += 1
+                        raise RpcError(f"{request.method} to {server}: "
+                                       "deadline exceeded")
                     wait = min(wait, remaining)
                 if not answered.triggered:
-                    self.sim.call_later(wait, partial(expire, answered))
+                    sim.call_later(wait, partial(expire, answered))
                 response = yield answered
                 if response is not TIMED_OUT:
                     break
-                if deadline is not None and self.sim.now - started >= deadline:
-                    failure = self._deadline_exceeded, ": deadline exceeded"
-                    break
+                if deadline is not None and sim.now - started >= deadline:
+                    self._deadline_exceeded.value += 1
+                    raise RpcError(f"{request.method} to {server}: "
+                                   "deadline exceeded")
                 attempts += 1
                 if timeout is None and policy is None:
                     continue  # deadline-only calls do not retransmit
                 if attempts > retries:
-                    failure = None, f" timed out after {attempts} attempt(s)"
-                    break
+                    raise RpcError(f"{request.method} to {server} timed out "
+                                   f"after {attempts} attempt(s)")
                 if (self.retry_budget is not None
                         and not self.retry_budget.try_spend()):
-                    failure = (self._budget_exhausted,
-                               ": retry budget exhausted")
-                    break
+                    self._budget_exhausted.value += 1
+                    raise RpcError(f"{request.method} to {server}: retry "
+                                   "budget exhausted")
                 self._retransmits.value += 1
-            if failure is not None:
-                self._pending.pop(request.rpc_id, None)
-                counter, reason = failure
-                if counter is not None:
-                    counter.value += 1
-                raise RpcError(f"{request.method} to {server}{reason}")
-            if attempts:
+            if attempts and span is not None:
                 span.annotate(retransmits=attempts)
-        latency = self.sim.now - started
+        except RpcError:
+            self._pending.pop(request.rpc_id, None)  # gave up on it
+            raise
+        finally:
+            if span is not None:
+                span.finish()
+        latency = sim.now - started
         self._call_latency.observe(latency)
         if request.trace is not None and self._tracer.exemplars:
             self._call_latency.exemplar(latency, request.trace.trace_id)

@@ -103,15 +103,26 @@ class TestShadowingAndCompaction:
         assert lsm.get(b"b") == b"2"
         assert lsm.get(b"c") == b"3"
 
-    def test_search_cost_grows_with_runs(self):
+    def test_probe_counts_the_runs_a_key_sits_under(self):
         lsm = LsmTree(memtable_limit=1000, l0_limit=100)
         lsm.put(b"deep", b"v")
         lsm.flush()
         for i in range(3):
             lsm.put(f"filler{i}".encode(), b"x")
             lsm.flush()
-        # 'deep' now sits under several newer runs.
-        assert lsm.search_cost(b"deep") >= 4
+        # 'deep' now sits under three newer runs: four flash reads.
+        assert lsm.probe(b"deep") == (4, b"v")
+        assert lsm.probe(b"filler2") == (1, b"x")
+        assert lsm.probe(b"absent") == (4, None)
+        lsm.put(b"deep", b"w")
+        assert lsm.probe(b"deep") == (0, b"w")
+        lsm.delete(b"filler0")
+        assert lsm.probe(b"filler0") == (0, None)
+        lsm.flush()
+        lsm.compact()
+        assert lsm.probe(b"deep") == (1, b"w")
+        assert lsm.probe(b"filler0") == (1, None)
+        assert lsm.probe(b"absent") == (1, None)
 
     def test_items_sorted_and_deduped(self):
         lsm = LsmTree(memtable_limit=1000)

@@ -41,6 +41,7 @@ from repro.transport import (
     UdpSocket,
 )
 
+from tests.capture import StubSocket
 from tests.prometheus_reference import parse_prometheus_text
 
 
@@ -75,6 +76,33 @@ class TestBoundedQueue:
                 assert queue.try_put(item)
         assert [fifo.poll() for __ in range(3)] == ["a", "b", "c"]
         assert [lifo.poll() for __ in range(3)] == ["c", "b", "a"]
+
+    @pytest.mark.parametrize("policy", list(QueuePolicy))
+    def test_an_empty_dequeue_leaves_the_gauges_as_they_are(self, policy):
+        """``poll()`` and ``get()`` on an empty queue change no gauge and
+        no snapshot byte: every mutation synced them already. Both on a
+        server queue whose parked workers were never handed an item and
+        on a queue that was filled and drained."""
+        sim = Simulator()
+        server = RpcServer(sim, StubSocket(sim, "srv"), queue_capacity=4,
+                           queue_policy=policy, workers=2)
+        drained, __ = make_queue(sim, policy=policy)
+        for item in ("a", "b"):
+            drained.try_put(item)
+        sim.run()  # the workers start, find nothing and park
+        assert sorted(drained.poll() for __ in range(2)) == ["a", "b"]
+
+        def gauges():
+            return [repr(sim.telemetry.get(f"{path}.{name}").value)
+                    for path in ("rpc.server.srv.queue", "q")
+                    for name in ("depth", "saturation")]
+
+        before = gauges(), sim.telemetry.snapshot_bytes()
+        assert before[0] == ["0", "0.0", "0", "0.0"]
+        for queue in (server.queue, drained):
+            assert queue.poll() is None
+            assert not queue.get().triggered
+            assert (gauges(), sim.telemetry.snapshot_bytes()) == before
 
     def test_full_queue_rejects_at_enqueue(self):
         sim = Simulator()

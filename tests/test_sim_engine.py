@@ -1,10 +1,13 @@
 """Tests for the discrete-event simulation kernel."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import TIMED_OUT, Simulator, expire
+from repro.sim.engine import Process
 
 
 def timer(sim, delay, value):
@@ -179,9 +182,91 @@ class TestProcess:
             yield 42
 
         proc = sim.process(bad())
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^process yielded 42; processes "
+                                            r"must yield Event objects$"):
             sim.run()
         assert not proc.triggered  # never finished
+
+    def test_a_process_waits_on_exactly_the_event_it_last_yielded(self):
+        """The resume contract that lets ``_resume`` trust every wakeup:
+        after each entry, a live process's one resume callback is on the
+        callback list of the event it waits on, once, and on no other
+        event's — through timeouts, an inline wake, an expired and an
+        answered bounded wait, ``AllOf``, a late wait on a processed
+        event, a wait on another process, and ``spawn``."""
+        sim = Simulator()
+        events = []
+
+        def track(event):
+            events.append(event)
+            return event
+
+        def woken_at(delay, value):
+            event = track(sim.event())
+            sim.call_later(delay, lambda: event.wake(value))
+            return event
+
+        def child(delay):
+            yield track(sim.timeout(delay))
+            return delay
+
+        def bounded(wait, answer_after):
+            event = track(sim.event())
+            sim.call_later(wait, partial(expire, event))
+            if answer_after is not None:
+                sim.call_later(answer_after, lambda: event.succeed("answer"))
+            return event
+
+        log = []
+
+        def main():
+            yield track(sim.timeout(1.0))
+            log.append((yield woken_at(0.5, "woken")))
+            log.append((yield bounded(0.25, None)) is TIMED_OUT)
+            log.append((yield bounded(0.75, 0.5)))
+            both = track(sim.all_of([track(sim.timeout(0.5)),
+                                     woken_at(0.25, "inner")]))
+            log.append(sorted(map(repr, (yield both).values())))
+            processed = track(sim.event())
+            processed.succeed("processed")
+            yield track(sim.timeout(0.1))
+            log.append((yield processed))  # a late wait: resumes at once
+            sim.spawn(child(0.3))
+            log.append((yield track(sim.process(child(0.2)))))
+            yield track(sim.timeout(0.5))
+
+        track(sim.process(main()))
+
+        def owner(callback):
+            owner = getattr(callback, "__self__", None)
+            return owner if isinstance(owner, Process) else None
+
+        steps = 0
+        while sim._heap:
+            sim.step()
+            steps += 1
+            # Every event there is: the scenario's, the queued ones and
+            # the processes; every process: started or still to start.
+            candidates = {id(e): e for e in events}
+            candidates.update((id(entry[2]), entry[2])
+                              for entry in sim._heap if entry[2] is not None)
+            live = {owner(entry[3]) for entry in sim._heap}
+            for event in list(candidates.values()):
+                live.update(map(owner, event.callbacks or ()))
+            live.update(e for e in candidates.values()
+                        if isinstance(e, Process))
+            candidates.update((id(p), p) for p in live if p is not None)
+            for process in live - {None}:
+                if process.triggered:
+                    continue  # finished: waits on nothing
+                holders = [event for event in candidates.values()
+                           for callback in event.callbacks or ()
+                           if callback is process._resume_cb]
+                started = process._waiting_on is not None
+                assert holders == ([process._waiting_on] if started else [])
+        assert steps > 15
+        assert log == ["woken", True, "answer", ["'inner'", "None"],
+                       "processed", 0.2]
 
 
 class TestComposition:

@@ -72,6 +72,34 @@ class TestKvSsd:
 
         assert sim.run_process(scenario()) is None
 
+    def test_a_get_below_the_memtable_reads_the_value_after_its_flash_read(self):
+        # The key sits in L0, so the get waits on one flash read; a put
+        # of the key lands in the memtable during that wait. The get
+        # returns what its read would find when it completes: the put.
+        sim = Simulator()
+        device = self.make_device(sim)
+        sim.run_process(device.put(b"k", b"old"))
+        device.lsm.flush()
+        assert len(device.lsm.l0) == 1 and device.lsm.get(b"k") == b"old"
+        finished = {}
+
+        def writer():
+            yield from device.put(b"k", b"new")
+            finished["put"] = sim.now
+
+        def reader():
+            yield sim.timeout(450e-6)  # the put's WAL program is ~510 us
+            value = yield from device.get(b"k")
+            finished["get"] = (sim.now, value)
+
+        start = sim.now
+        sim.process(writer())
+        sim.process(reader())
+        sim.run()
+        got_at, value = finished["get"]
+        assert start + 450e-6 < finished["put"] < got_at
+        assert value == b"new"
+
     def test_flush_persists_sstable_to_flash(self):
         sim = Simulator()
         device = self.make_device(sim)

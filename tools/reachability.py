@@ -8,7 +8,8 @@ The roots are what the project actually runs:
   and the ``if __name__ == "__main__":`` block of any other module
   (``python -m repro.eval.verify``);
 * every ``examples/*.py`` and ``perfbench/*.py`` script, whole, and the
-  tools ``make`` runs (``tools/entry_census.py``, ``tools/check_links.py``).
+  tools ``make`` runs (``tools/entry_census.py``, ``tools/opcount.py``,
+  ``tools/check_links.py``).
 
 From the roots the pass follows references to a fixpoint, so a def that
 only dead code references is dead too:
@@ -69,7 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Scripts outside the package that are roots, whole (globs under the
 #: repository root).
 SCRIPT_ROOTS = ("examples/*.py", "perfbench/*.py", "tools/entry_census.py",
-                "tools/check_links.py")
+                "tools/opcount.py", "tools/check_links.py")
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
