@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -40,8 +39,7 @@ from repro.georep.wan import (
 from repro.hw.net import Network
 from repro.overload import CircuitBreaker
 from repro.sharding import ShardedKvClient, ShardedKvCluster
-from repro.sim import TIMED_OUT, Event, Simulator, expire
-from repro.telemetry.tracing import NULL_SPAN
+from repro.sim import TIMED_OUT, Event, Simulator
 from repro.transport import RpcClient, RpcError, RpcServer, UdpSocket
 
 __all__ = ["GeoCluster", "LogShipper", "Region", "WanSpec"]
@@ -136,7 +134,7 @@ class LogShipper:
                 # Idle: a new log entry wakes us, or the interval does.
                 wake = Event(self.sim)
                 self.region._ship_wakes.append(wake)
-                self.sim.call_later(SHIP_INTERVAL, partial(expire, wake))
+                self.sim.expire_later(SHIP_INTERVAL, wake)
                 if (yield wake) is TIMED_OUT:
                     # Take the wake back, or an idle region collects one
                     # dead event per interval.
@@ -196,16 +194,18 @@ class LogShipper:
         span = tracer.span(
             "repl.ship", "georep",
             region=self.region.name, peer=self.peer, entries=len(entries),
-        ) if tracer.enabled else NULL_SPAN
-        with span:
-            acked = yield from self.rpc.call(
+        ) if tracer.enabled else None
+        try:
+            return (yield from self.rpc.call(
                 self.peer_address, "repl.ship",
                 self.region.name, tuple(entries), through,
                 request_size=size, response_size=24,
                 timeout=SHIP_TIMEOUT, retries=SHIP_RETRIES,
                 deadline=SHIP_DEADLINE,
-            )
-        return acked
+            ))
+        finally:
+            if span is not None:
+                span.finish()
 
 
 class Region:
@@ -380,9 +380,8 @@ class Region:
             context = tracer.active_context
             span = tracer.span(f"geo.{op}", "georep", region=self.name)
         else:
-            context = None
-            span = NULL_SPAN
-        with span:
+            context = span = None
+        try:
             stamp = self._next_stamp()
             entry = self.log.append(op, key, value, stamp, self.name,
                                     trace=context)
@@ -391,6 +390,9 @@ class Region:
             yield from self._apply(key, value)
             yield from self._await_acks(entry.seq)
             (self._deletes if value is None else self._puts).value += 1
+        finally:
+            if span is not None:
+                span.finish()
         return stamp
 
     def _geo_get(self, key: bytes, origin: Optional[str] = None):
@@ -404,12 +406,15 @@ class Region:
         tracer = self.sim.tracer
         span = tracer.span(
             "geo.get", "georep", region=self.name,
-        ) if tracer.enabled else NULL_SPAN
-        with span:
+        ) if tracer.enabled else None
+        try:
             value = yield from self.store.get(bytes(key))
             staleness = self.staleness_of(origin)
-            self._staleness_gauge.set(staleness)
+            self._staleness_gauge.value = staleness
             self._gets.value += 1
+        finally:
+            if span is not None:
+                span.finish()
         return value, staleness
 
     def _repl_ship(self, origin: str, entries: Tuple[LogEntry, ...],
@@ -427,9 +432,9 @@ class Region:
         span = tracer.span(
             "repl.apply", "georep",
             region=self.name, origin=origin, entries=len(entries),
-        ) if tracer.enabled else NULL_SPAN
+        ) if tracer.enabled else None
         cursor = self.applied_from[origin]
-        with span:
+        try:
             for entry in entries:
                 if entry.seq < cursor:
                     continue  # duplicate delivery after a retransmit
@@ -445,6 +450,9 @@ class Region:
             self.fresh_through[origin] = max(self.fresh_through[origin],
                                              through)
             self._ships_received.value += 1
+        finally:
+            if span is not None:
+                span.finish()
         return cursor
 
 

@@ -60,7 +60,9 @@ class WanLink(Link):
     *partitioned*: every frame offered while an active
     :data:`~repro.faults.FaultKind.WAN_PARTITION` window in the attached
     fault plan holds it is silently dropped, and counted in
-    ``frames_partitioned``.
+    ``frames_partitioned``. With no injector nothing can partition or
+    fail a frame, so the link is unscreened like a base link and its
+    frames take :meth:`~repro.hw.net.link.Link.forward`.
     """
 
     TX_SPAN = "wan.tx"
@@ -81,13 +83,6 @@ class WanLink(Link):
         )
         self.src = src
         self.dst = dst
-        # Screened even with no injector, which can drop nothing: a
-        # screened hop serializes through ``enqueue``, which takes the
-        # entry tests/test_event_budget.py pins per crossing and places
-        # the ``wan.tx`` span where the trace experiment prints it.
-        # Unscreening it moves that report, so it belongs to a
-        # rebaseline change.
-        self._screened = True
         # Frozen path: registry snapshots list the gauge, though nothing
         # partitions a link by hand any more.
         self._metrics.gauge("partitioned")

@@ -19,7 +19,6 @@ from repro.hw.nvme.namespace import LBA_SIZE, Namespace
 from repro.hw.pcie.device import Bar, PcieDevice
 from repro.hw.pcie.link import PcieLink
 from repro.sim import Event, Simulator
-from repro.telemetry.tracing import NULL_SPAN
 
 #: Firmware command decode + completion posting overhead.
 CONTROLLER_LATENCY = 2e-6
@@ -105,8 +104,8 @@ class NvmeController(PcieDevice):
         started = self.sim.now
         span = (self._tracer.span("nvme.cmd", "nvme", device=self.name,
                                   opcode=command.opcode.name, lba=command.lba)
-                if self._tracer.enabled else NULL_SPAN)
-        with span:
+                if self._tracer.enabled else None)
+        try:
             yield self.sim.timeout(CONTROLLER_LATENCY)
             if self.injector is not None and self.injector.fires(
                 self.name, FaultKind.COMMAND_TIMEOUT
@@ -116,7 +115,7 @@ class NvmeController(PcieDevice):
                 yield self.sim.timeout(COMMAND_WATCHDOG_LATENCY)
                 self._commands_aborted.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
-                if span is not NULL_SPAN:
+                if span is not None:
                     span.annotate(status="COMMAND_ABORTED")
                 completion = NvmeCompletion(
                     command.cid, NvmeStatus.COMMAND_ABORTED
@@ -147,8 +146,11 @@ class NvmeController(PcieDevice):
                     )
                 self._commands_executed.value += 1
                 self._cmd_latency.observe(self.sim.now - started)
-                if span is not NULL_SPAN:
+                if span is not None:
                     span.annotate(status=completion.status.name)
+        finally:
+            if span is not None:
+                span.finish()
         qp.post(completion)
 
     def _stripe(self, page_op, lba: int, count: int):

@@ -68,26 +68,12 @@ class FlashArray:
     # -- counter views -----------------------------------------------------
 
     def _stuck_penalty(self) -> float:
-        """Extra busy time if a DIE_STUCK window currently holds this array."""
-        if self.injector is not None and self.injector.active(
-            self.component, FaultKind.DIE_STUCK
-        ):
+        """Extra busy time if a DIE_STUCK window currently holds this
+        array (an injector is attached)."""
+        if self.injector.active(self.component, FaultKind.DIE_STUCK):
             self._stuck_busy_ops.value += 1
             return STUCK_BUSY_PENALTY
         return 0.0
-
-    @property
-    def die_count(self) -> int:
-        return len(self._dies)
-
-    def _die_for_page(self, page_index: int) -> int:
-        return page_index % self.die_count
-
-    def _channel_for_die(self, die_index: int) -> int:
-        return die_index % self.channels
-
-    def _transfer_time(self) -> float:
-        return self.timing.page_size / self.timing.channel_bandwidth
 
     def read_page(self, page_index: int):
         """Process: one page read (array cell read + channel transfer).
@@ -95,12 +81,19 @@ class FlashArray:
         Raises :class:`FaultInjectedError` when a READ_ERROR fault fires:
         the cell read completed but ECC could not correct the data.
         """
-        die_index = self._die_for_page(page_index)
-        yield from self._dies[die_index].acquire()
+        die_index = page_index % len(self._dies)
+        die = self._dies[die_index]
+        grant = die.acquire()
+        if grant is not None:
+            yield grant
+        timing = self.timing
         try:
-            yield self.sim.timeout(self.timing.read_latency + self._stuck_penalty())
+            busy = timing.read_latency
+            if self.injector is not None:
+                busy += self._stuck_penalty()
+            yield self.sim.timeout(busy)
         finally:
-            self._dies[die_index].release()
+            die.release()
         if self.injector is not None and self.injector.fires(
             self.component, FaultKind.READ_ERROR
         ):
@@ -108,28 +101,37 @@ class FlashArray:
             raise FaultInjectedError(
                 f"{self.component}: uncorrectable read at page {page_index}"
             )
-        channel = self._channels[self._channel_for_die(die_index)]
-        yield from channel.acquire()
+        channel = self._channels[die_index % self.channels]
+        grant = channel.acquire()
+        if grant is not None:
+            yield grant
         try:
-            yield self.sim.timeout(self._transfer_time())
+            yield self.sim.timeout(timing.page_size / timing.channel_bandwidth)
             self._reads.value += 1
         finally:
             channel.release()
 
     def program_page(self, page_index: int):
         """Process: one page program (channel transfer + cell program)."""
-        die_index = self._die_for_page(page_index)
-        channel = self._channels[self._channel_for_die(die_index)]
-        yield from channel.acquire()
+        die_index = page_index % len(self._dies)
+        channel = self._channels[die_index % self.channels]
+        timing = self.timing
+        grant = channel.acquire()
+        if grant is not None:
+            yield grant
         try:
-            yield self.sim.timeout(self._transfer_time())
+            yield self.sim.timeout(timing.page_size / timing.channel_bandwidth)
         finally:
             channel.release()
-        yield from self._dies[die_index].acquire()
+        die = self._dies[die_index]
+        grant = die.acquire()
+        if grant is not None:
+            yield grant
         try:
-            yield self.sim.timeout(
-                self.timing.program_latency + self._stuck_penalty()
-            )
+            busy = timing.program_latency
+            if self.injector is not None:
+                busy += self._stuck_penalty()
+            yield self.sim.timeout(busy)
             self._programs.value += 1
         finally:
-            self._dies[die_index].release()
+            die.release()

@@ -89,7 +89,10 @@ class BoundedQueue:
         self._dropped_full = metrics.counter("dropped_full")
         self._dropped_deadline = metrics.counter("dropped_deadline")
         self._sojourn = metrics.histogram("sojourn")
-        self._sync_gauges()  # from here on, every mutation syncs them
+        # From here on every put and take writes both gauges in place
+        # (no call): the depth as an int, whose repr snapshots record.
+        self._depth.value = 0
+        self._saturation.value = 0.0
 
     # -- gauges ----------------------------------------------------------
     def __len__(self) -> int:
@@ -110,10 +113,6 @@ class BoundedQueue:
         """Items dropped at dequeue because their deadline had passed."""
         return self._dropped_deadline.value
 
-    def _sync_gauges(self) -> None:
-        self._depth.set(len(self._entries))
-        self._saturation.set(len(self._entries) / self.capacity)
-
     # -- producing -------------------------------------------------------
     def try_put(self, item: Any) -> bool:
         """Enqueue ``item``; ``False`` (and a counted drop) when full."""
@@ -133,7 +132,8 @@ class BoundedQueue:
             return False
         self._entries.append((self.sim.now, item))
         self._enqueued.value += 1
-        self._sync_gauges()
+        depth = self._depth.value = len(self._entries)
+        self._saturation.value = depth / self.capacity
         return True
 
     # -- consuming -------------------------------------------------------
@@ -164,9 +164,12 @@ class BoundedQueue:
                     continue
             self._dequeued.value += 1
             self._sojourn.observe(sojourn)
-            self._sync_gauges()
+            depth = self._depth.value = len(self._entries)
+            self._saturation.value = depth / self.capacity
             return item
-        self._sync_gauges()  # CoDel dropped every entry
+        # CoDel dropped every entry.
+        self._depth.value = 0
+        self._saturation.value = 0.0
         return None
 
     def get(self) -> Event:

@@ -116,13 +116,13 @@ class HotKeyCache:
             del self._entries[key]
             self._epoch_invalidated.value += 1
             self._misses.value += 1
-            self._size.set(len(self._entries))
+            self._size.value = len(self._entries)
             return None
         if self.clock.now >= entry.expires:
             del self._entries[key]
             self._lease_expired.value += 1
             self._misses.value += 1
-            self._size.set(len(self._entries))
+            self._size.value = len(self._entries)
             return None
         self._entries.move_to_end(key)
         self._hits.value += 1
@@ -130,15 +130,17 @@ class HotKeyCache:
 
     def fill(self, key: bytes, value: bytes, epoch: int) -> None:
         """Install a freshly-read value under the reader's epoch."""
-        self._entries[key] = CacheEntry(value, self.clock.now + self.lease, epoch)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:  # a concurrent read filled it meanwhile
+            entries.move_to_end(key)
+        entries[key] = CacheEntry(value, self.clock.now + self.lease, epoch)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
             self._evicted.value += 1
-        self._size.set(len(self._entries))
+        self._size.value = len(entries)
 
     def invalidate(self, key: bytes) -> None:
         """Drop one key (the caller wrote or deleted it)."""
         if self._entries.pop(key, None) is not None:
             self._invalidated.value += 1
-            self._size.set(len(self._entries))
+            self._size.value = len(self._entries)

@@ -39,8 +39,10 @@ Hot-path design notes (every simulated operation crosses this module):
 * A process's one resume callback sits only on the event it last
   yielded, and an event drops its callbacks as it fires: no resume is
   stale, so ``_resume`` checks for none.
-* A bounded wait is one event plus ``call_later(wait, partial(expire,
-  event))``: whichever comes first wakes the waiter (see :func:`expire`).
+* A bounded wait is one event plus :meth:`Simulator.expire_later`:
+  whichever comes first wakes the waiter (see :func:`expire`). The
+  queue holds only entries that can still act: an answered wait's
+  expiry is dropped unrun, and a drain still ends at its instant.
 * Scheduling into the past is rejected (``delay < 0``): simulated time
   never moves backwards.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -160,10 +162,10 @@ TIMED_OUT = object()
 def expire(event: Event) -> None:
     """Wake *event* with :data:`TIMED_OUT` unless it was triggered first.
 
-    A bounded wait is one event plus ``sim.call_later(wait,
-    partial(expire, event))``: the expiry thunk wakes the waiter inline,
-    and is a no-op entry once something else answered. The waiter tells
-    the two apart by the value it resumes with.
+    A bounded wait is one event plus ``sim.expire_later(wait, event)``:
+    the expiry thunk wakes the waiter inline, and is a no-op entry once
+    something else answered. The waiter tells the two apart by the
+    value it resumes with.
     """
     if event._value is _PENDING:
         event.wake(TIMED_OUT)
@@ -323,6 +325,10 @@ class AllOf(Event):
             self.succeed({e: e._value for e in self.events})
 
 
+#: A heap shorter than this is never searched for answered expiries.
+COMPACT_FLOOR = 32
+
+
 class Simulator:
     """The event loop: one heap of entries in ``(when, eid)`` order."""
 
@@ -330,6 +336,10 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List = []
         self._eid = 0
+        #: When ``expire_later`` next drops answered expiries, and the
+        #: latest instant it scheduled one for (a drain ends no earlier).
+        self._compact_at = COMPACT_FLOOR
+        self._expiries_until = 0.0
         self._telemetry: Optional[MetricsRegistry] = None
         self._tracer: Optional[Tracer] = None
         self._recorder: Optional[FlightRecorder] = None
@@ -401,6 +411,31 @@ class Simulator:
         else:  # earlier, or NaN
             raise ValueError(f"cannot call_at the past: {when} (now {self.now})")
 
+    def expire_later(self, delay: float, event: Event) -> None:
+        """After *delay*, :func:`expire` *event* (one eid, the entry
+        ``call_later(delay, partial(expire, event))`` would push).
+
+        Once the heap has doubled since the last pass, this first drops
+        every queued expiry whose event is already triggered (a no-op if
+        it popped) and re-heaps the rest in place, as ``run()`` holds the
+        list. ``(when, eid)`` is a total order, so nothing is reordered.
+        """
+        heap = self._heap
+        if len(heap) >= self._compact_at:
+            heap[:] = [entry for entry in heap if not (
+                type(entry[3]) is partial and entry[3].func is expire
+                and entry[3].args[0]._value is not _PENDING)]
+            heapify(heap)
+            self._compact_at = max(2 * len(heap), COMPACT_FLOOR)
+        if delay >= 0:
+            self._eid = eid = self._eid + 1
+            when = self.now + delay
+            if when > self._expiries_until:
+                self._expiries_until = when
+            heappush(heap, (when, eid, None, partial(expire, event)))
+        else:  # negative, or NaN
+            raise ValueError(f"cannot expire_later into the past: {delay}")
+
     def timeout_at(self, when: float) -> Event:
         """An event that fires at the absolute simulated time *when*:
         the waitable twin of :meth:`call_at` (one eid; a past or NaN
@@ -469,7 +504,8 @@ class Simulator:
         Boundary semantics (pinned by tests): entries scheduled exactly
         at ``until`` still run; the first entry strictly later does not,
         and the clock is left at ``until`` — also when the queue drains
-        before reaching it.
+        before reaching it. A drain ends at the latest instant queued,
+        an expiry's that ``expire_later`` dropped unrun included.
         """
         heap = self._heap
         limit = inf if until is None else until
@@ -490,7 +526,10 @@ class Simulator:
             event.callbacks = None
             for callback in callbacks:
                 callback(event)
-        if until is not None and until > self.now:
+        if until is None:
+            if self._expiries_until > self.now:
+                self.now = self._expiries_until
+        elif until > self.now:
             self.now = until
 
     def run_process(self, generator: Generator) -> Any:

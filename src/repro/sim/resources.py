@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -13,8 +13,9 @@ class Resource:
     a flash die or channel, a CPU core).
 
     ``request()`` returns an event that fires when the unit is granted;
-    the holder must call ``release()`` exactly once per grant. Waiters
-    are granted in FIFO order.
+    ``acquire()`` takes a free unit on the spot. The holder must call
+    ``release()`` exactly once per grant. Waiters are granted in FIFO
+    order.
     """
 
     def __init__(self, sim: Simulator):
@@ -31,19 +32,6 @@ class Resource:
             event.succeed(self)
         return event
 
-    def try_acquire(self) -> bool:
-        """Take the unit synchronously; ``False`` when it is held.
-
-        An uncontended grant then costs no engine entry (see
-        :meth:`acquire`). It cannot overtake a queued waiter — the unit
-        is only ever free while nobody waits, because :meth:`release`
-        hands it straight on.
-        """
-        if self.held:
-            return False
-        self.held = True
-        return True
-
     def release(self) -> None:
         if not self.held:
             raise RuntimeError("release() without a matching request()")
@@ -53,11 +41,18 @@ class Resource:
         else:
             self.held = False
 
-    def acquire(self):
-        """Generator helper: ``yield from resource.acquire()`` — takes
-        the unit on the spot, waits for a grant only when it is held."""
-        if not self.try_acquire():
-            yield self.request()
+    def acquire(self) -> Optional[Event]:
+        """Take a free unit and return ``None`` (no generator, no entry),
+        or queue and return the grant to ``yield``: it fires with the
+        unit. A free unit cannot overtake a queued waiter — it is only
+        ever free while nobody waits, because :meth:`release` hands it
+        straight on."""
+        if self.held:
+            grant = Event(self.sim)
+            self._waiters.append(grant)
+            return grant
+        self.held = True
+        return None
 
 
 class Store:

@@ -81,10 +81,11 @@ class Counter(Metric):
     :attr:`value` is a plain slot, and a module uses one way to add to
     it throughout. The modules on the per-frame and per-op paths (the
     network, transports, overload queues and admission, sharding client
-    and cache, KV-SSD, NVMe and geo-replication) write ``counter.value
-    += n``, where ``n`` is a literal or a count they computed and cannot
-    be negative; that saves a call per op. Every other module calls
-    :meth:`inc`, which rejects a negative amount.
+    and cache, KV-SSD, NVMe, geo-replication and the traffic generator)
+    write ``counter.value += n``, where ``n`` is a literal or a count
+    they computed and cannot be negative; that saves a call per op.
+    Every other module calls :meth:`inc`, which rejects a negative
+    amount.
     """
 
     __slots__ = ("value",)
@@ -111,40 +112,29 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (queue depth, DRAM pressure)."""
+    """A value that can go up and down (queue depth, DRAM pressure).
+    Per-op paths assign the :attr:`value` slot instead of calling
+    :meth:`set`; the snapshot renders the ``repr`` of what is stored."""
 
+    __slots__ = ("value",)
     kind = "gauge"
 
     def __init__(self, name: str):
         super().__init__(name)
-        self._value: float = 0.0
-
-    @property
-    def value(self) -> float:
-        """The current value."""
-        return self._value
+        #: The current value.
+        self.value: float = 0.0
 
     def set(self, value: float) -> float:
         """Replace the value; returns it."""
-        self._value = value
-        return self._value
-
-    def inc(self) -> float:
-        """Add one and return the new value."""
-        self._value += 1.0
-        return self._value
-
-    def dec(self) -> float:
-        """Subtract one and return the new value."""
-        self._value -= 1.0
-        return self._value
+        self.value = value
+        return value
 
     def snapshot_line(self) -> str:
         """One canonical line for :meth:`MetricsRegistry.snapshot_bytes`."""
-        return f"gauge {self.name} {self._value!r}"
+        return f"gauge {self.name} {self.value!r}"
 
     def __repr__(self) -> str:
-        return f"Gauge({self.name}={self._value})"
+        return f"Gauge({self.name}={self.value})"
 
 
 #: Default histogram buckets: log-spaced from 1 ns to 10 s — wide enough

@@ -22,7 +22,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.overload.admission import AdmissionController, Priority
 from repro.overload.queues import BoundedQueue, QueuePolicy
-from repro.sim import TIMED_OUT, Event, Simulator, expire
+from repro.sim import TIMED_OUT, Event, Simulator
 from repro.telemetry import MetricScope
 from repro.telemetry.tracing import NULL_SPAN
 
@@ -668,7 +668,7 @@ class RpcClient:
                                        "deadline exceeded")
                     wait = min(wait, remaining)
                 if not answered.triggered:
-                    sim.call_later(wait, partial(expire, answered))
+                    sim.expire_later(wait, answered)
                 response = yield answered
                 if response is not TIMED_OUT:
                     break

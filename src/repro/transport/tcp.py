@@ -15,7 +15,7 @@ from typing import Any, Dict, Tuple
 from repro.common.errors import ProtocolError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
 from repro.hw.net.port import NetworkPort
-from repro.sim import TIMED_OUT, Event, Simulator, Store, expire
+from repro.sim import TIMED_OUT, Event, Simulator, Store
 
 #: IP + TCP headers.
 TCP_HEADER = 40
@@ -96,7 +96,7 @@ class TcpConnection:
                 yield self.stack.port.send(
                     Frame(self.stack.address, self.peer, segment, chunk + TCP_HEADER)
                 )
-                sim.call_later(RTO, partial(expire, acked))
+                sim.expire_later(RTO, acked)
                 if (yield acked) is not TIMED_OUT:
                     break
                 attempts += 1
@@ -159,7 +159,7 @@ class TcpStack:
             yield self.port.send(
                 Frame(self.address, peer, _Syn(conn_id), TCP_HEADER)
             )
-            self.sim.call_later(RTO, partial(expire, done))
+            self.sim.expire_later(RTO, done)
             if (yield done) is not TIMED_OUT:
                 break  # SYN-ACK received
             attempts += 1

@@ -46,7 +46,7 @@ def _draw_op(zipf: ZipfKeys, tenant: TenantSpec,
              oprng) -> Tuple[str, List[bytes]]:
     """One operation draw: the single source of per-arrival randomness.
 
-    Shared by the generators and :func:`arrival_preview` so the
+    Shared by the generator and :func:`arrival_preview` so the
     previewed stream is exactly the stream the simulator replays.
 
     Reads, scans, and analytics follow the Zipf popularity — that skew
@@ -67,12 +67,18 @@ def _draw_op(zipf: ZipfKeys, tenant: TenantSpec,
     return kind, keys
 
 
-class _TrafficBase:
-    """Shared machinery: op execution, accounting, rate gauges.
+class OpenLoopTraffic:
+    """Arrival-curve-driven load that does not wait for the cluster.
 
-    Outcomes are recorded as ``(started, finished, ok, ops, tenant,
-    kind)`` tuples in completion order — deterministic per seed, and
-    cheap enough to keep for a whole experiment run.
+    One Poisson arrival process per tenant, thinned from the curve's
+    peak rate down to ``curve.rate(t)`` (Lewis & Shedler): arrivals are
+    candidate events at the peak rate, each kept with probability
+    ``rate(t) / peak``, which reproduces the exact time-varying rate
+    while keeping the draw count — and therefore the stream —
+    independent of the cluster's behaviour. Outcomes are recorded as
+    ``(started, finished, ok, ops, tenant, kind)`` tuples in completion
+    order — deterministic per seed, and cheap enough to keep for a
+    whole experiment run.
     """
 
     def __init__(self, sim, spec: WorkloadSpec, clients: Dict[str, object],
@@ -126,21 +132,11 @@ class _TrafficBase:
         return [f - s for s, f, ok, _, _, _ in self.outcomes if ok]
 
     # -- op execution --------------------------------------------------------
-    def _draw(self, tenant: TenantSpec, oprng) -> Tuple[str, List[bytes]]:
-        """Draw one operation (kind + every key) from *oprng*.
-
-        All randomness happens here, at arrival time, so the operation
-        stream is a pure function of the seed: how long earlier ops
-        take to execute cannot perturb later draws.
-        :func:`arrival_preview` replays these draws verbatim.
-        """
-        return _draw_op(self.zipf, tenant, oprng)
-
     def _op(self, tenant: TenantSpec, kind: str, keys: List[bytes]):
         """Process: run one pre-drawn operation, account for its outcome."""
         client = self.clients[tenant.name]
         started = self.sim.now
-        self._inflight.inc()
+        self._inflight.value += 1.0
         ops = len(keys)
         ok = True
         try:
@@ -153,14 +149,14 @@ class _TrafficBase:
         except RpcError:
             ok = False
         finished = self.sim.now
-        self._inflight.dec()
+        self._inflight.value -= 1.0
         if ok:
-            self._served.inc()
+            self._served.value += 1
             self._latency.observe(finished - started)
             if self.deadline is None or finished - started <= self.deadline:
                 self._good += 1
         else:
-            self._failed.inc()
+            self._failed.value += 1
         self.outcomes.append(
             (started, finished, ok, ops, tenant.name, kind)
         )
@@ -176,18 +172,6 @@ class _TrafficBase:
             self._goodput_rate.set((good - prev_good) / RATE_PERIOD)
             prev_offered, prev_good = offered, good
 
-
-class OpenLoopTraffic(_TrafficBase):
-    """Arrival-curve-driven load that does not wait for the cluster.
-
-    One Poisson arrival process per tenant, thinned from the curve's
-    peak rate down to ``curve.rate(t)`` (Lewis & Shedler): arrivals are
-    candidate events at the peak rate, each kept with probability
-    ``rate(t) / peak``, which reproduces the exact time-varying rate
-    while keeping the draw count — and therefore the stream —
-    independent of the cluster's behaviour.
-    """
-
     def start(self) -> None:
         """Spawn arrival processes; curve time 0 is the call instant."""
         self.origin = self.sim.now
@@ -199,16 +183,21 @@ class OpenLoopTraffic(_TrafficBase):
         rng = random.Random(f"{self.seed}/arrivals/{tenant.name}")
         oprng = random.Random(f"{self.seed}/ops/{tenant.name}")
         peak = tenant.curve.peak_rate
+        sim = self.sim
+        # A thinned candidate is a draw, not a wait: its gap folds onto
+        # ``when`` left to right, the float a chain of timeouts reaches.
+        when = sim.now
         while True:
-            yield self.sim.timeout(rng.expovariate(peak))
-            if self.sim.now >= self.horizon:
+            when += rng.expovariate(peak)
+            if when >= self.horizon:
+                yield sim.timeout_at(when)
                 return
-            t = self.sim.now - self.origin
-            if rng.random() * peak > tenant.curve.rate(t):
+            if rng.random() * peak > tenant.curve.rate(when - self.origin):
                 continue  # thinned: below the instantaneous rate
-            kind, keys = self._draw(tenant, oprng)
-            self._offered.inc()
-            self.sim.spawn(self._op(tenant, kind, keys))
+            yield sim.timeout_at(when)
+            kind, keys = _draw_op(self.zipf, tenant, oprng)
+            self._offered.value += 1
+            sim.spawn(self._op(tenant, kind, keys))
 
 
 def arrival_preview(spec: WorkloadSpec, seed: int,

@@ -503,7 +503,7 @@ ONE_VALUE_ALLOWED = {
         "name",
     "repro.verify.nemesis.primary_kill_plan(start)=0.1": "schedule",
     "repro.verify.nemesis.sharded_plan(horizon)=0.25": "schedule",
-    "repro.workload.generator._TrafficBase.__init__(deadline)=0.005":
+    "repro.workload.generator.OpenLoopTraffic.__init__(deadline)=0.005":
         "perfbench",
     "repro.workload.popularity.ZipfKeys.hot_mass(top)=8": "data",
 }

@@ -102,11 +102,12 @@ class TestEntriesPerOp:
 
     def test_answered_call_with_a_timeout_costs_one_stale_entry(self):
         sim, client = self.echo_pair()
-        # The attempt's expiry callback, popped as a no-op after the
-        # answer. (Racing the answer against a timeout event in a
-        # composite wait cost two and left the caller's wake-up a hop of
-        # its own. 14 before the downlink serialization and the
-        # handler's end left the count.)
+        # The attempt's expiry callback: an eid even when the engine
+        # drops it unrun after the answer (``expire_later``). (Racing
+        # the answer against a timeout event in a composite wait cost
+        # two and left the caller's wake-up a hop of its own. 14 before
+        # the downlink serialization and the handler's end left the
+        # count.)
         assert entries(
             sim, client.call("server", "echo", 1, timeout=1e-3, retries=2)
         ) == 2 * FRAME_CROSSING + 1 + 3 + 1
@@ -170,10 +171,11 @@ class TestEntriesPerOp:
         assert entries(sim, write()) == 4 + 3
 
     def test_cross_region_crossing(self):
-        """Uplink, region a's lookup, the WAN link, region b's lookup, the
-        arrival: the WAN link keeps its serialization entry, screened
-        with or without a fault plan (see ``WanLink``). (6 while region
-        b's downlink serialization was an entry too.)"""
+        """Uplink, region a's lookup, region b's lookup, the arrival: a
+        WAN link with no fault plan is unscreened, so region a's switch
+        forwards onto it with no serialization entry (see ``WanLink``).
+        (5 while the WAN link was screened without a plan, 6 while
+        region b's downlink serialization was an entry too.)"""
         sim = Simulator()
         fabric = WanFabric(sim)
         for region in "ab":
@@ -182,7 +184,7 @@ class TestEntriesPerOp:
         port = fabric.endpoint("a", "host-a")
         fabric.endpoint("b", "host-b").listen(lambda frame: None)
         frame = Frame("host-a", "host-b", None, 64)
-        assert entries(sim, sending(port.send, frame)) == 5 + 3
+        assert entries(sim, sending(port.send, frame)) == 4 + 3
 
     def test_idle_log_shipper_interval(self):
         """A caught-up shipper between heartbeats: one expiry entry per

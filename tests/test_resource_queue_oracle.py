@@ -1,10 +1,11 @@
 """Substrate oracle for :class:`repro.sim.Resource`: an M/M/1 queue.
 
 Seeded Poisson arrivals each take the one unit with
-:meth:`Resource.acquire` — on the spot through ``try_acquire`` when it
-is free, else through a FIFO ``request`` that ``release`` grants — hold
-it for an exponential time of mean ``H`` and release it. That is an
-M/M/1 queue, whose mean wait for the unit is ``rho*H / (1 - rho)``.
+:meth:`Resource.acquire` — on the spot (it returns ``None``) when it is
+free, else by waiting on the FIFO grant it returns, which ``release``
+fires — hold it for an exponential time of mean ``H`` and release it.
+That is an M/M/1 queue, whose mean wait for the unit is
+``rho*H / (1 - rho)``.
 
 The tolerance is the batch-means one of ``tests/test_link_queue_oracle.py``:
 after a warm-up tenth, ``BATCHES`` consecutive batch means, whose grand
@@ -41,7 +42,9 @@ def mm1_waits(rho, seed=1):
 
     def customer(index, hold):
         arrived = sim.now
-        yield from resource.acquire()
+        grant = resource.acquire()
+        if grant is not None:
+            yield grant
         waits[index] = sim.now - arrived
         yield sim.timeout(hold)
         resource.release()

@@ -3,7 +3,7 @@
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import TIMED_OUT, Simulator, expire
@@ -846,3 +846,158 @@ class TestTimeoutAt:
         assert chain == (0.1 + 0.2) + 0.3 != single == 0.1 + (0.2 + 0.3)
         chain, single = chain_and_single_sleep(0.1, [0.2, 0.3], left_fold)
         assert chain == single
+
+
+class TestExpireLater:
+    """``Simulator.expire_later``: a bounded wait's expiry, and the
+    engine dropping the expiries whose wait was answered."""
+
+    class Compacting(Simulator):
+        """Drops answered expiries on every ``expire_later`` call."""
+
+        def expire_later(self, delay, event):
+            self._compact_at = 0
+            super().expire_later(delay, event)
+
+    class Keeping(Simulator):
+        """Never drops one: every expiry pops, as a no-op if answered."""
+
+        def expire_later(self, delay, event):
+            self._compact_at = float("inf")
+            super().expire_later(delay, event)
+
+    DELAY = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+    STEP = st.one_of(
+        st.tuples(st.just("sleep"), DELAY),
+        # A bounded wait: its expiry after the wait, an answer (succeed
+        # or an inline wake) after ``answer`` or none at all.
+        st.tuples(st.just("bounded"), DELAY,
+                  st.one_of(st.none(), DELAY), st.booleans()),
+        st.tuples(st.just("wake"), DELAY),
+    )
+
+    @staticmethod
+    def play(sim, actors, untils):
+        """Run *actors* (lists of steps) with ``run(until)`` at each of
+        *untils*, then drain: the ``(instant, tag)`` log, and the clock
+        and ``_eid`` after every run."""
+        log = []
+
+        def answer(event, inline):
+            if event.triggered:
+                return
+            if inline:
+                event.wake("answer")
+            else:
+                event.succeed("answer")
+
+        def actor(name, steps):
+            for index, step in enumerate(steps):
+                tag = f"{name}{index}"
+                if step[0] == "sleep":
+                    yield sim.timeout(step[1])
+                elif step[0] == "wake":
+                    event = sim.event()
+                    sim.call_later(step[1], partial(event.wake, "woken"))
+                    log.append((sim.now, tag, (yield event)))
+                    continue
+                else:
+                    __, wait, after, inline = step
+                    event = sim.event()
+                    sim.expire_later(wait, event)
+                    if after is not None:
+                        sim.call_later(after, partial(answer, event, inline))
+                    outcome = yield event
+                    log.append((sim.now, tag,
+                                "timeout" if outcome is TIMED_OUT else outcome))
+                    continue
+                log.append((sim.now, tag, "slept"))
+
+        for name, steps in zip("abcdef", actors):
+            sim.spawn(actor(name, steps))
+        clocks = []
+        for until in untils:
+            sim.run(until=until)
+            clocks.append((sim.now, sim._eid))
+        sim.run()
+        clocks.append((sim.now, sim._eid))
+        return log, clocks
+
+    @settings(max_examples=300, deadline=None)
+    @given(actors=st.lists(st.lists(STEP, max_size=8), min_size=1,
+                           max_size=5),
+           untils=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0, 6.0]),
+                           max_size=3).map(sorted))
+    def test_dropping_answered_expiries_changes_nothing_observable(
+            self, actors, untils):
+        dropped = self.play(self.Compacting(), actors, untils)
+        kept = self.play(self.Keeping(), actors, untils)
+        assert dropped == kept
+
+    def test_an_unanswered_expiry_survives_and_an_answered_one_goes(self):
+        sim = self.Compacting()
+        pending, answered, last = sim.event(), sim.event(), sim.event()
+        sim.expire_later(1.0, pending)
+        sim.expire_later(5.0, answered)
+        answered.succeed("answer")
+        sim.expire_later(3.0, last)  # the pass drops answered's expiry
+        assert sorted(entry[0] for entry in sim._heap) == [0.0, 1.0, 3.0]
+        sim.run()
+        assert pending.value is TIMED_OUT and last.value is TIMED_OUT
+        assert answered.value == "answer" and sim._eid == 4 and sim.now == 5.0
+
+    def test_a_drain_ends_at_the_latest_dropped_expiry(self):
+        """The no-op the parent popped last left the clock at its instant;
+        a drain still ends there, and ``run(until)`` still at ``until``."""
+        for until, clock in ((None, 9.0), (4.0, 4.0), (20.0, 20.0)):
+            sim = self.Compacting()
+            answered = sim.event()
+            sim.expire_later(9.0, answered)
+            answered.succeed()
+            sim.expire_later(2.0, sim.event())
+            assert max(entry[0] for entry in sim._heap) == 2.0
+            sim.run(until)
+            assert sim.now == clock
+            sim.run()
+            assert sim.now == max(clock, 9.0)
+
+    def test_past_and_nan_raise(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="-1.0"):
+            sim.expire_later(-1.0, sim.event())
+        with pytest.raises(ValueError, match="nan"):
+            sim.expire_later(float("nan"), sim.event())
+        assert sim._eid == 0 and not sim._heap
+
+    def test_answered_rpc_expiries_keep_the_heap_bounded(self):
+        """A client making timed calls that are all answered: the heap
+        stays within twice its live entries plus the floor, where a
+        heap that keeps every answered expiry would hold one per call."""
+        from repro.hw.net import Network
+        from repro.sim.engine import COMPACT_FLOOR, _PENDING
+        from repro.transport import RpcClient, RpcServer, UdpSocket
+
+        sim = Simulator()
+        network = Network(sim)
+        server = RpcServer(sim, UdpSocket(sim, network.endpoint("server")))
+        server.register("echo", lambda value: value)
+        client = RpcClient(sim, UdpSocket(sim, network.endpoint("client")))
+        calls = 400
+        lengths = []
+
+        def answered_expiry(entry):
+            thunk = entry[3]
+            return (isinstance(thunk, partial) and thunk.func is expire
+                    and thunk.args[0]._value is not _PENDING)
+
+        def caller():
+            for index in range(calls):
+                assert (yield from client.call(
+                    "server", "echo", index, timeout=1.0, retries=0)) == index
+                live = sum(not answered_expiry(e) for e in sim._heap)
+                assert len(sim._heap) <= 2 * live + COMPACT_FLOOR
+                lengths.append(len(sim._heap))
+
+        sim.run_process(caller())
+        assert max(lengths) <= 2 * COMPACT_FLOOR < calls
+        assert sim.now >= 1.0  # the last expiry's instant, dropped or not

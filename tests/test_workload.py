@@ -245,6 +245,77 @@ def test_open_loop_stream_is_independent_of_fleet_size():
         _arrival_stream(_drive(seed=12, dpus=2)) != _arrival_stream(small)
 
 
+class _RecordingClient:
+    """A tenant's client that logs every op it is handed and takes a
+    fixed simulated time to serve it, so ops and arrivals interleave."""
+
+    def __init__(self, sim, name, log):
+        self.sim, self.name, self.log = sim, name, log
+
+    def _serve(self, kind, keys):
+        self.log.append((self.sim.now, self.name, kind, tuple(keys)))
+        yield self.sim.timeout(1e-4)
+
+    def get(self, key):
+        return self._serve("get", [key])
+
+    def put(self, key, value):
+        return self._serve("put", [key])
+
+    def get_many(self, keys):
+        return self._serve("get_many", keys)
+
+
+FOLD_SPECS = [
+    RUN_SPEC,
+    WorkloadSpec.parse(
+        """
+        keys 64
+        zipf 1.2
+        tenant web   mix get=0.78,put=0.22 curve diurnal trough=4000 peak=28000 period=40ms
+        tenant batch mix scan=0.7,analytics=0.3 curve steady rate=800 scan_span=8
+        """
+    ),
+    WorkloadSpec.parse(
+        """
+        keys 128
+        tenant api mix get=0.6,put=0.4 curve burst base=1500 burst=12000 at=10ms dur=15ms
+        tenant etl mix analytics=1.0 curve step 0=300,20ms=3000 analytics_span=6
+        """
+    ),
+]
+
+
+def _fold_run(traffic_class, spec, seed, horizon=0.04):
+    sim = Simulator()
+    log = []
+    clients = {tenant.name: _RecordingClient(sim, tenant.name, log)
+               for tenant in spec.tenants}
+    sim.run(until=0.003)  # curve time 0 is not simulated time 0
+    traffic = traffic_class(sim, spec, clients, seed, 0.003 + horizon)
+    traffic.start()
+    sim.run(until=0.003 + horizon / 2)
+    offered_midway = traffic.offered
+    sim.run()
+    return log, traffic.outcomes, offered_midway, traffic.offered, sim.now
+
+
+@pytest.mark.parametrize("seed", [1, 11, 17])
+@pytest.mark.parametrize("spec", range(len(FOLD_SPECS)))
+def test_folded_arrivals_match_the_chain_of_timeouts(spec, seed):
+    """Folding the thinned candidates' gaps into one sleep per kept
+    arrival keeps every kept instant, every op draw and the offered
+    count bit-identical to one timeout per candidate
+    (``tests/traffic_reference.py``)."""
+    from tests.traffic_reference import ChainedOpenLoopTraffic
+
+    folded = _fold_run(OpenLoopTraffic, FOLD_SPECS[spec], seed)
+    chained = _fold_run(ChainedOpenLoopTraffic, FOLD_SPECS[spec], seed)
+    assert folded == chained
+    assert folded[3] > 20 and {entry[1] for entry in folded[0]} == {
+        tenant.name for tenant in FOLD_SPECS[spec].tenants}
+
+
 def test_open_loop_accounting_consistent():
     traffic = _drive(seed=3, dpus=3)
     assert traffic.offered == len(traffic.outcomes)

@@ -11,7 +11,10 @@ as ``perfbench/worker.py`` does it, on a :class:`CensusSimulator`: a
 the owner of every entry just before it runs. The owner of a scheduled
 callback is its function. The owner of an event is what the event
 resumes: its callbacks, with a process shown as the innermost generator
-it resumes. An event with no callbacks is a no-op entry.
+it resumes. An event with no callbacks is a no-op entry. An expiry the
+engine dropped unrun (``Simulator.expire_later``: its wait was answered)
+has a row of its own, so the rows still add up to the header's entries
+per op.
 
 Only entries scheduled inside the measured window are counted (the
 ``Simulator._eid`` delta over ``measure()``, build and final sweep
@@ -98,8 +101,23 @@ class CensusSimulator(Simulator):
             if self.census is not None and entry[1] > self.since:
                 self.census[owner_of(entry)] += 1
             self.step()
-        if until is not None and until > self.now:
+        if until is None:
+            if self._expiries_until > self.now:
+                self.now = self._expiries_until
+        elif until > self.now:
             self.now = until
+
+    def expire_later(self, delay, event) -> None:
+        """Count the window's expiries the engine drops unrun here."""
+        if self.census is None:
+            super().expire_later(delay, event)
+            return
+        since = self.since
+        queued = sum(1 for entry in self._heap if entry[1] > since)
+        super().expire_later(delay, event)
+        dropped = queued + 1 - sum(1 for entry in self._heap if entry[1] > since)
+        if dropped:
+            self.census["call expire (dropped unrun: answered)"] += dropped
 
     def begin(self) -> None:
         """Count every entry scheduled from now on."""
