@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import FrozenSet, Iterator, List, Optional
 
 from repro.common.errors import ProtocolError
 
@@ -217,7 +217,8 @@ class Instruction:
 
     @property
     def is_load(self) -> bool:
-        return self.opcode in LOAD_OPS or self.opcode is Opcode.LDDW
+        """A load from memory (LDDW loads an immediate: no memory, no base)."""
+        return self.opcode in LOAD_OPS
 
     @property
     def is_store(self) -> bool:
@@ -313,3 +314,44 @@ def leaders(program: Program) -> List[int]:
             if insn.opcode is not Opcode.EXIT:
                 found.add(slot + insn.offset)
     return sorted(pc for pc in found if 0 <= pc < len(program))
+
+
+_HELPER_ARGUMENTS = frozenset(range(1, 6))
+_CALL_CLOBBERED = frozenset(range(6))
+
+
+def reads(insn: Instruction) -> FrozenSet[int]:
+    r"""The registers *insn* reads: a helper's arguments r1-r5, EXIT's r0, a
+    memory access's base and a register store's value, and an ALU op's or
+    a branch's operands, of which MOV does not read its destination and
+    NEG reads only it. LDDW and JA read none.
+
+    >>> from repro.ebpf.asm import assemble
+    >>> [sorted(reads(insn)) for insn in assemble(
+    ...     "lddw r3, 7\nmov r0, r3\nadd r0, 1\nstxw [r10-4], r0\nexit")]
+    [[], [3], [0], [0, 10], [0]]
+    """
+    op = insn.opcode
+    if op is Opcode.CALL:
+        return _HELPER_ARGUMENTS
+    if op is Opcode.EXIT:
+        return frozenset((0,))
+    if op in LOAD_OPS:
+        return frozenset((insn.src,))
+    if op in STORE_OPS:
+        return frozenset((insn.dst, insn.src) if op in STORE_REG_OPS else (insn.dst,))
+    if op not in ALU_OPS and op not in COND_JUMPS:  # LDDW, JA
+        return frozenset()
+    operands = (insn.src,) if insn.uses_reg_src and op is not Opcode.NEG else ()
+    return frozenset(operands if op is Opcode.MOV else operands + (insn.dst,))
+
+
+def writes(insn: Instruction) -> FrozenSet[int]:
+    """The registers *insn* writes: a helper call r0-r5, an ALU op, LDDW or
+    a load its destination."""
+    op = insn.opcode
+    if op is Opcode.CALL:
+        return _CALL_CLOBBERED
+    if op in ALU_OPS or op in LOAD_OPS or op is Opcode.LDDW:
+        return frozenset((insn.dst,))
+    return frozenset()

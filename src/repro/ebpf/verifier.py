@@ -51,7 +51,7 @@ from repro.ebpf.helpers import (
 )
 from repro.ebpf.isa import (
     CONTEXT_POINTER, FRAME_POINTER, Instruction, MEM_SIZE, Opcode, Program,
-    STACK_SIZE, STORE_REG_OPS,
+    STACK_SIZE, STORE_REG_OPS, reads, writes,
 )
 
 
@@ -449,23 +449,14 @@ def _after(pc: int, insn: Instruction, state: Tuple[Fact, ...]):
 
 
 def _reads(insn: Instruction, state: Tuple[Fact, ...]) -> Set[int]:
-    """The registers whose value *insn* needs at run time: its operands (a
-    helper's are r1-r5), but none whose value is known, nor a memory base
-    known to point into a map value."""
-    op = insn.opcode
-    if op is Opcode.CALL:
-        regs = {1, 2, 3, 4, 5}
-    elif insn.is_load or insn.is_store:
-        base = insn.src if insn.is_load else insn.dst
-        regs = {insn.src} if op in STORE_REG_OPS else set()
-        if not isinstance(state[base], tuple) or state[base][1] is None:
-            regs.add(base)
-    elif op is Opcode.EXIT:
-        regs = {0}
-    elif op is Opcode.MOV or not (insn.is_alu or insn.is_cond_jump):  # or LDDW, JA
-        regs = {insn.src} if insn.uses_reg_src else set()
-    else:
-        regs = {insn.dst, insn.src} if insn.uses_reg_src else {insn.dst}
+    """The registers whose value *insn* needs at run time: its operands
+    (:func:`~repro.ebpf.isa.reads`), but none whose value is known, nor a
+    memory base known to point into a map value."""
+    regs = reads(insn)
+    if insn.is_load or insn.is_store:
+        fact = state[insn.src if insn.is_load else insn.dst]
+        if isinstance(fact, tuple) and fact[1] is not None:
+            regs = {insn.src} if insn.opcode in STORE_REG_OPS else set()
     return {reg for reg in regs if not isinstance(state[reg], int)}
 
 
@@ -490,9 +481,7 @@ def _facts(program: Program) -> Facts:
         if pure and insn.dst not in out:
             live[pc] = out
             continue
-        written = (range(6) if insn.opcode is Opcode.CALL
-                   else [insn.dst] if pure or insn.is_load else [])
-        live[pc] = out.difference(written) | _reads(insn, state[pc])
+        live[pc] = out.difference(writes(insn)) | _reads(insn, state[pc])
     return Facts(state, live, successors)
 
 

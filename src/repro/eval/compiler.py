@@ -177,7 +177,7 @@ def run_compiler() -> List[CompileRow]:
         row.fmax_fused = fused.area.fmax_hz
         row.fmax_unfused = unfused.area.fmax_hz
         row.insns_before_opt = len(program.instructions)
-        row.insns_after_opt = len(optimized.program.instructions)
+        row.insns_after_opt = optimized.schedule.issued
         row.hdl_stages = fused.verilog.count("// ---- stage ")
         rows.append(row)
     return rows

@@ -13,7 +13,7 @@ hardware property: fixed-latency, zero-jitter execution (paper §2's
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "dataflow": ("BasicBlock", "DataflowGraph", "build_cfg", "build_dfg"),
+    "dataflow": ("DataflowGraph", "build_blocks", "build_dfg"),
     "fusion": ("FusedOp", "fuse_instructions"),
     "schedule": ("PipelineSchedule", "schedule_pipeline"),
     "codegen": ("generate_verilog",),

@@ -68,15 +68,15 @@ def compile_program(
 ) -> CompiledPipeline:
     """Verify and compile an eBPF program into a hardware pipeline.
 
-    ``optimize=True`` runs the warping-style folding/DCE passes
-    (:mod:`repro.hdl.optimize`) before scheduling.
+    ``optimize=True`` schedules from the facts the verification returns
+    (:func:`repro.hdl.dataflow.build_blocks`): no unreachable instruction,
+    no write a run does not need, known results as constants. The
+    pipeline runs *program* either way: its :class:`BpfVm` folds from the
+    same facts.
     """
-    require_verified(program)
-    if optimize:
-        from repro.hdl.optimize import optimize_straightline
-
-        program = optimize_straightline(program)
-    schedule = schedule_pipeline(program, fuse=fuse)
+    facts = require_verified(program)
+    schedule = schedule_pipeline(program, fuse=fuse,
+                                 facts=facts if optimize else None)
     return CompiledPipeline(
         program=program,
         schedule=schedule,

@@ -10,9 +10,9 @@ stages and registers, which the E10 ablation quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.ebpf.isa import Instruction, Opcode
+from repro.ebpf.isa import Instruction, Opcode, reads
 
 #: ALU pairs that remain one LUT level when composed.
 _FUSABLE_ALU = {
@@ -41,35 +41,14 @@ class FusedOp:
         return "+".join(insn.opcode.value for insn in self.instructions)
 
 
-def _writes_dst(insn: Instruction) -> Optional[int]:
-    if insn.is_alu or insn.is_load or insn.opcode is Opcode.LDDW:
-        return insn.dst
-    return None
-
-
 def _can_fuse(first: Instruction, second: Instruction) -> bool:
-    """Fuse ``first -> second`` when second's only input is first's output
-    and both are cheap combinational ALU ops."""
-    if first.opcode not in _FUSABLE_ALU or second.opcode not in _FUSABLE_ALU:
-        # compare+branch fusion: ALU producing a value consumed by a branch
-        if (
-            first.opcode in _FUSABLE_ALU
-            and second.is_cond_jump
-            and _writes_dst(first) == second.dst
-        ):
-            return True
+    """Fuse ``first -> second`` when both are cheap combinational ALU ops
+    and second reads first's result, or second is a branch on it."""
+    if first.opcode not in _FUSABLE_ALU:
         return False
-    produced = _writes_dst(first)
-    if produced is None:
-        return False
-    # second must consume the produced register.
-    if second.uses_reg_src and second.src == produced:
-        return True
-    if second.dst == produced and second.opcode is not Opcode.MOV:
-        return True
-    if second.opcode is Opcode.MOV and second.uses_reg_src and second.src == produced:
-        return True
-    return False
+    if second.is_cond_jump:  # compare + branch
+        return second.dst == first.dst
+    return second.opcode in _FUSABLE_ALU and first.dst in reads(second)
 
 
 def fuse_instructions(instructions: Sequence[Instruction],

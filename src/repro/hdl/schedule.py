@@ -9,10 +9,11 @@ cycles) and, together with memory ports, its initiation interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.ebpf.isa import Opcode, Program
-from repro.hdl.dataflow import build_cfg, build_dfg
+from repro.ebpf.isa import Program
+from repro.ebpf.verifier import Facts
+from repro.hdl.dataflow import build_blocks, build_dfg, touches_memory
 from repro.hdl.fusion import FusedOp, fuse_instructions
 
 #: Concurrent memory operations (loads, stores, helper calls) one
@@ -38,31 +39,32 @@ class PipelineSchedule:
     def width(self) -> int:
         return max((len(stage) for stage in self.stages), default=0)
 
+    @property
+    def issued(self) -> int:
+        """Instructions the pipeline issues, a fused pair counting two."""
+        return sum(len(op.instructions) for stage in self.stages for op in stage)
+
 
 def _memory_ops_in(ops: Sequence[FusedOp]) -> int:
-    count = 0
-    for op in ops:
-        for insn in op.instructions:
-            if insn.is_load or insn.is_store or insn.opcode is Opcode.CALL:
-                count += 1
-    return count
+    return sum(touches_memory(insn) for op in ops for insn in op.instructions)
 
 
-def schedule_pipeline(program: Program, fuse: bool = True) -> PipelineSchedule:
-    """Schedule the whole program as a linearized pipeline.
+def schedule_pipeline(program: Program, fuse: bool = True,
+                      facts: Optional[Facts] = None) -> PipelineSchedule:
+    """Schedule the blocks of :func:`~repro.hdl.dataflow.build_blocks` as
+    one linearized pipeline: the whole program, or, given the verifier's
+    *facts*, only what a run needs.
 
     Control flow becomes predication (every block is scheduled; hardware
     evaluates all paths and selects results — the standard HLS flattening
     for short programs), so the pipeline depth is the sum over blocks of
     each block's critical path.
     """
-    blocks = build_cfg(program)
     stages: List[List[FusedOp]] = []
-    for block in blocks:
-        if not block.instructions:
-            continue
-        dfg = build_dfg(block)
-        ops = fuse_instructions(block.instructions, enabled=fuse)
+    for block in build_blocks(program, facts):
+        instructions = list(block.values())
+        dfg = build_dfg(instructions)
+        ops = fuse_instructions(instructions, enabled=fuse)
         # Map instruction index -> op index.
         insn_to_op: Dict[int, int] = {}
         cursor = 0
@@ -72,7 +74,7 @@ def schedule_pipeline(program: Program, fuse: bool = True) -> PipelineSchedule:
                 cursor += 1
         # ASAP levels over ops.
         op_level: Dict[int, int] = {}
-        for insn_index in range(len(block.instructions)):
+        for insn_index in range(len(instructions)):
             op_index = insn_to_op[insn_index]
             level = 0
             for dep in dfg.edges.get(insn_index, ()):

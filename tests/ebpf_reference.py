@@ -15,7 +15,7 @@ needs no instruction budget.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.common.errors import ProtocolError
 from repro.ebpf.helpers import HELPERS
@@ -75,8 +75,10 @@ class ReferenceVm(BpfVm):
         buffer[offset : offset + len(data)] = data
 
     # -- execution -----------------------------------------------------------
-    def run(self, context: bytes = b"") -> ExecutionResult:
-        """Execute the program with ``context`` as its input (r1)."""
+    def run(self, context: bytes = b"",
+            trace: Optional[list] = None) -> ExecutionResult:
+        """Execute the program with ``context`` as its input (r1); *trace*,
+        if given, gets ``(pc, registers)`` before each instruction runs."""
         self._regions = {
             STACK_REGION: bytearray(STACK_SIZE),
             CONTEXT_REGION: bytearray(context),
@@ -92,6 +94,8 @@ class ReferenceVm(BpfVm):
         helper_calls = 0
         while True:
             insn = self.program.at_slot(pc)
+            if trace is not None:
+                trace.append((pc, tuple(regs)))
             executed += 1
             op = insn.opcode
 

@@ -243,6 +243,25 @@ class TestTenancy:
         assert second.granted_at is not None
         assert second.wait_time > 0
 
+    def test_a_release_the_free_slot_already_served_is_stale(self):
+        """A slot released while nothing waits is taken by the next request
+        through ``free_slot``; the request after it must not take that
+        slot again when it reads the stale release, and waits for the
+        next one."""
+        sim = Simulator()
+        dpu, scheduler = self.make_scheduler(sim, num_slots=1)
+        first = scheduler.submit("a", self.bitstream("a"))
+        sim.run()
+        scheduler.release(first.slot_index)
+        sim.run()
+        second = scheduler.submit("b", self.bitstream("b"))
+        third = scheduler.submit("c", self.bitstream("c"))
+        sim.run()
+        assert second.slot_index == 0 and third.granted_at is None
+        scheduler.release(second.slot_index)
+        sim.run()
+        assert third.slot_index == 0 and third.granted_at > second.granted_at
+
     def test_grant_latency_in_reconfig_band(self):
         """Slot multiplexing happens at the paper's 10-100 ms timescale."""
         sim = Simulator()

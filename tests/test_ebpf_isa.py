@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ProtocolError
 from tests.isa_reference import decode_instruction, decode_program
 from repro.ebpf import Instruction, Opcode, Program, assemble
+from repro.ebpf.isa import reads, writes
 
 
 class TestInstruction:
@@ -33,6 +34,27 @@ class TestInstruction:
         assert Instruction(Opcode.LDXW, dst=0, src=1).is_load
         assert Instruction(Opcode.STXB, dst=1, src=0).is_store
         assert Instruction(Opcode.JEQ, dst=0, imm=0, offset=1).is_cond_jump
+        assert not Instruction(Opcode.LDDW, dst=0, src=1, imm=1).is_load
+
+    @pytest.mark.parametrize("insn, read, written", [
+        (Instruction(Opcode.CALL, imm=1), {1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5}),
+        (Instruction(Opcode.EXIT), {0}, set()),
+        (Instruction(Opcode.LDDW, dst=3, src=2, imm=1), set(), {3}),
+        (Instruction(Opcode.LDXW, dst=3, src=2), {2}, {3}),
+        (Instruction(Opcode.STXW, dst=10, src=2), {2, 10}, set()),
+        (Instruction(Opcode.STW, dst=10, src=2), {10}, set()),
+        (Instruction(Opcode.MOV, dst=3, src=2, uses_reg_src=True), {2}, {3}),
+        (Instruction(Opcode.MOV, dst=3, src=2), set(), {3}),
+        (Instruction(Opcode.ADD, dst=3, src=2, uses_reg_src=True), {2, 3}, {3}),
+        (Instruction(Opcode.NEG, dst=3, src=2, uses_reg_src=True), {3}, {3}),
+        (Instruction(Opcode.JGT, dst=3, src=2, uses_reg_src=True), {2, 3}, set()),
+        (Instruction(Opcode.JGT, dst=3, src=2), {3}, set()),
+        (Instruction(Opcode.JA, dst=3, src=2, offset=1), set(), set()),
+    ])
+    def test_the_operand_rule(self, insn, read, written):
+        """What the verifier's liveness and the HDL dataflow graph read:
+        unused fields (an LDDW's or a JA's src, a NEG's) are no operands."""
+        assert (reads(insn), writes(insn)) == (read, written)
 
 
 ENCODABLE_OPS = [

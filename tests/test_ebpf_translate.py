@@ -50,6 +50,7 @@ from repro.ebpf.isa import (
 from repro.eval.compiler import program_corpus
 from repro.hdl import compile_program
 from tests.ebpf_reference import ReferenceVm
+from tests.facts_reference import check_facts
 
 U64 = (1 << 64) - 1
 HASH_FD, MISSING_FD = 1, 3
@@ -508,7 +509,7 @@ def verified_program(draw, context_size):
 
 
 @st.composite
-def _case(draw):
+def verified_case(draw):
     context_size = draw(st.sampled_from([0, 1, 5, 8, 16, 16, 32, 32]))
     program = draw(verified_program(context_size))
     contexts = [draw(st.binary(min_size=context_size, max_size=context_size))
@@ -520,15 +521,17 @@ def _case(draw):
 # the drawn case within seconds instead of shrinking it for minutes.
 @settings(max_examples=400, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(case=_case())
+@given(case=verified_case())
 def test_translated_vm_matches_the_reference(case):
     """Every drawn program verifies. Two runs on one VM pair: the second
     sees the first's map state and must not see its registers, regions or
-    counters."""
+    counters. The facts the VM compiled from hold on both runs
+    (``tests/facts_reference.py``)."""
     program, contexts = case
     report = Verifier().verify(program)
     assert report.ok, report.reject_reason()
     assert_same(program, contexts)
+    check_facts(program, contexts, fresh_maps())
 
 
 def test_generator_draws_from_every_operator():
@@ -784,6 +787,16 @@ def test_known_bases_compile_to_direct_codecs():
     assert "r8, = load8(value7, 0)" in source
     assert "store8(value7, 0, r8 & 0xffffffffffffffff)" in source
     assert "r6, = load4(context, 0)" in source and "store8(stack, 496, r7" in source
+
+
+def test_an_lddw_is_no_access_through_a_register():
+    """An LDDW loads an immediate: a program whose only accesses are on
+    the context builds no region table, whatever r0 holds."""
+    program = assemble("ldxdw r4, [r1+0]\nldxdw r0, [r1+8]\njeq r4, 0, +3\n"
+                       "lddw r3, 0x100000000\nja +2\nlddw r3, 0x200000000\n"
+                       "mov r0, r3\nexit")
+    assert "regions" not in vm_module._source(program)
+    assert_same(program, [bytes(16), b"\x01" + bytes(15), bytes(8)])
 
 
 #: ``make bpf-source``: the fail2ban filter's run function, as compiled.

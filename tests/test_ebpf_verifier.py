@@ -358,6 +358,25 @@ class TestFacts:
         assert facts.live[0] == frozenset()  # r1 is the known context pointer
         assert 0 not in facts.live[5]
 
+    def test_an_lddw_reads_no_register(self):
+        """LDDW loads an immediate, not through a base: the r0 that pc 8
+        overwrites unread is live nowhere after its load."""
+        program = assemble("""
+            ldxdw r4, [r1+0]
+            ldxdw r0, [r1+8]
+            jeq r4, 0, other
+            lddw r3, 0x100000000
+            ja join
+        other:
+            lddw r3, 0x200000000
+        join:
+            mov r0, r3
+            exit
+        """)
+        facts = require_verified(program)
+        assert [pc for pc in facts.live if 0 in facts.live[pc]] == [9]
+        assert not any(insn.is_load for insn in program if insn.slots == 2)
+
 
 class TestReportMetadata:
     def test_states_explored_counts(self):

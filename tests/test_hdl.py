@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.apps.fail2ban import BAN_MAP_FD, PacketRecord, build_fail2ban_program
 from repro.common.errors import VerificationError
-from repro.ebpf import HashMap, assemble
+from repro.ebpf import HashMap, Opcode, assemble
+from repro.ebpf.verifier import require_verified
 from repro.hdl import (
     HardwarePipeline,
-    build_cfg,
+    build_blocks,
     build_dfg,
     compile_program,
     fuse_instructions,
@@ -48,33 +49,32 @@ INDEPENDENT = """
 
 class TestCfg:
     def test_straight_line_one_block(self):
-        blocks = build_cfg(assemble(STRAIGHT_LINE))
-        assert len(blocks) == 1
-        assert blocks[0].successors == []
+        blocks = build_blocks(assemble(STRAIGHT_LINE))
+        assert [list(block) for block in blocks] == [[0, 1, 2, 3]]
 
     def test_branch_splits_blocks(self):
-        blocks = build_cfg(assemble(BRANCHY))
-        # entry (with jeq), add-block, exit-block
-        assert len(blocks) == 3
-        entry = blocks[0]
-        assert len(entry.successors) == 2
+        blocks = build_blocks(assemble(BRANCHY))
+        # entry (ending in the jeq), add-block, exit-block
+        assert [list(block) for block in blocks] == [[0, 1, 2], [3], [4]]
+        assert blocks[0][2].opcode is Opcode.JEQ
 
     def test_exit_has_no_successors(self):
-        blocks = build_cfg(assemble(BRANCHY))
-        assert blocks[-1].successors == []
+        """The control-flow edges are the verifier's: none leaves EXIT."""
+        facts = require_verified(assemble(BRANCHY))
+        assert facts.successors == {0: [1], 1: [2], 2: [4, 3], 3: [4], 4: []}
 
 
 class TestDfg:
     def test_raw_dependency(self):
-        blocks = build_cfg(assemble(STRAIGHT_LINE))
-        dfg = build_dfg(blocks[0])
+        blocks = build_blocks(assemble(STRAIGHT_LINE))
+        dfg = build_dfg(list(blocks[0].values()))
         # add r0, r3 depends on both movs
         assert 0 in dfg.edges[2]
         assert 1 in dfg.edges[2]
 
     def test_independent_instructions_detected(self):
-        blocks = build_cfg(assemble(INDEPENDENT))
-        dfg = build_dfg(blocks[0])
+        blocks = build_blocks(assemble(INDEPENDENT))
+        dfg = build_dfg(list(blocks[0].values()))
         # mov r3 / mov r4 / mov r5: no dependency either way
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert i not in dfg.edges.get(j, ()) and j not in dfg.edges.get(i, ())
@@ -87,8 +87,7 @@ class TestDfg:
             mov r0, 0
             exit
         """
-        blocks = build_cfg(assemble(source))
-        dfg = build_dfg(blocks[0])
+        dfg = build_dfg(assemble(source).instructions)
         # the load (index 2) must depend on the store (index 1)
         assert 1 in dfg.edges[2]
 
@@ -154,6 +153,10 @@ class TestResources:
         unfused = estimate(schedule_pipeline(assemble(source), fuse=False))
         assert fused.fmax_hz < unfused.fmax_hz
         assert fused.resources.ffs < unfused.resources.ffs
+
+    def test_an_lddw_is_a_constant_not_a_memory_port(self):
+        est = estimate(schedule_pipeline(assemble("lddw r0, 0x100000000\nexit")))
+        assert est.resources.brams == 0 and est.initiation_interval == 1
 
     def test_throughput_and_latency(self):
         est = estimate(schedule_pipeline(assemble("mov r0, 1\nexit")))
