@@ -1,4 +1,4 @@
-.PHONY: help install test lint bench-report eval exp profile entries opcodes bpf-source perf docs examples reachability all
+.PHONY: help install test lint bench-report eval exp profile entries opcodes costs bpf-source perf docs examples reachability all
 
 # Annotated target list (## comments after a target become its help line).
 help:
@@ -65,6 +65,14 @@ SEED ?= 11
 SCALE ?= 1.0
 opcodes:  ## bytecodes + Python calls per op: make opcodes W=kv-unbatched-rw
 	python tools/opcount.py $(W) --seed $(SEED) --scale $(SCALE)
+
+# The host-cost ledger: both tools above with --json, for every perfbench
+# workload at seed 11 and the scale tools/costs.py names, written to
+# COSTS.json (entries, bytecodes and calls per op, total and per package;
+# ~100 s on two cores). CI recomputes it and fails on a diff: a change
+# that moves host cost commits the new file.
+costs:  ## recompute COSTS.json: entries, bytecodes, calls per op
+	python tools/costs.py
 
 # What the eBPF compiler makes of the fail2ban filter: the Python text of
 # its run function (repro.ebpf.vm._source), pinned by

@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/entry_census.py kv-batched-read [--seed 11]
+    python tools/entry_census.py kv-batched-read [--seed 11] [--scale 1.0] [--json]
 
 (``make entries W=kv-batched-read``.) The workload is built and measured
 as ``perfbench/worker.py`` does it, on a :class:`CensusSimulator`: a
@@ -20,7 +20,10 @@ Only entries scheduled inside the measured window are counted (the
 ``Simulator._eid`` delta over ``measure()``, build and final sweep
 excluded). Any of them still queued when the window ends are classified
 too. The table prints each owner's entries per attempted op, the unit of
-the ``entries/op`` figures in DESIGN.md and ROADMAP.md.
+the ``entries/op`` figures in DESIGN.md and ROADMAP.md. ``--json``
+prints the entries per op in total and per ``src/repro/<package>`` of
+what each entry runs (a no-op or dropped entry is the engine's, ``sim``):
+the entries column of ``COSTS.json`` (``tools/costs.py``).
 
 Read-only: nothing is written, not perfbench's output directory and not a
 ``BENCH_<n>.json``.
@@ -29,6 +32,7 @@ Read-only: nothing is written, not perfbench's output directory and not a
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections import Counter
@@ -39,16 +43,18 @@ from typing import List, Optional
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+from costs import package_of, per_op  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.sim.engine import Process  # noqa: E402
 
 
-def _innermost(generator) -> str:
+def _innermost(generator):
     """The generator a resumption lands in: down every ``yield from``."""
     while hasattr(generator.gi_yieldfrom, "gi_frame"):
         generator = generator.gi_yieldfrom
-    return generator.__qualname__
+    return generator
 
 
 def _name(function) -> str:
@@ -59,8 +65,27 @@ def _name(function) -> str:
     if isinstance(owner, Process):
         if function.__func__ is Process._bootstrap:
             return f"start {owner._generator.__qualname__}"
-        return f"resume {_innermost(owner._generator)}"
+        return f"resume {_innermost(owner._generator).__qualname__}"
     return getattr(function, "__qualname__", type(function).__name__)
+
+
+def _package(function) -> str:
+    """The package whose code a callable runs (``other`` outside it)."""
+    while isinstance(function, partial):
+        function = function.func
+    owner = getattr(function, "__self__", None)
+    if isinstance(owner, Process):
+        generator = owner._generator
+        if function.__func__ is not Process._bootstrap:
+            generator = _innermost(generator)
+        code, module = generator.gi_code, None
+    else:
+        code = getattr(getattr(function, "__func__", function), "__code__", None)
+        module = getattr(function, "__module__", None)
+    if code is None:  # a C callable: where its object's class lives
+        code, module = None, type(owner).__module__
+    filename = "<builtin>" if code is None else code.co_filename
+    return package_of(filename, module) or "other"
 
 
 def owner_of(entry) -> str:
@@ -75,6 +100,15 @@ def owner_of(entry) -> str:
     return f"{kind} -> " + ", ".join(_name(cb) for cb in event.callbacks)
 
 
+def package_of_entry(entry) -> str:
+    """The package of what one queue entry runs: its thunk's, or its
+    event's first callback's; a no-op event is the engine's."""
+    event, thunk = entry[2], entry[3]
+    if event is None:
+        return _package(thunk)
+    return _package(event.callbacks[0]) if event.callbacks else "sim"
+
+
 class CensusSimulator(Simulator):
     """A ``Simulator`` that names every entry it runs while counting.
 
@@ -87,6 +121,8 @@ class CensusSimulator(Simulator):
         super().__init__()
         #: Entries counted per owner; ``None`` while not counting.
         self.census: Optional[Counter] = None
+        #: The same entries counted per package.
+        self.packages: Counter = Counter()
         #: Entries with an eid above this one are counted.
         self.since = 0
 
@@ -100,6 +136,7 @@ class CensusSimulator(Simulator):
                 return
             if self.census is not None and entry[1] > self.since:
                 self.census[owner_of(entry)] += 1
+                self.packages[package_of_entry(entry)] += 1
             self.step()
         if until is None:
             if self._expiries_until > self.now:
@@ -118,10 +155,12 @@ class CensusSimulator(Simulator):
         dropped = queued + 1 - sum(1 for entry in self._heap if entry[1] > since)
         if dropped:
             self.census["call expire (dropped unrun: answered)"] += dropped
+            self.packages["sim"] += dropped
 
     def begin(self) -> None:
         """Count every entry scheduled from now on."""
         self.census = Counter()
+        self.packages = Counter()
         self.since = self._eid
 
     def end(self) -> Counter:
@@ -130,16 +169,19 @@ class CensusSimulator(Simulator):
         for entry in self._heap:
             if entry[1] > self.since:
                 census[owner_of(entry) + " (still queued)"] += 1
+                self.packages[package_of_entry(entry)] += 1
         return census
 
 
-def take(workload_name: str, seed: int, scale: float = 1.0):
+def take(workload_name: str, seed: int, scale: float = 1.0,
+         packages: Optional[Counter] = None):
     """Run one workload under the census.
 
     Returns ``(census, eid_delta, attempted, summary)``: the counts per
     owner summed over the workload's simulators, their ``_eid`` delta
     over the measured window, the attempted ops and perfbench's summary
-    of the run (its ``result_digest`` and ``sim_*`` values).
+    of the run (its ``result_digest`` and ``sim_*`` values). The same
+    counts per package are added to *packages*, if given.
     """
     import metrics
     import workloads
@@ -161,6 +203,8 @@ def take(workload_name: str, seed: int, scale: float = 1.0):
     census: Counter = Counter()
     for sim in sims:
         census.update(sim.end())
+        if packages is not None:
+            packages.update(sim.packages)
     delta = sum(sim._eid - start for sim, start in zip(sims, before))
     summary = metrics.summarise(workload.finish(), [])
     return census, delta, summary["attempted"], summary
@@ -179,6 +223,17 @@ def render(workload_name: str, seed: int, census: Counter, delta: int,
     return "\n".join(lines)
 
 
+def ledger(workload_name: str, seed: int, scale: float, packages: Counter,
+           delta: int, attempted: int) -> dict:
+    """Entries per op in total and per package (``--json``)."""
+    return {
+        "workload": workload_name, "seed": seed, "scale": scale,
+        "ops": attempted, "entries_per_op": per_op(delta, attempted),
+        "packages": {name: {"entries_per_op": per_op(count, attempted)}
+                     for name, count in sorted(packages.items())},
+    }
+
+
 def main(argv=None) -> int:
     import workloads
 
@@ -187,9 +242,19 @@ def main(argv=None) -> int:
                     "workload, grouped by owner.")
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--json", action="store_true",
+                        help="print the ledger row: entries per op, in "
+                             "total and per package")
     args = parser.parse_args(argv)
-    census, delta, attempted, __ = take(args.workload, args.seed)
-    print(render(args.workload, args.seed, census, delta, attempted))
+    packages: Counter = Counter()
+    census, delta, attempted, __ = take(args.workload, args.seed, args.scale,
+                                        packages)
+    if args.json:
+        print(json.dumps(ledger(args.workload, args.seed, args.scale,
+                                packages, delta, attempted), sort_keys=True))
+    else:
+        print(render(args.workload, args.seed, census, delta, attempted))
     return 0
 
 

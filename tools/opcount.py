@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/opcount.py kv-unbatched-rw [--seed 11] [--scale 1.0]
+    python tools/opcount.py kv-unbatched-rw [--seed 11] [--scale 1.0] [--json]
 
 (``make opcodes W=kv-unbatched-rw [SEED=11] [SCALE=1.0]``.) The workload
 is built and measured as ``perfbench/worker.py`` does it, on a plain
@@ -21,6 +21,11 @@ because a few paths branch on ``hash()`` of a string or bytes key. The
 traced run is about fifty times slower than an untraced one; ``--scale``
 shrinks the measured window.
 
+``--json`` prints the same counts per attempted op as one JSON object,
+in total and per ``src/repro/<package>`` (and ``perfbench``), without
+the frames outside the repository: the bytecodes and calls columns of
+``COSTS.json`` (``tools/costs.py``).
+
 Read-only: nothing is written, not perfbench's output directory and not a
 ``BENCH_<n>.json``.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import sys
 from collections import Counter
@@ -36,16 +42,18 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+from costs import package_of, per_op  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 
 
 def take(workload_name: str, seed: int, scale: float = 1.0):
     """Run one workload's measured window under the counting hook.
 
-    Returns ``(opcodes, calls, attempted)``: bytecodes executed and
-    frames entered per code object, and the attempted ops of
-    perfbench's summary of the run.
+    Returns ``(opcodes, calls, attempted, modules)``: bytecodes executed
+    and frames entered per code object, the attempted ops of perfbench's
+    summary of the run, and the module each code object ran in.
     """
     import metrics
     import workloads
@@ -55,6 +63,7 @@ def take(workload_name: str, seed: int, scale: float = 1.0):
     gc.collect()
     opcodes: Counter = Counter()
     calls: Counter = Counter()
+    modules = {}
 
     def in_frame(frame, event, arg):
         if event == "opcode":
@@ -62,7 +71,10 @@ def take(workload_name: str, seed: int, scale: float = 1.0):
         return in_frame
 
     def on_call(frame, event, arg):
-        calls[frame.f_code] += 1
+        code = frame.f_code
+        if code not in calls:
+            modules[code] = frame.f_globals.get("__name__")
+        calls[code] += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return in_frame
@@ -75,7 +87,7 @@ def take(workload_name: str, seed: int, scale: float = 1.0):
     finally:
         sys.settrace(None)
     summary = metrics.summarise(workload.finish(), [])
-    return opcodes, calls, summary["attempted"]
+    return opcodes, calls, summary["attempted"], modules
 
 
 def _where(code) -> str:
@@ -109,6 +121,32 @@ def render(workload_name: str, seed: int, scale: float, opcodes: Counter,
     return "\n".join(lines)
 
 
+def ledger(workload_name: str, seed: int, scale: float, opcodes: Counter,
+           calls: Counter, attempted: int, modules: dict) -> dict:
+    """The counts per op without the frames outside the repository, in
+    total and per package (``--json``)."""
+    packages: dict = {}
+    for code in set(opcodes) | set(calls):
+        name = package_of(code.co_filename, modules.get(code))
+        if name is not None:
+            row = packages.setdefault(name, Counter())
+            row["bytecodes"] += opcodes[code]
+            row["calls"] += calls[code]
+    return {
+        "workload": workload_name, "seed": seed, "scale": scale,
+        "ops": attempted,
+        "bytecodes_per_op": per_op(
+            sum(row["bytecodes"] for row in packages.values()), attempted),
+        "calls_per_op": per_op(
+            sum(row["calls"] for row in packages.values()), attempted),
+        "packages": {
+            name: {"bytecodes_per_op": per_op(row["bytecodes"], attempted),
+                   "calls_per_op": per_op(row["calls"], attempted)}
+            for name, row in sorted(packages.items())
+        },
+    }
+
+
 def main(argv=None) -> int:
     import workloads
 
@@ -118,10 +156,18 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--json", action="store_true",
+                        help="print the ledger row: per op, in total and "
+                             "per package, without stdlib frames")
     args = parser.parse_args(argv)
-    opcodes, calls, attempted = take(args.workload, args.seed, args.scale)
-    print(render(args.workload, args.seed, args.scale, opcodes, calls,
-                 attempted))
+    opcodes, calls, attempted, modules = take(args.workload, args.seed,
+                                              args.scale)
+    if args.json:
+        print(json.dumps(ledger(args.workload, args.seed, args.scale, opcodes,
+                                calls, attempted, modules), sort_keys=True))
+    else:
+        print(render(args.workload, args.seed, args.scale, opcodes, calls,
+                     attempted))
     return 0
 
 
