@@ -44,12 +44,16 @@ BAN_MAP_FD = 1
 class PacketRecord:
     """One packet of the synthetic trace: context bytes + ground truth."""
 
+    __slots__ = ("src_ip", "auth_failed", "size")  # no slots=True on 3.9
     src_ip: int
     auth_failed: bool
     size: int
 
     def context(self) -> bytes:
         return struct.pack("<IB", self.src_ip, 1 if self.auth_failed else 0)
+
+    def __reduce__(self):  # pickle and copy rebuild it: frozen slots
+        return PacketRecord, (self.src_ip, self.auth_failed, self.size)
 
 
 def build_fail2ban_program(threshold: int = 3) -> Program:

@@ -30,9 +30,6 @@ class CpuCosts:
     preemption_latency: float = 20e-6
     memcpy_bandwidth: float = 12e9  # bytes/s, one core
 
-    def instruction_time(self, instructions: int) -> float:
-        return instructions / (self.clock_hz * self.instructions_per_cycle)
-
     def memcpy_time(self, size: int) -> float:
         return size / self.memcpy_bandwidth
 
@@ -52,16 +49,18 @@ class CpuModel:
     ):
         self.costs = costs
         self.rng = rng if rng is not None else random.Random(42)
+        #: Native instructions per second.
+        self._instruction_rate = costs.clock_hz * costs.instructions_per_cycle
 
     def execution_time(self, instructions_executed: int) -> float:
-        """Wall time for one program run, with jitter and preemption."""
-        base = self.costs.instruction_time(
-            int(instructions_executed * INTERPRETER_EXPANSION)
-        )
-        jitter = 1.0 + self.rng.uniform(0, self.costs.jitter_fraction)
-        time = base * jitter
-        if self.rng.random() < self.costs.preemption_probability:
-            time += self.costs.preemption_latency
+        """Wall time for one program run, with jitter (``1.0 + f * random()``
+        is ``1.0 + uniform(0, f)``, bit for bit) and preemption."""
+        costs, draw = self.costs, self.rng.random
+        base = (int(instructions_executed * INTERPRETER_EXPANSION)
+                / self._instruction_rate)
+        time = base * (1.0 + costs.jitter_fraction * draw())
+        if draw() < costs.preemption_probability:
+            time += costs.preemption_latency
         return time
 
     def run(self, vm: BpfVm, context: bytes, when: float):

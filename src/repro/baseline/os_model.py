@@ -25,8 +25,6 @@ class OsCosts:
     interrupt_latency: float = 4e-6  # NIC IRQ + softirq
     syscall_latency: float = 1.2e-6  # entry/exit + spectre mitigations
     block_layer_latency: float = 3e-6  # bio submit + completion
-    context_switch_latency: float = 3e-6
-    page_fault_latency: float = 5e-6
 
 
 class OsModel:
@@ -34,8 +32,8 @@ class OsModel:
     then the instant the operation started at *when* ends."""
 
     def __init__(self, sim: Simulator, cpu: CpuModel):
-        self.cpu = cpu
         self.costs = OsCosts()
+        self._memcpy_bandwidth = cpu.costs.memcpy_bandwidth
         self.syscalls = 0
         self.interrupts = 0
         self.bytes_copied = 0
@@ -47,7 +45,7 @@ class OsModel:
         self.bytes_copied += size
         when += self.costs.interrupt_latency
         when += self.costs.syscall_latency
-        return when + self.cpu.costs.memcpy_time(size)
+        return when + size / self._memcpy_bandwidth
 
     def write_storage(self, when: float, size: int) -> float:
         """Write syscall + block layer + copy to page cache."""
@@ -55,7 +53,7 @@ class OsModel:
         self.bytes_copied += size
         when += self.costs.syscall_latency
         when += self.costs.block_layer_latency
-        return when + self.cpu.costs.memcpy_time(size)
+        return when + size / self._memcpy_bandwidth
 
     def read_storage(self, when: float, size: int) -> float:
         """Read syscall + block layer + copy from page cache."""
@@ -63,4 +61,4 @@ class OsModel:
         self.bytes_copied += size
         when += self.costs.syscall_latency
         when += self.costs.block_layer_latency
-        return when + self.cpu.costs.memcpy_time(size)
+        return when + size / self._memcpy_bandwidth

@@ -53,6 +53,7 @@ class HashMap(BpfMap):
     def __init__(self, key_size: int, value_size: int, max_entries: int = 1024):
         super().__init__(key_size, value_size, max_entries)
         self._entries: Dict[bytes, bytearray] = {}
+        self.find = self._entries.get  # lookup of a key_size-byte bytes key
 
     def lookup(self, key: bytes) -> Optional[bytearray]:
         if len(key) != self.key_size:

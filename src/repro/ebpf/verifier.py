@@ -108,11 +108,13 @@ class Facts:
     """Per reachable pc: ``state`` the registers' facts before it, ``live``
     the registers whose value it or a later instruction reads, and
     ``successors`` the pcs a run goes to from it. A read of a register
-    whose value is known is no read: the compiled code uses the value."""
+    whose value is known is no read: the compiled code uses the value.
+    ``dead``: the ALU ops, LDDWs and loads whose destination nothing reads."""
 
     state: Dict[int, Tuple[Fact, ...]]
     live: Dict[int, FrozenSet[int]]
     successors: Dict[int, List[int]]
+    dead: FrozenSet[int]
 
 
 @dataclass
@@ -463,9 +465,9 @@ def _reads(insn: Instruction, state: Tuple[Fact, ...]) -> Set[int]:
 def _facts(program: Program) -> Facts:
     """One pass in pc order joins the facts of every edge into a pc (each
     edge a run can take goes forward), one pass back finds what is live.
-    A write no later instruction reads is dropped, and its reads with it."""
+    A dead ALU op or LDDW is dropped with its reads; a dead load is not."""
     arriving: Dict[int, List[Tuple[Fact, ...]]] = {0: [_ENTRY_FACTS]}
-    state, successors, live = {}, {}, {}
+    state, successors, live, dead = {}, {}, {}, set()
     for pc in range(len(program)):
         if pc in arriving:
             state[pc] = functools.reduce(
@@ -478,11 +480,13 @@ def _facts(program: Program) -> Facts:
         insn = program.at_slot(pc)
         out = frozenset().union(*(live[target] for target in successors[pc]))
         pure = insn.is_alu or insn.opcode is Opcode.LDDW
-        if pure and insn.dst not in out:
-            live[pc] = out
-            continue
+        if (pure or insn.is_load) and insn.dst not in out:
+            dead.add(pc)
+            if pure:
+                live[pc] = out
+                continue
         live[pc] = out.difference(writes(insn)) | _reads(insn, state[pc])
-    return Facts(state, live, successors)
+    return Facts(state, live, successors, frozenset(dead))
 
 
 def require_verified(program: Program) -> Facts:

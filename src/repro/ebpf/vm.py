@@ -21,8 +21,8 @@ and context and returns the result; r0-r10 are its locals. The compiler
 reads the :class:`~repro.ebpf.verifier.Facts` that ``require_verified``
 returns, the join at each pc of what every verified path brings there:
 
-* a register whose value is known is read as that value, and a write
-  no later instruction reads is dropped;
+* a register whose value is known is read as that value, and a dead
+  write (``facts.dead``) is dropped, a load to its bounds check;
 * an access through a known stack or context pointer, or through a
   pointer into the value the lookup at pc k returned, is a struct codec
   on ``stack`` (unchecked: the verifier bounds it), ``context`` or
@@ -34,6 +34,11 @@ returns, the join at each pc of what every verified path brings there:
 * a basic block (:func:`repro.ebpf.isa.leaders`) that one edge enters is
   nested where that edge leaves; only a block that several edges enter
   is tested, ``if pc == leader:``, in pc order (every jump goes forward).
+
+A hot-path method that only forwards to a C callable is that callable,
+bound at construction: ``BpfVm.run`` is the compiled function under
+``partial``, an inline lookup calls ``HashMap.find`` (``dict.get``) and
+the result is built by ``tuple.__new__``, with no ``__init__``.
 
 A run builds the region table the helpers read (region 16 and up for the
 map values they expose) only if the facts say some access goes through a
@@ -69,8 +74,8 @@ import linecache
 import os
 import random
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.ebpf.helpers import (
@@ -254,8 +259,8 @@ def _call(helper_id: int, pc: int, state: Tuple[Fact, ...],
         "    vm._next_region = region + 1",
         f"    regions[region] = value{pc:d}",
     ] if table else ["    region = next_region", "    next_region = region + 1"])
-    return call + [
-        f"value{pc:d} = bpf_map.lookup(key)",
+    return call + [  # the key is key_size bytes: no check, no copy
+        f"value{pc:d} = bpf_map.find(key)",
         f"if value{pc:d} is None:",
         "    r0 = 0",
         "else:",
@@ -265,19 +270,20 @@ def _call(helper_id: int, pc: int, state: Tuple[Fact, ...],
 
 
 def _statement(insn: Instruction, pc: int, facts: Facts, table: bool) -> List[str]:
-    """The code of the straight-line instruction at *pc*: none for a write
-    that no later instruction reads."""
+    """The code of the straight-line instruction at *pc*: for a dead write
+    (``facts.dead``), none, or a load's bounds check alone."""
     op, d, state = insn.opcode, f"r{insn.dst:d}", facts.state[pc]
-    live = facts.live[pc + insn.slots]
     if op is Opcode.CALL:
+        live = facts.live[pc + insn.slots]
         clobbered = "".join(f"r{reg:d} = " for reg in range(1, 6) if reg in live)
         call = _call(insn.imm, pc, state, table)
         return call + [clobbered + "0"] if clobbered else call
     if op in LOAD_OPS:
         checks, args = _access(insn.src, insn.offset, MEM_SIZE[op], "read",
                                state[insn.src])
-        return checks + [f"{d}, = load{MEM_SIZE[op]:d}({args})"]
-    if insn.dst not in live and (op in ALU_OPS or op is Opcode.LDDW):
+        return checks + ([] if pc in facts.dead else
+                         [f"{d}, = load{MEM_SIZE[op]:d}({args})"])
+    if pc in facts.dead:  # an ALU op or LDDW
         return []
     if op in ALU_OPS:
         return [f"{d} = " + _ALU_EXPR[op].format(**_operands(insn, state))]
@@ -342,8 +348,8 @@ class _Emitter:
         op, counts = insn.opcode, (executed, calls)
         if op is Opcode.EXIT:
             total = "executed + {:d}, calls + {:d}" if counted else "{:d}, {:d}"
-            return lines + [f"return ExecutionResult({_read(0, state)}, "
-                            f"{total.format(executed, calls)}, context)"]
+            return lines + [f"return result(({_read(0, state)}, "
+                            f"{total.format(executed, calls)}, context))"]
         if op is Opcode.JA:
             return lines + self.goto(after + insn.offset, depth, counts, counted)
         taken = self.goto(after + insn.offset, depth, counts, counted)
@@ -371,8 +377,8 @@ def _source(program: Program) -> str:
     facts = require_verified(program)
     table = _looks_regions_up(program, facts)
     lines = [  # The run's set-up: regions 1 and 2 for the helpers and the code.
-        "def run(vm, data):",
-        "    context = bytearray(data)",
+        "def run(vm, context=b''):",
+        "    context = bytearray(context)",
         "    length = len(context)",
         f"    stack = bytearray({STACK_SIZE:d})",
         *([
@@ -395,11 +401,9 @@ def _out_of_bounds(pointer: int, size: int, access: str) -> ProtocolError:
     return ProtocolError(f"out-of-bounds {access} at {pointer:#x} ({size} bytes)")
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     """Outcome of one program run."""
 
-    __slots__ = ("return_value", "instructions_executed", "helper_calls", "context")
     return_value: int
     instructions_executed: int
     helper_calls: int
@@ -419,7 +423,8 @@ class BpfVm:
         # One dict for the VM's life, refilled per run.
         self._regions: Dict[int, bytearray] = {}
         self._next_region = _FIRST_DYNAMIC_REGION
-        self._run = self._compile()  # verifies first
+        #: ``run(context=b"")``, the compiled function bound to this VM.
+        self.run = partial(self._compile(), self)  # verifies first
 
     # -- environment hooks ---------------------------------------------------
     def map_by_fd(self, fd: int) -> BpfMap:
@@ -465,14 +470,9 @@ class BpfVm:
         namespace = {
             "fault": BpfVm._memory_fault,
             "bounds": _out_of_bounds,
-            "ExecutionResult": ExecutionResult,
+            "result": partial(tuple.__new__, ExecutionResult),
             **{f"helper{helper_id:d}": helper for helper_id, helper in HELPERS.items()},
             **_CODECS,
         }
         exec(compile(source, filename, "exec"), namespace)
         return namespace["run"]
-
-    # -- execution -----------------------------------------------------------
-    def run(self, context: bytes = b"") -> ExecutionResult:
-        """Execute the program with ``context`` as its input (r1)."""
-        return self._run(self, context)

@@ -27,15 +27,14 @@ _IMM_LIMIT = 1 << 31
 
 def _issued(insn: Instruction, pc: int, facts: Facts) -> Optional[Instruction]:
     """What the optimized pipeline issues for the reachable *insn* at *pc*:
-    nothing for an ALU op or LDDW whose destination is not live at its
-    successor, ``mov dst, K`` for one whose result is a known K that fits
-    an immediate, else *insn*."""
+    nothing for a dead write (``facts.dead``) but a load, which still
+    checks its bounds, ``mov dst, K`` for an ALU op or LDDW whose result
+    is a known K that fits an immediate, else *insn*."""
+    if pc in facts.dead:
+        return insn if insn.is_load else None
     if not (insn.is_alu or insn.opcode is Opcode.LDDW):
         return insn
-    after = pc + insn.slots
-    if insn.dst not in facts.live[after]:
-        return None
-    value = facts.state[after][insn.dst]
+    value = facts.state[pc + insn.slots][insn.dst]
     if not isinstance(value, int) or _IMM_LIMIT <= value <= _U64 - _IMM_LIMIT:
         return insn
     return Instruction(Opcode.MOV, dst=insn.dst,

@@ -152,8 +152,8 @@ class Histogram(Metric):
     the raw samples give *exact* quantiles (see :func:`percentile`).
 
     Recording is the hot path (every RPC, NVMe command, and queue
-    sojourn observes a latency), so :meth:`observe` is a single list
-    append. The sum and the bucket counts are computed on read from the
+    sojourn observes a latency), so ``observe`` is the sample list's
+    ``append``. The sum and the bucket counts are computed on read from the
     samples — the sum by left-to-right float additions from ``0.0``, so
     it is *bit-identical* to eager per-observe accounting.
     """
@@ -164,19 +164,17 @@ class Histogram(Metric):
         super().__init__(name)
         self.bounds = DEFAULT_BUCKETS
         self._samples: List[float] = []
+        #: ``observe(value)``: binning and summing are deferred to reads.
+        self.observe = self._samples.append
         #: bucket index -> (value, trace_id): the last traced request
         #: whose sample landed in that bucket (see :meth:`exemplar`).
         self._exemplars: Dict[int, Tuple[float, str]] = {}
 
     # -- recording -----------------------------------------------------------
-    def observe(self, value: float) -> None:
-        """Record one sample; binning and summing are deferred to reads."""
-        self._samples.append(value)
-
     def exemplar(self, value: float, trace_id: str) -> None:
         """Attach *trace_id* as the exemplar for *value*'s bucket.
 
-        Called by instrumented sites alongside :meth:`observe` when the
+        Called by instrumented sites alongside ``observe`` when the
         observation belongs to a sampled trace (and the tracer has
         exemplar capture armed), linking a latency bucket back to one
         concrete request that landed in it. Kept out of ``observe``

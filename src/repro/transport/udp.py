@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net.frames import Frame, MAX_FRAME_PAYLOAD
@@ -19,18 +19,20 @@ _MTU_PAYLOAD = MAX_FRAME_PAYLOAD - UDP_HEADER
 MAX_PARTIAL_DATAGRAMS = 64
 
 
-class _Fragment:
-    """One frame's share of a datagram (a ``__slots__`` value object)."""
+class _Datagram(Frame):
+    """A datagram that fits one frame, carried whole (plus UDP_HEADER)."""
 
-    __slots__ = ("datagram_id", "index", "total", "payload", "payload_size")
+    __slots__ = ()
 
-    def __init__(self, datagram_id: int, index: int, total: int,
-                 payload: Any, payload_size: int):
-        self.datagram_id = datagram_id
-        self.index = index
-        self.total = total
-        self.payload = payload  # carried only on fragment 0
-        self.payload_size = payload_size
+
+class _Fragment(NamedTuple):
+    """One frame's share of a larger datagram."""
+
+    datagram_id: int
+    index: int
+    total: int
+    payload: Any  # carried only on fragment 0
+    payload_size: int
 
 
 class UdpSocket:
@@ -51,8 +53,6 @@ class UdpSocket:
         # Per-socket ids: reassembly keys on (source address, id), so
         # only this socket's datagrams need distinct ones.
         self._datagram_ids = itertools.count()
-        self.datagrams_sent = 0
-        self.datagrams_received = 0
         #: Incomplete datagrams dropped to keep ``_partial`` bounded.
         self.reassembly_evicted = 0
         #: Where a complete ``(src, payload, size)`` datagram goes.
@@ -67,21 +67,18 @@ class UdpSocket:
         """Transmit one datagram of modeled ``size`` bytes; the returned
         event fires once its last frame has been serialized.
 
-        A datagram that fits one frame returns that frame's own link
-        event. A larger one sends its fragments in turn
+        A datagram that fits one frame is one :class:`_Datagram` and
+        returns that frame's own link event. A larger one sends its
+        numbered fragments in turn
         (:meth:`NetworkPort.send_in_turn`), and its event is woken
         inside the last fragment's serialization entry. As with
         :meth:`NetworkPort.send`, wait on the event in the entry that
         sent, or never.
         """
-        datagram_id = next(self._datagram_ids)
-        self.datagrams_sent += 1
         src = self.port.address
         if size <= _MTU_PAYLOAD:
-            return self.port.send(Frame(
-                src, dst, _Fragment(datagram_id, 0, 1, payload, size),
-                size + UDP_HEADER,
-            ))
+            return self.port.send(_Datagram(src, dst, payload, size + UDP_HEADER))
+        datagram_id = next(self._datagram_ids)
         total = -(-size // _MTU_PAYLOAD)
         frames = [
             Frame(
@@ -103,13 +100,13 @@ class UdpSocket:
         )
 
     def _on_frame(self, frame: Frame) -> None:
+        if type(frame) is _Datagram:
+            self.deliver((frame.src, frame.payload,
+                          frame.payload_size - UDP_HEADER))
+            return
         fragment = frame.payload
         if not isinstance(fragment, _Fragment):
             return  # not UDP traffic
-        if fragment.total == 1:
-            self.datagrams_received += 1
-            self.deliver((frame.src, fragment.payload, fragment.payload_size))
-            return
         key = (frame.src, fragment.datagram_id)
         pending = self._partial
         parts = pending.get(key)
@@ -125,5 +122,4 @@ class UdpSocket:
         if len(parts) == fragment.total:
             del pending[key]
             head = parts[0]
-            self.datagrams_received += 1
             self.deliver((frame.src, head.payload, head.payload_size))

@@ -1,7 +1,7 @@
 """Test-only reference interpreter: the oracle for ``repro.ebpf.vm``.
 
 This is the ``if op is Opcode.X`` interpreter that ``BpfVm.run`` used
-before programs were compiled, kept verbatim (``run``, ``_alu``,
+before programs were compiled, kept verbatim (``interpret``, ``_alu``,
 ``_evaluate_jump`` and the memory accessors) so the generated code can be
 compared against an implementation that shares none of its execution code.
 It re-derives every fact per executed instruction and is slow on purpose.
@@ -9,8 +9,9 @@ Nothing under ``src/`` imports it.
 
 Only the environment helpers see (``map_by_fd``, ``clock_ns``,
 ``expose_buffer``, ``trace_log``, ``rng``) are inherited from ``BpfVm``;
-``_compile`` is overridden to verify the program and compile nothing. It runs only verified programs, so it
-needs no instruction budget.
+``_compile`` is overridden to verify the program, compile nothing and
+hand ``BpfVm`` the interpreter to bind as ``run``. It runs only verified
+programs, so it needs no instruction budget.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ def _s64(value: int) -> int:
 class ReferenceVm(BpfVm):
     """Same constructor and result as :class:`BpfVm`, interpreted slot by slot."""
 
-    def _compile(self) -> None:
-        """Verify, and compile nothing: :meth:`run` interprets the program."""
+    def _compile(self):
+        """Verify, and compile nothing: ``run`` is :meth:`interpret`."""
         require_verified(self.program)
+        return ReferenceVm.interpret
 
     # -- memory --------------------------------------------------------------
     def _region_buffer(self, pointer: int) -> tuple:
@@ -75,8 +77,8 @@ class ReferenceVm(BpfVm):
         buffer[offset : offset + len(data)] = data
 
     # -- execution -----------------------------------------------------------
-    def run(self, context: bytes = b"",
-            trace: Optional[list] = None) -> ExecutionResult:
+    def interpret(self, context: bytes = b"",
+                  trace: Optional[list] = None) -> ExecutionResult:
         """Execute the program with ``context`` as its input (r1); *trace*,
         if given, gets ``(pc, registers)`` before each instruction runs."""
         self._regions = {

@@ -10,7 +10,7 @@ schedules from them (:func:`repro.hdl.dataflow.build_blocks`).
   register, and a ``(k, off)`` pointer points ``off`` bytes into the
   value the lookup at pc k returned on this run;
 * every register the rest of the run needs before writing it is in
-  ``facts.live[pc]``;
+  ``facts.live[pc]``, and no pc in ``facts.dead`` writes one;
 * a write the optimized schedule leaves out is read later on the run,
   by what the schedule issues, only where the facts know its value.
 
@@ -117,6 +117,9 @@ def check_run(program, facts, issued_at, trace):
     need = set()
     for pc, _ in reversed(trace):
         insn = program.at_slot(pc)
+        assert pc not in facts.dead or insn.dst not in need, (
+            f"pc {pc}: the run reads r{insn.dst} after the write the facts "
+            "call dead")
         if not (_pure(insn) and insn.dst not in need):
             need = (need - _written(insn)) | _needed(insn, facts.state[pc])
         assert need <= facts.live[pc], (

@@ -20,7 +20,7 @@ from repro.transport.homa import (
     _HomaData,
     _HomaGrant,
 )
-from repro.transport.udp import UDP_HEADER, UdpSocket, _Fragment
+from repro.transport.udp import UDP_HEADER, UdpSocket, _Datagram, _Fragment
 
 
 def port_send(port, frame):
@@ -39,9 +39,13 @@ class ReferenceUdpSocket(UdpSocket):
 
     def sendto(self, dst, payload, size):
         """Process: transmit one datagram of modeled ``size`` bytes."""
-        datagram_id = next(self._datagram_ids)
         mtu_payload = MAX_FRAME_PAYLOAD - UDP_HEADER
-        total = max(1, -(-size // mtu_payload))
+        if size <= mtu_payload:  # whole, in one frame
+            yield from port_send(self.port, _Datagram(
+                self.port.address, dst, payload, size + UDP_HEADER))
+            return
+        datagram_id = next(self._datagram_ids)
+        total = -(-size // mtu_payload)
         remaining = size
         for index in range(total):
             chunk = min(mtu_payload, remaining)
@@ -52,7 +56,6 @@ class ReferenceUdpSocket(UdpSocket):
             )
             frame = Frame(self.port.address, dst, fragment, chunk + UDP_HEADER)
             yield from port_send(self.port, frame)
-        self.datagrams_sent += 1
 
 
 class ReferenceHomaSocket(HomaSocket):

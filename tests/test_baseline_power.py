@@ -32,7 +32,11 @@ from repro.power.energy import total_tdp
 from repro.power.volume import DeviceVolume
 from repro.baseline.server import SUPERMICRO_X12 as SERVER
 from repro.sim import Simulator
-from tests.baseline_reference import ReferenceDatapath
+from tests.baseline_reference import (
+    ReferenceDatapath,
+    execution_time,
+    memcpy_time,
+)
 
 
 class TestCpuModel:
@@ -90,7 +94,8 @@ class TestOsModel:
         charge counts its syscalls, interrupts and copied bytes."""
         name, latencies, (syscalls, interrupts) = charge
         sim = Simulator()
-        os_model = OsModel(sim, CpuModel(sim))
+        cpu = CpuModel(sim)
+        os_model = OsModel(sim, cpu)
         summed_first_differs = False
         charged = copied = 0
         for when in (0.0, 1e-6, 0.1, 0.3, 1.7, 12.345678):
@@ -98,7 +103,7 @@ class TestOsModel:
                 chain = when
                 for latency in latencies:
                     chain += getattr(os_model.costs, latency)
-                copy = os_model.cpu.costs.memcpy_time(size)
+                copy = cpu.costs.memcpy_time(size)
                 chain += copy
                 assert getattr(os_model, name)(when, size) == chain
                 charged, copied = charged + 1, copied + size
@@ -163,12 +168,14 @@ class TestCpuCentricDatapath:
         path = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu))
         ran = []
 
-        class RecordingVm(BpfVm):
-            def run(self, context=b""):
-                ran.append(len(context))
-                return super().run(context)
+        vm = BpfVm(assemble("mov r0, 1\nexit"))
+        compiled = vm.run
 
-        vm = RecordingVm(assemble("mov r0, 1\nexit"))
+        def recording(context=b""):
+            ran.append(len(context))
+            return compiled(context)
+
+        vm.run = recording
         costs = path.os.costs
 
         def received(offset, size):
@@ -260,6 +267,52 @@ class TestFoldAgainstTheChain:
         verdicts = [verdict for _when, verdict in folded[0]]
         assert VERDICT_BAN in verdicts and VERDICT_PASS in verdicts
         assert folded[5] >= 1  # a page reached flash
+
+
+class TestRatesAgainstTheFormulas:
+    """``CpuModel`` and ``OsModel`` charge from rates computed once; the
+    floats must be the old formulas' (``tests/baseline_reference.py``)
+    bit for bit, from the same draws, leaving the RNG in the same state."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        costs=st.builds(
+            CpuCosts,
+            clock_hz=st.floats(min_value=1e8, max_value=1e10),
+            instructions_per_cycle=st.floats(min_value=0.25, max_value=8.0),
+            jitter_fraction=st.floats(min_value=0.0, max_value=1.0),
+            preemption_probability=st.floats(min_value=0.0, max_value=1.0),
+            memcpy_bandwidth=st.floats(min_value=1e6, max_value=1e12),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        runs=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+        charges=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=1e3),  # when
+            st.integers(min_value=0, max_value=1 << 20),  # size
+        ), max_size=8),
+    )
+    def test_execution_time_and_charges_are_the_old_floats(
+            self, costs, seed, runs, charges):
+        sim = Simulator()
+        cpu = CpuModel(sim, costs=costs, rng=random.Random(seed))
+        rng = random.Random(seed)
+        for instructions in runs:
+            assert (cpu.execution_time(instructions).hex()
+                    == execution_time(costs, rng, instructions).hex())
+        assert cpu.rng.getstate() == rng.getstate()
+        os_model = OsModel(sim, cpu)
+        latencies = os_model.costs
+        for when, size in charges:
+            copy = memcpy_time(costs, size)
+            received = when + latencies.interrupt_latency
+            received += latencies.syscall_latency
+            stored = when + latencies.syscall_latency
+            stored += latencies.block_layer_latency
+            assert (os_model.receive_packet(when, size).hex()
+                    == (received + copy).hex())
+            assert (os_model.write_storage(when, size).hex()
+                    == os_model.read_storage(when, size).hex()
+                    == (stored + copy).hex())
 
 
 class TestServerAndPower:

@@ -747,13 +747,14 @@ MUTANTS = {
 def test_each_mutant_of_the_emitter_rules_is_killed(name, monkeypatch):
     """The real rules run the program as the oracle does, raising nothing
     but a named ProtocolError; each mutant gives a different outcome, or
-    the overrun value's ``struct.error`` or the lost entry's unbound
-    counter."""
+    the overrun value's ``struct.error``, or a ``NameError`` for a
+    register or counter the run reads and never set (a dead-marked load
+    leaves its register unset)."""
     module, rule, mutant, program, contexts = MUTANTS[name]
     assert_same(program, contexts)
     monkeypatch.setattr(module, rule, mutant)
     BpfVm(program, maps=fresh_maps())  # the mutant still compiles
-    with pytest.raises((AssertionError, struct.error, UnboundLocalError)):
+    with pytest.raises((AssertionError, struct.error, NameError)):
         assert_same(program, contexts)
 
 
@@ -799,10 +800,51 @@ def test_an_lddw_is_no_access_through_a_register():
     assert_same(program, [bytes(16), b"\x01" + bytes(15), bytes(8)])
 
 
+#: The program of ``test_an_lddw_is_no_access_through_a_register``,
+#: compiled: ``ldxdw r0, [r1+8]`` is dead (pc 8 overwrites r0 unread), so
+#: it is its bounds check alone, and the LDDWs are constants.
+DEAD_LOAD_SOURCE = """\
+def run(vm, context=b''):
+    context = bytearray(context)
+    length = len(context)
+    stack = bytearray(512)
+    next_region = 16
+    pc = executed = calls = 0
+    if 8 > length:
+        raise bounds(0x2000000000000, 8, 'read')
+    r4, = load8(context, 0)
+    if 16 > length:
+        raise bounds(0x2000000000008, 8, 'read')
+    if r4 == 0:
+        r3 = 8589934592
+        executed += 4
+        pc = 8
+    else:
+        r3 = 4294967296
+        executed += 5
+        pc = 8
+    if pc == 8:
+        r0 = r3
+        return result((r0, executed + 2, calls + 0, context))
+"""
+
+
+def test_a_dead_load_compiles_to_its_bounds_check():
+    """A load whose destination no later instruction reads
+    (``Facts.dead``) decodes nothing, but still faults as the reference
+    does on a context too short for it."""
+    program = assemble("ldxdw r4, [r1+0]\nldxdw r0, [r1+8]\njeq r4, 0, +3\n"
+                       "lddw r3, 0x100000000\nja +2\nlddw r3, 0x200000000\n"
+                       "mov r0, r3\nexit")
+    assert verifier_module.require_verified(program).dead == {1}
+    assert vm_module._source(program) == DEAD_LOAD_SOURCE
+    assert_same(program, [bytes(16), bytes(12)])
+
+
 #: ``make bpf-source``: the fail2ban filter's run function, as compiled.
 FAIL2BAN_SOURCE = """\
-def run(vm, data):
-    context = bytearray(data)
+def run(vm, context=b''):
+    context = bytearray(context)
     length = len(context)
     stack = bytearray(512)
     next_region = 16
@@ -821,7 +863,7 @@ def run(vm, data):
     if size > 8:
         raise bounds(0x10000000001f8, size, 'read')
     key = bytes(stack[504:504 + size])
-    value7 = bpf_map.lookup(key)
+    value7 = bpf_map.find(key)
     if value7 is None:
         r0 = 0
     else:
@@ -837,9 +879,9 @@ def run(vm, data):
             raise bounds(base7, 8, 'write')
         store8(value7, 0, r8 & 0xffffffffffffffff)
         if r8 > 3:
-            return ExecutionResult(0, 15, 1, context)
+            return result((0, 15, 1, context))
         else:
-            return ExecutionResult(1, 15, 1, context)
+            return result((1, 15, 1, context))
     else:
         store8(stack, 496, r7 & 0xffffffffffffffff)
         bpf_map = vm.maps.get(1)
@@ -855,7 +897,7 @@ def run(vm, data):
         value = bytes(stack[496:496 + size])
         bpf_map.update(key, value)
         r0 = 0
-        return ExecutionResult(1, 19, 2, context)
+        return result((1, 19, 2, context))
 """
 
 
@@ -937,7 +979,7 @@ def test_generated_code_is_charged_to_ebpf_and_shows_in_tracebacks():
 
 def test_identical_programs_share_one_source_entry():
     program = assemble("mov r0, 3\nexit")
-    first = BpfVm(program)._run.__code__.co_filename
+    first = BpfVm(program).run.func.__code__.co_filename
     entries = len(linecache.cache)
-    second = BpfVm(assemble("mov r0, 3\nexit"))._run.__code__.co_filename
+    second = BpfVm(assemble("mov r0, 3\nexit")).run.func.__code__.co_filename
     assert second == first and len(linecache.cache) == entries

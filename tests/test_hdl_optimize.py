@@ -187,8 +187,9 @@ def helper_arguments_unread(insn, state):
 
 
 def dropped_by_its_own_pcs_liveness(insn, pc, facts):
-    live = {**facts.live, pc + insn.slots: facts.live[pc]}
-    return real_issued(insn, pc, dataclasses.replace(facts, live=live))
+    if insn.is_alu and insn.dst not in facts.live[pc]:
+        facts = dataclasses.replace(facts, dead=facts.dead | {pc})
+    return real_issued(insn, pc, facts)
 
 
 #: name -> (module, rule, mutant, program, contexts)

@@ -62,24 +62,28 @@ class TestUdp:
     def test_datagram_ids_start_at_zero_per_socket(self):
         """Reassembly keys on (source address, datagram id), so ids only
         have to be distinct per sending socket: a fresh socket numbers
-        from 0 whatever another simulator in this process has sent."""
+        from 0 whatever another simulator in this process has sent. Only
+        a datagram that fragments takes one (a one-frame datagram
+        travels whole)."""
         def ids_on_the_wire():
             sim = Simulator()
             net = make_net(sim)
             a = UdpSocket(sim, net.endpoint("a"))
             seen = []
-            net.endpoint("b").listen(
-                lambda frame: seen.append(frame.payload.datagram_id))
+            net.endpoint("b").listen(lambda frame: seen.append(
+                getattr(frame.payload, "datagram_id", "whole")))
 
-            def send_two():
+            def send_three():
+                yield a.sendto("b", None, 2_000)
                 yield a.sendto("b", None, 64)
-                yield a.sendto("b", None, 64)
+                yield a.sendto("b", None, 2_000)
 
-            sim.run_process(send_two())
+            sim.run_process(send_three())
             return seen
 
-        assert ids_on_the_wire() == [0, 1]
-        assert ids_on_the_wire() == [0, 1]  # after another run's traffic
+        assert ids_on_the_wire() == [0, 0, "whole", 1, 1]
+        # after another run's traffic
+        assert ids_on_the_wire() == [0, 0, "whole", 1, 1]
 
 
 @pytest.mark.parametrize("socket_type, kind", [

@@ -128,8 +128,7 @@ class TestUdpUnderLoss:
 
         sim.process(sender())
         sim.run()
-        assert a.datagrams_sent == 10
-        assert b.datagrams_received == 5
+        assert counter[0] == 10  # one frame per datagram
         assert [datagram[1] for __, datagram in seen] == [0, 2, 4, 6, 8]
 
     def test_fragmented_datagram_dies_on_one_lost_fragment(self):
@@ -141,13 +140,14 @@ class TestUdpUnderLoss:
             return counter[0] == 3
 
         a, b = lossy_pair(sim, drop_third_frame, UdpSocket)
+        seen = arrivals(sim, b)
 
         def sender():
             yield a.sendto("b", "big", 50_000)  # many fragments
 
         sim.process(sender())
         sim.run()
-        assert b.datagrams_received == 0  # the whole datagram is gone
+        assert counter[0] > 3 and seen == []  # the whole datagram is gone
 
     def test_reassembly_state_is_bounded_on_a_lossy_link(self):
         """A datagram that lost a fragment never completes; its partial
@@ -157,10 +157,10 @@ class TestUdpUnderLoss:
 
         sim = Simulator()
         # Lose the second of every three-fragment datagram's frames;
-        # single-fragment datagrams (wire size < 1 KB) get through.
+        # one-frame datagrams (wire size < 1 KB) get through.
         a, b = lossy_pair(
-            sim, lambda f: f.payload.total == 3 and f.payload.index == 1,
-            UdpSocket)
+            sim, lambda f: getattr(f.payload, "total", 1) == 3
+            and f.payload.index == 1, UdpSocket)
         seen = arrivals(sim, b)
 
         def sender():
@@ -170,14 +170,13 @@ class TestUdpUnderLoss:
 
         sim.process(sender())
         sim.run()
-        assert b.datagrams_received == 1
         assert [datagram[1] for __, datagram in seen] == ["small"]
         assert len(b._partial) == MAX_PARTIAL_DATAGRAMS == 64
         assert b.reassembly_evicted == 500 - 64
         # Oldest out first: what is left are the newest 64.
         ids = sorted(dgram for __, dgram in b._partial)
         assert ids == list(range(ids[0], ids[0] + 64))
-        # Plain ints beside datagrams_received: no telemetry path added.
+        # A plain int: no telemetry path added.
         assert not [path for path in sim.telemetry.paths()
                     if "reassembl" in path or "evict" in path]
 

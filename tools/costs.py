@@ -3,23 +3,23 @@
 
 Usage::
 
-    python tools/costs.py [--jobs 2] [--output COSTS.json]
+    python tools/costs.py
 
 (``make costs``.) For every perfbench workload at seed 11, runs
 ``tools/entry_census.py --json`` and ``tools/opcount.py --json`` at the
-workload's scale in :data:`SCALES` and writes one file: engine entries,
-bytecodes and Python calls per attempted op, in total and per
-``src/repro/<package>`` (plus ``perfbench``, the driver's own frames).
+workload's scale in :data:`SCALES`, two runs at a time, and writes one
+file at the repository root: engine entries, bytecodes and Python calls
+per attempted op, in total and per ``src/repro/<package>`` (plus
+``perfbench``, the driver's own frames).
 
 Each scale is the smallest tried at which the per-op counts lie within
 1 % of the scale-1 window's; ``traffic-day`` and ``georep-quorum`` need
 the whole window (at half of it they read 10 % and 6 % more bytecodes
-per op). The counts
-are exact under ``PYTHONHASHSEED=0`` (both tools run with it) on one
-CPython minor version, which the file records. Frames outside the
-repository (the standard library) are left out of every row, so a
-CPython patch release does not move the file; ``make opcodes`` still
-prints them.
+per op). The counts are exact under ``PYTHONHASHSEED=0`` (both tools run
+with it) on one CPython minor version, which the file records. Frames
+outside the repository (the standard library) are left out of every
+row, so a CPython patch release does not move the file; ``make
+opcodes`` still prints them.
 
 A change that moves host cost commits the new file, so its diff is the
 claim; CI recomputes the file and fails on any difference.
@@ -27,7 +27,6 @@ claim; CI recomputes the file and fails on any difference.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -37,6 +36,8 @@ from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 11
+#: Tool runs at a time: one per core of a 2-core CI runner.
+JOBS = 2
 #: Per workload, the smallest scale tried whose per-op counts (entries,
 #: bytecodes and calls) are within 1 % of scale 1's.
 SCALES = {
@@ -103,12 +104,12 @@ def merge(census: dict, opcodes: dict) -> dict:
             "packages": packages}
 
 
-def ledger(jobs: int) -> dict:
+def ledger() -> dict:
     """Every workload's row; the longest runs start first."""
     runs = [(tool, workload) for workload in SCALES
             for tool in ("opcount.py", "entry_census.py")]
     runs.sort(key=lambda run: (run[0] != "opcount.py", -SCALES[run[1]]))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         futures = {run: pool.submit(_tool, *run, SCALES[run[1]])
                    for run in runs}
         results = {run: future.result() for run, future in futures.items()}
@@ -123,16 +124,9 @@ def ledger(jobs: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Write COSTS.json: entries, bytecodes and Python "
-                    "calls per op of every perfbench workload.")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="tool runs at a time (default 2)")
-    parser.add_argument("--output", default=os.path.join(ROOT, "COSTS.json"))
-    args = parser.parse_args(argv)
-    text = json.dumps(ledger(max(1, args.jobs)), indent=2, sort_keys=True)
-    with open(args.output, "w") as out:
+def main() -> int:
+    text = json.dumps(ledger(), indent=2, sort_keys=True)
+    with open(os.path.join(ROOT, "COSTS.json"), "w") as out:
         out.write(text + "\n")
     return 0
 

@@ -83,9 +83,8 @@ def _package(function) -> str:
         code = getattr(getattr(function, "__func__", function), "__code__", None)
         module = getattr(function, "__module__", None)
     if code is None:  # a C callable: where its object's class lives
-        code, module = None, type(owner).__module__
-    filename = "<builtin>" if code is None else code.co_filename
-    return package_of(filename, module) or "other"
+        return package_of("<builtin>", type(owner).__module__) or "other"
+    return package_of(code.co_filename, module) or "other"
 
 
 def owner_of(entry) -> str:

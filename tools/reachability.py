@@ -422,7 +422,10 @@ def _binders(nodes: Iterable[ast.AST]) -> Dict[str, List[Tuple[str, ast.AST]]]:
 
 
 def _is_dataclass(cls: Unit) -> bool:
-    return "dataclass" in _decorators(cls.node)
+    """A dataclass, or a ``NamedTuple`` class: fields in the class body."""
+    return "dataclass" in _decorators(cls.node) or any(
+        getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+        for base in cls.node.bases)
 
 
 def _fields(cls: Unit) -> List[ast.AnnAssign]:
