@@ -215,9 +215,7 @@ def cpu_scan(
     when += cpu.costs.memcpy_time(len(raw)) * 2  # decode ~2 passes
     filtered = batch.filter(query.row_predicate)
     # and the software scan with interference jitter.
-    scan_time = len(batch) * CPU_ROW_TIME
-    jitter = 1.0 + cpu.rng.uniform(0, cpu.costs.jitter_fraction)
-    yield sim.timeout_at(when + scan_time * jitter)
+    yield sim.timeout_at(when + cpu.jittered(len(batch) * CPU_ROW_TIME))
     value = filtered.aggregate(query.aggregate_column, query.aggregate)
     return ScanResult(
         value=value,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.baseline.datapath import CpuCentricDatapath
 from repro.common.errors import ProtocolError
@@ -40,17 +40,44 @@ VERDICT_PASS = 1
 BAN_MAP_FD = 1
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet of the synthetic trace: context bytes + ground truth."""
+#: Bytes of one packet's record in the log, its context zero-padded.
+LOG_RECORD_SIZE = 16
 
-    __slots__ = ("src_ip", "auth_failed", "size")  # no slots=True on 3.9
+#: ``(src_ip, auth_failed) -> (context, record)``: the bytes are a pure
+#: function of the two, and a trace repeats few sources, so its packets
+#: share them (a pair per packet would grow a 32k-packet trace by 4 MiB).
+_PACKED: Dict[Tuple[int, bool], Tuple[bytes, bytes]] = {}
+
+
+@dataclass(frozen=True, init=False)
+class PacketRecord:
+    """One packet of the synthetic trace: context bytes + ground truth.
+
+    The bytes are packed at construction, once per distinct source and
+    outcome: :attr:`context` is what the filter reads (``src_ip u32 |
+    auth_failed u8``), :attr:`record` the same zero-padded to
+    :data:`LOG_RECORD_SIZE`, which the DPU logs and the baseline's
+    datapath hands its VM.
+    """
+
+    # no slots=True on 3.9; context and record are derived, not fields
+    __slots__ = ("src_ip", "auth_failed", "size", "context", "record")
     src_ip: int
     auth_failed: bool
     size: int
 
-    def context(self) -> bytes:
-        return struct.pack("<IB", self.src_ip, 1 if self.auth_failed else 0)
+    def __init__(self, src_ip: int, auth_failed: bool, size: int):
+        packed = _PACKED.get((src_ip, auth_failed))
+        if packed is None:
+            context = struct.pack("<IB", src_ip, 1 if auth_failed else 0)
+            packed = _PACKED[src_ip, auth_failed] = (
+                context, context.ljust(LOG_RECORD_SIZE, b"\x00"))
+        assign = object.__setattr__  # frozen: past the dataclass's guard
+        assign(self, "src_ip", src_ip)
+        assign(self, "auth_failed", auth_failed)
+        assign(self, "size", size)
+        assign(self, "context", packed[0])
+        assign(self, "record", packed[1])
 
     def __reduce__(self):  # pickle and copy rebuild it: frozen slots
         return PacketRecord, (self.src_ip, self.auth_failed, self.size)
@@ -166,12 +193,11 @@ class Fail2BanDpu:
 
     def process_packet(self, packet: PacketRecord):
         """Process: NIC -> pipeline -> (persist log record) -> verdict."""
-        context = packet.context()
         pipeline = self.pipeline
-        result, when = pipeline.run(context, pipeline.sim.now)
+        result, when = pipeline.run(packet.context, pipeline.sim.now)
         yield pipeline.sim.timeout_at(when)
         # The log record lands in BRAM; a full block goes to flash.
-        self._log_buffer.extend(context.ljust(16, b"\x00"))
+        self._log_buffer.extend(packet.record)
         if len(self._log_buffer) >= 4096:
             block = bytes(self._log_buffer[:4096])
             del self._log_buffer[:4096]
@@ -203,8 +229,7 @@ class Fail2BanBaseline:
     def process_packet(self, packet: PacketRecord):
         """Process: the full CPU-centric path with persistence."""
         verdict = yield from self.datapath.process_packet(
-            self.vm, packet.context().ljust(16, b"\x00")
-        )
+            self.vm, packet.record)
         if verdict == VERDICT_BAN:
             self.banned_packets += 1
         return verdict

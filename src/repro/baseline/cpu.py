@@ -52,14 +52,18 @@ class CpuModel:
         #: Native instructions per second.
         self._instruction_rate = costs.clock_hz * costs.instructions_per_cycle
 
+    def jittered(self, time: float) -> float:
+        """*time* stretched by cache/TLB/SMT interference: the one jitter
+        rule, ``time * (1.0 + f * random())`` from one draw (``1.0 + f *
+        random()`` is ``1.0 + uniform(0, f)``, bit for bit)."""
+        return time * (1.0 + self.costs.jitter_fraction * self.rng.random())
+
     def execution_time(self, instructions_executed: int) -> float:
-        """Wall time for one program run, with jitter (``1.0 + f * random()``
-        is ``1.0 + uniform(0, f)``, bit for bit) and preemption."""
-        costs, draw = self.costs, self.rng.random
-        base = (int(instructions_executed * INTERPRETER_EXPANSION)
-                / self._instruction_rate)
-        time = base * (1.0 + costs.jitter_fraction * draw())
-        if draw() < costs.preemption_probability:
+        """Wall time for one program run, with jitter and preemption."""
+        costs = self.costs
+        time = self.jittered(int(instructions_executed * INTERPRETER_EXPANSION)
+                             / self._instruction_rate)
+        if self.rng.random() < costs.preemption_probability:
             time += costs.preemption_latency
         return time
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -134,8 +135,17 @@ class Link:
         # net.tx is the highest-frequency span site in the system; the
         # attrs dict is only built when tracing is actually on.
         span = self._tx_span(frame) if self._tracer.enabled else None
-        if self._sending is None:
-            return self._start(frame, span, None)
+        if self._sending is None:  # _start inlined: the common case
+            self._sending, self._sending_span = frame, span
+            self._sending_done = None
+            sim = self.sim
+            delay = frame.wire_size / self.bandwidth
+            if self._busy_until > sim.now:
+                serialized = sim.timeout_at(self._busy_until + delay)
+            else:
+                serialized = sim.timeout(delay)
+            serialized.callbacks.append(self._on_serialized_cb)
+            return serialized
         done = Event(self.sim)
         self._backlog.append((frame, span, done))
         return done
@@ -156,7 +166,8 @@ class Link:
         if self._sending is not None or self._screened:
             self.enqueue(frame)
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         busy = self._busy_until
         self._busy_until = done = (
             (busy if busy > now else now) + frame.wire_size / self.bandwidth
@@ -167,8 +178,10 @@ class Link:
         self._bytes_sent.value += frame.wire_size
         if self.ingress is not None:
             self.ingress(frame, done + self.propagation)
-        else:
-            self.sim.call_at(done + self.propagation, partial(self.sink, frame))
+        else:  # the arrival entry, pushed inline (see the engine notes)
+            sim._eid = eid = sim._eid + 1
+            heappush(sim._heap, (done + self.propagation, eid, None,
+                                 partial(self.sink, frame)))
 
     def _tx_span(self, frame: Frame):
         """Open the ``net.tx`` span of *frame* (tracing is on)."""
@@ -190,7 +203,8 @@ class Link:
         )
 
     def _start(self, frame: Frame, span: Any, done: Optional[Event]) -> Event:
-        """Serialize *frame* now: the one start of an enqueued frame."""
+        """Serialize *frame* now: the start of a frame that queued
+        (:meth:`enqueue` starts one on an idle transmitter inline)."""
         self._sending, self._sending_span, self._sending_done = frame, span, done
         sim = self.sim
         delay = frame.wire_size / self.bandwidth

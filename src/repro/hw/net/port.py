@@ -83,8 +83,12 @@ class NetworkPort:
         pending = iter(frames)
 
         def send_next(_event=None) -> None:
+            nonlocal send_next
             item = next(pending, None)
             if item is None:
+                # Empty the cell through which this function names
+                # itself: left full, every message would be a cycle.
+                del send_next
                 then()
             elif isinstance(item, Event):
                 item.callbacks.append(send_next)

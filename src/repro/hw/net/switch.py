@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Dict, Set
 
 from repro.common.errors import ConfigurationError
@@ -46,7 +47,8 @@ class Switch:
         FIFO order, so when the stage will be done with a frame is known
         as soon as its arrival instant is — when it leaves the link's
         transmitter. That is when the forward is scheduled: one entry
-        per crossing of the stage, none for the arrival itself.
+        per crossing of the stage, none for the arrival itself, pushed
+        inline for the instant the stage computed (see the engine notes).
         """
         sim = self.sim
         forward = self._forward
@@ -55,8 +57,9 @@ class Switch:
         def ingress(frame: Frame, arrive_at: float) -> None:
             nonlocal busy_until
             start = busy_until if busy_until > arrive_at else arrive_at
-            busy_until = start + self.forward_latency
-            sim.call_at(busy_until, partial(forward, frame))
+            busy_until = when = start + self.forward_latency
+            sim._eid = eid = sim._eid + 1
+            heappush(sim._heap, (when, eid, None, partial(forward, frame)))
 
         link.ingress = ingress
 

@@ -154,20 +154,19 @@ class NvmeController(PcieDevice):
         qp.post(completion)
 
     def _stripe(self, page_op, lba: int, count: int):
-        """Process: *page_op* on *count* pages from *lba*. The FTL
-        stripes a multi-page command across dies in parallel; one page
-        has nothing to run beside and stays in this process."""
-        if count == 1:
-            yield from page_op(lba)
-            return
+        """Process: *page_op* on *count* pages from *lba*, striped by the
+        FTL across dies in parallel. One page has nothing to run beside:
+        the callers run *page_op* in the command's process instead."""
         yield self.sim.all_of([
             self.sim.process(page_op(lba + i)) for i in range(count)
         ])
 
     def _do_read(self, namespace: Namespace, command: NvmeCommand):
-        yield from self._stripe(
-            self.flash.read_page, command.lba, command.block_count
-        )
+        if command.block_count == 1:
+            yield from self.flash.read_page(command.lba)
+        else:
+            yield from self._stripe(
+                self.flash.read_page, command.lba, command.block_count)
         data = namespace.read_blocks(command.lba, command.block_count)
         if self.link is not None:
             yield from self.link.transfer(len(data))
@@ -179,5 +178,9 @@ class NvmeController(PcieDevice):
             yield from self.link.transfer(
                 max(len(payload), command.block_count * LBA_SIZE))
         count = namespace.write_blocks(command.lba, payload)
-        yield from self._stripe(self.flash.program_page, command.lba, count)
+        if count == 1:
+            yield from self.flash.program_page(command.lba)
+        else:
+            yield from self._stripe(self.flash.program_page, command.lba,
+                                    count)
         return NvmeCompletion(command.cid, NvmeStatus.SUCCESS)

@@ -94,7 +94,9 @@ class KvClientCore:
             except RpcError as failure:
                 breaker.record_failure()
                 attempts += 1
-                error = failure
+                # Kept without its traceback, which holds this frame:
+                # the error would be a cycle through it.
+                error = failure.with_traceback(None)
                 if on_failure is not None:
                     on_failure(candidate)
                 continue

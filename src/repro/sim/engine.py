@@ -12,14 +12,14 @@ Hot-path design notes (every simulated operation crosses this module):
   root of the same-seed => byte-identical guarantee.
 * Spawning a :class:`Process` does not allocate a bootstrap event: the
   first generator resume is scheduled directly as a *thunk* entry
-  (``event is None``), consuming one eid exactly like the old bootstrap
-  event did.
+  (``event is None``, the thunk ``partial(process._resume, _BOOT)``),
+  consuming one eid exactly like the old bootstrap event did.
 * A process nobody waits on is started with :meth:`Simulator.spawn`:
   the same bootstrap entry, no completion entry, and a failure raises
   out of ``run()`` rather than vanishing onto an event nobody holds.
 * The same thunk entries are the public *scheduled callback*:
-  :meth:`Simulator.call_later` / :meth:`Simulator.call_at` run a bare
-  callable at a simulated instant — one eid, no Event, no generator.
+  :meth:`Simulator.call_later` runs a bare callable at a simulated
+  instant — one eid, no Event, no generator.
   A fixed-latency stage (a frame propagating down a link, a switch
   forwarding it) is a scheduled callback; a process is for anything
   that waits on more than one thing.
@@ -32,13 +32,20 @@ Hot-path design notes (every simulated operation crosses this module):
   right and sleeps once on :meth:`Simulator.timeout_at`, which fires at
   exactly the float the chain reached.
 * The queue push is inlined at the hot call sites (``Timeout`` and
-  ``Process`` construction, ``succeed``/``fail``, process completion), and
+  ``Process`` construction, ``succeed``/``fail``, process completion,
+  and the frame hops: a switch's ingress stage and ``Link.forward``
+  push a thunk entry for the absolute instant they computed), and
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
   entry — with or without ``until``. ``step()`` remains the
   single-entry API and both share the exact pop order.
 * A process's one resume callback sits only on the event it last
   yielded, and an event drops its callbacks as it fires: no resume is
   stale, so ``_resume`` checks for none.
+* A finished process holds no reference to itself: it drops its resume
+  callback (a bound method of itself) as its generator returns or
+  raises, and a stored failure keeps no traceback entry of ``_resume``.
+  Refcounting frees the process, its generator and what its frame held
+  at once, without waiting for the cyclic GC.
 * A bounded wait is one event plus :meth:`Simulator.expire_later`:
   whichever comes first wakes the waiter (see :func:`expire`). The
   queue holds only entries that can still act: an answered wait's
@@ -225,14 +232,12 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # One bound method per process instead of one per yield: the same
         # callback object is appended to every event this process waits on.
-        self._resume_cb = self._resume
+        self._resume_cb = resume = self._resume
         # Kick off the process on the next simulator step. Scheduled as a
-        # bare thunk: no bootstrap Event allocation, same eid accounting.
+        # bare thunk: no bootstrap Event allocation, same eid accounting,
+        # and the thunk enters no Python frame of its own.
         sim._eid = eid = sim._eid + 1
-        heappush(sim._heap, (sim.now, eid, None, self._bootstrap))
-
-    def _bootstrap(self) -> None:
-        self._resume(_BOOT)
+        heappush(sim._heap, (sim.now, eid, None, partial(resume, _BOOT)))
 
     def result(self) -> Any:
         """The return value once the simulator has run dry; a failure is
@@ -264,13 +269,17 @@ class Process(Event):
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
+            self._resume_cb = None  # the one self-reference: see the notes
             self._value = stop.value
             self._ok = True
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self._value = exc
-            self._ok = False
+            self._resume_cb = None
             if not self._awaited:
                 raise
+            # Stored without this frame's traceback entry, whose ``self``
+            # would make the failure a cycle through this process.
+            self._value = exc.with_traceback(exc.__traceback__.tb_next)
+            self._ok = False
         else:
             try:
                 callbacks = target.callbacks
@@ -398,19 +407,6 @@ class Simulator:
         else:  # negative, or NaN
             raise ValueError(f"cannot call_later into the past: {delay}")
 
-    def call_at(self, when: float, thunk: Callable[[], None]) -> None:
-        """Run *thunk* at the absolute simulated time *when*.
-
-        For callers that derive an instant from earlier instants
-        (``t_done + propagation``, ``busy_until + latency``): the entry
-        fires at exactly that float, never at ``now + (when - now)``.
-        """
-        if when >= self.now:
-            self._eid = eid = self._eid + 1
-            heappush(self._heap, (when, eid, None, thunk))
-        else:  # earlier, or NaN
-            raise ValueError(f"cannot call_at the past: {when} (now {self.now})")
-
     def expire_later(self, delay: float, event: Event) -> None:
         """After *delay*, :func:`expire` *event* (one eid, the entry
         ``call_later(delay, partial(expire, event))`` would push).
@@ -437,9 +433,10 @@ class Simulator:
             raise ValueError(f"cannot expire_later into the past: {delay}")
 
     def timeout_at(self, when: float) -> Event:
-        """An event that fires at the absolute simulated time *when*:
-        the waitable twin of :meth:`call_at` (one eid; a past or NaN
-        *when* raises before anything is queued).
+        """An event that fires at the absolute simulated time *when*
+        (one eid; a past or NaN *when* raises before anything is
+        queued). It fires at exactly that float, never at ``now + (when
+        - now)``.
 
         For an actor whose next observable instant lies several modeled
         latencies ahead: fold them onto the clock left to right —

@@ -304,7 +304,10 @@ class RpcServer:
             # buffering, the client learns immediately.
             self.queue.try_put((src, request))
             return
-        self.sim.spawn(self._serve(src, request))
+        if request.trace is None:
+            self.sim.spawn(self._handle(src, request))
+        else:
+            self.sim.spawn(self._serve(src, request))
 
     def _worker_loop(self):
         """One wimpy core: run-to-completion service off the queue."""
@@ -323,14 +326,11 @@ class RpcServer:
                 yield from self._serve(src, request)
 
     def _serve(self, src: str, request: RpcRequest):
-        """The process that handles *request*. A traced request resumes
-        the caller's flow on this side of the wire: the handler runs
-        with the originating context active, so its spans join the
-        caller's trace tree."""
-        if request.trace is not None:
-            return self._tracer.drive(self._handle(src, request),
-                                      request.trace)
-        return self._handle(src, request)
+        """The process that handles a traced *request* (an untraced one
+        is :meth:`_handle` itself): it resumes the caller's flow on this
+        side of the wire, so the handler runs with the originating
+        context active and its spans join the caller's trace tree."""
+        return self._tracer.drive(self._handle(src, request), request.trace)
 
     def _handle(self, src: str, request: RpcRequest):
         method = request.method

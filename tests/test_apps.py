@@ -46,7 +46,7 @@ class TestFail2BanProgram:
         program = build_fail2ban_program(threshold=2)
         vm = BpfVm(program, maps={BAN_MAP_FD: HashMap(8, 8, 1024)})
         attacker = PacketRecord(src_ip=99, auth_failed=True, size=100)
-        verdicts = [vm.run(attacker.context()).return_value for _ in range(5)]
+        verdicts = [vm.run(attacker.context).return_value for _ in range(5)]
         # Counts 1,2 pass; from count 3 (> threshold 2) the source is banned.
         assert verdicts[:2] == [VERDICT_PASS, VERDICT_PASS]
         assert set(verdicts[2:]) == {VERDICT_BAN}
@@ -56,14 +56,14 @@ class TestFail2BanProgram:
         vm = BpfVm(program, maps={BAN_MAP_FD: HashMap(8, 8, 1024)})
         benign = PacketRecord(src_ip=5, auth_failed=False, size=100)
         for _ in range(20):
-            assert vm.run(benign.context()).return_value == VERDICT_PASS
+            assert vm.run(benign.context).return_value == VERDICT_PASS
 
     def test_instruction_and_helper_counts_per_path(self):
         """(instructions_executed, helper_calls) drive the baseline's CPU
         time: pinned per path so a mis-translated slot fails by name."""
         program = build_fail2ban_program(threshold=2)
         vm = BpfVm(program, maps={BAN_MAP_FD: HashMap(8, 8, 1024)})
-        attacker = PacketRecord(src_ip=99, auth_failed=True, size=100).context()
+        attacker = PacketRecord(src_ip=99, auth_failed=True, size=100).context
         runs = [vm.run(attacker) for _ in range(3)]
         counts = [(r.return_value, r.instructions_executed, r.helper_calls)
                   for r in runs]
@@ -123,7 +123,7 @@ class TestFail2BanDeployments:
 
         completion = sim.run_process(scenario())
         assert completion.ok
-        records = b"".join(p.context().ljust(16, b"\x00") for p in trace)
+        records = b"".join(p.context.ljust(16, b"\x00") for p in trace)
         assert completion.data[:4096] == records[:4096]
         assert completion.data[4096:] == records[4096:].ljust(4096, b"\x00")
 

@@ -211,7 +211,7 @@ def drive_datapath(datapath_class, costs, seed, packets, with_ssd=True):
     def caller():
         for gap, size, source, failed in packets:
             yield sim.timeout(gap)
-            context = PacketRecord(source, failed, size).context()
+            context = PacketRecord(source, failed, size).context
             verdict = yield from path.process_packet(
                 vm, context.ljust(size, b"\x00"))
             seen.append((sim.now, verdict))

@@ -58,7 +58,7 @@ def md1_waits(rho, seed=1):
     for index in range(READS):
         arrival += rng.expovariate(rho / S)
         arrivals.append(arrival)
-        sim.call_at(arrival, partial(arrive, index))
+        sim.call_later(arrival, partial(arrive, index))
     sim.run()
     assert None not in done
     return [finished - at - S - transfer for finished, at in zip(done, arrivals)]

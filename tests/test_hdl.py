@@ -261,7 +261,7 @@ def drive_pipeline(pipeline_class, arrivals):
 
     def caller(index, offset, packet):
         yield sim.timeout(offset * pipeline.accept_interval)
-        result = yield from pipeline.execute(packet.context())
+        result = yield from pipeline.execute(packet.context)
         completions.append((index, sim.now, result))
 
     for index, (offset, source, failed) in enumerate(arrivals):

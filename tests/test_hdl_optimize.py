@@ -166,7 +166,7 @@ def test_the_facts_hold_on_the_corpus(name):
         return
     packets = [PacketRecord(source, failed, 64)
                for source in (1, 2, 1, 1, 1) for failed in (True, False)]
-    check_facts(program, [packet.context() for packet in packets],
+    check_facts(program, [packet.context for packet in packets],
                 {BAN_MAP_FD: HashMap(8, 8, max_entries=64)})
 
 

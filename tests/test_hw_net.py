@@ -1,7 +1,5 @@
 """Tests for the Ethernet substrate."""
 
-from functools import partial
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -325,8 +323,8 @@ class TestCallbackDatapath:
         sim.process(sending(a.send, Frame("a", "b", "doomed", 64)))
         arrival = (64 + 38) / net.bandwidth + net.propagation
         # After the frame reached the switch, before its lookup is done.
-        sim.call_at(arrival + net.switch.forward_latency / 2,
-                    lambda: net.switch.blackhole("b"))
+        sim.call_later(arrival + net.switch.forward_latency / 2,
+                       lambda: net.switch.blackhole("b"))
         sim.run()
         assert seen == []
         assert stat(net.switch, "frames_blackholed") == 1
@@ -391,7 +389,8 @@ class TestLinkLossAccounting:
         plan.windowed("flap", "uplink", FaultKind.LINK_DOWN, 0.0, 1e-3)
         link = Link(sim).attach_faults(FaultInjector(sim, plan), "uplink")
         assert self._sent(sim, link, 2) == []
-        sim.call_at(2e-3, lambda: link.enqueue(Frame("a", "b", "up", 100)))
+        sim.timeout_at(2e-3).callbacks.append(
+            lambda event: link.enqueue(Frame("a", "b", "up", 100)))
         assert self._sent(sim, link, 0) == ["up"]
         assert (stat(link, "frames_sent"), stat(link, "frames_dropped")) == (3, 2)
 
@@ -443,7 +442,8 @@ def summed_first(link):
         else:
             burst[:] = [now, delay]
         link._busy_until = done = burst[0] + burst[1]
-        link.sim.call_at(done + link.propagation, partial(link.sink, frame))
+        link.sim.timeout_at(done + link.propagation).callbacks.append(
+            lambda event: link.sink(frame))
 
     link.forward = forward
 

@@ -55,7 +55,7 @@ def md1_waits(offer, rho, seed=1):
         offered.append(arrival)
         frame = Frame("a", "b", index, PAYLOAD)
         assert frame.wire_size / BANDWIDTH == S
-        sim.call_at(arrival, partial(offer, link, frame))
+        sim.call_later(arrival, partial(offer, link, frame))
     sim.run()
     assert len(delivered) == FRAMES
     return [delivered[index] - at - S - link.propagation

@@ -45,7 +45,7 @@ def md1_waits(rho, seed=1):
     pipeline, _ = pipeline_with_map()
     service = pipeline.accept_interval
     rng = random.Random(f"pipeline-md1/{rho}/{seed}")
-    context = PacketRecord(7, False, 64).context()
+    context = PacketRecord(7, False, 64).context
     waits = []
     arrival = 0.0
     for _ in range(INPUTS):
@@ -77,7 +77,7 @@ def test_an_input_runs_its_program_when_the_port_admits_it():
     the last stage: the program ran at admission."""
     pipeline, ban_map = pipeline_with_map()
     sim = pipeline.sim
-    sim.spawn(pipeline.execute(PacketRecord(7, True, 64).context()))
+    sim.spawn(pipeline.execute(PacketRecord(7, True, 64).context))
     sim.run(until=pipeline.latency / 2)
     assert [(key[:4], value[0]) for key, value in ban_map.items()] == [
         ((7).to_bytes(4, "little"), 1)]

@@ -55,7 +55,7 @@ def mm1_waits(rho, seed=1):
     arrival = 0.0
     for index in range(CUSTOMERS):
         arrival += rng.expovariate(rho / H)
-        sim.call_at(arrival, partial(arrive, index, rng.expovariate(1 / H)))
+        sim.call_later(arrival, partial(arrive, index, rng.expovariate(1 / H)))
     sim.run()
     assert None not in waits and not resource.held
     return waits

@@ -55,7 +55,7 @@ def md1_run(rho, seed=1):
     for rpc_id in range(REQUESTS):
         arrival += rng.expovariate(rho / S)
         request = RpcRequest(rpc_id, "work", (), 0)
-        sim.call_at(arrival, partial(socket.deliver, ("cli", request, 64)))
+        sim.call_later(arrival, partial(socket.deliver, ("cli", request, 64)))
     sim.run()
     served = sim.telemetry.get("rpc.server.srv.requests_served").value
     assert served == REQUESTS and server.queue.dropped_full == 0

@@ -81,7 +81,7 @@ def run(scenario, reference):
         network.port("r0").rx_link.attach_faults(injector, "net.link.r0.down")
     uplink = network.port(SENDER).route()
     for when, size in scenario.noise:
-        sim.call_at(when, partial(
+        sim.call_later(when, partial(
             uplink.enqueue, Frame(SENDER, "r1", "noise", size)))
     sender = sockets[SENDER]
 

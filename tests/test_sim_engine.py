@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
 from functools import partial
 
 import pytest
@@ -420,7 +422,7 @@ class TestEngineEdges:
 
 
 class TestScheduledCallbacks:
-    """``call_later`` / ``call_at``: a bare callable at a simulated instant."""
+    """``call_later``: a bare callable at a simulated instant."""
 
     def test_call_later_runs_at_now_plus_delay(self):
         sim = Simulator()
@@ -430,39 +432,18 @@ class TestScheduledCallbacks:
         sim.run()
         assert seen == [0.0, 1.5]
 
-    def test_call_at_fires_at_exactly_that_float(self):
-        sim = Simulator()
-        when = 0.1 + 0.2  # not representable as now + (when - now) in general
-        seen = []
-
-        def later():
-            yield sim.timeout(0.1)
-            sim.call_at(when, lambda: seen.append(sim.now))
-
-        sim.process(later())
-        sim.run()
-        assert seen == [when]
-
     def test_one_eid_each_and_scheduling_order_at_one_instant(self):
         sim = Simulator()
         log = []
         before = sim._eid
         sim.call_later(1.0, lambda: log.append("later"))
-        sim.call_at(1.0, lambda: log.append("at"))
         timeout = sim.timeout(1.0)
         timeout.callbacks.append(lambda event: log.append("timeout"))
+        sim.call_later(1.0, lambda: log.append("later again"))
         assert sim._eid - before == 3
         sim.run()
         # Same instant: exact scheduling order, thunks and events alike.
-        assert log == ["later", "at", "timeout"]
-
-    def test_call_at_now_joins_the_lane_behind_earlier_entries(self):
-        sim = Simulator()
-        log = []
-        sim.call_later(0.0, lambda: log.append("first"))
-        sim.call_at(sim.now, lambda: log.append("second"))
-        sim.run()
-        assert log == ["first", "second"]
+        assert log == ["later", "timeout", "later again"]
 
     def test_negative_delay_names_the_value(self):
         sim = Simulator()
@@ -471,14 +452,6 @@ class TestScheduledCallbacks:
             sim.call_later(-2.5, lambda: None)
         with pytest.raises(ValueError, match="nan"):
             sim.call_later(float("nan"), lambda: None)
-        assert sim._eid == before and not sim._heap
-
-    def test_call_at_the_past_names_the_value(self):
-        sim = Simulator()
-        sim.run(until=3.0)
-        before = sim._eid
-        with pytest.raises(ValueError, match=r"2\.0.*3\.0"):
-            sim.call_at(2.0, lambda: None)
         assert sim._eid == before and not sim._heap
 
     @pytest.mark.parametrize("until", [None, 10.0])
@@ -733,6 +706,75 @@ class TestSpawn:
             gate.wake()
 
 
+@pytest.fixture
+def refcount_only():
+    """The cyclic GC off for the test: only refcounting frees."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.usefixtures("refcount_only")
+class TestFinishedProcessesAreFreedByRefcount:
+    """A finished process holds no reference to itself: the entry that
+    finishes it frees it and its generator, with no cyclic GC to find
+    them. The generator stands in for both (the process holds it, and
+    ``Process`` has no weakref slot)."""
+
+    @staticmethod
+    def body(sim, raises):
+        yield sim.timeout(1.0)
+        if raises:
+            raise ValueError("ended")
+        return "returned"
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_a_spawned_process(self, raises):
+        sim = Simulator()
+        generator = self.body(sim, raises)
+        freed = weakref.ref(generator)
+        sim.spawn(generator)
+        del generator
+        sim.step()  # the bootstrap: it waits on its timeout
+        assert freed() is not None
+        try:
+            sim.step()  # the timeout: it returns, or raises out of step()
+        except ValueError:
+            assert raises
+        else:
+            assert not raises
+        assert freed() is None
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_an_awaited_process(self, raises):
+        sim = Simulator()
+        generator = self.body(sim, raises)
+        freed = weakref.ref(generator)
+        children = [generator]
+        outcome = []
+        del generator
+
+        def parent():
+            try:
+                outcome.append((yield sim.process(children.pop())))
+            except ValueError as failure:
+                outcome.append(str(failure))
+
+        sim.spawn(parent())
+        sim.step()  # the parent starts the child and waits on it
+        sim.step()  # the child's bootstrap: it waits on its timeout
+        sim.step()  # the child finishes; its completion entry is queued
+        assert freed() is not None and not outcome
+        sim.step()  # the completion entry resumes the parent
+        assert outcome == ["ended" if raises else "returned"]
+        assert freed() is None
+
+
 def sleep_each(sim, lead, delays, finished):
     """Process: sleep *lead*, then every delay in turn, one entry each."""
     yield sim.timeout(lead)
@@ -777,7 +819,7 @@ DELAYS = st.lists(
 
 
 class TestTimeoutAt:
-    """``timeout_at``: the waitable twin of ``call_at``."""
+    """``timeout_at``: an event at an absolute simulated instant."""
 
     def test_fires_at_exactly_that_float(self):
         sim = Simulator()
@@ -809,7 +851,7 @@ class TestTimeoutAt:
         before = sim._eid
         sim.timeout(1.0).callbacks.append(lambda event: log.append("timeout"))
         sim.timeout_at(1.0).callbacks.append(lambda event: log.append("at"))
-        sim.call_at(1.0, lambda: log.append("call"))
+        sim.call_later(1.0, lambda: log.append("call"))
         assert sim._eid - before == 3
         sim.run()
         assert log == ["timeout", "at", "call"]

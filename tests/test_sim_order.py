@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
-KINDS = ("call_later", "call_at", "timeout", "timeout_at", "succeed",
-         "wake", "process", "spawn")
+KINDS = ("call_later", "timeout", "timeout_at", "succeed", "wake",
+         "process", "spawn")
 #: Few distinct delays, zero among them, so that instants tie often.
 DELAYS = (0.0, 0.0, 0.25, 0.5, 1.0)
 
@@ -73,8 +73,6 @@ class Schedule:
         on_event = partial(self._on_event, eid, children)
         if kind == "call_later":
             sim.call_later(delay, partial(self._run, eid, children))
-        elif kind == "call_at":
-            sim.call_at(now + delay, partial(self._run, eid, children))
         elif kind == "timeout":
             sim.timeout(delay).callbacks.append(on_event)
         elif kind == "timeout_at":
@@ -151,7 +149,7 @@ def test_entries_scheduled_at_the_running_instant_queue_behind_it():
     schedule = Schedule(sim)
     schedule.schedule("timeout", 1.0, (("call_later", 0.0, ()),
                                        ("succeed", 0.0, ())))
-    schedule.schedule("call_at", 1.0, ())
+    schedule.schedule("timeout_at", 1.0, ())
     sim.run()
     check(schedule)
     assert [eid for __, eid in schedule.ran] == [1, 2, 3, 4]

@@ -10,7 +10,11 @@ Usage::
 workload's scale in :data:`SCALES`, two runs at a time, and writes one
 file at the repository root: engine entries, bytecodes and Python calls
 per attempted op, in total and per ``src/repro/<package>`` (plus
-``perfbench``, the driver's own frames).
+``perfbench``, the driver's own frames), and ``garbage_per_op``: the
+objects the cyclic GC finds per attempted op over the entry census's
+window under ``gc.DEBUG_SAVEALL``, i.e. what refcounting alone left
+behind (a reference cycle: a finished process that still names itself,
+an exception whose traceback holds the frame that keeps it).
 
 Each scale is the smallest tried at which the per-op counts lie within
 1 % of the scale-1 window's; ``traffic-day`` and ``georep-quorum`` need
@@ -101,6 +105,7 @@ def merge(census: dict, opcodes: dict) -> dict:
             "entries_per_op": census["entries_per_op"],
             "bytecodes_per_op": opcodes["bytecodes_per_op"],
             "calls_per_op": opcodes["calls_per_op"],
+            "garbage_per_op": census["garbage_per_op"],
             "packages": packages}
 
 

@@ -23,7 +23,11 @@ too. The table prints each owner's entries per attempted op, the unit of
 the ``entries/op`` figures in DESIGN.md and ROADMAP.md. ``--json``
 prints the entries per op in total and per ``src/repro/<package>`` of
 what each entry runs (a no-op or dropped entry is the engine's, ``sim``):
-the entries column of ``COSTS.json`` (``tools/costs.py``).
+the entries column of ``COSTS.json`` (``tools/costs.py``), and the
+window's cyclic garbage per op: the objects the cyclic GC finds under
+``gc.DEBUG_SAVEALL`` over the same window (a final collection included),
+which refcounting alone would not have freed. It is exact for one tree,
+seed and scale under ``PYTHONHASHSEED=0``; ``tools/costs.py`` runs it so.
 
 Read-only: nothing is written, not perfbench's output directory and not a
 ``BENCH_<n>.json``.
@@ -32,6 +36,7 @@ Read-only: nothing is written, not perfbench's output directory and not a
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -47,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from costs import package_of, per_op  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
-from repro.sim.engine import Process  # noqa: E402
+from repro.sim.engine import _BOOT, Process  # noqa: E402
 
 
 def _innermost(generator):
@@ -57,26 +62,35 @@ def _innermost(generator):
     return generator
 
 
+def _started(function) -> Optional[Process]:
+    """The process whose bootstrap entry runs *function*, else None."""
+    if type(function) is partial and function.args == (_BOOT,):
+        return function.func.__self__
+    return None
+
+
 def _name(function) -> str:
     """A callable as a census row names it."""
+    started = _started(function)
+    if started is not None:
+        return f"start {started._generator.__qualname__}"
     while isinstance(function, partial):
         function = function.func
     owner = getattr(function, "__self__", None)
     if isinstance(owner, Process):
-        if function.__func__ is Process._bootstrap:
-            return f"start {owner._generator.__qualname__}"
         return f"resume {_innermost(owner._generator).__qualname__}"
     return getattr(function, "__qualname__", type(function).__name__)
 
 
 def _package(function) -> str:
     """The package whose code a callable runs (``other`` outside it)."""
+    started = _started(function)
     while isinstance(function, partial):
         function = function.func
     owner = getattr(function, "__self__", None)
     if isinstance(owner, Process):
         generator = owner._generator
-        if function.__func__ is not Process._bootstrap:
+        if started is None:
             generator = _innermost(generator)
         code, module = generator.gi_code, None
     else:
@@ -176,11 +190,12 @@ def take(workload_name: str, seed: int, scale: float = 1.0,
          packages: Optional[Counter] = None):
     """Run one workload under the census.
 
-    Returns ``(census, eid_delta, attempted, summary)``: the counts per
-    owner summed over the workload's simulators, their ``_eid`` delta
-    over the measured window, the attempted ops and perfbench's summary
-    of the run (its ``result_digest`` and ``sim_*`` values). The same
-    counts per package are added to *packages*, if given.
+    Returns ``(census, eid_delta, attempted, summary, garbage)``: the
+    counts per owner summed over the workload's simulators, their
+    ``_eid`` delta over the measured window, the attempted ops,
+    perfbench's summary of the run (its ``result_digest`` and ``sim_*``
+    values) and the objects the cyclic GC found over the window. The
+    same counts per package are added to *packages*, if given.
     """
     import metrics
     import workloads
@@ -197,8 +212,16 @@ def take(workload_name: str, seed: int, scale: float = 1.0,
     before = [sim._eid for sim in sims]
     for sim in sims:
         sim.begin()
-    for __ in workload.measure():
-        pass
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what the GC finds, kept and counted
+    try:
+        for __ in workload.measure():
+            pass
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
     census: Counter = Counter()
     for sim in sims:
         census.update(sim.end())
@@ -206,7 +229,7 @@ def take(workload_name: str, seed: int, scale: float = 1.0,
             packages.update(sim.packages)
     delta = sum(sim._eid - start for sim, start in zip(sims, before))
     summary = metrics.summarise(workload.finish(), [])
-    return census, delta, summary["attempted"], summary
+    return census, delta, summary["attempted"], summary, garbage
 
 
 def render(workload_name: str, seed: int, census: Counter, delta: int,
@@ -223,11 +246,13 @@ def render(workload_name: str, seed: int, census: Counter, delta: int,
 
 
 def ledger(workload_name: str, seed: int, scale: float, packages: Counter,
-           delta: int, attempted: int) -> dict:
-    """Entries per op in total and per package (``--json``)."""
+           delta: int, attempted: int, garbage: int) -> dict:
+    """Entries per op in total and per package, and cyclic garbage per
+    op (``--json``)."""
     return {
         "workload": workload_name, "seed": seed, "scale": scale,
         "ops": attempted, "entries_per_op": per_op(delta, attempted),
+        "garbage_per_op": per_op(garbage, attempted),
         "packages": {name: {"entries_per_op": per_op(count, attempted)}
                      for name, count in sorted(packages.items())},
     }
@@ -247,11 +272,12 @@ def main(argv=None) -> int:
                              "total and per package")
     args = parser.parse_args(argv)
     packages: Counter = Counter()
-    census, delta, attempted, __ = take(args.workload, args.seed, args.scale,
-                                        packages)
+    census, delta, attempted, __, garbage = take(
+        args.workload, args.seed, args.scale, packages)
     if args.json:
         print(json.dumps(ledger(args.workload, args.seed, args.scale,
-                                packages, delta, attempted), sort_keys=True))
+                                packages, delta, attempted, garbage),
+                         sort_keys=True))
     else:
         print(render(args.workload, args.seed, census, delta, attempted))
     return 0
