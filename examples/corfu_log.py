@@ -29,8 +29,7 @@ def main() -> None:
         controller = NvmeController(sim, f"log-flash-{i}")
         controller.add_namespace(Namespace(1, 65536))
         units.append(CorfuLogUnit(
-            sim, RpcServer(sim, UdpSocket(sim, net.endpoint(f"unit{i}"))),
-            controller,
+            RpcServer(sim, UdpSocket(sim, net.endpoint(f"unit{i}"))), controller,
         ))
 
     clients = [

@@ -39,7 +39,7 @@ def main() -> None:
     # --- authorized bitstream loading over the network ----------------------
     authority = BitstreamAuthority(b"fleet-signing-key")
     shell = OsShell(
-        sim, dpu, RpcServer(sim, UdpSocket(sim, net.endpoint("shell"))), authority
+        dpu, RpcServer(sim, UdpSocket(sim, net.endpoint("shell"))), authority
     )
     operator = RpcClient(sim, UdpSocket(sim, net.endpoint("operator")))
 

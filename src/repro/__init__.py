@@ -71,7 +71,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "dpu.osshell": ("OsShell",),
     "dpu.tenancy": ("SlotScheduler",),
     "ebpf.vm": ("BpfVm",),
-    "ebpf.builder": ("ProgramBuilder",),
     "ebpf.verifier": ("Verifier",),
     "ebpf.asm": ("assemble",),
     "hdl.engine": ("HardwarePipeline", "compile_program"),

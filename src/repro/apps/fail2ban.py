@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 from repro.baseline.datapath import CpuCentricDatapath
 from repro.common.errors import ProtocolError
 from repro.dpu.hyperion import HyperionDpu
-from repro.ebpf.builder import ProgramBuilder
+from repro.ebpf.asm import assemble
 from repro.ebpf.helpers import HELPER_MAP_LOOKUP, HELPER_MAP_UPDATE
 from repro.ebpf.isa import Program
 from repro.ebpf.maps import HashMap
@@ -89,38 +89,38 @@ def build_fail2ban_program(threshold: int = 3) -> Program:
     Context layout: ``src_ip u32 | auth_failed u8``. Map fd 1 is a hash of
     ``src_ip (4B, padded key) -> failure count (8B)``.
     """
-    b = ProgramBuilder("fail2ban")
-    b.load(4, "r6", "r1", 0)  # r6 = src_ip
-    b.load(1, "r7", "r1", 4)  # r7 = auth_failed
-    b.store(4, "r10", -8, "r6")  # key at [r10-8] (4B used, 4B padding)
-    b.store(4, "r10", -4, 0)
-    b.mov("r1", BAN_MAP_FD)
-    b.mov("r2", "r10")
-    b.add("r2", -8)
-    b.call(HELPER_MAP_LOOKUP)
-    b.jne("r0", 0, "found")
-    # First sight of this source: insert its current failure count.
-    b.store(8, "r10", -16, "r7")
-    b.mov("r1", BAN_MAP_FD)
-    b.mov("r2", "r10")
-    b.add("r2", -8)
-    b.mov("r3", "r10")
-    b.add("r3", -16)
-    b.mov("r4", 0)
-    b.call(HELPER_MAP_UPDATE)
-    b.mov("r0", VERDICT_PASS)
-    b.exit()
-    b.label("found")
-    b.load(8, "r8", "r0", 0)  # current count
-    b.add("r8", "r7")
-    b.store(8, "r0", 0, "r8")  # write back through the map pointer
-    b.jgt("r8", threshold, "ban")
-    b.mov("r0", VERDICT_PASS)
-    b.exit()
-    b.label("ban")
-    b.mov("r0", VERDICT_BAN)
-    b.exit()
-    return b.build()
+    return assemble(f"""
+        ldxw  r6, [r1+0]           ; r6 = src_ip
+        ldxb  r7, [r1+4]           ; r7 = auth_failed
+        stxw  [r10-8], r6          ; key at [r10-8] (4B used, 4B padding)
+        stw   [r10-4], 0
+        mov   r1, {BAN_MAP_FD}
+        mov   r2, r10
+        add   r2, -8
+        call  {HELPER_MAP_LOOKUP}
+        jne   r0, 0, found
+        ; First sight of this source: insert its current failure count.
+        stxdw [r10-16], r7
+        mov   r1, {BAN_MAP_FD}
+        mov   r2, r10
+        add   r2, -8
+        mov   r3, r10
+        add   r3, -16
+        mov   r4, 0
+        call  {HELPER_MAP_UPDATE}
+        mov   r0, {VERDICT_PASS}
+        exit
+    found:
+        ldxdw r8, [r0+0]           ; current count
+        add   r8, r7
+        stxdw [r0+0], r8           ; write back through the map pointer
+        jgt   r8, {threshold}, ban
+        mov   r0, {VERDICT_PASS}
+        exit
+    ban:
+        mov   r0, {VERDICT_BAN}
+        exit
+    """, name="fail2ban")
 
 
 #: Source addresses a generated trace draws from.

@@ -121,7 +121,7 @@ class HyperionDpu:
         )
         # Build the store over SSD 0.
         self._store_qp = self.ssds[0].create_queue_pair()
-        nvme_backend = NvmeBackend(self.sim, self.ssds[0], self._store_qp)
+        nvme_backend = NvmeBackend(self.ssds[0], self._store_qp)
         self.axi.add_range(
             AddressRange(NVME_WINDOW_BASE, nvme_backend.capacity,
                          nvme_backend, "nvme-bar-window")

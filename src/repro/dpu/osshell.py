@@ -14,7 +14,6 @@ from typing import Dict, List
 from repro.common.errors import ConfigurationError
 from repro.hw.fpga.bitstream import BitstreamAuthority, SignedBitstream
 from repro.dpu.hyperion import HyperionDpu
-from repro.sim import Simulator
 from repro.transport.rpc import RpcServer
 
 
@@ -23,7 +22,6 @@ class OsShell:
 
     def __init__(
         self,
-        sim: Simulator,
         dpu: HyperionDpu,
         server: RpcServer,
         authority: BitstreamAuthority,

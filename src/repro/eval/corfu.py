@@ -64,7 +64,7 @@ def _run_point(client_count: int, appends_per_client: int,
         controller.add_namespace(Namespace(1, 262144))
         units.append(
             CorfuLogUnit(
-                sim, RpcServer(sim, UdpSocket(sim, net.endpoint(name))), controller
+                RpcServer(sim, UdpSocket(sim, net.endpoint(name))), controller
             )
         )
         unit_names.append(name)

@@ -63,12 +63,7 @@ class NvmeBackend:
     a flash translation layer would.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        controller: NvmeController,
-        queue_pair: NvmeQueuePair,
-    ):
+    def __init__(self, controller: NvmeController, queue_pair: NvmeQueuePair):
         self.controller = controller
         self.qp = queue_pair
         self.block_count = self._namespace().capacity_blocks

@@ -258,7 +258,14 @@ class Process(Event):
                 f"waiting on {type(self._waiting_on).__name__}"
             )
         if not self._ok:
-            raise self._value
+            # The traceback keeps this frame: drop what would make the
+            # failure a cycle through this process before it leaves.
+            failure = self._value
+            del self
+            try:
+                raise failure
+            finally:
+                del failure
         return self._value
 
     def _resume(self, event) -> None:
@@ -532,5 +539,9 @@ class Simulator:
     def run_process(self, generator: Generator) -> Any:
         """Convenience: run a generator to completion and return its value."""
         process = self.process(generator)
+        del generator  # the process holds it; a failure keeps this frame
         self.run()
-        return process.result()
+        try:
+            return process.result()
+        finally:
+            del process

@@ -19,7 +19,6 @@ from repro.common.errors import ProtocolError
 from repro.hw.nvme.commands import NvmeCommand, NvmeOpcode
 from repro.hw.nvme.controller import NvmeController
 from repro.hw.nvme.namespace import LBA_SIZE
-from repro.sim import Simulator
 from repro.transport.rpc import RpcClient, RpcError, RpcServer
 
 
@@ -52,8 +51,7 @@ class CorfuLogUnit:
     LBA, and reads back exactly as appended.
     """
 
-    def __init__(self, sim: Simulator, server: RpcServer,
-                 controller: NvmeController):
+    def __init__(self, server: RpcServer, controller: NvmeController):
         self.controller = controller
         self.qp = controller.create_queue_pair()
         self._written: Dict[int, Tuple[int, int]] = {}  # position -> (lba, length)

@@ -37,7 +37,40 @@ def booted_dpu(sim, net=None):
     return dpu
 
 
+#: The filter's bytecode per threshold: the 27 instructions differ only
+#: in the ``jgt`` immediate.
+FAIL2BAN_ENCODING = {
+    1: (
+        "61160000000000007117040000000000636af8ff00000000620afcff00000000"
+        "b701000001000000bfa200000000000007020000f8ffffff8500000001000000"
+        "55000a00000000007b7af0ff00000000b701000001000000bfa2000000000000"
+        "07020000f8ffffffbfa300000000000007030000f0ffffffb704000000000000"
+        "8500000002000000b70000000100000095000000000000007908000000000000"
+        "0f780000000000007b800000000000002508020001000000b700000001000000"
+        "9500000000000000b7000000000000009500000000000000"
+    ),
+    3: (
+        "61160000000000007117040000000000636af8ff00000000620afcff00000000"
+        "b701000001000000bfa200000000000007020000f8ffffff8500000001000000"
+        "55000a00000000007b7af0ff00000000b701000001000000bfa2000000000000"
+        "07020000f8ffffffbfa300000000000007030000f0ffffffb704000000000000"
+        "8500000002000000b70000000100000095000000000000007908000000000000"
+        "0f780000000000007b800000000000002508020003000000b700000001000000"
+        "9500000000000000b7000000000000009500000000000000"
+    ),
+}
+
+
 class TestFail2BanProgram:
+    @pytest.mark.parametrize("threshold", sorted(FAIL2BAN_ENCODING))
+    def test_encoding_is_pinned(self, threshold):
+        """The filter's assembler text encodes to the pinned bytes: the
+        DPU pipeline, the baseline's VM and every published fail2ban
+        figure are built from them."""
+        program = build_fail2ban_program(threshold)
+        assert program.name == "fail2ban"
+        assert program.encode().hex() == FAIL2BAN_ENCODING[threshold]
+
     def test_passes_verifier(self):
         report = Verifier().verify(build_fail2ban_program())
         assert report.ok, report.reject_reason()

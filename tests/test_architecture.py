@@ -446,9 +446,8 @@ def test_the_state_census_reports_only_what_nothing_reads(tmp_path):
 
 
 #: Parameters and fields every live call sets to one value that stay
-#: settable. Six kinds may, each entry saying which: a deployment
-#: *name* (a name, address, component or namespace id); a
-#: ProgramBuilder *operand* (the text of the one program built); *data*
+#: settable. Five kinds may, each entry saying which: a deployment
+#: *name* (a name, address, component or namespace id); *data*
 #: an operation acts on (a path, key, length, query or metric prefix);
 #: the *geometry* of a structure tests build in other shapes; an option
 #: *perfbench* sets, whose API must keep working; an E19 *schedule*
@@ -460,12 +459,6 @@ ONE_VALUE_ALLOWED = {
     "repro.apps.graph.random_graph(vertex_count)=300": "geometry",
     "repro.datastruct.bptree.BPlusTree.__init__(order)=4": "geometry",
     "repro.dpu.cluster.FailoverKvClient.__init__(name)='chaos-client'": "name",
-    "repro.ebpf.builder.ProgramBuilder.__init__(name)='fail2ban'": "name",
-    "repro.ebpf.builder.ProgramBuilder.jgt(dst)='r8'": "operand",
-    "repro.ebpf.builder.ProgramBuilder.jgt(target)='ban'": "operand",
-    "repro.ebpf.builder.ProgramBuilder.jne(dst)='r0'": "operand",
-    "repro.ebpf.builder.ProgramBuilder.jne(src)=0": "operand",
-    "repro.ebpf.builder.ProgramBuilder.jne(target)='found'": "operand",
     "repro.ebpf.maps.HashMap.__init__(key_size)=8": "geometry",
     "repro.ebpf.maps.HashMap.__init__(max_entries)=65536": "geometry",
     "repro.ebpf.maps.HashMap.__init__(value_size)=8": "geometry",
@@ -511,9 +504,9 @@ def test_every_setting_varies_or_is_allowed(reach):
     or module constant is on the allowlist (``tools/reachability.py``):
     anything else is a constant in all but name, and its other values
     select branches nothing runs."""
-    kinds = {"name", "operand", "data", "geometry", "perfbench", "schedule"}
+    kinds = {"name", "data", "geometry", "perfbench", "schedule"}
     assert set(ONE_VALUE_ALLOWED.values()) <= kinds
-    assert len(ONE_VALUE_ALLOWED) <= 42
+    assert len(ONE_VALUE_ALLOWED) <= 36
     assert reach.one_value() == sorted(ONE_VALUE_ALLOWED)
 
 

@@ -125,7 +125,7 @@ class TestOsShell:
         dpu, __ = booted_dpu(sim, net=net)
         authority = BitstreamAuthority(b"fleet-key")
         shell_server = RpcServer(sim, UdpSocket(sim, net.endpoint("shell")))
-        shell = OsShell(sim, dpu, shell_server, authority)
+        shell = OsShell(dpu, shell_server, authority)
         client = RpcClient(sim, UdpSocket(sim, net.endpoint("operator")))
         return dpu, shell, client, authority
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CapacityError, ProtocolError, VerificationError
-from repro.ebpf import BpfVm, HashMap, Opcode, ProgramBuilder, assemble
+from repro.ebpf import BpfVm, HashMap, assemble
 from repro.ebpf.helpers import (
     HELPER_GET_PRANDOM_U32,
     HELPER_KTIME_GET_NS,
@@ -332,51 +332,3 @@ class TestMaps:
         table.update(b"a", b"1")
         table.update(b"b", b"2")
         assert dict(table.items()) == {b"a": b"1", b"b": b"2"}
-
-
-class TestBuilder:
-    def test_builder_matches_assembler(self):
-        built = (
-            ProgramBuilder()
-            .mov("r0", 0)
-            .branch(Opcode.JEQ, "r1", 0, "done")
-            .add("r0", 1)
-            .label("done")
-            .exit()
-            .build()
-        )
-        assembled = assemble("""
-            mov r0, 0
-            jeq r1, 0, done
-            add r0, 1
-        done:
-            exit
-        """)
-        assert built.encode() == assembled.encode()
-
-    def test_builder_runs(self):
-        program = (
-            ProgramBuilder()
-            .mov("r6", 21)
-            .mov("r0", "r6")
-            .add("r0", "r6")
-            .exit()
-            .build()
-        )
-        assert BpfVm(program).run().return_value == 42
-
-    def test_undefined_label_rejected(self):
-        builder = ProgramBuilder().jne("r0", 0, "nowhere").exit()
-        with pytest.raises(ProtocolError):
-            builder.build()
-
-    def test_builder_memory_ops(self):
-        program = (
-            ProgramBuilder()
-            .mov("r1", 7)
-            .store(8, "r10", -8, "r1")
-            .load(8, "r0", "r10", -8)
-            .exit()
-            .build()
-        )
-        assert BpfVm(program).run().return_value == 7

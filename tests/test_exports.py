@@ -28,7 +28,7 @@ PERFBENCH_IMPORTS = (
     "repro.baseline.cpu", "repro.baseline.datapath", "repro.baseline.os_model",
     "repro.common", "repro.common.errors", "repro.common.ids",
     "repro.common.units", "repro.datastruct", "repro.datastruct.lsm",
-    "repro.dpu", "repro.dpu.hyperion", "repro.ebpf", "repro.ebpf.builder",
+    "repro.dpu", "repro.dpu.hyperion", "repro.ebpf", "repro.ebpf.asm",
     "repro.ebpf.helpers", "repro.ebpf.isa", "repro.ebpf.maps",
     "repro.ebpf.verifier", "repro.ebpf.vm", "repro.faults",
     "repro.faults.injector", "repro.faults.plan", "repro.georep",

@@ -245,7 +245,7 @@ def faulty_nvme(plan, blocks=64):
     controller.add_namespace(Namespace(1, blocks))
     qp = controller.create_queue_pair()
     controller.attach_faults(FaultInjector(sim, plan))
-    backend = NvmeBackend(sim, controller, qp)
+    backend = NvmeBackend(controller, qp)
     return sim, backend
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.isa_reference import decode_program
-from repro.ebpf.builder import ProgramBuilder
+from repro.ebpf.asm import assemble
 from repro.ebpf.isa import Instruction, Opcode, Program
 from repro.ebpf.vm import BpfVm
 from repro.ebpf.verifier import Verifier
@@ -90,10 +90,7 @@ def branchy_program(draw):
     Structure: load two context words, then a cascade of compare/branch
     blocks each setting r0 differently, all exits verified reachable.
     """
-    builder = ProgramBuilder("branchy")
-    builder.load(4, "r3", "r1", 0)
-    builder.load(4, "r4", "r1", 4)
-    builder.mov("r0", 0)
+    lines = ["ldxw r3, [r1+0]", "ldxw r4, [r1+4]", "mov r0, 0"]
     block_count = draw(st.integers(min_value=1, max_value=4))
     jump_ops = [Opcode.JEQ, Opcode.JNE, Opcode.JGT, Opcode.JGE, Opcode.JLT,
                 Opcode.JLE]
@@ -102,12 +99,12 @@ def branchy_program(draw):
         reg = draw(st.sampled_from(["r3", "r4"]))
         threshold = draw(st.integers(min_value=0, max_value=100))
         label = f"taken_{index}"
-        builder.branch(op, reg, threshold, label)
-        builder.add("r0", draw(st.integers(min_value=0, max_value=50)))
-        builder.label(label)
-        builder.add("r0", draw(st.integers(min_value=0, max_value=50)))
-    builder.exit()
-    return builder.build()
+        lines.append(f"{op.value} {reg}, {threshold}, {label}")
+        lines.append(f"add r0, {draw(st.integers(min_value=0, max_value=50))}")
+        lines.append(f"{label}:")
+        lines.append(f"add r0, {draw(st.integers(min_value=0, max_value=50))}")
+    lines.append("exit")
+    return assemble("\n".join(lines), name="branchy")
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,7 +28,7 @@ def stack():
     sim.run_process(dpu.boot())
     authority = BitstreamAuthority(b"integration-key")
     shell = OsShell(
-        sim, dpu, RpcServer(sim, UdpSocket(sim, net.endpoint("shell"))), authority
+        dpu, RpcServer(sim, UdpSocket(sim, net.endpoint("shell"))), authority
     )
     operator = RpcClient(sim, UdpSocket(sim, net.endpoint("operator")))
     return sim, net, dpu, authority, shell, operator

@@ -16,7 +16,7 @@ def make_backends(sim=None, blocks=64):
     controller = NvmeController(sim, "ssd")
     controller.add_namespace(Namespace(1, blocks))
     qp = controller.create_queue_pair()
-    return dram, NvmeBackend(sim, controller, qp), sim
+    return dram, NvmeBackend(controller, qp), sim
 
 
 class TestDramBackend:

@@ -24,7 +24,7 @@ def make_store(sim=None, dram_capacity=1 << 20, nvme_blocks=2048, with_hbm=False
     controller = NvmeController(sim, "nvme-0")
     controller.add_namespace(Namespace(1, nvme_blocks))
     qp = controller.create_queue_pair()
-    nvme = NvmeBackend(sim, controller, qp)
+    nvme = NvmeBackend(controller, qp)
     hbm = None
     if with_hbm:
         hbm = DramBackend(sim, MemoryBank("hbm", 1 << 20, 460e9, 120e-9), 1 << 20)

@@ -774,6 +774,22 @@ class TestFinishedProcessesAreFreedByRefcount:
         assert outcome == ["ended" if raises else "returned"]
         assert freed() is None
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_a_process_run_to_completion(self, raises):
+        """``run_process`` re-raises a failure through ``result()``: the
+        traceback's frames must not hold the process, or the failure is
+        a cycle through it."""
+        sim = Simulator()
+        generator = self.body(sim, raises)
+        freed = weakref.ref(generator)
+        try:
+            outcome = sim.run_process(generator)
+        except ValueError as failure:
+            outcome = str(failure)
+        del generator
+        assert outcome == ("ended" if raises else "returned")
+        assert freed() is None
+
 
 def sleep_each(sim, lead, delays, finished):
     """Process: sleep *lead*, then every delay in turn, one entry each."""

@@ -32,7 +32,7 @@ def make_store(dram_capacity=1 << 16):
     controller = NvmeController(sim, "store-ssd")
     controller.add_namespace(Namespace(1, 4096))
     qp = controller.create_queue_pair()
-    return sim, SingleLevelStore(sim, dram, NvmeBackend(sim, controller, qp))
+    return sim, SingleLevelStore(sim, dram, NvmeBackend(controller, qp))
 
 
 def _sampled(registry, clock, *prefixes):

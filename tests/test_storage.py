@@ -176,7 +176,7 @@ class TestCorfu:
         units = []
         for i in range(replicas):
             unit = CorfuLogUnit(
-                sim, make_rpc(sim, net, f"unit{i}"), make_controller(sim, f"ssd{i}")
+                make_rpc(sim, net, f"unit{i}"), make_controller(sim, f"ssd{i}")
             )
             units.append(unit)
         client = CorfuClient(
