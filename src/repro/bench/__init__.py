@@ -23,7 +23,10 @@ Artifact protocol, mirroring the repo's append-only evaluation history:
   artifact: any tracked latency up by more than
   :data:`REGRESSION_THRESHOLD` (or throughput down by more than it) is
   flagged as a regression, which ``python -m repro.bench --check`` turns
-  into a nonzero exit for CI.
+  into a nonzero exit for CI. Every metric whose value or unit differs
+  from the previous artifact (a digest's value is its unit), or that
+  only one of the two has, is listed as moved, whatever its direction
+  or size: a rebaseline names each key it changes.
 
 The same reports are held against the paper: each experiment's
 ``accept(report)`` names the claims its default-config report violates,
@@ -195,6 +198,25 @@ def compare_payloads(old: Dict[str, Any],
     return deltas
 
 
+def moved_metrics(old: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
+    """``experiment.metric: before -> after`` for every metric whose
+    value or unit differs between two artifact payloads, and every
+    metric only one of them has, sorted by key."""
+    def flat(payload: Dict[str, Any]) -> Dict[str, str]:
+        return {
+            f"{key}.{name}": f"{metric['value']!r} {metric['unit']}".rstrip()
+            for key, experiment in payload.get("experiments", {}).items()
+            for name, metric in experiment.get("metrics", {}).items()
+        }
+
+    before, after = flat(old), flat(new)
+    return [
+        f"{key}: {before.get(key, '(absent)')} -> {after.get(key, '(absent)')}"
+        for key in sorted(before.keys() | after.keys())
+        if before.get(key) != after.get(key)
+    ]
+
+
 @dataclass
 class BenchOutcome:
     """What one ``repro.bench`` invocation did with the artifact history."""
@@ -204,6 +226,8 @@ class BenchOutcome:
     compared_against: Optional[Path]
     deltas: List[Delta]
     unchanged: bool
+    #: :func:`moved_metrics` against the previous artifact.
+    moved: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[Delta]:
@@ -220,11 +244,11 @@ def publish(run: BenchRun, directory: Path) -> BenchOutcome:
             run=run, written=None,
             compared_against=newest, deltas=[], unchanged=True,
         )
-    deltas = [] if newest is None else compare_payloads(
-        json.loads(newest.read_text()), run.payload)
+    previous = {} if newest is None else json.loads(newest.read_text())
     target = directory / f"BENCH_{number + 1}.json"
     target.write_bytes(payload_bytes)
     return BenchOutcome(
-        run=run, written=target,
-        compared_against=newest, deltas=deltas, unchanged=False,
+        run=run, written=target, compared_against=newest,
+        deltas=compare_payloads(previous, run.payload), unchanged=False,
+        moved=moved_metrics(previous, run.payload) if previous else [],
     )

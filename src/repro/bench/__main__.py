@@ -56,6 +56,9 @@ def _report(outcome: BenchOutcome) -> str:
         lines.append(f"  {delta.line()}")
     lines.append(f"  ({steady} tracked metrics within "
                  "+/-20%, not shown)")
+    lines.append(f"moved: {len(outcome.moved)} metrics changed value or "
+                 "unit, or came or went")
+    lines.extend(f"  {line}" for line in outcome.moved)
     if outcome.regressions:
         lines.append(f"REGRESSIONS: {len(outcome.regressions)}")
     else:

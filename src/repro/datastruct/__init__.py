@@ -11,7 +11,7 @@ per traversal hop.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "bptree": ("BPlusTree", "InMemoryNodeStore", "NodeStore"),
+    "bptree": ("BPlusTree", "InMemoryNodeStore"),
     "lsm": ("LsmTree", "SsTable"),
     "extent": ("ExtentTree", "Extent"),
 })

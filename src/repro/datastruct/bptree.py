@@ -1,11 +1,12 @@
 """A B+ tree over an explicit node store.
 
-Nodes are addressed by integer ids through a :class:`NodeStore`; every
-traversal step is a ``fetch`` — in memory it is free, on a disaggregated
-store each fetch is a network round trip (paper §2.4: "pointer chasing over
-B+ trees ... results in multiple network RTTs with significant performance
-degradation"). ``search_path`` exposes the chased pointers so experiments
-can count them.
+Nodes are addressed by integer ids through an
+:class:`InMemoryNodeStore`; every traversal step is a ``fetch`` — in
+memory it is free, on a disaggregated store each fetch is a network
+round trip (paper §2.4: "pointer chasing over B+ trees ... results in
+multiple network RTTs with significant performance degradation").
+``search_path`` exposes the chased pointers so experiments can count
+them.
 """
 
 from __future__ import annotations
@@ -29,21 +30,8 @@ class BPlusNode:
     next_leaf: Optional[int] = None
 
 
-class NodeStore:
-    """Where nodes live; subclasses define fetch/store semantics."""
-
-    def allocate(self) -> int:
-        raise NotImplementedError
-
-    def fetch(self, node_id: int) -> BPlusNode:
-        raise NotImplementedError
-
-    def store(self, node: BPlusNode) -> None:
-        raise NotImplementedError
-
-
-class InMemoryNodeStore(NodeStore):
-    """Plain dict-backed store."""
+class InMemoryNodeStore:
+    """Where nodes live: a plain dict from node id to node."""
 
     def __init__(self) -> None:
         self._nodes: Dict[int, BPlusNode] = {}

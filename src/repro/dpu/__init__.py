@@ -15,7 +15,6 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "schematic": ("SchematicNode", "build_schematic", "schematic_table"),
     "hyperion": ("HyperionDpu", "BootReport"),
-    "cluster": ("FailoverKvClient", "ReplicatedDpuKvCluster"),
     "osshell": ("OsShell",),
     "tenancy": ("SlotScheduler", "TenantRequest"),
 })

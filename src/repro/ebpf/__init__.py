@@ -17,7 +17,7 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "isa": ("BPF_REG_COUNT", "Instruction", "Opcode", "Program"),
     "asm": ("assemble",),
-    "maps": ("BpfMap", "HashMap"),
+    "maps": ("HashMap",),
     "helpers": ("HELPERS",),
     "vm": ("BpfVm", "ExecutionResult"),
     "verifier": ("Verifier", "VerifierReport"),

@@ -12,15 +12,17 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.common.errors import CapacityError, ProtocolError
 
 
-class BpfMap:
-    """Common interface: fixed-size keys and values, bounded entry count."""
+class HashMap:
+    """BPF_MAP_TYPE_HASH: fixed-size keys and values, bounded entry count."""
 
-    def __init__(self, key_size: int, value_size: int, max_entries: int):
+    def __init__(self, key_size: int, value_size: int, max_entries: int = 1024):
         if key_size < 1 or value_size < 1 or max_entries < 1:
             raise ProtocolError("map dimensions must be positive")
         self.key_size = key_size
         self.value_size = value_size
         self.max_entries = max_entries
+        self._entries: Dict[bytes, bytearray] = {}
+        self.find = self._entries.get  # lookup of a key_size-byte bytes key
 
     def _check_key(self, key: bytes) -> None:
         if len(key) != self.key_size:
@@ -33,27 +35,6 @@ class BpfMap:
             raise ProtocolError(
                 f"value is {len(value)} bytes, map expects {self.value_size}"
             )
-
-    def lookup(self, key: bytes) -> Optional[bytearray]:
-        raise NotImplementedError
-
-    def update(self, key: bytes, value: bytes) -> None:
-        raise NotImplementedError
-
-    def delete(self, key: bytes) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class HashMap(BpfMap):
-    """BPF_MAP_TYPE_HASH: arbitrary fixed-size keys."""
-
-    def __init__(self, key_size: int, value_size: int, max_entries: int = 1024):
-        super().__init__(key_size, value_size, max_entries)
-        self._entries: Dict[bytes, bytearray] = {}
-        self.find = self._entries.get  # lookup of a key_size-byte bytes key
 
     def lookup(self, key: bytes) -> Optional[bytearray]:
         if len(key) != self.key_size:

@@ -86,7 +86,7 @@ from repro.ebpf.isa import (
     Instruction, LOAD_OPS, MEM_SIZE, Opcode, Program, REGION_SHIFT, STACK_REGION,
     STACK_SIZE, STORE_REG_OPS, leaders,
 )
-from repro.ebpf.maps import BpfMap
+from repro.ebpf.maps import HashMap
 from repro.ebpf.verifier import Fact, Facts, require_verified
 
 _U64 = (1 << 64) - 1
@@ -414,7 +414,7 @@ class BpfVm:
     """An execution environment bound to a verified program and its maps."""
 
     def __init__(self, program: Program,
-                 maps: Optional[Dict[int, BpfMap]] = None):
+                 maps: Optional[Dict[int, HashMap]] = None):
         self.program = program
         self.maps = maps if maps is not None else {}
         self.rng = random.Random(0)
@@ -427,7 +427,7 @@ class BpfVm:
         self.run = partial(self._compile(), self)  # verifies first
 
     # -- environment hooks ---------------------------------------------------
-    def map_by_fd(self, fd: int) -> BpfMap:
+    def map_by_fd(self, fd: int) -> HashMap:
         bpf_map = self.maps.get(fd)
         if bpf_map is None:
             raise ProtocolError(f"no map with fd {fd}")

@@ -176,7 +176,6 @@ class AutoscaleReport:
     """What E20 measured for one seed."""
 
     seed: int
-    day: float
     variants: List[VariantResult]
     #: Autoscaled DPU-seconds / static-peak DPU-seconds.
     capacity_ratio: float
@@ -280,17 +279,16 @@ def _preload(sim: Simulator, cluster: ShardedKvCluster,
     sim.run_process(loader.put_many([(key, value) for key in keys]))
 
 
-def _window_p99s(traffic: OpenLoopTraffic, origin: float,
-                 day: float) -> List[float]:
+def _window_p99s(traffic: OpenLoopTraffic, origin: float) -> List[float]:
     """p99 of served-request latency per equal slice of the day."""
     buckets: List[List[float]] = [[] for _ in range(WINDOWS)]
     for started, finished, ok, _, _, _ in traffic.outcomes:
         if not ok:
             continue
-        index = int((started - origin) / day * WINDOWS)
+        index = int((started - origin) / DAY * WINDOWS)
         if 0 <= index < WINDOWS:
             buckets[index].append(finished - started)
-    return [percentile(b, 0.99) if b else 0.0 for b in buckets]
+    return [percentile(b, 0.99) for b in buckets]
 
 
 def _run_variant(seed: int, mode: str):
@@ -378,7 +376,7 @@ def _run_variant(seed: int, mode: str):
     sim.run(until=horizon + GRACE)
 
     latencies = traffic.latencies()
-    windows = _window_p99s(traffic, origin, DAY)
+    windows = _window_p99s(traffic, origin)
     result = VariantResult(
         mode=mode,
         dpus_start=dpus,
@@ -431,7 +429,6 @@ def run_autoscale(seed: int = 20) -> AutoscaleReport:
     accepted = settled and capacity_ratio < 1.0 and p99_ratio <= P99_FACTOR
     return AutoscaleReport(
         seed=seed,
-        day=DAY,
         variants=variants,
         capacity_ratio=capacity_ratio,
         p99_ratio=p99_ratio,
@@ -445,7 +442,7 @@ def run_autoscale(seed: int = 20) -> AutoscaleReport:
 def format_autoscale(report: AutoscaleReport) -> str:
     table = Table(
         f"E20: capacity under a daily curve — three strategies, one "
-        f"arrival stream (day={report.day * 1e3:.0f}ms, "
+        f"arrival stream (day={DAY * 1e3:.0f}ms, "
         f"seed={report.seed})",
         ["strategy", "fleet", "offered", "served", "failed",
          "goodput (req/s)", "p99 (ms)", "worst win p99",
@@ -470,7 +467,7 @@ def format_autoscale(report: AutoscaleReport) -> str:
 
     windows = Table(
         f"p99 per day window ({WINDOWS} windows of "
-        f"{report.day / WINDOWS * 1e3:.0f}ms)",
+        f"{DAY / WINDOWS * 1e3:.0f}ms)",
         ["window"] + [v.mode for v in report.variants],
     )
     for index in range(WINDOWS):

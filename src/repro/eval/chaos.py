@@ -5,10 +5,10 @@ serve without a host" (§2.1) and sketches multi-DPU applications (§2.4);
 this experiment makes the recovery story measurable. A scripted
 :class:`~repro.faults.FaultPlan` kills one DPU mid-run, drops frames on the
 client's uplink, and injects an uncorrectable flash read, while a
-:class:`~repro.dpu.FailoverKvClient` keeps issuing operations against a
-K-way replicated cluster. Reported: request availability, p99 latency
-inflation versus a fault-free run, failed vs retried ops, and the
-client-observed recovery time after the kill.
+:class:`~repro.sharding.FailoverKvClient` keeps issuing operations against
+a sharded cluster, K-way replicated by the client. Reported: request
+availability, p99 latency inflation versus a fault-free run, failed vs
+retried ops, and the client-observed recovery time after the kill.
 
 Expected shape: with replication factor 2 and one DPU dead, availability
 stays >= 99% (every key keeps one live replica; the first op against the
@@ -20,10 +20,9 @@ byte-identical fault schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.common.errors import DegradedError
-from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.faults import (
     FaultInjector,
@@ -32,6 +31,7 @@ from repro.faults import (
     node_outage_controller,
 )
 from repro.hw.net import Network
+from repro.sharding import FailoverKvClient, ShardedKvCluster
 from repro.sim import Simulator
 from repro.telemetry import (
     Sampler,
@@ -52,6 +52,10 @@ SLO_RULES = (
     ("op-p99", "eval.chaos.op_latency p99 < 2ms for 0.5ms"),
     ("op-max", "eval.chaos.op_latency max < 20ms"),
 )
+
+#: When the killed DPU's outage window closes: long after the run ends,
+#: so the victim stays dead.
+STORM_END = 10.0
 
 #: Head-sampling rate for the storm run: one RPC flow in eight gets a
 #: full causal trace (and may land a latency exemplar), which is enough
@@ -170,15 +174,13 @@ def _run_storm(
         sample_rate=TRACE_SAMPLE_RATE, seed=seed, exemplars=True
     )
     network = Network(sim)
-    cluster = ReplicatedDpuKvCluster(
-        sim, network, dpu_count=dpu_count, replication=replication,
-    )
+    cluster = ShardedKvCluster(sim, network, dpu_count=dpu_count, name="kv")
     injector = FaultInjector(sim, plan)
     # Wire the storm into the substrates: NVMe controllers + flash consult
     # per-device component ids; the client uplink consults "client.uplink".
-    for device in cluster.devices:
+    for device in cluster.devices.values():
         device.controller.attach_faults(injector)
-    client = FailoverKvClient(sim, network, "chaos-client", cluster)
+    client = FailoverKvClient(sim, cluster, "chaos-client", replication)
     network.port("chaos-client").route().attach_faults(injector, "client.uplink")
 
     outcomes: List[OpOutcome] = []
@@ -193,13 +195,8 @@ def _run_storm(
         sampler,
         [SloRule.parse(text, name=name) for name, text in SLO_RULES],
     )
-    done = [False]
+    done = sim.event()
     preload_end = [0.0]
-
-    def sampling():
-        while not done[0]:
-            yield sim.timeout(sampler.period)
-            sampler.sample()
 
     def workload():
         value = b"v" * 64
@@ -229,14 +226,15 @@ def _run_storm(
                 )
             )
             op_latency.observe(sim.now - started)
-        done[0] = True
+        done.wake()
 
     # The chaos controller: NODE_DOWN windows become switch blackholes.
+    down: Set[str] = set()
     sim.process(node_outage_controller(
-        sim, injector, network.switch, cluster.addresses, cluster.down,
-        lambda: done[0],
+        sim, injector, network.switch, cluster.addresses, down,
+        lambda: done.triggered,
     ))
-    sim.process(sampling())
+    sim.process(sampler.pump(sim, done))
     sim.run_process(workload())
     # The controller is the only consulter of the victim's NODE_DOWN
     # window, so the window's log record carries the poll that killed it.
@@ -250,11 +248,12 @@ def _run_storm(
     )
 
 
-def build_storm_plan(seed: int, kill_at: float, horizon: float = 10.0,
+def build_storm_plan(seed: int, kill_at: float,
                      victim: str = "kv-dpu-1") -> FaultPlan:
     """The scripted E13 storm: a dead DPU, a lossy uplink, a bad read."""
     plan = FaultPlan(seed=seed)
-    plan.windowed("dpu-outage", victim, FaultKind.NODE_DOWN, kill_at, horizon)
+    plan.windowed("dpu-outage", victim, FaultKind.NODE_DOWN, kill_at,
+                  STORM_END)
     plan.probabilistic(
         "lossy-uplink", "client.uplink", FaultKind.FRAME_DROP,
         probability=0.005, max_fires=8,

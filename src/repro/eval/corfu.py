@@ -18,6 +18,9 @@ from repro.sim import Simulator
 from repro.storage import CorfuClient, CorfuLogUnit, CorfuSequencer
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
+#: Log units each append is chained through.
+REPLICAS = 2
+
 
 @dataclass
 class CorfuPoint:
@@ -51,14 +54,13 @@ def accept(points) -> List[str]:
     )
 
 
-def _run_point(client_count: int, appends_per_client: int,
-               replicas: int = 2) -> CorfuPoint:
+def _run_point(client_count: int, appends_per_client: int) -> CorfuPoint:
     sim = Simulator()
     net = Network(sim)
     CorfuSequencer(RpcServer(sim, UdpSocket(sim, net.endpoint("sequencer"))))
     units: List[CorfuLogUnit] = []
     unit_names = []
-    for i in range(replicas):
+    for i in range(REPLICAS):
         name = f"unit{i}"
         controller = NvmeController(sim, f"log-ssd-{i}")
         controller.add_namespace(Namespace(1, 262144))

@@ -262,8 +262,8 @@ def _keys() -> List[bytes]:
     return [f"key-{index:03d}".encode() for index in range(KEYS)]
 
 
-def _zipf_cdf(n: int, s: float = ZIPF_S) -> List[float]:
-    weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
+def _zipf_cdf(n: int) -> List[float]:
+    weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, n + 1)]
     total = sum(weights)
     cdf, acc = [], 0.0
     for weight in weights:
@@ -373,7 +373,7 @@ def _run_drill(seed: int) -> Tuple[DrillReport, bytes, bytes, bytes, bytes]:
     outcomes: List[Tuple[float, float, bool, str]] = []
     detect: List[float] = []
     rpo_box: List[Tuple[int, float]] = []
-    done = [False]
+    done = sim.event()
     loaded = [0]
 
     clients: List[GeoKvClient] = []
@@ -440,11 +440,6 @@ def _run_drill(seed: int) -> Tuple[DrillReport, bytes, bytes, bytes, bytes]:
             max(s.lag_seconds for s in shippers.values()),
         ))
 
-    def sampling():
-        while not done[0]:
-            yield sim.timeout(sampler.period)
-            sampler.sample()
-
     slice_size = (len(keys) + 7) // 8
     for offset in range(0, len(keys), slice_size):
         sim.process(load(keys[offset:offset + slice_size]))
@@ -452,11 +447,11 @@ def _run_drill(seed: int) -> Tuple[DrillReport, bytes, bytes, bytes, bytes]:
         sim.process(worker(
             client, random.Random(f"georep/{seed}/{client.name}")))
     sim.process(chaos())
-    sim.process(sampling())
+    sim.process(sampler.pump(sim, done))
     sim.run(until=T_QUIESCE)
     if loaded[0] != len(keys) or not rpo_box:
         raise RuntimeError("drill setup did not complete")
-    done[0] = True
+    done.wake()
     cluster.stop()
     sim.run()
 

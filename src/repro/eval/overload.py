@@ -283,15 +283,10 @@ def _run_point(
             ok = False
         outcomes.append((started, sim.now, ok))
 
-    done = [False]
-
-    def sampling():
-        while not done[0]:
-            yield sim.timeout(sampler.period)
-            sampler.sample()
+    done = sim.event()
 
     def aimd_loop():
-        while not done[0]:
+        while not done.triggered:
             yield sim.timeout(AIMD_PERIOD)
             admission.tick(overloaded=server.queue.saturation >= 1.0)
 
@@ -306,9 +301,9 @@ def _run_point(
             sim.process(one_call(index, _priority_for(index)))
             index += 1
         yield sim.timeout(GRACE)
-        done[0] = True
+        done.wake()
 
-    sim.process(sampling())
+    sim.process(sampler.pump(sim, done))
     if controlled:
         sim.process(aimd_loop())
     sim.run_process(arrivals())
@@ -330,8 +325,8 @@ def _run_point(
         succeeded=len(successes),
         failed=len(outcomes) - len(successes),
         goodput=len(in_deadline) / duration,
-        p50_latency=percentile(latencies, 0.50) if latencies else 0.0,
-        p99_latency=percentile(latencies, 0.99) if latencies else 0.0,
+        p50_latency=percentile(latencies, 0.50),
+        p99_latency=percentile(latencies, 0.99),
         retransmits=client.retransmits,
         server_shed=server.requests_shed,
         queue_dropped_full=server.queue.dropped_full,

@@ -23,6 +23,9 @@ from repro.hw.net import Network
 from repro.sim import Simulator
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
+#: Random-key lookups timed per point, each way.
+LOOKUPS = 20
+
 
 @dataclass
 class ChasePoint:
@@ -68,8 +71,7 @@ def accept(points) -> List[str]:
     )
 
 
-def _measure(keys: int, propagation: float, lookups: int = 20,
-             seed: int = 2) -> ChasePoint:
+def _measure(keys: int, propagation: float, seed: int = 2) -> ChasePoint:
     sim = Simulator()
     net = Network(sim, propagation=propagation)
     server = RpcServer(sim, UdpSocket(sim, net.endpoint("dpu")))
@@ -77,7 +79,7 @@ def _measure(keys: int, propagation: float, lookups: int = 20,
     service.populate(keys)
     client = RpcClient(sim, UdpSocket(sim, net.endpoint("client")))
     rng = random.Random(seed)
-    targets = [rng.randrange(keys) for _ in range(lookups)]
+    targets = [rng.randrange(keys) for _ in range(LOOKUPS)]
 
     def timed(fn, key):
         start = sim.now
@@ -100,9 +102,9 @@ def _measure(keys: int, propagation: float, lookups: int = 20,
         keys=keys,
         tree_height=service.tree.height,
         propagation=propagation,
-        client_side_latency=chase_total / lookups,
+        client_side_latency=chase_total / LOOKUPS,
         client_side_rtts=chase_rtts,
-        offload_latency=offload_total / lookups,
+        offload_latency=offload_total / LOOKUPS,
     )
 
 

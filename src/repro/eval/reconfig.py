@@ -19,6 +19,9 @@ from repro.ebpf.asm import assemble
 from repro.hw.net import Network
 from repro.sim import Simulator
 
+#: Seed of the tenant program-size spread.
+BITSTREAM_SEED = 31
+
 
 @dataclass
 class ReconfigReport:
@@ -52,9 +55,9 @@ def accept(report) -> List[str]:
     )
 
 
-def _tenant_bitstreams(count: int, seed: int = 31):
+def _tenant_bitstreams(count: int):
     """Compile a spread of program sizes -> a spread of bitstream sizes."""
-    rng = random.Random(seed)
+    rng = random.Random(BITSTREAM_SEED)
     bitstreams = []
     for i in range(count):
         ops = rng.randrange(4, 40)

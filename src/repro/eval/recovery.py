@@ -18,13 +18,15 @@ from repro.eval.report import INFO, LOWER, Metric, Table, violated
 from repro.hw.net import Network
 from repro.sim import Simulator
 
+#: Ephemeral segments allocated beside the durable ones, each point.
+EPHEMERAL_SEGMENTS = 50
+
 
 @dataclass
 class RecoveryPoint:
     """One E11 run: persisted bytes and recovery verdicts at a table size."""
 
     durable_segments: int
-    ephemeral_segments: int
     persist_bytes: int
     recovered_segments: int
     data_intact: bool
@@ -55,7 +57,7 @@ def accept(points) -> List[str]:
     )
 
 
-def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
+def _run_point(durable_count: int) -> RecoveryPoint:
     sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=262144)
     sim.run_process(dpu.boot())
@@ -67,7 +69,7 @@ def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
         dpu.store.write(oid, f"durable-{index}".encode())
         durable_oids.append(oid)
     ephemeral_oids = []
-    for index in range(ephemeral_count):
+    for index in range(EPHEMERAL_SEGMENTS):
         segment = dpu.store.allocate(64)
         dpu.store.write(segment.oid, b"ephemeral")
         ephemeral_oids.append(segment.oid)
@@ -94,7 +96,6 @@ def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
     ephemeral_gone = all(oid not in twin.store.table for oid in ephemeral_oids)
     return RecoveryPoint(
         durable_segments=durable_count,
-        ephemeral_segments=ephemeral_count,
         persist_bytes=persist_bytes,
         recovered_segments=report.recovered_segments,
         data_intact=data_intact,
@@ -115,7 +116,7 @@ def format_recovery(points: List[RecoveryPoint]) -> str:
     )
     for p in points:
         table.add_row(
-            p.durable_segments, p.ephemeral_segments, p.persist_bytes,
+            p.durable_segments, EPHEMERAL_SEGMENTS, p.persist_bytes,
             p.recovered_segments, p.data_intact, p.ephemeral_gone,
         )
     return table.render()

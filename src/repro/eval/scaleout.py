@@ -131,7 +131,6 @@ class ScalePoint:
 class ScaleoutEvent:
     """The mid-run scale-out measurement."""
 
-    dpus_before: int
     dpus_after: int
     ops: int
     failures: int
@@ -154,7 +153,7 @@ class ScaleoutEvent:
     def line(self) -> str:
         """Canonical one-line form (same seed => same bytes)."""
         return (
-            f"event dpus={self.dpus_before}->{self.dpus_after} "
+            f"event dpus={EVENT_DPUS}->{self.dpus_after} "
             f"ops={self.ops} failures={self.failures} "
             f"keys_moved={self.keys_moved} segments={self.segments} "
             f"epoch={self.epoch} duration={self.migration_duration!r} "
@@ -170,7 +169,6 @@ class ScaleoutReport:
     """What E16 measured for one seed."""
 
     seed: int
-    duration: float
     points: List[ScalePoint]
     event: ScaleoutEvent
     #: optimized goodput at 8 DPUs / optimized goodput at 1 DPU — the
@@ -234,7 +232,7 @@ def accept(report) -> List[str]:
         (top.cache_hit_rate > 0.0, "the hot-key cache serves reads"),
         (all(p.failures == 0 for p in report.points),
          "no client op fails anywhere in the sweep"),
-        (event.dpus_after == event.dpus_before + 1
+        (event.dpus_after == EVENT_DPUS + 1
          and event.keys_moved > 0 and event.epoch > 1,
          "the live scale-out added a DPU and moved keys to it"),
         (event.failures == 0 and event.ops > 0,
@@ -347,8 +345,8 @@ def _run_point(seed: int, dpus: int, optimized: bool) -> ScalePoint:
         ops=served,
         failures=failures,
         goodput=served / DURATION,
-        p50_latency=percentile(latencies, 0.50) if latencies else 0.0,
-        p99_latency=percentile(latencies, 0.99) if latencies else 0.0,
+        p50_latency=percentile(latencies, 0.50),
+        p99_latency=percentile(latencies, 0.99),
         round_trips=sum(c.round_trips for c in clients),
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         entries=sim._eid - first_entry,
@@ -402,9 +400,9 @@ def _run_event(seed: int) -> Tuple[ScaleoutEvent, Simulator]:
     during = sorted(f - s for s, f, ok, __ in measured
                     if ok and f > mig_start and s < mig_end)
     after = sorted(f - s for s, f, ok, __ in measured if ok and s >= mig_end)
-    p99_before = percentile(before, 0.99) if before else 0.0
-    p99_during = percentile(during, 0.99) if during else 0.0
-    p99_after = percentile(after, 0.99) if after else 0.0
+    p99_before = percentile(before, 0.99)
+    p99_during = percentile(during, 0.99)
+    p99_after = percentile(after, 0.99)
 
     # Iterative walk: concurrent client spans clock-nest under the long
     # migration span, so the tree is far deeper than the recursion limit.
@@ -419,7 +417,6 @@ def _run_event(seed: int) -> Tuple[ScaleoutEvent, Simulator]:
             handoff_spans += 1
 
     event = ScaleoutEvent(
-        dpus_before=EVENT_DPUS,
         dpus_after=len(cluster.ring),
         ops=sum(n for __, __, ok, n in measured if ok),
         failures=failures,
@@ -467,7 +464,6 @@ def run_scaleout(
     event, sim = _run_event(seed)
     return ScaleoutReport(
         seed=seed,
-        duration=DURATION,
         points=points,
         event=event,
         speedup_8dpu=opt_top / base if base else 0.0,
@@ -503,7 +499,7 @@ def format_scaleout(report: ScaleoutReport) -> str:
     )
     event = report.event
     rendered += (
-        f"\n\nlive scale-out ({event.dpus_before}->{event.dpus_after} DPUs "
+        f"\n\nlive scale-out ({EVENT_DPUS}->{event.dpus_after} DPUs "
         f"at t={event.migration_start * 1e3:.0f}ms): "
         f"{event.keys_moved} keys in {event.segments} segments over "
         f"{event.migration_duration * 1e3:.2f}ms, epoch -> {event.epoch}"

@@ -41,9 +41,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
+from repro.eval.georep import PRIMARY, REGIONS, WAN
 from repro.eval.report import HIGHER, INFO, LOWER, Metric, Table, digest, violated
 from repro.faults import FaultInjector, FaultPlan, node_outage_controller
-from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
+from repro.georep import Consistency, GeoCluster, GeoKvClient
 from repro.hw.net import Network
 from repro.sharding import ShardedKvClient, ShardedKvCluster, ShardMigrator
 from repro.sim import Simulator
@@ -89,17 +90,7 @@ SHARD_RETRIES = 0
 MIGRATION_TIMEOUT = 2e-3
 MIGRATION_RETRIES = 64
 
-#: Geo-stack scenario (mirrors E17's WAN shape).
-REGIONS = ("r1", "r2", "r3")
-PRIMARY = "r1"
-WAN = (
-    WanSpec("r1", "r2", propagation=3.0e-3),
-    WanSpec("r2", "r1", propagation=4.0e-3),
-    WanSpec("r1", "r3", propagation=5.0e-3),
-    WanSpec("r3", "r1", propagation=5.5e-3),
-    WanSpec("r2", "r3", propagation=4.0e-3),
-    WanSpec("r3", "r2", propagation=4.5e-3),
-)
+#: Geo-stack scenario (E17's ``REGIONS``, ``PRIMARY`` and ``WAN``).
 GEO_KEYS = 8
 GEO_T_START = 0.02
 GEO_T_END = 0.30

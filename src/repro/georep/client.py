@@ -1,6 +1,6 @@
 """A region-aware KV client: failover, write replay, bounded-stale reads.
 
-The geo analogue of :class:`~repro.dpu.cluster.FailoverKvClient`, one
+The geo analogue of :class:`~repro.sharding.failover.FailoverKvClient`, one
 level up: instead of replicas inside a rack it walks *regions*, each
 guarded by its own :class:`~repro.overload.CircuitBreaker`. The client
 is **sticky** — after failing over it keeps sending to the surviving
@@ -68,6 +68,11 @@ class GeoKvClient(KvClientCore):
             landed) unless no region's circuit let a request out;
             follower reads record their served staleness.
     """
+
+    #: The gateways' ``geo.*`` surface; its requests carry 48 header bytes.
+    PUT = "geo.put"
+    DELETE = "geo.delete"
+    HEADER = 48
 
     def __init__(
         self,
@@ -181,20 +186,10 @@ class GeoKvClient(KvClientCore):
         )
 
     # -- the KV surface -------------------------------------------------------
-    def put(self, key: bytes, value: bytes):
-        """Process: write via the current region; returns (stamp, region)."""
-        key, value = bytes(key), bytes(value)
-        return self._write("w", "geo.put", key, value,
-                           48 + len(key) + len(value))
-
-    def delete(self, key: bytes):
-        """Process: delete via the current region; returns (stamp, region)."""
-        key = bytes(key)
-        return self._write("d", "geo.delete", key, None, 48 + len(key))
-
     def _write(self, action: str, method: str, key: bytes,
                value: Optional[bytes], request_size: int):
-        """Process: the one write path; returns ``(stamp, region)``."""
+        """Process: the one write path, via the current region; returns
+        ``(stamp, region)``."""
         pending = self.history.invoke(self.name, action, key, value)
         region, stamp = yield from self._walk(
             pending, method, key, value, request_size, 24, write=True,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.ebpf.isa import Program
-from repro.ebpf.maps import BpfMap
+from repro.ebpf.maps import HashMap
 from repro.ebpf.vm import BpfVm
 from repro.hw.fpga.bitstream import Bitstream
 from repro.ebpf.verifier import require_verified
@@ -105,7 +105,7 @@ class HardwarePipeline:
         self,
         sim: Simulator,
         compiled: CompiledPipeline,
-        maps: Optional[Dict[int, BpfMap]] = None,
+        maps: Optional[Dict[int, HashMap]] = None,
     ):
         self.sim = sim
         self._vm = BpfVm(compiled.program, maps=maps)

@@ -13,7 +13,10 @@ the client/coordination machinery that makes that scaling real:
 * :class:`HotKeyCache` — a client-side lease/epoch cache that stays
   coherent across migrations;
 * :class:`ShardedKvClient` — ring routing + the cache + batched RPC
-  (:meth:`repro.transport.RpcClient.call_batch`) in one client.
+  (:meth:`repro.transport.RpcClient.call_batch`) in one client;
+* :class:`FailoverKvClient` — chain replication as a client policy:
+  each key on its K ring successors, health-ordered reads, a circuit
+  breaker per replica (E13's storm client).
 
 E16 (:mod:`repro.eval.scaleout`, ``make exp E=e16``) measures the result:
 aggregate throughput vs DPU count with and without batching+caching, and
@@ -26,6 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cache": ("CacheEntry", "HotKeyCache"),
     "cluster": ("ShardedKvCluster", "ShardForwarder"),
     "client": ("ShardedKvClient",),
+    "failover": ("FailoverKvClient",),
     "migration": ("MigrationReport", "ShardMigrator"),
     "ring": ("DEFAULT_VNODES", "HashRing"),
 })

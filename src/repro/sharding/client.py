@@ -130,20 +130,10 @@ class ShardedKvClient(KvClientCore):
         pending.ok(value)
         return value
 
-    def put(self, key: bytes, value: bytes):
-        """Process: write one key to its owner; invalidates the cache."""
-        key, value = bytes(key), bytes(value)
-        return self._write("w", "kv.put", key, value,
-                           KV_HEADER + len(key) + len(value))
-
-    def delete(self, key: bytes):
-        """Process: delete one key at its owner; invalidates the cache."""
-        key = bytes(key)
-        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key))
-
     def _write(self, action: str, method: str, key: bytes,
                value: Optional[bytes], request_size: int):
-        """Process: the one write path — a put, or a delete (no value)."""
+        """Process: the one write path — a put, or a delete (no value) —
+        at the key's owner; invalidates the cache."""
         owner = self.cluster.owner_of(key)
         pending = self.history.invoke(self.name, action, key, value)
         try:

@@ -32,25 +32,7 @@ from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, KvSsd
 from repro.telemetry.tracing import NULL_SPAN
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
-__all__ = ["ShardedKvCluster", "ShardForwarder", "build_kv_dpu"]
-
-
-def build_kv_dpu(sim: Simulator, network: Network, address: str,
-                 ssd_blocks: int, **server_options):
-    """Stand up one KV-SSD DPU at *address*: flash controller, namespace,
-    :class:`~repro.storage.kvssd.KvSsd` and its :class:`RpcServer`.
-
-    Returns ``(device, server)`` with no ``kv.*`` handlers registered:
-    the caller decides what fronts the device (a :class:`ShardForwarder`
-    here, a plain ``KvSsdService`` in :mod:`repro.dpu.cluster`).
-    """
-    controller = NvmeController(sim, f"{address}-flash")
-    controller.add_namespace(Namespace(1, ssd_blocks))
-    device = KvSsd(sim, controller, memtable_limit=100_000)
-    server = RpcServer(
-        sim, UdpSocket(sim, network.endpoint(address)), **server_options
-    )
-    return device, server
+__all__ = ["ShardedKvCluster", "ShardForwarder"]
 
 
 class _KeyLocks:
@@ -348,8 +330,11 @@ class ShardedKvCluster:
         onto it and commits the new topology.
         """
         address = f"{self.name}-dpu-{len(self.addresses)}"
-        device, server = build_kv_dpu(
-            self.sim, self.network, address, self.ssd_blocks,
+        controller = NvmeController(self.sim, f"{address}-flash")
+        controller.add_namespace(Namespace(1, self.ssd_blocks))
+        device = KvSsd(self.sim, controller, memtable_limit=100_000)
+        server = RpcServer(
+            self.sim, UdpSocket(self.sim, self.network.endpoint(address)),
             queue_capacity=self.queue_capacity, workers=self.workers,
             queue_policy=self.queue_policy,
             codel_target=self.codel_target,

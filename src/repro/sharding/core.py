@@ -2,9 +2,10 @@
 
 Client-driven routing with no coordinator in the data path is one
 mechanism whatever the placement: :class:`KvClientCore` owns the egress
-endpoint, the wire options, the ``history`` hook and the ordered,
-breaker-guarded candidate walk. The clients on it keep only placement,
-replication and read policy.
+endpoint, the wire options, the ``history`` hook, the ordered,
+breaker-guarded candidate walk and the ``put``/``delete`` surface. The
+clients on it keep only placement, replication and read policy: each
+writes through its own ``_write``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.overload.breaker import CircuitBreaker
+from repro.storage.kvssd import KV_HEADER
 from repro.transport import RetryBudget, RetryPolicy, RpcClient, RpcError, UdpSocket
 from repro.verify.history import NULL_HISTORY
 
@@ -19,12 +21,18 @@ __all__ = ["KvClientCore"]
 
 
 class KvClientCore:
-    """Endpoint, wire options, breakers, history and candidate walk.
+    """Endpoint, wire options, breakers, history, candidate walk, writes.
 
     ``timeout`` / ``retries`` / ``deadline`` / ``policy`` ride on every
     :meth:`_call`; an op that raised resolves its ``history`` token by
     :meth:`~repro.verify.PendingOp.raised`.
     """
+
+    #: The write verbs and the request header a key (and value) ride
+    #: under; a client of another RPC surface overrides them.
+    PUT = "kv.put"
+    DELETE = "kv.delete"
+    HEADER = KV_HEADER
 
     def __init__(self, sim, port, name: str, *, timeout: Optional[float] = None,
                  retries: int = 0, deadline: Optional[float] = None,
@@ -103,3 +111,15 @@ class KvClientCore:
             breaker.record_success()
             return candidate, result, attempts
         return None, error, attempts
+
+    # -- the write surface ----------------------------------------------------
+    def put(self, key: bytes, value: bytes):
+        """Process: write *key*; returns what the client's ``_write`` does."""
+        key, value = bytes(key), bytes(value)
+        return self._write("w", self.PUT, key, value,
+                           self.HEADER + len(key) + len(value))
+
+    def delete(self, key: bytes):
+        """Process: delete *key* through the same ``_write`` as :meth:`put`."""
+        key = bytes(key)
+        return self._write("d", self.DELETE, key, None, self.HEADER + len(key))

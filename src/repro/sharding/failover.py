@@ -1,27 +1,24 @@
-"""A replicated KV cluster with client-driven failover (paper §2.4, §4).
+"""Chain replication as a client policy over the KV cluster (§2.4, §4).
 
-The paper's C1/C2 workload split and discussion question 3: how to build
-applications "executed over multiple DPUs"? Following the cited MICA
-pattern, routing is *client-driven*: clients hash keys to the owning DPU
-and talk to it directly — shared-nothing, run-to-completion, with no
-coordinator in the data path. The plain (unreplicated, elastic) form of
-that pattern is :mod:`repro.sharding`; this module is the chain-replicated
-form E13 storms: K replicas per key, health-ordered reads, and a circuit
-breaker per replica.
+The paper's discussion question 3 asks how to build applications
+"executed over multiple DPUs". Following the cited MICA pattern, routing
+is client-driven, with no coordinator in the data path:
+:class:`FailoverKvClient` sends each key to the K DPUs of its replica
+chain on a :class:`~repro.sharding.ShardedKvCluster`. E13 storms it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, DegradedError
-from repro.sharding.cluster import build_kv_dpu
+from repro.sharding.cluster import ShardedKvCluster
 from repro.sharding.core import KvClientCore
-from repro.sharding.ring import HashRing
-from repro.hw.net import Network
 from repro.sim import Simulator
-from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE, KvSsd, KvSsdService
+from repro.storage.kvssd import KV_ACK, KV_HEADER, KV_VALUE
 from repro.transport import RetryPolicy
+
+__all__ = ["FailoverKvClient"]
 
 #: Per-call wire timing (exponential backoff from ``CALL_TIMEOUT``), and
 #: the failed calls that open a replica's circuit and for how long.
@@ -32,64 +29,21 @@ CALL_POLICY = RetryPolicy(base=CALL_TIMEOUT, multiplier=2.0,
                           max_interval=CALL_TIMEOUT * 8, jitter=0.1)
 BREAKER_FAILURES = 3
 BREAKER_RESET = CALL_TIMEOUT * 20
-#: Blocks on each replica's SSD namespace.
-SSD_BLOCKS = 16384
-
-
-class ReplicatedDpuKvCluster:
-    """K-way replicated KV cluster that survives dead or degraded DPUs.
-
-    N standalone KV-SSD DPUs (``kv-dpu-0`` .. ``kv-dpu-N-1``) placed on a
-    consistent-hash ring. Each key's replica chain is the K DPUs starting
-    at its hash owner (consecutive on the ring). Writes walk the chain
-    head-to-tail; reads are served by any live replica — a client-driven
-    approximation of chain replication that keeps the DPUs dumb and
-    shared-nothing. :meth:`kill` models an abrupt DPU death (its traffic
-    blackholes at the switch) so failover paths can be exercised
-    deterministically.
-    """
-
-    def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
-                 replication: int = 2):
-        if dpu_count < 1:
-            raise ConfigurationError("need at least one DPU")
-        if not 1 <= replication <= dpu_count:
-            raise ConfigurationError(
-                f"replication factor {replication} needs "
-                f"1..{dpu_count} replicas"
-            )
-        self.replication = replication
-        self.addresses: List[str] = []
-        self.devices: List[KvSsd] = []
-        self.ring = HashRing()
-        self.down: Set[str] = set()
-        for index in range(dpu_count):
-            address = f"kv-dpu-{index}"
-            device, server = build_kv_dpu(sim, network, address, SSD_BLOCKS)
-            KvSsdService(server, device)
-            self.addresses.append(address)
-            self.devices.append(device)
-            self.ring.add_node(address)
-
-    def replicas_of(self, key: bytes) -> List[str]:
-        """The key's replica chain, head (ring owner) first.
-
-        Replicas are the next distinct DPUs clockwise on the hash ring,
-        so they are always on distinct physical devices.
-        """
-        return self.ring.replicas_of(key, self.replication)
 
 
 class FailoverKvClient(KvClientCore):
-    """Client-driven failover over a :class:`ReplicatedDpuKvCluster`.
+    """Client-driven failover over a :class:`ShardedKvCluster`.
 
     Chain replication as a policy on the shared
-    :class:`~repro.sharding.core.KvClientCore`: the client owns the
-    partition map *and* the health map. Replicas that time out are marked
-    down and demoted in the read preference order; any answer marks them
-    up again. Every RPC carries a timeout, bounded retries with
-    exponential backoff + jitter, and an overall deadline, so a dead DPU
-    costs a few retransmit intervals — never a hung simulation.
+    :class:`~repro.sharding.core.KvClientCore`: a key's replica chain is
+    the *replication* distinct DPUs clockwise from it on the cluster's
+    ring, head (the ring owner) first. Writes walk the chain
+    head-to-tail; any live replica serves a read, so the DPUs stay dumb
+    and shared-nothing. Replicas that time out are marked down in the
+    client's health map and demoted in read order; any answer marks
+    them up again. Every RPC carries a timeout, bounded retries with
+    backoff + jitter, and a deadline: a dead DPU costs a few retransmit
+    intervals, never a hung simulation.
 
     Each replica is additionally guarded by a
     :class:`~repro.overload.CircuitBreaker`: after a few consecutive
@@ -98,21 +52,21 @@ class FailoverKvClient(KvClientCore):
     of burning the per-call deadline re-timing-out against a corpse.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        name: str,
-        cluster: ReplicatedDpuKvCluster,
-    ):
+    def __init__(self, sim: Simulator, cluster: ShardedKvCluster, name: str,
+                 replication: int):
+        members = cluster.members()
+        if not 1 <= replication <= len(members):
+            raise ConfigurationError(
+                f"replication factor {replication} needs "
+                f"1..{len(members)} replicas"
+            )
         super().__init__(
-            sim, network.endpoint(name), name, timeout=CALL_TIMEOUT,
+            sim, cluster.network.endpoint(name), name, timeout=CALL_TIMEOUT,
             retries=CALL_RETRIES, deadline=CALL_DEADLINE, policy=CALL_POLICY,
         )
         self.cluster = cluster
-        self.health: Dict[str, bool] = {
-            address: True for address in cluster.addresses
-        }
+        self.replication = replication
+        self.health: Dict[str, bool] = {address: True for address in members}
         scope = sim.telemetry.unique_scope(f"dpu.failover.{name}")
         self._reads = scope.counter("reads")
         self._writes = scope.counter("writes")
@@ -122,7 +76,7 @@ class FailoverKvClient(KvClientCore):
         # Individual replica RPCs that timed out or errored.
         self._replica_failures = scope.counter("replica_failures")
         self._marked_down = scope.gauge("marked_down")
-        self._guard(scope, {a: a for a in cluster.addresses}, BREAKER_FAILURES,
+        self._guard(scope, {a: a for a in members}, BREAKER_FAILURES,
                     BREAKER_RESET)
 
     # -- read-through counters -------------------------------------------------
@@ -158,25 +112,15 @@ class FailoverKvClient(KvClientCore):
         self._replica_failures.inc()
 
     # -- the KV surface ------------------------------------------------------
-    def put(self, key: bytes, value: bytes):
-        """Process: write the replica chain head-to-tail; one ack suffices
-        for availability (skipped replicas are marked down for repair)."""
-        key, value = bytes(key), bytes(value)
-        return self._write("w", "kv.put", key, value,
-                           KV_HEADER + len(key) + len(value))
-
-    def delete(self, key: bytes):
-        """Process: chain-wide delete (the same walk as put)."""
-        key = bytes(key)
-        return self._write("d", "kv.delete", key, None, KV_HEADER + len(key))
-
     def _write(self, action: str, method: str, key: bytes,
                value: Optional[bytes], request_size: int):
         """Process: the one write path — every replica of the chain, in
         order, as successive first answers: each ack marks its replica up
-        and the walk resumes after it. Returns the ack count."""
+        and the walk resumes after it. One ack suffices for availability
+        (skipped replicas are marked down for repair). Returns the ack
+        count."""
         pending = self.history.invoke(self.name, action, key, value)
-        chain = self.cluster.replicas_of(key)
+        chain = self.cluster.ring.replicas_of(key, self.replication)
         replicas = iter(chain)
         acked = sent = 0
         while True:
@@ -208,7 +152,7 @@ class FailoverKvClient(KvClientCore):
         the chain when the preferred one is dead."""
         key = bytes(key)
         pending = self.history.invoke(self.name, "r", key)
-        chain = self.cluster.replicas_of(key)
+        chain = self.cluster.ring.replicas_of(key, self.replication)
         # The replica chain, healthy members first (stable order).
         ordered = ([a for a in chain if self.health[a]]
                    + [a for a in chain if not self.health[a]])

@@ -121,7 +121,8 @@ def _uses_of(path: pathlib.Path, name: str) -> int:
 
 
 #: The modules holding the three KV clients.
-CLIENT_MODULES = ["dpu/cluster.py", "sharding/client.py", "georep/client.py"]
+CLIENT_MODULES = ["sharding/failover.py", "sharding/client.py",
+                  "georep/client.py"]
 
 
 #: The circuit breaker's allow/record protocol.
@@ -151,11 +152,11 @@ def test_kv_clients_stand_on_one_core():
     candidate walk speaks the breaker protocol, none builds its own
     ``RpcClient``, and their constructor knobs are pinned so a deleted
     one cannot come back."""
-    from repro.dpu.cluster import FailoverKvClient
     from repro.georep.client import GeoKvClient
     from repro.georep.region import LogShipper
     from repro.sharding.client import ShardedKvClient
     from repro.sharding.core import KvClientCore
+    from repro.sharding.failover import FailoverKvClient
 
     for client in (ShardedKvClient, FailoverKvClient, GeoKvClient):
         assert issubclass(client, KvClientCore), client
@@ -174,7 +175,7 @@ def test_kv_clients_stand_on_one_core():
     assert knobs == {
         "ShardedKvClient": ["sim", "cluster", "name", "cache", "batch_limit",
                             "timeout", "retries", "deadline", "history"],
-        "FailoverKvClient": ["sim", "network", "name", "cluster"],
+        "FailoverKvClient": ["sim", "cluster", "name", "replication"],
         "GeoKvClient": ["sim", "cluster", "name", "home", "preference",
                         "timeout", "retries", "rounds", "stale_bound",
                         "brownout", "retry_budget", "history"],
@@ -341,15 +342,17 @@ def test_a_method_is_kept_by_its_receivers_class_not_its_name(tmp_path):
 #: component id), or a seam tests use to inject an RNG, a clock or a
 #: CLI's arguments. At most 12, each with the reason it stays.
 UNSET_ALLOWED = {
+    "repro.eval.verify.smoke(argv)":
+        "CLI seam: argparse reads sys.argv unless a caller passes a list",
     "repro.workload.__main__.main(argv)":
         "CLI seam: tests run the preview with explicit arguments",
 }
 
 
 def test_every_option_is_passed_by_something_that_runs(reach):
-    """Every defaulted parameter of a live def outside ``repro.eval`` is
-    passed by a live call (``tools/reachability.py``), bar the allowed
-    seams: an option only tests set keeps alive a branch nothing runs."""
+    """Every defaulted parameter of a live def is passed by a live call
+    (``tools/reachability.py``), bar the allowed seams: an option only
+    tests set keeps alive a branch nothing runs."""
     assert len(UNSET_ALLOWED) <= 12
     assert reach.unset_options() == sorted(UNSET_ALLOWED)
 
@@ -458,7 +461,6 @@ ONE_VALUE_ALLOWED = {
     "repro.apps.graph.CsrGraph.__init__(vertex_count)=300": "geometry",
     "repro.apps.graph.random_graph(vertex_count)=300": "geometry",
     "repro.datastruct.bptree.BPlusTree.__init__(order)=4": "geometry",
-    "repro.dpu.cluster.FailoverKvClient.__init__(name)='chaos-client'": "name",
     "repro.ebpf.maps.HashMap.__init__(key_size)=8": "geometry",
     "repro.ebpf.maps.HashMap.__init__(max_entries)=65536": "geometry",
     "repro.ebpf.maps.HashMap.__init__(value_size)=8": "geometry",
@@ -476,6 +478,8 @@ ONE_VALUE_ALLOWED = {
     "repro.sharding.cache.HotKeyCache.__init__(capacity)=32": "perfbench",
     "repro.sharding.cache.HotKeyCache.__init__(lease)=0.001": "perfbench",
     "repro.sharding.cluster.ShardedKvCluster.__init__(workers)=2": "perfbench",
+    "repro.sharding.failover.FailoverKvClient.__init__(name)='chaos-client'":
+        "name",
     "repro.storage.corfu.CorfuClient.__init__(sequencer_address)='sequencer'":
         "name",
     "repro.telemetry.timeseries.Sampler.watch_prefix(prefix)="
@@ -499,8 +503,8 @@ ONE_VALUE_ALLOWED = {
 
 
 def test_every_setting_varies_or_is_allowed(reach):
-    """Every parameter of a live def outside ``repro.eval``, and every
-    field of a live dataclass, that every live call sets to one literal
+    """Every parameter of a live def, and every field of a live
+    dataclass, that every live call sets to one literal
     or module constant is on the allowlist (``tools/reachability.py``):
     anything else is a constant in all but name, and its other values
     select branches nothing runs."""

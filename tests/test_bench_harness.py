@@ -10,10 +10,11 @@ from repro.bench import (
     Delta,
     compare_payloads,
     discover_artifacts,
+    moved_metrics,
     publish,
     run_suite,
 )
-from repro.bench.__main__ import main
+from repro.bench.__main__ import _report, main
 from repro.eval.registry import EXPERIMENTS, Experiment, SelectionError, select
 from repro.eval.report import LOWER, Metric, violated
 
@@ -155,6 +156,35 @@ class TestArtifactHistory:
         latency = next(d for d in outcome.deltas if d.metric == "latency")
         assert latency.improved and not latency.regressed
 
+
+    def test_every_moved_key_is_named_and_none_is_a_regression(
+            self, tmp_path):
+        """A digest held in its unit, a 5% move, an added and a removed
+        metric are all listed as moved; an unmoved one is not, the gate
+        sees no regression, and the report prints each line."""
+        old = _payload(latency=(1.0, "lower"), steady=(2.0, "higher"),
+                       gone=(3.0, "info"))
+        old["experiments"]["ex"]["metrics"]["digest"] = {
+            "value": 0.0, "better": "info", "unit": "aaaa"}
+        publish(BenchRun(seed=None, payload=old), tmp_path)
+        new = _payload(latency=(1.05, "lower"), steady=(2.0, "higher"),
+                       added=(4.0, "info"))
+        new["experiments"]["ex"]["metrics"]["digest"] = {
+            "value": 0.0, "better": "info", "unit": "bbbb"}
+        outcome = publish(BenchRun(seed=None, payload=new), tmp_path)
+        assert outcome.moved == moved_metrics(old, new) == [
+            "ex.added: (absent) -> 4.0",
+            "ex.digest: 0.0 aaaa -> 0.0 bbbb",
+            "ex.gone: 3.0 -> (absent)",
+            "ex.latency: 1.0 -> 1.05",
+        ]
+        assert outcome.regressions == []
+        report = _report(outcome)
+        assert "moved: 4 metrics changed value or unit, or came or went" in (
+            report)
+        for line in outcome.moved:
+            assert f"  {line}" in report
+        assert "no regressions" in report
 
     def test_alternate_seed_run_publishes_nothing(
             self, tmp_path, monkeypatch, capsys):

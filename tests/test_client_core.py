@@ -9,10 +9,9 @@ not an attempt.
 import pytest
 
 from repro.common.errors import DegradedError
-from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.georep import GeoCluster, GeoKvClient
 from repro.hw.net import Network
-from repro.sharding import ShardedKvClient, ShardedKvCluster
+from repro.sharding import FailoverKvClient, ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
 from repro.transport import RpcError
 from repro.verify import HistoryRecorder, OpStatus
@@ -66,15 +65,14 @@ class _Failover(_Stack):
     def __init__(self):
         self.sim = Simulator()
         self.history = HistoryRecorder(self.sim)
-        network = Network(self.sim)
-        self.switch = network.switch
-        self.cluster = ReplicatedDpuKvCluster(self.sim, network, dpu_count=3,
-                                              replication=2)
-        self.client = FailoverKvClient(self.sim, network, "c", self.cluster)
+        self.cluster = ShardedKvCluster(self.sim, Network(self.sim),
+                                        dpu_count=3, name="kv")
+        self.switch = self.cluster.network.switch
+        self.client = FailoverKvClient(self.sim, self.cluster, "c", 2)
         self.client.history = self.history
 
     def candidates(self, key):
-        return self.cluster.replicas_of(key)
+        return self.cluster.ring.replicas_of(key, 2)
 
     def attempts_spent(self) -> int:
         return self.client.replica_failures

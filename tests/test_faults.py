@@ -10,7 +10,6 @@ import math
 import pytest
 
 from repro.common.errors import ConfigurationError, DegradedError
-from repro.dpu import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -20,6 +19,7 @@ from repro.faults import (
 from repro.hw.net import Frame, Link, Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.memory import NvmeBackend
+from repro.sharding import FailoverKvClient, ShardedKvCluster
 from repro.sim import Simulator
 
 from tests.capture import arrivals
@@ -299,10 +299,8 @@ class TestClusterFailover:
         reads keep succeeding via client-driven failover."""
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
-        client = FailoverKvClient(sim, network, "client", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
+        client = FailoverKvClient(sim, cluster, "client", 2)
         keys = [f"k{i}".encode() for i in range(12)]
 
         def scenario():
@@ -327,10 +325,8 @@ class TestClusterFailover:
         back down, so a revived DPU was reported down forever."""
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
-        client = FailoverKvClient(sim, network, "client", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
+        client = FailoverKvClient(sim, cluster, "client", 2)
         gauge = sim.telemetry.gauge("dpu.failover.client.marked_down")
         keys = [f"k{i}".encode() for i in range(12)]
 
@@ -357,13 +353,11 @@ class TestClusterFailover:
         demoted in read order."""
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
-        client = FailoverKvClient(sim, network, "client", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
+        client = FailoverKvClient(sim, cluster, "client", 2)
         key = next(
             k for k in (f"k{i}".encode() for i in range(256))
-            if cluster.replicas_of(k)[0] == "kv-dpu-1"
+            if cluster.ring.replicas_of(k, 2)[0] == "kv-dpu-1"
         )
 
         def scenario():
@@ -385,13 +379,11 @@ class TestClusterFailover:
         and must not count the op as lost."""
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
-        client = FailoverKvClient(sim, network, "client", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
+        client = FailoverKvClient(sim, cluster, "client", 2)
         key = next(
             k for k in (f"k{i}".encode() for i in range(256))
-            if cluster.replicas_of(k)[0] == "kv-dpu-0"
+            if cluster.ring.replicas_of(k, 2)[0] == "kv-dpu-0"
         )
         plan = FaultPlan()
         plan.windowed("uplink-down", "net.link.kv-dpu-0.up",
@@ -412,7 +404,7 @@ class TestClusterFailover:
         assert "kv-dpu-0" in client.marked_down
         # The request direction was never cut: the head replica applied
         # the write even though the client never saw its ack.
-        head_value = sim.run_process(cluster.devices[0].get(key))
+        head_value = sim.run_process(cluster.devices["kv-dpu-0"].get(key))
         assert head_value == b"payload"
 
         # Once the direction heals, the head acks again and is marked up.
@@ -426,10 +418,8 @@ class TestClusterFailover:
 
     def test_replica_chain_is_consecutive(self):
         sim = Simulator()
-        cluster = ReplicatedDpuKvCluster(
-            sim, Network(sim), dpu_count=4, replication=3
-        )
-        chain = cluster.replicas_of(b"some-key")
+        cluster = ShardedKvCluster(sim, Network(sim), dpu_count=4, name="kv")
+        chain = cluster.ring.replicas_of(b"some-key", 3)
         assert len(chain) == 3
         assert len(set(chain)) == 3
         start = cluster.addresses.index(chain[0])
@@ -437,3 +427,12 @@ class TestClusterFailover:
             cluster.addresses[(start + i) % 4] for i in range(3)
         ]
         assert chain == expected
+
+    @pytest.mark.parametrize("replication", [0, 4])
+    def test_replication_must_fit_the_members(self, replication):
+        """A chain of no replicas, or of more replicas than the cluster
+        has members, is refused when the client is built."""
+        sim = Simulator()
+        cluster = ShardedKvCluster(sim, Network(sim), dpu_count=3, name="kv")
+        with pytest.raises(ConfigurationError, match="replication factor"):
+            FailoverKvClient(sim, cluster, "client", replication)

@@ -5,11 +5,6 @@ and the failover client."""
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.dpu.cluster import (
-    BREAKER_RESET,
-    FailoverKvClient,
-    ReplicatedDpuKvCluster,
-)
 from repro.eval.overload import run_overload
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.net import Network
@@ -26,6 +21,8 @@ from repro.overload import (
     QueuePolicy,
     TokenBucket,
 )
+from repro.sharding import FailoverKvClient, ShardedKvCluster
+from repro.sharding.failover import BREAKER_RESET
 from repro.sim import Simulator
 from repro.telemetry import (
     Sampler,
@@ -589,17 +586,15 @@ class TestFailoverBreaker:
         stop paying the per-call timeout chain and fail over instantly."""
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
         plan = FaultPlan(seed=5)
         plan.windowed("head-outage", "kv-dpu-0", FaultKind.NODE_DOWN, 0.0, 1.0)
         injector = FaultInjector(sim, plan)
-        client = FailoverKvClient(sim, network, "ov-client", cluster)
+        client = FailoverKvClient(sim, cluster, "ov-client", 2)
         dead = "kv-dpu-0"
         key = next(
             f"k{i}".encode() for i in range(64)
-            if cluster.replicas_of(f"k{i}".encode())[0] == dead
+            if cluster.ring.replicas_of(f"k{i}".encode(), 2)[0] == dead
         )
 
         def scenario():

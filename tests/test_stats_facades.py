@@ -11,12 +11,11 @@ test ids stay stable.)
 import pytest
 
 from repro.datastruct.lsm import LsmTree
-from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.net import Frame, Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.memory import DramBackend, NvmeBackend, SingleLevelStore
-from repro.sharding import ShardedKvClient, ShardedKvCluster
+from repro.sharding import FailoverKvClient, ShardedKvClient, ShardedKvCluster
 from repro.sim import Simulator
 from repro.telemetry import MetricsRegistry, Sampler
 
@@ -77,10 +76,8 @@ class TestScopeBackedFacades:
     def test_failover_stats(self):
         sim = Simulator()
         network = Network(sim)
-        cluster = ReplicatedDpuKvCluster(
-            sim, network, dpu_count=3, replication=2
-        )
-        client = FailoverKvClient(sim, network, "c", cluster)
+        cluster = ShardedKvCluster(sim, network, dpu_count=3, name="kv")
+        client = FailoverKvClient(sim, cluster, "c", 2)
         sampler = _sampled(sim.telemetry, sim, "dpu.failover.c")
         keys = [f"k{i}".encode() for i in range(12)]
 

@@ -146,6 +146,27 @@ class TestSampler:
         assert len(series) >= 9
         assert series.last[1] == pytest.approx(10.0, abs=1.0)
 
+    def test_pump_stops_after_the_tick_that_follows_a_wake(self):
+        """``until.wake()`` queues no entry; the pump takes the tick it
+        is waiting on and then ends, so the run ends at that tick."""
+        sim = Simulator()
+        sampler = Sampler(sim.telemetry, sim, period=1e-3)
+        done = sim.event()
+        ticks_at_wake = []
+
+        def workload():
+            yield sim.timeout(3.5e-3)
+            ticks_at_wake.append(sampler.ticks)
+            eid = sim._eid
+            done.wake()
+            assert sim._eid == eid
+
+        sim.process(sampler.pump(sim, done))
+        sim.run_process(workload())
+        assert ticks_at_wake == [3]
+        assert sampler.ticks == 4
+        assert sim.now == pytest.approx(4e-3)
+
     def test_snapshot_bytes_are_canonical(self):
         def build():
             reg = MetricsRegistry()

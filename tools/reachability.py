@@ -40,18 +40,19 @@ four lists, each printed with its total:
 
 1. every module nothing reaches, and every def, public or private,
    nothing reaches inside a live module, with its size in lines;
-2. every defaulted parameter of a live def outside ``repro.eval`` that
-   no live call passes (see :class:`_Census` for what counts as
-   passing): a constant in all but name;
+2. every defaulted parameter of a live def that no live call passes
+   (see :class:`_Census` for what counts as passing; a registry row's
+   ``run_*`` is handed on as a value, so its config is passed): a
+   constant in all but name;
 3. write-only state: every attribute live code stores (``=``, ``+=``)
    on an object of a class under ``src`` and no live code loads, and
    every dataclass field of a live class no live code reads
    (``getattr`` strings, ``asdict``, ``astuple``, ``fields``,
    ``replace``, ``vars`` and ``repr`` count as reads);
-4. one-value parameters: every parameter of a live def outside
-   ``repro.eval``, and every field of a live dataclass, that every live
-   call or construction sets to the same literal or module constant
-   (resolved to its value), bar the list-2 ones.
+4. one-value parameters: every parameter of a live def, and every
+   field of a live dataclass, that every live call or construction sets
+   to the same literal or module constant (resolved to its value), bar
+   the list-2 ones.
 
 Usage: ``python tools/reachability.py`` (or ``make reachability``).
 """
@@ -1075,7 +1076,7 @@ class Reachability:
 
     def unset_options(self) -> List[str]:
         """``module.def(param)`` of every defaulted parameter of a live
-        def outside ``repro.eval`` that no live call passes, sorted."""
+        def that no live call passes, sorted."""
         return self.census.unset()
 
     def write_only(self) -> List[str]:
@@ -1095,10 +1096,6 @@ class Reachability:
             info = self.modules.get(unit.module)
             yield (info or self._info(unit.module)), unit
 
-
-#: Where the census does not look for options: a registry row's ``run_*``
-#: signature is that experiment's declared config, which tests shrink.
-CENSUS_SKIPS = ("repro.eval",)
 
 #: Where an expression is handed on as a value rather than used in place:
 #: a def found there may be called later with any arguments.
@@ -1350,11 +1347,9 @@ class _Census:
 
     # -- the answers --------------------------------------------------------
     def _censused(self) -> Iterator[Tuple[Unit, bool]]:
-        """Every live def outside ``CENSUS_SKIPS``, and whether it is a
-        dataclass's synthesised ``__init__``."""
+        """Every live def, and whether it is a dataclass's synthesised
+        ``__init__``."""
         for unit in self.reach.live_units():
-            if unit.module.startswith(CENSUS_SKIPS):
-                continue
             if unit.is_class:
                 if unit in self.synthetic:
                     yield self.synthetic[unit], True
